@@ -1,0 +1,456 @@
+//! Byte-identity pins for the Krylov drivers.
+//!
+//! Every constant below was recorded at the commit *before* the solver
+//! drivers were unified into `wse_core::krylov` and must never be edited
+//! to make a refactor pass: program bytes (`wse_serve::program_digest`
+//! after build), the per-iteration cycle breakdown, `f64::to_bits` of
+//! every relative residual, an FNV-1a digest of the iterate, and — per
+//! driver — the `RecoveryLog` of one solve under seeded SRAM bit flips.
+//! (The 2D driver of that commit reported only per-iteration totals; its
+//! per-phase split was read off an instrumented build of the same commit.)
+
+use stencil::decomp::Block2D;
+use stencil::mesh::Mesh3D;
+use stencil::precond::jacobi_scale;
+use stencil::problem::manufactured;
+use stencil::stencil7::poisson;
+use stencil::stencil9::convection_diffusion9;
+use stencil::DiaMatrix;
+use wse_arch::{Fabric, FaultKindClass, FaultPlan, Region};
+use wse_core::bicgstab2d::WaferBicgstab2d;
+use wse_core::cg::{CgVariant, WaferCg};
+use wse_core::recovery::{RecoveryLog, RecoveryPolicy, ResidualTripwire};
+use wse_core::{MultiIterCycles, WaferBicgstab, WaferBicgstabMulti};
+use wse_float::F16;
+use wse_multi::{HostLink, MultiFabric};
+use wse_serve::program_digest;
+
+/// Everything one driven solve leaves behind, bit-exact.
+#[derive(Debug, PartialEq)]
+struct Pin {
+    /// `program_digest` after build (ensembles: one per wafer).
+    program: Vec<u64>,
+    /// Per-iteration cycles `[spmv, dot, allreduce, update, scalar]`
+    /// (ensembles append `[halo, halo_hidden, host_allreduce]`).
+    cycles: Vec<Vec<u64>>,
+    /// `f64::to_bits` of each relative residual.
+    residuals: Vec<u64>,
+    /// FNV-1a over the iterate's fp16 bit patterns.
+    x: u64,
+}
+
+fn pin<const N: usize>(program: &[u64], cycles: &[[u64; N]], residuals: &[u64], x: u64) -> Pin {
+    Pin {
+        program: program.to_vec(),
+        cycles: cycles.iter().map(|c| c.to_vec()).collect(),
+        residuals: residuals.to_vec(),
+        x,
+    }
+}
+
+fn x_digest(x: &[F16]) -> u64 {
+    x.iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
+fn bits(residuals: &[f64]) -> Vec<u64> {
+    residuals.iter().map(|r| r.to_bits()).collect()
+}
+
+fn multi_cycles(c: &MultiIterCycles) -> Vec<u64> {
+    let k = c.compute;
+    vec![k.spmv, k.dot, k.allreduce, k.update, k.scalar, c.halo, c.halo_hidden, c.host_allreduce]
+}
+
+/// The recovery log as pinned text: the summary line plus every event.
+fn render(log: &RecoveryLog) -> String {
+    format!("{log} | {}", log.events.join(" | "))
+}
+
+fn system3d(mesh: Mesh3D) -> (DiaMatrix<F16>, Vec<F16>) {
+    let p = manufactured(mesh, (1.0, -0.5, 0.5), 11).preconditioned();
+    (p.matrix.convert(), p.rhs.iter().map(|&v| F16::from_f64(v)).collect())
+}
+
+/// Jacobi-scaled system with a deterministic non-trivial exact solution.
+fn scaled(a: DiaMatrix<f64>, exact: impl Fn(usize) -> f64) -> (DiaMatrix<F16>, Vec<F16>) {
+    let exact: Vec<f64> = (0..a.mesh().len()).map(exact).collect();
+    let mut b = vec![0.0; exact.len()];
+    a.matvec_f64(&exact, &mut b);
+    let sys = jacobi_scale(&a, &b);
+    (sys.matrix.convert(), sys.rhs.iter().map(|&v| F16::from_f64(v)).collect())
+}
+
+fn system2d(w: usize, h: usize, block: Block2D) -> (DiaMatrix<F16>, Vec<F16>) {
+    let a = convection_diffusion9(block.covered_mesh(w, h), (1.5, -0.5));
+    scaled(a, |i| (i % 9) as f64 * 0.125 - 0.5)
+}
+
+fn spd_system(mesh: Mesh3D) -> (DiaMatrix<F16>, Vec<F16>) {
+    scaled(poisson(mesh), |i| ((i * 7) % 9) as f64 * 0.125 - 0.5)
+}
+
+fn multi_system() -> (DiaMatrix<F16>, Vec<F16>) {
+    scaled(poisson(Mesh3D::new(6, 4, 8)), |i| (i * 29 % 101) as f64 / 101.0 - 0.4)
+}
+
+type MultiBuild = fn(&mut MultiFabric, &DiaMatrix<F16>) -> WaferBicgstabMulti;
+
+/// fp16-scale recovery policy with a mid-solve checkpoint cadence.
+fn policy() -> RecoveryPolicy {
+    RecoveryPolicy {
+        checkpoint_every: 2,
+        max_retries: 3,
+        verify_rel: 0.1,
+        tripwire: ResidualTripwire { converged: 4e-3, diverged: 1e6 },
+        label: String::new(),
+    }
+}
+
+/// Seeded SRAM bit flips over the data-holding part of a `w × h` fabric.
+fn flips(seed: u64, fabric: &Fabric, w: usize, h: usize) -> FaultPlan {
+    let words = fabric.tile(0, 0).mem.used() / 2;
+    FaultPlan::random(seed, 24, 8_000, w, h, words, &[FaultKindClass::SramBitFlip])
+}
+
+#[test]
+fn bicgstab3d_classic() {
+    let (a, b) = system3d(Mesh3D::new(4, 4, 8));
+    let mut fabric = Fabric::new(4, 4);
+    let solver = WaferBicgstab::build(&mut fabric, &a);
+    let program = vec![program_digest(&fabric)];
+    let (x, stats) = solver.solve(&mut fabric, &b, 4);
+    let cycles = stats
+        .iterations
+        .iter()
+        .map(|c| vec![c.spmv, c.dot, c.allreduce, c.update, c.scalar])
+        .collect();
+    let got = Pin { program, cycles, residuals: bits(&stats.residuals), x: x_digest(&x) };
+    let want = pin(
+        &[609646569634883056],
+        &[
+            [104, 32, 84, 12, 16],
+            [104, 32, 84, 12, 16],
+            [104, 32, 84, 12, 16],
+            [103, 32, 84, 12, 16],
+        ],
+        &[4591880568433472291, 4583956917081667674, 4578194679802881717, 4576464123997942970],
+        619672358127573295,
+    );
+    assert_eq!(got, want);
+}
+
+#[test]
+fn bicgstab3d_omega_fused() {
+    let (a, b) = system3d(Mesh3D::new(8, 8, 16));
+    let mut fabric = Fabric::new(8, 8);
+    let solver = WaferBicgstab::build_fused(&mut fabric, &a);
+    let program = vec![program_digest(&fabric)];
+    let (x, stats) = solver.solve(&mut fabric, &b, 3);
+    let cycles = stats
+        .iterations
+        .iter()
+        .map(|c| vec![c.spmv, c.dot, c.allreduce, c.update, c.scalar])
+        .collect();
+    let got = Pin { program, cycles, residuals: bits(&stats.residuals), x: x_digest(&x) };
+    let want = pin(
+        &[3510079048633776497],
+        &[[158, 48, 104, 24, 16], [164, 48, 103, 24, 16], [159, 48, 103, 24, 16]],
+        &[4600130674357753811, 4595377121838907936, 4590405312591771467],
+        5674372085720162475,
+    );
+    assert_eq!(got, want);
+}
+
+#[test]
+fn bicgstab2d_at_origin_and_rebased() {
+    const PROGRAM: u64 = 11026655737627275334;
+    let want = |program: u64| {
+        pin(
+            &[program],
+            &[[288], [286], [292], [286]],
+            &[4584024342590148053, 4583042965677946175, 4566224865108686756, 4561045633490671539],
+            2113677286868873213,
+        )
+    };
+    let block = Block2D::new(4, 4);
+    let (a, b) = system2d(3, 3, block);
+
+    let mut fabric = Fabric::new(3, 3);
+    let solver = WaferBicgstab2d::build(&mut fabric, &a, block);
+    let program = vec![program_digest(&fabric)];
+    let (x, cyc, res) = solver.solve(&mut fabric, &b, 4);
+    let cycles = cyc.iter().map(|&c| vec![c]).collect();
+    assert_eq!(Pin { program, cycles, residuals: bits(&res), x: x_digest(&x) }, want(PROGRAM));
+
+    // The same program built at (2, 1) of a larger fabric — region bytes
+    // identical, whole-fabric digest pinned too — driven through a
+    // rebased handle.
+    let mut big = Fabric::new(6, 5);
+    let built = WaferBicgstab2d::build_at(&mut big, &a, block, (2, 1));
+    assert_eq!(program_digest(&big.extract_region(Region::new(2, 1, 3, 3))), PROGRAM);
+    let program = vec![program_digest(&big)];
+    let solver = built.rebased((2, 1));
+    let (x, cyc, res) = solver.solve(&mut big, &b, 4);
+    let cycles = cyc.iter().map(|&c| vec![c]).collect();
+    let got = Pin { program, cycles, residuals: bits(&res), x: x_digest(&x) };
+    assert_eq!(got, want(3419288559842228509));
+}
+
+#[test]
+fn cg_both_variants() {
+    let (a, b) = spd_system(Mesh3D::new(4, 4, 8));
+    let want = [
+        pin(
+            &[12725622867127270870],
+            &[[52, 16, 42, 6, 5], [51, 16, 42, 6, 5], [52, 16, 42, 6, 5], [52, 16, 42, 6, 5]],
+            &[4599097329464941088, 4591149551683346457, 4585291340794383038, 4580270122678187503],
+            3228667008488097442,
+        ),
+        pin(
+            &[452629383486706643],
+            &[[53, 16, 32, 8, 8], [52, 16, 33, 8, 11], [51, 16, 33, 8, 11], [52, 16, 33, 8, 11]],
+            &[4599097324109761090, 4591149254712702949, 4585287802949700660, 4580274119508173433],
+            8093184009548978188,
+        ),
+    ];
+    for (variant, want) in [CgVariant::Standard, CgVariant::SingleReduction].into_iter().zip(want) {
+        let mut fabric = Fabric::new(4, 4);
+        let solver = WaferCg::build(&mut fabric, &a, variant);
+        let program = vec![program_digest(&fabric)];
+        let (x, cyc, res) = solver.solve(&mut fabric, &b, 4);
+        let cycles =
+            cyc.iter().map(|c| vec![c.spmv, c.dot, c.allreduce, c.update, c.scalar]).collect();
+        let got = Pin { program, cycles, residuals: bits(&res), x: x_digest(&x) };
+        assert_eq!(got, want, "{variant:?}");
+    }
+}
+
+#[test]
+fn multi_k2_all_three_builders() {
+    let (a, b) = multi_system();
+    let cases: [(&str, MultiBuild, Pin); 3] = [
+        (
+            "build",
+            WaferBicgstabMulti::build,
+            pin(
+                &[2926857116323801931, 13473658249302970425],
+                &[[100, 32, 72, 12, 16, 282, 80, 1440]; 3],
+                &[4591599223640705619, 4583067016011997252, 4580160021566469369],
+                5955764729450062792,
+            ),
+        ),
+        (
+            "build_serial",
+            WaferBicgstabMulti::build_serial,
+            pin(
+                &[12400554591289446598, 188700157798058268],
+                &[
+                    [101, 32, 72, 12, 16, 378, 0, 1440],
+                    [104, 32, 72, 12, 16, 378, 0, 1440],
+                    [105, 32, 72, 12, 16, 378, 0, 1440],
+                ],
+                &[4591600562345499918, 4583073931072162557, 4580165478208682299],
+                14222665429398709923,
+            ),
+        ),
+        (
+            "build_fused",
+            WaferBicgstabMulti::build_fused,
+            pin(
+                &[3514804552724930182, 6216129869999816216],
+                &[[107, 84, 63, 14, 0, 275, 87, 362]; 3],
+                &[4591591763041733282, 4583064588601496747, 4580158162939472891],
+                5229112216284982865,
+            ),
+        ),
+    ];
+    for (name, build, want) in cases {
+        let mut multi = MultiFabric::new(6, 4, 2, HostLink::paper_default());
+        let solver = build(&mut multi, &a);
+        let program = (0..2).map(|m| program_digest(multi.shard(m))).collect();
+        let (x, stats) = solver.solve(&mut multi, &b, 3);
+        let cycles = stats.iterations.iter().map(multi_cycles).collect();
+        let got = Pin { program, cycles, residuals: bits(&stats.residuals), x: x_digest(&x) };
+        assert_eq!(got, want, "{name}");
+    }
+}
+
+/// One recovering solve's pinned outcome: rendered log, residual bits of
+/// the committed iterations, iterate digest.
+type Recovered = (String, Vec<u64>, u64);
+
+fn recovered(log: &str, residuals: &[u64], x: u64) -> Recovered {
+    (log.to_string(), residuals.to_vec(), x)
+}
+
+#[test]
+fn recovery_under_seeded_bit_flips_single_wafer() {
+    let (a, b) = system3d(Mesh3D::new(4, 4, 8));
+    let mut fabric = Fabric::new(4, 4);
+    let solver = WaferBicgstab::build(&mut fabric, &a);
+    fabric.arm_faults(&flips(29, &fabric, 4, 4));
+    let (x, stats, log) = solver.solve_with_recovery(&mut fabric, &a, &b, 12, &policy());
+    assert_eq!(
+        (render(&log), bits(&stats.residuals), x_digest(&x)),
+        recovered(
+            "recovery: Converged after 5 iterations (rel 3.295e-3); 3 checkpoints, 1 rollbacks \
+             (0 iterations lost), 0 stalls, 0 trips, 1 false convergences | iter 4: false \
+             convergence (recursive rel 3.308e-3, true rel 2.927e2)",
+            &[
+                4591880568433472291,
+                4583956917081667674,
+                4578194679802881717,
+                4576464123997942970,
+                4569745082619485706
+            ],
+            0x7065a1b796470ec0,
+        )
+    );
+
+    let block = Block2D::new(4, 4);
+    let (a, b) = system2d(3, 3, block);
+    let mut fabric = Fabric::new(3, 3);
+    let solver = WaferBicgstab2d::build(&mut fabric, &a, block);
+    fabric.arm_faults(&flips(20, &fabric, 3, 3));
+    let (x, res, log) = solver.solve_with_recovery(&mut fabric, &a, &b, 12, &policy());
+    assert_eq!(
+        (render(&log), bits(&res), x_digest(&x)),
+        recovered(
+            "recovery: Converged after 3 iterations (rel 1.992e-3); 2 checkpoints, 1 rollbacks \
+             (1 iterations lost), 0 stalls, 0 trips, 1 false convergences | iter 1: false \
+             convergence (recursive rel 0.000e0, true rel NaN)",
+            &[4584024342590148053, 4583042965677946175, 4566738615956866940],
+            0x1d092eb7e2001c49,
+        )
+    );
+}
+
+/// CG under flips. Seed 25 trips the wire in iteration 1 of the
+/// single-reduction solve, so the rollback lands on the post-load
+/// checkpoint and the replay must take the β = 0 first-iteration path
+/// again; seed 37 rolls back to a mid-solve checkpoint, where it must not.
+#[test]
+fn recovery_under_seeded_bit_flips_cg() {
+    let (a, b) = spd_system(Mesh3D::new(4, 4, 8));
+    let cases = [
+        (
+            CgVariant::Standard,
+            37,
+            recovered(
+                "recovery: Converged after 6 iterations (rel 2.347e-3); 3 checkpoints, 1 \
+                 rollbacks (1 iterations lost), 0 stalls, 1 trips, 0 false convergences | iter \
+                 3: tripwire NonFinite (rel NaN)",
+                &[
+                    4599097329464941088,
+                    4591149551683346457,
+                    4585291451519114633,
+                    4580258184486184507,
+                    4573092320888854213,
+                    4567558806899502580,
+                ],
+                0x33e3b6763a289098,
+            ),
+        ),
+        (
+            CgVariant::SingleReduction,
+            25,
+            recovered(
+                "recovery: Converged after 6 iterations (rel 2.341e-3); 3 checkpoints, 1 \
+                 rollbacks (1 iterations lost), 0 stalls, 1 trips, 0 false convergences | iter \
+                 1: tripwire NonFinite (rel inf)",
+                &[
+                    4599097324109761090,
+                    4591170507499002920,
+                    4585293999570527128,
+                    4580291599775474025,
+                    4573089499241665476,
+                    4567544922111706052,
+                ],
+                0x8d81bc02a794e43b,
+            ),
+        ),
+        (
+            CgVariant::SingleReduction,
+            37,
+            recovered(
+                "recovery: Converged after 6 iterations (rel 2.267e-3); 3 checkpoints, 1 \
+                 rollbacks (1 iterations lost), 0 stalls, 1 trips, 0 false convergences | iter \
+                 3: tripwire NonFinite (rel inf)",
+                &[
+                    4599097324109761090,
+                    4591149254712702949,
+                    4585287633164846807,
+                    4580195666843256412,
+                    4573025498870318754,
+                    4567373936647200543,
+                ],
+                0xd277a1a9ddc55dea,
+            ),
+        ),
+    ];
+    for (variant, seed, want) in cases {
+        let mut fabric = Fabric::new(4, 4);
+        let solver = WaferCg::build(&mut fabric, &a, variant);
+        fabric.arm_faults(&flips(seed, &fabric, 4, 4));
+        let (x, res, log) = solver.solve_with_recovery(&mut fabric, &a, &b, 12, &policy());
+        assert_eq!((render(&log), bits(&res), x_digest(&x)), want, "{variant:?} seed {seed}");
+    }
+}
+
+#[test]
+fn recovery_under_seeded_bit_flips_multi_k2() {
+    let (a, b) = multi_system();
+    let cases: [(&str, MultiBuild, u64, Recovered); 2] = [
+        (
+            "build",
+            WaferBicgstabMulti::build,
+            12,
+            recovered(
+                "recovery: RetriesExhausted after 5 iterations (rel 6.203e-3); 3 checkpoints, 3 \
+                 rollbacks (3 iterations lost), 0 stalls, 0 trips, 4 false convergences | iter \
+                 5: false convergence (recursive rel 2.754e-3, true rel 1.905e-1) | iter 5: \
+                 false convergence (recursive rel 2.741e-3, true rel 1.905e-1) | iter 5: false \
+                 convergence (recursive rel 2.741e-3, true rel 1.905e-1) | iter 5: false \
+                 convergence (recursive rel 2.741e-3, true rel 1.905e-1)",
+                &[
+                    4594737841529778297,
+                    4585067231032687365,
+                    4581159904847020921,
+                    4578050853263763074,
+                    4573801994168289947,
+                ],
+                0x2755365208477f2a,
+            ),
+        ),
+        (
+            "build_fused",
+            WaferBicgstabMulti::build_fused,
+            24,
+            recovered(
+                "recovery: Converged after 6 iterations (rel 2.652e-3); 3 checkpoints, 1 \
+                 rollbacks (1 iterations lost), 0 stalls, 0 trips, 1 false convergences | iter \
+                 5: false convergence (recursive rel 2.652e-3, true rel 1.762e-1)",
+                &[
+                    4591591763041733282,
+                    4583076075751246549,
+                    4580169020890257005,
+                    4576778233617403576,
+                    4572997729075398571,
+                    4568260537795343823,
+                ],
+                0xa23ac1a09f734d93,
+            ),
+        ),
+    ];
+    for (name, build, seed, want) in cases {
+        let mut multi = MultiFabric::new(6, 4, 2, HostLink::paper_default());
+        let solver = build(&mut multi, &a);
+        // The flips land on wafer 0's slab.
+        let plan = flips(seed, multi.shard(0), 3, 4);
+        multi.shard_mut(0).arm_faults(&plan);
+        let (x, stats, log) = solver.solve_with_recovery(&mut multi, &a, &b, 12, &policy());
+        assert_eq!((render(&log), bits(&stats.residuals), x_digest(&x)), want, "{name}");
+    }
+}
