@@ -34,7 +34,7 @@ use stencil::mesh::Mesh3D;
 use stencil::problem::manufactured;
 use wse_arch::{Fabric, FaultKindClass, FaultPlan, SplitMix64};
 use wse_core::recovery::{RecoveryLog, RecoveryOutcome, RecoveryPolicy, ResidualTripwire};
-use wse_core::{WaferBicgstab, WaferBicgstabMulti};
+use wse_core::{Krylov, WaferBicgstab, WaferBicgstabMulti};
 use wse_float::F16;
 use wse_multi::{HostLink, MultiFabric};
 

@@ -444,7 +444,7 @@ pub fn print_spmv2d() {
         let mut f2 = Fabric::new(4, 4);
         let s2 = WaferBicgstab2d::build(&mut f2, &a16, block);
         s2.load_rhs(&mut f2, &b16);
-        let c2 = s2.iterate(&mut f2) as f64 / 256.0;
+        let c2 = s2.iterate(&mut f2).total() as f64 / 256.0;
         println!(
             "BiCGStab cycles/meshpoint/iteration: 3D mapping {c3:.1}, 2D mapping {c2:.1} \
              (paper: \"approximately the same\")"

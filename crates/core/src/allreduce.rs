@@ -530,7 +530,6 @@ impl AllReduce {
 /// is arithmetically identical to [`AllReduce`].
 pub struct AllReduceSplit {
     w: usize,
-    h: usize,
     root: (usize, usize),
     /// Input register (each core's contribution).
     pub r_in: Reg,
@@ -600,7 +599,7 @@ impl AllReduceSplit {
                 bcast.push(bc);
             }
         }
-        AllReduceSplit { w, h, root: (cx0, cy0), r_in, r_out, r_acc, reduce, bcast }
+        AllReduceSplit { w, root: (cx0, cy0), r_in, r_out, r_acc, reduce, bcast }
     }
 
     /// The reduce-phase task to activate on tile `(x, y)`.
@@ -617,11 +616,6 @@ impl AllReduceSplit {
     /// reduce phase.
     pub fn root(&self) -> (usize, usize) {
         self.root
-    }
-
-    /// The region this instance was built over.
-    pub fn dims(&self) -> (usize, usize) {
-        (self.w, self.h)
     }
 }
 
@@ -656,7 +650,6 @@ pub mod chain_colors {
 /// every tile's registers — one host round-trip per solver iteration.
 pub struct ChainReduce {
     w: usize,
-    h: usize,
     /// Byte address of the `m`-word fp32 payload on every tile. After the
     /// reduce phase, the root's copy holds the element-wise global sum.
     pub pay: u32,
@@ -901,7 +894,7 @@ impl ChainReduce {
                 bcast.push(bc);
             }
         }
-        ChainReduce { w, h, pay, m, bc_src, reduce, bcast }
+        ChainReduce { w, pay, m, bc_src, reduce, bcast }
     }
 
     /// The reduce-phase task to activate on tile `(x, y)`.
@@ -917,11 +910,6 @@ impl ChainReduce {
     /// The root tile whose payload holds the reduced vector.
     pub fn root(&self) -> (usize, usize) {
         (0, 0)
-    }
-
-    /// The region this instance was built over.
-    pub fn dims(&self) -> (usize, usize) {
-        (self.w, self.h)
     }
 }
 

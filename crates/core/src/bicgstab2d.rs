@@ -14,76 +14,35 @@
 //! rows directly (each interior row `(i+1, 1..=by)` is a contiguous slice).
 
 use crate::allreduce::AllReduce;
-use crate::recovery::{
-    self, run_with_recovery, RecoveryLog, RecoveryOutcome, RecoveryPolicy, ResidualTripwire,
-};
+use crate::bicgstab::{build_coefficient_tasks, coefficient_names, regs};
+use crate::krylov::{self, Layout, Program, Slot, Tasks, Vecs};
 use crate::spmv2d::{Spmv2dLayout, WaferSpmv2d};
 use stencil::decomp::Block2D;
 use stencil::dia::DiaMatrix;
-use stencil::mesh::Mesh2D;
 use wse_arch::dsr::mk;
-use wse_arch::fabric::StallReport;
 use wse_arch::instr::{Op, RegOp, Stmt, Task, TensorInstr};
-use wse_arch::types::{Dtype, TaskId};
+use wse_arch::types::Dtype;
 use wse_arch::{Fabric, Tile};
 use wse_float::F16;
 
-use crate::bicgstab::regs;
-
-/// Per-tile vector addresses (all `bx·by` contiguous block arrays except
-/// the SpMV sources/outputs, which live in the kernel layouts).
-#[derive(Copy, Clone, Debug)]
-struct Tile2dVecs {
-    /// Residual.
-    r: u32,
-    /// Shadow residual.
-    r0: u32,
-    /// Iterate.
-    x: u32,
-}
-
-#[derive(Clone, Debug)]
-struct Tile2dTasks {
-    spmv_ps: TaskId,
-    spmv_qy: TaskId,
-    dot_r0s: TaskId,
-    dot_qy: TaskId,
-    dot_yy: TaskId,
-    dot_rho: TaskId,
-    dot_rr: TaskId,
-    post_r0s: TaskId,
-    post_qy: TaskId,
-    post_yy: TaskId,
-    post_rho: TaskId,
-    init_rho: TaskId,
-    post_rr: TaskId,
-    upd_q: TaskId,
-    upd_x: TaskId,
-    upd_r: TaskId,
-    upd_p: TaskId,
-}
-
-/// The 2D-mapped wafer BiCGStab solver.
+/// The 2D-mapped wafer BiCGStab solver: a constructor for the block-layout
+/// [`Program`], which it derefs to (sequenced by [`krylov::BICGSTAB_BLOCK`]).
 ///
-/// The program occupies the `fabric_w × fabric_h` tile region whose
-/// top-left tile sits at `origin` (`(0, 0)` unless built with
+/// The program occupies the `w × h` tile region whose top-left tile sits
+/// at the build origin (`(0, 0)` unless built with
 /// [`WaferBicgstab2d::build_at`]). The handle is `Clone`: because routing
 /// is per-tile state, a built program is translation-invariant, and a
 /// region blitted elsewhere is driven through [`WaferBicgstab2d::rebased`]
 /// — this is what lets the multi-tenant service compile once on a scratch
 /// fabric and place the cached image into any tenant region.
 #[derive(Clone)]
-pub struct WaferBicgstab2d {
-    fabric_w: usize,
-    fabric_h: usize,
-    origin: (usize, usize),
-    block: Block2D,
-    lay_p: Vec<Spmv2dLayout>,
-    #[allow(dead_code)] // kept for symmetric diagnostics/readback
-    lay_q: Vec<Spmv2dLayout>,
-    vecs: Vec<Tile2dVecs>,
-    tasks: Vec<Tile2dTasks>,
-    allreduce: AllReduce,
+pub struct WaferBicgstab2d(Program);
+
+impl std::ops::Deref for WaferBicgstab2d {
+    type Target = Program;
+    fn deref(&self) -> &Program {
+        &self.0
+    }
 }
 
 /// Emits `bx` row-wise statements applying `f(row_dst, row_a, row_b)` over
@@ -181,10 +140,7 @@ impl WaferBicgstab2d {
 
         let (bx, by) = (block.bx, block.by);
         let n = (bx * by) as u32;
-        let mut lay_p = Vec::new();
-        let mut lay_q = Vec::new();
-        let mut vecs = Vec::new();
-        let mut tasks = Vec::new();
+        let mut tiles = Vec::with_capacity(w * h);
 
         for ty in 0..h {
             for tx in 0..w {
@@ -209,176 +165,58 @@ impl WaferBicgstab2d {
                     ubuf: tile.mem.alloc_vec(ub, Dtype::F16).expect("SRAM: y"),
                 };
                 WaferSpmv2d::load_tile_coefficients(tile, &lp, a, tx, ty);
-                let tv = Tile2dVecs {
+                let tv = Vecs {
                     r: tile.mem.alloc_vec(n, Dtype::F16).expect("SRAM: r"),
                     r0: tile.mem.alloc_vec(n, Dtype::F16).expect("SRAM: r0"),
                     x: tile.mem.alloc_vec(n, Dtype::F16).expect("SRAM: x"),
+                    p: lp.v,
+                    q: 0,
                 };
 
-                let spmv_ps = WaferSpmv2d::build_tile_task(tile, &lp, tx, ty, w, h);
-                let spmv_qy = WaferSpmv2d::build_tile_task(tile, &lq, tx, ty, w, h);
+                // The 2D SpMV's halo exchange happens inside its task
+                // chain, so it is attributed to the "spmv" phase, matching
+                // how the paper accounts the broadcast.
+                let mut tasks = Tasks::new();
+                tasks[Slot::SpmvPs] = WaferSpmv2d::build_tile_task(tile, &lp, tx, ty, w, h);
+                tasks[Slot::SpmvQy] = WaferSpmv2d::build_tile_task(tile, &lq, tx, ty, w, h);
+                tasks[Slot::Reduce] = allreduce.task(tx, ty);
 
                 let row = |base: u32, i: usize| base + 2 * (i * by) as u32;
                 let s_row = |i: usize| lp.u_addr(i + 1, 1);
                 let y_row = |i: usize| lq.u_addr(i + 1, 1);
 
                 // --- Dots. ---
-                let dot_r0s = {
+                tasks[Slot::DotR0s] = {
                     let body =
                         rowwise_dot(tile, bx, by, |i| (row(tv.r0, i), s_row(i)), regs::AR_IN);
                     tile.core.add_task(Task::new("2d_dot_r0s", body))
                 };
-                let dot_qy = {
+                tasks[Slot::DotQy] = {
                     let body = rowwise_dot(tile, bx, by, |i| (row(lq.v, i), y_row(i)), regs::AR_IN);
                     tile.core.add_task(Task::new("2d_dot_qy", body))
                 };
-                let dot_yy = {
+                tasks[Slot::DotYy] = {
                     let body = rowwise_dot(tile, bx, by, |i| (y_row(i), y_row(i)), regs::AR_IN);
                     tile.core.add_task(Task::new("2d_dot_yy", body))
                 };
-                let dot_rho = {
+                tasks[Slot::DotRho] = {
                     let body =
                         rowwise_dot(tile, bx, by, |i| (row(tv.r0, i), row(tv.r, i)), regs::AR_IN);
                     tile.core.add_task(Task::new("2d_dot_rho", body))
                 };
-                let dot_rr = {
+                tasks[Slot::DotRr] = {
                     let body =
                         rowwise_dot(tile, bx, by, |i| (row(tv.r, i), row(tv.r, i)), regs::AR_IN);
                     tile.core.add_task(Task::new("2d_dot_rr", body))
                 };
 
                 // --- Scalar phases (same algebra as the 3D solver). ---
-                let post_r0s = tile.core.add_task(Task::new(
-                    "2d_post_r0s",
-                    vec![
-                        Stmt::RegArith {
-                            op: RegOp::Mov,
-                            dst: regs::R0S,
-                            a: regs::AR_OUT,
-                            b: regs::AR_OUT,
-                        },
-                        Stmt::RegArith {
-                            op: RegOp::Add,
-                            dst: regs::R0S,
-                            a: regs::R0S,
-                            b: regs::EPS,
-                        },
-                        Stmt::RegArith {
-                            op: RegOp::Div,
-                            dst: regs::ALPHA,
-                            a: regs::RHO,
-                            b: regs::R0S,
-                        },
-                        Stmt::RegArith {
-                            op: RegOp::Neg,
-                            dst: regs::NEG_ALPHA,
-                            a: regs::ALPHA,
-                            b: regs::ALPHA,
-                        },
-                    ],
-                ));
-                let post_qy = tile.core.add_task(Task::new(
-                    "2d_post_qy",
-                    vec![Stmt::RegArith {
-                        op: RegOp::Mov,
-                        dst: regs::QY,
-                        a: regs::AR_OUT,
-                        b: regs::AR_OUT,
-                    }],
-                ));
-                let post_yy = tile.core.add_task(Task::new(
-                    "2d_post_yy",
-                    vec![
-                        Stmt::RegArith {
-                            op: RegOp::Mov,
-                            dst: regs::YY,
-                            a: regs::AR_OUT,
-                            b: regs::AR_OUT,
-                        },
-                        Stmt::RegArith { op: RegOp::Add, dst: regs::YY, a: regs::YY, b: regs::EPS },
-                        Stmt::RegArith {
-                            op: RegOp::Div,
-                            dst: regs::OMEGA,
-                            a: regs::QY,
-                            b: regs::YY,
-                        },
-                        Stmt::RegArith {
-                            op: RegOp::Neg,
-                            dst: regs::NEG_OMEGA,
-                            a: regs::OMEGA,
-                            b: regs::OMEGA,
-                        },
-                    ],
-                ));
-                let post_rho = tile.core.add_task(Task::new(
-                    "2d_post_rho",
-                    vec![
-                        Stmt::RegArith {
-                            op: RegOp::Mov,
-                            dst: regs::RHO_NEXT,
-                            a: regs::AR_OUT,
-                            b: regs::AR_OUT,
-                        },
-                        Stmt::RegArith {
-                            op: RegOp::Add,
-                            dst: regs::TMP,
-                            a: regs::OMEGA,
-                            b: regs::EPS,
-                        },
-                        Stmt::RegArith {
-                            op: RegOp::Div,
-                            dst: regs::TMP,
-                            a: regs::ALPHA,
-                            b: regs::TMP,
-                        },
-                        Stmt::RegArith {
-                            op: RegOp::Add,
-                            dst: regs::BETA,
-                            a: regs::RHO,
-                            b: regs::EPS,
-                        },
-                        Stmt::RegArith {
-                            op: RegOp::Div,
-                            dst: regs::BETA,
-                            a: regs::RHO_NEXT,
-                            b: regs::BETA,
-                        },
-                        Stmt::RegArith {
-                            op: RegOp::Mul,
-                            dst: regs::BETA,
-                            a: regs::TMP,
-                            b: regs::BETA,
-                        },
-                        Stmt::RegArith {
-                            op: RegOp::Mov,
-                            dst: regs::RHO,
-                            a: regs::RHO_NEXT,
-                            b: regs::RHO_NEXT,
-                        },
-                    ],
-                ));
-                let init_rho = tile.core.add_task(Task::new(
-                    "2d_init_rho",
-                    vec![Stmt::RegArith {
-                        op: RegOp::Mov,
-                        dst: regs::RHO,
-                        a: regs::AR_OUT,
-                        b: regs::AR_OUT,
-                    }],
-                ));
-                let post_rr = tile.core.add_task(Task::new(
-                    "2d_post_rr",
-                    vec![Stmt::RegArith {
-                        op: RegOp::Mov,
-                        dst: regs::RR,
-                        a: regs::AR_OUT,
-                        b: regs::AR_OUT,
-                    }],
-                ));
+                let names = coefficient_names!("2d_");
+                build_coefficient_tasks(&mut tile.core, &mut tasks, names, false);
 
                 // --- Vector updates (row-wise). ---
                 // q := r − α s  (q is the second SpMV's input block).
-                let upd_q = {
+                tasks[Slot::UpdQ] = {
                     let body = rowwise(
                         tile,
                         bx,
@@ -389,7 +227,7 @@ impl WaferBicgstab2d {
                     tile.core.add_task(Task::new("2d_upd_q", body))
                 };
                 // x += α p; x += ω q.
-                let upd_x = {
+                tasks[Slot::UpdX] = {
                     let mut body = rowwise(
                         tile,
                         bx,
@@ -407,7 +245,7 @@ impl WaferBicgstab2d {
                     tile.core.add_task(Task::new("2d_upd_x", body))
                 };
                 // r := q − ω y.
-                let upd_r = {
+                tasks[Slot::UpdR] = {
                     let body = rowwise(
                         tile,
                         bx,
@@ -417,8 +255,8 @@ impl WaferBicgstab2d {
                     );
                     tile.core.add_task(Task::new("2d_upd_r", body))
                 };
-                // p := r + β (p − ω s): tilt then XPAY, row-wise.
-                let upd_p = {
+                // p := r + β (p − ω s): tilt then XPAY, row-wise, one task.
+                tasks[Slot::UpdP1] = {
                     let mut body = rowwise(
                         tile,
                         bx,
@@ -436,285 +274,28 @@ impl WaferBicgstab2d {
                     tile.core.add_task(Task::new("2d_upd_p", body))
                 };
 
-                lay_p.push(lp);
-                lay_q.push(lq);
-                vecs.push(tv);
                 // Every phase task is a host-activated entry point.
-                for t in [
-                    spmv_ps, spmv_qy, dot_r0s, dot_qy, dot_yy, dot_rho, dot_rr, post_r0s, post_qy,
-                    post_yy, post_rho, init_rho, post_rr, upd_q, upd_x, upd_r, upd_p,
-                ] {
-                    tile.core.mark_entry(t);
-                }
-                tasks.push(Tile2dTasks {
-                    spmv_ps,
-                    spmv_qy,
-                    dot_r0s,
-                    dot_qy,
-                    dot_yy,
-                    dot_rho,
-                    dot_rr,
-                    post_r0s,
-                    post_qy,
-                    post_yy,
-                    post_rho,
-                    init_rho,
-                    post_rr,
-                    upd_q,
-                    upd_x,
-                    upd_r,
-                    upd_p,
-                });
+                tasks.mark_entries(&mut tile.core);
+                tiles.push((tasks, tv));
             }
         }
         crate::debug_lint(fabric);
-        WaferBicgstab2d {
-            fabric_w: w,
-            fabric_h: h,
-            origin,
-            block,
-            lay_p,
-            lay_q,
-            vecs,
-            tasks,
-            allreduce,
-        }
+        let layout = Layout::Block { block, w, h };
+        let budget = 2_000 * (block.points() as u64) + 100_000;
+        WaferBicgstab2d(Program::new(&krylov::BICGSTAB_BLOCK, layout, origin, tiles, budget))
     }
 
-    /// A handle for the **same program** resident at another origin — used
-    /// after blitting the built region (e.g. a cached compiled image) to a
-    /// different place on a possibly different fabric. Task ids, SRAM
-    /// addresses, and layouts are all per-tile state that the blit copied
-    /// verbatim; only the origin changes.
+    /// A handle for the **same program** resident at another origin (see
+    /// [`Program::rebased`]).
     pub fn rebased(&self, origin: (usize, usize)) -> WaferBicgstab2d {
-        let mut s = self.clone();
-        s.origin = origin;
-        s.allreduce = self.allreduce.rebased(origin.0, origin.1);
-        s
-    }
-
-    /// The `(w, h)` tile extent of the program's region.
-    pub fn region_dims(&self) -> (usize, usize) {
-        (self.fabric_w, self.fabric_h)
-    }
-
-    /// The fabric coordinates of the region's top-left tile.
-    pub fn origin(&self) -> (usize, usize) {
-        self.origin
-    }
-
-    fn idx(&self, x: usize, y: usize) -> usize {
-        y * self.fabric_w + x
-    }
-
-    /// Phase runner under the stall watchdog; a wedged fabric surfaces as a
-    /// [`StallReport`] the recovery layer can act on. The run is bracketed
-    /// as trace phase `name` (inert unless tracing is armed). The 2D SpMV's
-    /// halo exchange happens inside its task chain, so it is attributed to
-    /// the "spmv" phase, matching how the paper accounts the broadcast.
-    fn try_phase(
-        &self,
-        fabric: &mut Fabric,
-        name: &'static str,
-        pick: impl Fn(&Tile2dTasks) -> TaskId,
-    ) -> Result<u64, Box<StallReport>> {
-        let (ox, oy) = self.origin;
-        for y in 0..self.fabric_h {
-            for x in 0..self.fabric_w {
-                let t = pick(&self.tasks[self.idx(x, y)]);
-                fabric.tile_mut(ox + x, oy + y).core.activate(t);
-            }
-        }
-        let budget = 2_000 * (self.block.points() as u64) + 100_000;
-        fabric.phase_begin(name);
-        let r = fabric.run_watched(budget, recovery::STALL_WINDOW);
-        fabric.phase_end();
-        r
-    }
-
-    fn try_reduce(&self, fabric: &mut Fabric) -> Result<u64, Box<StallReport>> {
-        let (ox, oy) = self.origin;
-        for y in 0..self.fabric_h {
-            for x in 0..self.fabric_w {
-                fabric.tile_mut(ox + x, oy + y).core.activate(self.allreduce.task(x, y));
-            }
-        }
-        fabric.phase_begin("allreduce");
-        let r = fabric.run_watched(
-            100 * (self.fabric_w + self.fabric_h) as u64 + 50_000,
-            recovery::STALL_WINDOW,
-        );
-        fabric.phase_end();
-        r
-    }
-
-    /// Scatters `b` (global 2D mesh order), zeroes `x`, seeds ρ and ε.
-    pub fn load_rhs(&self, fabric: &mut Fabric, b: &[F16]) {
-        self.try_load_rhs(fabric, b).unwrap_or_else(|e| panic!("2D bicgstab load stalled: {e}"))
-    }
-
-    /// Fallible [`WaferBicgstab2d::load_rhs`] (see
-    /// [`WaferBicgstab2d::try_iterate`]).
-    pub fn try_load_rhs(&self, fabric: &mut Fabric, b: &[F16]) -> Result<(), Box<StallReport>> {
-        let (bx, by) = (self.block.bx, self.block.by);
-        let mesh = Mesh2D::new(self.fabric_w * bx, self.fabric_h * by);
-        assert_eq!(b.len(), mesh.len(), "rhs length mismatch");
-        for ty in 0..self.fabric_h {
-            for tx in 0..self.fabric_w {
-                let k = self.idx(tx, ty);
-                let mut local = vec![F16::ZERO; bx * by];
-                for i in 0..bx {
-                    for j in 0..by {
-                        local[i * by + j] = b[mesh.idx(tx * bx + i, ty * by + j)];
-                    }
-                }
-                let (r, r0, x, p) =
-                    (self.vecs[k].r, self.vecs[k].r0, self.vecs[k].x, self.lay_p[k].v);
-                let tile = fabric.tile_mut(self.origin.0 + tx, self.origin.1 + ty);
-                tile.mem.store_f16_slice(r, &local);
-                tile.mem.store_f16_slice(r0, &local);
-                tile.mem.store_f16_slice(p, &local);
-                tile.mem.store_f16_slice(x, &vec![F16::ZERO; bx * by]);
-                tile.core.regs[regs::EPS] = 1e-30;
-            }
-        }
-        self.try_phase(fabric, "dot", |t| t.dot_rho)?;
-        self.try_reduce(fabric)?;
-        self.try_phase(fabric, "scalar", |t| t.init_rho)?;
-        Ok(())
-    }
-
-    /// Runs one iteration; returns total cycles.
-    pub fn iterate(&self, fabric: &mut Fabric) -> u64 {
-        self.try_iterate(fabric).unwrap_or_else(|e| panic!("2D bicgstab iteration stalled: {e}"))
-    }
-
-    /// Fallible [`WaferBicgstab2d::iterate`]: runs under the fabric stall
-    /// watchdog and returns the [`StallReport`] instead of panicking.
-    pub fn try_iterate(&self, fabric: &mut Fabric) -> Result<u64, Box<StallReport>> {
-        let mut total = 0;
-        total += self.try_phase(fabric, "spmv", |t| t.spmv_ps)?;
-        total += self.try_phase(fabric, "dot", |t| t.dot_r0s)?;
-        total += self.try_reduce(fabric)?;
-        total += self.try_phase(fabric, "scalar", |t| t.post_r0s)?;
-        total += self.try_phase(fabric, "update", |t| t.upd_q)?;
-        total += self.try_phase(fabric, "spmv", |t| t.spmv_qy)?;
-        total += self.try_phase(fabric, "dot", |t| t.dot_qy)?;
-        total += self.try_reduce(fabric)?;
-        total += self.try_phase(fabric, "scalar", |t| t.post_qy)?;
-        total += self.try_phase(fabric, "dot", |t| t.dot_yy)?;
-        total += self.try_reduce(fabric)?;
-        total += self.try_phase(fabric, "scalar", |t| t.post_yy)?;
-        total += self.try_phase(fabric, "update", |t| t.upd_x)?;
-        total += self.try_phase(fabric, "update", |t| t.upd_r)?;
-        total += self.try_phase(fabric, "dot", |t| t.dot_rho)?;
-        total += self.try_reduce(fabric)?;
-        total += self.try_phase(fabric, "scalar", |t| t.post_rho)?;
-        total += self.try_phase(fabric, "update", |t| t.upd_p)?;
-        Ok(total)
-    }
-
-    /// Relative on-wafer residual norm.
-    pub fn residual_norm(&self, fabric: &mut Fabric) -> f32 {
-        self.try_residual_norm(fabric)
-            .unwrap_or_else(|e| panic!("2D bicgstab residual phase stalled: {e}"))
-    }
-
-    /// Fallible [`WaferBicgstab2d::residual_norm`].
-    pub fn try_residual_norm(&self, fabric: &mut Fabric) -> Result<f32, Box<StallReport>> {
-        self.try_phase(fabric, "dot", |t| t.dot_rr)?;
-        self.try_reduce(fabric)?;
-        self.try_phase(fabric, "scalar", |t| t.post_rr)?;
-        Ok(fabric.tile(self.origin.0, self.origin.1).core.regs[regs::RR].max(0.0).sqrt())
-    }
-
-    /// Gathers the iterate (global 2D mesh order).
-    pub fn read_x(&self, fabric: &Fabric) -> Vec<F16> {
-        let (bx, by) = (self.block.bx, self.block.by);
-        let mesh = Mesh2D::new(self.fabric_w * bx, self.fabric_h * by);
-        let mut out = vec![F16::ZERO; mesh.len()];
-        for ty in 0..self.fabric_h {
-            for tx in 0..self.fabric_w {
-                let k = self.idx(tx, ty);
-                let tile = fabric.tile(self.origin.0 + tx, self.origin.1 + ty);
-                let local = tile.mem.load_f16_slice(self.vecs[k].x, bx * by);
-                for i in 0..bx {
-                    for j in 0..by {
-                        out[mesh.idx(tx * bx + i, ty * by + j)] = local[i * by + j];
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Loads `b`, iterates, returns `(x, cycles/iter, residuals)`.
-    pub fn solve(
-        &self,
-        fabric: &mut Fabric,
-        b: &[F16],
-        iters: usize,
-    ) -> (Vec<F16>, Vec<u64>, Vec<f64>) {
-        let norm_b: f64 = b.iter().map(|v| v.to_f64() * v.to_f64()).sum::<f64>().sqrt();
-        if norm_b == 0.0 {
-            return (vec![F16::ZERO; b.len()], Vec::new(), Vec::new());
-        }
-        self.load_rhs(fabric, b);
-        let mut cycles = Vec::new();
-        let mut residuals = Vec::new();
-        let tripwire = ResidualTripwire::default();
-        for _ in 0..iters {
-            cycles.push(self.iterate(fabric));
-            let rel = self.residual_norm(fabric) as f64 / norm_b;
-            residuals.push(rel);
-            if tripwire.check(rel).stops() {
-                break; // see ResidualTripwire for the thresholds
-            }
-        }
-        (self.read_x(fabric), cycles, residuals)
-    }
-
-    /// Like [`WaferBicgstab2d::solve`], but under the checkpoint/rollback
-    /// recovery engine (see [`crate::recovery`]): stalls are caught by the
-    /// watchdog, residual anomalies by the tripwire, and convergence claims
-    /// are verified against `a`'s f64 true residual. `a` must be the
-    /// matrix on the same global 2D mesh order as `b` and `read_x`.
-    pub fn solve_with_recovery(
-        &self,
-        fabric: &mut Fabric,
-        a: &DiaMatrix<F16>,
-        b: &[F16],
-        iters: usize,
-        policy: &RecoveryPolicy,
-    ) -> (Vec<F16>, Vec<f64>, RecoveryLog) {
-        let norm_b: f64 = b.iter().map(|v| v.to_f64() * v.to_f64()).sum::<f64>().sqrt();
-        let mut residuals = Vec::new();
-        if norm_b == 0.0 {
-            let log = RecoveryLog { outcome: RecoveryOutcome::Converged, ..RecoveryLog::default() };
-            return (vec![F16::ZERO; b.len()], residuals, log);
-        }
-        let log = run_with_recovery(
-            fabric,
-            iters,
-            policy,
-            |f| self.try_load_rhs(f, b),
-            |f, i| {
-                residuals.truncate(i);
-                self.try_iterate(f)?;
-                let rel = self.try_residual_norm(f)? as f64 / norm_b;
-                residuals.push(rel);
-                Ok(rel)
-            },
-            |f| recovery::true_rel_residual(a, &self.read_x(f), b),
-        );
-        residuals.truncate(log.iterations);
-        (self.read_x(fabric), residuals, log)
+        WaferBicgstab2d(self.0.rebased(origin))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Krylov;
     use solver::policy::MixedF16;
     use solver::{bicgstab as host_bicgstab, SolveOptions};
     use stencil::precond::jacobi_scale;
@@ -738,7 +319,8 @@ mod tests {
         let (a, b) = system(3, 3, block);
         let mut fabric = Fabric::new(3, 3);
         let solver = WaferBicgstab2d::build(&mut fabric, &a, block);
-        let (_, _, residuals) = solver.solve(&mut fabric, &b, 20);
+        let (_, stats) = solver.solve(&mut fabric, &b, 20);
+        let residuals = stats.residuals;
         let best = residuals.iter().copied().fold(f64::INFINITY, f64::min);
         assert!(best < 0.02, "best residual {best} ({residuals:?})");
     }
@@ -750,7 +332,7 @@ mod tests {
         let mut fabric = Fabric::new(3, 3);
         let solver = WaferBicgstab2d::build(&mut fabric, &a, block);
         let iters = 6;
-        let (_, _, wafer_res) = solver.solve(&mut fabric, &b, iters);
+        let wafer_res = solver.solve(&mut fabric, &b, iters).1.residuals;
         let host = host_bicgstab::<MixedF16>(
             &a,
             &b,
@@ -785,7 +367,7 @@ mod tests {
         let mut f2 = Fabric::new(4, 4);
         let s2 = WaferBicgstab2d::build(&mut f2, &a2, block);
         s2.load_rhs(&mut f2, &b2);
-        let c2 = s2.iterate(&mut f2) as f64 / 256.0;
+        let c2 = s2.iterate(&mut f2).total() as f64 / 256.0;
 
         let ratio = (c2 / c3).max(c3 / c2);
         assert!(

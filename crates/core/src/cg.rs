@@ -11,25 +11,22 @@
 //!   the (simulated) fabric.
 
 use crate::allreduce::{colors as ar_colors, AllReduce};
-use crate::kernels::dot_stmts;
-use crate::recovery::{
-    self, run_with_recovery, RecoveryLog, RecoveryOutcome, RecoveryPolicy, ResidualTripwire,
-};
+use crate::kernels::{dot_stmts, reg_mov, reg_neg, reg_op};
+use crate::krylov::{self, Layout, Program, Slot, Tasks, Vecs};
 use crate::routing::configure_spmv_routes;
-use crate::spmv3d::{build_spmv_tile, load_coefficients, tile_coefficients, SpmvLayout, SpmvTasks};
+use crate::spmv3d::{build_spmv_tile, load_coefficients, tile_coefficients, SpmvLayout};
 use stencil::decomp::Mapping3D;
 use stencil::dia::DiaMatrix;
 use stencil::precond::has_unit_diagonal;
 use wse_arch::dsr::mk;
-use wse_arch::fabric::StallReport;
 use wse_arch::instr::{Op, RegOp, Stmt, Task, TensorInstr};
-use wse_arch::types::{Dtype, TaskId};
+use wse_arch::types::Dtype;
 use wse_arch::Fabric;
 use wse_float::F16;
 
 /// Register allocation (disjoint from the BiCGStab map so both solvers can
 /// coexist on one fabric in tests).
-mod regs {
+pub(crate) mod regs {
     use wse_arch::types::Reg;
     pub const GAMMA: Reg = 12;
     pub const GAMMA_PREV: Reg = 13;
@@ -58,70 +55,16 @@ pub enum CgVariant {
     SingleReduction,
 }
 
-/// Cycle breakdown of one CG iteration.
-#[derive(Copy, Clone, Debug, Default)]
-pub struct CgIterCycles {
-    /// SpMV cycles.
-    pub spmv: u64,
-    /// Local dot cycles.
-    pub dot: u64,
-    /// Reduction cycles.
-    pub allreduce: u64,
-    /// Vector update cycles.
-    pub update: u64,
-    /// Scalar arithmetic cycles.
-    pub scalar: u64,
-}
+/// The wafer-resident CG solver: a constructor for the z-column
+/// [`Program`], which it derefs to (sequenced by [`krylov::CG`] or
+/// [`krylov::CG_SINGLE`]).
+pub struct WaferCg(Program);
 
-impl CgIterCycles {
-    /// Total cycles.
-    pub fn total(&self) -> u64 {
-        self.spmv + self.dot + self.allreduce + self.update + self.scalar
+impl std::ops::Deref for WaferCg {
+    type Target = Program;
+    fn deref(&self) -> &Program {
+        &self.0
     }
-}
-
-#[derive(Clone, Debug)]
-struct CgTileVecs {
-    /// Padded SpMV source: `p` for Standard, `r` for SingleReduction.
-    #[allow(dead_code)] // documents the layout; live parts aliased below
-    src_pad: u32,
-    /// SpMV output: `q = A p` (Standard) or `s = A r` (SingleReduction).
-    av: u32,
-    /// Residual (live part of `src_pad` in SingleReduction mode).
-    r: u32,
-    /// Search direction (padded live part in Standard mode).
-    p: u32,
-    /// `q = A p` recurrence vector (SingleReduction only; equals `av` in
-    /// Standard mode).
-    q: u32,
-    /// Iterate.
-    x: u32,
-}
-
-#[derive(Clone, Debug)]
-struct CgTileTasks {
-    spmv: SpmvTasks,
-    dot_pq: TaskId,
-    dot_rr: TaskId,
-    dot_gamma_delta: TaskId,
-    post_alpha_std: TaskId,
-    post_beta_std: TaskId,
-    post_fused: TaskId,
-    init_gamma: TaskId,
-    upd_xr_std: TaskId,
-    upd_p_std: TaskId,
-    upd_all_cg2: TaskId,
-    fused_allreduce: Option<TaskId>,
-}
-
-/// The wafer-resident CG solver.
-pub struct WaferCg {
-    mapping: Mapping3D,
-    variant: CgVariant,
-    tiles: Vec<(CgTileVecs, CgTileTasks)>,
-    allreduce: AllReduce,
-    #[allow(dead_code)]
-    allreduce2: Option<AllReduce>,
 }
 
 impl WaferCg {
@@ -156,7 +99,7 @@ impl WaferCg {
         let mut tiles = Vec::with_capacity(w * h);
         for y in 0..h {
             for x in 0..w {
-                let fused_allreduce = allreduce2
+                let reduce_both = allreduce2
                     .as_ref()
                     .map(|second| allreduce.build_fused_task(second, fabric, x, y));
                 let tile = fabric.tile_mut(x, y);
@@ -181,7 +124,7 @@ impl WaferCg {
                         (src_pad + 2, p, q)
                     }
                 };
-                let vecs = CgTileVecs { src_pad, av, r, p, q, x: x_vec };
+                let vecs = Vecs { x: x_vec, r, r0: 0, p, q };
 
                 let coeffs = tile_coefficients(a, x, y);
                 let layout = SpmvLayout { z, diag, vpad: src_pad, u: av };
@@ -191,197 +134,86 @@ impl WaferCg {
 
                 let spmv = build_spmv_tile(tile, x, y, w, h, layout, None);
                 let core = &mut tile.core;
+                let mut tasks = Tasks::new();
+                tasks[Slot::CgSpmv] = spmv.start;
+                tasks[Slot::Reduce] = allreduce.task(x, y);
+                if let Some(t) = reduce_both {
+                    tasks[Slot::ReduceBoth] = t;
+                }
 
                 // --- Dots. ---
-                let dot_pq = {
-                    let body = dot_stmts(core, regs::DOT_ACC, regs::AR_IN, vecs.p, vecs.av, z);
+                tasks[Slot::CgDotPq] = {
+                    let body = dot_stmts(core, regs::DOT_ACC, regs::AR_IN, vecs.p, av, z);
                     core.add_task(Task::new("cg_dot_pq", body))
                 };
-                let dot_rr = {
+                tasks[Slot::DotRr] = {
                     let body = dot_stmts(core, regs::DOT_ACC, regs::AR_IN, vecs.r, vecs.r, z);
                     core.add_task(Task::new("cg_dot_rr", body))
                 };
-                let dot_gamma_delta = {
+                tasks[Slot::CgDotGammaDelta] = {
                     let mut body = dot_stmts(core, regs::DOT_ACC, regs::AR_IN, vecs.r, vecs.r, z);
-                    body.extend(dot_stmts(core, regs::DOT_ACC, regs::AR_IN2, vecs.r, vecs.av, z));
+                    body.extend(dot_stmts(core, regs::DOT_ACC, regs::AR_IN2, vecs.r, av, z));
                     core.add_task(Task::new("cg_dot_gd", body))
                 };
 
                 // --- Scalar phases. ---
                 // Standard: α = γ / (p, Ap); γ carried in GAMMA.
-                let post_alpha_std = core.add_task(Task::new(
+                tasks[Slot::CgAlpha] = core.add_task(Task::new(
                     "cg_alpha",
                     vec![
-                        Stmt::RegArith {
-                            op: RegOp::Add,
-                            dst: regs::TMP,
-                            a: regs::AR_OUT,
-                            b: regs::EPS,
-                        },
-                        Stmt::RegArith {
-                            op: RegOp::Div,
-                            dst: regs::ALPHA,
-                            a: regs::GAMMA,
-                            b: regs::TMP,
-                        },
-                        Stmt::RegArith {
-                            op: RegOp::Neg,
-                            dst: regs::NEG_ALPHA,
-                            a: regs::ALPHA,
-                            b: regs::ALPHA,
-                        },
+                        reg_op(RegOp::Add, regs::TMP, regs::AR_OUT, regs::EPS),
+                        reg_op(RegOp::Div, regs::ALPHA, regs::GAMMA, regs::TMP),
+                        reg_neg(regs::NEG_ALPHA, regs::ALPHA),
                     ],
                 ));
                 // Standard: β = γ' / γ; roll γ.
-                let post_beta_std = core.add_task(Task::new(
+                tasks[Slot::CgBeta] = core.add_task(Task::new(
                     "cg_beta",
                     vec![
-                        Stmt::RegArith {
-                            op: RegOp::Div,
-                            dst: regs::BETA,
-                            a: regs::AR_OUT,
-                            b: regs::GAMMA,
-                        },
-                        Stmt::RegArith {
-                            op: RegOp::Mov,
-                            dst: regs::GAMMA,
-                            a: regs::AR_OUT,
-                            b: regs::AR_OUT,
-                        },
+                        reg_op(RegOp::Div, regs::BETA, regs::AR_OUT, regs::GAMMA),
+                        reg_mov(regs::GAMMA, regs::AR_OUT),
                     ],
                 ));
-                // Fused: γ = AR_OUT, δ = AR_OUT2;
-                // β = γ/γ_prev (0 on the first iteration — host seeds
-                // GAMMA_PREV with γ so β = 1? No: host seeds by running the
-                // first iteration specially; see iterate()).
+                // Fused: γ = AR_OUT, δ = AR_OUT2; β = γ/γ_prev (iteration
+                // 0 has no γ_prev and runs `cg_init` below instead);
                 // α = γ / (δ − β γ / α_prev).
-                let post_fused = core.add_task(Task::new(
+                tasks[Slot::CgFused] = core.add_task(Task::new(
                     "cg_fused_coeffs",
                     vec![
-                        Stmt::RegArith {
-                            op: RegOp::Mov,
-                            dst: regs::GAMMA,
-                            a: regs::AR_OUT,
-                            b: regs::AR_OUT,
-                        },
-                        Stmt::RegArith {
-                            op: RegOp::Mov,
-                            dst: regs::DELTA,
-                            a: regs::AR_OUT2,
-                            b: regs::AR_OUT2,
-                        },
-                        Stmt::RegArith {
-                            op: RegOp::Add,
-                            dst: regs::TMP,
-                            a: regs::GAMMA_PREV,
-                            b: regs::EPS,
-                        },
-                        Stmt::RegArith {
-                            op: RegOp::Div,
-                            dst: regs::BETA,
-                            a: regs::GAMMA,
-                            b: regs::TMP,
-                        },
+                        reg_mov(regs::GAMMA, regs::AR_OUT),
+                        reg_mov(regs::DELTA, regs::AR_OUT2),
+                        reg_op(RegOp::Add, regs::TMP, regs::GAMMA_PREV, regs::EPS),
+                        reg_op(RegOp::Div, regs::BETA, regs::GAMMA, regs::TMP),
                         // TMP = β γ / α_prev
-                        Stmt::RegArith {
-                            op: RegOp::Mul,
-                            dst: regs::TMP,
-                            a: regs::BETA,
-                            b: regs::GAMMA,
-                        },
-                        Stmt::RegArith {
-                            op: RegOp::Div,
-                            dst: regs::TMP,
-                            a: regs::TMP,
-                            b: regs::ALPHA_PREV,
-                        },
-                        Stmt::RegArith {
-                            op: RegOp::Sub,
-                            dst: regs::TMP,
-                            a: regs::DELTA,
-                            b: regs::TMP,
-                        },
-                        Stmt::RegArith {
-                            op: RegOp::Div,
-                            dst: regs::ALPHA,
-                            a: regs::GAMMA,
-                            b: regs::TMP,
-                        },
-                        Stmt::RegArith {
-                            op: RegOp::Neg,
-                            dst: regs::NEG_ALPHA,
-                            a: regs::ALPHA,
-                            b: regs::ALPHA,
-                        },
-                        Stmt::RegArith {
-                            op: RegOp::Mov,
-                            dst: regs::GAMMA_PREV,
-                            a: regs::GAMMA,
-                            b: regs::GAMMA,
-                        },
-                        Stmt::RegArith {
-                            op: RegOp::Mov,
-                            dst: regs::ALPHA_PREV,
-                            a: regs::ALPHA,
-                            b: regs::ALPHA,
-                        },
+                        reg_op(RegOp::Mul, regs::TMP, regs::BETA, regs::GAMMA),
+                        reg_op(RegOp::Div, regs::TMP, regs::TMP, regs::ALPHA_PREV),
+                        reg_op(RegOp::Sub, regs::TMP, regs::DELTA, regs::TMP),
+                        reg_op(RegOp::Div, regs::ALPHA, regs::GAMMA, regs::TMP),
+                        reg_neg(regs::NEG_ALPHA, regs::ALPHA),
+                        reg_mov(regs::GAMMA_PREV, regs::GAMMA),
+                        reg_mov(regs::ALPHA_PREV, regs::ALPHA),
                     ],
                 ));
                 // First fused iteration: β = 0, α = γ/δ.
-                let init_gamma = core.add_task(Task::new(
+                tasks[Slot::CgInit] = core.add_task(Task::new(
                     "cg_init",
                     vec![
-                        Stmt::RegArith {
-                            op: RegOp::Mov,
-                            dst: regs::GAMMA,
-                            a: regs::AR_OUT,
-                            b: regs::AR_OUT,
-                        },
-                        Stmt::RegArith {
-                            op: RegOp::Mov,
-                            dst: regs::DELTA,
-                            a: regs::AR_OUT2,
-                            b: regs::AR_OUT2,
-                        },
+                        reg_mov(regs::GAMMA, regs::AR_OUT),
+                        reg_mov(regs::DELTA, regs::AR_OUT2),
                         Stmt::SetReg { reg: regs::BETA, value: 0.0 },
-                        Stmt::RegArith {
-                            op: RegOp::Add,
-                            dst: regs::TMP,
-                            a: regs::DELTA,
-                            b: regs::EPS,
-                        },
-                        Stmt::RegArith {
-                            op: RegOp::Div,
-                            dst: regs::ALPHA,
-                            a: regs::GAMMA,
-                            b: regs::TMP,
-                        },
-                        Stmt::RegArith {
-                            op: RegOp::Neg,
-                            dst: regs::NEG_ALPHA,
-                            a: regs::ALPHA,
-                            b: regs::ALPHA,
-                        },
-                        Stmt::RegArith {
-                            op: RegOp::Mov,
-                            dst: regs::GAMMA_PREV,
-                            a: regs::GAMMA,
-                            b: regs::GAMMA,
-                        },
-                        Stmt::RegArith {
-                            op: RegOp::Mov,
-                            dst: regs::ALPHA_PREV,
-                            a: regs::ALPHA,
-                            b: regs::ALPHA,
-                        },
+                        reg_op(RegOp::Add, regs::TMP, regs::DELTA, regs::EPS),
+                        reg_op(RegOp::Div, regs::ALPHA, regs::GAMMA, regs::TMP),
+                        reg_neg(regs::NEG_ALPHA, regs::ALPHA),
+                        reg_mov(regs::GAMMA_PREV, regs::GAMMA),
+                        reg_mov(regs::ALPHA_PREV, regs::ALPHA),
                     ],
                 ));
 
                 // --- Vector updates. ---
                 // Standard: x += α p; r −= α q.
-                let upd_xr_std = {
+                tasks[Slot::CgUpdXr] = {
                     let dp = core.add_dsr(mk::tensor16(vecs.p, z));
-                    let dq = core.add_dsr(mk::tensor16(vecs.av, z));
+                    let dq = core.add_dsr(mk::tensor16(av, z));
                     let dx = core.add_dsr(mk::tensor16(vecs.x, z));
                     let dr = core.add_dsr(mk::tensor16(vecs.r, z));
                     core.add_task(Task::new(
@@ -403,7 +235,7 @@ impl WaferCg {
                     ))
                 };
                 // Standard: p = r + β p (XPAY with dst aliasing b).
-                let upd_p_std = {
+                tasks[Slot::CgUpdP] = {
                     let dd = core.add_dsr(mk::tensor16(vecs.p, z));
                     let da = core.add_dsr(mk::tensor16(vecs.r, z));
                     let db = core.add_dsr(mk::tensor16(vecs.p, z));
@@ -419,12 +251,12 @@ impl WaferCg {
                 };
                 // SingleReduction: p = r + β p; q = s + β q; x += α p;
                 // r −= α q.
-                let upd_all_cg2 = {
+                tasks[Slot::CgUpdAll] = {
                     let dp1 = core.add_dsr(mk::tensor16(vecs.p, z));
                     let dr1 = core.add_dsr(mk::tensor16(vecs.r, z));
                     let dp2 = core.add_dsr(mk::tensor16(vecs.p, z));
                     let dq1 = core.add_dsr(mk::tensor16(vecs.q, z));
-                    let ds1 = core.add_dsr(mk::tensor16(vecs.av, z));
+                    let ds1 = core.add_dsr(mk::tensor16(av, z));
                     let dq2 = core.add_dsr(mk::tensor16(vecs.q, z));
                     let dx = core.add_dsr(mk::tensor16(vecs.x, z));
                     let dp3 = core.add_dsr(mk::tensor16(vecs.p, z));
@@ -461,295 +293,25 @@ impl WaferCg {
                     ))
                 };
 
-                let tile_tasks = CgTileTasks {
-                    spmv,
-                    dot_pq,
-                    dot_rr,
-                    dot_gamma_delta,
-                    post_alpha_std,
-                    post_beta_std,
-                    post_fused,
-                    init_gamma,
-                    upd_xr_std,
-                    upd_p_std,
-                    upd_all_cg2,
-                    fused_allreduce,
-                };
                 // Every phase task is a host-activated entry point.
-                let core = &mut fabric.tile_mut(x, y).core;
-                for t in [
-                    dot_pq,
-                    dot_rr,
-                    dot_gamma_delta,
-                    post_alpha_std,
-                    post_beta_std,
-                    post_fused,
-                    init_gamma,
-                    upd_xr_std,
-                    upd_p_std,
-                    upd_all_cg2,
-                ] {
-                    core.mark_entry(t);
-                }
-                tiles.push((vecs, tile_tasks));
+                tasks.mark_entries(core);
+                tiles.push((tasks, vecs));
             }
         }
         crate::debug_lint(fabric);
-        WaferCg { mapping, variant, tiles, allreduce, allreduce2 }
-    }
-
-    /// Which variant this solver runs.
-    pub fn variant(&self) -> CgVariant {
-        self.variant
-    }
-
-    fn idx(&self, x: usize, y: usize) -> usize {
-        y * self.mapping.fabric_w + x
-    }
-
-    /// Phase runner under the stall watchdog; a wedged fabric surfaces as a
-    /// [`StallReport`] the recovery layer can act on. The run is bracketed
-    /// as trace phase `name` (inert unless tracing is armed).
-    fn try_phase(
-        &self,
-        fabric: &mut Fabric,
-        name: &'static str,
-        pick: impl Fn(&CgTileTasks) -> TaskId,
-    ) -> Result<u64, Box<StallReport>> {
-        let m = self.mapping;
-        for y in 0..m.fabric_h {
-            for x in 0..m.fabric_w {
-                let t = pick(&self.tiles[self.idx(x, y)].1);
-                fabric.tile_mut(x, y).core.activate(t);
-            }
-        }
-        let budget = 200 * m.z as u64 + 200 * (m.fabric_w + m.fabric_h) as u64 + 50_000;
-        fabric.phase_begin(name);
-        let r = fabric.run_watched(budget, recovery::STALL_WINDOW);
-        fabric.phase_end();
-        r
-    }
-
-    fn try_reduce(&self, fabric: &mut Fabric) -> Result<u64, Box<StallReport>> {
-        let m = self.mapping;
-        for y in 0..m.fabric_h {
-            for x in 0..m.fabric_w {
-                fabric.tile_mut(x, y).core.activate(self.allreduce.task(x, y));
-            }
-        }
-        fabric.phase_begin("allreduce");
-        let r = fabric
-            .run_watched(100 * (m.fabric_w + m.fabric_h) as u64 + 50_000, recovery::STALL_WINDOW);
-        fabric.phase_end();
-        r
-    }
-
-    fn try_reduce_fused(&self, fabric: &mut Fabric) -> Result<u64, Box<StallReport>> {
-        let m = self.mapping;
-        for y in 0..m.fabric_h {
-            for x in 0..m.fabric_w {
-                let t = self.tiles[self.idx(x, y)].1.fused_allreduce.expect("fused nets");
-                fabric.tile_mut(x, y).core.activate(t);
-            }
-        }
-        fabric.phase_begin("allreduce");
-        let r = fabric
-            .run_watched(100 * (m.fabric_w + m.fabric_h) as u64 + 50_000, recovery::STALL_WINDOW);
-        fabric.phase_end();
-        r
-    }
-
-    /// Loads `b` (x = 0, r = p = b) and seeds the scalar state.
-    pub fn load_rhs(&self, fabric: &mut Fabric, b: &[F16]) {
-        self.try_load_rhs(fabric, b).unwrap_or_else(|e| panic!("CG load stalled: {e}"))
-    }
-
-    /// Fallible [`WaferCg::load_rhs`] (see [`WaferCg::try_iterate`]).
-    pub fn try_load_rhs(&self, fabric: &mut Fabric, b: &[F16]) -> Result<(), Box<StallReport>> {
-        let m = self.mapping;
-        assert_eq!(b.len(), m.cores() * m.z, "rhs length mismatch");
-        for y in 0..m.fabric_h {
-            for x in 0..m.fabric_w {
-                let (vecs, _) = &self.tiles[self.idx(x, y)];
-                let rows = m.core_rows(x, y);
-                let local = &b[rows];
-                let tile = fabric.tile_mut(x, y);
-                tile.mem.store_f16_slice(vecs.r, local);
-                tile.mem.store_f16_slice(vecs.p, local);
-                tile.mem.store_f16_slice(vecs.x, &vec![F16::ZERO; m.z]);
-                tile.core.regs[regs::EPS] = 1e-30;
-                if self.variant == CgVariant::SingleReduction {
-                    tile.mem.store_f16_slice(vecs.q, &vec![F16::ZERO; m.z]);
-                }
-            }
-        }
-        match self.variant {
-            CgVariant::Standard => {
-                // Seed γ = (r, r).
-                self.try_phase(fabric, "dot", |t| t.dot_rr)?;
-                self.try_reduce(fabric)?;
-                let m = self.mapping;
-                for y in 0..m.fabric_h {
-                    for x in 0..m.fabric_w {
-                        let core = &mut fabric.tile_mut(x, y).core;
-                        core.regs[regs::GAMMA] = core.regs[regs::AR_OUT];
-                    }
-                }
-            }
-            CgVariant::SingleReduction => {
-                // First iteration runs with init_gamma; nothing to seed.
-            }
-        }
-        Ok(())
-    }
-
-    /// Runs one iteration. `first` must be `true` for the first iteration
-    /// of a [`CgVariant::SingleReduction`] solve (it selects the β = 0
-    /// coefficient path).
-    pub fn iterate(&self, fabric: &mut Fabric, first: bool) -> CgIterCycles {
-        self.try_iterate(fabric, first).unwrap_or_else(|e| panic!("CG iteration stalled: {e}"))
-    }
-
-    /// Fallible [`WaferCg::iterate`]: runs under the fabric stall watchdog
-    /// and returns the [`StallReport`] instead of panicking.
-    pub fn try_iterate(
-        &self,
-        fabric: &mut Fabric,
-        first: bool,
-    ) -> Result<CgIterCycles, Box<StallReport>> {
-        let mut c = CgIterCycles::default();
-        match self.variant {
-            CgVariant::Standard => {
-                // q = A p  (p is the padded SpMV source).
-                c.spmv += self.try_phase(fabric, "spmv", |t| t.spmv.start)?;
-                // (p, q) → α.
-                c.dot += self.try_phase(fabric, "dot", |t| t.dot_pq)?;
-                c.allreduce += self.try_reduce(fabric)?;
-                c.scalar += self.try_phase(fabric, "scalar", |t| t.post_alpha_std)?;
-                // x += α p; r −= α q.
-                c.update += self.try_phase(fabric, "update", |t| t.upd_xr_std)?;
-                // (r, r) → β, roll γ.
-                c.dot += self.try_phase(fabric, "dot", |t| t.dot_rr)?;
-                c.allreduce += self.try_reduce(fabric)?;
-                c.scalar += self.try_phase(fabric, "scalar", |t| t.post_beta_std)?;
-                // p = r + β p.
-                c.update += self.try_phase(fabric, "update", |t| t.upd_p_std)?;
-            }
-            CgVariant::SingleReduction => {
-                // s = A r  (r is the padded SpMV source).
-                c.spmv += self.try_phase(fabric, "spmv", |t| t.spmv.start)?;
-                // γ = (r, r), δ = (r, s) — one dual-network round.
-                c.dot += self.try_phase(fabric, "dot", |t| t.dot_gamma_delta)?;
-                c.allreduce += self.try_reduce_fused(fabric)?;
-                c.scalar += if first {
-                    self.try_phase(fabric, "scalar", |t| t.init_gamma)?
-                } else {
-                    self.try_phase(fabric, "scalar", |t| t.post_fused)?
-                };
-                // p, q, x, r recurrences.
-                c.update += self.try_phase(fabric, "update", |t| t.upd_all_cg2)?;
-            }
-        }
-        Ok(c)
-    }
-
-    /// Residual norm ‖r‖ read back from tile memories (host-side check).
-    pub fn residual_norm(&self, fabric: &Fabric) -> f64 {
-        let m = self.mapping;
-        let mut sum = 0.0f64;
-        for y in 0..m.fabric_h {
-            for x in 0..m.fabric_w {
-                let (vecs, _) = &self.tiles[self.idx(x, y)];
-                for v in fabric.tile(x, y).mem.load_f16_slice(vecs.r, m.z) {
-                    sum += v.to_f64() * v.to_f64();
-                }
-            }
-        }
-        sum.sqrt()
-    }
-
-    /// Reads the iterate back in global mesh order.
-    pub fn read_x(&self, fabric: &Fabric) -> Vec<F16> {
-        let m = self.mapping;
-        let mut out = vec![F16::ZERO; m.cores() * m.z];
-        for y in 0..m.fabric_h {
-            for x in 0..m.fabric_w {
-                let (vecs, _) = &self.tiles[self.idx(x, y)];
-                let rows = m.core_rows(x, y);
-                out[rows].copy_from_slice(&fabric.tile(x, y).mem.load_f16_slice(vecs.x, m.z));
-            }
-        }
-        out
-    }
-
-    /// Loads `b`, runs `iters` iterations, returns the iterate, per-iteration
-    /// cycles, and relative residuals.
-    pub fn solve(
-        &self,
-        fabric: &mut Fabric,
-        b: &[F16],
-        iters: usize,
-    ) -> (Vec<F16>, Vec<CgIterCycles>, Vec<f64>) {
-        let norm_b: f64 = b.iter().map(|v| v.to_f64() * v.to_f64()).sum::<f64>().sqrt();
-        if norm_b == 0.0 {
-            // Zero RHS: zero solution; avoid 0/0 in the coefficient tasks.
-            return (vec![F16::ZERO; b.len()], Vec::new(), Vec::new());
-        }
-        self.load_rhs(fabric, b);
-        let mut cycles = Vec::with_capacity(iters);
-        let mut residuals = Vec::with_capacity(iters);
-        let tripwire = ResidualTripwire::default();
-        for i in 0..iters {
-            cycles.push(self.iterate(fabric, i == 0));
-            let rel = self.residual_norm(fabric) / norm_b;
-            residuals.push(rel);
-            if tripwire.check(rel).stops() {
-                break; // see ResidualTripwire for the thresholds
-            }
-        }
-        (self.read_x(fabric), cycles, residuals)
-    }
-
-    /// Like [`WaferCg::solve`], but under the checkpoint/rollback recovery
-    /// engine (see [`crate::recovery`]): stalls are caught by the watchdog,
-    /// residual anomalies by the tripwire, and convergence claims are
-    /// verified against `a`'s f64 true residual.
-    pub fn solve_with_recovery(
-        &self,
-        fabric: &mut Fabric,
-        a: &DiaMatrix<F16>,
-        b: &[F16],
-        iters: usize,
-        policy: &RecoveryPolicy,
-    ) -> (Vec<F16>, Vec<f64>, RecoveryLog) {
-        let norm_b: f64 = b.iter().map(|v| v.to_f64() * v.to_f64()).sum::<f64>().sqrt();
-        let mut residuals = Vec::new();
-        if norm_b == 0.0 {
-            let log = RecoveryLog { outcome: RecoveryOutcome::Converged, ..RecoveryLog::default() };
-            return (vec![F16::ZERO; b.len()], residuals, log);
-        }
-        let log = run_with_recovery(
-            fabric,
-            iters,
-            policy,
-            |f| self.try_load_rhs(f, b),
-            |f, i| {
-                residuals.truncate(i);
-                self.try_iterate(f, i == 0)?;
-                let rel = self.residual_norm(f) / norm_b;
-                residuals.push(rel);
-                Ok(rel)
-            },
-            |f| recovery::true_rel_residual(a, &self.read_x(f), b),
-        );
-        residuals.truncate(log.iterations);
-        (self.read_x(fabric), residuals, log)
+        let recurrence = match variant {
+            CgVariant::Standard => &krylov::CG,
+            CgVariant::SingleReduction => &krylov::CG_SINGLE,
+        };
+        let budget = 200 * mapping.z as u64 + 200 * (w + h) as u64 + 50_000;
+        WaferCg(Program::new(recurrence, Layout::ZColumn(mapping), (0, 0), tiles, budget))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Krylov;
     use stencil::mesh::Mesh3D;
     use stencil::precond::jacobi_scale;
     use stencil::stencil7::poisson;
@@ -771,8 +333,8 @@ mod tests {
         let (a, b, exact) = spd_system(mesh);
         let mut fabric = Fabric::new(4, 4);
         let cg = WaferCg::build(&mut fabric, &a, CgVariant::Standard);
-        let (x, _, residuals) = cg.solve(&mut fabric, &b, 20);
-        let last = *residuals.last().unwrap();
+        let (x, stats) = cg.solve(&mut fabric, &b, 20);
+        let last = *stats.residuals.last().unwrap();
         assert!(last < 0.02, "residual {last}");
         let err = x.iter().zip(&exact).map(|(a, b)| (a.to_f64() - b).abs()).fold(0.0_f64, f64::max);
         assert!(err < 0.05, "max err {err}");
@@ -785,22 +347,21 @@ mod tests {
 
         let mut f1 = Fabric::new(4, 4);
         let std_cg = WaferCg::build(&mut f1, &a, CgVariant::Standard);
-        let (_, c1, r1) = std_cg.solve(&mut f1, &b, 10);
+        let (_, s1) = std_cg.solve(&mut f1, &b, 10);
 
         let mut f2 = Fabric::new(4, 4);
         let cg2 = WaferCg::build(&mut f2, &a, CgVariant::SingleReduction);
-        assert_eq!(cg2.variant(), CgVariant::SingleReduction);
-        let (_, c2, r2) = cg2.solve(&mut f2, &b, 10);
+        let (_, s2) = cg2.solve(&mut f2, &b, 10);
 
         // Same math, same trajectory (to fp16/f32 rounding noise).
-        for (a, b) in r1.iter().zip(&r2).take(6) {
+        for (a, b) in s1.residuals.iter().zip(&s2.residuals).take(6) {
             let ratio = (a / b).max(b / a);
             assert!(ratio < 1.5, "trajectories: {a} vs {b}");
         }
         // Half the blocking rounds: the single fused round costs less than
         // the two standard rounds.
-        let ar1: u64 = c1.iter().map(|c| c.allreduce).sum();
-        let ar2: u64 = c2.iter().map(|c| c.allreduce).sum();
+        let ar1: u64 = s1.iterations.iter().map(|c| c.allreduce).sum();
+        let ar2: u64 = s2.iterations.iter().map(|c| c.allreduce).sum();
         assert!(
             (ar2 as f64) < 0.8 * ar1 as f64,
             "single-reduction must cut reduction cycles: {ar1} -> {ar2}"
@@ -814,7 +375,7 @@ mod tests {
         let mut fabric = Fabric::new(3, 3);
         let cg = WaferCg::build(&mut fabric, &a, CgVariant::Standard);
         cg.load_rhs(&mut fabric, &b);
-        let c = cg.iterate(&mut fabric, true);
+        let c = cg.iterate(&mut fabric);
         assert!(c.spmv > 0 && c.dot > 0 && c.allreduce > 0 && c.update > 0);
         // CG has one SpMV per iteration: roughly half BiCGStab's SpMV time.
         assert!(c.spmv < 2 * 4 * 32, "one SpMV only: {c:?}");

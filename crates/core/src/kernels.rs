@@ -1,5 +1,6 @@
-//! Small per-tile kernel builders: AXPY, XPAY, and the local
-//! mixed-precision dot product.
+//! Small per-tile kernel builders: AXPY, XPAY, the local mixed-precision
+//! dot product, and the fp32 register statements of the scalar
+//! coefficient tasks.
 //!
 //! These are the building blocks of the BiCGStab iteration besides the SpMV:
 //! "The kernel operations in the algorithm are sparse matrix - dense vector
@@ -11,6 +12,21 @@ use wse_arch::core::Core;
 use wse_arch::dsr::mk;
 use wse_arch::instr::{Op, RegOp, Stmt, Task, TensorInstr};
 use wse_arch::types::{Reg, TaskId};
+
+/// The statement `dst := a op b` on the core's fp32 registers.
+pub fn reg_op(op: RegOp, dst: Reg, a: Reg, b: Reg) -> Stmt {
+    Stmt::RegArith { op, dst, a, b }
+}
+
+/// The statement `dst := src`.
+pub fn reg_mov(dst: Reg, src: Reg) -> Stmt {
+    reg_op(RegOp::Mov, dst, src, src)
+}
+
+/// The statement `dst := −src`.
+pub fn reg_neg(dst: Reg, src: Reg) -> Stmt {
+    reg_op(RegOp::Neg, dst, src, src)
+}
 
 /// Builds a task computing `y[i] += r_scalar · x[i]` over fp16 vectors at
 /// byte addresses `x`/`y` of length `len`.

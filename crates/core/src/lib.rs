@@ -12,10 +12,14 @@
 //! * [`allreduce`] — the row/column scalar AllReduce of Fig. 6 plus
 //!   broadcast,
 //! * [`kernels`] — AXPY/XPAY and local mixed-precision dot phases,
-//! * [`bicgstab`] — the complete BiCGStab iteration on the fabric (with a
-//!   communication-fused variant),
-//! * [`cg`] — conjugate gradients on the fabric, in standard and
-//!   Chronopoulos–Gear single-reduction forms,
+//! * [`krylov`] — the one solver driver: recurrences as step tables, a
+//!   built solver as a [`krylov::Program`], and the [`Krylov`] trait whose
+//!   `solve` / `solve_with_recovery` every driver shares,
+//! * [`bicgstab`] — program construction for the complete BiCGStab
+//!   iteration on the fabric (with a communication-fused variant),
+//! * [`cg`] — program construction for conjugate gradients, in standard
+//!   and Chronopoulos–Gear single-reduction forms,
+//! * [`multi`] — distributed BiCGStab across a multi-wafer ensemble,
 //! * [`recovery`] — shared residual tripwire plus checkpoint/rollback
 //!   recovery so solves survive injected faults (see `wse-arch::fault`).
 
@@ -27,6 +31,7 @@ pub mod bicgstab2d;
 pub mod cg;
 pub mod exec;
 pub mod kernels;
+pub mod krylov;
 pub mod multi;
 pub mod recovery;
 pub mod routing;
@@ -35,7 +40,8 @@ pub mod spmv3d;
 
 pub use bicgstab::WaferBicgstab;
 pub use exec::WaferExec;
-pub use multi::{build_transparent, MultiIterCycles, MultiSolveStats, WaferBicgstabMulti};
+pub use krylov::Krylov;
+pub use multi::{build_transparent, MultiIterCycles, WaferBicgstabMulti};
 pub use recovery::{
     EnsembleCheckpoint, FabricCheckpoint, RecoveryLog, RecoveryOutcome, RecoveryPolicy,
     ResidualTripwire, TripwireVerdict,

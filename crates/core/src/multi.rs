@@ -57,14 +57,11 @@
 //! residual trajectory bit for bit.
 
 use crate::allreduce::{AllReduceSplit, ChainReduce};
-use crate::bicgstab::{
-    alloc_solver_vecs, build_scalar_tasks, regs, IterCycles, ScalarTasks, TileVecs,
-};
+use crate::bicgstab::{alloc_solver_vecs, build_scalar_tasks, regs, TileVecs};
 use crate::exec::WaferExec;
 use crate::kernels::xpay_stmts;
-use crate::recovery::{
-    self, run_with_recovery, RecoveryLog, RecoveryOutcome, RecoveryPolicy, ResidualTripwire,
-};
+use crate::krylov::{self, IterCycles, Krylov, Phase, Slot, SolveStats, Step, Tasks};
+use crate::recovery::{self, RecoveryLog, RecoveryPolicy};
 use crate::routing::configure_spmv_routes;
 use crate::spmv3d::{
     build_overlap_halo, build_spmv_tile_halo, build_spmv_tile_overlapped, load_coefficients,
@@ -149,9 +146,9 @@ enum SeamComm {
 /// One tile's full program in the distributed solver.
 struct TileProgram {
     vecs: TileVecs,
-    spmv_ps: SpmvTasks,
-    spmv_qy: SpmvTasks,
-    scalar: ScalarTasks,
+    /// The [`krylov::BICGSTAB`] slots (SpMV entries and core-local phases;
+    /// the reductions are the per-wafer [`AllReduceSplit`]s).
+    tasks: Tasks,
     seam: SeamComm,
 }
 
@@ -178,25 +175,6 @@ impl MultiIterCycles {
     /// wall-clock, so they do not count).
     pub fn total(&self) -> u64 {
         self.compute.total() + self.halo + self.host_allreduce
-    }
-}
-
-/// Statistics of a distributed solve.
-#[derive(Clone, Debug, Default)]
-pub struct MultiSolveStats {
-    /// Per-iteration cycle breakdowns.
-    pub iterations: Vec<MultiIterCycles>,
-    /// Relative residual ‖r‖/‖b‖ per iteration (from the on-wafer dot).
-    pub residuals: Vec<f64>,
-}
-
-impl MultiSolveStats {
-    /// Mean cycles per iteration.
-    pub fn mean_cycles(&self) -> f64 {
-        if self.iterations.is_empty() {
-            return 0.0;
-        }
-        self.iterations.iter().map(|i| i.total() as f64).sum::<f64>() / self.iterations.len() as f64
     }
 }
 
@@ -309,40 +287,24 @@ impl WaferBicgstabMulti {
         Self::build_with_schedule(multi, a, HaloSchedule::Serial)
     }
 
-    fn build_with_schedule(
-        multi: &mut MultiFabric,
-        a: &DiaMatrix<F16>,
-        schedule: HaloSchedule,
-    ) -> WaferBicgstabMulti {
+    /// What every builder starts with: validates the system against the
+    /// ensemble grid, then programs each wafer's tessellation routes and
+    /// its seam halo channels (edge declarations plus ramp routes).
+    fn prepare_shards(multi: &mut MultiFabric, a: &DiaMatrix<F16>) -> Mapping3D {
         assert!(has_unit_diagonal(a), "matrix must be diagonally preconditioned");
         assert_eq!(a.offsets().len(), 7, "7-point stencil required");
-        let mesh = a.mesh();
-        let mapping = Mapping3D::new(mesh, multi.global_width(), multi.height());
+        let mapping = Mapping3D::new(a.mesh(), multi.global_width(), multi.height());
         assert_eq!(
             (mapping.fabric_w, mapping.fabric_h),
             (multi.global_width(), multi.height()),
             "mesh X×Y must exactly fill the ensemble grid (slab bookkeeping)"
         );
-        let (gw, h) = (mapping.fabric_w, mapping.fabric_h);
-        let z = mapping.z as u32;
-        let k = multi.k();
-
-        // Per-wafer fabric programs: tessellation routes + split AllReduce.
-        let mut reductions = Vec::with_capacity(k);
+        let (h, k) = (mapping.fabric_h, multi.k());
         for m in 0..k {
             let lw = multi.slab(m).len();
             assert!(lw >= 2 && h >= 2, "each wafer slab needs at least 2×2 tiles, got {lw}×{h}");
             let shard = multi.shard_mut(m);
             configure_spmv_routes(shard, lw, h);
-            reductions.push(AllReduceSplit::build(
-                shard,
-                lw,
-                h,
-                regs::AR_IN,
-                regs::AR_OUT,
-                regs::AR_ACC,
-            ));
-            // Seam halo routes and edge declarations.
             if m + 1 < k {
                 for y in 0..h {
                     shard.open_edge(lw - 1, y, Port::East, HALO_EAST);
@@ -360,6 +322,27 @@ impl WaferBicgstabMulti {
                 }
             }
         }
+        mapping
+    }
+
+    fn build_with_schedule(
+        multi: &mut MultiFabric,
+        a: &DiaMatrix<F16>,
+        schedule: HaloSchedule,
+    ) -> WaferBicgstabMulti {
+        let mapping = Self::prepare_shards(multi, a);
+        let (gw, h) = (mapping.fabric_w, mapping.fabric_h);
+        let z = mapping.z as u32;
+        let k = multi.k();
+
+        // The per-wafer split AllReduce.
+        let reductions = (0..k)
+            .map(|m| {
+                let lw = multi.slab(m).len();
+                let shard = multi.shard_mut(m);
+                AllReduceSplit::build(shard, lw, h, regs::AR_IN, regs::AR_OUT, regs::AR_ACC)
+            })
+            .collect();
 
         // Per-tile programs, addressed by global coordinates.
         let mut tiles = Vec::with_capacity(gw * h);
@@ -475,8 +458,10 @@ impl WaferBicgstabMulti {
                         }
                     }
                 };
-                let scalar = build_scalar_tasks(&mut tile.core, &vecs, z);
-                tiles.push(TileProgram { vecs, spmv_ps, spmv_qy, scalar, seam });
+                let mut tasks = build_scalar_tasks(&mut tile.core, &vecs, z);
+                tasks[Slot::SpmvPs] = spmv_ps.start;
+                tasks[Slot::SpmvQy] = spmv_qy.start;
+                tiles.push(TileProgram { vecs, tasks, seam });
             }
         }
         multi.pair_seams();
@@ -515,42 +500,10 @@ impl WaferBicgstabMulti {
     /// # Panics
     /// As [`WaferBicgstabMulti::build`].
     pub fn build_fused(multi: &mut MultiFabric, a: &DiaMatrix<F16>) -> WaferBicgstabMulti {
-        assert!(has_unit_diagonal(a), "matrix must be diagonally preconditioned");
-        assert_eq!(a.offsets().len(), 7, "7-point stencil required");
-        let mesh = a.mesh();
-        let mapping = Mapping3D::new(mesh, multi.global_width(), multi.height());
-        assert_eq!(
-            (mapping.fabric_w, mapping.fabric_h),
-            (multi.global_width(), multi.height()),
-            "mesh X×Y must exactly fill the ensemble grid (slab bookkeeping)"
-        );
+        let mapping = Self::prepare_shards(multi, a);
         let (gw, h) = (mapping.fabric_w, mapping.fabric_h);
         let z = mapping.z as u32;
         let k = multi.k();
-
-        // Per-wafer fabric programs: tessellation routes + seam channels.
-        for m in 0..k {
-            let lw = multi.slab(m).len();
-            assert!(lw >= 2 && h >= 2, "each wafer slab needs at least 2×2 tiles, got {lw}×{h}");
-            let shard = multi.shard_mut(m);
-            configure_spmv_routes(shard, lw, h);
-            if m + 1 < k {
-                for y in 0..h {
-                    shard.open_edge(lw - 1, y, Port::East, HALO_EAST);
-                    shard.open_edge(lw - 1, y, Port::East, HALO_WEST);
-                    shard.set_route(lw - 1, y, Port::Ramp, HALO_EAST, &[Port::East]);
-                    shard.set_route(lw - 1, y, Port::East, HALO_WEST, &[Port::Ramp]);
-                }
-            }
-            if m > 0 {
-                for y in 0..h {
-                    shard.open_edge(0, y, Port::West, HALO_WEST);
-                    shard.open_edge(0, y, Port::West, HALO_EAST);
-                    shard.set_route(0, y, Port::Ramp, HALO_WEST, &[Port::West]);
-                    shard.set_route(0, y, Port::West, HALO_EAST, &[Port::Ramp]);
-                }
-            }
-        }
 
         // Per-tile programs. The payload/reply blocks must land at the
         // same address on every tile (the chain streams them blind), so
@@ -689,26 +642,56 @@ impl WaferBicgstabMulti {
         y * self.mapping.fabric_w + x
     }
 
-    /// Activates one wafer-local phase task on every tile and runs all
-    /// wafers **independently to quiescence**, one thread per wafer (no
-    /// seam traffic exists in these phases). Returns max per-wafer cycles.
-    fn try_compute_phase(
+    /// Cycle budget of one wafer-local phase (only a stall reaches it).
+    fn compute_budget(&self) -> u64 {
+        let m = self.mapping;
+        200 * m.z as u64 + 200 * (m.fabric_w + m.fabric_h) as u64 + 50_000
+    }
+
+    /// Runs all wafers **independently to quiescence**, one thread per
+    /// wafer, as trace phase `name` (nothing activated may touch a seam).
+    /// Returns max per-wafer cycles.
+    fn try_run_each(
         &self,
         multi: &mut MultiFabric,
         name: &'static str,
-        pick: impl Fn(&TileProgram) -> TaskId,
+    ) -> Result<u64, Box<StallReport>> {
+        multi.phase_begin(name);
+        let r = multi.run_each(self.compute_budget(), recovery::STALL_WINDOW);
+        multi.phase_end();
+        r
+    }
+
+    /// Activates on every tile the task `pick(wafer, local_x, y)` names.
+    fn activate_per_wafer(
+        &self,
+        multi: &mut MultiFabric,
+        pick: impl Fn(usize, usize, usize) -> TaskId,
+    ) {
+        for y in 0..self.mapping.fabric_h {
+            for gx in 0..self.mapping.fabric_w {
+                let (m, x) = multi.to_local(gx);
+                multi.activate(gx, y, pick(m, x, y));
+            }
+        }
+    }
+
+    /// Activates one wafer-local phase task on every tile — `pick` maps
+    /// the tile index to it — and runs the phase with
+    /// [`Self::try_run_each`].
+    fn try_local_phase(
+        &self,
+        multi: &mut MultiFabric,
+        name: &'static str,
+        pick: impl Fn(usize) -> TaskId,
     ) -> Result<u64, Box<StallReport>> {
         let m = self.mapping;
         for y in 0..m.fabric_h {
             for x in 0..m.fabric_w {
-                multi.activate(x, y, pick(&self.tiles[self.idx(x, y)]));
+                multi.activate(x, y, pick(self.idx(x, y)));
             }
         }
-        let budget = 200 * m.z as u64 + 200 * (m.fabric_w + m.fabric_h) as u64 + 50_000;
-        multi.phase_begin(name);
-        let r = multi.run_each(budget, recovery::STALL_WINDOW);
-        multi.phase_end();
-        r
+        self.try_run_each(multi, name)
     }
 
     /// One serial-schedule seam halo exchange: every seam tile streams its
@@ -786,14 +769,10 @@ impl WaferBicgstabMulti {
                 multi.activate(x, y, spmv);
             }
         }
-        let compute_budget = 200 * m.z as u64 + 200 * (m.fabric_w + m.fabric_h) as u64 + 50_000;
         if !any_seam {
-            multi.phase_begin("spmv");
-            let r = multi.run_each(compute_budget, recovery::STALL_WINDOW);
-            multi.phase_end();
-            return Ok((r?, 0, 0));
+            return Ok((self.try_run_each(multi, "spmv")?, 0, 0));
         }
-        let budget = compute_budget
+        let budget = self.compute_budget()
             + 16 * m.z as u64
             + 2 * multi.link().latency_cycles
             + 200 * m.fabric_h as u64
@@ -871,7 +850,7 @@ impl WaferBicgstabMulti {
                                 multi.activate(x, y, f.tiles[i].spmv_szv.start);
                             }
                         }
-                        None => multi.activate(x, y, self.tiles[i].spmv_ps.start),
+                        None => multi.activate(x, y, self.tiles[i].tasks[Slot::SpmvPs]),
                     }
                     if let Some(fold) = fold_of(i, win) {
                         let (wm, lx) = multi.to_local(x);
@@ -879,11 +858,7 @@ impl WaferBicgstabMulti {
                     }
                 }
             }
-            let budget = 200 * m.z as u64 + 200 * (m.fabric_w + m.fabric_h) as u64 + 50_000;
-            multi.phase_begin("spmv_calibrate");
-            let r = multi.run_each(budget, recovery::STALL_WINDOW);
-            multi.phase_end();
-            let elapsed = r?;
+            let elapsed = self.try_run_each(multi, "spmv_calibrate")?;
             self.spmv_compute[win].set(elapsed);
             if windows == 1 {
                 self.spmv_compute[1].set(elapsed);
@@ -903,29 +878,25 @@ impl WaferBicgstabMulti {
     }
 
     /// One classic-iteration SpMV with its seam halo, under whichever
-    /// schedule this solver was built with. `ps` selects the `s := A p`
-    /// flavor, otherwise `y := A q`.
+    /// schedule this solver was built with: [`Slot::SpmvPs`] is `s := A p`,
+    /// [`Slot::SpmvQy`] is `y := A q`.
     fn try_classic_spmv(
         &self,
         multi: &mut MultiFabric,
         c: &mut MultiIterCycles,
-        ps: bool,
+        slot: Slot,
     ) -> Result<(), Box<StallReport>> {
+        let ps = slot == Slot::SpmvPs;
         match self.schedule {
             HaloSchedule::Serial => {
                 c.halo += self.try_halo_phase(multi, |h| if ps { h.p } else { h.q })?;
-                c.compute.spmv += self.try_compute_phase(multi, "spmv", |t| {
-                    if ps {
-                        t.spmv_ps.start
-                    } else {
-                        t.spmv_qy.start
-                    }
-                })?;
+                c.compute.spmv +=
+                    self.try_local_phase(multi, "spmv", |i| self.tiles[i].tasks[slot])?;
             }
             HaloSchedule::Overlapped => {
                 let (comp, exposed, hidden) = self.try_merged_spmv(multi, 0, |i| {
                     let t = &self.tiles[i];
-                    let spmv = if ps { t.spmv_ps.start } else { t.spmv_qy.start };
+                    let spmv = t.tasks[slot];
                     let halo = match &t.seam {
                         SeamComm::Overlap(pair) => {
                             let o = if ps { &pair.ps } else { &pair.qy };
@@ -943,21 +914,45 @@ impl WaferBicgstabMulti {
         Ok(())
     }
 
+    /// Walks a [`krylov::BICGSTAB`] step table with the ensemble's own
+    /// handlers: an SpMV carries its seam halo, a reduction is hierarchical
+    /// (on-wafer trees plus the host combine), and every other step is a
+    /// wafer-local compute phase.
+    fn try_classic_steps(
+        &self,
+        multi: &mut MultiFabric,
+        steps: &[Step],
+    ) -> Result<MultiIterCycles, Box<StallReport>> {
+        let mut c = MultiIterCycles::default();
+        for &step in steps {
+            match step {
+                Step::Run { phase: Phase::Spmv, slot } => {
+                    self.try_classic_spmv(multi, &mut c, slot)?
+                }
+                Step::Run { phase, slot } => {
+                    let pick = |i: usize| self.tiles[i].tasks[slot];
+                    c.compute.add(phase, self.try_local_phase(multi, phase.name(), pick)?)
+                }
+                Step::Reduce => {
+                    let (on_wafer, host) = self.try_allreduce(multi)?;
+                    c.compute.allreduce += on_wafer;
+                    c.host_allreduce += host;
+                }
+                Step::ReduceBoth | Step::CopyReg { .. } => {
+                    unreachable!("not a step of the classic BiCGStab table")
+                }
+            }
+        }
+        Ok(c)
+    }
+
     /// The hierarchical AllReduce: on-wafer reduce trees (concurrent, per
     /// wafer), host-level fp32 combine of the `k` root partial sums (in
     /// wafer order, charged `2⌈log₂ k⌉` link latencies), then the on-wafer
     /// broadcasts. Returns `(on_wafer_cycles, host_cycles)`.
     fn try_allreduce(&self, multi: &mut MultiFabric) -> Result<(u64, u64), Box<StallReport>> {
         let budget = 100 * (self.mapping.fabric_w + self.mapping.fabric_h) as u64 + 50_000;
-        for (m, red) in self.reductions.iter().enumerate() {
-            let (lw, h) = red.dims();
-            let shard = multi.shard_mut(m);
-            for y in 0..h {
-                for x in 0..lw {
-                    shard.tile_mut(x, y).core.activate(red.reduce_task(x, y));
-                }
-            }
-        }
+        self.activate_per_wafer(multi, |m, x, y| self.reductions[m].reduce_task(x, y));
         multi.phase_begin("allreduce");
         let on_wafer = multi.run_each(budget, recovery::STALL_WINDOW);
         multi.phase_end();
@@ -984,41 +979,11 @@ impl WaferBicgstabMulti {
         if self.host_hop_cycles > 0 {
             multi.advance_idle(self.host_hop_cycles);
         }
-        for (m, red) in self.reductions.iter().enumerate() {
-            let (lw, h) = red.dims();
-            let shard = multi.shard_mut(m);
-            for y in 0..h {
-                for x in 0..lw {
-                    shard.tile_mut(x, y).core.activate(red.bcast_task(x, y));
-                }
-            }
-        }
+        self.activate_per_wafer(multi, |m, x, y| self.reductions[m].bcast_task(x, y));
         let bcast = multi.run_each(budget, recovery::STALL_WINDOW);
         multi.phase_end();
         // The broadcast half runs on-wafer; only the hop latency is host time.
         Ok((on_wafer + bcast?, self.host_hop_cycles))
-    }
-
-    /// Activates one fused-iteration task on every tile and runs all
-    /// wafers independently to quiescence (core-local phases only).
-    fn try_fused_phase(
-        &self,
-        multi: &mut MultiFabric,
-        name: &'static str,
-        pick: impl Fn(&FusedTile) -> TaskId,
-    ) -> Result<u64, Box<StallReport>> {
-        let f = self.fused.as_ref().expect("fused driver");
-        let m = self.mapping;
-        for y in 0..m.fabric_h {
-            for x in 0..m.fabric_w {
-                multi.activate(x, y, pick(&f.tiles[self.idx(x, y)]));
-            }
-        }
-        let budget = 200 * m.z as u64 + 200 * (m.fabric_w + m.fabric_h) as u64 + 50_000;
-        multi.phase_begin(name);
-        let r = multi.run_each(budget, recovery::STALL_WINDOW);
-        multi.phase_end();
-        r
     }
 
     /// Runs the per-wafer 14-lane chain reduce (trace phase
@@ -1029,15 +994,7 @@ impl WaferBicgstabMulti {
         let budget =
             400 * (self.mapping.fabric_w + self.mapping.fabric_h) as u64 * PAY_LANES as u64
                 + 50_000;
-        for (m, chain) in f.chains.iter().enumerate() {
-            let (lw, h) = chain.dims();
-            let shard = multi.shard_mut(m);
-            for y in 0..h {
-                for x in 0..lw {
-                    shard.tile_mut(x, y).core.activate(chain.reduce_task(x, y));
-                }
-            }
-        }
+        self.activate_per_wafer(multi, |m, x, y| f.chains[m].reduce_task(x, y));
         multi.phase_begin("allreduce");
         let r = multi.run_each(budget, recovery::STALL_WINDOW);
         multi.phase_end();
@@ -1105,15 +1062,7 @@ impl WaferBicgstabMulti {
         let budget =
             400 * (self.mapping.fabric_w + self.mapping.fabric_h) as u64 * PAY_LANES as u64
                 + 50_000;
-        for (m, chain) in f.chains.iter().enumerate() {
-            let (lw, h) = chain.dims();
-            let shard = multi.shard_mut(m);
-            for y in 0..h {
-                for x in 0..lw {
-                    shard.tile_mut(x, y).core.activate(chain.bcast_task(x, y));
-                }
-            }
-        }
+        self.activate_per_wafer(multi, |m, x, y| f.chains[m].bcast_task(x, y));
         let bcast = multi.run_each(budget, recovery::STALL_WINDOW);
         multi.phase_end();
         Ok((on_wafer + bcast?, f.hop_cycles, rr_new))
@@ -1140,7 +1089,7 @@ impl WaferBicgstabMulti {
         c.halo += exposed;
         c.halo_hidden += hidden;
         // s := v + β t  (≡ A p by the recurrence t = s_prev − ω·zv_prev).
-        c.compute.update += self.try_fused_phase(multi, "update", |t| t.upd_s)?;
+        c.compute.update += self.try_local_phase(multi, "update", |i| f.tiles[i].upd_s)?;
         // Window B: zv := A s, halo of s overlapped behind it.
         let (comp, exposed, hidden) = self.try_merged_spmv(multi, 1, |i| {
             let t = &f.tiles[i];
@@ -1150,19 +1099,19 @@ impl WaferBicgstabMulti {
         c.halo += exposed;
         c.halo_hidden += hidden;
         // All fourteen dots of the iteration, one task, one payload.
-        c.compute.dot += self.try_fused_phase(multi, "dot", |t| t.dots)?;
+        c.compute.dot += self.try_local_phase(multi, "dot", |i| f.tiles[i].dots)?;
         // The single hierarchical reduction + host scalar derivation.
         let (on_wafer, host, _rr) = self.try_fused_allreduce(multi)?;
         c.compute.allreduce += on_wafer;
         c.host_allreduce += host;
         // q := r − α s;  x += α p + ω q.
-        c.compute.update += self.try_fused_phase(multi, "update", |t| t.upd_xq)?;
+        c.compute.update += self.try_local_phase(multi, "update", |i| f.tiles[i].upd_xq)?;
         // r := q − ω v + αω zv;  t := s − ω zv.
-        c.compute.update += self.try_fused_phase(multi, "update", |t| t.upd_rt)?;
+        c.compute.update += self.try_local_phase(multi, "update", |i| f.tiles[i].upd_rt)?;
         Ok(c)
     }
 
-    /// Fused [`WaferBicgstabMulti::try_load_rhs`]: `r = r̂₀ = b`, all
+    /// Fused `try_load_rhs`: `r = r̂₀ = b`, all
     /// recurrence vectors and scalar registers zeroed (the first
     /// iteration's `upd_p` then sets `p := r`, and ρ is re-derived from
     /// the payload every iteration — no warm-up reduction needed).
@@ -1202,91 +1151,12 @@ impl WaferBicgstabMulti {
         self.try_load_rhs(multi, b).unwrap_or_else(|e| panic!("bicgstab load stalled: {e}"))
     }
 
-    /// Fallible [`WaferBicgstabMulti::load_rhs`].
-    ///
-    /// # Errors
-    /// Returns the watchdog's [`StallReport`] on a stall.
-    pub fn try_load_rhs(&self, multi: &mut MultiFabric, b: &[F16]) -> Result<(), Box<StallReport>> {
-        if self.fused.is_some() {
-            return self.try_load_rhs_fused(multi, b);
-        }
-        let m = self.mapping;
-        assert_eq!(b.len(), m.cores() * m.z, "rhs length mismatch");
-        for y in 0..m.fabric_h {
-            for x in 0..m.fabric_w {
-                let vecs = &self.tiles[self.idx(x, y)].vecs;
-                let rows = m.core_rows(x, y);
-                let local = &b[rows];
-                multi.store_f16(x, y, vecs.r, local);
-                multi.store_f16(x, y, vecs.r0, local);
-                multi.store_f16(x, y, vecs.p_pad + 2, local);
-                multi.store_f16(x, y, vecs.x, &vec![F16::ZERO; m.z]);
-                multi.set_reg(x, y, regs::EPS, 1e-30);
-            }
-        }
-        self.try_compute_phase(multi, "dot", |t| t.scalar.dot_rho)?;
-        self.try_allreduce(multi)?;
-        self.try_compute_phase(multi, "scalar", |t| t.scalar.init_rho)?;
-        self.calibrate_spmv(multi)
-    }
-
     /// Runs one distributed BiCGStab iteration.
     ///
     /// # Panics
     /// Panics on a fabric stall.
     pub fn iterate(&self, multi: &mut MultiFabric) -> MultiIterCycles {
-        self.try_iterate(multi).unwrap_or_else(|e| panic!("bicgstab iteration stalled: {e}"))
-    }
-
-    /// Fallible [`WaferBicgstabMulti::iterate`]. The sequence is the
-    /// single-wafer iteration with a halo exchange before each SpMV and
-    /// every AllReduce replaced by the hierarchical form.
-    ///
-    /// # Errors
-    /// Returns the watchdog's [`StallReport`] on a stall.
-    pub fn try_iterate(
-        &self,
-        multi: &mut MultiFabric,
-    ) -> Result<MultiIterCycles, Box<StallReport>> {
-        if self.fused.is_some() {
-            return self.try_iterate_fused(multi);
-        }
-        let mut c = MultiIterCycles::default();
-        let ar = |c: &mut MultiIterCycles, multi: &mut MultiFabric| {
-            self.try_allreduce(multi).map(|(on_wafer, host)| {
-                c.compute.allreduce += on_wafer;
-                c.host_allreduce += host;
-            })
-        };
-        // s := A p (seam halo of p, serial before or overlapped behind)
-        self.try_classic_spmv(multi, &mut c, true)?;
-        // α := ρ / (r̂₀, s)
-        c.compute.dot += self.try_compute_phase(multi, "dot", |t| t.scalar.dot_r0s)?;
-        ar(&mut c, multi)?;
-        c.compute.scalar += self.try_compute_phase(multi, "scalar", |t| t.scalar.post_r0s)?;
-        // q := r − α s
-        c.compute.update += self.try_compute_phase(multi, "update", |t| t.scalar.upd_q)?;
-        // y := A q (seam halo of q likewise)
-        self.try_classic_spmv(multi, &mut c, false)?;
-        // ω := (q,y) / (y,y)
-        c.compute.dot += self.try_compute_phase(multi, "dot", |t| t.scalar.dot_qy)?;
-        ar(&mut c, multi)?;
-        c.compute.scalar += self.try_compute_phase(multi, "scalar", |t| t.scalar.post_qy)?;
-        c.compute.dot += self.try_compute_phase(multi, "dot", |t| t.scalar.dot_yy)?;
-        ar(&mut c, multi)?;
-        c.compute.scalar += self.try_compute_phase(multi, "scalar", |t| t.scalar.post_yy)?;
-        // x := x + α p + ω q
-        c.compute.update += self.try_compute_phase(multi, "update", |t| t.scalar.upd_x)?;
-        // r := q − ω y
-        c.compute.update += self.try_compute_phase(multi, "update", |t| t.scalar.upd_r)?;
-        // β and ρ roll-over
-        c.compute.dot += self.try_compute_phase(multi, "dot", |t| t.scalar.dot_rho)?;
-        ar(&mut c, multi)?;
-        c.compute.scalar += self.try_compute_phase(multi, "scalar", |t| t.scalar.post_rho)?;
-        // p := r + β (p − ω s)
-        c.compute.update += self.try_compute_phase(multi, "update", |t| t.scalar.upd_p1)?;
-        c.compute.update += self.try_compute_phase(multi, "update", |t| t.scalar.upd_p2)?;
-        Ok(c)
+        self.try_iterate(multi, 0).unwrap_or_else(|e| panic!("bicgstab iteration stalled: {e}"))
     }
 
     /// Computes ‖r‖ on the ensemble (hierarchical reduction).
@@ -1295,32 +1165,7 @@ impl WaferBicgstabMulti {
     /// Panics on a fabric stall.
     pub fn residual_norm(&self, multi: &mut MultiFabric) -> f32 {
         self.try_residual_norm(multi)
-            .unwrap_or_else(|e| panic!("bicgstab residual phase stalled: {e}"))
-    }
-
-    /// Fallible [`WaferBicgstabMulti::residual_norm`].
-    ///
-    /// # Errors
-    /// Returns the watchdog's [`StallReport`] on a stall.
-    pub fn try_residual_norm(&self, multi: &mut MultiFabric) -> Result<f32, Box<StallReport>> {
-        if let Some(f) = &self.fused {
-            // ‖r‖² through payload lane 0: local dot, chain reduce, host
-            // combine. No broadcast — the tiles' registers stay untouched
-            // (the stale upper lanes are rewritten by the next `dots`).
-            self.try_fused_phase(multi, "dot", |t| t.dot_rr)?;
-            self.try_chain_reduce(multi)?;
-            multi.phase_begin("host_allreduce");
-            let rr = self.combine_payload(multi)[0];
-            if f.hop_cycles > 0 {
-                multi.advance_idle(f.hop_cycles);
-            }
-            multi.phase_end();
-            return Ok(rr.max(0.0).sqrt());
-        }
-        self.try_compute_phase(multi, "dot", |t| t.scalar.dot_rr)?;
-        self.try_allreduce(multi)?;
-        self.try_compute_phase(multi, "scalar", |t| t.scalar.post_rr)?;
-        Ok(multi.reg(0, 0, regs::RR).max(0.0).sqrt())
+            .unwrap_or_else(|e| panic!("bicgstab residual phase stalled: {e}")) as f32
     }
 
     /// Reads the iterate back from tile memories (global mesh order).
@@ -1340,52 +1185,15 @@ impl WaferBicgstabMulti {
         out
     }
 
-    /// Loads `b`, runs up to `iters` iterations (with the same host-side
-    /// convergence tripwire as the single-wafer solver), and returns the
-    /// final iterate plus per-iteration statistics.
-    ///
-    /// # Panics
-    /// Panics on a fabric stall.
-    pub fn solve(
-        &self,
-        multi: &mut MultiFabric,
-        b: &[F16],
-        iters: usize,
-    ) -> (Vec<F16>, MultiSolveStats) {
-        let norm_b = {
-            let s: f64 = b.iter().map(|v| v.to_f64() * v.to_f64()).sum();
-            s.sqrt()
-        };
-        if norm_b == 0.0 {
-            return (vec![F16::ZERO; b.len()], MultiSolveStats::default());
-        }
-        self.load_rhs(multi, b);
-        let mut stats = MultiSolveStats::default();
-        let tripwire = ResidualTripwire::default();
-        for _ in 0..iters {
-            let c = self.iterate(multi);
-            let rn = self.residual_norm(multi) as f64;
-            stats.iterations.push(c);
-            let rel = rn / norm_b;
-            stats.residuals.push(rel);
-            if tripwire.check(rel).stops() {
-                break;
-            }
-        }
-        (self.read_x(multi), stats)
-    }
-
-    /// Like [`WaferBicgstabMulti::solve`], but runs under the
-    /// checkpoint/rollback recovery engine so the ensemble solve survives
-    /// injected faults — including host-link faults armed on the
+    /// [`Krylov::solve_with_recovery`] on the ensemble, so the solve
+    /// survives injected faults — including host-link faults armed on the
     /// [`MultiFabric`]: a dropped or corrupted seam frame is usually
     /// masked by the reliable transport's retransmission, a dead link or
     /// a dark stall trips the watchdog and rolls the whole ensemble back
-    /// to the last [`crate::recovery::EnsembleCheckpoint`], and
-    /// `Converged` claims are verified against `a`'s f64 true residual
-    /// before being believed. Any [`wse_multi::LinkDown`] declarations
-    /// made along the way are appended to the returned log's event trail,
-    /// so exhausted links are reported structurally, never silently.
+    /// to the last [`crate::recovery::EnsembleCheckpoint`]. Any
+    /// [`wse_multi::LinkDown`] declarations made along the way are
+    /// appended to the returned log's event trail, so exhausted links are
+    /// reported structurally, never silently.
     pub fn solve_with_recovery(
         &self,
         multi: &mut MultiFabric,
@@ -1393,40 +1201,75 @@ impl WaferBicgstabMulti {
         b: &[F16],
         iters: usize,
         policy: &RecoveryPolicy,
-    ) -> (Vec<F16>, MultiSolveStats, RecoveryLog) {
-        let norm_b = {
-            let s: f64 = b.iter().map(|v| v.to_f64() * v.to_f64()).sum();
-            s.sqrt()
-        };
-        let mut stats = MultiSolveStats::default();
-        if norm_b == 0.0 {
-            let log = RecoveryLog { outcome: RecoveryOutcome::Converged, ..RecoveryLog::default() };
-            return (vec![F16::ZERO; b.len()], stats, log);
+    ) -> (Vec<F16>, SolveStats<MultiIterCycles>, RecoveryLog) {
+        let (x, stats, mut log) = Krylov::solve_with_recovery(self, multi, a, b, iters, policy);
+        log.events.extend(multi.link_down_records().iter().map(|down| down.describe()));
+        (x, stats, log)
+    }
+}
+
+/// The ensemble under the shared solve loops. The classic schedules walk
+/// [`krylov::BICGSTAB`] — the single-wafer iteration with a halo exchange
+/// at each SpMV and every AllReduce in hierarchical form; the fused
+/// single-reduction recurrence keeps its own sequence.
+impl Krylov<MultiFabric> for WaferBicgstabMulti {
+    type Cycles = MultiIterCycles;
+
+    fn try_load_rhs(&self, multi: &mut MultiFabric, b: &[F16]) -> Result<(), Box<StallReport>> {
+        if self.fused.is_some() {
+            return self.try_load_rhs_fused(multi, b);
         }
-        let mut log = run_with_recovery(
-            multi,
-            iters,
-            policy,
-            |m| self.try_load_rhs(m, b),
-            |m, i| {
-                // Re-entered with a rolled-back index after recovery: drop
-                // the records of the discarded iterations.
-                stats.iterations.truncate(i);
-                stats.residuals.truncate(i);
-                let c = self.try_iterate(m)?;
-                let rel = self.try_residual_norm(m)? as f64 / norm_b;
-                stats.iterations.push(c);
-                stats.residuals.push(rel);
-                Ok(rel)
-            },
-            |m| recovery::true_rel_residual(a, &self.read_x(m), b),
-        );
-        for down in multi.link_down_records() {
-            log.events.push(down.describe());
+        let m = self.mapping;
+        assert_eq!(b.len(), m.cores() * m.z, "rhs length mismatch");
+        for y in 0..m.fabric_h {
+            for x in 0..m.fabric_w {
+                let vecs = &self.tiles[self.idx(x, y)].vecs;
+                let rows = m.core_rows(x, y);
+                let local = &b[rows];
+                multi.store_f16(x, y, vecs.r, local);
+                multi.store_f16(x, y, vecs.r0, local);
+                multi.store_f16(x, y, vecs.p_pad + 2, local);
+                multi.store_f16(x, y, vecs.x, &vec![F16::ZERO; m.z]);
+                multi.set_reg(x, y, regs::EPS, 1e-30);
+            }
         }
-        stats.iterations.truncate(log.iterations);
-        stats.residuals.truncate(log.iterations);
-        (self.read_x(multi), stats, log)
+        self.try_classic_steps(multi, krylov::BICGSTAB.seed)?;
+        self.calibrate_spmv(multi)
+    }
+
+    fn try_iterate(
+        &self,
+        multi: &mut MultiFabric,
+        _it: usize,
+    ) -> Result<MultiIterCycles, Box<StallReport>> {
+        if self.fused.is_some() {
+            return self.try_iterate_fused(multi);
+        }
+        self.try_classic_steps(multi, krylov::BICGSTAB.iter)
+    }
+
+    fn try_residual_norm(&self, multi: &mut MultiFabric) -> Result<f64, Box<StallReport>> {
+        if let Some(f) = &self.fused {
+            // ‖r‖² through payload lane 0: local dot, chain reduce, host
+            // combine. No broadcast — the tiles' registers stay untouched
+            // (the stale upper lanes are rewritten by the next `dots`).
+            self.try_local_phase(multi, "dot", |i| f.tiles[i].dot_rr)?;
+            self.try_chain_reduce(multi)?;
+            multi.phase_begin("host_allreduce");
+            let rr = self.combine_payload(multi)[0];
+            if f.hop_cycles > 0 {
+                multi.advance_idle(f.hop_cycles);
+            }
+            multi.phase_end();
+            return Ok(rr.max(0.0).sqrt() as f64);
+        }
+        let (steps, reg) = krylov::BICGSTAB.norm.expect("BiCGStab reduces its norm on-wafer");
+        self.try_classic_steps(multi, steps)?;
+        Ok(multi.reg(0, 0, reg).max(0.0).sqrt() as f64)
+    }
+
+    fn read_x(&self, multi: &MultiFabric) -> Vec<F16> {
+        WaferBicgstabMulti::read_x(self, multi)
     }
 }
 
@@ -1679,24 +1522,55 @@ mod tests {
 
     #[test]
     fn transparent_split_matches_single_wafer_bit_for_bit() {
-        let (a, b) = test_system(6, 4, 8);
-        let iters = 4;
+        use crate::bicgstab2d::WaferBicgstab2d;
+        use crate::cg::{CgVariant, WaferCg};
+        use stencil::decomp::Block2D;
+        use stencil::stencil9::convection_diffusion9;
 
-        // Reference: the ordinary single-wafer solve.
+        // Any program of the shared driver: built on one fabric, solved
+        // there (reference) and on a pristine copy split across 2 wafers
+        // over the ideal link (transparent mode) — plainly, and under the
+        // recovery engine checkpointing the whole ensemble.
+        fn check(
+            name: &str,
+            mut fabric: Fabric,
+            solver: &krylov::Program,
+            a: &DiaMatrix<F16>,
+            b: &[F16],
+        ) {
+            let bits = |x: &[F16]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let mut multi = MultiFabric::split_x(&fabric, 2, HostLink::ideal());
+            let mut multi_rec = MultiFabric::split_x(&fabric, 2, HostLink::ideal());
+            let (x_ref, stats_ref) = solver.solve(&mut fabric, b, 4);
+            let (x_split, stats_split) = solver.solve(&mut multi, b, 4);
+            assert_eq!(stats_ref.residuals, stats_split.residuals, "{name}: residuals diverged");
+            assert_eq!(bits(&x_ref), bits(&x_split), "{name}: iterate bits diverged");
+            let policy = RecoveryPolicy { checkpoint_every: 2, ..RecoveryPolicy::default() };
+            let (x_rec, stats_rec, log) =
+                solver.solve_with_recovery(&mut multi_rec, a, b, 4, &policy);
+            assert_eq!((log.checkpoints_taken, log.rollbacks), (2, 0), "{name}: {log}");
+            assert_eq!(stats_ref.residuals, stats_rec.residuals, "{name}: recovering residuals");
+            assert_eq!(bits(&x_ref), bits(&x_rec), "{name}: recovering iterate bits");
+        }
+
+        let (a, b) = test_system(6, 4, 8);
         let mut fabric = Fabric::new(6, 4);
         let solver = WaferBicgstab::build(&mut fabric, &a);
-        let (x_ref, stats_ref) = solver.solve(&mut fabric, &b, iters);
+        check("bicgstab", fabric, &solver, &a, &b);
 
-        // Transparent mode: same program, split across 2 wafers, ideal link.
-        let (solver2, mut multi) = build_transparent(&a, 2, HostLink::ideal());
-        let (x_split, stats_split) = solver2.solve(&mut multi, &b, iters);
+        let mut fabric = Fabric::new(6, 4);
+        let solver = WaferCg::build(&mut fabric, &a, CgVariant::Standard);
+        check("cg", fabric, &solver, &a, &b);
 
-        assert_eq!(stats_ref.residuals, stats_split.residuals, "residual trajectory diverged");
-        assert_eq!(
-            x_ref.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            x_split.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "iterate bits diverged"
-        );
+        let block = Block2D::new(3, 3);
+        let a64 = convection_diffusion9(block.covered_mesh(4, 3), (1.5, -0.5));
+        let b64: Vec<f64> = (0..a64.mesh().len()).map(|i| (i % 7) as f64 * 0.25 - 0.6).collect();
+        let sys = jacobi_scale(&a64, &b64);
+        let a: DiaMatrix<F16> = sys.matrix.convert();
+        let b: Vec<F16> = sys.rhs.iter().map(|&v| F16::from_f64(v)).collect();
+        let mut fabric = Fabric::new(4, 3);
+        let solver = WaferBicgstab2d::build(&mut fabric, &a, block);
+        check("bicgstab2d", fabric, &solver, &a, &b);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use stencil::mesh::Mesh3D;
 use stencil::precond::jacobi_scale;
 use stencil::stencil7::poisson;
 use wse_core::recovery::true_rel_residual;
-use wse_core::WaferBicgstabMulti;
+use wse_core::{Krylov, WaferBicgstabMulti};
 use wse_float::F16;
 use wse_multi::{HostLink, MultiFabric};
 

@@ -118,8 +118,8 @@ fn cg_iterates_clean_under_sanitizer() {
         let k = WaferCg::build(&mut fabric, &a, variant);
         fabric.arm_sanitizer();
         k.load_rhs(&mut fabric, &b);
-        let _ = k.iterate(&mut fabric, true);
-        let _ = k.iterate(&mut fabric, false);
+        let _ = k.iterate(&mut fabric);
+        let _ = k.iterate(&mut fabric);
         assert_no_trips(&mut fabric, &format!("cg {variant:?}"));
     }
 }

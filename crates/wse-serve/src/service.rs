@@ -31,6 +31,7 @@ use std::time::Instant;
 use wse_arch::{Fabric, Region, TraceConfig, TILE_SRAM_BYTES};
 use wse_core::bicgstab2d::WaferBicgstab2d;
 use wse_core::recovery::RecoveryPolicy;
+use wse_core::Krylov;
 use wse_float::F16;
 use wse_multi::tenancy::{place_regions, PlacementOverflow};
 use wse_multi::MultiFabric;
@@ -502,7 +503,7 @@ impl WaferService {
         let policy = RecoveryPolicy::default()
             .labeled(format!("{}/job{}", self.tenants[job.tenant].spec.name, index));
         let cycle_start = fabric.cycle();
-        let (_, residuals, log) =
+        let (_, stats, log) =
             solver.solve_with_recovery(fabric, &program.matrix, &b, job.max_iters, &policy);
         let cycle_end = fabric.cycle();
 
@@ -533,7 +534,7 @@ impl WaferService {
             window: (cycle_start, cycle_end),
             iterations: log.iterations,
             rollbacks: log.rollbacks,
-            final_rel: residuals.last().copied().unwrap_or(f64::NAN),
+            final_rel: stats.residuals.last().copied().unwrap_or(f64::NAN),
             converged: log.outcome == wse_core::recovery::RecoveryOutcome::Converged,
         });
     }

@@ -43,111 +43,99 @@ done
 rm -f "$fx_out"
 echo "all $(ls scripts/expected_lints/*.txt | wc -l) fixtures match their expected diagnostics"
 
-echo "== fault-injection smoke (one seeded fault of each kind, twice, diffed) =="
-# The smoke sweep solves a small wafer BiCGStab under one seeded fault per
-# kind with checkpoint/rollback recovery enabled. Running it twice and
-# diffing asserts the whole fault→watchdog→recovery pipeline is seeded and
-# bit-for-bit reproducible.
-smoke_a="$(mktemp)"; smoke_b="$(mktemp)"
-trap 'rm -f "$smoke_a" "$smoke_b"' EXIT
-cargo run -q --release -p wse-bench --bin fault_sweep -- --smoke > "$smoke_a"
-cargo run -q --release -p wse-bench --bin fault_sweep -- --smoke > "$smoke_b"
-diff -u "$smoke_a" "$smoke_b"
-grep -q "baseline (fault-free): Converged" "$smoke_a"
+# smoke_twice <label> <grep-pattern>... -- <cmd>...
+# Runs <cmd> twice, requires bit-identical stdout (each smoke's stdout is
+# deterministic by construction; wall timings go to stderr), and requires
+# every pattern to match it. The first run's stdout is left in $smoke_out
+# for stage-specific checks.
+smoke_out="$(mktemp)"; smoke_again="$(mktemp)"
+trap 'rm -f "$smoke_out" "$smoke_again"' EXIT
+smoke_twice() {
+  echo "== $1 =="; shift
+  local patterns=()
+  while [ "$1" != "--" ]; do patterns+=("$1"); shift; done
+  shift
+  "$@" > "$smoke_out"
+  "$@" > "$smoke_again"
+  diff -u "$smoke_out" "$smoke_again"
+  for p in "${patterns[@]}"; do grep -q "$p" "$smoke_out"; done
+}
+bench_bin() { cargo run -q --release -p wse-bench --bin "$@"; }
 
-echo "== ensemble fault smoke (k=2 host-link faults, twice, diffed) =="
+# The smoke sweep solves a small wafer BiCGStab under one seeded fault per
+# kind with checkpoint/rollback recovery enabled: the whole
+# fault→watchdog→recovery pipeline is seeded and bit-for-bit reproducible.
+smoke_twice "fault-injection smoke (one seeded fault of each kind, twice, diffed)" \
+  "baseline (fault-free): Converged" \
+  -- bench_bin fault_sweep -- --smoke
+
 # The --multi 2 leg drives the k=2 hierarchical solver through every
 # host-level fault class (frame drop/corrupt, link stall, wafer stall) with
-# the reliable seam transport and ensemble checkpoint/rollback armed. Two
-# runs must be bit-identical, and every class must still converge in the
-# smoke configuration (single fault, retransmission masks it).
-ens_a="$(mktemp)"; ens_b="$(mktemp)"
-trap 'rm -f "$smoke_a" "$smoke_b" "$ens_a" "$ens_b"' EXIT
-cargo run -q --release -p wse-bench --bin fault_sweep -- --multi 2 --smoke > "$ens_a"
-cargo run -q --release -p wse-bench --bin fault_sweep -- --multi 2 --smoke > "$ens_b"
-diff -u "$ens_a" "$ens_b"
-grep -q "baseline (fault-free): Converged" "$ens_a"
-grep -q "host_link_drop" "$ens_a"
+# the reliable seam transport and ensemble checkpoint/rollback armed; every
+# class must still converge in the smoke configuration (single fault,
+# retransmission masks it).
+smoke_twice "ensemble fault smoke (k=2 host-link faults, twice, diffed)" \
+  "baseline (fault-free): Converged" \
+  "host_link_drop" \
+  -- bench_bin fault_sweep -- --multi 2 --smoke
 
-echo "== trace smoke (traced iteration profile, twice, diffed) =="
 # iter_profile calibrates the analytic model from untraced runs, runs a
-# traced BiCGStab iteration, exports a Perfetto trace, and cross-validates
-# the phase split against the model. Wall timings go to stderr; stdout
-# (including the FNV-1a hash of the full Perfetto JSON) must be
-# bit-for-bit reproducible across runs.
-trace_a="$(mktemp)"; trace_b="$(mktemp)"
-trap 'rm -f "$smoke_a" "$smoke_b" "$ens_a" "$ens_b" "$trace_a" "$trace_b"' EXIT
-cargo run -q --release -p wse-bench --bin iter_profile -- --smoke > "$trace_a"
-cargo run -q --release -p wse-bench --bin iter_profile -- --smoke > "$trace_b"
-diff -u "$trace_a" "$trace_b"
-grep -q "all phases within 15% of the analytic prediction" "$trace_a"
-grep -q "cycle identity:" "$trace_a"
-# The runtime sanitizer leg: armed shadow state must not perturb simulated
-# time and must find the shipped solver race-free.
-grep -q "cycle identity: .* runtime sanitizer armed (0 race trips)" "$trace_a"
-# The reliable-transport leg: framing/acks on a healthy k=2 split must be
+# traced BiCGStab iteration, exports a Perfetto trace (stdout carries the
+# FNV-1a hash of the full JSON), and cross-validates the phase split
+# against the model. The runtime sanitizer leg: armed shadow state must not
+# perturb simulated time and must find the shipped solver race-free. The
+# reliable-transport leg: framing/acks on a healthy k=2 split must be
 # cycle-identical to the trusted link and never retransmit.
-grep -q "cycle identity: .* armed and disarmed transport" "$trace_a"
+smoke_twice "trace smoke (traced iteration profile, twice, diffed)" \
+  "all phases within 15% of the analytic prediction" \
+  "cycle identity:" \
+  "cycle identity: .* runtime sanitizer armed (0 race trips)" \
+  "cycle identity: .* armed and disarmed transport" \
+  -- bench_bin iter_profile -- --smoke
 
-echo "== stepper throughput smoke (activity-driven vs reference, twice, diffed) =="
 # sim_throughput runs the same workloads under the optimized activity-driven
 # stepper and the retained full-scan reference, asserts identical simulated
 # cycle counts, and gates a minimum wall-clock speedup on the
-# sparse-activity workload (single active column on 64x64). Wall timings go
-# to stderr; stdout is deterministic and diffed across two runs.
-thr_a="$(mktemp)"; thr_b="$(mktemp)"
-trap 'rm -f "$smoke_a" "$smoke_b" "$ens_a" "$ens_b" "$trace_a" "$trace_b" "$thr_a" "$thr_b"' EXIT
-cargo run -q --release -p wse-bench --bin sim_throughput -- --smoke > "$thr_a"
-cargo run -q --release -p wse-bench --bin sim_throughput -- --smoke > "$thr_b"
-diff -u "$thr_a" "$thr_b"
-grep -q "smoke gate: sparse speedup >= 3x: PASS" "$thr_a"
+# sparse-activity workload (single active column on 64x64).
+smoke_twice "stepper throughput smoke (activity-driven vs reference, twice, diffed)" \
+  "smoke gate: sparse speedup >= 3x: PASS" \
+  -- bench_bin sim_throughput -- --smoke
 
-echo "== multi-wafer smoke (k in {1,2,4} distributed BiCGStab, twice, diffed) =="
 # multiwafer_scaling runs the overlapped + fused distributed solver on
 # simulated 1-, 2-, and 4-wafer ensembles with paper-default host links
 # and gates (a) the measured interconnect cycles (exposed halo + host
 # AllReduce hops) against the analytic perf_model::multiwafer overlapped
 # model and (b) the k=2 weak-scaling efficiency against the pre-overlap
-# serial schedule's 0.31. Wall timings go to stderr; stdout (cycle
-# counts, residuals, gate verdicts) is deterministic and diffed across
-# two runs.
-mw_a="$(mktemp)"; mw_b="$(mktemp)"
-trap 'rm -f "$smoke_a" "$smoke_b" "$ens_a" "$ens_b" "$trace_a" "$trace_b" "$thr_a" "$thr_b" "$mw_a" "$mw_b"' EXIT
-cargo run -q --release -p wse-bench --bin multiwafer_scaling -- --smoke > "$mw_a"
-cargo run -q --release -p wse-bench --bin multiwafer_scaling -- --smoke > "$mw_b"
-diff -u "$mw_a" "$mw_b"
-grep -q "model-fidelity gate k=4: .* PASS" "$mw_a"
-grep -q "weak-efficiency gate k=2: .* PASS" "$mw_a"
+# serial schedule's 0.31.
+smoke_twice "multi-wafer smoke (k in {1,2,4} distributed BiCGStab, twice, diffed)" \
+  "model-fidelity gate k=4: .* PASS" \
+  "weak-efficiency gate k=2: .* PASS" \
+  -- bench_bin multiwafer_scaling -- --smoke
 
-echo "== service smoke (2 tenants x 3 shapes through wse-serve, twice, diffed) =="
 # service_bench drives seeded open-loop arrivals from two tenants through
 # the multi-tenant front door: admission, the compiled-program cache,
-# batching, labeled recovery, and per-tenant billing. Host wall-clock (the
-# cold-vs-warm compile speedup) goes to stderr; stdout (tier counts,
-# latency percentiles, billing cycles) is deterministic and diffed across
-# two runs. The cache must be exercised: hit rate strictly positive.
-sv_a="$(mktemp)"; sv_b="$(mktemp)"
-trap 'rm -f "$smoke_a" "$smoke_b" "$ens_a" "$ens_b" "$trace_a" "$trace_b" "$thr_a" "$thr_b" "$mw_a" "$mw_b" "$sv_a" "$sv_b"' EXIT
-cargo run -q --release -p wse-bench --bin service_bench -- --smoke > "$sv_a"
-cargo run -q --release -p wse-bench --bin service_bench -- --smoke > "$sv_b"
-diff -u "$sv_a" "$sv_b"
-grep -q "jobs: submitted=12 completed=12 rejected=0" "$sv_a"
-hit_rate="$(sed -n 's/^cache-hit-rate: //p' "$sv_a")"
+# batching, labeled recovery, and per-tenant billing (host cold-vs-warm
+# compile speedup goes to stderr). The cache must be exercised: hit rate
+# strictly positive.
+smoke_twice "service smoke (2 tenants x 3 shapes through wse-serve, twice, diffed)" \
+  "jobs: submitted=12 completed=12 rejected=0" \
+  -- bench_bin service_bench -- --smoke
+hit_rate="$(sed -n 's/^cache-hit-rate: //p' "$smoke_out")"
 awk "BEGIN { exit !($hit_rate > 0) }" || {
   echo "service smoke: cache hit rate must be > 0, got $hit_rate"; exit 1;
 }
 
-echo "== DSL lowering smoke (4 catalog operators lower+lint+apply, twice, diffed) =="
 # dsl_lowering lowers the 5/7/9/25-point catalog operators through the
 # declarative front-end, lint-verifies each program, and checks every
-# application bit-exact against the host mirror. Host wall timings go to
-# stderr; stdout (emitter kinds, cycle counts, verdicts) is deterministic
-# and diffed across two runs.
-dl_a="$(mktemp)"; dl_b="$(mktemp)"
-trap 'rm -f "$smoke_a" "$smoke_b" "$ens_a" "$ens_b" "$trace_a" "$trace_b" "$thr_a" "$thr_b" "$mw_a" "$mw_b" "$sv_a" "$sv_b" "$dl_a" "$dl_b"' EXIT
-cargo run -q --release -p wse-bench --bin dsl_lowering -- --smoke > "$dl_a"
-cargo run -q --release -p wse-bench --bin dsl_lowering -- --smoke > "$dl_b"
-diff -u "$dl_a" "$dl_b"
-grep -q "all 4 operators: lowered lint-clean, host mirror bit-exact" "$dl_a"
+# application bit-exact against the host mirror.
+smoke_twice "DSL lowering smoke (4 catalog operators lower+lint+apply, twice, diffed)" \
+  "all 4 operators: lowered lint-clean, host mirror bit-exact" \
+  -- bench_bin dsl_lowering -- --smoke
+
+echo "== e2e-bench tests (standalone benchmark crate) =="
+# The benchmark is its own workspace (BENCHMARK.json builds it from
+# e2e-bench/Cargo.toml), so `cargo test --workspace` above never compiles
+# it: this stage is what notices a wse-core API change that breaks it.
+cargo test --release --offline --manifest-path e2e-bench/Cargo.toml
 
 echo "verify: OK"

@@ -64,6 +64,6 @@ pub mod prelude {
     pub use stencil::problem::manufactured;
     pub use stencil::DiaMatrix;
     pub use wse_arch::Fabric;
-    pub use wse_core::{WaferBicgstab, WaferSpmv};
+    pub use wse_core::{Krylov, WaferBicgstab, WaferSpmv};
     pub use wse_float::F16;
 }

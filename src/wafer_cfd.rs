@@ -20,7 +20,7 @@ use cfd::simple::SimpleParams;
 use stencil::precond::jacobi_scale;
 use stencil::DiaMatrix;
 use wse_arch::Fabric;
-use wse_core::WaferBicgstab;
+use wse_core::{Krylov, WaferBicgstab};
 use wse_float::F16;
 
 /// Cycle accounting for one wafer-SIMPLE iteration.

@@ -43,7 +43,7 @@ fn wafer_cg_handles_anisotropy() {
     for variant in [CgVariant::Standard, CgVariant::SingleReduction] {
         let mut fabric = Fabric::new(4, 4);
         let cg = WaferCg::build(&mut fabric, &a16, variant);
-        let (_, _, residuals) = cg.solve(&mut fabric, &b16, 30);
+        let residuals = cg.solve(&mut fabric, &b16, 30).1.residuals;
         let best = residuals.iter().copied().fold(f64::INFINITY, f64::min);
         assert!(best < 0.05, "{variant:?}: best residual {best}");
     }

@@ -7,7 +7,9 @@
 //! every relative residual, an FNV-1a digest of the iterate, and — per
 //! driver — the `RecoveryLog` of one solve under seeded SRAM bit flips.
 //! (The 2D driver of that commit reported only per-iteration totals; its
-//! per-phase split was read off an instrumented build of the same commit.)
+//! per-phase split was read off an instrumented build of the same commit.
+//! Only the calls changed with the unification: one `solve` shape instead
+//! of three.)
 
 use stencil::decomp::Block2D;
 use stencil::mesh::Mesh3D;
@@ -19,8 +21,9 @@ use stencil::DiaMatrix;
 use wse_arch::{Fabric, FaultKindClass, FaultPlan, Region};
 use wse_core::bicgstab2d::WaferBicgstab2d;
 use wse_core::cg::{CgVariant, WaferCg};
+use wse_core::krylov::{Program, SolveStats};
 use wse_core::recovery::{RecoveryLog, RecoveryPolicy, ResidualTripwire};
-use wse_core::{MultiIterCycles, WaferBicgstab, WaferBicgstabMulti};
+use wse_core::{Krylov, MultiIterCycles, WaferBicgstab, WaferBicgstabMulti};
 use wse_float::F16;
 use wse_multi::{HostLink, MultiFabric};
 use wse_serve::program_digest;
@@ -46,6 +49,15 @@ fn pin<const N: usize>(program: &[u64], cycles: &[[u64; N]], residuals: &[u64], 
         residuals: residuals.to_vec(),
         x,
     }
+}
+
+/// Solves on one fabric through the shared driver and collects the pin.
+fn solve(fabric: &mut Fabric, solver: &Program, b: &[F16], iters: usize) -> Pin {
+    let program = vec![program_digest(fabric)];
+    let (x, SolveStats { iterations, residuals }) = solver.solve(fabric, b, iters);
+    let cycles =
+        iterations.iter().map(|c| vec![c.spmv, c.dot, c.allreduce, c.update, c.scalar]).collect();
+    Pin { program, cycles, residuals: bits(&residuals), x: x_digest(&x) }
 }
 
 fn x_digest(x: &[F16]) -> u64 {
@@ -119,14 +131,7 @@ fn bicgstab3d_classic() {
     let (a, b) = system3d(Mesh3D::new(4, 4, 8));
     let mut fabric = Fabric::new(4, 4);
     let solver = WaferBicgstab::build(&mut fabric, &a);
-    let program = vec![program_digest(&fabric)];
-    let (x, stats) = solver.solve(&mut fabric, &b, 4);
-    let cycles = stats
-        .iterations
-        .iter()
-        .map(|c| vec![c.spmv, c.dot, c.allreduce, c.update, c.scalar])
-        .collect();
-    let got = Pin { program, cycles, residuals: bits(&stats.residuals), x: x_digest(&x) };
+    let got = solve(&mut fabric, &solver, &b, 4);
     let want = pin(
         &[609646569634883056],
         &[
@@ -146,14 +151,7 @@ fn bicgstab3d_omega_fused() {
     let (a, b) = system3d(Mesh3D::new(8, 8, 16));
     let mut fabric = Fabric::new(8, 8);
     let solver = WaferBicgstab::build_fused(&mut fabric, &a);
-    let program = vec![program_digest(&fabric)];
-    let (x, stats) = solver.solve(&mut fabric, &b, 3);
-    let cycles = stats
-        .iterations
-        .iter()
-        .map(|c| vec![c.spmv, c.dot, c.allreduce, c.update, c.scalar])
-        .collect();
-    let got = Pin { program, cycles, residuals: bits(&stats.residuals), x: x_digest(&x) };
+    let got = solve(&mut fabric, &solver, &b, 3);
     let want = pin(
         &[3510079048633776497],
         &[[158, 48, 104, 24, 16], [164, 48, 103, 24, 16], [159, 48, 103, 24, 16]],
@@ -169,7 +167,13 @@ fn bicgstab2d_at_origin_and_rebased() {
     let want = |program: u64| {
         pin(
             &[program],
-            &[[288], [286], [292], [286]],
+            // Totals 288, 286, 292, 286.
+            &[
+                [142, 40, 66, 24, 16],
+                [142, 40, 64, 24, 16],
+                [142, 40, 70, 24, 16],
+                [142, 40, 64, 24, 16],
+            ],
             &[4584024342590148053, 4583042965677946175, 4566224865108686756, 4561045633490671539],
             2113677286868873213,
         )
@@ -179,10 +183,7 @@ fn bicgstab2d_at_origin_and_rebased() {
 
     let mut fabric = Fabric::new(3, 3);
     let solver = WaferBicgstab2d::build(&mut fabric, &a, block);
-    let program = vec![program_digest(&fabric)];
-    let (x, cyc, res) = solver.solve(&mut fabric, &b, 4);
-    let cycles = cyc.iter().map(|&c| vec![c]).collect();
-    assert_eq!(Pin { program, cycles, residuals: bits(&res), x: x_digest(&x) }, want(PROGRAM));
+    assert_eq!(solve(&mut fabric, &solver, &b, 4), want(PROGRAM));
 
     // The same program built at (2, 1) of a larger fabric — region bytes
     // identical, whole-fabric digest pinned too — driven through a
@@ -190,12 +191,8 @@ fn bicgstab2d_at_origin_and_rebased() {
     let mut big = Fabric::new(6, 5);
     let built = WaferBicgstab2d::build_at(&mut big, &a, block, (2, 1));
     assert_eq!(program_digest(&big.extract_region(Region::new(2, 1, 3, 3))), PROGRAM);
-    let program = vec![program_digest(&big)];
     let solver = built.rebased((2, 1));
-    let (x, cyc, res) = solver.solve(&mut big, &b, 4);
-    let cycles = cyc.iter().map(|&c| vec![c]).collect();
-    let got = Pin { program, cycles, residuals: bits(&res), x: x_digest(&x) };
-    assert_eq!(got, want(3419288559842228509));
+    assert_eq!(solve(&mut big, &solver, &b, 4), want(3419288559842228509));
 }
 
 #[test]
@@ -218,12 +215,7 @@ fn cg_both_variants() {
     for (variant, want) in [CgVariant::Standard, CgVariant::SingleReduction].into_iter().zip(want) {
         let mut fabric = Fabric::new(4, 4);
         let solver = WaferCg::build(&mut fabric, &a, variant);
-        let program = vec![program_digest(&fabric)];
-        let (x, cyc, res) = solver.solve(&mut fabric, &b, 4);
-        let cycles =
-            cyc.iter().map(|c| vec![c.spmv, c.dot, c.allreduce, c.update, c.scalar]).collect();
-        let got = Pin { program, cycles, residuals: bits(&res), x: x_digest(&x) };
-        assert_eq!(got, want, "{variant:?}");
+        assert_eq!(solve(&mut fabric, &solver, &b, 4), want, "{variant:?}");
     }
 }
 
@@ -314,9 +306,9 @@ fn recovery_under_seeded_bit_flips_single_wafer() {
     let mut fabric = Fabric::new(3, 3);
     let solver = WaferBicgstab2d::build(&mut fabric, &a, block);
     fabric.arm_faults(&flips(20, &fabric, 3, 3));
-    let (x, res, log) = solver.solve_with_recovery(&mut fabric, &a, &b, 12, &policy());
+    let (x, stats, log) = solver.solve_with_recovery(&mut fabric, &a, &b, 12, &policy());
     assert_eq!(
-        (render(&log), bits(&res), x_digest(&x)),
+        (render(&log), bits(&stats.residuals), x_digest(&x)),
         recovered(
             "recovery: Converged after 3 iterations (rel 1.992e-3); 2 checkpoints, 1 rollbacks \
              (1 iterations lost), 0 stalls, 0 trips, 1 false convergences | iter 1: false \
@@ -394,8 +386,9 @@ fn recovery_under_seeded_bit_flips_cg() {
         let mut fabric = Fabric::new(4, 4);
         let solver = WaferCg::build(&mut fabric, &a, variant);
         fabric.arm_faults(&flips(seed, &fabric, 4, 4));
-        let (x, res, log) = solver.solve_with_recovery(&mut fabric, &a, &b, 12, &policy());
-        assert_eq!((render(&log), bits(&res), x_digest(&x)), want, "{variant:?} seed {seed}");
+        let (x, stats, log) = solver.solve_with_recovery(&mut fabric, &a, &b, 12, &policy());
+        let got = (render(&log), bits(&stats.residuals), x_digest(&x));
+        assert_eq!(got, want, "{variant:?} seed {seed}");
     }
 }
 

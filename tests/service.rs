@@ -8,6 +8,7 @@ use stencil::decomp::Block2D;
 use wse_arch::{Fabric, FaultKind, FaultKindClass, FaultPlan, Region, SplitMix64};
 use wse_core::bicgstab2d::WaferBicgstab2d;
 use wse_core::recovery::{RecoveryLog, RecoveryPolicy};
+use wse_core::Krylov;
 use wse_float::F16;
 use wse_serve::{
     open_loop_arrivals, program_digest, Backend, CompiledProgram, JobSpec, ProgramKey, StencilKind,
@@ -98,9 +99,9 @@ fn co_resident_run(
     let rhs_b = rhs_for(p, 77);
     let policy_a = RecoveryPolicy::default().labeled("acme/job0");
     let (_, _, log_a) = solver_a.solve_with_recovery(&mut fabric, &p.matrix, &rhs_a, 6, &policy_a);
-    let (x_b, res_b, _) =
+    let (x_b, stats_b, _) =
         solver_b.solve_with_recovery(&mut fabric, &p.matrix, &rhs_b, 6, &RecoveryPolicy::default());
-    (x_b, res_b, log_a)
+    (x_b, stats_b.residuals, log_a)
 }
 
 /// A fault plan confined to one tenant's region never perturbs a
