@@ -25,14 +25,13 @@ use crate::memory::{Memory, TILE_SRAM_BYTES};
 use crate::sanitize::CoreSanitizer;
 use crate::trace::{CoreTrace, StallCause};
 use crate::types::{
-    Color, DsrId, Dtype, FifoId, Flit, TaskId, NUM_COLORS, NUM_REGS, NUM_THREADS, QUEUE_CAPACITY,
-    RAMP_OUT_CAPACITY, SIMD_F16, SIMD_F32, SIMD_MIXED,
+    Color, DsrId, Dtype, FifoId, Flit, Ring, TaskId, NUM_COLORS, NUM_REGS, NUM_THREADS, SIMD_F16,
+    SIMD_F32, SIMD_MIXED,
 };
-use std::collections::VecDeque;
 use wse_float::F16;
 
 /// Performance counters for one core.
-#[derive(Copy, Clone, Debug, Default)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct CorePerf {
     /// Cycles in which the datapath issued at least one element.
     pub busy_cycles: u64,
@@ -65,18 +64,59 @@ struct TaskState {
     blocked: bool,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Copy, Clone, Debug)]
 struct ActiveInstr {
     instr: TensorInstr,
     on_complete: Option<(TaskId, TaskAction)>,
 }
 
+/// Content of a datapath slot whose `live` bit is clear (never read).
+const NO_INSTR: ActiveInstr = ActiveInstr {
+    instr: TensorInstr { op: Op::Copy, dst: None, a: None, b: None },
+    on_complete: None,
+};
+
+/// Datapath slots: the background threads, then the main thread's
+/// synchronous instruction.
+const SLOTS: usize = NUM_THREADS + 1;
+
+/// The pseudo-slot of the main thread's synchronous instruction.
+const MAIN_SLOT: usize = NUM_THREADS;
+
+/// `live` bit of [`MAIN_SLOT`]: the running task waits on a synchronous
+/// tensor instruction.
+const MAIN_BIT: u16 = 1 << MAIN_SLOT;
+
 #[derive(Clone, Debug)]
 struct RunningTask {
     id: TaskId,
     pc: usize,
-    /// A synchronous instruction the task is waiting on.
-    exec: Option<ActiveInstr>,
+}
+
+/// Where one operand of an issue streams from or to, resolved from its DSR
+/// once per issue (`Absent`: the instruction has no such operand). `Mem`
+/// carries the byte address of the element at the cursor and the byte step
+/// to the next.
+#[derive(Copy, Clone, PartialEq, Eq)]
+enum Operand {
+    Absent,
+    Mem { addr: u32, step: u32 },
+    FabricIn { color: usize },
+    FabricOut { color: usize },
+    Fifo { fifo: FifoId },
+}
+
+/// One issue of a tensor instruction the batched datapath can run: every
+/// operand resolved, one element type, and the SIMD-group size settled.
+struct Issue {
+    dst: Operand,
+    a: Operand,
+    b: Operand,
+    dtype: Dtype,
+    /// Elements this issue processes.
+    n: u32,
+    /// The shortest fixed-length operand is exhausted after `n` elements.
+    exhausts: bool,
 }
 
 /// One tile's core.
@@ -89,19 +129,30 @@ pub struct Core {
     tasks: Vec<TaskState>,
     bindings: Vec<ColorBinding>,
     main: Option<RunningTask>,
-    threads: [Option<ActiveInstr>; NUM_THREADS],
+    /// The instruction in each datapath slot; meaningful where `live` is set.
+    slots: [ActiveInstr; SLOTS],
+    /// Bit `s` set while slot `s` holds an unfinished instruction.
+    live: u16,
     rr_cursor: usize,
+    /// Tasks that are activated and not blocked (what the scheduler could
+    /// start); keeps [`Core::is_quiescent`] O(1).
+    runnable: usize,
     /// Tasks the host is expected to activate externally (entry points).
     /// Purely declarative — recorded by kernel builders so static analysis
     /// knows where control can enter; the simulator never reads it.
     entries: Vec<TaskId>,
     /// Words received from the router, one queue per color.
-    ramp_in: Vec<VecDeque<Flit>>,
+    ramp_in: [Ring; NUM_COLORS],
     /// Words awaiting injection into the router, one queue per color (the
     /// hardware gives every fabric color its own egress queue). Injection
     /// round-robins across non-empty colors so a thin stream (e.g. a seam
     /// halo) is never starved behind a bulk stream sharing the ramp.
-    ramp_out: Vec<VecDeque<Flit>>,
+    ramp_out: [Ring; NUM_COLORS],
+    /// Bit `c` set while `ramp_in[c]` / `ramp_out[c]` is non-empty.
+    ramp_in_mask: u32,
+    ramp_out_mask: u32,
+    /// Bit `c` set when some task is bound to color `c`.
+    bound_mask: u32,
     /// Round-robin cursor over `ramp_out` colors.
     ramp_rr: usize,
     /// Performance counters.
@@ -130,11 +181,16 @@ impl Core {
             tasks: Vec::new(),
             bindings: Vec::new(),
             main: None,
-            threads: Default::default(),
+            slots: [NO_INSTR; SLOTS],
+            live: 0,
             rr_cursor: 0,
+            runnable: 0,
             entries: Vec::new(),
-            ramp_in: (0..NUM_COLORS).map(|_| VecDeque::new()).collect(),
-            ramp_out: (0..NUM_COLORS).map(|_| VecDeque::new()).collect(),
+            ramp_in: [Ring::default(); NUM_COLORS],
+            ramp_out: [Ring::default(); NUM_COLORS],
+            ramp_in_mask: 0,
+            ramp_out_mask: 0,
+            bound_mask: 0,
             ramp_rr: 0,
             perf: CorePerf::default(),
             trace: None,
@@ -209,6 +265,7 @@ impl Core {
     /// Registers a task, returning its id.
     pub fn add_task(&mut self, task: Task) -> TaskId {
         let st = TaskState { activated: task.start_activated, blocked: task.start_blocked, task };
+        self.runnable += (st.activated && !st.blocked) as usize;
         self.tasks.push(st);
         self.tasks.len() - 1
     }
@@ -228,13 +285,28 @@ impl Core {
     }
 
     /// Binds arriving data on `color` to activate `task`.
+    ///
+    /// # Panics
+    /// Panics if `color` is not one of the [`NUM_COLORS`] channels.
     pub fn bind_color(&mut self, color: Color, task: TaskId) {
+        assert!((color as usize) < NUM_COLORS, "color {color} out of range");
         self.bindings.push(ColorBinding { color, task });
+        self.bound_mask |= 1 << color;
+    }
+
+    /// Changes a task's scheduling flags, keeping the runnable count.
+    #[inline]
+    fn flag_task(&mut self, task: TaskId, change: impl FnOnce(&mut TaskState)) {
+        let t = &mut self.tasks[task];
+        let was = t.activated && !t.blocked;
+        change(t);
+        let is = t.activated && !t.blocked;
+        self.runnable = self.runnable + is as usize - was as usize;
     }
 
     /// Externally activates a task (the host-side "go" signal).
     pub fn activate(&mut self, task: TaskId) {
-        self.tasks[task].activated = true;
+        self.flag_task(task, |t| t.activated = true);
     }
 
     /// Externally re-blocks a task, clearing any pending activation — the
@@ -243,8 +315,10 @@ impl Core {
     /// `Activate` half intentionally never would (e.g. a compute
     /// calibration run with communication disabled).
     pub fn block(&mut self, task: TaskId) {
-        self.tasks[task].blocked = true;
-        self.tasks[task].activated = false;
+        self.flag_task(task, |t| {
+            t.blocked = true;
+            t.activated = false;
+        });
     }
 
     /// Declares `task` an entry point the host will activate externally.
@@ -315,19 +389,16 @@ impl Core {
 
     /// Applies a scheduling action to a task.
     fn apply_action(&mut self, task: TaskId, action: TaskAction) {
-        match action {
-            TaskAction::Activate => self.tasks[task].activated = true,
-            TaskAction::Block => self.tasks[task].blocked = true,
-            TaskAction::Unblock => self.tasks[task].blocked = false,
-        }
+        self.flag_task(task, |t| match action {
+            TaskAction::Activate => t.activated = true,
+            TaskAction::Block => t.blocked = true,
+            TaskAction::Unblock => t.blocked = false,
+        });
     }
 
     /// `true` when nothing is running or runnable and no output is pending.
     pub fn is_quiescent(&self) -> bool {
-        self.main.is_none()
-            && self.threads.iter().all(|t| t.is_none())
-            && self.ramp_out.iter().all(|q| q.is_empty())
-            && self.tasks.iter().all(|t| !t.activated || t.blocked)
+        self.main.is_none() && self.live == 0 && self.ramp_out_mask == 0 && self.runnable == 0
     }
 
     /// `true` when undelivered ramp-in data sits on a color with a task
@@ -336,7 +407,7 @@ impl Core {
     /// activity set must keep such a tile live even though
     /// [`Core::is_quiescent`] holds.
     pub fn has_pending_bound_data(&self) -> bool {
-        self.bindings.iter().any(|b| !self.ramp_in[b.color as usize].is_empty())
+        self.ramp_in_mask & self.bound_mask != 0
     }
 
     /// Accounts `n` cycles the fabric *skipped* stepping this core because
@@ -360,7 +431,22 @@ impl Core {
 
     /// Space left in the ramp-in queue for `color` (router-side check).
     pub fn ramp_in_space(&self, color: Color) -> usize {
-        QUEUE_CAPACITY - self.ramp_in[color as usize].len()
+        self.ramp_in[color as usize].space()
+    }
+
+    /// The ramp-in queues, by color (what the tile's router stages against).
+    pub(crate) fn ramp_in_queues(&self) -> &[Ring; NUM_COLORS] {
+        &self.ramp_in
+    }
+
+    /// The ramp-in queue of `color` (test/diagnostic access).
+    pub fn ramp_in(&self, color: Color) -> &Ring {
+        &self.ramp_in[color as usize]
+    }
+
+    /// The ramp-out queue of `color` (test/diagnostic access).
+    pub fn ramp_out(&self, color: Color) -> &Ring {
+        &self.ramp_out[color as usize]
     }
 
     /// Delivers a flit from the router to the core.
@@ -370,38 +456,7 @@ impl Core {
     pub fn deliver(&mut self, color: Color, flit: Flit) {
         assert!(self.ramp_in_space(color) > 0, "ramp-in overflow on color {color}");
         self.ramp_in[color as usize].push_back(flit);
-    }
-
-    /// The next color the round-robin injection arbiter would serve, if
-    /// any queue is non-empty.
-    fn ramp_out_next_color(&self) -> Option<usize> {
-        let n = self.ramp_out.len();
-        (0..n).map(|i| (self.ramp_rr + i) % n).find(|&c| !self.ramp_out[c].is_empty())
-    }
-
-    /// Takes up to `budget_bytes` of injection from the core (router-side).
-    pub fn drain_ramp_out(&mut self, budget_bytes: u32) -> Vec<(Color, Flit)> {
-        let mut out = Vec::new();
-        let mut budget = budget_bytes;
-        while let Some((color, flit)) = self.peek_ramp_out() {
-            if flit.bytes() > budget {
-                break;
-            }
-            budget -= flit.bytes();
-            self.pop_ramp_out();
-            out.push((color, flit));
-        }
-        out
-    }
-
-    /// Pops the arbiter's head injection flit without allocating
-    /// (router-side; pair with [`Core::peek_ramp_out`] after bandwidth and
-    /// space checks).
-    pub fn pop_ramp_out(&mut self) -> Option<(Color, Flit)> {
-        let c = self.ramp_out_next_color()?;
-        let flit = self.ramp_out[c].pop_front().unwrap();
-        self.ramp_rr = (c + 1) % self.ramp_out.len();
-        Some((c as Color, flit))
+        self.ramp_in_mask |= 1 << color;
     }
 
     /// Pending injection queue length across all colors (diagnostics).
@@ -409,28 +464,29 @@ impl Core {
         self.ramp_out.iter().map(|q| q.len()).sum()
     }
 
-    /// Peeks the flit the round-robin injection arbiter would send next,
-    /// without removing it (router-side).
-    pub fn peek_ramp_out(&self) -> Option<(Color, Flit)> {
-        let c = self.ramp_out_next_color()?;
-        Some((c as Color, self.ramp_out[c][0]))
-    }
-
     /// Pops the first flit (in round-robin arbiter order) that fits
     /// `budget` bytes and whose color passes `ready` — a blocked color
-    /// does not head-of-line-block the other colors' queues.
+    /// does not head-of-line-block the other colors' queues. This is the
+    /// injection arbiter's only entry point.
     pub fn pop_ramp_out_ready(
         &mut self,
         budget: u32,
         ready: impl Fn(Color) -> bool,
     ) -> Option<(Color, Flit)> {
-        let n = self.ramp_out.len();
-        for i in 0..n {
-            let c = (self.ramp_rr + i) % n;
-            if let Some(&flit) = self.ramp_out[c].front() {
+        // Non-empty colors in (ramp_rr + k) % NUM_COLORS order: the bits at
+        // or above the cursor ascending, then the ones below it.
+        let pending = self.ramp_out_mask;
+        for mut seg in [pending & (!0 << self.ramp_rr), pending & ((1 << self.ramp_rr) - 1)] {
+            while seg != 0 {
+                let c = seg.trailing_zeros() as usize;
+                seg &= seg - 1;
+                let flit = self.ramp_out[c].front().expect("mask bit set on a non-empty queue");
                 if flit.bytes() <= budget && ready(c as Color) {
                     self.ramp_out[c].pop_front();
-                    self.ramp_rr = (c + 1) % n;
+                    if self.ramp_out[c].is_empty() {
+                        self.ramp_out_mask &= !(1 << c);
+                    }
+                    self.ramp_rr = (c + 1) % NUM_COLORS;
                     return Some((c as Color, flit));
                 }
             }
@@ -452,7 +508,7 @@ impl Core {
 
     /// Number of occupied background-thread slots (stall diagnostics).
     pub fn active_threads(&self) -> usize {
-        self.threads.iter().filter(|t| t.is_some()).count()
+        (self.live & !MAIN_BIT).count_ones() as usize
     }
 
     /// Clears all transient execution state — running task, background
@@ -467,19 +523,19 @@ impl Core {
     /// iteration boundary.
     pub fn reset_transient(&mut self) {
         self.main = None;
-        self.threads = Default::default();
+        self.live = 0;
         self.rr_cursor = 0;
-        for q in &mut self.ramp_in {
+        for q in self.ramp_in.iter_mut().chain(&mut self.ramp_out) {
             q.clear();
         }
-        for q in &mut self.ramp_out {
-            q.clear();
-        }
+        self.ramp_in_mask = 0;
+        self.ramp_out_mask = 0;
         self.ramp_rr = 0;
         for t in &mut self.tasks {
             t.activated = t.task.start_activated;
             t.blocked = t.task.start_blocked;
         }
+        self.recount_runnable();
         for d in &mut self.dsrs {
             d.reset();
         }
@@ -514,6 +570,12 @@ impl Core {
             t.activated = activated;
             t.blocked = blocked;
         }
+        self.recount_runnable();
+    }
+
+    /// Re-derives the runnable count after task flags were set wholesale.
+    fn recount_runnable(&mut self) {
+        self.runnable = self.tasks.iter().filter(|t| t.activated && !t.blocked).count();
     }
 
     /// Renders the core's program (tasks, bodies, DSRs, FIFOs) as
@@ -573,10 +635,22 @@ impl Core {
 
     /// Executes one cycle. `mem` is the tile's SRAM.
     pub fn step(&mut self, mem: &mut Memory) {
+        self.step_with(mem, false);
+    }
+
+    /// [`Core::step`] with every tensor instruction on the per-element
+    /// datapath — the executable specification the batched datapath is
+    /// tested against ([`crate::fabric::Fabric::step_reference`] steps
+    /// cores this way).
+    pub fn step_reference(&mut self, mem: &mut Memory) {
+        self.step_with(mem, true);
+    }
+
+    fn step_with(&mut self, mem: &mut Memory, per_element: bool) {
         self.data_triggers();
         self.schedule();
         self.control_step();
-        self.datapath_step(mem);
+        self.datapath_step(mem, per_element);
         // The per-core cycle stamp tracks the fabric clock (one core step
         // per fabric cycle) and is never rewound — see [`CoreTrace`].
         if let Some(tr) = self.trace.as_deref_mut() {
@@ -596,16 +670,21 @@ impl Core {
 
     /// Activates tasks bound to colors with pending data.
     fn data_triggers(&mut self) {
-        for b in &self.bindings {
-            if !self.ramp_in[b.color as usize].is_empty() {
-                self.tasks[b.task].activated = true;
+        let hot = self.ramp_in_mask & self.bound_mask;
+        if hot == 0 {
+            return;
+        }
+        for k in 0..self.bindings.len() {
+            let b = self.bindings[k];
+            if hot >> b.color & 1 != 0 {
+                self.flag_task(b.task, |t| t.activated = true);
             }
         }
     }
 
     /// Picks a task for the main thread if it is free.
     fn schedule(&mut self) {
-        if self.main.is_some() {
+        if self.main.is_some() || self.runnable == 0 {
             return;
         }
         let mut best: Option<(u8, usize)> = None;
@@ -619,8 +698,8 @@ impl Core {
         }
         if let Some((_, inv_id)) = best {
             let id = usize::MAX - inv_id;
-            self.tasks[id].activated = false; // activation is consumed
-            self.main = Some(RunningTask { id, pc: 0, exec: None });
+            self.flag_task(id, |t| t.activated = false); // activation is consumed
+            self.main = Some(RunningTask { id, pc: 0 });
             if let Some(tr) = self.trace.as_deref_mut() {
                 tr.record_task_start(id, self.tasks[id].task.name);
             }
@@ -629,8 +708,8 @@ impl Core {
 
     /// Retires at most one control statement of the running task.
     fn control_step(&mut self) {
-        let Some(running) = self.main.as_mut() else { return };
-        if running.exec.is_some() {
+        let Some(running) = self.main.as_ref() else { return };
+        if self.live & MAIN_BIT != 0 {
             return; // waiting on a synchronous tensor instruction
         }
         let task_id = running.id;
@@ -641,35 +720,29 @@ impl Core {
             self.trace_task_end(task_id);
             return;
         }
-        let stmt = self.tasks[task_id].task.body[pc].clone();
-        match stmt {
+        // Every statement payload is `Copy`, so the arms bind copies and the
+        // task table is not borrowed while they run.
+        match self.tasks[task_id].task.body[pc] {
             Stmt::Exec(instr) => {
-                let r = self.main.as_mut().unwrap();
-                r.exec = Some(ActiveInstr { instr, on_complete: None });
-                r.pc += 1;
+                self.slots[MAIN_SLOT] = ActiveInstr { instr, on_complete: None };
+                self.live |= MAIN_BIT;
             }
             Stmt::Launch { slot, instr, on_complete } => {
                 let slot = slot as usize;
                 assert!(slot < NUM_THREADS, "thread slot out of range");
-                if self.threads[slot].is_some() {
+                if self.live >> slot & 1 != 0 {
                     // Slot busy: stall (retry next cycle). Real programs
                     // avoid this; the stall keeps the model safe.
                     return;
                 }
-                self.threads[slot] = Some(ActiveInstr { instr, on_complete });
+                self.slots[slot] = ActiveInstr { instr, on_complete };
+                self.live |= 1 << slot;
                 if let Some(san) = self.sanitize.as_deref_mut() {
                     san.on_launch(slot);
                 }
-                self.main.as_mut().unwrap().pc += 1;
             }
-            Stmt::InitDsr { dsr, desc } => {
-                self.dsrs[dsr] = Dsr::new(desc);
-                self.main.as_mut().unwrap().pc += 1;
-            }
-            Stmt::TaskCtl { task, action } => {
-                self.apply_action(task, action);
-                self.main.as_mut().unwrap().pc += 1;
-            }
+            Stmt::InitDsr { dsr, desc } => self.dsrs[dsr] = Dsr::new(desc),
+            Stmt::TaskCtl { task, action } => self.apply_action(task, action),
             Stmt::RegArith { op, dst, a, b } => {
                 let (va, vb) = (self.regs[a], self.regs[b]);
                 self.regs[dst] = match op {
@@ -680,83 +753,70 @@ impl Core {
                     RegOp::Neg => -va,
                     RegOp::Mov => va,
                 };
-                self.main.as_mut().unwrap().pc += 1;
             }
-            Stmt::SetReg { reg, value } => {
-                self.regs[reg] = value;
-                self.main.as_mut().unwrap().pc += 1;
-            }
+            Stmt::SetReg { reg, value } => self.regs[reg] = value,
         }
         self.perf.ctrl_stmts += 1;
         // A task whose body is exhausted (and not waiting) retires.
-        let r = self.main.as_ref().unwrap();
-        if r.exec.is_none() && r.pc >= self.tasks[task_id].task.body.len() {
+        if self.live & MAIN_BIT == 0 && pc + 1 >= body_len {
             self.main = None;
             self.trace_task_end(task_id);
+        } else {
+            self.main = Some(RunningTask { id: task_id, pc: pc + 1 });
         }
     }
 
     /// Issues the datapath to one runnable thread (round-robin).
-    fn datapath_step(&mut self, mem: &mut Memory) {
-        // Candidate order: thread slots 0..N, then the main-exec pseudo-slot.
-        const MAIN_SLOT: usize = NUM_THREADS;
-        let total = NUM_THREADS + 1;
+    fn datapath_step(&mut self, mem: &mut Memory, per_element: bool) {
         let mut issued = false;
-        for k in 0..total {
-            let slot = (self.rr_cursor + k) % total;
-            let has = if slot == MAIN_SLOT {
-                self.main.as_ref().is_some_and(|r| r.exec.is_some())
-            } else {
-                self.threads[slot].is_some()
-            };
-            if !has {
-                continue;
-            }
-            let active = if slot == MAIN_SLOT {
-                self.main.as_ref().unwrap().exec.clone().unwrap()
-            } else {
-                self.threads[slot].clone().unwrap()
-            };
-            if self.sanitize.is_some() {
-                // Snapshot slot occupancy *before* issuing: launches happen
-                // in control_step and completions after process() returns,
-                // so the snapshot is exact for the duration of the call.
-                let mut live = [false; NUM_THREADS];
-                for (s, t) in self.threads.iter().enumerate() {
-                    live[s] = t.is_some();
+        // Live slots in (rr_cursor + k) % SLOTS order: the bits at or above
+        // the cursor ascending, then the ones below it.
+        let (live, rr) = (self.live, self.rr_cursor);
+        'slots: for mut seg in [live & (!0 << rr), live & ((1 << rr) - 1)] {
+            while seg != 0 {
+                let slot = seg.trailing_zeros() as usize;
+                seg &= seg - 1;
+                let instr = self.slots[slot].instr;
+                if let Some(san) = self.sanitize.as_deref_mut() {
+                    // Slot occupancy *before* issuing: launches happen in
+                    // control_step and completions after process() returns,
+                    // so it is exact for the duration of the call.
+                    let threads = std::array::from_fn(|s| live >> s & 1 != 0);
+                    san.begin(slot as u8, instr.op.reads_dst(), threads);
                 }
-                let accum = active.instr.op.reads_dst();
-                self.sanitize.as_deref_mut().unwrap().begin(slot as u8, accum, live);
-            }
-            let (progress, complete) = self.process(mem, &active.instr);
-            if let Some(san) = self.sanitize.as_deref_mut() {
-                san.end();
-            }
-            if complete {
-                self.finish_operands(&active.instr);
-                if let Some(tr) = self.trace.as_deref_mut() {
-                    tr.retired[active.instr.op.class().index()] += 1;
-                }
-                if let Some((task, action)) = active.on_complete {
-                    self.apply_action(task, action);
-                }
-                if slot == MAIN_SLOT {
-                    let r = self.main.as_mut().unwrap();
-                    r.exec = None;
-                    // Retire the task if the body is done.
-                    let id = r.id;
-                    if r.pc >= self.tasks[id].task.body.len() {
-                        self.main = None;
-                        self.trace_task_end(id);
-                    }
+                let (progress, complete) = if per_element || self.sanitize.is_some() {
+                    // The sanitizer's shadow marks are per element access.
+                    self.process_per_element(mem, &instr)
                 } else {
-                    self.threads[slot] = None;
+                    self.process(mem, &instr)
+                };
+                if let Some(san) = self.sanitize.as_deref_mut() {
+                    san.end();
                 }
-            }
-            if progress > 0 || complete {
-                self.rr_cursor = (slot + 1) % total;
-                issued = progress > 0;
-                break;
+                if complete {
+                    self.finish_operands(&instr);
+                    if let Some(tr) = self.trace.as_deref_mut() {
+                        tr.retired[instr.op.class().index()] += 1;
+                    }
+                    if let Some((task, action)) = self.slots[slot].on_complete {
+                        self.apply_action(task, action);
+                    }
+                    self.live &= !(1 << slot);
+                    if slot == MAIN_SLOT {
+                        // Retire the task if the body is done.
+                        let r = self.main.as_ref().expect("a synchronous instruction has a task");
+                        let id = r.id;
+                        if r.pc >= self.tasks[id].task.body.len() {
+                            self.main = None;
+                            self.trace_task_end(id);
+                        }
+                    }
+                }
+                if progress > 0 || complete {
+                    self.rr_cursor = (slot + 1) % SLOTS;
+                    issued = progress > 0;
+                    break 'slots;
+                }
             }
         }
         if issued {
@@ -773,13 +833,8 @@ impl Core {
             // some active receive starved on this cycle?
             if self.sanitize.is_some() {
                 let mut waiting = [false; NUM_COLORS];
-                let actives = self
-                    .threads
-                    .iter()
-                    .filter_map(|t| t.as_ref())
-                    .chain(self.main.as_ref().and_then(|r| r.exec.as_ref()));
-                for a in actives {
-                    for id in [a.instr.a, a.instr.b].into_iter().flatten() {
+                for a in self.active_instrs() {
+                    for id in [a.a, a.b].into_iter().flatten() {
                         if let Descriptor::FabricIn { color, .. } = self.dsrs[id].desc {
                             if self.ramp_in[color as usize].is_empty() {
                                 waiting[color as usize] = true;
@@ -792,33 +847,35 @@ impl Core {
         }
     }
 
+    /// The unfinished instructions, background threads first.
+    fn active_instrs(&self) -> impl Iterator<Item = &TensorInstr> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|&(s, _)| self.live >> s & 1 != 0)
+            .map(|(_, a)| &a.instr)
+    }
+
     /// Classifies a non-issuing datapath cycle: starved sources win over
     /// blocked destinations; no active instruction at all is `Idle`. Bank
     /// conflicts are deliberately unmodeled (see [`StallCause`]), so that
     /// bucket never fires.
     fn classify_stall(&self) -> StallCause {
-        let mut any = false;
         let mut backpressured = false;
-        let actives = self
-            .threads
-            .iter()
-            .filter_map(|t| t.as_ref())
-            .chain(self.main.as_ref().and_then(|r| r.exec.as_ref()));
-        for a in actives {
-            any = true;
-            if !self.sources_ready(&a.instr) {
+        for instr in self.active_instrs() {
+            if !self.sources_ready(instr) {
                 return StallCause::FifoWait;
             }
-            if !self.dst_ready(&a.instr) {
+            if !self.dst_ready(instr) {
                 backpressured = true;
             }
         }
         if backpressured {
             StallCause::Backpressure
         } else {
-            // `any && !backpressured` can only follow a zero-progress
-            // completion this cycle; fold it into Idle.
-            let _ = any;
+            // An active instruction that is neither starved nor blocked can
+            // only follow a zero-progress completion this cycle; fold it
+            // into Idle.
             StallCause::Idle
         }
     }
@@ -853,9 +910,329 @@ impl Core {
         of(instr.dst).or_else(|| of(instr.a)).unwrap_or(Dtype::F16)
     }
 
+    /// Decodes one issue of `instr` for the batched datapath: resolves the
+    /// operands and settles the SIMD-group size
+    /// `n = min(lanes, remaining, source availability, destination space)`
+    /// — the element at which the per-element loop would stop.
+    ///
+    /// `None` sends the issue to [`Core::process_per_element`]: whenever the
+    /// per-element loop's outcome depends on more than the start-of-issue
+    /// state — two operands sharing a DSR cursor, a FIFO, or a fabric
+    /// color, so that one's progress changes the other's readiness — and
+    /// for operand shapes only that loop gives a meaning to (an operand the
+    /// op ignores, a source used as a destination, mixed element types).
+    fn decode(&self, instr: &TensorInstr) -> Option<Issue> {
+        let srcs = instr.op.num_srcs();
+        let writes =
+            !matches!(instr.op, Op::MacReg { .. } | Op::SumReg { .. } | Op::LoadReg { .. });
+        if instr.a.is_some() != (srcs >= 1)
+            || instr.b.is_some() != (srcs == 2)
+            || instr.dst.is_some() != writes
+            || instr.dst.is_some() && (instr.dst == instr.a || instr.dst == instr.b)
+            || instr.a.is_some() && instr.a == instr.b
+        {
+            return None;
+        }
+        // Resolve each present operand from its DSR; `widths` collects the
+        // element types seen (bit 0: fp16, bit 1: fp32).
+        let mut remaining = u32::MAX;
+        let mut widths = 0u8;
+        let mut resolve = |id: Option<DsrId>| -> Operand {
+            let Some(id) = id else { return Operand::Absent };
+            let dsr = &self.dsrs[id];
+            remaining = remaining.min(dsr.remaining());
+            let (operand, dtype) = match dsr.desc {
+                Descriptor::Mem { addr, stride, dtype, .. } => {
+                    let step = stride * dtype.bytes();
+                    (Operand::Mem { addr: addr + dsr.pos * step, step }, dtype)
+                }
+                Descriptor::FabricIn { color, dtype, .. } => {
+                    (Operand::FabricIn { color: color as usize }, dtype)
+                }
+                Descriptor::FabricOut { color, dtype, .. } => {
+                    (Operand::FabricOut { color: color as usize }, dtype)
+                }
+                Descriptor::Fifo { fifo } => (Operand::Fifo { fifo }, self.fifos[fifo].dtype),
+            };
+            widths |= 1 << dtype as u8;
+            operand
+        };
+        let (dst, a, b) = (resolve(instr.dst), resolve(instr.a), resolve(instr.b));
+        let dtype = match widths {
+            1 => Dtype::F16,
+            2 if !matches!(instr.op, Op::MacReg { .. }) => Dtype::F32,
+            _ => return None,
+        };
+
+        let mut n = Self::lanes(instr.op, dtype).min(remaining);
+        match dst {
+            Operand::Absent | Operand::Mem { .. } => {}
+            _ if instr.op.reads_dst() => return None,
+            Operand::FabricOut { color } => n = n.min(self.ramp_out[color].space() as u32),
+            Operand::Fifo { fifo } => n = n.min(self.fifos[fifo].capacity - self.fifos[fifo].len()),
+            Operand::FabricIn { .. } => return None,
+        }
+        for src in [a, b] {
+            match src {
+                Operand::Absent | Operand::Mem { .. } => {}
+                Operand::FabricIn { color } => n = n.min(self.ramp_in[color].len() as u32),
+                Operand::Fifo { fifo } => n = n.min(self.fifos[fifo].len()),
+                Operand::FabricOut { .. } => return None,
+            }
+        }
+        // Two operands on one FIFO or one fabric color feed (or starve)
+        // each other mid-group. (`Mem` operands compare unequal or alias
+        // only memory, which element order already handles.)
+        let queue = |o: Operand| matches!(o, Operand::Fifo { .. } | Operand::FabricIn { .. });
+        if queue(a) && (a == b || a == dst) || queue(b) && b == dst {
+            return None;
+        }
+        Some(Issue { dst, a, b, dtype, n, exhausts: n == remaining })
+    }
+
     /// Processes up to one SIMD group of `instr`. Returns
     /// `(elements_processed, completed)`.
+    ///
+    /// The operands are decoded once ([`Core::decode`]) and the group's `n`
+    /// elements run back to back, in element order (so operands aliasing
+    /// the same *memory* through different DSRs see each other's writes
+    /// exactly as in the per-element loop); cursors, counters and queue
+    /// masks are then advanced by `n` in one go.
     fn process(&mut self, mem: &mut Memory, instr: &TensorInstr) -> (u32, bool) {
+        let Some(mut issue) = self.decode(instr) else {
+            return self.process_per_element(mem, instr);
+        };
+        let n = issue.n;
+        if n > 0 {
+            self.run_group(mem, instr.op, &mut issue);
+            for (id, operand) in [(instr.dst, issue.dst), (instr.a, issue.a), (instr.b, issue.b)] {
+                match operand {
+                    Operand::Absent | Operand::Fifo { .. } => continue,
+                    Operand::Mem { .. } => {}
+                    Operand::FabricIn { color } => {
+                        self.perf.flits_received += n as u64;
+                        if self.ramp_in[color].is_empty() {
+                            self.ramp_in_mask &= !(1 << color);
+                        }
+                    }
+                    Operand::FabricOut { color } => {
+                        self.perf.flits_sent += n as u64;
+                        self.ramp_out_mask |= 1 << color;
+                    }
+                }
+                self.dsrs[id.expect("a resolved operand has a DSR")].advance(n);
+            }
+        }
+        // Completion: a fixed-length operand ran out, or — "Each add pulls
+        // as much data as it can from its input FIFO, finishing when empty"
+        // — a FIFO source is empty once the group has run (whether it
+        // stopped the group or the group drained it).
+        let drained = [issue.a, issue.b]
+            .into_iter()
+            .any(|src| matches!(src, Operand::Fifo { fifo } if self.fifos[fifo].is_empty()));
+        (n, issue.exhausts || drained)
+    }
+
+    /// Runs the `issue.n` elements of one group with the op dispatched once.
+    fn run_group(&mut self, mem: &mut Memory, op: Op, issue: &mut Issue) {
+        let n = issue.n as u64;
+        let h = |bits: u32| F16::from_bits(bits as u16);
+        let h_out = |v: F16| v.to_bits() as u32;
+        match (op, issue.dtype) {
+            (Op::Copy, _) => self.stream(mem, issue, false, |a, _, _| a),
+            (Op::Add, Dtype::F16) => {
+                self.stream(mem, issue, false, |a, b, _| h_out(h(a) + h(b)));
+                self.perf.flops_f16 += n;
+            }
+            (Op::Add, Dtype::F32) => {
+                self.stream(mem, issue, false, |a, b, _| {
+                    (f32::from_bits(a) + f32::from_bits(b)).to_bits()
+                });
+                self.perf.flops_f32 += n;
+            }
+            (Op::Mul, Dtype::F16) => {
+                self.stream(mem, issue, false, |a, b, _| h_out(h(a) * h(b)));
+                self.perf.flops_f16 += n;
+            }
+            (Op::Mul, Dtype::F32) => {
+                self.stream(mem, issue, false, |a, b, _| {
+                    (f32::from_bits(a) * f32::from_bits(b)).to_bits()
+                });
+                self.perf.flops_f32 += n;
+            }
+            (Op::AddAssign, Dtype::F16) => {
+                self.stream(mem, issue, true, |a, _, cur| h_out(h(cur) + h(a)));
+                self.perf.flops_f16 += n;
+            }
+            (Op::AddAssign, Dtype::F32) => {
+                self.stream(mem, issue, true, |a, _, cur| {
+                    (f32::from_bits(cur) + f32::from_bits(a)).to_bits()
+                });
+                self.perf.flops_f32 += n;
+            }
+            (Op::FmaAssign, Dtype::F16) => {
+                self.stream(mem, issue, true, |a, b, cur| {
+                    h_out(wse_float::fma16(h(a), h(b), h(cur)))
+                });
+                self.perf.flops_f16 += 2 * n;
+            }
+            (Op::FmaAssign, Dtype::F32) => {
+                self.stream(mem, issue, true, |a, b, cur| {
+                    f32::from_bits(a).mul_add(f32::from_bits(b), f32::from_bits(cur)).to_bits()
+                });
+                self.perf.flops_f32 += 2 * n;
+            }
+            (Op::Xpay { scalar }, Dtype::F16) => {
+                let s = F16::from_f32(self.regs[scalar]);
+                self.stream(mem, issue, false, |a, b, _| h_out(wse_float::fma16(s, h(b), h(a))));
+                self.perf.flops_f16 += 2 * n;
+            }
+            (Op::Xpay { scalar }, Dtype::F32) => {
+                let s = self.regs[scalar];
+                self.stream(mem, issue, false, |a, b, _| {
+                    s.mul_add(f32::from_bits(b), f32::from_bits(a)).to_bits()
+                });
+                self.perf.flops_f32 += 2 * n;
+            }
+            (Op::Axpy { scalar }, Dtype::F16) => {
+                let s = F16::from_f32(self.regs[scalar]);
+                self.stream(mem, issue, true, |a, _, cur| h_out(wse_float::fma16(s, h(a), h(cur))));
+                self.perf.flops_f16 += 2 * n;
+            }
+            (Op::Axpy { scalar }, Dtype::F32) => {
+                let s = self.regs[scalar];
+                self.stream(mem, issue, true, |a, _, cur| {
+                    s.mul_add(f32::from_bits(a), f32::from_bits(cur)).to_bits()
+                });
+                self.perf.flops_f32 += 2 * n;
+            }
+            (Op::Scale { scalar }, Dtype::F16) => {
+                let s = F16::from_f32(self.regs[scalar]);
+                self.stream(mem, issue, false, |a, _, _| h_out(s * h(a)));
+                self.perf.flops_f16 += n;
+            }
+            (Op::Scale { scalar }, Dtype::F32) => {
+                let s = self.regs[scalar];
+                self.stream(mem, issue, false, |a, _, _| (s * f32::from_bits(a)).to_bits());
+                self.perf.flops_f32 += n;
+            }
+            (Op::MacReg { acc }, _) => {
+                let mut sum = self.regs[acc];
+                self.stream(mem, issue, false, |a, b, _| {
+                    sum += h(a).to_f32() * h(b).to_f32();
+                    0
+                });
+                self.regs[acc] = sum;
+                self.perf.flops_f16 += n; // the multiplies
+                self.perf.flops_f32 += n; // the accumulates
+            }
+            (Op::SumReg { acc }, dtype) => {
+                let mut sum = self.regs[acc];
+                self.stream(mem, issue, false, |a, _, _| {
+                    sum += match dtype {
+                        Dtype::F32 => f32::from_bits(a),
+                        Dtype::F16 => h(a).to_f32(),
+                    };
+                    0
+                });
+                self.regs[acc] = sum;
+                self.perf.flops_f32 += n;
+            }
+            (Op::StoreReg { reg }, dtype) => {
+                let bits = match dtype {
+                    Dtype::F32 => self.regs[reg].to_bits(),
+                    Dtype::F16 => h_out(F16::from_f32(self.regs[reg])),
+                };
+                self.stream(mem, issue, false, |_, _, _| bits);
+            }
+            (Op::LoadReg { reg }, dtype) => {
+                let mut last = 0;
+                self.stream(mem, issue, false, |a, _, _| {
+                    last = a;
+                    0
+                });
+                self.regs[reg] = match dtype {
+                    Dtype::F32 => f32::from_bits(last),
+                    Dtype::F16 => h(last).to_f32(),
+                };
+            }
+        }
+    }
+
+    /// The element loop of one group: per element, read `a`, read `b`, read
+    /// the destination's current value if `reads_dst`, apply `f(a, b, cur)`
+    /// and write the result (absent operands read as 0; a result with no
+    /// destination is dropped).
+    #[inline(always)]
+    fn stream(
+        &mut self,
+        mem: &mut Memory,
+        issue: &mut Issue,
+        reads_dst: bool,
+        mut f: impl FnMut(u32, u32, u32) -> u32,
+    ) {
+        let dtype = issue.dtype;
+        let mut onpush = None;
+        for _ in 0..issue.n {
+            let a = self.take(mem, &mut issue.a, dtype);
+            let b = self.take(mem, &mut issue.b, dtype);
+            let cur = match issue.dst {
+                Operand::Mem { addr, .. } if reads_dst => mem.read_bits(addr, dtype),
+                _ => 0,
+            };
+            let bits = f(a, b, cur);
+            match &mut issue.dst {
+                Operand::Absent => {}
+                Operand::Mem { addr, step } => {
+                    mem.write_bits(*addr, dtype, bits);
+                    *addr += *step;
+                }
+                Operand::FabricOut { color } => {
+                    self.ramp_out[*color].push_back(Flit { bits, dtype })
+                }
+                Operand::Fifo { fifo } => {
+                    let fifo = &mut self.fifos[*fifo];
+                    mem.write_bits(fifo.push_addr().expect("group sized to fit"), dtype, bits);
+                    onpush = fifo.commit_push();
+                }
+                Operand::FabricIn { .. } => unreachable!("rejected by decode"),
+            }
+        }
+        if let Some(task) = onpush {
+            self.flag_task(task, |t| t.activated = true);
+        }
+    }
+
+    /// Reads one element from a decoded source, advancing it (0 from an
+    /// absent one).
+    #[inline(always)]
+    fn take(&mut self, mem: &Memory, src: &mut Operand, dtype: Dtype) -> u32 {
+        match src {
+            Operand::Absent => 0,
+            Operand::Mem { addr, step } => {
+                let bits = mem.read_bits(*addr, dtype);
+                *addr += *step;
+                bits
+            }
+            Operand::FabricIn { color } => {
+                let flit = self.ramp_in[*color].pop_front().expect("group sized to what is queued");
+                debug_assert_eq!(flit.dtype, dtype, "flit dtype mismatch on color {color}");
+                flit.bits
+            }
+            Operand::Fifo { fifo } => {
+                let fifo = &mut self.fifos[*fifo];
+                let bits = mem.read_bits(fifo.pop_addr().expect("group sized to fit"), dtype);
+                fifo.commit_pop();
+                bits
+            }
+            Operand::FabricOut { .. } => unreachable!("rejected by decode"),
+        }
+    }
+
+    /// [`Core::process`] one element at a time, re-checking exhaustion and
+    /// readiness before each — the datapath's specification, and the path
+    /// for issues [`Core::decode`] declines.
+    fn process_per_element(&mut self, mem: &mut Memory, instr: &TensorInstr) -> (u32, bool) {
         // A destination must not share a DSR with a source: the shared
         // cursor would advance twice per element. (Aliasing the same
         // *memory* through two DSRs is fine and common.)
@@ -938,9 +1315,7 @@ impl Core {
         match self.dsrs[id].desc {
             Descriptor::Mem { .. } => true,
             Descriptor::FabricIn { .. } => panic!("FabricIn used as a destination"),
-            Descriptor::FabricOut { color, .. } => {
-                self.ramp_out[color as usize].len() < RAMP_OUT_CAPACITY
-            }
+            Descriptor::FabricOut { color, .. } => self.ramp_out[color as usize].space() > 0,
             Descriptor::Fifo { fifo } => !self.fifos[fifo].is_full(),
         }
     }
@@ -958,7 +1333,11 @@ impl Core {
                 (mem.read_bits(addr, dtype), dtype)
             }
             Descriptor::FabricIn { color, dtype, .. } => {
-                let flit = self.ramp_in[color as usize].pop_front().expect("sources_ready checked");
+                let queue = &mut self.ramp_in[color as usize];
+                let flit = queue.pop_front().expect("sources_ready checked");
+                if queue.is_empty() {
+                    self.ramp_in_mask &= !(1 << color);
+                }
                 debug_assert_eq!(flit.dtype, dtype, "flit dtype mismatch on color {color}");
                 self.dsrs[id].advance(1);
                 self.perf.flits_received += 1;
@@ -1001,6 +1380,7 @@ impl Core {
                 debug_assert_eq!(d, dtype);
                 let flit = Flit { bits, dtype: d };
                 self.ramp_out[color as usize].push_back(flit);
+                self.ramp_out_mask |= 1 << color;
                 self.dsrs[id].advance(1);
                 self.perf.flits_sent += 1;
                 None
@@ -1194,7 +1574,7 @@ impl Core {
             }
         }
         if let Some(task) = activation {
-            self.tasks[task].activated = true;
+            self.flag_task(task, |t| t.activated = true);
         }
     }
 }
@@ -1203,11 +1583,24 @@ impl Core {
 mod tests {
     use super::*;
     use crate::dsr::mk;
+    use crate::types::RAMP_OUT_CAPACITY;
 
     fn run(core: &mut Core, mem: &mut Memory, cycles: usize) {
         for _ in 0..cycles {
             core.step(mem);
         }
+    }
+
+    /// What a router with unlimited queue space takes from the core in one
+    /// cycle at `budget_bytes` of port bandwidth.
+    fn drain_ramp_out(core: &mut Core, budget_bytes: u32) -> Vec<(Color, Flit)> {
+        let mut out = Vec::new();
+        let mut budget = budget_bytes;
+        while let Some((color, flit)) = core.pop_ramp_out_ready(budget, |_| true) {
+            budget -= flit.bytes();
+            out.push((color, flit));
+        }
+        out
     }
 
     /// Builds a core+memory with two fp16 vectors in SRAM.
@@ -1383,7 +1776,7 @@ mod tests {
         core.activate(recv);
         for _ in 0..40 {
             core.step(&mut mem);
-            for (color, flit) in core.drain_ramp_out(4) {
+            for (color, flit) in drain_ramp_out(&mut core, 4) {
                 assert_eq!(color, 2);
                 core.deliver(5, flit);
             }
@@ -1526,6 +1919,45 @@ mod tests {
     }
 
     #[test]
+    fn injection_arbiter_matches_a_plain_round_robin_scan() {
+        // The arbiter walks a non-empty-color bitmask; the specification is
+        // the plain scan: starting at the cursor, the first color whose head
+        // flit fits the budget and is ready wins, and the cursor moves past
+        // it. Drive both with the same pushes, budgets, and held colors.
+        use std::collections::VecDeque;
+        let mut core = Core::new();
+        let mut model: Vec<VecDeque<Flit>> = vec![VecDeque::new(); NUM_COLORS];
+        let mut model_rr = 0usize;
+        let mut rng = crate::fault::SplitMix64::new(2020);
+        let mut rand = |n: u64| rng.below(n);
+        for step in 0..4000 {
+            if rand(3) > 0 {
+                let c = [0usize, 1, 7, 12, 22, 23][rand(6) as usize];
+                if model[c].len() < RAMP_OUT_CAPACITY {
+                    let flit =
+                        if rand(4) == 0 { Flit::f32(step as f32) } else { Flit::f16(step as u16) };
+                    model[c].push_back(flit);
+                    core.ramp_out[c].push_back(flit);
+                    core.ramp_out_mask |= 1 << c;
+                }
+            }
+            let budget = [0u32, 2, 4][rand(3) as usize];
+            let held = rand(1 << NUM_COLORS) as u32 & rand(1 << NUM_COLORS) as u32;
+            let ready = |c: Color| held >> c & 1 == 0;
+            let want = (0..NUM_COLORS).map(|i| (model_rr + i) % NUM_COLORS).find_map(|c| {
+                let flit = *model[c].front()?;
+                (flit.bytes() <= budget && ready(c as Color)).then_some((c as Color, flit))
+            });
+            if let Some((c, _)) = want {
+                model[c as usize].pop_front();
+                model_rr = (c as usize + 1) % NUM_COLORS;
+            }
+            assert_eq!(core.pop_ramp_out_ready(budget, ready), want, "step {step}");
+            assert_eq!(core.ramp_out_len(), model.iter().map(|q| q.len()).sum::<usize>());
+        }
+    }
+
+    #[test]
     fn ramp_out_backpressure_stalls_sender() {
         // Send more than RAMP_OUT_CAPACITY without draining: the thread
         // must stall rather than overflow.
@@ -1545,10 +1977,10 @@ mod tests {
         // Drain and let it finish.
         let mut got = Vec::new();
         for _ in 0..100 {
-            got.extend(core.drain_ramp_out(4));
+            got.extend(drain_ramp_out(&mut core, 4));
             core.step(&mut mem);
         }
-        got.extend(core.drain_ramp_out(4));
+        got.extend(drain_ramp_out(&mut core, 4));
         assert!(core.is_quiescent());
         assert_eq!(got.len(), n);
     }
@@ -1582,7 +2014,7 @@ mod tests {
         let mut got = 0;
         for _ in 0..80 {
             core.step(&mut mem);
-            got += core.drain_ramp_out(4).len();
+            got += drain_ramp_out(&mut core, 4).len();
         }
         assert!(core.is_quiescent());
         assert_eq!(got, 16);

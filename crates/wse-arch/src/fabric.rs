@@ -7,13 +7,14 @@
 //! ~1 cycle/hop).
 //!
 //! The stepper is *activity-driven*: each cycle touches only tiles that can
-//! possibly change state (busy cores, non-empty routers, delivery targets)
-//! plus their snapshot neighborhood, and all per-cycle buffers live in
-//! reusable scratch storage owned by the fabric, so the steady-state cost of
-//! a cycle is O(active tiles) with zero heap allocations. The skipped-tile
-//! bookkeeping (deferred idle accounting) is bit-identical to stepping every
-//! tile; [`Fabric::step_reference`] retains the naive full-scan stepper and
-//! the equivalence tests drive both in lockstep.
+//! possibly change state (busy cores, non-empty routers, delivery targets),
+//! routers decide admission from credits they hold themselves, and all
+//! per-cycle buffers live in reusable scratch storage owned by the fabric,
+//! so the steady-state cost of a cycle is O(active tiles) with zero heap
+//! allocations. The skipped-tile bookkeeping (deferred idle accounting) is
+//! bit-identical to stepping every tile; [`Fabric::step_reference`] retains
+//! the naive full-scan stepper and the equivalence tests drive both in
+//! lockstep.
 
 use crate::core::Core;
 use crate::fault::{FaultEvent, FaultKind, FaultLog, FaultPlan, FaultRecord};
@@ -30,8 +31,9 @@ const CARDINAL: [Port; 4] = [Port::North, Port::South, Port::East, Port::West];
 
 /// Active-tile count above which the per-phase loops switch from the serial
 /// sparse path to rayon parallelism. Below this, fork/join overhead
-/// dominates; above it, phases 1–4 scale across cores.
-const PAR_TILE_THRESHOLD: usize = 512;
+/// dominates; above it, phases 1–4 scale across cores. Ensemble runners
+/// apply the same threshold to their total tile count.
+pub const PAR_TILE_THRESHOLD: usize = 512;
 
 /// One tile: processor core, private SRAM, and router.
 #[derive(Clone, Debug, Default)]
@@ -166,7 +168,7 @@ struct FaultState {
 }
 
 /// Aggregate performance counters across the fabric.
-#[derive(Copy, Clone, Debug, Default)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct FabricPerf {
     /// Total fp16 flops executed.
     pub flops_f16: u64,
@@ -248,17 +250,6 @@ struct TraceState {
 /// stepper performs no heap allocations (staged-flit vectors keep their
 /// high-water capacity).
 struct StepScratch {
-    /// Occupancy snapshot of router input queues, laid out flat as
-    /// `[(tile * 5 + in_port) * NUM_COLORS + color]`. Only entries named by
-    /// the per-tile in-masks are (re)filled each cycle; staging is proven
-    /// never to consult an unfilled entry.
-    router_space: Vec<u8>,
-    /// Occupancy snapshot of core ramp-in queues: `[tile * NUM_COLORS + c]`.
-    ramp_space: Vec<u8>,
-    /// Dedup flag per tile: snapshot rows already filled this cycle.
-    snap_flag: Vec<bool>,
-    /// Tiles whose `snap_flag` is set (cleared at end of phase 3).
-    snap_list: Vec<usize>,
     /// Per-tile staged-flit buffers (cleared after delivery each cycle).
     staged: Vec<Vec<StagedFlit>>,
     /// Tiles with non-empty routers this cycle (the staging worklist).
@@ -267,38 +258,58 @@ struct StepScratch {
     dest_flag: Vec<bool>,
     /// Delivery destinations this cycle (drained into the active set).
     dest_list: Vec<usize>,
-    /// Per-edge-port admission snapshot for the cycle:
-    /// `credits - queue.len()` at the start of phase 3.
-    edge_room: Vec<u8>,
 }
 
 impl StepScratch {
     fn new(n: usize) -> StepScratch {
         StepScratch {
-            router_space: vec![0; n * 5 * NUM_COLORS],
-            ramp_space: vec![0; n * NUM_COLORS],
-            snap_flag: vec![false; n],
-            snap_list: Vec::new(),
             staged: vec![Vec::new(); n],
             stagers: Vec::new(),
             dest_flag: vec![false; n],
             dest_list: Vec::new(),
-            edge_room: Vec::new(),
         }
     }
 }
 
-/// Index of the neighbor of tile `i` through cardinal port `p`, or `None`
-/// at the wafer edge.
-#[inline]
-fn neighbor_of(w: usize, h: usize, i: usize, p: Port) -> Option<usize> {
-    let (dx, dy) = p.delta();
-    let nx = (i % w) as i64 + dx as i64;
-    let ny = (i / w) as i64 + dy as i64;
-    if nx < 0 || ny < 0 || nx >= w as i64 || ny >= h as i64 {
-        None
-    } else {
-        Some(ny as usize * w + nx as usize)
+/// Every tile's neighbor through each cardinal port, tabulated once — the
+/// delivery phase asks per flit.
+struct Links(Vec<[u32; 4]>);
+
+impl Links {
+    /// Marks a port that faces off the wafer.
+    const EDGE: u32 = u32::MAX;
+
+    fn new(w: usize, h: usize) -> Links {
+        assert!(w * h < Links::EDGE as usize, "fabric too large");
+        let toward = |i: usize, p: Port| {
+            let (dx, dy) = p.delta();
+            let nx = (i % w) as i64 + dx as i64;
+            let ny = (i / w) as i64 + dy as i64;
+            if nx < 0 || ny < 0 || nx >= w as i64 || ny >= h as i64 {
+                Links::EDGE
+            } else {
+                (ny as usize * w + nx as usize) as u32
+            }
+        };
+        Links((0..w * h).map(|i| CARDINAL.map(|p| toward(i, p))).collect())
+    }
+
+    /// Index of the neighbor of tile `i` through cardinal port `p`, or
+    /// `None` at the wafer edge.
+    #[inline]
+    fn toward(&self, i: usize, p: Port) -> Option<usize> {
+        let ni = self.0[i][p.index()];
+        (ni != Links::EDGE).then_some(ni as usize)
+    }
+
+    /// The router holding the credit for the input queue a forwarded flit
+    /// left: `freed` is that queue's port on tile `i`; the answer is the
+    /// tile it faces and that tile's output port (`None` when nothing on
+    /// the wafer feeds it).
+    #[inline]
+    fn upstream(&self, i: usize, freed: Option<Port>) -> Option<(usize, Port)> {
+        let p = freed?;
+        Some((self.toward(i, p)?, p.opposite()?))
     }
 }
 
@@ -315,8 +326,7 @@ fn step_and_drain(t: &mut Tile, accounted: &mut u64, cycle: u64) -> u64 {
     *accounted = cycle + 1;
     let before = core.perf.busy_cycles + core.perf.ctrl_stmts;
     core.step(mem);
-    // Respect the ramp queue's *minimum* color space conservatively:
-    // drain one flit at a time, checking the target queue.
+    // Drain one flit at a time, checking the target color's queue.
     let mut budget = PORT_BYTES_PER_CYCLE;
     while let Some((color, flit)) =
         core.pop_ramp_out_ready(budget, |c| router.space(Port::Ramp, c) > 0)
@@ -327,50 +337,11 @@ fn step_and_drain(t: &mut Tile, accounted: &mut u64, cycle: u64) -> u64 {
     core.perf.busy_cycles + core.perf.ctrl_stmts - before
 }
 
-/// The staging admission check against the start-of-cycle occupancy
-/// snapshots (shared by the sparse and parallel staging paths).
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn accept(
-    router_space: &[u8],
-    ramp_space: &[u8],
-    edge_index: &HashMap<(usize, Port, Color), usize>,
-    edge_room: &[u8],
-    w: usize,
-    h: usize,
-    i: usize,
-    x: usize,
-    y: usize,
-    out: Port,
-    color: Color,
-    already: usize,
-) -> bool {
-    match out {
-        Port::Ramp => already < ramp_space[i * NUM_COLORS + color as usize] as usize,
-        _ => {
-            let (dx, dy) = out.delta();
-            let (nx, ny) = (x as i64 + dx as i64, y as i64 + dy as i64);
-            if nx < 0 || ny < 0 || nx >= w as i64 || ny >= h as i64 {
-                // Off-wafer: admit only through a declared edge port with
-                // snapshot credit left; an undeclared boundary fanout holds
-                // forever (the historical edge-of-wafer semantics).
-                return match edge_index.get(&(i, out, color)) {
-                    Some(&e) => already < edge_room[e] as usize,
-                    None => false,
-                };
-            }
-            let ni = ny as usize * w + nx as usize;
-            let in_port = out.opposite().unwrap();
-            already
-                < router_space[(ni * 5 + in_port.index()) * NUM_COLORS + color as usize] as usize
-        }
-    }
-}
-
 /// The wafer: a grid of tiles with a global clock.
 pub struct Fabric {
     w: usize,
     h: usize,
+    links: Links,
     tiles: Vec<Tile>,
     cycle: u64,
     sample_interval: u64,
@@ -404,13 +375,6 @@ pub struct Fabric {
     /// quiescent tiles accrue an idle *debt* (`cycle - accounted[i]`) that
     /// is settled lazily, keeping counters bit-identical to full stepping.
     accounted: Vec<u64>,
-    /// Per-tile color mask: colors that can *arrive* on a cardinal port
-    /// (some neighbor routes them toward this tile). Phase-3 snapshots
-    /// fill only these rows.
-    in_mask: Vec<u32>,
-    /// Per-tile color mask: colors this tile's router can deliver to its
-    /// own core (a configured fanout contains the ramp).
-    ramp_mask: Vec<u32>,
     /// Monotone progress counter (busy cycles, retired control statements,
     /// and forwarded flits), maintained incrementally — the stall
     /// watchdog's O(1) replacement for a full perf rescan.
@@ -437,6 +401,7 @@ impl Fabric {
         Fabric {
             w,
             h,
+            links: Links::new(w, h),
             tiles: (0..n).map(|_| Tile::default()).collect(),
             cycle: 0,
             sample_interval: 0,
@@ -452,8 +417,6 @@ impl Fabric {
             dirty: vec![false; n],
             dirty_list: Vec::new(),
             accounted: vec![0; n],
-            in_mask: vec![0; n],
-            ramp_mask: vec![0; n],
             progress: 0,
             force_reference: false,
             edge_ports: Vec::new(),
@@ -786,8 +749,8 @@ impl Fabric {
     }
 
     /// Mutable tile access (program loading). Marks the tile dirty: its
-    /// routing masks and activity state are re-derived before the next
-    /// step, so external mutation can never be skipped.
+    /// activity state and the router credits around it are re-derived
+    /// before the next step, so external mutation can never be skipped.
     pub fn tile_mut(&mut self, x: usize, y: usize) -> &mut Tile {
         let i = self.index(x, y);
         if !self.dirty[i] {
@@ -835,7 +798,7 @@ impl Fabric {
         assert!(port != Port::Ramp, "edge port must be cardinal");
         assert!((color as usize) < NUM_COLORS, "color {color} out of range");
         assert!(
-            neighbor_of(self.w, self.h, i, port).is_none(),
+            self.links.toward(i, port).is_none(),
             "edge port at ({x},{y}) {port:?} points to an on-wafer neighbor"
         );
         let id = self.edge_ports.len();
@@ -967,45 +930,33 @@ impl Fabric {
         }
     }
 
-    /// Recomputes the arrival/ramp color masks for tile `i`.
-    fn refresh_masks(&mut self, i: usize) {
-        let mut ramp = 0u32;
-        for (_, c, fanout) in self.tiles[i].router.routes() {
-            if fanout.contains(&Port::Ramp) {
-                ramp |= 1 << c;
-            }
-        }
-        self.ramp_mask[i] = ramp;
-        let mut arriving = 0u32;
-        for q in CARDINAL {
-            let Some(ni) = neighbor_of(self.w, self.h, i, q) else { continue };
-            let toward = q.opposite().unwrap();
-            for (_, c, fanout) in self.tiles[ni].router.routes() {
-                if fanout.contains(&toward) {
-                    arriving |= 1 << c;
-                }
-            }
-        }
-        self.in_mask[i] = arriving;
-    }
-
-    /// Refreshes masks for tile `i` and its neighbors (a route change on
-    /// `i` alters what its neighbors can receive).
-    fn refresh_masks_around(&mut self, i: usize) {
-        self.refresh_masks(i);
-        for q in CARDINAL {
-            if let Some(ni) = neighbor_of(self.w, self.h, i, q) {
-                self.refresh_masks(ni);
-            }
+    /// The credit row tile `i` should hold for cardinal output `q`: the free
+    /// space of the queues that port feeds, zero off the wafer (a declared
+    /// edge channel's credit is granted afresh every cycle).
+    fn credit_row(&self, i: usize, q: Port) -> [u8; NUM_COLORS] {
+        match self.links.toward(i, q) {
+            Some(ni) => self.tiles[ni].router.space_row(q.opposite().expect("cardinal")),
+            None => [0; NUM_COLORS],
         }
     }
 
-    /// Re-derives masks, busy flags, and activity for every tile mutated
-    /// through [`Fabric::tile_mut`] since the last step.
+    /// Re-derives credits, busy flags, and activity for every tile mutated
+    /// through [`Fabric::tile_mut`] since the last step. Nothing is derived
+    /// from routes, so a tile the driver merely activates or reloads costs
+    /// the eight credit rows of its four links (a constant fill each while
+    /// the queue it mirrors is empty).
     fn flush_dirty(&mut self) {
         while let Some(i) = self.dirty_list.pop() {
             self.dirty[i] = false;
-            self.refresh_masks_around(i);
+            for q in CARDINAL {
+                let row = self.credit_row(i, q);
+                self.tiles[i].router.set_credit_row(q, row);
+                if let Some(ni) = self.links.toward(i, q) {
+                    let back = q.opposite().expect("cardinal");
+                    let row = self.credit_row(ni, back);
+                    self.tiles[ni].router.set_credit_row(back, row);
+                }
+            }
             self.refresh_busy(i);
             self.mark_active(i);
         }
@@ -1041,7 +992,17 @@ impl Fabric {
     /// stepping and transient resets — paths where incremental maintenance
     /// was bypassed).
     fn rebuild_activity(&mut self) {
-        self.flush_dirty();
+        // Everything `flush_dirty` derives per tile is re-derived for all.
+        for i in self.dirty_list.drain(..) {
+            self.dirty[i] = false;
+        }
+        // Those paths moved flits without keeping credits.
+        for i in 0..self.tiles.len() {
+            for q in CARDINAL {
+                let row = self.credit_row(i, q);
+                self.tiles[i].router.set_credit_row(q, row);
+            }
+        }
         let Fabric { tiles, faults, busy, busy_count, active, active_list, .. } = self;
         let dead = faults.as_deref().map(|f| f.dead.as_slice());
         active_list.clear();
@@ -1129,7 +1090,7 @@ impl Fabric {
         if self.faults.is_some() {
             self.apply_due_faults();
         }
-        let (w, h) = (self.w, self.h);
+        let w = self.w;
         let cycle = self.cycle;
 
         // Phases 1+2: active cores execute and inject (independent per
@@ -1164,150 +1125,63 @@ impl Fabric {
             }
         };
 
-        // Phase 3: routers with queued flits stage against a start-of-phase
-        // snapshot of destination occupancy. Only rows the staging loop can
-        // consult (per the in/ramp color masks) are snapshotted.
-        let forwarded: u64 =
-            {
-                let Fabric {
-                    tiles,
-                    active_list,
-                    faults,
-                    scratch,
-                    in_mask,
-                    ramp_mask,
-                    edge_ports,
-                    edge_index,
-                    ..
-                } = &mut *self;
-                let dead: Option<&[bool]> = faults.as_deref().map(|f| f.dead.as_slice());
-                let StepScratch {
-                    router_space,
-                    ramp_space,
-                    snap_flag,
-                    snap_list,
-                    staged,
-                    stagers,
-                    edge_room,
-                    ..
-                } = scratch;
-                stagers.clear();
-                for &i in active_list.iter() {
-                    // A killed tile's router forwards nothing; arrivals pile
-                    // up in its queues until backpressure stalls upstream.
-                    if dead.is_some_and(|d| d[i]) {
-                        continue;
-                    }
-                    if tiles[i].router.queued() > 0 {
-                        stagers.push(i);
-                    }
+        // Phase 3: routers with queued flits stage against their credits
+        // and their own core's ramp-in queues. Credits equal the downstream
+        // queues' start-of-cycle free space all phase long — staging spends
+        // only the stager's own, and what a forward frees downstream is
+        // handed back in phase 4 — so no occupancy snapshot is taken.
+        let forwarded: u64 = {
+            let Fabric { tiles, active_list, faults, scratch, edge_ports, .. } = &mut *self;
+            let dead: Option<&[bool]> = faults.as_deref().map(|f| f.dead.as_slice());
+            let StepScratch { staged, stagers, .. } = scratch;
+            stagers.clear();
+            for &i in active_list.iter() {
+                // A killed tile's router forwards nothing; arrivals pile
+                // up in its queues until backpressure stalls upstream.
+                if dead.is_some_and(|d| d[i]) {
+                    continue;
                 }
-                // Edge-channel admission snapshot: start-of-phase room, like
-                // every on-wafer queue snapshot below.
-                edge_room.clear();
-                edge_room.extend(edge_ports.iter().map(|e| {
-                    u8::try_from(e.credits.saturating_sub(e.queue.len())).unwrap_or(u8::MAX)
-                }));
-                let ei: &HashMap<(usize, Port, Color), usize> = edge_index;
-                let er: &[u8] = edge_room;
-                if stagers.len() < PAR_TILE_THRESHOLD {
-                    // Sparse: snapshot each stager's own ramp row and its
-                    // neighbors' arrival rows (deduped), then stage serially.
-                    for &si in stagers.iter() {
-                        let mut m = ramp_mask[si];
-                        while m != 0 {
-                            let c = m.trailing_zeros() as usize;
-                            m &= m - 1;
-                            ramp_space[si * NUM_COLORS + c] =
-                                tiles[si].core.ramp_in_space(c as Color) as u8;
-                        }
-                        for q in CARDINAL {
-                            let Some(ni) = neighbor_of(w, h, si, q) else { continue };
-                            if snap_flag[ni] {
-                                continue;
-                            }
-                            snap_flag[ni] = true;
-                            snap_list.push(ni);
-                            let mut m = in_mask[ni];
-                            while m != 0 {
-                                let c = m.trailing_zeros() as usize;
-                                m &= m - 1;
-                                for p in CARDINAL {
-                                    router_space[(ni * 5 + p.index()) * NUM_COLORS + c] =
-                                        tiles[ni].router.space(p, c as Color) as u8;
-                                }
-                            }
-                        }
-                    }
-                    while let Some(ni) = snap_list.pop() {
-                        snap_flag[ni] = false;
-                    }
-                    let (rs, ps): (&[u8], &[u8]) = (router_space, ramp_space);
-                    let mut fwd = 0u64;
-                    for &si in stagers.iter() {
-                        let (x, y) = (si % w, si / w);
-                        fwd += tiles[si].router.stage_into(
-                            |out, color, already| {
-                                accept(rs, ps, ei, er, w, h, si, x, y, out, color, already)
-                            },
-                            &mut staged[si],
-                        ) as u64;
-                    }
-                    fwd
-                } else {
-                    // Dense: fill every tile's masked rows in parallel, then
-                    // stage every non-empty router in parallel.
-                    let (im, rm): (&[u32], &[u32]) = (in_mask, ramp_mask);
-                    {
-                        let tiles_ref: &[Tile] = tiles;
-                        router_space
-                            .par_chunks_mut(5 * NUM_COLORS)
-                            .zip(ramp_space.par_chunks_mut(NUM_COLORS))
-                            .enumerate()
-                            .for_each(|(i, (rrow, prow))| {
-                                let t = &tiles_ref[i];
-                                let mut m = im[i];
-                                while m != 0 {
-                                    let c = m.trailing_zeros() as usize;
-                                    m &= m - 1;
-                                    for p in CARDINAL {
-                                        rrow[p.index() * NUM_COLORS + c] =
-                                            t.router.space(p, c as Color) as u8;
-                                    }
-                                }
-                                let mut m = rm[i];
-                                while m != 0 {
-                                    let c = m.trailing_zeros() as usize;
-                                    m &= m - 1;
-                                    prow[c] = t.core.ramp_in_space(c as Color) as u8;
-                                }
-                            });
-                    }
-                    let (rs, ps): (&[u8], &[u8]) = (router_space, ramp_space);
-                    tiles
-                        .par_iter_mut()
-                        .zip(staged.par_iter_mut())
-                        .enumerate()
-                        .map(|(i, (t, buf))| {
-                            if dead.is_some_and(|d| d[i]) || t.router.queued() == 0 {
-                                return 0u64;
-                            }
-                            let (x, y) = (i % w, i / w);
-                            t.router.stage_into(
-                                |out, color, already| {
-                                    accept(rs, ps, ei, er, w, h, i, x, y, out, color, already)
-                                },
-                                buf,
-                            ) as u64
-                        })
-                        .sum()
+                if tiles[i].router.queued() > 0 {
+                    stagers.push(i);
                 }
+            }
+            // Edge channels: the host's admission budget is this cycle's
+            // credit for the off-wafer port.
+            for e in edge_ports.iter() {
+                let room = e.credits.saturating_sub(e.queue.len());
+                tiles[e.y * w + e.x].router.set_credit(
+                    e.port,
+                    e.color,
+                    u8::try_from(room).unwrap_or(u8::MAX),
+                );
+            }
+            let stage = |t: &mut Tile, buf: &mut Vec<StagedFlit>| {
+                t.router.stage_into(t.core.ramp_in_queues(), buf) as u64
             };
+            if stagers.len() < PAR_TILE_THRESHOLD {
+                stagers.iter().map(|&si| stage(&mut tiles[si], &mut staged[si])).sum()
+            } else {
+                tiles
+                    .par_iter_mut()
+                    .zip(staged.par_iter_mut())
+                    .enumerate()
+                    .map(|(i, (t, buf))| {
+                        if dead.is_some_and(|d| d[i]) || t.router.queued() == 0 {
+                            return 0u64;
+                        }
+                        stage(t, buf)
+                    })
+                    .sum()
+            }
+        };
         self.progress += stepped + forwarded;
 
-        // Phase 4: deliveries land (1 cycle/hop).
+        // Phase 4: deliveries land (1 cycle/hop), and every flit forwarded
+        // out of a cardinal input queue hands the credit it freed back to
+        // the router upstream of that queue.
         {
-            let Fabric { tiles, faults, scratch, edge_ports, edge_index, .. } = &mut *self;
+            let Fabric { tiles, links, faults, scratch, edge_ports, edge_index, .. } = &mut *self;
+            let links: &Links = links;
             let StepScratch { staged, stagers, dest_flag, dest_list, .. } = scratch;
             // Armed one-shot link faults intercept flits in flight: the
             // first flit leaving the chosen (tile, port) is corrupted or
@@ -1334,7 +1208,18 @@ impl Fabric {
                                     }
                                     None => {
                                         fs.log.dropped_flits += 1;
-                                        buf.remove(k); // the flit vanishes on the wire
+                                        // The flit vanishes on the wire: the
+                                        // queue it was headed for keeps its
+                                        // slot, so the sender gets the credit
+                                        // back, and the credit its forwarding
+                                        // freed is returned here and now.
+                                        let s = buf.remove(k);
+                                        if s.out != Port::Ramp {
+                                            tiles[i].router.return_credit(s.out, s.color);
+                                        }
+                                        if let Some((ui, out)) = links.upstream(i, s.freed) {
+                                            tiles[ui].router.return_credit(out, s.color);
+                                        }
                                     }
                                 },
                                 None => k += 1,
@@ -1355,12 +1240,15 @@ impl Fabric {
                     while k < staged[si].len() {
                         let s = staged[si][k];
                         k += 1;
+                        if let Some((ui, out)) = links.upstream(si, s.freed) {
+                            tiles[ui].router.return_credit(out, s.color);
+                        }
                         let di = match s.out {
                             Port::Ramp => {
                                 tiles[si].core.deliver(s.color, s.flit);
                                 Some(si)
                             }
-                            out => match neighbor_of(w, h, si, out) {
+                            out => match links.toward(si, out) {
                                 Some(ni) => {
                                     tiles[ni].router.enqueue(
                                         out.opposite().unwrap(),
@@ -1389,16 +1277,16 @@ impl Fabric {
                     staged[si].clear();
                 }
             } else {
-                // Dense: every destination pulls from its neighbors'
-                // staged buffers in parallel. No two threads touch the
-                // same destination router, and each (in-port, color)
-                // queue is filled from a single source buffer in staged
-                // order — bit-identical to the serial push.
+                // Dense: every destination pulls its arrivals and its
+                // returned credits from its neighbors' staged buffers in
+                // parallel. No two threads touch the same router, and each
+                // (in-port, color) queue is filled from a single source
+                // buffer in staged order — bit-identical to the serial push.
                 for &si in stagers.iter() {
                     for s in staged[si].iter() {
                         let di = match s.out {
                             Port::Ramp => si,
-                            out => match neighbor_of(w, h, si, out) {
+                            out => match links.toward(si, out) {
                                 Some(ni) => ni,
                                 None => {
                                     // Off-wafer egress lands here, in this
@@ -1420,7 +1308,7 @@ impl Fabric {
                 let staged_ref: &[Vec<StagedFlit>] = staged;
                 tiles.par_iter_mut().enumerate().for_each(|(di, t)| {
                     for q in CARDINAL {
-                        let Some(ni) = neighbor_of(w, h, di, q) else { continue };
+                        let Some(ni) = links.toward(di, q) else { continue };
                         let from = &staged_ref[ni];
                         if from.is_empty() {
                             continue;
@@ -1429,6 +1317,9 @@ impl Fabric {
                         for s in from {
                             if s.out == back {
                                 t.router.enqueue(q, s.color, s.flit);
+                            }
+                            if s.freed == Some(back) {
+                                t.router.return_credit(q, s.color);
                             }
                         }
                     }
@@ -1500,9 +1391,10 @@ impl Fabric {
     }
 
     /// Advances the fabric one cycle with the naive full-scan stepper: every
-    /// tile is visited in every phase and the per-cycle buffers are freshly
-    /// allocated. Retained as the executable specification the optimized
-    /// [`Fabric::step`] is tested against.
+    /// tile is visited in every phase, cores run the per-element datapath
+    /// ([`Core::step_reference`]), routers stage against freshly allocated
+    /// occupancy snapshots ([`Router::stage`]). Retained as the executable
+    /// specification the optimized [`Fabric::step`] is tested against.
     pub fn step_reference(&mut self) {
         self.flush_dirty();
         // Phase 0: fault injection (no-op unless a plan is armed).
@@ -1520,14 +1412,14 @@ impl Fabric {
         match dead {
             None => self.tiles.par_iter_mut().for_each(|t| {
                 let Tile { mem, core, .. } = t;
-                core.step(mem);
+                core.step_reference(mem);
             }),
             Some(dead) => self.tiles.par_iter_mut().enumerate().for_each(|(i, t)| {
                 if dead[i] {
                     return;
                 }
                 let Tile { mem, core, .. } = t;
-                core.step(mem);
+                core.step_reference(mem);
             }),
         }
 
@@ -1625,7 +1517,7 @@ impl Fabric {
         // Phase 4: deliveries. Armed one-shot link faults intercept flits
         // in flight here: the first flit leaving the chosen (tile, port)
         // after the fault's cycle is corrupted or lost.
-        let (w, h) = (self.w, self.h);
+        let links = &self.links;
         let (tiles, faults) = (&mut self.tiles, &mut self.faults);
         let (edge_ports, edge_index) = (&mut self.edge_ports, &self.edge_index);
         let mut fs = faults.as_deref_mut();
@@ -1655,7 +1547,7 @@ impl Fabric {
                     Port::Ramp => {
                         tiles[i].core.deliver(s.color, flit);
                     }
-                    out => match neighbor_of(w, h, i, out) {
+                    out => match links.toward(i, out) {
                         Some(ni) => {
                             let in_port = out.opposite().unwrap();
                             tiles[ni].router.enqueue(in_port, s.color, flit);
@@ -2085,8 +1977,8 @@ impl Fabric {
     /// Copies a region-sized `template` fabric's tiles into `region`,
     /// replacing whatever program was resident there — the warm path of
     /// the compiled-program cache. Tiles are handed out via
-    /// [`Fabric::tile_mut`], so activity masks are re-derived before the
-    /// next step.
+    /// [`Fabric::tile_mut`], so activity state and the credits of the links
+    /// into and out of the region are re-derived before the next step.
     ///
     /// # Panics
     /// Panics if the region reaches outside the fabric or the template's

@@ -13,11 +13,30 @@
 //! *all* of its fanout destinations can accept it (credit-based
 //! backpressure, which is how the hardware avoids loss).
 
-use crate::types::{Color, Flit, Port, NUM_COLORS, PORT_BYTES_PER_CYCLE, QUEUE_CAPACITY};
-use std::collections::VecDeque;
+use crate::types::{Color, Flit, Port, Ring, NUM_COLORS, PORT_BYTES_PER_CYCLE, QUEUE_CAPACITY};
 
-/// Routing table entry: the set of output ports for one (input, color).
-type Fanout = Vec<Port>;
+/// Routing table entry: the output ports of one (input, color), inline and
+/// in configured order (`len == 0` = no route). The order is kept, rather
+/// than a bare port mask, because it is the order copies are staged in and
+/// one-shot link faults pick their victim by staged position.
+#[derive(Copy, Clone, Debug)]
+struct Fanout {
+    ports: [Port; 5],
+    len: u8,
+}
+
+impl Default for Fanout {
+    fn default() -> Fanout {
+        Fanout { ports: [Port::North; 5], len: 0 }
+    }
+}
+
+impl Fanout {
+    #[inline]
+    fn as_slice(&self) -> &[Port] {
+        &self.ports[..self.len as usize]
+    }
+}
 
 /// Number of (in_port, color) arbitration pairs.
 const PAIRS: usize = 5 * NUM_COLORS;
@@ -26,9 +45,17 @@ const PAIRS: usize = 5 * NUM_COLORS;
 #[derive(Clone, Debug, Default)]
 pub struct Router {
     /// `routes[in_port][color]` → output fanout.
-    routes: [[Option<Fanout>; NUM_COLORS]; 5],
+    routes: [[Fanout; NUM_COLORS]; 5],
     /// `in_queues[in_port][color]`.
-    in_queues: [[VecDeque<Flit>; NUM_COLORS]; 5],
+    in_queues: [[Ring; NUM_COLORS]; 5],
+    /// `credit[out_port][color]` for the four cardinal outputs: flits the
+    /// queue that port feeds can still take. The fabric keeps it equal to
+    /// the downstream queue's free space at the start of the cycle (zero
+    /// where nothing is downstream); [`Router::stage_into`] spends it as it
+    /// stages, and what downstream forwards comes back in the delivery
+    /// phase. The ramp output needs no entry — its queue is the tile's own
+    /// core, read directly.
+    credit: [[u8; NUM_COLORS]; 4],
     /// Round-robin arbitration cursor over (in_port, color) pairs.
     rr: usize,
     /// Bitmask of permanently stuck *output* ports (fault injection); a
@@ -36,8 +63,8 @@ pub struct Router {
     /// healthy router, so the check is a single AND on the hot path.
     stuck: u8,
     /// Bit `in_port * NUM_COLORS + color` set when that pair has a
-    /// configured route. Lets [`Router::stage_into`] visit only pairs
-    /// that can possibly forward instead of all 120.
+    /// configured route. Lets staging visit only pairs that can possibly
+    /// forward instead of all 120.
     routed_mask: u128,
     /// Bit `in_port * NUM_COLORS + color` set when that input queue is
     /// non-empty. Maintained by enqueue/stage/clear.
@@ -62,6 +89,10 @@ pub struct StagedFlit {
     pub color: Color,
     /// The payload.
     pub flit: Flit,
+    /// Set on the first staged copy of a flit forwarded out of a cardinal
+    /// input queue: the delivery phase returns one credit for that queue
+    /// to the router upstream of it. (Only [`Router::stage_into`] sets it.)
+    pub freed: Option<Port>,
 }
 
 impl Router {
@@ -77,35 +108,42 @@ impl Router {
     /// back the outgoing local data and route it in").
     ///
     /// # Panics
-    /// Panics if the fanout is empty or u-turns a cardinal port.
+    /// Panics if the fanout is empty, names a port twice, or u-turns a
+    /// cardinal port.
     pub fn set_route(&mut self, in_port: Port, color: Color, outs: &[Port]) {
         assert!(!outs.is_empty(), "empty fanout");
         assert!(
             in_port == Port::Ramp || !outs.contains(&in_port),
             "route reflects {in_port:?} back to itself on color {color}"
         );
-        self.routes[in_port.index()][color as usize] = Some(outs.to_vec());
+        let mut fanout = Fanout::default();
+        for (k, &o) in outs.iter().enumerate() {
+            assert!(!outs[..k].contains(&o), "fanout names {o:?} twice on color {color}");
+            fanout.ports[k] = o;
+        }
+        fanout.len = outs.len() as u8;
+        self.routes[in_port.index()][color as usize] = fanout;
         self.routed_mask |= 1u128 << (in_port.index() * NUM_COLORS + color as usize);
     }
 
     /// The configured fanout, if any.
     pub fn route(&self, in_port: Port, color: Color) -> Option<&[Port]> {
-        self.routes[in_port.index()][color as usize].as_deref()
+        let fanout = &self.routes[in_port.index()][color as usize];
+        (fanout.len > 0).then(|| fanout.as_slice())
     }
 
     /// Iterates every configured route as `(in_port, color, fanout)` —
     /// the read-only view the static verifier walks.
     pub fn routes(&self) -> impl Iterator<Item = (Port, Color, &[Port])> {
         Port::ALL.into_iter().flat_map(move |p| {
-            (0..NUM_COLORS).filter_map(move |c| {
-                self.routes[p.index()][c].as_deref().map(|f| (p, c as Color, f))
-            })
+            (0..NUM_COLORS)
+                .filter_map(move |c| self.route(p, c as Color).map(|f| (p, c as Color, f)))
         })
     }
 
     /// Space available in the `(in_port, color)` queue.
     pub fn space(&self, in_port: Port, color: Color) -> usize {
-        QUEUE_CAPACITY - self.in_queues[in_port.index()][color as usize].len()
+        self.in_queues[in_port.index()][color as usize].space()
     }
 
     /// Enqueues an arriving flit.
@@ -147,91 +185,198 @@ impl Router {
         self.rr = 0;
     }
 
-    /// Selects flits to forward this cycle.
+    /// Free space of every color's queue on `in_port` — the credit row the
+    /// router feeding that port should hold.
+    pub(crate) fn space_row(&self, in_port: Port) -> [u8; NUM_COLORS] {
+        let mut row = [QUEUE_CAPACITY as u8; NUM_COLORS];
+        let shift = in_port.index() * NUM_COLORS;
+        let mut occupied = (self.occupied_mask >> shift) as u32 & ((1 << NUM_COLORS) - 1);
+        while occupied != 0 {
+            let c = occupied.trailing_zeros() as usize;
+            occupied &= occupied - 1;
+            row[c] = self.in_queues[in_port.index()][c].space() as u8;
+        }
+        row
+    }
+
+    /// Replaces the credits of cardinal output `out` (all colors).
+    pub(crate) fn set_credit_row(&mut self, out: Port, row: [u8; NUM_COLORS]) {
+        self.credit[out.index()] = row;
+    }
+
+    /// Sets the credit of one `(out, color)` (edge channels: the host's
+    /// admission budget, re-granted every cycle).
+    pub(crate) fn set_credit(&mut self, out: Port, color: Color, credit: u8) {
+        self.credit[out.index()][color as usize] = credit;
+    }
+
+    /// Returns one credit for `(out, color)`: the queue downstream of
+    /// cardinal port `out` forwarded (or the wire lost) a flit.
+    pub(crate) fn return_credit(&mut self, out: Port, color: Color) {
+        self.credit[out.index()][color as usize] += 1;
+    }
+
+    /// Selects flits to forward this cycle — the reference form, kept as
+    /// the oracle [`Router::stage_into`] is tested against.
     ///
     /// `can_accept(out, color, already_staged_to_that_destination)` tells the
     /// router whether the *next hop* (neighbor queue or core ramp) can take
-    /// one more flit; the fabric provides it from a start-of-cycle snapshot.
-    pub fn stage(&mut self, can_accept: impl FnMut(Port, Color, usize) -> bool) -> Vec<StagedFlit> {
-        let mut staged = Vec::new();
-        self.stage_into(can_accept, &mut staged);
-        staged
-    }
-
-    /// Allocation-free form of [`Router::stage`]: appends staged flits to a
-    /// caller-owned buffer and returns the number of flits *forwarded* (one
-    /// per queue pop, regardless of fanout width).
-    ///
-    /// Arbitration is bit-identical to the naive full scan: only the live
-    /// pairs — routed *and* occupied, per the incrementally maintained
-    /// bitmasks — are visited, in exactly the `(rr + k) % 120` order the
-    /// full scan would have reached them. Pairs outside the live set are
-    /// no-ops in the full scan (no flit, or no route ⇒ no state change, no
-    /// backpressure charge), so skipping them changes nothing.
-    pub fn stage_into(
+    /// one more flit; the reference stepper provides it from a
+    /// start-of-cycle snapshot. Credits are neither read nor spent.
+    pub fn stage(
         &mut self,
         mut can_accept: impl FnMut(Port, Color, usize) -> bool,
-        staged: &mut Vec<StagedFlit>,
-    ) -> usize {
-        let Router {
-            routes,
-            in_queues,
-            rr,
-            stuck,
-            routed_mask,
-            occupied_mask,
-            queued_count,
-            flits_routed,
-            backpressure,
-        } = self;
+    ) -> Vec<StagedFlit> {
+        let mut staged = Vec::new();
         let mut budget = [PORT_BYTES_PER_CYCLE; 5];
         // counts[(out, color)] of flits already staged this cycle.
         let mut counts = [[0usize; NUM_COLORS]; 5];
-        let mut forwarded = 0usize;
+        let mut forwarded = false;
         // Backpressure is counted on the first arbitration sweep only, so a
         // held flit charges each full downstream port exactly once per cycle
         // even though the sweep loop may revisit it.
         let mut first_sweep = true;
         loop {
             let mut moved = false;
-            let live = *routed_mask & *occupied_mask;
+            let live = self.routed_mask & self.occupied_mask;
             // Two segments walk the live bits in (rr + k) % PAIRS order:
-            // slots rr..PAIRS ascending, then 0..rr ascending.
-            let segments = [live & (!0u128 << *rr), live & ((1u128 << *rr) - 1)];
+            // slots rr..PAIRS ascending, then 0..rr ascending. Pairs outside
+            // the live set are no-ops in a full 120-pair scan (no flit, or
+            // no route ⇒ no state change, no backpressure charge).
+            let segments = [live & (!0u128 << self.rr), live & ((1u128 << self.rr) - 1)];
             for mut seg in segments {
                 while seg != 0 {
                     let slot = seg.trailing_zeros() as usize;
                     seg &= seg - 1;
                     let (pi, color) = (slot / NUM_COLORS, slot % NUM_COLORS);
-                    let Some(&flit) = in_queues[pi][color].front() else { continue };
-                    let Some(fanout) = routes[pi][color].as_deref() else { continue };
+                    let Some(flit) = self.in_queues[pi][color].front() else { continue };
+                    let fanout = self.routes[pi][color];
                     let mut fits = true;
-                    for &o in fanout {
-                        if *stuck & (1 << o.index()) != 0 || budget[o.index()] < flit.bytes() {
+                    for &o in fanout.as_slice() {
+                        if self.stuck & (1 << o.index()) != 0 || budget[o.index()] < flit.bytes() {
                             fits = false;
                             continue;
                         }
                         if !can_accept(o, color as Color, counts[o.index()][color]) {
                             fits = false;
                             if first_sweep {
-                                backpressure[o.index()] += 1;
+                                self.backpressure[o.index()] += 1;
                             }
                         }
                     }
                     if !fits {
                         continue;
                     }
-                    in_queues[pi][color].pop_front();
-                    if in_queues[pi][color].is_empty() {
-                        *occupied_mask &= !(1u128 << slot);
-                    }
-                    *queued_count -= 1;
-                    for &o in fanout {
+                    self.pop(pi, color);
+                    for &o in fanout.as_slice() {
                         budget[o.index()] -= flit.bytes();
                         counts[o.index()][color] += 1;
-                        staged.push(StagedFlit { out: o, color: color as Color, flit });
+                        staged.push(StagedFlit {
+                            out: o,
+                            color: color as Color,
+                            flit,
+                            freed: None,
+                        });
                     }
-                    *flits_routed += 1;
+                    forwarded = true;
+                    moved = true;
+                }
+            }
+            first_sweep = false;
+            if !moved {
+                break;
+            }
+        }
+        if forwarded {
+            self.rr = (self.rr + 1) % PAIRS;
+        }
+        staged
+    }
+
+    /// Pops the head of `in_queues[pi][color]` as forwarded.
+    #[inline]
+    fn pop(&mut self, pi: usize, color: usize) {
+        let q = &mut self.in_queues[pi][color];
+        q.pop_front();
+        if q.is_empty() {
+            self.occupied_mask &= !(1u128 << (pi * NUM_COLORS + color));
+        }
+        self.queued_count -= 1;
+        self.flits_routed += 1;
+    }
+
+    /// [`Router::stage`] for the activity-driven stepper: admission is
+    /// decided from state the router already holds — its cardinal credits
+    /// and `ramp_in`, the tile's own core-side queues — so staging touches
+    /// no other tile and allocates nothing. Appends staged flits to a
+    /// caller-owned buffer and returns the number of flits *forwarded* (one
+    /// per queue pop, regardless of fanout width).
+    ///
+    /// Arbitration, bandwidth, all-or-nothing fanout and backpressure
+    /// accounting are those of [`Router::stage`]; "`already` staged there
+    /// is below the snapshot space" reads `credit > 0` because every staged
+    /// copy spends its credit on the spot.
+    pub(crate) fn stage_into(
+        &mut self,
+        ramp_in: &[Ring; NUM_COLORS],
+        staged: &mut Vec<StagedFlit>,
+    ) -> usize {
+        const RAMP: usize = 4;
+        let mut budget = [PORT_BYTES_PER_CYCLE; 5];
+        // Flits staged toward the core this cycle, per color.
+        let mut to_core = [0u8; NUM_COLORS];
+        let mut forwarded = 0usize;
+        let mut first_sweep = true;
+        loop {
+            let mut moved = false;
+            let live = self.routed_mask & self.occupied_mask;
+            let segments = [live & (!0u128 << self.rr), live & ((1u128 << self.rr) - 1)];
+            for mut seg in segments {
+                while seg != 0 {
+                    let slot = seg.trailing_zeros() as usize;
+                    seg &= seg - 1;
+                    let (pi, color) = (slot / NUM_COLORS, slot % NUM_COLORS);
+                    let flit = self.in_queues[pi][color].front().expect("occupied pair");
+                    let fanout = self.routes[pi][color];
+                    let mut fits = true;
+                    for &o in fanout.as_slice() {
+                        let oi = o.index();
+                        if self.stuck & (1 << oi) != 0 || budget[oi] < flit.bytes() {
+                            fits = false;
+                            continue;
+                        }
+                        let room = if oi == RAMP {
+                            (to_core[color] as usize) < ramp_in[color].space()
+                        } else {
+                            self.credit[oi][color] > 0
+                        };
+                        if !room {
+                            fits = false;
+                            if first_sweep {
+                                self.backpressure[oi] += 1;
+                            }
+                        }
+                    }
+                    if !fits {
+                        continue;
+                    }
+                    self.pop(pi, color);
+                    let mut freed = (pi != RAMP).then_some(Port::ALL[pi]);
+                    for &o in fanout.as_slice() {
+                        let oi = o.index();
+                        budget[oi] -= flit.bytes();
+                        if oi == RAMP {
+                            to_core[color] += 1;
+                        } else {
+                            self.credit[oi][color] -= 1;
+                        }
+                        staged.push(StagedFlit {
+                            out: o,
+                            color: color as Color,
+                            flit,
+                            freed: freed.take(),
+                        });
+                    }
                     forwarded += 1;
                     moved = true;
                 }
@@ -242,7 +387,7 @@ impl Router {
             }
         }
         if forwarded > 0 {
-            *rr = (*rr + 1) % PAIRS;
+            self.rr = (self.rr + 1) % PAIRS;
         }
         forwarded
     }
@@ -484,5 +629,106 @@ mod tests {
         assert_eq!(from_west + from_north, 64, "East sustains 2 fp16/cycle");
         assert!(from_west >= 16, "West starved: {from_west}/64");
         assert!(from_north >= 16, "North starved: {from_north}/64");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// `stage_into` (credits + the core's own queues) against `stage`
+        /// (closure over an occupancy snapshot): random fanouts, mixed-width
+        /// traffic, random downstream space, stuck ports, several cycles.
+        #[test]
+        fn credit_staging_matches_snapshot_staging(seed in 0u64..u64::MAX) {
+            let mut rng = crate::fault::SplitMix64::new(seed);
+            let mut oracle = Router::new();
+            for _ in 0..2 + rng.below(10) {
+                let in_port = Port::ALL[rng.below(5) as usize];
+                let mut outs: Vec<Port> = Port::ALL
+                    .into_iter()
+                    .filter(|&o| (o != in_port || o == Port::Ramp) && rng.below(3) == 0)
+                    .collect();
+                if outs.is_empty() {
+                    outs.push(if in_port == Port::East { Port::West } else { Port::East });
+                }
+                if rng.below(2) == 0 {
+                    outs.reverse();
+                }
+                oracle.set_route(in_port, rng.below(6) as Color, &outs);
+            }
+            if rng.below(4) == 0 {
+                oracle.stick_port(Port::ALL[rng.below(5) as usize]);
+            }
+            let mut router = oracle.clone();
+
+            for _cycle in 0..5 {
+                // Arrivals: the same flits into both routers.
+                for _ in 0..rng.below(20) {
+                    let (p, c) = (Port::ALL[rng.below(5) as usize], rng.below(6) as Color);
+                    if oracle.space(p, c) > 0 {
+                        let flit = if rng.below(3) == 0 {
+                            Flit::f32(rng.below(100) as f32)
+                        } else {
+                            Flit::f16(rng.below(1 << 16) as u16)
+                        };
+                        oracle.enqueue(p, c, flit);
+                        router.enqueue(p, c, flit);
+                    }
+                }
+                // Downstream free space this cycle, by (out port, color).
+                let mut space = [[0usize; NUM_COLORS]; 5];
+                for row in &mut space {
+                    for s in row.iter_mut().take(6) {
+                        *s = rng.below(QUEUE_CAPACITY as u64 + 1) as usize;
+                    }
+                }
+                let mut ramp_in = [Ring::default(); NUM_COLORS];
+                for (c, ring) in ramp_in.iter_mut().enumerate() {
+                    for _ in space[4][c]..QUEUE_CAPACITY {
+                        ring.push_back(Flit::f16(0));
+                    }
+                }
+                for p in &Port::ALL[..4] {
+                    router.set_credit_row(*p, space[p.index()].map(|s| s as u8));
+                }
+
+                let space_before = Port::ALL.map(|p| [0, 1, 2, 3, 4, 5].map(|c| router.space(p, c)));
+                let routed_before = router.flits_routed;
+                let want = oracle.stage(|o, c, already| already < space[o.index()][c as usize]);
+                let mut got = Vec::new();
+                let forwarded = router.stage_into(&ramp_in, &mut got);
+
+                let key = |s: &StagedFlit| (s.out, s.color, s.flit);
+                proptest::prop_assert_eq!(
+                    got.iter().map(key).collect::<Vec<_>>(),
+                    want.iter().map(key).collect::<Vec<_>>()
+                );
+                proptest::prop_assert_eq!(router.queued(), oracle.queued());
+                proptest::prop_assert_eq!(router.rr, oracle.rr);
+                proptest::prop_assert_eq!(router.flits_routed, oracle.flits_routed);
+                proptest::prop_assert_eq!(router.backpressure, oracle.backpressure);
+                proptest::prop_assert_eq!(router.occupied_mask, oracle.occupied_mask);
+                // Every staged copy spent one credit; every forward out of a
+                // cardinal queue is marked once, on its first copy.
+                for p in &Port::ALL[..4] {
+                    for (c, &granted) in space[p.index()].iter().enumerate() {
+                        let sent =
+                            got.iter().filter(|s| s.out == *p && s.color as usize == c).count();
+                        proptest::prop_assert_eq!(
+                            router.credit[p.index()][c] as usize + sent,
+                            granted
+                        );
+                    }
+                }
+                for p in Port::ALL {
+                    for c in 0..6u8 {
+                        let marked =
+                            got.iter().filter(|s| s.freed == Some(p) && s.color == c).count();
+                        let left = router.space(p, c) - space_before[p.index()][c as usize];
+                        proptest::prop_assert_eq!(marked, if p == Port::Ramp { 0 } else { left });
+                    }
+                }
+                proptest::prop_assert_eq!(forwarded as u64, router.flits_routed - routed_before);
+            }
+        }
     }
 }

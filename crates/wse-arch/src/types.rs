@@ -57,6 +57,91 @@ impl Flit {
     }
 }
 
+/// A fixed-capacity inline flit queue: eight slots, the depth of every
+/// hardware queue modeled ([`QUEUE_CAPACITY`] and [`RAMP_OUT_CAPACITY`]).
+///
+/// Payload bits are stored unpacked from [`Flit`] — one `u32` per slot plus
+/// one width bit per slot — so a ring is 36 bytes with no heap behind it,
+/// and a tile's 168 queues sit inline in the tile.
+#[derive(Copy, Clone, Debug, Default)]
+pub struct Ring {
+    bits: [u32; Ring::CAPACITY],
+    /// Bit `k` set when slot `k` holds an fp32 flit.
+    wide: u8,
+    head: u8,
+    len: u8,
+}
+
+impl Ring {
+    /// Slots per ring.
+    pub const CAPACITY: usize = 8;
+
+    /// Queued flits.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// `true` when nothing is queued.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Free slots.
+    #[inline]
+    pub fn space(&self) -> usize {
+        Ring::CAPACITY - self.len as usize
+    }
+
+    #[inline]
+    fn flit_at(&self, slot: usize) -> Flit {
+        let dtype = if self.wide >> slot & 1 != 0 { Dtype::F32 } else { Dtype::F16 };
+        Flit { bits: self.bits[slot], dtype }
+    }
+
+    /// The oldest flit, if any.
+    #[inline]
+    pub fn front(&self) -> Option<Flit> {
+        (self.len > 0).then(|| self.flit_at(self.head as usize))
+    }
+
+    /// Appends a flit.
+    ///
+    /// # Panics
+    /// Panics when full (senders must honor [`Ring::space`]).
+    #[inline]
+    pub fn push_back(&mut self, flit: Flit) {
+        assert!((self.len as usize) < Ring::CAPACITY, "push into a full ring");
+        let slot = (self.head + self.len) as usize % Ring::CAPACITY;
+        self.bits[slot] = flit.bits;
+        let wide = (flit.dtype == Dtype::F32) as u8;
+        self.wide = self.wide & !(1 << slot) | wide << slot;
+        self.len += 1;
+    }
+
+    /// Removes and returns the oldest flit.
+    #[inline]
+    pub fn pop_front(&mut self) -> Option<Flit> {
+        let flit = self.front()?;
+        self.head = (self.head + 1) % Ring::CAPACITY as u8;
+        self.len -= 1;
+        Some(flit)
+    }
+
+    /// Discards every queued flit and rewinds the head.
+    #[inline]
+    pub fn clear(&mut self) {
+        self.head = 0;
+        self.len = 0;
+    }
+
+    /// The queued flits, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = Flit> + '_ {
+        (0..self.len).map(|k| self.flit_at((self.head + k) as usize % Ring::CAPACITY))
+    }
+}
+
 /// One of the router's five bidirectional ports.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Port {
@@ -138,10 +223,10 @@ pub const NUM_THREADS: usize = 9;
 pub const PORT_BYTES_PER_CYCLE: u32 = 4;
 
 /// Capacity, in flits, of each (input-port, color) router queue.
-pub const QUEUE_CAPACITY: usize = 8;
+pub const QUEUE_CAPACITY: usize = Ring::CAPACITY;
 
 /// Capacity, in flits, of the core's injection (ramp-out) queue.
-pub const RAMP_OUT_CAPACITY: usize = 8;
+pub const RAMP_OUT_CAPACITY: usize = Ring::CAPACITY;
 
 /// SIMD lanes for two-operand fp16 tensor instructions (8 fp16 flops per
 /// cycle peak = 4 FMAC lanes).
@@ -190,6 +275,53 @@ mod tests {
         assert_eq!(Flit::f16(0x3C00).bytes(), 2);
         assert_eq!(Flit::f32(1.0).bytes(), 4);
         assert_eq!(Flit::f32(1.0).bits, 1.0f32.to_bits());
+    }
+
+    #[test]
+    fn ring_is_fifo_across_wraparound_and_keeps_widths() {
+        assert!(std::mem::size_of::<Ring>() <= 40, "rings must stay packed");
+        let mut r = Ring::default();
+        assert!(r.is_empty() && r.front().is_none() && r.pop_front().is_none());
+        // Fill, drain five, refill past the wrap point with mixed widths.
+        for i in 0..8u16 {
+            r.push_back(Flit::f16(i));
+        }
+        assert_eq!(r.space(), 0);
+        for i in 0..5u32 {
+            assert_eq!(r.pop_front().unwrap().bits, i);
+        }
+        for v in [1.5f32, 2.5, 3.5] {
+            r.push_back(Flit::f32(v));
+        }
+        r.push_back(Flit::f16(0xBEEF));
+        let got: Vec<Flit> = r.iter().collect();
+        let want = [
+            Flit::f16(5),
+            Flit::f16(6),
+            Flit::f16(7),
+            Flit::f32(1.5),
+            Flit::f32(2.5),
+            Flit::f32(3.5),
+            Flit::f16(0xBEEF),
+        ];
+        assert_eq!(got, want);
+        assert_eq!(r.len(), 7);
+        for w in want {
+            assert_eq!(r.front(), Some(w));
+            assert_eq!(r.pop_front(), Some(w));
+        }
+        r.push_back(Flit::f32(9.0));
+        r.clear();
+        assert!(r.is_empty() && r.iter().next().is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "full ring")]
+    fn ring_overflow_panics() {
+        let mut r = Ring::default();
+        for i in 0..9 {
+            r.push_back(Flit::f16(i));
+        }
     }
 
     #[test]

@@ -1,0 +1,379 @@
+//! Per-element vs batched datapath equivalence.
+//!
+//! `Core::step` decodes each issue of a tensor instruction once and runs
+//! its SIMD group in one go; `Core::step_reference` re-checks exhaustion and
+//! readiness before every element. The two must leave identical machines
+//! behind after every cycle. The property below throws random instructions
+//! at both — every `Op` × operand kind (contiguous / strided / accumulating
+//! memory, fabric, FIFO) × element type × lengths 0–9 × partly filled
+//! queues — including the shapes the batched path declines and hands to the
+//! per-element loop (operands sharing a DSR, a FIFO, or a fabric color) and
+//! the one it must get right itself (two DSRs over overlapping memory).
+
+use proptest::prelude::*;
+use wse_arch::dsr::Descriptor;
+use wse_arch::fifo::Fifo;
+use wse_arch::instr::{Op, Stmt, Task, TaskAction, TensorInstr};
+use wse_arch::types::{Dtype, Flit, NUM_COLORS};
+use wse_arch::{Core, Memory};
+use wse_float::F16;
+
+/// How the instruction's operands overlap.
+#[derive(Copy, Clone, Debug, PartialEq)]
+enum Alias {
+    /// Every operand has its own DSR, queue, and memory.
+    None,
+    /// Both sources name the same memory DSR (declined: the cursor moves
+    /// twice per element).
+    SameSourceDsr,
+    /// Both sources stream the same fabric color through two DSRs
+    /// (declined). Each element takes two flits after one readiness check,
+    /// so the program is only well-formed if flits arrive in pairs — which
+    /// is how these cases are fed.
+    SameColor,
+    /// Both sources drain the same FIFO through two DSRs (declined; filled
+    /// in pairs for the same reason).
+    SameSourceFifo,
+    /// The destination pushes into the FIFO the first source drains (declined).
+    FifoLoop,
+    /// The destination's memory is the first source's, one element on
+    /// (batched: element order must carry the recurrence).
+    ShiftedMemory,
+}
+
+const ALIASES: [Alias; 6] = [
+    Alias::None,
+    Alias::SameSourceDsr,
+    Alias::SameColor,
+    Alias::SameSourceFifo,
+    Alias::FifoLoop,
+    Alias::ShiftedMemory,
+];
+
+/// Operand kinds a case can ask for (fabric = in for sources, out for the
+/// destination).
+#[derive(Copy, Clone, Debug, PartialEq)]
+enum Kind {
+    Tensor,
+    StridedAccumulator,
+    Fabric,
+    Fifo,
+}
+
+const KINDS: [Kind; 4] = [Kind::Tensor, Kind::StridedAccumulator, Kind::Fabric, Kind::Fifo];
+
+const OPS: [Op; 12] = [
+    Op::Copy,
+    Op::Add,
+    Op::AddAssign,
+    Op::Mul,
+    Op::FmaAssign,
+    Op::Xpay { scalar: 1 },
+    Op::Axpy { scalar: 1 },
+    Op::Scale { scalar: 1 },
+    Op::MacReg { acc: 2 },
+    Op::SumReg { acc: 2 },
+    Op::StoreReg { reg: 1 },
+    Op::LoadReg { reg: 4 },
+];
+
+#[derive(Clone, Debug)]
+struct Case {
+    op: Op,
+    dtype: Dtype,
+    kinds: [Kind; 3],
+    lens: [u32; 3],
+    alias: Alias,
+    /// Flits waiting on the two source colors, FIFO elements queued, and
+    /// how often the environment drains the ramp-out.
+    queued: [usize; 2],
+    fifo_fill: u32,
+    drain_every: u64,
+    synchronous: bool,
+    seed: u64,
+}
+
+/// Colors of the two source streams and the destination stream.
+const COLORS: [u8; 3] = [3, 11, 20];
+
+fn value(dtype: Dtype, k: u64) -> u32 {
+    // A few dozen distinct, mostly inexact values; sums stay finite.
+    let v = ((k * 37 + 11) % 61) as f32 * 0.173 - 4.0;
+    match dtype {
+        Dtype::F16 => F16::from_f32(v).to_bits() as u32,
+        Dtype::F32 => v.to_bits(),
+    }
+}
+
+/// Builds the case's core and SRAM. Construction is deterministic, so two
+/// calls give two identical machines.
+fn build(case: &Case) -> (Core, Memory) {
+    let (mut core, mut mem) = (Core::new(), Memory::new());
+    let dtype = case.dtype;
+    let mut k = case.seed;
+    let mut fresh = |mem: &mut Memory, elems: u32| {
+        let addr = mem.alloc_vec(elems.max(1), dtype).unwrap();
+        for i in 0..elems {
+            k += 1;
+            mem.write_bits(addr + i * dtype.bytes(), dtype, value(dtype, k));
+        }
+        addr
+    };
+
+    let pushed = core.add_task(Task::new("pushed", vec![Stmt::SetReg { reg: 9, value: 1.0 }]));
+    let done = core.add_task(Task::new("done", vec![Stmt::SetReg { reg: 8, value: 1.0 }]));
+    // Data on the second source color also triggers a task, so a stale
+    // "pending data" bit would show.
+    let arrived = core.add_task(Task::new("arrived", vec![Stmt::SetReg { reg: 7, value: 1.0 }]));
+    core.bind_color(COLORS[1], arrived);
+    let new_fifo = |core: &mut Core, mem: &mut Memory, fill: u32| {
+        let capacity = 6;
+        let base = mem.alloc_vec(capacity, dtype).unwrap();
+        let mut fifo = Fifo::new(base, capacity, dtype, Some(pushed));
+        for i in 0..fill.min(capacity) {
+            mem.write_bits(
+                fifo.push_addr().unwrap(),
+                dtype,
+                value(dtype, case.seed + 100 + i as u64),
+            );
+            fifo.commit_push();
+        }
+        core.add_fifo(fifo)
+    };
+
+    // Which operands the op takes.
+    let writes = !matches!(case.op, Op::MacReg { .. } | Op::SumReg { .. } | Op::LoadReg { .. });
+    let present = [writes, case.op.num_srcs() >= 1, case.op.num_srcs() == 2];
+    let mut ids = [None; 3];
+    let mut fifo_of = [None; 3];
+    let mut base_of = [0u32; 3];
+    // Sources first, so the destination can alias them.
+    for slot in [1usize, 2, 0] {
+        if !present[slot] {
+            continue;
+        }
+        let len = case.lens[slot];
+        let mut kind = case.kinds[slot];
+        if slot == 0 && case.op.reads_dst() && matches!(kind, Kind::Fabric | Kind::Fifo) {
+            kind = Kind::Tensor; // read-modify-write needs memory
+        }
+        // Shape the operands the alias mode is about.
+        match (case.alias, slot) {
+            (Alias::SameSourceDsr, 1 | 2) if matches!(kind, Kind::Fabric | Kind::Fifo) => {
+                kind = Kind::StridedAccumulator
+            }
+            (Alias::SameColor, 1 | 2) => kind = Kind::Fabric,
+            (Alias::SameSourceFifo, 1 | 2) | (Alias::FifoLoop, 1) => kind = Kind::Fifo,
+            (Alias::FifoLoop, 0) if !case.op.reads_dst() => kind = Kind::Fifo,
+            (Alias::ShiftedMemory, 0 | 1) => kind = Kind::Tensor,
+            _ => {}
+        }
+        let desc = match kind {
+            Kind::Tensor => {
+                let addr = if case.alias == Alias::ShiftedMemory && slot == 0 && present[1] {
+                    base_of[1] + dtype.bytes()
+                } else {
+                    fresh(&mut mem, len + 1)
+                };
+                base_of[slot] = addr;
+                Descriptor::Mem { addr, len, stride: 1, dtype, rewind: true }
+            }
+            Kind::StridedAccumulator => {
+                let addr = fresh(&mut mem, 3 * len);
+                Descriptor::Mem { addr, len, stride: 3, dtype, rewind: false }
+            }
+            Kind::Fabric if slot == 0 => Descriptor::FabricOut { color: COLORS[2], len, dtype },
+            Kind::Fabric => {
+                let color =
+                    if case.alias == Alias::SameColor { COLORS[0] } else { COLORS[slot - 1] };
+                Descriptor::FabricIn { color, len, dtype }
+            }
+            Kind::Fifo => {
+                let shared = match (case.alias, slot) {
+                    (Alias::SameSourceFifo, 2) | (Alias::FifoLoop, 0) => fifo_of[1],
+                    _ => None,
+                };
+                let fifo = shared.unwrap_or_else(|| new_fifo(&mut core, &mut mem, case.fifo_fill));
+                fifo_of[slot] = Some(fifo);
+                Descriptor::Fifo { fifo }
+            }
+        };
+        ids[slot] = Some(core.add_dsr(desc));
+    }
+    if case.alias == Alias::SameSourceDsr && present[2] {
+        ids[2] = ids[1];
+    }
+    let instr = TensorInstr { op: case.op, dst: ids[0], a: ids[1], b: ids[2] };
+
+    // A second, plain instruction shares the datapath round-robin.
+    let side_src = fresh(&mut mem, 6);
+    let side_dst = fresh(&mut mem, 6);
+    let d_src =
+        core.add_dsr(Descriptor::Mem { addr: side_src, len: 6, stride: 1, dtype, rewind: true });
+    let d_dst =
+        core.add_dsr(Descriptor::Mem { addr: side_dst, len: 6, stride: 1, dtype, rewind: true });
+    let side = TensorInstr { op: Op::Copy, dst: Some(d_dst), a: Some(d_src), b: None };
+
+    let mut body = vec![
+        Stmt::SetReg { reg: 1, value: 0.625 },
+        Stmt::SetReg { reg: 2, value: -1.5 },
+        Stmt::Launch { slot: 6, instr: side, on_complete: None },
+    ];
+    if case.synchronous {
+        body.push(Stmt::Exec(instr));
+        body.push(Stmt::TaskCtl { task: done, action: TaskAction::Activate });
+    } else {
+        body.push(Stmt::Launch { slot: 2, instr, on_complete: Some((done, TaskAction::Activate)) });
+    }
+    let entry = core.add_task(Task::new("entry", body));
+    core.activate(entry);
+
+    for (color, &n) in COLORS.iter().zip(&case.queued) {
+        for i in 0..n {
+            let bits = value(dtype, case.seed + 200 + i as u64);
+            core.deliver(*color, Flit { bits, dtype });
+        }
+    }
+    (core, mem)
+}
+
+/// Everything observable about a core, in comparable form.
+fn observe(core: &Core) -> (Vec<u32>, Vec<String>, Vec<Vec<Flit>>, String) {
+    let regs = core.regs.iter().map(|r| r.to_bits()).collect();
+    let mut state = Vec::new();
+    for (id, d) in core.dsrs() {
+        state.push(format!("dsr {id}: pos {}", d.pos));
+    }
+    for (id, f) in core.fifos() {
+        state.push(format!(
+            "fifo {id}: len {} pop {:?} push {:?} total {} peak {}",
+            f.len(),
+            f.pop_addr(),
+            f.push_addr(),
+            f.total_pushed,
+            f.peak_occupancy
+        ));
+    }
+    for (id, _) in core.tasks() {
+        state.push(format!("task {id}: {} {}", core.task_activated(id), core.task_blocked(id)));
+    }
+    state.push(format!(
+        "threads {} task {:?} quiescent {} pending {}",
+        core.active_threads(),
+        core.current_task_name(),
+        core.is_quiescent(),
+        core.has_pending_bound_data()
+    ));
+    let queues = (0..NUM_COLORS as u8)
+        .flat_map(|c| [core.ramp_in(c).iter().collect(), core.ramp_out(c).iter().collect()])
+        .collect();
+    (regs, state, queues, format!("{:?}", core.perf))
+}
+
+/// Steps the case's two machines side by side, comparing after every cycle.
+fn run(case: &Case) -> Result<(), String> {
+    let (mut fast, mut fast_mem) = build(case);
+    let (mut slow, mut slow_mem) = build(case);
+    for cycle in 0..24u64 {
+        fast.step(&mut fast_mem);
+        slow.step_reference(&mut slow_mem);
+        // The environment: a router that drains the ramp-out now and then
+        // and trickles a flit into each source color.
+        for core in [&mut fast, &mut slow] {
+            if cycle % case.drain_every == 0 {
+                let mut budget = 4;
+                while let Some((_, flit)) = core.pop_ramp_out_ready(budget, |_| true) {
+                    budget -= flit.bytes();
+                }
+            }
+            for color in &COLORS[..2] {
+                if cycle % 3 == 1 && core.ramp_in_space(*color) >= 2 {
+                    for k in 0..2 {
+                        let bits = value(case.dtype, case.seed + 300 + 2 * cycle + k);
+                        core.deliver(*color, Flit { bits, dtype: case.dtype });
+                    }
+                }
+            }
+        }
+        if fast_mem.as_bytes() != slow_mem.as_bytes() {
+            return Err(format!("SRAM differs after cycle {cycle}"));
+        }
+        let (batched, per_element) = (observe(&fast), observe(&slow));
+        if batched != per_element {
+            return Err(format!(
+                "cores differ after cycle {cycle}\nbatched {batched:?}\nper-element {per_element:?}"
+            ));
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(768))]
+
+    #[test]
+    fn batched_datapath_matches_per_element(
+        shape in (0usize..12, 0usize..2, 0usize..4, 0usize..4, 0usize..4, 0usize..6),
+        lens in (0u32..10, 0u32..10, 0u32..10),
+        queues in (0usize..9, 0usize..9, 0u32..7, 1u64..5),
+        synchronous in 0u8..2,
+        seed in 0u64..1000,
+    ) {
+        let op = OPS[shape.0];
+        // The mixed-precision MAC is an fp16 instruction.
+        let dtype = if shape.1 == 0 || matches!(op, Op::MacReg { .. }) { Dtype::F16 } else { Dtype::F32 };
+        let case = Case {
+            op,
+            dtype,
+            kinds: [KINDS[shape.2], KINDS[shape.3], KINDS[shape.4]],
+            lens: [lens.0, lens.1, lens.2],
+            alias: ALIASES[shape.5],
+            // Paired sources are fed in pairs (see `Alias`).
+            queued: [if ALIASES[shape.5] == Alias::SameColor { queues.0 & !1 } else { queues.0 }, queues.1],
+            fifo_fill: if ALIASES[shape.5] == Alias::SameSourceFifo { queues.2 & !1 } else { queues.2 },
+            drain_every: queues.3,
+            synchronous: synchronous == 1,
+            seed,
+        };
+        let outcome = run(&case);
+        prop_assert!(outcome.is_ok(), "{}\n{:?}", outcome.unwrap_err(), case);
+    }
+}
+
+/// The aliasing shapes really do split the way the doc comment says: a
+/// shifted-memory recurrence is a prefix sum only if elements run in order.
+#[test]
+fn shifted_memory_recurrence_runs_in_element_order() {
+    let case = Case {
+        op: Op::Add,
+        dtype: Dtype::F32,
+        kinds: [Kind::Tensor; 3],
+        lens: [6, 6, 6],
+        alias: Alias::ShiftedMemory,
+        queued: [0, 0],
+        fifo_fill: 0,
+        drain_every: 1,
+        synchronous: true,
+        seed: 7,
+    };
+    let (mut core, mut mem) = build(&case);
+    let a = match core.dsr(0).desc {
+        Descriptor::Mem { addr, .. } => addr,
+        other => panic!("source a is {other:?}"),
+    };
+    let b = match core.dsr(1).desc {
+        Descriptor::Mem { addr, .. } => addr,
+        other => panic!("source b is {other:?}"),
+    };
+    let (a0, bs): (f32, Vec<f32>) =
+        (mem.read_f32(a), (0..6).map(|i| mem.read_f32(b + 4 * i)).collect());
+    for _ in 0..24 {
+        core.step(&mut mem);
+    }
+    // dst[i] = a[i] + b[i] with dst[i] == a[i + 1]: a running sum.
+    let mut sum = a0;
+    for (i, bi) in bs.iter().enumerate() {
+        sum += bi;
+        assert_eq!(mem.read_f32(a + 4 * (i as u32 + 1)), sum, "element {i}");
+    }
+}

@@ -10,15 +10,18 @@
 //! Coverage: randomized multi-stream wafer programs (proptest), the
 //! lint-fixture-style *broken* programs that wedge or idle forever (the
 //! activity set must not "optimize away" their stuck state), fault
-//! injection, and armed tracing.
+//! injection, armed tracing and sanitizing, the parallel (≥ 512 active
+//! tiles) paths, and the places router credits could go stale: a flit lost
+//! on the wire, a multi-color ramp-out with one color held, a whole tile
+//! replaced by `blit_region` mid-run.
 
 use proptest::prelude::*;
 use wse_arch::dsr::mk;
 use wse_arch::fault::{FaultKind, FaultPlan};
 use wse_arch::instr::{Op, Stmt, Task, TaskAction, TensorInstr};
 use wse_arch::trace::TraceConfig;
-use wse_arch::types::{Dtype, Port};
-use wse_arch::Fabric;
+use wse_arch::types::{Dtype, Flit, Port, NUM_COLORS};
+use wse_arch::{Fabric, Region};
 use wse_float::F16;
 
 /// Configures a Manhattan (x-then-y) route from `src` to `dst` on `color`.
@@ -86,13 +89,7 @@ fn install_stream(
 fn assert_same_state(a: &Fabric, b: &Fabric, ctx: &str) {
     assert_eq!(a.cycle(), b.cycle(), "{ctx}: cycle");
     let (pa, pb) = (a.perf(), b.perf());
-    assert_eq!(pa.flops_f16, pb.flops_f16, "{ctx}: flops_f16");
-    assert_eq!(pa.flops_f32, pb.flops_f32, "{ctx}: flops_f32");
-    assert_eq!(pa.busy_cycles, pb.busy_cycles, "{ctx}: busy_cycles");
-    assert_eq!(pa.idle_cycles, pb.idle_cycles, "{ctx}: idle_cycles");
-    assert_eq!(pa.flits_routed, pb.flits_routed, "{ctx}: flits_routed");
-    assert_eq!(pa.ctrl_stmts, pb.ctrl_stmts, "{ctx}: ctrl_stmts");
-    assert_eq!(pa.backpressure, pb.backpressure, "{ctx}: backpressure");
+    assert_eq!(pa, pb, "{ctx}: perf");
     for y in 0..a.height() {
         for x in 0..a.width() {
             let (ta, tb) = (a.tile(x, y), b.tile(x, y));
@@ -118,6 +115,21 @@ fn assert_same_state(a: &Fabric, b: &Fabric, ctx: &str) {
                 tb.core.is_quiescent(),
                 "{ctx}: core quiescence of tile ({x},{y})"
             );
+            for c in 0..NUM_COLORS as u8 {
+                let flits = |q: &wse_arch::types::Ring| q.iter().collect::<Vec<Flit>>();
+                assert_eq!(
+                    (flits(ta.core.ramp_in(c)), flits(ta.core.ramp_out(c))),
+                    (flits(tb.core.ramp_in(c)), flits(tb.core.ramp_out(c))),
+                    "{ctx}: ramp queues of tile ({x},{y}) color {c}"
+                );
+                for p in Port::ALL {
+                    assert_eq!(
+                        ta.router.space(p, c),
+                        tb.router.space(p, c),
+                        "{ctx}: router queue {p:?}/{c} of tile ({x},{y})"
+                    );
+                }
+            }
         }
     }
 }
@@ -129,6 +141,13 @@ fn lockstep(build: impl Fn() -> Fabric, cycles: u64) -> (Fabric, Fabric) {
     let mut opt = build();
     let mut reference = build();
     reference.use_reference_stepper(true);
+    drive(&mut opt, &mut reference, cycles);
+    (opt, reference)
+}
+
+/// Steps an (optimized, reference-pinned) pair `cycles` cycles: quiescence
+/// and every perf counter compared each cycle, the whole machine at the end.
+fn drive(opt: &mut Fabric, reference: &mut Fabric, cycles: u64) {
     for c in 0..cycles {
         assert_eq!(
             opt.is_quiescent(),
@@ -137,10 +156,10 @@ fn lockstep(build: impl Fn() -> Fabric, cycles: u64) -> (Fabric, Fabric) {
         );
         opt.step();
         reference.step();
+        assert_eq!(opt.perf(), reference.perf(), "perf diverged in cycle {c}");
     }
-    assert_same_state(&opt, &reference, "after lockstep");
+    assert_same_state(opt, reference, "after lockstep");
     assert_eq!(opt.is_quiescent(), reference.is_quiescent(), "final quiescence");
-    (opt, reference)
 }
 
 proptest! {
@@ -397,4 +416,222 @@ fn mid_run_mutation_reactivates_tiles() {
     let cb = reference.run_until_quiescent(10_000).unwrap();
     assert_eq!(ca, cb, "the late program must run identically");
     assert_same_state(&opt, &reference, "after late program");
+}
+
+/// A receiver that sits on its hands for ~`busy / 4` cycles (a long local
+/// copy) before it starts consuming `n` fp16 words from `color` — so the
+/// path behind it fills to capacity and backpressures first.
+fn install_late_receiver(f: &mut Fabric, at: (usize, usize), color: u8, n: u32, busy: u32) {
+    let t = f.tile_mut(at.0, at.1);
+    let scratch = t.mem.alloc_vec(2 * busy, Dtype::F16).unwrap();
+    let d_from = t.core.add_dsr(mk::tensor16(scratch, busy));
+    let d_to = t.core.add_dsr(mk::tensor16(scratch + 2 * busy, busy));
+    let out = t.mem.alloc_vec(n, Dtype::F16).unwrap();
+    let d_rx = t.core.add_dsr(mk::rx16(color, n));
+    let d_out = t.core.add_dsr(mk::tensor16(out, n));
+    let task = t.core.add_task(Task::new(
+        "late-recv",
+        vec![
+            Stmt::Exec(TensorInstr { op: Op::Copy, dst: Some(d_to), a: Some(d_from), b: None }),
+            Stmt::Exec(TensorInstr { op: Op::Copy, dst: Some(d_out), a: Some(d_rx), b: None }),
+        ],
+    ));
+    t.core.activate(task);
+}
+
+/// Installs a sender streaming `data` on `color` from `src` (no receiver).
+fn install_sender(f: &mut Fabric, src: (usize, usize), color: u8, data: &[F16], slot: u8) -> usize {
+    let n = data.len() as u32;
+    let t = f.tile_mut(src.0, src.1);
+    let addr = t.mem.alloc_vec(n, Dtype::F16).unwrap();
+    t.mem.store_f16_slice(addr, data);
+    let dsrc = t.core.add_dsr(mk::tensor16(addr, n));
+    let dtx = t.core.add_dsr(mk::tx16(color, n));
+    let task = t.core.add_task(Task::new(
+        "send",
+        vec![Stmt::Launch {
+            slot,
+            instr: TensorInstr { op: Op::Copy, dst: Some(dtx), a: Some(dsrc), b: None },
+            on_complete: None,
+        }],
+    ));
+    t.core.activate(task);
+    task
+}
+
+#[test]
+fn a_flit_lost_on_the_wire_keeps_the_link_at_full_depth() {
+    // A long stream into a receiver that starts late: every queue on the
+    // path fills to its eight slots and the sender stalls on credits. One
+    // flit is dropped on the second link early on, as the middle router
+    // forwards it. The queue it was headed for never saw it, so that router
+    // must get the credit it spent back, and the slot the flit vacated must
+    // still be credited to the router upstream — a credit leaked either way
+    // would cap a link at seven in flight and shift every later
+    // backpressure cycle.
+    let data: Vec<F16> = (0..96).map(|i| F16::from_f64((i % 13) as f64 * 0.5)).collect();
+    let build = || {
+        let mut f = Fabric::new(3, 1);
+        route_xy(&mut f, (0, 0), (2, 0), 4);
+        install_sender(&mut f, (0, 0), 4, &data, 0);
+        install_late_receiver(&mut f, (2, 0), 4, 96, 320);
+        f.arm_faults(
+            &FaultPlan::new().with(6, FaultKind::LinkDrop { x: 1, y: 0, port: Port::East }),
+        );
+        f
+    };
+    let (opt, _) = lockstep(build, 400);
+    assert_eq!(opt.fault_log().unwrap().dropped_flits, 1);
+    assert!(opt.perf().backpressure_total() > 50, "the path must have backed up");
+    assert_eq!(opt.tile(1, 0).router.queued(), 0, "everything that survived was delivered");
+}
+
+#[test]
+fn held_color_does_not_block_the_other_ramp_out_colors() {
+    // One core streams on three colors at once. Color 6 runs into a tile
+    // with no route for it and wedges after 16 words (8 in the downstream
+    // queue, 8 in the core's own); colors 5 and 7 keep flowing, east and
+    // south, sharing the ramp round-robin with the held color skipped.
+    let data: Vec<F16> = (0..40).map(|i| F16::from_f64((i % 11) as f64 * 0.25)).collect();
+    let build = || {
+        let mut f = Fabric::new(2, 2);
+        route_xy(&mut f, (0, 0), (1, 0), 5);
+        f.set_route(0, 0, Port::Ramp, 6, &[Port::East]); // (1,0) has no route for it
+        route_xy(&mut f, (0, 0), (0, 1), 7);
+        for (slot, color) in [(0, 5), (1, 6), (2, 7)] {
+            install_sender(&mut f, (0, 0), color, &data, slot);
+        }
+        install_late_receiver(&mut f, (1, 0), 5, 40, 64);
+        install_late_receiver(&mut f, (0, 1), 7, 40, 8);
+        f
+    };
+    let (opt, _) = lockstep(build, 300);
+    assert!(!opt.is_quiescent(), "color 6 stays wedged");
+    assert_eq!(opt.tile(0, 0).core.ramp_out(6).len(), 8, "held color keeps its own queue full");
+    assert_eq!(opt.tile(0, 0).core.ramp_out_len(), 8, "the other two colors drained");
+    assert_eq!(opt.tile(1, 0).core.ramp_in_residue() + opt.tile(0, 1).core.ramp_in_residue(), 0);
+}
+
+#[test]
+fn sanitizer_armed_runs_step_identically() {
+    // Armed, every tensor instruction takes the per-element path (shadow
+    // marks are per access) inside the activity-driven stepper; the run
+    // must match both the reference and the disarmed run, and both steppers
+    // must report the same observations.
+    let data: Vec<F16> = (0..24).map(|i| F16::from_f64((i % 5) as f64)).collect();
+    let build = |armed: bool| {
+        let mut f = Fabric::new(3, 2);
+        route_xy(&mut f, (0, 0), (2, 1), 2);
+        install_stream(&mut f, (0, 0), (2, 1), 2, &data);
+        route_xy(&mut f, (2, 0), (0, 1), 9);
+        install_stream(&mut f, (2, 0), (0, 1), 9, &data);
+        // A receive nothing ever feeds: a growing channel-wait streak.
+        let t = f.tile_mut(1, 0);
+        let d_rx = t.core.add_dsr(mk::rx16(13, 1));
+        let starved = t.core.add_task(Task::new(
+            "starved",
+            vec![Stmt::Exec(TensorInstr {
+                op: Op::LoadReg { reg: 3 },
+                dst: None,
+                a: Some(d_rx),
+                b: None,
+            })],
+        ));
+        t.core.activate(starved);
+        if armed {
+            f.arm_sanitizer();
+        }
+        f
+    };
+    let (mut opt, mut reference) = lockstep(|| build(true), 150);
+    let (ra, rb) = (opt.take_sanitizer().unwrap(), reference.take_sanitizer().unwrap());
+    assert_eq!(ra.cycles, rb.cycles);
+    assert_eq!(ra.total_trips(), rb.total_trips());
+    assert_eq!(ra.longest_channel_wait(), rb.longest_channel_wait());
+    assert!(ra
+        .longest_channel_wait()
+        .is_some_and(|(x, y, c, n)| (x, y, c) == (1, 0, 13) && n > 100));
+    for (a, b) in ra.tiles.iter().zip(&rb.tiles) {
+        assert_eq!(a.chan_wait, b.chan_wait, "tile ({},{})", a.x, a.y);
+    }
+    // Armed and disarmed runs are the same machine, cycle for cycle.
+    let mut plain = build(false);
+    let mut armed = build(true);
+    for _ in 0..150 {
+        plain.step();
+        armed.step();
+    }
+    assert_same_state(&plain, &armed, "armed vs disarmed");
+}
+
+#[test]
+fn blit_over_a_stepped_fabric_steps_identically() {
+    // (0,0) streams east into a tile with no route for the color: the
+    // stream wedges with (1,0)'s West queue full. Then a template with
+    // *different* routes — West/3 now reaches the core, and there is a
+    // receiver — is blitted over (1,0). The whole tile is replaced, queues
+    // included, so everything derived from it (the credits (0,0) holds for
+    // that queue above all) must be re-derived before the next step; the
+    // stream then resumes, identically under both steppers.
+    let data: Vec<F16> = (0..32).map(|i| F16::from_f64(i as f64 * 0.25)).collect();
+    let build = || {
+        let mut f = Fabric::new(2, 1);
+        f.set_route(0, 0, Port::Ramp, 3, &[Port::East]);
+        install_sender(&mut f, (0, 0), 3, &data, 0);
+        f
+    };
+    let (mut opt, mut reference) = lockstep(build, 80);
+    assert_eq!(opt.tile(1, 0).router.space(Port::West, 3), 0, "wedged on a full queue");
+
+    let mut template = Fabric::new(1, 1);
+    template.set_route(0, 0, Port::West, 3, &[Port::Ramp]);
+    let t = template.tile_mut(0, 0);
+    let out = t.mem.alloc_vec(24, Dtype::F16).unwrap();
+    let d_rx = t.core.add_dsr(mk::rx16(3, 24));
+    let d_out = t.core.add_dsr(mk::tensor16(out, 24));
+    let recv = t.core.add_task(Task::new(
+        "recv",
+        vec![Stmt::Exec(TensorInstr { op: Op::Copy, dst: Some(d_out), a: Some(d_rx), b: None })],
+    ));
+    for f in [&mut opt, &mut reference] {
+        f.blit_region(Region::new(1, 0, 1, 1), &template);
+        f.tile_mut(1, 0).core.activate(recv);
+    }
+    drive(&mut opt, &mut reference, 120);
+    // The eight words in the replaced queue are gone; the other 24 arrive.
+    assert!(opt.is_quiescent(), "the stream must resume and finish");
+    assert_eq!(opt.tile(1, 0).mem.load_f16_slice(out, 24), data[8..]);
+}
+
+#[test]
+fn parallel_paths_step_identically() {
+    // 24×24 tiles, all but the last two columns streaming two hops east on
+    // three interleaved colors into receivers that start late: more than
+    // 512 tiles are active and staging at once, so phases 1–4 take their
+    // parallel paths — including the delivery phase's pull of arrivals and
+    // returned credits — and every path fills up and runs out of credits
+    // before it drains.
+    let (w, h) = (24usize, 24usize);
+    let data: Vec<F16> = (0..48).map(|i| F16::from_f64((i % 7) as f64 * 0.5)).collect();
+    let build = || {
+        let mut f = Fabric::new(w, h);
+        // Senders first, so every tile's send task is scheduled ahead of
+        // its (long) receive task and all streams start together.
+        for y in 0..h {
+            for x in 0..w - 2 {
+                let color = (x % 3) as u8;
+                route_xy(&mut f, (x, y), (x + 2, y), color);
+                install_sender(&mut f, (x, y), color, &data, 0);
+            }
+        }
+        for y in 0..h {
+            for x in 0..w - 2 {
+                install_late_receiver(&mut f, (x + 2, y), (x % 3) as u8, 48, 160);
+            }
+        }
+        f
+    };
+    let (opt, _) = lockstep(build, 200);
+    assert!(opt.perf().backpressure_total() > 10_000, "every path must have backed up");
+    assert!(opt.is_quiescent(), "all streams must have landed");
 }

@@ -50,7 +50,7 @@ use crate::transport::{frame_checksum, Frame, TransportState};
 use rayon::prelude::*;
 use std::collections::VecDeque;
 use stencil::decomp::split_even;
-use wse_arch::fabric::{Fabric, StallReport};
+use wse_arch::fabric::{Fabric, StallReport, PAR_TILE_THRESHOLD};
 use wse_arch::fault::{FaultKind, FaultLog, FaultPlan, FaultRecord};
 use wse_arch::types::{Color, Flit, Port};
 
@@ -597,8 +597,22 @@ impl MultiFabric {
         }
     }
 
-    /// One linked ensemble cycle: grant seam credits, step every wafer
-    /// (in parallel), drain seam egress onto the link, deliver arrivals.
+    /// Steps every wafer one cycle. Wafers are independent within a cycle
+    /// (seams exchange between cycles), so the order is immaterial; they go
+    /// to threads only when the ensemble is large enough to repay a spawn
+    /// per wafer per cycle — the threshold `wse-arch` applies to its own
+    /// per-phase loops.
+    fn step_shards(&mut self) {
+        let tiles: usize = self.shards.iter().map(|f| f.width() * f.height()).sum();
+        if tiles < PAR_TILE_THRESHOLD {
+            self.shards.iter_mut().for_each(Fabric::step);
+        } else {
+            self.shards.par_iter_mut().for_each(Fabric::step);
+        }
+    }
+
+    /// One linked ensemble cycle: grant seam credits, step every wafer,
+    /// drain seam egress onto the link, deliver arrivals.
     ///
     /// Under [`HostLink::ideal`], credits mirror the remote input queue's
     /// start-of-cycle space and drained flits are injected immediately —
@@ -626,7 +640,7 @@ impl MultiFabric {
             self.shards[c.src].set_edge_credits(c.sx, c.sy, c.sport, c.color, credits);
         }
 
-        self.shards.par_iter_mut().for_each(Fabric::step);
+        self.step_shards();
         let now = self.shards[0].cycle();
         debug_assert!(
             self.shards.iter().all(|f| f.cycle() == now),
@@ -674,7 +688,7 @@ impl MultiFabric {
     }
 
     /// [`MultiFabric::step_linked`] with the reliable transport armed:
-    /// the same credit grant, parallel step, and serialization model,
+    /// the same credit grant, wafer step, and serialization model,
     /// plus framing / ack / retransmit bookkeeping and fault application.
     ///
     /// With no fault due, this path is cycle-identical to the disarmed
@@ -779,7 +793,7 @@ impl MultiFabric {
             self.shards[c.src].set_edge_credits(c.sx, c.sy, c.sport, c.color, credits);
         }
 
-        self.shards.par_iter_mut().for_each(Fabric::step);
+        self.step_shards();
         let now = self.shards[0].cycle();
         debug_assert!(
             self.shards.iter().all(|f| f.cycle() == now),

@@ -138,4 +138,22 @@ echo "== e2e-bench tests (standalone benchmark crate) =="
 # it: this stage is what notices a wse-core API change that breaks it.
 cargo test --release --offline --manifest-path e2e-bench/Cargo.toml
 
+echo "== e2e-bench dense counters (a host-only change must not move them) =="
+# Host timings differ run to run, so this is not a smoke_twice; the
+# simulated side of solve3d-dense repeats exactly, and a stepper change that
+# claims only host time has to leave every one of these lines as it is.
+cargo run --release --offline --quiet --manifest-path e2e-bench/Cargo.toml -- \
+  --workload solve3d-dense --seconds 3 > "$smoke_out"
+for line in "op_sim_cycles 7185 cycles" \
+            "wse-arch.flops_f16 1253376 count" \
+            "wse-arch.flits_routed 303446 count" \
+            "wse-arch.backpressure_cycles 167595 cycles" \
+            "ops_failed 0 count"; do
+  grep -qx "solve3d-dense $line" "$smoke_out" || {
+    echo "solve3d-dense: expected '$line', got:"
+    grep "^solve3d-dense ${line%% *} " "$smoke_out" || echo "(no such metric)"
+    exit 1
+  }
+done
+
 echo "verify: OK"
