@@ -210,7 +210,13 @@ impl WaferBicgstab {
                 if let Some(t) = reduce_both {
                     tasks[Slot::ReduceBoth] = t;
                 }
-                let host = Vecs { x: vecs.x, r: vecs.r, r0: vecs.r0, p: vecs.p_pad + 2, q: 0 };
+                let host = Vecs {
+                    x: vecs.x,
+                    r: vecs.r,
+                    r0: vecs.r0,
+                    p: vecs.p_pad + 2,
+                    ..Vecs::default()
+                };
                 tiles.push((tasks, host));
             }
         }

@@ -170,7 +170,7 @@ impl WaferBicgstab2d {
                     r0: tile.mem.alloc_vec(n, Dtype::F16).expect("SRAM: r0"),
                     x: tile.mem.alloc_vec(n, Dtype::F16).expect("SRAM: x"),
                     p: lp.v,
-                    q: 0,
+                    ..Vecs::default()
                 };
 
                 // The 2D SpMV's halo exchange happens inside its task

@@ -124,7 +124,7 @@ impl WaferCg {
                         (src_pad + 2, p, q)
                     }
                 };
-                let vecs = Vecs { x: x_vec, r, r0: 0, p, q };
+                let vecs = Vecs { x: x_vec, r, p, q, ..Vecs::default() };
 
                 let coeffs = tile_coefficients(a, x, y);
                 let layout = SpmvLayout { z, diag, vpad: src_pad, u: av };

@@ -10,15 +10,16 @@
 //!
 //! * a recurrence is **data** — a [`Recurrence`] of `&'static [Step]`
 //!   tables ([`BICGSTAB`], [`BICGSTAB_FUSED`], [`BICGSTAB_BLOCK`],
-//!   [`CG`], [`CG_SINGLE`]);
+//!   [`CG`], [`CG_SINGLE`], and the ensemble's [`BICGSTAB_SINGLE`]);
 //! * a built solver is **data** — a [`Program`]: tile region and origin,
 //!   a per-tile task table indexed by [`Slot`], the vector addresses the
 //!   host scatters into and gathers from, and the mesh layout (one
 //!   z-column or one 2D block per tile);
-//! * one interpreter runs any table on any [`WaferExec`], and the
-//!   four-method [`Krylov`] trait gives every driver — the [`Program`]s
-//!   and the multi-wafer [`crate::multi::WaferBicgstabMulti`] — the same
-//!   `solve` and `solve_with_recovery` loops.
+//! * one interpreter runs any table on any [`WaferExec`]; the multi-wafer
+//!   [`crate::multi::WaferBicgstabMulti`] is a [`Program`] too, walked by
+//!   one ensemble interpreter that gives the SpMV and reduction steps
+//!   their seam-crossing meaning; and the four-method [`Krylov`] trait
+//!   gives both the same `solve` and `solve_with_recovery` loops.
 //!
 //! What stays per layout is program *construction* (SRAM allocation and
 //! task emission in [`crate::bicgstab`], [`crate::bicgstab2d`],
@@ -39,7 +40,7 @@ use stencil::mesh::Mesh2D;
 use wse_arch::fabric::StallReport;
 use wse_arch::types::{Reg, TaskId};
 use wse_float::F16;
-use Phase::{Dot, Scalar, Spmv, Update};
+use Phase::{Dot, Scalar, Update};
 use Step::{Reduce, ReduceBoth};
 
 /// The kind of work a step does: its trace-phase name and the
@@ -131,12 +132,31 @@ impl SolveStats {
     }
 }
 
-/// A per-tile task role. A [`Program`] maps each slot its recurrence uses
-/// to the task the layout's builder emitted for it.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Slot {
-    /// The Fig. 6 AllReduce of `AR_IN` into `AR_OUT`.
+/// Declares [`Slot`] together with [`Slot::ALL`], so the per-tile table
+/// ([`Tasks`]) is sized by the enum itself: a slot appended here can never
+/// index past the end of a table sized by some earlier "last" variant.
+macro_rules! slots {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// A per-tile task role. A [`Program`] maps each slot its recurrence
+        /// uses to the task the layout's builder emitted for it.
+        #[derive(Copy, Clone, Debug, PartialEq, Eq)]
+        pub enum Slot {
+            $($(#[$doc])* $name,)*
+        }
+
+        impl Slot {
+            /// Every slot, in declaration (= table index) order.
+            pub const ALL: &'static [Slot] = &[$(Slot::$name,)*];
+        }
+    };
+}
+
+slots! {
+    /// The Fig. 6 AllReduce of `AR_IN` into `AR_OUT`; on an ensemble, its
+    /// on-wafer reduce half.
     Reduce,
+    /// Ensembles: the broadcast half, run once the host has replied.
+    Bcast,
     /// Both reduction networks concurrently (`AR_IN2` into `AR_OUT2` too).
     ReduceBoth,
     /// `s := A p`.
@@ -199,6 +219,20 @@ pub enum Slot {
     CgUpdP,
     /// Single-reduction CG: the p, q, x, r recurrences in one task.
     CgUpdAll,
+    /// Single-reduction ensemble BiCGStab: `v := A r`.
+    SpmvRv,
+    /// Single-reduction ensemble BiCGStab: `zv := A s`.
+    SpmvSzv,
+    /// `p := r + β (p − ω s)` in one task.
+    UpdP,
+    /// `s := v + β t`, with `t = s − ω·zv` carried from the last iteration.
+    UpdS,
+    /// All fourteen dots of one iteration, stored to the fp32 payload.
+    Dots14,
+    /// `q := r − α s;  x += α p + ω q`.
+    UpdXq,
+    /// `r := q − ω v + αω·zv;  t := s − ω·zv`.
+    UpdRt,
 }
 
 /// One tile's tasks by [`Slot`]. Slots the program's recurrence never
@@ -207,7 +241,7 @@ pub enum Slot {
 pub(crate) struct Tasks([TaskId; Tasks::SLOTS]);
 
 impl Tasks {
-    const SLOTS: usize = Slot::CgUpdAll as usize + 1;
+    const SLOTS: usize = Slot::ALL.len();
 
     /// A table with every slot unset.
     pub(crate) fn new() -> Tasks {
@@ -246,8 +280,15 @@ pub(crate) struct Vecs {
     pub(crate) r0: u32,
     /// Search direction.
     pub(crate) p: u32,
-    /// `q = A p` recurrence vector (single-reduction CG).
+    /// `q = A p` recurrence vector (single-reduction CG); the scratch
+    /// `q = r − α s` of the single-reduction ensemble BiCGStab.
     pub(crate) q: u32,
+    /// `s` (single-reduction ensemble BiCGStab).
+    pub(crate) s: u32,
+    /// `v = A r` (single-reduction ensemble BiCGStab).
+    pub(crate) v: u32,
+    /// `zv = A s` (single-reduction ensemble BiCGStab).
+    pub(crate) zv: u32,
 }
 
 /// One step of a recurrence.
@@ -261,10 +302,26 @@ pub enum Step {
         /// The task role to activate.
         slot: Slot,
     },
-    /// One AllReduce round ([`Slot::Reduce`]).
+    /// One SpMV, trace phase `spmv`: `slot`'s task on every tile. On an
+    /// ensemble the step is one seam window ([`crate::multi`]): the halo
+    /// of the SpMV's source rides along, and `with` names an independent
+    /// core-local task co-scheduled into the window to widen the compute
+    /// the wire latency hides behind.
+    Spmv {
+        /// The SpMV entry task.
+        slot: Slot,
+        /// The co-scheduled task, if any.
+        with: Option<Slot>,
+    },
+    /// One AllReduce round ([`Slot::Reduce`]). On an ensemble: on-wafer
+    /// reduce, binomial host combine, the recurrence's
+    /// [`derive`](Recurrence::derive), broadcast of its reply.
     Reduce,
     /// Both reduction networks in one round ([`Slot::ReduceBoth`]).
     ReduceBoth,
+    /// Ensembles only: on-wafer reduce and host combine, nothing sent
+    /// back — the tiles' registers stay untouched.
+    ReduceToHost,
     /// The host copies core register `src` to `dst` on every tile.
     CopyReg {
         /// Destination register.
@@ -280,40 +337,75 @@ pub struct Recurrence {
     /// Which of [`Vecs`] start as the tile's slice of `b`, and which as
     /// zero (`x` always does).
     init: fn(&Vecs) -> (Vec<u32>, Vec<u32>),
+    /// Registers `load_rhs` presets on every tile, and their value.
+    presets: (&'static [Reg], f32),
     /// Seeds the carried scalar (ρ₀ / γ₀) after the scatter.
     pub(crate) seed: &'static [Step],
     /// Iteration 0, where it differs from the steady state.
     first: Option<&'static [Step]>,
     /// One steady-state iteration.
     pub(crate) iter: &'static [Step],
-    /// Leaves ‖r‖² in the given register of every tile; `None` makes the
-    /// host read `r` back and sum in f64 instead.
-    pub(crate) norm: Option<(&'static [Step], Reg)>,
+    /// How ‖r‖² is obtained.
+    pub(crate) norm: Norm,
+    /// What an ensemble's host sends back down in a [`Step::Reduce`], as
+    /// a pure function of the combined lanes: the identity, except where
+    /// the host derives the iteration's scalars. (A single wafer's
+    /// reduction never leaves the fabric.)
+    pub(crate) derive: fn(&[f32]) -> Vec<f32>,
+}
+
+impl Recurrence {
+    /// The SpMVs of one steady-state iteration, in order: `(slot, with)`
+    /// of each [`Step::Spmv`].
+    pub(crate) fn spmv_windows(&self) -> impl Iterator<Item = (Slot, Option<Slot>)> {
+        self.iter.iter().filter_map(|step| match *step {
+            Step::Spmv { slot, with } => Some((slot, with)),
+            _ => None,
+        })
+    }
+}
+
+/// How a recurrence's ‖r‖² is obtained.
+pub(crate) enum Norm {
+    /// The host reads `r` back and sums in f64.
+    ReadBack,
+    /// The steps leave ‖r‖² in the given register of every tile.
+    InReg(&'static [Step], Reg),
+    /// The steps end in [`Step::ReduceToHost`]: ‖r‖² is lane 0 of the
+    /// host's combine.
+    AtHost(&'static [Step]),
 }
 
 const fn run(phase: Phase, slot: Slot) -> Step {
     Step::Run { phase, slot }
 }
 
+const fn spmv(slot: Slot) -> Step {
+    Step::Spmv { slot, with: None }
+}
+
+/// The breakdown guard every coefficient task divides through.
+const EPS_PRESET: (&[Reg], f32) = (&[regs::EPS], 1e-30);
+
 fn bicgstab_init(v: &Vecs) -> (Vec<u32>, Vec<u32>) {
     (vec![v.r, v.r0, v.p], vec![v.x])
 }
 
 const BICGSTAB_SEED: &[Step] = &[run(Dot, Slot::DotRho), Reduce, run(Scalar, Slot::InitRho)];
-const BICGSTAB_NORM: Option<(&[Step], Reg)> =
-    Some((&[run(Dot, Slot::DotRr), Reduce, run(Scalar, Slot::PostRr)], regs::RR));
+const BICGSTAB_NORM: Norm =
+    Norm::InReg(&[run(Dot, Slot::DotRr), Reduce, run(Scalar, Slot::PostRr)], regs::RR);
 
 /// One z-column BiCGStab iteration; the last step is the second half of
 /// the p-update.
 const BICGSTAB_ITER: &[Step] = &[
     // s := A p;  α := ρ / (r̂₀, s);  q := r − α s
-    run(Spmv, Slot::SpmvPs),
+    spmv(Slot::SpmvPs),
     run(Dot, Slot::DotR0s),
     Reduce,
     run(Scalar, Slot::PostR0s),
     run(Update, Slot::UpdQ),
     // y := A q;  ω := (q, y) / (y, y)
-    run(Spmv, Slot::SpmvQy),
+    spmv(Slot::SpmvQy),
     run(Dot, Slot::DotQy),
     Reduce,
     run(Scalar, Slot::PostQy),
@@ -334,25 +426,28 @@ const BICGSTAB_ITER: &[Step] = &[
 /// Table I's BiCGStab: 2 SpMV, 4 dot + AllReduce, 6 AXPY.
 pub static BICGSTAB: Recurrence = Recurrence {
     init: bicgstab_init,
+    presets: EPS_PRESET,
     seed: BICGSTAB_SEED,
     first: None,
     iter: BICGSTAB_ITER,
     norm: BICGSTAB_NORM,
+    derive: <[f32]>::to_vec,
 };
 
 /// [`BICGSTAB`] with the ω-step's two inner products reduced concurrently
 /// over two virtual-channel networks: three blocking rounds instead of four.
 pub static BICGSTAB_FUSED: Recurrence = Recurrence {
     init: bicgstab_init,
+    presets: EPS_PRESET,
     seed: BICGSTAB_SEED,
     first: None,
     iter: &[
-        run(Spmv, Slot::SpmvPs),
+        spmv(Slot::SpmvPs),
         run(Dot, Slot::DotR0s),
         Reduce,
         run(Scalar, Slot::PostR0s),
         run(Update, Slot::UpdQ),
-        run(Spmv, Slot::SpmvQy),
+        spmv(Slot::SpmvQy),
         run(Dot, Slot::DotQyYy),
         ReduceBoth,
         run(Scalar, Slot::PostOmegaFused),
@@ -365,6 +460,7 @@ pub static BICGSTAB_FUSED: Recurrence = Recurrence {
         run(Update, Slot::UpdP2),
     ],
     norm: BICGSTAB_NORM,
+    derive: <[f32]>::to_vec,
 };
 
 /// [`BICGSTAB`] on the 2D block mapping, whose row-wise p-update is one
@@ -372,15 +468,18 @@ pub static BICGSTAB_FUSED: Recurrence = Recurrence {
 /// step.
 pub static BICGSTAB_BLOCK: Recurrence = Recurrence {
     init: bicgstab_init,
+    presets: EPS_PRESET,
     seed: BICGSTAB_SEED,
     first: None,
     iter: BICGSTAB_ITER.split_at(BICGSTAB_ITER.len() - 1).0,
     norm: BICGSTAB_NORM,
+    derive: <[f32]>::to_vec,
 };
 
 /// Textbook CG: two blocking reduction rounds per iteration.
 pub static CG: Recurrence = Recurrence {
     init: |v| (vec![v.r, v.p], vec![v.x]),
+    presets: EPS_PRESET,
     // γ₀ = (r, r), moved into place by the host.
     seed: &[
         run(Dot, Slot::DotRr),
@@ -390,7 +489,7 @@ pub static CG: Recurrence = Recurrence {
     first: None,
     iter: &[
         // q = A p;  α from (p, q);  x += α p, r −= α q
-        run(Spmv, Slot::CgSpmv),
+        spmv(Slot::CgSpmv),
         run(Dot, Slot::CgDotPq),
         Reduce,
         run(Scalar, Slot::CgAlpha),
@@ -401,7 +500,8 @@ pub static CG: Recurrence = Recurrence {
         run(Scalar, Slot::CgBeta),
         run(Update, Slot::CgUpdP),
     ],
-    norm: None,
+    norm: Norm::ReadBack,
+    derive: <[f32]>::to_vec,
 };
 
 /// Chronopoulos–Gear CG: `γ = (r, r)` and `δ = (r, A r)` reduce together
@@ -409,22 +509,88 @@ pub static CG: Recurrence = Recurrence {
 /// β = 0 coefficient path.
 pub static CG_SINGLE: Recurrence = Recurrence {
     init: |v| (vec![v.r, v.p], vec![v.x, v.q]),
+    presets: EPS_PRESET,
     seed: &[],
     first: Some(&[
-        run(Spmv, Slot::CgSpmv),
+        spmv(Slot::CgSpmv),
         run(Dot, Slot::CgDotGammaDelta),
         ReduceBoth,
         run(Scalar, Slot::CgInit),
         run(Update, Slot::CgUpdAll),
     ]),
     iter: &[
-        run(Spmv, Slot::CgSpmv),
+        spmv(Slot::CgSpmv),
         run(Dot, Slot::CgDotGammaDelta),
         ReduceBoth,
         run(Scalar, Slot::CgFused),
         run(Update, Slot::CgUpdAll),
     ],
-    norm: None,
+    norm: Norm::ReadBack,
+    derive: <[f32]>::to_vec,
+};
+
+/// Broadcast reply registers of [`BICGSTAB_SINGLE`], in host write /
+/// chain stream order: `[α, −α, ω, −ω, αω, β, ‖r_new‖²]`.
+pub(crate) const BC_REGS: [Reg; 7] = [
+    regs::ALPHA,
+    regs::NEG_ALPHA,
+    regs::OMEGA,
+    regs::NEG_OMEGA,
+    regs::ALPHA_OMEGA,
+    regs::BETA,
+    regs::RR,
+];
+
+/// Every scalar the rest of a [`BICGSTAB_SINGLE`] iteration needs, in
+/// [`BC_REGS`] order, from the fourteen combined dots (lane order: the
+/// `Slot::Dots14` task in [`crate::multi`]). The classic scalars are
+/// polynomials in the pre-α dots: with `q = r − α s` and `y = v − α·zv`,
+/// every inner product expands over the measured lanes (see DESIGN.md
+/// §12 for the derivation).
+pub(crate) fn single_reduction_scalars(g: &[f32]) -> [f32; 7] {
+    const EPS: f32 = 1e-30;
+    let rho = g[0];
+    let alpha = g[0] / (g[1] + EPS);
+    let qy = g[4] - alpha * (g[5] + g[6]) + alpha * alpha * g[7];
+    let yy = g[8] - 2.0 * alpha * g[9] + alpha * alpha * g[10];
+    let omega = qy / (yy + EPS);
+    let rho_next = (g[0] - alpha * g[1]) - omega * (g[2] - alpha * g[3]);
+    let beta = (rho_next / (rho + EPS)) * (alpha / (omega + EPS));
+    let qq = g[11] - 2.0 * alpha * g[12] + alpha * alpha * g[13];
+    let rr_new = qq - 2.0 * omega * qy + omega * omega * yy;
+    [alpha, -alpha, omega, -omega, alpha * omega, beta, rr_new]
+}
+
+/// The ensemble's single-reduction BiCGStab ([`crate::multi`]): the same
+/// trajectory re-derived so that all fourteen scalar products of an
+/// iteration are taken *before* α and ω are known and reduced in one
+/// round, from which the host derives every scalar. Nothing to seed — ρ
+/// is re-derived from the lanes every iteration, and with the reply
+/// registers preset to zero the first `UpdP` computes `p := r`.
+pub static BICGSTAB_SINGLE: Recurrence = Recurrence {
+    init: |v| (vec![v.r, v.r0], vec![v.s, v.v, v.zv, v.p, v.q, v.x]),
+    presets: (&BC_REGS, 0.0),
+    seed: &[],
+    first: None,
+    iter: &[
+        // Window A: p := r + β (p − ω s) beside v := A r. The p-update is
+        // independent of the SpMV (it touches p/s, the SpMV reads r and
+        // writes v); its cycles land in the `spmv` bucket.
+        Step::Spmv { slot: Slot::SpmvRv, with: Some(Slot::UpdP) },
+        // s := v + β t  (≡ A p by the recurrence t = s_prev − ω·zv_prev).
+        run(Update, Slot::UpdS),
+        // Window B: zv := A s.
+        spmv(Slot::SpmvSzv),
+        run(Dot, Slot::Dots14),
+        Reduce,
+        // q := r − α s;  x += α p + ω q;  r := q − ω v + αω zv;  t := s − ω zv.
+        run(Update, Slot::UpdXq),
+        run(Update, Slot::UpdRt),
+    ],
+    // ‖r‖² through payload lane 0 (the stale upper lanes are rewritten by
+    // the next `Dots14`).
+    norm: Norm::AtHost(&[run(Dot, Slot::DotRr), Step::ReduceToHost]),
+    derive: |g| single_reduction_scalars(g).to_vec(),
 };
 
 /// How a tile region's local vectors map to the global mesh order.
@@ -476,13 +642,13 @@ impl Layout {
 /// blitted elsewhere is driven through [`Program::rebased`].
 #[derive(Clone)]
 pub struct Program {
-    recurrence: &'static Recurrence,
+    pub(crate) recurrence: &'static Recurrence,
     layout: Layout,
     origin: (usize, usize),
     /// Per-tile tasks and vectors, region-relative `y * w + x` order.
     tiles: Vec<(Tasks, Vecs)>,
     /// Cycle budget of one [`Step::Run`] (only a stall ever reaches it).
-    phase_budget: u64,
+    pub(crate) phase_budget: u64,
     /// Iterations since `load_rhs`: picks the recurrence's first-iteration
     /// table for callers stepping [`Program::iterate`] by hand.
     iteration: Cell<usize>,
@@ -514,7 +680,7 @@ impl Program {
     }
 
     /// Every tile's fabric coordinates, tasks and vectors, row-major.
-    fn tiles(&self) -> impl Iterator<Item = (usize, usize, &Tasks, &Vecs)> {
+    pub(crate) fn tiles(&self) -> impl Iterator<Item = (usize, usize, &Tasks, &Vecs)> {
         let (w, _) = self.layout.dims();
         let (ox, oy) = self.origin;
         self.tiles.iter().enumerate().map(move |(i, (t, v))| (ox + i % w, oy + i / w, t, v))
@@ -549,6 +715,10 @@ impl Program {
         for &step in steps {
             let (phase, slot, budget) = match step {
                 Step::Run { phase, slot } => (phase, slot, self.phase_budget),
+                Step::Spmv { slot, with: None } => (Phase::Spmv, slot, self.phase_budget),
+                Step::Spmv { with: Some(_), .. } | Step::ReduceToHost => {
+                    unreachable!("a step of the ensemble's interpreter (crate::multi)")
+                }
                 Step::Reduce => (Phase::Allreduce, Slot::Reduce, reduce_budget),
                 Step::ReduceBoth => (Phase::Allreduce, Slot::ReduceBoth, reduce_budget),
                 Step::CopyReg { dst, src } => {
@@ -562,6 +732,31 @@ impl Program {
             c.add(phase, self.try_run(exec, phase, slot, budget)?);
         }
         Ok(c)
+    }
+
+    /// The host-write half of `load_rhs`: scatters `b` (global mesh order)
+    /// into the recurrence's starting vectors, zeroes the others, and
+    /// presets its registers.
+    pub(crate) fn scatter_rhs(&self, exec: &mut impl WaferExec, b: &[F16]) {
+        let n = self.layout.local_len();
+        assert_eq!(b.len(), self.tiles.len() * n, "rhs length mismatch");
+        let zero = vec![F16::ZERO; n];
+        let (ox, oy) = self.origin;
+        let (regs, value) = self.recurrence.presets;
+        for (x, y, _, vecs) in self.tiles() {
+            let local: Vec<F16> = (0..n).map(|k| b[self.layout.row(x - ox, y - oy, k)]).collect();
+            let (from_b, zeroed) = (self.recurrence.init)(vecs);
+            for addr in from_b {
+                exec.store_f16(x, y, addr, &local);
+            }
+            for addr in zeroed {
+                exec.store_f16(x, y, addr, &zero);
+            }
+            for &reg in regs {
+                exec.set_reg(x, y, reg, value);
+            }
+        }
+        self.iteration.set(0);
     }
 
     /// Scatters `b` (global mesh order) into the recurrence's starting
@@ -723,22 +918,7 @@ impl<E: WaferExec> Krylov<E> for Program {
     type Cycles = IterCycles;
 
     fn try_load_rhs(&self, exec: &mut E, b: &[F16]) -> Result<(), Box<StallReport>> {
-        let n = self.layout.local_len();
-        assert_eq!(b.len(), self.tiles.len() * n, "rhs length mismatch");
-        let zero = vec![F16::ZERO; n];
-        let (ox, oy) = self.origin;
-        for (x, y, _, vecs) in self.tiles() {
-            let local: Vec<F16> = (0..n).map(|k| b[self.layout.row(x - ox, y - oy, k)]).collect();
-            let (from_b, zeroed) = (self.recurrence.init)(vecs);
-            for addr in from_b {
-                exec.store_f16(x, y, addr, &local);
-            }
-            for addr in zeroed {
-                exec.store_f16(x, y, addr, &zero);
-            }
-            exec.set_reg(x, y, regs::EPS, 1e-30);
-        }
-        self.iteration.set(0);
+        self.scatter_rhs(exec, b);
         self.try_steps(exec, self.recurrence.seed).map(|_| ())
     }
 
@@ -753,19 +933,116 @@ impl<E: WaferExec> Krylov<E> for Program {
     }
 
     fn try_residual_norm(&self, exec: &mut E) -> Result<f64, Box<StallReport>> {
-        let Some((steps, reg)) = self.recurrence.norm else {
-            // Host-side check: read r back and sum in f64.
-            let n = self.layout.local_len();
-            let r: Vec<F16> =
-                self.tiles().flat_map(|(x, y, _, vecs)| exec.load_f16(x, y, vecs.r, n)).collect();
-            return Ok(norm2(&r));
-        };
-        self.try_steps(exec, steps)?;
-        let (ox, oy) = self.origin;
-        Ok(exec.reg(ox, oy, reg).max(0.0).sqrt() as f64)
+        match self.recurrence.norm {
+            Norm::ReadBack => {
+                let n = self.layout.local_len();
+                let r: Vec<F16> = self
+                    .tiles()
+                    .flat_map(|(x, y, _, vecs)| exec.load_f16(x, y, vecs.r, n))
+                    .collect();
+                Ok(norm2(&r))
+            }
+            Norm::InReg(steps, reg) => {
+                self.try_steps(exec, steps)?;
+                let (ox, oy) = self.origin;
+                Ok(exec.reg(ox, oy, reg).max(0.0).sqrt() as f64)
+            }
+            Norm::AtHost(_) => unreachable!("a host-side reduction needs an ensemble"),
+        }
     }
 
     fn read_x(&self, exec: &E) -> Vec<F16> {
         Program::read_x(self, exec)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_slot_a_table_names_indexes_inside_tasks() {
+        for rec in [&BICGSTAB, &BICGSTAB_FUSED, &BICGSTAB_BLOCK, &BICGSTAB_SINGLE, &CG, &CG_SINGLE]
+        {
+            let norm = match rec.norm {
+                Norm::ReadBack => &[],
+                Norm::InReg(steps, _) | Norm::AtHost(steps) => steps,
+            };
+            for step in [rec.seed, rec.first.unwrap_or(&[]), rec.iter, norm].concat() {
+                let slots = match step {
+                    Step::Run { slot, .. } => [Some(slot), None],
+                    Step::Spmv { slot, with } => [Some(slot), with],
+                    Step::Reduce | Step::ReduceToHost => [Some(Slot::Reduce), None],
+                    Step::ReduceBoth => [Some(Slot::ReduceBoth), None],
+                    Step::CopyReg { .. } => [None, None],
+                };
+                for slot in slots.into_iter().flatten() {
+                    assert_eq!(Tasks::new()[slot], TaskId::MAX, "{slot:?} must index inside");
+                }
+            }
+        }
+    }
+
+    /// Lanes computed in f64 from random vectors must give back the
+    /// classic α = ρ/(r̂₀,s), ω = (q,y)/(y,y), β and ‖r_new‖² with
+    /// q = r − αs, y = v − α·zv, each in its [`BC_REGS`] position.
+    #[test]
+    fn single_reduction_scalars_reproduce_the_classic_coefficients() {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut vector = || -> Vec<f64> {
+            let mut draw = || {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+            };
+            (0..24).map(|_| draw()).collect()
+        };
+        let dot = |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(x, y)| x * y).sum::<f64>();
+        let axpy = |a: &[f64], c: f64, b: &[f64]| -> Vec<f64> {
+            a.iter().zip(b).map(|(x, y)| x + c * y).collect()
+        };
+        let mut checked = 0;
+        for _ in 0..64 {
+            let [r0, r, s, v, zv] = [(); 5].map(|_| vector());
+            let pairs = [
+                (&r0, &r),
+                (&r0, &s),
+                (&r0, &v),
+                (&r0, &zv),
+                (&r, &v),
+                (&r, &zv),
+                (&s, &v),
+                (&s, &zv),
+                (&v, &v),
+                (&v, &zv),
+                (&zv, &zv),
+                (&r, &r),
+                (&r, &s),
+                (&s, &s),
+            ];
+            let lanes: Vec<f32> = pairs.iter().map(|(a, b)| dot(a, b) as f32).collect();
+            let (rho, alpha) = (dot(&r0, &r), dot(&r0, &r) / dot(&r0, &s));
+            let (q, y) = (axpy(&r, -alpha, &s), axpy(&v, -alpha, &zv));
+            let omega = dot(&q, &y) / dot(&y, &y);
+            let r_new = axpy(&q, -omega, &y);
+            if rho.abs().min(omega.abs()) < 0.05 || alpha.abs() > 4.0 {
+                continue; // a near-breakdown draw amplifies the fp32 lane rounding
+            }
+            let want = |reg: Reg| match reg {
+                regs::ALPHA => alpha,
+                regs::NEG_ALPHA => -alpha,
+                regs::OMEGA => omega,
+                regs::NEG_OMEGA => -omega,
+                regs::ALPHA_OMEGA => alpha * omega,
+                regs::BETA => dot(&r0, &r_new) / rho * (alpha / omega),
+                regs::RR => dot(&r_new, &r_new),
+                _ => unreachable!("not a reply register"),
+            };
+            for (reg, got) in BC_REGS.into_iter().zip(single_reduction_scalars(&lanes)) {
+                let err = (got as f64 - want(reg)).abs();
+                assert!(err < 2e-4 * want(reg).abs().max(1.0), "r{reg}: {got} vs {}", want(reg));
+            }
+            checked += 1;
+        }
+        assert!(checked >= 16, "only {checked} well-conditioned draws");
     }
 }

@@ -39,6 +39,14 @@
 //!   `upd_s`, window B (`zv := A s` over the halo of `s`), the fused dot
 //!   task, the single reduction, then the trailing updates.
 //!
+//! Every builder produces the same thing: a [`krylov::Program`] over the
+//! global tile grid (one `(Tasks, Vecs)` record per tile, a
+//! [`krylov::Recurrence`] table — [`krylov::BICGSTAB`] or
+//! [`krylov::BICGSTAB_SINGLE`]), one [`Seam`] record per tile, and one
+//! [`WaferReduce`] per wafer. **One interpreter** walks the table with an
+//! ensemble meaning for two kinds of step: an SpMV is a seam window, a
+//! reduction is hierarchical. Scatter and gather are the `Program`'s own.
+//!
 //! Compute phases run **concurrently, one thread per wafer**
 //! ([`MultiFabric::run_each`]); the ensemble synchronizes only at the
 //! merged windows and the reduction, mirroring how a real host runtime
@@ -57,15 +65,17 @@
 //! residual trajectory bit for bit.
 
 use crate::allreduce::{AllReduceSplit, ChainReduce};
-use crate::bicgstab::{alloc_solver_vecs, build_scalar_tasks, regs, TileVecs};
+use crate::bicgstab::{alloc_solver_vecs, build_scalar_tasks, regs};
 use crate::exec::WaferExec;
 use crate::kernels::xpay_stmts;
-use crate::krylov::{self, IterCycles, Krylov, Phase, Slot, SolveStats, Step, Tasks};
+use crate::krylov::{
+    self, IterCycles, Krylov, Layout, Norm, Program, Slot, SolveStats, Step, Tasks, Vecs, BC_REGS,
+};
 use crate::recovery::{self, RecoveryLog, RecoveryPolicy};
 use crate::routing::configure_spmv_routes;
 use crate::spmv3d::{
     build_overlap_halo, build_spmv_tile_halo, build_spmv_tile_overlapped, load_coefficients,
-    tile_coefficients, HaloBuffers, OverlapHalo, SpmvLayout, SpmvTasks,
+    tile_coefficients, HaloBuffers, OverlapHalo, SpmvLayout,
 };
 use crate::WaferBicgstab;
 use std::cell::Cell;
@@ -75,7 +85,8 @@ use stencil::precond::has_unit_diagonal;
 use wse_arch::dsr::mk;
 use wse_arch::fabric::StallReport;
 use wse_arch::instr::{Op, Stmt, Task, TensorInstr};
-use wse_arch::types::{Color, Dtype, Port, Reg, TaskId};
+use wse_arch::types::{Color, Dtype, Port, TaskId};
+use wse_arch::Fabric;
 use wse_float::F16;
 use wse_multi::MultiFabric;
 
@@ -89,67 +100,74 @@ pub const HALO_WEST: Color = wse_dsl::colors::SEAM_WEST;
 /// Number of fp32 dot-product lanes in the fused iteration's payload.
 const PAY_LANES: u32 = 14;
 
-/// Broadcast reply registers of the fused iteration, in host write /
-/// chain stream order: `[α, −α, ω, −ω, αω, β, ‖r_new‖²]`.
-const BC_REGS: [Reg; 7] = [
-    regs::ALPHA,
-    regs::NEG_ALPHA,
-    regs::OMEGA,
-    regs::NEG_OMEGA,
-    regs::ALPHA_OMEGA,
-    regs::BETA,
-    regs::RR,
-];
-
-/// How seam halo exchanges are scheduled relative to the SpMV compute.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum HaloSchedule {
-    /// A dedicated blocking halo phase before each SpMV (the pre-overlap
-    /// schedule): the whole ensemble waits out the seam wire time.
-    Serial,
+/// One tile's seam communication program, per SpMV window of the
+/// iteration (window 0 is the first SpMV's, window 1 the second's). Which
+/// variant the seam tiles carry *is* the halo schedule.
+enum Seam {
+    /// Interior tile: no seam traffic.
+    None,
+    /// Blocking schedule ([`WaferBicgstabMulti::build_serial`]): one
+    /// exchange task per window, run as a dedicated phase before the SpMV —
+    /// the whole ensemble waits out the seam wire time.
+    Serial([TaskId; 2]),
     /// Interior-first overlapped schedule: the seam columns are launched
     /// on background threads, interior compute starts immediately, and
     /// only the boundary fold waits on the inbound stream — the wire time
     /// hides behind the SpMV window.
-    #[default]
-    Overlapped,
+    Overlap([OverlapHalo; 2]),
 }
 
-/// Per-tile halo-exchange tasks (seam tiles only): one per SpMV source
-/// vector.
-#[derive(Copy, Clone, Debug)]
-struct HaloTasks {
-    /// Exchanges the live part of `p` (before `s := A p`).
-    p: TaskId,
-    /// Exchanges the live part of `q` (before `y := A q`).
-    q: TaskId,
+/// One wafer's half of the hierarchical AllReduce (local coordinates):
+/// an on-wafer reduce that leaves partial lanes on the root tile, and a
+/// broadcast of whatever reply the host writes back there.
+enum WaferReduce {
+    /// One fp32 scalar through the reduce tree; partial and reply both
+    /// live in the root's `r_acc`.
+    Tree(AllReduceSplit),
+    /// [`PAY_LANES`] lanes through the systolic chains; the partials are
+    /// the root's payload, the reply is written to its `bc_src` block.
+    Chain(ChainReduce),
 }
 
-/// The overlapped halo programs of one seam tile, one per SpMV flavor.
-struct OverlapPair {
-    /// Halo of `p` overlapping `s := A p`.
-    ps: OverlapHalo,
-    /// Halo of `q` overlapping `y := A q`.
-    qy: OverlapHalo,
-}
+impl WaferReduce {
+    /// Tile `(x, y)`'s `(reduce, broadcast)` task pair.
+    fn tasks(&self, x: usize, y: usize) -> (TaskId, TaskId) {
+        match self {
+            WaferReduce::Tree(r) => (r.reduce_task(x, y), r.bcast_task(x, y)),
+            WaferReduce::Chain(c) => (c.reduce_task(x, y), c.bcast_task(x, y)),
+        }
+    }
 
-/// A tile's seam communication program (depends on the schedule).
-enum SeamComm {
-    /// Interior tile: no seam traffic.
-    None,
-    /// [`HaloSchedule::Serial`]: blocking exchange tasks.
-    Serial(HaloTasks),
-    /// [`HaloSchedule::Overlapped`]: background send/recv + fold barriers.
-    Overlap(OverlapPair),
-}
+    fn root(&self) -> (usize, usize) {
+        match self {
+            WaferReduce::Tree(r) => r.root(),
+            WaferReduce::Chain(c) => c.root(),
+        }
+    }
 
-/// One tile's full program in the distributed solver.
-struct TileProgram {
-    vecs: TileVecs,
-    /// The [`krylov::BICGSTAB`] slots (SpMV entries and core-local phases;
-    /// the reductions are the per-wafer [`AllReduceSplit`]s).
-    tasks: Tasks,
-    seam: SeamComm,
+    /// The wafer's partial lanes, read off the root after the reduce.
+    fn partials(&self, shard: &Fabric) -> Vec<f32> {
+        let (rx, ry) = self.root();
+        let tile = shard.tile(rx, ry);
+        match self {
+            WaferReduce::Tree(r) => vec![tile.core.regs[r.r_acc]],
+            WaferReduce::Chain(c) => (0..c.m).map(|j| tile.mem.read_f32(c.pay + 4 * j)).collect(),
+        }
+    }
+
+    /// Writes the host's reply where the broadcast task picks it up.
+    fn write_reply(&self, shard: &mut Fabric, reply: &[f32]) {
+        let (rx, ry) = self.root();
+        let tile = shard.tile_mut(rx, ry);
+        match self {
+            WaferReduce::Tree(r) => tile.core.regs[r.r_acc] = reply[0],
+            WaferReduce::Chain(c) => {
+                for (i, &val) in reply.iter().enumerate() {
+                    tile.mem.write_f32(c.bc_src + 4 * i as u32, val);
+                }
+            }
+        }
+    }
 }
 
 /// Cycle counts of one distributed iteration.
@@ -159,9 +177,9 @@ pub struct MultiIterCycles {
     /// updates, scalar arithmetic).
     pub compute: IterCycles,
     /// **Exposed** seam-halo cycles: wall-clock time the ensemble stalled
-    /// on seam traffic. Under [`HaloSchedule::Serial`] this is the whole
-    /// exchange; under [`HaloSchedule::Overlapped`] only the part that
-    /// outlasted the SpMV window.
+    /// on seam traffic. Under the blocking schedule this is the whole
+    /// exchange; under the overlapped one only the part that outlasted
+    /// the SpMV window.
     pub halo: u64,
     /// Seam-halo wire cycles hidden behind SpMV compute (overlapped
     /// schedule only). Informational: not part of [`Self::total`].
@@ -178,86 +196,35 @@ impl MultiIterCycles {
     }
 }
 
-/// One seam tile's memory layout and tasks in the fused single-reduction
-/// solver (see [`WaferBicgstabMulti::build_fused`]).
-struct FusedTile {
-    /// Padded `r` (SpMV source for `v := A r`), `z + 2` words.
-    r_pad: u32,
-    /// Padded `s` (SpMV source for `zv := A s`), `z + 2` words.
-    s_pad: u32,
-    /// `v = A r`.
-    v: u32,
-    /// `zv = A s`.
-    zv: u32,
-    /// Search direction `p`.
-    p: u32,
-    /// Scratch `q = r − α s`; its storage doubles as the recurrence
-    /// carrier `t = s − ω·zv` (q's last read in `upd_rt` precedes t's
-    /// write there, and t's last read in `upd_s` precedes q's write in
-    /// `upd_xq` — the lifetimes never overlap).
-    q: u32,
-    /// Shadow residual r̂₀.
-    r0: u32,
-    /// Iterate x.
-    x: u32,
-    spmv_rv: SpmvTasks,
-    spmv_szv: SpmvTasks,
-    upd_p: TaskId,
-    upd_s: TaskId,
-    /// All fourteen dot products of the iteration, stored to the payload.
-    dots: TaskId,
-    upd_xq: TaskId,
-    upd_rt: TaskId,
-    /// `(r, r)` into payload lane 0 (for [`WaferBicgstabMulti::residual_norm`]).
-    dot_rr: TaskId,
-    /// Overlapped halo of `r` (seam tiles only).
-    halo_r: Option<OverlapHalo>,
-    /// Overlapped halo of `s` (seam tiles only).
-    halo_s: Option<OverlapHalo>,
-}
-
-/// The fused single-reduction solver's ensemble-level parts.
-struct FusedParts {
-    /// Per-tile programs, global `y * fabric_w + x` order.
-    tiles: Vec<FusedTile>,
-    /// Per-wafer vector AllReduce (local coordinates).
-    chains: Vec<ChainReduce>,
-    /// Host round-trip cycles of the 14-lane combine + 7-word reply over
-    /// the binomial host tree.
-    hop_cycles: u64,
-    /// Byte address of the 14-lane fp32 dot payload (same on every tile).
-    pay: u32,
-    /// Byte address of the 7-word fp32 host reply (same on every tile).
-    bc_src: u32,
-}
-
 /// The distributed BiCGStab driver: per-wafer subdomain programs plus the
 /// host-side orchestration of halo exchanges and the hierarchical
 /// AllReduce.
 pub struct WaferBicgstabMulti {
-    mapping: Mapping3D,
-    tiles: Vec<TileProgram>,
-    /// Per-wafer split reduction (local coordinates).
-    reductions: Vec<AllReduceSplit>,
-    /// Modeled cycles of the host-level combine tree: `2·⌈log₂ k⌉` one-way
-    /// link latencies (up and down).
+    /// The recurrence table and every tile's tasks and vectors, addressed
+    /// by global coordinates.
+    program: Program,
+    /// Per-tile seam programs, in the program's tile order.
+    seams: Vec<Seam>,
+    /// Per-wafer reduction.
+    reductions: Vec<WaferReduce>,
+    /// Cycle budget a seam crossing adds to a phase (only a stall reaches it).
+    seam_budget: u64,
+    /// Modeled cycles of one round-trip over the host-level combine tree:
+    /// `⌈log₂ k⌉` levels up and the same back down, each a link latency
+    /// plus the payload's transfer time.
     host_hop_cycles: u64,
-    /// Halo/SpMV schedule of the classic iteration.
-    schedule: HaloSchedule,
-    /// Modeled one-way wire cycles of one seam halo exchange (latency plus
-    /// the two fp16 boundary planes crossing the link).
+    /// Modeled one-way wire cycles of one seam halo exchange: link latency
+    /// plus the boundary plane (`fabric_h` tiles × `z` fp16 words per seam
+    /// direction) crossing the link. Used only to attribute
+    /// hidden-vs-exposed cycles inside the merged overlapped window —
+    /// wall-clock exposure is always measured, never modeled.
     halo_wire_cycles: u64,
-    /// Measured cycles of the two pure-compute SpMV windows (calibrated
-    /// once at [`WaferBicgstabMulti::load_rhs`]); split each merged
-    /// `spmv+halo` window into compute and exposed-halo parts. For the
-    /// fused solver window 0 is `upd_p + spmv_rv` (the p-update is
-    /// co-scheduled so the halo latency hides behind more compute) and
-    /// window 1 is `spmv_szv`; the classic overlapped schedule calibrates
-    /// one `spmv_ps` window and uses it for both.
+    /// Measured cycles of the pure-compute SpMV windows (calibrated once
+    /// at [`WaferBicgstabMulti::load_rhs`]); split each merged `spmv+halo`
+    /// window into compute and exposed-halo parts. Indexed by the window's
+    /// shape — `[plain SpMV, SpMV with a co-scheduled task]` — because the
+    /// SpMV itself costs the same whichever vector it reads.
     spmv_compute: [Cell<u64>; 2],
-    /// Present when built by [`WaferBicgstabMulti::build_fused`]; replaces
-    /// `tiles`/`reductions` wholesale.
-    fused: Option<FusedParts>,
 }
 
 impl WaferBicgstabMulti {
@@ -272,7 +239,7 @@ impl WaferBicgstabMulti {
     /// than 2 tiles (the on-wafer AllReduce needs a 2×2 region), or a
     /// tile runs out of SRAM.
     pub fn build(multi: &mut MultiFabric, a: &DiaMatrix<F16>) -> WaferBicgstabMulti {
-        Self::build_with_schedule(multi, a, HaloSchedule::Overlapped)
+        Self::build_inner(multi, a, false, true)
     }
 
     /// Like [`WaferBicgstabMulti::build`], with the pre-overlap blocking
@@ -284,7 +251,27 @@ impl WaferBicgstabMulti {
     /// # Panics
     /// As [`WaferBicgstabMulti::build`].
     pub fn build_serial(multi: &mut MultiFabric, a: &DiaMatrix<F16>) -> WaferBicgstabMulti {
-        Self::build_with_schedule(multi, a, HaloSchedule::Serial)
+        Self::build_inner(multi, a, false, false)
+    }
+
+    /// Builds the **fused single-reduction** distributed solver: the same
+    /// BiCGStab trajectory re-derived so all fourteen scalar products of an
+    /// iteration are computed *before* α and ω are known, batched into one
+    /// 14-lane fp32 payload, and reduced in a single hierarchical
+    /// AllReduce ([`crate::allreduce::ChainReduce`] on-wafer, binomial
+    /// host tree across wafers) — one host round-trip per iteration
+    /// instead of three, on top of the overlapped halo schedule.
+    ///
+    /// The recurrence port follows `solver::pipelined::cg_single_reduction`:
+    /// with `v = A r` and `zv = A s` every classic scalar is a polynomial
+    /// in the pre-α dots (see `DESIGN.md` §12). The host keeps no state —
+    /// β and ω live in tile registers — so checkpoint/rollback recovery
+    /// works unchanged.
+    ///
+    /// # Panics
+    /// As [`WaferBicgstabMulti::build`].
+    pub fn build_fused(multi: &mut MultiFabric, a: &DiaMatrix<F16>) -> WaferBicgstabMulti {
+        Self::build_inner(multi, a, true, true)
     }
 
     /// What every builder starts with: validates the system against the
@@ -305,47 +292,55 @@ impl WaferBicgstabMulti {
             assert!(lw >= 2 && h >= 2, "each wafer slab needs at least 2×2 tiles, got {lw}×{h}");
             let shard = multi.shard_mut(m);
             configure_spmv_routes(shard, lw, h);
-            if m + 1 < k {
-                for y in 0..h {
-                    shard.open_edge(lw - 1, y, Port::East, HALO_EAST);
-                    shard.open_edge(lw - 1, y, Port::East, HALO_WEST);
-                    shard.set_route(lw - 1, y, Port::Ramp, HALO_EAST, &[Port::East]);
-                    shard.set_route(lw - 1, y, Port::East, HALO_WEST, &[Port::Ramp]);
-                }
-            }
-            if m > 0 {
-                for y in 0..h {
-                    shard.open_edge(0, y, Port::West, HALO_WEST);
-                    shard.open_edge(0, y, Port::West, HALO_EAST);
-                    shard.set_route(0, y, Port::Ramp, HALO_WEST, &[Port::West]);
-                    shard.set_route(0, y, Port::West, HALO_EAST, &[Port::Ramp]);
+            let east = (m + 1 < k, lw - 1, Port::East, HALO_EAST, HALO_WEST);
+            let west = (m > 0, 0, Port::West, HALO_WEST, HALO_EAST);
+            for (on_seam, x, port, outbound, inbound) in [east, west] {
+                for y in (0..h).filter(|_| on_seam) {
+                    shard.open_edge(x, y, port, outbound);
+                    shard.open_edge(x, y, port, inbound);
+                    shard.set_route(x, y, Port::Ramp, outbound, &[port]);
+                    shard.set_route(x, y, port, inbound, &[Port::Ramp]);
                 }
             }
         }
         mapping
     }
 
-    fn build_with_schedule(
+    /// The one builder: `fused` picks the recurrence and its tile program
+    /// ([`krylov::BICGSTAB_SINGLE`] with the 14-lane chains, or
+    /// [`krylov::BICGSTAB`] with per-wafer scalar reduce trees), `overlap`
+    /// the halo schedule the seam tiles carry.
+    fn build_inner(
         multi: &mut MultiFabric,
         a: &DiaMatrix<F16>,
-        schedule: HaloSchedule,
+        fused: bool,
+        overlap: bool,
     ) -> WaferBicgstabMulti {
+        let recurrence = if fused { &krylov::BICGSTAB_SINGLE } else { &krylov::BICGSTAB };
         let mapping = Self::prepare_shards(multi, a);
         let (gw, h) = (mapping.fabric_w, mapping.fabric_h);
         let z = mapping.z as u32;
         let k = multi.k();
 
-        // The per-wafer split AllReduce.
-        let reductions = (0..k)
-            .map(|m| {
-                let lw = multi.slab(m).len();
-                let shard = multi.shard_mut(m);
-                AllReduceSplit::build(shard, lw, h, regs::AR_IN, regs::AR_OUT, regs::AR_ACC)
-            })
-            .collect();
+        // The per-wafer scalar reduce trees go in before the tiles (task
+        // and DSR order is part of the program bytes).
+        let mut reductions = Vec::with_capacity(k);
+        if !fused {
+            for m in 0..k {
+                let (lw, shard) = (multi.slab(m).len(), multi.shard_mut(m));
+                let (r_in, r_out, r_acc) = (regs::AR_IN, regs::AR_OUT, regs::AR_ACC);
+                let tree = AllReduceSplit::build(shard, lw, h, r_in, r_out, r_acc);
+                reductions.push(WaferReduce::Tree(tree));
+            }
+        }
 
-        // Per-tile programs, addressed by global coordinates.
+        // Per-tile programs, addressed by global coordinates. The fused
+        // payload/reply blocks must land at the same address on every
+        // tile (the chain streams them blind), so the layout is allocated
+        // identically everywhere and asserted.
         let mut tiles = Vec::with_capacity(gw * h);
+        let mut seams = Vec::with_capacity(gw * h);
+        let mut chain_addrs: Option<(u32, u32)> = None;
         for y in 0..h {
             for gx in 0..gw {
                 let (m, lx) = multi.to_local(gx);
@@ -354,298 +349,134 @@ impl WaferBicgstabMulti {
                 let west_seam = lx == 0 && gx > 0;
                 let tile = multi.shard_mut(m).tile_mut(lx, y);
 
-                let (diag, vecs) = alloc_solver_vecs(tile, z);
-                let coeffs = tile_coefficients(a, gx, y);
-                let lay_ps = SpmvLayout { z, diag, vpad: vecs.p_pad, u: vecs.s };
-                let lay_qy = SpmvLayout { z, diag, vpad: vecs.q_pad, u: vecs.y };
-                load_coefficients(tile, &lay_ps, &coeffs);
-                tile.mem.write_f16(vecs.p_pad, F16::ZERO);
-                tile.mem.write_f16(vecs.p_pad + 2 * (z + 1), F16::ZERO);
-                tile.mem.write_f16(vecs.q_pad, F16::ZERO);
-                tile.mem.write_f16(vecs.q_pad + 2 * (z + 1), F16::ZERO);
+                // SRAM: the six diagonals, the two padded SpMV sources,
+                // their products, then the recurrence's other vectors.
+                let (diag, pads, outs, local) = if fused {
+                    let (diag, at, bc_src) = alloc_fused_vecs(tile, z);
+                    let got = *chain_addrs.get_or_insert((at.pay, bc_src));
+                    assert_eq!(got, (at.pay, bc_src), "payload/reply address must be uniform");
+                    (diag, [at.r - 2, at.s - 2], [at.v, at.zv], TileLayout::Fused(at))
+                } else {
+                    let (diag, v) = alloc_solver_vecs(tile, z);
+                    (diag, [v.p_pad, v.q_pad], [v.s, v.y], TileLayout::Classic(v))
+                };
+                let lay = [0, 1].map(|i| SpmvLayout { z, diag, vpad: pads[i], u: outs[i] });
+                load_coefficients(tile, &lay[0], &tile_coefficients(a, gx, y));
+                for pad in pads {
+                    tile.mem.write_f16(pad, F16::ZERO);
+                    tile.mem.write_f16(pad + 2 * (z + 1), F16::ZERO);
+                }
 
-                let (spmv_ps, spmv_qy, seam) = if !(east_seam || west_seam) {
+                let (spmv, seam) = if !(east_seam || west_seam) {
                     // Interior tile: no seam machinery, byte-identical
                     // program under both schedules.
-                    let none = HaloBuffers { xp: None, xm: None };
-                    (
-                        build_spmv_tile_halo(tile, lx, y, lw, h, lay_ps, none, None),
-                        build_spmv_tile_halo(tile, lx, y, lw, h, lay_qy, none, None),
-                        SeamComm::None,
-                    )
+                    let spmv = lay
+                        .map(|l| build_spmv_tile_overlapped(tile, lx, y, lw, h, l, vec![], None));
+                    (spmv, Seam::None)
                 } else {
                     // A slab is ≥ 2 wide, so a tile sits on at most one seam.
                     let buf = tile.mem.alloc_vec(z, Dtype::F16).expect("SRAM: halo buffer");
-                    let (send, recv_color, coeff) = if east_seam {
+                    let (send, recv, coeff) = if east_seam {
                         (HALO_EAST, HALO_WEST, diag[0])
                     } else {
                         (HALO_WEST, HALO_EAST, diag[1])
                     };
-                    match schedule {
-                        HaloSchedule::Serial => {
-                            let bufs = HaloBuffers {
-                                xp: east_seam.then_some(buf),
-                                xm: west_seam.then_some(buf),
-                            };
-                            let spmv_ps =
-                                build_spmv_tile_halo(tile, lx, y, lw, h, lay_ps, bufs, None);
-                            let spmv_qy =
-                                build_spmv_tile_halo(tile, lx, y, lw, h, lay_qy, bufs, None);
-                            let p = build_halo_task(
+                    if overlap {
+                        // Both windows share the halo buffer: they never
+                        // overlap in the iteration.
+                        let halo = [0, 1].map(|i| {
+                            build_overlap_halo(
                                 tile,
-                                "halo-p",
-                                vecs.p_pad + 2,
-                                buf,
-                                send,
-                                recv_color,
-                                z,
-                            );
-                            let q = build_halo_task(
-                                tile,
-                                "halo-q",
-                                vecs.q_pad + 2,
-                                buf,
-                                send,
-                                recv_color,
-                                z,
-                            );
-                            (spmv_ps, spmv_qy, SeamComm::Serial(HaloTasks { p, q }))
-                        }
-                        HaloSchedule::Overlapped => {
-                            // Both flavors share the halo buffer: their
-                            // windows never overlap in the iteration.
-                            let ps = build_overlap_halo(
-                                tile,
-                                vecs.p_pad + 2,
+                                pads[i] + 2,
                                 buf,
                                 coeff,
-                                vecs.s,
+                                outs[i],
                                 send,
-                                recv_color,
+                                recv,
                                 z,
-                            );
-                            let qy = build_overlap_halo(
-                                tile,
-                                vecs.q_pad + 2,
-                                buf,
-                                coeff,
-                                vecs.y,
-                                send,
-                                recv_color,
-                                z,
-                            );
-                            let spmv_ps = build_spmv_tile_overlapped(
-                                tile,
-                                lx,
-                                y,
-                                lw,
-                                h,
-                                lay_ps,
-                                vec![ps.fold],
-                                None,
-                            );
-                            let spmv_qy = build_spmv_tile_overlapped(
-                                tile,
-                                lx,
-                                y,
-                                lw,
-                                h,
-                                lay_qy,
-                                vec![qy.fold],
-                                None,
-                            );
-                            (spmv_ps, spmv_qy, SeamComm::Overlap(OverlapPair { ps, qy }))
-                        }
+                            )
+                        });
+                        let spmv = [0, 1].map(|i| {
+                            let folds = vec![halo[i].fold];
+                            build_spmv_tile_overlapped(tile, lx, y, lw, h, lay[i], folds, None)
+                        });
+                        (spmv, Seam::Overlap(halo))
+                    } else {
+                        let bufs = HaloBuffers {
+                            xp: east_seam.then_some(buf),
+                            xm: west_seam.then_some(buf),
+                        };
+                        let spmv =
+                            lay.map(|l| build_spmv_tile_halo(tile, lx, y, lw, h, l, bufs, None));
+                        let halo = [("halo-p", pads[0]), ("halo-q", pads[1])].map(|(name, pad)| {
+                            build_halo_task(tile, name, pad + 2, buf, send, recv, z)
+                        });
+                        (spmv, Seam::Serial(halo))
                     }
                 };
-                let mut tasks = build_scalar_tasks(&mut tile.core, &vecs, z);
-                tasks[Slot::SpmvPs] = spmv_ps.start;
-                tasks[Slot::SpmvQy] = spmv_qy.start;
-                tiles.push(TileProgram { vecs, tasks, seam });
-            }
-        }
-        multi.pair_seams();
-        for m in 0..k {
-            crate::debug_lint(multi.shard(m));
-        }
-
-        let levels = (k as f64).log2().ceil() as u64;
-        let host_hop_cycles = 2 * levels * multi.link().latency_cycles;
-        WaferBicgstabMulti {
-            mapping,
-            tiles,
-            reductions,
-            host_hop_cycles,
-            schedule,
-            halo_wire_cycles: halo_wire_cycles(multi, z),
-            spmv_compute: [Cell::new(0), Cell::new(0)],
-            fused: None,
-        }
-    }
-
-    /// Builds the **fused single-reduction** distributed solver: the same
-    /// BiCGStab trajectory re-derived so all fourteen scalar products of an
-    /// iteration are computed *before* α and ω are known, batched into one
-    /// 14-lane fp32 payload, and reduced in a single hierarchical
-    /// AllReduce ([`crate::allreduce::ChainReduce`] on-wafer, binomial
-    /// host tree across wafers) — one host round-trip per iteration
-    /// instead of three, on top of the overlapped halo schedule.
-    ///
-    /// The recurrence port follows `solver::pipelined::cg_single_reduction`:
-    /// with `v = A r` and `zv = A s` every classic scalar is a polynomial
-    /// in the pre-α dots (see `DESIGN.md` §12). The host keeps no state —
-    /// β and ω live in tile registers — so checkpoint/rollback recovery
-    /// works unchanged.
-    ///
-    /// # Panics
-    /// As [`WaferBicgstabMulti::build`].
-    pub fn build_fused(multi: &mut MultiFabric, a: &DiaMatrix<F16>) -> WaferBicgstabMulti {
-        let mapping = Self::prepare_shards(multi, a);
-        let (gw, h) = (mapping.fabric_w, mapping.fabric_h);
-        let z = mapping.z as u32;
-        let k = multi.k();
-
-        // Per-tile programs. The payload/reply blocks must land at the
-        // same address on every tile (the chain streams them blind), so
-        // the layout is allocated identically everywhere and asserted.
-        let mut tiles = Vec::with_capacity(gw * h);
-        let mut pay_addr: Option<u32> = None;
-        let mut bc_addr: Option<u32> = None;
-        for y in 0..h {
-            for gx in 0..gw {
-                let (m, lx) = multi.to_local(gx);
-                let lw = multi.slab(m).len();
-                let east_seam = lx == lw - 1 && gx + 1 < gw;
-                let west_seam = lx == 0 && gx > 0;
-                let tile = multi.shard_mut(m).tile_mut(lx, y);
-
-                let mut diag = [0u32; 6];
-                for d in &mut diag {
-                    *d = tile.mem.alloc_vec(z, Dtype::F16).expect("SRAM: diagonals");
-                }
-                let r_pad = tile.mem.alloc_vec(z + 2, Dtype::F16).expect("SRAM: r");
-                let s_pad = tile.mem.alloc_vec(z + 2, Dtype::F16).expect("SRAM: s");
-                let v = tile.mem.alloc_vec(z, Dtype::F16).expect("SRAM: v");
-                let zv = tile.mem.alloc_vec(z, Dtype::F16).expect("SRAM: zv");
-                let p = tile.mem.alloc_vec(z, Dtype::F16).expect("SRAM: p");
-                let q = tile.mem.alloc_vec(z, Dtype::F16).expect("SRAM: q");
-                let r0 = tile.mem.alloc_vec(z, Dtype::F16).expect("SRAM: r0");
-                let x = tile.mem.alloc_vec(z, Dtype::F16).expect("SRAM: x");
-                let pay = tile.mem.alloc_vec(PAY_LANES, Dtype::F32).expect("SRAM: dot payload");
-                let bc_src =
-                    tile.mem.alloc_vec(BC_REGS.len() as u32, Dtype::F32).expect("SRAM: reply");
-                assert_eq!(*pay_addr.get_or_insert(pay), pay, "payload address must be uniform");
-                assert_eq!(*bc_addr.get_or_insert(bc_src), bc_src, "reply address must be uniform");
-
-                let coeffs = tile_coefficients(a, gx, y);
-                let lay_rv = SpmvLayout { z, diag, vpad: r_pad, u: v };
-                let lay_szv = SpmvLayout { z, diag, vpad: s_pad, u: zv };
-                load_coefficients(tile, &lay_rv, &coeffs);
-                tile.mem.write_f16(r_pad, F16::ZERO);
-                tile.mem.write_f16(r_pad + 2 * (z + 1), F16::ZERO);
-                tile.mem.write_f16(s_pad, F16::ZERO);
-                tile.mem.write_f16(s_pad + 2 * (z + 1), F16::ZERO);
-
-                let (halo_r, halo_s) = if east_seam || west_seam {
-                    let buf = tile.mem.alloc_vec(z, Dtype::F16).expect("SRAM: halo buffer");
-                    let (send, recv_color, coeff) = if east_seam {
-                        (HALO_EAST, HALO_WEST, diag[0])
-                    } else {
-                        (HALO_WEST, HALO_EAST, diag[1])
-                    };
-                    let hr =
-                        build_overlap_halo(tile, r_pad + 2, buf, coeff, v, send, recv_color, z);
-                    let hs =
-                        build_overlap_halo(tile, s_pad + 2, buf, coeff, zv, send, recv_color, z);
-                    (Some(hr), Some(hs))
-                } else {
-                    (None, None)
+                let (mut tasks, vecs, slots) = match local {
+                    TileLayout::Classic(v) => (
+                        build_scalar_tasks(&mut tile.core, &v, z),
+                        Vecs { x: v.x, r: v.r, r0: v.r0, p: v.p_pad + 2, ..Vecs::default() },
+                        [Slot::SpmvPs, Slot::SpmvQy],
+                    ),
+                    TileLayout::Fused(at) => {
+                        let FusedAddrs { r, s, v, zv, p, q, r0, x, .. } = at;
+                        (
+                            build_fused_tasks(&mut tile.core, &at, z),
+                            Vecs { x, r, r0, p, q, s, v, zv },
+                            [Slot::SpmvRv, Slot::SpmvSzv],
+                        )
+                    }
                 };
-                let folds_r = halo_r.iter().map(|o| o.fold).collect();
-                let folds_s = halo_s.iter().map(|o| o.fold).collect();
-                let spmv_rv = build_spmv_tile_overlapped(tile, lx, y, lw, h, lay_rv, folds_r, None);
-                let spmv_szv =
-                    build_spmv_tile_overlapped(tile, lx, y, lw, h, lay_szv, folds_s, None);
-                let tasks = build_fused_tasks(
-                    &mut tile.core,
-                    FusedAddrs { r: r_pad + 2, s: s_pad + 2, v, zv, p, q, r0, x, pay },
-                    z,
-                );
-                tiles.push(FusedTile {
-                    r_pad,
-                    s_pad,
-                    v,
-                    zv,
-                    p,
-                    q,
-                    r0,
-                    x,
-                    spmv_rv,
-                    spmv_szv,
-                    upd_p: tasks.upd_p,
-                    upd_s: tasks.upd_s,
-                    dots: tasks.dots,
-                    upd_xq: tasks.upd_xq,
-                    upd_rt: tasks.upd_rt,
-                    dot_rr: tasks.dot_rr,
-                    halo_r,
-                    halo_s,
-                });
+                tasks[slots[0]] = spmv[0].start;
+                tasks[slots[1]] = spmv[1].start;
+                tiles.push((tasks, vecs));
+                seams.push(seam);
             }
         }
 
-        // The on-wafer vector AllReduce, one instance per shard (built
-        // after tile allocation: it references the uniform payload/reply
-        // addresses).
-        let pay = pay_addr.expect("ensemble has at least one tile");
-        let bc_src = bc_addr.expect("ensemble has at least one tile");
-        let mut chains = Vec::with_capacity(k);
-        for m in 0..k {
-            let lw = multi.slab(m).len();
-            let shard = multi.shard_mut(m);
-            chains.push(ChainReduce::build(shard, lw, h, pay, PAY_LANES, bc_src, &BC_REGS));
+        // The on-wafer vector AllReduce, one instance per shard, goes in
+        // after the tiles: it references the uniform payload/reply
+        // addresses.
+        if let Some((pay, bc_src)) = chain_addrs {
+            for m in 0..k {
+                let (lw, shard) = (multi.slab(m).len(), multi.shard_mut(m));
+                let chain = ChainReduce::build(shard, lw, h, pay, PAY_LANES, bc_src, &BC_REGS);
+                reductions.push(WaferReduce::Chain(chain));
+            }
+        }
+        for (i, (tasks, _)) in tiles.iter_mut().enumerate() {
+            let (m, lx) = multi.to_local(i % gw);
+            (tasks[Slot::Reduce], tasks[Slot::Bcast]) = reductions[m].tasks(lx, i / gw);
         }
         multi.pair_seams();
         for m in 0..k {
             crate::debug_lint(multi.shard(m));
         }
 
-        // One host round-trip per iteration: 14 fp32 lanes up, 7 down,
-        // over the binomial tree.
+        // One host round-trip over the binomial tree. The scalar trees
+        // move one word each way and are charged latency only; the chains
+        // move 14 fp32 lanes up and 7 down, charged as 14 both ways.
         let levels = (k as f64).log2().ceil() as u64;
         let link = multi.link();
-        let payload_bytes = (PAY_LANES * 4) as f64;
-        let xfer = if link.bytes_per_cycle.is_finite() {
-            (payload_bytes / link.bytes_per_cycle).ceil() as u64
-        } else {
-            0
-        };
-        let hop_cycles = 2 * levels * (link.latency_cycles + xfer);
+        let xfer = if fused { transfer_cycles(&link, (PAY_LANES * 4) as f64) } else { 0 };
+        let budget = 200 * mapping.z as u64 + 200 * (gw + h) as u64 + 50_000;
         WaferBicgstabMulti {
-            mapping,
-            tiles: Vec::new(),
-            reductions: Vec::new(),
-            host_hop_cycles: hop_cycles,
-            schedule: HaloSchedule::Overlapped,
-            halo_wire_cycles: halo_wire_cycles(multi, z),
+            program: Program::new(recurrence, Layout::ZColumn(mapping), (0, 0), tiles, budget),
+            seams,
+            reductions,
+            seam_budget: 16 * z as u64 + 2 * link.latency_cycles + 200 * h as u64 + 50_000,
+            host_hop_cycles: 2 * levels * (link.latency_cycles + xfer),
+            halo_wire_cycles: link.latency_cycles
+                + transfer_cycles(&link, 2.0 * (h as u32 * z) as f64),
             spmv_compute: [Cell::new(0), Cell::new(0)],
-            fused: Some(FusedParts { tiles, chains, hop_cycles, pay, bc_src }),
         }
     }
 
-    /// The global mesh→grid mapping.
-    pub fn mapping(&self) -> Mapping3D {
-        self.mapping
-    }
-
-    fn idx(&self, x: usize, y: usize) -> usize {
-        y * self.mapping.fabric_w + x
-    }
-
-    /// Cycle budget of one wafer-local phase (only a stall reaches it).
-    fn compute_budget(&self) -> u64 {
-        let m = self.mapping;
-        200 * m.z as u64 + 200 * (m.fabric_w + m.fabric_h) as u64 + 50_000
+    /// Every tile's global coordinates, tasks and seam program.
+    fn tiles(&self) -> impl Iterator<Item = (usize, usize, &Tasks, &Seam)> {
+        self.program.tiles().zip(&self.seams).map(|((x, y, tasks, _), seam)| (x, y, tasks, seam))
     }
 
     /// Runs all wafers **independently to quiescence**, one thread per
@@ -657,70 +488,20 @@ impl WaferBicgstabMulti {
         name: &'static str,
     ) -> Result<u64, Box<StallReport>> {
         multi.phase_begin(name);
-        let r = multi.run_each(self.compute_budget(), recovery::STALL_WINDOW);
+        let r = multi.run_each(self.program.phase_budget, recovery::STALL_WINDOW);
         multi.phase_end();
         r
     }
 
-    /// Activates on every tile the task `pick(wafer, local_x, y)` names.
-    fn activate_per_wafer(
-        &self,
-        multi: &mut MultiFabric,
-        pick: impl Fn(usize, usize, usize) -> TaskId,
-    ) {
-        for y in 0..self.mapping.fabric_h {
-            for gx in 0..self.mapping.fabric_w {
-                let (m, x) = multi.to_local(gx);
-                multi.activate(gx, y, pick(m, x, y));
-            }
-        }
-    }
-
-    /// Activates one wafer-local phase task on every tile — `pick` maps
-    /// the tile index to it — and runs the phase with
-    /// [`Self::try_run_each`].
-    fn try_local_phase(
+    /// Runs the ensemble in linked lockstep (traffic crosses seams) as
+    /// trace phase `name`.
+    fn try_run_linked(
         &self,
         multi: &mut MultiFabric,
         name: &'static str,
-        pick: impl Fn(usize) -> TaskId,
+        budget: u64,
     ) -> Result<u64, Box<StallReport>> {
-        let m = self.mapping;
-        for y in 0..m.fabric_h {
-            for x in 0..m.fabric_w {
-                multi.activate(x, y, pick(self.idx(x, y)));
-            }
-        }
-        self.try_run_each(multi, name)
-    }
-
-    /// One serial-schedule seam halo exchange: every seam tile streams its
-    /// column across the host link while blocking on the opposite stream
-    /// into its halo buffer. Runs the ensemble in linked lockstep (traffic
-    /// crosses seams), bracketed as trace phase `"halo"`.
-    fn try_halo_phase(
-        &self,
-        multi: &mut MultiFabric,
-        pick: impl Fn(&HaloTasks) -> TaskId,
-    ) -> Result<u64, Box<StallReport>> {
-        let m = self.mapping;
-        let mut any = false;
-        for y in 0..m.fabric_h {
-            for x in 0..m.fabric_w {
-                if let SeamComm::Serial(halo) = &self.tiles[self.idx(x, y)].seam {
-                    multi.activate(x, y, pick(halo));
-                    any = true;
-                }
-            }
-        }
-        if !any {
-            return Ok(0); // k = 1: no seams, no phase
-        }
-        let budget =
-            16 * m.z as u64 + 2 * multi.link().latency_cycles + 200 * m.fabric_h as u64 + 50_000;
-        multi.phase_begin("halo");
-        let r = multi.run_linked(budget, recovery::STALL_WINDOW);
-        multi.phase_end();
+        let r = multi.run_phase(name, budget, recovery::STALL_WINDOW);
         if r.is_err() {
             // The exchange wedged (link down, or a stall outlasting the
             // watchdog): stamp the timeline so the recovery engine's
@@ -730,63 +511,70 @@ impl WaferBicgstabMulti {
         r
     }
 
-    /// Runs one merged `spmv+halo` window of the overlapped schedule.
-    /// `pick` maps a tile index to its SpMV entry task, an optional
+    /// Activates `slot`'s task on every tile.
+    fn activate(&self, multi: &mut MultiFabric, slot: Slot) {
+        for (x, y, tasks, _) in self.tiles() {
+            multi.activate(x, y, tasks[slot]);
+        }
+    }
+
+    /// One SpMV with its seam halo — window `window` of the iteration —
+    /// under whichever schedule the seam tiles carry. `with` is an
     /// independent compute task co-scheduled into the same window (the
-    /// fused solver folds `upd_p` into the first window so the halo
-    /// latency hides behind more compute), plus, on seam tiles, the
-    /// background halo `(send, recv)` pair launched alongside it. With no
-    /// seams anywhere (k = 1) this degenerates to a plain `"spmv"`
-    /// compute phase.
+    /// fused solver folds `upd_p` into the first one so the halo latency
+    /// hides behind more compute).
     ///
-    /// Returns `(compute, exposed, hidden)`: the window up to the
-    /// calibrated pure-compute time (`spmv_compute[cal]`) is compute, the
-    /// tail is exposed halo, and `hidden` is the part of the modeled wire
-    /// time that the window absorbed. The two attributions are stamped
-    /// retroactively as trace spans `"halo_overlap"` / `"halo_exposed"`
-    /// inside the window.
-    fn try_merged_spmv(
+    /// The blocking schedule first runs its exchange as trace phase
+    /// `"halo"`: every seam tile streams its column across the host link
+    /// while blocking on the opposite stream into its halo buffer. The
+    /// overlapped schedule launches the background halo `(send, recv)`
+    /// pair alongside the SpMV and runs one merged `"spmv+halo"` window.
+    /// With no seams anywhere (k = 1) either degenerates to a plain
+    /// `"spmv"` compute phase.
+    ///
+    /// Returns `(compute, exposed, hidden)`: a merged window up to the
+    /// calibrated pure-compute time is compute, the tail is exposed halo,
+    /// and `hidden` is the part of the modeled wire time that the window
+    /// absorbed. The two attributions are stamped retroactively as trace
+    /// spans `"halo_overlap"` / `"halo_exposed"` inside the window.
+    fn try_spmv_window(
         &self,
         multi: &mut MultiFabric,
-        cal: usize,
-        pick: impl Fn(usize) -> (TaskId, Option<TaskId>, Option<(TaskId, TaskId)>),
+        window: usize,
+        slot: Slot,
+        with: Option<Slot>,
     ) -> Result<(u64, u64, u64), Box<StallReport>> {
-        let m = self.mapping;
-        let mut any_seam = false;
-        for y in 0..m.fabric_h {
-            for x in 0..m.fabric_w {
-                let (spmv, extra, halo) = pick(self.idx(x, y));
-                // Send/recv launch-and-retire first so the boundary column
-                // is on the wire before the SpMV occupies the core.
-                if let Some((send, recv)) = halo {
-                    multi.activate(x, y, send);
-                    multi.activate(x, y, recv);
-                    any_seam = true;
+        let mut blocking = 0;
+        if self.seams.iter().any(|s| matches!(s, Seam::Serial(_))) {
+            for (x, y, _, seam) in self.tiles() {
+                if let Seam::Serial(halo) = seam {
+                    multi.activate(x, y, halo[window]);
                 }
-                if let Some(task) = extra {
-                    multi.activate(x, y, task);
-                }
-                multi.activate(x, y, spmv);
             }
+            blocking = self.try_run_linked(multi, "halo", self.seam_budget)?;
         }
-        if !any_seam {
-            return Ok((self.try_run_each(multi, "spmv")?, 0, 0));
+        let mut overlapped = false;
+        for (x, y, tasks, seam) in self.tiles() {
+            // Send/recv launch-and-retire first so the boundary column
+            // is on the wire before the SpMV occupies the core.
+            if let Seam::Overlap(halo) = seam {
+                multi.activate(x, y, halo[window].send);
+                multi.activate(x, y, halo[window].recv);
+                overlapped = true;
+            }
+            if let Some(with) = with {
+                multi.activate(x, y, tasks[with]);
+            }
+            multi.activate(x, y, tasks[slot]);
         }
-        let budget = self.compute_budget()
-            + 16 * m.z as u64
-            + 2 * multi.link().latency_cycles
-            + 200 * m.fabric_h as u64
-            + 50_000;
+        if !overlapped {
+            return Ok((self.try_run_each(multi, "spmv")?, blocking, 0));
+        }
         let t0 = multi.cycle();
-        multi.phase_begin("spmv+halo");
-        let r = multi.run_linked(budget, recovery::STALL_WINDOW);
-        multi.phase_end();
-        if r.is_err() {
-            multi.phase_marker("halo_retry");
-        }
-        let merged = r?;
+        let budget = self.program.phase_budget + self.seam_budget;
+        let merged = self.try_run_linked(multi, "spmv+halo", budget)?;
         let t1 = t0 + merged;
-        let cal = self.spmv_compute[cal].get();
+        let cal = self.spmv_compute[with.is_some() as usize].get();
         let compute = if cal == 0 { merged } else { cal.min(merged) };
         let exposed = merged - compute;
         let hidden = self.halo_wire_cycles.saturating_sub(exposed).min(merged);
@@ -800,350 +588,143 @@ impl WaferBicgstabMulti {
     }
 
     /// Calibrates the overlapped schedule's compute/halo attribution: runs
-    /// each SpMV window once with **no** seam traffic (trace phase
-    /// `"spmv_calibrate"`) and records its cycles. The fold barriers are
-    /// host-`Activate`d so they fire on the zero-filled halo buffers
-    /// (`u += coeff · 0`, a numeric no-op): the calibrated window prices
-    /// interior compute *and* fold execution, leaving only genuine
-    /// wait-for-remote-data as the exposed term. A fired fold re-blocks
-    /// itself, restoring the built two-way-barrier state.
+    /// the iteration's SpMV windows — one of each shape — with **no** seam
+    /// traffic (trace phase `"spmv_calibrate"`) and records their cycles.
+    /// The fold barriers are host-`Activate`d so they fire on the
+    /// zero-filled halo buffers (`u += coeff · 0`, a numeric no-op): the
+    /// calibrated window prices interior compute *and* fold execution,
+    /// leaving only genuine wait-for-remote-data as the exposed term. A
+    /// fired fold re-blocks itself, restoring the built two-way-barrier
+    /// state.
     ///
-    /// The fused solver calibrates window 0 as `upd_p + spmv_rv` (the
-    /// iteration co-schedules them; `upd_p` under the zeroed registers
-    /// computes `p := r`, exactly what iteration 0 needs) and window 1 as
-    /// `spmv_szv`. The classic schedule calibrates one `spmv_ps` window
-    /// and uses it for both. No-op for the serial schedule or a seamless
-    /// (k = 1) ensemble.
+    /// The classic iteration's two plain SpMVs share one calibration. The
+    /// fused one calibrates window A with its co-scheduled `upd_p` (under
+    /// the zeroed registers it computes `p := r`, exactly what iteration 0
+    /// needs) and window B alone. No-op for the blocking schedule or a
+    /// seamless (k = 1) ensemble.
     fn calibrate_spmv(&self, multi: &mut MultiFabric) -> Result<(), Box<StallReport>> {
-        if self.schedule != HaloSchedule::Overlapped {
+        if !self.seams.iter().any(|s| matches!(s, Seam::Overlap(_))) {
             return Ok(());
         }
-        let m = self.mapping;
-        let fold_of = |i: usize, win: usize| -> Option<TaskId> {
-            match &self.fused {
-                Some(f) => {
-                    let t = &f.tiles[i];
-                    let h = if win == 0 { &t.halo_r } else { &t.halo_s };
-                    h.as_ref().map(|h| h.fold)
-                }
-                None => match &self.tiles[i].seam {
-                    SeamComm::Overlap(pair) => Some(pair.ps.fold),
-                    _ => None,
-                },
+        let mut calibrated = [false; 2];
+        for (window, (slot, with)) in self.program.recurrence.spmv_windows().enumerate() {
+            if std::mem::replace(&mut calibrated[with.is_some() as usize], true) {
+                continue;
             }
-        };
-        let any_seam = (0..m.fabric_h * m.fabric_w).any(|i| fold_of(i, 0).is_some());
-        if !any_seam {
-            return Ok(());
-        }
-        let windows: usize = if self.fused.is_some() { 2 } else { 1 };
-        for win in 0..windows {
-            for y in 0..m.fabric_h {
-                for x in 0..m.fabric_w {
-                    let i = self.idx(x, y);
-                    match &self.fused {
-                        Some(f) => {
-                            if win == 0 {
-                                multi.activate(x, y, f.tiles[i].upd_p);
-                                multi.activate(x, y, f.tiles[i].spmv_rv.start);
-                            } else {
-                                multi.activate(x, y, f.tiles[i].spmv_szv.start);
-                            }
-                        }
-                        None => multi.activate(x, y, self.tiles[i].tasks[Slot::SpmvPs]),
-                    }
-                    if let Some(fold) = fold_of(i, win) {
-                        let (wm, lx) = multi.to_local(x);
-                        multi.shard_mut(wm).tile_mut(lx, y).core.activate(fold);
-                    }
+            for (x, y, tasks, seam) in self.tiles() {
+                if let Some(with) = with {
+                    multi.activate(x, y, tasks[with]);
+                }
+                multi.activate(x, y, tasks[slot]);
+                if let Seam::Overlap(halo) = seam {
+                    multi.activate(x, y, halo[window].fold);
                 }
             }
             let elapsed = self.try_run_each(multi, "spmv_calibrate")?;
-            self.spmv_compute[win].set(elapsed);
-            if windows == 1 {
-                self.spmv_compute[1].set(elapsed);
-            }
+            self.spmv_compute[with.is_some() as usize].set(elapsed);
             // Defensive re-arm: a fired fold already re-blocked itself;
             // this only matters if a fold was released without firing.
-            for y in 0..m.fabric_h {
-                for x in 0..m.fabric_w {
-                    if let Some(fold) = fold_of(self.idx(x, y), win) {
-                        let (wm, lx) = multi.to_local(x);
-                        multi.shard_mut(wm).tile_mut(lx, y).core.block(fold);
-                    }
+            for (x, y, _, seam) in self.tiles() {
+                if let Seam::Overlap(halo) = seam {
+                    let (wm, lx) = multi.to_local(x);
+                    multi.shard_mut(wm).tile_mut(lx, y).core.block(halo[window].fold);
                 }
             }
         }
         Ok(())
     }
 
-    /// One classic-iteration SpMV with its seam halo, under whichever
-    /// schedule this solver was built with: [`Slot::SpmvPs`] is `s := A p`,
-    /// [`Slot::SpmvQy`] is `y := A q`.
-    fn try_classic_spmv(
+    /// The hierarchical AllReduce: on-wafer reduce (concurrent, per
+    /// wafer), host-level fp32 combine of the `k` roots' partial lanes,
+    /// charged one tree round-trip, then — with `reply` — the recurrence's
+    /// [`derive`](krylov::Recurrence::derive) of the combined lanes
+    /// written back to every root and the on-wafer broadcasts. Returns the
+    /// on-wafer cycles and the combined lanes.
+    fn try_reduce(
         &self,
         multi: &mut MultiFabric,
-        c: &mut MultiIterCycles,
-        slot: Slot,
-    ) -> Result<(), Box<StallReport>> {
-        let ps = slot == Slot::SpmvPs;
-        match self.schedule {
-            HaloSchedule::Serial => {
-                c.halo += self.try_halo_phase(multi, |h| if ps { h.p } else { h.q })?;
-                c.compute.spmv +=
-                    self.try_local_phase(multi, "spmv", |i| self.tiles[i].tasks[slot])?;
-            }
-            HaloSchedule::Overlapped => {
-                let (comp, exposed, hidden) = self.try_merged_spmv(multi, 0, |i| {
-                    let t = &self.tiles[i];
-                    let spmv = t.tasks[slot];
-                    let halo = match &t.seam {
-                        SeamComm::Overlap(pair) => {
-                            let o = if ps { &pair.ps } else { &pair.qy };
-                            Some((o.send, o.recv))
-                        }
-                        _ => None,
-                    };
-                    (spmv, None, halo)
-                })?;
-                c.compute.spmv += comp;
-                c.halo += exposed;
-                c.halo_hidden += hidden;
-            }
-        }
-        Ok(())
-    }
-
-    /// Walks a [`krylov::BICGSTAB`] step table with the ensemble's own
-    /// handlers: an SpMV carries its seam halo, a reduction is hierarchical
-    /// (on-wafer trees plus the host combine), and every other step is a
-    /// wafer-local compute phase.
-    fn try_classic_steps(
-        &self,
-        multi: &mut MultiFabric,
-        steps: &[Step],
-    ) -> Result<MultiIterCycles, Box<StallReport>> {
-        let mut c = MultiIterCycles::default();
-        for &step in steps {
-            match step {
-                Step::Run { phase: Phase::Spmv, slot } => {
-                    self.try_classic_spmv(multi, &mut c, slot)?
-                }
-                Step::Run { phase, slot } => {
-                    let pick = |i: usize| self.tiles[i].tasks[slot];
-                    c.compute.add(phase, self.try_local_phase(multi, phase.name(), pick)?)
-                }
-                Step::Reduce => {
-                    let (on_wafer, host) = self.try_allreduce(multi)?;
-                    c.compute.allreduce += on_wafer;
-                    c.host_allreduce += host;
-                }
-                Step::ReduceBoth | Step::CopyReg { .. } => {
-                    unreachable!("not a step of the classic BiCGStab table")
-                }
-            }
-        }
-        Ok(c)
-    }
-
-    /// The hierarchical AllReduce: on-wafer reduce trees (concurrent, per
-    /// wafer), host-level fp32 combine of the `k` root partial sums (in
-    /// wafer order, charged `2⌈log₂ k⌉` link latencies), then the on-wafer
-    /// broadcasts. Returns `(on_wafer_cycles, host_cycles)`.
-    fn try_allreduce(&self, multi: &mut MultiFabric) -> Result<(u64, u64), Box<StallReport>> {
-        let budget = 100 * (self.mapping.fabric_w + self.mapping.fabric_h) as u64 + 50_000;
-        self.activate_per_wafer(multi, |m, x, y| self.reductions[m].reduce_task(x, y));
-        multi.phase_begin("allreduce");
-        let on_wafer = multi.run_each(budget, recovery::STALL_WINDOW);
-        multi.phase_end();
-        let on_wafer = on_wafer?;
+        reply: bool,
+    ) -> Result<(u64, Vec<f32>), Box<StallReport>> {
+        self.activate(multi, Slot::Reduce);
+        let on_wafer = self.try_run_each(multi, "allreduce")?;
 
         multi.phase_begin("host_allreduce");
-        // Host-side fp32 combine over the binomial wafer tree — the
-        // summation order the modeled `2⌈log₂ k⌉` hop cycles actually buy
-        // (for k = 2 it coincides with a serial left-to-right sum).
-        let partials: Vec<f32> = self
-            .reductions
-            .iter()
-            .enumerate()
-            .map(|(m, red)| {
-                let (rx, ry) = red.root();
-                multi.shard(m).tile(rx, ry).core.regs[red.r_acc]
-            })
+        // Host-side fp32 combine over the binomial wafer tree, lane by
+        // lane — the summation order the modeled `2⌈log₂ k⌉` hop cycles
+        // actually buy (for k = 2 it coincides with a serial
+        // left-to-right sum).
+        let per_wafer: Vec<Vec<f32>> =
+            self.reductions.iter().enumerate().map(|(w, r)| r.partials(multi.shard(w))).collect();
+        let lanes: Vec<f32> = (0..per_wafer[0].len())
+            .map(|j| binomial_combine(per_wafer.iter().map(|w| w[j]).collect()))
             .collect();
-        let sum = binomial_combine(partials);
-        for (m, red) in self.reductions.iter().enumerate() {
-            let (rx, ry) = red.root();
-            multi.shard_mut(m).tile_mut(rx, ry).core.regs[red.r_acc] = sum;
+        if reply {
+            let reply = (self.program.recurrence.derive)(&lanes);
+            for (w, red) in self.reductions.iter().enumerate() {
+                red.write_reply(multi.shard_mut(w), &reply);
+            }
         }
         if self.host_hop_cycles > 0 {
             multi.advance_idle(self.host_hop_cycles);
         }
-        self.activate_per_wafer(multi, |m, x, y| self.reductions[m].bcast_task(x, y));
-        let bcast = multi.run_each(budget, recovery::STALL_WINDOW);
+        let mut bcast = Ok(0);
+        if reply {
+            self.activate(multi, Slot::Bcast);
+            bcast = multi.run_each(self.program.phase_budget, recovery::STALL_WINDOW);
+        }
         multi.phase_end();
         // The broadcast half runs on-wafer; only the hop latency is host time.
-        Ok((on_wafer + bcast?, self.host_hop_cycles))
+        Ok((on_wafer + bcast?, lanes))
     }
 
-    /// Runs the per-wafer 14-lane chain reduce (trace phase
-    /// `"allreduce"`); afterwards every wafer root's payload holds its
-    /// wafer's lane-wise partial sums.
-    fn try_chain_reduce(&self, multi: &mut MultiFabric) -> Result<u64, Box<StallReport>> {
-        let f = self.fused.as_ref().expect("fused driver");
-        let budget =
-            400 * (self.mapping.fabric_w + self.mapping.fabric_h) as u64 * PAY_LANES as u64
-                + 50_000;
-        self.activate_per_wafer(multi, |m, x, y| f.chains[m].reduce_task(x, y));
-        multi.phase_begin("allreduce");
-        let r = multi.run_each(budget, recovery::STALL_WINDOW);
-        multi.phase_end();
-        r
-    }
-
-    /// Reads each wafer root's reduced payload and combines the `k`
-    /// copies lane-wise over the binomial host tree.
-    fn combine_payload(&self, multi: &MultiFabric) -> Vec<f32> {
-        let f = self.fused.as_ref().expect("fused driver");
-        let per_wafer: Vec<Vec<f32>> = f
-            .chains
-            .iter()
-            .enumerate()
-            .map(|(m, chain)| {
-                let (rx, ry) = chain.root();
-                let tile = multi.shard(m).tile(rx, ry);
-                (0..PAY_LANES).map(|j| tile.mem.read_f32(f.pay + 4 * j)).collect()
-            })
-            .collect();
-        (0..PAY_LANES as usize)
-            .map(|j| binomial_combine(per_wafer.iter().map(|w| w[j]).collect()))
-            .collect()
-    }
-
-    /// The fused single-reduction AllReduce: chain reduce on every wafer,
-    /// binomial host combine of all fourteen lanes, host-side derivation
-    /// of every scalar the rest of the iteration needs, and the broadcast
-    /// loading the 7-word reply `[α, −α, ω, −ω, αω, β, ‖r‖²]` into tile
-    /// registers. One host round-trip. Returns
-    /// `(on_wafer, host, ‖r_new‖²)`.
-    fn try_fused_allreduce(
+    /// The one interpreter: walks a step table of the program's
+    /// recurrence with the ensemble's meaning for each step — an SpMV is a
+    /// seam window, a reduction is hierarchical, and every other step is a
+    /// wafer-local compute phase. Returns the cycles and the lanes the
+    /// last reduction left with the host.
+    fn try_steps(
         &self,
         multi: &mut MultiFabric,
-    ) -> Result<(u64, u64, f32), Box<StallReport>> {
-        let f = self.fused.as_ref().expect("fused driver");
-        let on_wafer = self.try_chain_reduce(multi)?;
-
-        multi.phase_begin("host_allreduce");
-        let g = self.combine_payload(multi);
-        // The classic scalars as polynomials in the pre-α dots: with
-        // q = r − α s and y = v − α·zv, every inner product expands over
-        // the measured g's (see DESIGN.md §12 for the derivation).
-        const EPS: f32 = 1e-30;
-        let rho = g[0];
-        let alpha = g[0] / (g[1] + EPS);
-        let qy = g[4] - alpha * (g[5] + g[6]) + alpha * alpha * g[7];
-        let yy = g[8] - 2.0 * alpha * g[9] + alpha * alpha * g[10];
-        let omega = qy / (yy + EPS);
-        let rho_next = (g[0] - alpha * g[1]) - omega * (g[2] - alpha * g[3]);
-        let beta = (rho_next / (rho + EPS)) * (alpha / (omega + EPS));
-        let qq = g[11] - 2.0 * alpha * g[12] + alpha * alpha * g[13];
-        let rr_new = qq - 2.0 * omega * qy + omega * omega * yy;
-        let reply = [alpha, -alpha, omega, -omega, alpha * omega, beta, rr_new];
-        for (m, chain) in f.chains.iter().enumerate() {
-            let (rx, ry) = chain.root();
-            let tile = multi.shard_mut(m).tile_mut(rx, ry);
-            for (i, &val) in reply.iter().enumerate() {
-                tile.mem.write_f32(f.bc_src + 4 * i as u32, val);
-            }
-        }
-        if f.hop_cycles > 0 {
-            multi.advance_idle(f.hop_cycles);
-        }
-        let budget =
-            400 * (self.mapping.fabric_w + self.mapping.fabric_h) as u64 * PAY_LANES as u64
-                + 50_000;
-        self.activate_per_wafer(multi, |m, x, y| f.chains[m].bcast_task(x, y));
-        let bcast = multi.run_each(budget, recovery::STALL_WINDOW);
-        multi.phase_end();
-        Ok((on_wafer + bcast?, f.hop_cycles, rr_new))
-    }
-
-    /// One fused single-reduction iteration (see
-    /// [`WaferBicgstabMulti::build_fused`]).
-    fn try_iterate_fused(
-        &self,
-        multi: &mut MultiFabric,
-    ) -> Result<MultiIterCycles, Box<StallReport>> {
-        let f = self.fused.as_ref().expect("fused driver");
+        steps: &[Step],
+    ) -> Result<(MultiIterCycles, Vec<f32>), Box<StallReport>> {
         let mut c = MultiIterCycles::default();
-        // Window A: p := r + β (p − ω s) co-scheduled with v := A r and
-        // the halo of r. The p-update is independent of the SpMV (it
-        // touches p/s, the SpMV reads r and writes v), so it widens the
-        // compute window the halo latency hides behind; its cycles are
-        // part of the calibrated window and land in the `spmv` bucket.
-        let (comp, exposed, hidden) = self.try_merged_spmv(multi, 0, |i| {
-            let t = &f.tiles[i];
-            (t.spmv_rv.start, Some(t.upd_p), t.halo_r.as_ref().map(|o| (o.send, o.recv)))
-        })?;
-        c.compute.spmv += comp;
-        c.halo += exposed;
-        c.halo_hidden += hidden;
-        // s := v + β t  (≡ A p by the recurrence t = s_prev − ω·zv_prev).
-        c.compute.update += self.try_local_phase(multi, "update", |i| f.tiles[i].upd_s)?;
-        // Window B: zv := A s, halo of s overlapped behind it.
-        let (comp, exposed, hidden) = self.try_merged_spmv(multi, 1, |i| {
-            let t = &f.tiles[i];
-            (t.spmv_szv.start, None, t.halo_s.as_ref().map(|o| (o.send, o.recv)))
-        })?;
-        c.compute.spmv += comp;
-        c.halo += exposed;
-        c.halo_hidden += hidden;
-        // All fourteen dots of the iteration, one task, one payload.
-        c.compute.dot += self.try_local_phase(multi, "dot", |i| f.tiles[i].dots)?;
-        // The single hierarchical reduction + host scalar derivation.
-        let (on_wafer, host, _rr) = self.try_fused_allreduce(multi)?;
-        c.compute.allreduce += on_wafer;
-        c.host_allreduce += host;
-        // q := r − α s;  x += α p + ω q.
-        c.compute.update += self.try_local_phase(multi, "update", |i| f.tiles[i].upd_xq)?;
-        // r := q − ω v + αω zv;  t := s − ω zv.
-        c.compute.update += self.try_local_phase(multi, "update", |i| f.tiles[i].upd_rt)?;
-        Ok(c)
-    }
-
-    /// Fused `try_load_rhs`: `r = r̂₀ = b`, all
-    /// recurrence vectors and scalar registers zeroed (the first
-    /// iteration's `upd_p` then sets `p := r`, and ρ is re-derived from
-    /// the payload every iteration — no warm-up reduction needed).
-    fn try_load_rhs_fused(
-        &self,
-        multi: &mut MultiFabric,
-        b: &[F16],
-    ) -> Result<(), Box<StallReport>> {
-        let f = self.fused.as_ref().expect("fused driver");
-        let m = self.mapping;
-        assert_eq!(b.len(), m.cores() * m.z, "rhs length mismatch");
-        let zero = vec![F16::ZERO; m.z];
-        for y in 0..m.fabric_h {
-            for x in 0..m.fabric_w {
-                let t = &f.tiles[self.idx(x, y)];
-                let rows = m.core_rows(x, y);
-                let local = &b[rows];
-                multi.store_f16(x, y, t.r_pad + 2, local);
-                multi.store_f16(x, y, t.r0, local);
-                for addr in [t.s_pad + 2, t.v, t.zv, t.p, t.q, t.x] {
-                    multi.store_f16(x, y, addr, &zero);
+        let mut lanes = Vec::new();
+        let mut window = 0;
+        for &step in steps {
+            match step {
+                Step::Spmv { slot, with } => {
+                    let (compute, exposed, hidden) =
+                        self.try_spmv_window(multi, window, slot, with)?;
+                    c.compute.spmv += compute;
+                    c.halo += exposed;
+                    c.halo_hidden += hidden;
+                    window += 1;
                 }
-                for reg in BC_REGS {
-                    multi.set_reg(x, y, reg, 0.0);
+                Step::Run { phase, slot } => {
+                    self.activate(multi, slot);
+                    c.compute.add(phase, self.try_run_each(multi, phase.name())?)
+                }
+                Step::Reduce | Step::ReduceToHost => {
+                    let on_wafer;
+                    (on_wafer, lanes) = self.try_reduce(multi, step == Step::Reduce)?;
+                    c.compute.allreduce += on_wafer;
+                    c.host_allreduce += self.host_hop_cycles;
+                }
+                Step::ReduceBoth | Step::CopyReg { .. } => {
+                    unreachable!("not a step of an ensemble BiCGStab table")
                 }
             }
         }
-        self.calibrate_spmv(multi)
+        Ok((c, lanes))
     }
 
-    /// Loads the right-hand side and zeroes the iterate (`r = r̂₀ = p = b`,
-    /// `x = 0`), then computes ρ₀ = (r̂₀, r) hierarchically.
+    /// Scatters the right-hand side and zeroes the iterate, then seeds
+    /// the recurrence: the classic iteration starts from `r = r̂₀ = p = b`
+    /// and computes ρ₀ = (r̂₀, r) hierarchically; the fused one from
+    /// `r = r̂₀ = b` with every other vector and the reply registers zero
+    /// (its first `upd_p` then sets `p := r`, and ρ is re-derived from the
+    /// payload every iteration — nothing is reduced). Either then
+    /// calibrates the overlapped SpMV windows.
     ///
     /// # Panics
     /// Panics on a fabric stall.
@@ -1170,19 +751,7 @@ impl WaferBicgstabMulti {
 
     /// Reads the iterate back from tile memories (global mesh order).
     pub fn read_x(&self, multi: &MultiFabric) -> Vec<F16> {
-        let m = self.mapping;
-        let mut out = vec![F16::ZERO; m.cores() * m.z];
-        for y in 0..m.fabric_h {
-            for x in 0..m.fabric_w {
-                let addr = match &self.fused {
-                    Some(f) => f.tiles[self.idx(x, y)].x,
-                    None => self.tiles[self.idx(x, y)].vecs.x,
-                };
-                let rows = m.core_rows(x, y);
-                out[rows].copy_from_slice(&multi.load_f16(x, y, addr, m.z));
-            }
-        }
-        out
+        self.program.read_x(multi)
     }
 
     /// [`Krylov::solve_with_recovery`] on the ensemble, so the solve
@@ -1208,32 +777,15 @@ impl WaferBicgstabMulti {
     }
 }
 
-/// The ensemble under the shared solve loops. The classic schedules walk
-/// [`krylov::BICGSTAB`] — the single-wafer iteration with a halo exchange
-/// at each SpMV and every AllReduce in hierarchical form; the fused
-/// single-reduction recurrence keeps its own sequence.
+/// The ensemble under the shared solve loops: every method is the
+/// program's recurrence table walked by the one ensemble interpreter
+/// (neither ensemble table has a distinct first iteration).
 impl Krylov<MultiFabric> for WaferBicgstabMulti {
     type Cycles = MultiIterCycles;
 
     fn try_load_rhs(&self, multi: &mut MultiFabric, b: &[F16]) -> Result<(), Box<StallReport>> {
-        if self.fused.is_some() {
-            return self.try_load_rhs_fused(multi, b);
-        }
-        let m = self.mapping;
-        assert_eq!(b.len(), m.cores() * m.z, "rhs length mismatch");
-        for y in 0..m.fabric_h {
-            for x in 0..m.fabric_w {
-                let vecs = &self.tiles[self.idx(x, y)].vecs;
-                let rows = m.core_rows(x, y);
-                let local = &b[rows];
-                multi.store_f16(x, y, vecs.r, local);
-                multi.store_f16(x, y, vecs.r0, local);
-                multi.store_f16(x, y, vecs.p_pad + 2, local);
-                multi.store_f16(x, y, vecs.x, &vec![F16::ZERO; m.z]);
-                multi.set_reg(x, y, regs::EPS, 1e-30);
-            }
-        }
-        self.try_classic_steps(multi, krylov::BICGSTAB.seed)?;
+        self.program.scatter_rhs(multi, b);
+        self.try_steps(multi, self.program.recurrence.seed)?;
         self.calibrate_spmv(multi)
     }
 
@@ -1242,30 +794,17 @@ impl Krylov<MultiFabric> for WaferBicgstabMulti {
         multi: &mut MultiFabric,
         _it: usize,
     ) -> Result<MultiIterCycles, Box<StallReport>> {
-        if self.fused.is_some() {
-            return self.try_iterate_fused(multi);
-        }
-        self.try_classic_steps(multi, krylov::BICGSTAB.iter)
+        Ok(self.try_steps(multi, self.program.recurrence.iter)?.0)
     }
 
     fn try_residual_norm(&self, multi: &mut MultiFabric) -> Result<f64, Box<StallReport>> {
-        if let Some(f) = &self.fused {
-            // ‖r‖² through payload lane 0: local dot, chain reduce, host
-            // combine. No broadcast — the tiles' registers stay untouched
-            // (the stale upper lanes are rewritten by the next `dots`).
-            self.try_local_phase(multi, "dot", |i| f.tiles[i].dot_rr)?;
-            self.try_chain_reduce(multi)?;
-            multi.phase_begin("host_allreduce");
-            let rr = self.combine_payload(multi)[0];
-            if f.hop_cycles > 0 {
-                multi.advance_idle(f.hop_cycles);
-            }
-            multi.phase_end();
-            return Ok(rr.max(0.0).sqrt() as f64);
-        }
-        let (steps, reg) = krylov::BICGSTAB.norm.expect("BiCGStab reduces its norm on-wafer");
-        self.try_classic_steps(multi, steps)?;
-        Ok(multi.reg(0, 0, reg).max(0.0).sqrt() as f64)
+        // ‖r‖² is lane 0 of the table's last host combine — for a table
+        // that goes on to broadcast it into a register, the same bits.
+        let (Norm::InReg(steps, _) | Norm::AtHost(steps)) = self.program.recurrence.norm else {
+            unreachable!("both ensemble tables reduce their norm")
+        };
+        let (_, lanes) = self.try_steps(multi, steps)?;
+        Ok(lanes[0].max(0.0).sqrt() as f64)
     }
 
     fn read_x(&self, multi: &MultiFabric) -> Vec<F16> {
@@ -1325,44 +864,64 @@ fn binomial_combine(mut partials: Vec<f32>) -> f32 {
     partials[0]
 }
 
-/// Modeled one-way wire cycles of one seam halo exchange: link latency
-/// plus the boundary plane (`fabric_h` tiles × `z` fp16 words per seam
-/// direction) crossing the link. Used only to attribute hidden-vs-exposed
-/// cycles inside the merged overlapped window — wall-clock exposure is
-/// always measured, never modeled.
-fn halo_wire_cycles(multi: &MultiFabric, z: u32) -> u64 {
-    let link = multi.link();
-    let plane_bytes = 2.0 * multi.height() as f64 * z as f64;
-    let xfer = if link.bytes_per_cycle.is_finite() {
-        (plane_bytes / link.bytes_per_cycle).ceil() as u64
-    } else {
-        0
-    };
-    link.latency_cycles + xfer
+/// Cycles `bytes` spend crossing the link (an ideal link's infinite
+/// bandwidth divides to none).
+fn transfer_cycles(link: &wse_multi::HostLink, bytes: f64) -> u64 {
+    (bytes / link.bytes_per_cycle).ceil() as u64
+}
+
+/// One tile's recurrence-specific SRAM layout.
+enum TileLayout {
+    /// [`krylov::BICGSTAB`]: the single-wafer solver's vectors.
+    Classic(crate::bicgstab::TileVecs),
+    /// [`krylov::BICGSTAB_SINGLE`].
+    Fused(FusedAddrs),
 }
 
 /// Byte addresses of one fused tile's vectors (live parts) and payload.
 struct FusedAddrs {
+    /// SpMV source for `v := A r`; padded, so the block starts at `r − 2`.
     r: u32,
+    /// SpMV source for `zv := A s`; padded like `r`.
     s: u32,
     v: u32,
     zv: u32,
     p: u32,
-    /// Doubles as `t` (see [`FusedTile::q`]).
+    /// Scratch `q = r − α s`; its storage doubles as the recurrence
+    /// carrier `t = s − ω·zv` (q's last read in `upd_rt` precedes t's
+    /// write there, and t's last read in `upd_s` precedes q's write in
+    /// `upd_xq` — the lifetimes never overlap).
     q: u32,
     r0: u32,
     x: u32,
+    /// The 14-lane fp32 dot payload.
     pay: u32,
 }
 
-/// The fused iteration's core-local task ids.
-struct FusedTaskIds {
-    upd_p: TaskId,
-    upd_s: TaskId,
-    dots: TaskId,
-    upd_xq: TaskId,
-    upd_rt: TaskId,
-    dot_rr: TaskId,
+/// Allocates one fused tile's SRAM: six coefficient diagonals, the
+/// iteration vectors, the dot payload, and the 7-word fp32 host reply
+/// (whose address is returned last).
+///
+/// # Panics
+/// Panics if the tile runs out of SRAM.
+fn alloc_fused_vecs(tile: &mut wse_arch::Tile, z: u32) -> ([u32; 6], FusedAddrs, u32) {
+    let mut diag = [0u32; 6];
+    for d in &mut diag {
+        *d = tile.mem.alloc_vec(z, Dtype::F16).expect("SRAM: diagonals");
+    }
+    let at = FusedAddrs {
+        r: tile.mem.alloc_vec(z + 2, Dtype::F16).expect("SRAM: r") + 2,
+        s: tile.mem.alloc_vec(z + 2, Dtype::F16).expect("SRAM: s") + 2,
+        v: tile.mem.alloc_vec(z, Dtype::F16).expect("SRAM: v"),
+        zv: tile.mem.alloc_vec(z, Dtype::F16).expect("SRAM: zv"),
+        p: tile.mem.alloc_vec(z, Dtype::F16).expect("SRAM: p"),
+        q: tile.mem.alloc_vec(z, Dtype::F16).expect("SRAM: q"),
+        r0: tile.mem.alloc_vec(z, Dtype::F16).expect("SRAM: r0"),
+        x: tile.mem.alloc_vec(z, Dtype::F16).expect("SRAM: x"),
+        pay: tile.mem.alloc_vec(PAY_LANES, Dtype::F32).expect("SRAM: dot payload"),
+    };
+    let bc_src = tile.mem.alloc_vec(BC_REGS.len() as u32, Dtype::F32).expect("SRAM: reply");
+    (diag, at, bc_src)
 }
 
 /// Statements computing the local dot `Σ a·b` (fp16 MAC, fp32 accumulate)
@@ -1391,26 +950,27 @@ fn fused_dot_stmts(core: &mut wse_arch::Core, a: u32, b: u32, lane: u32, z: u32)
 /// Builds one tile's core-local tasks of the fused single-reduction
 /// iteration: the two register-driven vector-update pairs, the fourteen
 /// batched dots, and the residual-only dot. Every task is a host-activated
-/// entry point.
-fn build_fused_tasks(core: &mut wse_arch::Core, at: FusedAddrs, z: u32) -> FusedTaskIds {
+/// entry point; the caller adds the SpMV slots.
+fn build_fused_tasks(core: &mut wse_arch::Core, at: &FusedAddrs, z: u32) -> Tasks {
+    let mut tasks = Tasks::new();
     // p := p − ω_prev s;  p := r + β_prev p.
-    let upd_p = {
+    tasks[Slot::UpdP] = {
         let mut body = xpay_stmts(core, regs::NEG_OMEGA, at.p, at.p, at.s, z);
         body.extend(xpay_stmts(core, regs::BETA, at.p, at.r, at.p, z));
         core.add_task(Task::new("upd_p", body))
     };
     // s := v + β_prev t   (t lives in q's storage).
-    let upd_s = {
+    tasks[Slot::UpdS] = {
         let body = xpay_stmts(core, regs::BETA, at.s, at.v, at.q, z);
         core.add_task(Task::new("upd_s", body))
     };
     // The fourteen dots of the iteration. Lane order is the host-side
-    // contract in `try_fused_allreduce`:
+    // contract in `krylov::single_reduction_scalars`:
     //   g0 (r̂₀,r)  g1 (r̂₀,s)  g2 (r̂₀,v)  g3 (r̂₀,zv)
     //   g4 (r,v)   g5 (r,zv)  g6 (s,v)   g7 (s,zv)
     //   g8 (v,v)   g9 (v,zv)  g10 (zv,zv)
     //   g11 (r,r)  g12 (r,s)  g13 (s,s)
-    let dots = {
+    tasks[Slot::Dots14] = {
         let pairs: [(u32, u32); PAY_LANES as usize] = [
             (at.r0, at.r),
             (at.r0, at.s),
@@ -1434,7 +994,7 @@ fn build_fused_tasks(core: &mut wse_arch::Core, at: FusedAddrs, z: u32) -> Fused
         core.add_task(Task::new("fused_dots", body))
     };
     // q := r − α s;  x += α p;  x += ω q.
-    let upd_xq = {
+    tasks[Slot::UpdXq] = {
         let mut body = xpay_stmts(core, regs::NEG_ALPHA, at.q, at.r, at.s, z);
         let dp = core.add_dsr(mk::tensor16(at.p, z));
         let dq = core.add_dsr(mk::tensor16(at.q, z));
@@ -1456,7 +1016,7 @@ fn build_fused_tasks(core: &mut wse_arch::Core, at: FusedAddrs, z: u32) -> Fused
     };
     // r := q − ω v;  r += αω zv  (⟹ r = q − ω y);  t := s − ω zv.
     // q's storage is rewritten as t only after its last read.
-    let upd_rt = {
+    tasks[Slot::UpdRt] = {
         let mut body = xpay_stmts(core, regs::NEG_OMEGA, at.r, at.q, at.v, z);
         let dzv = core.add_dsr(mk::tensor16(at.zv, z));
         let dr = core.add_dsr(mk::tensor16(at.r, z));
@@ -1470,14 +1030,12 @@ fn build_fused_tasks(core: &mut wse_arch::Core, at: FusedAddrs, z: u32) -> Fused
         core.add_task(Task::new("upd_rt", body))
     };
     // (r, r) into payload lane 0, for the residual-norm round.
-    let dot_rr = {
+    tasks[Slot::DotRr] = {
         let body = fused_dot_stmts(core, at.r, at.r, at.pay, z);
         core.add_task(Task::new("dot_rr", body))
     };
-    for t in [upd_p, upd_s, dots, upd_xq, upd_rt, dot_rr] {
-        core.mark_entry(t);
-    }
-    FusedTaskIds { upd_p, upd_s, dots, upd_xq, upd_rt, dot_rr }
+    tasks.mark_entries(core);
+    tasks
 }
 
 /// Convenience for the bit-exact **transparent** mode: builds the

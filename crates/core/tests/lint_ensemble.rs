@@ -49,13 +49,23 @@ fn transparent_splits_lint_clean_across_seams() {
 #[test]
 fn hierarchical_builds_lint_clean_across_seams() {
     // The distributed solver's own seam channels (halo colors through
-    // declared edge ports) at k=2 and the acceptance-floor k=4.
+    // declared edge ports) at k=2 and the acceptance-floor k=4, under every
+    // builder: the overlapped default, the blocking baseline, and the fused
+    // single-reduction recurrence (the bench default).
+    type Build = fn(&mut MultiFabric, &DiaMatrix<F16>) -> WaferBicgstabMulti;
+    let builders: [(&str, Build); 3] = [
+        ("build", WaferBicgstabMulti::build),
+        ("build_serial", WaferBicgstabMulti::build_serial),
+        ("build_fused", WaferBicgstabMulti::build_fused),
+    ];
     let a = test_system(8, 4, 6);
-    for k in [2usize, 4] {
-        let mut multi = MultiFabric::new(8, 4, k, HostLink::paper_default());
-        let _solver = WaferBicgstabMulti::build(&mut multi, &a);
-        assert_eq!(multi.seam_edges().len(), (k - 1) * 4 * 2 * 2, "2 colors x 2 dirs per row");
-        assert_ensemble_clean(&multi, &format!("hierarchical build k={k}"));
+    for (name, build) in builders {
+        for k in [2usize, 4] {
+            let mut multi = MultiFabric::new(8, 4, k, HostLink::paper_default());
+            let _solver = build(&mut multi, &a);
+            assert_eq!(multi.seam_edges().len(), (k - 1) * 4 * 2 * 2, "2 colors x 2 dirs per row");
+            assert_ensemble_clean(&multi, &format!("hierarchical {name} k={k}"));
+        }
     }
 }
 

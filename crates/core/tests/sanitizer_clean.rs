@@ -15,8 +15,9 @@ use wse_core::allreduce::AllReduce;
 use wse_core::bicgstab2d::WaferBicgstab2d;
 use wse_core::cg::{CgVariant, WaferCg};
 use wse_core::spmv2d::WaferSpmv2d;
-use wse_core::{WaferBicgstab, WaferSpmv};
+use wse_core::{WaferBicgstab, WaferBicgstabMulti, WaferSpmv};
 use wse_float::F16;
+use wse_multi::{HostLink, MultiFabric};
 
 fn assert_no_trips(fabric: &mut Fabric, what: &str) {
     let rep = fabric.take_sanitizer().expect("sanitizer was armed");
@@ -138,4 +139,38 @@ fn bicgstab2d_iterates_clean_under_sanitizer() {
         let _ = k.iterate(&mut fabric);
     }
     assert_no_trips(&mut fabric, "bicgstab2d 3x3");
+}
+
+#[test]
+fn ensemble_drivers_iterate_clean_and_cycle_identical_under_sanitizer() {
+    // All three ensemble drivers on two linked wafers: the fused tile's
+    // `q`/`t` storage aliasing and the seam folds racing the SpMV threads
+    // are exactly what the shadow state guards.
+    type Build = fn(&mut MultiFabric, &DiaMatrix<F16>) -> WaferBicgstabMulti;
+    let builders: [(&str, Build); 3] = [
+        ("build", WaferBicgstabMulti::build),
+        ("build_serial", WaferBicgstabMulti::build_serial),
+        ("build_fused", WaferBicgstabMulti::build_fused),
+    ];
+    let a = system3d(6, 4, 6);
+    let n = a.mesh().len();
+    let b: Vec<F16> = (0..n).map(|i| F16::from_f64(((i % 3) as f64) * 0.25)).collect();
+    for (name, build) in builders {
+        let run = |armed: bool| {
+            let mut multi = MultiFabric::new(6, 4, 2, HostLink::paper_default());
+            let k = build(&mut multi, &a);
+            if armed {
+                (0..2).for_each(|m| multi.shard_mut(m).arm_sanitizer());
+            }
+            k.load_rhs(&mut multi, &b);
+            let cycles = [k.iterate(&mut multi), k.iterate(&mut multi)];
+            (multi, cycles)
+        };
+        let (_, plain) = run(false);
+        let (mut multi, armed) = run(true);
+        assert_eq!(armed, plain, "{name}: sanitizer changed simulated time");
+        for m in 0..2 {
+            assert_no_trips(multi.shard_mut(m), &format!("ensemble {name}, wafer {m}"));
+        }
+    }
 }

@@ -138,22 +138,41 @@ echo "== e2e-bench tests (standalone benchmark crate) =="
 # it: this stage is what notices a wse-core API change that breaks it.
 cargo test --release --offline --manifest-path e2e-bench/Cargo.toml
 
-echo "== e2e-bench dense counters (a host-only change must not move them) =="
+# expect_exact <workload> <line>... -- runs the workload for 3 s and
+# requires each "<metric> <value> <unit>" line verbatim in its stdout.
 # Host timings differ run to run, so this is not a smoke_twice; the
-# simulated side of solve3d-dense repeats exactly, and a stepper change that
-# claims only host time has to leave every one of these lines as it is.
-cargo run --release --offline --quiet --manifest-path e2e-bench/Cargo.toml -- \
-  --workload solve3d-dense --seconds 3 > "$smoke_out"
-for line in "op_sim_cycles 7185 cycles" \
-            "wse-arch.flops_f16 1253376 count" \
-            "wse-arch.flits_routed 303446 count" \
-            "wse-arch.backpressure_cycles 167595 cycles" \
-            "ops_failed 0 count"; do
-  grep -qx "solve3d-dense $line" "$smoke_out" || {
-    echo "solve3d-dense: expected '$line', got:"
-    grep "^solve3d-dense ${line%% *} " "$smoke_out" || echo "(no such metric)"
-    exit 1
-  }
-done
+# simulated side of a workload repeats exactly, and a change that claims
+# only host time (or no simulated change at all) has to leave every one of
+# these lines as it is.
+expect_exact() {
+  local workload="$1"; shift
+  echo "== e2e-bench $workload exact counters (a host-only change must not move them) =="
+  cargo run --release --offline --quiet --manifest-path e2e-bench/Cargo.toml -- \
+    --workload "$workload" --seconds 3 > "$smoke_out"
+  local line
+  for line in "$@"; do
+    grep -qx "$workload $line" "$smoke_out" || {
+      echo "$workload: expected '$line', got:"
+      grep "^$workload ${line%% *} " "$smoke_out" || echo "(no such metric)"
+      exit 1
+    }
+  done
+}
+# The stepper's workload: every tile busy.
+expect_exact solve3d-dense \
+  "op_sim_cycles 7185 cycles" \
+  "wse-arch.flops_f16 1253376 count" \
+  "wse-arch.flits_routed 303446 count" \
+  "wse-arch.backpressure_cycles 167595 cycles" \
+  "ops_failed 0 count"
+# The ensemble driver's workload: seam windows, halo attribution, host combine.
+expect_exact multiwafer-k2 \
+  "op_sim_cycles 7266 cycles" \
+  "wse-multi.halo_exposed_cycles 132 cycles" \
+  "wse-multi.halo_hidden_cycles 1316 cycles" \
+  "wse-multi.host_allreduce_cycles 1448 cycles" \
+  "wse-arch.flops_f16 487424 count" \
+  "wse-arch.flits_routed 95208 count" \
+  "ops_failed 0 count"
 
 echo "verify: OK"
