@@ -21,8 +21,8 @@ use stencil::problem::manufactured;
 use wse_arch::Fabric;
 use wse_core::allreduce::AllReduce;
 use wse_core::bicgstab::WaferBicgstab;
-use wse_core::routing::verify_tessellation;
 use wse_core::spmv2d::WaferSpmv2d;
+use wse_dsl::tess::{spmv_color, verify_tessellation};
 use wse_float::F16;
 
 /// Result of the Table I experiment.
@@ -147,8 +147,7 @@ pub fn fig5() -> Result<(), String> {
 pub fn print_fig5() {
     println!("== Fig. 5: tessellation routing pattern ==");
     for y in 0..8 {
-        let row: Vec<String> =
-            (0..8).map(|x| wse_core::routing::spmv_color(x, y).to_string()).collect();
+        let row: Vec<String> = (0..8).map(|x| spmv_color(x, y).to_string()).collect();
         println!("  {}", row.join(" "));
     }
     match fig5() {
@@ -554,6 +553,109 @@ pub fn print_comm_hiding() {
     }
 }
 
+/// One row of the multi-wafer weak-scaling table (per-iteration means).
+#[derive(Clone, Debug)]
+pub struct MultiwaferRow {
+    /// Wafers in the ensemble.
+    pub k: usize,
+    /// Global mesh (`4k × 4 × z`: a fixed 4×4-tile slab per wafer).
+    pub mesh: (usize, usize, usize),
+    /// Ensemble cycles per iteration (hidden halo cycles excluded).
+    pub cycles: f64,
+    /// Seam wire cycles left on the critical path.
+    pub halo_exposed: f64,
+    /// Seam wire cycles overlapped behind the SpMV windows.
+    pub halo_hidden: f64,
+    /// Host-level AllReduce tree round-trip cycles.
+    pub host_tree: f64,
+    /// `perf_model::multiwafer` prediction for the same shape, µs/iteration.
+    pub model_us: f64,
+    /// Relative residual after the last iteration.
+    pub rel_residual: f64,
+}
+
+/// E-MW — weak scaling of the fused single-reduction BiCGStab with
+/// overlapped halo exchange on k ∈ {1, 2, 4, 8} simulated wafers joined by
+/// the paper-default host links (1 TB/s per seam, 0.2 µs one-way).
+pub fn multiwafer_scaling(z: usize, iters: usize) -> Vec<MultiwaferRow> {
+    use perf_model::multiwafer::MultiWafer;
+    use wse_core::WaferBicgstabMulti;
+    use wse_multi::{HostLink, MultiFabric};
+    const SLAB: usize = 4;
+    let clock_ghz = Cs1Model::default().clock_ghz;
+    [1usize, 2, 4, 8]
+        .into_iter()
+        .map(|k| {
+            let mesh = Mesh3D::new(SLAB * k, SLAB, z);
+            let p = manufactured(mesh, (1.0, -0.5, 0.5), 3).preconditioned();
+            let a16: DiaMatrix<F16> = p.matrix.convert();
+            let b16: Vec<F16> = p.rhs.iter().map(|&v| F16::from_f64(v)).collect();
+            let link = HostLink::new(1000.0, 0.2, clock_ghz);
+            let mut multi = MultiFabric::new(SLAB * k, SLAB, k, link);
+            let solver = WaferBicgstabMulti::build_fused(&mut multi, &a16);
+            solver.load_rhs(&mut multi, &b16);
+            let (mut cycles, mut exposed, mut hidden, mut tree) = (0, 0, 0, 0);
+            for _ in 0..iters {
+                let c = solver.iterate(&mut multi);
+                cycles += c.total();
+                exposed += c.halo;
+                hidden += c.halo_hidden;
+                tree += c.host_allreduce;
+            }
+            let norm_b = b16.iter().map(|v| v.to_f64() * v.to_f64()).sum::<f64>().sqrt();
+            let per_iter = |c: u64| c as f64 / iters as f64;
+            let model =
+                MultiWafer { k, link_gb_s: 1000.0, link_latency_us: 0.2, ..Default::default() };
+            MultiwaferRow {
+                k,
+                mesh: (mesh.nx, mesh.ny, mesh.nz),
+                cycles: per_iter(cycles),
+                halo_exposed: per_iter(exposed),
+                halo_hidden: per_iter(hidden),
+                host_tree: per_iter(tree),
+                model_us: model.predict_mesh(SLAB, SLAB, z).time_us,
+                rel_residual: solver.residual_norm(&mut multi) as f64 / norm_b,
+            }
+        })
+        .collect()
+}
+
+/// Prints the multi-wafer weak-scaling table.
+pub fn print_multiwafer(z: usize, iters: usize) {
+    let rows = multiwafer_scaling(z, iters);
+    let clock_ghz = Cs1Model::default().clock_ghz;
+    println!("== multi-wafer weak scaling: k wafers x (4x4x{z}) slab, {iters} iterations ==");
+    println!(
+        "{:>2} {:>10} {:>11} {:>12} {:>11} {:>9} {:>8} {:>8} {:>8} {:>12}",
+        "k",
+        "mesh",
+        "cycles/iter",
+        "halo exposed",
+        "halo hidden",
+        "host tree",
+        "us/iter",
+        "model us",
+        "weak eff",
+        "rel residual"
+    );
+    for r in &rows {
+        println!(
+            "{:>2} {:>10} {:>11.0} {:>12.0} {:>11.0} {:>9.0} {:>8.3} {:>8.3} {:>8.3} {:>12.3e}",
+            r.k,
+            format!("{}x{}x{}", r.mesh.0, r.mesh.1, r.mesh.2),
+            r.cycles,
+            r.halo_exposed,
+            r.halo_hidden,
+            r.host_tree,
+            r.cycles / (clock_ghz * 1e3),
+            r.model_us,
+            rows[0].cycles / r.cycles,
+            r.rel_residual
+        );
+    }
+    println!("(weak efficiency = cycles(k=1) / cycles(k))");
+}
+
 /// E-PWR — §I's performance-per-watt claim.
 pub fn print_energy() {
     use perf_model::energy::{cluster_energy, cs1_energy, energy_advantage};
@@ -651,6 +753,19 @@ mod tests {
         assert_eq!(r.covered, (22_800, 22_800));
         assert!(r.overhead_8x8 < 0.20);
         assert!(r.cycles_3x3_8x8 > 0);
+    }
+
+    #[test]
+    fn multiwafer_rows_converge_and_pay_only_for_seams() {
+        let rows = multiwafer_scaling(16, 2);
+        assert_eq!(rows.iter().map(|r| r.k).collect::<Vec<_>>(), [1, 2, 4, 8]);
+        assert_eq!(rows[0].halo_exposed + rows[0].halo_hidden + rows[0].host_tree, 0.0);
+        for pair in rows.windows(2) {
+            assert!(pair[1].cycles > pair[0].cycles, "more wafers, more interconnect");
+        }
+        for r in &rows {
+            assert!(r.rel_residual < 0.9, "k={} residual {:.3e}", r.k, r.rel_residual);
+        }
     }
 
     #[test]

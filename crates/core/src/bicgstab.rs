@@ -14,7 +14,6 @@
 use crate::allreduce::AllReduce;
 use crate::kernels::{dot_stmts, reg_mov, reg_neg, reg_op, xpay_stmts};
 use crate::krylov::{self, Layout, Program, Slot, Tasks, Vecs};
-use crate::routing::configure_spmv_routes;
 use crate::spmv3d::{build_spmv_tile, load_coefficients, tile_coefficients, SpmvLayout};
 use stencil::decomp::Mapping3D;
 use stencil::dia::DiaMatrix;
@@ -24,6 +23,7 @@ use wse_arch::dsr::mk;
 use wse_arch::instr::{Op, RegOp, Stmt, Task, TensorInstr};
 use wse_arch::types::Dtype;
 use wse_arch::{Fabric, Tile};
+use wse_dsl::tess::configure_spmv_routes;
 use wse_float::F16;
 
 pub use crate::krylov::{IterCycles, SolveStats};

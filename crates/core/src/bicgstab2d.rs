@@ -16,13 +16,13 @@
 use crate::allreduce::AllReduce;
 use crate::bicgstab::{build_coefficient_tasks, coefficient_names, regs};
 use crate::krylov::{self, Layout, Program, Slot, Tasks, Vecs};
-use crate::spmv2d::{Spmv2dLayout, WaferSpmv2d};
 use stencil::decomp::Block2D;
-use stencil::dia::DiaMatrix;
+use stencil::dia::{DiaMatrix, Offset3};
 use wse_arch::dsr::mk;
 use wse_arch::instr::{Op, RegOp, Stmt, Task, TensorInstr};
 use wse_arch::types::Dtype;
 use wse_arch::{Fabric, Tile};
+use wse_dsl::block2d::{self, BlockLayout};
 use wse_float::F16;
 
 /// The 2D-mapped wafer BiCGStab solver: a constructor for the block-layout
@@ -125,7 +125,7 @@ impl WaferBicgstab2d {
         assert!(w >= 2 && h >= 2, "2D solver needs at least a 2x2 tile region");
         let (ox, oy) = origin;
         assert!(ox + w <= fabric.width() && oy + h <= fabric.height(), "region exceeds fabric");
-        WaferSpmv2d::configure_routes_at(fabric, ox, oy, w, h);
+        block2d::configure_block_routes_at(fabric, ox, oy, w, h, 1);
         let allreduce = AllReduce::build_at(
             fabric,
             ox,
@@ -140,31 +140,23 @@ impl WaferBicgstab2d {
 
         let (bx, by) = (block.bx, block.by);
         let n = (bx * by) as u32;
+        let offsets = Offset3::nine_point_2d();
         let mut tiles = Vec::with_capacity(w * h);
 
         for ty in 0..h {
             for tx in 0..w {
                 let tile = fabric.tile_mut(ox + tx, oy + ty);
                 // One copy of the nine coefficient arrays, shared by both
-                // SpMV instances (as the paper's memory accounting assumes).
-                let mut coef = [0u32; 9];
-                for c in &mut coef {
-                    *c = tile.mem.alloc_vec(n, Dtype::F16).expect("SRAM: coefficients");
-                }
+                // SpMV instances (as the paper's memory accounting assumes):
+                // `lp` allocates them with p and s, `lq` adds only q and y.
+                let lp = BlockLayout::alloc(tile, block, offsets.len(), 1, Dtype::F16);
                 let ub = ((bx + 2) * (by + 2)) as u32;
-                let lp = Spmv2dLayout {
-                    block,
-                    coef,
-                    v: tile.mem.alloc_vec(n, Dtype::F16).expect("SRAM: p"),
-                    ubuf: tile.mem.alloc_vec(ub, Dtype::F16).expect("SRAM: s"),
-                };
-                let lq = Spmv2dLayout {
-                    block,
-                    coef,
+                let lq = BlockLayout {
                     v: tile.mem.alloc_vec(n, Dtype::F16).expect("SRAM: q"),
                     ubuf: tile.mem.alloc_vec(ub, Dtype::F16).expect("SRAM: y"),
+                    ..lp.clone()
                 };
-                WaferSpmv2d::load_tile_coefficients(tile, &lp, a, tx, ty);
+                block2d::load_block_coefficients(tile, &lp, a, &offsets, tx, ty);
                 let tv = Vecs {
                     r: tile.mem.alloc_vec(n, Dtype::F16).expect("SRAM: r"),
                     r0: tile.mem.alloc_vec(n, Dtype::F16).expect("SRAM: r0"),
@@ -177,8 +169,10 @@ impl WaferBicgstab2d {
                 // chain, so it is attributed to the "spmv" phase, matching
                 // how the paper accounts the broadcast.
                 let mut tasks = Tasks::new();
-                tasks[Slot::SpmvPs] = WaferSpmv2d::build_tile_task(tile, &lp, tx, ty, w, h);
-                tasks[Slot::SpmvQy] = WaferSpmv2d::build_tile_task(tile, &lq, tx, ty, w, h);
+                tasks[Slot::SpmvPs] =
+                    block2d::build_block_tile_task(tile, &lp, &offsets, tx, ty, w, h);
+                tasks[Slot::SpmvQy] =
+                    block2d::build_block_tile_task(tile, &lq, &offsets, tx, ty, w, h);
                 tasks[Slot::Reduce] = allreduce.task(tx, ty);
 
                 let row = |base: u32, i: usize| base + 2 * (i * by) as u32;

@@ -13,7 +13,6 @@
 use crate::allreduce::{colors as ar_colors, AllReduce};
 use crate::kernels::{dot_stmts, reg_mov, reg_neg, reg_op};
 use crate::krylov::{self, Layout, Program, Slot, Tasks, Vecs};
-use crate::routing::configure_spmv_routes;
 use crate::spmv3d::{build_spmv_tile, load_coefficients, tile_coefficients, SpmvLayout};
 use stencil::decomp::Mapping3D;
 use stencil::dia::DiaMatrix;
@@ -22,6 +21,7 @@ use wse_arch::dsr::mk;
 use wse_arch::instr::{Op, RegOp, Stmt, Task, TensorInstr};
 use wse_arch::types::Dtype;
 use wse_arch::Fabric;
+use wse_dsl::tess::configure_spmv_routes;
 use wse_float::F16;
 
 /// Register allocation (disjoint from the BiCGStab map so both solvers can

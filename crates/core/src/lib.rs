@@ -3,10 +3,10 @@
 //! This crate maps the BiCGStab stencil solver onto the simulated
 //! wafer-scale engine (`wse-arch`), reproducing:
 //!
-//! * [`routing`] — the tessellation channel assignment of Fig. 5,
 //! * [`spmv3d`] — the 7-point SpMV dataflow of Listing 1 / Fig. 4
 //!   (broadcast, FIFO-decoupled multiply/add pipelines, loopback main
-//!   diagonal, completion-barrier tree),
+//!   diagonal, completion-barrier tree) on the Fig. 5 tessellation channel
+//!   assignment ([`wse_dsl::tess`]),
 //! * [`spmv2d`] — the 2D 9-point block mapping of §IV.2 with output-halo
 //!   exchange, and [`bicgstab2d`] — the full solver on that mapping,
 //! * [`allreduce`] — the row/column scalar AllReduce of Fig. 6 plus
@@ -34,7 +34,6 @@ pub mod kernels;
 pub mod krylov;
 pub mod multi;
 pub mod recovery;
-pub mod routing;
 pub mod spmv2d;
 pub mod spmv3d;
 

@@ -72,7 +72,6 @@ use crate::krylov::{
     self, IterCycles, Krylov, Layout, Norm, Program, Slot, SolveStats, Step, Tasks, Vecs, BC_REGS,
 };
 use crate::recovery::{self, RecoveryLog, RecoveryPolicy};
-use crate::routing::configure_spmv_routes;
 use crate::spmv3d::{
     build_overlap_halo, build_spmv_tile_halo, build_spmv_tile_overlapped, load_coefficients,
     tile_coefficients, HaloBuffers, OverlapHalo, SpmvLayout,
@@ -87,6 +86,7 @@ use wse_arch::fabric::StallReport;
 use wse_arch::instr::{Op, Stmt, Task, TensorInstr};
 use wse_arch::types::{Color, Dtype, Port, TaskId};
 use wse_arch::Fabric;
+use wse_dsl::tess::configure_spmv_routes;
 use wse_float::F16;
 use wse_multi::MultiFabric;
 

@@ -10,92 +10,21 @@
 //! tile grid."
 //!
 //! The emitter lives in [`wse_dsl::block2d`] (generalized to halo radius
-//! ≤ 2 and both precisions); this module keeps the original public surface
-//! — [`Spmv2dLayout`] with its fixed nine-array coefficient block, and
-//! [`WaferSpmv2d`] — as thin wrappers. At radius 1 the generalized emitter
-//! produces **byte-identical** programs to the original hand-written
-//! builder; `wse-serve`'s `tests/dsl_retrofit.rs` pins the program digest.
+//! ≤ 2 and both precisions); [`WaferSpmv2d`] is the nine-point fp16
+//! instance of it. At radius 1 the generalized emitter produces
+//! **byte-identical** programs to the original hand-written builder;
+//! `wse-serve`'s `tests/dsl_retrofit.rs` pins the program digests.
 
 use stencil::decomp::Block2D;
 use stencil::dia::DiaMatrix;
-use stencil::mesh::Mesh2D;
-use wse_arch::types::{Dtype, TaskId};
-use wse_arch::{Fabric, Tile};
-use wse_dsl::block2d::{self, BlockLayout};
+use wse_arch::Fabric;
 use wse_dsl::ir::StencilSpec;
+use wse_dsl::Lowered;
 use wse_float::F16;
 
-/// Virtual channels for the halo exchange — re-exported from the
-/// whole-wafer color map ([`wse_dsl::colors`]), which documents the
-/// aliasing rules that used to live here.
-pub mod colors {
-    pub use wse_dsl::colors::{HALO_E, HALO_N, HALO_S, HALO_W};
-}
-
-/// Byte addresses of one tile's 2D SpMV data.
-#[derive(Copy, Clone, Debug)]
-pub struct Spmv2dLayout {
-    /// Block extents.
-    pub block: Block2D,
-    /// Nine column-coefficient arrays (`bx·by` each), indexed like
-    /// [`stencil::dia::Offset3::nine_point_2d`].
-    pub coef: [u32; 9],
-    /// Local iterate block, `bx·by` words, row-major (y fastest).
-    pub v: u32,
-    /// Extended output buffer, `(bx+2)·(by+2)` words, row-major with width
-    /// `by + 2`.
-    pub ubuf: u32,
-}
-
-impl Spmv2dLayout {
-    /// Allocates the layout in a tile's SRAM.
-    ///
-    /// # Panics
-    /// Panics when the block exceeds the 48 KB budget — by construction this
-    /// reproduces the paper's "up-to 38×38" limit.
-    pub fn alloc(tile: &mut Tile, block: Block2D) -> Spmv2dLayout {
-        Self::from_block(&BlockLayout::alloc(tile, block, 9, 1, Dtype::F16))
-    }
-
-    /// Byte address of `ubuf[i][j]` (extended coordinates, `i` along x).
-    pub fn u_addr(&self, i: usize, j: usize) -> u32 {
-        self.ubuf + 2 * (i * (self.block.by + 2) + j) as u32
-    }
-
-    /// Byte address of `v[i][j]` (block coordinates).
-    pub fn v_addr(&self, i: usize, j: usize) -> u32 {
-        self.v + 2 * (i * self.block.by + j) as u32
-    }
-
-    /// The generalized-layout view the shared emitter consumes.
-    fn as_block(&self) -> BlockLayout {
-        BlockLayout {
-            block: self.block,
-            r: 1,
-            dtype: Dtype::F16,
-            coef: self.coef.to_vec(),
-            v: self.v,
-            ubuf: self.ubuf,
-        }
-    }
-
-    fn from_block(b: &BlockLayout) -> Spmv2dLayout {
-        assert_eq!(b.r, 1, "legacy 2D layout is radius 1");
-        assert_eq!(b.coef.len(), 9, "legacy 2D layout has nine coefficient arrays");
-        let mut coef = [0u32; 9];
-        coef.copy_from_slice(&b.coef);
-        Spmv2dLayout { block: b.block, coef, v: b.v, ubuf: b.ubuf }
-    }
-}
-
-/// The whole-fabric 2D SpMV.
-pub struct WaferSpmv2d {
-    fabric_w: usize,
-    fabric_h: usize,
-    block: Block2D,
-    layouts: Vec<Spmv2dLayout>,
-    tasks: Vec<TaskId>,
-}
+/// The whole-fabric 2D SpMV: the lowered block-mapped program behind an
+/// fp16 interface.
+pub struct WaferSpmv2d(Lowered);
 
 impl WaferSpmv2d {
     /// Distributes a 9-point 2D matrix over a fabric of `w × h` cores, each
@@ -118,55 +47,7 @@ impl WaferSpmv2d {
         let spec = StencilSpec::var_nine_point_2d();
         let lowered = wse_dsl::lower(fabric, &spec, &a64, Some(block))
             .unwrap_or_else(|e| panic!("2D SpMV lowering rejected: {e}"));
-        let (w, h, block, layouts, tasks) = lowered.into_block_parts();
-        let layouts = layouts.iter().map(Spmv2dLayout::from_block).collect();
-        WaferSpmv2d { fabric_w: w, fabric_h: h, block, layouts, tasks }
-    }
-
-    pub(crate) fn configure_routes_at(
-        fabric: &mut Fabric,
-        ox: usize,
-        oy: usize,
-        w: usize,
-        h: usize,
-    ) {
-        block2d::configure_block_routes_at(fabric, ox, oy, w, h, 1);
-    }
-
-    pub(crate) fn load_tile_coefficients(
-        tile: &mut Tile,
-        layout: &Spmv2dLayout,
-        a: &DiaMatrix<F16>,
-        tx: usize,
-        ty: usize,
-    ) {
-        block2d::load_block_coefficients(
-            tile,
-            &layout.as_block(),
-            a,
-            &stencil::dia::Offset3::nine_point_2d(),
-            tx,
-            ty,
-        );
-    }
-
-    pub(crate) fn build_tile_task(
-        tile: &mut Tile,
-        layout: &Spmv2dLayout,
-        tx: usize,
-        ty: usize,
-        w: usize,
-        h: usize,
-    ) -> TaskId {
-        block2d::build_block_tile_task(
-            tile,
-            &layout.as_block(),
-            &stencil::dia::Offset3::nine_point_2d(),
-            tx,
-            ty,
-            w,
-            h,
-        )
+        WaferSpmv2d(lowered)
     }
 
     /// Executes `u = A v`. Input and output are in global mesh order
@@ -176,42 +57,7 @@ impl WaferSpmv2d {
     /// # Panics
     /// Panics on stall or length mismatch.
     pub fn run(&self, fabric: &mut Fabric, v: &[F16]) -> (Vec<F16>, u64) {
-        let b = self.block;
-        let mesh = Mesh2D::new(self.fabric_w * b.bx, self.fabric_h * b.by);
-        assert_eq!(v.len(), mesh.len(), "iterate length mismatch");
-        // Scatter.
-        for ty in 0..self.fabric_h {
-            for tx in 0..self.fabric_w {
-                let layout = &self.layouts[ty * self.fabric_w + tx];
-                let mut local = vec![F16::ZERO; b.bx * b.by];
-                for i in 0..b.bx {
-                    for j in 0..b.by {
-                        local[i * b.by + j] = v[mesh.idx(tx * b.bx + i, ty * b.by + j)];
-                    }
-                }
-                let tile = fabric.tile_mut(tx, ty);
-                tile.mem.store_f16_slice(layout.v, &local);
-                tile.core.activate(self.tasks[ty * self.fabric_w + tx]);
-            }
-        }
-        let budget = 2_000 * (b.bx * b.by) as u64 + 100_000;
-        let cycles =
-            fabric.run_until_quiescent(budget).unwrap_or_else(|e| panic!("2D SpMV stalled: {e}"));
-        // Gather interiors.
-        let mut out = vec![F16::ZERO; mesh.len()];
-        for ty in 0..self.fabric_h {
-            for tx in 0..self.fabric_w {
-                let layout = &self.layouts[ty * self.fabric_w + tx];
-                let tile = fabric.tile(tx, ty);
-                for i in 0..b.bx {
-                    for j in 0..b.by {
-                        let addr = layout.u_addr(i + 1, j + 1);
-                        out[mesh.idx(tx * b.bx + i, ty * b.by + j)] = tile.mem.read_f16(addr);
-                    }
-                }
-            }
-        }
-        (out, cycles)
+        crate::spmv3d::apply_f16(&self.0, fabric, v)
     }
 }
 
@@ -219,6 +65,7 @@ impl WaferSpmv2d {
 mod tests {
     use super::*;
     use stencil::dia::Offset3;
+    use stencil::mesh::Mesh2D;
 
     /// Exact-arithmetic 9-point operator: unit diagonal, −1/8 couplings.
     fn exact9(mesh: Mesh2D) -> (DiaMatrix<F16>, Vec<F16>) {

@@ -25,11 +25,11 @@
 //! the original hand-written builder's (`wse-serve`'s
 //! `tests/dsl_retrofit.rs` pins the program digest).
 
-use stencil::decomp::Mapping3D;
 use stencil::dia::DiaMatrix;
 use stencil::precond::has_unit_diagonal;
 use wse_arch::Fabric;
 use wse_dsl::ir::StencilSpec;
+use wse_dsl::Lowered;
 use wse_float::F16;
 
 pub use wse_dsl::zcolumn::{
@@ -38,12 +38,9 @@ pub use wse_dsl::zcolumn::{
     HaloBuffers, OverlapHalo, SpmvLayout, SpmvTasks, FIFO_DEPTH, HALO_RECV_SLOT, HALO_SEND_SLOT,
 };
 
-/// The whole-fabric SpMV: mapping, per-tile layouts, and per-tile task ids.
-pub struct WaferSpmv {
-    mapping: Mapping3D,
-    layouts: Vec<SpmvLayout>,
-    tasks: Vec<SpmvTasks>,
-}
+/// The whole-fabric SpMV: the lowered Listing-1 program behind an fp16
+/// interface.
+pub struct WaferSpmv(Lowered);
 
 impl WaferSpmv {
     /// Distributes a unit-diagonal 7-point matrix across the fabric and
@@ -59,17 +56,7 @@ impl WaferSpmv {
         let spec = StencilSpec::var_seven_point_3d();
         let lowered = wse_dsl::lower(fabric, &spec, &a64, None)
             .unwrap_or_else(|e| panic!("3D SpMV lowering rejected: {e}"));
-        let (mapping, layouts, tasks) = lowered.into_zcolumn_parts();
-        WaferSpmv { mapping, layouts, tasks }
-    }
-
-    /// The mesh→fabric mapping in use.
-    pub fn mapping(&self) -> Mapping3D {
-        self.mapping
-    }
-
-    fn tile_index(&self, x: usize, y: usize) -> usize {
-        y * self.mapping.fabric_w + x
+        WaferSpmv(lowered)
     }
 
     /// Executes `u = A v` on the fabric. `v` is in global mesh order; the
@@ -80,41 +67,27 @@ impl WaferSpmv {
     /// Panics if the fabric fails to quiesce (deadlock) or `v` has the wrong
     /// length.
     pub fn run(&self, fabric: &mut Fabric, v: &[F16]) -> (Vec<F16>, u64) {
-        let m = self.mapping;
-        assert_eq!(v.len(), m.cores() * m.z, "iterate length mismatch");
-        for y in 0..m.fabric_h {
-            for x in 0..m.fabric_w {
-                let i = self.tile_index(x, y);
-                let rows = m.core_rows(x, y);
-                load_iterate(fabric.tile_mut(x, y), &self.layouts[i], &v[rows]);
-                fabric.tile_mut(x, y).core.activate(self.tasks[i].start);
-            }
-        }
-        let budget = 64 * m.z as u64 + 10_000;
-        let cycles = fabric
-            .run_until_quiescent(budget)
-            .unwrap_or_else(|e| panic!("wafer SpMV stalled: {e}"));
-        let mut out = vec![F16::ZERO; v.len()];
-        for y in 0..m.fabric_h {
-            for x in 0..m.fabric_w {
-                let i = self.tile_index(x, y);
-                let rows = m.core_rows(x, y);
-                let u = read_result(fabric.tile(x, y), &self.layouts[i]);
-                out[rows].copy_from_slice(&u);
-            }
-        }
-        (out, cycles)
+        apply_f16(&self.0, fabric, v)
     }
+}
+
+/// [`Lowered::apply`] behind an fp16 interface: every fp16 value widens to
+/// `f64` and narrows back exactly, so the round trip changes no bit.
+pub(crate) fn apply_f16(lowered: &Lowered, fabric: &mut Fabric, v: &[F16]) -> (Vec<F16>, u64) {
+    let v64: Vec<f64> = v.iter().map(|h| h.to_f64()).collect();
+    let (u, cycles) = lowered.apply(fabric, &v64);
+    (u.into_iter().map(F16::from_f64).collect(), cycles)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::routing::configure_spmv_routes;
+    use stencil::decomp::Mapping3D;
     use stencil::dia::Offset3;
     use stencil::mesh::Mesh3D;
     use stencil::precond::jacobi_scale;
     use stencil::stencil7::{convection_diffusion, poisson};
+    use wse_dsl::tess::configure_spmv_routes;
 
     /// Builds an exact-arithmetic test system: coefficients and iterate are
     /// small powers of two, so fp16 arithmetic is exact and the wafer result

@@ -5,7 +5,7 @@
 //! the five concurrent streams through a router never share a channel.
 
 use proptest::prelude::*;
-use wse_core::routing::{incoming_colors, spmv_color, SPMV_COLORS};
+use wse_dsl::tess::{incoming_colors, spmv_color, SPMV_COLORS};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]

@@ -12,8 +12,7 @@
 //! * [`plan`] — validation and resource planning: structured
 //!   [`ir::DslError`]s for illegal specs (offset beyond the routable
 //!   radius, SRAM over the 48 KB budget) **before any fabric is touched**.
-//! * [`tess`] — the Fig. 5 tessellation channel assignment (moved from
-//!   `wse-core::routing`).
+//! * [`tess`] — the Fig. 5 tessellation channel assignment.
 //! * [`block2d`] — the generalized radius-`r` 2D block mapping with
 //!   output-halo exchange; at radius 1 it emits byte-identical programs to
 //!   the original hand-written `spmv2d` builder.
@@ -26,8 +25,8 @@
 //! * [`host`] — order-mirroring host reference applies (bit-exact per
 //!   datapath dtype).
 //!
-//! `wse-core`'s `spmv2d`/`spmv3d`/`routing` modules are now façades over
-//! this crate, so every existing call site is served by the lowering layer.
+//! `wse-core`'s `WaferSpmv` and `WaferSpmv2d` hold a [`lower::Lowered`] and
+//! its solver builders call [`tess`], [`block2d`] and [`zcolumn`] directly.
 
 #![warn(missing_docs)]
 

@@ -164,7 +164,6 @@ pub fn lower(
             crate::debug_lint(fabric);
             Detail::Relay { w, h, rounds, mesh, layouts, tasks }
         }
-        MappingPlan::Listing1 { .. } => unreachable!("plan defers the Listing-1 choice to lower"),
     };
 
     Ok(Lowered { name: spec.name.clone(), fingerprint: p.fingerprint, dtype: p.dtype, detail })
@@ -320,30 +319,6 @@ impl Lowered {
                 }
                 (out, cycles)
             }
-        }
-    }
-
-    /// Decomposes a block-mapped program into the pieces `wse-core`'s
-    /// `WaferSpmv2d` façade stores: `(w, h, block, layouts, tasks)`.
-    ///
-    /// # Panics
-    /// Panics when the program was not lowered onto the block mapping.
-    pub fn into_block_parts(self) -> (usize, usize, Block2D, Vec<BlockLayout>, Vec<TaskId>) {
-        match self.detail {
-            Detail::Block { w, h, block, layouts, tasks, .. } => (w, h, block, layouts, tasks),
-            _ => panic!("not a block-mapped program"),
-        }
-    }
-
-    /// Decomposes a Listing-1 program into the pieces `wse-core`'s
-    /// `WaferSpmv` façade stores: `(mapping, layouts, tasks)`.
-    ///
-    /// # Panics
-    /// Panics when the program was not lowered onto the Listing-1 dataflow.
-    pub fn into_zcolumn_parts(self) -> (Mapping3D, Vec<SpmvLayout>, Vec<SpmvTasks>) {
-        match self.detail {
-            Detail::Listing1 { mapping, layouts, tasks } => (mapping, layouts, tasks),
-            _ => panic!("not a Listing-1 program"),
         }
     }
 }

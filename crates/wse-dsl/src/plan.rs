@@ -2,7 +2,7 @@
 //! mapping choice, with every illegal input rejected as a structured
 //! [`DslError`] **before any fabric is touched**.
 //!
-//! Three mappings exist:
+//! [`plan`] selects one of two mappings:
 //!
 //! * **Block** — the 2D block mapping of the 9-point section: each tile owns
 //!   a `bx × by` block, computes into an output buffer with a radius-`r`
@@ -10,13 +10,17 @@
 //!   Radius ≤ [`BLOCK_MAX_RADIUS`]: ring colors beyond 2 would collide with
 //!   the multi-wafer seam channels, and the x/y exchange rounds would need
 //!   more background-thread slots than a core has.
-//! * **Listing1** — the paper's Z-column 7-point dataflow (one mesh column
-//!   per tile, neighbor columns streamed through hardware FIFOs). Only the
-//!   unit-diagonal 7-point fp16 shape is eligible; the final choice also
-//!   needs the matrix (unit diagonal), so [`crate::lower`] decides.
 //! * **Relay** — store-and-forward rounds for wide 3D stars (Jacquelin et
 //!   al.'s 25-point star): round `d` forwards the columns received in round
 //!   `d − 1`, so four colors serve any radius ≤ [`ROUTABLE_RADIUS`].
+//!
+//! A third dataflow, the paper's Listing-1 Z-column 7-point kernel (one
+//! mesh column per tile, neighbor columns streamed through hardware FIFOs),
+//! is not a plan outcome: only the unit-diagonal 7-point fp16 shape is
+//! eligible, and the unit diagonal is a property of the matrix, so
+//! [`crate::lower`] substitutes it for a `Relay` plan when
+//! [`listing1_eligible`] holds and the matrix qualifies. The plan's SRAM
+//! bound covers both.
 
 use stencil::decomp::Block2D;
 use stencil::mesh::Mesh3D;
@@ -53,15 +57,6 @@ pub enum MappingPlan {
         block: Block2D,
         /// Halo radius.
         r: usize,
-    },
-    /// The paper's Listing-1 Z-column dataflow.
-    Listing1 {
-        /// Tiles along x (= mesh nx).
-        w: usize,
-        /// Tiles along y (= mesh ny).
-        h: usize,
-        /// Z points per tile.
-        z: usize,
     },
     /// Store-and-forward relay rounds for wide 3D stars.
     Relay {

@@ -1,6 +1,5 @@
-//! The SpMV tessellation routing pattern (Fig. 5), moved here from
-//! `wse-core::routing` so the lowering layer and the hand-written drivers
-//! share one implementation.
+//! The SpMV tessellation routing pattern (Fig. 5): the one channel
+//! assignment the lowering layer and `wse-core`'s solver builders share.
 //!
 //! "A single core pushes its content into adjacent cores' fabric router
 //! using a single communication channel. Messages from the four neighbors

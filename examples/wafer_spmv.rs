@@ -6,9 +6,9 @@
 //! cargo run --release --example wafer_spmv
 //! ```
 
-use wafer_stencil::kernels::routing::spmv_color;
 use wafer_stencil::prelude::*;
 use wafer_stencil::stencil_::dia::Offset3;
+use wse_dsl::tess::spmv_color;
 
 fn main() {
     let (w, h) = (5usize, 5usize);

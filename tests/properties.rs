@@ -3,9 +3,9 @@
 
 use proptest::prelude::*;
 use wafer_stencil::kernels::allreduce::AllReduce;
-use wafer_stencil::kernels::routing::verify_tessellation;
 use wafer_stencil::prelude::*;
 use wafer_stencil::stencil_::dia::Offset3;
+use wse_dsl::tess::verify_tessellation;
 
 /// Random unit-diagonal 7-point matrix whose arithmetic is *exact* in
 /// binary16: coefficients and iterate are multiples of 1/8 with magnitude
