@@ -33,6 +33,7 @@
 pub mod block2d;
 pub mod catalog;
 pub mod colors;
+pub mod fixtures;
 pub mod host;
 pub mod ir;
 pub mod lower;

@@ -151,46 +151,6 @@ fn build(config: &str) -> Fabric {
     }
 }
 
-/// The DSL-rejection fixtures: intentionally illegal stencil specs the
-/// `wse-dsl` front-end must refuse with a structured error **before any
-/// fabric is touched**. Returns the error and whether the probe fabric
-/// really stayed pristine (no SRAM, no tasks, no routes).
-fn dsl_fixture(name: &str) -> Option<(wse_dsl::DslError, bool)> {
-    use wse_dsl::{Boundary, Precision, StencilSpec, Tap};
-    let (spec, mesh) = match name {
-        // A tap seven hops out: past the relay mapping's routable radius.
-        "dsl-radius-overflow" => (
-            StencilSpec::new(
-                "bad-radius",
-                vec![Tap::constant(0, 0, 0, 1.0), Tap::constant(7, 0, 0, -0.125)],
-                Precision::F16,
-                Boundary::Dirichlet0,
-            ),
-            Mesh3D::new(3, 3, 8),
-        ),
-        // A 4096-point column: seven coefficient vectors plus buffers blow
-        // the 48 KB tile budget.
-        "dsl-sram-overflow" => {
-            (wse_dsl::catalog::get("star7-3d").expect("catalog operator"), Mesh3D::new(2, 2, 4096))
-        }
-        _ => return None,
-    };
-    let mut fabric = Fabric::new(8, 8);
-    let err = match wse_dsl::lower_spec(&mut fabric, &spec, mesh, None) {
-        Err(e) => e,
-        Ok(_) => panic!("fixture {name} unexpectedly lowered clean"),
-    };
-    let untouched = (0..fabric.height()).all(|y| {
-        (0..fabric.width()).all(|x| {
-            let t = fabric.tile(x, y);
-            t.mem.used() == 0
-                && t.core.dump_program().is_empty()
-                && t.router.routes().next().is_none()
-        })
-    });
-    Some((err, untouched))
-}
-
 /// Escapes a string for a JSON string literal.
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -229,7 +189,9 @@ fn main() {
     for config in configs {
         // DSL-rejection fixtures never produce a fabric; report the
         // structured front-end error in the same diffable format.
-        if let Some((err, untouched)) = config.strip_prefix("fixture:").and_then(dsl_fixture) {
+        if let Some((err, untouched)) =
+            config.strip_prefix("fixture:").and_then(wse_dsl::fixtures::reject)
+        {
             if json {
                 records.push(format!(
                     "{{\"config\":\"{}\",\"tile\":[0,0],\"severity\":\"error\",\
