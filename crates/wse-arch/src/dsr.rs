@@ -11,7 +11,7 @@
 use crate::types::{Color, Dtype, FifoId};
 
 /// What a DSR points at.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Descriptor {
     /// A strided tensor in tile memory.
     Mem {

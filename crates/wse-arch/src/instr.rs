@@ -10,7 +10,7 @@ use crate::dsr::Descriptor;
 use crate::types::{Color, DsrId, Reg, TaskId};
 
 /// The arithmetic performed per element pair.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Op {
     /// `dst[i] = a[i]` — data movement (memory↔fabric↔FIFO).
     Copy,
@@ -150,7 +150,7 @@ impl Op {
 }
 
 /// A tensor instruction: op plus DSR operands.
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct TensorInstr {
     /// The per-element operation.
     pub op: Op,
@@ -164,7 +164,7 @@ pub struct TensorInstr {
 
 /// Scheduling-state manipulation, mirroring Listing 1's `block()/unblock()/
 /// activate()` and the `.trig/.act` fields of fabric descriptors.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum TaskAction {
     /// Make the task runnable (it runs when unblocked and scheduled).
     Activate,
@@ -175,7 +175,7 @@ pub enum TaskAction {
 }
 
 /// One statement of a task body.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Stmt {
     /// Run a tensor instruction synchronously in the main thread; the task
     /// does not advance until it completes.
@@ -287,7 +287,7 @@ impl Task {
 /// A data-triggered binding: a word arriving on `color` activates `task`
 /// ("The channel of the arriving word determines the code that is
 /// triggered").
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct ColorBinding {
     /// The triggering virtual channel.
     pub color: Color,

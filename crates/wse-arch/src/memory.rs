@@ -24,7 +24,7 @@ pub struct Memory {
 
 /// One recorded allocation: a contiguous byte extent handed out by
 /// [`Memory::alloc`]. The linter audits descriptor extents against these.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Allocation {
     /// First byte of the extent.
     pub base: u32,

@@ -9,16 +9,21 @@
 //! transfer can hide in before its sender blocks.
 //!
 //! The model is built once per lint run from read-only fabric state and
-//! shared by the three passes. Everything here is deterministic: tiles are
-//! visited row-major, sites in task-then-statement order, and breadth-first
-//! searches expand in fixed port order.
+//! shared by every pass. Building it is where tiles are interned into
+//! classes (`classes.rs`): each class's program facts are derived and
+//! its tile-local rules run exactly once, and the model keeps per tile only
+//! a class index and the offset of its wait sites. Everything here is
+//! deterministic: tiles are visited row-major, sites in
+//! task-then-statement order, and breadth-first searches expand in fixed
+//! port order.
 
-use crate::program::instruction_sites;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use wse_arch::dsr::Descriptor;
+use crate::classes::{self, Class};
+use crate::{Diagnostic, LintStats, Pass, Rule, Severity};
+use std::cell::Cell;
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::time::Instant;
 use wse_arch::fabric::{Fabric, Tile};
-use wse_arch::instr::{Stmt, TaskAction};
-use wse_arch::types::{Color, Port, TaskId, QUEUE_CAPACITY, RAMP_OUT_CAPACITY};
+use wse_arch::types::{Color, Port, TaskId, NUM_COLORS, QUEUE_CAPACITY, RAMP_OUT_CAPACITY};
 
 /// One paired seam channel between two shards of a multi-wafer ensemble:
 /// flits leaving `src_shard` through the declared edge port
@@ -69,6 +74,18 @@ impl<'a> Ensemble<'a> {
         (self.offsets[shard] + x, y)
     }
 
+    /// An error-severity diagnostic at a shard-local tile.
+    pub(crate) fn error(
+        &self,
+        shard: usize,
+        x: usize,
+        y: usize,
+        rule: Rule,
+        message: String,
+    ) -> Diagnostic {
+        Diagnostic { tile: self.global_tile(shard, x, y), severity: Severity::Error, rule, message }
+    }
+
     /// Human-readable tile label: `"tile (x, y)"`, prefixed with the wafer
     /// index when the ensemble has more than one shard.
     pub fn label(&self, shard: usize, x: usize, y: usize) -> String {
@@ -83,8 +100,8 @@ impl<'a> Ensemble<'a> {
 /// A statement that can block the main thread (or gate later statements):
 /// a fabric receive or send, resolved from the instruction sites of a
 /// reachable task.
-#[derive(Clone, Debug)]
-pub struct WaitSite {
+#[derive(Copy, Clone, Debug)]
+pub(crate) struct WaitSite {
     /// Shard index.
     pub shard: usize,
     /// Tile x (shard-local).
@@ -132,7 +149,7 @@ impl WaitSite {
 /// Where a color's flits are delivered when injected at an origin router
 /// node, with the buffering available along the way.
 #[derive(Clone, Debug, Default)]
-pub struct Flow {
+pub(crate) struct Flow {
     /// Delivered ramps: `(shard, x, y)` → `(router nodes on the shortest
     /// path, crossed a seam)`. Host-buffered seam crossings make the
     /// effective buffering unbounded for backpressure purposes.
@@ -145,135 +162,15 @@ pub struct Flow {
 /// router nodes away: the sender's ramp-out queue, one router queue per
 /// node on the path, and the receiver's ramp-in queue. A synchronous send
 /// longer than this cannot complete until the receiver drains.
-pub fn path_capacity(dist: usize) -> u32 {
+pub(crate) fn path_capacity(dist: usize) -> u32 {
     (RAMP_OUT_CAPACITY + (dist + 1) * QUEUE_CAPACITY) as u32
 }
 
-/// The whole-ensemble model: reachable tasks per tile, wait sites of
-/// reachable tasks, and route-flow queries.
-pub struct Model<'a> {
-    /// The ensemble under analysis.
-    pub ens: &'a Ensemble<'a>,
-    /// Per shard, per tile (row-major): the activation-reachable task set.
-    pub reachable: Vec<Vec<BTreeSet<TaskId>>>,
-    /// Wait sites of reachable tasks, in shard/tile/task/statement order.
-    pub waits: Vec<WaitSite>,
-}
+/// A router input node: `(shard, x, y, input port)`.
+pub(crate) type Node = (usize, usize, usize, Port);
 
-impl<'a> Model<'a> {
-    /// Builds the model. Read-only; no cycle is stepped.
-    pub fn build(ens: &'a Ensemble<'a>) -> Model<'a> {
-        let mut reachable = Vec::with_capacity(ens.shards.len());
-        let mut waits = Vec::new();
-        for (s, fabric) in ens.shards.iter().enumerate() {
-            let mut shard_reach = Vec::with_capacity(fabric.width() * fabric.height());
-            for y in 0..fabric.height() {
-                for x in 0..fabric.width() {
-                    let tile = fabric.tile(x, y);
-                    let reach = reachable_tasks(tile);
-                    collect_waits(s, x, y, tile, &reach, &mut waits);
-                    shard_reach.push(reach);
-                }
-            }
-            reachable.push(shard_reach);
-        }
-        Model { ens, reachable, waits }
-    }
-
-    /// The reachable task set of a tile.
-    pub fn reachable(&self, shard: usize, x: usize, y: usize) -> &BTreeSet<TaskId> {
-        &self.reachable[shard][y * self.ens.shards[shard].width() + x]
-    }
-
-    /// Flow of `color` injected at the ramp of `(shard, x, y)`: every ramp
-    /// it is delivered to, following routes and crossing paired seams.
-    pub fn flow_from_ramp(&self, shard: usize, x: usize, y: usize, color: Color) -> Flow {
-        self.flow(color, &[(shard, x, y, Port::Ramp)])
-    }
-
-    /// Flow of `color` from a set of origin router nodes
-    /// `(shard, x, y, in_port)`. Breadth-first over the per-color
-    /// forwarding graph; seam egress ports continue at the paired ingress.
-    pub fn flow(&self, color: Color, origins: &[(usize, usize, usize, Port)]) -> Flow {
-        let mut flow = Flow::default();
-        let mut seen: BTreeSet<(usize, usize, usize, usize)> = BTreeSet::new();
-        let mut queue: VecDeque<(usize, usize, usize, Port, usize, bool)> = VecDeque::new();
-        for &(s, x, y, p) in origins {
-            if seen.insert((s, x, y, p.index())) {
-                queue.push_back((s, x, y, p, 1, false));
-            }
-        }
-        while let Some((s, x, y, p, dist, seamed)) = queue.pop_front() {
-            let fabric = self.ens.shards[s];
-            let Some(fanout) = fabric.tile(x, y).router.route(p, color) else { continue };
-            for &out in fanout {
-                if out == Port::Ramp {
-                    let e = flow.delivered.entry((s, x, y)).or_insert((dist, seamed));
-                    // Keep the shortest path; a seam on *any* delivering
-                    // path means host buffering can absorb the transfer.
-                    e.1 |= seamed;
-                    continue;
-                }
-                if let Some((nx, ny)) = neighbor(fabric, x, y, out) {
-                    let np = out.opposite().expect("cardinal port");
-                    if seen.insert((s, nx, ny, np.index())) {
-                        queue.push_back((s, nx, ny, np, dist + 1, seamed));
-                    }
-                } else {
-                    // Off the shard edge: continue through a paired seam.
-                    for (i, seam) in self.ens.seams.iter().enumerate() {
-                        if seam.src_shard == s
-                            && seam.sx == x
-                            && seam.sy == y
-                            && seam.sport == out
-                            && seam.color == color
-                        {
-                            flow.seams_reached.insert(i);
-                            let (ds, dx, dy, dp) = (seam.dst_shard, seam.dx, seam.dy, seam.dport);
-                            if seen.insert((ds, dx, dy, dp.index())) {
-                                queue.push_back((ds, dx, dy, dp, dist + 1, true));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        flow
-    }
-
-    /// All origin router nodes that can introduce `color` flits into the
-    /// ensemble: the ramp of every tile whose reachable program sends on
-    /// it, plus declared edge ports that are *not* seam-internal (external
-    /// host injection points).
-    pub fn sources(&self, color: Color) -> Vec<(usize, usize, usize, Port)> {
-        let mut origins = Vec::new();
-        for w in &self.waits {
-            if matches!(w.send, Some((c, _)) if c == color) {
-                let node = (w.shard, w.x, w.y, Port::Ramp);
-                if !origins.contains(&node) {
-                    origins.push(node);
-                }
-            }
-        }
-        for (s, fabric) in self.ens.shards.iter().enumerate() {
-            for (x, y, port, c) in fabric.edge_ports() {
-                if c != color {
-                    continue;
-                }
-                let seam_internal = self.ens.seams.iter().any(|e| {
-                    (e.src_shard == s && e.sx == x && e.sy == y && e.sport == port)
-                        || (e.dst_shard == s && e.dx == x && e.dy == y && e.dport == port)
-                });
-                if !seam_internal {
-                    origins.push((s, x, y, port));
-                }
-            }
-        }
-        origins
-    }
-}
-
-fn neighbor(fabric: &Fabric, x: usize, y: usize, out: Port) -> Option<(usize, usize)> {
+/// The on-shard tile the cardinal port `out` of `(x, y)` faces, if any.
+pub(crate) fn neighbor(fabric: &Fabric, x: usize, y: usize, out: Port) -> Option<(usize, usize)> {
     let (dx, dy) = out.delta();
     let nx = x as i64 + dx as i64;
     let ny = y as i64 + dy as i64;
@@ -284,100 +181,238 @@ fn neighbor(fabric: &Fabric, x: usize, y: usize, out: Port) -> Option<(usize, us
     }
 }
 
-/// Extracts the wait sites of `tile`'s reachable tasks.
-fn collect_waits(
-    shard: usize,
-    x: usize,
-    y: usize,
-    tile: &Tile,
-    reachable: &BTreeSet<TaskId>,
-    waits: &mut Vec<WaitSite>,
-) {
-    for site in instruction_sites(&tile.core) {
-        if !reachable.contains(&site.task) {
-            continue;
-        }
-        let recv = site.sources().find_map(|op| match op.desc {
-            Descriptor::FabricIn { color, len, .. } if len > 0 => Some((color, len)),
-            _ => None,
-        });
-        let send = site.dst.as_ref().and_then(|op| match op.desc {
-            Descriptor::FabricOut { color, len, .. } if len > 0 => Some((color, len)),
-            _ => None,
-        });
-        if recv.is_none() && send.is_none() {
-            continue;
-        }
-        waits.push(WaitSite {
-            shard,
-            x,
-            y,
-            task: site.task,
-            task_name: site.task_name,
-            stmt: site.stmt,
-            background: site.background,
-            recv,
-            send,
-        });
-    }
+/// The whole-ensemble model: the tile classes, each tile's class and wait
+/// sites, and route-flow queries.
+pub(crate) struct Model<'a> {
+    /// The ensemble under analysis.
+    pub ens: &'a Ensemble<'a>,
+    /// The tile classes, in order of first appearance.
+    pub classes: Vec<Class>,
+    /// Wait sites of reachable tasks, in shard/tile/task/statement order.
+    pub waits: Vec<WaitSite>,
+    /// Per shard: the node id of its first tile's first port.
+    node_base: Vec<usize>,
+    /// Per tile (indexed by node id / 5): its class, and the index of its
+    /// first wait site in `waits`.
+    tile_class: Vec<usize>,
+    tile_waits: Vec<usize>,
+    /// Seam indices by egress `(node id, color)`.
+    seam_egress: BTreeMap<(usize, Color), Vec<usize>>,
+    /// Node ids of every seam endpoint, either direction.
+    seam_ports: BTreeSet<usize>,
+    flow_queries: Cell<usize>,
 }
 
-/// The activation-reachability fixpoint for one tile: tasks that can ever
-/// run, seeded from already-activated tasks, declared entry points, and
-/// data triggers whose color some local route actually delivers to the
-/// ramp; grown through `TaskCtl` activations, thread-completion triggers,
-/// and FIFO `onpush` targets of reachable code.
-pub fn reachable_tasks(tile: &Tile) -> BTreeSet<TaskId> {
-    let core = &tile.core;
-    let sites = instruction_sites(core);
-    let mut reachable: BTreeSet<TaskId> = BTreeSet::new();
-    for (id, task) in core.tasks() {
-        if task.start_activated || core.task_activated(id) {
-            reachable.insert(id);
+impl<'a> Model<'a> {
+    /// Builds the model: interns every tile into its class — found by
+    /// `digest(tile index, tile)`, confirmed by structural equality — and
+    /// analyzes each new class once. Read-only; no cycle is stepped.
+    pub fn build(
+        ens: &'a Ensemble<'a>,
+        digest: &dyn Fn(usize, &Tile) -> u64,
+        stats: &mut LintStats,
+    ) -> Model<'a> {
+        let mut clock = Instant::now();
+        let mut node_base = Vec::with_capacity(ens.shards.len());
+        let mut tiles = 0usize;
+        for f in &ens.shards {
+            node_base.push(tiles * 5);
+            tiles += f.width() * f.height();
         }
-    }
-    reachable.extend(core.entry_tasks().iter().copied());
-    for b in core.bindings() {
-        let delivered =
-            tile.router.routes().any(|(_, c, fanout)| c == b.color && fanout.contains(&Port::Ramp));
-        if delivered {
-            reachable.insert(b.task);
-        }
-    }
-    loop {
-        let mut grew = false;
-        let add = |set: &mut BTreeSet<TaskId>, id: TaskId, grew: &mut bool| {
-            if set.insert(id) {
-                *grew = true;
-            }
+        let mut model = Model {
+            ens,
+            classes: Vec::new(),
+            waits: Vec::new(),
+            node_base,
+            tile_class: Vec::with_capacity(tiles),
+            tile_waits: Vec::with_capacity(tiles),
+            seam_egress: BTreeMap::new(),
+            seam_ports: BTreeSet::new(),
+            flow_queries: Cell::new(0),
         };
-        for (id, task) in core.tasks() {
-            if !reachable.contains(&id) {
-                continue;
-            }
-            for stmt in &task.body {
-                if let Stmt::TaskCtl { task: t, action: TaskAction::Activate } = stmt {
-                    add(&mut reachable, *t, &mut grew);
+        for (i, e) in ens.seams.iter().enumerate() {
+            let egress = model.node_id((e.src_shard, e.sx, e.sy, e.sport));
+            model.seam_egress.entry((egress, e.color)).or_default().push(i);
+            model.seam_ports.insert(egress);
+            model.seam_ports.insert(model.node_id((e.dst_shard, e.dx, e.dy, e.dport)));
+        }
+
+        // Class representatives, and class ids by digest.
+        let mut reps: Vec<&Tile> = Vec::new();
+        let mut by_digest: HashMap<u64, Vec<usize>> = HashMap::new();
+        for (s, fabric) in ens.shards.iter().enumerate() {
+            for y in 0..fabric.height() {
+                for x in 0..fabric.width() {
+                    let tile = fabric.tile(x, y);
+                    let candidates =
+                        by_digest.entry(digest(model.tile_class.len(), tile)).or_default();
+                    let class =
+                        match candidates.iter().find(|&&c| classes::same_class(reps[c], tile)) {
+                            Some(&c) => c,
+                            None => {
+                                stats.lap(Pass::Model, &mut clock);
+                                model.classes.push(Class::analyze(tile, stats));
+                                clock = Instant::now();
+                                reps.push(tile);
+                                candidates.push(reps.len() - 1);
+                                reps.len() - 1
+                            }
+                        };
+                    model.tile_class.push(class);
+                    model.tile_waits.push(model.waits.len());
+                    model.waits.extend(model.classes[class].waits.iter().map(|w| WaitSite {
+                        shard: s,
+                        x,
+                        y,
+                        ..*w
+                    }));
                 }
             }
         }
-        for site in &sites {
-            if !reachable.contains(&site.task) {
+        stats.tiles = tiles;
+        stats.classes = model.classes.len();
+        stats.wait_sites = model.waits.len();
+        stats.lap(Pass::Model, &mut clock);
+        model
+    }
+
+    /// Flow queries answered so far.
+    pub fn flow_queries(&self) -> usize {
+        self.flow_queries.get()
+    }
+
+    /// Dense id of a router input node.
+    pub fn node_id(&self, (s, x, y, port): Node) -> usize {
+        self.node_base[s] + (y * self.ens.shards[s].width() + x) * 5 + port.index()
+    }
+
+    /// Number of router input nodes in the ensemble.
+    pub fn num_nodes(&self) -> usize {
+        self.tile_class.len() * 5
+    }
+
+    /// Every tile with its class, shard-major then row-major.
+    pub fn tiles(&self) -> impl Iterator<Item = (usize, usize, usize, &Class)> {
+        let coords = self.ens.shards.iter().enumerate().flat_map(|(s, f)| {
+            let w = f.width();
+            (0..w * f.height()).map(move |i| (s, i % w, i / w))
+        });
+        coords.zip(&self.tile_class).map(|((s, x, y), &c)| (s, x, y, &self.classes[c]))
+    }
+
+    /// The class of a tile and the index of its first wait site.
+    pub fn tile(&self, shard: usize, x: usize, y: usize) -> (&Class, usize) {
+        let t = self.node_id((shard, x, y, Port::North)) / 5;
+        (&self.classes[self.tile_class[t]], self.tile_waits[t])
+    }
+
+    /// Stamps every class's tile-local findings with its members'
+    /// coordinates.
+    pub fn local_findings(&self, diags: &mut Vec<Diagnostic>) {
+        for (s, x, y, class) in self.tiles() {
+            diags.extend(class.findings.iter().map(|f| Diagnostic {
+                tile: self.ens.global_tile(s, x, y),
+                severity: f.severity,
+                rule: f.rule,
+                message: f.message.clone(),
+            }));
+        }
+    }
+
+    /// The configured fanout of a router input node. Colors outside the
+    /// hardware's range have none.
+    fn route(&self, (s, x, y, port): Node, color: Color) -> Option<&'a [Port]> {
+        if color as usize >= NUM_COLORS {
+            return None;
+        }
+        self.ens.shards[s].tile(x, y).router.route(port, color)
+    }
+
+    /// Appends the router input nodes that `color` flits forwarded from
+    /// `node` arrive at, in fanout order: the on-shard neighbor of each
+    /// cardinal output or — with `seams`, off the shard edge — the ingress
+    /// of every paired seam channel (tagged with the seam index). The one
+    /// successor function every route-graph walk shares.
+    pub fn successors(
+        &self,
+        node: Node,
+        color: Color,
+        seams: bool,
+        out: &mut Vec<(Node, Option<usize>)>,
+    ) {
+        let (s, x, y, _) = node;
+        for &port in self.route(node, color).unwrap_or(&[]) {
+            if port == Port::Ramp {
                 continue;
             }
-            if let Some((t, TaskAction::Activate)) = site.on_complete {
-                add(&mut reachable, t, &mut grew);
-            }
-            if let Some(dst) = &site.dst {
-                if let Descriptor::Fifo { fifo } = dst.desc {
-                    if let Some(t) = core.fifo(fifo).onpush {
-                        add(&mut reachable, t, &mut grew);
-                    }
+            if let Some((nx, ny)) = neighbor(self.ens.shards[s], x, y, port) {
+                out.push(((s, nx, ny, port.opposite().expect("cardinal port")), None));
+            } else if seams {
+                let egress = (self.node_id((s, x, y, port)), color);
+                for &i in self.seam_egress.get(&egress).map_or(&[][..], |v| v) {
+                    let e = &self.ens.seams[i];
+                    out.push(((e.dst_shard, e.dx, e.dy, e.dport), Some(i)));
                 }
             }
         }
-        if !grew {
-            return reachable;
+    }
+
+    /// Flow of `color` injected at the ramp of `(shard, x, y)`: every ramp
+    /// it is delivered to, following routes and crossing paired seams.
+    pub fn flow_from_ramp(&self, shard: usize, x: usize, y: usize, color: Color) -> Flow {
+        self.flow(color, &[(shard, x, y, Port::Ramp)])
+    }
+
+    /// Flow of `color` from a set of origin router nodes. Breadth-first
+    /// over the per-color forwarding graph; seam egress ports continue at
+    /// the paired ingress.
+    pub fn flow(&self, color: Color, origins: &[Node]) -> Flow {
+        self.flow_queries.set(self.flow_queries.get() + 1);
+        let mut flow = Flow::default();
+        let mut seen: BTreeSet<usize> = BTreeSet::new();
+        let mut queue: VecDeque<(Node, usize, bool)> = VecDeque::new();
+        for &node in origins {
+            if seen.insert(self.node_id(node)) {
+                queue.push_back((node, 1, false));
+            }
         }
+        let mut next = Vec::new();
+        while let Some((node, dist, seamed)) = queue.pop_front() {
+            let (s, x, y, _) = node;
+            if self.route(node, color).is_some_and(|f| f.contains(&Port::Ramp)) {
+                let e = flow.delivered.entry((s, x, y)).or_insert((dist, seamed));
+                // Keep the shortest path; a seam on *any* delivering
+                // path means host buffering can absorb the transfer.
+                e.1 |= seamed;
+            }
+            self.successors(node, color, true, &mut next);
+            for (to, seam) in next.drain(..) {
+                flow.seams_reached.extend(seam);
+                if seen.insert(self.node_id(to)) {
+                    queue.push_back((to, dist + 1, seamed || seam.is_some()));
+                }
+            }
+        }
+        flow
+    }
+
+    /// All origin router nodes that can introduce `color` flits into the
+    /// ensemble: the ramp of every tile whose reachable program sends on
+    /// it, plus declared edge ports that are *not* seam-internal (external
+    /// host injection points).
+    pub fn sources(&self, color: Color) -> Vec<Node> {
+        let mut origins: Vec<Node> = self
+            .tiles()
+            .filter(|(.., class)| class.sends.contains(color))
+            .map(|(s, x, y, _)| (s, x, y, Port::Ramp))
+            .collect();
+        for (s, fabric) in self.ens.shards.iter().enumerate() {
+            for (x, y, port, c) in fabric.edge_ports() {
+                if c == color && !self.seam_ports.contains(&self.node_id((s, x, y, port))) {
+                    origins.push((s, x, y, port));
+                }
+            }
+        }
+        origins
     }
 }

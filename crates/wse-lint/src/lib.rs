@@ -41,16 +41,30 @@
 //! The entry point is [`lint`] for a single fabric and [`lint_ensemble`]
 //! for a multi-wafer ensemble; [`assert_clean`] is the panic-on-findings
 //! wrapper kernel builders call in debug builds.
+//!
+//! A wafer program is SPMD — one task program per tile with a handful of
+//! edge variants — and the linter's cost follows that structure, not the
+//! tile count: tiles are interned into *classes* (`classes.rs`), each
+//! class's program facts (`program.rs`) are derived once, and every
+//! tile-local rule runs once per class; only what depends on a tile's
+//! neighbourhood (where a fanout lands, route cycles, flow queries) is done
+//! per tile. [`lint_with_stats`] reports the work a pass did.
 
 #![warn(missing_docs)]
 
 use std::fmt;
-use wse_arch::fabric::Fabric;
+use std::time::Instant;
+use wse_arch::fabric::{Fabric, Tile};
 
+mod classes;
 pub mod dataflow;
 pub mod fixtures;
-pub mod program;
+pub mod mutation;
+mod program;
 pub mod rules;
+
+#[cfg(test)]
+mod tests;
 
 /// How bad a finding is.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -180,10 +194,96 @@ impl fmt::Display for Diagnostic {
     }
 }
 
+/// The passes [`LintStats::pass_ns`] attributes host time to.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Pass {
+    /// Route rules: the class-local findings, the per-tile link checks and
+    /// the cycle searches.
+    Routes,
+    /// Color rules.
+    Colors,
+    /// Memory rules.
+    Memory,
+    /// Task rules.
+    Tasks,
+    /// Building the model: class interning, program facts, wait sites.
+    Model,
+    /// The deadlock pass.
+    Deadlock,
+    /// The race pass: the class-local comparison and the per-tile loopback
+    /// queries.
+    Races,
+    /// The progress pass.
+    Progress,
+}
+
+impl Pass {
+    /// Every pass, in [`LintStats::pass_ns`] order.
+    pub const ALL: [Pass; 8] = [
+        Pass::Routes,
+        Pass::Colors,
+        Pass::Memory,
+        Pass::Tasks,
+        Pass::Model,
+        Pass::Deadlock,
+        Pass::Races,
+        Pass::Progress,
+    ];
+
+    /// Stable lower-case name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Pass::Routes => "routes",
+            Pass::Colors => "colors",
+            Pass::Memory => "memory",
+            Pass::Tasks => "tasks",
+            Pass::Model => "model",
+            Pass::Deadlock => "deadlock",
+            Pass::Races => "races",
+            Pass::Progress => "progress",
+        }
+    }
+}
+
+/// The work one lint pass did. Every counter is deterministic — a function
+/// of the program alone; only [`LintStats::pass_ns`] is wall-clock.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct LintStats {
+    /// Tiles in the ensemble.
+    pub tiles: usize,
+    /// Tile classes found: sets of tiles configured identically in everything
+    /// the tile-local rules read.
+    pub classes: usize,
+    /// Times the instruction sites of a tile were resolved.
+    pub site_resolutions: usize,
+    /// Times a tile's activation graph (and reachable set) was built.
+    pub graph_builds: usize,
+    /// Route-flow searches run by the whole-fabric passes.
+    pub flow_queries: usize,
+    /// Wait sites in the deadlock graph.
+    pub wait_sites: usize,
+    /// Host nanoseconds per pass, indexed like [`Pass::ALL`].
+    pub pass_ns: [u64; 8],
+}
+
+impl LintStats {
+    /// Charges the time since `clock` to `pass` and restarts the clock.
+    fn lap(&mut self, pass: Pass, clock: &mut Instant) {
+        let now = Instant::now();
+        self.pass_ns[pass as usize] += now.duration_since(*clock).as_nanos() as u64;
+        *clock = now;
+    }
+}
+
 /// Runs every rule over a configured fabric. No cycle is stepped; the
 /// fabric is read-only. Findings are ordered by tile, then rule.
 pub fn lint(fabric: &Fabric) -> Vec<Diagnostic> {
-    lint_ensemble(&dataflow::Ensemble::single(fabric))
+    lint_with_stats(fabric).0
+}
+
+/// [`lint`], plus an account of the work the pass did.
+pub fn lint_with_stats(fabric: &Fabric) -> (Vec<Diagnostic>, LintStats) {
+    run(&dataflow::Ensemble::single(fabric), &|_, tile| classes::digest(tile))
 }
 
 /// Runs every rule over one rectangular region of a fabric — the
@@ -216,26 +316,36 @@ pub fn lint_region(fabric: &Fabric, region: wse_arch::Region) -> Vec<Diagnostic>
 /// the whole-ensemble passes — deadlock, data races, progress — over the
 /// shared dataflow model with seam channels included. No cycle is stepped.
 pub fn lint_ensemble(ens: &dataflow::Ensemble<'_>) -> Vec<Diagnostic> {
+    run(ens, &|_, tile| classes::digest(tile)).0
+}
+
+/// The one lint pass. `digest(tile index, tile)` only *proposes* classes —
+/// membership is confirmed by structural equality — so tests can salt it
+/// (every tile its own class) or flatten it (every tile collides) and must
+/// get the same diagnostics.
+fn run(
+    ens: &dataflow::Ensemble<'_>,
+    digest: &dyn Fn(usize, &Tile) -> u64,
+) -> (Vec<Diagnostic>, LintStats) {
+    let mut stats = LintStats::default();
+    let model = dataflow::Model::build(ens, digest, &mut stats);
     let mut diags = Vec::new();
-    for (s, fabric) in ens.shards.iter().enumerate() {
-        let mut local = Vec::new();
-        rules::routes::check(fabric, &mut local);
-        rules::colors::check(fabric, &mut local);
-        rules::memory::check(fabric, &mut local);
-        rules::tasks::check(fabric, &mut local);
-        for mut d in local {
-            d.tile.0 += ens.offsets[s];
-            diags.push(d);
-        }
-    }
-    let model = dataflow::Model::build(ens);
+    let mut clock = Instant::now();
+    model.local_findings(&mut diags);
+    stats.lap(Pass::Model, &mut clock);
+    rules::routes::check(&model, &mut diags);
+    stats.lap(Pass::Routes, &mut clock);
     rules::deadlock::check(&model, &mut diags);
+    stats.lap(Pass::Deadlock, &mut clock);
     rules::races::check(&model, &mut diags);
+    stats.lap(Pass::Races, &mut clock);
     rules::progress::check(&model, &mut diags);
+    stats.lap(Pass::Progress, &mut clock);
+    stats.flow_queries = model.flow_queries();
     diags.sort_by(|a, b| {
         (a.tile.1, a.tile.0, a.rule, &a.message).cmp(&(b.tile.1, b.tile.0, b.rule, &b.message))
     });
-    diags
+    (diags, stats)
 }
 
 /// Lints and panics with a formatted report if any diagnostic is found.

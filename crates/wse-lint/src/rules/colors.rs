@@ -17,68 +17,55 @@
 //! Also here: [`crate::Rule::ColorOutOfRange`] for identifiers outside the
 //! hardware's [`NUM_COLORS`] virtual channels.
 
-use crate::program::{all_descriptors, instruction_sites};
-use crate::{Diagnostic, Rule, Severity};
+use crate::classes::Finding;
+use crate::program::TileFacts;
+use crate::Rule;
 use std::collections::BTreeMap;
 use wse_arch::dsr::Descriptor;
-use wse_arch::fabric::Fabric;
 use wse_arch::types::{Color, NUM_COLORS};
 
-/// Runs the color rules on every tile.
-pub fn check(fabric: &Fabric, diags: &mut Vec<Diagnostic>) {
-    for y in 0..fabric.height() {
-        for x in 0..fabric.width() {
-            check_tile(fabric, x, y, diags);
-        }
-    }
-}
-
-fn check_tile(fabric: &Fabric, x: usize, y: usize, diags: &mut Vec<Diagnostic>) {
-    let core = &fabric.tile(x, y).core;
+/// Runs the color rules on one tile class.
+pub(crate) fn check(facts: &TileFacts<'_>, findings: &mut Vec<Finding>) {
+    let core = &facts.tile.core;
 
     // Out-of-range identifiers anywhere a color can appear.
-    for desc in all_descriptors(core) {
+    for desc in facts.descriptors() {
         let (color, dir) = match desc {
             Descriptor::FabricIn { color, .. } => (color, "receives"),
             Descriptor::FabricOut { color, .. } => (color, "sends"),
             _ => continue,
         };
         if color as usize >= NUM_COLORS {
-            diags.push(Diagnostic {
-                tile: (x, y),
-                severity: Severity::Error,
-                rule: Rule::ColorOutOfRange,
-                message: format!(
+            findings.push(Finding::error(
+                Rule::ColorOutOfRange,
+                format!(
                     "a descriptor {dir} on color {color}, but the hardware has only \
                      {NUM_COLORS} colors"
                 ),
-            });
+            ));
         }
     }
     for b in core.bindings() {
         if b.color as usize >= NUM_COLORS {
-            diags.push(Diagnostic {
-                tile: (x, y),
-                severity: Severity::Error,
-                rule: Rule::ColorOutOfRange,
-                message: format!(
+            findings.push(Finding::error(
+                Rule::ColorOutOfRange,
+                format!(
                     "task {} (\"{}\") is bound to color {}, but the hardware has only \
                      {NUM_COLORS} colors",
                     b.task,
                     core.task(b.task).name,
                     b.color
                 ),
-            });
+            ));
         }
     }
 
     // Per-task concurrent-receive conflicts. For each task, every receive
     // site per color: (statement index, background?).
-    let sites = instruction_sites(core);
     let mut per_task: BTreeMap<usize, BTreeMap<Color, Vec<(usize, bool)>>> = BTreeMap::new();
-    for site in &sites {
-        for op in site.operands() {
-            if let Descriptor::FabricIn { color, .. } = op.desc {
+    for site in &facts.sites {
+        for desc in site.operands() {
+            if let Descriptor::FabricIn { color, .. } = desc {
                 per_task
                     .entry(site.task)
                     .or_default()
@@ -100,18 +87,16 @@ fn check_tile(fabric: &Fabric, x: usize, y: usize, diags: &mut Vec<Diagnostic>) 
                     .iter()
                     .map(|(s, bg)| format!("stmt {s} ({})", if *bg { "thread" } else { "sync" }))
                     .collect();
-                diags.push(Diagnostic {
-                    tile: (x, y),
-                    severity: Severity::Error,
-                    rule: Rule::ColorConflict,
-                    message: format!(
+                findings.push(Finding::error(
+                    Rule::ColorConflict,
+                    format!(
                         "task {task} (\"{name}\") receives color {color} from {} \
                          concurrent streams [{}]; same-color flits share one queue, so \
                          attribution between the streams depends on arrival order",
                         uses.len(),
                         stmts.join(", ")
                     ),
-                });
+                ));
             }
         }
     }

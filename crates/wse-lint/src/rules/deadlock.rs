@@ -20,79 +20,57 @@
 //! A cycle is reported once with the full witness: every wait site on it,
 //! with tile coordinates, colors, lengths, and the queue capacities that
 //! bound how much slack the cycle has ([`crate::Rule::DeadlockCycle`]).
-//!
-//! Also here: route cycles that cross seam channels
-//! ([`crate::Rule::RouteCycle`]) — the per-shard route pass cannot see
-//! them, so the ensemble graph is searched with seam edges included and
-//! only seam-crossing cycles are reported (purely local ones are already
-//! caught per shard).
 
 use crate::dataflow::{path_capacity, Model};
-use crate::{Diagnostic, Rule, Severity};
+use crate::{Diagnostic, Rule};
 use std::collections::BTreeMap;
-use wse_arch::types::{Color, Port, NUM_COLORS, QUEUE_CAPACITY, RAMP_OUT_CAPACITY};
-
-/// Runs the deadlock pass over the whole ensemble.
-pub fn check(model: &Model<'_>, diags: &mut Vec<Diagnostic>) {
-    check_wait_cycles(model, diags);
-    if !model.ens.seams.is_empty() {
-        for color in 0..NUM_COLORS as Color {
-            check_seam_route_cycles(model, color, diags);
-        }
-    }
-}
+use wse_arch::types::{Color, QUEUE_CAPACITY, RAMP_OUT_CAPACITY};
 
 /// Builds the waits-for graph over the model's wait sites and reports
 /// every cycle found.
-fn check_wait_cycles(model: &Model<'_>, diags: &mut Vec<Diagnostic>) {
+pub(crate) fn check(model: &Model<'_>, diags: &mut Vec<Diagnostic>) {
     let sites = &model.waits;
     let n = sites.len();
     let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
 
     // Gate edges: site -> the latest *synchronous* wait site before it in
     // the same task body (transitively covers the whole prefix chain).
-    for i in 0..n {
-        let s = &sites[i];
-        let gate = (0..n)
-            .filter(|&j| {
-                let g = &sites[j];
-                g.shard == s.shard
-                    && g.x == s.x
-                    && g.y == s.y
-                    && g.task == s.task
-                    && !g.background
-                    && g.stmt < s.stmt
-            })
-            .max_by_key(|&j| sites[j].stmt);
-        if let Some(j) = gate {
-            succ[i].push(j);
+    for (s, x, y, class) in model.tiles() {
+        let first = model.tile(s, x, y).1;
+        for (k, gate) in class.gates.iter().enumerate() {
+            succ[first + k].extend(gate.map(|g| first + g));
         }
     }
 
-    // Producer and backpressure edges, per receive site. Flow queries are
-    // memoized per (origin tile, color) — senders often share an origin.
-    let mut flows: BTreeMap<(usize, usize, usize, Color), crate::dataflow::Flow> = BTreeMap::new();
-    for j in 0..n {
-        let sender = &sites[j];
+    // Producer and backpressure edges, per sending site. What a send can
+    // reach — the receive sites of its color on every ramp its route flow
+    // delivers to, in site order — is memoized per (origin tile, color):
+    // senders often share an origin.
+    type Reached = Vec<(usize, usize, bool)>;
+    let mut reached: BTreeMap<(usize, usize, usize, Color), Reached> = BTreeMap::new();
+    for (j, sender) in sites.iter().enumerate() {
         let Some((color, send_len)) = sender.send else { continue };
-        let flow = flows
-            .entry((sender.shard, sender.x, sender.y, color))
-            .or_insert_with(|| model.flow_from_ramp(sender.shard, sender.x, sender.y, color))
-            .clone();
-        for i in 0..n {
+        let receivers =
+            reached.entry((sender.shard, sender.x, sender.y, color)).or_insert_with(|| {
+                let flow = model.flow_from_ramp(sender.shard, sender.x, sender.y, color);
+                let mut receivers = Reached::new();
+                for (&(s, x, y), &(dist, seamed)) in &flow.delivered {
+                    let (class, first) = model.tile(s, x, y);
+                    for (k, w) in class.waits.iter().enumerate() {
+                        if matches!(w.recv, Some((c, _)) if c == color) {
+                            receivers.push((first + k, dist, seamed));
+                        }
+                    }
+                }
+                receivers.sort_unstable();
+                receivers
+            });
+        for &(i, dist, seamed) in receivers.iter() {
             if i == j {
                 // A site that both receives and sends one color moves
                 // elements through itself; it is not its own producer.
                 continue;
             }
-            let recv = &sites[i];
-            let Some((rc, _)) = recv.recv else { continue };
-            if rc != color {
-                continue;
-            }
-            let Some(&(dist, seamed)) = flow.delivered.get(&(recv.shard, recv.x, recv.y)) else {
-                continue;
-            };
             // The receive waits for this producer's send to run.
             succ[i].push(j);
             // The send waits for the receive to drain — only when it is
@@ -143,134 +121,17 @@ fn report_cycle(model: &Model<'_>, cycle: &[usize], diags: &mut Vec<Diagnostic>)
     let ens = model.ens;
     let witness: Vec<String> = cycle.iter().map(|&i| model.waits[i].describe(ens)).collect();
     let head = &model.waits[cycle[0]];
-    diags.push(Diagnostic {
-        tile: ens.global_tile(head.shard, head.x, head.y),
-        severity: Severity::Error,
-        rule: Rule::DeadlockCycle,
-        message: format!(
+    diags.push(ens.error(
+        head.shard,
+        head.x,
+        head.y,
+        Rule::DeadlockCycle,
+        format!(
             "cyclic wait across {} site(s): {} -> back to start; every queue on the \
              cycle is bounded (ramp-out {RAMP_OUT_CAPACITY}, router/ramp-in \
              {QUEUE_CAPACITY} flits), so once the slack fills no wait can retire",
             cycle.len(),
             witness.join(" -> "),
         ),
-    });
-}
-
-/// Directed route-cycle search over the ensemble graph for one color,
-/// with seam edges included. Reports only cycles that cross at least one
-/// seam; purely shard-local cycles are already reported by
-/// [`crate::rules::routes`].
-fn check_seam_route_cycles(model: &Model<'_>, color: Color, diags: &mut Vec<Diagnostic>) {
-    let ens = model.ens;
-    // Dense node ids: (shard, tile, port).
-    let mut base = Vec::with_capacity(ens.shards.len());
-    let mut total = 0usize;
-    for f in &ens.shards {
-        base.push(total);
-        total += f.width() * f.height() * 5;
-    }
-    let node = |s: usize, x: usize, y: usize, p: Port| {
-        base[s] + (y * ens.shards[s].width() + x) * 5 + p.index()
-    };
-
-    // successors: (next node key, crossed a seam on this edge)
-    let successors =
-        |s: usize, x: usize, y: usize, p: Port| -> Vec<((usize, usize, usize, Port), bool)> {
-            let fabric = ens.shards[s];
-            let Some(fanout) = fabric.tile(x, y).router.route(p, color) else {
-                return Vec::new();
-            };
-            let mut out = Vec::new();
-            for &o in fanout {
-                if o == Port::Ramp {
-                    continue;
-                }
-                let (dx, dy) = o.delta();
-                let nx = x as i64 + dx as i64;
-                let ny = y as i64 + dy as i64;
-                if nx >= 0 && ny >= 0 && nx < fabric.width() as i64 && ny < fabric.height() as i64 {
-                    let np = o.opposite().expect("cardinal port");
-                    out.push(((s, nx as usize, ny as usize, np), false));
-                } else {
-                    for seam in &ens.seams {
-                        if seam.src_shard == s
-                            && seam.sx == x
-                            && seam.sy == y
-                            && seam.sport == o
-                            && seam.color == color
-                        {
-                            out.push(((seam.dst_shard, seam.dx, seam.dy, seam.dport), true));
-                        }
-                    }
-                }
-            }
-            out
-        };
-
-    let mut state = vec![0u8; total];
-    for (s, f) in ens.shards.iter().enumerate() {
-        for sy in 0..f.height() {
-            for sx in 0..f.width() {
-                for sp in Port::ALL {
-                    if state[node(s, sx, sy, sp)] != 0 {
-                        continue;
-                    }
-                    // (key, successors, cursor, arrived-via-seam)
-                    let mut stack =
-                        vec![((s, sx, sy, sp), successors(s, sx, sy, sp), 0usize, false)];
-                    state[node(s, sx, sy, sp)] = 1;
-                    while !stack.is_empty() {
-                        let last = stack.len() - 1;
-                        let (cs, cx, cy, cp) = stack[last].0;
-                        if stack[last].2 >= stack[last].1.len() {
-                            state[node(cs, cx, cy, cp)] = 2;
-                            stack.pop();
-                            continue;
-                        }
-                        let ((ns, nx, ny, np), via_seam) = stack[last].1[stack[last].2];
-                        stack[last].2 += 1;
-                        match state[node(ns, nx, ny, np)] {
-                            0 => {
-                                state[node(ns, nx, ny, np)] = 1;
-                                stack.push((
-                                    (ns, nx, ny, np),
-                                    successors(ns, nx, ny, np),
-                                    0,
-                                    via_seam,
-                                ));
-                            }
-                            1 => {
-                                let from =
-                                    stack.iter().position(|e| e.0 == (ns, nx, ny, np)).unwrap_or(0);
-                                let crossed = via_seam || stack[from + 1..].iter().any(|e| e.3);
-                                if crossed {
-                                    let path: Vec<String> = stack[from..]
-                                        .iter()
-                                        .map(|e| {
-                                            let (es, ex, ey, ep) = e.0;
-                                            format!("{}:{ep:?}", ens.label(es, ex, ey))
-                                        })
-                                        .collect();
-                                    diags.push(Diagnostic {
-                                        tile: ens.global_tile(ns, nx, ny),
-                                        severity: Severity::Error,
-                                        rule: Rule::RouteCycle,
-                                        message: format!(
-                                            "color {color} forwarding graph has a cycle \
-                                             through seam channels [{}]; with credit \
-                                             backpressure a filled cycle can never drain",
-                                            path.join(" -> ")
-                                        ),
-                                    });
-                                }
-                                state[node(ns, nx, ny, np)] = 2;
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-            }
-        }
-    }
+    ));
 }

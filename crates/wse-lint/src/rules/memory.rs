@@ -15,138 +15,91 @@
 //!   `y = x + βy`-style updates) are the deliberate idiom and are allowed
 //!   ([`crate::Rule::DsrOverlap`]).
 
-use crate::program::{all_descriptors, instruction_sites, InstrSite, ResolvedOperand};
-use crate::{Diagnostic, Rule, Severity};
+use crate::classes::Finding;
+use crate::program::{Access, InstrSite, TileFacts};
+use crate::Rule;
 use wse_arch::core::Core;
 use wse_arch::dsr::Descriptor;
-use wse_arch::fabric::Fabric;
+use wse_arch::fifo::Fifo;
 use wse_arch::memory::{Memory, TILE_SRAM_BYTES};
 
-/// Runs the memory rules on every tile.
-pub fn check(fabric: &Fabric, diags: &mut Vec<Diagnostic>) {
-    for y in 0..fabric.height() {
-        for x in 0..fabric.width() {
-            check_tile(fabric, x, y, diags);
-        }
-    }
-}
-
 /// A byte extent `[start, end)` in tile SRAM.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-struct Extent {
-    start: u32,
-    end: u32,
-}
+type Extent = (u32, u32);
 
-impl Extent {
-    fn overlaps(self, other: Extent) -> bool {
-        self.start < other.end && other.start < self.end
-    }
-}
-
-/// The bytes a memory descriptor touches (`None` for empty or non-memory
-/// descriptors).
 fn mem_extent(desc: &Descriptor) -> Option<Extent> {
-    match *desc {
-        Descriptor::Mem { addr, len, stride, dtype, .. } if len > 0 => {
-            Some(Extent { start: addr, end: addr + ((len - 1) * stride + 1) * dtype.bytes() })
-        }
-        _ => None,
-    }
+    Access::of(desc).map(|a| (a.start, a.end))
+}
+
+/// The circular buffer behind a FIFO.
+fn fifo_extent(f: &Fifo) -> Extent {
+    (f.base, f.base + f.capacity * f.dtype.bytes())
 }
 
 /// The backing region an operand touches in SRAM: a memory descriptor's
 /// extent, or the circular buffer behind a FIFO descriptor.
-fn operand_extent(core: &Core, op: &ResolvedOperand) -> Option<Extent> {
-    match op.desc {
-        Descriptor::Fifo { fifo } => {
-            let f = core.fifo(fifo);
-            Some(Extent { start: f.base, end: f.base + f.capacity * f.dtype.bytes() })
-        }
-        _ => mem_extent(&op.desc),
+fn operand_extent(core: &Core, desc: Descriptor) -> Option<Extent> {
+    match desc {
+        Descriptor::Fifo { fifo } => Some(fifo_extent(core.fifo(fifo))),
+        _ => mem_extent(&desc),
     }
 }
 
-fn inside_allocation(mem: &Memory, e: Extent) -> bool {
-    mem.allocations().iter().any(|a| a.contains(e.start, e.end - e.start))
+fn inside_allocation(mem: &Memory, (start, end): Extent) -> bool {
+    mem.allocations().iter().any(|a| a.contains(start, end - start))
 }
 
-fn check_tile(fabric: &Fabric, x: usize, y: usize, diags: &mut Vec<Diagnostic>) {
-    let tile = fabric.tile(x, y);
-    let core = &tile.core;
+/// Runs the memory rules on one tile class.
+pub(crate) fn check(facts: &TileFacts<'_>, findings: &mut Vec<Finding>) {
+    let core = &facts.tile.core;
 
     // Budget + allocation audit for every descriptor the program can hold.
-    let mut seen: Vec<(Extent, &'static str)> = Vec::new();
-    for desc in all_descriptors(core) {
-        if let Some(e) = mem_extent(&desc) {
-            seen.push((e, "descriptor"));
-        }
-    }
-    for (id, fifo) in core.fifos() {
-        let e = Extent { start: fifo.base, end: fifo.base + fifo.capacity * fifo.dtype.bytes() };
-        seen.push((e, "fifo"));
-        let _ = id;
-    }
-    seen.sort_by_key(|(e, _)| (e.start, e.end));
+    let mut seen: Vec<(Extent, &'static str)> =
+        facts.descriptors().filter_map(|d| mem_extent(&d)).map(|e| (e, "descriptor")).collect();
+    seen.extend(core.fifos().map(|(_, f)| (fifo_extent(f), "fifo")));
+    seen.sort_by_key(|&(e, _)| e);
     seen.dedup();
-    for (e, what) in seen {
-        if e.end > TILE_SRAM_BYTES {
-            diags.push(Diagnostic {
-                tile: (x, y),
-                severity: Severity::Error,
-                rule: Rule::SramOverBudget,
-                message: format!(
-                    "{what} extent [{}, {}) reaches past the {TILE_SRAM_BYTES}-byte tile SRAM",
-                    e.start, e.end
+    for ((start, end), what) in seen {
+        if end > TILE_SRAM_BYTES {
+            findings.push(Finding::error(
+                Rule::SramOverBudget,
+                format!(
+                    "{what} extent [{start}, {end}) reaches past the {TILE_SRAM_BYTES}-byte tile SRAM"
                 ),
-            });
-        } else if !inside_allocation(&tile.mem, e) {
-            diags.push(Diagnostic {
-                tile: (x, y),
-                severity: Severity::Error,
-                rule: Rule::UnallocatedExtent,
-                message: format!(
-                    "{what} extent [{}, {}) is not contained in any allocation; it \
-                     aliases whatever the allocator hands out next",
-                    e.start, e.end
+            ));
+        } else if !inside_allocation(&facts.tile.mem, (start, end)) {
+            findings.push(Finding::error(
+                Rule::UnallocatedExtent,
+                format!(
+                    "{what} extent [{start}, {end}) is not contained in any allocation; it \
+                     aliases whatever the allocator hands out next"
                 ),
-            });
+            ));
         }
     }
 
     // Destination/source aliasing per instruction site.
-    for site in instruction_sites(core) {
-        check_site_overlap(core, x, y, &site, diags);
+    for site in &facts.sites {
+        check_site_overlap(core, site, findings);
     }
 }
 
-fn check_site_overlap(
-    core: &Core,
-    x: usize,
-    y: usize,
-    site: &InstrSite,
-    diags: &mut Vec<Diagnostic>,
-) {
-    let Some(dst) = site.dst.as_ref() else { return };
+fn check_site_overlap(core: &Core, site: &InstrSite, findings: &mut Vec<Finding>) {
+    let Some(dst) = site.dst else { return };
     let Some(dst_e) = operand_extent(core, dst) else { return };
     for src in site.sources() {
         let Some(src_e) = operand_extent(core, src) else { continue };
-        if !dst_e.overlaps(src_e) {
+        if dst_e.0 >= src_e.1 || src_e.0 >= dst_e.1 {
             continue;
         }
         // The in-place idiom: destination and source are the *same* view
         // (same address, length, stride, type). Element i is read before
         // element i is written, so streaming semantics are well defined.
-        if matches!((dst.desc, src.desc), (Descriptor::Mem { .. }, Descriptor::Mem { .. }))
-            && dst.desc == src.desc
-        {
+        if matches!(dst, Descriptor::Mem { .. }) && dst == src {
             continue;
         }
-        diags.push(Diagnostic {
-            tile: (x, y),
-            severity: Severity::Error,
-            rule: Rule::DsrOverlap,
-            message: format!(
+        findings.push(Finding::error(
+            Rule::DsrOverlap,
+            format!(
                 "task {} (\"{}\") stmt {}: {:?} destination extent [{}, {}) partially \
                  overlaps a source extent [{}, {}); streamed writes will clobber \
                  unread source elements",
@@ -154,11 +107,11 @@ fn check_site_overlap(
                 site.task_name,
                 site.stmt,
                 site.instr.op,
-                dst_e.start,
-                dst_e.end,
-                src_e.start,
-                src_e.end
+                dst_e.0,
+                dst_e.1,
+                src_e.0,
+                src_e.1
             ),
-        });
+        ));
     }
 }

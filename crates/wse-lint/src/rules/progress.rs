@@ -22,97 +22,74 @@
 //! never arrives.
 
 use crate::dataflow::{Flow, Model};
-use crate::{Diagnostic, Rule, Severity};
+use crate::{Diagnostic, Rule};
 use std::collections::{BTreeMap, BTreeSet};
-use wse_arch::types::{Color, Port};
+use wse_arch::types::Color;
 
 /// Runs the progress pass over the whole ensemble.
-pub fn check(model: &Model<'_>, diags: &mut Vec<Diagnostic>) {
-    check_starved_colors(model, diags);
+pub(crate) fn check(model: &Model<'_>, diags: &mut Vec<Diagnostic>) {
+    let mut flows = Flows::new();
+    check_starved_colors(model, &mut flows, diags);
     if !model.ens.seams.is_empty() {
-        check_seam_credits(model, diags);
+        check_seam_credits(model, &mut flows, diags);
     }
 }
 
-/// Consumers of each color, per tile: data-trigger bindings and synchronous
-/// receive sites of reachable tasks — but only where a local route actually
-/// delivers the color to the ramp (otherwise
-/// [`crate::Rule::UnreachableReceive`] already reported the tile).
-fn check_starved_colors(model: &Model<'_>, diags: &mut Vec<Diagnostic>) {
-    let mut consumers: BTreeSet<(usize, usize, usize, Color)> = BTreeSet::new();
-    for (s, fabric) in model.ens.shards.iter().enumerate() {
-        for y in 0..fabric.height() {
-            for x in 0..fabric.width() {
-                let tile = fabric.tile(x, y);
-                let reach = model.reachable(s, x, y);
-                let mut wanted: BTreeSet<Color> = BTreeSet::new();
-                for b in tile.core.bindings() {
-                    if reach.contains(&b.task) {
-                        wanted.insert(b.color);
-                    }
-                }
-                for w in &model.waits {
-                    if w.shard == s && w.x == x && w.y == y {
-                        if let Some((c, _)) = w.recv {
-                            wanted.insert(c);
-                        }
-                    }
-                }
-                for color in wanted {
-                    let delivered = tile
-                        .router
-                        .routes()
-                        .any(|(_, c, fanout)| c == color && fanout.contains(&Port::Ramp));
-                    if delivered {
-                        consumers.insert((s, x, y, color));
-                    }
-                }
-            }
-        }
-    }
+/// The flow of each color from all of its injection points, with the
+/// number of injection points considered; filled on first use.
+type Flows = BTreeMap<Color, (Flow, usize)>;
 
-    let mut flows: BTreeMap<Color, (Flow, usize)> = BTreeMap::new();
-    for (s, x, y, color) in consumers {
-        let (flow, n_sources) = flows.entry(color).or_insert_with(|| {
-            let sources = model.sources(color);
-            (model.flow(color, &sources), sources.len())
-        });
-        if flow.delivered.contains_key(&(s, x, y)) {
-            continue;
+fn flow_of<'f>(model: &Model<'_>, flows: &'f mut Flows, color: Color) -> &'f (Flow, usize) {
+    flows.entry(color).or_insert_with(|| {
+        let sources = model.sources(color);
+        (model.flow(color, &sources), sources.len())
+    })
+}
+
+/// Every consumer — a tile class's data-trigger bindings and receive sites
+/// of reachable tasks, where a local route actually delivers the color to
+/// the ramp (otherwise [`crate::Rule::UnreachableReceive`] already reported
+/// the tile) — must be reached by some producer's flow.
+fn check_starved_colors(model: &Model<'_>, flows: &mut Flows, diags: &mut Vec<Diagnostic>) {
+    for (s, x, y, class) in model.tiles() {
+        for &color in &class.consumers {
+            let (flow, n_sources) = flow_of(model, flows, color);
+            if flow.delivered.contains_key(&(s, x, y)) {
+                continue;
+            }
+            let why = if *n_sources == 0 {
+                "nothing in the ensemble produces it (no sending task, no external \
+                 edge injection point)"
+                    .to_string()
+            } else {
+                format!(
+                    "none of the {n_sources} producer injection point(s) has a route \
+                     flow reaching this tile"
+                )
+            };
+            diags.push(model.ens.error(
+                s,
+                x,
+                y,
+                Rule::ColorStarved,
+                format!(
+                    "{} consumes color {color} and routes it to the ramp, but {why}; \
+                     the consumer arms and waits forever",
+                    model.ens.label(s, x, y),
+                ),
+            ));
         }
-        let why = if *n_sources == 0 {
-            "nothing in the ensemble produces it (no sending task, no external \
-             edge injection point)"
-                .to_string()
-        } else {
-            format!(
-                "none of the {n_sources} producer injection point(s) has a route \
-                 flow reaching this tile"
-            )
-        };
-        diags.push(Diagnostic {
-            tile: model.ens.global_tile(s, x, y),
-            severity: Severity::Error,
-            rule: Rule::ColorStarved,
-            message: format!(
-                "{} consumes color {color} and routes it to the ramp, but {why}; \
-                 the consumer arms and waits forever",
-                model.ens.label(s, x, y),
-            ),
-        });
     }
 }
 
 /// Every seam channel that traffic can reach must have a forwarding rule at
 /// its ingress `(tile, port, color)` — otherwise the ingress queue fills,
 /// credits stop returning across the seam, and the egress wafer wedges.
-fn check_seam_credits(model: &Model<'_>, diags: &mut Vec<Diagnostic>) {
+fn check_seam_credits(model: &Model<'_>, flows: &mut Flows, diags: &mut Vec<Diagnostic>) {
     let mut reached: BTreeSet<usize> = BTreeSet::new();
-    let mut flows: BTreeMap<Color, Flow> = BTreeMap::new();
     let colors: BTreeSet<Color> = model.ens.seams.iter().map(|e| e.color).collect();
     for color in colors {
-        let flow = flows.entry(color).or_insert_with(|| model.flow(color, &model.sources(color)));
-        reached.extend(flow.seams_reached.iter().copied());
+        reached.extend(flow_of(model, flows, color).0.seams_reached.iter().copied());
     }
     for &i in &reached {
         let seam = &model.ens.seams[i];
@@ -120,11 +97,12 @@ fn check_seam_credits(model: &Model<'_>, diags: &mut Vec<Diagnostic>) {
         if dst.router.route(seam.dport, seam.color).is_some() {
             continue;
         }
-        diags.push(Diagnostic {
-            tile: model.ens.global_tile(seam.src_shard, seam.sx, seam.sy),
-            severity: Severity::Error,
-            rule: Rule::CreditStarvation,
-            message: format!(
+        diags.push(model.ens.error(
+            seam.src_shard,
+            seam.sx,
+            seam.sy,
+            Rule::CreditStarvation,
+            format!(
                 "seam channel color {} from {} ({:?}) to {} ({:?}) carries traffic, \
                  but the ingress router has no rule for ({:?}, color {}); the ingress \
                  queue fills, seam credits stop returning, and the sending wafer \
@@ -137,6 +115,6 @@ fn check_seam_credits(model: &Model<'_>, diags: &mut Vec<Diagnostic>) {
                 seam.dport,
                 seam.color,
             ),
-        });
+        ));
     }
 }

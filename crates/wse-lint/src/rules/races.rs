@@ -33,40 +33,36 @@
 //! errors: element interleaving between threads is scheduler-dependent, so
 //! the result is nondeterministic.
 
+use crate::classes::{Finding, LoopRace};
 use crate::dataflow::Model;
-use crate::program::{instruction_sites, InstrSite};
-use crate::{Diagnostic, Rule, Severity};
-use std::collections::BTreeSet;
-use wse_arch::core::Core;
+use crate::program::{Access, InstrSite, TileFacts, Via};
+use crate::{Diagnostic, Rule};
 use wse_arch::dsr::Descriptor;
-use wse_arch::instr::{Stmt, TaskAction};
-use wse_arch::types::{Port, TaskId};
+use wse_arch::instr::TaskAction;
+use wse_arch::types::{Color, TaskId};
 
-/// Runs the race pass on every tile of every shard.
-pub fn check(model: &Model<'_>, diags: &mut Vec<Diagnostic>) {
-    for (s, fabric) in model.ens.shards.iter().enumerate() {
-        for y in 0..fabric.height() {
-            for x in 0..fabric.width() {
-                check_tile(model, s, x, y, diags);
+/// The per-tile half: resolves each class's pending loopback exemptions
+/// with one flow query per `(tile, color)` and reports what is left.
+pub(crate) fn check(model: &Model<'_>, diags: &mut Vec<Diagnostic>) {
+    for (s, x, y, class) in model.tiles() {
+        let mut asked: Vec<(Color, bool)> = Vec::new();
+        for race in &class.loop_races {
+            let looped = match asked.iter().find(|(c, _)| *c == race.color) {
+                Some(&(_, looped)) => looped,
+                None => {
+                    let looped = model
+                        .flow_from_ramp(s, x, y, race.color)
+                        .delivered
+                        .contains_key(&(s, x, y));
+                    asked.push((race.color, looped));
+                    looped
+                }
+            };
+            if let Some(message) = if looped { &race.looped } else { &race.unlooped } {
+                diags.push(model.ens.error(s, x, y, Rule::DataRace, message.clone()));
             }
         }
     }
-}
-
-/// One strided SRAM access: `len` elements of `elem` bytes, `period`
-/// bytes apart, starting at `start`. `end` is the exclusive byte bound.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-struct Access {
-    start: u32,
-    end: u32,
-    period: u32,
-    elem: u32,
-    /// The access is the destination of a read-modify-write accumulation
-    /// (`AddAssign`, `Axpy`, `FmaAssign` — all `u += ...`). The datapath
-    /// issues one context per cycle, so each element update is atomic, and
-    /// addition commutes: two concurrent accumulations into the same
-    /// elements produce the sum in some order, not a torn value.
-    accum: bool,
 }
 
 impl Access {
@@ -76,7 +72,7 @@ impl Access {
     /// strips (`addr` differing by less than the stride) share an extent
     /// but never a byte. Unequal strides fall back to the extent test.
     fn overlaps(self, other: Access) -> bool {
-        if self.start >= other.end || other.start >= self.end {
+        if !self.extent_overlaps(other) {
             return false;
         }
         if self.period != other.period {
@@ -89,60 +85,20 @@ impl Access {
     }
 }
 
-/// SRAM bytes a resolved operand touches. FIFO and fabric descriptors
-/// return `None`: fabric traffic never touches SRAM, and FIFO push/pop is
-/// hardware-serialized (the sanctioned cross-thread handoff).
-fn sram_extent(desc: &Descriptor) -> Option<Access> {
-    match *desc {
-        Descriptor::Mem { addr, len, stride, dtype, .. } if len > 0 => Some(Access {
-            start: addr,
-            end: addr + ((len - 1) * stride + 1) * dtype.bytes(),
-            period: stride.max(1) * dtype.bytes(),
-            elem: dtype.bytes(),
-            accum: false,
-        }),
-        _ => None,
-    }
-}
-
-/// The read and write extents of one instruction site. A read-modify-write
-/// destination (`AddAssign`, `FmaAssign`, ...) contributes to both sets.
-fn access_sets(site: &InstrSite) -> (Vec<Access>, Vec<Access>) {
-    let mut reads = Vec::new();
-    let mut writes = Vec::new();
-    for src in site.sources() {
-        if let Some(e) = sram_extent(&src.desc) {
-            reads.push(e);
-        }
-    }
-    if let Some(dst) = &site.dst {
-        if let Some(mut e) = sram_extent(&dst.desc) {
-            e.accum = site.instr.op.reads_dst();
-            writes.push(e);
-            if e.accum {
-                reads.push(e);
-            }
-        }
-    }
-    (reads, writes)
-}
-
-fn check_tile(model: &Model<'_>, shard: usize, x: usize, y: usize, diags: &mut Vec<Diagnostic>) {
-    let fabric = model.ens.shards[shard];
-    let tile = fabric.tile(x, y);
-    let core = &tile.core;
-    let reachable = model.reachable(shard, x, y);
-    let sites: Vec<InstrSite> =
-        instruction_sites(core).into_iter().filter(|s| reachable.contains(&s.task)).collect();
-
-    for (li, launch) in sites.iter().enumerate() {
+/// The class half: every launch of a reachable task against every site
+/// that can run while its thread is live.
+pub(crate) fn check_local(
+    facts: &TileFacts<'_>,
+    findings: &mut Vec<Finding>,
+    loop_races: &mut Vec<LoopRace>,
+) {
+    let mut order = Ordering::new(facts);
+    for (li, launch) in facts.reachable_sites() {
         if !launch.background {
             continue;
         }
-        let after = ordered_after(core, launch, reachable);
-        let concurrent = concurrent_tasks(tile, core, launch, reachable);
-        let (l_reads, l_writes) = access_sets(launch);
-        for (si, other) in sites.iter().enumerate() {
+        order.around(li);
+        for (si, other) in facts.reachable_sites() {
             if si == li {
                 continue;
             }
@@ -151,37 +107,44 @@ fn check_tile(model: &Model<'_>, shard: usize, x: usize, y: usize, diags: &mut V
                 // from the earlier launch's iteration.
                 other.stmt > launch.stmt
             } else {
-                concurrent.contains(&other.task) && !after.contains(&other.task)
+                order.concurrent[other.task] && !order.after[other.task]
             };
             if !live_overlap {
                 continue;
             }
-            let (o_reads, o_writes) = access_sets(other);
+            let (l_writes, o_writes) = (launch.write.as_slice(), other.write.as_slice());
             // Channel-ordered in-place loopback pairs are deterministic.
-            let exempt_lw = flow_through(model, shard, x, y, other, launch);
-            let exempt_lr = flow_through(model, shard, x, y, launch, other);
-            report_overlaps(
-                model, shard, x, y, launch, other, &l_writes, &o_writes, "write", "write", None,
-                diags,
-            );
-            report_overlaps(
-                model, shard, x, y, launch, other, &l_writes, &o_reads, "write", "read", exempt_lw,
-                diags,
-            );
-            report_overlaps(
-                model, shard, x, y, launch, other, &l_reads, &o_writes, "read", "write", exempt_lr,
-                diags,
-            );
+            let pairs = [
+                (l_writes, o_writes, "write", "write", Exempt::No),
+                (l_writes, &other.reads[..], "write", "read", flow_through(facts, other, launch)),
+                (&launch.reads[..], o_writes, "read", "write", flow_through(facts, launch, other)),
+            ];
+            for (a, b, a_kind, b_kind, exempt) in pairs {
+                let report = |exempt| first_overlap(launch, other, a, b, a_kind, b_kind, exempt);
+                match exempt {
+                    Exempt::No => findings.extend(report(None).map(race)),
+                    Exempt::Yes(extent) => findings.extend(report(Some(extent)).map(race)),
+                    Exempt::IfLooped(color, extent) => {
+                        let (looped, unlooped) = (report(Some(extent)), report(None));
+                        if looped == unlooped {
+                            findings.extend(looped.map(race));
+                        } else {
+                            loop_races.push(LoopRace { color, looped, unlooped });
+                        }
+                    }
+                }
+            }
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn report_overlaps(
-    model: &Model<'_>,
-    shard: usize,
-    x: usize,
-    y: usize,
+fn race(message: String) -> Finding {
+    Finding::error(Rule::DataRace, message)
+}
+
+/// The first reportable overlap between two access lists, as the
+/// diagnostic message — one per site pair and direction is enough.
+fn first_overlap(
     launch: &InstrSite,
     other: &InstrSite,
     a: &[Access],
@@ -189,8 +152,7 @@ fn report_overlaps(
     a_kind: &str,
     b_kind: &str,
     exempt: Option<Access>,
-    diags: &mut Vec<Diagnostic>,
-) {
+) -> Option<String> {
     for ea in a {
         for eb in b {
             if !ea.overlaps(*eb) {
@@ -205,32 +167,37 @@ fn report_overlaps(
             }
             let lo = ea.start.max(eb.start);
             let hi = ea.end.min(eb.end);
-            diags.push(Diagnostic {
-                tile: model.ens.global_tile(shard, x, y),
-                severity: Severity::Error,
-                rule: Rule::DataRace,
-                message: format!(
-                    "task {} (\"{}\") stmt {} launches a thread whose {a_kind} of \
-                     [{}, {}) races the {b_kind} of [{}, {}) by task {} (\"{}\") stmt \
-                     {}{} on bytes [{lo}, {hi}); the two are not ordered by the \
-                     activation graph, so element interleaving decides the result",
-                    launch.task,
-                    launch.task_name,
-                    launch.stmt,
-                    ea.start,
-                    ea.end,
-                    eb.start,
-                    eb.end,
-                    other.task,
-                    other.task_name,
-                    other.stmt,
-                    if other.background { " (thread)" } else { "" },
-                ),
-            });
-            // One diagnostic per site pair and direction is enough.
-            return;
+            return Some(format!(
+                "task {} (\"{}\") stmt {} launches a thread whose {a_kind} of \
+                 [{}, {}) races the {b_kind} of [{}, {}) by task {} (\"{}\") stmt \
+                 {}{} on bytes [{lo}, {hi}); the two are not ordered by the \
+                 activation graph, so element interleaving decides the result",
+                launch.task,
+                launch.task_name,
+                launch.stmt,
+                ea.start,
+                ea.end,
+                eb.start,
+                eb.end,
+                other.task,
+                other.task_name,
+                other.stmt,
+                if other.background { " (thread)" } else { "" },
+            ));
         }
     }
+    None
+}
+
+/// Whether a site pair is the pipelined in-place loopback idiom, and for
+/// which extent.
+enum Exempt {
+    No,
+    /// The tile's own router loops the color `Ramp -> Ramp`.
+    Yes(Access),
+    /// A route takes the color off the ramp but not straight back: only a
+    /// flow query from the member tile can tell whether it returns.
+    IfLooped(Color, Access),
 }
 
 /// The pipelined in-place loopback idiom: `reader` reads a memory
@@ -238,196 +205,119 @@ fn report_overlaps(
 /// and writes the *identical* descriptor back, and a route loops the color
 /// from this ramp back to this ramp. The channel delivers element `i` only
 /// after the reader consumed it, so the write of `i` is ordered after the
-/// read of `i` and the pair is deterministic. Returns the exempt extent.
-fn flow_through(
-    model: &Model<'_>,
-    shard: usize,
-    x: usize,
-    y: usize,
-    reader: &InstrSite,
-    writer: &InstrSite,
-) -> Option<Access> {
-    let reader_send = reader.dst.as_ref().and_then(|op| match op.desc {
-        Descriptor::FabricOut { color, len, .. } if len > 0 => Some(color),
-        _ => None,
-    })?;
-    writer.sources().find(|op| {
-        matches!(op.desc, Descriptor::FabricIn { color, len, .. } if color == reader_send && len > 0)
-    })?;
-    let wdst = &writer.dst.as_ref()?.desc;
-    if !matches!(wdst, Descriptor::Mem { .. }) {
-        return None;
+/// read of `i` and the pair is deterministic.
+fn flow_through(facts: &TileFacts<'_>, reader: &InstrSite, writer: &InstrSite) -> Exempt {
+    let Some((color, _)) = reader.send() else { return Exempt::No };
+    if !writer
+        .sources()
+        .any(|d| matches!(d, Descriptor::FabricIn { color: c, len, .. } if c == color && len > 0))
+    {
+        return Exempt::No;
     }
-    let identical = reader.sources().any(|op| op.desc == *wdst);
-    if !identical {
-        return None;
+    let Some(wdst) = writer.dst else { return Exempt::No };
+    let Some(extent) = Access::of(&wdst) else { return Exempt::No };
+    if !reader.sources().any(|d| d == wdst) {
+        return Exempt::No;
     }
-    let looped =
-        model.flow_from_ramp(shard, x, y, reader_send).delivered.contains_key(&(shard, x, y));
-    if looped {
-        sram_extent(wdst)
+    if facts.looped.contains(color) {
+        Exempt::Yes(extent)
+    } else if facts.ramp_routed.contains(color) {
+        Exempt::IfLooped(color, extent)
     } else {
-        None
+        Exempt::No
     }
 }
 
-/// Tasks ordered strictly *after* the launched thread completes: the
-/// completion trigger's target, grown by tasks whose every activation
-/// source already lies in the set.
-fn ordered_after(
-    core: &Core,
-    launch: &InstrSite,
-    reachable: &BTreeSet<TaskId>,
-) -> BTreeSet<TaskId> {
-    let mut after = BTreeSet::new();
-    let Some((seed, TaskAction::Activate | TaskAction::Unblock)) = launch.on_complete else {
-        return after;
-    };
-    after.insert(seed);
-    let sites = instruction_sites(core);
-    loop {
-        let mut grew = false;
-        for (id, task) in core.tasks() {
-            if after.contains(&id) || !reachable.contains(&id) {
-                continue;
-            }
-            if task.start_activated || core.task_activated(id) {
-                continue;
-            }
-            if core.entry_tasks().contains(&id) {
-                continue;
-            }
-            if core.bindings().iter().any(|b| b.task == id) {
-                continue;
-            }
-            // Every activation source must already be in the set.
-            let mut sources = 0usize;
-            let mut inside = 0usize;
-            for (oid, otask) in core.tasks() {
-                if !reachable.contains(&oid) {
-                    continue;
-                }
-                for stmt in &otask.body {
-                    if matches!(stmt, Stmt::TaskCtl { task: t, action: TaskAction::Activate } if *t == id)
-                    {
-                        sources += 1;
-                        if after.contains(&oid) {
-                            inside += 1;
-                        }
-                    }
-                }
-            }
-            for site in &sites {
-                if !reachable.contains(&site.task) {
-                    continue;
-                }
-                if matches!(site.on_complete, Some((t, TaskAction::Activate)) if t == id) {
-                    sources += 1;
-                    let from_this_launch =
-                        site.task == launch.task && site.stmt == launch.stmt && site.background;
-                    if after.contains(&site.task) || from_this_launch {
-                        inside += 1;
-                    }
-                }
-                if let Some(dst) = &site.dst {
-                    if let Descriptor::Fifo { fifo } = dst.desc {
-                        if core.fifo(fifo).onpush == Some(id) {
-                            sources += 1;
-                            if after.contains(&site.task) {
-                                inside += 1;
-                            }
-                        }
-                    }
-                }
-            }
-            if sources > 0 && sources == inside && after.insert(id) {
-                grew = true;
-            }
-        }
-        if !grew {
-            return after;
-        }
-    }
+/// Which tasks are ordered against, and which can run alongside, one
+/// launched thread — two worklist closures over the activation graph of
+/// [`TileFacts`], with scratch reused across the launches of a tile.
+struct Ordering<'f, 'a> {
+    facts: &'f TileFacts<'a>,
+    /// Tasks ordered strictly *after* the launched thread completes: the
+    /// completion trigger's target, grown by tasks whose every activation
+    /// source already lies in the set.
+    after: Vec<bool>,
+    /// Tasks that can run while the launched thread is live: the closure
+    /// of the launching task under local activation edges — `TaskCtl`
+    /// activations, completion triggers of *other* sites, FIFO `onpush`
+    /// targets, and data triggers fed by colors the closure itself sends
+    /// to its own ramp. Distinct host entry points are assumed
+    /// host-sequenced and excluded unless the closure reaches them.
+    concurrent: Vec<bool>,
+    /// Per task: activation sources already inside `after`.
+    inside: Vec<u32>,
+    /// Whether a task may join `after` at all: not already activated, not a
+    /// host entry point, not data-triggered — each of those can start it
+    /// with no regard to the thread.
+    joinable: Vec<bool>,
+    work: Vec<TaskId>,
 }
 
-/// Tasks that can run while the launched thread is live: the closure of
-/// the launching task under local activation edges — `TaskCtl`
-/// activations, completion triggers of *other* sites, FIFO `onpush`
-/// targets, and data triggers fed by colors the closure itself sends to
-/// its own ramp. Distinct host entry points are assumed host-sequenced
-/// and excluded unless the closure reaches them.
-fn concurrent_tasks(
-    tile: &wse_arch::fabric::Tile,
-    core: &Core,
-    launch: &InstrSite,
-    reachable: &BTreeSet<TaskId>,
-) -> BTreeSet<TaskId> {
-    let sites = instruction_sites(core);
-    let mut conc: BTreeSet<TaskId> = BTreeSet::new();
-    conc.insert(launch.task);
-    loop {
-        let mut grew = false;
-        let add = |set: &mut BTreeSet<TaskId>, id: TaskId, grew: &mut bool| {
-            if reachable.contains(&id) && set.insert(id) {
-                *grew = true;
+impl<'f, 'a> Ordering<'f, 'a> {
+    fn new(facts: &'f TileFacts<'a>) -> Self {
+        let core = &facts.tile.core;
+        let n = core.num_tasks();
+        let joinable = core
+            .tasks()
+            .map(|(id, task)| {
+                let started_otherwise = task.start_activated
+                    || core.task_activated(id)
+                    || core.entry_tasks().contains(&id)
+                    || core.bindings().iter().any(|b| b.task == id);
+                facts.reachable[id] && !started_otherwise
+            })
+            .collect();
+        Ordering {
+            facts,
+            after: vec![false; n],
+            concurrent: vec![false; n],
+            inside: vec![0; n],
+            joinable,
+            work: Vec::new(),
+        }
+    }
+
+    /// Recomputes both sets for the launch at `sites[li]`.
+    fn around(&mut self, li: usize) {
+        let facts = self.facts;
+        let launch = &facts.sites[li];
+        let n = self.after.len();
+
+        self.after.fill(false);
+        self.inside.fill(0);
+        if let Some((seed, TaskAction::Activate | TaskAction::Unblock)) = launch.on_complete {
+            if seed < n {
+                self.after[seed] = true;
+                self.work.push(seed);
             }
-        };
-        for (id, task) in core.tasks() {
-            if !conc.contains(&id) {
+        }
+        while let Some(id) = self.work.pop() {
+            // Only reachable code counts as an activation source.
+            if !facts.reachable[id] {
                 continue;
             }
-            for stmt in &task.body {
-                if let Stmt::TaskCtl { task: t, action: TaskAction::Activate } = stmt {
-                    add(&mut conc, *t, &mut grew);
+            for e in facts.activates[id].iter().filter(|e| e.via != Via::Loop) {
+                self.inside[e.to] += 1;
+                if !self.after[e.to]
+                    && self.joinable[e.to]
+                    && self.inside[e.to] == facts.activation_sources[e.to]
+                {
+                    self.after[e.to] = true;
+                    self.work.push(e.to);
                 }
             }
         }
-        // Colors the closure sends that loop back to this tile's ramp.
-        let mut self_colors: BTreeSet<wse_arch::types::Color> = BTreeSet::new();
-        for site in &sites {
-            if !conc.contains(&site.task) {
-                continue;
-            }
-            if let Some(dst) = &site.dst {
-                if let Descriptor::FabricOut { color, len, .. } = dst.desc {
-                    if len > 0 {
-                        self_colors.insert(color);
-                    }
+
+        self.concurrent.fill(false);
+        self.concurrent[launch.task] = true;
+        self.work.push(launch.task);
+        while let Some(id) = self.work.pop() {
+            for e in &facts.activates[id] {
+                if e.via != Via::Complete(li) && facts.reachable[e.to] && !self.concurrent[e.to] {
+                    self.concurrent[e.to] = true;
+                    self.work.push(e.to);
                 }
             }
-        }
-        for b in core.bindings() {
-            if !self_colors.contains(&b.color) {
-                continue;
-            }
-            let looped = tile.router.routes().any(|(p, c, fanout)| {
-                p == Port::Ramp && c == b.color && fanout.contains(&Port::Ramp)
-            });
-            if looped {
-                add(&mut conc, b.task, &mut grew);
-            }
-        }
-        for site in &sites {
-            if !conc.contains(&site.task) {
-                continue;
-            }
-            let is_this_launch =
-                site.task == launch.task && site.stmt == launch.stmt && site.background;
-            if !is_this_launch {
-                if let Some((t, TaskAction::Activate)) = site.on_complete {
-                    add(&mut conc, t, &mut grew);
-                }
-            }
-            if let Some(dst) = &site.dst {
-                if let Descriptor::Fifo { fifo } = dst.desc {
-                    if let Some(t) = core.fifo(fifo).onpush {
-                        add(&mut conc, t, &mut grew);
-                    }
-                }
-            }
-        }
-        if !grew {
-            return conc;
         }
     }
 }

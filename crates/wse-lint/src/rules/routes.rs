@@ -16,65 +16,108 @@
 //!   ([`crate::Rule::MissingRampRoute`]);
 //! * directed cycles — with credit-based backpressure and all-or-nothing
 //!   fanout, a cycle that fills can never drain
-//!   ([`crate::Rule::RouteCycle`]).
+//!   ([`crate::Rule::RouteCycle`]). Each shard's graph is searched on its
+//!   own; in an ensemble the graph is then searched again with seam edges
+//!   included and only seam-crossing cycles are reported (purely local
+//!   ones were already caught per shard).
+//!
+//! The three findings that only need the tile's own program and route
+//! table are class properties ([`check_local`]); where a fanout lands and
+//! whether the graph closes a loop depends on the neighbourhood and is
+//! checked tile by tile ([`check`]).
 
-use crate::program::{consumed_colors, produced_colors};
-use crate::{Diagnostic, Rule, Severity};
+use crate::classes::Finding;
+use crate::dataflow::{neighbor, Model, Node};
+use crate::program::TileFacts;
+use crate::{Diagnostic, Rule};
 use std::collections::BTreeSet;
-use wse_arch::fabric::Fabric;
 use wse_arch::types::{Color, Port, NUM_COLORS};
 
-/// Runs every route rule.
-pub fn check(fabric: &Fabric, diags: &mut Vec<Diagnostic>) {
-    let (w, h) = (fabric.width(), fabric.height());
-    for y in 0..h {
-        for x in 0..w {
-            check_tile(fabric, x, y, diags);
+/// The class half: deliveries nobody consumes, receives nothing feeds,
+/// sends with no way out.
+pub(crate) fn check_local(facts: &TileFacts<'_>, findings: &mut Vec<Finding>) {
+    // A delivery is a property of the color, however many input ports feed
+    // it: report it once, naming the first.
+    let mut reported: BTreeSet<Color> = BTreeSet::new();
+    for (in_port, color, fanout) in facts.tile.router.routes() {
+        // Delivery: the core must have a receive descriptor for it.
+        if fanout.contains(&Port::Ramp)
+            && !facts.consumed.contains(&color)
+            && reported.insert(color)
+        {
+            findings.push(Finding::error(
+                Rule::DeadDelivery,
+                format!(
+                    "route ({in_port:?}, color {color}) delivers to the ramp but no \
+                     task on this tile receives color {color}; the ramp-in queue \
+                     will fill and stall the router"
+                ),
+            ));
         }
     }
-    for color in 0..NUM_COLORS as Color {
-        check_cycles(fabric, color, diags);
+
+    // A receive nothing feeds: some route on this tile must deliver the
+    // color to the ramp.
+    for &color in &facts.consumed {
+        if !facts.delivered.contains(color) {
+            findings.push(Finding::error(
+                Rule::UnreachableReceive,
+                format!(
+                    "a task receives color {color} but no route on this tile delivers \
+                     color {color} to the ramp; the receive can never complete"
+                ),
+            ));
+        }
+    }
+
+    // A send with nowhere to go: injected flits enter the router at the
+    // ramp input port.
+    for &color in &facts.produced {
+        if !facts.ramp_routed.contains(color) {
+            findings.push(Finding::error(
+                Rule::MissingRampRoute,
+                format!(
+                    "a task sends on color {color} but the router has no rule for \
+                     (Ramp, color {color}); the injection queue will fill and the \
+                     send thread never finishes"
+                ),
+            ));
+        }
     }
 }
 
-fn neighbor(fabric: &Fabric, x: usize, y: usize, out: Port) -> Option<(usize, usize)> {
-    let (dx, dy) = out.delta();
-    let nx = x as i64 + dx as i64;
-    let ny = y as i64 + dy as i64;
-    if nx < 0 || ny < 0 || nx >= fabric.width() as i64 || ny >= fabric.height() as i64 {
-        None
-    } else {
-        Some((nx as usize, ny as usize))
+/// The per-tile half: where every cardinal fanout lands, then the cycle
+/// searches over the colors any route uses.
+pub(crate) fn check(model: &Model<'_>, diags: &mut Vec<Diagnostic>) {
+    let mut used = [false; NUM_COLORS];
+    for (s, x, y, _) in model.tiles() {
+        check_links(model, s, x, y, &mut used, diags);
+    }
+    for color in (0..NUM_COLORS as Color).filter(|&c| used[c as usize]) {
+        check_cycles(model, color, false, diags);
+        if !model.ens.seams.is_empty() {
+            check_cycles(model, color, true, diags);
+        }
     }
 }
 
-fn check_tile(fabric: &Fabric, x: usize, y: usize, diags: &mut Vec<Diagnostic>) {
-    let tile = fabric.tile(x, y);
-    let consumed = consumed_colors(&tile.core);
-    let produced = produced_colors(&tile.core);
-
+fn check_links(
+    model: &Model<'_>,
+    s: usize,
+    x: usize,
+    y: usize,
+    used: &mut [bool; NUM_COLORS],
+    diags: &mut Vec<Diagnostic>,
+) {
+    let fabric = model.ens.shards[s];
+    let mut error = |rule, message| diags.push(model.ens.error(s, x, y, rule, message));
     // The same outgoing segment `(out, color)` may be fed by several input
     // ports; its fate is a property of the segment, so report it once, not
     // once per direction.
     let mut reported: BTreeSet<(usize, Color)> = BTreeSet::new();
-    for (in_port, color, fanout) in tile.router.routes() {
-        for &out in fanout {
-            if out == Port::Ramp {
-                // Delivery: the core must have a receive descriptor for it.
-                if !consumed.contains(&color) && reported.insert((out.index(), color)) {
-                    diags.push(Diagnostic {
-                        tile: (x, y),
-                        severity: Severity::Error,
-                        rule: Rule::DeadDelivery,
-                        message: format!(
-                            "route ({in_port:?}, color {color}) delivers to the ramp but no \
-                             task on this tile receives color {color}; the ramp-in queue \
-                             will fill and stall the router"
-                        ),
-                    });
-                }
-                continue;
-            }
+    for (in_port, color, fanout) in fabric.tile(x, y).router.routes() {
+        used[color as usize] = true;
+        for &out in fanout.iter().filter(|&&o| o != Port::Ramp) {
             // Forwarding: the neighbor must exist and must do something
             // with what arrives. A boundary fanout is legal only through a
             // declared edge channel (`Fabric::open_edge`) — the host drains
@@ -83,17 +126,15 @@ fn check_tile(fabric: &Fabric, x: usize, y: usize, diags: &mut Vec<Diagnostic>) 
                 if !fabric.edge_port_declared(x, y, out, color)
                     && reported.insert((out.index(), color))
                 {
-                    diags.push(Diagnostic {
-                        tile: (x, y),
-                        severity: Severity::Error,
-                        rule: Rule::RouteOffFabric,
-                        message: format!(
+                    error(
+                        Rule::RouteOffFabric,
+                        format!(
                             "route ({in_port:?}, color {color}) forwards {out:?} off the \
                              {}x{} fabric edge with no declared edge port",
                             fabric.width(),
                             fabric.height()
                         ),
-                    });
+                    );
                 }
                 continue;
             };
@@ -101,127 +142,89 @@ fn check_tile(fabric: &Fabric, x: usize, y: usize, diags: &mut Vec<Diagnostic>) 
             if fabric.tile(nx, ny).router.route(arrives_at, color).is_none()
                 && reported.insert((out.index(), color))
             {
-                diags.push(Diagnostic {
-                    tile: (x, y),
-                    severity: Severity::Error,
-                    rule: Rule::RouteDangling,
-                    message: format!(
+                error(
+                    Rule::RouteDangling,
+                    format!(
                         "route ({in_port:?}, color {color}) forwards {out:?} to tile \
                          ({nx}, {ny}) but that router has no rule for ({arrives_at:?}, \
                          color {color}); flits will pile up and backpressure the sender"
                     ),
-                });
+                );
             }
-        }
-    }
-
-    // A receive nothing feeds: some route on this tile must deliver the
-    // color to the ramp.
-    for &color in &consumed {
-        let fed =
-            tile.router.routes().any(|(_, c, fanout)| c == color && fanout.contains(&Port::Ramp));
-        if !fed {
-            diags.push(Diagnostic {
-                tile: (x, y),
-                severity: Severity::Error,
-                rule: Rule::UnreachableReceive,
-                message: format!(
-                    "a task receives color {color} but no route on this tile delivers \
-                     color {color} to the ramp; the receive can never complete"
-                ),
-            });
-        }
-    }
-
-    // A send with nowhere to go: injected flits enter the router at the
-    // ramp input port.
-    for &color in &produced {
-        if tile.router.route(Port::Ramp, color).is_none() {
-            diags.push(Diagnostic {
-                tile: (x, y),
-                severity: Severity::Error,
-                rule: Rule::MissingRampRoute,
-                message: format!(
-                    "a task sends on color {color} but the router has no rule for \
-                     (Ramp, color {color}); the injection queue will fill and the \
-                     send thread never finishes"
-                ),
-            });
         }
     }
 }
 
-/// Depth-first search for a directed cycle in one color's forwarding graph.
-/// Nodes are `(tile index, input port)`; an edge exists where a configured
-/// route forwards out of a cardinal port into the neighbor's opposite port.
-fn check_cycles(fabric: &Fabric, color: Color, diags: &mut Vec<Diagnostic>) {
-    let (w, h) = (fabric.width(), fabric.height());
-    let node = |x: usize, y: usize, p: Port| (y * w + x) * 5 + p.index();
-    let n_nodes = w * h * 5;
+/// Depth-first search for directed cycles in one color's forwarding graph.
+/// Nodes are `(shard, tile, input port)`; an edge exists where a configured
+/// route forwards out of a cardinal port into the neighbor's opposite port
+/// — or, with `seams`, off a shard edge into the ingress of a paired seam
+/// channel, in which case only cycles that cross a seam are reported.
+fn check_cycles(model: &Model<'_>, color: Color, seams: bool, diags: &mut Vec<Diagnostic>) {
+    let ens = model.ens;
     // 0 = unvisited, 1 = on the current path, 2 = done.
-    let mut state = vec![0u8; n_nodes];
-
-    let successors = |x: usize, y: usize, p: Port| -> Vec<(usize, usize, Port)> {
-        let Some(fanout) = fabric.tile(x, y).router.route(p, color) else {
-            return Vec::new();
-        };
-        fanout
-            .iter()
-            .filter(|&&o| o != Port::Ramp)
-            .filter_map(|&o| {
-                neighbor(fabric, x, y, o)
-                    .map(|(nx, ny)| (nx, ny, o.opposite().expect("cardinal port")))
-            })
-            .collect()
-    };
-
-    for sy in 0..h {
-        for sx in 0..w {
-            for sp in Port::ALL {
-                if state[node(sx, sy, sp)] != 0 {
+    let mut state = vec![0u8; model.num_nodes()];
+    // The current path: (node, its successors' range in `arena`, next
+    // successor, arrived through a seam).
+    let mut stack: Vec<(Node, usize, usize, bool)> = Vec::new();
+    let mut arena: Vec<(Node, Option<usize>)> = Vec::new();
+    for (s, x, y, _) in model.tiles() {
+        for port in Port::ALL {
+            let start = (s, x, y, port);
+            if state[model.node_id(start)] != 0 {
+                continue;
+            }
+            state[model.node_id(start)] = 1;
+            stack.push((start, arena.len(), arena.len(), false));
+            model.successors(start, color, seams, &mut arena);
+            while let Some(&(node, first, cursor, _)) = stack.last() {
+                if cursor == arena.len() {
+                    state[model.node_id(node)] = 2;
+                    arena.truncate(first);
+                    stack.pop();
                     continue;
                 }
-                // Iterative DFS with an explicit stack of (node, children,
-                // next-child index).
-                let mut stack = vec![((sx, sy, sp), successors(sx, sy, sp), 0usize)];
-                state[node(sx, sy, sp)] = 1;
-                while !stack.is_empty() {
-                    let last = stack.len() - 1;
-                    let (cx, cy, cp) = stack[last].0;
-                    if stack[last].2 >= stack[last].1.len() {
-                        state[node(cx, cy, cp)] = 2;
-                        stack.pop();
-                        continue;
+                let (next, seam) = arena[cursor];
+                stack.last_mut().expect("non-empty path").2 += 1;
+                let via_seam = seam.is_some();
+                match state[model.node_id(next)] {
+                    0 => {
+                        state[model.node_id(next)] = 1;
+                        stack.push((next, arena.len(), arena.len(), via_seam));
+                        model.successors(next, color, seams, &mut arena);
                     }
-                    let (nx, ny, np) = stack[last].1[stack[last].2];
-                    stack[last].2 += 1;
-                    match state[node(nx, ny, np)] {
-                        0 => {
-                            state[node(nx, ny, np)] = 1;
-                            stack.push(((nx, ny, np), successors(nx, ny, np), 0));
-                        }
-                        1 => {
-                            // Back edge: reconstruct the cycle from the stack.
-                            let start = stack.iter().position(|e| e.0 == (nx, ny, np)).unwrap_or(0);
-                            let path: Vec<String> = stack[start..]
+                    1 => {
+                        // Back edge: reconstruct the cycle from the stack.
+                        let from = stack.iter().position(|e| e.0 == next).unwrap_or(0);
+                        let crossed = via_seam || stack[from + 1..].iter().any(|e| e.3);
+                        // With seam edges in the graph, purely local cycles
+                        // are the per-shard search's to report.
+                        if !seams || crossed {
+                            let path: Vec<String> = stack[from..]
                                 .iter()
-                                .map(|e| format!("({},{}):{:?}", e.0 .0, e.0 .1, e.0 .2))
+                                .map(|&((s, x, y, p), ..)| match seams {
+                                    true => format!("{}:{p:?}", ens.label(s, x, y)),
+                                    false => format!("({x},{y}):{p:?}"),
+                                })
                                 .collect();
-                            diags.push(Diagnostic {
-                                tile: (nx, ny),
-                                severity: Severity::Error,
-                                rule: Rule::RouteCycle,
-                                message: format!(
-                                    "color {color} forwarding graph has a cycle [{}]; with \
+                            let (ns, nx, ny, _) = next;
+                            diags.push(ens.error(
+                                ns,
+                                nx,
+                                ny,
+                                Rule::RouteCycle,
+                                format!(
+                                    "color {color} forwarding graph has a cycle{} [{}]; with \
                                      credit backpressure a filled cycle can never drain",
+                                    if seams { " through seam channels" } else { "" },
                                     path.join(" -> ")
                                 ),
-                            });
-                            // One report per cycle entry point is enough.
-                            state[node(nx, ny, np)] = 2;
+                            ));
                         }
-                        _ => {}
+                        // One report per cycle entry point is enough.
+                        state[model.node_id(next)] = 2;
                     }
+                    _ => {}
                 }
             }
         }

@@ -1,7 +1,7 @@
 //! Task-activation reachability.
 //!
 //! Tasks only run when something activates them: the host (declared via
-//! [`Core::mark_entry`]), a data trigger (color binding), another task's
+//! [`wse_arch::core::Core::mark_entry`]), a data trigger (color binding), another task's
 //! `TaskCtl`, a thread-completion trigger, or a FIFO push with an `onpush`
 //! target. This module computes the fixpoint of "can ever activate" from
 //! those sources and reports:
@@ -14,115 +14,75 @@
 //! * FIFOs that are written but have neither an `onpush` task nor any
 //!   reachable reader ([`crate::Rule::FifoNeverDrained`]).
 
-use crate::dataflow::reachable_tasks;
-use crate::program::instruction_sites;
-use crate::{Diagnostic, Rule, Severity};
-use std::collections::BTreeSet;
-use wse_arch::core::Core;
+use crate::classes::Finding;
+use crate::program::TileFacts;
+use crate::Rule;
 use wse_arch::dsr::Descriptor;
-use wse_arch::fabric::Fabric;
-use wse_arch::instr::TaskAction;
+use wse_arch::instr::{Stmt, TaskAction};
 
-/// Runs the task rules on every tile.
-pub fn check(fabric: &Fabric, diags: &mut Vec<Diagnostic>) {
-    for y in 0..fabric.height() {
-        for x in 0..fabric.width() {
-            check_tile(fabric, x, y, diags);
-        }
-    }
-}
-
-fn check_tile(fabric: &Fabric, x: usize, y: usize, diags: &mut Vec<Diagnostic>) {
-    let tile = fabric.tile(x, y);
-    let core = &tile.core;
-    let sites = instruction_sites(core);
-
-    // The "can ever activate" fixpoint, shared with the global passes.
-    let reachable = reachable_tasks(tile);
+/// Runs the task rules on one tile class.
+pub(crate) fn check(facts: &TileFacts<'_>, findings: &mut Vec<Finding>) {
+    let core = &facts.tile.core;
 
     // Unblock edges available from reachable code.
-    let mut unblockable: BTreeSet<usize> = BTreeSet::new();
+    let mut unblockable = vec![false; core.num_tasks()];
+    let mut unblock = |t: usize| {
+        if let Some(slot) = unblockable.get_mut(t) {
+            *slot = true;
+        }
+    };
     for (id, task) in core.tasks() {
-        if !reachable.contains(&id) {
+        if !facts.reachable[id] {
             continue;
         }
         for stmt in &task.body {
-            if let wse_arch::instr::Stmt::TaskCtl { task: t, action: TaskAction::Unblock } = stmt {
-                unblockable.insert(*t);
+            if let Stmt::TaskCtl { task: t, action: TaskAction::Unblock } = stmt {
+                unblock(*t);
             }
         }
     }
-    for site in &sites {
-        if reachable.contains(&site.task) {
-            if let Some((t, TaskAction::Unblock)) = site.on_complete {
-                unblockable.insert(t);
-            }
+    for (_, site) in facts.reachable_sites() {
+        if let Some((t, TaskAction::Unblock)) = site.on_complete {
+            unblock(t);
         }
     }
 
     for (id, task) in core.tasks() {
-        if !reachable.contains(&id) {
-            diags.push(Diagnostic {
-                tile: (x, y),
-                severity: Severity::Error,
-                rule: Rule::UnreachableTask,
-                message: format!(
+        if !facts.reachable[id] {
+            findings.push(Finding::error(
+                Rule::UnreachableTask,
+                format!(
                     "task {id} (\"{}\") can never activate: it is not an entry point, \
                      has no deliverable data trigger, and no reachable task or thread \
                      completion activates it",
                     task.name
                 ),
-            });
-        } else if core.task_blocked(id) && !unblockable.contains(&id) {
-            diags.push(Diagnostic {
-                tile: (x, y),
-                severity: Severity::Error,
-                rule: Rule::BlockedForever,
-                message: format!(
+            ));
+        } else if core.task_blocked(id) && !unblockable[id] {
+            findings.push(Finding::error(
+                Rule::BlockedForever,
+                format!(
                     "task {id} (\"{}\") starts blocked and nothing reachable ever \
                      unblocks it; activations will queue forever",
                     task.name
                 ),
-            });
+            ));
         }
     }
 
-    check_fifos(core, x, y, &sites, &reachable, diags);
-}
-
-fn check_fifos(
-    core: &Core,
-    x: usize,
-    y: usize,
-    sites: &[crate::program::InstrSite],
-    reachable: &BTreeSet<usize>,
-    diags: &mut Vec<Diagnostic>,
-) {
     for (fid, fifo) in core.fifos() {
-        let written = sites.iter().any(|s| {
-            reachable.contains(&s.task)
-                && s.dst
-                    .as_ref()
-                    .is_some_and(|d| matches!(d.desc, Descriptor::Fifo { fifo } if fifo == fid))
-        });
-        if !written {
-            continue;
-        }
-        let read = sites.iter().any(|s| {
-            reachable.contains(&s.task)
-                && s.sources().any(|op| matches!(op.desc, Descriptor::Fifo { fifo } if fifo == fid))
-        });
-        if fifo.onpush.is_none() && !read {
-            diags.push(Diagnostic {
-                tile: (x, y),
-                severity: Severity::Error,
-                rule: Rule::FifoNeverDrained,
-                message: format!(
+        let names = |desc: Descriptor| matches!(desc, Descriptor::Fifo { fifo } if fifo == fid);
+        let written = facts.reachable_sites().any(|(_, s)| s.dst.is_some_and(names));
+        let read = || facts.reachable_sites().any(|(_, s)| s.sources().any(names));
+        if written && fifo.onpush.is_none() && !read() {
+            findings.push(Finding::error(
+                Rule::FifoNeverDrained,
+                format!(
                     "fifo {fid} is written by a reachable task but has no onpush \
                      target and no reachable reader; pushes fill it and stall the \
                      writer"
                 ),
-            });
+            ));
         }
     }
 }

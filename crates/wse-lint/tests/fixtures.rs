@@ -242,6 +242,22 @@ fn color_out_of_range_is_detected() {
 }
 
 #[test]
+fn out_of_range_send_color_is_a_diagnostic_not_a_panic() {
+    // No route table has a slot for color 99, so every pass that follows a
+    // send into the route graph must treat it as unroutable rather than
+    // index with it.
+    let mut f = Fabric::new(1, 1);
+    let t = f.tile_mut(0, 0);
+    let buf = t.mem.alloc_vec(4, Dtype::F16).unwrap();
+    let d_buf = t.core.add_dsr(mk::tensor16(buf, 4));
+    let d_tx = t.core.add_dsr(mk::tx16(99, 4));
+    let task = t.core.add_task(Task::new("tx", vec![copy(d_tx, d_buf)]));
+    t.core.mark_entry(task);
+    assert_fires(&f, Rule::ColorOutOfRange);
+    assert_fires(&f, Rule::MissingRampRoute);
+}
+
+#[test]
 fn sram_over_budget_is_detected() {
     // A used descriptor whose extent reaches past the 48 KB SRAM.
     let mut f = Fabric::new(1, 1);

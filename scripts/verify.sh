@@ -2,7 +2,8 @@
 # Full verification, a superset of tier-1 (ROADMAP.md: `cargo build
 # --release && cargo test -q`, the root package only): the release build,
 # the whole workspace's tests, clippy and rustfmt, the wse-lint static
-# verifier over every shipped kernel configuration and broken fixture,
+# verifier over every shipped kernel configuration (once more with
+# --stats) and broken fixture,
 # three twice-run-and-diffed paper-artifact smokes, the e2e-bench tests,
 # and the exact simulated counters of all four benchmark workloads.
 set -euo pipefail
@@ -22,6 +23,15 @@ cargo fmt --check
 
 echo "== wse-lint (shipped kernel configurations) =="
 cargo run -q --release --bin wse-lint
+
+echo "== wse-lint --stats (work counters and per-pass host time) =="
+# Every configuration reports its work counters and its per-pass split.
+# (What the counters must *be* — one facts build per tile class, the
+# catalog's class counts — is asserted in crates/wse-lint/src/tests.rs; the
+# fixture diff below is what shows the default output did not move.)
+stats_out="$(cargo run -q --release --bin wse-lint -- --stats 2>&1 >/dev/null)"
+[ "$(grep -c ' stats: [0-9]* tiles, [0-9]* classes, ' <<<"$stats_out")" -eq 10 ]
+[ "$(grep -c ' host us: routes [0-9]*, colors ' <<<"$stats_out")" -eq 10 ]
 
 echo "== wse-lint fixtures (broken programs vs expected diagnostics) =="
 # Every intentionally broken fixture must lint dirty with exactly the

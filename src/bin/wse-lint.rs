@@ -4,7 +4,7 @@
 //! Usage:
 //!
 //! ```text
-//! wse-lint [--json] [CONFIG ...]
+//! wse-lint [--json] [--stats] [CONFIG ...]
 //! ```
 //!
 //! With no arguments every standard configuration is checked. Exits with
@@ -26,6 +26,13 @@
 //! within each configuration, configurations in argument order — so output
 //! is diffable. `--json` emits one JSON array of every diagnostic instead
 //! of the human-readable report (same order, same exit status).
+//!
+//! `--stats` adds, per configuration, the work the pass did
+//! (`wse_lint::LintStats`: tiles, tile classes, site resolutions,
+//! activation-graph builds, flow queries, wait sites — all deterministic)
+//! and the host microseconds each pass took, so "why did lint take N ms on
+//! this operator" has an owner. The two lines go to stderr: stdout is the
+//! same with or without the flag.
 
 use stencil::decomp::Block2D;
 use stencil::dia::DiaMatrix;
@@ -40,7 +47,7 @@ use wse_core::cg::{CgVariant, WaferCg};
 use wse_core::spmv2d::WaferSpmv2d;
 use wse_core::{WaferBicgstab, WaferSpmv};
 use wse_float::F16;
-use wse_lint::{lint, Severity};
+use wse_lint::{lint_with_stats, LintStats, Pass, Severity};
 
 const ALL: &[&str] = &[
     "spmv3d",
@@ -168,18 +175,40 @@ fn json_escape(s: &str) -> String {
     out
 }
 
+/// The two `--stats` lines of one configuration.
+fn stats_report(config: &str, stats: &LintStats) -> String {
+    let passes: Vec<String> = Pass::ALL
+        .iter()
+        .zip(stats.pass_ns)
+        .map(|(pass, ns)| format!("{} {}", pass.name(), ns / 1000))
+        .collect();
+    format!(
+        "{config} stats: {} tiles, {} classes, {} site resolutions, {} graph builds, \
+         {} flow queries, {} wait sites\n{config} host us: {} (total {})",
+        stats.tiles,
+        stats.classes,
+        stats.site_resolutions,
+        stats.graph_builds,
+        stats.flow_queries,
+        stats.wait_sites,
+        passes.join(", "),
+        stats.pass_ns.iter().sum::<u64>() / 1000
+    )
+}
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!(
-            "usage: wse-lint [--json] [CONFIG ...]\nconfigurations: {}, fixture:NAME\nfixtures: {}",
+            "usage: wse-lint [--json] [--stats] [CONFIG ...]\nconfigurations: {}, fixture:NAME\nfixtures: {}",
             ALL.join(", "),
             wse_lint::fixtures::ALL.join(", ")
         );
         return;
     }
     let json = args.iter().any(|a| a == "--json");
-    args.retain(|a| a != "--json");
+    let show_stats = args.iter().any(|a| a == "--stats");
+    args.retain(|a| a != "--json" && a != "--stats");
     let configs: Vec<&str> =
         if args.is_empty() { ALL.to_vec() } else { args.iter().map(|s| s.as_str()).collect() };
 
@@ -210,7 +239,7 @@ fn main() {
             continue;
         }
         let fabric = build(config);
-        let diags = lint(&fabric);
+        let (diags, stats) = lint_with_stats(&fabric);
         if json {
             for d in &diags {
                 records.push(format!(
@@ -231,6 +260,9 @@ fn main() {
             for d in &diags {
                 println!("  {d}");
             }
+        }
+        if show_stats {
+            eprintln!("{}", stats_report(config, &stats));
         }
         for d in &diags {
             match d.severity {
