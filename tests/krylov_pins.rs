@@ -447,3 +447,135 @@ fn recovery_under_seeded_bit_flips_multi_k2() {
         assert_eq!((render(&log), bits(&stats.residuals), x_digest(&x)), want, "{name}");
     }
 }
+
+// ---------------------------------------------------------------------
+// A second, awkward shape per builder variant (non-square fabrics, odd z,
+// a `bx != by` block off the origin, uneven k = 3 slabs), recorded with
+// the hand-written builders at the commit before they became tables.
+// ---------------------------------------------------------------------
+
+#[test]
+fn awkward_bicgstab3d_both_variants() {
+    let (a, b) = system3d(Mesh3D::new(3, 5, 7));
+    type Build = fn(&mut Fabric, &DiaMatrix<F16>) -> WaferBicgstab;
+    // Same arithmetic either way at this size: only the program and the
+    // reduction rounds differ.
+    let residuals = [4589211500550235520, 4581489764413554478];
+    let cases: [(&str, Build, Pin); 2] = [
+        (
+            "build",
+            WaferBicgstab::build,
+            pin(
+                &[2840828866341014671],
+                &[[100, 32, 72, 12, 16], [103, 32, 72, 12, 16]],
+                &residuals,
+                1552073169969474409,
+            ),
+        ),
+        (
+            "build_fused",
+            WaferBicgstab::build_fused,
+            pin(
+                &[5490925861975442301],
+                &[[100, 32, 65, 12, 16], [103, 32, 65, 12, 16]],
+                &residuals,
+                1552073169969474409,
+            ),
+        ),
+    ];
+    for (name, build, want) in cases {
+        let mut fabric = Fabric::new(3, 5);
+        let solver = build(&mut fabric, &a);
+        assert_eq!(solve(&mut fabric, &solver, &b, 2), want, "{name}");
+    }
+}
+
+#[test]
+fn awkward_cg_both_variants() {
+    let (a, b) = spd_system(Mesh3D::new(5, 2, 9));
+    let want = [
+        pin(
+            &[16557237877950495899],
+            &[[49, 18, 32, 9, 5], [48, 18, 32, 9, 5]],
+            &[4598287175790107441, 4590662686575061322],
+            6519288228156074577,
+        ),
+        pin(
+            &[13496541081070851808],
+            &[[49, 18, 25, 12, 8], [48, 18, 25, 12, 11]],
+            &[4598287190992801006, 4590654657114568827],
+            9139634422530143261,
+        ),
+    ];
+    for (variant, want) in [CgVariant::Standard, CgVariant::SingleReduction].into_iter().zip(want) {
+        let mut fabric = Fabric::new(5, 2);
+        let solver = WaferCg::build(&mut fabric, &a, variant);
+        assert_eq!(solve(&mut fabric, &solver, &b, 2), want, "{variant:?}");
+    }
+}
+
+/// A 3 × 5 block per tile on a 2 × 3 region at (1, 2) of a 4 × 6 fabric.
+#[test]
+fn awkward_bicgstab2d_off_origin() {
+    let block = Block2D::new(3, 5);
+    let (a, b) = system2d(2, 3, block);
+    let mut big = Fabric::new(4, 6);
+    let solver = WaferBicgstab2d::build_at(&mut big, &a, block, (1, 2));
+    assert_eq!(program_digest(&big.extract_region(Region::new(1, 2, 2, 3))), 12419929318559041521);
+    let want = pin(
+        &[14703937395703444160],
+        &[[164, 44, 59, 36, 16], [164, 44, 56, 36, 16]],
+        &[4584856864056267430, 4574818007623506872],
+        1618200339555371800,
+    );
+    assert_eq!(solve(&mut big, &solver, &b, 2), want);
+}
+
+/// Global width 7 over k = 3 wafers: slabs 3 / 2 / 2, so the middle wafer
+/// is all seam tiles.
+#[test]
+fn awkward_multi_k3_all_three_builders() {
+    let (a, b) = scaled(poisson(Mesh3D::new(7, 3, 5)), |i| (i * 29 % 101) as f64 / 101.0 - 0.4);
+    let cases: [(&str, MultiBuild, Pin); 3] = [
+        (
+            "build",
+            WaferBicgstabMulti::build,
+            pin(
+                &[5975402314982418629, 11373276974126061569, 869439058175519211],
+                &[[94, 28, 66, 12, 16, 286, 76, 2880], [94, 28, 64, 12, 16, 286, 76, 2880]],
+                &[4588924690073301781, 4582833147141097890],
+                17669896594731032225,
+            ),
+        ),
+        (
+            "build_serial",
+            WaferBicgstabMulti::build_serial,
+            pin(
+                &[6794990067513780951, 17377946787464962378, 14545112142779802454],
+                &[[95, 28, 66, 12, 16, 376, 0, 2880], [96, 28, 64, 12, 16, 376, 0, 2880]],
+                &[4588918949636138750, 4582824750612771328],
+                6924345035736783700,
+            ),
+        ),
+        (
+            "build_fused",
+            WaferBicgstabMulti::build_fused,
+            pin(
+                &[16763273329566132042, 12772913397801399385, 5483719673416017456],
+                &[[99, 70, 60, 14, 0, 281, 81, 724]; 2],
+                &[4588955347310781692, 4582848076264136469],
+                2902823969436699610,
+            ),
+        ),
+    ];
+    for (name, build, want) in cases {
+        let mut multi = MultiFabric::new(7, 3, 3, HostLink::paper_default());
+        assert_eq!((0..3).map(|m| multi.slab(m).len()).collect::<Vec<_>>(), [3, 2, 2]);
+        let solver = build(&mut multi, &a);
+        let program = (0..3).map(|m| program_digest(multi.shard(m))).collect();
+        let (x, stats) = solver.solve(&mut multi, &b, 2);
+        let cycles = stats.iterations.iter().map(multi_cycles).collect();
+        let got = Pin { program, cycles, residuals: bits(&stats.residuals), x: x_digest(&x) };
+        assert_eq!(got, want, "{name}");
+    }
+}
