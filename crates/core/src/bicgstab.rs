@@ -1,4 +1,5 @@
-//! The complete BiCGStab iteration on the wafer: program construction.
+//! The complete BiCGStab iteration on the wafer, and the z-column program
+//! builder every §IV.1 solver shares.
 //!
 //! Vectors and matrix diagonals live entirely in tile SRAM; the two SpMVs
 //! use the Listing-1 dataflow; the four inner products use the local
@@ -7,22 +8,19 @@
 //! arithmetic (α, ω, β) is computed redundantly by every core in fp32
 //! registers from the broadcast reductions.
 //!
-//! This module lays out SRAM and emits the per-tile tasks; the built
-//! [`Program`] is sequenced by the shared driver in [`crate::krylov`]
-//! (tables [`krylov::BICGSTAB`] / [`krylov::BICGSTAB_FUSED`]).
+//! All of that is table data in [`crate::krylov`] ([`krylov::BICGSTAB`] /
+//! [`krylov::BICGSTAB_FUSED`]). This module owns the register map and
+//! `build_zcolumn`, which lays any z-column [`Recurrence`] out on a
+//! fabric and returns the [`Program`] the shared driver sequences.
 
-use crate::allreduce::AllReduce;
-use crate::kernels::{dot_stmts, reg_mov, reg_neg, reg_op, xpay_stmts};
-use crate::krylov::{self, Layout, Program, Slot, Tasks, Vecs};
-use crate::spmv3d::{build_spmv_tile, load_coefficients, tile_coefficients, SpmvLayout};
+use crate::allreduce::{colors, AllReduce};
+use crate::kernels::TileMap;
+use crate::krylov::{self, Layout, Program, Recurrence, Slot, Tasks};
+use crate::spmv3d::{build_spmv_tile, load_coefficients, tile_coefficients};
 use stencil::decomp::Mapping3D;
 use stencil::dia::DiaMatrix;
 use stencil::precond::has_unit_diagonal;
-use wse_arch::core::Core;
-use wse_arch::dsr::mk;
-use wse_arch::instr::{Op, RegOp, Stmt, Task, TensorInstr};
-use wse_arch::types::Dtype;
-use wse_arch::{Fabric, Tile};
+use wse_arch::Fabric;
 use wse_dsl::tess::configure_spmv_routes;
 use wse_float::F16;
 
@@ -78,47 +76,66 @@ pub mod regs {
     pub const EPS: Reg = 31;
 }
 
-/// Per-tile memory layout of the solver vectors (byte addresses). Shared
-/// with the multi-wafer driver ([`crate::multi`]), which lays its tiles
-/// out identically.
-#[derive(Copy, Clone, Debug)]
-pub(crate) struct TileVecs {
-    /// Padded p (SpMV source), `z + 2` words; live at `+2` bytes.
-    pub(crate) p_pad: u32,
-    /// Padded q (SpMV source), `z + 2` words.
-    pub(crate) q_pad: u32,
-    /// s = A p.
-    pub(crate) s: u32,
-    /// y = A q.
-    pub(crate) y: u32,
-    /// Residual r.
-    pub(crate) r: u32,
-    /// Shadow residual r̂₀.
-    pub(crate) r0: u32,
-    /// Iterate x.
-    pub(crate) x: u32,
+/// Maps a system onto a `w × h` grid of z-columns, or panics: the matrix
+/// must be a unit-diagonal 7-point operator whose mesh fits the grid.
+pub(crate) fn column_mapping(a: &DiaMatrix<F16>, w: usize, h: usize) -> Mapping3D {
+    assert!(has_unit_diagonal(a), "matrix must be diagonally preconditioned");
+    assert_eq!(a.offsets().len(), 7, "7-point stencil required");
+    Mapping3D::new(a.mesh(), w, h)
 }
 
-/// Allocates one solver tile's SRAM: six coefficient diagonals followed by
-/// the seven iteration vectors, in the fixed order both drivers share.
+/// Distributes the system matrix and builds every tile's program for
+/// `recurrence`: the tessellation routes, the Fig. 6 AllReduce (and a
+/// second network on the next color span iff a step table reduces over
+/// both), then per tile the storage table, the SpMV instances and the
+/// phase table.
 ///
 /// # Panics
-/// Panics if the tile runs out of SRAM.
-pub(crate) fn alloc_solver_vecs(tile: &mut Tile, z: u32) -> ([u32; 6], TileVecs) {
-    let mut diag = [0u32; 6];
-    for d in &mut diag {
-        *d = tile.mem.alloc_vec(z, Dtype::F16).expect("SRAM: diagonals");
+/// On a system [`column_mapping`] refuses, or if a tile runs out of SRAM.
+pub(crate) fn build_zcolumn(
+    fabric: &mut Fabric,
+    a: &DiaMatrix<F16>,
+    recurrence: &'static Recurrence,
+) -> Program {
+    let mapping = column_mapping(a, fabric.width(), fabric.height());
+    let (w, h) = (mapping.fabric_w, mapping.fabric_h);
+    let z = mapping.z as u32;
+
+    configure_spmv_routes(fabric, w, h);
+    let allreduce = AllReduce::build(fabric, w, h, regs::AR_IN, regs::AR_OUT, regs::AR_ACC);
+    let allreduce2 = recurrence.slots().any(|slot| slot == Slot::ReduceBoth).then(|| {
+        let base = colors::DEFAULT_BASE + colors::SPAN;
+        let (r_in, r_out, r_acc) = (regs::AR_IN2, regs::AR_OUT2, regs::AR_ACC2);
+        AllReduce::build_with_base(fabric, w, h, r_in, r_out, r_acc, base)
+    });
+
+    let mut tiles = Vec::with_capacity(w * h);
+    for y in 0..h {
+        for x in 0..w {
+            // One combined task per tile drives both reduction networks
+            // concurrently.
+            let reduce_both =
+                allreduce2.as_ref().map(|second| allreduce.build_fused_task(second, fabric, x, y));
+            let tile = fabric.tile_mut(x, y);
+            let (diag, at) = recurrence.alloc_column(tile, (x, y), z);
+            // One copy of the coefficients serves every SpMV instance.
+            let first = recurrence.spmv_layout(0, z, diag, &at);
+            load_coefficients(tile, &first, &tile_coefficients(a, x, y));
+            let mut tasks = Tasks::new();
+            for (i, &(slot, ..)) in recurrence.spmvs.iter().enumerate() {
+                let layout = recurrence.spmv_layout(i, z, diag, &at);
+                tasks[slot] = build_spmv_tile(tile, x, y, w, h, layout, None).start;
+            }
+            tasks[Slot::Reduce] = allreduce.task(x, y);
+            if let Some(t) = reduce_both {
+                tasks[Slot::ReduceBoth] = t;
+            }
+            recurrence.emit(&mut tile.core, &TileMap::column(at, z), &mut tasks);
+            tiles.push((tasks, at));
+        }
     }
-    let vecs = TileVecs {
-        p_pad: tile.mem.alloc_vec(z + 2, Dtype::F16).expect("SRAM: p"),
-        q_pad: tile.mem.alloc_vec(z + 2, Dtype::F16).expect("SRAM: q"),
-        s: tile.mem.alloc_vec(z, Dtype::F16).expect("SRAM: s"),
-        y: tile.mem.alloc_vec(z, Dtype::F16).expect("SRAM: y"),
-        r: tile.mem.alloc_vec(z, Dtype::F16).expect("SRAM: r"),
-        r0: tile.mem.alloc_vec(z, Dtype::F16).expect("SRAM: r0"),
-        x: tile.mem.alloc_vec(z, Dtype::F16).expect("SRAM: x"),
-    };
-    (diag, vecs)
+    crate::debug_lint(fabric);
+    Program::new(recurrence, Layout::ZColumn(mapping), (0, 0), tiles)
 }
 
 /// The wafer-resident BiCGStab solver: a constructor for the z-column
@@ -140,7 +157,7 @@ impl WaferBicgstab {
     /// Panics if the matrix is not a unit-diagonal 7-point operator, the
     /// mesh exceeds the fabric, or any tile runs out of SRAM.
     pub fn build(fabric: &mut Fabric, a: &DiaMatrix<F16>) -> WaferBicgstab {
-        Self::build_inner(fabric, a, false)
+        WaferBicgstab(build_zcolumn(fabric, a, &krylov::BICGSTAB))
     }
 
     /// Builds the **communication-fused** variant: the ω-step's two inner
@@ -154,214 +171,8 @@ impl WaferBicgstab {
     /// # Panics
     /// As for [`WaferBicgstab::build`].
     pub fn build_fused(fabric: &mut Fabric, a: &DiaMatrix<F16>) -> WaferBicgstab {
-        Self::build_inner(fabric, a, true)
+        WaferBicgstab(build_zcolumn(fabric, a, &krylov::BICGSTAB_FUSED))
     }
-
-    fn build_inner(fabric: &mut Fabric, a: &DiaMatrix<F16>, fused: bool) -> WaferBicgstab {
-        assert!(has_unit_diagonal(a), "matrix must be diagonally preconditioned");
-        assert_eq!(a.offsets().len(), 7, "7-point stencil required");
-        let mesh = a.mesh();
-        let mapping = Mapping3D::new(mesh, fabric.width(), fabric.height());
-        let (w, h) = (mapping.fabric_w, mapping.fabric_h);
-        let z = mapping.z as u32;
-
-        configure_spmv_routes(fabric, w, h);
-        let allreduce = AllReduce::build(fabric, w, h, regs::AR_IN, regs::AR_OUT, regs::AR_ACC);
-        let allreduce2 = fused.then(|| {
-            AllReduce::build_with_base(
-                fabric,
-                w,
-                h,
-                regs::AR_IN2,
-                regs::AR_OUT2,
-                regs::AR_ACC2,
-                crate::allreduce::colors::DEFAULT_BASE + crate::allreduce::colors::SPAN,
-            )
-        });
-
-        let mut tiles = Vec::with_capacity(w * h);
-        for y in 0..h {
-            for x in 0..w {
-                // Fused mode: one combined task per tile drives both
-                // reduction networks concurrently.
-                let reduce_both = allreduce2
-                    .as_ref()
-                    .map(|second| allreduce.build_fused_task(second, fabric, x, y));
-                let tile = fabric.tile_mut(x, y);
-
-                // Shared coefficient storage for both SpMVs.
-                let (diag, vecs) = alloc_solver_vecs(tile, z);
-                let coeffs = tile_coefficients(a, x, y);
-                let lay_ps = SpmvLayout { z, diag, vpad: vecs.p_pad, u: vecs.s };
-                let lay_qy = SpmvLayout { z, diag, vpad: vecs.q_pad, u: vecs.y };
-                load_coefficients(tile, &lay_ps, &coeffs);
-                // Zero the pads once; the live parts are rewritten by XPAYs.
-                tile.mem.write_f16(vecs.p_pad, F16::ZERO);
-                tile.mem.write_f16(vecs.p_pad + 2 * (z + 1), F16::ZERO);
-                tile.mem.write_f16(vecs.q_pad, F16::ZERO);
-                tile.mem.write_f16(vecs.q_pad + 2 * (z + 1), F16::ZERO);
-
-                let spmv_ps = build_spmv_tile(tile, x, y, w, h, lay_ps, None);
-                let spmv_qy = build_spmv_tile(tile, x, y, w, h, lay_qy, None);
-                let mut tasks = build_scalar_tasks(&mut tile.core, &vecs, z);
-                tasks[Slot::SpmvPs] = spmv_ps.start;
-                tasks[Slot::SpmvQy] = spmv_qy.start;
-                tasks[Slot::Reduce] = allreduce.task(x, y);
-                if let Some(t) = reduce_both {
-                    tasks[Slot::ReduceBoth] = t;
-                }
-                let host = Vecs {
-                    x: vecs.x,
-                    r: vecs.r,
-                    r0: vecs.r0,
-                    p: vecs.p_pad + 2,
-                    ..Vecs::default()
-                };
-                tiles.push((tasks, host));
-            }
-        }
-        crate::debug_lint(fabric);
-        let recurrence = if fused { &krylov::BICGSTAB_FUSED } else { &krylov::BICGSTAB };
-        let budget = 200 * mapping.z as u64 + 200 * (w + h) as u64 + 50_000;
-        WaferBicgstab(Program::new(recurrence, Layout::ZColumn(mapping), (0, 0), tiles, budget))
-    }
-}
-
-/// The scalar coefficient tasks' debug names (part of the program bytes)
-/// under a layout's name prefix, in [`build_coefficient_tasks`] order.
-macro_rules! coefficient_names {
-    ($prefix:literal) => {
-        [
-            concat!($prefix, "post_r0s"),
-            concat!($prefix, "post_qy"),
-            concat!($prefix, "post_yy"),
-            concat!($prefix, "post_rho"),
-            concat!($prefix, "post_omega_fused"),
-            concat!($prefix, "init_rho"),
-            concat!($prefix, "post_rr"),
-        ]
-    };
-}
-pub(crate) use coefficient_names;
-
-/// Emits the scalar coefficient tasks — α, ω, β and the ρ / ‖r‖² stashes,
-/// computed redundantly by every core from the broadcast reductions — into
-/// their slots. The algebra is layout-independent, so every BiCGStab
-/// builder shares it; `names` is [`coefficient_names!`] of the layout's
-/// prefix, and only the ω-fused recurrence needs `post_omega_fused`.
-pub(crate) fn build_coefficient_tasks(
-    core: &mut Core,
-    tasks: &mut Tasks,
-    names: [&'static str; 7],
-    with_omega_fused: bool,
-) {
-    let [post_r0s, post_qy, post_yy, post_rho, post_omega_fused, init_rho, post_rr] = names;
-    tasks[Slot::PostR0s] = core.add_task(Task::new(
-        post_r0s,
-        vec![
-            reg_mov(regs::R0S, regs::AR_OUT),
-            reg_op(RegOp::Add, regs::R0S, regs::R0S, regs::EPS),
-            reg_op(RegOp::Div, regs::ALPHA, regs::RHO, regs::R0S),
-            reg_neg(regs::NEG_ALPHA, regs::ALPHA),
-        ],
-    ));
-    tasks[Slot::PostQy] = core.add_task(Task::new(post_qy, vec![reg_mov(regs::QY, regs::AR_OUT)]));
-    // ω := (q,y) / (y,y) once both are in QY / YY.
-    let omega = || {
-        [
-            reg_op(RegOp::Add, regs::YY, regs::YY, regs::EPS),
-            reg_op(RegOp::Div, regs::OMEGA, regs::QY, regs::YY),
-            reg_neg(regs::NEG_OMEGA, regs::OMEGA),
-        ]
-    };
-    let body = [reg_mov(regs::YY, regs::AR_OUT)].into_iter().chain(omega()).collect();
-    tasks[Slot::PostYy] = core.add_task(Task::new(post_yy, body));
-    tasks[Slot::PostRho] = core.add_task(Task::new(
-        post_rho,
-        vec![
-            reg_mov(regs::RHO_NEXT, regs::AR_OUT),
-            reg_op(RegOp::Add, regs::TMP, regs::OMEGA, regs::EPS),
-            reg_op(RegOp::Div, regs::TMP, regs::ALPHA, regs::TMP),
-            reg_op(RegOp::Add, regs::BETA, regs::RHO, regs::EPS),
-            reg_op(RegOp::Div, regs::BETA, regs::RHO_NEXT, regs::BETA),
-            reg_op(RegOp::Mul, regs::BETA, regs::TMP, regs::BETA),
-            reg_mov(regs::RHO, regs::RHO_NEXT),
-        ],
-    ));
-    if with_omega_fused {
-        let loads = [reg_mov(regs::QY, regs::AR_OUT), reg_mov(regs::YY, regs::AR_OUT2)];
-        let body = loads.into_iter().chain(omega()).collect();
-        tasks[Slot::PostOmegaFused] = core.add_task(Task::new(post_omega_fused, body));
-    }
-    tasks[Slot::InitRho] =
-        core.add_task(Task::new(init_rho, vec![reg_mov(regs::RHO, regs::AR_OUT)]));
-    tasks[Slot::PostRr] = core.add_task(Task::new(post_rr, vec![reg_mov(regs::RR, regs::AR_OUT)]));
-}
-
-/// Builds every core-local phase task on one z-column tile — the dots,
-/// the scalar coefficient arithmetic, and the six vector updates — and
-/// marks each as a host-activated entry point. Shared verbatim by the
-/// single-wafer and multi-wafer drivers (the phases touch no fabric, so
-/// sharding cannot change them); the caller adds the SpMV and reduction
-/// slots.
-pub(crate) fn build_scalar_tasks(core: &mut Core, vecs: &TileVecs, z: u32) -> Tasks {
-    let p_live = vecs.p_pad + 2;
-    let q_live = vecs.q_pad + 2;
-    let mut tasks = Tasks::new();
-
-    // --- Dot phases (local MAC + move to the AllReduce input).
-    let dot = |core: &mut Core, name, a, b| {
-        let body = dot_stmts(core, regs::DOT_ACC, regs::AR_IN, a, b, z);
-        core.add_task(Task::new(name, body))
-    };
-    tasks[Slot::DotR0s] = dot(core, "dot_r0s", vecs.r0, vecs.s);
-    tasks[Slot::DotQy] = dot(core, "dot_qy", q_live, vecs.y);
-    tasks[Slot::DotYy] = dot(core, "dot_yy", vecs.y, vecs.y);
-    tasks[Slot::DotQyYy] = {
-        let mut body = dot_stmts(core, regs::DOT_ACC, regs::AR_IN, q_live, vecs.y, z);
-        body.extend(dot_stmts(core, regs::DOT_ACC, regs::AR_IN2, vecs.y, vecs.y, z));
-        core.add_task(Task::new("dot_qy_yy", body))
-    };
-    tasks[Slot::DotRho] = dot(core, "dot_rho", vecs.r0, vecs.r);
-    tasks[Slot::DotRr] = dot(core, "dot_rr", vecs.r, vecs.r);
-
-    build_coefficient_tasks(core, &mut tasks, coefficient_names!(""), true);
-
-    // --- Vector update phases.
-    let xpay = |core: &mut Core, name, scalar, dst, a, b| {
-        let body = xpay_stmts(core, scalar, dst, a, b, z);
-        core.add_task(Task::new(name, body))
-    };
-    tasks[Slot::UpdQ] = xpay(core, "upd_q", regs::NEG_ALPHA, q_live, vecs.r, vecs.s);
-    tasks[Slot::UpdX] = {
-        let dp = core.add_dsr(mk::tensor16(p_live, z));
-        let dq = core.add_dsr(mk::tensor16(q_live, z));
-        let dx1 = core.add_dsr(mk::tensor16(vecs.x, z));
-        let dx2 = core.add_dsr(mk::tensor16(vecs.x, z));
-        core.add_task(Task::new(
-            "upd_x",
-            vec![
-                Stmt::Exec(TensorInstr {
-                    op: Op::Axpy { scalar: regs::ALPHA },
-                    dst: Some(dx1),
-                    a: Some(dp),
-                    b: None,
-                }),
-                Stmt::Exec(TensorInstr {
-                    op: Op::Axpy { scalar: regs::OMEGA },
-                    dst: Some(dx2),
-                    a: Some(dq),
-                    b: None,
-                }),
-            ],
-        ))
-    };
-    tasks[Slot::UpdR] = xpay(core, "upd_r", regs::NEG_OMEGA, vecs.r, q_live, vecs.y);
-    tasks[Slot::UpdP1] = xpay(core, "upd_p1", regs::NEG_OMEGA, p_live, p_live, vecs.s);
-    tasks[Slot::UpdP2] = xpay(core, "upd_p2", regs::BETA, p_live, vecs.r, p_live);
-
-    tasks.mark_entries(core);
-    tasks
 }
 
 #[cfg(test)]
@@ -472,16 +283,42 @@ mod tests {
 
     #[test]
     fn memory_fits_paper_z() {
-        // The solver layout must accommodate the paper's Z = 1536 in 48 KB.
-        let mesh = Mesh3D::new(2, 2, 1536);
-        let a16: DiaMatrix<F16> = {
-            let p = manufactured(mesh, (0.0, 0.0, 0.0), 1).preconditioned();
-            p.matrix.convert()
+        use crate::cg::{CgVariant, WaferCg};
+        use crate::WaferBicgstabMulti;
+        use wse_multi::{HostLink, MultiFabric};
+
+        // Every storage table must accommodate the paper's Z = 1536 in
+        // 48 KB. The ensembles are measured on a seam tile, which adds a
+        // halo buffer; the single-reduction one has under 3 KB to spare.
+        let (a, ..) = problem(Mesh3D::new(4, 2, 1536));
+        let single = |build: &dyn Fn(&mut Fabric)| {
+            let mut fabric = Fabric::new(4, 2);
+            build(&mut fabric);
+            fabric.tile(0, 0).mem.used()
         };
-        let mut fabric = Fabric::new(2, 2);
-        let _solver = WaferBicgstab::build(&mut fabric, &a16);
-        let used = fabric.tile(0, 0).mem.used();
-        assert!(used <= 48 * 1024, "tile memory {used} exceeds SRAM");
-        assert!(used > 26 * 1536, "layout should hold 13 Z-vectors: {used}");
+        type Build = fn(&mut MultiFabric, &DiaMatrix<F16>) -> WaferBicgstabMulti;
+        let seam_tile = |build: Build| {
+            let mut multi = MultiFabric::new(4, 2, 2, HostLink::paper_default());
+            build(&mut multi, &a);
+            multi.shard(0).tile(1, 0).mem.used()
+        };
+        // (builder, bytes used, z-vectors the layout must hold)
+        let cases = [
+            ("bicgstab", single(&|f| drop(WaferBicgstab::build(f, &a))), 13),
+            ("cg", single(&|f| drop(WaferCg::build(f, &a, CgVariant::Standard))), 10),
+            ("cg-single", single(&|f| drop(WaferCg::build(f, &a, CgVariant::SingleReduction))), 11),
+            ("ensemble", seam_tile(WaferBicgstabMulti::build), 14),
+            ("ensemble-single", seam_tile(WaferBicgstabMulti::build_fused), 15),
+        ];
+        for (name, used, vectors) in cases {
+            assert!(used <= 48 * 1024, "{name}: tile memory {used} exceeds SRAM");
+            assert!(used > 2 * 1536 * vectors, "{name}: {vectors} Z-vectors expected, got {used}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "SRAM: X on tile (0, 0) needs 4000 B, 1144 B free")]
+    fn too_large_a_z_names_the_vector_that_did_not_fit() {
+        WaferBicgstab::build(&mut Fabric::new(2, 2), &problem(Mesh3D::new(2, 2, 2000)).0);
     }
 }

@@ -12,16 +12,19 @@
 //! The result vectors `s = A p` and `y = A q` are *not copied out* of the
 //! extended output buffers: dot products and updates address their interior
 //! rows directly (each interior row `(i+1, 1..=by)` is a contiguous slice).
+//!
+//! The recurrence is the table [`krylov::BICGSTAB_BLOCK`]; this module
+//! lays the block out (the SpMVs own p / s / q / y) and hands the shared
+//! emitter a `TileMap` whose vectors are `bx` row slices of `by` words.
 
 use crate::allreduce::AllReduce;
-use crate::bicgstab::{build_coefficient_tasks, coefficient_names, regs};
-use crate::krylov::{self, Layout, Program, Slot, Tasks, Vecs};
+use crate::bicgstab::regs;
+use crate::kernels::{alloc, TileMap};
+use crate::krylov::{self, Layout, Program, Slot, Tasks, V};
 use stencil::decomp::Block2D;
 use stencil::dia::{DiaMatrix, Offset3};
-use wse_arch::dsr::mk;
-use wse_arch::instr::{Op, RegOp, Stmt, Task, TensorInstr};
 use wse_arch::types::Dtype;
-use wse_arch::{Fabric, Tile};
+use wse_arch::Fabric;
 use wse_dsl::block2d::{self, BlockLayout};
 use wse_float::F16;
 
@@ -43,51 +46,6 @@ impl std::ops::Deref for WaferBicgstab2d {
     fn deref(&self) -> &Program {
         &self.0
     }
-}
-
-/// Emits `bx` row-wise statements applying `f(row_dst, row_a, row_b)` over
-/// contiguous row slices of length `by`.
-fn rowwise(
-    tile: &mut Tile,
-    bx: usize,
-    by: usize,
-    mut row_addrs: impl FnMut(usize) -> (u32, u32, Option<u32>),
-    op: Op,
-) -> Vec<Stmt> {
-    let mut body = Vec::with_capacity(bx);
-    for i in 0..bx {
-        let (dst, a, b) = row_addrs(i);
-        let dd = tile.core.add_dsr(mk::tensor16(dst, by as u32));
-        let da = tile.core.add_dsr(mk::tensor16(a, by as u32));
-        let db = b.map(|addr| tile.core.add_dsr(mk::tensor16(addr, by as u32)));
-        body.push(Stmt::Exec(TensorInstr { op, dst: Some(dd), a: Some(da), b: db }));
-    }
-    body
-}
-
-/// Emits a row-wise mixed-precision dot of two block-shaped operands into
-/// `AR_IN`-style registers.
-fn rowwise_dot(
-    tile: &mut Tile,
-    bx: usize,
-    by: usize,
-    mut row_addrs: impl FnMut(usize) -> (u32, u32),
-    move_to: usize,
-) -> Vec<Stmt> {
-    let mut body = vec![Stmt::SetReg { reg: regs::DOT_ACC, value: 0.0 }];
-    for i in 0..bx {
-        let (a, b) = row_addrs(i);
-        let da = tile.core.add_dsr(mk::tensor16(a, by as u32));
-        let db = tile.core.add_dsr(mk::tensor16(b, by as u32));
-        body.push(Stmt::Exec(TensorInstr {
-            op: Op::MacReg { acc: regs::DOT_ACC },
-            dst: None,
-            a: Some(da),
-            b: Some(db),
-        }));
-    }
-    body.push(Stmt::RegArith { op: RegOp::Mov, dst: move_to, a: regs::DOT_ACC, b: regs::DOT_ACC });
-    body
 }
 
 impl WaferBicgstab2d {
@@ -138,6 +96,7 @@ impl WaferBicgstab2d {
             crate::allreduce::colors::DEFAULT_BASE,
         );
 
+        let recurrence = &krylov::BICGSTAB_BLOCK;
         let (bx, by) = (block.bx, block.by);
         let n = (bx * by) as u32;
         let offsets = Offset3::nine_point_2d();
@@ -145,138 +104,52 @@ impl WaferBicgstab2d {
 
         for ty in 0..h {
             for tx in 0..w {
-                let tile = fabric.tile_mut(ox + tx, oy + ty);
+                let at = (ox + tx, oy + ty);
+                let tile = fabric.tile_mut(at.0, at.1);
                 // One copy of the nine coefficient arrays, shared by both
                 // SpMV instances (as the paper's memory accounting assumes):
                 // `lp` allocates them with p and s, `lq` adds only q and y.
                 let lp = BlockLayout::alloc(tile, block, offsets.len(), 1, Dtype::F16);
                 let ub = ((bx + 2) * (by + 2)) as u32;
                 let lq = BlockLayout {
-                    v: tile.mem.alloc_vec(n, Dtype::F16).expect("SRAM: q"),
-                    ubuf: tile.mem.alloc_vec(ub, Dtype::F16).expect("SRAM: y"),
+                    v: alloc(tile, at, V::Q, n, Dtype::F16),
+                    ubuf: alloc(tile, at, V::Y, ub, Dtype::F16),
                     ..lp.clone()
                 };
                 block2d::load_block_coefficients(tile, &lp, a, &offsets, tx, ty);
-                let tv = Vecs {
-                    r: tile.mem.alloc_vec(n, Dtype::F16).expect("SRAM: r"),
-                    r0: tile.mem.alloc_vec(n, Dtype::F16).expect("SRAM: r0"),
-                    x: tile.mem.alloc_vec(n, Dtype::F16).expect("SRAM: x"),
-                    p: lp.v,
-                    ..Vecs::default()
-                };
 
+                // Every vector is `bx` rows of `by` words: dense blocks,
+                // except that each SpMV's product is read in place, as the
+                // interior rows of its extended output buffer.
+                let mut map = TileMap {
+                    at: [0; V::COUNT],
+                    stride: [2 * by as u32; V::COUNT],
+                    rows: bx as u32,
+                    len: by as u32,
+                };
                 // The 2D SpMV's halo exchange happens inside its task
                 // chain, so it is attributed to the "spmv" phase, matching
                 // how the paper accounts the broadcast.
                 let mut tasks = Tasks::new();
-                tasks[Slot::SpmvPs] =
-                    block2d::build_block_tile_task(tile, &lp, &offsets, tx, ty, w, h);
-                tasks[Slot::SpmvQy] =
-                    block2d::build_block_tile_task(tile, &lq, &offsets, tx, ty, w, h);
+                for (l, &(slot, source, product)) in [&lp, &lq].into_iter().zip(recurrence.spmvs) {
+                    map.at[source as usize] = l.v;
+                    map.at[product as usize] = l.u_addr(1, 1);
+                    map.stride[product as usize] = l.u_addr(2, 1) - l.u_addr(1, 1);
+                    tasks[slot] = block2d::build_block_tile_task(tile, l, &offsets, tx, ty, w, h);
+                }
+                // The rest of the storage table, in its order: r, r̂₀, x.
+                let owned = |v: V| recurrence.spmvs.iter().any(|&(_, s, u)| v == s || v == u);
+                for &(v, _) in recurrence.storage.iter().filter(|&&(v, _)| !owned(v)) {
+                    map.at[v as usize] = alloc(tile, at, v, n, Dtype::F16);
+                }
                 tasks[Slot::Reduce] = allreduce.task(tx, ty);
-
-                let row = |base: u32, i: usize| base + 2 * (i * by) as u32;
-                let s_row = |i: usize| lp.u_addr(i + 1, 1);
-                let y_row = |i: usize| lq.u_addr(i + 1, 1);
-
-                // --- Dots. ---
-                tasks[Slot::DotR0s] = {
-                    let body =
-                        rowwise_dot(tile, bx, by, |i| (row(tv.r0, i), s_row(i)), regs::AR_IN);
-                    tile.core.add_task(Task::new("2d_dot_r0s", body))
-                };
-                tasks[Slot::DotQy] = {
-                    let body = rowwise_dot(tile, bx, by, |i| (row(lq.v, i), y_row(i)), regs::AR_IN);
-                    tile.core.add_task(Task::new("2d_dot_qy", body))
-                };
-                tasks[Slot::DotYy] = {
-                    let body = rowwise_dot(tile, bx, by, |i| (y_row(i), y_row(i)), regs::AR_IN);
-                    tile.core.add_task(Task::new("2d_dot_yy", body))
-                };
-                tasks[Slot::DotRho] = {
-                    let body =
-                        rowwise_dot(tile, bx, by, |i| (row(tv.r0, i), row(tv.r, i)), regs::AR_IN);
-                    tile.core.add_task(Task::new("2d_dot_rho", body))
-                };
-                tasks[Slot::DotRr] = {
-                    let body =
-                        rowwise_dot(tile, bx, by, |i| (row(tv.r, i), row(tv.r, i)), regs::AR_IN);
-                    tile.core.add_task(Task::new("2d_dot_rr", body))
-                };
-
-                // --- Scalar phases (same algebra as the 3D solver). ---
-                let names = coefficient_names!("2d_");
-                build_coefficient_tasks(&mut tile.core, &mut tasks, names, false);
-
-                // --- Vector updates (row-wise). ---
-                // q := r − α s  (q is the second SpMV's input block).
-                tasks[Slot::UpdQ] = {
-                    let body = rowwise(
-                        tile,
-                        bx,
-                        by,
-                        |i| (row(lq.v, i), row(tv.r, i), Some(s_row(i))),
-                        Op::Xpay { scalar: regs::NEG_ALPHA },
-                    );
-                    tile.core.add_task(Task::new("2d_upd_q", body))
-                };
-                // x += α p; x += ω q.
-                tasks[Slot::UpdX] = {
-                    let mut body = rowwise(
-                        tile,
-                        bx,
-                        by,
-                        |i| (row(tv.x, i), row(lp.v, i), None),
-                        Op::Axpy { scalar: regs::ALPHA },
-                    );
-                    body.extend(rowwise(
-                        tile,
-                        bx,
-                        by,
-                        |i| (row(tv.x, i), row(lq.v, i), None),
-                        Op::Axpy { scalar: regs::OMEGA },
-                    ));
-                    tile.core.add_task(Task::new("2d_upd_x", body))
-                };
-                // r := q − ω y.
-                tasks[Slot::UpdR] = {
-                    let body = rowwise(
-                        tile,
-                        bx,
-                        by,
-                        |i| (row(tv.r, i), row(lq.v, i), Some(y_row(i))),
-                        Op::Xpay { scalar: regs::NEG_OMEGA },
-                    );
-                    tile.core.add_task(Task::new("2d_upd_r", body))
-                };
-                // p := r + β (p − ω s): tilt then XPAY, row-wise, one task.
-                tasks[Slot::UpdP1] = {
-                    let mut body = rowwise(
-                        tile,
-                        bx,
-                        by,
-                        |i| (row(lp.v, i), row(lp.v, i), Some(s_row(i))),
-                        Op::Xpay { scalar: regs::NEG_OMEGA },
-                    );
-                    body.extend(rowwise(
-                        tile,
-                        bx,
-                        by,
-                        |i| (row(lp.v, i), row(tv.r, i), Some(row(lp.v, i))),
-                        Op::Xpay { scalar: regs::BETA },
-                    ));
-                    tile.core.add_task(Task::new("2d_upd_p", body))
-                };
-
-                // Every phase task is a host-activated entry point.
-                tasks.mark_entries(&mut tile.core);
-                tiles.push((tasks, tv));
+                recurrence.emit(&mut tile.core, &map, &mut tasks);
+                tiles.push((tasks, map.at));
             }
         }
         crate::debug_lint(fabric);
         let layout = Layout::Block { block, w, h };
-        let budget = 2_000 * (block.points() as u64) + 100_000;
-        WaferBicgstab2d(Program::new(&krylov::BICGSTAB_BLOCK, layout, origin, tiles, budget))
+        WaferBicgstab2d(Program::new(recurrence, layout, origin, tiles))
     }
 
     /// A handle for the **same program** resident at another origin (see

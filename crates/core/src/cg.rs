@@ -9,24 +9,25 @@
 //!   — the communication-reducing restructuring the paper's discussion of
 //!   communication-avoiding methods points toward, here actually running on
 //!   the (simulated) fabric.
+//!
+//! Both are tables in [`crate::krylov`] ([`krylov::CG`] /
+//! [`krylov::CG_SINGLE`]: one phase table, two storage orders), built by
+//! the shared z-column builder; this module owns CG's register map.
 
-use crate::allreduce::{colors as ar_colors, AllReduce};
-use crate::kernels::{dot_stmts, reg_mov, reg_neg, reg_op};
-use crate::krylov::{self, Layout, Program, Slot, Tasks, Vecs};
-use crate::spmv3d::{build_spmv_tile, load_coefficients, tile_coefficients, SpmvLayout};
-use stencil::decomp::Mapping3D;
+use crate::bicgstab::build_zcolumn;
+use crate::krylov::{self, Program};
 use stencil::dia::DiaMatrix;
-use stencil::precond::has_unit_diagonal;
-use wse_arch::dsr::mk;
-use wse_arch::instr::{Op, RegOp, Stmt, Task, TensorInstr};
-use wse_arch::types::Dtype;
 use wse_arch::Fabric;
-use wse_dsl::tess::configure_spmv_routes;
 use wse_float::F16;
 
-/// Register allocation (disjoint from the BiCGStab map so both solvers can
-/// coexist on one fabric in tests).
+/// Register allocation. The reduction inputs / outputs and the breakdown
+/// guard are the BiCGStab map's own (the shared builder wires the networks);
+/// CG's private registers are disjoint from the *classic* BiCGStab set
+/// (0..=11 and the dot accumulator 20). They are not disjoint from the
+/// single-reduction ensemble's: `GAMMA` shares r12 with `ALPHA_OMEGA`.
 pub(crate) mod regs {
+    use crate::bicgstab::regs as classic;
+    pub use crate::bicgstab::regs::{AR_IN, AR_IN2, AR_OUT, AR_OUT2, EPS};
     use wse_arch::types::Reg;
     pub const GAMMA: Reg = 12;
     pub const GAMMA_PREV: Reg = 13;
@@ -37,13 +38,11 @@ pub(crate) mod regs {
     pub const BETA: Reg = 18;
     pub const TMP: Reg = 19;
     pub const DOT_ACC: Reg = 21;
-    pub const AR_IN: Reg = 24;
-    pub const AR_OUT: Reg = 25;
-    pub const AR_ACC: Reg = 26;
-    pub const AR_IN2: Reg = 27;
-    pub const AR_OUT2: Reg = 28;
-    pub const AR_ACC2: Reg = 29;
-    pub const EPS: Reg = 31;
+
+    // The private run 12..=19 sits above the classic scalars (RR is the last)
+    // and below the classic dot accumulator; CG's own is just past it.
+    const _: () = assert!(GAMMA > classic::RR && TMP < classic::DOT_ACC);
+    const _: () = assert!(DOT_ACC > classic::DOT_ACC && DOT_ACC < AR_IN);
 }
 
 /// Which CG formulation to run.
@@ -75,236 +74,11 @@ impl WaferCg {
     /// Panics on non-unit-diagonal input, fabric overflow, or SRAM
     /// exhaustion.
     pub fn build(fabric: &mut Fabric, a: &DiaMatrix<F16>, variant: CgVariant) -> WaferCg {
-        assert!(has_unit_diagonal(a), "matrix must be diagonally preconditioned");
-        assert_eq!(a.offsets().len(), 7, "7-point stencil required");
-        let mesh = a.mesh();
-        let mapping = Mapping3D::new(mesh, fabric.width(), fabric.height());
-        let (w, h) = (mapping.fabric_w, mapping.fabric_h);
-        let z = mapping.z as u32;
-
-        configure_spmv_routes(fabric, w, h);
-        let allreduce = AllReduce::build(fabric, w, h, regs::AR_IN, regs::AR_OUT, regs::AR_ACC);
-        let allreduce2 = (variant == CgVariant::SingleReduction).then(|| {
-            AllReduce::build_with_base(
-                fabric,
-                w,
-                h,
-                regs::AR_IN2,
-                regs::AR_OUT2,
-                regs::AR_ACC2,
-                ar_colors::DEFAULT_BASE + ar_colors::SPAN,
-            )
-        });
-
-        let mut tiles = Vec::with_capacity(w * h);
-        for y in 0..h {
-            for x in 0..w {
-                let reduce_both = allreduce2
-                    .as_ref()
-                    .map(|second| allreduce.build_fused_task(second, fabric, x, y));
-                let tile = fabric.tile_mut(x, y);
-                let mut diag = [0u32; 6];
-                for d in &mut diag {
-                    *d = tile.mem.alloc_vec(z, Dtype::F16).expect("SRAM: diagonals");
-                }
-                let src_pad = tile.mem.alloc_vec(z + 2, Dtype::F16).expect("SRAM: src");
-                let av = tile.mem.alloc_vec(z, Dtype::F16).expect("SRAM: Av");
-                let x_vec = tile.mem.alloc_vec(z, Dtype::F16).expect("SRAM: x");
-                // Standard: p lives in the padded source, r separate.
-                // SingleReduction: r lives in the padded source, p and q
-                // separate.
-                let (r, p, q) = match variant {
-                    CgVariant::Standard => {
-                        let r = tile.mem.alloc_vec(z, Dtype::F16).expect("SRAM: r");
-                        (r, src_pad + 2, av)
-                    }
-                    CgVariant::SingleReduction => {
-                        let p = tile.mem.alloc_vec(z, Dtype::F16).expect("SRAM: p");
-                        let q = tile.mem.alloc_vec(z, Dtype::F16).expect("SRAM: q");
-                        (src_pad + 2, p, q)
-                    }
-                };
-                let vecs = Vecs { x: x_vec, r, p, q, ..Vecs::default() };
-
-                let coeffs = tile_coefficients(a, x, y);
-                let layout = SpmvLayout { z, diag, vpad: src_pad, u: av };
-                load_coefficients(tile, &layout, &coeffs);
-                tile.mem.write_f16(src_pad, F16::ZERO);
-                tile.mem.write_f16(src_pad + 2 * (z + 1), F16::ZERO);
-
-                let spmv = build_spmv_tile(tile, x, y, w, h, layout, None);
-                let core = &mut tile.core;
-                let mut tasks = Tasks::new();
-                tasks[Slot::CgSpmv] = spmv.start;
-                tasks[Slot::Reduce] = allreduce.task(x, y);
-                if let Some(t) = reduce_both {
-                    tasks[Slot::ReduceBoth] = t;
-                }
-
-                // --- Dots. ---
-                tasks[Slot::CgDotPq] = {
-                    let body = dot_stmts(core, regs::DOT_ACC, regs::AR_IN, vecs.p, av, z);
-                    core.add_task(Task::new("cg_dot_pq", body))
-                };
-                tasks[Slot::DotRr] = {
-                    let body = dot_stmts(core, regs::DOT_ACC, regs::AR_IN, vecs.r, vecs.r, z);
-                    core.add_task(Task::new("cg_dot_rr", body))
-                };
-                tasks[Slot::CgDotGammaDelta] = {
-                    let mut body = dot_stmts(core, regs::DOT_ACC, regs::AR_IN, vecs.r, vecs.r, z);
-                    body.extend(dot_stmts(core, regs::DOT_ACC, regs::AR_IN2, vecs.r, av, z));
-                    core.add_task(Task::new("cg_dot_gd", body))
-                };
-
-                // --- Scalar phases. ---
-                // Standard: α = γ / (p, Ap); γ carried in GAMMA.
-                tasks[Slot::CgAlpha] = core.add_task(Task::new(
-                    "cg_alpha",
-                    vec![
-                        reg_op(RegOp::Add, regs::TMP, regs::AR_OUT, regs::EPS),
-                        reg_op(RegOp::Div, regs::ALPHA, regs::GAMMA, regs::TMP),
-                        reg_neg(regs::NEG_ALPHA, regs::ALPHA),
-                    ],
-                ));
-                // Standard: β = γ' / γ; roll γ.
-                tasks[Slot::CgBeta] = core.add_task(Task::new(
-                    "cg_beta",
-                    vec![
-                        reg_op(RegOp::Div, regs::BETA, regs::AR_OUT, regs::GAMMA),
-                        reg_mov(regs::GAMMA, regs::AR_OUT),
-                    ],
-                ));
-                // Fused: γ = AR_OUT, δ = AR_OUT2; β = γ/γ_prev (iteration
-                // 0 has no γ_prev and runs `cg_init` below instead);
-                // α = γ / (δ − β γ / α_prev).
-                tasks[Slot::CgFused] = core.add_task(Task::new(
-                    "cg_fused_coeffs",
-                    vec![
-                        reg_mov(regs::GAMMA, regs::AR_OUT),
-                        reg_mov(regs::DELTA, regs::AR_OUT2),
-                        reg_op(RegOp::Add, regs::TMP, regs::GAMMA_PREV, regs::EPS),
-                        reg_op(RegOp::Div, regs::BETA, regs::GAMMA, regs::TMP),
-                        // TMP = β γ / α_prev
-                        reg_op(RegOp::Mul, regs::TMP, regs::BETA, regs::GAMMA),
-                        reg_op(RegOp::Div, regs::TMP, regs::TMP, regs::ALPHA_PREV),
-                        reg_op(RegOp::Sub, regs::TMP, regs::DELTA, regs::TMP),
-                        reg_op(RegOp::Div, regs::ALPHA, regs::GAMMA, regs::TMP),
-                        reg_neg(regs::NEG_ALPHA, regs::ALPHA),
-                        reg_mov(regs::GAMMA_PREV, regs::GAMMA),
-                        reg_mov(regs::ALPHA_PREV, regs::ALPHA),
-                    ],
-                ));
-                // First fused iteration: β = 0, α = γ/δ.
-                tasks[Slot::CgInit] = core.add_task(Task::new(
-                    "cg_init",
-                    vec![
-                        reg_mov(regs::GAMMA, regs::AR_OUT),
-                        reg_mov(regs::DELTA, regs::AR_OUT2),
-                        Stmt::SetReg { reg: regs::BETA, value: 0.0 },
-                        reg_op(RegOp::Add, regs::TMP, regs::DELTA, regs::EPS),
-                        reg_op(RegOp::Div, regs::ALPHA, regs::GAMMA, regs::TMP),
-                        reg_neg(regs::NEG_ALPHA, regs::ALPHA),
-                        reg_mov(regs::GAMMA_PREV, regs::GAMMA),
-                        reg_mov(regs::ALPHA_PREV, regs::ALPHA),
-                    ],
-                ));
-
-                // --- Vector updates. ---
-                // Standard: x += α p; r −= α q.
-                tasks[Slot::CgUpdXr] = {
-                    let dp = core.add_dsr(mk::tensor16(vecs.p, z));
-                    let dq = core.add_dsr(mk::tensor16(av, z));
-                    let dx = core.add_dsr(mk::tensor16(vecs.x, z));
-                    let dr = core.add_dsr(mk::tensor16(vecs.r, z));
-                    core.add_task(Task::new(
-                        "cg_upd_xr",
-                        vec![
-                            Stmt::Exec(TensorInstr {
-                                op: Op::Axpy { scalar: regs::ALPHA },
-                                dst: Some(dx),
-                                a: Some(dp),
-                                b: None,
-                            }),
-                            Stmt::Exec(TensorInstr {
-                                op: Op::Axpy { scalar: regs::NEG_ALPHA },
-                                dst: Some(dr),
-                                a: Some(dq),
-                                b: None,
-                            }),
-                        ],
-                    ))
-                };
-                // Standard: p = r + β p (XPAY with dst aliasing b).
-                tasks[Slot::CgUpdP] = {
-                    let dd = core.add_dsr(mk::tensor16(vecs.p, z));
-                    let da = core.add_dsr(mk::tensor16(vecs.r, z));
-                    let db = core.add_dsr(mk::tensor16(vecs.p, z));
-                    core.add_task(Task::new(
-                        "cg_upd_p",
-                        vec![Stmt::Exec(TensorInstr {
-                            op: Op::Xpay { scalar: regs::BETA },
-                            dst: Some(dd),
-                            a: Some(da),
-                            b: Some(db),
-                        })],
-                    ))
-                };
-                // SingleReduction: p = r + β p; q = s + β q; x += α p;
-                // r −= α q.
-                tasks[Slot::CgUpdAll] = {
-                    let dp1 = core.add_dsr(mk::tensor16(vecs.p, z));
-                    let dr1 = core.add_dsr(mk::tensor16(vecs.r, z));
-                    let dp2 = core.add_dsr(mk::tensor16(vecs.p, z));
-                    let dq1 = core.add_dsr(mk::tensor16(vecs.q, z));
-                    let ds1 = core.add_dsr(mk::tensor16(av, z));
-                    let dq2 = core.add_dsr(mk::tensor16(vecs.q, z));
-                    let dx = core.add_dsr(mk::tensor16(vecs.x, z));
-                    let dp3 = core.add_dsr(mk::tensor16(vecs.p, z));
-                    let dr2 = core.add_dsr(mk::tensor16(vecs.r, z));
-                    let dq3 = core.add_dsr(mk::tensor16(vecs.q, z));
-                    core.add_task(Task::new(
-                        "cg2_upd",
-                        vec![
-                            Stmt::Exec(TensorInstr {
-                                op: Op::Xpay { scalar: regs::BETA },
-                                dst: Some(dp1),
-                                a: Some(dr1),
-                                b: Some(dp2),
-                            }),
-                            Stmt::Exec(TensorInstr {
-                                op: Op::Xpay { scalar: regs::BETA },
-                                dst: Some(dq1),
-                                a: Some(ds1),
-                                b: Some(dq2),
-                            }),
-                            Stmt::Exec(TensorInstr {
-                                op: Op::Axpy { scalar: regs::ALPHA },
-                                dst: Some(dx),
-                                a: Some(dp3),
-                                b: None,
-                            }),
-                            Stmt::Exec(TensorInstr {
-                                op: Op::Axpy { scalar: regs::NEG_ALPHA },
-                                dst: Some(dr2),
-                                a: Some(dq3),
-                                b: None,
-                            }),
-                        ],
-                    ))
-                };
-
-                // Every phase task is a host-activated entry point.
-                tasks.mark_entries(core);
-                tiles.push((tasks, vecs));
-            }
-        }
-        crate::debug_lint(fabric);
         let recurrence = match variant {
             CgVariant::Standard => &krylov::CG,
             CgVariant::SingleReduction => &krylov::CG_SINGLE,
         };
-        let budget = 200 * mapping.z as u64 + 200 * (w + h) as u64 + 50_000;
-        WaferCg(Program::new(recurrence, Layout::ZColumn(mapping), (0, 0), tiles, budget))
+        WaferCg(build_zcolumn(fabric, a, recurrence))
     }
 }
 

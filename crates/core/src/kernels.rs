@@ -1,144 +1,177 @@
-//! Small per-tile kernel builders: AXPY, XPAY, the local mixed-precision
-//! dot product, and the fp32 register statements of the scalar
-//! coefficient tasks.
+//! The per-tile half of program construction: the one SRAM allocator and
+//! the one emitter that turns kernel *values* into DSRs and statements.
 //!
-//! These are the building blocks of the BiCGStab iteration besides the SpMV:
 //! "The kernel operations in the algorithm are sparse matrix - dense vector
 //! multiply (SpMV), AXPY ... and inner product." AXPYs "operate on
 //! core-local fp16 data and use the four-way SIMD capability"; the dot uses
-//! the mixed-precision inner-product instruction.
+//! the mixed-precision inner-product instruction. What each phase task *is*
+//! lives in its recurrence's phase table ([`crate::krylov`]) as a body of
+//! `Kernel`s; `TileMap::emit` alone makes those program bytes.
 
+use crate::krylov::{Addrs, Kernel, Sum, V};
+use std::fmt::Debug;
 use wse_arch::core::Core;
 use wse_arch::dsr::mk;
-use wse_arch::instr::{Op, RegOp, Stmt, Task, TensorInstr};
-use wse_arch::types::{Reg, TaskId};
+use wse_arch::instr::{Op, RegOp, Stmt, TensorInstr};
+use wse_arch::types::{Dtype, Reg};
+use wse_arch::Tile;
 
-/// The statement `dst := a op b` on the core's fp32 registers.
-pub fn reg_op(op: RegOp, dst: Reg, a: Reg, b: Reg) -> Stmt {
-    Stmt::RegArith { op, dst, a, b }
+/// The one SRAM allocation site of the solver builders: `len` elements of
+/// type `ty` for `what` on the tile at `at`. Panics when the tile is out of
+/// SRAM (too large a z, usually), naming all of that and the bytes left.
+pub(crate) fn alloc(
+    tile: &mut Tile,
+    at: (usize, usize),
+    what: impl Debug,
+    len: u32,
+    ty: Dtype,
+) -> u32 {
+    tile.mem.alloc_vec(len, ty).unwrap_or_else(|_| {
+        let (need, free) = (len * ty.bytes(), tile.mem.bytes_free());
+        panic!("SRAM: {what:?} on tile {at:?} needs {need} B, {free} B free")
+    })
 }
 
-/// The statement `dst := src`.
-pub fn reg_mov(dst: Reg, src: Reg) -> Stmt {
-    reg_op(RegOp::Mov, dst, src, src)
+/// Where one tile's vectors live, as the emitter addresses them: every
+/// vector is `rows` contiguous slices of `len` fp16 words, slice `i` of
+/// vector `v` at byte address `at[v] + i · stride[v]`.
+pub(crate) struct TileMap {
+    pub(crate) at: Addrs,
+    pub(crate) stride: Addrs,
+    pub(crate) rows: u32,
+    pub(crate) len: u32,
 }
 
-/// The statement `dst := −src`.
-pub fn reg_neg(dst: Reg, src: Reg) -> Stmt {
-    reg_op(RegOp::Neg, dst, src, src)
-}
+impl TileMap {
+    /// §IV.1: every vector is one contiguous z-column.
+    pub(crate) fn column(at: Addrs, z: u32) -> TileMap {
+        TileMap { at, stride: [0; V::COUNT], rows: 1, len: z }
+    }
 
-/// Builds a task computing `y[i] += r_scalar · x[i]` over fp16 vectors at
-/// byte addresses `x`/`y` of length `len`.
-pub fn axpy_task(core: &mut Core, scalar: Reg, x: u32, y: u32, len: u32) -> TaskId {
-    let dx = core.add_dsr(mk::tensor16(x, len));
-    let dy = core.add_dsr(mk::tensor16(y, len));
-    core.add_task(Task::new(
-        "axpy",
-        vec![Stmt::Exec(TensorInstr {
-            op: Op::Axpy { scalar },
-            dst: Some(dy),
-            a: Some(dx),
-            b: None,
-        })],
-    ))
-}
-
-/// Statements computing `dst[i] = a[i] + r_scalar · b[i]` (fused), appended
-/// to an existing body.
-pub fn xpay_stmts(core: &mut Core, scalar: Reg, dst: u32, a: u32, b: u32, len: u32) -> Vec<Stmt> {
-    let dd = core.add_dsr(mk::tensor16(dst, len));
-    let da = core.add_dsr(mk::tensor16(a, len));
-    let db = core.add_dsr(mk::tensor16(b, len));
-    vec![Stmt::Exec(TensorInstr {
-        op: Op::Xpay { scalar },
-        dst: Some(dd),
-        a: Some(da),
-        b: Some(db),
-    })]
-}
-
-/// Statements computing the local mixed-precision dot `acc = Σ a·b` (fp16
-/// multiplies, fp32 accumulate) and moving it into `r_move_to`.
-pub fn dot_stmts(core: &mut Core, acc: Reg, move_to: Reg, a: u32, b: u32, len: u32) -> Vec<Stmt> {
-    let da = core.add_dsr(mk::tensor16(a, len));
-    let db = core.add_dsr(mk::tensor16(b, len));
-    vec![
-        Stmt::SetReg { reg: acc, value: 0.0 },
-        Stmt::InitDsr { dsr: da, desc: mk::tensor16(a, len) },
-        Stmt::InitDsr { dsr: db, desc: mk::tensor16(b, len) },
-        Stmt::Exec(TensorInstr { op: Op::MacReg { acc }, dst: None, a: Some(da), b: Some(db) }),
-        Stmt::RegArith { op: RegOp::Mov, dst: move_to, a: acc, b: acc },
-    ]
+    /// Emits one phase task's body: allocates its DSRs on `core` (slice by
+    /// slice, in the order each kernel's variant documents — DSR ids are
+    /// program bytes) and returns its statements. A z-column is the
+    /// one-slice case of the block's row-wise expansion. `acc` is the
+    /// recurrence's local dot accumulator.
+    pub(crate) fn emit(&self, core: &mut Core, body: &[Kernel], acc: Reg) -> Vec<Stmt> {
+        let rows = self.rows as usize;
+        let stmts = |kernel: &Kernel| match *kernel {
+            Kernel::Dot(_, _, Sum::Rearmed(_)) => 2 + 3 * rows,
+            Kernel::Dot(..) => 2 + rows,
+            Kernel::AxpySourcesFirst(each) => each.len() * rows,
+            Kernel::Xpay(..) | Kernel::Axpy(..) => rows,
+            Kernel::Arith(..) | Kernel::Set(..) => 1,
+        };
+        let exact = body.iter().map(stmts).sum();
+        let mut out = Vec::with_capacity(exact);
+        let slice = |v: V, i: u32| {
+            mk::tensor16(self.at[v as usize] + i * self.stride[v as usize], self.len)
+        };
+        let exec = |op, dst, a, b| Stmt::Exec(TensorInstr { op, dst, a, b });
+        let axpy = |scalar, dst, a| exec(Op::Axpy { scalar }, Some(dst), Some(a), None);
+        for &kernel in body {
+            match kernel {
+                Kernel::Dot(a, b, into) => {
+                    out.push(Stmt::SetReg { reg: acc, value: 0.0 });
+                    for i in 0..self.rows {
+                        let (da, db) = (core.add_dsr(slice(a, i)), core.add_dsr(slice(b, i)));
+                        if let Sum::Rearmed(_) = into {
+                            out.push(Stmt::InitDsr { dsr: da, desc: slice(a, i) });
+                            out.push(Stmt::InitDsr { dsr: db, desc: slice(b, i) });
+                        }
+                        out.push(exec(Op::MacReg { acc }, None, Some(da), Some(db)));
+                    }
+                    out.push(match into {
+                        Sum::Rearmed(reg) | Sum::Plain(reg) => {
+                            Stmt::RegArith { op: RegOp::Mov, dst: reg, a: acc, b: acc }
+                        }
+                        Sum::Lane(j) => {
+                            let lane = mk::tensor32(self.at[V::Pay as usize] + 4 * j, 1);
+                            exec(Op::StoreReg { reg: acc }, Some(core.add_dsr(lane)), None, None)
+                        }
+                    });
+                }
+                Kernel::Xpay(scalar, dst, a, b) => {
+                    for i in 0..self.rows {
+                        let [dst, a, b] = [dst, a, b].map(|v| Some(core.add_dsr(slice(v, i))));
+                        out.push(exec(Op::Xpay { scalar }, dst, a, b));
+                    }
+                }
+                Kernel::Axpy(scalar, dst, a) => {
+                    for i in 0..self.rows {
+                        let [dst, a] = [dst, a].map(|v| core.add_dsr(slice(v, i)));
+                        out.push(axpy(scalar, dst, a));
+                    }
+                }
+                Kernel::AxpySourcesFirst(each) => {
+                    for i in 0..self.rows {
+                        let sources: Vec<_> =
+                            each.iter().map(|&(_, _, a)| core.add_dsr(slice(a, i))).collect();
+                        for (&(scalar, dst, _), a) in each.iter().zip(sources) {
+                            out.push(axpy(scalar, core.add_dsr(slice(dst, i)), a));
+                        }
+                    }
+                }
+                Kernel::Arith(op, dst, a, b) => out.push(Stmt::RegArith { op, dst, a, b }),
+                Kernel::Set(reg, value) => out.push(Stmt::SetReg { reg, value }),
+            }
+        }
+        debug_assert_eq!(out.len(), exact, "a task body is allocated once, at its size");
+        out
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wse_arch::types::Dtype;
+    use wse_arch::instr::Task;
     use wse_arch::Memory;
     use wse_float::F16;
 
-    fn mem_with(v: &[f64]) -> (Memory, u32) {
-        let mut m = Memory::new();
-        let data: Vec<F16> = v.iter().map(|&x| F16::from_f64(x)).collect();
-        let addr = m.alloc_vec(v.len() as u32, Dtype::F16).unwrap();
-        m.store_f16_slice(addr, &data);
-        (m, addr)
+    /// Runs `body` twice on a tile holding the vectors `x`, `p`, `q`, with
+    /// `r1 = −0.5` and `r2 = 2`; returns `x` and the core.
+    fn run_twice(x: &[f64], p: &[f64], q: &[f64], body: &[Kernel]) -> (Vec<f64>, Core) {
+        let (mut mem, mut core, mut at) = (Memory::new(), Core::new(), [0; V::COUNT]);
+        for (v, data) in [(V::X, x), (V::P, p), (V::Q, q)] {
+            let data: Vec<F16> = data.iter().map(|&x| F16::from_f64(x)).collect();
+            at[v as usize] = mem.alloc_vec(data.len() as u32, Dtype::F16).unwrap();
+            mem.store_f16_slice(at[v as usize], &data);
+        }
+        (core.regs[1], core.regs[2]) = (-0.5, 2.0);
+        let body = TileMap::column(at, x.len() as u32).emit(&mut core, body, 20);
+        let task = core.add_task(Task::new("kernel", body));
+        for _ in 0..2 {
+            core.activate(task);
+            (0..20).for_each(|_| core.step(&mut mem));
+            assert!(core.is_quiescent());
+        }
+        let x = mem.load_f16_slice(at[V::X as usize], x.len());
+        (x.iter().map(|v| v.to_f64()).collect(), core)
     }
 
     #[test]
-    fn axpy_task_works() {
-        let (mut mem, ax) = mem_with(&[1.0, 2.0, 3.0]);
-        let ay = mem.alloc_vec(3, Dtype::F16).unwrap();
-        mem.store_f16_slice(ay, &[F16::from_f64(10.0); 3]);
-        let mut core = Core::new();
-        core.regs[2] = 2.0;
-        let t = axpy_task(&mut core, 2, ax, ay, 3);
-        core.activate(t);
-        for _ in 0..10 {
-            core.step(&mut mem);
+    fn axpy_accumulates_in_either_dsr_order() {
+        for kernel in [Kernel::Axpy(2, V::X, V::P), Kernel::AxpySourcesFirst(&[(2, V::X, V::P)])] {
+            let (x, _) = run_twice(&[10.0; 3], &[1.0, 2.0, 3.0], &[0.0; 3], &[kernel]);
+            assert_eq!(x, [14.0, 18.0, 22.0], "{kernel:?}"); // x += 2 p, twice
         }
-        assert!(core.is_quiescent());
-        let out = mem.load_f16_slice(ay, 3);
-        assert_eq!(out.iter().map(|v| v.to_f64()).collect::<Vec<_>>(), vec![12.0, 14.0, 16.0]);
     }
 
     #[test]
     fn xpay_writes_dst() {
-        let (mut mem, aa) = mem_with(&[1.0, 1.0]);
-        let ab = mem.alloc_vec(2, Dtype::F16).unwrap();
-        mem.store_f16_slice(ab, &[F16::from_f64(4.0), F16::from_f64(8.0)]);
-        let ad = mem.alloc_vec(2, Dtype::F16).unwrap();
-        let mut core = Core::new();
-        core.regs[1] = -0.5;
-        let body = xpay_stmts(&mut core, 1, ad, aa, ab, 2);
-        let t = core.add_task(Task::new("xpay", body));
-        core.activate(t);
-        for _ in 0..10 {
-            core.step(&mut mem);
-        }
-        let out = mem.load_f16_slice(ad, 2);
-        assert_eq!(out[0].to_f64(), -1.0); // 1 - 0.5*4
-        assert_eq!(out[1].to_f64(), -3.0); // 1 - 0.5*8
+        let xpay = Kernel::Xpay(1, V::X, V::P, V::Q);
+        let (x, _) = run_twice(&[0.0; 2], &[1.0, 1.0], &[4.0, 8.0], &[xpay]);
+        assert_eq!(x, [-1.0, -3.0]); // 1 − 0.5·4, 1 − 0.5·8
     }
 
     #[test]
-    fn dot_stmts_rearm_for_reuse() {
-        let (mut mem, aa) = mem_with(&[1.0, 2.0, 3.0, 4.0]);
-        let mut core = Core::new();
-        let body = dot_stmts(&mut core, 20, 21, aa, aa, 4);
-        let t = core.add_task(Task::new("dot", body));
-        core.activate(t);
-        for _ in 0..20 {
-            core.step(&mut mem);
+    fn every_dot_flavour_can_be_rerun() {
+        // The second run must not double-count: SetReg clears the
+        // accumulator, and the cursors rewind (re-armed or not).
+        for into in [Sum::Rearmed(21), Sum::Plain(21)] {
+            let dot = Kernel::Dot(V::X, V::X, into);
+            let (_, core) = run_twice(&[1.0, 2.0, 3.0, 4.0], &[0.0; 4], &[0.0; 4], &[dot]);
+            assert_eq!(core.regs[21], 30.0, "{into:?}");
         }
-        assert_eq!(core.regs[21], 30.0);
-        // Run again: InitDsr re-arms the cursors, SetReg clears the acc.
-        core.activate(t);
-        for _ in 0..20 {
-            core.step(&mut mem);
-        }
-        assert_eq!(core.regs[21], 30.0, "second run must not double-count");
     }
 }

@@ -1,4 +1,5 @@
-//! One Krylov driver: recurrences as step tables over [`WaferExec`].
+//! One Krylov driver and one builder: recurrences as tables over
+//! [`WaferExec`].
 //!
 //! The paper's solver is one fixed recurrence — SpMVs, local dots each
 //! followed by an AllReduce, vector updates, and a few scalar coefficient
@@ -6,29 +7,35 @@
 //! production system chains phases with the task tree; global quiescence
 //! is a slightly conservative stand-in — it can only make our cycle counts
 //! *worse* than the hardware's, never better.) This module owns that
-//! whole driving side, once:
+//! recurrence, once, as data:
 //!
-//! * a recurrence is **data** — a [`Recurrence`] of `&'static [Step]`
-//!   tables ([`BICGSTAB`], [`BICGSTAB_FUSED`], [`BICGSTAB_BLOCK`],
-//!   [`CG`], [`CG_SINGLE`], and the ensemble's [`BICGSTAB_SINGLE`]);
+//! * a [`Recurrence`] ([`BICGSTAB`], [`BICGSTAB_FUSED`], [`BICGSTAB_BLOCK`],
+//!   [`CG`], [`CG_SINGLE`], and the ensemble's [`BICGSTAB_SINGLE`]) carries
+//!   its **construction** — a storage table (the SRAM allocation order of
+//!   its vectors, by role `V`), its SpMV instances, and a phase table of
+//!   one `Row` per task in emission order, each a name and a body of
+//!   `Kernel` values — and its **sequencing**: `&'static [Step]` tables;
+//! * one allocator and one emitter ([`crate::kernels`]) turn those tables
+//!   into a tile's SRAM layout, DSRs and tasks, for either mesh layout.
+//!   Allocation, DSR and task order and task names are program bytes
+//!   (`wse_serve::program_digest`, `tests/krylov_pins.rs`): they are the
+//!   order of the table rows and the order each `Kernel` variant documents,
+//!   nowhere else. Routes, reductions, the SpMV dataflow and seam machinery
+//!   stay with the builders ([`crate::bicgstab`], [`crate::bicgstab2d`],
+//!   [`crate::multi`]);
 //! * a built solver is **data** — a [`Program`]: tile region and origin,
-//!   a per-tile task table indexed by [`Slot`], the vector addresses the
-//!   host scatters into and gathers from, and the mesh layout (one
-//!   z-column or one 2D block per tile);
+//!   per tile a task table indexed by [`Slot`] and the vector addresses
+//!   indexed by `V`, and the mesh layout (z-columns or 2D blocks);
 //! * one interpreter runs any table on any [`WaferExec`]; the multi-wafer
 //!   [`crate::multi::WaferBicgstabMulti`] is a [`Program`] too, walked by
 //!   one ensemble interpreter that gives the SpMV and reduction steps
 //!   their seam-crossing meaning; and the four-method [`Krylov`] trait
 //!   gives both the same `solve` and `solve_with_recovery` loops.
-//!
-//! What stays per layout is program *construction* (SRAM allocation and
-//! task emission in [`crate::bicgstab`], [`crate::bicgstab2d`],
-//! [`crate::cg`]): DSR allocation order and task names are part of the
-//! pinned program bytes.
 
 use crate::bicgstab::regs;
-use crate::cg::regs as cg_regs;
+use crate::cg::regs as cg;
 use crate::exec::WaferExec;
+use crate::kernels::{alloc, TileMap};
 use crate::recovery::{
     self, run_with_recovery, RecoveryLog, RecoveryOutcome, RecoveryPolicy, ResidualTripwire,
 };
@@ -38,10 +45,17 @@ use stencil::decomp::{Block2D, Mapping3D};
 use stencil::dia::DiaMatrix;
 use stencil::mesh::Mesh2D;
 use wse_arch::fabric::StallReport;
-use wse_arch::types::{Reg, TaskId};
+use wse_arch::instr::{RegOp, Task};
+use wse_arch::types::{Dtype, Reg, TaskId};
+use wse_arch::{Core, Tile};
+use wse_dsl::zcolumn::SpmvLayout;
 use wse_float::F16;
+use Kernel::{Arith, Axpy, AxpySourcesFirst, Xpay};
 use Phase::{Dot, Scalar, Update};
+use RegOp::{Add, Div, Mul, Sub};
 use Step::{Reduce, ReduceBoth};
+use Store::{Alias, Lanes, Padded, Vector};
+use V::{Ar, As, Pay, Reply, P, Q, R, R0, S, X, Y};
 
 /// The kind of work a step does: its trace-phase name and the
 /// [`IterCycles`] bucket its cycles land in.
@@ -132,127 +146,122 @@ impl SolveStats {
     }
 }
 
-/// Declares [`Slot`] together with [`Slot::ALL`], so the per-tile table
-/// ([`Tasks`]) is sized by the enum itself: a slot appended here can never
-/// index past the end of a table sized by some earlier "last" variant.
-macro_rules! slots {
-    ($($(#[$doc:meta])* $name:ident,)*) => {
-        /// A per-tile task role. A [`Program`] maps each slot its recurrence
-        /// uses to the task the layout's builder emitted for it.
+/// Declares a fieldless enum together with its `COUNT`, so a table indexed
+/// by the enum is sized by the enum itself: a variant appended later can
+/// never index past the end of a table sized by some earlier "last" one.
+macro_rules! indexed_enum {
+    ($(#[$meta:meta])* $vis:vis enum $ty:ident { $($(#[$doc:meta])* $name:ident,)* }) => {
+        $(#[$meta])*
         #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-        pub enum Slot {
+        $vis enum $ty {
             $($(#[$doc])* $name,)*
         }
 
-        impl Slot {
-            /// Every slot, in declaration (= table index) order.
-            pub const ALL: &'static [Slot] = &[$(Slot::$name,)*];
+        impl $ty {
+            /// Number of variants (their `as usize` run `0..COUNT`).
+            $vis const COUNT: usize = [$($ty::$name,)*].len();
         }
     };
 }
 
-slots! {
-    /// The Fig. 6 AllReduce of `AR_IN` into `AR_OUT`; on an ensemble, its
-    /// on-wafer reduce half.
-    Reduce,
-    /// Ensembles: the broadcast half, run once the host has replied.
-    Bcast,
-    /// Both reduction networks concurrently (`AR_IN2` into `AR_OUT2` too).
-    ReduceBoth,
-    /// `s := A p`.
-    SpmvPs,
-    /// `y := A q`.
-    SpmvQy,
-    /// `(r̂₀, s)`.
-    DotR0s,
-    /// `(q, y)`.
-    DotQy,
-    /// `(y, y)`.
-    DotYy,
-    /// `(q, y)` and `(y, y)` in one task, for [`Slot::ReduceBoth`].
-    DotQyYy,
-    /// `(r̂₀, r)`.
-    DotRho,
-    /// `(r, r)`.
-    DotRr,
-    /// `α := ρ / (r̂₀, s)`.
-    PostR0s,
-    /// Stashes `(q, y)`.
-    PostQy,
-    /// `ω := (q, y) / (y, y)`.
-    PostYy,
-    /// ω from the two concurrent reduction outputs.
-    PostOmegaFused,
-    /// `β`, and ρ rolls over.
-    PostRho,
-    /// `ρ₀ := (r̂₀, r)`.
-    InitRho,
-    /// Stashes `‖r‖²`.
-    PostRr,
-    /// `q := r − α s`.
-    UpdQ,
-    /// `x := x + α p + ω q`.
-    UpdX,
-    /// `r := q − ω y`.
-    UpdR,
-    /// `p := p − ω s` (the block mapping fuses [`Slot::UpdP2`] into it).
-    UpdP1,
-    /// `p := r + β p`.
-    UpdP2,
-    /// CG: the one SpMV (`q := A p`, or `s := A r` single-reduction).
-    CgSpmv,
-    /// CG: `(p, A p)`.
-    CgDotPq,
-    /// CG: `γ = (r, r)` and `δ = (r, A r)` in one task.
-    CgDotGammaDelta,
-    /// CG: `α := γ / (p, A p)`.
-    CgAlpha,
-    /// CG: `β := γ' / γ`, and γ rolls over.
-    CgBeta,
-    /// Single-reduction CG: β and α from γ, δ and the previous pair.
-    CgFused,
-    /// Single-reduction CG, first iteration: `β := 0`, `α := γ / δ`.
-    CgInit,
-    /// CG: `x += α p; r −= α q`.
-    CgUpdXr,
-    /// CG: `p := r + β p`.
-    CgUpdP,
-    /// Single-reduction CG: the p, q, x, r recurrences in one task.
-    CgUpdAll,
-    /// Single-reduction ensemble BiCGStab: `v := A r`.
-    SpmvRv,
-    /// Single-reduction ensemble BiCGStab: `zv := A s`.
-    SpmvSzv,
-    /// `p := r + β (p − ω s)` in one task.
-    UpdP,
-    /// `s := v + β t`, with `t = s − ω·zv` carried from the last iteration.
-    UpdS,
-    /// All fourteen dots of one iteration, stored to the fp32 payload.
-    Dots14,
-    /// `q := r − α s;  x += α p + ω q`.
-    UpdXq,
-    /// `r := q − ω v + αω·zv;  t := s − ω·zv`.
-    UpdRt,
+indexed_enum! {
+    /// A per-tile task role: the index of `Tasks`. What a role's task
+    /// *does* is the body of its row in the recurrence's phase table (or
+    /// its SpMV instance); the step tables say when it runs.
+    pub enum Slot {
+        /// The Fig. 6 AllReduce of `AR_IN` into `AR_OUT`; on an ensemble, its
+        /// on-wafer reduce half.
+        Reduce,
+        /// Ensembles: the broadcast half, run once the host has replied.
+        Bcast,
+        /// Both reduction networks concurrently (`AR_IN2` into `AR_OUT2` too).
+        ReduceBoth,
+        /// BiCGStab's first SpMV.
+        SpmvPs,
+        /// BiCGStab's second SpMV.
+        SpmvQy,
+        /// The α-step's inner product.
+        DotR0s,
+        /// The ω-step's numerator product.
+        DotQy,
+        /// The ω-step's denominator product.
+        DotYy,
+        /// Both ω-step products in one task, for [`Slot::ReduceBoth`].
+        DotQyYy,
+        /// The ρ product.
+        DotRho,
+        /// The residual-norm product (CG: γ).
+        DotRr,
+        /// α from the reduced α-step product.
+        PostR0s,
+        /// Stashes the reduced ω numerator.
+        PostQy,
+        /// ω once the denominator arrives.
+        PostYy,
+        /// ω from the two concurrent reduction outputs.
+        PostOmegaFused,
+        /// β, and ρ rolls over.
+        PostRho,
+        /// Stashes ρ₀.
+        InitRho,
+        /// Stashes `‖r‖²`.
+        PostRr,
+        /// The q update (α-step).
+        UpdQ,
+        /// The iterate update.
+        UpdX,
+        /// The residual update.
+        UpdR,
+        /// The p update's first half (the block mapping: both halves).
+        UpdP1,
+        /// The p update's second half.
+        UpdP2,
+        /// CG: the one SpMV.
+        CgSpmv,
+        /// CG: the α denominator product.
+        CgDotPq,
+        /// Single-reduction CG: γ and δ in one task.
+        CgDotGammaDelta,
+        /// CG: α.
+        CgAlpha,
+        /// CG: β, and γ rolls over.
+        CgBeta,
+        /// Single-reduction CG: β and α from γ, δ and the previous pair.
+        CgFused,
+        /// Single-reduction CG, first iteration: the β = 0 path.
+        CgInit,
+        /// CG: the iterate and residual updates.
+        CgUpdXr,
+        /// CG: the p update.
+        CgUpdP,
+        /// Single-reduction CG: the p, q, x, r recurrences in one task.
+        CgUpdAll,
+        /// Single-reduction ensemble BiCGStab: the SpMV of r.
+        SpmvRv,
+        /// Single-reduction ensemble BiCGStab: the SpMV of s.
+        SpmvSzv,
+        /// The whole p update in one task.
+        UpdP,
+        /// The s recurrence that replaces `s := A p`.
+        UpdS,
+        /// All fourteen dots of one iteration, stored to the fp32 payload.
+        Dots14,
+        /// The q and iterate updates.
+        UpdXq,
+        /// The residual update and the carrier of the s recurrence.
+        UpdRt,
+    }
 }
 
 /// One tile's tasks by [`Slot`]. Slots the program's recurrence never
-/// names stay unset (activating one would be out of range on the core).
+/// names may stay unset; [`Program::new`] refuses one it does name.
 #[derive(Copy, Clone, Debug)]
-pub(crate) struct Tasks([TaskId; Tasks::SLOTS]);
+pub(crate) struct Tasks([TaskId; Slot::COUNT]);
 
 impl Tasks {
-    const SLOTS: usize = Slot::ALL.len();
-
     /// A table with every slot unset.
     pub(crate) fn new() -> Tasks {
-        Tasks([TaskId::MAX; Tasks::SLOTS])
-    }
-
-    /// Declares every set slot a host-activated entry point.
-    pub(crate) fn mark_entries(&self, core: &mut wse_arch::Core) {
-        for &t in self.0.iter().filter(|&&t| t != TaskId::MAX) {
-            core.mark_entry(t);
-        }
+        Tasks([TaskId::MAX; Slot::COUNT])
     }
 }
 
@@ -269,27 +278,93 @@ impl IndexMut<Slot> for Tasks {
     }
 }
 
-/// The per-tile vectors the host touches (byte addresses of live parts).
-#[derive(Copy, Clone, Debug, Default)]
-pub(crate) struct Vecs {
-    /// Iterate.
-    pub(crate) x: u32,
-    /// Residual.
-    pub(crate) r: u32,
-    /// Shadow residual r̂₀ (BiCGStab).
-    pub(crate) r0: u32,
-    /// Search direction.
-    pub(crate) p: u32,
-    /// `q = A p` recurrence vector (single-reduction CG); the scratch
-    /// `q = r − α s` of the single-reduction ensemble BiCGStab.
-    pub(crate) q: u32,
-    /// `s` (single-reduction ensemble BiCGStab).
-    pub(crate) s: u32,
-    /// `v = A r` (single-reduction ensemble BiCGStab).
-    pub(crate) v: u32,
-    /// `zv = A s` (single-reduction ensemble BiCGStab).
-    pub(crate) zv: u32,
+indexed_enum! {
+    /// A vector's role in a recurrence: the index of a tile's [`Addrs`].
+    pub(crate) enum V {
+        /// Iterate.
+        X,
+        /// Residual.
+        R,
+        /// Shadow residual r̂₀ (BiCGStab).
+        R0,
+        /// Search direction.
+        P,
+        /// BiCGStab's intermediate residual `q`, whose storage doubles as the
+        /// single-reduction recurrence's carrier `t` (q's last read in `upd_rt`
+        /// precedes t's write there, and t's last read in `upd_s` precedes q's
+        /// write in `upd_xq`: the lifetimes never overlap); CG's `q = A p`.
+        Q,
+        /// The first SpMV's product `s` (CG: the one SpMV's); also the second
+        /// SpMV's padded *source* in the single-reduction ensemble recurrence.
+        S,
+        /// `y = A q`.
+        Y,
+        /// `v = A r` (single-reduction ensemble BiCGStab).
+        Ar,
+        /// `zv = A s` (single-reduction ensemble BiCGStab).
+        As,
+        /// The fp32 dot payload the on-wafer chains reduce.
+        Pay,
+        /// The fp32 host reply the chains broadcast.
+        Reply,
+    }
 }
+
+/// One tile's vector addresses by `V as usize`: the byte address of each
+/// role's live part (zero for a role the recurrence does not store).
+pub(crate) type Addrs = [u32; V::COUNT];
+
+/// How a storage-table row is laid out in a z-column tile's SRAM.
+#[derive(Copy, Clone, Debug)]
+pub(crate) enum Store {
+    /// `z` fp16 words.
+    Vector,
+    /// An SpMV source: `z + 2` fp16 words, zero pads around the live part.
+    Padded,
+    /// A block of fp32 lanes.
+    Lanes(u32),
+    /// No storage of its own: the role shares an earlier row's address.
+    Alias(V),
+}
+
+/// Where a local dot's sum goes, and with it the flavour of the emitted
+/// statements (all three are pinned program bytes).
+#[derive(Copy, Clone, Debug)]
+pub(crate) enum Sum {
+    /// Moved into the register; the operand DSRs are re-armed with
+    /// `InitDsr` before each MAC (the z-column builders).
+    Rearmed(Reg),
+    /// Moved into the register, no re-arm (the block builder).
+    Plain(Reg),
+    /// Stored to fp32 lane `j` of the [`V::Pay`] block through a DSR
+    /// allocated after the operands', no re-arm.
+    Lane(u32),
+}
+
+/// One kernel of a phase task's body, as a value; [`TileMap::emit`] is its
+/// only meaning. Operand DSRs are allocated per vector slice, in the order
+/// each variant states.
+#[derive(Copy, Clone, Debug)]
+pub(crate) enum Kernel {
+    /// `Dot(a, b, into)`: the local dot `Σ a·b` (fp16 multiplies, fp32
+    /// accumulate in the recurrence's `dot_acc`); DSRs `(a, b)`.
+    Dot(V, V, Sum),
+    /// `Xpay(scalar, dst, a, b)`: `dst := a + r[scalar] · b`, fused; `dst`
+    /// may alias an operand. DSRs `(dst, a, b)`.
+    Xpay(Reg, V, V, V),
+    /// `Axpy(scalar, dst, a)`: `dst += r[scalar] · a`; DSRs `(dst, a)`.
+    Axpy(Reg, V, V),
+    /// [`Kernel::Axpy`] for each `(scalar, dst, a)` in turn, with the DSRs
+    /// of every `a` allocated before those of every `dst`.
+    AxpySourcesFirst(&'static [(Reg, V, V)]),
+    /// `Arith(op, dst, a, b)`: `r[dst] := r[a] op r[b]` in fp32.
+    Arith(RegOp, Reg, Reg, Reg),
+    /// `Set(reg, value)`: `r[reg] := value`.
+    Set(Reg, f32),
+}
+
+/// One phase task: its slot, its debug name (program bytes), its body.
+pub(crate) type Row = (Slot, &'static str, &'static [Kernel]);
 
 /// One step of a recurrence.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -331,13 +406,27 @@ pub enum Step {
     },
 }
 
-/// A Krylov recurrence: what `load_rhs` initializes and the step tables
-/// of its phases.
+/// A Krylov recurrence: how its tiles are built, what `load_rhs`
+/// initializes, and the step tables of its phases.
 pub struct Recurrence {
-    /// Which of [`Vecs`] start as the tile's slice of `b`, and which as
-    /// zero (`x` always does).
-    init: fn(&Vecs) -> (Vec<u32>, Vec<u32>),
-    /// Registers `load_rhs` presets on every tile, and their value.
+    /// A z-column tile's SRAM allocation order after the six coefficient
+    /// diagonals. (The block layout's SpMVs own their sources and products;
+    /// its builder allocates the remaining rows, in this order.)
+    pub(crate) storage: &'static [(V, Store)],
+    /// The SpMV instances: entry slot, source, product.
+    pub(crate) spmvs: &'static [(Slot, V, V)],
+    /// The core-local phase tasks, in emission (= task id) order. Every
+    /// recurrence of a family shares one table, so a variant also carries
+    /// the tasks only its siblings activate.
+    phases: &'static [Row],
+    /// The local dot accumulator.
+    dot_acc: Reg,
+    /// The vectors that start as the tile's slice of `b`.
+    from_b: &'static [V],
+    /// The vectors that start as zero (`x` always does).
+    zeroed: &'static [V],
+    /// Registers `load_rhs` presets on every tile, and their value (the
+    /// breakdown guard every coefficient task divides through, or zeros).
     presets: (&'static [Reg], f32),
     /// Seeds the carried scalar (ρ₀ / γ₀) after the scatter.
     pub(crate) seed: &'static [Step],
@@ -355,13 +444,67 @@ pub struct Recurrence {
 }
 
 impl Recurrence {
-    /// The SpMVs of one steady-state iteration, in order: `(slot, with)`
-    /// of each [`Step::Spmv`].
-    pub(crate) fn spmv_windows(&self) -> impl Iterator<Item = (Slot, Option<Slot>)> {
-        self.iter.iter().filter_map(|step| match *step {
-            Step::Spmv { slot, with } => Some((slot, with)),
-            _ => None,
-        })
+    /// Every slot a step of any table names.
+    pub(crate) fn slots(&self) -> impl Iterator<Item = Slot> {
+        let norm = match self.norm {
+            Norm::ReadBack => &[],
+            Norm::InReg(steps, _) | Norm::AtHost(steps) => steps,
+        };
+        let named = |step: &Step| match *step {
+            Step::Run { slot, .. } => [Some(slot), None],
+            Step::Spmv { slot, with } => [Some(slot), with],
+            Step::Reduce | Step::ReduceToHost => [Some(Slot::Reduce), None],
+            Step::ReduceBoth => [Some(Slot::ReduceBoth), None],
+            Step::CopyReg { .. } => [None, None],
+        };
+        let tables = [self.seed, self.first.unwrap_or(&[]), self.iter, norm];
+        tables.into_iter().flatten().flat_map(named).flatten()
+    }
+
+    /// Allocates the z-column tile at `at` — the six coefficient diagonals,
+    /// then the storage table in order — and returns the diagonals and the
+    /// vectors' live addresses. The pads are zeroed once, here; the live
+    /// parts are rewritten by XPAYs and the host.
+    pub(crate) fn alloc_column(
+        &self,
+        tile: &mut Tile,
+        at: (usize, usize),
+        z: u32,
+    ) -> ([u32; 6], Addrs) {
+        let diag = [(); 6].map(|()| alloc(tile, at, "diagonal", z, Dtype::F16));
+        let mut addrs = [0; V::COUNT];
+        for &(v, store) in self.storage {
+            addrs[v as usize] = match store {
+                Vector => alloc(tile, at, v, z, Dtype::F16),
+                Padded => {
+                    let pad = alloc(tile, at, v, z + 2, Dtype::F16);
+                    tile.mem.write_f16(pad, F16::ZERO);
+                    tile.mem.write_f16(pad + 2 * (z + 1), F16::ZERO);
+                    pad + 2
+                }
+                Lanes(n) => alloc(tile, at, v, n, Dtype::F32),
+                Alias(of) => addrs[of as usize],
+            };
+        }
+        (diag, addrs)
+    }
+
+    /// SpMV instance `i`'s layout on a tile allocated by
+    /// [`Recurrence::alloc_column`] (every instance shares the diagonals).
+    pub(crate) fn spmv_layout(&self, i: usize, z: u32, diag: [u32; 6], at: &Addrs) -> SpmvLayout {
+        let (_, source, product) = self.spmvs[i];
+        SpmvLayout { z, diag, vpad: at[source as usize] - 2, u: at[product as usize] }
+    }
+
+    /// Emits the phase table onto a tile — after its SpMV tasks, whose
+    /// slots the caller has filled in — and declares every set slot a
+    /// host-activated entry point.
+    pub(crate) fn emit(&self, core: &mut Core, map: &TileMap, tasks: &mut Tasks) {
+        for &(slot, name, body) in self.phases {
+            let body = map.emit(core, body, self.dot_acc);
+            tasks[slot] = core.add_task(Task::new(name, body));
+        }
+        tasks.0.iter().filter(|&&task| task != TaskId::MAX).for_each(|&task| core.mark_entry(task));
     }
 }
 
@@ -384,27 +527,120 @@ const fn spmv(slot: Slot) -> Step {
     Step::Spmv { slot, with: None }
 }
 
-/// The breakdown guard every coefficient task divides through.
-const EPS_PRESET: (&[Reg], f32) = (&[regs::EPS], 1e-30);
-
-fn bicgstab_init(v: &Vecs) -> (Vec<u32>, Vec<u32>) {
-    (vec![v.r, v.r0, v.p], vec![v.x])
+/// The z-column builders' dot: re-armed, summed into `into`.
+const fn dot(a: V, b: V, into: Reg) -> Kernel {
+    Kernel::Dot(a, b, Sum::Rearmed(into))
 }
 
-const BICGSTAB_SEED: &[Step] = &[run(Dot, Slot::DotRho), Reduce, run(Scalar, Slot::InitRho)];
-const BICGSTAB_NORM: Norm =
-    Norm::InReg(&[run(Dot, Slot::DotRr), Reduce, run(Scalar, Slot::PostRr)], regs::RR);
+const fn mov(dst: Reg, src: Reg) -> Kernel {
+    Arith(RegOp::Mov, dst, src, src)
+}
+
+const fn neg(dst: Reg, src: Reg) -> Kernel {
+    Arith(RegOp::Neg, dst, src, src)
+}
+
+// ---- BiCGStab. The scalar coefficients α, ω, β are computed redundantly
+// by every core in fp32 registers from the broadcast reductions; the algebra
+// is layout-independent, so the z-column and block tables share the bodies.
+
+/// `α := ρ / (r̂₀, s)`.
+const POST_R0S: &[Kernel] = &[
+    mov(regs::R0S, regs::AR_OUT),
+    Arith(Add, regs::R0S, regs::R0S, regs::EPS),
+    Arith(Div, regs::ALPHA, regs::RHO, regs::R0S),
+    neg(regs::NEG_ALPHA, regs::ALPHA),
+];
+/// `ω := (q, y) / (y, y)` once both are in `QY` / `YY`.
+const OMEGA: [Kernel; 3] = [
+    Arith(Add, regs::YY, regs::YY, regs::EPS),
+    Arith(Div, regs::OMEGA, regs::QY, regs::YY),
+    neg(regs::NEG_OMEGA, regs::OMEGA),
+];
+const POST_QY: &[Kernel] = &[mov(regs::QY, regs::AR_OUT)];
+const POST_YY: &[Kernel] = &[mov(regs::YY, regs::AR_OUT), OMEGA[0], OMEGA[1], OMEGA[2]];
+/// `β := (ρ' / ρ) · (α / ω)`, and ρ rolls over.
+const POST_RHO: &[Kernel] = &[
+    mov(regs::RHO_NEXT, regs::AR_OUT),
+    Arith(Add, regs::TMP, regs::OMEGA, regs::EPS),
+    Arith(Div, regs::TMP, regs::ALPHA, regs::TMP),
+    Arith(Add, regs::BETA, regs::RHO, regs::EPS),
+    Arith(Div, regs::BETA, regs::RHO_NEXT, regs::BETA),
+    Arith(Mul, regs::BETA, regs::TMP, regs::BETA),
+    mov(regs::RHO, regs::RHO_NEXT),
+];
+const POST_OMEGA_FUSED: &[Kernel] =
+    &[mov(regs::QY, regs::AR_OUT), mov(regs::YY, regs::AR_OUT2), OMEGA[0], OMEGA[1], OMEGA[2]];
+const INIT_RHO: &[Kernel] = &[mov(regs::RHO, regs::AR_OUT)];
+const POST_RR: &[Kernel] = &[mov(regs::RR, regs::AR_OUT)];
+
+/// `q := r − α s`.
+const UPD_Q: Kernel = Xpay(regs::NEG_ALPHA, Q, R, S);
+/// `x += α p + ω q`, as the z-column builders allocate it.
+const UPD_X: Kernel = AxpySourcesFirst(&[(regs::ALPHA, X, P), (regs::OMEGA, X, Q)]);
+/// `r := q − ω y`.
+const UPD_R: Kernel = Xpay(regs::NEG_OMEGA, R, Q, Y);
+/// `p := r + β (p − ω s)`: tilt, then XPAY with `dst` aliasing `b`.
+const UPD_P: [Kernel; 2] = [Xpay(regs::NEG_OMEGA, P, P, S), Xpay(regs::BETA, P, R, P)];
+
+const BICGSTAB_PHASES: &[Row] = &[
+    (Slot::DotR0s, "dot_r0s", &[dot(R0, S, regs::AR_IN)]),
+    (Slot::DotQy, "dot_qy", &[dot(Q, Y, regs::AR_IN)]),
+    (Slot::DotYy, "dot_yy", &[dot(Y, Y, regs::AR_IN)]),
+    // One product per reduction network.
+    (Slot::DotQyYy, "dot_qy_yy", &[dot(Q, Y, regs::AR_IN), dot(Y, Y, regs::AR_IN2)]),
+    (Slot::DotRho, "dot_rho", &[dot(R0, R, regs::AR_IN)]),
+    (Slot::DotRr, "dot_rr", &[dot(R, R, regs::AR_IN)]),
+    (Slot::PostR0s, "post_r0s", POST_R0S),
+    (Slot::PostQy, "post_qy", POST_QY),
+    (Slot::PostYy, "post_yy", POST_YY),
+    (Slot::PostRho, "post_rho", POST_RHO),
+    (Slot::PostOmegaFused, "post_omega_fused", POST_OMEGA_FUSED),
+    (Slot::InitRho, "init_rho", INIT_RHO),
+    (Slot::PostRr, "post_rr", POST_RR),
+    (Slot::UpdQ, "upd_q", &[UPD_Q]),
+    (Slot::UpdX, "upd_x", &[UPD_X]),
+    (Slot::UpdR, "upd_r", &[UPD_R]),
+    (Slot::UpdP1, "upd_p1", &[UPD_P[0]]),
+    (Slot::UpdP2, "upd_p2", &[UPD_P[1]]),
+];
+
+/// The block builder's dot: no re-arm, summed into `AR_IN`.
+const fn dot2d(a: V, b: V) -> Kernel {
+    Kernel::Dot(a, b, Sum::Plain(regs::AR_IN))
+}
+
+/// [`BICGSTAB_PHASES`] as the block builder emits it: `2d_` names, plain
+/// dots, no ω-fused tasks, the iterate update in `(dst, a)` DSR order, and
+/// the whole p-update in one task.
+const BLOCK_PHASES: &[Row] = &[
+    (Slot::DotR0s, "2d_dot_r0s", &[dot2d(R0, S)]),
+    (Slot::DotQy, "2d_dot_qy", &[dot2d(Q, Y)]),
+    (Slot::DotYy, "2d_dot_yy", &[dot2d(Y, Y)]),
+    (Slot::DotRho, "2d_dot_rho", &[dot2d(R0, R)]),
+    (Slot::DotRr, "2d_dot_rr", &[dot2d(R, R)]),
+    (Slot::PostR0s, "2d_post_r0s", POST_R0S),
+    (Slot::PostQy, "2d_post_qy", POST_QY),
+    (Slot::PostYy, "2d_post_yy", POST_YY),
+    (Slot::PostRho, "2d_post_rho", POST_RHO),
+    (Slot::InitRho, "2d_init_rho", INIT_RHO),
+    (Slot::PostRr, "2d_post_rr", POST_RR),
+    (Slot::UpdQ, "2d_upd_q", &[UPD_Q]),
+    (Slot::UpdX, "2d_upd_x", &[Axpy(regs::ALPHA, X, P), Axpy(regs::OMEGA, X, Q)]),
+    (Slot::UpdR, "2d_upd_r", &[UPD_R]),
+    (Slot::UpdP1, "2d_upd_p", &UPD_P),
+];
 
 /// One z-column BiCGStab iteration; the last step is the second half of
 /// the p-update.
 const BICGSTAB_ITER: &[Step] = &[
-    // s := A p;  α := ρ / (r̂₀, s);  q := r − α s
+    // s := A p;  α;  q
     spmv(Slot::SpmvPs),
     run(Dot, Slot::DotR0s),
     Reduce,
     run(Scalar, Slot::PostR0s),
     run(Update, Slot::UpdQ),
-    // y := A q;  ω := (q, y) / (y, y)
+    // y := A q;  ω
     spmv(Slot::SpmvQy),
     run(Dot, Slot::DotQy),
     Reduce,
@@ -412,10 +648,10 @@ const BICGSTAB_ITER: &[Step] = &[
     run(Dot, Slot::DotYy),
     Reduce,
     run(Scalar, Slot::PostYy),
-    // x := x + α p + ω q;  r := q − ω y
+    // x;  r
     run(Update, Slot::UpdX),
     run(Update, Slot::UpdR),
-    // β and ρ roll-over;  p := r + β (p − ω s)
+    // β and ρ roll-over;  p
     run(Dot, Slot::DotRho),
     Reduce,
     run(Scalar, Slot::PostRho),
@@ -423,24 +659,35 @@ const BICGSTAB_ITER: &[Step] = &[
     run(Update, Slot::UpdP2),
 ];
 
-/// Table I's BiCGStab: 2 SpMV, 4 dot + AllReduce, 6 AXPY.
-pub static BICGSTAB: Recurrence = Recurrence {
-    init: bicgstab_init,
-    presets: EPS_PRESET,
-    seed: BICGSTAB_SEED,
+const CLASSIC: Recurrence = Recurrence {
+    storage: &[
+        (P, Padded),
+        (Q, Padded),
+        (S, Vector),
+        (Y, Vector),
+        (R, Vector),
+        (R0, Vector),
+        (X, Vector),
+    ],
+    spmvs: &[(Slot::SpmvPs, P, S), (Slot::SpmvQy, Q, Y)],
+    phases: BICGSTAB_PHASES,
+    dot_acc: regs::DOT_ACC,
+    from_b: &[R, R0, P],
+    zeroed: &[X],
+    presets: (&[regs::EPS], 1e-30),
+    seed: &[run(Dot, Slot::DotRho), Reduce, run(Scalar, Slot::InitRho)],
     first: None,
     iter: BICGSTAB_ITER,
-    norm: BICGSTAB_NORM,
+    norm: Norm::InReg(&[run(Dot, Slot::DotRr), Reduce, run(Scalar, Slot::PostRr)], regs::RR),
     derive: <[f32]>::to_vec,
 };
+
+/// Table I's BiCGStab: 2 SpMV, 4 dot + AllReduce, 6 AXPY.
+pub static BICGSTAB: Recurrence = CLASSIC;
 
 /// [`BICGSTAB`] with the ω-step's two inner products reduced concurrently
 /// over two virtual-channel networks: three blocking rounds instead of four.
 pub static BICGSTAB_FUSED: Recurrence = Recurrence {
-    init: bicgstab_init,
-    presets: EPS_PRESET,
-    seed: BICGSTAB_SEED,
-    first: None,
     iter: &[
         spmv(Slot::SpmvPs),
         run(Dot, Slot::DotR0s),
@@ -459,42 +706,104 @@ pub static BICGSTAB_FUSED: Recurrence = Recurrence {
         run(Update, Slot::UpdP1),
         run(Update, Slot::UpdP2),
     ],
-    norm: BICGSTAB_NORM,
-    derive: <[f32]>::to_vec,
+    ..CLASSIC
 };
 
 /// [`BICGSTAB`] on the 2D block mapping, whose row-wise p-update is one
-/// task (tilt then XPAY, in [`Slot::UpdP1`]): the same table less its last
-/// step.
+/// task (in [`Slot::UpdP1`]): the same step table less its last step.
 pub static BICGSTAB_BLOCK: Recurrence = Recurrence {
-    init: bicgstab_init,
-    presets: EPS_PRESET,
-    seed: BICGSTAB_SEED,
-    first: None,
+    phases: BLOCK_PHASES,
     iter: BICGSTAB_ITER.split_at(BICGSTAB_ITER.len() - 1).0,
-    norm: BICGSTAB_NORM,
-    derive: <[f32]>::to_vec,
+    ..CLASSIC
 };
 
-/// Textbook CG: two blocking reduction rounds per iteration.
-pub static CG: Recurrence = Recurrence {
-    init: |v| (vec![v.r, v.p], vec![v.x]),
-    presets: EPS_PRESET,
+// ---- CG. Both variants emit one phase table (registers: `cg::regs`); the
+// SpMV's product is `S` in both, so the rows read the same either way.
+
+/// Standard: α = γ / (p, A p); γ carried in GAMMA.
+const CG_ALPHA: &[Kernel] = &[
+    Arith(Add, cg::TMP, cg::AR_OUT, cg::EPS),
+    Arith(Div, cg::ALPHA, cg::GAMMA, cg::TMP),
+    neg(cg::NEG_ALPHA, cg::ALPHA),
+];
+/// Standard: β = γ' / γ; roll γ.
+const CG_BETA: &[Kernel] =
+    &[Arith(Div, cg::BETA, cg::AR_OUT, cg::GAMMA), mov(cg::GAMMA, cg::AR_OUT)];
+/// Single-reduction: γ = AR_OUT, δ = AR_OUT2; β = γ/γ_prev (iteration 0 has
+/// no γ_prev and runs `cg_init` instead); α = γ / (δ − β γ / α_prev).
+const CG_FUSED: &[Kernel] = &[
+    mov(cg::GAMMA, cg::AR_OUT),
+    mov(cg::DELTA, cg::AR_OUT2),
+    Arith(Add, cg::TMP, cg::GAMMA_PREV, cg::EPS),
+    Arith(Div, cg::BETA, cg::GAMMA, cg::TMP),
+    // TMP = β γ / α_prev
+    Arith(Mul, cg::TMP, cg::BETA, cg::GAMMA),
+    Arith(Div, cg::TMP, cg::TMP, cg::ALPHA_PREV),
+    Arith(Sub, cg::TMP, cg::DELTA, cg::TMP),
+    Arith(Div, cg::ALPHA, cg::GAMMA, cg::TMP),
+    neg(cg::NEG_ALPHA, cg::ALPHA),
+    mov(cg::GAMMA_PREV, cg::GAMMA),
+    mov(cg::ALPHA_PREV, cg::ALPHA),
+];
+/// First single-reduction iteration: β = 0, α = γ/δ.
+const CG_INIT: &[Kernel] = &[
+    mov(cg::GAMMA, cg::AR_OUT),
+    mov(cg::DELTA, cg::AR_OUT2),
+    Kernel::Set(cg::BETA, 0.0),
+    Arith(Add, cg::TMP, cg::DELTA, cg::EPS),
+    Arith(Div, cg::ALPHA, cg::GAMMA, cg::TMP),
+    neg(cg::NEG_ALPHA, cg::ALPHA),
+    mov(cg::GAMMA_PREV, cg::GAMMA),
+    mov(cg::ALPHA_PREV, cg::ALPHA),
+];
+/// Single-reduction: p = r + β p; q = A r + β q; x += α p; r −= α q.
+const CG_UPD_ALL: &[Kernel] = &[
+    Xpay(cg::BETA, P, R, P),
+    Xpay(cg::BETA, Q, S, Q),
+    Axpy(cg::ALPHA, X, P),
+    Axpy(cg::NEG_ALPHA, R, Q),
+];
+
+const CG_PHASES: &[Row] = &[
+    (Slot::CgDotPq, "cg_dot_pq", &[dot(P, S, cg::AR_IN)]),
+    (Slot::DotRr, "cg_dot_rr", &[dot(R, R, cg::AR_IN)]),
+    // γ = (r, r) and δ = (r, A r), one per reduction network.
+    (Slot::CgDotGammaDelta, "cg_dot_gd", &[dot(R, R, cg::AR_IN), dot(R, S, cg::AR_IN2)]),
+    (Slot::CgAlpha, "cg_alpha", CG_ALPHA),
+    (Slot::CgBeta, "cg_beta", CG_BETA),
+    (Slot::CgFused, "cg_fused_coeffs", CG_FUSED),
+    (Slot::CgInit, "cg_init", CG_INIT),
+    // Standard: x += α p; r −= α A p.
+    (Slot::CgUpdXr, "cg_upd_xr", &[AxpySourcesFirst(&[(cg::ALPHA, X, P), (cg::NEG_ALPHA, R, S)])]),
+    // Standard: p = r + β p (XPAY with dst aliasing b).
+    (Slot::CgUpdP, "cg_upd_p", &[Xpay(cg::BETA, P, R, P)]),
+    (Slot::CgUpdAll, "cg2_upd", CG_UPD_ALL),
+];
+
+/// Textbook CG: two blocking reduction rounds per iteration. `p` lives in
+/// the padded SpMV source; `q` only names the product, for the sibling's
+/// rows.
+pub static CG: Recurrence = CG_STANDARD;
+
+const CG_STANDARD: Recurrence = Recurrence {
+    storage: &[(P, Padded), (S, Vector), (X, Vector), (R, Vector), (Q, Alias(S))],
+    spmvs: &[(Slot::CgSpmv, P, S)],
+    phases: CG_PHASES,
+    dot_acc: cg::DOT_ACC,
+    from_b: &[R, P],
+    zeroed: &[X],
+    presets: (&[regs::EPS], 1e-30),
     // γ₀ = (r, r), moved into place by the host.
-    seed: &[
-        run(Dot, Slot::DotRr),
-        Reduce,
-        Step::CopyReg { dst: cg_regs::GAMMA, src: cg_regs::AR_OUT },
-    ],
+    seed: &[run(Dot, Slot::DotRr), Reduce, Step::CopyReg { dst: cg::GAMMA, src: cg::AR_OUT }],
     first: None,
     iter: &[
-        // q = A p;  α from (p, q);  x += α p, r −= α q
+        // A p;  α;  x, r
         spmv(Slot::CgSpmv),
         run(Dot, Slot::CgDotPq),
         Reduce,
         run(Scalar, Slot::CgAlpha),
         run(Update, Slot::CgUpdXr),
-        // β from (r, r), γ rolls over;  p = r + β p
+        // β, γ rolls over;  p
         run(Dot, Slot::DotRr),
         Reduce,
         run(Scalar, Slot::CgBeta),
@@ -506,10 +815,12 @@ pub static CG: Recurrence = Recurrence {
 
 /// Chronopoulos–Gear CG: `γ = (r, r)` and `δ = (r, A r)` reduce together
 /// in one dual-network round; nothing to seed, but iteration 0 takes the
-/// β = 0 coefficient path.
+/// β = 0 coefficient path. `r` lives in the padded SpMV source; `p` and
+/// `q = A p` (maintained by recurrence) are separate vectors.
 pub static CG_SINGLE: Recurrence = Recurrence {
-    init: |v| (vec![v.r, v.p], vec![v.x, v.q]),
-    presets: EPS_PRESET,
+    storage: &[(R, Padded), (S, Vector), (X, Vector), (P, Vector), (Q, Vector)],
+    spmvs: &[(Slot::CgSpmv, R, S)],
+    zeroed: &[X, Q],
     seed: &[],
     first: Some(&[
         spmv(Slot::CgSpmv),
@@ -525,9 +836,11 @@ pub static CG_SINGLE: Recurrence = Recurrence {
         run(Scalar, Slot::CgFused),
         run(Update, Slot::CgUpdAll),
     ],
-    norm: Norm::ReadBack,
-    derive: <[f32]>::to_vec,
+    ..CG_STANDARD
 };
+
+/// Number of fp32 dot-product lanes in [`BICGSTAB_SINGLE`]'s payload.
+pub(crate) const PAY_LANES: u32 = DOTS14.len() as u32;
 
 /// Broadcast reply registers of [`BICGSTAB_SINGLE`], in host write /
 /// chain stream order: `[α, −α, ω, −ω, αω, β, ‖r_new‖²]`.
@@ -543,7 +856,7 @@ pub(crate) const BC_REGS: [Reg; 7] = [
 
 /// Every scalar the rest of a [`BICGSTAB_SINGLE`] iteration needs, in
 /// [`BC_REGS`] order, from the fourteen combined dots (lane order: the
-/// `Slot::Dots14` task in [`crate::multi`]). The classic scalars are
+/// `Slot::Dots14` row of `SINGLE_PHASES`). The classic scalars are
 /// polynomials in the pre-α dots: with `q = r − α s` and `y = v − α·zv`,
 /// every inner product expands over the measured lanes (see DESIGN.md
 /// §12 for the derivation).
@@ -561,29 +874,89 @@ pub(crate) fn single_reduction_scalars(g: &[f32]) -> [f32; 7] {
     [alpha, -alpha, omega, -omega, alpha * omega, beta, rr_new]
 }
 
+/// The ensemble's dot: stored to payload lane `j`.
+const fn lane(j: u32, a: V, b: V) -> Kernel {
+    Kernel::Dot(a, b, Sum::Lane(j))
+}
+
+/// All fourteen dots of an iteration; lane order is the host-side contract
+/// of [`single_reduction_scalars`].
+const DOTS14: &[Kernel] = &[
+    lane(0, R0, R),
+    lane(1, R0, S),
+    lane(2, R0, Ar),
+    lane(3, R0, As),
+    lane(4, R, Ar),
+    lane(5, R, As),
+    lane(6, S, Ar),
+    lane(7, S, As),
+    lane(8, Ar, Ar),
+    lane(9, Ar, As),
+    lane(10, As, As),
+    lane(11, R, R),
+    lane(12, R, S),
+    lane(13, S, S),
+];
+/// `r := q − ω v;  r += αω zv` (⟹ `r = q − ω y`); `t := s − ω zv` — q's
+/// storage is rewritten as t only after its last read.
+const UPD_RT: &[Kernel] = &[
+    Xpay(regs::NEG_OMEGA, R, Q, Ar),
+    AxpySourcesFirst(&[(regs::ALPHA_OMEGA, R, As)]),
+    Xpay(regs::NEG_OMEGA, Q, S, As),
+];
+
+const SINGLE_PHASES: &[Row] = &[
+    // With the previous iteration's ω and β.
+    (Slot::UpdP, "upd_p", &UPD_P),
+    // s := v + β t  (t lives in q's storage).
+    (Slot::UpdS, "upd_s", &[Xpay(regs::BETA, S, Ar, Q)]),
+    (Slot::Dots14, "fused_dots", DOTS14),
+    (Slot::UpdXq, "upd_xq", &[UPD_Q, UPD_X]),
+    (Slot::UpdRt, "upd_rt", UPD_RT),
+    // Into lane 0, for the residual-norm round.
+    (Slot::DotRr, "dot_rr", &[lane(0, R, R)]),
+];
+
 /// The ensemble's single-reduction BiCGStab ([`crate::multi`]): the same
 /// trajectory re-derived so that all fourteen scalar products of an
 /// iteration are taken *before* α and ω are known and reduced in one
 /// round, from which the host derives every scalar. Nothing to seed — ρ
 /// is re-derived from the lanes every iteration, and with the reply
-/// registers preset to zero the first `UpdP` computes `p := r`.
+/// registers preset to zero the first `UpdP` computes `p := r`. The
+/// payload and reply blocks land at the same address on every tile (the
+/// chains stream them blind).
 pub static BICGSTAB_SINGLE: Recurrence = Recurrence {
-    init: |v| (vec![v.r, v.r0], vec![v.s, v.v, v.zv, v.p, v.q, v.x]),
+    storage: &[
+        (R, Padded),
+        (S, Padded),
+        (Ar, Vector),
+        (As, Vector),
+        (P, Vector),
+        (Q, Vector),
+        (R0, Vector),
+        (X, Vector),
+        (Pay, Lanes(PAY_LANES)),
+        (Reply, Lanes(BC_REGS.len() as u32)),
+    ],
+    spmvs: &[(Slot::SpmvRv, R, Ar), (Slot::SpmvSzv, S, As)],
+    phases: SINGLE_PHASES,
+    dot_acc: regs::DOT_ACC,
+    from_b: &[R, R0],
+    zeroed: &[S, Ar, As, P, Q, X],
     presets: (&BC_REGS, 0.0),
     seed: &[],
     first: None,
     iter: &[
-        // Window A: p := r + β (p − ω s) beside v := A r. The p-update is
-        // independent of the SpMV (it touches p/s, the SpMV reads r and
-        // writes v); its cycles land in the `spmv` bucket.
+        // Window A: the p-update beside v := A r. It is independent of the
+        // SpMV (it touches p/s, the SpMV reads r and writes v); its cycles
+        // land in the `spmv` bucket.
         Step::Spmv { slot: Slot::SpmvRv, with: Some(Slot::UpdP) },
-        // s := v + β t  (≡ A p by the recurrence t = s_prev − ω·zv_prev).
+        // s  (≡ A p by the recurrence t = s_prev − ω·zv_prev).
         run(Update, Slot::UpdS),
         // Window B: zv := A s.
         spmv(Slot::SpmvSzv),
         run(Dot, Slot::Dots14),
         Reduce,
-        // q := r − α s;  x += α p + ω q;  r := q − ω v + αω zv;  t := s − ω zv.
         run(Update, Slot::UpdXq),
         run(Update, Slot::UpdRt),
     ],
@@ -646,7 +1019,7 @@ pub struct Program {
     layout: Layout,
     origin: (usize, usize),
     /// Per-tile tasks and vectors, region-relative `y * w + x` order.
-    tiles: Vec<(Tasks, Vecs)>,
+    tiles: Vec<(Tasks, Addrs)>,
     /// Cycle budget of one [`Step::Run`] (only a stall ever reaches it).
     pub(crate) phase_budget: u64,
     /// Iterations since `load_rhs`: picks the recurrence's first-iteration
@@ -655,14 +1028,28 @@ pub struct Program {
 }
 
 impl Program {
+    /// # Panics
+    /// Panics if a tile leaves unset a slot the step tables name — at build
+    /// time, by name, not as an out-of-range task activation mid-solve.
     pub(crate) fn new(
         recurrence: &'static Recurrence,
         layout: Layout,
         origin: (usize, usize),
-        tiles: Vec<(Tasks, Vecs)>,
-        phase_budget: u64,
+        tiles: Vec<(Tasks, Addrs)>,
     ) -> Program {
-        Program { recurrence, layout, origin, tiles, phase_budget, iteration: Cell::new(0) }
+        let (w, h) = layout.dims();
+        let phase_budget = match layout {
+            Layout::ZColumn(m) => 200 * m.z as u64 + 200 * (w + h) as u64 + 50_000,
+            Layout::Block { block, .. } => 2_000 * block.points() as u64 + 100_000,
+        };
+        let program =
+            Program { recurrence, layout, origin, tiles, phase_budget, iteration: Cell::new(0) };
+        for (x, y, tasks, _) in program.tiles() {
+            if let Some(slot) = recurrence.slots().find(|&slot| tasks[slot] == TaskId::MAX) {
+                panic!("tile ({x}, {y}) has no task for {slot:?}, which the recurrence names");
+            }
+        }
+        program
     }
 
     /// A handle for the **same program** resident at another origin — used
@@ -676,11 +1063,11 @@ impl Program {
     /// SRAM address of region tile `(x, y)`'s slice of the iterate (fault
     /// targeting and inspection).
     pub fn x_addr(&self, x: usize, y: usize) -> u32 {
-        self.tiles[y * self.layout.dims().0 + x].1.x
+        self.tiles[y * self.layout.dims().0 + x].1[X as usize]
     }
 
     /// Every tile's fabric coordinates, tasks and vectors, row-major.
-    pub(crate) fn tiles(&self) -> impl Iterator<Item = (usize, usize, &Tasks, &Vecs)> {
+    pub(crate) fn tiles(&self) -> impl Iterator<Item = (usize, usize, &Tasks, &Addrs)> {
         let (w, _) = self.layout.dims();
         let (ox, oy) = self.origin;
         self.tiles.iter().enumerate().map(move |(i, (t, v))| (ox + i % w, oy + i / w, t, v))
@@ -743,14 +1130,13 @@ impl Program {
         let zero = vec![F16::ZERO; n];
         let (ox, oy) = self.origin;
         let (regs, value) = self.recurrence.presets;
-        for (x, y, _, vecs) in self.tiles() {
+        for (x, y, _, at) in self.tiles() {
             let local: Vec<F16> = (0..n).map(|k| b[self.layout.row(x - ox, y - oy, k)]).collect();
-            let (from_b, zeroed) = (self.recurrence.init)(vecs);
-            for addr in from_b {
-                exec.store_f16(x, y, addr, &local);
+            for &v in self.recurrence.from_b {
+                exec.store_f16(x, y, at[v as usize], &local);
             }
-            for addr in zeroed {
-                exec.store_f16(x, y, addr, &zero);
+            for &v in self.recurrence.zeroed {
+                exec.store_f16(x, y, at[v as usize], &zero);
             }
             for &reg in regs {
                 exec.set_reg(x, y, reg, value);
@@ -792,8 +1178,8 @@ impl Program {
         let n = self.layout.local_len();
         let mut out = vec![F16::ZERO; self.tiles.len() * n];
         let (ox, oy) = self.origin;
-        for (x, y, _, vecs) in self.tiles() {
-            for (k, v) in exec.load_f16(x, y, vecs.x, n).into_iter().enumerate() {
+        for (x, y, _, at) in self.tiles() {
+            for (k, v) in exec.load_f16(x, y, at[X as usize], n).into_iter().enumerate() {
                 out[self.layout.row(x - ox, y - oy, k)] = v;
             }
         }
@@ -938,7 +1324,7 @@ impl<E: WaferExec> Krylov<E> for Program {
                 let n = self.layout.local_len();
                 let r: Vec<F16> = self
                     .tiles()
-                    .flat_map(|(x, y, _, vecs)| exec.load_f16(x, y, vecs.r, n))
+                    .flat_map(|(x, y, _, at)| exec.load_f16(x, y, at[R as usize], n))
                     .collect();
                 Ok(norm2(&r))
             }
@@ -964,23 +1350,44 @@ mod tests {
     fn every_slot_a_table_names_indexes_inside_tasks() {
         for rec in [&BICGSTAB, &BICGSTAB_FUSED, &BICGSTAB_BLOCK, &BICGSTAB_SINGLE, &CG, &CG_SINGLE]
         {
-            let norm = match rec.norm {
-                Norm::ReadBack => &[],
-                Norm::InReg(steps, _) | Norm::AtHost(steps) => steps,
-            };
-            for step in [rec.seed, rec.first.unwrap_or(&[]), rec.iter, norm].concat() {
-                let slots = match step {
-                    Step::Run { slot, .. } => [Some(slot), None],
-                    Step::Spmv { slot, with } => [Some(slot), with],
-                    Step::Reduce | Step::ReduceToHost => [Some(Slot::Reduce), None],
-                    Step::ReduceBoth => [Some(Slot::ReduceBoth), None],
-                    Step::CopyReg { .. } => [None, None],
-                };
-                for slot in slots.into_iter().flatten() {
-                    assert_eq!(Tasks::new()[slot], TaskId::MAX, "{slot:?} must index inside");
+            for slot in rec.slots() {
+                assert_eq!(Tasks::new()[slot], TaskId::MAX, "{slot:?} must index inside");
+                // ...and something builds it: a phase row, an SpMV instance,
+                // or the builder's reduction.
+                let built = rec.phases.iter().any(|&(row, ..)| row == slot)
+                    || rec.spmvs.iter().any(|&(spmv, ..)| spmv == slot)
+                    || [Slot::Reduce, Slot::Bcast, Slot::ReduceBoth].contains(&slot);
+                assert!(built, "{slot:?} is named by a step table but never built");
+            }
+            // Every vector a row, an SpMV instance or `load_rhs` names is stored.
+            let operands = |kernel: &Kernel| match *kernel {
+                Kernel::Dot(a, b, Sum::Lane(j)) => {
+                    assert!(j < PAY_LANES, "lane {j} is past the payload");
+                    vec![a, b, Pay]
                 }
+                Kernel::Dot(a, b, _) | Axpy(_, a, b) => vec![a, b],
+                Xpay(_, dst, a, b) => vec![dst, a, b],
+                AxpySourcesFirst(each) => each.iter().flat_map(|e| [e.1, e.2]).collect(),
+                Arith(..) | Kernel::Set(..) => vec![],
+            };
+            let in_rows = rec.phases.iter().flat_map(|row| row.2).flat_map(operands);
+            let in_spmvs = rec.spmvs.iter().flat_map(|&(_, source, product)| [source, product]);
+            for v in in_rows.chain(in_spmvs).chain([rec.from_b, rec.zeroed].concat()) {
+                assert!(rec.storage.iter().any(|&(stored, _)| stored == v), "{v:?} has no storage");
+            }
+            for &(_, source, _) in rec.spmvs {
+                let padded = |&(v, store): &(V, Store)| v == source && matches!(store, Padded);
+                assert!(rec.storage.iter().any(padded), "SpMV source {source:?} must be padded");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "tile (1, 0) has no task for DotRho")]
+    fn a_named_slot_left_unset_fails_at_build_time() {
+        let mapping = Mapping3D::new(stencil::mesh::Mesh3D::new(2, 1, 4), 2, 1);
+        let tiles = vec![(Tasks([0; Slot::COUNT]), [0; V::COUNT]), (Tasks::new(), [0; V::COUNT])];
+        Program::new(&BICGSTAB, Layout::ZColumn(mapping), (0, 0), tiles);
     }
 
     /// Lanes computed in f64 from random vectors must give back the

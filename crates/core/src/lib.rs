@@ -11,14 +11,14 @@
 //!   exchange, and [`bicgstab2d`] — the full solver on that mapping,
 //! * [`allreduce`] — the row/column scalar AllReduce of Fig. 6 plus
 //!   broadcast,
-//! * [`kernels`] — AXPY/XPAY and local mixed-precision dot phases,
-//! * [`krylov`] — the one solver driver: recurrences as step tables, a
-//!   built solver as a [`krylov::Program`], and the [`Krylov`] trait whose
-//!   `solve` / `solve_with_recovery` every driver shares,
-//! * [`bicgstab`] — program construction for the complete BiCGStab
-//!   iteration on the fabric (with a communication-fused variant),
-//! * [`cg`] — program construction for conjugate gradients, in standard
-//!   and Chronopoulos–Gear single-reduction forms,
+//! * [`kernels`] — the one emitter of AXPY/XPAY, dot and register kernels,
+//! * [`krylov`] — the one solver driver: recurrences as storage, phase and
+//!   step tables, a built solver as a [`krylov::Program`], and the
+//!   [`Krylov`] trait whose `solve` / `solve_with_recovery` all share,
+//! * [`bicgstab`] — the complete BiCGStab iteration on the fabric (with a
+//!   communication-fused variant) and the shared z-column builder,
+//! * [`cg`] — conjugate gradients, in standard and Chronopoulos–Gear
+//!   single-reduction forms,
 //! * [`multi`] — distributed BiCGStab across a multi-wafer ensemble,
 //! * [`recovery`] — shared residual tripwire plus checkpoint/rollback
 //!   recovery so solves survive injected faults (see `wse-arch::fault`).

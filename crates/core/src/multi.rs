@@ -40,8 +40,8 @@
 //!   task, the single reduction, then the trailing updates.
 //!
 //! Every builder produces the same thing: a [`krylov::Program`] over the
-//! global tile grid (one `(Tasks, Vecs)` record per tile, a
-//! [`krylov::Recurrence`] table — [`krylov::BICGSTAB`] or
+//! global tile grid (one `(Tasks, Addrs)` record per tile, allocated and
+//! emitted from a [`krylov::Recurrence`]'s tables — [`krylov::BICGSTAB`] or
 //! [`krylov::BICGSTAB_SINGLE`]), one [`Seam`] record per tile, and one
 //! [`WaferReduce`] per wafer. **One interpreter** walks the table with an
 //! ensemble meaning for two kinds of step: an SpMV is a seam window, a
@@ -65,22 +65,22 @@
 //! residual trajectory bit for bit.
 
 use crate::allreduce::{AllReduceSplit, ChainReduce};
-use crate::bicgstab::{alloc_solver_vecs, build_scalar_tasks, regs};
+use crate::bicgstab::{column_mapping, regs};
 use crate::exec::WaferExec;
-use crate::kernels::xpay_stmts;
+use crate::kernels::{alloc, TileMap};
 use crate::krylov::{
-    self, IterCycles, Krylov, Layout, Norm, Program, Slot, SolveStats, Step, Tasks, Vecs, BC_REGS,
+    self, IterCycles, Krylov, Layout, Norm, Program, Slot, SolveStats, Step, Tasks, BC_REGS,
+    PAY_LANES, V,
 };
 use crate::recovery::{self, RecoveryLog, RecoveryPolicy};
 use crate::spmv3d::{
     build_overlap_halo, build_spmv_tile_halo, build_spmv_tile_overlapped, load_coefficients,
-    tile_coefficients, HaloBuffers, OverlapHalo, SpmvLayout,
+    tile_coefficients, HaloBuffers, OverlapHalo,
 };
 use crate::WaferBicgstab;
 use std::cell::Cell;
 use stencil::decomp::Mapping3D;
 use stencil::dia::DiaMatrix;
-use stencil::precond::has_unit_diagonal;
 use wse_arch::dsr::mk;
 use wse_arch::fabric::StallReport;
 use wse_arch::instr::{Op, Stmt, Task, TensorInstr};
@@ -96,9 +96,6 @@ use wse_multi::MultiFabric;
 pub const HALO_EAST: Color = wse_dsl::colors::SEAM_EAST;
 /// Virtual channel carrying halo planes westward across wafer seams.
 pub const HALO_WEST: Color = wse_dsl::colors::SEAM_WEST;
-
-/// Number of fp32 dot-product lanes in the fused iteration's payload.
-const PAY_LANES: u32 = 14;
 
 /// One tile's seam communication program, per SpMV window of the
 /// iteration (window 0 is the first SpMV's, window 1 the second's). Which
@@ -278,9 +275,7 @@ impl WaferBicgstabMulti {
     /// ensemble grid, then programs each wafer's tessellation routes and
     /// its seam halo channels (edge declarations plus ramp routes).
     fn prepare_shards(multi: &mut MultiFabric, a: &DiaMatrix<F16>) -> Mapping3D {
-        assert!(has_unit_diagonal(a), "matrix must be diagonally preconditioned");
-        assert_eq!(a.offsets().len(), 7, "7-point stencil required");
-        let mapping = Mapping3D::new(a.mesh(), multi.global_width(), multi.height());
+        let mapping = column_mapping(a, multi.global_width(), multi.height());
         assert_eq!(
             (mapping.fabric_w, mapping.fabric_h),
             (multi.global_width(), multi.height()),
@@ -334,13 +329,9 @@ impl WaferBicgstabMulti {
             }
         }
 
-        // Per-tile programs, addressed by global coordinates. The fused
-        // payload/reply blocks must land at the same address on every
-        // tile (the chain streams them blind), so the layout is allocated
-        // identically everywhere and asserted.
+        // Per-tile programs, addressed by global coordinates.
         let mut tiles = Vec::with_capacity(gw * h);
         let mut seams = Vec::with_capacity(gw * h);
-        let mut chain_addrs: Option<(u32, u32)> = None;
         for y in 0..h {
             for gx in 0..gw {
                 let (m, lx) = multi.to_local(gx);
@@ -349,23 +340,10 @@ impl WaferBicgstabMulti {
                 let west_seam = lx == 0 && gx > 0;
                 let tile = multi.shard_mut(m).tile_mut(lx, y);
 
-                // SRAM: the six diagonals, the two padded SpMV sources,
-                // their products, then the recurrence's other vectors.
-                let (diag, pads, outs, local) = if fused {
-                    let (diag, at, bc_src) = alloc_fused_vecs(tile, z);
-                    let got = *chain_addrs.get_or_insert((at.pay, bc_src));
-                    assert_eq!(got, (at.pay, bc_src), "payload/reply address must be uniform");
-                    (diag, [at.r - 2, at.s - 2], [at.v, at.zv], TileLayout::Fused(at))
-                } else {
-                    let (diag, v) = alloc_solver_vecs(tile, z);
-                    (diag, [v.p_pad, v.q_pad], [v.s, v.y], TileLayout::Classic(v))
-                };
-                let lay = [0, 1].map(|i| SpmvLayout { z, diag, vpad: pads[i], u: outs[i] });
+                let (diag, at) = recurrence.alloc_column(tile, (gx, y), z);
+                // Both ensemble recurrences have two SpMVs: window 0 and 1.
+                let lay = [0, 1].map(|i| recurrence.spmv_layout(i, z, diag, &at));
                 load_coefficients(tile, &lay[0], &tile_coefficients(a, gx, y));
-                for pad in pads {
-                    tile.mem.write_f16(pad, F16::ZERO);
-                    tile.mem.write_f16(pad + 2 * (z + 1), F16::ZERO);
-                }
 
                 let (spmv, seam) = if !(east_seam || west_seam) {
                     // Interior tile: no seam machinery, byte-identical
@@ -375,7 +353,7 @@ impl WaferBicgstabMulti {
                     (spmv, Seam::None)
                 } else {
                     // A slab is ≥ 2 wide, so a tile sits on at most one seam.
-                    let buf = tile.mem.alloc_vec(z, Dtype::F16).expect("SRAM: halo buffer");
+                    let buf = alloc(tile, (gx, y), "halo buffer", z, Dtype::F16);
                     let (send, recv, coeff) = if east_seam {
                         (HALO_EAST, HALO_WEST, diag[0])
                     } else {
@@ -387,10 +365,10 @@ impl WaferBicgstabMulti {
                         let halo = [0, 1].map(|i| {
                             build_overlap_halo(
                                 tile,
-                                pads[i] + 2,
+                                lay[i].v_live(),
                                 buf,
                                 coeff,
-                                outs[i],
+                                lay[i].u,
                                 send,
                                 recv,
                                 z,
@@ -408,38 +386,30 @@ impl WaferBicgstabMulti {
                         };
                         let spmv =
                             lay.map(|l| build_spmv_tile_halo(tile, lx, y, lw, h, l, bufs, None));
-                        let halo = [("halo-p", pads[0]), ("halo-q", pads[1])].map(|(name, pad)| {
-                            build_halo_task(tile, name, pad + 2, buf, send, recv, z)
+                        let halo = [("halo-p", lay[0]), ("halo-q", lay[1])].map(|(name, l)| {
+                            build_halo_task(tile, name, l.v_live(), buf, send, recv, z)
                         });
                         (spmv, Seam::Serial(halo))
                     }
                 };
-                let (mut tasks, vecs, slots) = match local {
-                    TileLayout::Classic(v) => (
-                        build_scalar_tasks(&mut tile.core, &v, z),
-                        Vecs { x: v.x, r: v.r, r0: v.r0, p: v.p_pad + 2, ..Vecs::default() },
-                        [Slot::SpmvPs, Slot::SpmvQy],
-                    ),
-                    TileLayout::Fused(at) => {
-                        let FusedAddrs { r, s, v, zv, p, q, r0, x, .. } = at;
-                        (
-                            build_fused_tasks(&mut tile.core, &at, z),
-                            Vecs { x, r, r0, p, q, s, v, zv },
-                            [Slot::SpmvRv, Slot::SpmvSzv],
-                        )
-                    }
-                };
-                tasks[slots[0]] = spmv[0].start;
-                tasks[slots[1]] = spmv[1].start;
-                tiles.push((tasks, vecs));
+                let mut tasks = Tasks::new();
+                for (spmv, &(slot, ..)) in spmv.iter().zip(recurrence.spmvs) {
+                    tasks[slot] = spmv.start;
+                }
+                recurrence.emit(&mut tile.core, &TileMap::column(at, z), &mut tasks);
+                tiles.push((tasks, at));
                 seams.push(seam);
             }
         }
 
         // The on-wafer vector AllReduce, one instance per shard, goes in
-        // after the tiles: it references the uniform payload/reply
-        // addresses.
-        if let Some((pay, bc_src)) = chain_addrs {
+        // after the tiles. The chains stream the payload/reply blocks blind:
+        // they must sit at one address on every tile, as one storage table
+        // allocates them.
+        if fused {
+            let blocks = |at: &krylov::Addrs| (at[V::Pay as usize], at[V::Reply as usize]);
+            let (pay, bc_src) = blocks(&tiles[0].1);
+            assert!(tiles.iter().all(|(_, at)| blocks(at) == (pay, bc_src)), "uniform payload");
             for m in 0..k {
                 let (lw, shard) = (multi.slab(m).len(), multi.shard_mut(m));
                 let chain = ChainReduce::build(shard, lw, h, pay, PAY_LANES, bc_src, &BC_REGS);
@@ -461,9 +431,8 @@ impl WaferBicgstabMulti {
         let levels = (k as f64).log2().ceil() as u64;
         let link = multi.link();
         let xfer = if fused { transfer_cycles(&link, (PAY_LANES * 4) as f64) } else { 0 };
-        let budget = 200 * mapping.z as u64 + 200 * (gw + h) as u64 + 50_000;
         WaferBicgstabMulti {
-            program: Program::new(recurrence, Layout::ZColumn(mapping), (0, 0), tiles, budget),
+            program: Program::new(recurrence, Layout::ZColumn(mapping), (0, 0), tiles),
             seams,
             reductions,
             seam_budget: 16 * z as u64 + 2 * link.latency_cycles + 200 * h as u64 + 50_000,
@@ -607,7 +576,11 @@ impl WaferBicgstabMulti {
             return Ok(());
         }
         let mut calibrated = [false; 2];
-        for (window, (slot, with)) in self.program.recurrence.spmv_windows().enumerate() {
+        let windows = self.program.recurrence.iter.iter().filter_map(|step| match *step {
+            Step::Spmv { slot, with } => Some((slot, with)),
+            _ => None,
+        });
+        for (window, (slot, with)) in windows.enumerate() {
             if std::mem::replace(&mut calibrated[with.is_some() as usize], true) {
                 continue;
             }
@@ -868,174 +841,6 @@ fn binomial_combine(mut partials: Vec<f32>) -> f32 {
 /// bandwidth divides to none).
 fn transfer_cycles(link: &wse_multi::HostLink, bytes: f64) -> u64 {
     (bytes / link.bytes_per_cycle).ceil() as u64
-}
-
-/// One tile's recurrence-specific SRAM layout.
-enum TileLayout {
-    /// [`krylov::BICGSTAB`]: the single-wafer solver's vectors.
-    Classic(crate::bicgstab::TileVecs),
-    /// [`krylov::BICGSTAB_SINGLE`].
-    Fused(FusedAddrs),
-}
-
-/// Byte addresses of one fused tile's vectors (live parts) and payload.
-struct FusedAddrs {
-    /// SpMV source for `v := A r`; padded, so the block starts at `r − 2`.
-    r: u32,
-    /// SpMV source for `zv := A s`; padded like `r`.
-    s: u32,
-    v: u32,
-    zv: u32,
-    p: u32,
-    /// Scratch `q = r − α s`; its storage doubles as the recurrence
-    /// carrier `t = s − ω·zv` (q's last read in `upd_rt` precedes t's
-    /// write there, and t's last read in `upd_s` precedes q's write in
-    /// `upd_xq` — the lifetimes never overlap).
-    q: u32,
-    r0: u32,
-    x: u32,
-    /// The 14-lane fp32 dot payload.
-    pay: u32,
-}
-
-/// Allocates one fused tile's SRAM: six coefficient diagonals, the
-/// iteration vectors, the dot payload, and the 7-word fp32 host reply
-/// (whose address is returned last).
-///
-/// # Panics
-/// Panics if the tile runs out of SRAM.
-fn alloc_fused_vecs(tile: &mut wse_arch::Tile, z: u32) -> ([u32; 6], FusedAddrs, u32) {
-    let mut diag = [0u32; 6];
-    for d in &mut diag {
-        *d = tile.mem.alloc_vec(z, Dtype::F16).expect("SRAM: diagonals");
-    }
-    let at = FusedAddrs {
-        r: tile.mem.alloc_vec(z + 2, Dtype::F16).expect("SRAM: r") + 2,
-        s: tile.mem.alloc_vec(z + 2, Dtype::F16).expect("SRAM: s") + 2,
-        v: tile.mem.alloc_vec(z, Dtype::F16).expect("SRAM: v"),
-        zv: tile.mem.alloc_vec(z, Dtype::F16).expect("SRAM: zv"),
-        p: tile.mem.alloc_vec(z, Dtype::F16).expect("SRAM: p"),
-        q: tile.mem.alloc_vec(z, Dtype::F16).expect("SRAM: q"),
-        r0: tile.mem.alloc_vec(z, Dtype::F16).expect("SRAM: r0"),
-        x: tile.mem.alloc_vec(z, Dtype::F16).expect("SRAM: x"),
-        pay: tile.mem.alloc_vec(PAY_LANES, Dtype::F32).expect("SRAM: dot payload"),
-    };
-    let bc_src = tile.mem.alloc_vec(BC_REGS.len() as u32, Dtype::F32).expect("SRAM: reply");
-    (diag, at, bc_src)
-}
-
-/// Statements computing the local dot `Σ a·b` (fp16 MAC, fp32 accumulate)
-/// and storing it to the fp32 payload lane at byte address `lane`.
-fn fused_dot_stmts(core: &mut wse_arch::Core, a: u32, b: u32, lane: u32, z: u32) -> Vec<Stmt> {
-    let da = core.add_dsr(mk::tensor16(a, z));
-    let db = core.add_dsr(mk::tensor16(b, z));
-    let dp = core.add_dsr(mk::tensor32(lane, 1));
-    vec![
-        Stmt::SetReg { reg: regs::DOT_ACC, value: 0.0 },
-        Stmt::Exec(TensorInstr {
-            op: Op::MacReg { acc: regs::DOT_ACC },
-            dst: None,
-            a: Some(da),
-            b: Some(db),
-        }),
-        Stmt::Exec(TensorInstr {
-            op: Op::StoreReg { reg: regs::DOT_ACC },
-            dst: Some(dp),
-            a: None,
-            b: None,
-        }),
-    ]
-}
-
-/// Builds one tile's core-local tasks of the fused single-reduction
-/// iteration: the two register-driven vector-update pairs, the fourteen
-/// batched dots, and the residual-only dot. Every task is a host-activated
-/// entry point; the caller adds the SpMV slots.
-fn build_fused_tasks(core: &mut wse_arch::Core, at: &FusedAddrs, z: u32) -> Tasks {
-    let mut tasks = Tasks::new();
-    // p := p − ω_prev s;  p := r + β_prev p.
-    tasks[Slot::UpdP] = {
-        let mut body = xpay_stmts(core, regs::NEG_OMEGA, at.p, at.p, at.s, z);
-        body.extend(xpay_stmts(core, regs::BETA, at.p, at.r, at.p, z));
-        core.add_task(Task::new("upd_p", body))
-    };
-    // s := v + β_prev t   (t lives in q's storage).
-    tasks[Slot::UpdS] = {
-        let body = xpay_stmts(core, regs::BETA, at.s, at.v, at.q, z);
-        core.add_task(Task::new("upd_s", body))
-    };
-    // The fourteen dots of the iteration. Lane order is the host-side
-    // contract in `krylov::single_reduction_scalars`:
-    //   g0 (r̂₀,r)  g1 (r̂₀,s)  g2 (r̂₀,v)  g3 (r̂₀,zv)
-    //   g4 (r,v)   g5 (r,zv)  g6 (s,v)   g7 (s,zv)
-    //   g8 (v,v)   g9 (v,zv)  g10 (zv,zv)
-    //   g11 (r,r)  g12 (r,s)  g13 (s,s)
-    tasks[Slot::Dots14] = {
-        let pairs: [(u32, u32); PAY_LANES as usize] = [
-            (at.r0, at.r),
-            (at.r0, at.s),
-            (at.r0, at.v),
-            (at.r0, at.zv),
-            (at.r, at.v),
-            (at.r, at.zv),
-            (at.s, at.v),
-            (at.s, at.zv),
-            (at.v, at.v),
-            (at.v, at.zv),
-            (at.zv, at.zv),
-            (at.r, at.r),
-            (at.r, at.s),
-            (at.s, at.s),
-        ];
-        let mut body = Vec::new();
-        for (j, &(a, b)) in pairs.iter().enumerate() {
-            body.extend(fused_dot_stmts(core, a, b, at.pay + 4 * j as u32, z));
-        }
-        core.add_task(Task::new("fused_dots", body))
-    };
-    // q := r − α s;  x += α p;  x += ω q.
-    tasks[Slot::UpdXq] = {
-        let mut body = xpay_stmts(core, regs::NEG_ALPHA, at.q, at.r, at.s, z);
-        let dp = core.add_dsr(mk::tensor16(at.p, z));
-        let dq = core.add_dsr(mk::tensor16(at.q, z));
-        let dx1 = core.add_dsr(mk::tensor16(at.x, z));
-        let dx2 = core.add_dsr(mk::tensor16(at.x, z));
-        body.push(Stmt::Exec(TensorInstr {
-            op: Op::Axpy { scalar: regs::ALPHA },
-            dst: Some(dx1),
-            a: Some(dp),
-            b: None,
-        }));
-        body.push(Stmt::Exec(TensorInstr {
-            op: Op::Axpy { scalar: regs::OMEGA },
-            dst: Some(dx2),
-            a: Some(dq),
-            b: None,
-        }));
-        core.add_task(Task::new("upd_xq", body))
-    };
-    // r := q − ω v;  r += αω zv  (⟹ r = q − ω y);  t := s − ω zv.
-    // q's storage is rewritten as t only after its last read.
-    tasks[Slot::UpdRt] = {
-        let mut body = xpay_stmts(core, regs::NEG_OMEGA, at.r, at.q, at.v, z);
-        let dzv = core.add_dsr(mk::tensor16(at.zv, z));
-        let dr = core.add_dsr(mk::tensor16(at.r, z));
-        body.push(Stmt::Exec(TensorInstr {
-            op: Op::Axpy { scalar: regs::ALPHA_OMEGA },
-            dst: Some(dr),
-            a: Some(dzv),
-            b: None,
-        }));
-        body.extend(xpay_stmts(core, regs::NEG_OMEGA, at.q, at.s, at.zv, z));
-        core.add_task(Task::new("upd_rt", body))
-    };
-    // (r, r) into payload lane 0, for the residual-norm round.
-    tasks[Slot::DotRr] = {
-        let body = fused_dot_stmts(core, at.r, at.r, at.pay, z);
-        core.add_task(Task::new("dot_rr", body))
-    };
-    tasks.mark_entries(core);
-    tasks
 }
 
 /// Convenience for the bit-exact **transparent** mode: builds the

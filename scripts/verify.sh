@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Full verification, a superset of tier-1 (ROADMAP.md: `cargo build
-# --release && cargo test -q`, the root package only): the release build,
+# --release && cargo test -q`, which the root manifest's `default-members`
+# scopes to the root package and `wse-core`; the other thirteen crates' suites
+# only run here): the release build,
 # the whole workspace's tests, clippy and rustfmt, the wse-lint static
 # verifier over every shipped kernel configuration (once more with
 # --stats) and broken fixture,
