@@ -47,10 +47,11 @@
 //! ensemble meaning for two kinds of step: an SpMV is a seam window, a
 //! reduction is hierarchical. Scatter and gather are the `Program`'s own.
 //!
-//! Compute phases run **concurrently, one thread per wafer**
-//! ([`MultiFabric::run_each`]); the ensemble synchronizes only at the
-//! merged windows and the reduction, mirroring how a real host runtime
-//! would drive k machines. [`build_serial`][WaferBicgstabMulti::build_serial]
+//! Compute phases run **each wafer independently on its own clock**
+//! ([`MultiFabric::run_each`], ensemble time being the slowest wafer's);
+//! the ensemble synchronizes only at the merged windows and the reduction,
+//! mirroring how a real host runtime would drive k machines.
+//! [`build_serial`][WaferBicgstabMulti::build_serial]
 //! retains the blocking schedule (trace phase `"halo"`, four scalar
 //! round-trips) as the measured baseline the overlapped gates compare
 //! against.
@@ -448,9 +449,9 @@ impl WaferBicgstabMulti {
         self.program.tiles().zip(&self.seams).map(|((x, y, tasks, _), seam)| (x, y, tasks, seam))
     }
 
-    /// Runs all wafers **independently to quiescence**, one thread per
-    /// wafer, as trace phase `name` (nothing activated may touch a seam).
-    /// Returns max per-wafer cycles.
+    /// Runs all wafers **independently to quiescence** as trace phase
+    /// `name` (nothing activated may touch a seam). Returns max per-wafer
+    /// cycles.
     fn try_run_each(
         &self,
         multi: &mut MultiFabric,

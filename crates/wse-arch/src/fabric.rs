@@ -23,17 +23,10 @@ use crate::router::{Router, StagedFlit};
 use crate::sanitize::{SanitizerReport, TileSanitizer};
 use crate::trace::{FabricTrace, PerfWindow, PhaseSpan, TileTrace, TraceConfig};
 use crate::types::{Color, Flit, Port, NUM_COLORS, PORT_BYTES_PER_CYCLE};
-use rayon::prelude::*;
 use std::collections::HashMap;
 
 /// The four cardinal ports, in [`Port::ALL`] order (no ramp).
 const CARDINAL: [Port; 4] = [Port::North, Port::South, Port::East, Port::West];
-
-/// Active-tile count above which the per-phase loops switch from the serial
-/// sparse path to rayon parallelism. Below this, fork/join overhead
-/// dominates; above it, phases 1–4 scale across cores. Ensemble runners
-/// apply the same threshold to their total tile count.
-pub const PAR_TILE_THRESHOLD: usize = 512;
 
 /// One tile: processor core, private SRAM, and router.
 #[derive(Clone, Debug, Default)]
@@ -1094,35 +1087,20 @@ impl Fabric {
         let cycle = self.cycle;
 
         // Phases 1+2: active cores execute and inject (independent per
-        // tile; parallel when the active set is large). Killed tiles
-        // freeze: their cores stop stepping entirely. Skipped tiles are
-        // provably quiescent; their idle accrues as deferred debt.
+        // tile). Killed tiles freeze: their cores stop stepping entirely.
+        // Skipped tiles are provably quiescent; their idle accrues as
+        // deferred debt.
         let stepped: u64 = {
-            let Fabric { tiles, accounted, active, active_list, faults, .. } = &mut *self;
+            let Fabric { tiles, accounted, active_list, faults, .. } = &mut *self;
             let dead: Option<&[bool]> = faults.as_deref().map(|f| f.dead.as_slice());
-            if active_list.len() < PAR_TILE_THRESHOLD {
-                let mut delta = 0u64;
-                for &i in active_list.iter() {
-                    if dead.is_some_and(|d| d[i]) {
-                        continue;
-                    }
-                    delta += step_and_drain(&mut tiles[i], &mut accounted[i], cycle);
+            let mut delta = 0u64;
+            for &i in active_list.iter() {
+                if dead.is_some_and(|d| d[i]) {
+                    continue;
                 }
-                delta
-            } else {
-                let active: &[bool] = active;
-                tiles
-                    .par_iter_mut()
-                    .zip(accounted.par_iter_mut())
-                    .enumerate()
-                    .map(|(i, (t, acc))| {
-                        if !active[i] || dead.is_some_and(|d| d[i]) {
-                            return 0;
-                        }
-                        step_and_drain(t, acc, cycle)
-                    })
-                    .sum()
+                delta += step_and_drain(&mut tiles[i], &mut accounted[i], cycle);
             }
+            delta
         };
 
         // Phase 3: routers with queued flits stage against their credits
@@ -1155,24 +1133,12 @@ impl Fabric {
                     u8::try_from(room).unwrap_or(u8::MAX),
                 );
             }
-            let stage = |t: &mut Tile, buf: &mut Vec<StagedFlit>| {
-                t.router.stage_into(t.core.ramp_in_queues(), buf) as u64
-            };
-            if stagers.len() < PAR_TILE_THRESHOLD {
-                stagers.iter().map(|&si| stage(&mut tiles[si], &mut staged[si])).sum()
-            } else {
-                tiles
-                    .par_iter_mut()
-                    .zip(staged.par_iter_mut())
-                    .enumerate()
-                    .map(|(i, (t, buf))| {
-                        if dead.is_some_and(|d| d[i]) || t.router.queued() == 0 {
-                            return 0u64;
-                        }
-                        stage(t, buf)
-                    })
-                    .sum()
+            let mut forwarded = 0u64;
+            for &si in stagers.iter() {
+                let t = &mut tiles[si];
+                forwarded += t.router.stage_into(t.core.ramp_in_queues(), &mut staged[si]) as u64;
             }
+            forwarded
         };
         self.progress += stepped + forwarded;
 
@@ -1231,107 +1197,45 @@ impl Fabric {
                     }
                 }
             }
-            if stagers.len() < PAR_TILE_THRESHOLD {
-                // Sparse: push each stager's flits to their destinations.
-                // Each (dest, in-port, color) queue has exactly one source
-                // tile, so cross-tile delivery order is immaterial.
-                for &si in stagers.iter() {
-                    let mut k = 0;
-                    while k < staged[si].len() {
-                        let s = staged[si][k];
-                        k += 1;
-                        if let Some((ui, out)) = links.upstream(si, s.freed) {
-                            tiles[ui].router.return_credit(out, s.color);
-                        }
-                        let di = match s.out {
-                            Port::Ramp => {
-                                tiles[si].core.deliver(s.color, s.flit);
-                                Some(si)
-                            }
-                            out => match links.toward(si, out) {
-                                Some(ni) => {
-                                    tiles[ni].router.enqueue(
-                                        out.opposite().unwrap(),
-                                        s.color,
-                                        s.flit,
-                                    );
-                                    Some(ni)
-                                }
-                                None => {
-                                    // Accepted off-wafer: land in the
-                                    // declared channel's egress queue
-                                    // (no on-wafer destination to wake).
-                                    let e = edge_index[&(si, out, s.color)];
-                                    edge_ports[e].queue.push(s.flit);
-                                    None
-                                }
-                            },
-                        };
-                        if let Some(di) = di {
-                            if !dest_flag[di] {
-                                dest_flag[di] = true;
-                                dest_list.push(di);
-                            }
-                        }
+            // Push each stager's flits to their destinations. Each (dest,
+            // in-port, color) queue has exactly one source tile, so
+            // cross-tile delivery order is immaterial.
+            for &si in stagers.iter() {
+                let mut k = 0;
+                while k < staged[si].len() {
+                    let s = staged[si][k];
+                    k += 1;
+                    if let Some((ui, out)) = links.upstream(si, s.freed) {
+                        tiles[ui].router.return_credit(out, s.color);
                     }
-                    staged[si].clear();
-                }
-            } else {
-                // Dense: every destination pulls its arrivals and its
-                // returned credits from its neighbors' staged buffers in
-                // parallel. No two threads touch the same router, and each
-                // (in-port, color) queue is filled from a single source
-                // buffer in staged order — bit-identical to the serial push.
-                for &si in stagers.iter() {
-                    for s in staged[si].iter() {
-                        let di = match s.out {
-                            Port::Ramp => si,
-                            out => match links.toward(si, out) {
-                                Some(ni) => ni,
-                                None => {
-                                    // Off-wafer egress lands here, in this
-                                    // serial pre-pass: the parallel pull
-                                    // below only visits on-wafer pairs, so
-                                    // edge flits would otherwise be lost.
-                                    let e = edge_index[&(si, out, s.color)];
-                                    edge_ports[e].queue.push(s.flit);
-                                    continue;
-                                }
-                            },
-                        };
+                    let di = match s.out {
+                        Port::Ramp => {
+                            tiles[si].core.deliver(s.color, s.flit);
+                            Some(si)
+                        }
+                        out => match links.toward(si, out) {
+                            Some(ni) => {
+                                tiles[ni].router.enqueue(out.opposite().unwrap(), s.color, s.flit);
+                                Some(ni)
+                            }
+                            None => {
+                                // Accepted off-wafer: land in the
+                                // declared channel's egress queue
+                                // (no on-wafer destination to wake).
+                                let e = edge_index[&(si, out, s.color)];
+                                edge_ports[e].queue.push(s.flit);
+                                None
+                            }
+                        },
+                    };
+                    if let Some(di) = di {
                         if !dest_flag[di] {
                             dest_flag[di] = true;
                             dest_list.push(di);
                         }
                     }
                 }
-                let staged_ref: &[Vec<StagedFlit>] = staged;
-                tiles.par_iter_mut().enumerate().for_each(|(di, t)| {
-                    for q in CARDINAL {
-                        let Some(ni) = links.toward(di, q) else { continue };
-                        let from = &staged_ref[ni];
-                        if from.is_empty() {
-                            continue;
-                        }
-                        let back = q.opposite().unwrap();
-                        for s in from {
-                            if s.out == back {
-                                t.router.enqueue(q, s.color, s.flit);
-                            }
-                            if s.freed == Some(back) {
-                                t.router.return_credit(q, s.color);
-                            }
-                        }
-                    }
-                    for s in &staged_ref[di] {
-                        if s.out == Port::Ramp {
-                            t.core.deliver(s.color, s.flit);
-                        }
-                    }
-                });
-                for &si in stagers.iter() {
-                    staged[si].clear();
-                }
+                staged[si].clear();
             }
         }
         // Every delivery destination has queued work next cycle: wake it.
@@ -1407,20 +1311,14 @@ impl Fabric {
         let p0 = self.perf();
         let dead: Option<&[bool]> = self.faults.as_deref().map(|f| f.dead.as_slice());
 
-        // Phase 1: cores execute (independent per tile — parallel). Killed
-        // tiles freeze: their cores stop stepping entirely.
-        match dead {
-            None => self.tiles.par_iter_mut().for_each(|t| {
-                let Tile { mem, core, .. } = t;
-                core.step_reference(mem);
-            }),
-            Some(dead) => self.tiles.par_iter_mut().enumerate().for_each(|(i, t)| {
-                if dead[i] {
-                    return;
-                }
-                let Tile { mem, core, .. } = t;
-                core.step_reference(mem);
-            }),
+        // Phase 1: cores execute (independent per tile). Killed tiles
+        // freeze: their cores stop stepping entirely.
+        for (i, t) in self.tiles.iter_mut().enumerate() {
+            if dead.is_some_and(|d| d[i]) {
+                continue;
+            }
+            let Tile { mem, core, .. } = t;
+            core.step_reference(mem);
         }
 
         // Phase 2: core injection moves into the router's ramp-input queues
@@ -1480,7 +1378,7 @@ impl Fabric {
             let h = self.h;
             all_staged = self
                 .tiles
-                .par_iter_mut()
+                .iter_mut()
                 .enumerate()
                 .map(|(i, t)| {
                     // A killed tile's router forwards nothing; arrivals pile

@@ -10,9 +10,9 @@
 //! Coverage: randomized multi-stream wafer programs (proptest), the
 //! lint-fixture-style *broken* programs that wedge or idle forever (the
 //! activity set must not "optimize away" their stuck state), fault
-//! injection, armed tracing and sanitizing, the parallel (≥ 512 active
-//! tiles) paths, and the places router credits could go stale: a flit lost
-//! on the wire, a multi-color ramp-out with one color held, a whole tile
+//! injection, armed tracing and sanitizing, a whole 24×24 fabric backed up
+//! at once, and the places router credits could go stale: a flit lost on
+//! the wire, a multi-color ramp-out with one color held, a whole tile
 //! replaced by `blit_region` mid-run.
 
 use proptest::prelude::*;
@@ -604,13 +604,12 @@ fn blit_over_a_stepped_fabric_steps_identically() {
 }
 
 #[test]
-fn parallel_paths_step_identically() {
+fn dense_backpressure_steps_identically() {
     // 24×24 tiles, all but the last two columns streaming two hops east on
     // three interleaved colors into receivers that start late: more than
-    // 512 tiles are active and staging at once, so phases 1–4 take their
-    // parallel paths — including the delivery phase's pull of arrivals and
-    // returned credits — and every path fills up and runs out of credits
-    // before it drains.
+    // 512 tiles are active and staging at once — the only case here where
+    // nearly every tile delivers and hands credits back in the same cycle —
+    // and every path fills up and runs out of credits before it drains.
     let (w, h) = (24usize, 24usize);
     let data: Vec<F16> = (0..48).map(|i| F16::from_f64((i % 7) as f64 * 0.5)).collect();
     let build = || {

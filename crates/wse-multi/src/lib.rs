@@ -47,10 +47,9 @@ pub mod tenancy;
 pub mod transport;
 
 use crate::transport::{frame_checksum, Frame, TransportState};
-use rayon::prelude::*;
 use std::collections::VecDeque;
 use stencil::decomp::split_even;
-use wse_arch::fabric::{Fabric, StallReport, PAR_TILE_THRESHOLD};
+use wse_arch::fabric::{Fabric, StallReport};
 use wse_arch::fault::{FaultKind, FaultLog, FaultPlan, FaultRecord};
 use wse_arch::types::{Color, Flit, Port};
 
@@ -371,7 +370,8 @@ impl MultiFabric {
     }
 
     /// The ensemble clock: wafer 0's cycle (all wafers agree outside the
-    /// interior of [`MultiFabric::run_each`]).
+    /// interior of [`MultiFabric::run_each`], and from a stalled one until
+    /// the [`MultiFabric::reset_transient`] that follows it).
     pub fn cycle(&self) -> u64 {
         self.shards[0].cycle()
     }
@@ -540,11 +540,14 @@ impl MultiFabric {
     /// (sequence spaces restart at zero on both ends) plus down flags, so
     /// a rolled-back solve retries on fresh links. Stall windows, fault
     /// schedules, stats, and the down history persist: the wall clock is
-    /// not rewound, so an outage outlives a rollback.
+    /// not rewound, so an outage outlives a rollback. Clocks are equalized
+    /// to the slowest wafer: a [`MultiFabric::run_each`] that stalled left
+    /// them skewed, and every shard is quiescent right after its reset.
     pub fn reset_transient(&mut self) {
         for f in &mut self.shards {
             f.reset_transient();
         }
+        self.equalize_clocks();
         for q in &mut self.in_flight {
             q.clear();
         }
@@ -597,20 +600,6 @@ impl MultiFabric {
         }
     }
 
-    /// Steps every wafer one cycle. Wafers are independent within a cycle
-    /// (seams exchange between cycles), so the order is immaterial; they go
-    /// to threads only when the ensemble is large enough to repay a spawn
-    /// per wafer per cycle — the threshold `wse-arch` applies to its own
-    /// per-phase loops.
-    fn step_shards(&mut self) {
-        let tiles: usize = self.shards.iter().map(|f| f.width() * f.height()).sum();
-        if tiles < PAR_TILE_THRESHOLD {
-            self.shards.iter_mut().for_each(Fabric::step);
-        } else {
-            self.shards.par_iter_mut().for_each(Fabric::step);
-        }
-    }
-
     /// One linked ensemble cycle: grant seam credits, step every wafer,
     /// drain seam egress onto the link, deliver arrivals.
     ///
@@ -640,7 +629,11 @@ impl MultiFabric {
             self.shards[c.src].set_edge_credits(c.sx, c.sy, c.sport, c.color, credits);
         }
 
-        self.step_shards();
+        // Wafers are independent within a cycle (seams exchange between
+        // cycles), so the order is immaterial.
+        for f in &mut self.shards {
+            f.step();
+        }
         let now = self.shards[0].cycle();
         debug_assert!(
             self.shards.iter().all(|f| f.cycle() == now),
@@ -793,7 +786,9 @@ impl MultiFabric {
             self.shards[c.src].set_edge_credits(c.sx, c.sy, c.sport, c.color, credits);
         }
 
-        self.step_shards();
+        for f in &mut self.shards {
+            f.step();
+        }
         let now = self.shards[0].cycle();
         debug_assert!(
             self.shards.iter().all(|f| f.cycle() == now),
@@ -927,25 +922,23 @@ impl MultiFabric {
         Ok(self.cycle() - start)
     }
 
-    /// Runs every wafer *independently* to quiescence, one thread per
-    /// wafer — the compute phases of the hierarchical driver, where
-    /// wafers only talk at halo/AllReduce boundaries. Clocks are then
-    /// equalized to the slowest wafer (ensemble time is the max), and the
-    /// maximum per-wafer elapsed cycle count is returned.
+    /// Runs every wafer *independently* to quiescence, one after another
+    /// — the compute phases of the hierarchical driver, where wafers only
+    /// talk at halo/AllReduce boundaries. Clocks are then equalized to the
+    /// slowest wafer (ensemble time is the max), and the maximum per-wafer
+    /// elapsed cycle count is returned.
     ///
     /// # Errors
-    /// Returns the first failing wafer's [`StallReport`], globalized.
+    /// Returns the first failing wafer's [`StallReport`], globalized. Every
+    /// wafer has still run, and a stalled one cannot be advanced, so the
+    /// clocks stay skewed until [`MultiFabric::reset_transient`].
     pub fn run_each(
         &mut self,
         max_cycles: u64,
         stall_window: u64,
     ) -> Result<u64, Box<StallReport>> {
-        let results: Vec<Result<u64, Box<StallReport>>> = self
-            .shards
-            .par_iter_mut()
-            .enumerate()
-            .map(|(_, f)| f.run_watched(max_cycles, stall_window))
-            .collect();
+        let results: Vec<Result<u64, Box<StallReport>>> =
+            self.shards.iter_mut().map(|f| f.run_watched(max_cycles, stall_window)).collect();
         let mut max_elapsed = 0;
         for (m, r) in results.into_iter().enumerate() {
             match r {
@@ -958,14 +951,17 @@ impl MultiFabric {
                 }
             }
         }
+        self.equalize_clocks();
+        Ok(max_elapsed)
+    }
+
+    /// Advances every wafer's clock to the slowest wafer's. Every wafer
+    /// must be quiescent ([`Fabric::advance_idle`] asserts it).
+    fn equalize_clocks(&mut self) {
         let target = self.shards.iter().map(Fabric::cycle).max().unwrap();
         for f in &mut self.shards {
-            let lag = target - f.cycle();
-            if lag > 0 {
-                f.advance_idle(lag);
-            }
+            f.advance_idle(target - f.cycle());
         }
-        Ok(max_elapsed)
     }
 
     /// The paired seam channels in `wse-lint`'s [`SeamEdge`] form — the

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Full verification, a superset of tier-1 (ROADMAP.md: `cargo build
 # --release && cargo test -q`, which the root manifest's `default-members`
-# scopes to the root package and `wse-core`; the other thirteen crates' suites
-# only run here): the release build,
-# the whole workspace's tests, clippy and rustfmt, the wse-lint static
-# verifier over every shipped kernel configuration (once more with
-# --stats) and broken fixture,
+# scopes to the root package, `wse-core`, `wse-arch` and `wse-multi`; the
+# other eleven crates' suites only run here): the release build,
+# the whole workspace's tests, clippy and rustfmt, a grep that keeps the
+# workspace single-threaded, the wse-lint static verifier over every
+# shipped kernel configuration (once more with --stats) and broken fixture,
 # three twice-run-and-diffed paper-artifact smokes, the e2e-bench tests,
 # and the exact simulated counters of all four benchmark workloads.
 set -euo pipefail
@@ -22,6 +22,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo fmt --check =="
 cargo fmt --check
+
+echo "== no host threads =="
+# Must print nothing: threads come back with a workload that measures them
+# (DESIGN.md §9 "One thread, one delivery"), not by accident.
+if grep -rnE 'rayon|par_iter|std::thread|thread::(scope|spawn)|available_parallelism' \
+    crates src tests examples vendor Cargo.toml Cargo.lock; then
+  exit 1
+fi
 
 echo "== wse-lint (shipped kernel configurations) =="
 cargo run -q --release --bin wse-lint
@@ -155,8 +163,8 @@ expect_exact compile-catalog \
 # times. One 3x2 region of its 32 tiles steps at a time, so its op_host_ms
 # bound in BENCHMARK.json is the wall-clock gate on sparse-activity
 # stepping; no test asserts a host-time ratio. (That the activity-driven
-# stepper and the full-scan oracle agree cycle for cycle is
-# crates/wse-arch/tests/step_equiv.rs and tier-1 tests/stepper_dense_equiv.rs.)
+# stepper and the full-scan oracle agree cycle for cycle is tier-1:
+# crates/wse-arch/tests/step_equiv.rs and tests/stepper_dense_equiv.rs.)
 expect_exact serve-mixed \
   "op_sim_cycles 27338491.227177482 cycles" \
   "sim_sojourn_us_p50 22237.520889691026 sim_us" \

@@ -328,6 +328,35 @@ fn k2_host_link_drop_mid_solve_recovers_and_verifies() {
     assert!(!multi.any_link_down(), "a single drop must not kill the link");
 }
 
+/// A tile killed on wafer 1 only, at every tenth of the fault-free horizon:
+/// `run_each` returns the stall with the two wafers' clocks apart, and a
+/// stalled wafer cannot be idled forward. The rollback must bring the
+/// clocks together again — the retry steps the ensemble linked, which
+/// asserts it — and the outcome is structured, never a panic.
+#[test]
+fn k2_wafer_local_stall_leaves_shard_clocks_equal() {
+    let (horizon, base) = multi_baseline();
+    assert_eq!(base.outcome, RecoveryOutcome::Converged, "baseline: {base}");
+
+    let (_, a, b) = multi_problem();
+    for tenth in 1..10 {
+        let mut multi = MultiFabric::new(4, 2, 2, HostLink::paper_default());
+        let solver = WaferBicgstabMulti::build(&mut multi, &a);
+        multi.shard_mut(1).arm_faults(
+            &FaultPlan::new().with(horizon * tenth / 10, FaultKind::TileKill { x: 1, y: 1 }),
+        );
+        let (_, _, log) = solver.solve_with_recovery(&mut multi, &a, &b, 16, &multi_policy());
+
+        assert_ne!(log.outcome, RecoveryOutcome::Converged, "tenth {tenth}: {log}");
+        assert!(log.stalls >= 1, "tenth {tenth}: the kill must wedge wafer 1: {log}");
+        assert_eq!(
+            multi.shard(0).cycle(),
+            multi.shard(1).cycle(),
+            "tenth {tenth}: shard clocks skewed after {log}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
