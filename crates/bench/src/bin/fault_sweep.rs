@@ -407,7 +407,7 @@ fn run_multi_trial(
     if log.outcome == RecoveryOutcome::Converged {
         cell.converged += 1;
     }
-    cell.applied += multi.fault_log().map_or(0, |l| l.applied.len() as u64);
+    cell.applied += multi.fault_log().applied.len() as u64;
     cell.committed_iters += log.iterations;
     cell.rollbacks += log.rollbacks;
     cell.iterations_lost += log.iterations_lost;

@@ -14,6 +14,7 @@
 //! the latency tests below check exactly that property.
 
 use wse_arch::dsr::mk;
+use wse_arch::fabric::STALL_WINDOW;
 use wse_arch::instr::{Op, RegOp, Stmt, Task, TensorInstr};
 use wse_arch::types::{Port, Reg, TaskId};
 use wse_arch::Fabric;
@@ -507,7 +508,7 @@ impl AllReduce {
             }
         }
         let cycles = fabric
-            .run_until_quiescent(100_000)
+            .run_watched(100_000, STALL_WINDOW)
             .unwrap_or_else(|e| panic!("allreduce stalled: {e}"));
         let mut out = Vec::with_capacity(values.len());
         for y in 0..self.h {
@@ -939,6 +940,26 @@ mod tests {
     }
 
     #[test]
+    fn wedged_run_panics_with_the_watchdog_report() {
+        // A killed row tile never forwards its partial sum: the watchdog
+        // proves the deadlock one window in and names the dead tile instead
+        // of spinning the whole cycle budget.
+        use wse_arch::fault::{FaultKind, FaultPlan};
+        let (w, h) = (4, 3);
+        let mut fabric = Fabric::new(w, h);
+        let ar = AllReduce::build(&mut fabric, w, h, R_IN, R_OUT, R_ACC);
+        fabric.arm_faults(&FaultPlan::new().with(0, FaultKind::TileKill { x: 1, y: 1 }));
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ar.run(&mut fabric, &[1.0; 12])
+        }))
+        .expect_err("a wedged AllReduce must panic");
+        let msg = panic.downcast_ref::<String>().expect("a formatted panic message");
+        assert!(msg.contains("no progress for 2048 cycles"), "{msg}");
+        assert!(msg.contains("tile(1,1)"), "{msg}");
+        assert!(fabric.cycle() < 100_000, "the watchdog fired at cycle {}", fabric.cycle());
+    }
+
+    #[test]
     fn sums_distinct_values() {
         let (w, h) = (6, 5);
         let values: Vec<f32> = (0..w * h).map(|i| (i as f32) - 7.5).collect();
@@ -997,7 +1018,7 @@ mod tests {
                 core.activate(ar.reduce_task(x, y));
             }
         }
-        fabric.run_until_quiescent(100_000).unwrap();
+        fabric.run_watched(100_000, 100_000).unwrap();
         let (rx, ry) = ar.root();
         let partial = fabric.tile(rx, ry).core.regs[R_ACC];
         assert!((partial - expect).abs() <= 1e-3, "root partial {partial} vs {expect}");
@@ -1006,7 +1027,7 @@ mod tests {
                 fabric.tile_mut(x, y).core.activate(ar.bcast_task(x, y));
             }
         }
-        fabric.run_until_quiescent(100_000).unwrap();
+        fabric.run_watched(100_000, 100_000).unwrap();
         for y in 0..h {
             for x in 0..w {
                 let got = fabric.tile(x, y).core.regs[R_OUT];
@@ -1042,7 +1063,7 @@ mod tests {
                 fabric.tile_mut(x, y).core.activate(t);
             }
         }
-        fabric.run_until_quiescent(100_000).unwrap();
+        fabric.run_watched(100_000, 100_000).unwrap();
         let tile_sum: f32 = (0..w * h).map(|i| i as f32).sum();
         for j in 0..m {
             let got = fabric.tile(0, 0).mem.read_f32(pay + 4 * j);
@@ -1060,7 +1081,7 @@ mod tests {
                 fabric.tile_mut(x, y).core.activate(t);
             }
         }
-        fabric.run_until_quiescent(100_000).unwrap();
+        fabric.run_watched(100_000, 100_000).unwrap();
         for y in 0..h {
             for x in 0..w {
                 for (i, &r) in regs.iter().enumerate() {
@@ -1098,7 +1119,7 @@ mod tests {
                         t.core.activate(task);
                     }
                 }
-                fabric.run_until_quiescent(100_000).unwrap();
+                fabric.run_watched(100_000, 100_000).unwrap();
                 let got = fabric.tile(0, 0).mem.read_f32(pay + 4);
                 assert_eq!(got, (w * h) as f32 * round as f32, "{w}x{h} round {round}");
             }

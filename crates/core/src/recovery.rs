@@ -39,12 +39,8 @@ use wse_arch::{Fabric, SchedSnapshot};
 use wse_float::F16;
 use wse_multi::MultiFabric;
 
-/// Stall-watchdog window (cycles of zero fabric-wide progress) used by the
-/// drivers' fallible phase runners. The simulator is deterministic and
-/// closed, so any zero-progress window proves a permanent deadlock; this
-/// value only bounds detection latency and sits comfortably above the
-/// deepest credit-backpressure chain on the fabrics we simulate.
-pub const STALL_WINDOW: u64 = 2_048;
+/// The stall-watchdog window the drivers' fallible phase runners use.
+pub use wse_arch::fabric::STALL_WINDOW;
 
 /// Verdict of a [`ResidualTripwire`] check.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

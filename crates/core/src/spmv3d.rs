@@ -253,7 +253,7 @@ mod tests {
                 f2.tile_mut(x, y).core.activate(tasks[i].start);
             }
         }
-        let naive_cycles = f2.run_until_quiescent(1_000_000).unwrap();
+        let naive_cycles = f2.run_watched(1_000_000, 1_000_000).unwrap();
         let mut naive_out = vec![F16::ZERO; mesh.len()];
         for y in 0..3 {
             for x in 0..3 {

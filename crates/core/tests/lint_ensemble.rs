@@ -10,6 +10,7 @@ use stencil::mesh::Mesh3D;
 use stencil::precond::jacobi_scale;
 use stencil::stencil7::poisson;
 use wse_arch::dsr::mk;
+use wse_arch::fabric::STALL_WINDOW;
 use wse_arch::instr::{Op, Stmt, Task, TensorInstr};
 use wse_arch::types::{Dtype, Port};
 use wse_core::multi::{build_transparent, WaferBicgstabMulti};
@@ -158,7 +159,7 @@ fn seam_credit_starvation_is_caught_with_witness() {
 fn seam_credit_starvation_wedges_dynamically() {
     let mut multi = seam_credit_starved_ensemble();
     let err = multi
-        .run_linked(20_000, 2_048)
+        .run_linked(20_000, STALL_WINDOW)
         .expect_err("the sending wafer must wedge on seam backpressure");
     assert!(!err.deadline_exceeded, "a zero-progress stall, not a slow run: {err:?}");
 }

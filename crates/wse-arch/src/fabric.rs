@@ -21,7 +21,7 @@ use crate::fault::{FaultEvent, FaultKind, FaultLog, FaultPlan, FaultRecord};
 use crate::memory::{Memory, TILE_SRAM_BYTES};
 use crate::router::{Router, StagedFlit};
 use crate::sanitize::{SanitizerReport, TileSanitizer};
-use crate::trace::{FabricTrace, PerfWindow, PhaseSpan, TileTrace, TraceConfig};
+use crate::trace::{FabricTrace, PhaseSpan, TileTrace, TraceConfig};
 use crate::types::{Color, Flit, Port, NUM_COLORS, PORT_BYTES_PER_CYCLE};
 use std::collections::HashMap;
 
@@ -39,22 +39,13 @@ pub struct Tile {
     pub router: Router,
 }
 
-/// Error from [`Fabric::run_until_quiescent`] when the deadline passes.
-#[derive(Clone, Debug)]
-pub struct Stalled {
-    /// Cycle count at the timeout.
-    pub cycle: u64,
-    /// Human-readable description of what was still busy.
-    pub diagnostics: String,
-}
-
-impl std::fmt::Display for Stalled {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "fabric failed to quiesce by cycle {}: {}", self.cycle, self.diagnostics)
-    }
-}
-
-impl std::error::Error for Stalled {}
+/// Stall-watchdog window (cycles of zero fabric-wide progress) for
+/// [`Fabric::run_watched`] callers that have no sharper bound. The
+/// simulator is deterministic and closed, so any zero-progress window
+/// proves a permanent deadlock; this value only bounds detection latency
+/// and sits comfortably above the deepest credit-backpressure chain on the
+/// fabrics we simulate.
+pub const STALL_WINDOW: u64 = 2_048;
 
 /// One wedged tile in a [`StallReport`].
 #[derive(Clone, Debug)]
@@ -151,8 +142,6 @@ struct FaultState {
     events: Vec<FaultEvent>,
     /// Index of the next unapplied event.
     next: usize,
-    /// Per-tile kill flags.
-    dead: Vec<bool>,
     /// Armed one-shot link faults: (tile index, out port, `Some(bit)` to
     /// corrupt / `None` to drop).
     pending_links: Vec<(usize, Port, Option<u8>)>,
@@ -186,19 +175,6 @@ impl FabricPerf {
     pub fn backpressure_total(&self) -> u64 {
         self.backpressure.iter().sum()
     }
-}
-
-/// One sample of fabric activity (see [`Fabric::enable_sampling`]).
-#[derive(Copy, Clone, Debug, PartialEq)]
-pub struct ActivitySample {
-    /// Cycle the sample was taken at.
-    pub cycle: u64,
-    /// Fraction of cores whose datapath issued during the sampling window.
-    pub core_utilization: f64,
-    /// Flits forwarded by routers during the window.
-    pub flits_routed: u64,
-    /// fp16 + fp32 flops executed during the window.
-    pub flops: u64,
 }
 
 /// A declared boundary I/O channel (see [`Fabric::open_edge`]): flits
@@ -337,12 +313,13 @@ pub struct Fabric {
     links: Links,
     tiles: Vec<Tile>,
     cycle: u64,
-    sample_interval: u64,
-    samples: Vec<ActivitySample>,
-    sample_window: PerfWindow,
     /// Armed fault injection; `None` (the default) keeps [`Fabric::step`]
     /// on a no-op fast path.
     faults: Option<Box<FaultState>>,
+    /// Per-tile kill flags set by an applied [`FaultKind::TileKill`]: a
+    /// killed tile freezes (no core step, no forwarding, no idle billing)
+    /// until the next [`Fabric::arm_faults`] revives it.
+    dead: Vec<bool>,
     /// Armed tracing; `None` (the default) keeps every hook on a no-op
     /// fast path.
     trace: Option<Box<TraceState>>,
@@ -397,10 +374,8 @@ impl Fabric {
             links: Links::new(w, h),
             tiles: (0..n).map(|_| Tile::default()).collect(),
             cycle: 0,
-            sample_interval: 0,
-            samples: Vec::new(),
-            sample_window: PerfWindow::default(),
             faults: None,
+            dead: vec![false; n],
             trace: None,
             sanitize_start: None,
             busy: vec![false; n],
@@ -423,8 +398,7 @@ impl Fabric {
     /// (events scheduled in the past fire on the next step). Re-arming
     /// replaces any previous plan and clears its log; kill/stuck state
     /// already applied to tiles is *not* undone, except that tiles killed
-    /// by the *previous* plan resume stepping (their kill flags lived in
-    /// the replaced plan).
+    /// by the *previous* plan resume stepping.
     ///
     /// # Panics
     /// Panics if an event names a tile, port, address, or bit outside the
@@ -453,23 +427,19 @@ impl Fabric {
             };
             assert!(x < self.w && y < self.h, "fault targets tile ({x},{y}) outside fabric");
         }
-        // Tiles killed under the old plan come back to life (the kill flag
-        // dies with its FaultState). They were frozen, not idle: restart
-        // their idle accounting *now* so the dead gap is never billed, and
-        // wake them so the stepper sees them again.
-        if let Some(old) = self.faults.take() {
-            for (i, &was_dead) in old.dead.iter().enumerate() {
-                if was_dead {
-                    self.accounted[i] = self.cycle;
-                    self.refresh_busy(i);
-                    self.mark_active(i);
-                }
+        // Tiles killed under the old plan come back to life. They were
+        // frozen, not idle: restart their idle accounting *now* so the dead
+        // gap is never billed, and wake them so the stepper sees them again.
+        for i in 0..self.dead.len() {
+            if std::mem::take(&mut self.dead[i]) {
+                self.accounted[i] = self.cycle;
+                self.refresh_busy(i);
+                self.mark_active(i);
             }
         }
         self.faults = Some(Box::new(FaultState {
             events,
             next: 0,
-            dead: vec![false; self.w * self.h],
             pending_links: Vec::new(),
             log: FaultLog::default(),
         }));
@@ -488,8 +458,7 @@ impl Fabric {
     /// `true` if tile `(x, y)` has been killed by an applied
     /// [`FaultKind::TileKill`].
     pub fn tile_dead(&self, x: usize, y: usize) -> bool {
-        let i = self.index(x, y);
-        self.faults.as_ref().is_some_and(|f| f.dead[i])
+        self.dead[self.index(x, y)]
     }
 
     /// Arms fabric-wide tracing: every core begins collecting task events,
@@ -500,7 +469,7 @@ impl Fabric {
     pub fn arm_trace(&mut self, config: TraceConfig) {
         // Settle all deferred idle debt first: the per-tile baselines below
         // must include every pre-arm cycle so the trace window starts clean.
-        self.settle_all();
+        self.settle_idle();
         for t in &mut self.tiles {
             t.core.arm_trace(self.cycle, config.ring_capacity);
         }
@@ -544,7 +513,7 @@ impl Fabric {
     pub fn arm_sanitizer(&mut self) {
         // Settle deferred idle debt first so every core's `now` stamp
         // starts aligned with the fabric clock.
-        self.settle_all();
+        self.settle_idle();
         for t in &mut self.tiles {
             t.core.arm_sanitizer(self.cycle);
         }
@@ -565,7 +534,7 @@ impl Fabric {
     pub fn take_sanitizer(&mut self) -> Option<SanitizerReport> {
         let start = self.sanitize_start.take()?;
         // Settle idle debt so shadow clocks are complete before draining.
-        self.settle_all();
+        self.settle_idle();
         let w = self.w;
         let tiles = self
             .tiles
@@ -648,7 +617,7 @@ impl Fabric {
         if self.trace.is_some() {
             // Settle deferred idle debt so the window totals below (read
             // straight from the per-tile counters) are complete.
-            self.settle_all();
+            self.settle_idle();
         }
         let perf = self.perf();
         let cycle = self.cycle;
@@ -699,20 +668,6 @@ impl Fabric {
             tiles,
             perf,
         })
-    }
-
-    /// Enables periodic activity sampling: every `interval` cycles an
-    /// [`ActivitySample`] is appended (utilization timeline for phase
-    /// analysis and the examples' activity plots). `interval = 0` disables.
-    pub fn enable_sampling(&mut self, interval: u64) {
-        self.sample_interval = interval;
-        self.samples.clear();
-        self.sample_window = PerfWindow::new(self.perf());
-    }
-
-    /// The collected activity timeline.
-    pub fn samples(&self) -> &[ActivitySample] {
-        &self.samples
     }
 
     /// Fabric width in tiles.
@@ -955,30 +910,22 @@ impl Fabric {
         }
     }
 
-    /// Settles every live tile's deferred idle debt up to the current
-    /// cycle (killed tiles are frozen and accrue nothing).
-    fn settle_all(&mut self) {
-        let cycle = self.cycle;
-        let Fabric { tiles, faults, accounted, .. } = self;
-        let dead = faults.as_deref().map(|f| f.dead.as_slice());
-        for (i, t) in tiles.iter_mut().enumerate() {
-            if dead.is_some_and(|d| d[i]) {
-                continue;
-            }
-            t.core.account_idle(cycle - accounted[i]);
-            accounted[i] = cycle;
-        }
-    }
-
-    /// Settles every live tile's deferred idle debt up to the current cycle.
+    /// Settles every live tile's deferred idle debt up to the current cycle
+    /// (killed tiles are frozen and accrue nothing).
     ///
     /// The activity-driven stepper defers per-tile idle accounting; any
     /// observer that reads per-core counters directly (checkpoint capture,
     /// external snapshots) must settle first, exactly as [`Fabric::arm_trace`]
-    /// and [`Fabric::perf`] do internally. Idempotent and cheap when there is
-    /// no outstanding debt.
+    /// does. Idempotent and cheap when there is no outstanding debt.
     pub fn settle_idle(&mut self) {
-        self.settle_all();
+        let cycle = self.cycle;
+        let Fabric { tiles, dead, accounted, .. } = self;
+        for (i, t) in tiles.iter_mut().enumerate() {
+            if !dead[i] {
+                t.core.account_idle(cycle - accounted[i]);
+                accounted[i] = cycle;
+            }
+        }
     }
 
     /// Rebuilds the busy flags and active list from a full scan (reference
@@ -996,8 +943,7 @@ impl Fabric {
                 self.tiles[i].router.set_credit_row(q, row);
             }
         }
-        let Fabric { tiles, faults, busy, busy_count, active, active_list, .. } = self;
-        let dead = faults.as_deref().map(|f| f.dead.as_slice());
+        let Fabric { tiles, dead, busy, busy_count, active, active_list, .. } = self;
         active_list.clear();
         *busy_count = 0;
         for (i, t) in tiles.iter().enumerate() {
@@ -1006,7 +952,7 @@ impl Fabric {
             if b {
                 *busy_count += 1;
             }
-            let keep = (b || t.core.has_pending_bound_data()) && !dead.is_some_and(|d| d[i]);
+            let keep = (b || t.core.has_pending_bound_data()) && !dead[i];
             active[i] = keep;
             if keep {
                 active_list.push(i);
@@ -1020,7 +966,7 @@ impl Fabric {
     fn apply_due_faults(&mut self) {
         let w = self.w;
         let cycle = self.cycle;
-        let Fabric { tiles, faults, accounted, active, active_list, .. } = self;
+        let Fabric { tiles, faults, dead, accounted, active, active_list, .. } = self;
         let Some(fs) = faults.as_deref_mut() else { return };
         let mut mark = |i: usize| {
             if !active[i] {
@@ -1039,12 +985,12 @@ impl Fabric {
                 }
                 FaultKind::TileKill { x, y } => {
                     let i = y * w + x;
-                    if !fs.dead[i] {
+                    if !dead[i] {
                         // The tile idled up to now and freezes from here:
                         // settle its debt once, at the moment of death.
                         tiles[i].core.account_idle(cycle - accounted[i]);
                         accounted[i] = cycle;
-                        fs.dead[i] = true;
+                        dead[i] = true;
                     }
                     mark(i);
                 }
@@ -1091,14 +1037,12 @@ impl Fabric {
         // Skipped tiles are provably quiescent; their idle accrues as
         // deferred debt.
         let stepped: u64 = {
-            let Fabric { tiles, accounted, active_list, faults, .. } = &mut *self;
-            let dead: Option<&[bool]> = faults.as_deref().map(|f| f.dead.as_slice());
+            let Fabric { tiles, accounted, active_list, dead, .. } = &mut *self;
             let mut delta = 0u64;
             for &i in active_list.iter() {
-                if dead.is_some_and(|d| d[i]) {
-                    continue;
+                if !dead[i] {
+                    delta += step_and_drain(&mut tiles[i], &mut accounted[i], cycle);
                 }
-                delta += step_and_drain(&mut tiles[i], &mut accounted[i], cycle);
             }
             delta
         };
@@ -1109,17 +1053,13 @@ impl Fabric {
         // only the stager's own, and what a forward frees downstream is
         // handed back in phase 4 — so no occupancy snapshot is taken.
         let forwarded: u64 = {
-            let Fabric { tiles, active_list, faults, scratch, edge_ports, .. } = &mut *self;
-            let dead: Option<&[bool]> = faults.as_deref().map(|f| f.dead.as_slice());
+            let Fabric { tiles, active_list, dead, scratch, edge_ports, .. } = &mut *self;
             let StepScratch { staged, stagers, .. } = scratch;
             stagers.clear();
             for &i in active_list.iter() {
                 // A killed tile's router forwards nothing; arrivals pile
                 // up in its queues until backpressure stalls upstream.
-                if dead.is_some_and(|d| d[i]) {
-                    continue;
-                }
-                if tiles[i].router.queued() > 0 {
+                if !dead[i] && tiles[i].router.queued() > 0 {
                     stagers.push(i);
                 }
             }
@@ -1265,24 +1205,12 @@ impl Fabric {
                     self.busy_count -= 1;
                 }
             }
-            let dead = self.faults.as_deref().is_some_and(|f| f.dead[i]);
-            if keep && !dead {
+            if keep && !self.dead[i] {
                 k += 1;
             } else {
                 self.active[i] = false;
                 self.active_list.swap_remove(k);
             }
-        }
-
-        if self.sample_interval > 0 && self.cycle.is_multiple_of(self.sample_interval) {
-            let d = self.sample_window.advance(self.perf());
-            let window_cycles = self.sample_interval * self.tiles.len() as u64;
-            self.samples.push(ActivitySample {
-                cycle: self.cycle,
-                core_utilization: d.busy_cycles as f64 / window_cycles as f64,
-                flits_routed: d.flits_routed,
-                flops: d.flops,
-            });
         }
     }
 
@@ -1307,14 +1235,14 @@ impl Fabric {
         }
         // The reference steps every core, so all deferred idle debt must be
         // settled first (it then stays settled, cycle by cycle).
-        self.settle_all();
+        self.settle_idle();
         let p0 = self.perf();
-        let dead: Option<&[bool]> = self.faults.as_deref().map(|f| f.dead.as_slice());
+        let dead = &self.dead;
 
         // Phase 1: cores execute (independent per tile). Killed tiles
         // freeze: their cores stop stepping entirely.
         for (i, t) in self.tiles.iter_mut().enumerate() {
-            if dead.is_some_and(|d| d[i]) {
+            if dead[i] {
                 continue;
             }
             let Tile { mem, core, .. } = t;
@@ -1324,7 +1252,7 @@ impl Fabric {
         // Phase 2: core injection moves into the router's ramp-input queues
         // (bounded by port bandwidth and queue space).
         for (i, t) in self.tiles.iter_mut().enumerate() {
-            if dead.is_some_and(|d| d[i]) {
+            if dead[i] {
                 continue;
             }
             // Respect the ramp queue's *minimum* color space conservatively:
@@ -1383,7 +1311,7 @@ impl Fabric {
                 .map(|(i, t)| {
                     // A killed tile's router forwards nothing; arrivals pile
                     // up in its queues until backpressure stalls upstream.
-                    if dead.is_some_and(|d| d[i]) {
+                    if dead[i] {
                         return (i, Vec::new());
                     }
                     let (x, y) = (i % w, i / w);
@@ -1463,14 +1391,9 @@ impl Fabric {
 
         self.cycle += 1;
         // Every live core was just stepped through the previous cycle.
-        {
-            let cycle = self.cycle;
-            let Fabric { accounted, faults, .. } = &mut *self;
-            let dead = faults.as_deref().map(|f| f.dead.as_slice());
-            for (i, a) in accounted.iter_mut().enumerate() {
-                if !dead.is_some_and(|d| d[i]) {
-                    *a = cycle;
-                }
+        for (a, &dead) in self.accounted.iter_mut().zip(&self.dead) {
+            if !dead {
+                *a = self.cycle;
             }
         }
         self.rebuild_activity();
@@ -1478,17 +1401,6 @@ impl Fabric {
         self.progress += (p1.busy_cycles - p0.busy_cycles)
             + (p1.ctrl_stmts - p0.ctrl_stmts)
             + (p1.flits_routed - p0.flits_routed);
-
-        if self.sample_interval > 0 && self.cycle.is_multiple_of(self.sample_interval) {
-            let d = self.sample_window.advance(self.perf());
-            let window_cycles = self.sample_interval * self.tiles.len() as u64;
-            self.samples.push(ActivitySample {
-                cycle: self.cycle,
-                core_utilization: d.busy_cycles as f64 / window_cycles as f64,
-                flits_routed: d.flits_routed,
-                flops: d.flops,
-            });
-        }
     }
 
     /// `true` when every core is quiescent and every queue is empty. An
@@ -1514,34 +1426,19 @@ impl Fabric {
         quiet
     }
 
-    /// Steps until quiescent, returning the number of cycles elapsed since
-    /// the call began.
+    /// Steps until quiescent under a stall watchdog, returning the number
+    /// of cycles elapsed since the call began — the one way to run a
+    /// fabric.
     ///
-    /// # Errors
-    /// Returns [`Stalled`] with per-tile diagnostics if `max_cycles` pass
-    /// without quiescence (deadlock or unfinished stream).
-    pub fn run_until_quiescent(&mut self, max_cycles: u64) -> Result<u64, Stalled> {
-        let start = self.cycle;
-        while !self.is_quiescent() {
-            if self.cycle - start >= max_cycles {
-                return Err(Stalled { cycle: self.cycle, diagnostics: self.diagnose() });
-            }
-            self.step();
-        }
-        Ok(self.cycle - start)
-    }
-
-    /// Steps until quiescent under a stall watchdog.
-    ///
-    /// Unlike [`Fabric::run_until_quiescent`] — which spins until its full
-    /// cycle budget expires — this detects deadlock early: if
-    /// `stall_window` consecutive cycles pass with zero progress (no
+    /// If `stall_window` consecutive cycles pass with zero progress (no
     /// datapath issue, no control statement retired, no flit forwarded
-    /// anywhere) while work remains, it stops and names the wedged tiles.
-    /// The simulator is deterministic and closed, so a zero-progress window
-    /// is a proven permanent deadlock; `stall_window` only bounds how long
-    /// detection takes, and anything comfortably above the deepest
-    /// backpressure chain (a few hundred cycles) is safe.
+    /// anywhere) while work remains, it stops early and names the wedged
+    /// tiles. The simulator is deterministic and closed, so a zero-progress
+    /// window is a proven permanent deadlock; `stall_window` only bounds how
+    /// long detection takes, and anything comfortably above the deepest
+    /// backpressure chain (a few hundred cycles) is safe — [`STALL_WINDOW`]
+    /// when there is no sharper bound. `stall_window = max_cycles` spends
+    /// the whole budget before reporting.
     ///
     /// # Errors
     /// Returns a [`StallReport`] on a zero-progress window, or with
@@ -1558,8 +1455,7 @@ impl Fabric {
         let start = self.cycle;
         // The watchdog reads the incrementally maintained progress counter:
         // anything a cycle can accomplish — a datapath issue, a retired
-        // control statement, a forwarded flit — advances it. This replaces
-        // the old full-perf-rescan PerfWindow with an O(1) comparison.
+        // control statement, a forwarded flit — advances it.
         let mut last_progress = self.progress;
         let mut window_start = self.cycle;
         while !self.is_quiescent() {
@@ -1638,7 +1534,7 @@ impl Fabric {
     /// from a clean, quiescent machine.
     pub fn reset_transient(&mut self) {
         // Settle idle debt before wiping: the skipped cycles happened.
-        self.settle_all();
+        self.settle_idle();
         for t in &mut self.tiles {
             t.core.reset_transient();
             t.router.clear_queues();
@@ -1654,43 +1550,11 @@ impl Fabric {
         self.rebuild_activity();
     }
 
-    /// Describes which tiles are still busy (deadlock debugging).
-    pub fn diagnose(&self) -> String {
-        let mut out = String::new();
-        let mut shown = 0;
-        for y in 0..self.h {
-            for x in 0..self.w {
-                let t = self.tile(x, y);
-                let busy_core = !t.core.is_quiescent();
-                let busy_router = t.router.queued() > 0;
-                if busy_core || busy_router {
-                    if shown < 12 {
-                        out.push_str(&format!(
-                            "tile({x},{y}): core_busy={busy_core} router_queued={} ramp_out={} ramp_in_residue={}; ",
-                            t.router.queued(),
-                            t.core.ramp_out_len(),
-                            t.core.ramp_in_residue(),
-                        ));
-                    }
-                    shown += 1;
-                }
-            }
-        }
-        if shown > 12 {
-            out.push_str(&format!("... and {} more tiles", shown - 12));
-        }
-        if out.is_empty() {
-            out.push_str("nothing busy (already quiescent)");
-        }
-        out
-    }
-
     /// Aggregates performance counters over all tiles. Idle time deferred
     /// for skipped quiescent tiles is added back virtually, so the totals
     /// are always identical to full-scan stepping.
     pub fn perf(&self) -> FabricPerf {
         let mut p = FabricPerf::default();
-        let dead = self.faults.as_deref().map(|f| f.dead.as_slice());
         for (i, t) in self.tiles.iter().enumerate() {
             p.flops_f16 += t.core.perf.flops_f16;
             p.flops_f32 += t.core.perf.flops_f32;
@@ -1698,7 +1562,7 @@ impl Fabric {
             p.idle_cycles += t.core.perf.idle_cycles;
             p.flits_routed += t.router.flits_routed;
             p.ctrl_stmts += t.core.perf.ctrl_stmts;
-            if !dead.is_some_and(|d| d[i]) {
+            if !self.dead[i] {
                 p.idle_cycles += self.cycle - self.accounted[i];
             }
             for (slot, bp) in p.backpressure.iter_mut().zip(t.router.backpressure) {
@@ -1708,8 +1572,6 @@ impl Fabric {
         p
     }
 }
-
-impl Tile {}
 
 /// A rectangular tile region of a fabric — the unit of multi-tenant
 /// partitioning. Tenant programs are built region-relative (routing is
@@ -1975,7 +1837,7 @@ mod tests {
             t.core.activate(task);
         }
 
-        let cycles = f.run_until_quiescent(1000).expect("must quiesce");
+        let cycles = f.run_watched(1000, 1000).expect("must quiesce");
         assert!(cycles > 0 && cycles < 50, "cycles = {cycles}");
         let got = f.tile(1, 0).mem.load_f16_slice(raddr, 3);
         assert_eq!(got.iter().map(|v| v.to_f64()).collect::<Vec<_>>(), vec![1.0, 2.0, 3.0]);
@@ -2025,7 +1887,7 @@ mod tests {
             ));
             t.core.activate(task);
         }
-        let cycles = f.run_until_quiescent(1000).unwrap();
+        let cycles = f.run_watched(1000, 1000).unwrap();
         assert_eq!(f.tile(n - 1, 0).core.regs[0], 9.0);
         // n-1 hops plus a few cycles of launch/ramp overhead.
         assert!(
@@ -2077,7 +1939,7 @@ mod tests {
             ));
             t.core.activate(task);
         }
-        f.run_until_quiescent(100).unwrap();
+        f.run_watched(100, 100).unwrap();
         for (x, y) in [(1, 0), (1, 2), (2, 1), (0, 1)] {
             assert_eq!(f.tile(x, y).core.regs[5], 4.0, "neighbor ({x},{y})");
         }
@@ -2099,61 +1961,13 @@ mod tests {
             })],
         ));
         t.core.activate(task);
-        let err = f.run_until_quiescent(50).unwrap_err();
-        assert!(err.diagnostics.contains("tile(1,0)"), "{}", err.diagnostics);
-    }
-
-    #[test]
-    fn sampling_records_activity() {
-        let mut f = Fabric::new(2, 1);
-        f.set_route(0, 0, Port::Ramp, 1, &[Port::East]);
-        f.set_route(1, 0, Port::West, 1, &[Port::Ramp]);
-        f.enable_sampling(4);
-        {
-            let t = f.tile_mut(0, 0);
-            let data: Vec<F16> = (0..32).map(|i| F16::from_f64(i as f64 * 0.125)).collect();
-            let addr = t.mem.alloc_vec(32, Dtype::F16).unwrap();
-            t.mem.store_f16_slice(addr, &data);
-            let dsrc = t.core.add_dsr(mk::tensor16(addr, 32));
-            let dtx = t.core.add_dsr(mk::tx16(1, 32));
-            let task = t.core.add_task(Task::new(
-                "send",
-                vec![Stmt::Exec(TensorInstr {
-                    op: Op::Copy,
-                    dst: Some(dtx),
-                    a: Some(dsrc),
-                    b: None,
-                })],
-            ));
-            t.core.activate(task);
-        }
-        {
-            let t = f.tile_mut(1, 0);
-            let addr = t.mem.alloc_vec(32, Dtype::F16).unwrap();
-            let drx = t.core.add_dsr(mk::rx16(1, 32));
-            let ddst = t.core.add_dsr(mk::tensor16(addr, 32));
-            let task = t.core.add_task(Task::new(
-                "recv",
-                vec![Stmt::Exec(TensorInstr {
-                    op: Op::Copy,
-                    dst: Some(ddst),
-                    a: Some(drx),
-                    b: None,
-                })],
-            ));
-            t.core.activate(task);
-        }
-        f.run_until_quiescent(500).unwrap();
-        let samples = f.samples();
-        assert!(!samples.is_empty(), "samples must accumulate");
-        assert!(samples.iter().any(|s| s.core_utilization > 0.0));
-        assert!(samples.iter().any(|s| s.flits_routed > 0));
-        let total_flits: u64 = samples.iter().map(|s| s.flits_routed).sum();
-        assert!(total_flits <= f.perf().flits_routed);
-        // Cycles are strictly increasing multiples of the interval.
-        for w in samples.windows(2) {
-            assert_eq!(w[1].cycle - w[0].cycle, 4);
-        }
+        let err = f.run_watched(1_000, 64).unwrap_err();
+        assert!(!err.deadline_exceeded, "a proven deadlock, not a timeout: {err}");
+        assert!(err.cycle < 1_000 && err.window == 64, "{err}");
+        assert_eq!(err.total_stalled, 1);
+        assert_eq!((err.stalled[0].x, err.stalled[0].y), (1, 0));
+        assert_eq!(err.stalled[0].task, Some("recv"));
+        assert!(err.to_string().contains("tile(1,0) task=recv"), "{err}");
     }
 
     #[test]
@@ -2164,7 +1978,7 @@ mod tests {
         f.arm_trace(TraceConfig::default());
         assert!(f.trace_armed());
         f.phase_begin("stream");
-        f.run_until_quiescent(1_000).unwrap();
+        f.run_watched(1_000, 1_000).unwrap();
         f.phase_end();
         f.phase_marker("checkpoint");
         let tr = f.take_trace().expect("trace was armed");
@@ -2215,12 +2029,12 @@ mod tests {
         let (mut a, _) = sender_receiver(16);
         a.phase_begin("ignored");
         a.phase_end();
-        let cycles_a = a.run_until_quiescent(1_000).unwrap();
+        let cycles_a = a.run_watched(1_000, 1_000).unwrap();
         assert!(a.take_trace().is_none());
 
         let (mut b, _) = sender_receiver(16);
         b.arm_trace(TraceConfig { ring_capacity: 64 });
-        let cycles_b = b.run_until_quiescent(1_000).unwrap();
+        let cycles_b = b.run_watched(1_000, 1_000).unwrap();
         assert_eq!(cycles_a, cycles_b, "tracing must not change simulated time");
         let pa = a.perf();
         let pb = b.perf();
@@ -2234,13 +2048,13 @@ mod tests {
         // properly synchronized stream must produce zero race trips while
         // still observing the receiver's channel waits.
         let (mut a, _) = sender_receiver(16);
-        let cycles_a = a.run_until_quiescent(1_000).unwrap();
+        let cycles_a = a.run_watched(1_000, 1_000).unwrap();
         assert!(a.take_sanitizer().is_none(), "disarmed take returns None");
 
         let (mut b, _) = sender_receiver(16);
         b.arm_sanitizer();
         assert!(b.sanitizer_armed());
-        let cycles_b = b.run_until_quiescent(1_000).unwrap();
+        let cycles_b = b.run_watched(1_000, 1_000).unwrap();
         assert_eq!(cycles_a, cycles_b, "sanitizing must not change simulated time");
         let pa = a.perf();
         let pb = b.perf();
@@ -2298,7 +2112,7 @@ mod tests {
             t.core.activate(task);
         }
         f.arm_sanitizer();
-        f.run_until_quiescent(1_000).unwrap();
+        f.run_watched(1_000, 1_000).unwrap();
         let rep = f.take_sanitizer().unwrap();
         assert!(!rep.is_clean(), "unordered overlapping writes must trip");
         let tile = &rep.tiles[0];
@@ -2315,7 +2129,7 @@ mod tests {
         // Run one stream untraced, then arm and run a second: the trace
         // window must only account the second stream's work.
         let (mut f, _) = sender_receiver(8);
-        f.run_until_quiescent(1_000).unwrap();
+        f.run_watched(1_000, 1_000).unwrap();
         let busy_before: u64 = f.perf().busy_cycles;
         assert!(busy_before > 0);
         f.arm_trace(TraceConfig::default());
@@ -2331,15 +2145,6 @@ mod tests {
             assert_eq!(tile.idle_cycles, 10);
             assert_eq!(tile.events.len(), 0);
         }
-    }
-
-    #[test]
-    fn sampling_disabled_by_default() {
-        let mut f = Fabric::new(1, 1);
-        for _ in 0..10 {
-            f.step();
-        }
-        assert!(f.samples().is_empty());
     }
 
     #[test]
@@ -2500,7 +2305,7 @@ mod tests {
                 f.set_edge_credits(1, 0, Port::East, 1, 4);
             }
             f.use_reference_stepper(reference);
-            let cycles = f.run_until_quiescent(100_000).expect("stream finishes");
+            let cycles = f.run_watched(100_000, 100_000).expect("stream finishes");
             let p = f.perf();
             let data = f.tile(1, 0).mem.load_f16_slice(raddr, 8);
             (cycles, p.busy_cycles, p.idle_cycles, p.flits_routed, p.ctrl_stmts, data)
@@ -2760,10 +2565,10 @@ mod tests {
     #[test]
     fn skipped_idle_tiles_accrue_identical_idle_counters() {
         let (mut a, ra) = sender_receiver(8);
-        let ca = a.run_until_quiescent(1_000).unwrap();
+        let ca = a.run_watched(1_000, 1_000).unwrap();
         let (mut b, rb) = sender_receiver(8);
         b.use_reference_stepper(true);
-        let cb = b.run_until_quiescent(1_000).unwrap();
+        let cb = b.run_watched(1_000, 1_000).unwrap();
         assert_eq!(ca, cb, "cycle-for-cycle identical");
         let (pa, pb) = (a.perf(), b.perf());
         assert_eq!(pa.idle_cycles, pb.idle_cycles);

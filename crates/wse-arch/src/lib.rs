@@ -60,7 +60,7 @@
 //!     t.core.activate(recv);
 //!     addr
 //! };
-//! fabric.run_until_quiescent(1_000).expect("quiesce");
+//! fabric.run_watched(1_000, 64).expect("quiesce");
 //! assert_eq!(fabric.tile(1, 0).mem.load_f16_slice(dst, 8), data);
 //! ```
 
@@ -79,15 +79,13 @@ pub mod trace;
 pub mod types;
 
 pub use crate::core::{Core, CorePerf, SchedSnapshot};
-pub use crate::fabric::{
-    Fabric, FabricPerf, Region, RegionView, StallReport, Stalled, StalledTile, Tile,
-};
+pub use crate::fabric::{Fabric, FabricPerf, Region, RegionView, StallReport, StalledTile, Tile};
 pub use crate::fault::{FaultKind, FaultKindClass, FaultLog, FaultPlan, FaultRecord, SplitMix64};
 pub use crate::instr::OpClass;
 pub use crate::memory::{Memory, OutOfSram, TILE_SRAM_BYTES};
 pub use crate::sanitize::{CoreSanitizer, RaceTrip, SanitizerReport, TileSanitizer, TripKind};
 pub use crate::trace::{
-    CoreTrace, FabricTrace, PerfDelta, PerfWindow, PhaseSpan, StallCause, TileTrace, TraceConfig,
-    TraceEvent, TraceEventKind,
+    CoreTrace, FabricTrace, PhaseSpan, StallCause, TileTrace, TraceConfig, TraceEvent,
+    TraceEventKind,
 };
 pub use crate::types::{Color, Dtype, Flit, Port};

@@ -1,5 +1,5 @@
 //! Per-tile tracing primitives: structured events, stall-cause attribution,
-//! instruction-class retire accounting, and the windowed perf sampler.
+//! and instruction-class retire accounting.
 //!
 //! Collection lives here, next to the machine model, so the hooks in
 //! [`crate::core::Core`], [`crate::router::Router`], and
@@ -318,60 +318,6 @@ impl FabricTrace {
     }
 }
 
-/// Deltas of the aggregate perf counters over one sampling window.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct PerfDelta {
-    /// Datapath-busy core-cycles in the window.
-    pub busy_cycles: u64,
-    /// Datapath-idle core-cycles in the window.
-    pub idle_cycles: u64,
-    /// Flits forwarded in the window.
-    pub flits_routed: u64,
-    /// fp16 + fp32 flops in the window.
-    pub flops: u64,
-    /// Control statements retired in the window.
-    pub ctrl_stmts: u64,
-}
-
-impl PerfDelta {
-    /// Monotone progress metric: anything a cycle can accomplish — a
-    /// datapath issue, a retired control statement, a forwarded flit —
-    /// makes the window non-zero. The stall watchdog keys off this.
-    pub fn progress(&self) -> u64 {
-        self.busy_cycles + self.ctrl_stmts + self.flits_routed
-    }
-}
-
-/// Windowed perf sampler: snapshots [`FabricPerf`] and yields per-window
-/// deltas. This is the single sampling path shared by activity sampling
-/// ([`crate::fabric::Fabric::enable_sampling`]) and the
-/// [`crate::fabric::Fabric::run_watched`] stall watchdog.
-#[derive(Copy, Clone, Debug, Default)]
-pub struct PerfWindow {
-    last: FabricPerf,
-}
-
-impl PerfWindow {
-    /// A window anchored at the counter snapshot `now`.
-    pub fn new(now: FabricPerf) -> PerfWindow {
-        PerfWindow { last: now }
-    }
-
-    /// Closes the current window at `now`, returning its deltas and
-    /// starting the next window.
-    pub fn advance(&mut self, now: FabricPerf) -> PerfDelta {
-        let d = PerfDelta {
-            busy_cycles: now.busy_cycles - self.last.busy_cycles,
-            idle_cycles: now.idle_cycles - self.last.idle_cycles,
-            flits_routed: now.flits_routed - self.last.flits_routed,
-            flops: (now.flops_f16 + now.flops_f32) - (self.last.flops_f16 + self.last.flops_f32),
-            ctrl_stmts: now.ctrl_stmts - self.last.ctrl_stmts,
-        };
-        self.last = now;
-        d
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,23 +342,6 @@ mod tests {
         for (i, c) in StallCause::ALL.into_iter().enumerate() {
             assert_eq!(c.index(), i);
         }
-    }
-
-    #[test]
-    fn perf_window_yields_deltas() {
-        let mut p = FabricPerf::default();
-        let mut w = PerfWindow::new(p);
-        p.busy_cycles = 5;
-        p.flits_routed = 2;
-        p.flops_f16 = 7;
-        let d = w.advance(p);
-        assert_eq!(d.busy_cycles, 5);
-        assert_eq!(d.flits_routed, 2);
-        assert_eq!(d.flops, 7);
-        assert_eq!(d.progress(), 7);
-        let d2 = w.advance(p);
-        assert_eq!(d2, PerfDelta::default(), "second window is empty");
-        assert_eq!(d2.progress(), 0);
     }
 
     #[test]

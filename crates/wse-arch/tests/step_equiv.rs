@@ -364,9 +364,9 @@ fn trace_armed_runs_step_identically() {
     }
     // Armed and disarmed runs take identical cycle counts.
     let mut plain = build(false);
-    let c = plain.run_until_quiescent(10_000).unwrap();
+    let c = plain.run_watched(10_000, 10_000).unwrap();
     let mut traced = build(true);
-    let ct = traced.run_until_quiescent(10_000).unwrap();
+    let ct = traced.run_watched(10_000, 10_000).unwrap();
     assert_eq!(c, ct, "tracing must not perturb timing");
 }
 
@@ -384,8 +384,8 @@ fn mid_run_mutation_reactivates_tiles() {
     let mut opt = build();
     let mut reference = build();
     reference.use_reference_stepper(true);
-    let ca = opt.run_until_quiescent(10_000).unwrap();
-    let cb = reference.run_until_quiescent(10_000).unwrap();
+    let ca = opt.run_watched(10_000, 10_000).unwrap();
+    let cb = reference.run_watched(10_000, 10_000).unwrap();
     assert_eq!(ca, cb);
     // Load a second program into both (identical construction order).
     for f in [&mut opt, &mut reference] {
@@ -412,8 +412,8 @@ fn mid_run_mutation_reactivates_tiles() {
         t.core.activate(task);
     }
     assert!(!opt.is_quiescent(), "the late program must be visible immediately");
-    let ca = opt.run_until_quiescent(10_000).unwrap();
-    let cb = reference.run_until_quiescent(10_000).unwrap();
+    let ca = opt.run_watched(10_000, 10_000).unwrap();
+    let cb = reference.run_watched(10_000, 10_000).unwrap();
     assert_eq!(ca, cb, "the late program must run identically");
     assert_same_state(&opt, &reference, "after late program");
 }

@@ -94,7 +94,7 @@ fn random_point_to_point_streams_deliver_in_order() {
             let out = install_stream(&mut f, src, dst, color, &data);
             streams.push((dst, out, data));
         }
-        let cycles = f.run_until_quiescent(20_000).unwrap_or_else(|e| panic!("trial {trial}: {e}"));
+        let cycles = f.run_watched(20_000, 20_000).unwrap_or_else(|e| panic!("trial {trial}: {e}"));
         assert!(cycles > 0);
         for (dst, out, data) in streams {
             let got = f.tile(dst.0, dst.1).mem.load_f16_slice(out, data.len());
@@ -124,7 +124,7 @@ fn many_streams_share_one_bottleneck_link() {
         let out = install_stream(&mut f, src, dst, color, &data);
         expected.push((dst, out, data));
     }
-    f.run_until_quiescent(50_000).unwrap();
+    f.run_watched(50_000, 50_000).unwrap();
     for (dst, out, data) in expected {
         let got = f.tile(dst.0, dst.1).mem.load_f16_slice(out, data.len());
         assert_eq!(got, data);
@@ -186,7 +186,7 @@ fn long_snake_path_across_the_fabric() {
     let n = 16usize;
     let data: Vec<F16> = (0..n).map(|i| F16::from_f64(i as f64 * 0.5)).collect();
     let out = install_stream(&mut f, path[0], *path.last().unwrap(), color, &data);
-    let cycles = f.run_until_quiescent(20_000).unwrap();
+    let cycles = f.run_watched(20_000, 20_000).unwrap();
     let last = *path.last().unwrap();
     let got = f.tile(last.0, last.1).mem.load_f16_slice(out, n);
     assert_eq!(got, data);
@@ -247,7 +247,7 @@ fn slow_consumer_backpressures_the_whole_path() {
         ));
         t.core.activate(task);
     }
-    f.run_until_quiescent(100_000).unwrap();
+    f.run_watched(100_000, 100_000).unwrap();
     let got = f.tile(2, 0).mem.load_f16_slice(out, n);
     assert_eq!(got, data, "backpressure must not drop or reorder");
 }
@@ -305,7 +305,7 @@ fn fp32_and_fp16_traffic_coexist() {
         ));
         t.core.activate(task);
     }
-    f.run_until_quiescent(5_000).unwrap();
+    f.run_watched(5_000, 5_000).unwrap();
     assert_eq!(f.tile(1, 0).core.regs[5], 123.5);
     let got = f.tile(1, 0).mem.load_f16_slice(out, 8);
     assert_eq!(got[7].to_f64(), 7.0);

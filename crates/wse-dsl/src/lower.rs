@@ -20,6 +20,7 @@ use stencil::decomp::{Block2D, Mapping3D};
 use stencil::dia::DiaMatrix;
 use stencil::mesh::Mesh3D;
 use stencil::precond::has_unit_diagonal;
+use wse_arch::fabric::STALL_WINDOW;
 use wse_arch::types::{Dtype, TaskId};
 use wse_arch::Fabric;
 use wse_float::F16;
@@ -244,7 +245,7 @@ impl Lowered {
                 }
                 let budget = 2_000 * (bx * by) as u64 + 100_000;
                 let cycles = fabric
-                    .run_until_quiescent(budget)
+                    .run_watched(budget, STALL_WINDOW)
                     .unwrap_or_else(|e| panic!("dsl block apply stalled: {e}"));
                 let mut out = vec![0.0; mesh.len()];
                 for ty in 0..*h {
@@ -277,7 +278,7 @@ impl Lowered {
                 }
                 let budget = 64 * m.z as u64 + 10_000;
                 let cycles = fabric
-                    .run_until_quiescent(budget)
+                    .run_watched(budget, STALL_WINDOW)
                     .unwrap_or_else(|e| panic!("dsl listing1 apply stalled: {e}"));
                 let mut out = vec![0.0; v.len()];
                 for y in 0..m.fabric_h {
@@ -306,7 +307,7 @@ impl Lowered {
                 }
                 let budget = (*rounds as u64 + 4) * (64 * z as u64 + 10_000) + 100_000;
                 let cycles = fabric
-                    .run_until_quiescent(budget)
+                    .run_watched(budget, STALL_WINDOW)
                     .unwrap_or_else(|e| panic!("dsl relay apply stalled: {e}"));
                 let mut out = vec![0.0; mesh.len()];
                 for y in 0..*h {

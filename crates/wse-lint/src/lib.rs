@@ -6,7 +6,8 @@
 //! sharing a color inside one task, a descriptor reaching past its buffer —
 //! surface at runtime as a silent stall hundreds of thousands of cycles in,
 //! with nothing but full queues to look at. On hardware that is a hung
-//! wafer; in the simulator it is a `Stalled` error after the cycle budget.
+//! wafer; in the simulator it is a watchdog `StallReport` naming the wedged
+//! tiles, after the fact.
 //!
 //! `wse-lint` takes a fully configured [`Fabric`] **before any cycle is
 //! stepped** and checks the static invariants the paper's programs rely on:

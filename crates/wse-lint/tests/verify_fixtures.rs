@@ -45,7 +45,7 @@ fn request_reply_deadlock_lints_with_full_witness() {
 #[test]
 fn request_reply_deadlock_stalls_dynamically() {
     let mut f = fixtures::build("deadlock-request-reply").unwrap();
-    let err = f.run_until_quiescent(10_000).expect_err("must deadlock");
+    let err = f.run_watched(10_000, 10_000).expect_err("must deadlock");
     // Both receives sit waiting forever.
     assert!(err.cycle >= 10_000);
 }
@@ -65,7 +65,7 @@ fn backpressure_deadlock_lints_with_queue_depths() {
 #[test]
 fn backpressure_deadlock_stalls_dynamically() {
     let mut f = fixtures::build("deadlock-backpressure").unwrap();
-    f.run_until_quiescent(10_000).expect_err("must wedge on backpressure");
+    f.run_watched(10_000, 10_000).expect_err("must wedge on backpressure");
 }
 
 // ------------------------------------------------------------------- races
@@ -85,7 +85,7 @@ fn overlapping_writes_lint_with_byte_ranges() {
 fn overlapping_writes_trip_the_sanitizer() {
     let mut f = fixtures::build("race-overlapping-writes").unwrap();
     f.arm_sanitizer();
-    f.run_until_quiescent(10_000).expect("racy but not deadlocked");
+    f.run_watched(10_000, 10_000).expect("racy but not deadlocked");
     let rep = f.take_sanitizer().unwrap();
     assert!(!rep.is_clean(), "sanitizer must trip: {rep}");
     let t = &rep.tiles[0];
@@ -107,7 +107,7 @@ fn write_after_read_lints_as_race() {
 fn write_after_read_trips_the_sanitizer() {
     let mut f = fixtures::build("race-write-after-read").unwrap();
     f.arm_sanitizer();
-    f.run_until_quiescent(10_000).expect("racy but not deadlocked");
+    f.run_watched(10_000, 10_000).expect("racy but not deadlocked");
     let rep = f.take_sanitizer().unwrap();
     assert!(!rep.is_clean(), "sanitizer must trip: {rep}");
     assert!(rep.tiles[0]
@@ -131,7 +131,7 @@ fn unproduced_color_lints_as_starved() {
 #[test]
 fn unproduced_color_stalls_dynamically() {
     let mut f = fixtures::build("starved-no-producer").unwrap();
-    f.run_until_quiescent(10_000).expect_err("receive must wait forever");
+    f.run_watched(10_000, 10_000).expect_err("receive must wait forever");
 }
 
 #[test]
@@ -148,7 +148,7 @@ fn unreached_consumer_lints_as_starved() {
 fn unreached_consumer_stalls_dynamically_with_wait_signature() {
     let mut f = fixtures::build("starved-unreached-consumer").unwrap();
     f.arm_sanitizer();
-    f.run_until_quiescent(10_000).expect_err("second consumer must wait forever");
+    f.run_watched(10_000, 10_000).expect_err("second consumer must wait forever");
     // The shadow channel-wait shows an ever-growing streak on color 6 at
     // the starved tile — the runtime face of the static diagnostic.
     let rep = f.take_sanitizer().unwrap();

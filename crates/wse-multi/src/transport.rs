@@ -1,10 +1,9 @@
-//! Reliable seam transport: framing, acks, retransmission, fault arming.
+//! Reliable seam transport: framing, acks, retransmission, host-link faults.
 //!
-//! The baseline [`MultiFabric`] stepper trusts the host interconnect: a
-//! drained flit always arrives. Production host links do not deserve that
-//! trust — PCIe hiccups drop frames, marginal cables flip bits, driver
-//! resets make a wafer vanish for milliseconds. This module wraps every
-//! seam channel in a go-back-N reliable transport when armed:
+//! Production host links drop and damage traffic — PCIe hiccups drop
+//! frames, marginal cables flip bits, driver resets make a wafer vanish for
+//! milliseconds. [`MultiFabric`] therefore carries every seam channel over
+//! a go-back-N reliable transport:
 //!
 //! * each flit is framed with a **sequence number** and a **checksum**
 //!   computed before the wire, so drops surface as sequence gaps and
@@ -14,18 +13,16 @@
 //! * when the retry budget exhausts, the link is declared down — a
 //!   structured [`LinkDown`] record, never silent data loss.
 //!
-//! Arming follows the one-pointer-test discipline of trace/sanitizer
-//! arming in `wse-arch`: a disarmed ensemble pays a single `Option` test
-//! per step and is bit-identical to the baseline path. An **armed but
-//! fault-free** ensemble is also cycle-identical: frame headers and acks
-//! are control-plane metadata carried out-of-band by the host (only
-//! payload bytes charge the data-plane bandwidth model), and the ack
-//! timeout is derived from the frame's own delivery time plus link
-//! latency plus slack, so a healthy link never times out spuriously.
+//! On a healthy link framing costs no cycle: frame headers and acks are
+//! control-plane metadata carried out-of-band by the host (only payload
+//! bytes charge the data-plane bandwidth model), and the ack timeout is
+//! derived from the frame's own delivery time plus link latency plus slack,
+//! so a healthy link never times out spuriously.
 //!
 //! [`MultiFabric`]: crate::MultiFabric
 
 use std::collections::VecDeque;
+use wse_arch::fabric::STALL_WINDOW;
 use wse_arch::fault::{FaultEvent, FaultLog};
 use wse_arch::types::Flit;
 
@@ -40,10 +37,15 @@ pub const ACK_SLACK: u64 = 64;
 
 /// Cap on exponential-backoff doublings of [`ACK_SLACK`]. Chosen so the
 /// worst inter-retry gap (`ACK_SLACK << 4` plus link latency and
-/// serialization) stays inside the canonical 2048-cycle stall window:
-/// the ensemble watchdog must never preempt a transport that is still
-/// actively retrying.
+/// serialization) stays inside the [`STALL_WINDOW`]: the ensemble watchdog
+/// must never preempt a transport that is still actively retrying.
 pub const MAX_BACKOFF_DOUBLINGS: u32 = 4;
+
+const _: () = assert!(
+    (ACK_SLACK << MAX_BACKOFF_DOUBLINGS) + crate::HostLink::paper_default().latency_cycles
+        < STALL_WINDOW,
+    "the worst retry gap on the paper-default link must fit the stall window"
+);
 
 /// One framed flit: payload plus the control-plane header the reliable
 /// transport adds (sequence number and pre-wire checksum).
@@ -175,8 +177,8 @@ impl ChannelState {
     }
 }
 
-/// Whole-ensemble transport state, armed via `MultiFabric::arm_faults` /
-/// `MultiFabric::arm_transport`.
+/// Whole-ensemble transport state; `MultiFabric::arm_faults` installs its
+/// fault schedule.
 #[derive(Clone, Debug)]
 pub(crate) struct TransportState {
     /// Per-channel go-back-N state.
@@ -209,9 +211,10 @@ pub(crate) struct TransportState {
 }
 
 impl TransportState {
-    pub fn new(n_channels: usize, n_seams: usize, events: Vec<FaultEvent>) -> TransportState {
+    /// No channels yet (they are added as seams are paired) and no faults.
+    pub fn new(n_seams: usize) -> TransportState {
         TransportState {
-            channels: (0..n_channels).map(|_| ChannelState::new()).collect(),
+            channels: Vec::new(),
             stats: vec![[LinkStats::default(); 2]; n_seams],
             stall_until: vec![[0; 2]; n_seams],
             down: vec![[false; 2]; n_seams],
@@ -219,7 +222,7 @@ impl TransportState {
             pending_drop: vec![[0; 2]; n_seams],
             pending_corrupt: vec![[VecDeque::new(), VecDeque::new()]; n_seams],
             activity: 0,
-            events,
+            events: Vec::new(),
             next_event: 0,
             log: FaultLog::default(),
         }

@@ -1,12 +1,14 @@
-//! Fabric activity timeline: watch the phase structure of a BiCGStab
-//! iteration through the activity sampler — SpMV bursts, dot products,
-//! reduction latency valleys, update bursts.
+//! Fabric activity of one BiCGStab iteration, read from the trace: the
+//! phase table (SpMV bursts, dot products, reduction latency, update
+//! bursts) and the per-tile utilization heatmap.
 //!
 //! ```text
 //! cargo run --release --example fabric_activity [-- <fabric-edge> <z>]
 //! ```
 
+use wafer_stencil::arch::TraceConfig;
 use wafer_stencil::prelude::*;
+use wse_trace::{utilization_ascii, PhaseReport};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -22,32 +24,21 @@ fn main() {
     let solver = WaferBicgstab::build(&mut fabric, &a16);
     solver.load_rhs(&mut fabric, &b16);
 
-    // Sample every 8 cycles through one iteration.
-    fabric.enable_sampling(8);
+    // Trace exactly one iteration.
+    fabric.arm_trace(TraceConfig::default());
     let cycles = solver.iterate(&mut fabric);
-    let samples: Vec<_> = fabric.samples().to_vec();
+    let trace = fabric.take_trace().expect("trace was armed");
 
     println!("one BiCGStab iteration on a {n}x{n} fabric, z = {z}: {} cycles", cycles.total());
     println!(
         "phases: spmv {} | dot {} | allreduce {} | update {} | scalar {}",
         cycles.spmv, cycles.dot, cycles.allreduce, cycles.update, cycles.scalar
     );
-    println!("\ncore utilization over time ({} samples of 8 cycles):", samples.len());
-    let width = 60usize;
-    for s in &samples {
-        let bar = (s.core_utilization * width as f64).round() as usize;
-        println!(
-            "  cyc {:>6} |{}{}| {:>5.1}%  ({} flops, {} flits)",
-            s.cycle,
-            "█".repeat(bar.min(width)),
-            " ".repeat(width.saturating_sub(bar)),
-            s.core_utilization * 100.0,
-            s.flops,
-            s.flits_routed
-        );
-    }
-    let mean: f64 =
-        samples.iter().map(|s| s.core_utilization).sum::<f64>() / samples.len().max(1) as f64;
-    println!("\nmean utilization {:.0}% — SpMV bursts saturate the datapath;", mean * 100.0);
-    println!("the valleys are the blocking AllReduce rounds the paper minimizes.");
+    println!();
+    print!("{}", PhaseReport::from_trace(&trace).render(Cs1Model::default().clock_ghz));
+    println!();
+    print!("{}", utilization_ascii(&trace));
+    let mean = trace.tiles.iter().map(|t| t.utilization()).sum::<f64>() / trace.tiles.len() as f64;
+    println!("\nmean utilization {:.0}% — the SpMV rows saturate the datapath;", mean * 100.0);
+    println!("the allreduce rows are the blocking reduction rounds the paper minimizes.");
 }

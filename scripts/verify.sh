@@ -104,13 +104,13 @@ smoke_twice "ensemble fault smoke (k=2 host-link faults, twice, diffed)" \
 # FNV-1a hash of the full JSON), and cross-validates the phase split
 # against the model. The runtime sanitizer leg: armed shadow state must not
 # perturb simulated time and must find the shipped solver race-free. The
-# reliable-transport leg: framing/acks on a healthy k=2 split must be
-# cycle-identical to the trusted link and never retransmit.
+# reliable-transport leg: a framed k=2 transparent split over the ideal link
+# must be cycle-identical to the unsplit fabric and never retransmit.
 smoke_twice "trace smoke (traced iteration profile, twice, diffed)" \
   "all phases within 15% of the analytic prediction" \
   "cycle identity:" \
   "cycle identity: .* runtime sanitizer armed (0 race trips)" \
-  "cycle identity: .* armed and disarmed transport" \
+  "cycle identity: .* unsplit and framed" \
   -- bench_bin iter_profile -- --smoke
 
 echo "== e2e-bench tests (standalone benchmark crate) =="

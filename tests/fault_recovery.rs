@@ -319,7 +319,7 @@ fn k2_host_link_drop_mid_solve_recovers_and_verifies() {
     let true_rel = true_rel_residual(&a, &x, &b);
     assert!(true_rel < 0.1, "returned iterate must be verifiably good: {true_rel}");
     // The drop actually happened and was masked, not skipped.
-    let flog = multi.fault_log().expect("transport armed");
+    let flog = multi.fault_log();
     assert_eq!(flog.dropped_flits, 1, "the armed drop must fire: {flog:?}");
     assert!(
         multi.retransmits() >= 1 || log.rollbacks >= 1,
