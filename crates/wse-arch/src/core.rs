@@ -137,6 +137,9 @@ pub struct Core {
     /// Tasks that are activated and not blocked (what the scheduler could
     /// start); keeps [`Core::is_quiescent`] O(1).
     runnable: usize,
+    /// The same tasks as a bitset (bit `id % 64` of word `id / 64`), one
+    /// bit per task-table entry, so [`Core::schedule`] visits only them.
+    runnable_bits: Vec<u64>,
     /// Tasks the host is expected to activate externally (entry points).
     /// Purely declarative — recorded by kernel builders so static analysis
     /// knows where control can enter; the simulator never reads it.
@@ -185,6 +188,7 @@ impl Core {
             live: 0,
             rr_cursor: 0,
             runnable: 0,
+            runnable_bits: Vec::new(),
             entries: Vec::new(),
             ramp_in: [Ring::default(); NUM_COLORS],
             ramp_out: [Ring::default(); NUM_COLORS],
@@ -265,9 +269,15 @@ impl Core {
     /// Registers a task, returning its id.
     pub fn add_task(&mut self, task: Task) -> TaskId {
         let st = TaskState { activated: task.start_activated, blocked: task.start_blocked, task };
-        self.runnable += (st.activated && !st.blocked) as usize;
+        let id = self.tasks.len();
+        if id.is_multiple_of(64) {
+            self.runnable_bits.push(0);
+        }
+        if st.activated && !st.blocked {
+            self.set_runnable(id, true);
+        }
         self.tasks.push(st);
-        self.tasks.len() - 1
+        id
     }
 
     /// Replaces a task's body. Kernel builders use this when a task must
@@ -294,14 +304,30 @@ impl Core {
         self.bound_mask |= 1 << color;
     }
 
-    /// Changes a task's scheduling flags, keeping the runnable count.
+    /// Changes a task's scheduling flags, keeping the runnable count and
+    /// bitset.
     #[inline]
     fn flag_task(&mut self, task: TaskId, change: impl FnOnce(&mut TaskState)) {
         let t = &mut self.tasks[task];
         let was = t.activated && !t.blocked;
         change(t);
         let is = t.activated && !t.blocked;
-        self.runnable = self.runnable + is as usize - was as usize;
+        if is != was {
+            self.set_runnable(task, is);
+        }
+    }
+
+    /// Sets task `id`'s runnable bit from clear (or clears it from set).
+    #[inline]
+    fn set_runnable(&mut self, id: TaskId, on: bool) {
+        let word = &mut self.runnable_bits[id / 64];
+        if on {
+            *word |= 1 << (id % 64);
+            self.runnable += 1;
+        } else {
+            *word &= !(1 << (id % 64));
+            self.runnable -= 1;
+        }
     }
 
     /// Externally activates a task (the host-side "go" signal).
@@ -573,9 +599,14 @@ impl Core {
         self.recount_runnable();
     }
 
-    /// Re-derives the runnable count after task flags were set wholesale.
+    /// Re-derives the runnable count and bitset after task flags were set
+    /// wholesale.
     fn recount_runnable(&mut self) {
-        self.runnable = self.tasks.iter().filter(|t| t.activated && !t.blocked).count();
+        self.runnable_bits.fill(0);
+        for (id, t) in self.tasks.iter().enumerate() {
+            self.runnable_bits[id / 64] |= ((t.activated && !t.blocked) as u64) << (id % 64);
+        }
+        self.runnable = self.runnable_bits.iter().map(|w| w.count_ones() as usize).sum();
     }
 
     /// Renders the core's program (tasks, bodies, DSRs, FIFOs) as
@@ -687,22 +718,25 @@ impl Core {
         if self.main.is_some() || self.runnable == 0 {
             return;
         }
-        let mut best: Option<(u8, usize)> = None;
-        for (id, t) in self.tasks.iter().enumerate() {
-            if t.activated && !t.blocked {
-                let key = (t.task.priority, usize::MAX - id);
-                if best.is_none_or(|b| key > b) {
-                    best = Some(key);
+        // Highest priority wins; ascending ids with a strict `>` keep the
+        // lowest id among equals.
+        let mut best: Option<(u8, TaskId)> = None;
+        for (w, &word) in self.runnable_bits.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let id = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let priority = self.tasks[id].task.priority;
+                if best.is_none_or(|(p, _)| priority > p) {
+                    best = Some((priority, id));
                 }
             }
         }
-        if let Some((_, inv_id)) = best {
-            let id = usize::MAX - inv_id;
-            self.flag_task(id, |t| t.activated = false); // activation is consumed
-            self.main = Some(RunningTask { id, pc: 0 });
-            if let Some(tr) = self.trace.as_deref_mut() {
-                tr.record_task_start(id, self.tasks[id].task.name);
-            }
+        let Some((_, id)) = best else { return };
+        self.flag_task(id, |t| t.activated = false); // activation is consumed
+        self.main = Some(RunningTask { id, pc: 0 });
+        if let Some(tr) = self.trace.as_deref_mut() {
+            tr.record_task_start(id, self.tasks[id].task.name);
         }
     }
 
@@ -1841,6 +1875,42 @@ mod tests {
         assert_eq!(core.regs[0], 0.0);
         run(&mut core, &mut mem, 5);
         assert_eq!(core.regs[0], 1.0);
+    }
+
+    /// The runnable bitset has no cap: with 200 tasks, mixed priorities and
+    /// many ties, `schedule` picks what a scan of the whole table picks
+    /// (highest priority, then lowest id), through incremental flag changes
+    /// and wholesale restores alike.
+    #[test]
+    fn schedule_matches_brute_force_scan_beyond_128_tasks() {
+        let (mut core, _, _, _) = setup(&[0.0], &[0.0]);
+        let mut rng = crate::fault::SplitMix64::new(0x5C4E_D01E);
+        for _ in 0..200 {
+            let task = Task::new("t", vec![]).priority(rng.below(4) as u8);
+            core.add_task(if rng.below(5) == 0 { task.blocked() } else { task });
+        }
+        let snap = core.sched_state();
+        let mut picked = 0;
+        for round in 0..2000 {
+            for _ in 0..1 + rng.below(6) {
+                let id = rng.below(200) as TaskId;
+                let action = [TaskAction::Activate, TaskAction::Block, TaskAction::Unblock]
+                    [rng.below(3) as usize];
+                core.apply_action(id, action);
+            }
+            if round % 500 == 499 {
+                core.restore_sched_state(&snap);
+            }
+            let want = (0..200)
+                .filter(|&id| core.tasks[id].activated && !core.tasks[id].blocked)
+                .max_by_key(|&id| (core.tasks[id].task.priority, usize::MAX - id));
+            core.schedule();
+            assert_eq!(core.main.take().map(|r| r.id), want, "round {round}");
+            picked += want.is_some() as usize;
+            let runnable = core.tasks.iter().filter(|t| t.activated && !t.blocked).count();
+            assert_eq!(core.runnable, runnable);
+        }
+        assert!(picked > 1000, "only {picked} rounds had a runnable task");
     }
 
     #[test]

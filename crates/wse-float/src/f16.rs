@@ -13,7 +13,7 @@ use std::str::FromStr;
 /// An IEEE 754 binary16 floating point number stored as its raw bit pattern.
 ///
 /// Arithmetic is correctly rounded (round-to-nearest, ties-to-even); see the
-/// crate docs for why routing through `f32`/`f64` achieves this.
+/// crate docs for why routing through `f32` achieves this.
 #[derive(Copy, Clone, Default)]
 pub struct F16(u16);
 
@@ -218,79 +218,58 @@ impl F16 {
     }
 }
 
-/// Lossless widening conversion (standard bit algorithm with subnormal
-/// renormalization).
+/// `(15 - 127) << 23`: moves a binary16 exponent field, shifted into the
+/// binary32 position, onto the binary32 bias.
+const REBIAS: u32 = 112 << 23;
+
+/// `2^-14`, the smallest normal binary16 value, as binary32 bits.
+const MIN_NORMAL: u32 = REBIAS + (1 << 23);
+
+/// Lossless widening conversion: shift exponent and mantissa into place and
+/// rebias. Inf/NaN (exponent 31) take a second rebias to reach exponent 255,
+/// keeping the payload; a subnormal or zero is read as `2^-14 * (1 + m/1024)`
+/// and renormalised by one exact f32 subtraction of `2^-14`.
+#[inline]
 fn f16_bits_to_f32(bits: u16) -> f32 {
     let sign = ((bits & SIGN_MASK) as u32) << 16;
-    let exp = ((bits & EXP_MASK) >> 10) as u32;
-    let man = (bits & MAN_MASK) as u32;
-    let out = match (exp, man) {
-        (0, 0) => sign, // signed zero
-        (0, _) => {
-            // Subnormal: value = man * 2^-24 with man in [1, 1023].
-            // Renormalize: put the top set bit (position k) at the hidden-bit
-            // position 10; the f32 exponent is then (k - 24) + 127 = 113 - shift
-            // with shift = 10 - k.
-            let shift = man.leading_zeros() - 21;
-            let man = (man << shift) & 0x3FF; // hidden bit dropped by the mask
-            let exp = 113 - shift;
-            sign | (exp << 23) | (man << 13)
-        }
-        (0x1F, 0) => sign | 0x7F80_0000,               // infinity
-        (0x1F, _) => sign | 0x7F80_0000 | (man << 13), // NaN, keep payload
-        _ => sign | ((exp + 127 - 15) << 23) | (man << 13),
-    };
-    f32::from_bits(out)
+    let mut mag = ((bits & !SIGN_MASK) as u32) << 13;
+    match bits & EXP_MASK {
+        EXP_MASK => mag += 2 * REBIAS,
+        0 => mag = (f32::from_bits(mag + MIN_NORMAL) - f32::from_bits(MIN_NORMAL)).to_bits(),
+        _ => mag += REBIAS,
+    }
+    f32::from_bits(sign | mag)
 }
 
 /// Narrowing conversion with round-to-nearest, ties-to-even.
+///
+/// Normals round in integer arithmetic: adding `0xFFF` plus the lowest kept
+/// bit to the 13 discarded bits carries exactly when RNE rounds up (the
+/// carry may run into the exponent, up to infinity). Below `2^-14` one f32
+/// addition of `0.5` rounds to the subnormal quantum `2^-24` (the hardware
+/// rounds once, ties to even), leaving the subnormal significand in the low
+/// bits.
+#[inline]
 fn f32_to_f16_bits(value: f32) -> u16 {
     let bits = value.to_bits();
     let sign = ((bits >> 16) & (SIGN_MASK as u32)) as u16;
-    let exp = ((bits >> 23) & 0xFF) as i32;
-    let man = bits & 0x007F_FFFF;
-
-    if exp == 0xFF {
-        return if man == 0 {
-            sign | EXP_MASK // infinity
-        } else {
+    let abs = bits & 0x7FFF_FFFF;
+    if abs >= 0x4780_0000 {
+        // At least 2^16: overflows to infinity, or is infinity or NaN.
+        return if abs > 0x7F80_0000 {
             // NaN: preserve the top payload bits, force quiet.
-            sign | EXP_MASK | 0x0200 | ((man >> 13) as u16 & MAN_MASK)
+            sign | EXP_MASK | 0x0200 | ((abs >> 13) as u16 & MAN_MASK)
+        } else {
+            sign | EXP_MASK
         };
     }
-
-    // Unbiased exponent of the f32 value.
-    let unbiased = exp - 127;
-    if unbiased > 15 {
-        return sign | EXP_MASK; // overflows to infinity
-    }
-    if unbiased >= -14 {
-        // Normal range for f16: 10 explicit bits survive; 13 are rounded off.
-        let half_exp = (unbiased + 15) as u32;
-        let mut out = (half_exp << 10) | (man >> 13);
-        // Round to nearest even on the 13 discarded bits.
-        let rem = man & 0x1FFF;
-        if rem > 0x1000 || (rem == 0x1000 && (out & 1) == 1) {
-            out += 1; // may carry into the exponent; that is correct
-                      // (rounds up to the next binade or to infinity)
-        }
-        return sign | out as u16;
-    }
-    if unbiased >= -25 {
-        // Subnormal f16 (or rounds up into the smallest normal).
-        // Significand with hidden bit, aligned so bit 23 is the hidden bit.
-        let man = man | 0x0080_0000;
-        let shift = (-14 - unbiased) as u32 + 13; // total bits discarded
-        let out = man >> shift;
-        let rem = man & ((1 << shift) - 1);
-        let halfway = 1u32 << (shift - 1);
-        let mut out = out as u16;
-        if rem > halfway || (rem == halfway && (out & 1) == 1) {
-            out += 1;
-        }
-        return sign | out;
-    }
-    sign // underflows to signed zero
+    let out = if abs < MIN_NORMAL {
+        const HALF: f32 = 0.5;
+        (f32::from_bits(abs) + HALF).to_bits() - HALF.to_bits()
+    } else {
+        (abs - REBIAS + 0xFFF + ((abs >> 13) & 1)) >> 13
+    };
+    sign | out as u16
 }
 
 /// Narrowing conversion from binary64 with a single round-to-nearest-even.

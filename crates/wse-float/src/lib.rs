@@ -28,9 +28,11 @@
 //! 11 — exactly the classical threshold at which *double rounding is
 //! innocuous* for `+`, `-`, `*`, `/` and `sqrt`. So those operations convert
 //! to `f32`, compute, and round back, and are nevertheless correctly rounded.
-//! The fused multiply-accumulate needs more headroom (the exact product plus
-//! an addend does not fit in 24 bits), so it computes in `f64`
-//! (53 ≥ 2·11 + 2) and rounds once.
+//! The fused multiply-accumulate (see [`fma16`]) also stays in `f32`: the
+//! product of two binary16 values is exact in binary32, TwoSum recovers the
+//! exact error of adding the addend, and rounding that sum to odd at 24 bits
+//! and then to nearest-even at 11 bits is a single rounding of the exact
+//! result (24 ≥ 11 + 2).
 
 #![warn(missing_docs)]
 
@@ -47,11 +49,44 @@ pub use simd::F16x4;
 /// rounding, matching the CS-1 FMAC ("no rounding of the product prior to the
 /// add").
 ///
-/// The exact product of two binary16 values has at most 22 significand bits
-/// and the exact sum with a binary16 addend at most ~53, so evaluating in
-/// `f64` is exact and the final conversion performs the only rounding.
-#[inline]
+/// `p = a * b` is exact in `f32` (two 11-bit significands make at most 22
+/// bits, and binary16's range sits well inside binary32's). `s = p + c` is
+/// rounded, but TwoSum gives its error `err` exactly. Where `err != 0` the
+/// sum is replaced by its round-to-odd value: the truncation of the exact sum
+/// with the last bit forced to one. Round-to-odd at 24 bits followed by
+/// round-to-nearest-even at 11 bits equals one rounding of the exact sum,
+/// since 24 ≥ 11 + 2. A non-finite `s` means a non-finite operand and takes
+/// a cold path that evaluates in `f64`.
+///
+/// The `f64` expression gives the same bits on finite operands too, though
+/// it is not exact (a product as small as `2^-48` beside an addend near
+/// `2^15` spans about 64 bits): it rounds only when the product lies far
+/// below half a binary16 ulp of the addend or the sum overflows binary16
+/// anyway, so its one `f64` rounding never crosses a binary16 rounding
+/// boundary.
+#[inline(always)]
 pub fn fma16(a: F16, b: F16, c: F16) -> F16 {
+    let (p, addend) = (a.to_f32() * b.to_f32(), c.to_f32());
+    let s = p + addend;
+    if !s.is_finite() {
+        return fma16_nonfinite(a, b, c);
+    }
+    // TwoSum: s + err == p + addend exactly. Both terms are multiples of
+    // 2^-48, so a nonzero err and s are at least 2^-48 and `err * s` cannot
+    // underflow to zero.
+    let p_part = s - addend;
+    let err = (p - p_part) + (addend - (s - p_part));
+    // Round to odd: truncate toward zero (one ulp down in magnitude when the
+    // exact sum lies inside s), then set the last bit if anything was lost.
+    let inward = (err * s < 0.0) as u32;
+    let inexact = (err != 0.0) as u32;
+    F16::from_f32(f32::from_bits((s.to_bits() - inward) | inexact))
+}
+
+/// [`fma16`] with an infinite or NaN operand.
+#[cold]
+#[inline(never)]
+fn fma16_nonfinite(a: F16, b: F16, c: F16) -> F16 {
     F16::from_f64(a.to_f64() * b.to_f64() + c.to_f64())
 }
 

@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # Full verification, a superset of tier-1 (ROADMAP.md: `cargo build
 # --release && cargo test -q`, which the root manifest's `default-members`
-# scopes to the root package, `wse-core`, `wse-arch` and `wse-multi`; the
-# other eleven crates' suites only run here): the release build,
-# the whole workspace's tests, clippy and rustfmt, a grep that keeps the
-# workspace single-threaded, the wse-lint static verifier over every
-# shipped kernel configuration (once more with --stats) and broken fixture,
-# three twice-run-and-diffed paper-artifact smokes, the e2e-bench tests,
-# and the exact simulated counters of all four benchmark workloads.
+# scopes to the root package, `wse-core`, `wse-arch`, `wse-multi` and
+# `wse-float`; the other ten crates' suites only run here): the release
+# build, the whole workspace's tests, the exhaustive fp16 sweeps, clippy and
+# rustfmt, a grep that keeps the workspace single-threaded, the wse-lint
+# static verifier over every shipped kernel configuration (once more with
+# --stats) and broken fixture, three twice-run-and-diffed paper-artifact
+# smokes, the e2e-bench tests, and the exact simulated counters of all four
+# benchmark workloads.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,6 +17,12 @@ cargo build --release
 
 echo "== cargo test -q --workspace =="
 cargo test -q --workspace
+
+echo "== wse-float exhaustive sweeps (release, --ignored) =="
+# Narrowing on all 2^32 binary32 inputs and fma16 on 4*10^8 random triples
+# against the reference algorithms; the debug suite above covers every
+# rounding boundary but not every input.
+cargo test --release -q -p wse-float -- --ignored
 
 echo "== cargo clippy --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
