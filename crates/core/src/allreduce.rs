@@ -11,7 +11,11 @@
 //! All arithmetic is fp32 ("we do the AllReduce at 32-bit precision"). The
 //! single-cycle-per-hop fabric makes the whole operation complete "in a
 //! cycle count only about 10% greater than the diameter of the system" —
-//! the latency tests below check exactly that property.
+//! the latency tests below check exactly that property. The order in which
+//! the fp32 sums associate depends on the fabric's history (a fabric that
+//! has already run a reduction can round differently from a fresh one on
+//! the same inputs), so results are bit-identical only between runs with
+//! identical histories.
 
 use wse_arch::dsr::mk;
 use wse_arch::fabric::STALL_WINDOW;

@@ -179,8 +179,6 @@ impl WaferBicgstab {
 mod tests {
     use super::*;
     use crate::Krylov;
-    use solver::policy::MixedF16;
-    use solver::{bicgstab as host_bicgstab, SolveOptions};
     use stencil::mesh::Mesh3D;
     use stencil::problem::manufactured;
 
@@ -204,32 +202,6 @@ mod tests {
         let err = x.iter().zip(&exact).map(|(a, b)| (a.to_f64() - b).abs()).fold(0.0, f64::max);
         let scale = exact.iter().map(|v| v.abs()).fold(0.0, f64::max);
         assert!(err < 0.15 * scale.max(1.0), "max err {err} (scale {scale})");
-    }
-
-    #[test]
-    fn wafer_matches_host_mixed_policy_trajectory() {
-        // The wafer solve and the host MixedF16 solve use the same
-        // arithmetic classes (fp16 storage, fp32 dot accumulation); their
-        // residual trajectories agree to within rounding-order noise.
-        let mesh = Mesh3D::new(3, 3, 6);
-        let (a, b, _) = problem(mesh);
-        let mut fabric = Fabric::new(3, 3);
-        let solver = WaferBicgstab::build(&mut fabric, &a);
-        let iters = 6;
-        let (_, stats) = solver.solve(&mut fabric, &b, iters);
-
-        let opts = SolveOptions { max_iters: iters, rtol: 0.0, record_true_residual: false };
-        let host = host_bicgstab::<MixedF16>(&a, &b, &opts);
-        // Once either trajectory reaches the fp16 storage noise floor
-        // (2^-11 ≈ 4.9e-4 relative), recursive residuals are rounding noise
-        // and their ratio is instance-dependent; clamp the comparison there.
-        let floor = 5e-4;
-        for (i, rec) in host.history.records.iter().enumerate() {
-            let wafer = stats.residuals[i].max(floor);
-            let host_rel = rec.recursive_rel.max(floor);
-            let ratio = (wafer / host_rel).max(host_rel / wafer);
-            assert!(ratio < 5.0, "iter {}: wafer {wafer:.3e} vs host {host_rel:.3e}", i + 1,);
-        }
     }
 
     #[test]

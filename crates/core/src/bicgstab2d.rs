@@ -163,8 +163,6 @@ impl WaferBicgstab2d {
 mod tests {
     use super::*;
     use crate::Krylov;
-    use solver::policy::MixedF16;
-    use solver::{bicgstab as host_bicgstab, SolveOptions};
     use stencil::precond::jacobi_scale;
     use stencil::stencil9::convection_diffusion9;
 
@@ -190,25 +188,6 @@ mod tests {
         let residuals = stats.residuals;
         let best = residuals.iter().copied().fold(f64::INFINITY, f64::min);
         assert!(best < 0.02, "best residual {best} ({residuals:?})");
-    }
-
-    #[test]
-    fn two_d_matches_host_mixed_policy() {
-        let block = Block2D::new(3, 3);
-        let (a, b) = system(3, 3, block);
-        let mut fabric = Fabric::new(3, 3);
-        let solver = WaferBicgstab2d::build(&mut fabric, &a, block);
-        let iters = 6;
-        let wafer_res = solver.solve(&mut fabric, &b, iters).1.residuals;
-        let host = host_bicgstab::<MixedF16>(
-            &a,
-            &b,
-            &SolveOptions { max_iters: iters, rtol: 0.0, record_true_residual: false },
-        );
-        for (wr, hr) in wafer_res.iter().zip(&host.history.records).take(4) {
-            let ratio = (wr / hr.recursive_rel.max(1e-12)).max(hr.recursive_rel / wr.max(1e-12));
-            assert!(ratio < 5.0, "wafer {wr:.3e} vs host {:.3e}", hr.recursive_rel);
-        }
     }
 
     #[test]

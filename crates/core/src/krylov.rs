@@ -30,7 +30,11 @@
 //!   [`crate::multi::WaferBicgstabMulti`] is a [`Program`] too, walked by
 //!   one ensemble interpreter that gives the SpMV and reduction steps
 //!   their seam-crossing meaning; and the four-method [`Krylov`] trait
-//!   gives both the same `solve` and `solve_with_recovery` loops.
+//!   gives both the same `solve` and `solve_with_recovery` loops;
+//! * a second executor, [`HostExec`], runs the same single-wafer tables
+//!   over host vectors under any precision policy. The host solvers
+//!   (`solver::{bicgstab, cg}`) are that executor, so the algorithm the
+//!   wafer runs is the only BiCGStab and CG there are.
 
 use crate::bicgstab::regs;
 use crate::cg::regs as cg;
@@ -44,9 +48,10 @@ use std::ops::{Index, IndexMut};
 use stencil::decomp::{Block2D, Mapping3D};
 use stencil::dia::DiaMatrix;
 use stencil::mesh::Mesh2D;
+use stencil::{Precision, Scalar as _};
 use wse_arch::fabric::StallReport;
 use wse_arch::instr::{RegOp, Task};
-use wse_arch::types::{Dtype, Reg, TaskId};
+use wse_arch::types::{Dtype, Reg, TaskId, NUM_REGS};
 use wse_arch::{Core, Tile};
 use wse_dsl::zcolumn::SpmvLayout;
 use wse_float::F16;
@@ -1342,6 +1347,193 @@ impl<E: WaferExec> Krylov<E> for Program {
     }
 }
 
+/// The kernels one [`HostExec::iterate`] ran, by kind: Table I's ledger as
+/// the step table spells it.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct Tally {
+    /// SpMV steps.
+    pub spmvs: u64,
+    /// Local dot products.
+    pub dots: u64,
+    /// AXPY-family vector updates (one per `(scalar, dst, source)`).
+    pub axpys: u64,
+    /// Blocking reduction rounds (both networks of a dual round count once).
+    pub reductions: u64,
+}
+
+/// The second interpreter of a single-wafer [`Recurrence`]: its seed,
+/// first and iteration step tables, phase rows, SpMV instances, starting
+/// vectors, presets and storage aliases, run over host vectors under
+/// precision policy `P`, with the SpMV handed in as a closure
+/// `spmv(source, product)`.
+///
+/// The semantics are the wafer's, kernel by kernel: a dot is `P::dot` (the
+/// one-tile case of the zeroed MAC), a reduction round copies `AR_IN` to
+/// `AR_OUT`, register arithmetic runs in `P::Global`, and an update reads
+/// its scalar register narrowed once to storage. The wafer's fp32
+/// reduction order is not reproduced — it depends on the fabric's history
+/// ([`crate::allreduce`]) — so wafer and host trajectories agree to a
+/// bound, not bit for bit.
+pub struct HostExec<P: Precision, M> {
+    recurrence: &'static Recurrence,
+    spmv: M,
+    /// Each role's index into `vectors`, storage aliases resolved.
+    home: [usize; V::COUNT],
+    /// One vector per storage row; empty until first written.
+    vectors: Vec<Vec<P::Storage>>,
+    regs: [P::Global; NUM_REGS],
+    iteration: usize,
+}
+
+impl<P: Precision, M: FnMut(&[P::Storage], &mut [P::Storage])> HostExec<P, M> {
+    /// # Panics
+    /// Panics on [`BICGSTAB_SINGLE`], whose payload lanes and host reply
+    /// exist only on an ensemble.
+    pub fn new(recurrence: &'static Recurrence, spmv: M) -> Self {
+        assert!(
+            !std::ptr::eq(recurrence, &BICGSTAB_SINGLE),
+            "HostExec runs single-wafer recurrences; BICGSTAB_SINGLE is ensemble-only"
+        );
+        let mut home = [usize::MAX; V::COUNT];
+        let mut rows = 0;
+        for &(v, store) in recurrence.storage {
+            home[v as usize] = match store {
+                Alias(of) => home[of as usize],
+                _ => {
+                    rows += 1;
+                    rows - 1
+                }
+            };
+        }
+        let (regs, vectors) = ([P::Global::zero(); NUM_REGS], vec![Vec::new(); rows]);
+        HostExec { recurrence, spmv, home, vectors, regs, iteration: 0 }
+    }
+
+    /// Starts from `b`: the recurrence's starting vectors take `b`, its
+    /// zeroed ones (the iterate among them) zeros, its preset registers
+    /// their value; then the seed table runs.
+    pub fn load_rhs(&mut self, b: &[P::Storage]) {
+        let rec = self.recurrence;
+        for &v in rec.from_b {
+            self.vectors[self.home[v as usize]] = b.to_vec();
+        }
+        for &v in rec.zeroed {
+            self.vectors[self.home[v as usize]] = vec![P::Storage::zero(); b.len()];
+        }
+        let (preset, value) = rec.presets;
+        for &reg in preset {
+            self.regs[reg] = P::Global::from_f64(value.into());
+        }
+        self.run(rec.seed);
+        self.iteration = 0;
+    }
+
+    /// Runs one iteration (the first-iteration table after a load, where
+    /// the recurrence has one).
+    pub fn iterate(&mut self) -> Tally {
+        let steps = match self.recurrence.first {
+            Some(first) if self.iteration == 0 => first,
+            _ => self.recurrence.iter,
+        };
+        self.iteration += 1;
+        self.run(steps)
+    }
+
+    /// The iterate.
+    pub fn x(&self) -> &[P::Storage] {
+        self.vector(X)
+    }
+
+    /// The residual the recurrence carries.
+    pub fn r(&self) -> &[P::Storage] {
+        self.vector(R)
+    }
+
+    fn vector(&self, v: V) -> &[P::Storage] {
+        let vector = &self.vectors[self.home[v as usize]];
+        assert!(!vector.is_empty(), "{v:?} is read before it is written");
+        vector
+    }
+
+    fn run(&mut self, steps: &[Step]) -> Tally {
+        let mut tally = Tally::default();
+        for &step in steps {
+            match step {
+                Step::Run { slot, .. } => {
+                    let row = self.recurrence.phases.iter().find(|row| row.0 == slot);
+                    for kernel in row.expect("every slot a table runs has a row").2 {
+                        self.apply(kernel, &mut tally);
+                    }
+                }
+                Step::Spmv { slot, with: None } => {
+                    let spmv = self.recurrence.spmvs.iter().find(|spmv| spmv.0 == slot);
+                    let (_, source, product) = *spmv.expect("every SpMV step has an instance");
+                    let (source, product) =
+                        (self.home[source as usize], self.home[product as usize]);
+                    let mut out = std::mem::take(&mut self.vectors[product]);
+                    out.resize(self.vectors[source].len(), P::Storage::zero());
+                    (self.spmv)(&self.vectors[source], &mut out);
+                    self.vectors[product] = out;
+                    tally.spmvs += 1;
+                }
+                Step::Reduce => {
+                    self.regs[regs::AR_OUT] = self.regs[regs::AR_IN];
+                    tally.reductions += 1;
+                }
+                Step::ReduceBoth => {
+                    self.regs[regs::AR_OUT] = self.regs[regs::AR_IN];
+                    self.regs[regs::AR_OUT2] = self.regs[regs::AR_IN2];
+                    tally.reductions += 1;
+                }
+                Step::CopyReg { dst, src } => self.regs[dst] = self.regs[src],
+                Step::Spmv { with: Some(_), .. } | Step::ReduceToHost => {
+                    unreachable!("a step of the ensemble's interpreter (crate::multi)")
+                }
+            }
+        }
+        tally
+    }
+
+    /// `dst := a + r[s] · b`, fused, with the register narrowed once to
+    /// storage; `dst` may alias either operand. (An AXPY `dst += r[s] · a`
+    /// is the case `a = dst`.)
+    fn xpay(&mut self, s: Reg, dst: V, a: V, b: V, tally: &mut Tally) {
+        let s = P::Storage::from_f64(self.regs[s].to_f64());
+        let out = self.vector(a).iter().zip(self.vector(b)).map(|(&a, &b)| a.mul_add(s, b));
+        self.vectors[self.home[dst as usize]] = out.collect();
+        tally.axpys += 1;
+    }
+
+    fn apply(&mut self, kernel: &Kernel, tally: &mut Tally) {
+        match *kernel {
+            Kernel::Dot(a, b, Sum::Rearmed(reg) | Sum::Plain(reg)) => {
+                self.regs[reg] = P::dot(self.vector(a), self.vector(b));
+                tally.dots += 1;
+            }
+            Kernel::Dot(_, _, Sum::Lane(_)) => unreachable!("payload lanes are ensemble-only"),
+            Xpay(s, dst, a, b) => self.xpay(s, dst, a, b, tally),
+            Axpy(s, dst, a) => self.xpay(s, dst, dst, a, tally),
+            AxpySourcesFirst(each) => {
+                for &(s, dst, a) in each {
+                    self.xpay(s, dst, dst, a, tally);
+                }
+            }
+            Arith(op, dst, a, b) => {
+                let (a, b) = (self.regs[a], self.regs[b]);
+                self.regs[dst] = match op {
+                    Add => a.add(b),
+                    Sub => a.sub(b),
+                    Mul => a.mul(b),
+                    Div => a.div(b),
+                    RegOp::Neg => a.neg(),
+                    RegOp::Mov => a,
+                };
+            }
+            Kernel::Set(reg, value) => self.regs[reg] = P::Global::from_f64(value.into()),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1380,6 +1572,41 @@ mod tests {
                 assert!(rec.storage.iter().any(padded), "SpMV source {source:?} must be padded");
             }
         }
+    }
+
+    /// Table I as each table spells it, per iteration: BiCGStab 2 SpMV / 4
+    /// dots / 6 AXPY in four reduction rounds (three when ω is fused), CG
+    /// 1 / 2 / 3 in two, Chronopoulos–Gear CG 1 / 2 / 4 in one.
+    #[test]
+    fn host_tallies_spell_table_one() {
+        let tally = |spmvs, dots, axpys, reductions| Tally { spmvs, dots, axpys, reductions };
+        let cases = [
+            (&BICGSTAB, tally(2, 4, 6, 4)),
+            (&BICGSTAB_FUSED, tally(2, 4, 6, 3)),
+            (&BICGSTAB_BLOCK, tally(2, 4, 6, 4)),
+            (&CG, tally(1, 2, 3, 2)),
+            (&CG_SINGLE, tally(1, 2, 4, 1)),
+        ];
+        let laplace = |x: &[f64], y: &mut [f64]| {
+            for (i, y) in y.iter_mut().enumerate() {
+                let side = |j: Option<usize>| j.and_then(|j| x.get(j)).copied().unwrap_or(0.0);
+                *y = 4.0 * x[i] - side(i.checked_sub(1)) - side(Some(i + 1));
+            }
+        };
+        let b: Vec<f64> = (1..=8).map(f64::from).collect();
+        for (rec, want) in cases {
+            let mut host = HostExec::<stencil::Fp64, _>::new(rec, laplace);
+            host.load_rhs(&b);
+            for _ in 0..3 {
+                assert_eq!(host.iterate(), want);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "BICGSTAB_SINGLE is ensemble-only")]
+    fn the_host_executor_refuses_the_ensemble_table() {
+        HostExec::<stencil::Fp64, _>::new(&BICGSTAB_SINGLE, |_: &[f64], _: &mut [f64]| {});
     }
 
     #[test]

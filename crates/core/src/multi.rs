@@ -260,11 +260,11 @@ impl WaferBicgstabMulti {
     /// host tree across wafers) — one host round-trip per iteration
     /// instead of three, on top of the overlapped halo schedule.
     ///
-    /// The recurrence port follows `solver::pipelined::cg_single_reduction`:
-    /// with `v = A r` and `zv = A s` every classic scalar is a polynomial
-    /// in the pre-α dots (see `DESIGN.md` §12). The host keeps no state —
-    /// β and ω live in tile registers — so checkpoint/rollback recovery
-    /// works unchanged.
+    /// The recurrence port follows Chronopoulos–Gear CG
+    /// ([`crate::krylov::CG_SINGLE`]): with `v = A r` and `zv = A s` every
+    /// classic scalar is a polynomial in the pre-α dots (see `DESIGN.md`
+    /// §12). The host keeps no state — β and ω live in tile registers — so
+    /// checkpoint/rollback recovery works unchanged.
     ///
     /// # Panics
     /// As [`WaferBicgstabMulti::build`].

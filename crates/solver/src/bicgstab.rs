@@ -22,109 +22,18 @@
 //! meshpoint: 22 multiplies + 22 adds = 44 ops, of which the 4 dot-adds run
 //! at fp32 under the mixed policy and the other 40 at fp16.
 //!
-//! The residual-norm check used for stopping is *not* part of the ledger —
-//! the paper likewise excludes residual calculations, noting "they could be
-//! overlapped with other computations".
+//! The iteration is [`krylov::BICGSTAB`] — the step table the wafer runs —
+//! executed over host vectors by the one host driver, [`crate::solve`],
+//! which counts the ledger from the kernels the table runs. The
+//! residual-norm check used for stopping is *not* part of the ledger.
 
-use crate::convergence::{true_relative_residual, History, IterationRecord};
-use crate::policy::{OpCounts, Precision};
-use stencil::{DiaMatrix, Scalar};
-use wse_float::reduce::norm2_f64;
-
-/// Solver options.
-#[derive(Copy, Clone, Debug)]
-pub struct SolveOptions {
-    /// Maximum BiCGStab iterations.
-    pub max_iters: usize,
-    /// Stop when the recursive relative residual falls below this.
-    pub rtol: f64,
-    /// Record the f64 true residual every iteration (costs an extra f64
-    /// SpMV per iteration; disable for timing runs).
-    pub record_true_residual: bool,
-}
-
-impl Default for SolveOptions {
-    fn default() -> SolveOptions {
-        SolveOptions { max_iters: 200, rtol: 1e-8, record_true_residual: true }
-    }
-}
-
-/// Why the solve stopped.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum BiCgStabOutcome {
-    /// Recursive residual reached `rtol`.
-    Converged,
-    /// Iteration budget exhausted.
-    MaxIterations,
-    /// `(r0, r)` or `(r0, s)` vanished — the method cannot proceed.
-    BreakdownRho,
-    /// `(y, y)` vanished — ω undefined.
-    BreakdownOmega,
-    /// A non-finite coefficient appeared (overflow/NaN — a real fp16
-    /// hazard).
-    NonFinite,
-}
-
-/// Result of a BiCGStab solve.
-#[derive(Clone, Debug)]
-pub struct SolveResult<S> {
-    /// The final iterate.
-    pub x: Vec<S>,
-    /// Why iteration stopped.
-    pub outcome: BiCgStabOutcome,
-    /// Number of completed iterations.
-    pub iters: usize,
-    /// Residual history (one record per iteration).
-    pub history: History,
-    /// Accumulated floating-point operation counts.
-    pub ops: OpCounts,
-}
-
-/// `y[i] += a * x[i]` in storage precision using the fused FMAC; one
-/// multiply and one add per element.
-fn axpy<S: Scalar>(ops: &mut OpCounts, a: S, x: &[S], y: &mut [S]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (yi, &xi) in y.iter_mut().zip(x) {
-        *yi = yi.mul_add(a, xi);
-    }
-    ops.axpy_mul += x.len() as u64;
-    ops.axpy_add += x.len() as u64;
-}
-
-/// `dst[i] = u[i] + a * v[i]` (the XPAY form of lines 5 and 9).
-/// Note `mul_add(self, a, b)` computes `a·b + self`, so this is
-/// `u[i].mul_add(a, v[i])`.
-fn xpay_into<S: Scalar>(ops: &mut OpCounts, dst: &mut [S], u: &[S], a: S, v: &[S]) {
-    debug_assert_eq!(u.len(), v.len());
-    debug_assert_eq!(u.len(), dst.len());
-    for i in 0..u.len() {
-        dst[i] = u[i].mul_add(a, v[i]);
-    }
-    ops.axpy_mul += u.len() as u64;
-    ops.axpy_add += u.len() as u64;
-}
-
-/// Instrumented SpMV: charges the paper's per-band cost (every band one
-/// multiply per element except a unit main diagonal, and `bands − 1` adds
-/// per element since the first product initializes the output).
-fn spmv<S: Scalar>(ops: &mut OpCounts, a: &DiaMatrix<S>, x: &[S], y: &mut [S]) {
-    a.matvec(x, y);
-    let n = x.len() as u64;
-    let nbands = a.offsets().len() as u64;
-    let muls = if stencil::precond::has_unit_diagonal(a) { nbands - 1 } else { nbands };
-    ops.matvec_mul += muls * n;
-    ops.matvec_add += (nbands - 1) * n;
-}
-
-/// Instrumented dot product in the policy's global precision.
-fn dot<P: Precision>(ops: &mut OpCounts, x: &[P::Storage], y: &[P::Storage]) -> P::Global {
-    ops.dot_mul += x.len() as u64;
-    ops.dot_add += x.len() as u64;
-    P::dot(x, y)
-}
+use crate::driver::{solve, SolveOptions, SolveResult};
+use crate::policy::Precision;
+use stencil::DiaMatrix;
+use wse_core::krylov;
 
 /// Solves `A x = b` by BiCGStab under precision policy `P`, starting from
-/// `x = 0`.
+/// `x = 0`: [`solve`] over [`krylov::BICGSTAB`], the table the wafer runs.
 ///
 /// The matrix should be diagonally preconditioned (unit main diagonal) to
 /// match the paper's operation counts, but any [`DiaMatrix`] works.
@@ -136,153 +45,13 @@ pub fn bicgstab<P: Precision>(
     b: &[P::Storage],
     opts: &SolveOptions,
 ) -> SolveResult<P::Storage> {
-    assert_eq!(b.len(), a.nrows(), "rhs length mismatch");
-    let n = b.len();
-    let mut ops = OpCounts::default();
-    let mut history = History::default();
-
-    let norm_b = {
-        let bf: Vec<f64> = b.iter().map(|v| v.to_f64()).collect();
-        norm2_f64(&bf)
-    };
-    if norm_b == 0.0 {
-        return SolveResult {
-            x: vec![P::Storage::zero(); n],
-            outcome: BiCgStabOutcome::Converged,
-            iters: 0,
-            history,
-            ops,
-        };
-    }
-
-    let mut x = vec![P::Storage::zero(); n];
-    let mut r: Vec<P::Storage> = b.to_vec(); // r0 := b  (x0 = 0)
-    let r0: Vec<P::Storage> = r.clone(); // shadow residual r̂0
-    let mut p = r.clone();
-    let mut s = vec![P::Storage::zero(); n];
-    let mut y = vec![P::Storage::zero(); n];
-    let mut q = vec![P::Storage::zero(); n];
-
-    // ρ = (r0, r), carried across iterations. The initial evaluation happens
-    // once outside the loop and is deliberately not charged to the
-    // per-iteration ledger (Table I counts four dots per iteration).
-    let mut rho: P::Global = P::dot(&r0, &r);
-
-    let mut outcome = BiCgStabOutcome::MaxIterations;
-    let mut iters = 0;
-
-    for i in 0..opts.max_iters {
-        // 3: s := A p
-        spmv(&mut ops, a, &p, &mut s);
-        // 4: α := ρ / (r0, s)
-        let r0s = dot::<P>(&mut ops, &r0, &s);
-        if rho.to_f64() == 0.0 || r0s.to_f64() == 0.0 {
-            outcome = BiCgStabOutcome::BreakdownRho;
-            break;
-        }
-        let alpha = rho.div(r0s);
-        let alpha_s = P::Storage::from_f64(alpha.to_f64());
-        if alpha_s.is_non_finite() {
-            outcome = BiCgStabOutcome::NonFinite;
-            break;
-        }
-        // 5: q := r − α s
-        xpay_into(&mut ops, &mut q, &r, alpha_s.neg(), &s);
-        // Early exit on the half-step residual: if q already meets the
-        // tolerance, take the α half-step and stop. Without this, exact
-        // convergence (e.g. A = I) reaches ω = (q,y)/(y,y) = 0/0 and is
-        // misreported as a breakdown.
-        if opts.rtol > 0.0 {
-            let q_rel = {
-                let qf: Vec<f64> = q.iter().map(|v| v.to_f64()).collect();
-                norm2_f64(&qf) / norm_b
-            };
-            if q_rel < opts.rtol {
-                axpy(&mut ops, alpha_s, &p, &mut x);
-                r.clone_from_slice(&q);
-                iters = i + 1;
-                let true_rel = if opts.record_true_residual {
-                    true_relative_residual(a, &x, b)
-                } else {
-                    f64::NAN
-                };
-                history.push(IterationRecord { iter: iters, recursive_rel: q_rel, true_rel });
-                outcome = BiCgStabOutcome::Converged;
-                break;
-            }
-        }
-        // 6: y := A q
-        spmv(&mut ops, a, &q, &mut y);
-        // 7: ω := (q, y) / (y, y)
-        let qy = dot::<P>(&mut ops, &q, &y);
-        let yy = dot::<P>(&mut ops, &y, &y);
-        if yy.to_f64() == 0.0 {
-            outcome = BiCgStabOutcome::BreakdownOmega;
-            break;
-        }
-        let omega = qy.div(yy);
-        let omega_s = P::Storage::from_f64(omega.to_f64());
-        if omega_s.is_non_finite() || omega.to_f64() == 0.0 {
-            outcome = if omega_s.is_non_finite() {
-                BiCgStabOutcome::NonFinite
-            } else {
-                BiCgStabOutcome::BreakdownOmega
-            };
-            break;
-        }
-        // 8: x := x + α p + ω q   (two AXPYs)
-        axpy(&mut ops, alpha_s, &p, &mut x);
-        axpy(&mut ops, omega_s, &q, &mut x);
-        // 9: r' := q − ω y
-        xpay_into(&mut ops, &mut r, &q, omega_s.neg(), &y);
-        // 10: β := (α/ω) · (r0, r') / ρ
-        let rho_next = dot::<P>(&mut ops, &r0, &r);
-        let beta = alpha.div(omega).mul(rho_next.div(rho));
-        rho = rho_next;
-        let beta_s = P::Storage::from_f64(beta.to_f64());
-        if beta_s.is_non_finite() {
-            outcome = BiCgStabOutcome::NonFinite;
-            break;
-        }
-        // 11: p := r' + β (p − ω s)   (two AXPYs: in-place tilt, then XPAY)
-        for j in 0..n {
-            p[j] = p[j].mul_add(omega_s.neg(), s[j]); // (−ω)·s + p
-        }
-        ops.axpy_mul += n as u64;
-        ops.axpy_add += n as u64;
-        for j in 0..n {
-            p[j] = r[j].mul_add(beta_s, p[j]); // β·p + r'
-        }
-        ops.axpy_mul += n as u64;
-        ops.axpy_add += n as u64;
-
-        iters = i + 1;
-
-        // Observability (outside the op ledger).
-        let recursive_rel = {
-            let rf: Vec<f64> = r.iter().map(|v| v.to_f64()).collect();
-            norm2_f64(&rf) / norm_b
-        };
-        let true_rel =
-            if opts.record_true_residual { true_relative_residual(a, &x, b) } else { f64::NAN };
-        history.push(IterationRecord { iter: iters, recursive_rel, true_rel });
-
-        if x.iter().any(|v| v.is_non_finite()) {
-            outcome = BiCgStabOutcome::NonFinite;
-            break;
-        }
-        if recursive_rel < opts.rtol {
-            outcome = BiCgStabOutcome::Converged;
-            break;
-        }
-    }
-
-    SolveResult { x, outcome, iters, history, ops }
+    solve::<P>(&krylov::BICGSTAB, a, b, opts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::BiCgStabOutcome;
     use crate::policy::{Fp32, Fp64, MixedF16};
     use stencil::mesh::Mesh3D;
     use stencil::problem::manufactured;

@@ -6,17 +6,20 @@
 //! Gradient Method extends CG to nonsymmetric systems." CG is implemented as
 //! the baseline the paper's algorithm generalizes; it also provides the
 //! HPCG-style reference workload for the machine-balance discussion (Fig 1).
+//!
+//! Both of the wafer's CG tables run on the host through [`crate::solve`]:
+//! [`krylov::CG`] (two blocking reductions per iteration) is [`cg`], and
+//! Chronopoulos–Gear CG, [`krylov::CG_SINGLE`] (`γ = (r, r)` and
+//! `δ = (r, A r)` reduced in one round, `A p` kept by recurrence), is
+//! `solve` over that table.
 
-use crate::bicgstab::{BiCgStabOutcome, SolveOptions, SolveResult};
-use crate::convergence::{true_relative_residual, History, IterationRecord};
-use crate::policy::{OpCounts, Precision};
-use stencil::{DiaMatrix, Scalar};
-use wse_float::reduce::norm2_f64;
+use crate::driver::{solve, SolveOptions, SolveResult};
+use crate::policy::Precision;
+use stencil::DiaMatrix;
+use wse_core::krylov;
 
 /// Solves SPD `A x = b` by conjugate gradients under precision policy `P`,
-/// starting from `x = 0`. Reuses [`SolveOptions`]/[`SolveResult`] from the
-/// BiCGStab module; the `outcome` field uses the same enum (only
-/// `Converged`, `MaxIterations`, `BreakdownRho` and `NonFinite` can occur).
+/// starting from `x = 0`: [`solve`] over [`krylov::CG`].
 ///
 /// # Panics
 /// Panics if `b.len() != a.nrows()`.
@@ -25,104 +28,32 @@ pub fn cg<P: Precision>(
     b: &[P::Storage],
     opts: &SolveOptions,
 ) -> SolveResult<P::Storage> {
-    assert_eq!(b.len(), a.nrows(), "rhs length mismatch");
-    let n = b.len();
-    let mut ops = OpCounts::default();
-    let mut history = History::default();
-
-    let norm_b = {
-        let bf: Vec<f64> = b.iter().map(|v| v.to_f64()).collect();
-        norm2_f64(&bf)
-    };
-    if norm_b == 0.0 {
-        return SolveResult {
-            x: vec![P::Storage::zero(); n],
-            outcome: BiCgStabOutcome::Converged,
-            iters: 0,
-            history,
-            ops,
-        };
-    }
-
-    let mut x = vec![P::Storage::zero(); n];
-    let mut r: Vec<P::Storage> = b.to_vec();
-    let mut p = r.clone();
-    let mut ap = vec![P::Storage::zero(); n];
-
-    let mut rr: P::Global = P::dot(&r, &r);
-    let mut outcome = BiCgStabOutcome::MaxIterations;
-    let mut iters = 0;
-
-    for i in 0..opts.max_iters {
-        a.matvec(&p, &mut ap);
-        let nbands = a.offsets().len() as u64;
-        let muls = if stencil::precond::has_unit_diagonal(a) { nbands - 1 } else { nbands };
-        ops.matvec_mul += muls * n as u64;
-        ops.matvec_add += (nbands - 1) * n as u64;
-
-        let pap = P::dot(&p, &ap);
-        ops.dot_mul += n as u64;
-        ops.dot_add += n as u64;
-        if pap.to_f64() <= 0.0 {
-            outcome = BiCgStabOutcome::BreakdownRho;
-            break;
-        }
-        let alpha = rr.div(pap);
-        let alpha_s = P::Storage::from_f64(alpha.to_f64());
-        if alpha_s.is_non_finite() {
-            outcome = BiCgStabOutcome::NonFinite;
-            break;
-        }
-        for j in 0..n {
-            x[j] = x[j].mul_add(alpha_s, p[j]); // x += α p
-        }
-        for j in 0..n {
-            r[j] = r[j].mul_add(alpha_s.neg(), ap[j]); // r −= α Ap
-        }
-        ops.axpy_mul += 2 * n as u64;
-        ops.axpy_add += 2 * n as u64;
-
-        let rr_next = P::dot(&r, &r);
-        ops.dot_mul += n as u64;
-        ops.dot_add += n as u64;
-        let beta = rr_next.div(rr);
-        rr = rr_next;
-        let beta_s = P::Storage::from_f64(beta.to_f64());
-        for j in 0..n {
-            p[j] = r[j].mul_add(beta_s, p[j]); // p = r + β p
-        }
-        ops.axpy_mul += n as u64;
-        ops.axpy_add += n as u64;
-
-        iters = i + 1;
-        let recursive_rel = rr.to_f64().abs().sqrt() / norm_b;
-        let true_rel =
-            if opts.record_true_residual { true_relative_residual(a, &x, b) } else { f64::NAN };
-        history.push(IterationRecord { iter: iters, recursive_rel, true_rel });
-        if recursive_rel < opts.rtol {
-            outcome = BiCgStabOutcome::Converged;
-            break;
-        }
-    }
-
-    SolveResult { x, outcome, iters, history, ops }
+    solve::<P>(&krylov::CG, a, b, opts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::Fp64;
+    use crate::driver::BiCgStabOutcome;
+    use crate::policy::{Fp64, MixedF16};
+    use stencil::dia::Offset3;
     use stencil::mesh::Mesh3D;
     use stencil::precond::jacobi_scale;
     use stencil::stencil7::poisson;
+    use wse_float::F16;
+
+    fn spd_problem() -> (DiaMatrix<f64>, Vec<f64>, Vec<f64>) {
+        let mesh = Mesh3D::new(6, 6, 6);
+        let a = poisson(mesh);
+        let exact: Vec<f64> = (0..mesh.len()).map(|i| ((i * 13) % 17) as f64 * 0.1 - 0.5).collect();
+        let mut b = vec![0.0; mesh.len()];
+        a.matvec_f64(&exact, &mut b);
+        (a, b, exact)
+    }
 
     #[test]
     fn cg_solves_poisson() {
-        let mesh = Mesh3D::new(6, 6, 6);
-        let a = poisson(mesh);
-        let exact: Vec<f64> = (0..mesh.len()).map(|i| ((i * 13) % 17) as f64 * 0.1).collect();
-        let mut b = vec![0.0; mesh.len()];
-        a.matvec_f64(&exact, &mut b);
+        let (a, b, exact) = spd_problem();
         let res = cg::<Fp64>(&a, &b, &SolveOptions::default());
         assert_eq!(res.outcome, BiCgStabOutcome::Converged);
         let err = res.x.iter().zip(&exact).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
@@ -146,10 +77,54 @@ mod tests {
     }
 
     #[test]
+    fn single_reduction_tracks_standard_cg() {
+        let (a, b, exact) = spd_problem();
+        let opts = SolveOptions { max_iters: 200, rtol: 1e-9, record_true_residual: true };
+        let single = solve::<Fp64>(&krylov::CG_SINGLE, &a, &b, &opts);
+        let standard = cg::<Fp64>(&a, &b, &opts);
+        assert_eq!(single.outcome, BiCgStabOutcome::Converged);
+        let err = single.x.iter().zip(&exact).map(|(x, e)| (x - e).abs()).fold(0.0, f64::max);
+        assert!(err < 1e-6, "err {err}");
+        // The same recurrence up to rounding: iteration counts within a
+        // couple, and the early trajectories within a percent.
+        assert!(
+            single.iters.abs_diff(standard.iters) <= 3,
+            "{} vs {}",
+            single.iters,
+            standard.iters
+        );
+        let records = single.history.records.iter().zip(&standard.history.records);
+        for (r1, r2) in records.take(8) {
+            let ratio = (r1.true_rel / r2.true_rel).max(r2.true_rel / r1.true_rel);
+            assert!(ratio < 1.01, "iter {}: {} vs {}", r1.iter, r1.true_rel, r2.true_rel);
+        }
+    }
+
+    #[test]
+    fn narrowing_overflow_surfaces_as_non_finite() {
+        // A ≈ εI with ε at the fp16 subnormal floor. γ = (r, r) ≈ n while
+        // δ = (r, A r) ≈ εn, so α = γ/δ ≈ 1/ε ≈ 1.7e5 — finite in the f32
+        // global precision but past fp16's 65504 max: narrowed to storage it
+        // rounds to +∞, and the iteration that used it ends the solve.
+        let mesh = Mesh3D::new(2, 2, 2);
+        let mut a: DiaMatrix<F16> = DiaMatrix::new(mesh, &[Offset3::CENTER]);
+        let eps = F16::from_f64(6e-6);
+        assert!(eps.to_f64() > 0.0, "ε must stay representable");
+        a.band_mut(0).fill(eps);
+        let b = vec![F16::from_f64(1.0); mesh.len()];
+        let opts = SolveOptions { max_iters: 10, rtol: 1e-12, record_true_residual: false };
+        let res = solve::<MixedF16>(&krylov::CG_SINGLE, &a, &b, &opts);
+        assert_eq!(res.outcome, BiCgStabOutcome::NonFinite);
+        assert_eq!(res.iters, 1);
+    }
+
+    #[test]
     fn cg_zero_rhs() {
         let a = poisson(Mesh3D::new(3, 3, 3));
-        let res = cg::<Fp64>(&a, &vec![0.0; 27], &SolveOptions::default());
-        assert_eq!(res.iters, 0);
-        assert_eq!(res.outcome, BiCgStabOutcome::Converged);
+        for rec in [&krylov::CG, &krylov::CG_SINGLE] {
+            let res = solve::<Fp64>(rec, &a, &[0.0; 27], &SolveOptions::default());
+            assert_eq!(res.iters, 0);
+            assert_eq!(res.outcome, BiCgStabOutcome::Converged);
+        }
     }
 }

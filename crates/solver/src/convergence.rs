@@ -39,22 +39,6 @@ impl History {
     pub fn final_recursive(&self) -> f64 {
         self.records.last().map_or(f64::INFINITY, |r| r.recursive_rel)
     }
-
-    /// Detects the stagnation plateau: the first iteration after which the
-    /// true residual never again improves by more than `factor` (e.g. 0.5
-    /// for "stops halving"). Returns `None` if it improves to the end.
-    pub fn plateau_start(&self, factor: f64) -> Option<usize> {
-        let n = self.records.len();
-        for i in 0..n.saturating_sub(1) {
-            let here = self.records[i].true_rel;
-            let future_best =
-                self.records[i + 1..].iter().map(|r| r.true_rel).fold(f64::INFINITY, f64::min);
-            if future_best > here * factor {
-                return Some(self.records[i].iter);
-            }
-        }
-        None
-    }
 }
 
 /// Computes `‖b − A x‖₂ / ‖b‖₂` in f64, with the matrix and vectors in any
@@ -94,26 +78,5 @@ mod tests {
         let x0 = vec![0.0; 27];
         let r = true_relative_residual(&a, &x0, &b);
         assert!((r - 1.0).abs() < 1e-14);
-    }
-
-    #[test]
-    fn plateau_detection() {
-        let mut h = History::default();
-        for (i, t) in [1.0, 0.1, 0.01, 0.009, 0.0095, 0.0091].iter().enumerate() {
-            h.push(IterationRecord { iter: i + 1, recursive_rel: *t, true_rel: *t });
-        }
-        // After iteration 3 (0.01) the residual never improves by 2x again.
-        assert_eq!(h.plateau_start(0.5), Some(3));
-        assert_eq!(h.best_true(), 0.009);
-    }
-
-    #[test]
-    fn plateau_none_when_converging() {
-        let mut h = History::default();
-        for i in 0..6 {
-            let t = 10f64.powi(-(i as i32));
-            h.push(IterationRecord { iter: i + 1, recursive_rel: t, true_rel: t });
-        }
-        assert_eq!(h.plateau_start(0.5), None);
     }
 }

@@ -1,93 +1,12 @@
-//! Precision policies.
+//! Precision policies and the operation ledger.
 //!
 //! A policy fixes two types: the **storage** scalar used for vectors, matrix
 //! diagonals and AXPY arithmetic, and the **global** scalar used for dot
-//! products and the α/ω/β coefficient arithmetic. The paper's production
-//! configuration is [`MixedF16`]: "0.86 PFLOPS in mixed precision floating
-//! point that uses 16-bit for all arithmetic except the inner products and a
-//! mixed precision inner product with 16-bit multiply and 32-bit add".
+//! products and the α/ω/β coefficient arithmetic. The policies are defined
+//! in `stencil`, next to the [`stencil::Scalar`] trait they are built on
+//! (the wafer's host executor takes them too), and re-exported here.
 
-use stencil::Scalar;
-use wse_float::{dot_mixed, dot_pure_f16, F16};
-
-/// A floating-point precision configuration for the solvers.
-pub trait Precision: 'static {
-    /// Vector / matrix storage scalar; AXPY and SpMV round in this type.
-    type Storage: Scalar;
-    /// Scalar used for dot-product results and coefficient arithmetic.
-    type Global: Scalar;
-    /// Display name used in experiment output.
-    const NAME: &'static str;
-
-    /// Inner product of storage vectors, accumulated in the global type.
-    ///
-    /// # Panics
-    /// Implementations panic on length mismatch.
-    fn dot(x: &[Self::Storage], y: &[Self::Storage]) -> Self::Global;
-}
-
-/// Everything in binary64 (the cluster baseline: "64-bit floating point
-/// results obtained on Joule").
-pub struct Fp64;
-
-impl Precision for Fp64 {
-    type Storage = f64;
-    type Global = f64;
-    const NAME: &'static str = "fp64";
-
-    fn dot(x: &[f64], y: &[f64]) -> f64 {
-        assert_eq!(x.len(), y.len(), "dot operand length mismatch");
-        x.iter().zip(y).map(|(a, b)| a * b).sum()
-    }
-}
-
-/// Everything in binary32 (the "Single precision" curve of Fig. 9).
-pub struct Fp32;
-
-impl Precision for Fp32 {
-    type Storage = f32;
-    type Global = f32;
-    const NAME: &'static str = "fp32";
-
-    fn dot(x: &[f32], y: &[f32]) -> f32 {
-        assert_eq!(x.len(), y.len(), "dot operand length mismatch");
-        let mut acc = 0.0f32;
-        for (a, b) in x.iter().zip(y) {
-            acc += a * b;
-        }
-        acc
-    }
-}
-
-/// The paper's configuration: fp16 storage and AXPY/SpMV arithmetic, dot
-/// products with fp16 multiplies and fp32 accumulation ("Mixed sp/hp" in
-/// Fig. 9).
-pub struct MixedF16;
-
-impl Precision for MixedF16 {
-    type Storage = F16;
-    type Global = f32;
-    const NAME: &'static str = "mixed16/32";
-
-    fn dot(x: &[F16], y: &[F16]) -> f32 {
-        dot_mixed(x, y)
-    }
-}
-
-/// Ablation: *everything* in fp16, including dot-product accumulation. The
-/// paper's design avoids this; comparing against [`MixedF16`] quantifies why
-/// the mixed inner-product instruction matters.
-pub struct PureF16;
-
-impl Precision for PureF16 {
-    type Storage = F16;
-    type Global = F16;
-    const NAME: &'static str = "pure-fp16";
-
-    fn dot(x: &[F16], y: &[F16]) -> F16 {
-        dot_pure_f16(x, y)
-    }
-}
+pub use stencil::{Fp32, Fp64, MixedF16, Precision, PureF16};
 
 /// Counts of floating-point operations by kernel and by precision class,
 /// accumulated by the solvers. This is the raw material for Table I.
@@ -176,35 +95,6 @@ impl PerPointOps {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn policy_names() {
-        assert_eq!(Fp64::NAME, "fp64");
-        assert_eq!(Fp32::NAME, "fp32");
-        assert_eq!(MixedF16::NAME, "mixed16/32");
-        assert_eq!(PureF16::NAME, "pure-fp16");
-    }
-
-    #[test]
-    fn dots_agree_on_exact_inputs() {
-        let x64 = vec![1.0f64, 2.0, 3.0];
-        let y64 = vec![0.5f64, -1.0, 2.0];
-        assert_eq!(Fp64::dot(&x64, &y64), 4.5);
-        let x32: Vec<f32> = x64.iter().map(|&v| v as f32).collect();
-        let y32: Vec<f32> = y64.iter().map(|&v| v as f32).collect();
-        assert_eq!(Fp32::dot(&x32, &y32), 4.5);
-        let xh: Vec<F16> = x64.iter().map(|&v| F16::from_f64(v)).collect();
-        let yh: Vec<F16> = y64.iter().map(|&v| F16::from_f64(v)).collect();
-        assert_eq!(MixedF16::dot(&xh, &yh), 4.5);
-        assert_eq!(PureF16::dot(&xh, &yh).to_f64(), 4.5);
-    }
-
-    #[test]
-    fn mixed_dot_accumulates_in_f32() {
-        let x = vec![F16::ONE; 4096];
-        assert_eq!(MixedF16::dot(&x, &x), 4096.0);
-        assert_eq!(PureF16::dot(&x, &x).to_f64(), 2048.0); // fp16 stagnation
-    }
 
     #[test]
     fn opcounts_partition() {

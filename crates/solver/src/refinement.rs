@@ -23,9 +23,9 @@
 //! an ever smaller correction. The Fig. 9 extension experiment shows the
 //! mixed-precision plateau at ~1e-2 broken down to fp64-level residuals.
 
-use crate::bicgstab::{bicgstab, SolveOptions};
 use crate::convergence::{History, IterationRecord};
 use crate::policy::Precision;
+use crate::{bicgstab, SolveOptions};
 use stencil::scalar::convert_slice;
 use stencil::{DiaMatrix, Scalar};
 use wse_float::reduce::norm2_f64;

@@ -2,19 +2,20 @@
 //!
 //! `tests/host_pins.expected.txt` was generated by the hand-written host
 //! loops before the host solvers became an executor of the wafer's step
-//! tables, and must never be edited to make a solver change pass. Per
-//! case it holds the outcome, the iteration count, an FNV-1a digest of the
-//! iterate's bits, the operation ledger, and `f64::to_bits` of every
-//! iteration's true and recursive relative residual, one fact per line, so
-//! a change that means to move one kind of fact moves only its lines.
+//! tables; that change moved only the lines CHANGES.md names. It must
+//! never be edited to make a solver change pass. Per case it holds the
+//! outcome, the iteration count, an FNV-1a digest of the iterate's bits,
+//! the operation ledger, and `f64::to_bits` of every iteration's true and
+//! recursive relative residual, one fact per line, so a change that means
+//! to move one kind of fact moves only its lines. The Chronopoulos–Gear
+//! cases run [`solve`] over `krylov::CG_SINGLE`.
 //!
 //! `UPDATE_HOST_PINS=1 cargo test -p solver --test host_pins` rewrites the
 //! file; only a change that *means* to move host trajectories may commit
 //! that.
 
-use solver::pipelined::cg_single_reduction;
 use solver::policy::{Fp32, Fp64, MixedF16, Precision, PureF16};
-use solver::{bicgstab, cg::cg, SolveOptions, SolveResult};
+use solver::{bicgstab, cg::cg, solve, SolveOptions, SolveResult};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use stencil::dia::{DiaMatrix, Offset3};
@@ -36,7 +37,7 @@ fn cg_single<P: Precision>(
     b: &[P::Storage],
     opts: &SolveOptions,
 ) -> SolveResult<P::Storage> {
-    cg_single_reduction::<P>(a, b, opts).0
+    solve::<P>(&wse_core::krylov::CG_SINGLE, a, b, opts)
 }
 
 /// Narrows the f64 system to `P`'s storage, solves, and appends the case.

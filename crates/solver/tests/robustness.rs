@@ -50,11 +50,7 @@ fn singular_system_reports_an_outcome() {
     // Must finish, whatever the outcome.
     assert!(matches!(
         res.outcome,
-        BiCgStabOutcome::MaxIterations
-            | BiCgStabOutcome::BreakdownRho
-            | BiCgStabOutcome::BreakdownOmega
-            | BiCgStabOutcome::NonFinite
-            | BiCgStabOutcome::Converged
+        BiCgStabOutcome::MaxIterations | BiCgStabOutcome::NonFinite | BiCgStabOutcome::Converged
     ));
     assert!(res.iters <= 50);
 }
@@ -117,10 +113,6 @@ fn oversized_rhs_in_fp16() {
     let res = bicgstab::<MixedF16>(&a16, &b16, &opts);
     assert!(matches!(
         res.outcome,
-        BiCgStabOutcome::NonFinite
-            | BiCgStabOutcome::BreakdownRho
-            | BiCgStabOutcome::BreakdownOmega
-            | BiCgStabOutcome::MaxIterations
-            | BiCgStabOutcome::Converged
+        BiCgStabOutcome::NonFinite | BiCgStabOutcome::MaxIterations | BiCgStabOutcome::Converged
     ));
 }

@@ -6,7 +6,9 @@
 //! portion of its nonzero diagonals to each core"). This crate provides:
 //!
 //! * [`scalar::Scalar`] — the numeric abstraction letting every operator and
-//!   solver run in f64, f32 or software binary16,
+//!   solver run in f64, f32 or software binary16, and the precision
+//!   policies ([`scalar::Precision`]: fp64 / fp32 / mixed 16-32 / pure
+//!   fp16) that pair a storage scalar with a dot-product scalar,
 //! * [`mesh`] — 3D/2D structured meshes with the paper's `Z`-fastest layout,
 //! * [`dia`] — diagonal-storage sparse matrices ([`dia::DiaMatrix`]) with
 //!   precision-faithful matvec (each band product rounds in storage
@@ -37,4 +39,4 @@ pub mod variable;
 
 pub use dia::{DiaMatrix, Offset3};
 pub use mesh::{Mesh2D, Mesh3D};
-pub use scalar::Scalar;
+pub use scalar::{Fp32, Fp64, MixedF16, Precision, PureF16, Scalar};

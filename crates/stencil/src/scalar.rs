@@ -3,7 +3,9 @@
 //! The paper's implementation runs "16-bit for all arithmetic except the
 //! inner products"; the accuracy study (Fig. 9) compares the same solver in
 //! 32-bit and mixed 16/32-bit. Making the stencil matvec and the Krylov
-//! vectors generic over [`Scalar`] lets one code path produce all the curves.
+//! vectors generic over [`Scalar`] lets one code path produce all the curves;
+//! a [`Precision`] policy pairs the storage scalar with the one its dot
+//! products and coefficients use.
 
 use std::fmt::Debug;
 use wse_float::F16;
@@ -228,6 +230,91 @@ pub fn convert_slice<A: Scalar, B: Scalar>(src: &[A]) -> Vec<B> {
     src.iter().map(|&v| B::from_f64(v.to_f64())).collect()
 }
 
+/// A floating-point precision configuration for the solvers: the
+/// **storage** scalar used for vectors, matrix diagonals and AXPY
+/// arithmetic, and the **global** scalar used for dot products and the
+/// α/ω/β coefficient arithmetic. The paper's production configuration is
+/// [`MixedF16`]: "0.86 PFLOPS in mixed precision floating point that uses
+/// 16-bit for all arithmetic except the inner products and a mixed
+/// precision inner product with 16-bit multiply and 32-bit add".
+pub trait Precision: 'static {
+    /// Vector / matrix storage scalar; AXPY and SpMV round in this type.
+    type Storage: Scalar;
+    /// Scalar used for dot-product results and coefficient arithmetic.
+    type Global: Scalar;
+    /// Display name used in experiment output.
+    const NAME: &'static str;
+
+    /// Inner product of storage vectors, accumulated in the global type.
+    ///
+    /// # Panics
+    /// Implementations panic on length mismatch.
+    fn dot(x: &[Self::Storage], y: &[Self::Storage]) -> Self::Global;
+}
+
+/// Everything in binary64 (the cluster baseline: "64-bit floating point
+/// results obtained on Joule").
+pub struct Fp64;
+
+impl Precision for Fp64 {
+    type Storage = f64;
+    type Global = f64;
+    const NAME: &'static str = "fp64";
+
+    fn dot(x: &[f64], y: &[f64]) -> f64 {
+        assert_eq!(x.len(), y.len(), "dot operand length mismatch");
+        x.iter().zip(y).map(|(a, b)| a * b).sum()
+    }
+}
+
+/// Everything in binary32 (the "Single precision" curve of Fig. 9).
+pub struct Fp32;
+
+impl Precision for Fp32 {
+    type Storage = f32;
+    type Global = f32;
+    const NAME: &'static str = "fp32";
+
+    fn dot(x: &[f32], y: &[f32]) -> f32 {
+        assert_eq!(x.len(), y.len(), "dot operand length mismatch");
+        let mut acc = 0.0f32;
+        for (a, b) in x.iter().zip(y) {
+            acc += a * b;
+        }
+        acc
+    }
+}
+
+/// The paper's configuration: fp16 storage and AXPY/SpMV arithmetic, dot
+/// products with fp16 multiplies and fp32 accumulation ("Mixed sp/hp" in
+/// Fig. 9).
+pub struct MixedF16;
+
+impl Precision for MixedF16 {
+    type Storage = F16;
+    type Global = f32;
+    const NAME: &'static str = "mixed16/32";
+
+    fn dot(x: &[F16], y: &[F16]) -> f32 {
+        wse_float::dot_mixed(x, y)
+    }
+}
+
+/// Ablation: *everything* in fp16, including dot-product accumulation. The
+/// paper's design avoids this; comparing against [`MixedF16`] quantifies why
+/// the mixed inner-product instruction matters.
+pub struct PureF16;
+
+impl Precision for PureF16 {
+    type Storage = F16;
+    type Global = F16;
+    const NAME: &'static str = "pure-fp16";
+
+    fn dot(x: &[F16], y: &[F16]) -> F16 {
+        wse_float::dot_pure_f16(x, y)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,5 +372,34 @@ mod tests {
         assert!((out[1].to_f64() - 0.1).abs() < 1e-4);
         let back: Vec<f64> = convert_slice(&out);
         assert_eq!(back[0], 1.0);
+    }
+
+    #[test]
+    fn policy_names() {
+        assert_eq!(Fp64::NAME, "fp64");
+        assert_eq!(Fp32::NAME, "fp32");
+        assert_eq!(MixedF16::NAME, "mixed16/32");
+        assert_eq!(PureF16::NAME, "pure-fp16");
+    }
+
+    #[test]
+    fn dots_agree_on_exact_inputs() {
+        let x64 = vec![1.0f64, 2.0, 3.0];
+        let y64 = vec![0.5f64, -1.0, 2.0];
+        assert_eq!(Fp64::dot(&x64, &y64), 4.5);
+        let x32: Vec<f32> = convert_slice(&x64);
+        let y32: Vec<f32> = convert_slice(&y64);
+        assert_eq!(Fp32::dot(&x32, &y32), 4.5);
+        let xh: Vec<F16> = convert_slice(&x64);
+        let yh: Vec<F16> = convert_slice(&y64);
+        assert_eq!(MixedF16::dot(&xh, &yh), 4.5);
+        assert_eq!(PureF16::dot(&xh, &yh).to_f64(), 4.5);
+    }
+
+    #[test]
+    fn mixed_dot_accumulates_in_f32() {
+        let x = vec![F16::ONE; 4096];
+        assert_eq!(MixedF16::dot(&x, &x), 4096.0);
+        assert_eq!(PureF16::dot(&x, &x).to_f64(), 2048.0); // fp16 stagnation
     }
 }

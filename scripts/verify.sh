@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Full verification, a superset of tier-1 (ROADMAP.md: `cargo build
 # --release && cargo test -q`, which the root manifest's `default-members`
-# scopes to the root package, `wse-core`, `wse-arch`, `wse-multi` and
-# `wse-float`; the other ten crates' suites only run here): the release
+# scopes to the root package, `wse-core`, `wse-arch`, `wse-multi`,
+# `wse-float`, `solver`, `stencil` and `cfd`; the other seven crates'
+# suites only run here): the release
 # build, the whole workspace's tests, the exhaustive fp16 sweeps, clippy and
 # rustfmt, a grep that keeps the workspace single-threaded, the wse-lint
 # static verifier over every shipped kernel configuration (once more with

@@ -17,7 +17,7 @@
 //! | [`arch`] | `wse-arch` | the tile/fabric simulator |
 //! | [`kernels`] | `wse-core` | on-wafer SpMV, AllReduce, BiCGStab |
 //! | [`stencil_`] | `stencil` | meshes, DIA matrices, decomposition |
-//! | [`solver_`] | `solver` | host BiCGStab/CG/Jacobi + precision studies |
+//! | [`solver_`] | `solver` | the wafer's BiCGStab/CG tables run on the host + precision studies |
 //! | [`cfd_`] | `cfd` | SIMPLE lid-driven-cavity substrate |
 //! | [`perf`] | `perf-model` | CS-1/cluster performance models |
 //! | [`cluster`] | `cluster-sim` | rank-level Joule-cluster simulation |
