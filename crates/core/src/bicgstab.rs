@@ -178,9 +178,11 @@ impl WaferBicgstab {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::krylov::HostExec;
     use crate::Krylov;
     use stencil::mesh::Mesh3D;
     use stencil::problem::manufactured;
+    use stencil::MixedF16;
 
     fn problem(mesh: Mesh3D) -> (DiaMatrix<F16>, Vec<F16>, Vec<f64>) {
         let p = manufactured(mesh, (1.0, -0.5, 0.5), 11).preconditioned();
@@ -202,6 +204,38 @@ mod tests {
         let err = x.iter().zip(&exact).map(|(a, b)| (a.to_f64() - b).abs()).fold(0.0, f64::max);
         let scale = exact.iter().map(|v| v.abs()).fold(0.0, f64::max);
         assert!(err < 0.15 * scale.max(1.0), "max err {err} (scale {scale})");
+    }
+
+    #[test]
+    fn wafer_matches_host_mixed_policy_trajectory() {
+        // The wafer solve and the host MixedF16 solve use the same
+        // arithmetic classes (fp16 storage, fp32 dot accumulation); their
+        // residual trajectories agree to within rounding-order noise.
+        let mesh = Mesh3D::new(3, 3, 6);
+        let (a, b, _) = problem(mesh);
+        let mut fabric = Fabric::new(3, 3);
+        let solver = WaferBicgstab::build(&mut fabric, &a);
+        let iters = 6;
+        let (_, stats) = solver.solve(&mut fabric, &b, iters);
+
+        let mut host =
+            HostExec::<MixedF16, _>::new(&krylov::BICGSTAB, |x: &[F16], y: &mut [F16]| {
+                a.matvec(x, y);
+            });
+        host.load_rhs(&b);
+        let norm = |v: &[F16]| v.iter().map(|v| v.to_f64() * v.to_f64()).sum::<f64>().sqrt();
+        // Once either trajectory reaches the fp16 storage noise floor
+        // (2^-11 ≈ 4.9e-4 relative), recursive residuals are rounding noise
+        // and their ratio is instance-dependent; clamp the comparison there.
+        let floor = 5e-4;
+        assert_eq!(stats.residuals.len(), iters);
+        for (i, &wafer) in stats.residuals.iter().enumerate() {
+            host.iterate();
+            let wafer = wafer.max(floor);
+            let host_rel = (norm(host.r()) / norm(&b)).max(floor);
+            let ratio = (wafer / host_rel).max(host_rel / wafer);
+            assert!(ratio < 5.0, "iter {}: wafer {wafer:.3e} vs host {host_rel:.3e}", i + 1,);
+        }
     }
 
     #[test]

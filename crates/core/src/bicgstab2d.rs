@@ -162,9 +162,11 @@ impl WaferBicgstab2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::krylov::HostExec;
     use crate::Krylov;
     use stencil::precond::jacobi_scale;
     use stencil::stencil9::convection_diffusion9;
+    use stencil::MixedF16;
 
     fn system(w: usize, h: usize, block: Block2D) -> (DiaMatrix<F16>, Vec<F16>) {
         let mesh = block.covered_mesh(w, h);
@@ -188,6 +190,29 @@ mod tests {
         let residuals = stats.residuals;
         let best = residuals.iter().copied().fold(f64::INFINITY, f64::min);
         assert!(best < 0.02, "best residual {best} ({residuals:?})");
+    }
+
+    #[test]
+    fn two_d_matches_host_mixed_policy() {
+        let block = Block2D::new(3, 3);
+        let (a, b) = system(3, 3, block);
+        let mut fabric = Fabric::new(3, 3);
+        let solver = WaferBicgstab2d::build(&mut fabric, &a, block);
+        let iters = 6;
+        let wafer_res = solver.solve(&mut fabric, &b, iters).1.residuals;
+        let mut host =
+            HostExec::<MixedF16, _>::new(&krylov::BICGSTAB, |x: &[F16], y: &mut [F16]| {
+                a.matvec(x, y);
+            });
+        host.load_rhs(&b);
+        let norm = |v: &[F16]| v.iter().map(|v| v.to_f64() * v.to_f64()).sum::<f64>().sqrt();
+        assert_eq!(wafer_res.len(), iters);
+        for &wr in wafer_res.iter().take(4) {
+            host.iterate();
+            let hr = norm(host.r()) / norm(&b);
+            let ratio = (wr / hr.max(1e-12)).max(hr / wr.max(1e-12));
+            assert!(ratio < 5.0, "wafer {wr:.3e} vs host {hr:.3e}");
+        }
     }
 
     #[test]
