@@ -252,6 +252,27 @@ mod tests {
     }
 
     #[test]
+    fn solve_writes_only_allocated_sram() {
+        // The e2e `solve3d-dense` shape. A tile's SRAM is backed up to its
+        // furthest allocation or write, so after build, load and two
+        // iterations the backing must end exactly at the allocator: a
+        // longer one is a write outside every allocation.
+        let (a, b, _) = problem(Mesh3D::new(8, 8, 64));
+        let mut fabric = Fabric::new(8, 8);
+        let solver = WaferBicgstab::build(&mut fabric, &a);
+        solver.load_rhs(&mut fabric, &b);
+        for _ in 0..2 {
+            solver.iterate(&mut fabric);
+        }
+        for y in 0..8 {
+            for x in 0..8 {
+                let mem = &fabric.tile(x, y).mem;
+                assert_eq!(mem.as_bytes().len(), mem.used() as usize, "tile ({x},{y})");
+            }
+        }
+    }
+
+    #[test]
     fn fused_variant_matches_standard_and_cuts_reduction_rounds() {
         let mesh = Mesh3D::new(8, 8, 16);
         let (a, b, _) = problem(mesh);

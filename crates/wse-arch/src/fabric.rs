@@ -2384,6 +2384,30 @@ mod tests {
     }
 
     #[test]
+    fn sram_bit_flip_on_unbacked_sram_flips_a_zero_word() {
+        let mut f = Fabric::new(1, 1);
+        let addr = 40_000;
+        f.arm_faults(
+            &FaultPlan::new().with(0, FaultKind::SramBitFlip { x: 0, y: 0, addr, bit: 4 }),
+        );
+        f.step();
+        assert_eq!(f.fault_log().unwrap().applied.len(), 1);
+        assert_eq!(f.tile(0, 0).mem.read_f16(addr).to_bits(), 1 << 4);
+        assert_eq!(f.tile(0, 0).mem.read_f16(addr - 2).to_bits(), 0);
+        assert_eq!(f.tile(0, 0).mem.as_bytes().len(), addr as usize + 2);
+    }
+
+    #[test]
+    fn fresh_fabric_backs_no_sram() {
+        let f = Fabric::new(64, 64);
+        for y in 0..64 {
+            for x in 0..64 {
+                assert!(f.tile(x, y).mem.as_bytes().is_empty(), "tile ({x},{y})");
+            }
+        }
+    }
+
+    #[test]
     fn link_drop_loses_exactly_one_flit() {
         let (mut f, raddr) = sender_receiver(3);
         f.arm_faults(

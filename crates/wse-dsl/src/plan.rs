@@ -102,10 +102,15 @@ pub struct Geometry {
     pub block: Option<Block2D>,
 }
 
-/// Bump-allocator footprint of one `len`-element vector (2-byte aligned).
-fn vec_bytes(len: usize, dtype: Dtype) -> u32 {
-    let nbytes = len as u32 * dtype.bytes();
-    (nbytes + 1) & !1
+/// Bump-allocator footprint of `count` vectors of `len` elements each
+/// (2-byte aligned), summed over `vectors`. Sized in `u64` and saturated to
+/// `u32`, so no mesh is large enough to wrap it back under the budget.
+fn footprint(dtype: Dtype, vectors: &[(usize, usize)]) -> u32 {
+    let total = vectors.iter().fold(0u64, |sum, &(count, len)| {
+        let bytes = (len as u64).saturating_mul(u64::from(dtype.bytes())).saturating_add(1) & !1;
+        sum.saturating_add((count as u64).saturating_mul(bytes))
+    });
+    u32::try_from(total).unwrap_or(u32::MAX)
 }
 
 fn element_size(p: Precision) -> Dtype {
@@ -115,29 +120,24 @@ fn element_size(p: Precision) -> Dtype {
 /// Worst-tile SRAM for the 2D block mapping: `ntaps` coefficient arrays and
 /// the iterate (`bx·by` each) plus the extended output buffer.
 fn block_sram(ntaps: usize, block: Block2D, r: usize, dtype: Dtype) -> u32 {
-    let n = block.bx * block.by;
-    let ext = (block.bx + 2 * r) * (block.by + 2 * r);
-    (ntaps as u32) * vec_bytes(n, dtype) + vec_bytes(n, dtype) + vec_bytes(ext, dtype)
+    let n = block.bx.saturating_mul(block.by);
+    let ext = block.bx.saturating_add(2 * r).saturating_mul(block.by.saturating_add(2 * r));
+    footprint(dtype, &[(ntaps, n), (1, n), (1, ext)])
 }
 
 /// Worst-tile SRAM for the Listing-1 dataflow: six off-diagonal coefficient
 /// columns, the padded iterate, the result, and up to four neighbor FIFOs.
 fn listing1_sram(z: usize, dtype: Dtype) -> u32 {
-    6 * vec_bytes(z, dtype)
-        + vec_bytes(z + 2, dtype)
-        + vec_bytes(z, dtype)
-        + 4 * vec_bytes(crate::zcolumn::FIFO_DEPTH as usize, dtype)
+    let fifo = crate::zcolumn::FIFO_DEPTH as usize;
+    footprint(dtype, &[(6, z), (1, z.saturating_add(2)), (1, z), (4, fifo)])
 }
 
 /// Worst-tile SRAM for the relay mapping: optional per-tap coefficient
 /// columns, the z-padded iterate, the result, and one column buffer per
 /// (direction, distance) pair.
 fn relay_sram(spec: &StencilSpec, z: usize, rx: usize, ry: usize, rz: usize, dtype: Dtype) -> u32 {
-    let coef = if relay_uses_registers(spec) { 0 } else { spec.taps.len() as u32 };
-    coef * vec_bytes(z, dtype)
-        + vec_bytes(z + 2 * rz, dtype)
-        + vec_bytes(z, dtype)
-        + 2 * ((rx + ry) as u32) * vec_bytes(z, dtype)
+    let coef = if relay_uses_registers(spec) { 0 } else { spec.taps.len() };
+    footprint(dtype, &[(coef, z), (1, z.saturating_add(2 * rz)), (1, z), (2 * (rx + ry), z)])
 }
 
 /// `true` when the relay compute task can bind coefficients to registers:
@@ -338,6 +338,23 @@ mod tests {
             }
             other => panic!("unexpected error {other}"),
         }
+    }
+
+    #[test]
+    fn sram_estimates_do_not_wrap() {
+        // Columns whose byte counts pass u32::MAX must not wrap back under
+        // the budget. Only the plan is sized; nothing is allocated.
+        let spec = catalog::get("star7-3d").unwrap();
+        for z in [1usize << 31, (1 << 32) + 64, usize::MAX / 2] {
+            let err = plan(&spec, Mesh3D::new(4, 4, z), geo(8, 8, None)).unwrap_err();
+            assert_eq!(err, DslError::SramOverflow { need: u32::MAX, budget: TILE_SRAM_BYTES });
+        }
+        let spec = catalog::get("star9-2d").unwrap();
+        let huge = usize::MAX / 4;
+        let err =
+            plan(&spec, Mesh3D::new(huge, huge, 1), geo(1, 1, Some(Block2D::new(huge, huge))))
+                .unwrap_err();
+        assert_eq!(err, DslError::SramOverflow { need: u32::MAX, budget: TILE_SRAM_BYTES });
     }
 
     #[test]

@@ -197,12 +197,16 @@ impl ProgramKey {
     /// SpMV inputs `p`/`q`, the vectors `r`/`r0`/`x`, and two extended
     /// `(bx+2)(by+2)` output buffers, all fp16. The builder's bump
     /// allocator enforces the real budget; this estimate only lets the
-    /// service refuse obviously-oversized jobs without building them.
+    /// service refuse obviously-oversized jobs without building them. An
+    /// estimate past `u32::MAX` saturates rather than wrapping.
     pub fn sram_estimate(&self) -> u32 {
         let (bx, by) = self.block;
-        let block_arrays = 14 * bx * by;
-        let ubufs = 2 * (bx + 2) * (by + 2);
-        (2 * (block_arrays + ubufs)) as u32
+        let bytes = || {
+            let block_arrays = bx.checked_mul(by)?.checked_mul(14)?;
+            let ubufs = (bx.checked_add(2)?).checked_mul(by.checked_add(2)?)?.checked_mul(2)?;
+            u32::try_from(block_arrays.checked_add(ubufs)?.checked_mul(2)?).ok()
+        };
+        bytes().unwrap_or(u32::MAX)
     }
 }
 
@@ -246,6 +250,9 @@ mod tests {
         // 14 arrays of 16 + 2 buffers of 36, fp16.
         assert_eq!(k.sram_estimate(), 2 * (14 * 16 + 2 * 36));
         assert_eq!(k.to_string(), "12x8/4x4/laplace9/bicgstab2d/f16");
+        // ≈ 4.3 GB per tile: saturates instead of wrapping to a few KB.
+        let k = ProgramKey::bicgstab2d((23170, 23170), (11585, 11585), StencilKind::Laplace9);
+        assert_eq!(k.sram_estimate(), u32::MAX);
     }
 
     #[test]

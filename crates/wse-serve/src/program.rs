@@ -226,6 +226,21 @@ mod tests {
     }
 
     #[test]
+    fn estimates_past_u32_are_refused_not_wrapped() {
+        // 11585² fp16 blocks need ≈ 4.3 GB per tile; a u32-wrapped estimate
+        // came to a few KB and let this 536-million-point key through to
+        // matrix assembly.
+        let key = ProgramKey::bicgstab2d((23170, 23170), (11585, 11585), StencilKind::Laplace9);
+        match CompiledProgram::compile(&key) {
+            Err(err) => assert_eq!(
+                err,
+                AdmitError::SramOverBudget { need: u32::MAX, budget: TILE_SRAM_BYTES }
+            ),
+            Ok(_) => panic!("a 4.3 GB-per-tile program was compiled"),
+        }
+    }
+
+    #[test]
     fn digest_is_sensitive_to_program_state() {
         let p = CompiledProgram::compile(&small_key()).unwrap();
         let mut copy = p.image.extract_region(Region::new(0, 0, 2, 2));

@@ -722,6 +722,23 @@ mod tests {
     }
 
     #[test]
+    fn oversized_estimate_is_refused_before_anything_is_built() {
+        // ≈ 4.3 GB per tile on a 2x2 region; the estimate must saturate,
+        // not wrap under the budget.
+        let mut svc = two_tenant_service();
+        let key = ProgramKey::bicgstab2d((23170, 23170), (11585, 11585), StencilKind::Laplace9);
+        let jobs = [JobSpec { tenant: 0, key, rhs_seed: 1, max_iters: 2 }];
+        svc.run(&jobs, &open_loop_arrivals(8, 1, 0.001));
+        let report = svc.report();
+        assert_eq!(report.rejected, 1);
+        assert_eq!(
+            report.records[0].reject,
+            Some(AdmitError::SramOverBudget { need: u32::MAX, budget: TILE_SRAM_BYTES })
+        );
+        assert_eq!(report.cache.cold, 0, "nothing compiled");
+    }
+
+    #[test]
     fn billing_attributes_cycles_to_the_right_tenant() {
         let mut svc = two_tenant_service();
         let jobs = [
