@@ -15,6 +15,8 @@
 //! dataflow: the shifted-`zm` product initializes the result, then the other
 //! bands accumulate.
 
+use std::ops::Range;
+
 use crate::mesh::Mesh3D;
 use crate::scalar::Scalar;
 
@@ -126,6 +128,13 @@ impl<S: Scalar> DiaMatrix<S> {
         &self.bands[band]
     }
 
+    /// The band for `offset` (row-aligned), or `None` if the matrix does not
+    /// carry that diagonal — a missing band reads as all zeros. A loop over
+    /// rows looks its band up here once and indexes it by row.
+    pub fn band_of(&self, offset: Offset3) -> Option<&[S]> {
+        self.band_index(offset).map(|b| self.band(b))
+    }
+
     /// Mutable view of one band's coefficient array (row-aligned).
     ///
     /// Callers must leave out-of-mesh entries at zero; [`DiaMatrix::validate`]
@@ -136,6 +145,10 @@ impl<S: Scalar> DiaMatrix<S> {
 
     /// Sets the coefficient coupling row `(x, y, z)` to its neighbor at
     /// `offset`.
+    ///
+    /// A single-entry accessor: every call searches the offsets for the
+    /// band and checks the neighbor. A loop over rows takes the band once
+    /// ([`DiaMatrix::band_mut`]) and writes it by row instead.
     ///
     /// # Panics
     /// Panics if `offset` is not one of the matrix diagonals or the neighbor
@@ -153,6 +166,10 @@ impl<S: Scalar> DiaMatrix<S> {
 
     /// Reads the coefficient coupling row `(x, y, z)` to its neighbor at
     /// `offset` (zero if the neighbor is outside the mesh).
+    ///
+    /// A single-entry accessor: every call searches the offsets for the
+    /// band. A loop over rows takes the band once ([`DiaMatrix::band_of`])
+    /// and reads it by row instead.
     pub fn coeff(&self, x: usize, y: usize, z: usize, offset: Offset3) -> S {
         match self.band_index(offset) {
             Some(band) => self.bands[band][self.mesh.idx(x, y, z)],
@@ -313,9 +330,40 @@ impl<S: Scalar> DiaMatrix<S> {
     }
 }
 
+/// Replaces every entry `v` of band `off` whose neighbor lies inside the
+/// mesh — the entries a builder may write — with `f(v)`.
+///
+/// # Panics
+/// Panics if `off` is not one of the matrix diagonals.
+pub(crate) fn update_in_mesh<S: Scalar>(a: &mut DiaMatrix<S>, off: Offset3, f: impl Fn(S) -> S) {
+    let b = a.band_index(off).unwrap_or_else(|| panic!("offset {off:?} not in stencil"));
+    let mesh = a.mesh;
+    let band = a.band_mut(b);
+    for run in in_mesh_runs(mesh, off) {
+        for v in &mut band[run] {
+            *v = f(*v);
+        }
+    }
+}
+
+/// The rows of `mesh` whose neighbor at `off` lies inside the mesh, as
+/// contiguous z-runs in storage order.
+fn in_mesh_runs(mesh: Mesh3D, off: Offset3) -> impl Iterator<Item = Range<usize>> {
+    let (ny, nz) = (mesh.ny as i64, mesh.nz as i64);
+    let yr = clamp_range(off.dy as i64, ny);
+    let zr = clamp_range(off.dz as i64, nz);
+    clamp_range(off.dx as i64, mesh.nx as i64).flat_map(move |x| {
+        let zr = zr.clone();
+        yr.clone().map(move |y| {
+            let row0 = ((x * ny + y) * nz + zr.start) as usize;
+            row0..row0 + (zr.end - zr.start) as usize
+        })
+    })
+}
+
 /// Row-coordinate range `[start, end)` along one axis such that
 /// `coord + offset` stays within `[0, n)`.
-fn clamp_range(off: i64, n: i64) -> std::ops::Range<i64> {
+fn clamp_range(off: i64, n: i64) -> Range<i64> {
     if off >= 0 {
         0..(n - off).max(0)
     } else {

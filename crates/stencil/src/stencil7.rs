@@ -7,7 +7,7 @@
 //! boundary couplings are folded into the right-hand side, so off-mesh
 //! coefficients are structurally zero.
 
-use crate::dia::{DiaMatrix, Offset3};
+use crate::dia::{update_in_mesh, DiaMatrix, Offset3};
 use crate::mesh::Mesh3D;
 
 /// The 7-point Poisson (negative Laplacian) operator: diagonal `6`, each
@@ -15,13 +15,9 @@ use crate::mesh::Mesh3D;
 /// boundaries.
 pub fn poisson(mesh: Mesh3D) -> DiaMatrix<f64> {
     let mut a = DiaMatrix::new(mesh, &Offset3::seven_point());
-    for (x, y, z) in mesh.iter() {
-        a.set(x, y, z, Offset3::CENTER, 6.0);
-        for off in &Offset3::seven_point()[1..] {
-            if mesh.neighbor(x, y, z, off.dx, off.dy, off.dz).is_some() {
-                a.set(x, y, z, *off, -1.0);
-            }
-        }
+    update_in_mesh(&mut a, Offset3::CENTER, |_| 6.0);
+    for off in &Offset3::seven_point()[1..] {
+        update_in_mesh(&mut a, *off, |_| -1.0);
     }
     a
 }
@@ -52,24 +48,22 @@ pub fn convection_diffusion(mesh: Mesh3D, velocity: (f64, f64, f64), gamma: f64)
     let (xp, xm) = axis(ux);
     let (yp, ym) = axis(uy);
     let (zp, zm) = axis(uz);
-    for (x, y, z) in mesh.iter() {
-        let mut diag = 0.0;
-        let put = |a: &mut DiaMatrix<f64>, off: Offset3, c: f64, diag: &mut f64| {
-            // Dirichlet: the neighbor coupling always contributes to the
-            // diagonal balance; the off-diagonal entry exists only in-mesh.
-            *diag += c;
-            if mesh.neighbor(x, y, z, off.dx, off.dy, off.dz).is_some() {
-                a.set(x, y, z, off, -c);
-            }
-        };
-        put(&mut a, Offset3::new(1, 0, 0), xp, &mut diag);
-        put(&mut a, Offset3::new(-1, 0, 0), xm, &mut diag);
-        put(&mut a, Offset3::new(0, 1, 0), yp, &mut diag);
-        put(&mut a, Offset3::new(0, -1, 0), ym, &mut diag);
-        put(&mut a, Offset3::new(0, 0, 1), zp, &mut diag);
-        put(&mut a, Offset3::new(0, 0, -1), zm, &mut diag);
-        a.set(x, y, z, Offset3::CENTER, diag);
+    let mut diag = 0.0;
+    for (off, c) in [
+        (Offset3::new(1, 0, 0), xp),
+        (Offset3::new(-1, 0, 0), xm),
+        (Offset3::new(0, 1, 0), yp),
+        (Offset3::new(0, -1, 0), ym),
+        (Offset3::new(0, 0, 1), zp),
+        (Offset3::new(0, 0, -1), zm),
+    ] {
+        // Dirichlet: the neighbor coupling always contributes to the
+        // diagonal balance, so every row's diagonal is the same sum; the
+        // off-diagonal entry exists only in-mesh.
+        diag += c;
+        update_in_mesh(&mut a, off, |_| -c);
     }
+    update_in_mesh(&mut a, Offset3::CENTER, |_| diag);
     a
 }
 

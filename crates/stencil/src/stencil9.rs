@@ -5,7 +5,7 @@
 //! of v to each core." The 9-point stencil couples a point to its 8
 //! neighbors (including diagonals) plus itself.
 
-use crate::dia::{DiaMatrix, Offset3};
+use crate::dia::{update_in_mesh, DiaMatrix, Offset3};
 use crate::mesh::Mesh2D;
 
 /// The 9-point 2D Laplacian (Patankar/Mehrstellen weights): center `8/3`,
@@ -13,15 +13,10 @@ use crate::mesh::Mesh2D;
 /// coefficients exact in binary16: center `8`, all eight neighbors `-1`.
 /// Symmetric, weakly diagonally dominant with Dirichlet boundaries.
 pub fn laplace9(mesh: Mesh2D) -> DiaMatrix<f64> {
-    let m3 = mesh.as_3d();
-    let mut a = DiaMatrix::new(m3, &Offset3::nine_point_2d());
-    for (x, y, _z) in m3.iter() {
-        a.set(x, y, 0, Offset3::CENTER, 8.0);
-        for off in &Offset3::nine_point_2d()[1..] {
-            if m3.neighbor(x, y, 0, off.dx, off.dy, off.dz).is_some() {
-                a.set(x, y, 0, *off, -1.0);
-            }
-        }
+    let mut a = DiaMatrix::new(mesh.as_3d(), &Offset3::nine_point_2d());
+    update_in_mesh(&mut a, Offset3::CENTER, |_| 8.0);
+    for off in &Offset3::nine_point_2d()[1..] {
+        update_in_mesh(&mut a, *off, |_| -1.0);
     }
     a
 }
@@ -30,28 +25,24 @@ pub fn laplace9(mesh: Mesh2D) -> DiaMatrix<f64> {
 /// convection along the axis directions (the diagonal couplings stay
 /// symmetric). `velocity` is `(ux, uy)` in cell-Péclet units.
 pub fn convection_diffusion9(mesh: Mesh2D, velocity: (f64, f64)) -> DiaMatrix<f64> {
-    let m3 = mesh.as_3d();
     let mut a = laplace9(mesh);
     let (ux, uy) = velocity;
-    for (x, y, _z) in m3.iter() {
-        let mut extra_diag = 0.0;
-        let tilt = |a: &mut DiaMatrix<f64>, off: Offset3, c: f64, d: &mut f64| {
-            if c == 0.0 {
-                return;
-            }
-            *d += c;
-            if m3.neighbor(x, y, 0, off.dx, off.dy, off.dz).is_some() {
-                let old = a.coeff(x, y, 0, off);
-                a.set(x, y, 0, off, old - c);
-            }
-        };
-        tilt(&mut a, Offset3::new(1, 0, 0), (-ux).max(0.0), &mut extra_diag);
-        tilt(&mut a, Offset3::new(-1, 0, 0), ux.max(0.0), &mut extra_diag);
-        tilt(&mut a, Offset3::new(0, 1, 0), (-uy).max(0.0), &mut extra_diag);
-        tilt(&mut a, Offset3::new(0, -1, 0), uy.max(0.0), &mut extra_diag);
-        let old = a.coeff(x, y, 0, Offset3::CENTER);
-        a.set(x, y, 0, Offset3::CENTER, old + extra_diag);
+    // Every row's diagonal gains the same sum, boundary rows included; the
+    // off-diagonal entry exists only in-mesh.
+    let mut extra_diag = 0.0;
+    for (off, c) in [
+        (Offset3::new(1, 0, 0), (-ux).max(0.0)),
+        (Offset3::new(-1, 0, 0), ux.max(0.0)),
+        (Offset3::new(0, 1, 0), (-uy).max(0.0)),
+        (Offset3::new(0, -1, 0), uy.max(0.0)),
+    ] {
+        if c == 0.0 {
+            continue;
+        }
+        extra_diag += c;
+        update_in_mesh(&mut a, off, |old| old - c);
     }
+    update_in_mesh(&mut a, Offset3::CENTER, |old| old + extra_diag);
     a
 }
 

@@ -176,22 +176,30 @@ pub fn load_block_coefficients<S: Scalar>(
     ty: usize,
 ) {
     let mesh = a.mesh();
+    assert_eq!(mesh.nz, 1, "block mapping is 2D");
     let b = layout.block;
+    // Block coordinates `k` whose row `origin + k + d` lies in `0..n`.
+    let in_mesh = |origin: usize, len: usize, d: i32, n: usize| {
+        let first = origin as i64 + d as i64;
+        let lo = (-first).clamp(0, len as i64);
+        lo as usize..(n as i64 - first).clamp(lo, len as i64) as usize
+    };
     for (o, off) in offsets.iter().enumerate() {
         let mut data = vec![0.0f64; b.bx * b.by];
-        for i in 0..b.bx {
-            for j in 0..b.by {
-                let gi = tx * b.bx + i;
-                let gj = ty * b.by + j;
-                // Row = (gi+dx, gj+dy); its coefficient toward column
-                // (gi, gj) sits at offset (-dx, -dy) in row storage.
-                let ri = gi as i64 + off.dx as i64;
-                let rj = gj as i64 + off.dy as i64;
-                if ri < 0 || rj < 0 || ri >= mesh.nx as i64 || rj >= mesh.ny as i64 {
-                    continue;
+        // Row = (gi+dx, gj+dy); its coefficient toward column (gi, gj) sits
+        // at offset (-dx, -dy) in row storage, and a run of j is a run of
+        // rows. A missing band loads zeros.
+        let js = in_mesh(ty * b.by, b.by, off.dy, mesh.ny);
+        let band = a.band_of(Offset3::new(-off.dx, -off.dy, 0)).filter(|_| !js.is_empty());
+        if let Some(band) = band {
+            for i in in_mesh(tx * b.bx, b.bx, off.dx, mesh.nx) {
+                let ri = (tx * b.bx + i) as i64 + off.dx as i64;
+                let rj = (ty * b.by + js.start) as i64 + off.dy as i64;
+                let row = mesh.idx(ri as usize, rj as usize, 0);
+                let dst = &mut data[i * b.by + js.start..i * b.by + js.end];
+                for (d, s) in dst.iter_mut().zip(&band[row..row + js.len()]) {
+                    *d = s.to_f64();
                 }
-                let mirror = Offset3::new(-off.dx, -off.dy, 0);
-                data[i * b.by + j] = a.coeff(ri as usize, rj as usize, 0, mirror).to_f64();
             }
         }
         store_scalar_slice(tile, layout.coef[o], &data, layout.dtype);

@@ -63,8 +63,9 @@ fn axpy_reg(dt: Dtype, r: f32, a: f64, cur: f64) -> f64 {
 
 /// Mirror of the relay (and pure-z) compute task: per mesh row, taps in
 /// spec order; off-mesh sources read exact zeros (the device's
-/// zero-initialized buffers and pads). Matches the lowered relay program
-/// bit-for-bit at both precisions.
+/// zero-initialized buffers and pads), and so does a tap whose band the
+/// matrix lacks. Matches the lowered relay program bit-for-bit at both
+/// precisions.
 pub fn relay_reference_apply(
     spec: &StencilSpec,
     a: &DiaMatrix<f64>,
@@ -74,8 +75,9 @@ pub fn relay_reference_apply(
     let mesh = a.mesh();
     assert_eq!(v.len(), mesh.len(), "iterate length");
     let use_regs = relay_uses_registers(spec);
+    let bands: Vec<Option<&[f64]>> = spec.taps.iter().map(|t| a.band_of(t.off)).collect();
     let mut out = vec![0.0; mesh.len()];
-    for (x, y, z) in mesh.iter() {
+    for (row, (x, y, z)) in mesh.iter().enumerate() {
         let mut u = 0.0f64;
         for (o, t) in spec.taps.iter().enumerate() {
             let src = match mesh.neighbor(x, y, z, t.off.dx, t.off.dy, t.off.dz) {
@@ -94,7 +96,7 @@ pub fn relay_reference_apply(
                     axpy_reg(dt, c, src, u)
                 }
             } else {
-                let coef = rnd(dt, a.coeff(x, y, z, t.off));
+                let coef = bands[o].map_or(0.0, |band| rnd(dt, band[row]));
                 if first {
                     mul(dt, coef, src)
                 } else {
@@ -102,7 +104,7 @@ pub fn relay_reference_apply(
                 }
             };
         }
-        out[mesh.idx(x, y, z)] = u;
+        out[row] = u;
     }
     out
 }
@@ -138,21 +140,24 @@ pub fn block_reference_apply(
         for tx in 0..w {
             let e = &mut ext[tidx(tx, ty)];
             for off in offsets {
+                let band = a.band_of(Offset3::new(-off.dx, -off.dy, 0));
                 for i in 0..bx {
                     for j in 0..by {
                         let gi = tx * bx + i;
                         let gj = ty * by + j;
                         // The stored column coefficient (transpose view),
-                        // zero when the target row falls off-mesh.
+                        // zero when the target row falls off-mesh or the
+                        // matrix lacks the band.
                         let ri = gi as i64 + off.dx as i64;
                         let rj = gj as i64 + off.dy as i64;
-                        let coef =
-                            if ri < 0 || rj < 0 || ri >= mesh.nx as i64 || rj >= mesh.ny as i64 {
-                                0.0
-                            } else {
-                                let mirror = Offset3::new(-off.dx, -off.dy, 0);
-                                rnd(dt, a.coeff(ri as usize, rj as usize, 0, mirror))
-                            };
+                        let inside =
+                            ri >= 0 && rj >= 0 && ri < mesh.nx as i64 && rj < mesh.ny as i64;
+                        let coef = match band {
+                            Some(band) if inside => {
+                                rnd(dt, band[mesh.idx(ri as usize, rj as usize, 0)])
+                            }
+                            _ => 0.0,
+                        };
                         let vv = rnd(dt, v[mesh.idx(gi, gj, 0)]);
                         let di = (i as i64 + r as i64 + off.dx as i64) as usize;
                         let dj = (j as i64 + r as i64 + off.dy as i64) as usize;

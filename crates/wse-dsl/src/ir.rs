@@ -142,6 +142,9 @@ pub enum DslError {
     /// Mirror boundary folds a ghost contribution onto an offset the spec
     /// does not carry.
     MirrorNeedsBand(Offset3),
+    /// The caller's matrix has a nonzero band at an offset that is not one
+    /// of the spec's taps; the lowered program would silently drop it.
+    BandOutsideSpec(Offset3),
 }
 
 impl std::fmt::Display for DslError {
@@ -189,6 +192,11 @@ impl std::fmt::Display for DslError {
                 f,
                 "mirror boundary folds a ghost contribution onto offset {}, which the spec \
                  does not carry",
+                off(o)
+            ),
+            DslError::BandOutsideSpec(o) => write!(
+                f,
+                "matrix has a nonzero band at offset {}, which is not one of the spec's taps",
                 off(o)
             ),
         }
@@ -334,67 +342,100 @@ impl StencilSpec {
     /// simply contributes nothing. Under [`Boundary::NeumannMirror`] the
     /// ghost source reflects back into the mesh, and its coefficient folds
     /// onto the offset that reaches the mirrored cell — which must itself
-    /// be one of the spec's taps, else [`DslError::MirrorNeedsBand`].
+    /// be one of the spec's taps, else [`DslError::MirrorNeedsBand`]. The
+    /// mirror reflects once, so a tap reaching more than an axis extent past
+    /// the edge can land outside the mesh: [`DslError::MeshMismatch`].
+    ///
+    /// The walk is tap by tap, each tap adding its weight into whole bands,
+    /// so every `(row, band)` entry sums its contributions in tap order.
+    /// Of several failing ghosts, the error names the first in mesh-row
+    /// order (then tap order).
     pub fn matrix(&self, mesh: Mesh3D) -> Result<DiaMatrix<f64>, DslError> {
         self.validate()?;
         if !self.all_const() {
             return Err(DslError::VarNeedsMatrix);
         }
-        let offsets = self.offsets();
-        let mut a = DiaMatrix::<f64>::new(mesh, &offsets);
-        // Mirror a coordinate across the cell-centered boundary.
-        let reflect = |i: i64, n: usize| -> i64 {
-            if i < 0 {
-                -i - 1
-            } else if i >= n as i64 {
-                2 * n as i64 - 1 - i
-            } else {
-                i
-            }
-        };
-        for (x, y, z) in mesh.iter() {
-            for t in &self.taps {
-                let c = match t.coef {
-                    CoefKind::Const(c) => c,
-                    CoefKind::Var => unreachable!("all_const checked"),
-                };
-                let (sx, sy, sz) = (
-                    x as i64 + t.off.dx as i64,
-                    y as i64 + t.off.dy as i64,
-                    z as i64 + t.off.dz as i64,
-                );
-                let inside = sx >= 0
-                    && sy >= 0
-                    && sz >= 0
-                    && sx < mesh.nx as i64
-                    && sy < mesh.ny as i64
-                    && sz < mesh.nz as i64;
-                if inside {
-                    let cur = a.coeff(x, y, z, t.off);
-                    a.set(x, y, z, t.off, cur + c);
-                    continue;
-                }
-                match self.boundary {
-                    Boundary::Dirichlet0 => {}
-                    Boundary::NeumannMirror => {
-                        let (mx, my, mz) =
-                            (reflect(sx, mesh.nx), reflect(sy, mesh.ny), reflect(sz, mesh.nz));
-                        let fold = Offset3::new(
-                            (mx - x as i64) as i32,
-                            (my - y as i64) as i32,
-                            (mz - z as i64) as i32,
-                        );
-                        if !offsets.contains(&fold) {
-                            return Err(DslError::MirrorNeedsBand(fold));
+        let mut a = DiaMatrix::<f64>::new(mesh, &self.offsets());
+        let mirror = self.boundary == Boundary::NeumannMirror;
+        // The failing ghost with the lowest row, kept with its error.
+        let mut first_err: Option<(usize, DslError)> = None;
+        for (b, t) in self.taps.iter().enumerate() {
+            let CoefKind::Const(c) = t.coef else { unreachable!("all_const checked") };
+            let (gx, gy, gz) =
+                (ghosts(t.off.dx, mesh.nx), ghosts(t.off.dy, mesh.ny), ghosts(t.off.dz, mesh.nz));
+            // The rows whose source is in the mesh form one z-run per line.
+            let zlo = gz.iter().take_while(|g| g.is_some()).count();
+            let zhi = zlo + gz[zlo..].iter().take_while(|g| g.is_none()).count();
+            // The last fold looked up, and its band.
+            let mut fold_band = (t.off, Some(b));
+            'rows: for (x, gx) in gx.iter().enumerate() {
+                for (y, gy) in gy.iter().enumerate() {
+                    let line = (x * mesh.ny + y) * mesh.nz;
+                    let inside = gx.is_none() && gy.is_none();
+                    if inside {
+                        for v in &mut a.band_mut(b)[line + zlo..line + zhi] {
+                            *v += c;
                         }
-                        let cur = a.coeff(x, y, z, fold);
-                        a.set(x, y, z, fold, cur + c);
+                    }
+                    if !mirror {
+                        continue;
+                    }
+                    let zs = if inside {
+                        (0..zlo).chain(zhi..mesh.nz)
+                    } else {
+                        (0..0).chain(0..mesh.nz)
+                    };
+                    for z in zs {
+                        let [fx, fy, fz] = [(gx, t.off.dx), (gy, t.off.dy), (&gz[z], t.off.dz)]
+                            .map(|(g, d)| g.map_or((d, true), |g| g));
+                        let fold = Offset3::new(fx.0, fy.0, fz.0);
+                        if fold != fold_band.0 {
+                            fold_band = (fold, a.band_index(fold));
+                        }
+                        let err = match fold_band.1 {
+                            None => DslError::MirrorNeedsBand(fold),
+                            Some(fb) if fx.1 && fy.1 && fz.1 => {
+                                a.band_mut(fb)[line + z] += c;
+                                continue;
+                            }
+                            Some(_) => DslError::MeshMismatch(format!(
+                                "mirror boundary reflects tap ({}, {}, {}) past the far edge of \
+                                 the {}x{}x{} mesh",
+                                t.off.dx, t.off.dy, t.off.dz, mesh.nx, mesh.ny, mesh.nz
+                            )),
+                        };
+                        let row = line + z;
+                        if first_err.as_ref().is_none_or(|(r, _)| row < *r) {
+                            first_err = Some((row, err));
+                        }
+                        break 'rows;
                     }
                 }
             }
         }
-        Ok(a)
+        match first_err {
+            Some((_, err)) => Err(err),
+            None => Ok(a),
+        }
     }
+}
+
+/// Where a tap reaching `d` along an axis of extent `n` finds its source,
+/// per row coordinate: `None` inside the mesh; for a ghost, the offset that
+/// reaches its once-mirrored (cell-centered) image and whether that image
+/// lies inside the mesh.
+fn ghosts(d: i32, n: usize) -> Vec<Option<(i32, bool)>> {
+    let n = n as i64;
+    (0..n)
+        .map(|i| {
+            let s = i + d as i64;
+            if (0..n).contains(&s) {
+                return None;
+            }
+            let m = if s < 0 { -s - 1 } else { 2 * n - 1 - s };
+            Some(((m - i) as i32, (0..n).contains(&m)))
+        })
+        .collect()
 }
 
 #[cfg(test)]

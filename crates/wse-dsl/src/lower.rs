@@ -82,8 +82,10 @@ enum Detail {
 /// Lowers `spec` with its coefficient matrix `a` onto `fabric`.
 ///
 /// `block` supplies the per-tile block extents for 2D meshes (ignored for
-/// 3D). All validation happens in [`plan`] **before any fabric state is
-/// created**; on `Err` the fabric is untouched.
+/// 3D). All validation happens in [`plan`], and a nonzero band of `a` at an
+/// offset the spec lacks is [`DslError::BandOutsideSpec`], **before any
+/// fabric state is created**; on `Err` the fabric is untouched. A spec tap
+/// whose band `a` lacks reads as zero.
 pub fn lower(
     fabric: &mut Fabric,
     spec: &StencilSpec,
@@ -94,6 +96,11 @@ pub fn lower(
     let geometry = Geometry { fabric_w: fabric.width(), fabric_h: fabric.height(), block };
     let p = plan(spec, mesh, geometry)?;
     let offsets = spec.offsets();
+    for (b, off) in a.offsets().iter().enumerate() {
+        if !offsets.contains(off) && a.band(b).iter().any(|&v| v != 0.0) {
+            return Err(DslError::BandOutsideSpec(*off));
+        }
+    }
 
     let detail = match p.mapping {
         MappingPlan::Block { w, h, block, r } => {
@@ -118,7 +125,7 @@ pub fn lower(
             // The paper's Listing-1 dataflow: strictly faster than one
             // relay round (neighbor columns stream through FIFOs while the
             // diagonal FMACs run), so it wins whenever eligible.
-            let a16 = convert_f16(a);
+            let a16 = a.convert::<F16>();
             let mapping = Mapping3D::new(mesh, fabric.width(), fabric.height());
             configure_spmv_routes(fabric, mapping.fabric_w, mapping.fabric_h);
             let mut layouts = Vec::with_capacity(mapping.cores());
@@ -181,19 +188,6 @@ pub fn lower_spec(
 ) -> Result<Lowered, DslError> {
     let a = spec.matrix(mesh)?;
     lower(fabric, spec, &a, block)
-}
-
-fn convert_f16(a: &DiaMatrix<f64>) -> DiaMatrix<F16> {
-    let mesh = a.mesh();
-    let mut out = DiaMatrix::<F16>::new(mesh, a.offsets());
-    for off in a.offsets().to_vec() {
-        for (x, y, z) in mesh.iter() {
-            if mesh.neighbor(x, y, z, off.dx, off.dy, off.dz).is_some() {
-                out.set(x, y, z, off, F16::from_f64(a.coeff(x, y, z, off)));
-            }
-        }
-    }
-    out
 }
 
 impl std::fmt::Debug for Lowered {

@@ -149,7 +149,8 @@ pub fn configure_relay_routes(fabric: &mut Fabric, w: usize, h: usize, rx: usize
 }
 
 /// Loads a tile's per-cell coefficient columns (tap order) from the `f64`
-/// matrix. No-op when the layout keeps constants in registers.
+/// matrix, a missing band as zeros. No-op when the layout keeps constants
+/// in registers.
 pub fn load_relay_coefficients(
     tile: &mut Tile,
     layout: &RelayLayout,
@@ -162,9 +163,11 @@ pub fn load_relay_coefficients(
         return;
     }
     let z = layout.z as usize;
+    let base = a.mesh().idx(x, y, 0);
+    let zeros = vec![0.0; z];
     for (o, t) in spec.taps.iter().enumerate() {
-        let col: Vec<f64> = (0..z).map(|k| a.coeff(x, y, k, t.off)).collect();
-        crate::block2d::store_scalar_slice(tile, layout.coefvecs[o], &col, layout.dtype);
+        let col = a.band_of(t.off).map_or(&zeros[..], |band| &band[base..base + z]);
+        crate::block2d::store_scalar_slice(tile, layout.coefvecs[o], col, layout.dtype);
     }
 }
 

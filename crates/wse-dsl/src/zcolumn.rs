@@ -647,9 +647,10 @@ pub fn build_spmv_tile_naive(
 
 /// Extracts tile `(x, y)`'s six off-diagonal coefficient vectors from a
 /// unit-diagonal 7-point matrix, in the kernel's `[xp, xm, yp, ym, zp, zm]`
-/// order.
+/// order. A band the matrix lacks loads as zeros.
 pub fn tile_coefficients(a: &DiaMatrix<F16>, x: usize, y: usize) -> [Vec<F16>; 6] {
     let mesh = a.mesh();
+    let base = mesh.idx(x, y, 0);
     let order = [
         Offset3::new(1, 0, 0),
         Offset3::new(-1, 0, 0),
@@ -658,7 +659,10 @@ pub fn tile_coefficients(a: &DiaMatrix<F16>, x: usize, y: usize) -> [Vec<F16>; 6
         Offset3::new(0, 0, 1),
         Offset3::new(0, 0, -1),
     ];
-    order.map(|off| (0..mesh.nz).map(|zz| a.coeff(x, y, zz, off)).collect())
+    order.map(|off| match a.band_of(off) {
+        Some(band) => band[base..base + mesh.nz].to_vec(),
+        None => vec![F16::ZERO; mesh.nz],
+    })
 }
 
 /// Loads a tile's coefficients into its SRAM.

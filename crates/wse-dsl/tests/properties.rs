@@ -15,7 +15,9 @@
 
 use proptest::prelude::*;
 use stencil::decomp::Block2D;
-use stencil::mesh::Mesh3D;
+use stencil::dia::{DiaMatrix, Offset3};
+use stencil::mesh::{Mesh2D, Mesh3D};
+use stencil::stencil9::laplace9;
 use wse_arch::Fabric;
 use wse_dsl::plan::{BLOCK_MAX_RADIUS, ROUTABLE_RADIUS};
 use wse_dsl::{Boundary, DslError, Precision, StencilSpec, Tap};
@@ -81,6 +83,29 @@ fn fabric_untouched(fabric: &Fabric) -> bool {
         }
     }
     true
+}
+
+#[test]
+fn caller_bands_outside_the_spec_are_rejected_before_fabric() {
+    // A 9-band matrix under the 5-point star: every emitter and both host
+    // mirrors walk the spec's taps, so the four corner bands would vanish.
+    let spec = wse_dsl::catalog::get("star5-2d").unwrap();
+    let mesh = Mesh3D::new(8, 8, 1);
+    let block = Some(Block2D::new(4, 4));
+    let a = laplace9(Mesh2D::new(8, 8));
+    let mut fabric = Fabric::new(2, 2);
+    let err = wse_dsl::lower(&mut fabric, &spec, &a, block).unwrap_err();
+    assert_eq!(err, DslError::BandOutsideSpec(Offset3::new(1, 1, 0)));
+    assert!(fabric_untouched(&fabric), "rejection must precede fabric mutation");
+
+    // All-zero bands outside the spec carry nothing and lower as before.
+    let star = spec.matrix(mesh).unwrap();
+    let mut padded = DiaMatrix::<f64>::new(mesh, &Offset3::nine_point_2d());
+    for off in spec.offsets() {
+        let b = padded.band_index(off).unwrap();
+        padded.band_mut(b).copy_from_slice(star.band_of(off).unwrap());
+    }
+    wse_dsl::lower(&mut fabric, &spec, &padded, block).expect("zero bands are harmless");
 }
 
 proptest! {

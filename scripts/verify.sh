@@ -2,9 +2,9 @@
 # Full verification, a superset of tier-1 (ROADMAP.md: `cargo build
 # --release && cargo test -q`, which the root manifest's `default-members`
 # scopes to the root package, `wse-core`, `wse-arch`, `wse-multi`,
-# `wse-float`, `solver`, `stencil`, `cfd`, `wse-dsl`, `wse-serve`, `wse-lint`
-# and `wse-trace`; the other three crates' suites, `perf-model`,
-# `cluster-sim` and `bench`, only run here): the release
+# `wse-float`, `solver`, `stencil`, `cfd`, `wse-dsl`, `wse-serve`, `wse-lint`,
+# `wse-trace` and `perf-model`; the other two crates' suites, `cluster-sim`
+# and `bench`, only run here): the release
 # build, the whole workspace's tests, the exhaustive fp16 sweeps, clippy and
 # rustfmt, a grep that keeps the workspace single-threaded, the wse-lint
 # static verifier over every shipped kernel configuration (once more with
