@@ -9,69 +9,48 @@
 //! the interconnect off the critical path:
 //!
 //! * **Overlapped halo exchange** — a seam tile's ±x mesh neighbor lives
-//!   on another wafer, so no broadcast stream arrives for it. Instead of
-//!   a blocking halo phase, each SpMV runs as one *merged window*
-//!   ([`MultiFabric::run_linked`]): seam tiles launch their outbound
-//!   iterate column on a background thread (colors [`HALO_EAST`] /
-//!   [`HALO_WEST`], through the declared edge ports and the host
-//!   interconnect, [`wse_multi::HostLink`]) while every tile computes the
-//!   interior SpMV; the inbound plane lands in a halo buffer that a
-//!   receive-triggered fold task adds in with one fused multiply-add
-//!   ([`crate::spmv3d::build_overlap_halo`]). Wire time that fits under
-//!   the calibrated compute window is *hidden*
-//!   ([`MultiIterCycles::halo_hidden`], trace span `"halo_overlap"`);
-//!   only the remainder is *exposed* ([`MultiIterCycles::halo`], trace
-//!   span `"halo_exposed"` at the window's tail).
-//! * **Tree host combine** — each wafer reduces on-wafer in fp32; the
-//!   host then combines the `k` partials over a binomial tree
-//!   (`⌈log₂ k⌉` levels up, the same back down — `2·⌈log₂ k⌉` link
+//!   on another wafer. Each SpMV runs as one *merged window*
+//!   ([`MultiFabric::run_linked`]): seam tiles stream their outbound
+//!   column on a background thread (colors [`HALO_EAST`] / [`HALO_WEST`],
+//!   through the edge ports and [`wse_multi::HostLink`]) while every tile
+//!   computes the interior SpMV, and a receive-triggered fold task adds
+//!   the inbound plane in ([`crate::spmv3d::build_overlap_halo`]). Wire
+//!   time under the calibrated compute window is *hidden*
+//!   ([`MultiIterCycles::halo_hidden`]), the rest *exposed*
+//!   ([`MultiIterCycles::halo`]).
+//! * **Tree host combine** — each wafer reduces on-wafer in fp32; the host
+//!   combines the `k` partials over a binomial tree (`2·⌈log₂ k⌉` link
 //!   latencies instead of the serial `k`-hop scan), writes the global
-//!   result back, and triggers the on-wafer broadcast (trace span
-//!   `"host_allreduce"`).
+//!   result back, and triggers the on-wafer broadcast.
 //! * **Single-reduction fused iteration** ([`build_fused`][WaferBicgstabMulti::build_fused],
-//!   the bench default) — the rearranged recurrences batch all fourteen
-//!   dot products of one BiCGStab iteration into one fp32 payload,
-//!   reduced by one on-wafer [`ChainReduce`] plus one binomial host
-//!   round-trip per iteration; the host derives α, ω, β from the lanes
-//!   and broadcasts seven scalars back. Iteration order: window A
-//!   (`p := r + β(p − ω s)` co-scheduled with `v := A r` and the halo of
-//!   `r` — the update widens the window the wire latency hides behind),
-//!   `upd_s`, window B (`zv := A s` over the halo of `s`), the fused dot
-//!   task, the single reduction, then the trailing updates.
+//!   the bench default) — one fp32 payload of fourteen dots, one on-wafer
+//!   [`ChainReduce`] and one host round-trip per iteration.
 //!
 //! Every builder produces the same thing: a [`krylov::Program`] over the
 //! global tile grid (one `(Tasks, Addrs)` record per tile, allocated and
 //! emitted from a [`krylov::Recurrence`]'s tables — [`krylov::BICGSTAB`] or
 //! [`krylov::BICGSTAB_SINGLE`]), one [`Seam`] record per tile, and one
-//! [`WaferReduce`] per wafer. **One interpreter** walks the table with an
-//! ensemble meaning for two kinds of step: an SpMV is a seam window, a
-//! reduction is hierarchical. Scatter and gather are the `Program`'s own.
+//! [`WaferReduce`] per wafer. The crate's one step walk runs the table on
+//! an ensemble executor that gives two kinds of step their seam-crossing
+//! meaning: an SpMV is a seam window, a reduction is hierarchical. Scatter,
+//! gather and ‖r‖ are the `Program`'s own.
 //!
 //! Compute phases run **each wafer independently on its own clock**
 //! ([`MultiFabric::run_each`], ensemble time being the slowest wafer's);
 //! the ensemble synchronizes only at the merged windows and the reduction,
 //! mirroring how a real host runtime would drive k machines.
-//! [`build_serial`][WaferBicgstabMulti::build_serial]
-//! retains the blocking schedule (trace phase `"halo"`, four scalar
-//! round-trips) as the measured baseline the overlapped gates compare
-//! against.
 //!
 //! The hierarchical modes are numerically equivalent — but not bit-equal
 //! — to the single-wafer solve (reduction and halo summation orders
-//! differ). The bit-exact cross-validation path is *transparent* mode:
-//! build the ordinary [`WaferBicgstab`] on one fused fabric, split it
-//! with [`MultiFabric::split_x`], and drive it through the
-//! [`crate::exec::WaferExec`] impl for `MultiFabric` — under
-//! [`wse_multi::HostLink::ideal`] that reproduces the single-wafer
-//! residual trajectory bit for bit.
+//! differ); [`build_transparent`] is the bit-exact cross-validation path.
 
 use crate::allreduce::{AllReduceSplit, ChainReduce};
 use crate::bicgstab::{column_mapping, regs};
 use crate::exec::WaferExec;
 use crate::kernels::{alloc, TileMap};
 use crate::krylov::{
-    self, IterCycles, Krylov, Layout, Norm, Program, Slot, SolveStats, Step, Tasks, BC_REGS,
-    PAY_LANES, V,
+    self, IterCycles, Krylov, Layout, Phase, Program, Reduction, Slot, SolveStats, Step, StepExec,
+    Tasks, PAY_LANES, V,
 };
 use crate::recovery::{self, RecoveryLog, RecoveryPolicy};
 use crate::spmv3d::{
@@ -85,7 +64,7 @@ use stencil::dia::DiaMatrix;
 use wse_arch::dsr::mk;
 use wse_arch::fabric::StallReport;
 use wse_arch::instr::{Op, Stmt, Task, TensorInstr};
-use wse_arch::types::{Color, Dtype, Port, TaskId};
+use wse_arch::types::{Color, Dtype, Port, Reg, TaskId};
 use wse_arch::Fabric;
 use wse_dsl::tess::configure_spmv_routes;
 use wse_float::F16;
@@ -211,17 +190,13 @@ pub struct WaferBicgstabMulti {
     /// `⌈log₂ k⌉` levels up and the same back down, each a link latency
     /// plus the payload's transfer time.
     host_hop_cycles: u64,
-    /// Modeled one-way wire cycles of one seam halo exchange: link latency
-    /// plus the boundary plane (`fabric_h` tiles × `z` fp16 words per seam
-    /// direction) crossing the link. Used only to attribute
-    /// hidden-vs-exposed cycles inside the merged overlapped window —
-    /// wall-clock exposure is always measured, never modeled.
+    /// Modeled one-way wire cycles of one seam halo exchange (link latency
+    /// plus the `fabric_h × z` boundary plane): splits an overlapped window's
+    /// halo into hidden and exposed; exposure itself is always measured.
     halo_wire_cycles: u64,
-    /// Measured cycles of the pure-compute SpMV windows (calibrated once
-    /// at [`WaferBicgstabMulti::load_rhs`]); split each merged `spmv+halo`
-    /// window into compute and exposed-halo parts. Indexed by the window's
-    /// shape — `[plain SpMV, SpMV with a co-scheduled task]` — because the
-    /// SpMV itself costs the same whichever vector it reads.
+    /// Measured cycles of the pure-compute SpMV windows, calibrated at
+    /// [`WaferBicgstabMulti::load_rhs`], by shape: `[plain SpMV, SpMV with
+    /// a co-scheduled task]` (the SpMV costs the same whatever it reads).
     spmv_compute: [Cell<u64>; 2],
 }
 
@@ -252,13 +227,11 @@ impl WaferBicgstabMulti {
         Self::build_inner(multi, a, false, false)
     }
 
-    /// Builds the **fused single-reduction** distributed solver: the same
-    /// BiCGStab trajectory re-derived so all fourteen scalar products of an
-    /// iteration are computed *before* α and ω are known, batched into one
-    /// 14-lane fp32 payload, and reduced in a single hierarchical
-    /// AllReduce ([`crate::allreduce::ChainReduce`] on-wafer, binomial
-    /// host tree across wafers) — one host round-trip per iteration
-    /// instead of three, on top of the overlapped halo schedule.
+    /// Builds the **fused single-reduction** distributed solver
+    /// ([`krylov::BICGSTAB_SINGLE`]): all fourteen scalar products of an
+    /// iteration are reduced in one hierarchical AllReduce — one host
+    /// round-trip per iteration instead of three, on top of the overlapped
+    /// halo schedule. The iteration order is the table's.
     ///
     /// The recurrence port follows Chronopoulos–Gear CG
     /// ([`crate::krylov::CG_SINGLE`]): with `v = A r` and `zv = A s` every
@@ -413,7 +386,8 @@ impl WaferBicgstabMulti {
             assert!(tiles.iter().all(|(_, at)| blocks(at) == (pay, bc_src)), "uniform payload");
             for m in 0..k {
                 let (lw, shard) = (multi.slab(m).len(), multi.shard_mut(m));
-                let chain = ChainReduce::build(shard, lw, h, pay, PAY_LANES, bc_src, &BC_REGS);
+                let chain =
+                    ChainReduce::build(shard, lw, h, pay, PAY_LANES, bc_src, recurrence.reply);
                 reductions.push(WaferReduce::Chain(chain));
             }
         }
@@ -449,247 +423,9 @@ impl WaferBicgstabMulti {
         self.program.tiles().zip(&self.seams).map(|((x, y, tasks, _), seam)| (x, y, tasks, seam))
     }
 
-    /// Runs all wafers **independently to quiescence** as trace phase
-    /// `name` (nothing activated may touch a seam). Returns max per-wafer
-    /// cycles.
-    fn try_run_each(
-        &self,
-        multi: &mut MultiFabric,
-        name: &'static str,
-    ) -> Result<u64, Box<StallReport>> {
-        multi.phase_begin(name);
-        let r = multi.run_each(self.program.phase_budget, recovery::STALL_WINDOW);
-        multi.phase_end();
-        r
-    }
-
-    /// Runs the ensemble in linked lockstep (traffic crosses seams) as
-    /// trace phase `name`.
-    fn try_run_linked(
-        &self,
-        multi: &mut MultiFabric,
-        name: &'static str,
-        budget: u64,
-    ) -> Result<u64, Box<StallReport>> {
-        let r = multi.run_phase(name, budget, recovery::STALL_WINDOW);
-        if r.is_err() {
-            // The exchange wedged (link down, or a stall outlasting the
-            // watchdog): stamp the timeline so the recovery engine's
-            // re-run of this halo is visible in traces.
-            multi.phase_marker("halo_retry");
-        }
-        r
-    }
-
-    /// Activates `slot`'s task on every tile.
-    fn activate(&self, multi: &mut MultiFabric, slot: Slot) {
-        for (x, y, tasks, _) in self.tiles() {
-            multi.activate(x, y, tasks[slot]);
-        }
-    }
-
-    /// One SpMV with its seam halo — window `window` of the iteration —
-    /// under whichever schedule the seam tiles carry. `with` is an
-    /// independent compute task co-scheduled into the same window (the
-    /// fused solver folds `upd_p` into the first one so the halo latency
-    /// hides behind more compute).
-    ///
-    /// The blocking schedule first runs its exchange as trace phase
-    /// `"halo"`: every seam tile streams its column across the host link
-    /// while blocking on the opposite stream into its halo buffer. The
-    /// overlapped schedule launches the background halo `(send, recv)`
-    /// pair alongside the SpMV and runs one merged `"spmv+halo"` window.
-    /// With no seams anywhere (k = 1) either degenerates to a plain
-    /// `"spmv"` compute phase.
-    ///
-    /// Returns `(compute, exposed, hidden)`: a merged window up to the
-    /// calibrated pure-compute time is compute, the tail is exposed halo,
-    /// and `hidden` is the part of the modeled wire time that the window
-    /// absorbed. The two attributions are stamped retroactively as trace
-    /// spans `"halo_overlap"` / `"halo_exposed"` inside the window.
-    fn try_spmv_window(
-        &self,
-        multi: &mut MultiFabric,
-        window: usize,
-        slot: Slot,
-        with: Option<Slot>,
-    ) -> Result<(u64, u64, u64), Box<StallReport>> {
-        let mut blocking = 0;
-        if self.seams.iter().any(|s| matches!(s, Seam::Serial(_))) {
-            for (x, y, _, seam) in self.tiles() {
-                if let Seam::Serial(halo) = seam {
-                    multi.activate(x, y, halo[window]);
-                }
-            }
-            blocking = self.try_run_linked(multi, "halo", self.seam_budget)?;
-        }
-        let mut overlapped = false;
-        for (x, y, tasks, seam) in self.tiles() {
-            // Send/recv launch-and-retire first so the boundary column
-            // is on the wire before the SpMV occupies the core.
-            if let Seam::Overlap(halo) = seam {
-                multi.activate(x, y, halo[window].send);
-                multi.activate(x, y, halo[window].recv);
-                overlapped = true;
-            }
-            if let Some(with) = with {
-                multi.activate(x, y, tasks[with]);
-            }
-            multi.activate(x, y, tasks[slot]);
-        }
-        if !overlapped {
-            return Ok((self.try_run_each(multi, "spmv")?, blocking, 0));
-        }
-        let t0 = multi.cycle();
-        let budget = self.program.phase_budget + self.seam_budget;
-        let merged = self.try_run_linked(multi, "spmv+halo", budget)?;
-        let t1 = t0 + merged;
-        let cal = self.spmv_compute[with.is_some() as usize].get();
-        let compute = if cal == 0 { merged } else { cal.min(merged) };
-        let exposed = merged - compute;
-        let hidden = self.halo_wire_cycles.saturating_sub(exposed).min(merged);
-        if hidden > 0 {
-            multi.phase_span("halo_overlap", t0, t0 + hidden);
-        }
-        if exposed > 0 {
-            multi.phase_span("halo_exposed", t1 - exposed, t1);
-        }
-        Ok((compute, exposed, hidden))
-    }
-
-    /// Calibrates the overlapped schedule's compute/halo attribution: runs
-    /// the iteration's SpMV windows — one of each shape — with **no** seam
-    /// traffic (trace phase `"spmv_calibrate"`) and records their cycles.
-    /// The fold barriers are host-`Activate`d so they fire on the
-    /// zero-filled halo buffers (`u += coeff · 0`, a numeric no-op): the
-    /// calibrated window prices interior compute *and* fold execution,
-    /// leaving only genuine wait-for-remote-data as the exposed term. A
-    /// fired fold re-blocks itself, restoring the built two-way-barrier
-    /// state.
-    ///
-    /// The classic iteration's two plain SpMVs share one calibration. The
-    /// fused one calibrates window A with its co-scheduled `upd_p` (under
-    /// the zeroed registers it computes `p := r`, exactly what iteration 0
-    /// needs) and window B alone. No-op for the blocking schedule or a
-    /// seamless (k = 1) ensemble.
-    fn calibrate_spmv(&self, multi: &mut MultiFabric) -> Result<(), Box<StallReport>> {
-        if !self.seams.iter().any(|s| matches!(s, Seam::Overlap(_))) {
-            return Ok(());
-        }
-        let mut calibrated = [false; 2];
-        let windows = self.program.recurrence.iter.iter().filter_map(|step| match *step {
-            Step::Spmv { slot, with } => Some((slot, with)),
-            _ => None,
-        });
-        for (window, (slot, with)) in windows.enumerate() {
-            if std::mem::replace(&mut calibrated[with.is_some() as usize], true) {
-                continue;
-            }
-            for (x, y, tasks, seam) in self.tiles() {
-                if let Some(with) = with {
-                    multi.activate(x, y, tasks[with]);
-                }
-                multi.activate(x, y, tasks[slot]);
-                if let Seam::Overlap(halo) = seam {
-                    multi.activate(x, y, halo[window].fold);
-                }
-            }
-            let elapsed = self.try_run_each(multi, "spmv_calibrate")?;
-            self.spmv_compute[with.is_some() as usize].set(elapsed);
-            // Defensive re-arm: a fired fold already re-blocked itself;
-            // this only matters if a fold was released without firing.
-            for (x, y, _, seam) in self.tiles() {
-                if let Seam::Overlap(halo) = seam {
-                    let (wm, lx) = multi.to_local(x);
-                    multi.shard_mut(wm).tile_mut(lx, y).core.block(halo[window].fold);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The hierarchical AllReduce: on-wafer reduce (concurrent, per
-    /// wafer), host-level fp32 combine of the `k` roots' partial lanes,
-    /// charged one tree round-trip, then — with `reply` — the recurrence's
-    /// [`derive`](krylov::Recurrence::derive) of the combined lanes
-    /// written back to every root and the on-wafer broadcasts. Returns the
-    /// on-wafer cycles and the combined lanes.
-    fn try_reduce(
-        &self,
-        multi: &mut MultiFabric,
-        reply: bool,
-    ) -> Result<(u64, Vec<f32>), Box<StallReport>> {
-        self.activate(multi, Slot::Reduce);
-        let on_wafer = self.try_run_each(multi, "allreduce")?;
-
-        multi.phase_begin("host_allreduce");
-        // Host-side fp32 combine over the binomial wafer tree, lane by
-        // lane — the summation order the modeled `2⌈log₂ k⌉` hop cycles
-        // actually buy (for k = 2 it coincides with a serial
-        // left-to-right sum).
-        let per_wafer: Vec<Vec<f32>> =
-            self.reductions.iter().enumerate().map(|(w, r)| r.partials(multi.shard(w))).collect();
-        let lanes: Vec<f32> = (0..per_wafer[0].len())
-            .map(|j| binomial_combine(per_wafer.iter().map(|w| w[j]).collect()))
-            .collect();
-        if reply {
-            let reply = (self.program.recurrence.derive)(&lanes);
-            for (w, red) in self.reductions.iter().enumerate() {
-                red.write_reply(multi.shard_mut(w), &reply);
-            }
-        }
-        if self.host_hop_cycles > 0 {
-            multi.advance_idle(self.host_hop_cycles);
-        }
-        let mut bcast = Ok(0);
-        if reply {
-            self.activate(multi, Slot::Bcast);
-            bcast = multi.run_each(self.program.phase_budget, recovery::STALL_WINDOW);
-        }
-        multi.phase_end();
-        // The broadcast half runs on-wafer; only the hop latency is host time.
-        Ok((on_wafer + bcast?, lanes))
-    }
-
-    /// The one interpreter: walks a step table of the program's
-    /// recurrence with the ensemble's meaning for each step — an SpMV is a
-    /// seam window, a reduction is hierarchical, and every other step is a
-    /// wafer-local compute phase. Returns the cycles and the lanes the
-    /// last reduction left with the host.
-    fn try_steps(
-        &self,
-        multi: &mut MultiFabric,
-        steps: &[Step],
-    ) -> Result<(MultiIterCycles, Vec<f32>), Box<StallReport>> {
-        let mut c = MultiIterCycles::default();
-        let mut lanes = Vec::new();
-        let mut window = 0;
-        for &step in steps {
-            match step {
-                Step::Spmv { slot, with } => {
-                    let (compute, exposed, hidden) =
-                        self.try_spmv_window(multi, window, slot, with)?;
-                    c.compute.spmv += compute;
-                    c.halo += exposed;
-                    c.halo_hidden += hidden;
-                    window += 1;
-                }
-                Step::Run { phase, slot } => {
-                    self.activate(multi, slot);
-                    c.compute.add(phase, self.try_run_each(multi, phase.name())?)
-                }
-                Step::Reduce | Step::ReduceToHost => {
-                    let on_wafer;
-                    (on_wafer, lanes) = self.try_reduce(multi, step == Step::Reduce)?;
-                    c.compute.allreduce += on_wafer;
-                    c.host_allreduce += self.host_hop_cycles;
-                }
-                Step::ReduceBoth | Step::CopyReg { .. } => {
-                    unreachable!("not a step of an ensemble BiCGStab table")
-                }
-            }
-        }
-        Ok((c, lanes))
+    /// The ensemble as a step executor, its cycle record zero.
+    fn on<'a>(&'a self, multi: &'a mut MultiFabric) -> OnEnsemble<'a> {
+        OnEnsemble { solver: self, multi, cycles: MultiIterCycles::default(), window: 0 }
     }
 
     /// Scatters the right-hand side and zeroes the iterate, then seeds
@@ -751,34 +487,231 @@ impl WaferBicgstabMulti {
     }
 }
 
+/// The ensemble as a step executor: an SpMV is a seam window, a reduction
+/// is hierarchical, and every other step is a wafer-local compute phase.
+struct OnEnsemble<'a> {
+    solver: &'a WaferBicgstabMulti,
+    multi: &'a mut MultiFabric,
+    cycles: MultiIterCycles,
+    /// The SpMV window the next SpMV step opens.
+    window: usize,
+}
+
+impl OnEnsemble<'_> {
+    /// Activates `slot`'s task on every tile.
+    fn activate(&mut self, slot: Slot) {
+        for (x, y, tasks, _) in self.solver.tiles() {
+            self.multi.activate(x, y, tasks[slot]);
+        }
+    }
+
+    /// Runs all wafers **independently to quiescence** as trace phase
+    /// `name` (nothing activated may touch a seam). Returns max per-wafer
+    /// cycles.
+    fn try_run_each(&mut self, name: &'static str) -> Result<u64, Box<StallReport>> {
+        self.multi.phase_begin(name);
+        let r = self.multi.run_each(self.solver.program.phase_budget, recovery::STALL_WINDOW);
+        self.multi.phase_end();
+        r
+    }
+
+    /// Runs the ensemble in linked lockstep (traffic crosses seams) as
+    /// trace phase `name`.
+    fn try_run_linked(&mut self, name: &'static str, budget: u64) -> Result<u64, Box<StallReport>> {
+        let r = self.multi.run_phase(name, budget, recovery::STALL_WINDOW);
+        if r.is_err() {
+            // The exchange wedged (link down, or a stall outlasting the
+            // watchdog): stamp the timeline so a recovery re-run shows.
+            self.multi.phase_marker("halo_retry");
+        }
+        r
+    }
+
+    /// Calibrates the overlapped schedule's compute/halo attribution: runs
+    /// each shape of the iteration's SpMV windows once with **no** seam
+    /// traffic (trace phase `"spmv_calibrate"`) and records its cycles. The
+    /// folds are host-`Activate`d so they fire on the zero-filled halo
+    /// buffers (a numeric no-op): the calibrated window prices interior
+    /// compute *and* fold execution, leaving only genuine waiting as the
+    /// exposed term. A fired fold re-blocks itself. Window A's `upd_p`
+    /// computes `p := r` under the zeroed registers, as iteration 0 needs.
+    /// No-op for the blocking schedule or a seamless (k = 1) ensemble.
+    fn calibrate_spmv(&mut self) -> Result<(), Box<StallReport>> {
+        let solver = self.solver;
+        if !solver.seams.iter().any(|s| matches!(s, Seam::Overlap(_))) {
+            return Ok(());
+        }
+        let mut calibrated = [false; 2];
+        let windows = solver.program.recurrence.iter.iter().filter_map(|step| match *step {
+            Step::Spmv { slot, with } => Some((slot, with)),
+            _ => None,
+        });
+        for (window, (slot, with)) in windows.enumerate() {
+            if std::mem::replace(&mut calibrated[with.is_some() as usize], true) {
+                continue;
+            }
+            for (x, y, tasks, seam) in solver.tiles() {
+                if let Some(with) = with {
+                    self.multi.activate(x, y, tasks[with]);
+                }
+                self.multi.activate(x, y, tasks[slot]);
+                if let Seam::Overlap(halo) = seam {
+                    self.multi.activate(x, y, halo[window].fold);
+                }
+            }
+            let elapsed = self.try_run_each("spmv_calibrate")?;
+            solver.spmv_compute[with.is_some() as usize].set(elapsed);
+            // Defensive re-arm: a fired fold already re-blocked itself;
+            // this only matters if a fold was released without firing.
+            for (x, y, _, seam) in solver.tiles() {
+                if let Seam::Overlap(halo) = seam {
+                    let (wm, lx) = self.multi.to_local(x);
+                    self.multi.shard_mut(wm).tile_mut(lx, y).core.block(halo[window].fold);
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+impl StepExec for OnEnsemble<'_> {
+    type Error = Box<StallReport>;
+
+    fn run(&mut self, phase: Phase, slot: Slot) -> Result<(), Self::Error> {
+        self.activate(slot);
+        let cycles = self.try_run_each(phase.name())?;
+        self.cycles.compute.add(phase, cycles);
+        Ok(())
+    }
+
+    /// One SpMV with its seam halo — the iteration's next window — under
+    /// whichever schedule the seam tiles carry, `with` co-scheduled into
+    /// the window. The blocking schedule first runs its exchange as trace
+    /// phase `"halo"`; the overlapped one launches each seam tile's halo
+    /// `(send, recv)` pair alongside the SpMV in one `"spmv+halo"` window,
+    /// attributed after the fact as spans `"halo_overlap"` (hidden) and
+    /// `"halo_exposed"` (the tail past the calibrated compute time). With
+    /// no seams (k = 1) either is a plain `"spmv"` compute phase.
+    fn spmv(&mut self, slot: Slot, with: Option<Slot>) -> Result<(), Self::Error> {
+        let (solver, window) = (self.solver, self.window);
+        self.window += 1;
+        if solver.seams.iter().any(|s| matches!(s, Seam::Serial(_))) {
+            for (x, y, _, seam) in solver.tiles() {
+                if let Seam::Serial(halo) = seam {
+                    self.multi.activate(x, y, halo[window]);
+                }
+            }
+            self.cycles.halo += self.try_run_linked("halo", solver.seam_budget)?;
+        }
+        let mut overlapped = false;
+        for (x, y, tasks, seam) in solver.tiles() {
+            // Send/recv launch-and-retire first so the boundary column
+            // is on the wire before the SpMV occupies the core.
+            if let Seam::Overlap(halo) = seam {
+                self.multi.activate(x, y, halo[window].send);
+                self.multi.activate(x, y, halo[window].recv);
+                overlapped = true;
+            }
+            if let Some(with) = with {
+                self.multi.activate(x, y, tasks[with]);
+            }
+            self.multi.activate(x, y, tasks[slot]);
+        }
+        if !overlapped {
+            self.cycles.compute.spmv += self.try_run_each("spmv")?;
+            return Ok(());
+        }
+        let t0 = self.multi.cycle();
+        let merged =
+            self.try_run_linked("spmv+halo", solver.program.phase_budget + solver.seam_budget)?;
+        let t1 = t0 + merged;
+        let cal = solver.spmv_compute[with.is_some() as usize].get();
+        let compute = if cal == 0 { merged } else { cal.min(merged) };
+        let exposed = merged - compute;
+        let hidden = solver.halo_wire_cycles.saturating_sub(exposed).min(merged);
+        if hidden > 0 {
+            self.multi.phase_span("halo_overlap", t0, t0 + hidden);
+        }
+        if exposed > 0 {
+            self.multi.phase_span("halo_exposed", t1 - exposed, t1);
+        }
+        self.cycles.compute.spmv += compute;
+        self.cycles.halo += exposed;
+        self.cycles.halo_hidden += hidden;
+        Ok(())
+    }
+
+    /// The hierarchical AllReduce: on-wafer reduce, the host's fp32
+    /// combine of the `k` roots' partial lanes (trace span
+    /// `"host_allreduce"`, charged one tree round-trip), then — unless the
+    /// round ends at the host — the recurrence's
+    /// [`derive`](krylov::Recurrence::derive) of them written to every
+    /// root and broadcast on-wafer.
+    fn reduce(&mut self, kind: Reduction) -> Result<Vec<f32>, Self::Error> {
+        assert!(kind != Reduction::Both, "an ensemble has one reduction network");
+        let solver = self.solver;
+        self.activate(Slot::Reduce);
+        self.cycles.compute.allreduce += self.try_run_each("allreduce")?;
+
+        self.multi.phase_begin("host_allreduce");
+        // Host-side fp32 combine over the binomial wafer tree, lane by lane
+        // — the summation order the modeled `2⌈log₂ k⌉` hop cycles actually
+        // buy (for k = 2 it coincides with a serial left-to-right sum).
+        let multi = &*self.multi;
+        let per_wafer: Vec<Vec<f32>> =
+            solver.reductions.iter().enumerate().map(|(w, r)| r.partials(multi.shard(w))).collect();
+        let lanes: Vec<f32> = (0..per_wafer[0].len())
+            .map(|j| binomial_combine(per_wafer.iter().map(|w| w[j]).collect()))
+            .collect();
+        let reply = kind == Reduction::One;
+        if reply {
+            let reply = (solver.program.recurrence.derive)(&lanes);
+            for (w, red) in solver.reductions.iter().enumerate() {
+                red.write_reply(self.multi.shard_mut(w), &reply);
+            }
+        }
+        self.multi.advance_idle(solver.host_hop_cycles);
+        self.cycles.host_allreduce += solver.host_hop_cycles;
+        let mut bcast = Ok(0);
+        if reply {
+            self.activate(Slot::Bcast);
+            bcast = self.multi.run_each(solver.program.phase_budget, recovery::STALL_WINDOW);
+        }
+        self.multi.phase_end();
+        // The broadcast half runs on-wafer; only the hop latency is host time.
+        self.cycles.compute.allreduce += bcast?;
+        Ok(lanes)
+    }
+
+    fn copy_reg(&mut self, dst: Reg, src: Reg) {
+        self.solver.program.on(self.multi).copy_reg(dst, src);
+    }
+}
+
 /// The ensemble under the shared solve loops: every method is the
-/// program's recurrence table walked by the one ensemble interpreter
-/// (neither ensemble table has a distinct first iteration).
+/// program's recurrence table walked on the ensemble.
 impl Krylov<MultiFabric> for WaferBicgstabMulti {
     type Cycles = MultiIterCycles;
 
     fn try_load_rhs(&self, multi: &mut MultiFabric, b: &[F16]) -> Result<(), Box<StallReport>> {
         self.program.scatter_rhs(multi, b);
-        self.try_steps(multi, self.program.recurrence.seed)?;
-        self.calibrate_spmv(multi)
+        let mut on = self.on(multi);
+        krylov::walk(self.program.recurrence.seed, &mut on)?;
+        on.calibrate_spmv()
     }
 
     fn try_iterate(
         &self,
         multi: &mut MultiFabric,
-        _it: usize,
+        it: usize,
     ) -> Result<MultiIterCycles, Box<StallReport>> {
-        Ok(self.try_steps(multi, self.program.recurrence.iter)?.0)
+        let mut on = self.on(multi);
+        krylov::walk(self.program.recurrence.iteration(it), &mut on)?;
+        Ok(on.cycles)
     }
 
     fn try_residual_norm(&self, multi: &mut MultiFabric) -> Result<f64, Box<StallReport>> {
-        // ‖r‖² is lane 0 of the table's last host combine — for a table
-        // that goes on to broadcast it into a register, the same bits.
-        let (Norm::InReg(steps, _) | Norm::AtHost(steps)) = self.program.recurrence.norm else {
-            unreachable!("both ensemble tables reduce their norm")
-        };
-        let (_, lanes) = self.try_steps(multi, steps)?;
-        Ok(lanes[0].max(0.0).sqrt() as f64)
+        self.program.try_norm(multi, |multi, steps| krylov::walk(steps, &mut self.on(multi)))
     }
 
     fn read_x(&self, multi: &MultiFabric) -> Vec<F16> {

@@ -1,10 +1,12 @@
-//! Wafer against host: every single-wafer table, built by its builder at
-//! its `tests/krylov_pins.rs` shapes and solved on the fabric, against
-//! [`HostExec`] over the same table (mixed fp16/fp32, host matvec).
+//! Wafer against host: every table, built by its builder at its
+//! `tests/krylov_pins.rs` shapes and solved on the fabric (or on a
+//! multi-wafer ensemble), against [`HostExec`] over the same table (mixed
+//! fp16/fp32, host matvec).
 //!
 //! The two agree to a bound, not bit for bit: the wafer's fp32 AllReduce
 //! associates in an order that depends on the fabric's history, which no
-//! host executor can reproduce. Once either trajectory reaches the fp16
+//! host executor can reproduce (nor the ensemble's per-wafer partials and
+//! host combine). Once either trajectory reaches the fp16
 //! storage noise floor (2^-11 ≈ 4.9e-4 relative), recursive residuals are
 //! rounding noise and their ratio is instance-dependent, so the comparison
 //! is clamped there.
@@ -20,8 +22,10 @@ use wse_arch::Fabric;
 use wse_core::bicgstab2d::WaferBicgstab2d;
 use wse_core::cg::{CgVariant, WaferCg};
 use wse_core::krylov::{self, HostExec, Program, Recurrence};
-use wse_core::{Krylov, WaferBicgstab};
+use wse_core::recovery::{ResidualTripwire, TripwireVerdict};
+use wse_core::{Krylov, WaferBicgstab, WaferBicgstabMulti};
 use wse_float::F16;
+use wse_multi::{HostLink, MultiFabric};
 
 const ITERS: usize = 6;
 const FLOOR: f64 = 5e-4;
@@ -58,7 +62,18 @@ fn check(
     fabric: &mut Fabric,
     solver: &Program,
 ) {
-    let wafer = solver.solve(fabric, b, ITERS).1.residuals;
+    compare(name, recurrence, a, b, &solver.solve(fabric, b, ITERS).1.residuals);
+}
+
+/// Runs `recurrence` on the host from `b`, and bounds the ratio of its
+/// relative residuals to the `wafer` ones iteration by iteration.
+fn compare(
+    name: &str,
+    recurrence: &'static Recurrence,
+    a: &DiaMatrix<F16>,
+    b: &[F16],
+    wafer: &[f64],
+) {
     let mut host = HostExec::<MixedF16, _>::new(recurrence, |x: &[F16], y: &mut [F16]| {
         a.matvec(x, y);
     });
@@ -116,4 +131,66 @@ fn every_single_wafer_table_tracks_its_host_executor() {
         let name = format!("BICGSTAB_BLOCK {block:?} at {origin:?}");
         check(&name, &krylov::BICGSTAB_BLOCK, &a, &b, &mut fabric, &solver);
     }
+}
+
+#[test]
+fn every_ensemble_table_tracks_its_host_executor() {
+    type Build = fn(&mut MultiFabric, &DiaMatrix<F16>) -> WaferBicgstabMulti;
+    let (classic, fused): (Build, Build) =
+        (WaferBicgstabMulti::build, WaferBicgstabMulti::build_fused);
+    let single = &krylov::BICGSTAB_SINGLE;
+    let cases = [
+        ("BICGSTAB_SINGLE", single, fused, (6, 4, 8), 2),
+        ("BICGSTAB", &krylov::BICGSTAB, classic, (6, 4, 8), 2),
+        ("BICGSTAB_SINGLE", single, fused, (6, 4, 8), 1),
+        // Uneven slabs: 3 / 2 / 2.
+        ("BICGSTAB_SINGLE", single, fused, (7, 3, 5), 3),
+    ];
+    for (name, recurrence, build, (w, h, z), k) in cases {
+        // `tests/krylov_pins.rs`'s ensemble systems.
+        let (a, b) = scaled(poisson(Mesh3D::new(w, h, z)), |i| (i * 29 % 101) as f64 / 101.0 - 0.4);
+        let mut multi = MultiFabric::new(w, h, k, HostLink::paper_default());
+        let solver = build(&mut multi, &a);
+        let wafer = solver.solve(&mut multi, &b, ITERS).1.residuals;
+        compare(&format!("{name} {w}x{h}x{z} k={k}"), recurrence, &a, &b, &wafer);
+    }
+}
+
+/// A NaN ‖r‖² reads as non-finite, never as converged. Off-diagonals a
+/// thousand times the unit diagonal overflow fp16 in the first iteration:
+/// on one wafer, on the fused ensemble at k = 1 and 2, and on the host.
+#[test]
+fn a_nan_residual_stops_every_executor_as_non_finite() {
+    let mesh = Mesh3D::new(4, 4, 8);
+    let mut a = poisson(mesh);
+    for band in 0..a.offsets().len() {
+        let center = a.offsets()[band].is_center();
+        a.band_mut(band).iter_mut().for_each(|v| *v = if center { 1.0 } else { *v * 1000.0 });
+    }
+    let b: Vec<f64> = (0..mesh.len()).map(|i| if i % 3 == 0 { 100.0 } else { 1.0 }).collect();
+    let (a, b) = narrowed(a, &b);
+
+    let mut fabric = Fabric::new(4, 4);
+    let solver = WaferBicgstab::build(&mut fabric, &a);
+    let (x, stats) = solver.solve(&mut fabric, &b, ITERS);
+    let mut solves = vec![("one wafer", x, stats.residuals)];
+    for (name, k) in [("k = 1", 1), ("k = 2", 2)] {
+        let mut multi = MultiFabric::new(4, 4, k, HostLink::paper_default());
+        let solver = WaferBicgstabMulti::build_fused(&mut multi, &a);
+        let (x, stats) = solver.solve(&mut multi, &b, ITERS);
+        solves.push((name, x, stats.residuals));
+    }
+    for (name, x, residuals) in solves {
+        let last = *residuals.last().expect("an iteration ran");
+        let verdict = ResidualTripwire::default().check(last);
+        assert_eq!(verdict, TripwireVerdict::NonFinite, "{name}: {residuals:?}");
+        assert!(x.iter().all(|v| !v.to_f64().is_finite()), "{name}: a finite iterate entry");
+    }
+
+    let mut host = HostExec::<MixedF16, _>::new(&krylov::BICGSTAB, |x: &[F16], y: &mut [F16]| {
+        a.matvec(x, y);
+    });
+    host.load_rhs(&b);
+    host.iterate();
+    assert!(host.r().iter().all(|v| !v.to_f64().is_finite()), "a finite host r entry");
 }

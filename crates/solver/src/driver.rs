@@ -69,8 +69,7 @@ fn norm<S: Scalar>(v: &[S]) -> f64 {
 /// policy `P`, with `a`'s storage-precision matvec as its SpMV.
 ///
 /// # Panics
-/// Panics if `b.len() != a.nrows()`, or on a recurrence [`HostExec`]
-/// refuses.
+/// Panics if `b.len() != a.nrows()`.
 pub fn solve<P: Precision>(
     recurrence: &'static Recurrence,
     a: &DiaMatrix<P::Storage>,

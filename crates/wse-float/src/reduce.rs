@@ -5,26 +5,6 @@
 //! experiments we need trustworthy baselines: pairwise summation (error
 //! growth O(log n)) and Kahan compensated summation (O(1)), both in f64.
 
-/// Sequential left-to-right f32 summation — the association order of a single
-/// fabric reduction lane.
-pub fn sum_sequential_f32(v: &[f32]) -> f32 {
-    v.iter().copied().fold(0.0, |a, b| a + b)
-}
-
-/// Pairwise (tree) summation in f32 — the association order of the Fig. 6
-/// row/column reduction tree, whose error grows only logarithmically.
-pub fn sum_pairwise_f32(v: &[f32]) -> f32 {
-    match v.len() {
-        0 => 0.0,
-        1 => v[0],
-        2 => v[0] + v[1],
-        n => {
-            let (lo, hi) = v.split_at(n / 2);
-            sum_pairwise_f32(lo) + sum_pairwise_f32(hi)
-        }
-    }
-}
-
 /// Pairwise summation in f64 (reference).
 pub fn sum_pairwise_f64(v: &[f64]) -> f64 {
     match v.len() {
@@ -63,33 +43,16 @@ mod tests {
 
     #[test]
     fn empty_and_singleton() {
-        assert_eq!(sum_sequential_f32(&[]), 0.0);
-        assert_eq!(sum_pairwise_f32(&[]), 0.0);
         assert_eq!(sum_pairwise_f64(&[2.5]), 2.5);
         assert_eq!(sum_kahan_f64(&[]), 0.0);
     }
 
     #[test]
     fn all_agree_on_exact_sums() {
-        let v: Vec<f32> = (0..1000).map(|i| i as f32).collect();
+        let v64: Vec<f64> = (0..1000).map(f64::from).collect();
         let expect = 999.0 * 1000.0 / 2.0;
-        assert_eq!(sum_sequential_f32(&v), expect);
-        assert_eq!(sum_pairwise_f32(&v), expect);
-        let v64: Vec<f64> = v.iter().map(|&x| x as f64).collect();
-        assert_eq!(sum_pairwise_f64(&v64), expect as f64);
-        assert_eq!(sum_kahan_f64(&v64), expect as f64);
-    }
-
-    #[test]
-    fn pairwise_more_accurate_than_sequential() {
-        // Sum many small values onto a large head: sequential f32 loses the
-        // tail, pairwise keeps most of it.
-        let mut v = vec![1.0e8f32];
-        v.extend(std::iter::repeat_n(1.0f32, 1 << 16));
-        let exact = 1.0e8f64 + (1 << 16) as f64;
-        let seq_err = (sum_sequential_f32(&v) as f64 - exact).abs();
-        let pair_err = (sum_pairwise_f32(&v) as f64 - exact).abs();
-        assert!(pair_err < seq_err, "pairwise {pair_err} !< sequential {seq_err}");
+        assert_eq!(sum_pairwise_f64(&v64), expect);
+        assert_eq!(sum_kahan_f64(&v64), expect);
     }
 
     #[test]

@@ -1,10 +1,8 @@
 #!/usr/bin/env bash
 # Full verification, a superset of tier-1 (ROADMAP.md: `cargo build
-# --release && cargo test -q`, which the root manifest's `default-members`
-# scopes to the root package, `wse-core`, `wse-arch`, `wse-multi`,
-# `wse-float`, `solver`, `stencil`, `cfd`, `wse-dsl`, `wse-serve`, `wse-lint`,
-# `wse-trace` and `perf-model`; the other two crates' suites, `cluster-sim`
-# and `bench`, only run here): the release
+# --release && cargo test -q`, whose `default-members` in the root manifest
+# are the root package and all fourteen crates, so it runs every suite the
+# `--workspace` run below does): the release
 # build, the whole workspace's tests, the exhaustive fp16 sweeps, clippy and
 # rustfmt, a grep that keeps the workspace single-threaded, the wse-lint
 # static verifier over every shipped kernel configuration (once more with

@@ -311,8 +311,8 @@ fn recovery_under_seeded_bit_flips_single_wafer() {
         (render(&log), bits(&stats.residuals), x_digest(&x)),
         recovered(
             "recovery: Converged after 3 iterations (rel 1.992e-3); 2 checkpoints, 1 rollbacks \
-             (1 iterations lost), 0 stalls, 0 trips, 1 false convergences | iter 1: false \
-             convergence (recursive rel 0.000e0, true rel NaN)",
+             (1 iterations lost), 0 stalls, 1 trips, 0 false convergences | iter 1: tripwire \
+             NonFinite (rel NaN)",
             &[4584024342590148053, 4583042965677946175, 4566738615956866940],
             0x1d092eb7e2001c49,
         )
