@@ -268,22 +268,17 @@ pub fn scaling_curve(n: usize) -> Vec<(usize, f64)> {
     JouleModel::default().scaling_curve(n, &JouleModel::paper_core_counts())
 }
 
-/// Prints Figs. 7 and 8 plus the CS-1 comparison line, with both the
-/// analytic model and the rank-level simulation side by side.
+/// Prints Figs. 7 and 8 from the α-β-γ cluster model, plus the CS-1
+/// comparison line.
 pub fn print_fig7_fig8() {
     let cs1_us = Cs1Model::default().predict_headline().time_us;
-    let mut sim = cluster_sim::ClusterSim::new(42);
     for (fig, n) in [("Fig. 7", 370usize), ("Fig. 8", 600)] {
         println!("== {fig}: scaling of BiCGStab solve time on the cluster, {n}^3 mesh ==");
-        println!(
-            "  {:>8} {:>14} {:>14} {:>10}",
-            "cores", "model ms/iter", "sim ms/iter", "speedup"
-        );
+        println!("  {:>8} {:>14} {:>10}", "cores", "model ms/iter", "speedup");
         let curve = scaling_curve(n);
-        let sim_curve = sim.scaling_curve(n, &JouleModel::paper_core_counts());
         let t0 = curve[0].1;
-        for ((p, t), (_, ts)) in curve.iter().zip(&sim_curve) {
-            println!("  {:>8} {:>14.2} {:>14.2} {:>9.1}x", p, t * 1e3, ts * 1e3, t0 / t);
+        for (p, t) in &curve {
+            println!("  {:>8} {:>14.2} {:>9.1}x", p, t * 1e3, t0 / t);
         }
         if n == 600 {
             let ratio = curve.last().unwrap().1 / (cs1_us * 1e-6);

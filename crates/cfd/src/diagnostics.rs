@@ -15,15 +15,6 @@ pub fn centerline_u_profile(field: &FlowField) -> Vec<f64> {
     (0..g.nz).map(|k| field.u[um.idx(ic, jc, k)]).collect()
 }
 
-/// The w-velocity profile along the horizontal centerline (y, z centered),
-/// west to east.
-pub fn centerline_w_profile(field: &FlowField) -> Vec<f64> {
-    let g = field.grid;
-    let wm = g.face_mesh(Component::W);
-    let (jc, kc) = (g.ny / 2, g.nz / 2);
-    (0..g.nx).map(|i| field.w[wm.idx(i, jc, kc)]).collect()
-}
-
 /// Cell-centered y-vorticity `ω_y = ∂u/∂z − ∂w/∂x` on the mid-y plane
 /// (the rotation plane of the primary vortex for an x-driven lid).
 #[allow(clippy::needless_range_loop)] // 2-D stencil index math reads better with i/k

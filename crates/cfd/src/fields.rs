@@ -1,7 +1,6 @@
 //! The flow state: staggered velocity components and cell-centered pressure.
 
 use crate::grid::{Component, StaggeredGrid};
-use stencil::mesh::Mesh3D;
 
 /// Velocities on faces, pressure at centers.
 #[derive(Clone, Debug)]
@@ -91,11 +90,6 @@ impl FlowField {
             + self.v.iter().map(|x| x * x).sum::<f64>()
             + self.w.iter().map(|x| x * x).sum::<f64>();
         0.5 * s
-    }
-
-    /// The mesh a component's linear system is defined on.
-    pub fn mesh_of(&self, c: Component) -> Mesh3D {
-        self.grid.face_mesh(c)
     }
 }
 

@@ -16,10 +16,9 @@
 //! moving lid drives the cavity).
 
 use crate::fields::FlowField;
-use crate::grid::{Component, StaggeredGrid};
+use crate::grid::Component;
 use crate::opcount::OpClassCounts;
 use stencil::dia::{DiaMatrix, Offset3};
-use stencil::mesh::Mesh3D;
 
 /// Fluid and scheme parameters.
 #[derive(Copy, Clone, Debug)]
@@ -220,14 +219,10 @@ pub fn assemble_momentum(field: &FlowField, c: Component, props: &FluidProps) ->
     MomentumSystem { component: c, matrix, rhs, ap: ap_out, counts }
 }
 
-/// Convenience: the mesh a component's system lives on.
-pub fn momentum_mesh(grid: StaggeredGrid, c: Component) -> Mesh3D {
-    grid.face_mesh(c)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::StaggeredGrid;
     use stencil::stencil7::{diagonal_dominance_slack, is_symmetric};
 
     fn lid_field() -> FlowField {

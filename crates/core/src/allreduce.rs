@@ -159,11 +159,6 @@ impl AllReduce {
         self.tasks[y * self.w + x]
     }
 
-    /// The virtual-channel base this instance was built on.
-    pub fn color_base(&self) -> u8 {
-        self.base
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn configure_routes(
         fabric: &mut Fabric,

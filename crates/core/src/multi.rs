@@ -838,10 +838,20 @@ mod tests {
             let bits = |x: &[F16]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             let mut multi = MultiFabric::split_x(&fabric, 2, HostLink::ideal());
             let mut multi_rec = MultiFabric::split_x(&fabric, 2, HostLink::ideal());
+            let (fabric_start, multi_start) = (fabric.cycle(), multi.cycle());
             let (x_ref, stats_ref) = solver.solve(&mut fabric, b, 4);
             let (x_split, stats_split) = solver.solve(&mut multi, b, 4);
             assert_eq!(stats_ref.residuals, stats_split.residuals, "{name}: residuals diverged");
             assert_eq!(bits(&x_ref), bits(&x_split), "{name}: iterate bits diverged");
+            // Every seam is framed, but headers and acks are control-plane
+            // metadata: over a healthy link the split lands on the unsplit
+            // fabric's cycle count and never retransmits.
+            assert_eq!(
+                fabric.cycle() - fabric_start,
+                multi.cycle() - multi_start,
+                "{name}: the framed split's cycle count diverged"
+            );
+            assert_eq!(multi.retransmits(), 0, "{name}: a healthy link retransmitted");
             let policy = RecoveryPolicy { checkpoint_every: 2, ..RecoveryPolicy::default() };
             let (x_rec, stats_rec, log) =
                 solver.solve_with_recovery(&mut multi_rec, a, b, 4, &policy);

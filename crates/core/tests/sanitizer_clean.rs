@@ -94,18 +94,27 @@ fn bicgstab_iterates_clean_under_sanitizer() {
     let n = a.mesh().len();
     let b: Vec<F16> = (0..n).map(|i| F16::from_f64(((i % 3) as f64) * 0.25)).collect();
     for fused in [false, true] {
-        let mut fabric = Fabric::new(3, 3);
-        let k = if fused {
-            WaferBicgstab::build_fused(&mut fabric, &a)
-        } else {
-            WaferBicgstab::build(&mut fabric, &a)
+        let name = if fused { "bicgstab fused" } else { "bicgstab" };
+        let run = |armed: bool| {
+            let mut fabric = Fabric::new(3, 3);
+            let k = if fused {
+                WaferBicgstab::build_fused(&mut fabric, &a)
+            } else {
+                WaferBicgstab::build(&mut fabric, &a)
+            };
+            if armed {
+                fabric.arm_sanitizer();
+            }
+            k.load_rhs(&mut fabric, &b);
+            let cycles = [k.iterate(&mut fabric), k.iterate(&mut fabric)];
+            let bits: Vec<u16> = k.read_x(&fabric).iter().map(|v| v.to_bits()).collect();
+            (fabric, cycles, bits)
         };
-        fabric.arm_sanitizer();
-        k.load_rhs(&mut fabric, &b);
-        for _ in 0..2 {
-            let _ = k.iterate(&mut fabric);
-        }
-        assert_no_trips(&mut fabric, if fused { "bicgstab fused" } else { "bicgstab" });
+        let (_, plain, plain_bits) = run(false);
+        let (mut fabric, armed, armed_bits) = run(true);
+        assert_eq!(armed, plain, "{name}: sanitizer changed simulated time");
+        assert_eq!(armed_bits, plain_bits, "{name}: sanitizer changed the iterate");
+        assert_no_trips(&mut fabric, name);
     }
 }
 

@@ -43,12 +43,6 @@ impl WaferGeneration {
         ((self.bytes_per_core() - 1024.0) / (10.0 * 2.0)) as usize
     }
 
-    /// Largest cubic mesh edge `n` such that an `n × n × n` problem fits a
-    /// `600 × 600`-ish fabric footprint (x, y ≤ fabric; z ≤ max_z).
-    pub fn max_cubic_mesh(&self, fabric_edge: usize) -> usize {
-        fabric_edge.min(self.max_z())
-    }
-
     /// Total solvable mesh points under the 3D mapping.
     pub fn max_points(&self, fabric_w: usize, fabric_h: usize) -> u64 {
         (fabric_w as u64) * (fabric_h as u64) * self.max_z() as u64

@@ -1663,18 +1663,6 @@ impl RegionView<'_> {
         max
     }
 
-    /// Total SRAM allocated across the region, in bytes (the payload a
-    /// program load must move over the host interface).
-    pub fn sram_used_total(&self) -> u64 {
-        let mut total = 0u64;
-        for ry in 0..self.region.h {
-            for rx in 0..self.region.w {
-                total += u64::from(self.tile(rx, ry).mem.used());
-            }
-        }
-        total
-    }
-
     /// `true` when every tile in the region is individually quiescent
     /// (core idle and router empty) — the precondition for replacing the
     /// resident program.

@@ -28,7 +28,7 @@
 //!
 //! The sanitizer is observation-only: arming it never changes a single
 //! architectural state transition, so an armed run is cycle-identical to a
-//! disarmed one (asserted by tests and by the `iter_profile` bench).
+//! disarmed one (asserted by `wse-core`'s `sanitizer_clean` tests).
 
 use crate::types::{Color, NUM_COLORS, NUM_THREADS};
 use std::fmt;

@@ -165,11 +165,6 @@ impl CoreTrace {
         self.ring.dropped
     }
 
-    /// Cycles attributed to `cause` while armed.
-    pub fn stall_cycles(&self, cause: StallCause) -> u64 {
-        self.stall[cause.index()]
-    }
-
     /// Instructions of `class` retired while armed.
     pub fn retired(&self, class: OpClass) -> u64 {
         self.retired[class.index()]

@@ -6,7 +6,6 @@
 
 use std::cmp::Ordering;
 use std::fmt;
-use std::num::FpCategory;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 use std::str::FromStr;
 
@@ -132,17 +131,6 @@ impl F16 {
     #[inline]
     pub fn is_sign_negative(self) -> bool {
         (self.0 & SIGN_MASK) != 0
-    }
-
-    /// IEEE classification of the value.
-    pub fn classify(self) -> FpCategory {
-        match (self.0 & EXP_MASK, self.0 & MAN_MASK) {
-            (0, 0) => FpCategory::Zero,
-            (0, _) => FpCategory::Subnormal,
-            (EXP_MASK, 0) => FpCategory::Infinite,
-            (EXP_MASK, _) => FpCategory::Nan,
-            _ => FpCategory::Normal,
-        }
     }
 
     /// Absolute value (clears the sign bit; exact).

@@ -115,16 +115,6 @@ pub fn place_regions(
     Ok(out)
 }
 
-/// [`place_regions`] over the shards of a built ensemble.
-pub fn place_on_ensemble(
-    multi: &crate::MultiFabric,
-    requests: &[(usize, usize)],
-) -> Result<Vec<Placement>, PlacementOverflow> {
-    let dims: Vec<(usize, usize)> =
-        (0..multi.k()).map(|m| (multi.shard(m).width(), multi.shard(m).height())).collect();
-    place_regions(&dims, requests)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -210,17 +210,6 @@ pub struct ServiceReport {
 }
 
 impl ServiceReport {
-    /// Mean host wall-clock speedup of a warm lookup over a cold compile,
-    /// `None` until both have happened. Nondeterministic (wall clock).
-    pub fn warm_speedup(&self) -> Option<f64> {
-        if self.cold_host_us.is_empty() || self.warm_host_us.is_empty() {
-            return None;
-        }
-        let cold = self.cold_host_us.iter().sum::<f64>() / self.cold_host_us.len() as f64;
-        let warm = self.warm_host_us.iter().sum::<f64>() / self.warm_host_us.len() as f64;
-        Some(cold / warm.max(1e-9))
-    }
-
     /// Deterministic fixed-precision report: identical inputs render
     /// identical text (the smoke test diffs two runs).
     pub fn render(&self) -> String {
@@ -281,14 +270,14 @@ struct Tenant {
     rejected: usize,
 }
 
+/// Max same-`(tenant, key)` jobs coalesced into one placement.
+const BATCH_MAX: usize = 4;
+
 /// The service front door. See the module docs for the pipeline.
 pub struct WaferService {
     backend: Backend,
     tenants: Vec<Tenant>,
     cache: ProgramCache,
-    cost: CostModel,
-    /// Max same-`(tenant, key)` jobs coalesced into one placement.
-    batch_max: usize,
     /// Per-shard serial-server horizon, µs.
     server_free: Vec<f64>,
     records: Vec<JobRecord>,
@@ -328,8 +317,6 @@ impl WaferService {
             backend,
             tenants,
             cache: ProgramCache::new(),
-            cost: CostModel::default(),
-            batch_max: 4,
             server_free: vec![0.0; shards],
             records: Vec::new(),
             cold_host_us: Vec::new(),
@@ -337,33 +324,15 @@ impl WaferService {
         })
     }
 
-    /// Overrides the cost model (defaults to [`CostModel::default`]).
-    pub fn with_cost_model(mut self, cost: CostModel) -> WaferService {
-        self.cost = cost;
-        self
-    }
-
-    /// Overrides the batching limit (default 4; `1` disables batching).
-    pub fn with_batch_max(mut self, batch_max: usize) -> WaferService {
-        assert!(batch_max > 0, "batch_max must be positive");
-        self.batch_max = batch_max;
-        self
-    }
-
     /// A tenant's placed region (shard index, region in shard tiles).
     pub fn placement(&self, tenant: usize) -> (usize, Region) {
         (self.tenants[tenant].shard, self.tenants[tenant].region)
     }
 
-    /// The program-cache counters so far.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
     /// Runs `jobs` against their `arrivals` (µs, nondecreasing, one per
     /// job — use [`crate::sim::open_loop_arrivals`]). Jobs are served in
     /// submission order per tenant; consecutive same-`(tenant, key)` jobs
-    /// are batched (up to `batch_max`) so one placement serves all of
+    /// are batched (up to four) so one placement serves all of
     /// them. Returns the records appended by this call.
     ///
     /// # Panics
@@ -385,7 +354,7 @@ impl WaferService {
             // that is scheduling, not reordering).
             let mut batch = vec![i];
             for (j, job) in jobs.iter().enumerate().skip(i + 1) {
-                if batch.len() >= self.batch_max {
+                if batch.len() >= BATCH_MAX {
                     break;
                 }
                 if done[j] || job.tenant != jobs[i].tenant {
@@ -509,13 +478,14 @@ impl WaferService {
 
         // Deterministic latency: solve cycles plus the modeled host-side
         // cost of whatever this tier actually did.
+        let cost = CostModel::default();
         let image_bytes = program.sram_peak as u64 * (w * h) as u64;
         let penalty_us = match tier {
-            CacheTier::Cold => self.cost.compile_us + self.cost.load_us(image_bytes),
-            CacheTier::Hit => self.cost.load_us(image_bytes),
+            CacheTier::Cold => cost.compile_us + cost.load_us(image_bytes),
+            CacheTier::Hit => cost.load_us(image_bytes),
             CacheTier::Resident => 0.0,
         };
-        let service_us = self.cost.cycles_to_us(cycle_end - cycle_start) + penalty_us;
+        let service_us = cost.cycles_to_us(cycle_end - cycle_start) + penalty_us;
         let start_us = arrival_us.max(self.server_free[shard]);
         let completion_us = start_us + service_us;
         self.server_free[shard] = completion_us;

@@ -14,7 +14,7 @@ use wse_arch::SplitMix64;
 /// The host-side costs — compiling a program and DMA-loading a region
 /// image over the host link — are modeled with fixed, documented constants
 /// so the latency report is deterministic; host *wall-clock* is measured
-/// separately and only feeds the cold-vs-warm speedup figure.
+/// separately and only feeds the report's cold and warm host timings.
 #[derive(Copy, Clone, Debug)]
 pub struct CostModel {
     /// Fabric clock in GHz (paper: 0.9).

@@ -1,14 +1,20 @@
 #!/usr/bin/env bash
 # Full verification, a superset of tier-1 (ROADMAP.md: `cargo build
 # --release && cargo test -q`, whose `default-members` in the root manifest
-# are the root package and all fourteen crates, so it runs every suite the
+# are the root package and all thirteen crates, so it runs every suite the
 # `--workspace` run below does): the release
 # build, the whole workspace's tests, the exhaustive fp16 sweeps, clippy and
 # rustfmt, a grep that keeps the workspace single-threaded, the wse-lint
 # static verifier over every shipped kernel configuration (once more with
-# --stats) and broken fixture, three twice-run-and-diffed paper-artifact
+# --stats) and broken fixture, two twice-run-and-diffed fault-injection
 # smokes, the e2e-bench tests, and the exact simulated counters of all four
-# benchmark workloads.
+# benchmark workloads. The four cycle identities (an armed trace, the
+# runtime sanitizer, the reference stepper and a framed k = 2 split all land
+# on the plain run's cycles) are tier-1 tests:
+#   tests/paper_claims.rs  traced_iteration_matches_the_calibrated_phase_model
+#   crates/core/tests/sanitizer_clean.rs  bicgstab_iterates_clean_under_sanitizer
+#   tests/stepper_dense_equiv.rs  dense_bicgstab_steps_identically_under_both_steppers
+#   crates/core/src/multi.rs  transparent_split_matches_single_wafer_bit_for_bit
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -105,20 +111,6 @@ smoke_twice "ensemble fault smoke (k=2 host-link faults, twice, diffed)" \
   "baseline (fault-free): Converged" \
   "host_link_drop" \
   -- bench_bin fault_sweep -- --multi 2 --smoke
-
-# iter_profile calibrates the analytic model from untraced runs, runs a
-# traced BiCGStab iteration, exports a Perfetto trace (stdout carries the
-# FNV-1a hash of the full JSON), and cross-validates the phase split
-# against the model. The runtime sanitizer leg: armed shadow state must not
-# perturb simulated time and must find the shipped solver race-free. The
-# reliable-transport leg: a framed k=2 transparent split over the ideal link
-# must be cycle-identical to the unsplit fabric and never retransmit.
-smoke_twice "trace smoke (traced iteration profile, twice, diffed)" \
-  "all phases within 15% of the analytic prediction" \
-  "cycle identity:" \
-  "cycle identity: .* runtime sanitizer armed (0 race trips)" \
-  "cycle identity: .* unsplit and framed" \
-  -- bench_bin iter_profile -- --smoke
 
 echo "== e2e-bench tests (standalone benchmark crate) =="
 # The benchmark is its own workspace (BENCHMARK.json builds it from

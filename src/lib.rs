@@ -20,7 +20,6 @@
 //! | [`solver_`] | `solver` | the wafer's BiCGStab/CG tables run on the host + precision studies |
 //! | [`cfd_`] | `cfd` | SIMPLE lid-driven-cavity substrate |
 //! | [`perf`] | `perf-model` | CS-1/cluster performance models |
-//! | [`cluster`] | `cluster-sim` | rank-level Joule-cluster simulation |
 //!
 //! ## Quickstart
 //!
@@ -44,7 +43,6 @@
 pub mod wafer_cfd;
 
 pub use cfd as cfd_;
-pub use cluster_sim as cluster;
 pub use perf_model as perf;
 pub use solver as solver_;
 pub use stencil as stencil_;

@@ -126,3 +126,83 @@ fn fig9_claim() {
     let ratio = mixed.residuals[k] / fp32.residuals[k];
     assert!((0.5..2.0).contains(&ratio), "iteration-3 ratio {ratio}");
 }
+
+/// Builds BiCGStab on a `w×h` fabric for a `w×h×z` manufactured problem,
+/// with the right-hand side loaded.
+fn traced_setup(w: usize, h: usize, z: usize) -> (Fabric, WaferBicgstab) {
+    let p = manufactured(Mesh3D::new(w, h, z), (1.0, -0.5, 0.5), 3).preconditioned();
+    let a16: DiaMatrix<F16> = p.matrix.convert();
+    let b16: Vec<F16> = p.rhs.iter().map(|&v| F16::from_f64(v)).collect();
+    let mut fabric = Fabric::new(w, h);
+    let solver = WaferBicgstab::build(&mut fabric, &a16);
+    solver.load_rhs(&mut fabric, &b16);
+    (fabric, solver)
+}
+
+/// Fits every per-phase slope of the analytic model from untraced counter
+/// measurements: two z values on a 4×4 fabric, plus a 2×2 fabric for the
+/// AllReduce's perimeter term. The solver runs 2 SpMVs, 4 dots, and 4
+/// AllReduce rounds per iteration, and the model groups the vector updates
+/// as 6 AXPY-grade sweeps — the same multipliers `predict_iteration` applies.
+fn calibrated_model() -> Cs1Model {
+    let measure = |w, h, z| {
+        let (mut fabric, solver) = traced_setup(w, h, z);
+        solver.iterate(&mut fabric)
+    };
+    let (w, h) = (4, 4);
+    let (z1, z2) = (8, 16);
+    let m1 = measure(w, h, z1);
+    let m2 = measure(w, h, z2);
+    let (sw, sh, sz) = (2, 2, 8);
+    let ms = measure(sw, sh, sz);
+
+    let mut model = Cs1Model::default();
+    let dz = (z2 - z1) as f64;
+    let fit = |c1: u64, c2: u64, per_iter: f64| {
+        let (y1, y2) = (c1 as f64 / per_iter, c2 as f64 / per_iter);
+        let slope = (y2 - y1) / dz;
+        (slope, y2 - slope * z2 as f64)
+    };
+    (model.spmv_cycles_per_z, model.spmv_fixed) = fit(m1.spmv, m2.spmv, 2.0);
+    (model.dot_cycles_per_z, model.dot_fixed) = fit(m1.dot, m2.dot, 4.0);
+    (model.axpy_cycles_per_z, model.axpy_fixed) = fit(m1.update, m2.update, 6.0);
+    // AllReduce latency depends on fabric perimeter, not z: fit from the
+    // two fabric sizes (4 reduction rounds per iteration).
+    model.allreduce.calibrate(&[(w, h, m1.allreduce / 4), (sw, sh, ms.allreduce / 4)]);
+    model
+}
+
+/// §IV's per-phase cost model against the simulator's own trace: an armed
+/// trace lands on the disarmed run's cycles and iterate bits (tracing
+/// observes, never perturbs), and the traced phase split of a 4×4×32
+/// iteration agrees with the model calibrated on other shapes within 15%
+/// per phase, so the comparison is an interpolation test, not an identity.
+#[test]
+fn traced_iteration_matches_the_calibrated_phase_model() {
+    use wafer_stencil::arch::TraceConfig;
+    use wse_trace::{cross_validate, PhaseReport};
+
+    let (w, h, z) = (4, 4, 32);
+    let run = |armed: bool| {
+        let (mut fabric, solver) = traced_setup(w, h, z);
+        if armed {
+            fabric.arm_trace(TraceConfig::default());
+        }
+        let cycles = (solver.iterate(&mut fabric), fabric.cycle());
+        let bits: Vec<u16> = solver.read_x(&fabric).iter().map(|v| v.to_bits()).collect();
+        (cycles, bits, fabric.take_trace())
+    };
+    let (plain, plain_bits, _) = run(false);
+    let (armed, armed_bits, trace) = run(true);
+    assert_eq!(armed, plain, "tracing changed simulated time");
+    assert_eq!(armed_bits, plain_bits, "tracing changed the iterate");
+
+    let report = PhaseReport::from_trace(&trace.expect("trace was armed"));
+    let model = Cs1Model { fabric_w: w, fabric_h: h, ..calibrated_model() };
+    let cv = cross_validate(&report, 1, &model, w, h, z);
+    assert!(
+        cv.all_within(0.15),
+        "traced phase breakdown disagrees with the analytic model by more than 15%:\n{}",
+        cv.render()
+    );
+}
