@@ -198,14 +198,21 @@ struct EdgePort {
     queue: Vec<Flit>,
 }
 
+/// Driver-marked phase spans, kept whether or not a trace is armed: the
+/// one phase record, read by [`Fabric::take_trace`] or handed to any other
+/// reader by [`Fabric::drain_phases`].
+#[derive(Default)]
+struct PhaseLog {
+    /// Spans in open order (starts are nondecreasing).
+    spans: Vec<PhaseSpan>,
+    /// Index into `spans` of the currently open span, if any.
+    open: Option<usize>,
+}
+
 /// Armed trace state (present only while tracing, mirroring `FaultState`).
 struct TraceState {
     /// Fabric cycle at arm time.
     start_cycle: u64,
-    /// Driver-marked phase spans, in open order.
-    phases: Vec<PhaseSpan>,
-    /// Index into `phases` of the currently open span, if any.
-    open: Option<usize>,
     /// Per-tile counter baselines at arm time, so the exported trace
     /// carries window deltas: `(busy, idle, flits_routed, backpressure)`.
     base: Vec<(u64, u64, u64, [u64; 5])>,
@@ -323,6 +330,9 @@ pub struct Fabric {
     /// Armed tracing; `None` (the default) keeps every hook on a no-op
     /// fast path.
     trace: Option<Box<TraceState>>,
+    /// Driver-marked phases since the log was last drained or a trace
+    /// armed.
+    phases: PhaseLog,
     /// Cycle at which the runtime sanitizer was armed (`None` = disarmed;
     /// the per-core shadow state lives in each [`Core`]).
     sanitize_start: Option<u64>,
@@ -377,6 +387,7 @@ impl Fabric {
             faults: None,
             dead: vec![false; n],
             trace: None,
+            phases: PhaseLog::default(),
             sanitize_start: None,
             busy: vec![false; n],
             busy_count: 0,
@@ -463,9 +474,9 @@ impl Fabric {
 
     /// Arms fabric-wide tracing: every core begins collecting task events,
     /// stall attribution, and retire counts (bounded per-tile rings), and
-    /// driver phase markers ([`Fabric::phase_begin`]) are recorded. The
-    /// disarmed hooks cost one pointer test each, mirroring fault arming.
-    /// Re-arming replaces any previous trace state.
+    /// the phase log starts afresh, so the trace holds exactly the phases
+    /// opened from now on. The disarmed hooks cost one pointer test each,
+    /// mirroring fault arming. Re-arming replaces any previous trace state.
     pub fn arm_trace(&mut self, config: TraceConfig) {
         // Settle all deferred idle debt first: the per-tile baselines below
         // must include every pre-arm cycle so the trace window starts clean.
@@ -485,10 +496,9 @@ impl Fabric {
                 )
             })
             .collect();
+        self.phases = PhaseLog::default();
         self.trace = Some(Box::new(TraceState {
             start_cycle: self.cycle,
-            phases: Vec::new(),
-            open: None,
             base,
             ring_capacity: config.ring_capacity,
         }));
@@ -559,35 +569,27 @@ impl Fabric {
     }
 
     /// Opens a phase span named `name` at the current cycle, closing any
-    /// span still open (phases are flat, not nested). No-op when tracing
-    /// is disarmed — drivers call this unconditionally.
+    /// span still open (phases are flat, not nested). Recorded in the
+    /// fabric's phase log whether or not a trace is armed.
     pub fn phase_begin(&mut self, name: &'static str) {
-        let cycle = self.cycle;
-        let Some(ts) = self.trace.as_deref_mut() else { return };
-        if let Some(i) = ts.open.take() {
-            ts.phases[i].end = cycle;
-        }
-        ts.open = Some(ts.phases.len());
-        ts.phases.push(PhaseSpan { name, start: cycle, end: cycle });
+        self.phase_end();
+        let log = &mut self.phases;
+        log.open = Some(log.spans.len());
+        log.spans.push(PhaseSpan { name, start: self.cycle, end: self.cycle });
     }
 
-    /// Closes the open phase span at the current cycle, if any. No-op when
-    /// tracing is disarmed.
+    /// Closes the open phase span at the current cycle, if any.
     pub fn phase_end(&mut self) {
-        let cycle = self.cycle;
-        let Some(ts) = self.trace.as_deref_mut() else { return };
-        if let Some(i) = ts.open.take() {
-            ts.phases[i].end = cycle;
+        if let Some(i) = self.phases.open.take() {
+            self.phases.spans[i].end = self.cycle;
         }
     }
 
     /// Records an instant marker (a zero-length [`PhaseSpan`]) at the
     /// current cycle — checkpoint/rollback stamps. Does not disturb an
-    /// open phase span. No-op when tracing is disarmed.
+    /// open phase span.
     pub fn phase_marker(&mut self, name: &'static str) {
-        let cycle = self.cycle;
-        let Some(ts) = self.trace.as_deref_mut() else { return };
-        ts.phases.push(PhaseSpan { name, start: cycle, end: cycle });
+        self.phases.spans.push(PhaseSpan { name, start: self.cycle, end: self.cycle });
     }
 
     /// Retroactively records a span over `[start, end)` — attribution the
@@ -595,24 +597,34 @@ impl Fabric {
     /// compute+communication window the communication was exposed for).
     /// The span may overlap other phases; [`PhaseReport`] consumers treat
     /// such overlap rows as annotations, not wall-clock partitions. Does
-    /// not disturb an open phase span. No-op when tracing is disarmed.
+    /// not disturb an open phase span.
     pub fn phase_span(&mut self, name: &'static str, start: u64, end: u64) {
-        let Some(ts) = self.trace.as_deref_mut() else { return };
         debug_assert!(start <= end, "phase_span: start {start} after end {end}");
-        // Keep `phases` sorted by start (the documented invariant) even
+        let log = &mut self.phases;
+        // Keep the log sorted by start (the documented invariant) even
         // though this span is recorded after later phases opened.
-        let at = ts.phases.partition_point(|s| s.start <= start);
-        ts.phases.insert(at, PhaseSpan { name, start, end: end.max(start) });
-        if let Some(open) = ts.open.as_mut() {
+        let at = log.spans.partition_point(|s| s.start <= start);
+        log.spans.insert(at, PhaseSpan { name, start, end: end.max(start) });
+        if let Some(open) = log.open.as_mut() {
             if at <= *open {
                 *open += 1;
             }
         }
     }
 
+    /// Hands the phase log to its reader and starts it afresh: every span
+    /// recorded since the last drain (or [`Fabric::arm_trace`]), in open
+    /// order, with any open span closed at the current cycle. The log has
+    /// one reader at a time — an armed trace's [`Fabric::take_trace`] drains
+    /// it too — and grows by one [`PhaseSpan`] per phase until it is read.
+    pub fn drain_phases(&mut self) -> Vec<PhaseSpan> {
+        self.phase_end();
+        std::mem::take(&mut self.phases.spans)
+    }
+
     /// Disarms tracing and returns the collected [`FabricTrace`] (`None`
-    /// if tracing was not armed). Any open phase span is closed at the
-    /// current cycle.
+    /// if tracing was not armed), with the phase log drained into it. Any
+    /// open phase span is closed at the current cycle.
     pub fn take_trace(&mut self) -> Option<FabricTrace> {
         if self.trace.is_some() {
             // Settle deferred idle debt so the window totals below (read
@@ -621,10 +633,8 @@ impl Fabric {
         }
         let perf = self.perf();
         let cycle = self.cycle;
-        let mut ts = self.trace.take()?;
-        if let Some(i) = ts.open.take() {
-            ts.phases[i].end = cycle;
-        }
+        let ts = self.trace.take()?;
+        let phases = self.drain_phases();
         let w = self.w;
         let tiles = self
             .tiles
@@ -664,7 +674,7 @@ impl Fabric {
             h: self.h,
             start_cycle: ts.start_cycle,
             end_cycle: cycle,
-            phases: ts.phases,
+            phases,
             tiles,
             perf,
         })
@@ -1742,6 +1752,10 @@ impl Fabric {
         for ry in 0..region.h {
             for rx in 0..region.w {
                 *self.tile_mut(region.x + rx, region.y + ry) = template.tile(rx, ry).clone();
+                // The idle debt deferred for the replaced core went with it:
+                // the new core is accounted from the blit on.
+                let i = self.index(region.x + rx, region.y + ry);
+                self.accounted[i] = self.cycle;
             }
         }
         // Under an armed trace the blit just replaced whole cores, whose
@@ -2012,8 +2026,9 @@ mod tests {
 
     #[test]
     fn disarmed_trace_hooks_are_inert_and_deterministic() {
-        // Phase calls are no-ops when disarmed, and an armed run must not
-        // perturb simulated timing: cycle-for-cycle identical to disarmed.
+        // Disarmed, phase calls only reach the phase log (there is no trace
+        // to take), and an armed run must not perturb simulated timing:
+        // cycle-for-cycle identical to disarmed.
         let (mut a, _) = sender_receiver(16);
         a.phase_begin("ignored");
         a.phase_end();
@@ -2028,6 +2043,45 @@ mod tests {
         let pb = b.perf();
         assert_eq!(pa.busy_cycles, pb.busy_cycles);
         assert_eq!(pa.flits_routed, pb.flits_routed);
+    }
+
+    #[test]
+    fn tile_footprint_fits_in_four_kib() {
+        // 3,344 B on x86-64: the core's 2,936 (1,728 of them its 48 ramp
+        // rings), the router's 352 with its routed queues on the heap, and
+        // the lazily backed SRAM's handle.
+        assert!(std::mem::size_of::<Tile>() <= 4096, "{} B", std::mem::size_of::<Tile>());
+    }
+
+    #[test]
+    fn phase_log_records_unarmed_and_a_trace_sees_only_its_own_window() {
+        let (mut f, _) = sender_receiver(8);
+        f.phase_marker("load");
+        f.phase_begin("stream");
+        f.run_watched(1_000, 1_000).unwrap();
+        let end = f.cycle();
+        f.phase_span("late", 2, 5);
+        // The open span is closed at the drain, and the log starts afresh.
+        let log = f.drain_phases();
+        let want = [
+            PhaseSpan { name: "load", start: 0, end: 0 },
+            PhaseSpan { name: "stream", start: 0, end },
+            PhaseSpan { name: "late", start: 2, end: 5 },
+        ];
+        assert_eq!(log, want);
+        assert!(f.drain_phases().is_empty());
+
+        // A span opened before arming is not the trace's: arming starts the
+        // log afresh, so its close records nothing.
+        f.phase_begin("before");
+        f.step();
+        f.arm_trace(TraceConfig::default());
+        f.phase_end();
+        f.phase_begin("after");
+        f.step();
+        let tr = f.take_trace().unwrap();
+        assert_eq!(tr.phases, [PhaseSpan { name: "after", start: end + 1, end: end + 2 }]);
+        assert!(f.drain_phases().is_empty(), "take_trace drained the log");
     }
 
     #[test]

@@ -12,6 +12,10 @@
 //! port moves [`PORT_BYTES_PER_CYCLE`] per cycle; a flit forwards only when
 //! *all* of its fanout destinations can accept it (credit-based
 //! backpressure, which is how the hardware avoids loss).
+//!
+//! Of the 120 pairs a router models, a tile's program routes a handful, so
+//! a pair's queue and fanout are stored only once the pair is routed or a
+//! flit reaches it; every other pair reads as an empty queue with no route.
 
 use crate::types::{Color, Flit, Port, Ring, NUM_COLORS, PORT_BYTES_PER_CYCLE, QUEUE_CAPACITY};
 
@@ -38,16 +42,25 @@ impl Fanout {
     }
 }
 
+/// One backed (in_port, color) pair: its input queue and its fanout.
+#[derive(Copy, Clone, Debug, Default)]
+struct Lane {
+    queue: Ring,
+    fanout: Fanout,
+}
+
 /// Number of (in_port, color) arbitration pairs.
 const PAIRS: usize = 5 * NUM_COLORS;
 
 /// The router of one tile.
 #[derive(Clone, Debug, Default)]
 pub struct Router {
-    /// `routes[in_port][color]` → output fanout.
-    routes: [[Fanout; NUM_COLORS]; 5],
-    /// `in_queues[in_port][color]`.
-    in_queues: [[Ring; NUM_COLORS]; 5],
+    /// `slot[in_port][color]`: one plus the index into `lanes` of that
+    /// pair, or 0 while the pair is unbacked — never routed and never
+    /// reached by a flit, so its queue is empty and it has no route.
+    slot: [[u8; NUM_COLORS]; 5],
+    /// The backed pairs, in the order they were first routed or reached.
+    lanes: Vec<Lane>,
     /// `credit[out_port][color]` for the four cardinal outputs: flits the
     /// queue that port feeds can still take. The fabric keeps it equal to
     /// the downstream queue's free space at the start of the cycle (zero
@@ -101,6 +114,33 @@ impl Router {
         Router::default()
     }
 
+    /// The lane of `(pi, color)`, if the pair is backed.
+    #[inline]
+    fn lane(&self, pi: usize, color: usize) -> Option<&Lane> {
+        match self.slot[pi][color] {
+            0 => None,
+            s => Some(&self.lanes[s as usize - 1]),
+        }
+    }
+
+    /// Index into `lanes` of `(pi, color)`, backing the pair first if it is
+    /// not yet.
+    #[inline]
+    fn lane_index(&mut self, pi: usize, color: usize) -> usize {
+        if self.slot[pi][color] == 0 {
+            self.back(pi, color);
+        }
+        self.slot[pi][color] as usize - 1
+    }
+
+    /// Backs `(pi, color)` with an empty, unrouted lane.
+    #[cold]
+    fn back(&mut self, pi: usize, color: usize) {
+        self.lanes.reserve_exact(1);
+        self.lanes.push(Lane::default());
+        self.slot[pi][color] = self.lanes.len() as u8;
+    }
+
     /// Configures (replaces) the fanout for `(in_port, color)`.
     ///
     /// A cardinal port may not reflect back out the same link; the ramp
@@ -122,13 +162,14 @@ impl Router {
             fanout.ports[k] = o;
         }
         fanout.len = outs.len() as u8;
-        self.routes[in_port.index()][color as usize] = fanout;
+        let li = self.lane_index(in_port.index(), color as usize);
+        self.lanes[li].fanout = fanout;
         self.routed_mask |= 1u128 << (in_port.index() * NUM_COLORS + color as usize);
     }
 
     /// The configured fanout, if any.
     pub fn route(&self, in_port: Port, color: Color) -> Option<&[Port]> {
-        let fanout = &self.routes[in_port.index()][color as usize];
+        let fanout = &self.lane(in_port.index(), color as usize)?.fanout;
         (fanout.len > 0).then(|| fanout.as_slice())
     }
 
@@ -143,16 +184,19 @@ impl Router {
 
     /// Space available in the `(in_port, color)` queue.
     pub fn space(&self, in_port: Port, color: Color) -> usize {
-        self.in_queues[in_port.index()][color as usize].space()
+        self.lane(in_port.index(), color as usize).map_or(QUEUE_CAPACITY, |l| l.queue.space())
     }
 
-    /// Enqueues an arriving flit.
+    /// Enqueues an arriving flit. A flit on a pair with no route is held
+    /// (and counted) like any other; its queue is backed on first arrival.
     ///
     /// # Panics
     /// Panics on overflow (senders must honor [`Router::space`]).
     pub fn enqueue(&mut self, in_port: Port, color: Color, flit: Flit) {
-        assert!(self.space(in_port, color) > 0, "router queue overflow at {in_port:?}/{color}");
-        self.in_queues[in_port.index()][color as usize].push_back(flit);
+        let li = self.lane_index(in_port.index(), color as usize);
+        let queue = &mut self.lanes[li].queue;
+        assert!(queue.space() > 0, "router queue overflow at {in_port:?}/{color}");
+        queue.push_back(flit);
         self.occupied_mask |= 1u128 << (in_port.index() * NUM_COLORS + color as usize);
         self.queued_count += 1;
     }
@@ -177,8 +221,8 @@ impl Router {
     /// (checkpoint restore). Routes, stuck-port state, and the forwarded
     /// and backpressure counters are retained.
     pub fn clear_queues(&mut self) {
-        for q in self.in_queues.iter_mut().flatten() {
-            q.clear();
+        for lane in &mut self.lanes {
+            lane.queue.clear();
         }
         self.occupied_mask = 0;
         self.queued_count = 0;
@@ -194,7 +238,7 @@ impl Router {
         while occupied != 0 {
             let c = occupied.trailing_zeros() as usize;
             occupied &= occupied - 1;
-            row[c] = self.in_queues[in_port.index()][c].space() as u8;
+            row[c] = self.lanes[self.slot[in_port.index()][c] as usize - 1].queue.space() as u8;
         }
         row
     }
@@ -249,8 +293,9 @@ impl Router {
                     let slot = seg.trailing_zeros() as usize;
                     seg &= seg - 1;
                     let (pi, color) = (slot / NUM_COLORS, slot % NUM_COLORS);
-                    let Some(flit) = self.in_queues[pi][color].front() else { continue };
-                    let fanout = self.routes[pi][color];
+                    let li = self.slot[pi][color] as usize - 1;
+                    let Lane { queue, fanout } = &self.lanes[li];
+                    let (Some(flit), fanout) = (queue.front(), *fanout) else { continue };
                     let mut fits = true;
                     for &o in fanout.as_slice() {
                         if self.stuck & (1 << o.index()) != 0 || budget[o.index()] < flit.bytes() {
@@ -267,7 +312,7 @@ impl Router {
                     if !fits {
                         continue;
                     }
-                    self.pop(pi, color);
+                    self.pop(li, slot);
                     for &o in fanout.as_slice() {
                         budget[o.index()] -= flit.bytes();
                         counts[o.index()][color] += 1;
@@ -293,13 +338,14 @@ impl Router {
         staged
     }
 
-    /// Pops the head of `in_queues[pi][color]` as forwarded.
+    /// Pops the head of lane `li`, the queue of pair bit `pair`, as
+    /// forwarded.
     #[inline]
-    fn pop(&mut self, pi: usize, color: usize) {
-        let q = &mut self.in_queues[pi][color];
+    fn pop(&mut self, li: usize, pair: usize) {
+        let q = &mut self.lanes[li].queue;
         q.pop_front();
         if q.is_empty() {
-            self.occupied_mask &= !(1u128 << (pi * NUM_COLORS + color));
+            self.occupied_mask &= !(1u128 << pair);
         }
         self.queued_count -= 1;
         self.flits_routed += 1;
@@ -344,8 +390,9 @@ impl Router {
                     let slot = seg.trailing_zeros() as usize;
                     seg &= seg - 1;
                     let (pi, color) = (slot / NUM_COLORS, slot % NUM_COLORS);
-                    let flit = self.in_queues[pi][color].front().expect("occupied pair");
-                    let fanout = self.routes[pi][color];
+                    let li = self.slot[pi][color] as usize - 1;
+                    let Lane { queue, fanout } = &self.lanes[li];
+                    let (flit, fanout) = (queue.front().expect("occupied pair"), *fanout);
                     let mut fits = true;
                     for &o in fanout.as_slice() {
                         let oi = o.index();
@@ -368,7 +415,7 @@ impl Router {
                     if !fits {
                         continue;
                     }
-                    self.pop(pi, color);
+                    self.pop(li, slot);
                     let mut freed = (pi != RAMP).then_some(Port::ALL[pi]);
                     for &o in fanout.as_slice() {
                         let oi = o.index();
@@ -494,24 +541,82 @@ mod tests {
 
     #[test]
     fn unrouted_flits_stay_queued() {
+        // The arrival backs its pair's queue, gives it no route, and is
+        // held: never forwarded, never lost.
         let mut r = Router::new();
+        r.set_route(Port::West, 0, &[Port::East]);
         r.enqueue(Port::North, 9, Flit::f16(1));
-        assert!(r.stage(|_, _, _| true).is_empty());
-        assert_eq!(r.queued(), 1);
+        r.enqueue(Port::North, 9, Flit::f16(2));
+        assert_eq!(r.lanes.len(), 2);
+        assert_eq!((r.route(Port::North, 9), r.routes().count()), (None, 1));
+        assert_eq!(r.space(Port::North, 9), QUEUE_CAPACITY - 2);
+        assert_eq!(r.space_row(Port::North)[9], (QUEUE_CAPACITY - 2) as u8);
+        for _ in 0..3 {
+            assert!(r.stage(|_, _, _| true).is_empty());
+            assert_eq!(r.stage_into(&[Ring::default(); NUM_COLORS], &mut Vec::new()), 0);
+        }
+        assert_eq!((r.queued(), r.flits_routed), (2, 0));
+        // Routing the pair later reuses its queue and releases the flits.
+        r.set_route(Port::North, 9, &[Port::South]);
+        assert_eq!(r.lanes.len(), 2);
+        let staged = r.stage(|_, _, _| true);
+        assert_eq!(staged.iter().map(|s| s.flit.bits).collect::<Vec<_>>(), [1, 2]);
+        assert_eq!(r.queued(), 0);
     }
 
     #[test]
     fn routes_iterator_lists_configured_entries() {
+        // Port-major (`Port::ALL`), colors ascending, whatever order routes
+        // were set or flits arrived in: `program_digest` and the linter's
+        // class keys hash routes in this order.
         let mut r = Router::new();
         assert_eq!(r.routes().count(), 0);
-        r.set_route(Port::West, 3, &[Port::East]);
+        r.enqueue(Port::East, 2, Flit::f16(1));
         r.set_route(Port::Ramp, 1, &[Port::North, Port::Ramp]);
-        let mut all: Vec<_> = r.routes().map(|(p, c, f)| (p, c, f.to_vec())).collect();
-        all.sort_by_key(|&(p, c, _)| (p.index(), c));
+        r.set_route(Port::West, 3, &[Port::East]);
+        r.set_route(Port::North, 7, &[Port::South]);
+        r.set_route(Port::West, 0, &[Port::North]);
+        let all: Vec<_> = r.routes().map(|(p, c, f)| (p, c, f.to_vec())).collect();
         assert_eq!(
             all,
-            vec![(Port::West, 3, vec![Port::East]), (Port::Ramp, 1, vec![Port::North, Port::Ramp]),]
+            vec![
+                (Port::North, 7, vec![Port::South]),
+                (Port::West, 0, vec![Port::North]),
+                (Port::West, 3, vec![Port::East]),
+                (Port::Ramp, 1, vec![Port::North, Port::Ramp]),
+            ]
         );
+    }
+
+    #[test]
+    fn unbacked_pairs_read_as_empty_queues() {
+        let mut r = Router::new();
+        r.set_route(Port::West, 3, &[Port::East]);
+        for p in Port::ALL {
+            for c in 0..NUM_COLORS as Color {
+                assert_eq!(r.space(p, c), QUEUE_CAPACITY, "{p:?}/{c}");
+            }
+        }
+        assert_eq!(r.space_row(Port::West), [QUEUE_CAPACITY as u8; NUM_COLORS]);
+        assert_eq!(r.lanes.len(), 1, "only the routed pair is backed");
+    }
+
+    #[test]
+    fn a_cloned_router_is_independent() {
+        let mut r = Router::new();
+        r.set_route(Port::West, 0, &[Port::East]);
+        r.enqueue(Port::West, 0, Flit::f16(1));
+        let mut c = r.clone();
+        c.enqueue(Port::West, 0, Flit::f16(2));
+        c.enqueue(Port::South, 4, Flit::f16(3));
+        c.set_route(Port::West, 0, &[Port::North]);
+        c.clear_queues();
+        assert_eq!((r.queued(), r.space(Port::West, 0)), (1, QUEUE_CAPACITY - 1));
+        assert_eq!(r.space(Port::South, 4), QUEUE_CAPACITY);
+        assert_eq!(r.route(Port::West, 0), Some(&[Port::East][..]));
+        let staged = r.stage(|_, _, _| true);
+        assert_eq!((staged.len(), staged[0].out, staged[0].flit.bits), (1, Port::East, 1));
+        assert_eq!((c.queued(), c.route(Port::West, 0)), (0, Some(&[Port::North][..])));
     }
 
     #[test]

@@ -97,7 +97,8 @@ pub struct TraceEvent {
 }
 
 /// Bounded event ring: when full, the oldest event is dropped (and counted)
-/// so a long armed window costs bounded memory per tile.
+/// so a long armed window costs bounded memory per tile. It allocates as it
+/// records, so an armed core that records nothing costs no event storage.
 #[derive(Clone, Debug)]
 struct EventRing {
     buf: VecDeque<TraceEvent>,
@@ -107,7 +108,7 @@ struct EventRing {
 
 impl EventRing {
     fn new(cap: usize) -> EventRing {
-        EventRing { buf: VecDeque::with_capacity(cap.min(1024)), cap, dropped: 0 }
+        EventRing { buf: VecDeque::new(), cap, dropped: 0 }
     }
 
     fn push(&mut self, ev: TraceEvent) {
@@ -330,6 +331,14 @@ mod tests {
         assert_eq!(evs.len(), 2);
         assert_eq!(evs[0].cycle, 1, "oldest surviving event");
         assert_eq!(evs[1].kind, TraceEventKind::TaskStart { task: 1, name: "b" });
+    }
+
+    #[test]
+    fn ring_allocates_as_it_records() {
+        let mut tr = CoreTrace::new(0, 4096);
+        assert_eq!(tr.ring.buf.capacity(), 0, "arming allocates no events");
+        tr.record_task_start(0, "a");
+        assert!(tr.ring.buf.capacity() < 1024);
     }
 
     #[test]

@@ -603,6 +603,64 @@ fn blit_over_a_stepped_fabric_steps_identically() {
     assert_eq!(opt.tile(1, 0).mem.load_f16_slice(out, 24), data[8..]);
 }
 
+/// Adds a task copying `n` fp16 words within tile `at` (busy for about
+/// `n / 4` cycles, no fabric traffic) and returns it, not yet activated.
+fn add_local_copy(f: &mut Fabric, at: (usize, usize), n: u32) -> usize {
+    let t = f.tile_mut(at.0, at.1);
+    let buf = t.mem.alloc_vec(2 * n, Dtype::F16).unwrap();
+    let d_from = t.core.add_dsr(mk::tensor16(buf, n));
+    let d_to = t.core.add_dsr(mk::tensor16(buf + 2 * n, n));
+    t.core.add_task(Task::new(
+        "copy",
+        vec![Stmt::Exec(TensorInstr { op: Op::Copy, dst: Some(d_to), a: Some(d_from), b: None })],
+    ))
+}
+
+#[test]
+fn blit_over_an_idle_tile_starts_its_accounting_at_the_blit() {
+    // (1,0) runs a long local copy while (0,0) has nothing to do, so the
+    // activity stepper skips (0,0) and defers its idle cycles. A template
+    // is then blitted over (0,0): the core that accrued that idle time is
+    // gone, and the new one must be billed only from the blit cycle on —
+    // in its counters and, under an armed trace, in its trace clock.
+    for traced in [false, true] {
+        let build = || {
+            let mut f = Fabric::new(2, 1);
+            let copy = add_local_copy(&mut f, (1, 0), 4096);
+            f.tile_mut(1, 0).core.activate(copy);
+            if traced {
+                f.arm_trace(TraceConfig::default());
+            }
+            f
+        };
+        let (mut opt, mut reference) = lockstep(build, 100);
+        let mut template = Fabric::new(1, 1);
+        let copy = add_local_copy(&mut template, (0, 0), 8);
+        for f in [&mut opt, &mut reference] {
+            f.blit_region(Region::new(0, 0, 1, 1), &template);
+            f.tile_mut(0, 0).core.activate(copy);
+        }
+        drive(&mut opt, &mut reference, 10);
+        assert!(!opt.is_quiescent(), "(1,0) is still copying");
+        for f in [&mut opt, &mut reference] {
+            f.settle_idle();
+            let perf = f.tile(0, 0).core.perf;
+            assert_eq!(perf.busy_cycles + perf.idle_cycles, 10, "traced: {traced}");
+            if traced {
+                let now = f.tile(0, 0).core.trace().expect("re-armed by the blit").now();
+                assert_eq!(now, f.cycle(), "trace clock of the blitted core");
+            }
+        }
+        if traced {
+            let (ta, tb) = (opt.take_trace().unwrap(), reference.take_trace().unwrap());
+            for (a, b) in ta.tiles.iter().zip(&tb.tiles) {
+                assert_eq!(a.idle_cycles, b.idle_cycles, "tile ({},{})", a.x, a.y);
+                assert_eq!(a.stall, b.stall, "tile ({},{})", a.x, a.y);
+            }
+        }
+    }
+}
+
 #[test]
 fn dense_backpressure_steps_identically() {
     // 24×24 tiles, all but the last two columns streaming two hops east on

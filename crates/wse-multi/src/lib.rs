@@ -410,22 +410,21 @@ impl MultiFabric {
                 .all(|c| self.shards[c.src].edge_out_len(c.sx, c.sy, c.sport, c.color) == 0)
     }
 
-    /// Opens a named trace phase on every wafer (no-op for untraced ones).
+    /// Opens a named phase in every wafer's phase log.
     pub fn phase_begin(&mut self, name: &'static str) {
         for f in &mut self.shards {
             f.phase_begin(name);
         }
     }
 
-    /// Closes the open trace phase on every wafer.
+    /// Closes the open phase on every wafer.
     pub fn phase_end(&mut self) {
         for f in &mut self.shards {
             f.phase_end();
         }
     }
 
-    /// Drops a zero-length phase marker on every traced wafer (no-op for
-    /// untraced ones) — recovery actions (`checkpoint`, `rollback`,
+    /// Drops a zero-length phase marker on every wafer — recovery actions (`checkpoint`, `rollback`,
     /// `halo_retry`) stamp the ensemble timeline through this.
     pub fn phase_marker(&mut self, name: &'static str) {
         for f in &mut self.shards {
@@ -433,8 +432,7 @@ impl MultiFabric {
         }
     }
 
-    /// Records a retroactive phase span `[start, end]` on every traced
-    /// wafer. The overlapped halo schedule uses this: how much of a merged
+    /// Records a retroactive phase span `[start, end]` on every wafer. The overlapped halo schedule uses this: how much of a merged
     /// `spmv+halo` window was hidden (`halo_overlap`) versus exposed
     /// (`halo_exposed`) is only known once the window closes, so the
     /// driver stamps those sub-spans after the fact.

@@ -28,8 +28,9 @@
 //!   image ("resident" tier, no blit at all).
 //! * **Recovery & billing** — each job runs under the checkpoint/rollback
 //!   engine with a `tenant/job` label, so rollbacks are attributable; the
-//!   per-job cycle window is carved out of the shared fabric trace
-//!   (`PhaseReport::from_trace_window`) into a per-tenant billing table.
+//!   per-job cycle window is carved out of the shared fabric's phase log
+//!   (`Fabric::drain_phases`, `PhaseReport::from_spans_window`) into a
+//!   per-tenant billing table; no core trace is armed.
 //!
 //! The whole front door is deterministic: arrivals come from a seeded
 //! open-loop process ([`sim`]), service order, placement, batching, and

@@ -12,7 +12,7 @@
 //!        → placement (blit image into region + rebase solver; skipped
 //!          when the program is already resident)
 //!        → solve under checkpoint/rollback recovery, labeled tenant/job
-//!        → billing (per-job cycle window carved from the shard trace)
+//!        → billing (per-job cycle window carved from the shard's phase log)
 //! ```
 //!
 //! Time accounting is split in two, deliberately. *Simulated* time — the
@@ -28,7 +28,7 @@ use crate::program::AdmitError;
 use crate::sim::CostModel;
 use std::fmt::Write as _;
 use std::time::Instant;
-use wse_arch::{Fabric, Region, TraceConfig, TILE_SRAM_BYTES};
+use wse_arch::{Fabric, Region, TILE_SRAM_BYTES};
 use wse_core::bicgstab2d::WaferBicgstab2d;
 use wse_core::recovery::RecoveryPolicy;
 use wse_core::Krylov;
@@ -163,7 +163,7 @@ pub struct BillingRow {
     pub rejected: usize,
     /// Total fabric cycles attributed to this tenant's job windows.
     pub cycles: u64,
-    /// Cycles by phase name, first-seen order, from the shard trace
+    /// Cycles by phase name, first-seen order, from the shard phase-log
     /// windows of this tenant's jobs.
     pub phase_cycles: Vec<(&'static str, u64)>,
     /// Instant-marker counts (e.g. `checkpoint`, `rollback`) in the same
@@ -287,8 +287,8 @@ pub struct WaferService {
 
 impl WaferService {
     /// Builds a service over `backend`, placing every tenant's region via
-    /// first-fit shelf packing (deterministic) and arming a trace on each
-    /// shard for billing attribution.
+    /// first-fit shelf packing (deterministic). Billing reads each shard's
+    /// phase log, drained here so that it starts with the service.
     pub fn new(
         mut backend: Backend,
         specs: Vec<TenantSpec>,
@@ -298,7 +298,7 @@ impl WaferService {
         let placements = place_regions(&dims, &requests)?;
         let shards = dims.len();
         for m in 0..shards {
-            backend.shard_mut(m).arm_trace(TraceConfig::default());
+            backend.shard_mut(m).drain_phases();
         }
         let tenants = specs
             .into_iter()
@@ -509,19 +509,15 @@ impl WaferService {
         });
     }
 
-    /// Closes the books: drains every shard's trace, attributes each job's
-    /// cycle window to its tenant, and summarizes latency and throughput.
-    /// The service can keep running afterwards (traces are re-armed).
+    /// Closes the books: drains every shard's phase log, attributes each
+    /// job's cycle window to its tenant, and summarizes latency and
+    /// throughput. The service can keep running afterwards; the next report
+    /// bills phases from here on.
     pub fn report(&mut self) -> ServiceReport {
         let shards = self.server_free.len();
-        let traces: Vec<_> = (0..shards)
-            .map(|m| {
-                let f = self.backend.shard_mut(m);
-                let t = f.take_trace();
-                f.arm_trace(TraceConfig::default());
-                t
-            })
-            .collect();
+        // Every span in a log starts at or after the previous drain, so a
+        // job billed by an earlier report overlaps none of them.
+        let logs: Vec<_> = (0..shards).map(|m| self.backend.shard_mut(m).drain_phases()).collect();
 
         let mut billing: Vec<BillingRow> = self
             .tenants
@@ -554,21 +550,20 @@ impl WaferService {
             row.completed += 1;
             row.cycles += rec.window.1 - rec.window.0;
             row.rollbacks += rec.rollbacks;
-            if let Some(trace) = &traces[rec.shard] {
-                let phase = PhaseReport::from_trace_window(trace, rec.window.0, rec.window.1);
-                for r in &phase.rows {
-                    if r.cycles > 0 {
-                        match row.phase_cycles.iter_mut().find(|(n, _)| *n == r.name) {
-                            Some((_, c)) => *c += r.cycles,
-                            None => row.phase_cycles.push((r.name, r.cycles)),
-                        }
+            let phase =
+                PhaseReport::from_spans_window(&logs[rec.shard], rec.window.0, rec.window.1);
+            for r in &phase.rows {
+                if r.cycles > 0 {
+                    match row.phase_cycles.iter_mut().find(|(n, _)| *n == r.name) {
+                        Some((_, c)) => *c += r.cycles,
+                        None => row.phase_cycles.push((r.name, r.cycles)),
                     }
                 }
-                for (name, count) in phase.marker_counts() {
-                    match row.markers.iter_mut().find(|(n, _)| *n == name) {
-                        Some((_, c)) => *c += count,
-                        None => row.markers.push((name, count)),
-                    }
+            }
+            for (name, count) in phase.marker_counts() {
+                match row.markers.iter_mut().find(|(n, _)| *n == name) {
+                    Some((_, c)) => *c += count,
+                    None => row.markers.push((name, count)),
                 }
             }
             sojourns.push(rec.sojourn_us());
@@ -727,6 +722,29 @@ mod tests {
         assert!(a.phase_cycles.iter().any(|(n, _)| *n == "spmv"));
         // The recovery engine stamps its post-load checkpoint per job.
         assert!(a.markers.iter().any(|(n, c)| *n == "checkpoint" && *c > 0));
+    }
+
+    #[test]
+    fn billing_arms_no_core_trace() {
+        let untraced = |svc: &mut WaferService| {
+            let f = svc.backend.shard_mut(0);
+            (0..f.height()).all(|y| (0..f.width()).all(|x| !f.tile(x, y).core.trace_armed()))
+        };
+        let mut svc = two_tenant_service();
+        assert!(untraced(&mut svc), "after new");
+        let jobs = [
+            JobSpec { tenant: 0, key: key_8x8(), rhs_seed: 1, max_iters: 3 },
+            JobSpec { tenant: 1, key: key_12x8(), rhs_seed: 2, max_iters: 3 },
+        ];
+        svc.run(&jobs, &open_loop_arrivals(9, 2, 0.001));
+        assert!(untraced(&mut svc), "after run");
+        let report = svc.report();
+        assert!(untraced(&mut svc), "after report");
+        assert!(!svc.backend.shard_mut(0).trace_armed());
+        assert!(report
+            .billing
+            .iter()
+            .all(|row| row.phase_cycles.iter().any(|(n, _)| *n == "spmv")));
     }
 
     #[test]

@@ -47,8 +47,15 @@ impl PhaseReport {
     pub fn from_trace_window(trace: &FabricTrace, start: u64, end: u64) -> PhaseReport {
         let lo = start.max(trace.start_cycle);
         let hi = end.min(trace.end_cycle);
+        PhaseReport::from_spans_window(&trace.phases, lo, hi)
+    }
+
+    /// [`PhaseReport::from_trace_window`] over bare spans — a phase log
+    /// drained with `Fabric::drain_phases` — with no trace window to clip
+    /// `[lo, hi)` to.
+    pub fn from_spans_window(spans: &[PhaseSpan], lo: u64, hi: u64) -> PhaseReport {
         let mut report = PhaseReport { rows: Vec::new(), window_cycles: hi.saturating_sub(lo) };
-        for span in &trace.phases {
+        for span in spans {
             if span.start == span.end {
                 // Instant marker: inside the half-open window?
                 if span.start >= lo && span.start < hi {

@@ -7,8 +7,8 @@
 # rustfmt, a grep that keeps the workspace single-threaded, the wse-lint
 # static verifier over every shipped kernel configuration (once more with
 # --stats) and broken fixture, two twice-run-and-diffed fault-injection
-# smokes, the e2e-bench tests, and the exact simulated counters of all four
-# benchmark workloads. The four cycle identities (an armed trace, the
+# smokes, a 128x128 SpMV smoke, the e2e-bench tests, and the exact simulated
+# counters of all four benchmark workloads. The four cycle identities (an armed trace, the
 # runtime sanitizer, the reference stepper and a framed k = 2 split all land
 # on the plain run's cycles) are tier-1 tests:
 #   tests/paper_claims.rs  traced_iteration_matches_the_calibrated_phase_model
@@ -111,6 +111,13 @@ smoke_twice "ensemble fault smoke (k=2 host-link faults, twice, diffed)" \
   "baseline (fault-free): Converged" \
   "host_link_drop" \
   -- bench_bin fault_sweep -- --multi 2 --smoke
+
+echo "== 128x128 Listing-1 SpMV smoke =="
+# One SpMV over 16,384 tiles, far past the benchmarks' fabrics, bit-exact
+# against the host DIA matvec (about 3 s in release): per-tile host state
+# is what decides whether a wafer-sized fabric fits.
+spmv_out="$(cargo run -q --release --example wafer_spmv -- 128 128 16)"
+grep -q "bit-exact vs host: yes" <<<"$spmv_out" || { echo "$spmv_out"; exit 1; }
 
 echo "== e2e-bench tests (standalone benchmark crate) =="
 # The benchmark is its own workspace (BENCHMARK.json builds it from
