@@ -21,7 +21,6 @@ use stencil::problem::manufactured;
 use wse_arch::Fabric;
 use wse_core::allreduce::AllReduce;
 use wse_core::bicgstab::WaferBicgstab;
-use wse_core::spmv2d::WaferSpmv2d;
 use wse_dsl::tess::{spmv_color, verify_tessellation};
 use wse_float::F16;
 
@@ -393,11 +392,11 @@ pub fn spmv2d_experiment() -> Spmv2dResult {
             }
         }
     }
-    let a16: DiaMatrix<F16> = a.convert();
-    let v: Vec<F16> = (0..mesh.len()).map(|i| F16::from_f64(((i % 8) as f64) * 0.125)).collect();
+    let v: Vec<f64> = (0..mesh.len()).map(|i| ((i % 8) as f64) * 0.125).collect();
     let mut fabric = Fabric::new(3, 3);
-    let spmv = WaferSpmv2d::build(&mut fabric, &a16, block);
-    let (_, cycles) = spmv.run(&mut fabric, &v);
+    let spec = wse_dsl::StencilSpec::var_nine_point_2d();
+    let spmv = wse_dsl::lower(&mut fabric, &spec, &a, Some(block)).expect("9-point operator");
+    let (_, cycles) = spmv.apply(&mut fabric, &v);
     Spmv2dResult { max_block, covered, overhead_8x8, cycles_3x3_8x8: cycles }
 }
 

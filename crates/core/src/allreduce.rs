@@ -47,17 +47,25 @@ pub mod colors {
     pub const BC: u8 = 5;
 }
 
-/// A built AllReduce program over a `w × h` fabric region. The region's
-/// top-left tile sits at the build origin (`(0, 0)` unless built with
-/// [`AllReduce::build_at`]); task ids and tile coordinates in the API are
-/// region-relative. The handle is `Clone` so a program blitted to another
-/// region can be driven via [`AllReduce::rebased`].
-#[derive(Clone)]
-pub struct AllReduce {
+/// The geometry of one Fig. 6 tree over a `w × h` region: the two central
+/// columns the rows reduce into and the two central rows of those columns.
+/// The root is `(cx0, cy0)`.
+#[derive(Clone, Copy)]
+struct Tree {
     w: usize,
     h: usize,
-    ox: usize,
-    oy: usize,
+    cx0: usize,
+    cx1: usize,
+    cy0: usize,
+    cy1: usize,
+}
+
+/// A built AllReduce program over the `w × h` region at the fabric origin
+/// (a region blitted elsewhere carries it along: routing and tasks are
+/// per-tile state). The handle is `Clone`.
+#[derive(Clone)]
+pub struct AllReduce {
+    tree: Tree,
     /// Input register (each core's contribution).
     pub r_in: Reg,
     /// Output register (the global sum, on every core).
@@ -98,21 +106,30 @@ impl AllReduce {
         r_acc: Reg,
         base: u8,
     ) -> AllReduce {
-        Self::build_at(fabric, 0, 0, w, h, r_in, r_out, r_acc, base)
+        let mut net = Self::routed(fabric, w, h, r_in, r_out, r_acc, base);
+        net.tasks.reserve(w * h);
+        for y in 0..h {
+            for x in 0..w {
+                let (mut body, root_tail, recv) = net.tile_body_parts(fabric, x, y);
+                body.extend(root_tail);
+                body.extend(recv);
+                let core = &mut fabric.tile_mut(x, y).core;
+                let id = core.add_task(Task::new("allreduce", body));
+                core.mark_entry(id);
+                net.tasks.push(id);
+            }
+        }
+        net
     }
 
-    /// Like [`AllReduce::build_with_base`], over the `w × h` region whose
-    /// top-left tile sits at `(ox, oy)` — the origin-parameterized builder
-    /// the multi-tenant service places tenant programs with. Routes and
-    /// tasks stay strictly inside the region.
+    /// The network with its tree geometry derived and its routes set, and
+    /// no tasks yet: what [`AllReduce`] and [`AllReduceSplit`] both start
+    /// from.
     ///
     /// # Panics
-    /// Panics if the region is smaller than 2×2 or reaches past the fabric.
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_at(
+    /// Panics if the region is smaller than 2×2 or exceeds the fabric.
+    fn routed(
         fabric: &mut Fabric,
-        ox: usize,
-        oy: usize,
         w: usize,
         h: usize,
         r_in: Reg,
@@ -121,57 +138,22 @@ impl AllReduce {
         base: u8,
     ) -> AllReduce {
         assert!(w >= 2 && h >= 2, "AllReduce needs at least a 2x2 region");
-        assert!(ox + w <= fabric.width() && oy + h <= fabric.height(), "region exceeds fabric");
-        let cx0 = (w - 1) / 2;
-        let cx1 = cx0 + 1;
-        let cy0 = (h - 1) / 2;
-        let cy1 = cy0 + 1;
-
-        Self::configure_routes(fabric, ox, oy, w, h, cx0, cx1, cy0, cy1, base);
-
-        let mut tasks = Vec::with_capacity(w * h);
-        for y in 0..h {
-            for x in 0..w {
-                let (mut body, root_tail, recv) = Self::tile_body_parts(
-                    fabric, ox, oy, x, y, w, h, cx0, cx1, cy0, cy1, r_in, r_out, r_acc, base,
-                );
-                body.extend(root_tail);
-                body.extend(recv);
-                let core = &mut fabric.tile_mut(ox + x, oy + y).core;
-                let id = core.add_task(Task::new("allreduce", body));
-                core.mark_entry(id);
-                tasks.push(id);
-            }
-        }
-        AllReduce { w, h, ox, oy, r_in, r_out, r_acc, base, tasks }
-    }
-
-    /// A handle for the **same program** resident at another origin — used
-    /// after blitting the built region to a different place on a (possibly
-    /// different) fabric. Task ids are per-core and the program is
-    /// translation-invariant, so only the origin changes.
-    pub fn rebased(&self, ox: usize, oy: usize) -> AllReduce {
-        AllReduce { ox, oy, ..self.clone() }
+        assert!(w <= fabric.width() && h <= fabric.height(), "region exceeds fabric");
+        let (cx0, cy0) = ((w - 1) / 2, (h - 1) / 2);
+        let tree = Tree { w, h, cx0, cx1: cx0 + 1, cy0, cy1: cy0 + 1 };
+        let net = AllReduce { tree, r_in, r_out, r_acc, base, tasks: Vec::new() };
+        net.configure_routes(fabric);
+        net
     }
 
     /// The task id to activate on tile `(x, y)` (for phase chaining).
     pub fn task(&self, x: usize, y: usize) -> TaskId {
-        self.tasks[y * self.w + x]
+        self.tasks[y * self.tree.w + x]
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn configure_routes(
-        fabric: &mut Fabric,
-        ox: usize,
-        oy: usize,
-        w: usize,
-        h: usize,
-        cx0: usize,
-        cx1: usize,
-        cy0: usize,
-        cy1: usize,
-        base: u8,
-    ) {
+    fn configure_routes(&self, fabric: &mut Fabric) {
+        let Tree { w, h, cx0, cx1, cy0, cy1 } = self.tree;
+        let base = self.base;
         let (row_e, row_w, col_s, col_n, fin, bc) = (
             base + colors::ROW_E,
             base + colors::ROW_W,
@@ -180,10 +162,8 @@ impl AllReduce {
             base + colors::FIN,
             base + colors::BC,
         );
-        // All route coordinates below are region-relative; `sr` rebases
-        // them onto the fabric at the region origin.
         let mut sr = |x: usize, y: usize, from: Port, color: u8, fan: &[Port]| {
-            fabric.set_route(ox + x, oy + y, from, color, fan);
+            fabric.set_route(x, y, from, color, fan);
         };
         // --- Row reduction. ---
         for y in 0..h {
@@ -304,24 +284,14 @@ impl AllReduce {
     /// upstream parts before either blocking receive); the hierarchical
     /// multi-wafer AllReduce instead cuts between the reduction and the
     /// broadcast so the host can combine the per-wafer partial sums.
-    #[allow(clippy::too_many_arguments)]
     fn tile_body_parts(
+        &self,
         fabric: &mut Fabric,
-        ox: usize,
-        oy: usize,
         x: usize,
         y: usize,
-        w: usize,
-        h: usize,
-        cx0: usize,
-        cx1: usize,
-        cy0: usize,
-        cy1: usize,
-        r_in: Reg,
-        r_out: Reg,
-        r_acc: Reg,
-        base: u8,
     ) -> (Vec<Stmt>, Vec<Stmt>, Vec<Stmt>) {
+        let Tree { w, h, cx0, cx1, cy0, cy1 } = self.tree;
+        let (base, r_in, r_out, r_acc) = (self.base, self.r_in, self.r_out, self.r_acc);
         let (row_e, row_w, col_s, col_n, fin, bc) = (
             base + colors::ROW_E,
             base + colors::ROW_W,
@@ -330,7 +300,7 @@ impl AllReduce {
             base + colors::FIN,
             base + colors::BC,
         );
-        let core = &mut fabric.tile_mut(ox + x, oy + y).core;
+        let core = &mut fabric.tile_mut(x, y).core;
         let mut body = Vec::new();
         let in_central_col = x == cx0 || x == cx1;
 
@@ -450,42 +420,17 @@ impl AllReduce {
         x: usize,
         y: usize,
     ) -> TaskId {
-        assert_eq!((self.w, self.h), (other.w, other.h), "regions must match");
-        assert_eq!((self.ox, self.oy), (other.ox, other.oy), "origins must match");
-        let (ox, oy) = (self.ox, self.oy);
-        let (w, h) = (self.w, self.h);
-        let cx0 = (w - 1) / 2;
-        let cx1 = cx0 + 1;
-        let cy0 = (h - 1) / 2;
-        let cy1 = cy0 + 1;
-        let (w1, t1, r1) = Self::tile_body_parts(
-            fabric, ox, oy, x, y, w, h, cx0, cx1, cy0, cy1, self.r_in, self.r_out, self.r_acc,
-            self.base,
-        );
-        let (w2, t2, r2) = Self::tile_body_parts(
-            fabric,
-            ox,
-            oy,
-            x,
-            y,
-            w,
-            h,
-            cx0,
-            cx1,
-            cy0,
-            cy1,
-            other.r_in,
-            other.r_out,
-            other.r_acc,
-            other.base,
-        );
+        let dims = |net: &AllReduce| (net.tree.w, net.tree.h);
+        assert_eq!(dims(self), dims(other), "regions must match");
+        let (w1, t1, r1) = self.tile_body_parts(fabric, x, y);
+        let (w2, t2, r2) = other.tile_body_parts(fabric, x, y);
         let mut body = w1;
         body.extend(t1);
         body.extend(w2);
         body.extend(t2);
         body.extend(r1);
         body.extend(r2);
-        let core = &mut fabric.tile_mut(ox + x, oy + y).core;
+        let core = &mut fabric.tile_mut(x, y).core;
         let id = core.add_task(Task::new("allreduce-fused", body));
         core.mark_entry(id);
         id
@@ -498,21 +443,21 @@ impl AllReduce {
     /// # Panics
     /// Panics if `values.len() != w*h` or the fabric stalls.
     pub fn run(&self, fabric: &mut Fabric, values: &[f32]) -> (Vec<f32>, u64) {
-        assert_eq!(values.len(), self.w * self.h, "one value per tile");
-        for y in 0..self.h {
-            for x in 0..self.w {
-                let core = &mut fabric.tile_mut(self.ox + x, self.oy + y).core;
-                core.regs[self.r_in] = values[y * self.w + x];
-                core.activate(self.tasks[y * self.w + x]);
+        assert_eq!(values.len(), self.tree.w * self.tree.h, "one value per tile");
+        for y in 0..self.tree.h {
+            for x in 0..self.tree.w {
+                let core = &mut fabric.tile_mut(x, y).core;
+                core.regs[self.r_in] = values[y * self.tree.w + x];
+                core.activate(self.tasks[y * self.tree.w + x]);
             }
         }
         let cycles = fabric
             .run_watched(100_000, STALL_WINDOW)
             .unwrap_or_else(|e| panic!("allreduce stalled: {e}"));
         let mut out = Vec::with_capacity(values.len());
-        for y in 0..self.h {
-            for x in 0..self.w {
-                out.push(fabric.tile(self.ox + x, self.oy + y).core.regs[self.r_out]);
+        for y in 0..self.tree.h {
+            for x in 0..self.tree.w {
+                out.push(fabric.tile(x, y).core.regs[self.r_out]);
             }
         }
         (out, cycles)
@@ -572,22 +517,12 @@ impl AllReduceSplit {
         r_acc: Reg,
         base: u8,
     ) -> AllReduceSplit {
-        assert!(w >= 2 && h >= 2, "AllReduce needs at least a 2x2 region");
-        assert!(w <= fabric.width() && h <= fabric.height(), "region exceeds fabric");
-        let cx0 = (w - 1) / 2;
-        let cx1 = cx0 + 1;
-        let cy0 = (h - 1) / 2;
-        let cy1 = cy0 + 1;
-
-        AllReduce::configure_routes(fabric, 0, 0, w, h, cx0, cx1, cy0, cy1, base);
-
+        let net = AllReduce::routed(fabric, w, h, r_in, r_out, r_acc, base);
         let mut reduce = Vec::with_capacity(w * h);
         let mut bcast = Vec::with_capacity(w * h);
         for y in 0..h {
             for x in 0..w {
-                let (up, root_tail, recv) = AllReduce::tile_body_parts(
-                    fabric, 0, 0, x, y, w, h, cx0, cx1, cy0, cy1, r_in, r_out, r_acc, base,
-                );
+                let (up, root_tail, recv) = net.tile_body_parts(fabric, x, y);
                 let core = &mut fabric.tile_mut(x, y).core;
                 let red = core.add_task(Task::new("allreduce-reduce", up));
                 core.mark_entry(red);
@@ -599,7 +534,8 @@ impl AllReduceSplit {
                 bcast.push(bc);
             }
         }
-        AllReduceSplit { w, root: (cx0, cy0), r_in, r_out, r_acc, reduce, bcast }
+        let root = (net.tree.cx0, net.tree.cy0);
+        AllReduceSplit { w, root, r_in, r_out, r_acc, reduce, bcast }
     }
 
     /// The reduce-phase task to activate on tile `(x, y)`.

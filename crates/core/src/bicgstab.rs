@@ -1,5 +1,5 @@
-//! The complete BiCGStab iteration on the wafer, and the z-column program
-//! builder every §IV.1 solver shares.
+//! The complete BiCGStab iteration on the wafer over the §IV.1 z-column
+//! mapping.
 //!
 //! Vectors and matrix diagonals live entirely in tile SRAM; the two SpMVs
 //! use the Listing-1 dataflow; the four inner products use the local
@@ -9,19 +9,12 @@
 //! registers from the broadcast reductions.
 //!
 //! All of that is table data in [`crate::krylov`] ([`krylov::BICGSTAB`] /
-//! [`krylov::BICGSTAB_FUSED`]). This module owns the register map and
-//! `build_zcolumn`, which lays any z-column [`Recurrence`] out on a
-//! fabric and returns the [`Program`] the shared driver sequences.
+//! [`krylov::BICGSTAB_FUSED`]), laid out by the one builder,
+//! `krylov::build`. This module owns the register map.
 
-use crate::allreduce::{colors, AllReduce};
-use crate::kernels::TileMap;
-use crate::krylov::{self, Layout, Program, Recurrence, Slot, Tasks};
-use crate::spmv3d::{build_spmv_tile, load_coefficients, tile_coefficients};
-use stencil::decomp::Mapping3D;
+use crate::krylov::{self, Layout, Program};
 use stencil::dia::DiaMatrix;
-use stencil::precond::has_unit_diagonal;
 use wse_arch::Fabric;
-use wse_dsl::tess::configure_spmv_routes;
 use wse_float::F16;
 
 pub use crate::krylov::{IterCycles, SolveStats};
@@ -76,68 +69,6 @@ pub mod regs {
     pub const EPS: Reg = 31;
 }
 
-/// Maps a system onto a `w × h` grid of z-columns, or panics: the matrix
-/// must be a unit-diagonal 7-point operator whose mesh fits the grid.
-pub(crate) fn column_mapping(a: &DiaMatrix<F16>, w: usize, h: usize) -> Mapping3D {
-    assert!(has_unit_diagonal(a), "matrix must be diagonally preconditioned");
-    assert_eq!(a.offsets().len(), 7, "7-point stencil required");
-    Mapping3D::new(a.mesh(), w, h)
-}
-
-/// Distributes the system matrix and builds every tile's program for
-/// `recurrence`: the tessellation routes, the Fig. 6 AllReduce (and a
-/// second network on the next color span iff a step table reduces over
-/// both), then per tile the storage table, the SpMV instances and the
-/// phase table.
-///
-/// # Panics
-/// On a system [`column_mapping`] refuses, or if a tile runs out of SRAM.
-pub(crate) fn build_zcolumn(
-    fabric: &mut Fabric,
-    a: &DiaMatrix<F16>,
-    recurrence: &'static Recurrence,
-) -> Program {
-    let mapping = column_mapping(a, fabric.width(), fabric.height());
-    let (w, h) = (mapping.fabric_w, mapping.fabric_h);
-    let z = mapping.z as u32;
-
-    configure_spmv_routes(fabric, w, h);
-    let allreduce = AllReduce::build(fabric, w, h, regs::AR_IN, regs::AR_OUT, regs::AR_ACC);
-    let allreduce2 = recurrence.slots().any(|slot| slot == Slot::ReduceBoth).then(|| {
-        let base = colors::DEFAULT_BASE + colors::SPAN;
-        let (r_in, r_out, r_acc) = (regs::AR_IN2, regs::AR_OUT2, regs::AR_ACC2);
-        AllReduce::build_with_base(fabric, w, h, r_in, r_out, r_acc, base)
-    });
-
-    let mut tiles = Vec::with_capacity(w * h);
-    for y in 0..h {
-        for x in 0..w {
-            // One combined task per tile drives both reduction networks
-            // concurrently.
-            let reduce_both =
-                allreduce2.as_ref().map(|second| allreduce.build_fused_task(second, fabric, x, y));
-            let tile = fabric.tile_mut(x, y);
-            let (diag, at) = recurrence.alloc_column(tile, (x, y), z);
-            // One copy of the coefficients serves every SpMV instance.
-            let first = recurrence.spmv_layout(0, z, diag, &at);
-            load_coefficients(tile, &first, &tile_coefficients(a, x, y));
-            let mut tasks = Tasks::new();
-            for (i, &(slot, ..)) in recurrence.spmvs.iter().enumerate() {
-                let layout = recurrence.spmv_layout(i, z, diag, &at);
-                tasks[slot] = build_spmv_tile(tile, x, y, w, h, layout, None).start;
-            }
-            tasks[Slot::Reduce] = allreduce.task(x, y);
-            if let Some(t) = reduce_both {
-                tasks[Slot::ReduceBoth] = t;
-            }
-            recurrence.emit(&mut tile.core, &TileMap::column(at, z), &mut tasks);
-            tiles.push((tasks, at));
-        }
-    }
-    crate::debug_lint(fabric);
-    Program::new(recurrence, Layout::ZColumn(mapping), (0, 0), tiles)
-}
-
 /// The wafer-resident BiCGStab solver: a constructor for the z-column
 /// [`Program`], which it derefs to (`load_rhs`, `iterate`, `read_x`, and —
 /// with [`crate::Krylov`] in scope — `solve` / `solve_with_recovery`).
@@ -154,10 +85,11 @@ impl WaferBicgstab {
     /// Distributes the system matrix and builds every tile's programs.
     ///
     /// # Panics
-    /// Panics if the matrix is not a unit-diagonal 7-point operator, the
-    /// mesh exceeds the fabric, or any tile runs out of SRAM.
+    /// Panics if the matrix is not a unit-diagonal 7-point operator (a
+    /// nonzero band at any other offset is named), the mesh exceeds the
+    /// fabric, or any tile runs out of SRAM.
     pub fn build(fabric: &mut Fabric, a: &DiaMatrix<F16>) -> WaferBicgstab {
-        WaferBicgstab(build_zcolumn(fabric, a, &krylov::BICGSTAB))
+        WaferBicgstab(krylov::build(fabric, a, Layout::columns(fabric, a), &krylov::BICGSTAB))
     }
 
     /// Builds the **communication-fused** variant: the ω-step's two inner
@@ -171,7 +103,7 @@ impl WaferBicgstab {
     /// # Panics
     /// As for [`WaferBicgstab::build`].
     pub fn build_fused(fabric: &mut Fabric, a: &DiaMatrix<F16>) -> WaferBicgstab {
-        WaferBicgstab(build_zcolumn(fabric, a, &krylov::BICGSTAB_FUSED))
+        WaferBicgstab(krylov::build(fabric, a, Layout::columns(fabric, a), &krylov::BICGSTAB_FUSED))
     }
 }
 

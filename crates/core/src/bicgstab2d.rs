@@ -13,31 +13,25 @@
 //! extended output buffers: dot products and updates address their interior
 //! rows directly (each interior row `(i+1, 1..=by)` is a contiguous slice).
 //!
-//! The recurrence is the table [`krylov::BICGSTAB_BLOCK`]; this module
-//! lays the block out (the SpMVs own p / s / q / y) and hands the shared
-//! emitter a `TileMap` whose vectors are `bx` row slices of `by` words.
+//! The recurrence is the table [`krylov::BICGSTAB_BLOCK`], laid out by the
+//! one builder, `krylov::build`: the SpMVs own p / s / q / y, and the
+//! shared emitter addresses every vector as `bx` row slices of `by` words.
 
-use crate::allreduce::AllReduce;
-use crate::bicgstab::regs;
-use crate::kernels::{alloc, TileMap};
-use crate::krylov::{self, Layout, Program, Slot, Tasks, V};
+use crate::krylov::{self, Layout, Program};
 use stencil::decomp::Block2D;
-use stencil::dia::{DiaMatrix, Offset3};
-use wse_arch::types::Dtype;
+use stencil::dia::DiaMatrix;
 use wse_arch::Fabric;
-use wse_dsl::block2d::{self, BlockLayout};
 use wse_float::F16;
 
 /// The 2D-mapped wafer BiCGStab solver: a constructor for the block-layout
 /// [`Program`], which it derefs to (sequenced by [`krylov::BICGSTAB_BLOCK`]).
 ///
-/// The program occupies the `w × h` tile region whose top-left tile sits
-/// at the build origin (`(0, 0)` unless built with
-/// [`WaferBicgstab2d::build_at`]). The handle is `Clone`: because routing
-/// is per-tile state, a built program is translation-invariant, and a
-/// region blitted elsewhere is driven through [`WaferBicgstab2d::rebased`]
-/// — this is what lets the multi-tenant service compile once on a scratch
-/// fabric and place the cached image into any tenant region.
+/// The program occupies the `w × h` tile region at the fabric origin. The
+/// handle is `Clone`: because routing is per-tile state, a built program
+/// is translation-invariant, and a region blitted elsewhere is driven
+/// through [`WaferBicgstab2d::rebased`] — this is what lets the
+/// multi-tenant service compile once on a scratch fabric and place the
+/// cached image into any tenant region.
 #[derive(Clone)]
 pub struct WaferBicgstab2d(Program);
 
@@ -50,106 +44,16 @@ impl std::ops::Deref for WaferBicgstab2d {
 
 impl WaferBicgstab2d {
     /// Distributes a unit-diagonal 9-point system (mesh = `block` ×
-    /// fabric) and builds all per-tile programs.
+    /// region) and builds all per-tile programs.
     ///
     /// # Panics
-    /// Panics on geometry mismatch, non-unit diagonal, or SRAM exhaustion.
+    /// Panics on geometry mismatch, a region smaller than 2×2, a nonzero
+    /// band outside the nine points (named), non-unit diagonal, or SRAM
+    /// exhaustion.
     pub fn build(fabric: &mut Fabric, a: &DiaMatrix<F16>, block: Block2D) -> WaferBicgstab2d {
-        Self::build_at(fabric, a, block, (0, 0))
-    }
-
-    /// Like [`WaferBicgstab2d::build`], with the program's `w × h` tile
-    /// region placed so its top-left tile sits at `origin` — the
-    /// origin-parameterized builder tenant regions are populated with. All
-    /// routes and tasks stay strictly inside the region, so co-resident
-    /// programs in disjoint regions cannot interact.
-    ///
-    /// # Panics
-    /// Panics on geometry mismatch, non-unit diagonal, SRAM exhaustion, or
-    /// a region reaching past the fabric.
-    pub fn build_at(
-        fabric: &mut Fabric,
-        a: &DiaMatrix<F16>,
-        block: Block2D,
-        origin: (usize, usize),
-    ) -> WaferBicgstab2d {
-        assert!(stencil::precond::has_unit_diagonal(a), "matrix must be diagonally preconditioned");
-        let mesh3 = a.mesh();
-        assert_eq!(mesh3.nz, 1, "2D mapping requires nz == 1");
-        let (w, h) = (mesh3.nx / block.bx, mesh3.ny / block.by);
-        assert_eq!(w * block.bx, mesh3.nx, "mesh x must tile evenly");
-        assert_eq!(h * block.by, mesh3.ny, "mesh y must tile evenly");
-
-        assert!(w >= 2 && h >= 2, "2D solver needs at least a 2x2 tile region");
-        let (ox, oy) = origin;
-        assert!(ox + w <= fabric.width() && oy + h <= fabric.height(), "region exceeds fabric");
-        block2d::configure_block_routes_at(fabric, ox, oy, w, h, 1);
-        let allreduce = AllReduce::build_at(
-            fabric,
-            ox,
-            oy,
-            w,
-            h,
-            regs::AR_IN,
-            regs::AR_OUT,
-            regs::AR_ACC,
-            crate::allreduce::colors::DEFAULT_BASE,
-        );
-
-        let recurrence = &krylov::BICGSTAB_BLOCK;
-        let (bx, by) = (block.bx, block.by);
-        let n = (bx * by) as u32;
-        let offsets = Offset3::nine_point_2d();
-        let mut tiles = Vec::with_capacity(w * h);
-
-        for ty in 0..h {
-            for tx in 0..w {
-                let at = (ox + tx, oy + ty);
-                let tile = fabric.tile_mut(at.0, at.1);
-                // One copy of the nine coefficient arrays, shared by both
-                // SpMV instances (as the paper's memory accounting assumes):
-                // `lp` allocates them with p and s, `lq` adds only q and y.
-                let lp = BlockLayout::alloc(tile, block, offsets.len(), 1, Dtype::F16);
-                let ub = ((bx + 2) * (by + 2)) as u32;
-                let lq = BlockLayout {
-                    v: alloc(tile, at, V::Q, n, Dtype::F16),
-                    ubuf: alloc(tile, at, V::Y, ub, Dtype::F16),
-                    ..lp.clone()
-                };
-                block2d::load_block_coefficients(tile, &lp, a, &offsets, tx, ty);
-
-                // Every vector is `bx` rows of `by` words: dense blocks,
-                // except that each SpMV's product is read in place, as the
-                // interior rows of its extended output buffer.
-                let mut map = TileMap {
-                    at: [0; V::COUNT],
-                    stride: [2 * by as u32; V::COUNT],
-                    rows: bx as u32,
-                    len: by as u32,
-                };
-                // The 2D SpMV's halo exchange happens inside its task
-                // chain, so it is attributed to the "spmv" phase, matching
-                // how the paper accounts the broadcast.
-                let mut tasks = Tasks::new();
-                for (l, &(slot, source, product)) in [&lp, &lq].into_iter().zip(recurrence.spmvs) {
-                    map.at[source as usize] = l.v;
-                    map.at[product as usize] = l.u_addr(1, 1);
-                    map.stride[product as usize] = l.u_addr(2, 1) - l.u_addr(1, 1);
-                    tasks[slot] = block2d::build_block_tile_task(tile, l, &offsets, tx, ty, w, h);
-                }
-                // The rest of the storage table, in its order: r, r̂₀, x.
-                let owned = |v: V| recurrence.spmvs.iter().any(|&(_, s, u)| v == s || v == u);
-                for &(v, _) in recurrence.storage.iter().filter(|&&(v, _)| !owned(v)) {
-                    map.at[v as usize] = alloc(tile, at, v, n, Dtype::F16);
-                }
-                tasks[Slot::Reduce] = allreduce.task(tx, ty);
-                recurrence.emit(&mut tile.core, &map, &mut tasks);
-                tiles.push((tasks, map.at));
-            }
-        }
-        crate::debug_lint(fabric);
-        let layout = Layout::Block { block, w, h };
-        WaferBicgstab2d(Program::new(recurrence, layout, origin, tiles))
+        let mesh = a.mesh();
+        let layout = Layout::Block { block, w: mesh.nx / block.bx, h: mesh.ny / block.by };
+        WaferBicgstab2d(krylov::build(fabric, a, layout, &krylov::BICGSTAB_BLOCK))
     }
 
     /// A handle for the **same program** resident at another origin (see

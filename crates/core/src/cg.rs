@@ -12,10 +12,9 @@
 //!
 //! Both are tables in [`crate::krylov`] ([`krylov::CG`] /
 //! [`krylov::CG_SINGLE`]: one phase table, two storage orders), built by
-//! the shared z-column builder; this module owns CG's register map.
+//! the one builder, `krylov::build`; this module owns CG's register map.
 
-use crate::bicgstab::build_zcolumn;
-use crate::krylov::{self, Program};
+use crate::krylov::{self, Layout, Program};
 use stencil::dia::DiaMatrix;
 use wse_arch::Fabric;
 use wse_float::F16;
@@ -71,14 +70,14 @@ impl WaferCg {
     /// per-tile programs.
     ///
     /// # Panics
-    /// Panics on non-unit-diagonal input, fabric overflow, or SRAM
-    /// exhaustion.
+    /// Panics on non-unit-diagonal input, a nonzero band outside the seven
+    /// points (named), fabric overflow, or SRAM exhaustion.
     pub fn build(fabric: &mut Fabric, a: &DiaMatrix<F16>, variant: CgVariant) -> WaferCg {
         let recurrence = match variant {
             CgVariant::Standard => &krylov::CG,
             CgVariant::SingleReduction => &krylov::CG_SINGLE,
         };
-        WaferCg(build_zcolumn(fabric, a, recurrence))
+        WaferCg(krylov::build(fabric, a, Layout::columns(fabric, a), recurrence))
     }
 }
 

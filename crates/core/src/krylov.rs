@@ -20,9 +20,10 @@
 //!   Allocation, DSR and task order and task names are program bytes
 //!   (`wse_serve::program_digest`, `tests/krylov_pins.rs`): they are the
 //!   order of the table rows and the order each `Kernel` variant documents,
-//!   nowhere else. Routes, reductions, the SpMV dataflow and seam machinery
-//!   stay with the builders ([`crate::bicgstab`], [`crate::bicgstab2d`],
-//!   [`crate::multi`]);
+//!   nowhere else. One builder, `build`, adds a single wafer's routes,
+//!   reductions and SpMV dataflow for either mapping, and one placement
+//!   per mapping lays a tile out (the ensemble's [`crate::multi`] shares
+//!   the z-column one and adds the seam machinery);
 //! * a built solver is **data** — a [`Program`]: tile region and origin,
 //!   per tile a task table indexed by [`Slot`] and the vector addresses
 //!   indexed by `V`, and the mesh layout (z-columns or 2D blocks);
@@ -36,6 +37,7 @@
 //!   cg}`) are [`HostExec`], so the algorithm the wafer runs is the only
 //!   BiCGStab and CG there are.
 
+use crate::allreduce::{colors, AllReduce};
 use crate::bicgstab::regs;
 use crate::cg::regs as cg;
 use crate::exec::WaferExec;
@@ -47,14 +49,18 @@ use std::cell::Cell;
 use std::convert::Infallible;
 use std::ops::{Index, IndexMut};
 use stencil::decomp::{Block2D, Mapping3D};
-use stencil::dia::DiaMatrix;
+use stencil::dia::{DiaMatrix, Offset3};
 use stencil::mesh::Mesh2D;
+use stencil::precond::has_unit_diagonal;
 use stencil::{Precision, Scalar as _};
 use wse_arch::fabric::StallReport;
 use wse_arch::instr::{RegOp, Task};
 use wse_arch::types::{Dtype, Reg, TaskId, NUM_REGS};
-use wse_arch::{Core, Tile};
-use wse_dsl::zcolumn::SpmvLayout;
+use wse_arch::{Core, Fabric, Tile};
+use wse_dsl::block2d::{self, BlockLayout};
+use wse_dsl::tess::configure_spmv_routes;
+use wse_dsl::zcolumn::{build_spmv_tile, load_coefficients, tile_coefficients, SpmvLayout};
+use wse_dsl::StencilSpec;
 use wse_float::F16;
 use Kernel::{Arith, Axpy, AxpySourcesFirst, Xpay};
 use Phase::{Dot, Scalar, Update};
@@ -449,7 +455,8 @@ pub(crate) fn walk<X: StepExec>(steps: &[Step], exec: &mut X) -> Result<Vec<f32>
 pub struct Recurrence {
     /// A z-column tile's SRAM allocation order after the six coefficient
     /// diagonals. (The block layout's SpMVs own their sources and products;
-    /// its builder allocates the remaining rows, in this order.)
+    /// [`Recurrence::place_block`] allocates the remaining rows, in this
+    /// order.)
     pub(crate) storage: &'static [(V, Store)],
     /// The SpMV instances: entry slot, source, product.
     pub(crate) spmvs: &'static [(Slot, V, V)],
@@ -507,16 +514,19 @@ impl Recurrence {
         self.first.filter(|_| it == 0).unwrap_or(self.iter)
     }
 
-    /// Allocates the z-column tile at `at` — the six coefficient diagonals,
-    /// then the storage table in order — and returns the diagonals and the
-    /// vectors' live addresses. The pads are zeroed once, here; the live
-    /// parts are rewritten by XPAYs and the host.
-    pub(crate) fn alloc_column(
+    /// The z-column placement of the tile at `at` (fabric coordinates):
+    /// allocates the six coefficient diagonals, then the storage table in
+    /// order, and loads the tile's coefficients once for every SpMV
+    /// instance. Returns the vectors' live addresses and each instance's
+    /// layout. The pads are zeroed once, here; the live parts are rewritten
+    /// by XPAYs and the host.
+    pub(crate) fn place_column(
         &self,
         tile: &mut Tile,
+        a: &DiaMatrix<F16>,
         at: (usize, usize),
         z: u32,
-    ) -> ([u32; 6], Addrs) {
+    ) -> (Addrs, Vec<SpmvLayout>) {
         let diag = [(); 6].map(|()| alloc(tile, at, "diagonal", z, Dtype::F16));
         let mut addrs = [0; V::COUNT];
         for &(v, store) in self.storage {
@@ -532,14 +542,69 @@ impl Recurrence {
                 Alias(of) => addrs[of as usize],
             };
         }
-        (diag, addrs)
+        let layouts: Vec<SpmvLayout> = self
+            .spmvs
+            .iter()
+            .map(|&(_, v, u)| SpmvLayout {
+                z,
+                diag,
+                vpad: addrs[v as usize] - 2,
+                u: addrs[u as usize],
+            })
+            .collect();
+        load_coefficients(tile, &layouts[0], &tile_coefficients(a, at.0, at.1));
+        (addrs, layouts)
     }
 
-    /// SpMV instance `i`'s layout on a tile allocated by
-    /// [`Recurrence::alloc_column`] (every instance shares the diagonals).
-    pub(crate) fn spmv_layout(&self, i: usize, z: u32, diag: [u32; 6], at: &Addrs) -> SpmvLayout {
-        let (_, source, product) = self.spmvs[i];
-        SpmvLayout { z, diag, vpad: at[source as usize] - 2, u: at[product as usize] }
+    /// The block placement of tile `at` of a `w × h` region: both SpMV
+    /// instances' [`BlockLayout`]s over one copy of the nine coefficient
+    /// arrays (which it loads), their tasks, then the rest of the storage
+    /// table. Every vector is `bx` rows of `by` words: dense blocks, except
+    /// that each SpMV's product is read in place, as the interior rows of
+    /// its extended output buffer.
+    pub(crate) fn place_block(
+        &self,
+        tile: &mut Tile,
+        a: &DiaMatrix<F16>,
+        block: Block2D,
+        at: (usize, usize),
+        (w, h): (usize, usize),
+    ) -> (Tasks, TileMap) {
+        let (bx, by) = (block.bx, block.by);
+        let n = (bx * by) as u32;
+        let offsets = Offset3::nine_point_2d();
+        // `lp` allocates the coefficients with p and s, `lq` adds only q
+        // and y (as the paper's memory accounting assumes).
+        let lp = BlockLayout::alloc(tile, block, offsets.len(), 1, Dtype::F16);
+        let ub = ((bx + 2) * (by + 2)) as u32;
+        let lq = BlockLayout {
+            v: alloc(tile, at, V::Q, n, Dtype::F16),
+            ubuf: alloc(tile, at, V::Y, ub, Dtype::F16),
+            ..lp.clone()
+        };
+        block2d::load_block_coefficients(tile, &lp, a, &offsets, at.0, at.1);
+        let mut map = TileMap {
+            at: [0; V::COUNT],
+            stride: [2 * by as u32; V::COUNT],
+            rows: bx as u32,
+            len: by as u32,
+        };
+        // The 2D SpMV's halo exchange happens inside its task chain, so it
+        // is attributed to the "spmv" phase, matching how the paper
+        // accounts the broadcast.
+        let mut tasks = Tasks::new();
+        for (l, &(slot, source, product)) in [&lp, &lq].into_iter().zip(self.spmvs) {
+            map.at[source as usize] = l.v;
+            map.at[product as usize] = l.u_addr(1, 1);
+            map.stride[product as usize] = l.u_addr(2, 1) - l.u_addr(1, 1);
+            tasks[slot] = block2d::build_block_tile_task(tile, l, &offsets, at.0, at.1, w, h);
+        }
+        // The rest of the storage table, in its order: r, r̂₀, x.
+        let owned = |v: V| self.spmvs.iter().any(|&(_, s, u)| v == s || v == u);
+        for &(v, _) in self.storage.iter().filter(|&&(v, _)| !owned(v)) {
+            map.at[v as usize] = alloc(tile, at, v, n, Dtype::F16);
+        }
+        (tasks, map)
     }
 
     /// Emits the phase table onto a tile — after its SpMV tasks, whose
@@ -1032,6 +1097,11 @@ pub(crate) enum Layout {
 }
 
 impl Layout {
+    /// §IV.1 for `a` on `fabric`: one z-column of its mesh per tile.
+    pub(crate) fn columns(fabric: &Fabric, a: &DiaMatrix<F16>) -> Layout {
+        Layout::ZColumn(Mapping3D::new(a.mesh(), fabric.width(), fabric.height()))
+    }
+
     fn dims(&self) -> (usize, usize) {
         match *self {
             Layout::ZColumn(m) => (m.fabric_w, m.fabric_h),
@@ -1058,10 +1128,98 @@ impl Layout {
     }
 }
 
+/// Checks `a` against the operator `layout`'s SpMV computes: the
+/// unit-diagonal seven-point z-column or nine-point block (a tap missing
+/// from `a` reads as zero) and, for a block, the region's mesh.
+///
+/// # Panics
+/// With the [`wse_dsl::DslError`] text, which names the offset, on a
+/// nonzero band the SpMV would drop; on a non-unit diagonal; on a block
+/// mesh that is not `block` times the region.
+pub(crate) fn check_operator(a: &DiaMatrix<F16>, layout: &Layout) {
+    let spec = match *layout {
+        Layout::ZColumn(_) => StencilSpec::var_seven_point_3d(),
+        Layout::Block { block, w, h } => {
+            let region = block.covered_mesh(w, h).as_3d();
+            assert_eq!(a.mesh(), region, "mesh must be the block times the tile region");
+            StencilSpec::var_nine_point_2d()
+        }
+    };
+    spec.check_bands(a).unwrap_or_else(|e| panic!("{e}"));
+    assert!(has_unit_diagonal(a), "matrix must be diagonally preconditioned");
+}
+
+/// The one single-wafer Krylov builder: lays `recurrence` out over
+/// `layout` on the region at the fabric origin and returns the
+/// [`Program`]. In program-byte order: checks the operator, sets the
+/// mapping's SpMV routes, builds the Fig. 6 AllReduce (and a second
+/// network on the next color span iff a step table reduces over both),
+/// then per tile the combined reduce task, the mapping's placement, the
+/// `Reduce` slot and the phase table. A region blitted elsewhere is
+/// driven through [`Program::rebased`].
+///
+/// # Panics
+/// On an operator [`check_operator`] refuses, a region smaller than 2×2 or
+/// past the fabric, or a tile out of SRAM.
+pub(crate) fn build(
+    fabric: &mut Fabric,
+    a: &DiaMatrix<F16>,
+    layout: Layout,
+    recurrence: &'static Recurrence,
+) -> Program {
+    check_operator(a, &layout);
+    let (w, h) = layout.dims();
+    assert!(w <= fabric.width() && h <= fabric.height(), "region exceeds fabric");
+    match layout {
+        Layout::ZColumn(_) => configure_spmv_routes(fabric, w, h),
+        Layout::Block { .. } => block2d::configure_block_routes(fabric, w, h, 1),
+    }
+    let allreduce = AllReduce::build(fabric, w, h, regs::AR_IN, regs::AR_OUT, regs::AR_ACC);
+    let allreduce2 = recurrence.slots().any(|slot| slot == Slot::ReduceBoth).then(|| {
+        let base = colors::DEFAULT_BASE + colors::SPAN;
+        let (r_in, r_out, r_acc) = (regs::AR_IN2, regs::AR_OUT2, regs::AR_ACC2);
+        AllReduce::build_with_base(fabric, w, h, r_in, r_out, r_acc, base)
+    });
+
+    let mut tiles = Vec::with_capacity(w * h);
+    for y in 0..h {
+        for x in 0..w {
+            // One combined task per tile drives both reduction networks
+            // concurrently.
+            let reduce_both =
+                allreduce2.as_ref().map(|second| allreduce.build_fused_task(second, fabric, x, y));
+            let tile = fabric.tile_mut(x, y);
+            let (mut tasks, map) = match layout {
+                Layout::ZColumn(m) => {
+                    let z = m.z as u32;
+                    let (at, spmvs) = recurrence.place_column(tile, a, (x, y), z);
+                    let mut tasks = Tasks::new();
+                    for (&(slot, ..), l) in recurrence.spmvs.iter().zip(spmvs) {
+                        tasks[slot] = build_spmv_tile(tile, x, y, w, h, l, None).start;
+                    }
+                    (tasks, TileMap::column(at, z))
+                }
+                Layout::Block { block, .. } => {
+                    recurrence.place_block(tile, a, block, (x, y), (w, h))
+                }
+            };
+            tasks[Slot::Reduce] = allreduce.task(x, y);
+            if let Some(t) = reduce_both {
+                tasks[Slot::ReduceBoth] = t;
+            }
+            recurrence.emit(&mut tile.core, &map, &mut tasks);
+            tiles.push((tasks, map.at));
+        }
+    }
+    crate::debug_lint(fabric);
+    Program::new(recurrence, layout, tiles)
+}
+
 /// A built solver: everything the driver needs to run a [`Recurrence`] on
-/// the tile region whose top-left tile sits at `origin`. Routing and task
-/// state are per-tile, so the program is translation-invariant: a region
-/// blitted elsewhere is driven through [`Program::rebased`].
+/// the tile region whose top-left tile sits at `origin` — the fabric's
+/// `(0, 0)` as built. Routing and task state are per-tile, so the program
+/// is translation-invariant: a region blitted elsewhere is driven through
+/// [`Program::rebased`].
 #[derive(Clone)]
 pub struct Program {
     pub(crate) recurrence: &'static Recurrence,
@@ -1083,7 +1241,6 @@ impl Program {
     pub(crate) fn new(
         recurrence: &'static Recurrence,
         layout: Layout,
-        origin: (usize, usize),
         tiles: Vec<(Tasks, Addrs)>,
     ) -> Program {
         let (w, h) = layout.dims();
@@ -1091,8 +1248,9 @@ impl Program {
             Layout::ZColumn(m) => 200 * m.z as u64 + 200 * (w + h) as u64 + 50_000,
             Layout::Block { block, .. } => 2_000 * block.points() as u64 + 100_000,
         };
+        let iteration = Cell::new(0);
         let program =
-            Program { recurrence, layout, origin, tiles, phase_budget, iteration: Cell::new(0) };
+            Program { recurrence, layout, origin: (0, 0), tiles, phase_budget, iteration };
         for (x, y, tasks, _) in program.tiles() {
             if let Some(slot) = recurrence.slots().find(|&slot| tasks[slot] == TaskId::MAX) {
                 panic!("tile ({x}, {y}) has no task for {slot:?}, which the recurrence names");
@@ -1602,6 +1760,56 @@ impl<P: Precision, M: FnMut(&[P::Storage], &mut [P::Storage])> StepExec for Host
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bicgstab2d::WaferBicgstab2d;
+    use crate::{WaferBicgstab, WaferBicgstabMulti};
+    use stencil::mesh::Mesh3D;
+    use wse_multi::{HostLink, MultiFabric};
+
+    /// A unit-diagonal operator on `mesh` with −1/8 on every other band of
+    /// `offsets`.
+    fn unit_operator(mesh: Mesh3D, offsets: &[Offset3]) -> DiaMatrix<F16> {
+        let mut a = DiaMatrix::<f64>::new(mesh, offsets);
+        for (x, y, z) in mesh.iter() {
+            for &off in offsets {
+                let c = if off == Offset3::CENTER { 1.0 } else { -0.125 };
+                if mesh.neighbor(x, y, z, off.dx, off.dy, off.dz).is_some() {
+                    a.set(x, y, z, off, c);
+                }
+            }
+        }
+        a.convert()
+    }
+
+    /// Seven bands with (1, 1, 0) in place of (0, 0, −1): the band count
+    /// is right, the operator is not one the z-column SpMV computes.
+    fn foreign_seven_point(mesh: Mesh3D) -> DiaMatrix<F16> {
+        let mut offsets = Offset3::seven_point();
+        offsets[6] = Offset3::new(1, 1, 0);
+        unit_operator(mesh, &offsets)
+    }
+
+    #[test]
+    #[should_panic(expected = "nonzero band at offset (1, 1, 0)")]
+    fn zcolumn_build_names_a_foreign_band() {
+        WaferBicgstab::build(&mut Fabric::new(3, 3), &foreign_seven_point(Mesh3D::new(3, 3, 4)));
+    }
+
+    #[test]
+    #[should_panic(expected = "nonzero band at offset (2, 0, 0)")]
+    fn block_build_names_a_foreign_band() {
+        let block = Block2D::new(4, 4);
+        let mut offsets = Offset3::nine_point_2d().to_vec();
+        offsets.push(Offset3::new(2, 0, 0));
+        let a = unit_operator(block.covered_mesh(2, 2).as_3d(), &offsets);
+        WaferBicgstab2d::build(&mut Fabric::new(2, 2), &a, block);
+    }
+
+    #[test]
+    #[should_panic(expected = "nonzero band at offset (1, 1, 0)")]
+    fn ensemble_build_names_a_foreign_band() {
+        let mut multi = MultiFabric::new(4, 2, 2, HostLink::paper_default());
+        WaferBicgstabMulti::build(&mut multi, &foreign_seven_point(Mesh3D::new(4, 2, 4)));
+    }
 
     #[test]
     fn every_slot_a_table_names_indexes_inside_tasks() {
@@ -1676,7 +1884,7 @@ mod tests {
     fn a_named_slot_left_unset_fails_at_build_time() {
         let mapping = Mapping3D::new(stencil::mesh::Mesh3D::new(2, 1, 4), 2, 1);
         let tiles = vec![(Tasks([0; Slot::COUNT]), [0; V::COUNT]), (Tasks::new(), [0; V::COUNT])];
-        Program::new(&BICGSTAB, Layout::ZColumn(mapping), (0, 0), tiles);
+        Program::new(&BICGSTAB, Layout::ZColumn(mapping), tiles);
     }
 
     /// Lanes computed in f64 from random vectors must give back the

@@ -1,22 +1,22 @@
-//! On-wafer kernels — the paper's primary contribution.
+//! On-wafer solvers — the paper's primary contribution.
 //!
 //! This crate maps the BiCGStab stencil solver onto the simulated
-//! wafer-scale engine (`wse-arch`), reproducing:
+//! wafer-scale engine (`wse-arch`). The SpMV dataflows it runs — the
+//! 7-point Listing-1 / Fig. 4 z-column kernel and the §IV.2 9-point block
+//! kernel with output-halo exchange — are emitted by [`wse_dsl`]
+//! ([`wse_dsl::zcolumn`], [`wse_dsl::block2d`]); a bare SpMV is
+//! [`wse_dsl::lower()`] plus [`wse_dsl::Lowered::apply`]. This crate adds:
 //!
-//! * [`spmv3d`] — the 7-point SpMV dataflow of Listing 1 / Fig. 4
-//!   (broadcast, FIFO-decoupled multiply/add pipelines, loopback main
-//!   diagonal, completion-barrier tree) on the Fig. 5 tessellation channel
-//!   assignment ([`wse_dsl::tess`]),
-//! * [`spmv2d`] — the 2D 9-point block mapping of §IV.2 with output-halo
-//!   exchange, and [`bicgstab2d`] — the full solver on that mapping,
 //! * [`allreduce`] — the row/column scalar AllReduce of Fig. 6 plus
 //!   broadcast,
 //! * [`kernels`] — the one emitter of AXPY/XPAY, dot and register kernels,
-//! * [`krylov`] — the one solver driver: recurrences as storage, phase and
-//!   step tables, a built solver as a [`krylov::Program`], and the
-//!   [`Krylov`] trait whose `solve` / `solve_with_recovery` all share,
-//! * [`bicgstab`] — the complete BiCGStab iteration on the fabric (with a
-//!   communication-fused variant) and the shared z-column builder,
+//! * [`krylov`] — the one solver driver and the one single-wafer builder:
+//!   recurrences as storage, phase and step tables, a built solver as a
+//!   [`krylov::Program`], and the [`Krylov`] trait whose `solve` /
+//!   `solve_with_recovery` all share,
+//! * [`bicgstab`] — the complete BiCGStab iteration on the z-column
+//!   mapping (with a communication-fused variant), and [`bicgstab2d`] —
+//!   the same solver on the 2D block mapping,
 //! * [`cg`] — conjugate gradients, in standard and Chronopoulos–Gear
 //!   single-reduction forms,
 //! * [`multi`] — distributed BiCGStab across a multi-wafer ensemble,
@@ -34,8 +34,6 @@ pub mod kernels;
 pub mod krylov;
 pub mod multi;
 pub mod recovery;
-pub mod spmv2d;
-pub mod spmv3d;
 
 pub use bicgstab::WaferBicgstab;
 pub use exec::WaferExec;
@@ -45,7 +43,6 @@ pub use recovery::{
     EnsembleCheckpoint, FabricCheckpoint, RecoveryLog, RecoveryOutcome, RecoveryPolicy,
     ResidualTripwire, TripwireVerdict,
 };
-pub use spmv3d::WaferSpmv;
 
 /// Statically verifies a fully built wafer program in debug builds,
 /// panicking with the diagnostic report on any finding. Every kernel

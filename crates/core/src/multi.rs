@@ -14,7 +14,7 @@
 //!   column on a background thread (colors [`HALO_EAST`] / [`HALO_WEST`],
 //!   through the edge ports and [`wse_multi::HostLink`]) while every tile
 //!   computes the interior SpMV, and a receive-triggered fold task adds
-//!   the inbound plane in ([`crate::spmv3d::build_overlap_halo`]). Wire
+//!   the inbound plane in ([`wse_dsl::zcolumn::build_overlap_halo`]). Wire
 //!   time under the calibrated compute window is *hidden*
 //!   ([`MultiIterCycles::halo_hidden`]), the rest *exposed*
 //!   ([`MultiIterCycles::halo`]).
@@ -45,18 +45,14 @@
 //! differ); [`build_transparent`] is the bit-exact cross-validation path.
 
 use crate::allreduce::{AllReduceSplit, ChainReduce};
-use crate::bicgstab::{column_mapping, regs};
+use crate::bicgstab::regs;
 use crate::exec::WaferExec;
 use crate::kernels::{alloc, TileMap};
 use crate::krylov::{
-    self, IterCycles, Krylov, Layout, Phase, Program, Reduction, Slot, SolveStats, Step, StepExec,
-    Tasks, PAY_LANES, V,
+    self, check_operator, IterCycles, Krylov, Layout, Phase, Program, Reduction, Slot, SolveStats,
+    Step, StepExec, Tasks, PAY_LANES, V,
 };
 use crate::recovery::{self, RecoveryLog, RecoveryPolicy};
-use crate::spmv3d::{
-    build_overlap_halo, build_spmv_tile_halo, build_spmv_tile_overlapped, load_coefficients,
-    tile_coefficients, HaloBuffers, OverlapHalo,
-};
 use crate::WaferBicgstab;
 use std::cell::Cell;
 use stencil::decomp::Mapping3D;
@@ -67,6 +63,9 @@ use wse_arch::instr::{Op, Stmt, Task, TensorInstr};
 use wse_arch::types::{Color, Dtype, Port, Reg, TaskId};
 use wse_arch::Fabric;
 use wse_dsl::tess::configure_spmv_routes;
+use wse_dsl::zcolumn::{
+    build_overlap_halo, build_spmv_tile_halo, build_spmv_tile_overlapped, HaloBuffers, OverlapHalo,
+};
 use wse_float::F16;
 use wse_multi::MultiFabric;
 
@@ -207,8 +206,9 @@ impl WaferBicgstabMulti {
     /// channels and pairs them).
     ///
     /// # Panics
-    /// Panics if the matrix is not a unit-diagonal 7-point operator, the
-    /// mesh does not exactly fill the ensemble grid, any slab is narrower
+    /// Panics if the matrix is not a unit-diagonal 7-point operator (a
+    /// nonzero band at any other offset is named), the mesh does not
+    /// exactly fill the ensemble grid, any slab is narrower
     /// than 2 tiles (the on-wafer AllReduce needs a 2×2 region), or a
     /// tile runs out of SRAM.
     pub fn build(multi: &mut MultiFabric, a: &DiaMatrix<F16>) -> WaferBicgstabMulti {
@@ -249,7 +249,8 @@ impl WaferBicgstabMulti {
     /// ensemble grid, then programs each wafer's tessellation routes and
     /// its seam halo channels (edge declarations plus ramp routes).
     fn prepare_shards(multi: &mut MultiFabric, a: &DiaMatrix<F16>) -> Mapping3D {
-        let mapping = column_mapping(a, multi.global_width(), multi.height());
+        let mapping = Mapping3D::new(a.mesh(), multi.global_width(), multi.height());
+        check_operator(a, &Layout::ZColumn(mapping));
         assert_eq!(
             (mapping.fabric_w, mapping.fabric_h),
             (multi.global_width(), multi.height()),
@@ -314,10 +315,9 @@ impl WaferBicgstabMulti {
                 let west_seam = lx == 0 && gx > 0;
                 let tile = multi.shard_mut(m).tile_mut(lx, y);
 
-                let (diag, at) = recurrence.alloc_column(tile, (gx, y), z);
+                let (at, layouts) = recurrence.place_column(tile, a, (gx, y), z);
                 // Both ensemble recurrences have two SpMVs: window 0 and 1.
-                let lay = [0, 1].map(|i| recurrence.spmv_layout(i, z, diag, &at));
-                load_coefficients(tile, &lay[0], &tile_coefficients(a, gx, y));
+                let lay = [layouts[0], layouts[1]];
 
                 let (spmv, seam) = if !(east_seam || west_seam) {
                     // Interior tile: no seam machinery, byte-identical
@@ -329,9 +329,9 @@ impl WaferBicgstabMulti {
                     // A slab is ≥ 2 wide, so a tile sits on at most one seam.
                     let buf = alloc(tile, (gx, y), "halo buffer", z, Dtype::F16);
                     let (send, recv, coeff) = if east_seam {
-                        (HALO_EAST, HALO_WEST, diag[0])
+                        (HALO_EAST, HALO_WEST, lay[0].diag[0])
                     } else {
-                        (HALO_WEST, HALO_EAST, diag[1])
+                        (HALO_WEST, HALO_EAST, lay[0].diag[1])
                     };
                     if overlap {
                         // Both windows share the halo buffer: they never
@@ -407,7 +407,7 @@ impl WaferBicgstabMulti {
         let link = multi.link();
         let xfer = if fused { transfer_cycles(&link, (PAY_LANES * 4) as f64) } else { 0 };
         WaferBicgstabMulti {
-            program: Program::new(recurrence, Layout::ZColumn(mapping), (0, 0), tiles),
+            program: Program::new(recurrence, Layout::ZColumn(mapping), tiles),
             seams,
             reductions,
             seam_budget: 16 * z as u64 + 2 * link.latency_cycles + 200 * h as u64 + 50_000,

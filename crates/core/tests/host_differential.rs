@@ -18,7 +18,7 @@ use stencil::problem::manufactured;
 use stencil::stencil7::poisson;
 use stencil::stencil9::convection_diffusion9;
 use stencil::{DiaMatrix, MixedF16};
-use wse_arch::Fabric;
+use wse_arch::{Fabric, Region};
 use wse_core::bicgstab2d::WaferBicgstab2d;
 use wse_core::cg::{CgVariant, WaferCg};
 use wse_core::krylov::{self, HostExec, Program, Recurrence};
@@ -120,14 +120,16 @@ fn every_single_wafer_table_tracks_its_host_executor() {
     }
 
     // A 4 × 4 block per tile on 3 × 3 tiles, and a 3 × 5 block on a 2 × 3
-    // region at (1, 2) of a 4 × 6 fabric.
+    // region blitted to (1, 2) of a 4 × 6 fabric.
     for (block, (w, h), (fw, fh), origin) in
         [(Block2D::new(4, 4), (3, 3), (3, 3), (0, 0)), (Block2D::new(3, 5), (2, 3), (4, 6), (1, 2))]
     {
         let a = convection_diffusion9(block.covered_mesh(w, h), (1.5, -0.5));
         let (a, b) = scaled(a, |i| (i % 9) as f64 * 0.125 - 0.5);
+        let mut image = Fabric::new(w, h);
+        let solver = WaferBicgstab2d::build(&mut image, &a, block).rebased(origin);
         let mut fabric = Fabric::new(fw, fh);
-        let solver = WaferBicgstab2d::build_at(&mut fabric, &a, block, origin);
+        fabric.blit_region(Region::new(origin.0, origin.1, w, h), &image);
         let name = format!("BICGSTAB_BLOCK {block:?} at {origin:?}");
         check(&name, &krylov::BICGSTAB_BLOCK, &a, &b, &mut fabric, &solver);
     }

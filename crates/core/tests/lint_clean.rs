@@ -13,8 +13,8 @@ use wse_arch::Fabric;
 use wse_core::allreduce::AllReduce;
 use wse_core::bicgstab2d::WaferBicgstab2d;
 use wse_core::cg::{CgVariant, WaferCg};
-use wse_core::spmv2d::WaferSpmv2d;
-use wse_core::{WaferBicgstab, WaferSpmv};
+use wse_core::WaferBicgstab;
+use wse_dsl::{lower, StencilSpec};
 use wse_float::F16;
 use wse_lint::lint;
 
@@ -49,7 +49,7 @@ fn spmv3d_lints_clean() {
     for (w, h) in [(3, 3), (2, 4)] {
         let a = system3d(w, h, 8);
         let mut fabric = Fabric::new(w, h);
-        let _ = WaferSpmv::build(&mut fabric, &a);
+        lower(&mut fabric, &StencilSpec::var_seven_point_3d(), &a.convert(), None).unwrap();
         assert_clean(&fabric, &format!("spmv3d {w}x{h}"));
     }
 }
@@ -59,7 +59,7 @@ fn spmv3d_single_tile_column_lints_clean() {
     // The degenerate 1x1 mapping: no neighbors, no FIFOs, no sumtask.
     let a = system3d(1, 1, 8);
     let mut fabric = Fabric::new(1, 1);
-    let _ = WaferSpmv::build(&mut fabric, &a);
+    lower(&mut fabric, &StencilSpec::var_seven_point_3d(), &a.convert(), None).unwrap();
     assert_clean(&fabric, "spmv3d 1x1");
 }
 
@@ -68,7 +68,7 @@ fn spmv2d_lints_clean() {
     let block = Block2D::new(4, 4);
     let a = system2d(3, 3, block);
     let mut fabric = Fabric::new(3, 3);
-    let _ = WaferSpmv2d::build(&mut fabric, &a, block);
+    lower(&mut fabric, &StencilSpec::var_nine_point_2d(), &a.convert(), Some(block)).unwrap();
     assert_clean(&fabric, "spmv2d 3x3");
 }
 

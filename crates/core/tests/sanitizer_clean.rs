@@ -14,8 +14,8 @@ use wse_arch::Fabric;
 use wse_core::allreduce::AllReduce;
 use wse_core::bicgstab2d::WaferBicgstab2d;
 use wse_core::cg::{CgVariant, WaferCg};
-use wse_core::spmv2d::WaferSpmv2d;
-use wse_core::{WaferBicgstab, WaferBicgstabMulti, WaferSpmv};
+use wse_core::{WaferBicgstab, WaferBicgstabMulti};
+use wse_dsl::{lower, StencilSpec};
 use wse_float::F16;
 use wse_multi::{HostLink, MultiFabric};
 
@@ -44,20 +44,21 @@ fn system2d(w: usize, h: usize, block: Block2D) -> DiaMatrix<F16> {
 
 #[test]
 fn spmv3d_runs_clean_and_cycle_identical_under_sanitizer() {
-    let a = system3d(3, 3, 8);
+    let a = system3d(3, 3, 8).convert();
     let n = a.mesh().len();
-    let v: Vec<F16> = (0..n).map(|i| F16::from_f64(((i % 7) as f64) * 0.25 - 0.75)).collect();
+    let v: Vec<f64> = (0..n).map(|i| ((i % 7) as f64) * 0.25 - 0.75).collect();
+    let spec = StencilSpec::var_seven_point_3d();
 
     // Disarmed baseline.
     let mut plain = Fabric::new(3, 3);
-    let kp = WaferSpmv::build(&mut plain, &a);
-    let (up, cycles_plain) = kp.run(&mut plain, &v);
+    let kp = lower(&mut plain, &spec, &a, None).unwrap();
+    let (up, cycles_plain) = kp.apply(&mut plain, &v);
 
     // Armed run: identical cycles, identical result, zero trips.
     let mut fabric = Fabric::new(3, 3);
-    let k = WaferSpmv::build(&mut fabric, &a);
+    let k = lower(&mut fabric, &spec, &a, None).unwrap();
     fabric.arm_sanitizer();
-    let (u, cycles) = k.run(&mut fabric, &v);
+    let (u, cycles) = k.apply(&mut fabric, &v);
     assert_eq!(cycles, cycles_plain, "sanitizer changed simulated time");
     assert_eq!(u, up, "sanitizer changed the computation");
     assert_no_trips(&mut fabric, "spmv3d 3x3");
@@ -66,13 +67,13 @@ fn spmv3d_runs_clean_and_cycle_identical_under_sanitizer() {
 #[test]
 fn spmv2d_runs_clean_under_sanitizer() {
     let block = Block2D::new(4, 4);
-    let a = system2d(3, 3, block);
+    let a = system2d(3, 3, block).convert();
     let n = a.mesh().len();
-    let v: Vec<F16> = (0..n).map(|i| F16::from_f64(((i % 5) as f64) * 0.5 - 1.0)).collect();
+    let v: Vec<f64> = (0..n).map(|i| ((i % 5) as f64) * 0.5 - 1.0).collect();
     let mut fabric = Fabric::new(3, 3);
-    let k = WaferSpmv2d::build(&mut fabric, &a, block);
+    let k = lower(&mut fabric, &StencilSpec::var_nine_point_2d(), &a, Some(block)).unwrap();
     fabric.arm_sanitizer();
-    let _ = k.run(&mut fabric, &v);
+    let _ = k.apply(&mut fabric, &v);
     assert_no_trips(&mut fabric, "spmv2d 3x3");
 }
 

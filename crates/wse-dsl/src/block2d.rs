@@ -17,10 +17,10 @@
 //! — and added into the neighbors' interiors.
 //!
 //! At radius 1 with fp16 and the nine-point tap order this emits a program
-//! **byte-identical** to the original hand-written `wse-core::spmv2d`
-//! builder (the retrofit regression in `tests/dsl_retrofit.rs` pins the
-//! program digest), which is why some orderings below look arbitrary: they
-//! are frozen by that contract. The x-round wing is `r` *contiguous*
+//! **byte-identical** to the original hand-written 2D SpMV builder (the
+//! retrofit regression in `tests/dsl_retrofit.rs` pins the program
+//! digest), which is why some orderings below look arbitrary: they are
+//! frozen by that contract. The x-round wing is `r` *contiguous*
 //! extended columns, so any radius still needs exactly one send and one
 //! receive thread per side; the y round streams each of the `r` halo rows
 //! on its own color pair ([`crate::colors::halo_s`]).
@@ -113,46 +113,33 @@ impl BlockLayout {
 }
 
 /// Halo-exchange routing for a `w × h` region at the fabric origin.
-pub fn configure_block_routes(fabric: &mut Fabric, w: usize, h: usize, r: usize) {
-    configure_block_routes_at(fabric, 0, 0, w, h, r);
-}
-
-/// Halo-exchange routing for a `w × h` region whose top-left tile sits at
-/// `(ox, oy)`. Routing is boundary-aware in **region** coordinates: no
-/// route crosses the region's edge, so co-resident programs in disjoint
-/// regions cannot interfere (the multi-tenant containment invariant,
+/// Routing is boundary-aware in **region** coordinates: no route crosses
+/// the region's edge, so a built region blitted next to another program
+/// cannot interfere with it (the multi-tenant containment invariant,
 /// checked by `wse-lint`'s region lint). The x direction uses one color
 /// pair regardless of radius (the wing is contiguous); the y direction
 /// uses one pair per halo ring.
-pub fn configure_block_routes_at(
-    fabric: &mut Fabric,
-    ox: usize,
-    oy: usize,
-    w: usize,
-    h: usize,
-    r: usize,
-) {
+pub fn configure_block_routes(fabric: &mut Fabric, w: usize, h: usize, r: usize) {
     for y in 0..h {
         for x in 0..w {
-            let (fx, fy) = (ox + x, oy + y);
             if x + 1 < w {
-                fabric.set_route(fx, fy, Port::Ramp, HALO_E, &[Port::East]);
-                fabric.set_route(fx, fy, Port::East, HALO_W, &[Port::Ramp]);
+                fabric.set_route(x, y, Port::Ramp, HALO_E, &[Port::East]);
+                fabric.set_route(x, y, Port::East, HALO_W, &[Port::Ramp]);
             }
             if x > 0 {
-                fabric.set_route(fx, fy, Port::Ramp, HALO_W, &[Port::West]);
-                fabric.set_route(fx, fy, Port::West, HALO_E, &[Port::Ramp]);
+                fabric.set_route(x, y, Port::Ramp, HALO_W, &[Port::West]);
+                fabric.set_route(x, y, Port::West, HALO_E, &[Port::Ramp]);
             }
             if y + 1 < h {
                 for k in 0..r {
-                    fabric.set_route(fx, fy, Port::Ramp, halo_s(k), &[Port::South]);
-                    fabric.set_route(fx, fy, Port::South, halo_n(k), &[Port::Ramp]);
+                    fabric.set_route(x, y, Port::Ramp, halo_s(k), &[Port::South]);
+                    fabric.set_route(x, y, Port::South, halo_n(k), &[Port::Ramp]);
                 }
             }
             if y > 0 {
                 for k in 0..r {
-                    fabric.set_route(fx, fy, Port::Ramp, halo_n(k), &[Port::North]);
-                    fabric.set_route(fx, fy, Port::North, halo_s(k), &[Port::Ramp]);
+                    fabric.set_route(x, y, Port::Ramp, halo_n(k), &[Port::North]);
+                    fabric.set_route(x, y, Port::North, halo_s(k), &[Port::Ramp]);
                 }
             }
         }

@@ -9,6 +9,7 @@
 
 use stencil::dia::{DiaMatrix, Offset3};
 use stencil::mesh::Mesh3D;
+use stencil::scalar::Scalar;
 use wse_arch::types::Dtype;
 
 /// Datapath precision of a lowered stencil apply.
@@ -217,16 +218,18 @@ impl StencilSpec {
         StencilSpec { name: name.into(), taps, precision, boundary }
     }
 
-    /// The all-variable 9-point 2D spec the hand-written `spmv2d` builder
-    /// realizes (taps in [`Offset3::nine_point_2d`] order).
+    /// The all-variable 9-point 2D spec (taps in [`Offset3::nine_point_2d`]
+    /// order): the §IV.2 block SpMV, and the operator `wse-core`'s block
+    /// Krylov builder accepts.
     pub fn var_nine_point_2d() -> StencilSpec {
         let taps =
             Offset3::nine_point_2d().iter().map(|o| Tap { off: *o, coef: CoefKind::Var }).collect();
         StencilSpec::new("spmv2d-9pt", taps, Precision::F16, Boundary::Dirichlet0)
     }
 
-    /// The all-variable 7-point 3D spec the hand-written `spmv3d` builder
-    /// realizes (taps in [`Offset3::seven_point`] order).
+    /// The all-variable 7-point 3D spec (taps in [`Offset3::seven_point`]
+    /// order): the Listing-1 SpMV, and the operator `wse-core`'s z-column
+    /// Krylov builders accept.
     pub fn var_seven_point_3d() -> StencilSpec {
         let taps =
             Offset3::seven_point().iter().map(|o| Tap { off: *o, coef: CoefKind::Var }).collect();
@@ -242,6 +245,23 @@ impl StencilSpec {
     /// The tap offsets, in spec order.
     pub fn offsets(&self) -> Vec<Offset3> {
         self.taps.iter().map(|t| t.off).collect()
+    }
+
+    /// Checks that `a` holds no operator this spec would drop: a nonzero
+    /// band of `a` at an offset that is not one of the taps is
+    /// [`DslError::BandOutsideSpec`]. (A tap whose band `a` lacks reads as
+    /// zero.) Reads the bands in place; nothing is copied or converted.
+    ///
+    /// # Errors
+    /// The first foreign nonzero band, in `a`'s band order.
+    pub fn check_bands<S: Scalar>(&self, a: &DiaMatrix<S>) -> Result<(), DslError> {
+        for (b, off) in a.offsets().iter().enumerate() {
+            let tapped = self.taps.iter().any(|t| t.off == *off);
+            if !tapped && a.band(b).iter().any(|&v| v.to_f64() != 0.0) {
+                return Err(DslError::BandOutsideSpec(*off));
+            }
+        }
+        Ok(())
     }
 
     /// `true` when every tap keeps `dz == 0`.

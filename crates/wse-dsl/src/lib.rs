@@ -1,32 +1,33 @@
 //! Declarative stencil front-end and the shared lowering layer.
 //!
-//! The hand-written builders in `wse-core` each re-derived routing, virtual
-//! channel (color) assignment, SRAM layout, and task wiring from scratch.
-//! This crate factors that machinery into one place:
+//! Routing, virtual-channel (color) assignment, SRAM layout and task
+//! wiring for the SpMV dataflows live here, once:
 //!
 //! * [`ir`] — the stencil IR: a named set of taps (relative mesh offsets
 //!   with constant or per-cell-variable coefficients), a precision, and a
-//!   boundary condition. Operators are **data**, not builder code.
+//!   boundary condition. Operators are **data**, not builder code;
+//!   [`StencilSpec::check_bands`] refuses a matrix band a spec would drop.
 //! * [`colors`] — the single whole-wafer virtual-channel map every emitter
-//!   consumes (previously duplicated across `spmv2d`/`spmv3d`/`allreduce`).
+//!   consumes.
 //! * [`plan`] — validation and resource planning: structured
 //!   [`ir::DslError`]s for illegal specs (offset beyond the routable
 //!   radius, SRAM over the 48 KB budget) **before any fabric is touched**.
 //! * [`tess`] — the Fig. 5 tessellation channel assignment.
 //! * [`block2d`] — the generalized radius-`r` 2D block mapping with
 //!   output-halo exchange; at radius 1 it emits byte-identical programs to
-//!   the original hand-written `spmv2d` builder.
-//! * [`zcolumn`] — the Listing-1 Z-column dataflow (moved from
-//!   `wse-core::spmv3d`).
+//!   the original hand-written 2D SpMV builder.
+//! * [`zcolumn`] — the Listing-1 Z-column dataflow.
 //! * [`relay`] — store-and-forward relay rounds for wide 3D star stencils
 //!   (e.g. the 25-point star of Jacquelin et al.) using only four colors.
 //! * [`lower`] — the dispatch from spec + mesh to one of the three
-//!   mappings, producing a [`lower::Lowered`] program handle.
+//!   mappings, producing a [`lower::Lowered`] program handle; a bare SpMV
+//!   is [`lower()`] plus [`Lowered::apply`].
 //! * [`host`] — order-mirroring host reference applies (bit-exact per
 //!   datapath dtype).
 //!
-//! `wse-core`'s `WaferSpmv` and `WaferSpmv2d` hold a [`lower::Lowered`] and
-//! its solver builders call [`tess`], [`block2d`] and [`zcolumn`] directly.
+//! `wse-core`'s Krylov builder checks its operator with
+//! [`StencilSpec::check_bands`] and calls [`tess`], [`block2d`] and
+//! [`zcolumn`] directly.
 
 #![warn(missing_docs)]
 

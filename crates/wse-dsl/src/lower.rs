@@ -95,12 +95,8 @@ pub fn lower(
     let mesh = a.mesh();
     let geometry = Geometry { fabric_w: fabric.width(), fabric_h: fabric.height(), block };
     let p = plan(spec, mesh, geometry)?;
+    spec.check_bands(a)?;
     let offsets = spec.offsets();
-    for (b, off) in a.offsets().iter().enumerate() {
-        if !offsets.contains(off) && a.band(b).iter().any(|&v| v != 0.0) {
-            return Err(DslError::BandOutsideSpec(*off));
-        }
-    }
 
     let detail = match p.mapping {
         MappingPlan::Block { w, h, block, r } => {
@@ -411,6 +407,163 @@ mod tests {
         let want =
             block_reference_apply(&a, &spec.offsets(), Block2D::new(4, 4), 1, 1, 1, Dtype::F16, &v);
         assert_eq!(got, want);
+    }
+
+    /// `name`'s catalog matrix on `mesh` (unit diagonal, every coupling
+    /// −1/8 for `star7-3d` and `box9-2d`) and an iterate of multiples of
+    /// 1/8: fp16 arithmetic on them is exact, so the wafer must equal the
+    /// f64 product bit for bit in any summation order.
+    fn exact_system(name: &str, mesh: Mesh3D) -> (DiaMatrix<f64>, Vec<f64>) {
+        let a = catalog::get(name).unwrap().matrix(mesh).unwrap();
+        (a, (0..mesh.len()).map(|i| ((i % 16) as f64 - 8.0) * 0.125).collect())
+    }
+
+    fn product(a: &DiaMatrix<f64>, v: &[f64]) -> Vec<f64> {
+        let mut u = vec![0.0; v.len()];
+        a.matvec_f64(v, &mut u);
+        u
+    }
+
+    /// `a` lowered through the all-variable 7-point spec, on Listing 1.
+    fn listing1(fabric: &mut Fabric, a: &DiaMatrix<f64>) -> Lowered {
+        let lowered = lower(fabric, &StencilSpec::var_seven_point_3d(), a, None).unwrap();
+        assert_eq!(lowered.kind(), "listing1");
+        lowered
+    }
+
+    #[test]
+    fn wafer_spmv_matches_host_exactly_on_exact_data() {
+        let (a, v) = exact_system("star7-3d", Mesh3D::new(3, 3, 8));
+        let mut fabric = Fabric::new(3, 3);
+        let (got, cycles) = listing1(&mut fabric, &a).apply(&mut fabric, &v);
+        assert_eq!(got, product(&a, &v));
+        assert!(cycles > 0);
+    }
+
+    #[test]
+    fn wafer_spmv_close_to_f64_on_general_data() {
+        use stencil::precond::jacobi_scale;
+        use stencil::stencil7::convection_diffusion;
+        let mesh = Mesh3D::new(4, 3, 12);
+        let a64 = convection_diffusion(mesh, (1.0, -0.5, 0.25), 1.0);
+        let sys = jacobi_scale(&a64, &vec![0.0; mesh.len()]);
+        // The f64 reference runs on the fp16-rounded coefficients.
+        let a = sys.matrix.convert::<F16>().convert::<f64>();
+        let v: Vec<f64> = (0..mesh.len())
+            .map(|i| F16::from_f64(((i * 37 % 97) as f64 / 97.0) - 0.5).to_f64())
+            .collect();
+        let mut fabric = Fabric::new(4, 3);
+        let (got, _) = listing1(&mut fabric, &a).apply(&mut fabric, &v);
+        for (i, (g, r)) in got.iter().zip(product(&a, &v)).enumerate() {
+            // 7 terms, each O(1): a handful of fp16 ulps.
+            assert!((g - r).abs() < 8.0 * 0.001, "element {i}: wafer {g} vs {r:.5}");
+        }
+    }
+
+    #[test]
+    fn repeated_spmv_reuses_program() {
+        // Running the kernel twice must work (fabric DSRs re-armed by
+        // InitDsr) and give identical results for identical input.
+        let (a, v) = exact_system("star7-3d", Mesh3D::new(2, 2, 6));
+        let mut fabric = Fabric::new(2, 2);
+        let spmv = listing1(&mut fabric, &a);
+        let (r1, _) = spmv.apply(&mut fabric, &v);
+        let (r2, _) = spmv.apply(&mut fabric, &v);
+        assert_eq!(r1, r2);
+    }
+
+    #[test]
+    fn flop_count_matches_table1_for_interior_tiles() {
+        // An interior tile executes 12 fp16 flops per meshpoint per SpMV:
+        // zm mul (1) + zp fused (2) + 4 × (mul+add) (8) + diagonal add (1).
+        let (a, v) = exact_system("star7-3d", Mesh3D::new(3, 3, 16));
+        let mut fabric = Fabric::new(3, 3);
+        listing1(&mut fabric, &a).apply(&mut fabric, &v);
+        assert_eq!(fabric.tile(1, 1).core.perf.flops_f16, 12 * 16, "12 flops per z element");
+    }
+
+    #[test]
+    fn single_tile_column_works() {
+        // 1×1 fabric region: no neighbors at all; only z terms + loopback.
+        let (a, v) = exact_system("star7-3d", Mesh3D::new(1, 1, 10));
+        let mut fabric = Fabric::new(1, 1);
+        let (got, _) = listing1(&mut fabric, &a).apply(&mut fabric, &v);
+        assert_eq!(got, product(&a, &v));
+    }
+
+    #[test]
+    fn cycles_scale_linearly_in_z() {
+        let run_z = |z: usize| -> u64 {
+            let (a, v) = exact_system("star7-3d", Mesh3D::new(3, 3, z));
+            let mut fabric = Fabric::new(3, 3);
+            listing1(&mut fabric, &a).apply(&mut fabric, &v).1
+        };
+        let c32 = run_z(32);
+        let c128 = run_z(128);
+        // Slope between 2 and 8 cycles per z element once overheads wash out.
+        let slope = (c128 - c32) as f64 / 96.0;
+        assert!((2.0..8.0).contains(&slope), "cycles/z slope {slope}");
+    }
+
+    /// The all-variable nine-point spec over `box9-2d`'s exact system on a
+    /// `fabric_w × fabric_h` block mapping: the result and its cycles.
+    fn block9(fabric_w: usize, fabric_h: usize, block: Block2D) -> (Vec<f64>, Vec<f64>, u64) {
+        let (a, v) = exact_system("box9-2d", block.covered_mesh(fabric_w, fabric_h).as_3d());
+        let mut fabric = Fabric::new(fabric_w, fabric_h);
+        let spec = StencilSpec::var_nine_point_2d();
+        let lowered = lower(&mut fabric, &spec, &a, Some(block)).unwrap();
+        let (got, cycles) = lowered.apply(&mut fabric, &v);
+        (got, product(&a, &v), cycles)
+    }
+
+    fn check9(fabric_w: usize, fabric_h: usize, block: Block2D) {
+        let (got, want, _) = block9(fabric_w, fabric_h, block);
+        assert_eq!(got, want, "{fabric_w}x{fabric_h} fabric, {block:?}");
+    }
+
+    #[test]
+    fn matches_host_on_2x2_fabric_4x4_blocks() {
+        check9(2, 2, Block2D::new(4, 4));
+    }
+
+    #[test]
+    fn matches_host_on_3x3_fabric_rectangular_blocks() {
+        check9(3, 3, Block2D::new(3, 5));
+    }
+
+    #[test]
+    fn matches_host_on_single_row_of_tiles() {
+        check9(4, 1, Block2D::new(3, 3));
+    }
+
+    #[test]
+    fn matches_host_on_single_tile() {
+        check9(1, 1, Block2D::new(6, 6));
+    }
+
+    #[test]
+    fn corner_contributions_cross_diagonally() {
+        // A lone 1.0 at a block corner: its NE diagonal contribution must
+        // reach the diagonal neighbor via the two-round exchange.
+        let block = Block2D::new(4, 4);
+        let mesh = block.covered_mesh(2, 2).as_3d();
+        let (a, _) = exact_system("box9-2d", mesh);
+        let mut v = vec![0.0; mesh.len()];
+        // Last cell of tile (0,0)'s block: global (3, 3).
+        v[mesh.idx(3, 3, 0)] = 1.0;
+        let mut fabric = Fabric::new(2, 2);
+        let spec = StencilSpec::var_nine_point_2d();
+        let lowered = lower(&mut fabric, &spec, &a, Some(block)).unwrap();
+        let (got, _) = lowered.apply(&mut fabric, &v);
+        // Diagonal neighbor (4,4) lives on tile (1,1).
+        assert_eq!(got[mesh.idx(4, 4, 0)], -0.125, "diagonal coupling must arrive");
+    }
+
+    #[test]
+    fn cycles_grow_with_block_area() {
+        let c4 = block9(2, 2, Block2D::new(4, 4)).2;
+        let c8 = block9(2, 2, Block2D::new(8, 8)).2;
+        assert!(c8 > c4, "bigger blocks take longer: {c4} vs {c8}");
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! The Listing-1 / Fig. 4 Z-column dataflow emitters, moved here from
-//! `wse-core::spmv3d` so the lowering layer and the hand-written drivers
-//! share one implementation.
+//! The Listing-1 / Fig. 4 Z-column dataflow emitters, shared by the
+//! lowering layer and `wse-core`'s Krylov builders.
 //!
 //! Per tile, the kernel computes `u = A v` for its Z-column of the mesh:
 //!
@@ -684,4 +683,71 @@ pub fn load_iterate(tile: &mut Tile, layout: &SpmvLayout, v: &[F16]) {
 /// Reads a tile's result vector.
 pub fn read_result(tile: &Tile, layout: &SpmvLayout) -> Vec<F16> {
     tile.mem.load_f16_slice(layout.u, layout.z as usize)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tess::configure_spmv_routes;
+    use crate::{catalog, lower, StencilSpec};
+    use stencil::decomp::Mapping3D;
+    use stencil::mesh::Mesh3D;
+    use wse_arch::Fabric;
+
+    #[test]
+    fn naive_spmv_matches_but_is_slower() {
+        // Same answers, more cycles: the FIFO-decoupled dataflow's whole
+        // point. (At small z the fixed overheads shrink the gap; the slope
+        // difference is what matters.) `star7-3d` has a unit diagonal and
+        // −1/8 couplings, and the iterate is multiples of 1/8, so fp16
+        // arithmetic is exact and summation order cannot show.
+        let mesh = Mesh3D::new(3, 3, 256);
+        let a64 = catalog::get("star7-3d").unwrap().matrix(mesh).unwrap();
+        let v64: Vec<f64> = (0..mesh.len()).map(|i| ((i % 16) as f64 - 8.0) * 0.125).collect();
+        // Reference: the Listing-1 kernel.
+        let mut f1 = Fabric::new(3, 3);
+        let spmv = lower(&mut f1, &StencilSpec::var_seven_point_3d(), &a64, None).unwrap();
+        let (fast_out, fast_cycles) = spmv.apply(&mut f1, &v64);
+
+        // Naive: build per tile with the ablation builder.
+        let a = a64.convert::<F16>();
+        let v: Vec<F16> = v64.iter().map(|&x| F16::from_f64(x)).collect();
+        let mut f2 = Fabric::new(3, 3);
+        let mapping = Mapping3D::new(mesh, 3, 3);
+        configure_spmv_routes(&mut f2, 3, 3);
+        let mut layouts = Vec::new();
+        let mut tasks = Vec::new();
+        for y in 0..3 {
+            for x in 0..3 {
+                let tile = f2.tile_mut(x, y);
+                let layout = SpmvLayout::alloc(tile, 256);
+                load_coefficients(tile, &layout, &tile_coefficients(&a, x, y));
+                tasks.push(build_spmv_tile_naive(tile, x, y, 3, 3, layout));
+                layouts.push(layout);
+            }
+        }
+        for y in 0..3 {
+            for x in 0..3 {
+                let i = y * 3 + x;
+                load_iterate(f2.tile_mut(x, y), &layouts[i], &v[mapping.core_rows(x, y)]);
+                f2.tile_mut(x, y).core.activate(tasks[i].start);
+            }
+        }
+        let naive_cycles = f2.run_watched(1_000_000, 1_000_000).unwrap();
+        let mut naive_out = vec![0.0; mesh.len()];
+        for y in 0..3 {
+            for x in 0..3 {
+                let u = read_result(f2.tile(x, y), &layouts[y * 3 + x]);
+                let rows = &mut naive_out[mapping.core_rows(x, y)];
+                rows.iter_mut().zip(u).for_each(|(o, h)| *o = h.to_f64());
+            }
+        }
+        // Same result (exact arithmetic ⇒ order irrelevant)…
+        assert_eq!(naive_out, fast_out);
+        // …but meaningfully more cycles.
+        assert!(
+            naive_cycles as f64 > 1.2 * fast_cycles as f64,
+            "naive {naive_cycles} vs decoupled {fast_cycles}"
+        );
+    }
 }

@@ -1,12 +1,13 @@
 //! DSL-retrofit bit-exactness regression.
 //!
-//! `wse-core`'s `WaferSpmv` (3D 7-point) and `WaferSpmv2d` (2D 9-point)
-//! build through `wse-dsl`'s lowering layer. When they were retrofitted,
-//! this file carried verbatim copies of the hand-written builders they
-//! replaced and asserted equal [`program_digest`]s (a hash of every tile's
-//! SRAM contents, textual program dump, register file, and routing table);
-//! that parity proof is in git history. What remains are the six digests
-//! those builders produced, recorded once and pinned here.
+//! The 3D 7-point and 2D 9-point SpMVs build through `wse-dsl`'s lowering
+//! layer: [`wse_dsl::lower`] over the all-variable specs, on an fp16
+//! matrix widened to `f64`. When they were retrofitted, this file carried
+//! verbatim copies of the hand-written builders they replaced and asserted
+//! equal [`program_digest`]s (a hash of every tile's SRAM contents, textual
+//! program dump, register file, and routing table); that parity proof is
+//! in git history. What remains are the six digests those builders
+//! produced, recorded once and pinned here.
 //!
 //! If a change to the lowering layer alters allocation order, DSR order,
 //! task order, route insertion order, task names, or any emitted byte, this
@@ -19,8 +20,7 @@ use stencil::precond::jacobi_scale;
 use stencil::stencil7::convection_diffusion;
 use stencil::stencil9::laplace9;
 use wse_arch::Fabric;
-use wse_core::spmv2d::WaferSpmv2d;
-use wse_core::WaferSpmv;
+use wse_dsl::{lower, StencilSpec};
 use wse_float::F16;
 use wse_serve::program::program_digest;
 
@@ -31,7 +31,7 @@ fn digest_3d(nx: usize, ny: usize, nz: usize) -> u64 {
     let a = convection_diffusion(mesh, (1.0, -0.5, 0.25), 1.0);
     let a: DiaMatrix<F16> = jacobi_scale(&a, &vec![0.0; mesh.len()]).matrix.convert();
     let mut fabric = Fabric::new(nx, ny);
-    let _ = WaferSpmv::build(&mut fabric, &a);
+    lower(&mut fabric, &StencilSpec::var_seven_point_3d(), &a.convert(), None).unwrap();
     program_digest(&fabric)
 }
 
@@ -40,7 +40,8 @@ fn digest_3d(nx: usize, ny: usize, nz: usize) -> u64 {
 fn digest_2d(nx: usize, ny: usize, bx: usize, by: usize) -> u64 {
     let a: DiaMatrix<F16> = laplace9(Mesh2D::new(nx, ny)).convert();
     let mut fabric = Fabric::new(nx / bx, ny / by);
-    let _ = WaferSpmv2d::build(&mut fabric, &a, Block2D::new(bx, by));
+    let spec = StencilSpec::var_nine_point_2d();
+    lower(&mut fabric, &spec, &a.convert(), Some(Block2D::new(bx, by))).unwrap();
     program_digest(&fabric)
 }
 

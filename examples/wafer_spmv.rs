@@ -46,18 +46,21 @@ fn main() {
         let a16: DiaMatrix<F16> = a.convert();
         let v: Vec<F16> =
             (0..mesh.len()).map(|i| F16::from_f64(((i % 8) as f64 - 4.0) * 0.25)).collect();
+        let v64: Vec<f64> = v.iter().map(|h| h.to_f64()).collect();
 
         let mut fabric = Fabric::new(w, h);
-        let spmv = WaferSpmv::build(&mut fabric, &a16);
+        let spmv = lower(&mut fabric, &StencilSpec::var_seven_point_3d(), &a, None)
+            .expect("a unit-diagonal 7-point operator lowers onto Listing 1");
         let t0 = Instant::now();
-        let (u_wafer, cycles) = spmv.run(&mut fabric, &v);
+        let (u_wafer, cycles) = spmv.apply(&mut fabric, &v64);
         let host_ns = t0.elapsed().as_nanos() as f64 / (cycles * (w * h) as u64) as f64;
 
-        // Bit-exact check against the host DIA matvec (exact arithmetic
-        // data, so summation order cannot matter).
+        // Bit-exact check against the host fp16 DIA matvec (exact
+        // arithmetic data, so summation order cannot matter).
         let mut u_host = vec![F16::ZERO; mesh.len()];
         a16.matvec(&v, &mut u_host);
-        let exact = u_wafer.iter().zip(&u_host).all(|(a, b)| a.to_bits() == b.to_bits());
+        let exact =
+            u_wafer.iter().zip(&u_host).all(|(a, b)| F16::from_f64(*a).to_bits() == b.to_bits());
 
         let perf = fabric.perf();
         println!(

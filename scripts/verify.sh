@@ -4,7 +4,8 @@
 # are the root package and all thirteen crates, so it runs every suite the
 # `--workspace` run below does): the release
 # build, the whole workspace's tests, the exhaustive fp16 sweeps, clippy and
-# rustfmt, a grep that keeps the workspace single-threaded, the wse-lint
+# rustfmt, the non-test line count per crate (informational, no gate), a
+# grep that keeps the workspace single-threaded, the wse-lint
 # static verifier over every shipped kernel configuration (once more with
 # --stats) and broken fixture, two twice-run-and-diffed fault-injection
 # smokes, a 128x128 SpMV smoke, the e2e-bench tests, and the exact simulated
@@ -35,6 +36,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo fmt --check =="
 cargo fmt --check
+
+echo "== non-test lines per crate (informational) =="
+scripts/loc.sh
 
 echo "== no host threads =="
 # Must print nothing: threads come back with a workload that measures them

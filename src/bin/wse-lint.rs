@@ -44,8 +44,8 @@ use wse_arch::Fabric;
 use wse_core::allreduce::AllReduce;
 use wse_core::bicgstab2d::WaferBicgstab2d;
 use wse_core::cg::{CgVariant, WaferCg};
-use wse_core::spmv2d::WaferSpmv2d;
-use wse_core::{WaferBicgstab, WaferSpmv};
+use wse_core::WaferBicgstab;
+use wse_dsl::StencilSpec;
 use wse_float::F16;
 use wse_lint::{lint_with_stats, LintStats, Pass, Severity};
 
@@ -80,16 +80,18 @@ fn system2d(w: usize, h: usize, block: Block2D) -> DiaMatrix<F16> {
 fn build(config: &str) -> Fabric {
     match config {
         "spmv3d" => {
-            let a = system3d(3, 3, 8);
+            let a = system3d(3, 3, 8).convert();
             let mut fabric = Fabric::new(3, 3);
-            let _ = WaferSpmv::build(&mut fabric, &a);
+            wse_dsl::lower(&mut fabric, &StencilSpec::var_seven_point_3d(), &a, None)
+                .expect("7-point operator must lower");
             fabric
         }
         "spmv2d" => {
             let block = Block2D::new(4, 4);
-            let a = system2d(3, 3, block);
+            let a = system2d(3, 3, block).convert();
             let mut fabric = Fabric::new(3, 3);
-            let _ = WaferSpmv2d::build(&mut fabric, &a, block);
+            wse_dsl::lower(&mut fabric, &StencilSpec::var_nine_point_2d(), &a, Some(block))
+                .expect("9-point operator must lower");
             fabric
         }
         "allreduce" => {

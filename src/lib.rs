@@ -62,6 +62,7 @@ pub mod prelude {
     pub use stencil::problem::manufactured;
     pub use stencil::DiaMatrix;
     pub use wse_arch::Fabric;
-    pub use wse_core::{Krylov, WaferBicgstab, WaferSpmv};
+    pub use wse_core::{Krylov, WaferBicgstab};
+    pub use wse_dsl::{lower, Lowered, StencilSpec};
     pub use wse_float::F16;
 }

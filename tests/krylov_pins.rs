@@ -51,6 +51,14 @@ fn pin<const N: usize>(program: &[u64], cycles: &[[u64; N]], residuals: &[u64], 
     }
 }
 
+/// A fresh `w × h` fabric with `image` blitted at `(x, y)`: the one
+/// placement path, the service's.
+fn placed(image: &Fabric, (w, h): (usize, usize), (x, y): (usize, usize)) -> Fabric {
+    let mut fabric = Fabric::new(w, h);
+    fabric.blit_region(Region::new(x, y, image.width(), image.height()), image);
+    fabric
+}
+
 /// Solves on one fabric through the shared driver and collects the pin.
 fn solve(fabric: &mut Fabric, solver: &Program, b: &[F16], iters: usize) -> Pin {
     let program = vec![program_digest(fabric)];
@@ -185,11 +193,12 @@ fn bicgstab2d_at_origin_and_rebased() {
     let solver = WaferBicgstab2d::build(&mut fabric, &a, block);
     assert_eq!(solve(&mut fabric, &solver, &b, 4), want(PROGRAM));
 
-    // The same program built at (2, 1) of a larger fabric — region bytes
+    // The same program blitted to (2, 1) of a larger fabric — region bytes
     // identical, whole-fabric digest pinned too — driven through a
     // rebased handle.
-    let mut big = Fabric::new(6, 5);
-    let built = WaferBicgstab2d::build_at(&mut big, &a, block, (2, 1));
+    let mut image = Fabric::new(3, 3);
+    let built = WaferBicgstab2d::build(&mut image, &a, block);
+    let mut big = placed(&image, (6, 5), (2, 1));
     assert_eq!(program_digest(&big.extract_region(Region::new(2, 1, 3, 3))), PROGRAM);
     let solver = built.rebased((2, 1));
     assert_eq!(solve(&mut big, &solver, &b, 4), want(3419288559842228509));
@@ -519,8 +528,9 @@ fn awkward_cg_both_variants() {
 fn awkward_bicgstab2d_off_origin() {
     let block = Block2D::new(3, 5);
     let (a, b) = system2d(2, 3, block);
-    let mut big = Fabric::new(4, 6);
-    let solver = WaferBicgstab2d::build_at(&mut big, &a, block, (1, 2));
+    let mut image = Fabric::new(2, 3);
+    let solver = WaferBicgstab2d::build(&mut image, &a, block).rebased((1, 2));
+    let mut big = placed(&image, (4, 6), (1, 2));
     assert_eq!(program_digest(&big.extract_region(Region::new(1, 2, 2, 3))), 12419929318559041521);
     let want = pin(
         &[14703937395703444160],

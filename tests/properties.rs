@@ -50,12 +50,15 @@ proptest! {
         let mesh = Mesh3D::new(w, h, z);
         let (a, v) = exact_system(mesh, coef, vseed);
         let mut fabric = Fabric::new(w, h);
-        let spmv = WaferSpmv::build(&mut fabric, &a);
-        let (wafer, _) = spmv.run(&mut fabric, &v);
+        let spmv = lower(&mut fabric, &StencilSpec::var_seven_point_3d(), &a.convert(), None)
+            .unwrap();
+        let v64: Vec<f64> = v.iter().map(|h| h.to_f64()).collect();
+        let (wafer, _) = spmv.apply(&mut fabric, &v64);
         let mut host = vec![F16::ZERO; mesh.len()];
         a.matvec(&v, &mut host);
         for i in 0..mesh.len() {
-            prop_assert_eq!(wafer[i].to_bits(), host[i].to_bits(), "element {}", i);
+            let got = F16::from_f64(wafer[i]).to_bits();
+            prop_assert_eq!(got, host[i].to_bits(), "element {}", i);
         }
     }
 
