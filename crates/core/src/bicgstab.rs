@@ -12,9 +12,10 @@
 //! [`krylov::BICGSTAB_FUSED`]), laid out by the one builder,
 //! `krylov::build`. This module owns the register map.
 
-use crate::krylov::{self, Layout, Program};
+use crate::krylov::{self, Program};
 use stencil::dia::DiaMatrix;
 use wse_arch::Fabric;
+use wse_dsl::Layout;
 use wse_float::F16;
 
 pub use crate::krylov::{IterCycles, SolveStats};

@@ -17,10 +17,11 @@
 //! one builder, `krylov::build`: the SpMVs own p / s / q / y, and the
 //! shared emitter addresses every vector as `bx` row slices of `by` words.
 
-use crate::krylov::{self, Layout, Program};
+use crate::krylov::{self, Program};
 use stencil::decomp::Block2D;
 use stencil::dia::DiaMatrix;
 use wse_arch::Fabric;
+use wse_dsl::Layout;
 use wse_float::F16;
 
 /// The 2D-mapped wafer BiCGStab solver: a constructor for the block-layout

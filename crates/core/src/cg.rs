@@ -14,9 +14,10 @@
 //! [`krylov::CG_SINGLE`]: one phase table, two storage orders), built by
 //! the one builder, `krylov::build`; this module owns CG's register map.
 
-use crate::krylov::{self, Layout, Program};
+use crate::krylov::{self, Program};
 use stencil::dia::DiaMatrix;
 use wse_arch::Fabric;
+use wse_dsl::Layout;
 use wse_float::F16;
 
 /// Register allocation. The reduction inputs / outputs and the breakdown

@@ -48,9 +48,8 @@ use crate::recovery::{
 use std::cell::Cell;
 use std::convert::Infallible;
 use std::ops::{Index, IndexMut};
-use stencil::decomp::{Block2D, Mapping3D};
+use stencil::decomp::Block2D;
 use stencil::dia::{DiaMatrix, Offset3};
-use stencil::mesh::Mesh2D;
 use stencil::precond::has_unit_diagonal;
 use stencil::{Precision, Scalar as _};
 use wse_arch::fabric::StallReport;
@@ -60,7 +59,7 @@ use wse_arch::{Core, Fabric, Tile};
 use wse_dsl::block2d::{self, BlockLayout};
 use wse_dsl::tess::configure_spmv_routes;
 use wse_dsl::zcolumn::{build_spmv_tile, load_coefficients, tile_coefficients, SpmvLayout};
-use wse_dsl::StencilSpec;
+use wse_dsl::{Layout, StencilSpec};
 use wse_float::F16;
 use Kernel::{Arith, Axpy, AxpySourcesFirst, Xpay};
 use Phase::{Dot, Scalar, Update};
@@ -1080,54 +1079,6 @@ pub static BICGSTAB_SINGLE: Recurrence = Recurrence {
     reply: &BC_REGS,
 };
 
-/// How a tile region's local vectors map to the global mesh order.
-#[derive(Copy, Clone, Debug)]
-pub(crate) enum Layout {
-    /// §IV.1: one contiguous z-column per tile.
-    ZColumn(Mapping3D),
-    /// §IV.2: one `bx × by` block per tile of a `w × h` region.
-    Block {
-        /// Per-tile block shape.
-        block: Block2D,
-        /// Region width in tiles.
-        w: usize,
-        /// Region height in tiles.
-        h: usize,
-    },
-}
-
-impl Layout {
-    /// §IV.1 for `a` on `fabric`: one z-column of its mesh per tile.
-    pub(crate) fn columns(fabric: &Fabric, a: &DiaMatrix<F16>) -> Layout {
-        Layout::ZColumn(Mapping3D::new(a.mesh(), fabric.width(), fabric.height()))
-    }
-
-    fn dims(&self) -> (usize, usize) {
-        match *self {
-            Layout::ZColumn(m) => (m.fabric_w, m.fabric_h),
-            Layout::Block { w, h, .. } => (w, h),
-        }
-    }
-
-    /// Points per tile.
-    fn local_len(&self) -> usize {
-        match *self {
-            Layout::ZColumn(m) => m.z,
-            Layout::Block { block, .. } => block.points(),
-        }
-    }
-
-    /// Global mesh index of tile `(tx, ty)`'s `k`-th local point.
-    fn row(&self, tx: usize, ty: usize, k: usize) -> usize {
-        match *self {
-            Layout::ZColumn(m) => m.core_rows(tx, ty).start + k,
-            Layout::Block { block: Block2D { bx, by }, w, h } => {
-                Mesh2D::new(w * bx, h * by).idx(tx * bx + k / by, ty * by + k % by)
-            }
-        }
-    }
-}
-
 /// Checks `a` against the operator `layout`'s SpMV computes: the
 /// unit-diagonal seven-point z-column or nine-point block (a tap missing
 /// from `a` reads as zero) and, for a block, the region's mesh.
@@ -1211,7 +1162,7 @@ pub(crate) fn build(
             tiles.push((tasks, map.at));
         }
     }
-    crate::debug_lint(fabric);
+    wse_dsl::debug_lint(fabric);
     Program::new(recurrence, layout, tiles)
 }
 
@@ -1882,7 +1833,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "tile (1, 0) has no task for DotRho")]
     fn a_named_slot_left_unset_fails_at_build_time() {
-        let mapping = Mapping3D::new(stencil::mesh::Mesh3D::new(2, 1, 4), 2, 1);
+        let mapping = stencil::decomp::Mapping3D::new(Mesh3D::new(2, 1, 4), 2, 1);
         let tiles = vec![(Tasks([0; Slot::COUNT]), [0; V::COUNT]), (Tasks::new(), [0; V::COUNT])];
         Program::new(&BICGSTAB, Layout::ZColumn(mapping), tiles);
     }

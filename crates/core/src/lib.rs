@@ -12,8 +12,8 @@
 //! * [`kernels`] — the one emitter of AXPY/XPAY, dot and register kernels,
 //! * [`krylov`] — the one solver driver and the one single-wafer builder:
 //!   recurrences as storage, phase and step tables, a built solver as a
-//!   [`krylov::Program`], and the [`Krylov`] trait whose `solve` /
-//!   `solve_with_recovery` all share,
+//!   [`krylov::Program`] over a [`wse_dsl::Layout`], and the [`Krylov`]
+//!   trait whose `solve` / `solve_with_recovery` all share,
 //! * [`bicgstab`] — the complete BiCGStab iteration on the z-column
 //!   mapping (with a communication-fused variant), and [`bicgstab2d`] —
 //!   the same solver on the 2D block mapping,
@@ -22,6 +22,9 @@
 //! * [`multi`] — distributed BiCGStab across a multi-wafer ensemble,
 //! * [`recovery`] — shared residual tripwire plus checkpoint/rollback
 //!   recovery so solves survive injected faults (see `wse-arch::fault`).
+//!
+//! Every builder ends with [`wse_dsl::debug_lint`]: in debug builds a
+//! program `wse-lint` flags panics at build time.
 
 #![warn(missing_docs)]
 
@@ -43,16 +46,3 @@ pub use recovery::{
     EnsembleCheckpoint, FabricCheckpoint, RecoveryLog, RecoveryOutcome, RecoveryPolicy,
     ResidualTripwire, TripwireVerdict,
 };
-
-/// Statically verifies a fully built wafer program in debug builds,
-/// panicking with the diagnostic report on any finding. Every kernel
-/// builder calls this after program construction, so a misconfigured
-/// program fails at build time instead of stalling the simulation a
-/// million cycles later. Release builds skip the check (it is a pure
-/// debugging aid and the shipped configurations are lint-clean).
-pub fn debug_lint(fabric: &wse_arch::Fabric) {
-    #[cfg(debug_assertions)]
-    wse_lint::assert_clean(fabric);
-    #[cfg(not(debug_assertions))]
-    let _ = fabric;
-}

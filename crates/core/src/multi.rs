@@ -49,8 +49,8 @@ use crate::bicgstab::regs;
 use crate::exec::WaferExec;
 use crate::kernels::{alloc, TileMap};
 use crate::krylov::{
-    self, check_operator, IterCycles, Krylov, Layout, Phase, Program, Reduction, Slot, SolveStats,
-    Step, StepExec, Tasks, PAY_LANES, V,
+    self, check_operator, IterCycles, Krylov, Phase, Program, Reduction, Slot, SolveStats, Step,
+    StepExec, Tasks, PAY_LANES, V,
 };
 use crate::recovery::{self, RecoveryLog, RecoveryPolicy};
 use crate::WaferBicgstab;
@@ -66,6 +66,7 @@ use wse_dsl::tess::configure_spmv_routes;
 use wse_dsl::zcolumn::{
     build_overlap_halo, build_spmv_tile_halo, build_spmv_tile_overlapped, HaloBuffers, OverlapHalo,
 };
+use wse_dsl::Layout;
 use wse_float::F16;
 use wse_multi::MultiFabric;
 
@@ -397,7 +398,7 @@ impl WaferBicgstabMulti {
         }
         multi.pair_seams();
         for m in 0..k {
-            crate::debug_lint(multi.shard(m));
+            wse_dsl::debug_lint(multi.shard(m));
         }
 
         // One host round-trip over the binomial tree. The scalar trees

@@ -21,13 +21,16 @@
 //!   (e.g. the 25-point star of Jacquelin et al.) using only four colors.
 //! * [`lower`] — the dispatch from spec + mesh to one of the three
 //!   mappings, producing a [`lower::Lowered`] program handle; a bare SpMV
-//!   is [`lower()`] plus [`Lowered::apply`].
+//!   is [`lower()`] plus [`Lowered::apply`]. [`Layout`] is the one region
+//!   layout (a z-column or a `bx × by` block per tile) by which `Lowered`
+//!   and `wse-core`'s Krylov programs scatter and gather.
 //! * [`host`] — order-mirroring host reference applies (bit-exact per
 //!   datapath dtype).
 //!
 //! `wse-core`'s Krylov builder checks its operator with
-//! [`StencilSpec::check_bands`] and calls [`tess`], [`block2d`] and
-//! [`zcolumn`] directly.
+//! [`StencilSpec::check_bands`], lays its vectors out by [`Layout`], calls
+//! [`tess`], [`block2d`] and [`zcolumn`] directly, and ends, like
+//! [`lower()`], with [`debug_lint`].
 
 #![warn(missing_docs)]
 
@@ -44,14 +47,16 @@ pub mod tess;
 pub mod zcolumn;
 
 pub use ir::{Boundary, CoefKind, DslError, Precision, StencilSpec, Tap};
-pub use lower::{lower, lower_spec, Lowered};
+pub use lower::{lower, lower_spec, Layout, Lowered};
 pub use plan::{plan, Plan};
 
 /// Statically verifies a fully built wafer program in debug builds,
-/// panicking with the diagnostic report on any finding (the same invariant
-/// `wse-core::debug_lint` enforces for the hand-written drivers). Release
-/// builds skip the check.
-pub(crate) fn debug_lint(fabric: &wse_arch::Fabric) {
+/// panicking with the diagnostic report on any finding. [`lower()`] and
+/// every `wse-core` builder call this after program construction, so a
+/// misconfigured program fails at build time instead of stalling the
+/// simulation a million cycles later. Release builds skip the check (it is
+/// a pure debugging aid and the shipped configurations are lint-clean).
+pub fn debug_lint(fabric: &wse_arch::Fabric) {
     #[cfg(debug_assertions)]
     wse_lint::assert_clean(fabric);
     #[cfg(not(debug_assertions))]

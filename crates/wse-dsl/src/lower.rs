@@ -15,11 +15,17 @@
 //!
 //! The emitted program is verified by `wse-lint` in debug builds before the
 //! handle is returned: a `Lowered` is lint-clean by construction.
+//!
+//! Every mapping lays a tile's points out in one [`Layout`], and every
+//! emitter leaves one record per tile — entry task, iterate address,
+//! product address and product row stride — so [`Lowered::apply`] is one
+//! scatter, run and gather for all three.
 
 use stencil::decomp::{Block2D, Mapping3D};
 use stencil::dia::DiaMatrix;
-use stencil::mesh::Mesh3D;
+use stencil::mesh::{Mesh2D, Mesh3D};
 use stencil::precond::has_unit_diagonal;
+use stencil::Scalar;
 use wse_arch::fabric::STALL_WINDOW;
 use wse_arch::types::{Dtype, TaskId};
 use wse_arch::Fabric;
@@ -32,13 +38,68 @@ use crate::block2d::{
 use crate::ir::{DslError, StencilSpec};
 use crate::plan::{listing1_eligible, plan, Geometry, MappingPlan};
 use crate::relay::{
-    build_relay_tile, configure_relay_routes, load_relay_coefficients, RelayLayout, RelayTasks,
+    build_relay_tile, configure_relay_routes, load_relay_coefficients, RelayLayout,
 };
 use crate::tess::configure_spmv_routes;
-use crate::zcolumn::{
-    build_spmv_tile, load_coefficients, load_iterate, read_result, tile_coefficients, SpmvLayout,
-    SpmvTasks,
-};
+use crate::zcolumn::{build_spmv_tile, load_coefficients, tile_coefficients, SpmvLayout};
+
+/// How a tile region's local vectors map to the global mesh order — the
+/// one answer to "which mesh point is element `k` of tile `(x, y)`" for
+/// the lowered SpMVs and the Krylov solvers alike.
+#[derive(Copy, Clone, Debug)]
+pub enum Layout {
+    /// §IV.1: one contiguous z-column per tile.
+    ZColumn(Mapping3D),
+    /// §IV.2: one `bx × by` block per tile of a `w × h` region.
+    Block {
+        /// Per-tile block shape.
+        block: Block2D,
+        /// Region width in tiles.
+        w: usize,
+        /// Region height in tiles.
+        h: usize,
+    },
+}
+
+impl Layout {
+    /// §IV.1 for `a` on `fabric`: one z-column of its mesh per tile.
+    pub fn columns<S: Scalar>(fabric: &Fabric, a: &DiaMatrix<S>) -> Layout {
+        Layout::ZColumn(Mapping3D::new(a.mesh(), fabric.width(), fabric.height()))
+    }
+
+    /// Region extents `(w, h)` in tiles.
+    pub fn dims(&self) -> (usize, usize) {
+        match *self {
+            Layout::ZColumn(m) => (m.fabric_w, m.fabric_h),
+            Layout::Block { w, h, .. } => (w, h),
+        }
+    }
+
+    /// A tile's points as `rows` rows of `len`, `k = row · len + i`: a
+    /// z-column is one row, a block `bx` rows of `by`.
+    fn rows(&self) -> (usize, usize) {
+        match *self {
+            Layout::ZColumn(m) => (1, m.z),
+            Layout::Block { block, .. } => (block.bx, block.by),
+        }
+    }
+
+    /// Points per tile.
+    pub fn local_len(&self) -> usize {
+        let (rows, len) = self.rows();
+        rows * len
+    }
+
+    /// Global mesh index of tile `(tx, ty)`'s `k`-th local point.
+    pub fn row(&self, tx: usize, ty: usize, k: usize) -> usize {
+        match *self {
+            Layout::ZColumn(m) => m.core_rows(tx, ty).start + k,
+            Layout::Block { block: Block2D { bx, by }, w, h } => {
+                Mesh2D::new(w * bx, h * by).idx(tx * bx + k / by, ty * by + k % by)
+            }
+        }
+    }
+}
 
 /// A stencil operator lowered onto a fabric: routes configured, SRAM
 /// packed, coefficients loaded, tasks wired, and (in debug builds)
@@ -51,32 +112,25 @@ pub struct Lowered {
     pub fingerprint: u64,
     /// Element type of the datapath.
     pub dtype: Dtype,
-    detail: Detail,
+    kind: &'static str,
+    layout: Layout,
+    /// Cycle budget of one apply (only a stall ever reaches it).
+    budget: u64,
+    /// Per-tile SpMV records, region-relative `y * w + x` order.
+    tiles: Vec<TileSpmv>,
 }
 
-enum Detail {
-    Block {
-        w: usize,
-        h: usize,
-        block: Block2D,
-        r: usize,
-        mesh: Mesh3D,
-        layouts: Vec<BlockLayout>,
-        tasks: Vec<TaskId>,
-    },
-    Listing1 {
-        mapping: Mapping3D,
-        layouts: Vec<SpmvLayout>,
-        tasks: Vec<SpmvTasks>,
-    },
-    Relay {
-        w: usize,
-        h: usize,
-        rounds: usize,
-        mesh: Mesh3D,
-        layouts: Vec<RelayLayout>,
-        tasks: Vec<RelayTasks>,
-    },
+/// One tile's SpMV as the host drives it.
+#[derive(Copy, Clone, Debug)]
+struct TileSpmv {
+    /// Activating it starts one apply.
+    entry: TaskId,
+    /// The iterate's [`Layout::local_len`] words, in local order.
+    source: u32,
+    /// The product's first row.
+    product: u32,
+    /// Bytes from one product row to the next.
+    stride: u32,
 }
 
 /// Lowers `spec` with its coefficient matrix `a` onto `fabric`.
@@ -98,62 +152,48 @@ pub fn lower(
     spec.check_bands(a)?;
     let offsets = spec.offsets();
 
-    let detail = match p.mapping {
+    let mut tiles = Vec::new();
+    let (kind, layout, budget) = match p.mapping {
         MappingPlan::Block { w, h, block, r } => {
             configure_block_routes(fabric, w, h, r);
-            let mut layouts = Vec::with_capacity(w * h);
-            let mut tasks = Vec::with_capacity(w * h);
             for ty in 0..h {
                 for tx in 0..w {
                     let tile = fabric.tile_mut(tx, ty);
                     let layout = BlockLayout::alloc(tile, block, offsets.len(), r, p.dtype);
                     load_block_coefficients(tile, &layout, a, &offsets, tx, ty);
-                    let task = build_block_tile_task(tile, &layout, &offsets, tx, ty, w, h);
-                    tile.core.mark_entry(task);
-                    layouts.push(layout);
-                    tasks.push(task);
+                    let entry = build_block_tile_task(tile, &layout, &offsets, tx, ty, w, h);
+                    tile.core.mark_entry(entry);
+                    let product = layout.u_addr(r, r);
+                    let stride = layout.u_addr(r + 1, r) - product;
+                    tiles.push(TileSpmv { entry, source: layout.v, product, stride });
                 }
             }
-            crate::debug_lint(fabric);
-            Detail::Block { w, h, block, r, mesh, layouts, tasks }
+            let budget = 2_000 * block.points() as u64 + 100_000;
+            ("block", Layout::Block { block, w, h }, budget)
         }
         MappingPlan::Relay { .. } if listing1_eligible(spec) && has_unit_diagonal(a) => {
             // The paper's Listing-1 dataflow: strictly faster than one
             // relay round (neighbor columns stream through FIFOs while the
             // diagonal FMACs run), so it wins whenever eligible.
             let a16 = a.convert::<F16>();
-            let mapping = Mapping3D::new(mesh, fabric.width(), fabric.height());
-            configure_spmv_routes(fabric, mapping.fabric_w, mapping.fabric_h);
-            let mut layouts = Vec::with_capacity(mapping.cores());
-            let mut tasks = Vec::with_capacity(mapping.cores());
-            for y in 0..mapping.fabric_h {
-                for x in 0..mapping.fabric_w {
+            let m = Mapping3D::new(mesh, fabric.width(), fabric.height());
+            configure_spmv_routes(fabric, m.fabric_w, m.fabric_h);
+            for y in 0..m.fabric_h {
+                for x in 0..m.fabric_w {
                     let tile = fabric.tile_mut(x, y);
-                    let layout = SpmvLayout::alloc(tile, mapping.z as u32);
-                    let coeffs = tile_coefficients(&a16, x, y);
-                    load_coefficients(tile, &layout, &coeffs);
-                    let t = build_spmv_tile(
-                        tile,
-                        x,
-                        y,
-                        mapping.fabric_w,
-                        mapping.fabric_h,
-                        layout,
-                        None,
-                    );
-                    layouts.push(layout);
-                    tasks.push(t);
+                    let layout = SpmvLayout::alloc(tile, m.z as u32);
+                    load_coefficients(tile, &layout, &tile_coefficients(&a16, x, y));
+                    let t = build_spmv_tile(tile, x, y, m.fabric_w, m.fabric_h, layout, None);
+                    let source = layout.v_live();
+                    tiles.push(TileSpmv { entry: t.start, source, product: layout.u, stride: 0 });
                 }
             }
-            crate::debug_lint(fabric);
-            Detail::Listing1 { mapping, layouts, tasks }
+            ("listing1", Layout::ZColumn(m), 64 * m.z as u64 + 10_000)
         }
         MappingPlan::Relay { w, h, z, rx, ry, rz, rounds } => {
             configure_relay_routes(fabric, w, h, rx, ry);
             let ncoefvecs =
                 if crate::plan::relay_uses_registers(spec) { 0 } else { spec.taps.len() };
-            let mut layouts = Vec::with_capacity(w * h);
-            let mut tasks = Vec::with_capacity(w * h);
             for y in 0..h {
                 for x in 0..w {
                     let tile = fabric.tile_mut(x, y);
@@ -161,16 +201,25 @@ pub fn lower(
                         RelayLayout::alloc(tile, z as u32, ncoefvecs, (rx, ry, rz), p.dtype);
                     load_relay_coefficients(tile, &layout, spec, a, x, y);
                     let t = build_relay_tile(tile, x, y, w, h, &layout, spec);
-                    layouts.push(layout);
-                    tasks.push(t);
+                    let source = layout.v_live();
+                    tiles.push(TileSpmv { entry: t.start, source, product: layout.u, stride: 0 });
                 }
             }
-            crate::debug_lint(fabric);
-            Detail::Relay { w, h, rounds, mesh, layouts, tasks }
+            let budget = (rounds as u64 + 4) * (64 * z as u64 + 10_000) + 100_000;
+            ("relay", Layout::ZColumn(Mapping3D { fabric_w: w, fabric_h: h, z }), budget)
         }
     };
+    crate::debug_lint(fabric);
 
-    Ok(Lowered { name: spec.name.clone(), fingerprint: p.fingerprint, dtype: p.dtype, detail })
+    Ok(Lowered {
+        name: spec.name.clone(),
+        fingerprint: p.fingerprint,
+        dtype: p.dtype,
+        kind,
+        layout,
+        budget,
+        tiles,
+    })
 }
 
 /// Lowers an **all-constant** spec by materializing its matrix on `mesh`
@@ -201,11 +250,7 @@ impl Lowered {
     /// Which emitter produced the program: `"block"`, `"listing1"`, or
     /// `"relay"`.
     pub fn kind(&self) -> &'static str {
-        match self.detail {
-            Detail::Block { .. } => "block",
-            Detail::Listing1 { .. } => "listing1",
-            Detail::Relay { .. } => "relay",
-        }
+        self.kind
     }
 
     /// Executes one operator application `u = A v` on the fabric. `v` is in
@@ -215,102 +260,31 @@ impl Lowered {
     /// # Panics
     /// Panics if the fabric fails to quiesce or `v` has the wrong length.
     pub fn apply(&self, fabric: &mut Fabric, v: &[f64]) -> (Vec<f64>, u64) {
-        match &self.detail {
-            Detail::Block { w, h, block, r, mesh, layouts, tasks } => {
-                let (bx, by) = (block.bx, block.by);
-                assert_eq!(v.len(), mesh.len(), "iterate length mismatch");
-                for ty in 0..*h {
-                    for tx in 0..*w {
-                        let layout = &layouts[ty * w + tx];
-                        let mut local = vec![0.0f64; bx * by];
-                        for i in 0..bx {
-                            for j in 0..by {
-                                local[i * by + j] = v[mesh.idx(tx * bx + i, ty * by + j, 0)];
-                            }
-                        }
-                        let tile = fabric.tile_mut(tx, ty);
-                        store_scalar_slice(tile, layout.v, &local, self.dtype);
-                        tile.core.activate(tasks[ty * w + tx]);
-                    }
+        let (w, _) = self.layout.dims();
+        let (rows, len) = self.layout.rows();
+        assert_eq!(v.len(), self.tiles.len() * rows * len, "iterate length mismatch");
+        for (i, t) in self.tiles.iter().enumerate() {
+            let (tx, ty) = (i % w, i / w);
+            let local: Vec<f64> = (0..rows * len).map(|k| v[self.layout.row(tx, ty, k)]).collect();
+            let tile = fabric.tile_mut(tx, ty);
+            store_scalar_slice(tile, t.source, &local, self.dtype);
+            tile.core.activate(t.entry);
+        }
+        let cycles = fabric
+            .run_watched(self.budget, STALL_WINDOW)
+            .unwrap_or_else(|e| panic!("dsl {} apply stalled: {e}", self.kind));
+        let mut out = vec![0.0; v.len()];
+        for (i, t) in self.tiles.iter().enumerate() {
+            let (tx, ty) = (i % w, i / w);
+            for r in 0..rows {
+                let addr = t.product + r as u32 * t.stride;
+                let row = load_scalar_slice(fabric.tile(tx, ty), addr, len, self.dtype);
+                for (k, u) in (r * len..).zip(row) {
+                    out[self.layout.row(tx, ty, k)] = u;
                 }
-                let budget = 2_000 * (bx * by) as u64 + 100_000;
-                let cycles = fabric
-                    .run_watched(budget, STALL_WINDOW)
-                    .unwrap_or_else(|e| panic!("dsl block apply stalled: {e}"));
-                let mut out = vec![0.0; mesh.len()];
-                for ty in 0..*h {
-                    for tx in 0..*w {
-                        let layout = &layouts[ty * w + tx];
-                        let tile = fabric.tile(tx, ty);
-                        for i in 0..bx {
-                            let row =
-                                load_scalar_slice(tile, layout.u_addr(i + r, *r), by, self.dtype);
-                            for (j, &u) in row.iter().enumerate() {
-                                out[mesh.idx(tx * bx + i, ty * by + j, 0)] = u;
-                            }
-                        }
-                    }
-                }
-                (out, cycles)
-            }
-            Detail::Listing1 { mapping, layouts, tasks } => {
-                let m = *mapping;
-                assert_eq!(v.len(), m.cores() * m.z, "iterate length mismatch");
-                for y in 0..m.fabric_h {
-                    for x in 0..m.fabric_w {
-                        let i = y * m.fabric_w + x;
-                        let rows = m.core_rows(x, y);
-                        let v16: Vec<F16> = v[rows].iter().map(|&s| F16::from_f64(s)).collect();
-                        let tile = fabric.tile_mut(x, y);
-                        load_iterate(tile, &layouts[i], &v16);
-                        tile.core.activate(tasks[i].start);
-                    }
-                }
-                let budget = 64 * m.z as u64 + 10_000;
-                let cycles = fabric
-                    .run_watched(budget, STALL_WINDOW)
-                    .unwrap_or_else(|e| panic!("dsl listing1 apply stalled: {e}"));
-                let mut out = vec![0.0; v.len()];
-                for y in 0..m.fabric_h {
-                    for x in 0..m.fabric_w {
-                        let i = y * m.fabric_w + x;
-                        let u = read_result(fabric.tile(x, y), &layouts[i]);
-                        for (k, h16) in u.iter().enumerate() {
-                            out[m.core_rows(x, y).start + k] = h16.to_f64();
-                        }
-                    }
-                }
-                (out, cycles)
-            }
-            Detail::Relay { w, h, rounds, mesh, layouts, tasks } => {
-                assert_eq!(v.len(), mesh.len(), "iterate length mismatch");
-                let z = mesh.nz;
-                for y in 0..*h {
-                    for x in 0..*w {
-                        let i = y * w + x;
-                        let base = mesh.idx(x, y, 0);
-                        let col = &v[base..base + z];
-                        let tile = fabric.tile_mut(x, y);
-                        store_scalar_slice(tile, layouts[i].v_live(), col, self.dtype);
-                        tile.core.activate(tasks[i].start);
-                    }
-                }
-                let budget = (*rounds as u64 + 4) * (64 * z as u64 + 10_000) + 100_000;
-                let cycles = fabric
-                    .run_watched(budget, STALL_WINDOW)
-                    .unwrap_or_else(|e| panic!("dsl relay apply stalled: {e}"));
-                let mut out = vec![0.0; mesh.len()];
-                for y in 0..*h {
-                    for x in 0..*w {
-                        let i = y * w + x;
-                        let u = load_scalar_slice(fabric.tile(x, y), layouts[i].u, z, self.dtype);
-                        let base = mesh.idx(x, y, 0);
-                        out[base..base + z].copy_from_slice(&u);
-                    }
-                }
-                (out, cycles)
             }
         }
+        (out, cycles)
     }
 }
 
@@ -325,6 +299,27 @@ mod tests {
     /// round-trips exactly and exact-arithmetic comparisons are meaningful.
     fn test_iterate(n: usize) -> Vec<f64> {
         (0..n).map(|i| ((i * 37 + 11) % 23) as f64 * 0.0625 - 0.625).collect()
+    }
+
+    /// Every layout's `row` over all tiles and all local points hits each
+    /// mesh index exactly once.
+    #[test]
+    fn layout_rows_are_a_bijection() {
+        let blocks = [((1, 1), (1, 1)), ((1, 1), (3, 2)), ((3, 2), (2, 5)), ((4, 3), (3, 1))];
+        let blocks =
+            blocks.map(|((w, h), (bx, by))| Layout::Block { block: Block2D::new(bx, by), w, h });
+        let columns = [(1, 1, 1), (1, 1, 7), (3, 4, 5), (5, 2, 1)]
+            .map(|(nx, ny, nz)| Layout::ZColumn(Mapping3D::new(Mesh3D::new(nx, ny, nz), nx, ny)));
+        for layout in blocks.into_iter().chain(columns) {
+            let (w, h) = layout.dims();
+            let mut hits = vec![0; w * h * layout.local_len()];
+            for (ty, tx) in (0..h).flat_map(|ty| (0..w).map(move |tx| (ty, tx))) {
+                for k in 0..layout.local_len() {
+                    hits[layout.row(tx, ty, k)] += 1;
+                }
+            }
+            assert!(hits.iter().all(|&n| n == 1), "{layout:?}: {hits:?}");
+        }
     }
 
     #[test]

@@ -56,7 +56,8 @@ pub struct SpmvLayout {
 }
 
 impl SpmvLayout {
-    /// Allocates the layout in a tile's SRAM.
+    /// Allocates the layout in a tile's SRAM and zeroes the iterate's two
+    /// pad words, once: applies rewrite only the live part.
     ///
     /// # Panics
     /// Panics if the tile runs out of SRAM (the 48 KB budget is real).
@@ -66,6 +67,8 @@ impl SpmvLayout {
             *d = tile.mem.alloc_vec(z, Dtype::F16).expect("SRAM for diagonals");
         }
         let vpad = tile.mem.alloc_vec(z + 2, Dtype::F16).expect("SRAM for vpad");
+        tile.mem.write_f16(vpad, F16::ZERO);
+        tile.mem.write_f16(vpad + 2 * (z + 1), F16::ZERO);
         let u = tile.mem.alloc_vec(z, Dtype::F16).expect("SRAM for u");
         SpmvLayout { z, diag, vpad, u }
     }
@@ -672,19 +675,6 @@ pub fn load_coefficients(tile: &mut Tile, layout: &SpmvLayout, coeffs: &[Vec<F16
     }
 }
 
-/// Writes a tile's local iterate (with zero padding).
-pub fn load_iterate(tile: &mut Tile, layout: &SpmvLayout, v: &[F16]) {
-    assert_eq!(v.len() as u32, layout.z, "iterate length");
-    tile.mem.write_f16(layout.vpad, F16::ZERO);
-    tile.mem.store_f16_slice(layout.v_live(), v);
-    tile.mem.write_f16(layout.vpad + 2 * (layout.z + 1), F16::ZERO);
-}
-
-/// Reads a tile's result vector.
-pub fn read_result(tile: &Tile, layout: &SpmvLayout) -> Vec<F16> {
-    tile.mem.load_f16_slice(layout.u, layout.z as usize)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -729,7 +719,9 @@ mod tests {
         for y in 0..3 {
             for x in 0..3 {
                 let i = y * 3 + x;
-                load_iterate(f2.tile_mut(x, y), &layouts[i], &v[mapping.core_rows(x, y)]);
+                f2.tile_mut(x, y)
+                    .mem
+                    .store_f16_slice(layouts[i].v_live(), &v[mapping.core_rows(x, y)]);
                 f2.tile_mut(x, y).core.activate(tasks[i].start);
             }
         }
@@ -737,7 +729,7 @@ mod tests {
         let mut naive_out = vec![0.0; mesh.len()];
         for y in 0..3 {
             for x in 0..3 {
-                let u = read_result(f2.tile(x, y), &layouts[y * 3 + x]);
+                let u = f2.tile(x, y).mem.load_f16_slice(layouts[y * 3 + x].u, 256);
                 let rows = &mut naive_out[mapping.core_rows(x, y)];
                 rows.iter_mut().zip(u).for_each(|(o, h)| *o = h.to_f64());
             }

@@ -112,37 +112,9 @@ impl fmt::Display for StencilKind {
     }
 }
 
-/// Which wafer solver the program runs.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
-pub enum SolverKind {
-    /// BiCGStab on the 2D block mapping (§IV.2).
-    Bicgstab2d,
-}
-
-impl fmt::Display for SolverKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SolverKind::Bicgstab2d => write!(f, "bicgstab2d"),
-        }
-    }
-}
-
-/// On-wafer storage precision of the Krylov state.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
-pub enum Precision {
-    /// fp16 vectors, fp32 scalars (the paper's mixed precision).
-    F16,
-}
-
-impl fmt::Display for Precision {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Precision::F16 => write!(f, "f16"),
-        }
-    }
-}
-
-/// The compiled-program cache key: everything the builders read.
+/// The compiled-program cache key: everything the builders read. The
+/// service compiles one solver, the §IV.2 2D BiCGStab with fp16 vectors,
+/// which [`fmt::Display`] names as the key's last two fields.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct ProgramKey {
     /// Global mesh extents `(nx, ny)`.
@@ -151,10 +123,6 @@ pub struct ProgramKey {
     pub block: (usize, usize),
     /// The operator.
     pub stencil: StencilKind,
-    /// The solver.
-    pub solver: SolverKind,
-    /// The storage precision.
-    pub precision: Precision,
 }
 
 impl ProgramKey {
@@ -164,13 +132,7 @@ impl ProgramKey {
     /// # Panics
     /// Panics if the geometry is inconsistent.
     pub fn bicgstab2d(mesh: (usize, usize), block: (usize, usize), stencil: StencilKind) -> Self {
-        let key = ProgramKey {
-            mesh,
-            block,
-            stencil,
-            solver: SolverKind::Bicgstab2d,
-            precision: Precision::F16,
-        };
+        let key = ProgramKey { mesh, block, stencil };
         let (w, h) = key.region_tiles();
         assert!(w >= 2 && h >= 2, "2D solver needs at least 2x2 tiles, got {w}x{h}");
         key
@@ -212,17 +174,8 @@ impl ProgramKey {
 
 impl fmt::Display for ProgramKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}x{}/{}x{}/{}/{}/{}",
-            self.mesh.0,
-            self.mesh.1,
-            self.block.0,
-            self.block.1,
-            self.stencil,
-            self.solver,
-            self.precision
-        )
+        let ((nx, ny), (bx, by)) = (self.mesh, self.block);
+        write!(f, "{nx}x{ny}/{bx}x{by}/{}/bicgstab2d/f16", self.stencil)
     }
 }
 

@@ -17,7 +17,7 @@
 //! * **Compiled-program cache** ([`cache`]) — wafer program construction
 //!   (layout + routing + task compilation + lint) dominates turnaround for
 //!   repeat shapes, so compiled region images are cached under a
-//!   [`ProgramKey`] of `(mesh, block, stencil, solver, precision)`.
+//!   [`ProgramKey`] of `(mesh, block, stencil)`.
 //!   Programs are translation-invariant (routing is per-tile state), so a
 //!   cached image built at origin `(0,0)` is *blitted* into any tenant
 //!   region and driven through a rebased solver handle — repeat shapes
@@ -47,7 +47,7 @@ pub mod service;
 pub mod sim;
 
 pub use cache::{CacheStats, ProgramCache};
-pub use key::{Precision, ProgramKey, SolverKind, StencilKind};
+pub use key::{ProgramKey, StencilKind};
 pub use program::{program_digest, AdmitError, CompiledProgram};
 pub use service::{
     Backend, BillingRow, CacheTier, JobRecord, JobSpec, ServiceReport, TenantSpec, WaferService,

@@ -6,7 +6,8 @@
 # build, the whole workspace's tests, the exhaustive fp16 sweeps, clippy and
 # rustfmt, the non-test line count per crate (informational, no gate), a
 # grep that keeps the workspace single-threaded, the wse-lint
-# static verifier over every shipped kernel configuration (once more with
+# static verifier over every shipped kernel configuration (its plain and
+# --json stdout diffed against the checked-in output, once more with
 # --stats) and broken fixture, two twice-run-and-diffed fault-injection
 # smokes, a 128x128 SpMV smoke, the e2e-bench tests, and the exact simulated
 # counters of all four benchmark workloads. The four cycle identities (an armed trace, the
@@ -48,14 +49,23 @@ if grep -rnE 'rayon|par_iter|std::thread|thread::(scope|spawn)|available_paralle
   exit 1
 fi
 
-echo "== wse-lint (shipped kernel configurations) =="
-cargo run -q --release --bin wse-lint
+echo "== wse-lint (shipped kernel configurations, plain and --json) =="
+# Every shipped configuration must lint clean (exit 0) with exactly the
+# checked-in stdout (scripts/expected_shipped/wse-lint.{txt,json}; not under
+# scripts/expected_lints/, where tests/lint_pins.rs requires every file to be
+# a broken fixture).
+lint_out="$(mktemp)"
+cargo run -q --release --bin wse-lint > "$lint_out"
+diff -u scripts/expected_shipped/wse-lint.txt "$lint_out"
+cargo run -q --release --bin wse-lint -- --json > "$lint_out"
+diff -u scripts/expected_shipped/wse-lint.json "$lint_out"
+rm -f "$lint_out"
 
 echo "== wse-lint --stats (work counters and per-pass host time) =="
 # Every configuration reports its work counters and its per-pass split.
 # (What the counters must *be* — one facts build per tile class, the
 # catalog's class counts — is asserted in crates/wse-lint/src/tests.rs; the
-# fixture diff below is what shows the default output did not move.)
+# shipped-output diff above is what shows the default output did not move.)
 stats_out="$(cargo run -q --release --bin wse-lint -- --stats 2>&1 >/dev/null)"
 [ "$(grep -c ' stats: [0-9]* tiles, [0-9]* classes, ' <<<"$stats_out")" -eq 10 ]
 [ "$(grep -c ' host us: routes [0-9]*, colors ' <<<"$stats_out")" -eq 10 ]
@@ -66,9 +76,10 @@ echo "== wse-lint fixtures (broken programs vs expected diagnostics) =="
 # fire, the witnesses are stable, and nothing else regresses into the
 # report.
 fx_out="$(mktemp)"
-for fx in deadlock-request-reply deadlock-backpressure race-overlapping-writes \
-          race-write-after-read starved-no-producer starved-unreached-consumer \
-          dsl-radius-overflow dsl-sram-overflow; do
+fixtures=(deadlock-request-reply deadlock-backpressure race-overlapping-writes
+          race-write-after-read starved-no-producer starved-unreached-consumer
+          dsl-radius-overflow dsl-sram-overflow)
+for fx in "${fixtures[@]}"; do
   status=0
   cargo run -q --release --bin wse-lint -- "fixture:$fx" > "$fx_out" 2>/dev/null || status=$?
   if [ "$status" -ne 1 ]; then
@@ -78,7 +89,7 @@ for fx in deadlock-request-reply deadlock-backpressure race-overlapping-writes \
   diff -u "scripts/expected_lints/$fx.txt" "$fx_out"
 done
 rm -f "$fx_out"
-echo "all $(ls scripts/expected_lints/*.txt | wc -l) fixtures match their expected diagnostics"
+echo "all ${#fixtures[@]} fixtures match their expected diagnostics"
 
 # smoke_twice <label> <grep-pattern>... -- <cmd>...
 # Runs <cmd> twice, requires bit-identical stdout (each smoke's stdout is

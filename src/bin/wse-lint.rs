@@ -48,6 +48,7 @@ use wse_core::WaferBicgstab;
 use wse_dsl::StencilSpec;
 use wse_float::F16;
 use wse_lint::{lint_with_stats, LintStats, Pass, Severity};
+use wse_trace::json::escape;
 
 const ALL: &[&str] = &[
     "spmv3d",
@@ -160,23 +161,6 @@ fn build(config: &str) -> Fabric {
     }
 }
 
-/// Escapes a string for a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// The two `--stats` lines of one configuration.
 fn stats_report(config: &str, stats: &LintStats) -> String {
     let passes: Vec<String> = Pass::ALL
@@ -227,8 +211,8 @@ fn main() {
                 records.push(format!(
                     "{{\"config\":\"{}\",\"tile\":[0,0],\"severity\":\"error\",\
                      \"rule\":\"dsl-reject\",\"message\":\"{}\"}}",
-                    json_escape(config),
-                    json_escape(&err.to_string())
+                    escape(config),
+                    escape(&err.to_string())
                 ));
             } else {
                 println!("{config}: rejected by the DSL front-end (fabric untouched: {untouched})");
@@ -247,12 +231,12 @@ fn main() {
                 records.push(format!(
                     "{{\"config\":\"{}\",\"tile\":[{},{}],\"severity\":\"{}\",\
                      \"rule\":\"{}\",\"message\":\"{}\"}}",
-                    json_escape(config),
+                    escape(config),
                     d.tile.0,
                     d.tile.1,
                     d.severity,
                     d.rule,
-                    json_escape(&d.message)
+                    escape(&d.message)
                 ));
             }
         } else if diags.is_empty() {
