@@ -7,7 +7,8 @@
 //! equal [`program_digest`]s (a hash of every tile's SRAM contents, textual
 //! program dump, register file, and routing table); that parity proof is
 //! in git history. What remains are the six digests those builders
-//! produced, recorded once and pinned here.
+//! produced, recorded once and pinned here, beside pins for every catalog
+//! operator and for the relay emitter.
 //!
 //! If a change to the lowering layer alters allocation order, DSR order,
 //! task order, route insertion order, task names, or any emitted byte, this
@@ -20,7 +21,7 @@ use stencil::precond::jacobi_scale;
 use stencil::stencil7::convection_diffusion;
 use stencil::stencil9::laplace9;
 use wse_arch::Fabric;
-use wse_dsl::{lower, StencilSpec};
+use wse_dsl::{catalog, lower, lower_spec, StencilSpec};
 use wse_float::F16;
 use wse_serve::program::program_digest;
 
@@ -71,6 +72,47 @@ fn lowered_spmv2d_tall_and_wide_edge_tiles_are_byte_identical() {
     // combination in the halo-exchange task emission.
     assert_eq!(digest_2d(12, 3, 3, 3), 0x23b4_af79_3b98_578c, "4x1 fabric");
     assert_eq!(digest_2d(3, 12, 3, 3), 0x889e_89ed_bf77_32e4, "1x4 fabric");
+}
+
+// ---------------------------------------------------------------------------
+// Every emitter's bytes: each catalog operator through `lower_spec`, and a
+// 7-point operator whose diagonal is not all ones, which leaves Listing 1 for
+// the relay emitter with its coefficients in SRAM. Recorded once, pinned.
+// ---------------------------------------------------------------------------
+
+/// Digest of catalog operator `name` over `mesh` on a `w × h` fabric, after
+/// checking which emitter `lower_spec` chose.
+fn digest_catalog(name: &str, mesh: Mesh3D, (w, h): (usize, usize), kind: &str) -> u64 {
+    let block = (mesh.nz == 1).then(|| Block2D::new(mesh.nx / w, mesh.ny / h));
+    let mut fabric = Fabric::new(w, h);
+    let lowered = lower_spec(&mut fabric, &catalog::get(name).unwrap(), mesh, block).unwrap();
+    assert_eq!(lowered.kind(), kind, "{name}");
+    program_digest(&fabric)
+}
+
+#[test]
+fn catalog_programs_are_pinned() {
+    let plane = Mesh3D::new(12, 12, 1);
+    for (name, mesh, fabric, kind, digest) in [
+        ("star5-2d", plane, (3, 3), "block", 0x2755_023b_3f35_2d72),
+        ("box9-2d", plane, (3, 3), "block", 0xc1cb_eb66_9b76_db42),
+        ("star9-2d", plane, (3, 3), "block", 0xc0c4_b455_f78b_c065),
+        ("star7-3d", Mesh3D::new(3, 3, 12), (3, 3), "listing1", 0xfb3d_10f0_22f4_7de9),
+        ("star25-3d", Mesh3D::new(9, 6, 12), (9, 6), "relay", 0x602d_7703_6180_dfb8),
+    ] {
+        assert_eq!(digest_catalog(name, mesh, fabric, kind), digest, "{name} changed the program");
+    }
+}
+
+#[test]
+fn relay_with_sram_coefficients_is_pinned() {
+    // Convection-diffusion without Jacobi scaling: the diagonal is not 1.
+    let mesh = Mesh3D::new(4, 3, 10);
+    let a = convection_diffusion(mesh, (1.0, -0.5, 0.25), 1.0);
+    let mut fabric = Fabric::new(4, 3);
+    let lowered = lower(&mut fabric, &StencilSpec::var_seven_point_3d(), &a, None).unwrap();
+    assert_eq!(lowered.kind(), "relay");
+    assert_eq!(program_digest(&fabric), 0x2af1_4a17_d767_d461, "relay changed the program");
 }
 
 // ---------------------------------------------------------------------------

@@ -112,10 +112,14 @@ bench_bin() { cargo run -q --release -p wse-bench --bin "$@"; }
 
 # The smoke sweep solves a small wafer BiCGStab under one seeded fault per
 # kind with checkpoint/rollback recovery enabled: the whole
-# fault→watchdog→recovery pipeline is seeded and bit-for-bit reproducible.
+# fault→watchdog→recovery pipeline is seeded and bit-for-bit reproducible,
+# so both smokes' stdout is also diffed against the checked-in
+# scripts/expected_shipped/fault_sweep-*.txt (a change that means to move
+# it updates those files).
 smoke_twice "fault-injection smoke (one seeded fault of each kind, twice, diffed)" \
   "baseline (fault-free): Converged" \
   -- bench_bin fault_sweep -- --smoke
+diff -u scripts/expected_shipped/fault_sweep-smoke.txt "$smoke_out"
 
 # The --multi 2 leg drives the k=2 hierarchical solver through every
 # host-level fault class (frame drop/corrupt, link stall, wafer stall) with
@@ -126,6 +130,7 @@ smoke_twice "ensemble fault smoke (k=2 host-link faults, twice, diffed)" \
   "baseline (fault-free): Converged" \
   "host_link_drop" \
   -- bench_bin fault_sweep -- --multi 2 --smoke
+diff -u scripts/expected_shipped/fault_sweep-multi2-smoke.txt "$smoke_out"
 
 echo "== 128x128 Listing-1 SpMV smoke =="
 # One SpMV over 16,384 tiles, far past the benchmarks' fabrics, bit-exact
