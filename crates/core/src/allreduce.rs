@@ -20,8 +20,8 @@
 use wse_arch::dsr::mk;
 use wse_arch::fabric::STALL_WINDOW;
 use wse_arch::instr::{Op, RegOp, Stmt, Task, TensorInstr};
-use wse_arch::types::{Port, Reg, TaskId};
-use wse_arch::Fabric;
+use wse_arch::types::{Color, DsrId, Port, Reg, TaskId};
+use wse_arch::{Core, Fabric};
 
 /// Virtual channels used by the AllReduce, as offsets from a configurable
 /// base (disjoint instances let several scalars reduce **concurrently** —
@@ -501,23 +501,7 @@ impl AllReduceSplit {
         r_out: Reg,
         r_acc: Reg,
     ) -> AllReduceSplit {
-        Self::build_with_base(fabric, w, h, r_in, r_out, r_acc, colors::DEFAULT_BASE)
-    }
-
-    /// Like [`AllReduceSplit::build`], on a custom virtual-channel base.
-    ///
-    /// # Panics
-    /// Panics if the region is smaller than 2×2 or exceeds the fabric.
-    pub fn build_with_base(
-        fabric: &mut Fabric,
-        w: usize,
-        h: usize,
-        r_in: Reg,
-        r_out: Reg,
-        r_acc: Reg,
-        base: u8,
-    ) -> AllReduceSplit {
-        let net = AllReduce::routed(fabric, w, h, r_in, r_out, r_acc, base);
+        let net = AllReduce::routed(fabric, w, h, r_in, r_out, r_acc, colors::DEFAULT_BASE);
         let mut reduce = Vec::with_capacity(w * h);
         let mut bcast = Vec::with_capacity(w * h);
         for y in 0..h {
@@ -595,6 +579,32 @@ pub struct ChainReduce {
     pub bc_src: u32,
     reduce: Vec<TaskId>,
     bcast: Vec<TaskId>,
+}
+
+/// Appends tile `pos` of a `len`-tile systolic sum chain on `color` that
+/// flows toward `pos = 0`: the far end sends its `m`-word payload at `pay`
+/// (DSR `d_pay`), each middle relays `rx + pay`, and `pos = 0` folds the
+/// stream into its payload.
+fn chain_link(
+    core: &mut Core,
+    body: &mut Vec<Stmt>,
+    d_pay: DsrId,
+    (pay, m): (u32, u32),
+    pos: usize,
+    len: usize,
+    color: Color,
+) {
+    body.push(Stmt::InitDsr { dsr: d_pay, desc: mk::tensor32(pay, m) });
+    let tx = (pos > 0).then(|| core.add_dsr(mk::tx32(color, m)));
+    let rx = (pos + 1 < len).then(|| core.add_dsr(mk::rx32(color, m)));
+    body.extend(tx.map(|dsr| Stmt::InitDsr { dsr, desc: mk::tx32(color, m) }));
+    body.extend(rx.map(|dsr| Stmt::InitDsr { dsr, desc: mk::rx32(color, m) }));
+    let (op, dst, a, b) = match (tx, rx) {
+        (Some(tx), None) => (Op::Copy, tx, d_pay, None),
+        (Some(tx), Some(rx)) => (Op::Add, tx, rx, Some(d_pay)),
+        (None, rx) => (Op::AddAssign, d_pay, rx.expect("a chain has two ends"), None),
+    };
+    body.push(Stmt::Exec(TensorInstr { op, dst: Some(dst), a: Some(a), b }));
 }
 
 impl ChainReduce {
@@ -683,99 +693,15 @@ impl ChainReduce {
                 let core = &mut fabric.tile_mut(x, y).core;
                 let d_pay = core.add_dsr(mk::tensor32(pay, m));
                 let mut body = Vec::new();
-                // Row segment: rightmost sends, middles relay-and-add,
-                // column 0 folds the row stream into its payload.
+                // Row segment, then the column segment on x = 0 (after the
+                // row fold). The row's payload DSR exists even on a
+                // one-column region.
                 if w > 1 {
-                    body.push(Stmt::InitDsr { dsr: d_pay, desc: mk::tensor32(pay, m) });
-                    if x == w - 1 {
-                        let d_tx = core.add_dsr(mk::tx32(chain_colors::ROW, m));
-                        body.push(Stmt::InitDsr {
-                            dsr: d_tx,
-                            desc: mk::tx32(chain_colors::ROW, m),
-                        });
-                        body.push(Stmt::Exec(TensorInstr {
-                            op: Op::Copy,
-                            dst: Some(d_tx),
-                            a: Some(d_pay),
-                            b: None,
-                        }));
-                    } else if x > 0 {
-                        let d_tx = core.add_dsr(mk::tx32(chain_colors::ROW, m));
-                        let d_rx = core.add_dsr(mk::rx32(chain_colors::ROW, m));
-                        body.push(Stmt::InitDsr {
-                            dsr: d_tx,
-                            desc: mk::tx32(chain_colors::ROW, m),
-                        });
-                        body.push(Stmt::InitDsr {
-                            dsr: d_rx,
-                            desc: mk::rx32(chain_colors::ROW, m),
-                        });
-                        body.push(Stmt::Exec(TensorInstr {
-                            op: Op::Add,
-                            dst: Some(d_tx),
-                            a: Some(d_rx),
-                            b: Some(d_pay),
-                        }));
-                    } else {
-                        let d_rx = core.add_dsr(mk::rx32(chain_colors::ROW, m));
-                        body.push(Stmt::InitDsr {
-                            dsr: d_rx,
-                            desc: mk::rx32(chain_colors::ROW, m),
-                        });
-                        body.push(Stmt::Exec(TensorInstr {
-                            op: Op::AddAssign,
-                            dst: Some(d_pay),
-                            a: Some(d_rx),
-                            b: None,
-                        }));
-                    }
+                    chain_link(core, &mut body, d_pay, (pay, m), x, w, chain_colors::ROW);
                 }
-                // Column segment on x = 0, after the row fold above.
                 if x == 0 && h > 1 {
-                    let d_pay2 = core.add_dsr(mk::tensor32(pay, m));
-                    body.push(Stmt::InitDsr { dsr: d_pay2, desc: mk::tensor32(pay, m) });
-                    if y == h - 1 {
-                        let d_tx = core.add_dsr(mk::tx32(chain_colors::COL, m));
-                        body.push(Stmt::InitDsr {
-                            dsr: d_tx,
-                            desc: mk::tx32(chain_colors::COL, m),
-                        });
-                        body.push(Stmt::Exec(TensorInstr {
-                            op: Op::Copy,
-                            dst: Some(d_tx),
-                            a: Some(d_pay2),
-                            b: None,
-                        }));
-                    } else if y > 0 {
-                        let d_tx = core.add_dsr(mk::tx32(chain_colors::COL, m));
-                        let d_rx = core.add_dsr(mk::rx32(chain_colors::COL, m));
-                        body.push(Stmt::InitDsr {
-                            dsr: d_tx,
-                            desc: mk::tx32(chain_colors::COL, m),
-                        });
-                        body.push(Stmt::InitDsr {
-                            dsr: d_rx,
-                            desc: mk::rx32(chain_colors::COL, m),
-                        });
-                        body.push(Stmt::Exec(TensorInstr {
-                            op: Op::Add,
-                            dst: Some(d_tx),
-                            a: Some(d_rx),
-                            b: Some(d_pay2),
-                        }));
-                    } else {
-                        let d_rx = core.add_dsr(mk::rx32(chain_colors::COL, m));
-                        body.push(Stmt::InitDsr {
-                            dsr: d_rx,
-                            desc: mk::rx32(chain_colors::COL, m),
-                        });
-                        body.push(Stmt::Exec(TensorInstr {
-                            op: Op::AddAssign,
-                            dst: Some(d_pay2),
-                            a: Some(d_rx),
-                            b: None,
-                        }));
-                    }
+                    let d_pay = core.add_dsr(mk::tensor32(pay, m));
+                    chain_link(core, &mut body, d_pay, (pay, m), y, h, chain_colors::COL);
                 }
                 let red = core.add_task(Task::new("chain-reduce", body));
                 core.mark_entry(red);

@@ -63,9 +63,7 @@ use wse_arch::instr::{Op, Stmt, Task, TensorInstr};
 use wse_arch::types::{Color, Dtype, Port, Reg, TaskId};
 use wse_arch::Fabric;
 use wse_dsl::tess::configure_spmv_routes;
-use wse_dsl::zcolumn::{
-    build_overlap_halo, build_spmv_tile_halo, build_spmv_tile_overlapped, HaloBuffers, OverlapHalo,
-};
+use wse_dsl::zcolumn::{build_overlap_halo, build_spmv_tile, HaloBuffers, OverlapHalo, SeamFold};
 use wse_dsl::Layout;
 use wse_float::F16;
 use wse_multi::MultiFabric;
@@ -323,8 +321,7 @@ impl WaferBicgstabMulti {
                 let (spmv, seam) = if !(east_seam || west_seam) {
                     // Interior tile: no seam machinery, byte-identical
                     // program under both schedules.
-                    let spmv = lay
-                        .map(|l| build_spmv_tile_overlapped(tile, lx, y, lw, h, l, vec![], None));
+                    let spmv = lay.map(|l| build_spmv_tile(tile, lx, y, lw, h, l, SeamFold::None));
                     (spmv, Seam::None)
                 } else {
                     // A slab is ≥ 2 wide, so a tile sits on at most one seam.
@@ -350,8 +347,8 @@ impl WaferBicgstabMulti {
                             )
                         });
                         let spmv = [0, 1].map(|i| {
-                            let folds = vec![halo[i].fold];
-                            build_spmv_tile_overlapped(tile, lx, y, lw, h, lay[i], folds, None)
+                            let seam = SeamFold::Overlap(vec![halo[i].fold]);
+                            build_spmv_tile(tile, lx, y, lw, h, lay[i], seam)
                         });
                         (spmv, Seam::Overlap(halo))
                     } else {
@@ -359,8 +356,8 @@ impl WaferBicgstabMulti {
                             xp: east_seam.then_some(buf),
                             xm: west_seam.then_some(buf),
                         };
-                        let spmv =
-                            lay.map(|l| build_spmv_tile_halo(tile, lx, y, lw, h, l, bufs, None));
+                        let spmv = lay
+                            .map(|l| build_spmv_tile(tile, lx, y, lw, h, l, SeamFold::Sync(bufs)));
                         let halo = [("halo-p", lay[0]), ("halo-q", lay[1])].map(|(name, l)| {
                             build_halo_task(tile, name, l.v_live(), buf, send, recv, z)
                         });
@@ -368,8 +365,8 @@ impl WaferBicgstabMulti {
                     }
                 };
                 let mut tasks = Tasks::new();
-                for (spmv, &(slot, ..)) in spmv.iter().zip(recurrence.spmvs) {
-                    tasks[slot] = spmv.start;
+                for (&spmv, &(slot, ..)) in spmv.iter().zip(recurrence.spmvs) {
+                    tasks[slot] = spmv;
                 }
                 recurrence.emit(&mut tile.core, &TileMap::column(at, z), &mut tasks);
                 tiles.push((tasks, at));

@@ -23,38 +23,22 @@
 //! frozen by that contract. The x-round wing is `r` *contiguous*
 //! extended columns, so any radius still needs exactly one send and one
 //! receive thread per side; the y round streams each of the `r` halo rows
-//! on its own color pair ([`crate::colors::halo_s`]).
+//! on its own color pair ([`crate::colors::halo_s`]). Every halo stream is
+//! one send or receive launch and the inter-round barrier is one barrier
+//! chain, all from the emitters' shared `dataflow` module.
 
 use crate::colors::{halo_n, halo_s, HALO_E, HALO_W};
+use crate::dataflow::{barrier_chain, recv, send, t_mem, t_strided};
 use stencil::decomp::Block2D;
 use stencil::dia::{DiaMatrix, Offset3};
 use stencil::scalar::Scalar;
-use wse_arch::dsr::Descriptor;
 use wse_arch::instr::{Op, Stmt, Task, TaskAction, TensorInstr};
-use wse_arch::types::{Color, Dtype, Port, TaskId};
+use wse_arch::types::{Dtype, Port, TaskId};
 use wse_arch::{Fabric, Tile};
 use wse_float::F16;
 
 /// Register used as the zero constant when clearing the output buffer.
 const R_ZERO: usize = 30;
-
-/// Contiguous rewinding memory tensor of `dtype`.
-fn t_mem(addr: u32, len: u32, dtype: Dtype) -> Descriptor {
-    Descriptor::Mem { addr, len, stride: 1, dtype, rewind: true }
-}
-
-/// Strided rewinding memory tensor of `dtype`.
-fn t_strided(addr: u32, len: u32, stride: u32, dtype: Dtype) -> Descriptor {
-    Descriptor::Mem { addr, len, stride, dtype, rewind: true }
-}
-
-fn t_tx(color: Color, len: u32, dtype: Dtype) -> Descriptor {
-    Descriptor::FabricOut { color, len, dtype }
-}
-
-fn t_rx(color: Color, len: u32, dtype: Dtype) -> Descriptor {
-    Descriptor::FabricIn { color, len, dtype }
-}
 
 /// Byte addresses of one tile's block-mapped data.
 #[derive(Clone, Debug)]
@@ -284,155 +268,44 @@ pub fn build_block_tile_task(
     let has_s = ty + 1 < h;
     let has_n = ty > 0;
 
-    // Barrier between rounds: chain of two-input barriers over the
-    // launched threads of round 1.
+    // Barrier between rounds: a chain over round 1's launched threads (a
+    // send and an add-from-neighbor per x neighbor).
     let round2 = core.add_task(Task::new("halo-y", vec![]));
-    let mut r1_threads = 0usize;
-    r1_threads += usize::from(has_e) * 2; // send E + add-from-E
-    r1_threads += usize::from(has_w) * 2;
-    let mut chain: Vec<TaskId> = Vec::new();
-    if r1_threads >= 2 {
-        let n = r1_threads - 1;
-        for _ in 0..n {
-            // Every barrier starts blocked: it needs BOTH its Activate
-            // and its Unblock trigger before it may run.
-            chain.push(core.add_task(Task::new("halo-x-barrier", vec![]).blocked()));
-        }
-        for i in 0..n {
-            let next = if i + 1 < n {
-                Stmt::TaskCtl { task: chain[i + 1], action: TaskAction::Activate }
-            } else {
-                Stmt::TaskCtl { task: round2, action: TaskAction::Activate }
-            };
-            // Re-block first (the paper's two-way barrier reset), so the
-            // chain is armed again for the next SpMV invocation.
-            core.set_task_body(
-                chain[i],
-                vec![Stmt::TaskCtl { task: chain[i], action: TaskAction::Block }, next],
-            );
-        }
-    }
-    let trigger = |k: usize, chain: &Vec<TaskId>| -> Option<(TaskId, TaskAction)> {
-        if chain.is_empty() {
-            return None;
-        }
-        Some(match k {
-            0 => (chain[0], TaskAction::Activate),
-            1 => (chain[0], TaskAction::Unblock),
-            k => (chain[k - 1], TaskAction::Unblock),
-        })
-    };
+    let r1_threads = 2 * (usize::from(has_e) + usize::from(has_w));
+    let chain = barrier_chain(core, "halo-x-barrier", r1_threads, Some(round2));
 
-    let mut k = 0usize;
-    let mut slot = 0u8;
-    if has_e {
-        // Send the east wing (contiguous columns bx+r .. bx+2r).
-        let d_src = core.add_dsr(t_mem(layout.u_addr(bx + r, 0), strip_h, dt));
-        let d_tx = core.add_dsr(t_tx(HALO_E, strip_h, dt));
-        body.push(Stmt::InitDsr { dsr: d_tx, desc: t_tx(HALO_E, strip_h, dt) });
-        body.push(Stmt::Launch {
-            slot,
-            instr: TensorInstr { op: Op::Copy, dst: Some(d_tx), a: Some(d_src), b: None },
-            on_complete: trigger(k, &chain),
-        });
-        slot += 1;
-        k += 1;
-        // Receive the east neighbor's westward wing into interior columns
-        // bx .. bx+r.
-        let d_rx = core.add_dsr(t_rx(HALO_W, strip_h, dt));
-        let d_acc = core.add_dsr(t_mem(layout.u_addr(bx, 0), strip_h, dt));
-        body.push(Stmt::InitDsr { dsr: d_rx, desc: t_rx(HALO_W, strip_h, dt) });
-        body.push(Stmt::Launch {
-            slot,
-            instr: TensorInstr { op: Op::AddAssign, dst: Some(d_acc), a: Some(d_rx), b: None },
-            on_complete: trigger(k, &chain),
-        });
-        slot += 1;
-        k += 1;
+    // Per side: (present, first column out, first column in, colors).
+    let wing = |i: usize| t_mem(layout.u_addr(i, 0), strip_h, dt);
+    let sides = [(has_e, bx + r, bx, HALO_E, HALO_W), (has_w, 0, r, HALO_W, HALO_E)];
+    let mut k = 0;
+    for (_, out, into, c_out, c_in) in sides.into_iter().filter(|side| side.0) {
+        send(core, &mut body, k as u8, wing(out), c_out, chain.trigger(k));
+        recv(core, &mut body, k as u8 + 1, c_in, Op::AddAssign, wing(into), chain.trigger(k + 1));
+        k += 2;
     }
-    if has_w {
-        let d_src = core.add_dsr(t_mem(layout.u_addr(0, 0), strip_h, dt));
-        let d_tx = core.add_dsr(t_tx(HALO_W, strip_h, dt));
-        body.push(Stmt::InitDsr { dsr: d_tx, desc: t_tx(HALO_W, strip_h, dt) });
-        body.push(Stmt::Launch {
-            slot,
-            instr: TensorInstr { op: Op::Copy, dst: Some(d_tx), a: Some(d_src), b: None },
-            on_complete: trigger(k, &chain),
-        });
-        slot += 1;
-        k += 1;
-        let d_rx = core.add_dsr(t_rx(HALO_E, strip_h, dt));
-        let d_acc = core.add_dsr(t_mem(layout.u_addr(r, 0), strip_h, dt));
-        body.push(Stmt::InitDsr { dsr: d_rx, desc: t_rx(HALO_E, strip_h, dt) });
-        body.push(Stmt::Launch {
-            slot,
-            instr: TensorInstr { op: Op::AddAssign, dst: Some(d_acc), a: Some(d_rx), b: None },
-            on_complete: trigger(k, &chain),
-        });
-        k += 1;
-    }
-    let _ = (slot, k);
-    if chain.is_empty() {
+    if r1_threads == 0 {
         // No x neighbors: go straight to round 2.
         body.push(Stmt::TaskCtl { task: round2, action: TaskAction::Activate });
     }
 
     // --- Round 2 (y direction): interior-width strips, one per halo ring,
-    // each ring on its own color pair. A "row j = const" strip is strided
-    // by (by + 2r). ---
+    // each ring on its own color pair; the +y side sends extended rows
+    // by+r+ring and adds into rows by+ring, the −y side sends rows ring and
+    // adds into rows r+ring. A "row j = const" strip is strided by
+    // (by + 2r). ---
     let mut r2_body: Vec<Stmt> = Vec::new();
-    let strip_w = bx as u32;
-    let stride = ub_w;
     // Radius 1 keeps the frozen slot base 4 (round-1 slots stay untouched);
     // radius 2 needs 4r = 8 launch slots, so it reuses the round-1 slots —
     // safe because the inter-round barrier guarantees they retired, and a
     // busy slot only stall-retries anyway.
-    let mut slot2 = if 4 * r + 4 <= 9 { 4u8 } else { 0u8 };
-    if has_s {
+    let mut slot = if 4 * r + 4 <= 9 { 4u8 } else { 0u8 };
+    let strip = |j: usize| t_strided(layout.u_addr(r, j), bx as u32, ub_w, dt);
+    let sides = [(has_s, by + r, by, [halo_s, halo_n]), (has_n, 0, r, [halo_n, halo_s])];
+    for (_, out, into, [c_out, c_in]) in sides.into_iter().filter(|side| side.0) {
         for ring in 0..r {
-            // Output halo for the +y neighbor: extended row j = by+r+ring,
-            // interior columns i = r .. r+bx.
-            let d_src =
-                core.add_dsr(t_strided(layout.u_addr(r, by + r + ring), strip_w, stride, dt));
-            let d_tx = core.add_dsr(t_tx(halo_s(ring), strip_w, dt));
-            r2_body.push(Stmt::InitDsr { dsr: d_tx, desc: t_tx(halo_s(ring), strip_w, dt) });
-            r2_body.push(Stmt::Launch {
-                slot: slot2,
-                instr: TensorInstr { op: Op::Copy, dst: Some(d_tx), a: Some(d_src), b: None },
-                on_complete: None,
-            });
-            slot2 += 1;
-            let d_rx = core.add_dsr(t_rx(halo_n(ring), strip_w, dt));
-            let d_acc = core.add_dsr(t_strided(layout.u_addr(r, by + ring), strip_w, stride, dt));
-            r2_body.push(Stmt::InitDsr { dsr: d_rx, desc: t_rx(halo_n(ring), strip_w, dt) });
-            r2_body.push(Stmt::Launch {
-                slot: slot2,
-                instr: TensorInstr { op: Op::AddAssign, dst: Some(d_acc), a: Some(d_rx), b: None },
-                on_complete: None,
-            });
-            slot2 += 1;
-        }
-    }
-    if has_n {
-        for ring in 0..r {
-            let d_src = core.add_dsr(t_strided(layout.u_addr(r, ring), strip_w, stride, dt));
-            let d_tx = core.add_dsr(t_tx(halo_n(ring), strip_w, dt));
-            r2_body.push(Stmt::InitDsr { dsr: d_tx, desc: t_tx(halo_n(ring), strip_w, dt) });
-            r2_body.push(Stmt::Launch {
-                slot: slot2,
-                instr: TensorInstr { op: Op::Copy, dst: Some(d_tx), a: Some(d_src), b: None },
-                on_complete: None,
-            });
-            slot2 += 1;
-            let d_rx = core.add_dsr(t_rx(halo_s(ring), strip_w, dt));
-            let d_acc = core.add_dsr(t_strided(layout.u_addr(r, r + ring), strip_w, stride, dt));
-            r2_body.push(Stmt::InitDsr { dsr: d_rx, desc: t_rx(halo_s(ring), strip_w, dt) });
-            r2_body.push(Stmt::Launch {
-                slot: slot2,
-                instr: TensorInstr { op: Op::AddAssign, dst: Some(d_acc), a: Some(d_rx), b: None },
-                on_complete: None,
-            });
-            slot2 += 1;
+            send(core, &mut r2_body, slot, strip(out + ring), c_out(ring), None);
+            recv(core, &mut r2_body, slot + 1, c_in(ring), Op::AddAssign, strip(into + ring), None);
+            slot += 2;
         }
     }
     core.set_task_body(round2, r2_body);

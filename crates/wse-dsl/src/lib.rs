@@ -16,9 +16,14 @@
 //! * [`block2d`] — the generalized radius-`r` 2D block mapping with
 //!   output-halo exchange; at radius 1 it emits byte-identical programs to
 //!   the original hand-written 2D SpMV builder.
-//! * [`zcolumn`] — the Listing-1 Z-column dataflow.
+//! * [`zcolumn`] — the Listing-1 Z-column dataflow, one entry point
+//!   ([`zcolumn::build_spmv_tile`]) whose [`zcolumn::SeamFold`] says how a
+//!   wafer-seam tile's halo terms enter.
 //! * [`relay`] — store-and-forward relay rounds for wide 3D star stencils
 //!   (e.g. the 25-point star of Jacquelin et al.) using only four colors.
+//! * `dataflow` (private) — the vocabulary those three emitters write their
+//!   tasks in, each piece once: rewinding memory tensors, the send and
+//!   receive stream launches, and Listing 1's two-way barrier chain.
 //! * [`lower`] — the dispatch from spec + mesh to one of the three
 //!   mappings, producing a [`lower::Lowered`] program handle; a bare SpMV
 //!   is [`lower()`] plus [`Lowered::apply`]. [`Layout`] is the one region
@@ -37,6 +42,7 @@
 pub mod block2d;
 pub mod catalog;
 pub mod colors;
+mod dataflow;
 pub mod fixtures;
 pub mod host;
 pub mod ir;

@@ -41,7 +41,7 @@ use crate::relay::{
     build_relay_tile, configure_relay_routes, load_relay_coefficients, RelayLayout,
 };
 use crate::tess::configure_spmv_routes;
-use crate::zcolumn::{build_spmv_tile, load_coefficients, tile_coefficients, SpmvLayout};
+use crate::zcolumn::{build_spmv_tile, load_coefficients, tile_coefficients, SeamFold, SpmvLayout};
 
 /// How a tile region's local vectors map to the global mesh order — the
 /// one answer to "which mesh point is element `k` of tile `(x, y)`" for
@@ -183,9 +183,10 @@ pub fn lower(
                     let tile = fabric.tile_mut(x, y);
                     let layout = SpmvLayout::alloc(tile, m.z as u32);
                     load_coefficients(tile, &layout, &tile_coefficients(&a16, x, y));
-                    let t = build_spmv_tile(tile, x, y, m.fabric_w, m.fabric_h, layout, None);
+                    let (w, h) = (m.fabric_w, m.fabric_h);
+                    let entry = build_spmv_tile(tile, x, y, w, h, layout, SeamFold::None);
                     let source = layout.v_live();
-                    tiles.push(TileSpmv { entry: t.start, source, product: layout.u, stride: 0 });
+                    tiles.push(TileSpmv { entry, source, product: layout.u, stride: 0 });
                 }
             }
             ("listing1", Layout::ZColumn(m), 64 * m.z as u64 + 10_000)
@@ -200,9 +201,9 @@ pub fn lower(
                     let layout =
                         RelayLayout::alloc(tile, z as u32, ncoefvecs, (rx, ry, rz), p.dtype);
                     load_relay_coefficients(tile, &layout, spec, a, x, y);
-                    let t = build_relay_tile(tile, x, y, w, h, &layout, spec);
+                    let entry = build_relay_tile(tile, x, y, w, h, &layout, spec);
                     let source = layout.v_live();
-                    tiles.push(TileSpmv { entry: t.start, source, product: layout.u, stride: 0 });
+                    tiles.push(TileSpmv { entry, source, product: layout.u, stride: 0 });
                 }
             }
             let budget = (rounds as u64 + 4) * (64 * z as u64 + 10_000) + 100_000;

@@ -18,12 +18,15 @@
 //! the taps in spec order: constant coefficients live in core registers
 //! (AXPY/Scale forms), per-cell-variable ones in SRAM coefficient columns
 //! (FMAC forms).
+//!
+//! Each round's sends and receives are the shared `dataflow` stream
+//! launches, joined by its barrier chain.
 
 use crate::colors::{RELAY_E, RELAY_N, RELAY_S, RELAY_W};
+use crate::dataflow::{barrier_chain, recv, send, t_mem};
 use crate::ir::{CoefKind, StencilSpec};
 use crate::plan::{distinct_consts, relay_uses_registers, CONST_REG_BASE};
 use stencil::dia::DiaMatrix;
-use wse_arch::dsr::Descriptor;
 use wse_arch::instr::{Op, Stmt, Task, TaskAction, TensorInstr};
 use wse_arch::types::{Color, Dtype, Port, TaskId};
 use wse_arch::{Fabric, Tile};
@@ -37,18 +40,6 @@ pub const XM: usize = 1;
 pub const YP: usize = 2;
 /// Data from the −y side.
 pub const YM: usize = 3;
-
-fn t_mem(addr: u32, len: u32, dtype: Dtype) -> Descriptor {
-    Descriptor::Mem { addr, len, stride: 1, dtype, rewind: true }
-}
-
-fn t_tx(color: Color, len: u32, dtype: Dtype) -> Descriptor {
-    Descriptor::FabricOut { color, len, dtype }
-}
-
-fn t_rx(color: Color, len: u32, dtype: Dtype) -> Descriptor {
-    Descriptor::FabricIn { color, len, dtype }
-}
 
 /// Byte addresses of one tile's relay-mapped data.
 #[derive(Clone, Debug)]
@@ -104,16 +95,6 @@ impl RelayLayout {
     pub fn v_live(&self) -> u32 {
         self.vpad + self.dtype.bytes() * self.radius.2 as u32
     }
-}
-
-/// Task ids of one tile's relay program.
-#[derive(Clone, Debug)]
-pub struct RelayTasks {
-    /// The entry task (round 1, or the compute task when no rounds exist);
-    /// activate it to start one apply.
-    pub start: TaskId,
-    /// The final compute task.
-    pub compute: TaskId,
 }
 
 /// Relay routing for a `w × h` region at the fabric origin: each direction
@@ -173,6 +154,8 @@ pub fn load_relay_coefficients(
 
 /// Builds one tile's relay program: `max(rx, ry)` forwarding rounds, a
 /// barrier between consecutive rounds, then the tap-order compute task.
+/// Marks the entry task (round 1, or the compute task when no rounds exist)
+/// and returns it; activate it to start one apply.
 pub fn build_relay_tile(
     tile: &mut Tile,
     x: usize,
@@ -181,7 +164,7 @@ pub fn build_relay_tile(
     h: usize,
     layout: &RelayLayout,
     spec: &StencilSpec,
-) -> RelayTasks {
+) -> TaskId {
     let z = layout.z;
     let (rx, ry, rz) = layout.radius;
     let dt = layout.dtype;
@@ -291,63 +274,18 @@ pub fn build_relay_tile(
             }
         }
 
-        let nlaunch = sends.len() + recvs.len();
         // Completion chain over this round's background threads, the same
         // two-way-barrier idiom as the Z-column kernel; the last barrier
         // activates the next round (or the compute task).
-        let mut chain: Vec<TaskId> = Vec::new();
-        if nlaunch >= 2 {
-            for _ in 0..nlaunch - 1 {
-                chain.push(core.add_task(Task::new("dsl-relay-barrier", vec![]).blocked()));
-            }
-            for i in 0..chain.len() {
-                let fire = if i + 1 < chain.len() {
-                    Stmt::TaskCtl { task: chain[i + 1], action: TaskAction::Activate }
-                } else {
-                    Stmt::TaskCtl { task: next, action: TaskAction::Activate }
-                };
-                core.set_task_body(
-                    chain[i],
-                    vec![Stmt::TaskCtl { task: chain[i], action: TaskAction::Block }, fire],
-                );
-            }
-        }
-        let trigger = |k: usize| -> Option<(TaskId, TaskAction)> {
-            if chain.is_empty() {
-                // A single launch activates the successor directly; zero
-                // launches are handled by an in-body Activate below.
-                return (nlaunch == 1).then_some((next, TaskAction::Activate));
-            }
-            Some(match k {
-                0 => (chain[0], TaskAction::Activate),
-                1 => (chain[0], TaskAction::Unblock),
-                k => (chain[k - 1], TaskAction::Unblock),
-            })
-        };
-
+        let nlaunch = sends.len() + recvs.len();
+        let chain = barrier_chain(core, "dsl-relay-barrier", nlaunch, Some(next));
         let mut body: Vec<Stmt> = Vec::new();
-        let mut k = 0usize;
-        for &(slot, color, src) in &sends {
-            let d_src = core.add_dsr(t_mem(src, z, dt));
-            let d_tx = core.add_dsr(t_tx(color, z, dt));
-            body.push(Stmt::InitDsr { dsr: d_tx, desc: t_tx(color, z, dt) });
-            body.push(Stmt::Launch {
-                slot,
-                instr: TensorInstr { op: Op::Copy, dst: Some(d_tx), a: Some(d_src), b: None },
-                on_complete: trigger(k),
-            });
-            k += 1;
+        for (k, &(slot, color, src)) in sends.iter().enumerate() {
+            send(core, &mut body, slot, t_mem(src, z, dt), color, chain.trigger(k));
         }
-        for &(slot, color, dst) in &recvs {
-            let d_rx = core.add_dsr(t_rx(color, z, dt));
-            let d_buf = core.add_dsr(t_mem(dst, z, dt));
-            body.push(Stmt::InitDsr { dsr: d_rx, desc: t_rx(color, z, dt) });
-            body.push(Stmt::Launch {
-                slot,
-                instr: TensorInstr { op: Op::Copy, dst: Some(d_buf), a: Some(d_rx), b: None },
-                on_complete: trigger(k),
-            });
-            k += 1;
+        for (k, &(slot, color, dst)) in recvs.iter().enumerate() {
+            let done = chain.trigger(sends.len() + k);
+            recv(core, &mut body, slot, color, Op::Copy, t_mem(dst, z, dt), done);
         }
         if nlaunch == 0 {
             body.push(Stmt::TaskCtl { task: next, action: TaskAction::Activate });
@@ -358,5 +296,5 @@ pub fn build_relay_tile(
     }
 
     core.mark_entry(next);
-    RelayTasks { start: next, compute }
+    next
 }

@@ -17,13 +17,19 @@
 //!   back local stream directly** — "Because the diagonal is all ones there
 //!   is no FIFO and no multiplication",
 //! * a chain of two-way barriers (block/unblock/activate) detects completion
-//!   and hands control back (the paper's `xdone/ydone/.../xycdone` tree).
+//!   (the paper's `xdone/ydone/.../xycdone` tree), built by the emitters'
+//!   shared `dataflow::barrier_chain`.
+//!
+//! [`build_spmv_tile`] is the one entry point; its [`SeamFold`] adds a
+//! wafer-seam tile's ±x halo terms (serial or interior-first) and builds
+//! the plain kernel when there are none.
 //!
 //! One deviation from Listing 1 is documented in DESIGN.md: the paper also
 //! sources the `zp` term from the loopback to save memory bandwidth; this
 //! model folds memory bandwidth into the datapath SIMD widths, so `zp` reads
 //! the in-memory copy and the loopback feeds only the main-diagonal add.
 
+use crate::dataflow::{barrier_chain, recv};
 use crate::tess::{incoming_colors, spmv_color};
 use stencil::dia::{DiaMatrix, Offset3};
 use wse_arch::dsr::mk;
@@ -79,16 +85,6 @@ impl SpmvLayout {
     }
 }
 
-/// Task ids of one tile's SpMV program.
-#[derive(Clone, Debug)]
-pub struct SpmvTasks {
-    /// The entry task; activate it to start one SpMV.
-    pub start: TaskId,
-    /// The final barrier; its body fires the continuation. Also activatable
-    /// for tests.
-    pub last_barrier: TaskId,
-}
-
 /// Which neighbors a tile has (edge tiles have fewer streams).
 #[derive(Copy, Clone, Debug, Default)]
 struct Neighbors {
@@ -112,8 +108,28 @@ pub struct HaloBuffers {
     pub xm: Option<u32>,
 }
 
-/// Builds one tile's SpMV program. `continuation` (task, action) fires when
-/// the SpMV completes.
+/// How a wafer-seam tile's ±x halo contribution enters the SpMV. Every
+/// variant builds the same program when it carries no halo; the default is
+/// a tile off every seam.
+#[derive(Clone, Debug, Default)]
+pub enum SeamFold {
+    /// No seam: the tile's every neighbor is on its own wafer.
+    #[default]
+    None,
+    /// Serial schedule: fold each present halo buffer in with a synchronous
+    /// fused multiply-add right after the z terms (a separate halo phase
+    /// filled the buffer before the SpMV runs).
+    Sync(HaloBuffers),
+    /// Interior-first schedule: the named [`build_overlap_halo`] fold tasks
+    /// carry the halo terms. The SpMV body only *unblocks* them once `u` is
+    /// initialized; each fires when its receive also completes, so halo
+    /// wire time hides behind the interior compute.
+    Overlap(Vec<TaskId>),
+}
+
+/// Builds one tile's SpMV program, marks its entry task and returns it;
+/// activate the entry task to run one SpMV. `seam` says how a wafer-seam
+/// tile's ±x halo terms enter (none off a seam).
 ///
 /// The caller must have configured the tessellation routes
 /// ([`crate::tess::configure_spmv_routes`]) and loaded coefficients via
@@ -125,91 +141,8 @@ pub fn build_spmv_tile(
     region_w: usize,
     region_h: usize,
     layout: SpmvLayout,
-    continuation: Option<(TaskId, TaskAction)>,
-) -> SpmvTasks {
-    build_spmv_tile_halo(
-        tile,
-        x,
-        y,
-        region_w,
-        region_h,
-        layout,
-        HaloBuffers::default(),
-        continuation,
-    )
-}
-
-/// How a seam tile's ±x halo contribution enters the SpMV.
-enum SeamFold {
-    /// Fold each present halo buffer in with a synchronous fused
-    /// multiply-add right after the z terms (the buffer was filled by a
-    /// separate, serial halo phase).
-    Sync(HaloBuffers),
-    /// Interior-first: the named [`build_overlap_halo`] fold tasks carry
-    /// the halo terms. The SpMV body only *unblocks* them once `u` is
-    /// initialized; each fires when its receive also completes, so halo
-    /// wire time hides behind the interior compute.
-    Overlap(Vec<TaskId>),
-}
-
-/// [`build_spmv_tile`] with wafer-seam halo terms: for each `Some` halo
-/// buffer, the kernel adds `u += a_x± · halo` as a synchronous fused
-/// multiply-add right after the in-memory z terms. With both halos `None`
-/// the built program is identical to [`build_spmv_tile`]'s.
-#[allow(clippy::too_many_arguments)]
-pub fn build_spmv_tile_halo(
-    tile: &mut Tile,
-    x: usize,
-    y: usize,
-    region_w: usize,
-    region_h: usize,
-    layout: SpmvLayout,
-    halo: HaloBuffers,
-    continuation: Option<(TaskId, TaskAction)>,
-) -> SpmvTasks {
-    build_spmv_tile_seam(tile, x, y, region_w, region_h, layout, SeamFold::Sync(halo), continuation)
-}
-
-/// [`build_spmv_tile`] in the **interior-first overlapped** schedule: the
-/// interior compute starts immediately, and each task in `folds` (built
-/// with [`build_overlap_halo`]) is unblocked right after `u` is
-/// initialized by the z terms. With `folds` empty the built program is
-/// identical to [`build_spmv_tile`]'s — interior tiles never pay for the
-/// seam machinery.
-#[allow(clippy::too_many_arguments)]
-pub fn build_spmv_tile_overlapped(
-    tile: &mut Tile,
-    x: usize,
-    y: usize,
-    region_w: usize,
-    region_h: usize,
-    layout: SpmvLayout,
-    folds: Vec<TaskId>,
-    continuation: Option<(TaskId, TaskAction)>,
-) -> SpmvTasks {
-    build_spmv_tile_seam(
-        tile,
-        x,
-        y,
-        region_w,
-        region_h,
-        layout,
-        SeamFold::Overlap(folds),
-        continuation,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn build_spmv_tile_seam(
-    tile: &mut Tile,
-    x: usize,
-    y: usize,
-    region_w: usize,
-    region_h: usize,
-    layout: SpmvLayout,
     seam: SeamFold,
-    continuation: Option<(TaskId, TaskAction)>,
-) -> SpmvTasks {
+) -> TaskId {
     let z = layout.z;
     let mine = spmv_color(x, y);
     let (cxp, cxm, cyp, cym) = incoming_colors(x, y);
@@ -245,45 +178,10 @@ fn build_spmv_tile_seam(
     let d_ym_acc = core.add_dsr(mk::acc16(layout.u, z));
 
     // --- Completion chain. Participating threads: one per existing
-    // neighbor, plus the loopback add and the send. ---
-    let mut threads = 2; // c add + send
-    for present in [nb.xp, nb.xm, nb.yp, nb.ym] {
-        if present {
-            threads += 1;
-        }
-    }
-    // Chain tasks C1..C(threads-1): C1 triggered by (T1 Activate, T2
-    // Unblock); each later Ci starts blocked, is activated by C(i-1)'s body
-    // and unblocked by T(i+1)'s completion. The last body fires the
-    // continuation.
-    let nchain = threads - 1;
-    let mut chain: Vec<TaskId> = Vec::with_capacity(nchain);
-    for _ in 0..nchain {
-        // Every barrier starts blocked: it needs both its Activate and its
-        // Unblock trigger before it may run (the paper's two-way barriers).
-        chain.push(core.add_task(Task::new("spmv-barrier", vec![]).blocked()));
-    }
-    // Fill chain bodies. Like the paper's tree ("task xdone { block(xdone),
-    // unblock(xydone) }"), each barrier RE-BLOCKS ITSELF first so it is
-    // armed again for the next SpMV invocation.
-    for i in 0..nchain {
-        let mut body = vec![Stmt::TaskCtl { task: chain[i], action: TaskAction::Block }];
-        if i + 1 < nchain {
-            body.push(Stmt::TaskCtl { task: chain[i + 1], action: TaskAction::Activate });
-        } else if let Some((task, action)) = continuation {
-            body.push(Stmt::TaskCtl { task, action });
-        }
-        core.set_task_body(chain[i], body);
-    }
-    // Trigger assignment: thread k (0-based) → k == 0: Activate C1;
-    // k == 1: Unblock C1; k >= 2: Unblock C(k-1).
-    let trigger = |k: usize| -> (TaskId, TaskAction) {
-        match k {
-            0 => (chain[0], TaskAction::Activate),
-            1 => (chain[0], TaskAction::Unblock),
-            k => (chain[k - 1], TaskAction::Unblock),
-        }
-    };
+    // neighbor, plus the loopback add and the send. Nothing follows the
+    // last barrier: the SpMV is complete when the fabric goes quiescent.
+    let threads = 2 + [nb.xp, nb.xm, nb.yp, nb.ym].iter().filter(|&&p| p).count();
+    let chain = barrier_chain(core, "spmv-barrier", threads, None);
 
     // --- FIFOs + sumtask. ---
     // sumtask is created first (empty) so FIFOs can reference it; its body
@@ -336,7 +234,7 @@ fn build_spmv_tile_seam(
     body.push(Stmt::Launch {
         slot: 5,
         instr: TensorInstr { op: Op::Copy, dst: Some(d_tx), a: Some(d_send_src), b: None },
-        on_complete: Some(trigger(thread_no)),
+        on_complete: chain.trigger(thread_no),
     });
     thread_no += 1;
 
@@ -362,6 +260,7 @@ fn build_spmv_tile_seam(
     // lands, concurrently with the product threads below (the fold is an
     // accumulate-class FMA, so it commutes with the FIFO drains).
     match &seam {
+        SeamFold::None => {}
         SeamFold::Sync(halo) => {
             for (buf, coeff) in [(halo.xp, layout.diag[0]), (halo.xm, layout.diag[1])] {
                 if let Some(base) = buf {
@@ -398,7 +297,7 @@ fn build_spmv_tile_seam(
                 a: Some(rxs[i]),
                 b: Some(diags[i]),
             },
-            on_complete: Some(trigger(thread_no)),
+            on_complete: chain.trigger(thread_no),
         });
         thread_no += 1;
     }
@@ -407,12 +306,12 @@ fn build_spmv_tile_seam(
     body.push(Stmt::Launch {
         slot: 6,
         instr: TensorInstr { op: Op::AddAssign, dst: Some(d_c_acc), a: Some(d_c_rx), b: None },
-        on_complete: Some(trigger(thread_no)),
+        on_complete: chain.trigger(thread_no),
     });
 
     let start = core.add_task(Task::new("spmv", body));
     core.mark_entry(start);
-    SpmvTasks { start, last_barrier: *chain.last().unwrap() }
+    start
 }
 
 /// Task ids of one seam tile's overlapped halo machinery for one SpMV
@@ -436,8 +335,8 @@ pub struct OverlapHalo {
 /// Builds the interior-first halo exchange for one seam side of one tile:
 /// a launch-and-retire send of `src_live`, a background receive into
 /// `buf`, and the fold task adding `coeff · buf` into `u`. Pass the fold
-/// id to [`build_spmv_tile_overlapped`] so the SpMV releases it at the
-/// right time.
+/// id to [`build_spmv_tile`] in a [`SeamFold::Overlap`] so the SpMV releases
+/// it at the right time.
 #[allow(clippy::too_many_arguments)]
 pub fn build_overlap_halo(
     tile: &mut Tile,
@@ -513,7 +412,7 @@ pub fn build_spmv_tile_naive(
     region_w: usize,
     region_h: usize,
     layout: SpmvLayout,
-) -> SpmvTasks {
+) -> TaskId {
     let z = layout.z;
     let mine = spmv_color(x, y);
     let (cxp, cxm, cyp, cym) = incoming_colors(x, y);
@@ -545,39 +444,18 @@ pub fn build_spmv_tile_naive(
     // variant: the broadcast fanout is all-or-nothing, so draining neighbor
     // streams one at a time lets an undrained branch backpressure a sender
     // that a third tile is blocked on — a circular wait once z outgrows the
-    // queue slack.
-    let threads = 2 + present.iter().filter(|&&p| p).count();
-    let nchain = threads - 1;
-    let mut chain: Vec<TaskId> = Vec::with_capacity(nchain);
-    for _ in 0..nchain {
-        chain.push(core.add_task(Task::new("naive-barrier", vec![]).blocked()));
-    }
-    // The multiplies wait for the whole chain: no receive/multiply overlap,
-    // which is the point of the ablation.
+    // queue slack. The multiplies wait for the whole chain: no
+    // receive/multiply overlap, which is the point of the ablation.
     let fma = core.add_task(Task::new("spmv-naive-fma", vec![]));
-    for i in 0..nchain {
-        let mut cbody = vec![Stmt::TaskCtl { task: chain[i], action: TaskAction::Block }];
-        if i + 1 < nchain {
-            cbody.push(Stmt::TaskCtl { task: chain[i + 1], action: TaskAction::Activate });
-        } else {
-            cbody.push(Stmt::TaskCtl { task: fma, action: TaskAction::Activate });
-        }
-        core.set_task_body(chain[i], cbody);
-    }
-    let trigger = |k: usize| -> (TaskId, TaskAction) {
-        match k {
-            0 => (chain[0], TaskAction::Activate),
-            1 => (chain[0], TaskAction::Unblock),
-            k => (chain[k - 1], TaskAction::Unblock),
-        }
-    };
+    let threads = 2 + present.iter().filter(|&&p| p).count();
+    let chain = barrier_chain(core, "naive-barrier", threads, Some(fma));
 
     let mut body = vec![
         Stmt::InitDsr { dsr: d_tx, desc: mk::tx16(mine, z) },
         Stmt::Launch {
             slot: 5,
             instr: TensorInstr { op: Op::Copy, dst: Some(d_tx), a: Some(d_send_src), b: None },
-            on_complete: Some(trigger(0)),
+            on_complete: chain.trigger(0),
         },
     ];
     let mut thread_no = 1;
@@ -599,18 +477,9 @@ pub fn build_spmv_tile_naive(
             b: Some(d_zp_b),
         }),
     ];
-    for i in 0..4 {
-        if !present[i] {
-            continue;
-        }
-        let d_rx = core.add_dsr(mk::rx16(colors[i], z));
-        let d_buf_w = core.add_dsr(mk::tensor16(bufs[i], z));
-        body.push(Stmt::InitDsr { dsr: d_rx, desc: mk::rx16(colors[i], z) });
-        body.push(Stmt::Launch {
-            slot: i as u8,
-            instr: TensorInstr { op: Op::Copy, dst: Some(d_buf_w), a: Some(d_rx), b: None },
-            on_complete: Some(trigger(thread_no)),
-        });
+    for i in (0..4).filter(|&i| present[i]) {
+        let dst = mk::tensor16(bufs[i], z);
+        recv(core, &mut body, i as u8, colors[i], Op::Copy, dst, chain.trigger(thread_no));
         thread_no += 1;
         let d_buf_r = core.add_dsr(mk::tensor16(bufs[i], z));
         let d_a = core.add_dsr(mk::tensor16(layout.diag[i], z));
@@ -623,15 +492,7 @@ pub fn build_spmv_tile_naive(
         }));
     }
     // Loopback diagonal, equally buffered through scratch.
-    let d_c_rx = core.add_dsr(mk::rx16(mine, z));
-    let d_cbuf_w = core.add_dsr(mk::tensor16(cbuf, z));
-    body.push(Stmt::InitDsr { dsr: d_c_rx, desc: mk::rx16(mine, z) });
-    body.push(Stmt::Launch {
-        slot: 6,
-        instr: TensorInstr { op: Op::Copy, dst: Some(d_cbuf_w), a: Some(d_c_rx), b: None },
-        on_complete: Some(trigger(thread_no)),
-    });
-
+    recv(core, &mut body, 6, mine, Op::Copy, mk::tensor16(cbuf, z), chain.trigger(thread_no));
     let d_cbuf_r = core.add_dsr(mk::tensor16(cbuf, z));
     let d_u_c = core.add_dsr(mk::tensor16(layout.u, z));
     fma_body.push(Stmt::Exec(TensorInstr {
@@ -644,7 +505,7 @@ pub fn build_spmv_tile_naive(
 
     let start = core.add_task(Task::new("spmv-naive", body));
     core.mark_entry(start);
-    SpmvTasks { start, last_barrier: *chain.last().unwrap() }
+    start
 }
 
 /// Extracts tile `(x, y)`'s six off-diagonal coefficient vectors from a
@@ -722,7 +583,7 @@ mod tests {
                 f2.tile_mut(x, y)
                     .mem
                     .store_f16_slice(layouts[i].v_live(), &v[mapping.core_rows(x, y)]);
-                f2.tile_mut(x, y).core.activate(tasks[i].start);
+                f2.tile_mut(x, y).core.activate(tasks[i]);
             }
         }
         let naive_cycles = f2.run_watched(1_000_000, 1_000_000).unwrap();

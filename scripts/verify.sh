@@ -8,8 +8,9 @@
 # grep that keeps the workspace single-threaded, the wse-lint
 # static verifier over every shipped kernel configuration (its plain and
 # --json stdout diffed against the checked-in output, once more with
-# --stats) and broken fixture, two twice-run-and-diffed fault-injection
-# smokes, a 128x128 SpMV smoke, the e2e-bench tests, and the exact simulated
+# --stats) and broken fixture, two fault-injection smokes (each run twice
+# and diffed, then diffed against its checked-in stdout), a 128x128 SpMV
+# smoke, the e2e-bench tests, and the exact simulated
 # counters of all four benchmark workloads. The four cycle identities (an armed trace, the
 # runtime sanitizer, the reference stepper and a framed k = 2 split all land
 # on the plain run's cycles) are tier-1 tests:
