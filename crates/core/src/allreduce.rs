@@ -447,7 +447,7 @@ impl AllReduce {
         for y in 0..self.tree.h {
             for x in 0..self.tree.w {
                 let core = &mut fabric.tile_mut(x, y).core;
-                core.regs[self.r_in] = values[y * self.tree.w + x];
+                core.regs[self.r_in as usize] = values[y * self.tree.w + x];
                 core.activate(self.tasks[y * self.tree.w + x]);
             }
         }
@@ -457,7 +457,7 @@ impl AllReduce {
         let mut out = Vec::with_capacity(values.len());
         for y in 0..self.tree.h {
             for x in 0..self.tree.w {
-                out.push(fabric.tile(x, y).core.regs[self.r_out]);
+                out.push(fabric.tile(x, y).core.regs[self.r_out as usize]);
             }
         }
         (out, cycles)
@@ -875,13 +875,13 @@ mod tests {
         for y in 0..h {
             for x in 0..w {
                 let core = &mut fabric.tile_mut(x, y).core;
-                core.regs[R_IN] = values[y * w + x];
+                core.regs[R_IN as usize] = values[y * w + x];
                 core.activate(ar.reduce_task(x, y));
             }
         }
         fabric.run_watched(100_000, 100_000).unwrap();
         let (rx, ry) = ar.root();
-        let partial = fabric.tile(rx, ry).core.regs[R_ACC];
+        let partial = fabric.tile(rx, ry).core.regs[R_ACC as usize];
         assert!((partial - expect).abs() <= 1e-3, "root partial {partial} vs {expect}");
         for y in 0..h {
             for x in 0..w {
@@ -891,7 +891,7 @@ mod tests {
         fabric.run_watched(100_000, 100_000).unwrap();
         for y in 0..h {
             for x in 0..w {
-                let got = fabric.tile(x, y).core.regs[R_OUT];
+                let got = fabric.tile(x, y).core.regs[R_OUT as usize];
                 assert!((got - expect).abs() <= 1e-3, "tile ({x},{y}) got {got}");
             }
         }
@@ -946,7 +946,7 @@ mod tests {
         for y in 0..h {
             for x in 0..w {
                 for (i, &r) in regs.iter().enumerate() {
-                    let got = fabric.tile(x, y).core.regs[r];
+                    let got = fabric.tile(x, y).core.regs[r as usize];
                     assert_eq!(got, 10.0 + i as f32, "tile ({x},{y}) reg {r}");
                 }
             }

@@ -100,11 +100,11 @@ impl WaferExec for Fabric {
     }
 
     fn set_reg(&mut self, x: usize, y: usize, reg: Reg, value: f32) {
-        self.tile_mut(x, y).core.regs[reg] = value;
+        self.tile_mut(x, y).core.regs[reg as usize] = value;
     }
 
     fn reg(&self, x: usize, y: usize, reg: Reg) -> f32 {
-        self.tile(x, y).core.regs[reg]
+        self.tile(x, y).core.regs[reg as usize]
     }
 
     fn checkpoint(&mut self) -> FabricCheckpoint {
@@ -164,12 +164,12 @@ impl WaferExec for MultiFabric {
 
     fn set_reg(&mut self, x: usize, y: usize, reg: Reg, value: f32) {
         let (m, lx) = self.to_local(x);
-        self.shard_mut(m).tile_mut(lx, y).core.regs[reg] = value;
+        self.shard_mut(m).tile_mut(lx, y).core.regs[reg as usize] = value;
     }
 
     fn reg(&self, x: usize, y: usize, reg: Reg) -> f32 {
         let (m, lx) = self.to_local(x);
-        self.shard(m).tile(lx, y).core.regs[reg]
+        self.shard(m).tile(lx, y).core.regs[reg as usize]
     }
 
     fn checkpoint(&mut self) -> EnsembleCheckpoint {

@@ -1590,7 +1590,7 @@ impl<P: Precision, M: FnMut(&[P::Storage], &mut [P::Storage])> HostExec<P, M> {
         }
         let (preset, value) = rec.presets;
         for &reg in preset {
-            self.regs[reg] = P::Global::from_f64(value.into());
+            self.regs[reg as usize] = P::Global::from_f64(value.into());
         }
         let Ok(_) = walk(rec.seed, self);
         self.iteration = 0;
@@ -1626,7 +1626,7 @@ impl<P: Precision, M: FnMut(&[P::Storage], &mut [P::Storage])> HostExec<P, M> {
     /// storage; `dst` may alias either operand. (An AXPY `dst += r[s] · a`
     /// is the case `a = dst`.)
     fn xpay(&mut self, s: Reg, dst: V, a: V, b: V) {
-        let s = P::Storage::from_f64(self.regs[s].to_f64());
+        let s = P::Storage::from_f64(self.regs[s as usize].to_f64());
         let out = self.vector(a).iter().zip(self.vector(b)).map(|(&a, &b)| a.mul_add(s, b));
         self.vectors[self.home[dst as usize]] = out.collect();
         self.tally.axpys += 1;
@@ -1643,7 +1643,7 @@ impl<P: Precision, M: FnMut(&[P::Storage], &mut [P::Storage])> StepExec for Host
                 Kernel::Dot(a, b, sum) => {
                     let dot = P::dot(self.vector(a), self.vector(b));
                     match sum {
-                        Sum::Rearmed(reg) | Sum::Plain(reg) => self.regs[reg] = dot,
+                        Sum::Rearmed(reg) | Sum::Plain(reg) => self.regs[reg as usize] = dot,
                         Sum::Lane(j) => self.pay[j as usize] = dot.to_f64() as f32,
                     }
                     self.tally.dots += 1;
@@ -1656,8 +1656,8 @@ impl<P: Precision, M: FnMut(&[P::Storage], &mut [P::Storage])> StepExec for Host
                     }
                 }
                 Arith(op, dst, a, b) => {
-                    let (a, b) = (self.regs[a], self.regs[b]);
-                    self.regs[dst] = match op {
+                    let (a, b) = (self.regs[a as usize], self.regs[b as usize]);
+                    self.regs[dst as usize] = match op {
                         Add => a.add(b),
                         Sub => a.sub(b),
                         Mul => a.mul(b),
@@ -1666,7 +1666,9 @@ impl<P: Precision, M: FnMut(&[P::Storage], &mut [P::Storage])> StepExec for Host
                         RegOp::Mov => a,
                     };
                 }
-                Kernel::Set(reg, value) => self.regs[reg] = P::Global::from_f64(value.into()),
+                Kernel::Set(reg, value) => {
+                    self.regs[reg as usize] = P::Global::from_f64(value.into())
+                }
             }
         }
         Ok(())
@@ -1691,22 +1693,22 @@ impl<P: Precision, M: FnMut(&[P::Storage], &mut [P::Storage])> StepExec for Host
         self.tally.reductions += 1;
         let rec = self.recurrence;
         if rec.reply.is_empty() {
-            self.regs[regs::AR_OUT] = self.regs[regs::AR_IN];
+            self.regs[regs::AR_OUT as usize] = self.regs[regs::AR_IN as usize];
             if kind == Reduction::Both {
-                self.regs[regs::AR_OUT2] = self.regs[regs::AR_IN2];
+                self.regs[regs::AR_OUT2 as usize] = self.regs[regs::AR_IN2 as usize];
             }
             return Ok(Vec::new());
         }
         if kind != Reduction::ToHost {
             for (&reg, value) in rec.reply.iter().zip((rec.derive)(&self.pay)) {
-                self.regs[reg] = P::Global::from_f64(value.into());
+                self.regs[reg as usize] = P::Global::from_f64(value.into());
             }
         }
         Ok(self.pay.to_vec())
     }
 
     fn copy_reg(&mut self, dst: Reg, src: Reg) {
-        self.regs[dst] = self.regs[src];
+        self.regs[dst as usize] = self.regs[src as usize];
     }
 }
 

@@ -125,7 +125,7 @@ impl WaferReduce {
         let (rx, ry) = self.root();
         let tile = shard.tile(rx, ry);
         match self {
-            WaferReduce::Tree(r) => vec![tile.core.regs[r.r_acc]],
+            WaferReduce::Tree(r) => vec![tile.core.regs[r.r_acc as usize]],
             WaferReduce::Chain(c) => (0..c.m).map(|j| tile.mem.read_f32(c.pay + 4 * j)).collect(),
         }
     }
@@ -135,7 +135,7 @@ impl WaferReduce {
         let (rx, ry) = self.root();
         let tile = shard.tile_mut(rx, ry);
         match self {
-            WaferReduce::Tree(r) => tile.core.regs[r.r_acc] = reply[0],
+            WaferReduce::Tree(r) => tile.core.regs[r.r_acc as usize] = reply[0],
             WaferReduce::Chain(c) => {
                 for (i, &val) in reply.iter().enumerate() {
                     tile.mem.write_f32(c.bc_src + 4 * i as u32, val);

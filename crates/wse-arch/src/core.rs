@@ -25,8 +25,8 @@ use crate::memory::{Memory, TILE_SRAM_BYTES};
 use crate::sanitize::CoreSanitizer;
 use crate::trace::{CoreTrace, StallCause};
 use crate::types::{
-    Color, DsrId, Dtype, FifoId, Flit, Ring, TaskId, NUM_COLORS, NUM_REGS, NUM_THREADS, SIMD_F16,
-    SIMD_F32, SIMD_MIXED,
+    Color, DsrId, Dtype, FifoId, Flit, Ring, SlotTable, TaskId, NUM_COLORS, NUM_REGS, NUM_THREADS,
+    SIMD_F16, SIMD_F32, SIMD_MIXED,
 };
 use wse_float::F16;
 
@@ -103,7 +103,7 @@ enum Operand {
     Mem { addr: u32, step: u32 },
     FabricIn { color: usize },
     FabricOut { color: usize },
-    Fifo { fifo: FifoId },
+    Fifo { fifo: usize },
 }
 
 /// One issue of a tensor instruction the batched datapath can run: every
@@ -145,12 +145,12 @@ pub struct Core {
     /// knows where control can enter; the simulator never reads it.
     entries: Vec<TaskId>,
     /// Words received from the router, one queue per color.
-    ramp_in: [Ring; NUM_COLORS],
+    ramp_in: SlotTable<Ring, NUM_COLORS>,
     /// Words awaiting injection into the router, one queue per color (the
     /// hardware gives every fabric color its own egress queue). Injection
     /// round-robins across non-empty colors so a thin stream (e.g. a seam
     /// halo) is never starved behind a bulk stream sharing the ramp.
-    ramp_out: [Ring; NUM_COLORS],
+    ramp_out: SlotTable<Ring, NUM_COLORS>,
     /// Bit `c` set while `ramp_in[c]` / `ramp_out[c]` is non-empty.
     ramp_in_mask: u32,
     ramp_out_mask: u32,
@@ -166,6 +166,14 @@ pub struct Core {
     /// Armed runtime sanitizer (shadow SRAM access marks and channel-wait
     /// streaks); same arming idiom as `trace`.
     sanitize: Option<Box<CoreSanitizer>>,
+}
+
+/// The id of a `len`-entry table's next entry; refuses one past `limit`.
+fn next_id(len: usize, limit: u16, what: &str) -> u16 {
+    match u16::try_from(len) {
+        Ok(id) if id <= limit => id,
+        _ => panic!("{what} table full: ids stop at {limit}"),
+    }
 }
 
 impl Default for Core {
@@ -190,8 +198,8 @@ impl Core {
             runnable: 0,
             runnable_bits: Vec::new(),
             entries: Vec::new(),
-            ramp_in: [Ring::default(); NUM_COLORS],
-            ramp_out: [Ring::default(); NUM_COLORS],
+            ramp_in: SlotTable::default(),
+            ramp_out: SlotTable::default(),
             ramp_in_mask: 0,
             ramp_out_mask: 0,
             bound_mask: 0,
@@ -244,32 +252,35 @@ impl Core {
         self.sanitize.take()
     }
 
-    /// Registers a DSR, returning its id.
+    /// Registers a DSR, returning its id (panics past [`DsrId::MAX`]).
     pub fn add_dsr(&mut self, desc: Descriptor) -> DsrId {
+        let id = next_id(self.dsrs.len(), DsrId::MAX, "DSR");
         self.dsrs.push(Dsr::new(desc));
-        self.dsrs.len() - 1
+        id
     }
 
     /// Reads a DSR's state (test/diagnostic access).
     pub fn dsr(&self, id: DsrId) -> &Dsr {
-        &self.dsrs[id]
+        &self.dsrs[id as usize]
     }
 
-    /// Registers a hardware FIFO, returning its id.
+    /// Registers a hardware FIFO, returning its id (panics past [`FifoId::MAX`]).
     pub fn add_fifo(&mut self, fifo: Fifo) -> FifoId {
+        let id = next_id(self.fifos.len(), FifoId::MAX, "FIFO");
         self.fifos.push(fifo);
-        self.fifos.len() - 1
+        id
     }
 
     /// Reads a FIFO's state (test/diagnostic access).
     pub fn fifo(&self, id: FifoId) -> &Fifo {
-        &self.fifos[id]
+        &self.fifos[id as usize]
     }
 
-    /// Registers a task, returning its id.
+    /// Registers a task, returning its id. Panics rather than hand out
+    /// [`TaskId::MAX`], which callers keep as an empty-slot mark.
     pub fn add_task(&mut self, task: Task) -> TaskId {
         let st = TaskState { activated: task.start_activated, blocked: task.start_blocked, task };
-        let id = self.tasks.len();
+        let id = next_id(self.tasks.len(), TaskId::MAX - 1, "task");
         if id.is_multiple_of(64) {
             self.runnable_bits.push(0);
         }
@@ -291,7 +302,7 @@ impl Core {
             self.main.as_ref().is_none_or(|r| r.id != task),
             "cannot rewrite the body of a running task"
         );
-        self.tasks[task].task.body = body;
+        self.tasks[task as usize].task.body = body.into_boxed_slice();
     }
 
     /// Binds arriving data on `color` to activate `task`.
@@ -308,7 +319,7 @@ impl Core {
     /// bitset.
     #[inline]
     fn flag_task(&mut self, task: TaskId, change: impl FnOnce(&mut TaskState)) {
-        let t = &mut self.tasks[task];
+        let t = &mut self.tasks[task as usize];
         let was = t.activated && !t.blocked;
         change(t);
         let is = t.activated && !t.blocked;
@@ -320,7 +331,7 @@ impl Core {
     /// Sets task `id`'s runnable bit from clear (or clears it from set).
     #[inline]
     fn set_runnable(&mut self, id: TaskId, on: bool) {
-        let word = &mut self.runnable_bits[id / 64];
+        let word = &mut self.runnable_bits[id as usize / 64];
         if on {
             *word |= 1 << (id % 64);
             self.runnable += 1;
@@ -369,23 +380,23 @@ impl Core {
 
     /// Read-only view of a task's program (body, priority, name).
     pub fn task(&self, id: TaskId) -> &Task {
-        &self.tasks[id].task
+        &self.tasks[id as usize].task
     }
 
     /// Iterates every registered task with its id.
     pub fn tasks(&self) -> impl Iterator<Item = (TaskId, &Task)> {
-        self.tasks.iter().enumerate().map(|(id, st)| (id, &st.task))
+        self.tasks.iter().enumerate().map(|(id, st)| (id as TaskId, &st.task))
     }
 
     /// Current blocked flag of a task (equals `start_blocked` before the
     /// first cycle, which is when the linter looks).
     pub fn task_blocked(&self, id: TaskId) -> bool {
-        self.tasks[id].blocked
+        self.tasks[id as usize].blocked
     }
 
     /// Current activation flag of a task.
     pub fn task_activated(&self, id: TaskId) -> bool {
-        self.tasks[id].activated
+        self.tasks[id as usize].activated
     }
 
     /// The color → task data-trigger bindings.
@@ -400,7 +411,7 @@ impl Core {
 
     /// Iterates every DSR with its id.
     pub fn dsrs(&self) -> impl Iterator<Item = (DsrId, &Dsr)> {
-        self.dsrs.iter().enumerate()
+        self.dsrs.iter().enumerate().map(|(id, d)| (id as DsrId, d))
     }
 
     /// Number of registered FIFOs.
@@ -410,7 +421,7 @@ impl Core {
 
     /// Iterates every FIFO with its id.
     pub fn fifos(&self) -> impl Iterator<Item = (FifoId, &Fifo)> {
-        self.fifos.iter().enumerate()
+        self.fifos.iter().enumerate().map(|(id, f)| (id as FifoId, f))
     }
 
     /// Applies a scheduling action to a task.
@@ -461,7 +472,7 @@ impl Core {
     }
 
     /// The ramp-in queues, by color (what the tile's router stages against).
-    pub(crate) fn ramp_in_queues(&self) -> &[Ring; NUM_COLORS] {
+    pub(crate) fn ramp_in_queues(&self) -> &SlotTable<Ring, NUM_COLORS> {
         &self.ramp_in
     }
 
@@ -481,13 +492,13 @@ impl Core {
     /// Panics if the queue is full (the router must check first).
     pub fn deliver(&mut self, color: Color, flit: Flit) {
         assert!(self.ramp_in_space(color) > 0, "ramp-in overflow on color {color}");
-        self.ramp_in[color as usize].push_back(flit);
+        self.ramp_in.entry(color as usize).push_back(flit);
         self.ramp_in_mask |= 1 << color;
     }
 
     /// Pending injection queue length across all colors (diagnostics).
     pub fn ramp_out_len(&self) -> usize {
-        self.ramp_out.iter().map(|q| q.len()).sum()
+        (0..NUM_COLORS).map(|c| self.ramp_out[c].len()).sum()
     }
 
     /// Pops the first flit (in round-robin arbiter order) that fits
@@ -508,7 +519,7 @@ impl Core {
                 seg &= seg - 1;
                 let flit = self.ramp_out[c].front().expect("mask bit set on a non-empty queue");
                 if flit.bytes() <= budget && ready(c as Color) {
-                    self.ramp_out[c].pop_front();
+                    self.ramp_out.entry(c).pop_front();
                     if self.ramp_out[c].is_empty() {
                         self.ramp_out_mask &= !(1 << c);
                     }
@@ -523,13 +534,13 @@ impl Core {
     /// Unconsumed ramp-in words (diagnostics; should be zero after a
     /// well-formed program quiesces).
     pub fn ramp_in_residue(&self) -> usize {
-        self.ramp_in.iter().map(|q| q.len()).sum()
+        (0..NUM_COLORS).map(|c| self.ramp_in[c].len()).sum()
     }
 
     /// Name of the task currently occupying the main thread, if any
     /// (stall diagnostics).
     pub fn current_task_name(&self) -> Option<&'static str> {
-        self.main.as_ref().map(|r| self.tasks[r.id].task.name)
+        self.main.as_ref().map(|r| self.tasks[r.id as usize].task.name)
     }
 
     /// Number of occupied background-thread slots (stall diagnostics).
@@ -551,7 +562,7 @@ impl Core {
         self.main = None;
         self.live = 0;
         self.rr_cursor = 0;
-        for q in self.ramp_in.iter_mut().chain(&mut self.ramp_out) {
+        for q in self.ramp_in.values_mut().iter_mut().chain(self.ramp_out.values_mut()) {
             q.clear();
         }
         self.ramp_in_mask = 0;
@@ -629,6 +640,7 @@ impl Core {
                 f.len()
             );
         }
+        let running = self.main.as_ref().map(|r| r.id as usize);
         for (i, t) in self.tasks.iter().enumerate() {
             let _ = writeln!(
                 out,
@@ -637,7 +649,7 @@ impl Core {
                 t.task.priority,
                 if t.blocked { " [blocked]" } else { "" },
                 if t.activated { " [activated]" } else { "" },
-                if self.main.as_ref().is_some_and(|r| r.id == i) { " [running]" } else { "" },
+                if running == Some(i) { " [running]" } else { "" },
             );
             for stmt in &t.task.body {
                 let line = match stmt {
@@ -728,7 +740,7 @@ impl Core {
                 bits &= bits - 1;
                 let priority = self.tasks[id].task.priority;
                 if best.is_none_or(|(p, _)| priority > p) {
-                    best = Some((priority, id));
+                    best = Some((priority, id as TaskId));
                 }
             }
         }
@@ -736,7 +748,7 @@ impl Core {
         self.flag_task(id, |t| t.activated = false); // activation is consumed
         self.main = Some(RunningTask { id, pc: 0 });
         if let Some(tr) = self.trace.as_deref_mut() {
-            tr.record_task_start(id, self.tasks[id].task.name);
+            tr.record_task_start(id, self.tasks[id as usize].task.name);
         }
     }
 
@@ -748,7 +760,7 @@ impl Core {
         }
         let task_id = running.id;
         let pc = running.pc;
-        let body_len = self.tasks[task_id].task.body.len();
+        let body_len = self.tasks[task_id as usize].task.body.len();
         if pc >= body_len {
             self.main = None;
             self.trace_task_end(task_id);
@@ -756,7 +768,7 @@ impl Core {
         }
         // Every statement payload is `Copy`, so the arms bind copies and the
         // task table is not borrowed while they run.
-        match self.tasks[task_id].task.body[pc] {
+        match self.tasks[task_id as usize].task.body[pc] {
             Stmt::Exec(instr) => {
                 self.slots[MAIN_SLOT] = ActiveInstr { instr, on_complete: None };
                 self.live |= MAIN_BIT;
@@ -775,11 +787,11 @@ impl Core {
                     san.on_launch(slot);
                 }
             }
-            Stmt::InitDsr { dsr, desc } => self.dsrs[dsr] = Dsr::new(desc),
+            Stmt::InitDsr { dsr, desc } => self.dsrs[dsr as usize] = Dsr::new(desc),
             Stmt::TaskCtl { task, action } => self.apply_action(task, action),
             Stmt::RegArith { op, dst, a, b } => {
-                let (va, vb) = (self.regs[a], self.regs[b]);
-                self.regs[dst] = match op {
+                let (va, vb) = (self.regs[a as usize], self.regs[b as usize]);
+                self.regs[dst as usize] = match op {
                     RegOp::Add => va + vb,
                     RegOp::Sub => va - vb,
                     RegOp::Mul => va * vb,
@@ -788,7 +800,7 @@ impl Core {
                     RegOp::Mov => va,
                 };
             }
-            Stmt::SetReg { reg, value } => self.regs[reg] = value,
+            Stmt::SetReg { reg, value } => self.regs[reg as usize] = value,
         }
         self.perf.ctrl_stmts += 1;
         // A task whose body is exhausted (and not waiting) retires.
@@ -840,7 +852,7 @@ impl Core {
                         // Retire the task if the body is done.
                         let r = self.main.as_ref().expect("a synchronous instruction has a task");
                         let id = r.id;
-                        if r.pc >= self.tasks[id].task.body.len() {
+                        if r.pc >= self.tasks[id as usize].task.body.len() {
                             self.main = None;
                             self.trace_task_end(id);
                         }
@@ -869,7 +881,7 @@ impl Core {
                 let mut waiting = [false; NUM_COLORS];
                 for a in self.active_instrs() {
                     for id in [a.a, a.b].into_iter().flatten() {
-                        if let Descriptor::FabricIn { color, .. } = self.dsrs[id].desc {
+                        if let Descriptor::FabricIn { color, .. } = self.dsrs[id as usize].desc {
                             if self.ramp_in[color as usize].is_empty() {
                                 waiting[color as usize] = true;
                             }
@@ -917,7 +929,7 @@ impl Core {
     /// Rewinds rewinding DSR operands at instruction completion.
     fn finish_operands(&mut self, instr: &TensorInstr) {
         for id in [instr.dst, instr.a, instr.b].into_iter().flatten() {
-            self.dsrs[id].finish_instruction();
+            self.dsrs[id as usize].finish_instruction();
         }
     }
 
@@ -936,8 +948,8 @@ impl Core {
     /// reductions use the source type).
     fn instr_dtype(&self, instr: &TensorInstr) -> Dtype {
         let of = |id: Option<DsrId>| -> Option<Dtype> {
-            id.and_then(|d| match self.dsrs[d].desc {
-                Descriptor::Fifo { fifo } => Some(self.fifos[fifo].dtype),
+            id.and_then(|d| match self.dsrs[d as usize].desc {
+                Descriptor::Fifo { fifo } => Some(self.fifos[fifo as usize].dtype),
                 ref other => other.dtype(),
             })
         };
@@ -973,7 +985,7 @@ impl Core {
         let mut widths = 0u8;
         let mut resolve = |id: Option<DsrId>| -> Operand {
             let Some(id) = id else { return Operand::Absent };
-            let dsr = &self.dsrs[id];
+            let dsr = &self.dsrs[id as usize];
             remaining = remaining.min(dsr.remaining());
             let (operand, dtype) = match dsr.desc {
                 Descriptor::Mem { addr, stride, dtype, .. } => {
@@ -986,7 +998,9 @@ impl Core {
                 Descriptor::FabricOut { color, dtype, .. } => {
                     (Operand::FabricOut { color: color as usize }, dtype)
                 }
-                Descriptor::Fifo { fifo } => (Operand::Fifo { fifo }, self.fifos[fifo].dtype),
+                Descriptor::Fifo { fifo } => {
+                    (Operand::Fifo { fifo: fifo as usize }, self.fifos[fifo as usize].dtype)
+                }
             };
             widths |= 1 << dtype as u8;
             operand
@@ -1054,7 +1068,7 @@ impl Core {
                         self.ramp_out_mask |= 1 << color;
                     }
                 }
-                self.dsrs[id.expect("a resolved operand has a DSR")].advance(n);
+                self.dsrs[id.expect("a resolved operand has a DSR") as usize].advance(n);
             }
         }
         // Completion: a fixed-length operand ran out, or — "Each add pulls
@@ -1117,51 +1131,51 @@ impl Core {
                 self.perf.flops_f32 += 2 * n;
             }
             (Op::Xpay { scalar }, Dtype::F16) => {
-                let s = F16::from_f32(self.regs[scalar]);
+                let s = F16::from_f32(self.regs[scalar as usize]);
                 self.stream(mem, issue, false, |a, b, _| h_out(wse_float::fma16(s, h(b), h(a))));
                 self.perf.flops_f16 += 2 * n;
             }
             (Op::Xpay { scalar }, Dtype::F32) => {
-                let s = self.regs[scalar];
+                let s = self.regs[scalar as usize];
                 self.stream(mem, issue, false, |a, b, _| {
                     s.mul_add(f32::from_bits(b), f32::from_bits(a)).to_bits()
                 });
                 self.perf.flops_f32 += 2 * n;
             }
             (Op::Axpy { scalar }, Dtype::F16) => {
-                let s = F16::from_f32(self.regs[scalar]);
+                let s = F16::from_f32(self.regs[scalar as usize]);
                 self.stream(mem, issue, true, |a, _, cur| h_out(wse_float::fma16(s, h(a), h(cur))));
                 self.perf.flops_f16 += 2 * n;
             }
             (Op::Axpy { scalar }, Dtype::F32) => {
-                let s = self.regs[scalar];
+                let s = self.regs[scalar as usize];
                 self.stream(mem, issue, true, |a, _, cur| {
                     s.mul_add(f32::from_bits(a), f32::from_bits(cur)).to_bits()
                 });
                 self.perf.flops_f32 += 2 * n;
             }
             (Op::Scale { scalar }, Dtype::F16) => {
-                let s = F16::from_f32(self.regs[scalar]);
+                let s = F16::from_f32(self.regs[scalar as usize]);
                 self.stream(mem, issue, false, |a, _, _| h_out(s * h(a)));
                 self.perf.flops_f16 += n;
             }
             (Op::Scale { scalar }, Dtype::F32) => {
-                let s = self.regs[scalar];
+                let s = self.regs[scalar as usize];
                 self.stream(mem, issue, false, |a, _, _| (s * f32::from_bits(a)).to_bits());
                 self.perf.flops_f32 += n;
             }
             (Op::MacReg { acc }, _) => {
-                let mut sum = self.regs[acc];
+                let mut sum = self.regs[acc as usize];
                 self.stream(mem, issue, false, |a, b, _| {
                     sum += h(a).to_f32() * h(b).to_f32();
                     0
                 });
-                self.regs[acc] = sum;
+                self.regs[acc as usize] = sum;
                 self.perf.flops_f16 += n; // the multiplies
                 self.perf.flops_f32 += n; // the accumulates
             }
             (Op::SumReg { acc }, dtype) => {
-                let mut sum = self.regs[acc];
+                let mut sum = self.regs[acc as usize];
                 self.stream(mem, issue, false, |a, _, _| {
                     sum += match dtype {
                         Dtype::F32 => f32::from_bits(a),
@@ -1169,13 +1183,13 @@ impl Core {
                     };
                     0
                 });
-                self.regs[acc] = sum;
+                self.regs[acc as usize] = sum;
                 self.perf.flops_f32 += n;
             }
             (Op::StoreReg { reg }, dtype) => {
                 let bits = match dtype {
-                    Dtype::F32 => self.regs[reg].to_bits(),
-                    Dtype::F16 => h_out(F16::from_f32(self.regs[reg])),
+                    Dtype::F32 => self.regs[reg as usize].to_bits(),
+                    Dtype::F16 => h_out(F16::from_f32(self.regs[reg as usize])),
                 };
                 self.stream(mem, issue, false, |_, _, _| bits);
             }
@@ -1185,7 +1199,7 @@ impl Core {
                     last = a;
                     0
                 });
-                self.regs[reg] = match dtype {
+                self.regs[reg as usize] = match dtype {
                     Dtype::F32 => f32::from_bits(last),
                     Dtype::F16 => h(last).to_f32(),
                 };
@@ -1222,7 +1236,7 @@ impl Core {
                     *addr += *step;
                 }
                 Operand::FabricOut { color } => {
-                    self.ramp_out[*color].push_back(Flit { bits, dtype })
+                    self.ramp_out.entry(*color).push_back(Flit { bits, dtype })
                 }
                 Operand::Fifo { fifo } => {
                     let fifo = &mut self.fifos[*fifo];
@@ -1249,7 +1263,8 @@ impl Core {
                 bits
             }
             Operand::FabricIn { color } => {
-                let flit = self.ramp_in[*color].pop_front().expect("group sized to what is queued");
+                let flit =
+                    self.ramp_in.entry(*color).pop_front().expect("group sized to what is queued");
                 debug_assert_eq!(flit.dtype, dtype, "flit dtype mismatch on color {color}");
                 flit.bits
             }
@@ -1310,13 +1325,16 @@ impl Core {
     }
 
     fn any_operand_exhausted(&self, instr: &TensorInstr) -> bool {
-        [instr.dst, instr.a, instr.b].into_iter().flatten().any(|id| self.dsrs[id].remaining() == 0)
+        [instr.dst, instr.a, instr.b]
+            .into_iter()
+            .flatten()
+            .any(|id| self.dsrs[id as usize].remaining() == 0)
     }
 
     fn fifo_source_empty(&self, instr: &TensorInstr) -> bool {
         for id in [instr.a, instr.b].into_iter().flatten() {
-            if let Descriptor::Fifo { fifo } = self.dsrs[id].desc {
-                if self.fifos[fifo].is_empty() {
+            if let Descriptor::Fifo { fifo } = self.dsrs[id as usize].desc {
+                if self.fifos[fifo as usize].is_empty() {
                     return true;
                 }
             }
@@ -1326,7 +1344,7 @@ impl Core {
 
     fn sources_ready(&self, instr: &TensorInstr) -> bool {
         for id in [instr.a, instr.b].into_iter().flatten() {
-            match self.dsrs[id].desc {
+            match self.dsrs[id as usize].desc {
                 Descriptor::Mem { .. } => {}
                 Descriptor::FabricIn { color, .. } => {
                     if self.ramp_in[color as usize].is_empty() {
@@ -1335,7 +1353,7 @@ impl Core {
                 }
                 Descriptor::FabricOut { .. } => panic!("FabricOut used as a source"),
                 Descriptor::Fifo { fifo } => {
-                    if self.fifos[fifo].is_empty() {
+                    if self.fifos[fifo as usize].is_empty() {
                         return false;
                     }
                 }
@@ -1346,43 +1364,43 @@ impl Core {
 
     fn dst_ready(&self, instr: &TensorInstr) -> bool {
         let Some(id) = instr.dst else { return true };
-        match self.dsrs[id].desc {
+        match self.dsrs[id as usize].desc {
             Descriptor::Mem { .. } => true,
             Descriptor::FabricIn { .. } => panic!("FabricIn used as a destination"),
             Descriptor::FabricOut { color, .. } => self.ramp_out[color as usize].space() > 0,
-            Descriptor::Fifo { fifo } => !self.fifos[fifo].is_full(),
+            Descriptor::Fifo { fifo } => !self.fifos[fifo as usize].is_full(),
         }
     }
 
     /// Reads one element from a source DSR, advancing it.
     fn read_src(&mut self, mem: &Memory, id: DsrId) -> (u32, Dtype) {
-        let dsr = self.dsrs[id];
+        let dsr = self.dsrs[id as usize];
         match dsr.desc {
             Descriptor::Mem { dtype, .. } => {
                 let addr = dsr.current_addr().unwrap();
-                self.dsrs[id].advance(1);
+                self.dsrs[id as usize].advance(1);
                 if let Some(san) = self.sanitize.as_deref_mut() {
                     san.on_read(addr, dtype.bytes());
                 }
                 (mem.read_bits(addr, dtype), dtype)
             }
             Descriptor::FabricIn { color, dtype, .. } => {
-                let queue = &mut self.ramp_in[color as usize];
+                let queue = self.ramp_in.entry(color as usize);
                 let flit = queue.pop_front().expect("sources_ready checked");
                 if queue.is_empty() {
                     self.ramp_in_mask &= !(1 << color);
                 }
                 debug_assert_eq!(flit.dtype, dtype, "flit dtype mismatch on color {color}");
-                self.dsrs[id].advance(1);
+                self.dsrs[id as usize].advance(1);
                 self.perf.flits_received += 1;
                 (flit.bits, dtype)
             }
             Descriptor::Fifo { fifo } => {
-                let f = &self.fifos[fifo];
+                let f = &self.fifos[fifo as usize];
                 let dtype = f.dtype;
                 let addr = f.pop_addr().expect("sources_ready checked");
                 let bits = mem.read_bits(addr, dtype);
-                self.fifos[fifo].commit_pop();
+                self.fifos[fifo as usize].commit_pop();
                 (bits, dtype)
             }
             Descriptor::FabricOut { .. } => unreachable!(),
@@ -1398,13 +1416,13 @@ impl Core {
         bits: u32,
         dtype: Dtype,
     ) -> Option<TaskId> {
-        let dsr = self.dsrs[id];
+        let dsr = self.dsrs[id as usize];
         match dsr.desc {
             Descriptor::Mem { dtype: d, .. } => {
                 debug_assert_eq!(d, dtype);
                 let addr = dsr.current_addr().unwrap();
                 mem.write_bits(addr, d, bits);
-                self.dsrs[id].advance(1);
+                self.dsrs[id as usize].advance(1);
                 if let Some(san) = self.sanitize.as_deref_mut() {
                     san.on_write(addr, d.bytes());
                 }
@@ -1413,18 +1431,18 @@ impl Core {
             Descriptor::FabricOut { color, dtype: d, .. } => {
                 debug_assert_eq!(d, dtype);
                 let flit = Flit { bits, dtype: d };
-                self.ramp_out[color as usize].push_back(flit);
+                self.ramp_out.entry(color as usize).push_back(flit);
                 self.ramp_out_mask |= 1 << color;
-                self.dsrs[id].advance(1);
+                self.dsrs[id as usize].advance(1);
                 self.perf.flits_sent += 1;
                 None
             }
             Descriptor::Fifo { fifo } => {
-                let f = &self.fifos[fifo];
+                let f = &self.fifos[fifo as usize];
                 debug_assert_eq!(f.dtype, dtype);
                 let addr = f.push_addr().expect("dst_ready checked");
                 mem.write_bits(addr, dtype, bits);
-                self.fifos[fifo].commit_push()
+                self.fifos[fifo as usize].commit_push()
             }
             Descriptor::FabricIn { .. } => unreachable!(),
         }
@@ -1433,7 +1451,7 @@ impl Core {
     /// Reads the destination's current element *without* advancing
     /// (read-modify-write ops).
     fn peek_dst(&self, mem: &Memory, id: DsrId) -> u32 {
-        let dsr = self.dsrs[id];
+        let dsr = self.dsrs[id as usize];
         match dsr.desc {
             Descriptor::Mem { dtype, .. } => mem.read_bits(dsr.current_addr().unwrap(), dtype),
             _ => panic!("read-modify-write destination must be in memory"),
@@ -1516,7 +1534,7 @@ impl Core {
                 debug_assert_eq!(dta, dtb, "mixed-dtype xpay");
                 let bits = match dta {
                     Dtype::F16 => {
-                        let s = F16::from_f32(self.regs[scalar]);
+                        let s = F16::from_f32(self.regs[scalar as usize]);
                         let r = wse_float::fma16(
                             s,
                             F16::from_bits(bb as u16),
@@ -1526,7 +1544,8 @@ impl Core {
                         r.to_bits() as u32
                     }
                     Dtype::F32 => {
-                        let r = self.regs[scalar].mul_add(f32::from_bits(bb), f32::from_bits(ab));
+                        let r = self.regs[scalar as usize]
+                            .mul_add(f32::from_bits(bb), f32::from_bits(ab));
                         self.perf.flops_f32 += 2;
                         r.to_bits()
                     }
@@ -1539,7 +1558,7 @@ impl Core {
                 let (ab, dt) = self.read_src(mem, instr.a.expect("src a"));
                 let bits = match dt {
                     Dtype::F16 => {
-                        let s = F16::from_f32(self.regs[scalar]);
+                        let s = F16::from_f32(self.regs[scalar as usize]);
                         let r = wse_float::fma16(
                             s,
                             F16::from_bits(ab as u16),
@@ -1549,7 +1568,8 @@ impl Core {
                         r.to_bits() as u32
                     }
                     Dtype::F32 => {
-                        let r = self.regs[scalar].mul_add(f32::from_bits(ab), f32::from_bits(cur));
+                        let r = self.regs[scalar as usize]
+                            .mul_add(f32::from_bits(ab), f32::from_bits(cur));
                         self.perf.flops_f32 += 2;
                         r.to_bits()
                     }
@@ -1560,12 +1580,13 @@ impl Core {
                 let (ab, dt) = self.read_src(mem, instr.a.expect("src a"));
                 let bits = match dt {
                     Dtype::F16 => {
-                        let r = F16::from_f32(self.regs[scalar]) * F16::from_bits(ab as u16);
+                        let r =
+                            F16::from_f32(self.regs[scalar as usize]) * F16::from_bits(ab as u16);
                         self.perf.flops_f16 += 1;
                         r.to_bits() as u32
                     }
                     Dtype::F32 => {
-                        let r = self.regs[scalar] * f32::from_bits(ab);
+                        let r = self.regs[scalar as usize] * f32::from_bits(ab);
                         self.perf.flops_f32 += 1;
                         r.to_bits()
                     }
@@ -1578,7 +1599,7 @@ impl Core {
                 debug_assert_eq!(dta, Dtype::F16, "mixed mac sources are fp16");
                 debug_assert_eq!(dtb, Dtype::F16, "mixed mac sources are fp16");
                 let prod = F16::from_bits(ab as u16).to_f32() * F16::from_bits(bb as u16).to_f32();
-                self.regs[acc] += prod;
+                self.regs[acc as usize] += prod;
                 self.perf.flops_f16 += 1; // the multiply
                 self.perf.flops_f32 += 1; // the accumulate
             }
@@ -1588,11 +1609,11 @@ impl Core {
                     Dtype::F32 => f32::from_bits(ab),
                     Dtype::F16 => F16::from_bits(ab as u16).to_f32(),
                 };
-                self.regs[acc] += v;
+                self.regs[acc as usize] += v;
                 self.perf.flops_f32 += 1;
             }
             Op::StoreReg { reg } => {
-                let v = self.regs[reg];
+                let v = self.regs[reg as usize];
                 let bits = match dtype {
                     Dtype::F32 => v.to_bits(),
                     Dtype::F16 => F16::from_f32(v).to_bits() as u32,
@@ -1601,7 +1622,7 @@ impl Core {
             }
             Op::LoadReg { reg } => {
                 let (ab, dt) = self.read_src(mem, instr.a.expect("src a"));
-                self.regs[reg] = match dt {
+                self.regs[reg as usize] = match dt {
                     Dtype::F32 => f32::from_bits(ab),
                     Dtype::F16 => F16::from_bits(ab as u16).to_f32(),
                 };
@@ -1757,13 +1778,16 @@ mod tests {
         let fid = core.add_fifo(Fifo::new(fifo_mem, 4, Dtype::F16, Some(sum_task)));
         let dfifo = core.add_dsr(mk::fifo(fid));
         // Patch the consumer body now that DSR ids exist.
-        core.tasks[sum_task].task.body = vec![Stmt::Exec(TensorInstr {
-            op: Op::AddAssign,
-            dst: Some(dacc),
-            a: Some(dfifo),
-            b: None,
-        })];
-        core.tasks[sum_task].task.priority = 1;
+        core.set_task_body(
+            sum_task,
+            vec![Stmt::Exec(TensorInstr {
+                op: Op::AddAssign,
+                dst: Some(dacc),
+                a: Some(dfifo),
+                b: None,
+            })],
+        );
+        core.tasks[sum_task as usize].task.priority = 1;
 
         let producer = core.add_task(Task::new(
             "mul",
@@ -1905,7 +1929,7 @@ mod tests {
                 .filter(|&id| core.tasks[id].activated && !core.tasks[id].blocked)
                 .max_by_key(|&id| (core.tasks[id].task.priority, usize::MAX - id));
             core.schedule();
-            assert_eq!(core.main.take().map(|r| r.id), want, "round {round}");
+            assert_eq!(core.main.take().map(|r| r.id as usize), want, "round {round}");
             picked += want.is_some() as usize;
             let runnable = core.tasks.iter().filter(|t| t.activated && !t.blocked).count();
             assert_eq!(core.runnable, runnable);
@@ -1989,6 +2013,36 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "task table full: ids stop at 65534")]
+    fn add_task_refuses_the_empty_slot_mark() {
+        let mut core = Core::new();
+        for want in 0..TaskId::MAX {
+            assert_eq!(core.add_task(Task::new("t", vec![])), want);
+        }
+        core.add_task(Task::new("t", vec![]));
+    }
+
+    #[test]
+    #[should_panic(expected = "DSR table full: ids stop at 65535")]
+    fn add_dsr_refuses_an_id_past_16_bits() {
+        let mut core = Core::new();
+        for want in 0..=DsrId::MAX {
+            assert_eq!(core.add_dsr(mk::tensor16(0, 1)), want);
+        }
+        core.add_dsr(mk::tensor16(0, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "FIFO table full: ids stop at 65535")]
+    fn add_fifo_refuses_an_id_past_16_bits() {
+        let mut core = Core::new();
+        for want in 0..=FifoId::MAX {
+            assert_eq!(core.add_fifo(Fifo::new(0, 1, Dtype::F16, None)), want);
+        }
+        core.add_fifo(Fifo::new(0, 1, Dtype::F16, None));
+    }
+
+    #[test]
     fn injection_arbiter_matches_a_plain_round_robin_scan() {
         // The arbiter walks a non-empty-color bitmask; the specification is
         // the plain scan: starting at the cursor, the first color whose head
@@ -2007,7 +2061,7 @@ mod tests {
                     let flit =
                         if rand(4) == 0 { Flit::f32(step as f32) } else { Flit::f16(step as u16) };
                     model[c].push_back(flit);
-                    core.ramp_out[c].push_back(flit);
+                    core.ramp_out.entry(c).push_back(flit);
                     core.ramp_out_mask |= 1 << c;
                 }
             }
@@ -2096,7 +2150,7 @@ mod tests {
         let d = core.add_dsr(mk::acc16(aa, 8));
         let a = core.add_task(Task::new("a", vec![]));
         let b = core.add_task(Task::new("b", vec![]).blocked());
-        core.dsrs[d].advance(5);
+        core.dsrs[d as usize].advance(5);
         core.activate(a);
         let snap = core.sched_state();
 

@@ -2046,11 +2046,19 @@ mod tests {
     }
 
     #[test]
-    fn tile_footprint_fits_in_four_kib() {
-        // 3,344 B on x86-64: the core's 2,936 (1,728 of them its 48 ramp
-        // rings), the router's 352 with its routed queues on the heap, and
-        // the lazily backed SRAM's handle.
-        assert!(std::mem::size_of::<Tile>() <= 4096, "{} B", std::mem::size_of::<Tile>());
+    fn tile_and_program_sizes_are_pinned() {
+        // On x86-64: a tile is 1,104 B (core 688, router 352, the lazily
+        // backed SRAM's handle 56), a statement 20, an instruction 14, a DSR
+        // 20. Any id or register index re-widened to `usize` fails here.
+        use crate::dsr::Dsr;
+        use crate::instr::{Stmt, TensorInstr};
+        use std::mem::size_of;
+        let sizes =
+            [size_of::<Tile>(), size_of::<Stmt>(), size_of::<TensorInstr>(), size_of::<Dsr>()];
+        assert!(
+            sizes[0] <= 1280 && sizes[1] <= 24 && sizes[2] <= 16 && sizes[3] <= 20,
+            "{sizes:?}"
+        );
     }
 
     #[test]

@@ -246,8 +246,9 @@ pub enum RegOp {
 /// A task: a body of statements plus scheduling metadata.
 #[derive(Clone, Debug)]
 pub struct Task {
-    /// Statements executed in order when the task runs.
-    pub body: Vec<Stmt>,
+    /// Statements executed in order when the task runs, stored at their
+    /// exact length.
+    pub body: Box<[Stmt]>,
     /// Higher priority wins the scheduler ("It is marked as higher priority
     /// to avoid a race condition with the synchronization task tree").
     pub priority: u8,
@@ -262,6 +263,7 @@ pub struct Task {
 impl Task {
     /// A normal-priority, initially idle task.
     pub fn new(name: &'static str, body: Vec<Stmt>) -> Task {
+        let body = body.into_boxed_slice();
         Task { body, priority: 0, start_blocked: false, start_activated: false, name }
     }
 

@@ -17,7 +17,10 @@
 //! a pair's queue and fanout are stored only once the pair is routed or a
 //! flit reaches it; every other pair reads as an empty queue with no route.
 
-use crate::types::{Color, Flit, Port, Ring, NUM_COLORS, PORT_BYTES_PER_CYCLE, QUEUE_CAPACITY};
+use crate::types::{
+    Color, Flit, Port, Ring, SlotTable, NUM_COLORS, PORT_BYTES_PER_CYCLE, QUEUE_CAPACITY,
+};
+use std::ops::Index;
 
 /// Routing table entry: the output ports of one (input, color), inline and
 /// in configured order (`len == 0` = no route). The order is kept, rather
@@ -55,12 +58,10 @@ const PAIRS: usize = 5 * NUM_COLORS;
 /// The router of one tile.
 #[derive(Clone, Debug, Default)]
 pub struct Router {
-    /// `slot[in_port][color]`: one plus the index into `lanes` of that
-    /// pair, or 0 while the pair is unbacked — never routed and never
-    /// reached by a flit, so its queue is empty and it has no route.
-    slot: [[u8; NUM_COLORS]; 5],
-    /// The backed pairs, in the order they were first routed or reached.
-    lanes: Vec<Lane>,
+    /// The lane of pair `in_port * NUM_COLORS + color`, backed once the
+    /// pair is routed or reached by a flit; an unbacked pair's queue is
+    /// empty and it has no route.
+    lanes: SlotTable<Lane, PAIRS>,
     /// `credit[out_port][color]` for the four cardinal outputs: flits the
     /// queue that port feeds can still take. The fabric keeps it equal to
     /// the downstream queue's free space at the start of the cycle (zero
@@ -114,31 +115,10 @@ impl Router {
         Router::default()
     }
 
-    /// The lane of `(pi, color)`, if the pair is backed.
+    /// The lane of `(in_port, color)`, if the pair is backed.
     #[inline]
-    fn lane(&self, pi: usize, color: usize) -> Option<&Lane> {
-        match self.slot[pi][color] {
-            0 => None,
-            s => Some(&self.lanes[s as usize - 1]),
-        }
-    }
-
-    /// Index into `lanes` of `(pi, color)`, backing the pair first if it is
-    /// not yet.
-    #[inline]
-    fn lane_index(&mut self, pi: usize, color: usize) -> usize {
-        if self.slot[pi][color] == 0 {
-            self.back(pi, color);
-        }
-        self.slot[pi][color] as usize - 1
-    }
-
-    /// Backs `(pi, color)` with an empty, unrouted lane.
-    #[cold]
-    fn back(&mut self, pi: usize, color: usize) {
-        self.lanes.reserve_exact(1);
-        self.lanes.push(Lane::default());
-        self.slot[pi][color] = self.lanes.len() as u8;
+    fn lane(&self, in_port: Port, color: Color) -> Option<&Lane> {
+        self.lanes.get(in_port.index() * NUM_COLORS + color as usize)
     }
 
     /// Configures (replaces) the fanout for `(in_port, color)`.
@@ -162,14 +142,14 @@ impl Router {
             fanout.ports[k] = o;
         }
         fanout.len = outs.len() as u8;
-        let li = self.lane_index(in_port.index(), color as usize);
-        self.lanes[li].fanout = fanout;
-        self.routed_mask |= 1u128 << (in_port.index() * NUM_COLORS + color as usize);
+        let pair = in_port.index() * NUM_COLORS + color as usize;
+        self.lanes.entry(pair).fanout = fanout;
+        self.routed_mask |= 1u128 << pair;
     }
 
     /// The configured fanout, if any.
     pub fn route(&self, in_port: Port, color: Color) -> Option<&[Port]> {
-        let fanout = &self.lane(in_port.index(), color as usize)?.fanout;
+        let fanout = &self.lane(in_port, color)?.fanout;
         (fanout.len > 0).then(|| fanout.as_slice())
     }
 
@@ -184,7 +164,7 @@ impl Router {
 
     /// Space available in the `(in_port, color)` queue.
     pub fn space(&self, in_port: Port, color: Color) -> usize {
-        self.lane(in_port.index(), color as usize).map_or(QUEUE_CAPACITY, |l| l.queue.space())
+        self.lane(in_port, color).map_or(QUEUE_CAPACITY, |l| l.queue.space())
     }
 
     /// Enqueues an arriving flit. A flit on a pair with no route is held
@@ -193,11 +173,11 @@ impl Router {
     /// # Panics
     /// Panics on overflow (senders must honor [`Router::space`]).
     pub fn enqueue(&mut self, in_port: Port, color: Color, flit: Flit) {
-        let li = self.lane_index(in_port.index(), color as usize);
-        let queue = &mut self.lanes[li].queue;
+        let pair = in_port.index() * NUM_COLORS + color as usize;
+        let queue = &mut self.lanes.entry(pair).queue;
         assert!(queue.space() > 0, "router queue overflow at {in_port:?}/{color}");
         queue.push_back(flit);
-        self.occupied_mask |= 1u128 << (in_port.index() * NUM_COLORS + color as usize);
+        self.occupied_mask |= 1u128 << pair;
         self.queued_count += 1;
     }
 
@@ -221,7 +201,7 @@ impl Router {
     /// (checkpoint restore). Routes, stuck-port state, and the forwarded
     /// and backpressure counters are retained.
     pub fn clear_queues(&mut self) {
-        for lane in &mut self.lanes {
+        for lane in self.lanes.values_mut() {
             lane.queue.clear();
         }
         self.occupied_mask = 0;
@@ -238,7 +218,7 @@ impl Router {
         while occupied != 0 {
             let c = occupied.trailing_zeros() as usize;
             occupied &= occupied - 1;
-            row[c] = self.lanes[self.slot[in_port.index()][c] as usize - 1].queue.space() as u8;
+            row[c] = self.lanes.get(shift + c).expect("occupied pair").queue.space() as u8;
         }
         row
     }
@@ -292,9 +272,8 @@ impl Router {
                 while seg != 0 {
                     let slot = seg.trailing_zeros() as usize;
                     seg &= seg - 1;
-                    let (pi, color) = (slot / NUM_COLORS, slot % NUM_COLORS);
-                    let li = self.slot[pi][color] as usize - 1;
-                    let Lane { queue, fanout } = &self.lanes[li];
+                    let color = slot % NUM_COLORS;
+                    let Lane { queue, fanout } = self.lanes.get(slot).expect("routed pair");
                     let (Some(flit), fanout) = (queue.front(), *fanout) else { continue };
                     let mut fits = true;
                     for &o in fanout.as_slice() {
@@ -312,7 +291,7 @@ impl Router {
                     if !fits {
                         continue;
                     }
-                    self.pop(li, slot);
+                    self.pop(slot);
                     for &o in fanout.as_slice() {
                         budget[o.index()] -= flit.bytes();
                         counts[o.index()][color] += 1;
@@ -338,11 +317,10 @@ impl Router {
         staged
     }
 
-    /// Pops the head of lane `li`, the queue of pair bit `pair`, as
-    /// forwarded.
+    /// Pops the head of pair `pair`'s queue as forwarded.
     #[inline]
-    fn pop(&mut self, li: usize, pair: usize) {
-        let q = &mut self.lanes[li].queue;
+    fn pop(&mut self, pair: usize) {
+        let q = &mut self.lanes.entry(pair).queue;
         q.pop_front();
         if q.is_empty() {
             self.occupied_mask &= !(1u128 << pair);
@@ -371,7 +349,7 @@ impl Router {
     /// skipped visits would have changed nothing.)
     pub(crate) fn stage_into(
         &mut self,
-        ramp_in: &[Ring; NUM_COLORS],
+        ramp_in: &impl Index<usize, Output = Ring>,
         staged: &mut Vec<StagedFlit>,
     ) -> usize {
         const RAMP: usize = 4;
@@ -390,8 +368,7 @@ impl Router {
                     let slot = seg.trailing_zeros() as usize;
                     seg &= seg - 1;
                     let (pi, color) = (slot / NUM_COLORS, slot % NUM_COLORS);
-                    let li = self.slot[pi][color] as usize - 1;
-                    let Lane { queue, fanout } = &self.lanes[li];
+                    let Lane { queue, fanout } = self.lanes.get(slot).expect("occupied pair");
                     let (flit, fanout) = (queue.front().expect("occupied pair"), *fanout);
                     let mut fits = true;
                     for &o in fanout.as_slice() {
@@ -415,7 +392,7 @@ impl Router {
                     if !fits {
                         continue;
                     }
-                    self.pop(li, slot);
+                    self.pop(slot);
                     let mut freed = (pi != RAMP).then_some(Port::ALL[pi]);
                     for &o in fanout.as_slice() {
                         let oi = o.index();
@@ -547,7 +524,7 @@ mod tests {
         r.set_route(Port::West, 0, &[Port::East]);
         r.enqueue(Port::North, 9, Flit::f16(1));
         r.enqueue(Port::North, 9, Flit::f16(2));
-        assert_eq!(r.lanes.len(), 2);
+        assert_eq!(r.lanes.values_mut().len(), 2);
         assert_eq!((r.route(Port::North, 9), r.routes().count()), (None, 1));
         assert_eq!(r.space(Port::North, 9), QUEUE_CAPACITY - 2);
         assert_eq!(r.space_row(Port::North)[9], (QUEUE_CAPACITY - 2) as u8);
@@ -558,7 +535,7 @@ mod tests {
         assert_eq!((r.queued(), r.flits_routed), (2, 0));
         // Routing the pair later reuses its queue and releases the flits.
         r.set_route(Port::North, 9, &[Port::South]);
-        assert_eq!(r.lanes.len(), 2);
+        assert_eq!(r.lanes.values_mut().len(), 2);
         let staged = r.stage(|_, _, _| true);
         assert_eq!(staged.iter().map(|s| s.flit.bits).collect::<Vec<_>>(), [1, 2]);
         assert_eq!(r.queued(), 0);
@@ -598,7 +575,7 @@ mod tests {
             }
         }
         assert_eq!(r.space_row(Port::West), [QUEUE_CAPACITY as u8; NUM_COLORS]);
-        assert_eq!(r.lanes.len(), 1, "only the routed pair is backed");
+        assert_eq!(r.lanes.values_mut().len(), 1, "only the routed pair is backed");
     }
 
     #[test]

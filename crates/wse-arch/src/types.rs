@@ -61,8 +61,8 @@ impl Flit {
 /// hardware queue modeled ([`QUEUE_CAPACITY`] and [`RAMP_OUT_CAPACITY`]).
 ///
 /// Payload bits are stored unpacked from [`Flit`] — one `u32` per slot plus
-/// one width bit per slot — so a ring is 36 bytes with no heap behind it,
-/// and a tile's 168 queues sit inline in the tile.
+/// one width bit per slot — so a ring is 36 bytes with no heap behind it.
+/// A tile's 168 queues are [`SlotTable`] entries, backed only once used.
 #[derive(Copy, Clone, Debug, Default)]
 pub struct Ring {
     bits: [u32; Ring::CAPACITY],
@@ -75,6 +75,9 @@ pub struct Ring {
 impl Ring {
     /// Slots per ring.
     pub const CAPACITY: usize = 8;
+
+    /// What an unbacked queue reads as.
+    const EMPTY: Ring = Ring { bits: [0; Ring::CAPACITY], wide: 0, head: 0, len: 0 };
 
     /// Queued flits.
     #[inline]
@@ -142,6 +145,60 @@ impl Ring {
     }
 }
 
+/// `N` (at most 255) keyed entries, each stored once first used: `slot[k]`
+/// is one plus the index into `items` of key `k`'s entry, 0 while unbacked.
+/// A tile uses a handful of its 120 router pairs and 2×24 ramp queues.
+#[derive(Clone, Debug)]
+pub(crate) struct SlotTable<T, const N: usize> {
+    slot: [u8; N],
+    items: Vec<T>,
+}
+
+impl<T, const N: usize> Default for SlotTable<T, N> {
+    fn default() -> Self {
+        SlotTable { slot: [0; N], items: Vec::new() }
+    }
+}
+
+impl<T: Default, const N: usize> SlotTable<T, N> {
+    /// Key `k`'s entry, if it is backed.
+    #[inline]
+    pub(crate) fn get(&self, k: usize) -> Option<&T> {
+        self.slot[k].checked_sub(1).map(|s| &self.items[s as usize])
+    }
+
+    /// Key `k`'s entry, backed with `T::default()` first if it is not yet.
+    #[inline]
+    pub(crate) fn entry(&mut self, k: usize) -> &mut T {
+        if self.slot[k] == 0 {
+            self.back(k);
+        }
+        &mut self.items[self.slot[k] as usize - 1]
+    }
+
+    #[cold]
+    fn back(&mut self, k: usize) {
+        self.items.reserve_exact(1);
+        self.items.push(T::default());
+        self.slot[k] = self.items.len() as u8;
+    }
+
+    /// The backed entries, in first-use order.
+    pub(crate) fn values_mut(&mut self) -> &mut [T] {
+        &mut self.items
+    }
+}
+
+/// A queue table reads an unbacked queue as empty.
+impl<const N: usize> std::ops::Index<usize> for SlotTable<Ring, N> {
+    type Output = Ring;
+
+    #[inline]
+    fn index(&self, k: usize) -> &Ring {
+        self.get(k).unwrap_or(&Ring::EMPTY)
+    }
+}
+
 /// One of the router's five bidirectional ports.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Port {
@@ -198,16 +255,16 @@ impl Port {
 }
 
 /// Identifies a task within a core's task table.
-pub type TaskId = usize;
+pub type TaskId = u16;
 
 /// Identifies a data-structure register (tensor descriptor slot).
-pub type DsrId = usize;
+pub type DsrId = u16;
 
 /// Identifies a hardware FIFO within a tile.
-pub type FifoId = usize;
+pub type FifoId = u16;
 
 /// Identifies a scalar register (f32) in the core's register file.
-pub type Reg = usize;
+pub type Reg = u8;
 
 /// Number of scalar registers modeled per core.
 pub const NUM_REGS: usize = 32;

@@ -20,7 +20,7 @@ use wse_arch::dsr::mk;
 use wse_arch::fault::{FaultKind, FaultPlan};
 use wse_arch::instr::{Op, Stmt, Task, TaskAction, TensorInstr};
 use wse_arch::trace::TraceConfig;
-use wse_arch::types::{Dtype, Flit, Port, NUM_COLORS};
+use wse_arch::types::{Dtype, Flit, Port, TaskId, NUM_COLORS};
 use wse_arch::{Fabric, Region};
 use wse_float::F16;
 
@@ -440,7 +440,13 @@ fn install_late_receiver(f: &mut Fabric, at: (usize, usize), color: u8, n: u32, 
 }
 
 /// Installs a sender streaming `data` on `color` from `src` (no receiver).
-fn install_sender(f: &mut Fabric, src: (usize, usize), color: u8, data: &[F16], slot: u8) -> usize {
+fn install_sender(
+    f: &mut Fabric,
+    src: (usize, usize),
+    color: u8,
+    data: &[F16],
+    slot: u8,
+) -> TaskId {
     let n = data.len() as u32;
     let t = f.tile_mut(src.0, src.1);
     let addr = t.mem.alloc_vec(n, Dtype::F16).unwrap();
@@ -605,7 +611,7 @@ fn blit_over_a_stepped_fabric_steps_identically() {
 
 /// Adds a task copying `n` fp16 words within tile `at` (busy for about
 /// `n / 4` cycles, no fabric traffic) and returns it, not yet activated.
-fn add_local_copy(f: &mut Fabric, at: (usize, usize), n: u32) -> usize {
+fn add_local_copy(f: &mut Fabric, at: (usize, usize), n: u32) -> TaskId {
     let t = f.tile_mut(at.0, at.1);
     let buf = t.mem.alloc_vec(2 * n, Dtype::F16).unwrap();
     let d_from = t.core.add_dsr(mk::tensor16(buf, n));

@@ -33,12 +33,12 @@ use stencil::decomp::Block2D;
 use stencil::dia::{DiaMatrix, Offset3};
 use stencil::scalar::Scalar;
 use wse_arch::instr::{Op, Stmt, Task, TaskAction, TensorInstr};
-use wse_arch::types::{Dtype, Port, TaskId};
+use wse_arch::types::{Dtype, Port, Reg, TaskId};
 use wse_arch::{Fabric, Tile};
 use wse_float::F16;
 
 /// Register used as the zero constant when clearing the output buffer.
-const R_ZERO: usize = 30;
+const R_ZERO: Reg = 30;
 
 /// Byte addresses of one tile's block-mapped data.
 #[derive(Clone, Debug)]

@@ -121,10 +121,11 @@ impl Chain {
 mod tests {
     use super::*;
     use wse_arch::instr::RegOp;
+    use wse_arch::types::Reg;
     use wse_arch::Fabric;
 
-    const COUNT: usize = 0;
-    const ONE: usize = 1;
+    const COUNT: Reg = 0;
+    const ONE: Reg = 1;
 
     /// A 1×1 fabric with a chain over `threads` threads whose successor
     /// bumps register `COUNT`.
@@ -178,7 +179,7 @@ mod tests {
         fn invoke(&mut self, entry: TaskId) -> f32 {
             self.fabric.tile_mut(0, 0).core.activate(entry);
             self.fabric.run_watched(10_000, 10_000).unwrap();
-            self.fabric.tile(0, 0).core.regs[COUNT]
+            self.fabric.tile(0, 0).core.regs[COUNT as usize]
         }
     }
 

@@ -25,7 +25,7 @@
 use stencil::decomp::Block2D;
 use stencil::mesh::Mesh3D;
 use wse_arch::memory::TILE_SRAM_BYTES;
-use wse_arch::types::Dtype;
+use wse_arch::types::{Dtype, Reg};
 
 use crate::ir::{Boundary, CoefKind, DslError, Precision, StencilSpec};
 
@@ -39,7 +39,7 @@ pub const ROUTABLE_RADIUS: usize = 4;
 
 /// First core register the relay compute task may bind a constant
 /// coefficient to (lower registers are reserved for solver scalars).
-pub const CONST_REG_BASE: usize = 8;
+pub const CONST_REG_BASE: Reg = 8;
 
 /// Number of registers available for constant coefficients.
 pub const CONST_REG_SPAN: usize = 16;

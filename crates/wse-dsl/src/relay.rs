@@ -28,7 +28,7 @@ use crate::ir::{CoefKind, StencilSpec};
 use crate::plan::{distinct_consts, relay_uses_registers, CONST_REG_BASE};
 use stencil::dia::DiaMatrix;
 use wse_arch::instr::{Op, Stmt, Task, TaskAction, TensorInstr};
-use wse_arch::types::{Color, Dtype, Port, TaskId};
+use wse_arch::types::{Color, Dtype, Port, Reg, TaskId};
 use wse_arch::{Fabric, Tile};
 
 /// Direction indices into [`RelayLayout::bufs`]: data *from* the +x, −x,
@@ -172,8 +172,8 @@ pub fn build_relay_tile(
     let rounds = rx.max(ry);
     let use_regs = relay_uses_registers(spec);
     let consts = distinct_consts(spec);
-    let reg_of = |c: f32| -> usize {
-        CONST_REG_BASE + consts.iter().position(|s| s.to_bits() == c.to_bits()).unwrap()
+    let reg_of = |c: f32| -> Reg {
+        CONST_REG_BASE + consts.iter().position(|s| s.to_bits() == c.to_bits()).unwrap() as Reg
     };
 
     let core = &mut tile.core;
@@ -182,7 +182,7 @@ pub fn build_relay_tile(
     let mut cbody: Vec<Stmt> = Vec::new();
     if use_regs {
         for (i, &c) in consts.iter().enumerate() {
-            cbody.push(Stmt::SetReg { reg: CONST_REG_BASE + i, value: c });
+            cbody.push(Stmt::SetReg { reg: CONST_REG_BASE + i as Reg, value: c });
         }
     }
     for (o, t) in spec.taps.iter().enumerate() {

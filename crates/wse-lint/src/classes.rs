@@ -89,7 +89,11 @@ impl Class {
         let facts = TileFacts::build(tile, stats);
         let (waits, gates) = wait_sites(&facts);
         let mut wanted = ColorSet::default();
-        for b in tile.core.bindings().iter().filter(|b| facts.reachable.get(b.task) == Some(&true))
+        for b in tile
+            .core
+            .bindings()
+            .iter()
+            .filter(|b| facts.reachable.get(b.task as usize) == Some(&true))
         {
             wanted.insert(b.color);
         }

@@ -20,7 +20,7 @@
 use wse_arch::dsr::mk;
 use wse_arch::fabric::Fabric;
 use wse_arch::instr::{Op, Stmt, Task, TensorInstr};
-use wse_arch::types::{Dtype, Port};
+use wse_arch::types::{DsrId, Dtype, Port};
 
 /// Names of every fixture, in the order `build` knows them.
 pub const ALL: &[&str] = &[
@@ -45,7 +45,7 @@ pub fn build(name: &str) -> Option<Fabric> {
     })
 }
 
-fn copy(dst: usize, a: usize) -> Stmt {
+fn copy(dst: DsrId, a: DsrId) -> Stmt {
     Stmt::Exec(TensorInstr { op: Op::Copy, dst: Some(dst), a: Some(a), b: None })
 }
 

@@ -18,7 +18,7 @@ use wse_arch::fabric::{Fabric, Tile};
 use wse_arch::fifo::Fifo;
 use wse_arch::instr::{Op, Stmt, Task, TaskAction, TensorInstr};
 use wse_arch::router::Router;
-use wse_arch::types::{Dtype, Port, NUM_COLORS};
+use wse_arch::types::{DsrId, Dtype, Port, TaskId, NUM_COLORS};
 use wse_arch::Core;
 
 /// One kind of defect.
@@ -52,8 +52,8 @@ impl Mutation {
 /// statement `(task, stmt)` that re-arms one.
 #[derive(Copy, Clone)]
 enum Slot {
-    Dsr(usize),
-    Init(usize, usize),
+    Dsr(DsrId),
+    Init(TaskId, usize),
 }
 
 fn descriptor_slots(core: &Core) -> Vec<(Slot, Descriptor)> {
@@ -72,8 +72,8 @@ fn descriptor_slots(core: &Core) -> Vec<(Slot, Descriptor)> {
 /// What to change while copying a core through its public builder API.
 #[derive(Default)]
 struct CoreEdit {
-    dsr: Option<(usize, Descriptor)>,
-    stmt: Option<(usize, usize, Stmt)>,
+    dsr: Option<(DsrId, Descriptor)>,
+    stmt: Option<(TaskId, usize, Stmt)>,
     unbind: Option<usize>,
 }
 

@@ -102,7 +102,7 @@ impl InstrSite {
         on_complete: Option<(TaskId, TaskAction)>,
         effective: &[Descriptor],
     ) -> InstrSite {
-        let operand = |id: Option<DsrId>| id.map(|dsr| effective[dsr]);
+        let operand = |id: Option<DsrId>| id.map(|dsr| effective[dsr as usize]);
         let (dst, a, b) = (operand(instr.dst), operand(instr.a), operand(instr.b));
         let extent = |op: Option<Descriptor>| op.as_ref().and_then(Access::of);
         let write = extent(dst).map(|e| Access { accum: instr.op.reads_dst(), ..e });
@@ -272,7 +272,7 @@ impl<'a> TileFacts<'a> {
         for (id, edges) in activates.iter().enumerate() {
             if reachable[id] {
                 for e in edges.iter().filter(|e| e.via != Via::Loop) {
-                    activation_sources[e.to] += 1;
+                    activation_sources[e.to as usize] += 1;
                 }
             }
         }
@@ -293,7 +293,7 @@ impl<'a> TileFacts<'a> {
 
     /// The sites of reachable tasks, with their index into [`Self::sites`].
     pub fn reachable_sites(&self) -> impl Iterator<Item = (usize, &InstrSite)> {
-        self.sites.iter().enumerate().filter(|(_, s)| self.reachable[s.task])
+        self.sites.iter().enumerate().filter(|(_, s)| self.reachable[s.task as usize])
     }
 
     /// Every descriptor some instruction can actually use: the resolved
@@ -316,9 +316,9 @@ fn activation_graph(
     let n = core.num_tasks();
     let mut activates: Vec<Vec<Activation>> = vec![Vec::new(); n];
     for (id, task) in core.tasks() {
-        let out = &mut activates[id];
+        let out = &mut activates[id as usize];
         let mut edge = |to: TaskId, via: Via| {
-            if to < n {
+            if (to as usize) < n {
                 out.push(Activation { to, via });
             }
         };
@@ -327,7 +327,7 @@ fn activation_graph(
                 edge(*t, Via::Ctl);
             }
         }
-        for i in task_sites[id].clone() {
+        for i in task_sites[id as usize].clone() {
             let site = &sites[i];
             if let Some((t, TaskAction::Activate)) = site.on_complete {
                 edge(t, Via::Complete(i));
@@ -357,8 +357,8 @@ fn reachable_tasks(core: &Core, activates: &[Vec<Activation>], delivered: ColorS
     let mut reachable = vec![false; activates.len()];
     let mut work: Vec<TaskId> = Vec::new();
     let mut reach = |id: TaskId, work: &mut Vec<TaskId>| {
-        if id < reachable.len() && !reachable[id] {
-            reachable[id] = true;
+        if (id as usize) < reachable.len() && !reachable[id as usize] {
+            reachable[id as usize] = true;
             work.push(id);
         }
     };
@@ -376,7 +376,7 @@ fn reachable_tasks(core: &Core, activates: &[Vec<Activation>], delivered: ColorS
         }
     }
     while let Some(id) = work.pop() {
-        for e in activates[id].iter().filter(|e| e.via != Via::Loop) {
+        for e in activates[id as usize].iter().filter(|e| e.via != Via::Loop) {
             reach(e.to, &mut work);
         }
     }
@@ -396,7 +396,7 @@ fn resolve_sites(core: &Core) -> (Vec<InstrSite>, Vec<Range<usize>>) {
         let first = sites.len();
         for (stmt_idx, stmt) in task.body.iter().enumerate() {
             match stmt {
-                Stmt::InitDsr { dsr, desc } => effective[*dsr] = *desc,
+                Stmt::InitDsr { dsr, desc } => effective[*dsr as usize] = *desc,
                 Stmt::Exec(instr) => sites.push(InstrSite::resolve(
                     task_id, task.name, stmt_idx, instr, false, None, &effective,
                 )),

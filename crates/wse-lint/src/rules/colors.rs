@@ -22,7 +22,7 @@ use crate::program::TileFacts;
 use crate::Rule;
 use std::collections::BTreeMap;
 use wse_arch::dsr::Descriptor;
-use wse_arch::types::{Color, NUM_COLORS};
+use wse_arch::types::{Color, TaskId, NUM_COLORS};
 
 /// Runs the color rules on one tile class.
 pub(crate) fn check(facts: &TileFacts<'_>, findings: &mut Vec<Finding>) {
@@ -62,7 +62,7 @@ pub(crate) fn check(facts: &TileFacts<'_>, findings: &mut Vec<Finding>) {
 
     // Per-task concurrent-receive conflicts. For each task, every receive
     // site per color: (statement index, background?).
-    let mut per_task: BTreeMap<usize, BTreeMap<Color, Vec<(usize, bool)>>> = BTreeMap::new();
+    let mut per_task: BTreeMap<TaskId, BTreeMap<Color, Vec<(usize, bool)>>> = BTreeMap::new();
     for site in &facts.sites {
         for desc in site.operands() {
             if let Descriptor::FabricIn { color, .. } = desc {

@@ -107,7 +107,7 @@ pub(crate) fn check_local(
                 // from the earlier launch's iteration.
                 other.stmt > launch.stmt
             } else {
-                order.concurrent[other.task] && !order.after[other.task]
+                order.concurrent[other.task as usize] && !order.after[other.task as usize]
             };
             if !live_overlap {
                 continue;
@@ -264,7 +264,7 @@ impl<'f, 'a> Ordering<'f, 'a> {
                     || core.task_activated(id)
                     || core.entry_tasks().contains(&id)
                     || core.bindings().iter().any(|b| b.task == id);
-                facts.reachable[id] && !started_otherwise
+                facts.reachable[id as usize] && !started_otherwise
             })
             .collect();
         Ordering {
@@ -286,35 +286,37 @@ impl<'f, 'a> Ordering<'f, 'a> {
         self.after.fill(false);
         self.inside.fill(0);
         if let Some((seed, TaskAction::Activate | TaskAction::Unblock)) = launch.on_complete {
-            if seed < n {
-                self.after[seed] = true;
+            if (seed as usize) < n {
+                self.after[seed as usize] = true;
                 self.work.push(seed);
             }
         }
         while let Some(id) = self.work.pop() {
             // Only reachable code counts as an activation source.
-            if !facts.reachable[id] {
+            if !facts.reachable[id as usize] {
                 continue;
             }
-            for e in facts.activates[id].iter().filter(|e| e.via != Via::Loop) {
-                self.inside[e.to] += 1;
-                if !self.after[e.to]
-                    && self.joinable[e.to]
-                    && self.inside[e.to] == facts.activation_sources[e.to]
+            for e in facts.activates[id as usize].iter().filter(|e| e.via != Via::Loop) {
+                let to = e.to as usize;
+                self.inside[to] += 1;
+                if !self.after[to]
+                    && self.joinable[to]
+                    && self.inside[to] == facts.activation_sources[to]
                 {
-                    self.after[e.to] = true;
+                    self.after[to] = true;
                     self.work.push(e.to);
                 }
             }
         }
 
         self.concurrent.fill(false);
-        self.concurrent[launch.task] = true;
+        self.concurrent[launch.task as usize] = true;
         self.work.push(launch.task);
         while let Some(id) = self.work.pop() {
-            for e in &facts.activates[id] {
-                if e.via != Via::Complete(li) && facts.reachable[e.to] && !self.concurrent[e.to] {
-                    self.concurrent[e.to] = true;
+            for e in &facts.activates[id as usize] {
+                let to = e.to as usize;
+                if e.via != Via::Complete(li) && facts.reachable[to] && !self.concurrent[to] {
+                    self.concurrent[to] = true;
                     self.work.push(e.to);
                 }
             }

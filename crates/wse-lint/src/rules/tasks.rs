@@ -19,6 +19,7 @@ use crate::program::TileFacts;
 use crate::Rule;
 use wse_arch::dsr::Descriptor;
 use wse_arch::instr::{Stmt, TaskAction};
+use wse_arch::types::TaskId;
 
 /// Runs the task rules on one tile class.
 pub(crate) fn check(facts: &TileFacts<'_>, findings: &mut Vec<Finding>) {
@@ -26,13 +27,13 @@ pub(crate) fn check(facts: &TileFacts<'_>, findings: &mut Vec<Finding>) {
 
     // Unblock edges available from reachable code.
     let mut unblockable = vec![false; core.num_tasks()];
-    let mut unblock = |t: usize| {
-        if let Some(slot) = unblockable.get_mut(t) {
+    let mut unblock = |t: TaskId| {
+        if let Some(slot) = unblockable.get_mut(t as usize) {
             *slot = true;
         }
     };
     for (id, task) in core.tasks() {
-        if !facts.reachable[id] {
+        if !facts.reachable[id as usize] {
             continue;
         }
         for stmt in &task.body {
@@ -48,7 +49,7 @@ pub(crate) fn check(facts: &TileFacts<'_>, findings: &mut Vec<Finding>) {
     }
 
     for (id, task) in core.tasks() {
-        if !facts.reachable[id] {
+        if !facts.reachable[id as usize] {
             findings.push(Finding::error(
                 Rule::UnreachableTask,
                 format!(
@@ -58,7 +59,7 @@ pub(crate) fn check(facts: &TileFacts<'_>, findings: &mut Vec<Finding>) {
                     task.name
                 ),
             ));
-        } else if core.task_blocked(id) && !unblockable[id] {
+        } else if core.task_blocked(id) && !unblockable[id as usize] {
             findings.push(Finding::error(
                 Rule::BlockedForever,
                 format!(

@@ -16,7 +16,7 @@ use stencil::mesh::Mesh3D;
 use wse_arch::dsr::mk;
 use wse_arch::fabric::{Fabric, Tile};
 use wse_arch::instr::{Op, Stmt, Task, TensorInstr};
-use wse_arch::types::{Dtype, Port};
+use wse_arch::types::{DsrId, Dtype, Port};
 
 fn lint_with(
     fabric: &Fabric,
@@ -89,7 +89,7 @@ proptest! {
     }
 }
 
-fn copy(dst: usize, a: usize) -> Stmt {
+fn copy(dst: DsrId, a: DsrId) -> Stmt {
     Stmt::Exec(TensorInstr { op: Op::Copy, dst: Some(dst), a: Some(a), b: None })
 }
 

@@ -10,7 +10,7 @@ use wse_arch::dsr::mk;
 use wse_arch::fabric::Fabric;
 use wse_arch::fifo::Fifo;
 use wse_arch::instr::{Op, Stmt, Task, TaskAction, TensorInstr};
-use wse_arch::types::Dtype;
+use wse_arch::types::{DsrId, Dtype};
 use wse_arch::Port;
 use wse_lint::{lint, Rule};
 
@@ -19,7 +19,7 @@ fn assert_fires(fabric: &Fabric, rule: Rule) {
     assert!(diags.iter().any(|d| d.rule == rule), "expected {rule} to fire; got: {diags:#?}");
 }
 
-fn copy(dst: usize, a: usize) -> Stmt {
+fn copy(dst: DsrId, a: DsrId) -> Stmt {
     Stmt::Exec(TensorInstr { op: Op::Copy, dst: Some(dst), a: Some(a), b: None })
 }
 
