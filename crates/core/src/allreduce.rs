@@ -89,24 +89,7 @@ impl AllReduce {
         r_out: Reg,
         r_acc: Reg,
     ) -> AllReduce {
-        Self::build_with_base(fabric, w, h, r_in, r_out, r_acc, colors::DEFAULT_BASE)
-    }
-
-    /// Like [`AllReduce::build`], on a custom virtual-channel base so that
-    /// several instances can coexist and run concurrently.
-    ///
-    /// # Panics
-    /// Panics if the region is smaller than 2×2 or exceeds the fabric.
-    pub fn build_with_base(
-        fabric: &mut Fabric,
-        w: usize,
-        h: usize,
-        r_in: Reg,
-        r_out: Reg,
-        r_acc: Reg,
-        base: u8,
-    ) -> AllReduce {
-        let mut net = Self::routed(fabric, w, h, r_in, r_out, r_acc, base);
+        let mut net = Self::routed(fabric, w, h, r_in, r_out, r_acc, colors::DEFAULT_BASE);
         net.tasks.reserve(w * h);
         for y in 0..h {
             for x in 0..w {
@@ -124,11 +107,12 @@ impl AllReduce {
 
     /// The network with its tree geometry derived and its routes set, and
     /// no tasks yet: what [`AllReduce`] and [`AllReduceSplit`] both start
-    /// from.
+    /// from, and the second network of a fused round (whose tasks come from
+    /// [`AllReduce::build_fused_task`] alone).
     ///
     /// # Panics
     /// Panics if the region is smaller than 2×2 or exceeds the fabric.
-    fn routed(
+    pub(crate) fn routed(
         fabric: &mut Fabric,
         w: usize,
         h: usize,

@@ -1131,7 +1131,7 @@ pub(crate) fn build(
     let allreduce2 = recurrence.slots().any(|slot| slot == Slot::ReduceBoth).then(|| {
         let base = colors::DEFAULT_BASE + colors::SPAN;
         let (r_in, r_out, r_acc) = (regs::AR_IN2, regs::AR_OUT2, regs::AR_ACC2);
-        AllReduce::build_with_base(fabric, w, h, r_in, r_out, r_acc, base)
+        AllReduce::routed(fabric, w, h, r_in, r_out, r_acc, base)
     });
 
     let mut tiles = Vec::with_capacity(w * h);
