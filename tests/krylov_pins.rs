@@ -589,3 +589,155 @@ fn awkward_multi_k3_all_three_builders() {
         assert_eq!(got, want, "{name}");
     }
 }
+
+// ---------------------------------------------------------------------
+// The reduction networks on their own: the scalar tree as one task per
+// tile and as a reduce/broadcast pair, the lane chains, and the
+// interleaved pair of trees a `ReduceBoth` round runs. Recorded while the
+// scalar tree, its split form and the lane chains were three separate
+// builders.
+// ---------------------------------------------------------------------
+
+/// FNV-1a over 32-bit words.
+fn words_digest(words: impl IntoIterator<Item = u32>) -> u64 {
+    words
+        .into_iter()
+        .flat_map(u32::to_le_bytes)
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Tile `i`'s scalar contribution: non-uniform, so a change of summation
+/// order shows in the bits.
+fn contribution(i: usize) -> f32 {
+    (i * 37 % 101) as f32 / 16.0 - 2.9
+}
+
+#[test]
+fn reduction_networks_sweep() {
+    use wse_arch::fabric::STALL_WINDOW;
+    use wse_arch::types::{Dtype, Reg};
+    use wse_core::allreduce::{AllReduce, AllReduceSplit, ChainReduce};
+    const R_IN: Reg = 24;
+    const R_OUT: Reg = 25;
+    const R_ACC: Reg = 26;
+    let run = |fabric: &mut Fabric| fabric.run_watched(100_000, STALL_WINDOW).unwrap();
+    let scalar_shapes = [(2, 2), (2, 7), (3, 3), (4, 4), (5, 3), (9, 5)];
+
+    // The one-task scalar tree: (digest, cycles, every tile's output bits).
+    let mut one = Vec::new();
+    for (w, h) in scalar_shapes.into_iter().chain([8, 16, 32, 48].map(|n| (n, n))) {
+        let mut fabric = Fabric::new(w, h);
+        let net = AllReduce::build(&mut fabric, w, h, R_IN, R_OUT, R_ACC);
+        let digest = program_digest(&fabric);
+        let values: Vec<f32> = (0..w * h).map(contribution).collect();
+        let (out, cycles) = net.run(&mut fabric, &values);
+        one.push((digest, cycles, words_digest(out.iter().map(|v| v.to_bits()))));
+    }
+
+    // The split tree: (digest, [reduce, broadcast] cycles, the root's
+    // partial bits, every tile's output bits).
+    let mut split = Vec::new();
+    for (w, h) in scalar_shapes {
+        let mut fabric = Fabric::new(w, h);
+        let net = AllReduceSplit::build(&mut fabric, w, h, R_IN, R_OUT, R_ACC);
+        let digest = program_digest(&fabric);
+        for y in 0..h {
+            for x in 0..w {
+                let core = &mut fabric.tile_mut(x, y).core;
+                core.regs[R_IN as usize] = contribution(y * w + x);
+                core.activate(net.reduce_task(x, y));
+            }
+        }
+        let reduce = run(&mut fabric);
+        let (rx, ry) = net.root();
+        let partial = fabric.tile(rx, ry).core.regs[R_ACC as usize].to_bits();
+        for y in 0..h {
+            for x in 0..w {
+                fabric.tile_mut(x, y).core.activate(net.bcast_task(x, y));
+            }
+        }
+        let bcast = run(&mut fabric);
+        let out = (0..w * h).map(|i| fabric.tile(i % w, i / w).core.regs[R_OUT as usize].to_bits());
+        split.push((digest, [reduce, bcast], partial, words_digest(out)));
+    }
+
+    // The lane chains, m = 14 with a 7-register reply: (digest, [reduce,
+    // broadcast] cycles, the root's lane bits, every tile's reply bits).
+    const M: u32 = 14;
+    const REPLY: [Reg; 7] = [2, 3, 6, 7, 12, 9, 11];
+    let mut lanes = Vec::new();
+    for (w, h) in [(1, 1), (1, 4), (4, 1), (3, 3), (5, 4)] {
+        let mut fabric = Fabric::new(w, h);
+        let (mut pay, mut reply) = (0, 0);
+        for i in 0..w * h {
+            let t = fabric.tile_mut(i % w, i / w);
+            pay = t.mem.alloc_vec(M, Dtype::F32).unwrap();
+            reply = t.mem.alloc_vec(REPLY.len() as u32, Dtype::F32).unwrap();
+            for j in 0..M as usize {
+                t.mem.write_f32(pay + 4 * j as u32, contribution(i * 14 + j));
+            }
+        }
+        let net = ChainReduce::build(&mut fabric, w, h, pay, M, reply, &REPLY);
+        let digest = program_digest(&fabric);
+        for i in 0..w * h {
+            fabric.tile_mut(i % w, i / w).core.activate(net.reduce_task(i % w, i / w));
+        }
+        let reduce = run(&mut fabric);
+        let root = fabric.tile_mut(0, 0);
+        let sums: Vec<u32> = (0..M).map(|j| root.mem.read_f32(pay + 4 * j).to_bits()).collect();
+        for i in 0..REPLY.len() as u32 {
+            root.mem.write_f32(reply + 4 * i, contribution(i as usize) * 3.0);
+        }
+        for i in 0..w * h {
+            fabric.tile_mut(i % w, i / w).core.activate(net.bcast_task(i % w, i / w));
+        }
+        let bcast = run(&mut fabric);
+        let out = (0..w * h).flat_map(|i| {
+            let regs = fabric.tile(i % w, i / w).core.regs;
+            REPLY.map(|r| regs[r as usize].to_bits())
+        });
+        lanes.push((digest, [reduce, bcast], words_digest(sums), words_digest(out)));
+    }
+
+    // The interleaved pair of a `ReduceBoth` round, on shapes with the
+    // root's column on the edge (`cx0 = 0`) and the root on the edge.
+    let mut both = Vec::new();
+    for (w, h) in [(2, 2), (3, 5), (5, 3)] {
+        let (a, _) = system3d(Mesh3D::new(w, h, 4));
+        let mut fabric = Fabric::new(w, h);
+        let _ = WaferBicgstab::build_fused(&mut fabric, &a);
+        both.push(program_digest(&fabric));
+    }
+
+    let want_one = [
+        (8020299545844045590, 12, 12687659582356861445),
+        (11954788661332408597, 19, 7406531698931595657),
+        (17810186214931492784, 16, 11469340748627151651),
+        (786018500385399560, 21, 7855811143944219333),
+        (12901260619221297418, 18, 920569913830202127),
+        (9701908728362815966, 26, 10486525283343384618),
+        (15095898339764764804, 29, 6134694655109477797),
+        (2640543549278214020, 45, 12449333386027876133),
+        (10829810465514120228, 77, 15501502731012504357),
+        (18088322980166744216, 109, 9752801592811614501),
+    ];
+    let want_split = [
+        (1143853689188743982, [7, 5], 3229692724, 12687659582356861445),
+        (14969855639206325047, [12, 7], 3206126000, 7406531698931595657),
+        (6981622887276948592, [11, 5], 1051511984, 11469340748627151651),
+        (4557406046499213058, [14, 7], 3223165344, 7855811143944219333),
+        (529168419717323304, [12, 6], 3224109062, 920569913830202127),
+        (2620156717475699642, [17, 9], 1086980087, 10486525283343384618),
+    ];
+    let want_lanes = [
+        (3300156333096940610, [1, 14], 12173610704589214781, 17906120680088862580),
+        (14380446698545640631, [22, 20], 14311866551555774424, 3912444044278087445),
+        (9983194775616266386, [22, 20], 14311866551555774424, 3912444044278087445),
+        (7504975452640170187, [40, 20], 13922611525635273799, 10214923133787964116),
+        (17033814652611561472, [46, 23], 10839319953888556098, 9008367607563520469),
+    ];
+    assert_eq!(one, want_one);
+    assert_eq!(split, want_split);
+    assert_eq!(lanes, want_lanes);
+    assert_eq!(both, [14680945005554599727, 11676264596116208805, 3103679166610500927]);
+}
