@@ -19,7 +19,7 @@ use stencil::dia::DiaMatrix;
 use stencil::mesh::Mesh3D;
 use stencil::problem::manufactured;
 use wse_arch::Fabric;
-use wse_core::allreduce::AllReduce;
+use wse_core::allreduce::{Payload, Reduction};
 use wse_core::bicgstab::WaferBicgstab;
 use wse_dsl::tess::{spmv_color, verify_tessellation};
 use wse_float::F16;
@@ -172,7 +172,8 @@ pub fn fig6() -> Fig6Result {
     let mut measured = Vec::new();
     for (w, h) in [(8, 8), (16, 16), (32, 32), (48, 48)] {
         let mut fabric = Fabric::new(w, h);
-        let ar = AllReduce::build(&mut fabric, w, h, 24, 25, 26);
+        let ar =
+            Reduction::build(&mut fabric, w, h, Payload::Scalar { r_in: 24, r_out: 25, r_acc: 26 });
         let (out, cycles) = ar.run(&mut fabric, &vec![1.0; w * h]);
         assert_eq!(out[0], (w * h) as f32, "allreduce correctness");
         measured.push((w, h, cycles));

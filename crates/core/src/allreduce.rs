@@ -1,4 +1,5 @@
-//! The scalar AllReduce of Fig. 6.
+//! The on-wafer reductions: the scalar AllReduce of Fig. 6 and the lane
+//! chains under the ensemble's single-reduction iteration.
 //!
 //! "The reduction is performed in parallel along fabric rows, then along two
 //! central columns. ... We use two cores in the center, each receiving input
@@ -16,747 +17,485 @@
 //! has already run a reduction can round differently from a fresh one on
 //! the same inputs), so results are bit-identical only between runs with
 //! identical histories.
+//!
+//! One [`Reduction`] is both networks; its [`Payload`] picks the geometry.
+//! A scalar rides the Fig. 6 tree, whose fan-ins sum in any order. `m`
+//! lanes ride systolic chains to `(0, 0)` — west along every row, then
+//! north along column 0 — because a fan-in would interleave the lanes of
+//! several senders. Either geometry is a list of *legs*, paths of tiles
+//! toward a sink, and a list of broadcast paths; one walk sets the routes
+//! of both and gives every tile its part in each leg, and one emitter turns
+//! those parts into tasks.
 
-use wse_arch::dsr::mk;
+use crate::bicgstab::regs;
+use wse_arch::dsr::{mk, Descriptor};
 use wse_arch::fabric::STALL_WINDOW;
 use wse_arch::instr::{Op, RegOp, Stmt, Task, TensorInstr};
 use wse_arch::types::{Color, DsrId, Port, Reg, TaskId};
 use wse_arch::{Core, Fabric};
+use wse_dsl::colors::{ALLREDUCE_BASE, ALLREDUCE_SPAN, CHAIN_BC, CHAIN_COL, CHAIN_ROW};
 
-/// Virtual channels used by the AllReduce, as offsets from a configurable
-/// base (disjoint instances let several scalars reduce **concurrently** —
-/// the communication-fusion variant merges the ω-step's two reductions into
-/// one round this way). The default base is 10, clear of the SpMV's 0..5.
-pub mod colors {
-    /// Default color base (the whole-wafer allocation lives in
-    /// [`wse_dsl::colors`]).
-    pub const DEFAULT_BASE: u8 = wse_dsl::colors::ALLREDUCE_BASE;
-    /// Colors consumed per instance.
-    pub const SPAN: u8 = wse_dsl::colors::ALLREDUCE_SPAN;
-    /// Left half-rows flowing east toward the center-left column.
-    pub const ROW_E: u8 = 0;
-    /// Right half-rows flowing west toward the center-right column.
-    pub const ROW_W: u8 = 1;
-    /// Upper half of the central columns flowing south.
-    pub const COL_S: u8 = 2;
-    /// Lower half of the central columns flowing north.
-    pub const COL_N: u8 = 3;
-    /// The final 4:1 reduction to the root.
-    pub const FIN: u8 = 4;
-    /// Result broadcast.
-    pub const BC: u8 = 5;
+/// What a [`Reduction`] sums.
+#[derive(Clone, Copy, Debug)]
+pub enum Payload {
+    /// One fp32 scalar per tile, in registers, over the Fig. 6 tree.
+    /// Needs a region of at least 2×2.
+    Scalar {
+        /// Each tile's contribution.
+        r_in: Reg,
+        /// The total, on every tile after the broadcast.
+        r_out: Reg,
+        /// The running sum; the root's holds the total between the phases.
+        r_acc: Reg,
+    },
+    /// `m` fp32 lanes in memory, over the chains to the root `(0, 0)`.
+    Lanes {
+        /// Byte address of the lanes on every tile; after the reduce the
+        /// root's copy holds their element-wise sum.
+        pay: u32,
+        /// Lane count.
+        m: u32,
+        /// Byte address, on the root, of the reply the host writes before
+        /// the broadcast.
+        reply: u32,
+        /// The registers every tile loads the reply into, in stream order.
+        regs: &'static [Reg],
+    },
 }
 
-/// The geometry of one Fig. 6 tree over a `w × h` region: the two central
-/// columns the rows reduce into and the two central rows of those columns.
-/// The root is `(cx0, cy0)`.
+/// Tiles in path order, each adjacent to the next.
+type Path = Vec<(usize, usize)>;
+
+/// A path toward its sink, the last tile, on one color: every other tile
+/// sends toward the sink.
+struct Leg {
+    color: Color,
+    tiles: Path,
+}
+
+/// One tile's part in one leg.
 #[derive(Clone, Copy)]
-struct Tree {
+enum Role {
+    /// Sends toward the sink; `fed` if an upstream tile sends through it.
+    Send { color: Color, fed: bool },
+    /// The sink of `n` upstream tiles (of every leg ending here on `color`).
+    Sink { color: Color, n: u32 },
+}
+
+/// A built reduction over the `w × h` region at the fabric origin (a
+/// region blitted elsewhere carries it along: routing and tasks are
+/// per-tile state).
+#[derive(Clone)]
+pub struct Reduction {
     w: usize,
     h: usize,
-    cx0: usize,
-    cx1: usize,
-    cy0: usize,
-    cy1: usize,
-}
-
-/// A built AllReduce program over the `w × h` region at the fabric origin
-/// (a region blitted elsewhere carries it along: routing and tasks are
-/// per-tile state). The handle is `Clone`.
-#[derive(Clone)]
-pub struct AllReduce {
-    tree: Tree,
-    /// Input register (each core's contribution).
-    pub r_in: Reg,
-    /// Output register (the global sum, on every core).
-    pub r_out: Reg,
-    /// Scratch accumulator register.
-    pub r_acc: Reg,
-    base: u8,
+    payload: Payload,
+    root: (usize, usize),
+    bc: Color,
+    /// Per tile, `y * w + x`, its tasks in phase order: one, or a reduce
+    /// and a broadcast.
     tasks: Vec<TaskId>,
 }
 
-impl AllReduce {
-    /// Builds the routing and per-tile tasks. Requires `w ≥ 2` and `h ≥ 2`.
+impl Reduction {
+    /// Builds the routes and one task per tile that reduces and then
+    /// broadcasts: the single-wafer form.
     ///
     /// # Panics
-    /// Panics if the region is smaller than 2×2 or exceeds the fabric.
-    pub fn build(
-        fabric: &mut Fabric,
-        w: usize,
-        h: usize,
-        r_in: Reg,
-        r_out: Reg,
-        r_acc: Reg,
-    ) -> AllReduce {
-        let mut net = Self::routed(fabric, w, h, r_in, r_out, r_acc, colors::DEFAULT_BASE);
-        net.tasks.reserve(w * h);
-        for y in 0..h {
-            for x in 0..w {
-                let (mut body, root_tail, recv) = net.tile_body_parts(fabric, x, y);
-                body.extend(root_tail);
-                body.extend(recv);
-                let core = &mut fabric.tile_mut(x, y).core;
-                let id = core.add_task(Task::new("allreduce", body));
-                core.mark_entry(id);
-                net.tasks.push(id);
-            }
-        }
+    /// Panics if the region exceeds the fabric, a scalar region is smaller
+    /// than 2×2, or the payload is lanes (their reply comes from the host,
+    /// between the phases).
+    pub fn build(fabric: &mut Fabric, w: usize, h: usize, payload: Payload) -> Reduction {
+        assert!(matches!(payload, Payload::Scalar { .. }), "lanes reduce with build_split");
+        let (mut net, roles) = Self::routed(fabric, w, h, payload, ALLREDUCE_BASE);
+        net.tasks = emit(fabric, &[(&net, &roles)], false);
         net
     }
 
-    /// The network with its tree geometry derived and its routes set, and
-    /// no tasks yet: what [`AllReduce`] and [`AllReduceSplit`] both start
-    /// from, and the second network of a fused round (whose tasks come from
-    /// [`AllReduce::build_fused_task`] alone).
+    /// Builds the routes and, per tile, a reduce task and a broadcast task,
+    /// so that a host can combine the partials between them: the ensemble
+    /// form. After the reduce the wafer's partials sit on the
+    /// [`root`](Reduction::root) ([`Reduction::partials`]); the broadcast
+    /// sends what [`Reduction::write_reply`] put there.
     ///
     /// # Panics
-    /// Panics if the region is smaller than 2×2 or exceeds the fabric.
-    pub(crate) fn routed(
+    /// Panics if the region is empty or exceeds the fabric, or a scalar
+    /// region is smaller than 2×2.
+    pub fn build_split(fabric: &mut Fabric, w: usize, h: usize, payload: Payload) -> Reduction {
+        let (mut net, roles) = Self::routed(fabric, w, h, payload, ALLREDUCE_BASE);
+        net.tasks = emit(fabric, &[(&net, &roles)], true);
+        net
+    }
+
+    /// The single-wafer Krylov reductions, per tile in `y * w + x` order:
+    /// the one-task tree on `AR_IN`/`AR_OUT`/`AR_ACC` (`Slot::Reduce`) and,
+    /// with `both`, one task running it interleaved with a second tree on
+    /// `AR_IN2`/`AR_OUT2`/`AR_ACC2`, on the next color span
+    /// (`Slot::ReduceBoth`). The second tree has no task of its own.
+    pub(crate) fn krylov(
         fabric: &mut Fabric,
         w: usize,
         h: usize,
-        r_in: Reg,
-        r_out: Reg,
-        r_acc: Reg,
-        base: u8,
-    ) -> AllReduce {
-        assert!(w >= 2 && h >= 2, "AllReduce needs at least a 2x2 region");
+        both: bool,
+    ) -> Vec<(TaskId, Option<TaskId>)> {
+        let scalar = |r_in, r_out, r_acc| Payload::Scalar { r_in, r_out, r_acc };
+        let first = scalar(regs::AR_IN, regs::AR_OUT, regs::AR_ACC);
+        let (mut one, roles) = Self::routed(fabric, w, h, first, ALLREDUCE_BASE);
+        one.tasks = emit(fabric, &[(&one, &roles)], false);
+        let fused = both.then(|| {
+            let second = scalar(regs::AR_IN2, regs::AR_OUT2, regs::AR_ACC2);
+            let base = ALLREDUCE_BASE + ALLREDUCE_SPAN;
+            let (two, two_roles) = Self::routed(fabric, w, h, second, base);
+            emit(fabric, &[(&one, &roles), (&two, &two_roles)], false)
+        });
+        (0..w * h).map(|i| (one.tasks[i], fused.as_ref().map(|f| f[i]))).collect()
+    }
+
+    /// The network with its routes set and no tasks yet, and every tile's
+    /// roles, in `y * w + x` order.
+    fn routed(
+        fabric: &mut Fabric,
+        w: usize,
+        h: usize,
+        payload: Payload,
+        base: Color,
+    ) -> (Reduction, Vec<Vec<Role>>) {
         assert!(w <= fabric.width() && h <= fabric.height(), "region exceeds fabric");
-        let (cx0, cy0) = ((w - 1) / 2, (h - 1) / 2);
-        let tree = Tree { w, h, cx0, cx1: cx0 + 1, cy0, cy1: cy0 + 1 };
-        let net = AllReduce { tree, r_in, r_out, r_acc, base, tasks: Vec::new() };
-        net.configure_routes(fabric);
-        net
-    }
-
-    /// The task id to activate on tile `(x, y)` (for phase chaining).
-    pub fn task(&self, x: usize, y: usize) -> TaskId {
-        self.tasks[y * self.tree.w + x]
-    }
-
-    fn configure_routes(&self, fabric: &mut Fabric) {
-        let Tree { w, h, cx0, cx1, cy0, cy1 } = self.tree;
-        let base = self.base;
-        let (row_e, row_w, col_s, col_n, fin, bc) = (
-            base + colors::ROW_E,
-            base + colors::ROW_W,
-            base + colors::COL_S,
-            base + colors::COL_N,
-            base + colors::FIN,
-            base + colors::BC,
-        );
-        let mut sr = |x: usize, y: usize, from: Port, color: u8, fan: &[Port]| {
-            fabric.set_route(x, y, from, color, fan);
+        let (legs, paths, root, bc) = match payload {
+            Payload::Scalar { .. } => tree(w, h, base),
+            Payload::Lanes { .. } => chains(w, h),
         };
-        // --- Row reduction. ---
-        for y in 0..h {
-            for x in 0..cx0 {
-                sr(x, y, Port::Ramp, row_e, &[Port::East]);
-                if x > 0 {
-                    sr(x, y, Port::West, row_e, &[Port::East]);
-                }
-            }
-            if cx0 > 0 {
-                sr(cx0, y, Port::West, row_e, &[Port::Ramp]);
-            }
-            for x in cx1 + 1..w {
-                sr(x, y, Port::Ramp, row_w, &[Port::West]);
-                if x < w - 1 {
-                    sr(x, y, Port::East, row_w, &[Port::West]);
-                }
-            }
-            if cx1 < w - 1 {
-                sr(cx1, y, Port::East, row_w, &[Port::Ramp]);
-            }
-        }
-        // --- Column reduction on the two central columns. ---
-        for &cx in &[cx0, cx1] {
-            for y in 0..cy0 {
-                sr(cx, y, Port::Ramp, col_s, &[Port::South]);
-                if y > 0 {
-                    sr(cx, y, Port::North, col_s, &[Port::South]);
-                }
-            }
-            if cy0 > 0 {
-                sr(cx, cy0, Port::North, col_s, &[Port::Ramp]);
-            }
-            for y in cy1 + 1..h {
-                sr(cx, y, Port::Ramp, col_n, &[Port::North]);
-                if y < h - 1 {
-                    sr(cx, y, Port::South, col_n, &[Port::North]);
-                }
-            }
-            if cy1 < h - 1 {
-                sr(cx, cy1, Port::South, col_n, &[Port::Ramp]);
-            }
-        }
-        // --- 4:1 to the root (cx0, cy0). ---
-        sr(cx1, cy0, Port::Ramp, fin, &[Port::West]);
-        sr(cx0, cy0, Port::East, fin, &[Port::Ramp]);
-        sr(cx1, cy1, Port::Ramp, fin, &[Port::West]);
-        sr(cx0, cy1, Port::East, fin, &[Port::North]);
-        sr(cx0, cy1, Port::Ramp, fin, &[Port::North]);
-        sr(cx0, cy0, Port::South, fin, &[Port::Ramp]);
-        // --- Broadcast from the root. ---
-        {
-            let mut fan = vec![Port::East, Port::South];
-            if cx0 > 0 {
-                fan.push(Port::West);
-            }
-            if cy0 > 0 {
-                fan.push(Port::North);
-            }
-            sr(cx0, cy0, Port::Ramp, bc, &fan);
-        }
-        {
-            // (cx1, cy0) relays vertically and into its row's right segment.
-            let mut fan = vec![Port::Ramp, Port::South];
-            if cy0 > 0 {
-                fan.push(Port::North);
-            }
-            if cx1 < w - 1 {
-                fan.push(Port::East);
-            }
-            sr(cx1, cy0, Port::West, bc, &fan);
-        }
-        // Central columns relay away from the root and into their rows.
-        for (cx, row_port, row_exists) in
-            [(cx0, Port::West, cx0 > 0), (cx1, Port::East, cx1 < w - 1)]
-        {
-            for y in 0..h {
-                if y == cy0 {
-                    continue; // root / relay handled above
-                }
-                let from = if y < cy0 { Port::South } else { Port::North };
-                let mut fan = vec![Port::Ramp];
-                if y < cy0 && y > 0 {
-                    fan.push(Port::North);
-                }
-                if y > cy0 && y < h - 1 {
-                    fan.push(Port::South);
-                }
-                if row_exists {
-                    fan.push(row_port);
-                }
-                sr(cx, y, from, bc, &fan);
-            }
-        }
-        // Row tiles outside the central columns relay outward.
-        for y in 0..h {
-            for x in 0..cx0 {
-                let mut fan = vec![Port::Ramp];
-                if x > 0 {
-                    fan.push(Port::West);
-                }
-                sr(x, y, Port::East, bc, &fan);
-            }
-            for x in cx1 + 1..w {
-                let mut fan = vec![Port::Ramp];
-                if x < w - 1 {
-                    fan.push(Port::East);
-                }
-                sr(x, y, Port::West, bc, &fan);
-            }
-        }
+        let relay = matches!(payload, Payload::Lanes { .. });
+        let roles = walk(fabric, (w, h), &legs, relay, (bc, &paths));
+        (Reduction { w, h, payload, root, bc, tasks: Vec::new() }, roles)
     }
 
-    /// Builds one tile's statements, split into three parts: the *upstream
-    /// reduction work* (sends and partial sums, ending with the wafer-local
-    /// total in the root's `r_acc`), the *root's broadcast transmit*, and
-    /// the *broadcast receive*. Fusing lets two instances interleave (both
-    /// upstream parts before either blocking receive); the hierarchical
-    /// multi-wafer AllReduce instead cuts between the reduction and the
-    /// broadcast so the host can combine the per-wafer partial sums.
-    fn tile_body_parts(
-        &self,
-        fabric: &mut Fabric,
-        x: usize,
-        y: usize,
-    ) -> (Vec<Stmt>, Vec<Stmt>, Vec<Stmt>) {
-        let Tree { w, h, cx0, cx1, cy0, cy1 } = self.tree;
-        let (base, r_in, r_out, r_acc) = (self.base, self.r_in, self.r_out, self.r_acc);
-        let (row_e, row_w, col_s, col_n, fin, bc) = (
-            base + colors::ROW_E,
-            base + colors::ROW_W,
-            base + colors::COL_S,
-            base + colors::COL_N,
-            base + colors::FIN,
-            base + colors::BC,
-        );
-        let core = &mut fabric.tile_mut(x, y).core;
-        let mut body = Vec::new();
-        let in_central_col = x == cx0 || x == cx1;
-
-        if !in_central_col {
-            // Plain tile: contribute to the row reduction, then await the
-            // broadcast.
-            let color = if x < cx0 { row_e } else { row_w };
-            let d_tx = core.add_dsr(mk::tx32(color, 1));
-            body.push(Stmt::InitDsr { dsr: d_tx, desc: mk::tx32(color, 1) });
-            body.push(Stmt::Exec(TensorInstr {
-                op: Op::StoreReg { reg: r_in },
-                dst: Some(d_tx),
-                a: None,
-                b: None,
-            }));
-        } else {
-            // Row-center tile: accumulate own value + the half-row stream
-            // (absent when this center column sits on the fabric edge).
-            let (color, len) = if x == cx0 { (row_e, cx0) } else { (row_w, w - 1 - cx1) };
-            body.push(Stmt::RegArith { op: RegOp::Mov, dst: r_acc, a: r_in, b: r_in });
-            if len > 0 {
-                let d_rx = core.add_dsr(mk::rx32(color, len as u32));
-                body.push(Stmt::InitDsr { dsr: d_rx, desc: mk::rx32(color, len as u32) });
-                body.push(Stmt::Exec(TensorInstr {
-                    op: Op::SumReg { acc: r_acc },
-                    dst: None,
-                    a: Some(d_rx),
-                    b: None,
-                }));
-            }
-
-            if y != cy0 && y != cy1 {
-                // Column contributor.
-                let color = if y < cy0 { col_s } else { col_n };
-                let d_tx = core.add_dsr(mk::tx32(color, 1));
-                body.push(Stmt::InitDsr { dsr: d_tx, desc: mk::tx32(color, 1) });
-                body.push(Stmt::Exec(TensorInstr {
-                    op: Op::StoreReg { reg: r_acc },
-                    dst: Some(d_tx),
-                    a: None,
-                    b: None,
-                }));
-            } else {
-                // One of the central four: fold in the half-column stream
-                // (absent when the center row sits on the fabric edge).
-                let (color, len) = if y == cy0 { (col_s, cy0) } else { (col_n, h - 1 - cy1) };
-                if len > 0 {
-                    let d_rx = core.add_dsr(mk::rx32(color, len as u32));
-                    body.push(Stmt::InitDsr { dsr: d_rx, desc: mk::rx32(color, len as u32) });
-                    body.push(Stmt::Exec(TensorInstr {
-                        op: Op::SumReg { acc: r_acc },
-                        dst: None,
-                        a: Some(d_rx),
-                        b: None,
-                    }));
-                }
-
-                let is_root = x == cx0 && y == cy0;
-                if is_root {
-                    let d_rx = core.add_dsr(mk::rx32(fin, 3));
-                    body.push(Stmt::InitDsr { dsr: d_rx, desc: mk::rx32(fin, 3) });
-                    body.push(Stmt::Exec(TensorInstr {
-                        op: Op::SumReg { acc: r_acc },
-                        dst: None,
-                        a: Some(d_rx),
-                        b: None,
-                    }));
-                    let d_tx = core.add_dsr(mk::tx32(bc, 1));
-                    let root_tail = vec![
-                        Stmt::InitDsr { dsr: d_tx, desc: mk::tx32(bc, 1) },
-                        Stmt::Exec(TensorInstr {
-                            op: Op::StoreReg { reg: r_acc },
-                            dst: Some(d_tx),
-                            a: None,
-                            b: None,
-                        }),
-                        Stmt::RegArith { op: RegOp::Mov, dst: r_out, a: r_acc, b: r_acc },
-                    ];
-                    return (body, root_tail, Vec::new()); // the root keeps its own copy
-                }
-                let d_tx = core.add_dsr(mk::tx32(fin, 1));
-                body.push(Stmt::InitDsr { dsr: d_tx, desc: mk::tx32(fin, 1) });
-                body.push(Stmt::Exec(TensorInstr {
-                    op: Op::StoreReg { reg: r_acc },
-                    dst: Some(d_tx),
-                    a: None,
-                    b: None,
-                }));
-            }
-        }
-
-        // Everyone except the root receives the broadcast — returned as the
-        // separate blocking part.
-        let d_bc = core.add_dsr(mk::rx32(bc, 1));
-        let recv = vec![
-            Stmt::InitDsr { dsr: d_bc, desc: mk::rx32(bc, 1) },
-            Stmt::Exec(TensorInstr {
-                op: Op::LoadReg { reg: r_out },
-                dst: None,
-                a: Some(d_bc),
-                b: None,
-            }),
-        ];
-        (body, Vec::new(), recv)
+    /// Tile `(x, y)`'s tasks in phase order: the one task, or the reduce
+    /// task and the broadcast task.
+    pub fn tasks(&self, x: usize, y: usize) -> &[TaskId] {
+        let per_tile = self.tasks.len() / (self.w * self.h);
+        &self.tasks[(y * self.w + x) * per_tile..][..per_tile]
     }
 
-    /// Builds a per-tile task that runs `self` and `other` **concurrently**:
-    /// both instances' upstream work first, then both broadcast receives.
-    /// Both instances must have been built over the same region.
-    ///
-    /// # Panics
-    /// Panics if the regions differ.
-    pub fn build_fused_task(
-        &self,
-        other: &AllReduce,
-        fabric: &mut Fabric,
-        x: usize,
-        y: usize,
-    ) -> TaskId {
-        let dims = |net: &AllReduce| (net.tree.w, net.tree.h);
-        assert_eq!(dims(self), dims(other), "regions must match");
-        let (w1, t1, r1) = self.tile_body_parts(fabric, x, y);
-        let (w2, t2, r2) = other.tile_body_parts(fabric, x, y);
-        let mut body = w1;
-        body.extend(t1);
-        body.extend(w2);
-        body.extend(t2);
-        body.extend(r1);
-        body.extend(r2);
-        let core = &mut fabric.tile_mut(x, y).core;
-        let id = core.add_task(Task::new("allreduce-fused", body));
-        core.mark_entry(id);
-        id
-    }
-
-    /// Host-driven execution: sets each tile's input register, activates
-    /// every task, runs to quiescence, and reads back every tile's output
-    /// register. Returns the per-tile results and the cycle count.
-    ///
-    /// # Panics
-    /// Panics if `values.len() != w*h` or the fabric stalls.
-    pub fn run(&self, fabric: &mut Fabric, values: &[f32]) -> (Vec<f32>, u64) {
-        assert_eq!(values.len(), self.tree.w * self.tree.h, "one value per tile");
-        for y in 0..self.tree.h {
-            for x in 0..self.tree.w {
-                let core = &mut fabric.tile_mut(x, y).core;
-                core.regs[self.r_in as usize] = values[y * self.tree.w + x];
-                core.activate(self.tasks[y * self.tree.w + x]);
-            }
-        }
-        let cycles = fabric
-            .run_watched(100_000, STALL_WINDOW)
-            .unwrap_or_else(|e| panic!("allreduce stalled: {e}"));
-        let mut out = Vec::with_capacity(values.len());
-        for y in 0..self.tree.h {
-            for x in 0..self.tree.w {
-                out.push(fabric.tile(x, y).core.regs[self.r_out as usize]);
-            }
-        }
-        (out, cycles)
-    }
-}
-
-/// The hierarchical split of the AllReduce: the on-wafer fp32 reduction
-/// tree and the broadcast are **separate tasks**, so a host-level combine
-/// can run between them. After the reduce phase quiesces, the wafer-local
-/// sum sits in the root tile's `r_acc`; the multi-wafer driver reads every
-/// wafer's partial sum over the host interconnect, combines them in fp32,
-/// writes the global sum back into each root's `r_acc`, and runs the
-/// broadcast phase (root transmits `r_acc`, every other tile receives into
-/// `r_out`). On a single wafer, reduce followed immediately by broadcast
-/// is arithmetically identical to [`AllReduce`].
-pub struct AllReduceSplit {
-    w: usize,
-    root: (usize, usize),
-    /// Input register (each core's contribution).
-    pub r_in: Reg,
-    /// Output register (the global sum, on every core).
-    pub r_out: Reg,
-    /// Scratch accumulator; holds the wafer-local sum on the root between
-    /// the two phases.
-    pub r_acc: Reg,
-    reduce: Vec<TaskId>,
-    bcast: Vec<TaskId>,
-}
-
-impl AllReduceSplit {
-    /// Builds the routing and the per-tile reduce/broadcast task pairs on
-    /// the default virtual-channel base. Requires `w ≥ 2` and `h ≥ 2`.
-    ///
-    /// # Panics
-    /// Panics if the region is smaller than 2×2 or exceeds the fabric.
-    pub fn build(
-        fabric: &mut Fabric,
-        w: usize,
-        h: usize,
-        r_in: Reg,
-        r_out: Reg,
-        r_acc: Reg,
-    ) -> AllReduceSplit {
-        let net = AllReduce::routed(fabric, w, h, r_in, r_out, r_acc, colors::DEFAULT_BASE);
-        let mut reduce = Vec::with_capacity(w * h);
-        let mut bcast = Vec::with_capacity(w * h);
-        for y in 0..h {
-            for x in 0..w {
-                let (up, root_tail, recv) = net.tile_body_parts(fabric, x, y);
-                let core = &mut fabric.tile_mut(x, y).core;
-                let red = core.add_task(Task::new("allreduce-reduce", up));
-                core.mark_entry(red);
-                reduce.push(red);
-                let mut bc_body = root_tail;
-                bc_body.extend(recv);
-                let bc = core.add_task(Task::new("allreduce-bcast", bc_body));
-                core.mark_entry(bc);
-                bcast.push(bc);
-            }
-        }
-        let root = (net.tree.cx0, net.tree.cy0);
-        AllReduceSplit { w, root, r_in, r_out, r_acc, reduce, bcast }
-    }
-
-    /// The reduce-phase task to activate on tile `(x, y)`.
-    pub fn reduce_task(&self, x: usize, y: usize) -> TaskId {
-        self.reduce[y * self.w + x]
-    }
-
-    /// The broadcast-phase task to activate on tile `(x, y)`.
-    pub fn bcast_task(&self, x: usize, y: usize) -> TaskId {
-        self.bcast[y * self.w + x]
-    }
-
-    /// The root tile holding the wafer-local sum in `r_acc` after the
-    /// reduce phase.
+    /// The tile the reduce ends on and the broadcast starts from.
     pub fn root(&self) -> (usize, usize) {
         self.root
     }
-}
 
-/// Virtual channels for the [`ChainReduce`] vector AllReduce. These alias
-/// the 2-D SpMV's halo colors (16..20), which is safe: the two programs are
-/// never resident on the same fabric, and routes are per-tile.
-pub mod chain_colors {
-    /// Westward row chains (every row reduces toward `x = 0`).
-    pub const ROW: u8 = 16;
-    /// Northward column chain on `x = 0` (toward the root `(0, 0)`).
-    pub const COL: u8 = 17;
-    /// Result broadcast from the root.
-    pub const BC: u8 = 18;
-}
+    /// The partials read off the root after the reduce: the scalar's
+    /// `r_acc`, or the `m` lanes.
+    pub fn partials(&self, fabric: &Fabric) -> Vec<f32> {
+        let tile = fabric.tile(self.root.0, self.root.1);
+        match self.payload {
+            Payload::Scalar { r_acc, .. } => vec![tile.core.regs[r_acc as usize]],
+            Payload::Lanes { pay, m, .. } => {
+                (0..m).map(|j| tile.mem.read_f32(pay + 4 * j)).collect()
+            }
+        }
+    }
 
-/// A **vector** AllReduce: element-wise sum of an `m`-word fp32 payload
-/// resident at the same address `pay` on every tile, reduced to the root
-/// tile `(0, 0)` by systolic chains (west along every row, then north along
-/// column 0), plus a broadcast phase that streams a host-written reply from
-/// the root to every tile's registers.
-///
-/// The scalar [`AllReduce`] tree cannot carry multi-word payloads — its
-/// `SumReg` fan-in interleaves flits from several senders, which is fine for
-/// commutative scalar accumulation but scrambles vector lanes. The chains
-/// here have exactly one upstream neighbour per tile, so lanes stay
-/// aligned: each relay computes `tx[i] = rx[i] + pay[i]` in lock-step.
-///
-/// This is the transport under the fused single-reduction BiCGStab: all of
-/// an iteration's dot products ride one payload, the host combines the
-/// per-wafer roots' partials over the host links (binomial tree), writes
-/// the derived scalars back to each root, and the broadcast loads them into
-/// every tile's registers — one host round-trip per solver iteration.
-pub struct ChainReduce {
-    w: usize,
-    /// Byte address of the `m`-word fp32 payload on every tile. After the
-    /// reduce phase, the root's copy holds the element-wise global sum.
-    pub pay: u32,
-    /// Payload length in fp32 words.
-    pub m: u32,
-    /// Byte address (root tile only) of the host-written broadcast source.
-    pub bc_src: u32,
-    reduce: Vec<TaskId>,
-    bcast: Vec<TaskId>,
-}
+    /// Writes the host's reply where the root's broadcast picks it up.
+    pub fn write_reply(&self, fabric: &mut Fabric, reply: &[f32]) {
+        let tile = fabric.tile_mut(self.root.0, self.root.1);
+        match self.payload {
+            Payload::Scalar { r_acc, .. } => tile.core.regs[r_acc as usize] = reply[0],
+            Payload::Lanes { reply: at, .. } => {
+                for (i, &val) in reply.iter().enumerate() {
+                    tile.mem.write_f32(at + 4 * i as u32, val);
+                }
+            }
+        }
+    }
 
-/// Appends tile `pos` of a `len`-tile systolic sum chain on `color` that
-/// flows toward `pos = 0`: the far end sends its `m`-word payload at `pay`
-/// (DSR `d_pay`), each middle relays `rx + pay`, and `pos = 0` folds the
-/// stream into its payload.
-fn chain_link(
-    core: &mut Core,
-    body: &mut Vec<Stmt>,
-    d_pay: DsrId,
-    (pay, m): (u32, u32),
-    pos: usize,
-    len: usize,
-    color: Color,
-) {
-    body.push(Stmt::InitDsr { dsr: d_pay, desc: mk::tensor32(pay, m) });
-    let tx = (pos > 0).then(|| core.add_dsr(mk::tx32(color, m)));
-    let rx = (pos + 1 < len).then(|| core.add_dsr(mk::rx32(color, m)));
-    body.extend(tx.map(|dsr| Stmt::InitDsr { dsr, desc: mk::tx32(color, m) }));
-    body.extend(rx.map(|dsr| Stmt::InitDsr { dsr, desc: mk::rx32(color, m) }));
-    let (op, dst, a, b) = match (tx, rx) {
-        (Some(tx), None) => (Op::Copy, tx, d_pay, None),
-        (Some(tx), Some(rx)) => (Op::Add, tx, rx, Some(d_pay)),
-        (None, rx) => (Op::AddAssign, d_pay, rx.expect("a chain has two ends"), None),
-    };
-    body.push(Stmt::Exec(TensorInstr { op, dst: Some(dst), a: Some(a), b }));
-}
-
-impl ChainReduce {
-    /// Builds routes and per-tile reduce/broadcast tasks over the `w × h`
-    /// region at the fabric origin. `pay` is the payload address (same on
-    /// every tile); `bc_src` is where the host writes the reply on the root
-    /// before the broadcast phase; `bc_regs` lists the registers every tile
-    /// loads from the reply stream, in stream order.
+    /// Host-driven scalar reduction: sets each tile's input register, runs
+    /// every phase to quiescence, and reads back every tile's output
+    /// register. Returns the per-tile results and the cycle count.
     ///
     /// # Panics
-    /// Panics if the region is empty, exceeds the fabric, or `bc_regs` is
-    /// empty.
-    pub fn build(
-        fabric: &mut Fabric,
-        w: usize,
-        h: usize,
-        pay: u32,
-        m: u32,
-        bc_src: u32,
-        bc_regs: &[Reg],
-    ) -> ChainReduce {
-        assert!(w >= 1 && h >= 1, "ChainReduce needs a non-empty region");
-        assert!(w <= fabric.width() && h <= fabric.height(), "region exceeds fabric");
-        assert!(!bc_regs.is_empty(), "broadcast payload must be non-empty");
-        let nbc = bc_regs.len() as u32;
+    /// Panics on a lane payload, if `values.len() != w*h`, or if the fabric
+    /// stalls.
+    pub fn run(&self, fabric: &mut Fabric, values: &[f32]) -> (Vec<f32>, u64) {
+        let Payload::Scalar { r_in, r_out, .. } = self.payload else {
+            panic!("run drives a scalar reduction")
+        };
+        let (w, h) = (self.w, self.h);
+        assert_eq!(values.len(), w * h, "one value per tile");
+        for (i, &v) in values.iter().enumerate() {
+            fabric.tile_mut(i % w, i / w).core.regs[r_in as usize] = v;
+        }
+        let mut cycles = 0;
+        for phase in 0..self.tasks.len() / (w * h) {
+            for i in 0..w * h {
+                let task = self.tasks(i % w, i / w)[phase];
+                fabric.tile_mut(i % w, i / w).core.activate(task);
+            }
+            cycles += fabric
+                .run_watched(100_000, STALL_WINDOW)
+                .unwrap_or_else(|e| panic!("allreduce stalled: {e}"));
+        }
+        let out = (0..w * h).map(|i| fabric.tile(i % w, i / w).core.regs[r_out as usize]);
+        (out.collect(), cycles)
+    }
 
-        // --- Routes. ---
-        for y in 0..h {
-            // Row chains flow west; each relay consumes at the ramp and
-            // re-emits its partial from the ramp.
-            if w > 1 {
-                fabric.set_route(w - 1, y, Port::Ramp, chain_colors::ROW, &[Port::West]);
-                for x in 1..w - 1 {
-                    fabric.set_route(x, y, Port::East, chain_colors::ROW, &[Port::Ramp]);
-                    fabric.set_route(x, y, Port::Ramp, chain_colors::ROW, &[Port::West]);
+    /// Builds tile `(x, y)`'s statements, split into three parts: the
+    /// *upstream work* (its part in every leg, in leg order, ending on the
+    /// root with the partials), the *root's broadcast transmit*, and the
+    /// *broadcast receive*.
+    fn parts(&self, core: &mut Core, roles: &[Role], (x, y): (usize, usize)) -> [Vec<Stmt>; 3] {
+        let (mut up, mut tail) = (Vec::new(), Vec::new());
+        let bc = self.bc;
+        match self.payload {
+            Payload::Scalar { r_in, r_out, r_acc } => {
+                // A tile sends its own value until it first sinks a leg;
+                // from then on it sends its running sum.
+                let mut src = r_in;
+                for &role in roles {
+                    match role {
+                        Role::Send { color, .. } => {
+                            let tx = bind(core, &mut up, mk::tx32(color, 1));
+                            up.push(exec(Op::StoreReg { reg: src }, Some(tx), None, None));
+                        }
+                        Role::Sink { color, n } => {
+                            if src == r_in {
+                                up.push(mov(r_acc, r_in));
+                                src = r_acc;
+                            }
+                            if n > 0 {
+                                let rx = bind(core, &mut up, mk::rx32(color, n));
+                                up.push(exec(Op::SumReg { acc: r_acc }, None, Some(rx), None));
+                            }
+                        }
+                    }
                 }
-                fabric.set_route(0, y, Port::East, chain_colors::ROW, &[Port::Ramp]);
-            }
-        }
-        if h > 1 {
-            fabric.set_route(0, h - 1, Port::Ramp, chain_colors::COL, &[Port::North]);
-            for y in 1..h - 1 {
-                fabric.set_route(0, y, Port::South, chain_colors::COL, &[Port::Ramp]);
-                fabric.set_route(0, y, Port::Ramp, chain_colors::COL, &[Port::North]);
-            }
-            fabric.set_route(0, 0, Port::South, chain_colors::COL, &[Port::Ramp]);
-        }
-        // Broadcast: east along row 0, south down every column.
-        {
-            let mut fan = Vec::new();
-            if w > 1 {
-                fan.push(Port::East);
-            }
-            if h > 1 {
-                fan.push(Port::South);
-            }
-            if !fan.is_empty() {
-                fabric.set_route(0, 0, Port::Ramp, chain_colors::BC, &fan);
-            }
-        }
-        for x in 1..w {
-            let mut fan = vec![Port::Ramp];
-            if x < w - 1 {
-                fan.push(Port::East);
-            }
-            if h > 1 {
-                fan.push(Port::South);
-            }
-            fabric.set_route(x, 0, Port::West, chain_colors::BC, &fan);
-        }
-        for y in 1..h {
-            for x in 0..w {
-                let mut fan = vec![Port::Ramp];
-                if y < h - 1 {
-                    fan.push(Port::South);
+                if (x, y) == self.root {
+                    let tx = bind(core, &mut tail, mk::tx32(bc, 1));
+                    tail.push(exec(Op::StoreReg { reg: r_acc }, Some(tx), None, None));
+                    tail.push(mov(r_out, r_acc));
                 }
-                fabric.set_route(x, y, Port::North, chain_colors::BC, &fan);
             }
-        }
-
-        // --- Tasks. ---
-        let mut reduce = Vec::with_capacity(w * h);
-        let mut bcast = Vec::with_capacity(w * h);
-        for y in 0..h {
-            for x in 0..w {
-                let core = &mut fabric.tile_mut(x, y).core;
-                let d_pay = core.add_dsr(mk::tensor32(pay, m));
-                let mut body = Vec::new();
-                // Row segment, then the column segment on x = 0 (after the
-                // row fold). The row's payload DSR exists even on a
-                // one-column region.
-                if w > 1 {
-                    chain_link(core, &mut body, d_pay, (pay, m), x, w, chain_colors::ROW);
-                }
-                if x == 0 && h > 1 {
+            Payload::Lanes { pay, m, reply, regs } => {
+                for &role in roles {
+                    // Every leg binds the lanes afresh; a leg of one tile
+                    // leaves its descriptor unused.
                     let d_pay = core.add_dsr(mk::tensor32(pay, m));
-                    chain_link(core, &mut body, d_pay, (pay, m), y, h, chain_colors::COL);
+                    let (tx, rx) = match role {
+                        Role::Send { color, fed } => (Some(color), fed.then_some(color)),
+                        Role::Sink { color, n } => (None, (n > 0).then_some(color)),
+                    };
+                    if tx.is_none() && rx.is_none() {
+                        continue;
+                    }
+                    up.push(Stmt::InitDsr { dsr: d_pay, desc: mk::tensor32(pay, m) });
+                    let tx = tx.map(|color| bind(core, &mut up, mk::tx32(color, m)));
+                    let rx = rx.map(|color| bind(core, &mut up, mk::rx32(color, m)));
+                    // The far end sends its lanes, a relay sends `rx + pay`,
+                    // the sink folds the stream in.
+                    up.push(match (tx, rx) {
+                        (Some(tx), None) => exec(Op::Copy, Some(tx), Some(d_pay), None),
+                        (Some(tx), rx) => exec(Op::Add, Some(tx), rx, Some(d_pay)),
+                        (None, rx) => exec(Op::AddAssign, Some(d_pay), rx, None),
+                    });
                 }
-                let red = core.add_task(Task::new("chain-reduce", body));
-                core.mark_entry(red);
-                reduce.push(red);
-
-                // Broadcast task: the root streams the host reply out and
-                // loads its own registers from memory; everyone else loads
-                // the registers straight off the stream, in order.
-                let mut bc_body = Vec::new();
-                if x == 0 && y == 0 {
-                    if w > 1 || h > 1 {
-                        let d_src = core.add_dsr(mk::tensor32(bc_src, nbc));
-                        let d_tx = core.add_dsr(mk::tx32(chain_colors::BC, nbc));
-                        bc_body.push(Stmt::InitDsr { dsr: d_src, desc: mk::tensor32(bc_src, nbc) });
-                        bc_body.push(Stmt::InitDsr {
-                            dsr: d_tx,
-                            desc: mk::tx32(chain_colors::BC, nbc),
-                        });
-                        bc_body.push(Stmt::Exec(TensorInstr {
-                            op: Op::Copy,
-                            dst: Some(d_tx),
-                            a: Some(d_src),
-                            b: None,
-                        }));
+                if (x, y) == self.root {
+                    // The root streams the host's reply out (when there is
+                    // anyone to hear it) and loads its own copy from memory.
+                    let n = regs.len() as u32;
+                    if self.w > 1 || self.h > 1 {
+                        let src = bind(core, &mut tail, mk::tensor32(reply, n));
+                        let tx = bind(core, &mut tail, mk::tx32(bc, n));
+                        tail.push(exec(Op::Copy, Some(tx), Some(src), None));
                     }
-                    for (i, &reg) in bc_regs.iter().enumerate() {
-                        let desc = mk::tensor32(bc_src + 4 * i as u32, 1);
-                        let d = core.add_dsr(desc);
-                        bc_body.push(Stmt::InitDsr { dsr: d, desc });
-                        bc_body.push(Stmt::Exec(TensorInstr {
-                            op: Op::LoadReg { reg },
-                            dst: None,
-                            a: Some(d),
-                            b: None,
-                        }));
-                    }
-                } else {
-                    for &reg in bc_regs {
-                        let desc = mk::rx32(chain_colors::BC, 1);
-                        let d = core.add_dsr(desc);
-                        bc_body.push(Stmt::InitDsr { dsr: d, desc });
-                        bc_body.push(Stmt::Exec(TensorInstr {
-                            op: Op::LoadReg { reg },
-                            dst: None,
-                            a: Some(d),
-                            b: None,
-                        }));
+                    for (i, &reg) in regs.iter().enumerate() {
+                        let at = bind(core, &mut tail, mk::tensor32(reply + 4 * i as u32, 1));
+                        tail.push(exec(Op::LoadReg { reg }, None, Some(at), None));
                     }
                 }
-                let bc = core.add_task(Task::new("chain-bcast", bc_body));
-                core.mark_entry(bc);
-                bcast.push(bc);
             }
         }
-        ChainReduce { w, pay, m, bc_src, reduce, bcast }
+        // Everyone else loads the reply registers straight off the stream.
+        let mut recv = Vec::new();
+        let regs = match &self.payload {
+            Payload::Scalar { r_out, .. } => std::slice::from_ref(r_out),
+            Payload::Lanes { regs, .. } => regs,
+        };
+        if (x, y) != self.root {
+            for &reg in regs {
+                let rx = bind(core, &mut recv, mk::rx32(bc, 1));
+                recv.push(exec(Op::LoadReg { reg }, None, Some(rx), None));
+            }
+        }
+        [up, tail, recv]
+    }
+}
+
+/// Allocates a DSR for `desc` on `core` and initializes it in `body`.
+fn bind(core: &mut Core, body: &mut Vec<Stmt>, desc: Descriptor) -> DsrId {
+    let dsr = core.add_dsr(desc);
+    body.push(Stmt::InitDsr { dsr, desc });
+    dsr
+}
+
+fn exec(op: Op, dst: Option<DsrId>, a: Option<DsrId>, b: Option<DsrId>) -> Stmt {
+    Stmt::Exec(TensorInstr { op, dst, a, b })
+}
+
+fn mov(dst: Reg, src: Reg) -> Stmt {
+    Stmt::RegArith { op: RegOp::Mov, dst, a: src, b: src }
+}
+
+/// The one task emitter: per tile, in `y * w + x` order, the statement
+/// parts of every network in `nets` (built over one region) grouped into
+/// tasks. One network: a single task, reduce then broadcast (a single
+/// wafer), or with `split` a reduce task and a broadcast task (an
+/// ensemble). Two networks: one task with both upstream parts before either
+/// blocking receive, so the two reduce concurrently.
+fn emit(fabric: &mut Fabric, nets: &[(&Reduction, &Vec<Vec<Role>>)], split: bool) -> Vec<TaskId> {
+    let (w, h) = (nets[0].0.w, nets[0].0.h);
+    let lanes = matches!(nets[0].0.payload, Payload::Lanes { .. });
+    let names: &[&'static str] = match (nets.len(), split, lanes) {
+        (2, ..) => &["allreduce-fused"],
+        (_, false, _) => &["allreduce"],
+        (_, true, false) => &["allreduce-reduce", "allreduce-bcast"],
+        (_, true, true) => &["chain-reduce", "chain-bcast"],
+    };
+    let (mut tasks, last) = (Vec::with_capacity(w * h * names.len()), names.len() - 1);
+    for y in 0..h {
+        for x in 0..w {
+            let core = &mut fabric.tile_mut(x, y).core;
+            let mut bodies = vec![Vec::new(); names.len()];
+            let mut recvs = Vec::new();
+            for (net, roles) in nets {
+                let [up, tail, recv] = net.parts(core, &roles[y * w + x], (x, y));
+                bodies[0].extend(up);
+                bodies[last].extend(tail);
+                recvs.extend(recv);
+            }
+            bodies[last].extend(recvs);
+            for (&name, body) in names.iter().zip(bodies) {
+                let id = core.add_task(Task::new(name, body));
+                core.mark_entry(id);
+                tasks.push(id);
+            }
+        }
+    }
+    tasks
+}
+
+/// The Fig. 6 tree over `w × h` on the colors `base..base + 6`, with
+/// `cx0`/`cx1` the central columns, `cy0`/`cy1` the central rows of those
+/// and the root at `(cx0, cy0)`. Every row and every half-column is one
+/// path from its hub outward; the reduce runs them inward (rows into the
+/// central columns, the column halves into the central four, then the
+/// 4:1 step to the root), and the broadcast outward, the lower column
+/// halves hanging off the upper halves' hubs. Returns the legs, the
+/// broadcast paths (in each tile's fan order), the root and the broadcast
+/// color.
+fn tree(w: usize, h: usize, base: Color) -> (Vec<Leg>, Vec<Path>, (usize, usize), Color) {
+    assert!(w >= 2 && h >= 2, "the AllReduce tree needs at least a 2x2 region");
+    let (cx0, cy0) = ((w - 1) / 2, (h - 1) / 2);
+    let (cx1, cy1) = (cx0 + 1, cy0 + 1);
+    let west = |y| (0..=cx0).rev().map(|x| (x, y)).collect::<Vec<_>>();
+    let east = |y| (cx1..w).map(|x| (x, y)).collect::<Vec<_>>();
+    let up = |x| (0..=cy0).rev().map(|y| (x, y)).collect::<Vec<_>>();
+    let down = |x| (cy1..h).map(|y| (x, y)).collect::<Vec<_>>();
+    let leg = |color: u8, mut tiles: Vec<_>| {
+        tiles.reverse();
+        Leg { color: base + color, tiles }
+    };
+    let mut legs = Vec::new();
+    for y in 0..h {
+        legs.extend([leg(0, west(y)), leg(1, east(y))]);
+    }
+    for x in [cx0, cx1] {
+        legs.extend([leg(2, up(x)), leg(3, down(x))]);
+    }
+    legs.push(leg(4, vec![(cx0, cy0), (cx1, cy0)]));
+    legs.push(leg(4, vec![(cx0, cy0), (cx0, cy1), (cx1, cy1)]));
+
+    let hung = |x| [vec![(x, cy0)], down(x)].concat();
+    let mut paths = vec![vec![(cx0, cy0), (cx1, cy0)], hung(cx0), west(cy0), up(cx0)];
+    paths.extend([hung(cx1), up(cx1), east(cy0)]);
+    for y in (0..h).filter(|&y| y != cy0) {
+        paths.extend([west(y), east(y)]);
+    }
+    (legs, paths, (cx0, cy0), base + 5)
+}
+
+/// The lane chains over `w × h`: every row west to column 0, then column 0
+/// north to the root `(0, 0)`; the broadcast runs east along row 0 and
+/// south down every column. Returns what [`tree`] does.
+fn chains(w: usize, h: usize) -> (Vec<Leg>, Vec<Path>, (usize, usize), Color) {
+    assert!(w >= 1 && h >= 1, "a reduction needs a non-empty region");
+    let row = |y| (0..w).map(|x| (x, y)).collect::<Vec<_>>();
+    let col = |x| (0..h).map(|y| (x, y)).collect::<Vec<_>>();
+    let leg = |color, mut tiles: Vec<_>| {
+        tiles.reverse();
+        Leg { color, tiles }
+    };
+    let mut legs: Vec<Leg> = (0..h).map(|y| leg(CHAIN_ROW, row(y))).collect();
+    legs.extend((h > 1).then(|| leg(CHAIN_COL, col(0))));
+    let paths = [vec![row(0)], (0..w).map(col).collect()].concat();
+    (legs, paths, (0, 0), CHAIN_BC)
+}
+
+/// The port of tile `from` facing its neighbour `to`.
+fn toward(from: (usize, usize), to: (usize, usize)) -> Port {
+    let delta = (to.0 as i32 - from.0 as i32, to.1 as i32 - from.1 as i32);
+    Port::ALL.into_iter().find(|p| *p != Port::Ramp && p.delta() == delta).expect("adjacent tiles")
+}
+
+/// The one route walk. Along each leg every tile but the sink injects from
+/// its ramp toward the sink, and takes an upstream flit either on toward
+/// the sink (forward: the router passes it through and the sink sums every
+/// sender) or down to its ramp (`relay`: each tile sends `rx + pay`); the
+/// sink takes the leg in at its ramp. The broadcast starts at the root's
+/// ramp; along each path (outward from a tile already reached) a tile takes
+/// the flit from its parent, keeps a copy and passes it on. Returns every
+/// tile's roles, in leg order, in `y * w + x` order.
+fn walk(
+    fabric: &mut Fabric,
+    (w, h): (usize, usize),
+    legs: &[Leg],
+    relay: bool,
+    (bc, paths): (Color, &[Path]),
+) -> Vec<Vec<Role>> {
+    let mut roles = vec![Vec::new(); w * h];
+    for &Leg { color, ref tiles } in legs {
+        for (i, &(x, y)) in tiles.iter().enumerate() {
+            let out = tiles.get(i + 1).map(|&next| toward((x, y), next));
+            let from = (i > 0).then(|| toward((x, y), tiles[i - 1]));
+            if let Some(out) = out {
+                fabric.set_route(x, y, Port::Ramp, color, &[out]);
+            }
+            if let Some(from) = from {
+                let pass = out.filter(|_| !relay).unwrap_or(Port::Ramp);
+                fabric.set_route(x, y, from, color, &[pass]);
+            }
+            let role = match out {
+                Some(_) => Role::Send { color, fed: from.is_some() },
+                None => Role::Sink { color, n: i as u32 },
+            };
+            // Legs sharing a sink (the tree's 4:1 step) fold into one role.
+            let tile = &mut roles[y * w + x];
+            match (tile.last_mut(), role) {
+                (Some(Role::Sink { color: c, n }), Role::Sink { n: more, .. }) if *c == color => {
+                    *n += more
+                }
+                _ => tile.push(role),
+            }
+        }
     }
 
-    /// The reduce-phase task to activate on tile `(x, y)`.
-    pub fn reduce_task(&self, x: usize, y: usize) -> TaskId {
-        self.reduce[y * self.w + x]
+    let mut fans = vec![(Port::Ramp, Vec::new()); w * h];
+    for hop in paths.iter().flat_map(|path| path.windows(2)) {
+        let (a, b) = (hop[0], hop[1]);
+        fans[a.1 * w + a.0].1.push(toward(a, b));
+        fans[b.1 * w + b.0] = (toward(b, a), vec![Port::Ramp]);
     }
-
-    /// The broadcast-phase task to activate on tile `(x, y)`.
-    pub fn bcast_task(&self, x: usize, y: usize) -> TaskId {
-        self.bcast[y * self.w + x]
+    for (i, (from, fan)) in fans.iter().enumerate().filter(|(_, (_, fan))| !fan.is_empty()) {
+        fabric.set_route(i % w, i / w, *from, bc, fan);
     }
-
-    /// The root tile whose payload holds the reduced vector.
-    pub fn root(&self) -> (usize, usize) {
-        (0, 0)
-    }
+    roles
 }
 
 #[cfg(test)]
@@ -767,9 +506,11 @@ mod tests {
     const R_OUT: Reg = 25;
     const R_ACC: Reg = 26;
 
+    const SCALAR: Payload = Payload::Scalar { r_in: R_IN, r_out: R_OUT, r_acc: R_ACC };
+
     fn reduce(w: usize, h: usize, values: &[f32]) -> (Vec<f32>, u64) {
         let mut fabric = Fabric::new(w, h);
-        let ar = AllReduce::build(&mut fabric, w, h, R_IN, R_OUT, R_ACC);
+        let ar = Reduction::build(&mut fabric, w, h, SCALAR);
         ar.run(&mut fabric, values)
     }
 
@@ -792,7 +533,7 @@ mod tests {
         use wse_arch::fault::{FaultKind, FaultPlan};
         let (w, h) = (4, 3);
         let mut fabric = Fabric::new(w, h);
-        let ar = AllReduce::build(&mut fabric, w, h, R_IN, R_OUT, R_ACC);
+        let ar = Reduction::build(&mut fabric, w, h, SCALAR);
         fabric.arm_faults(&FaultPlan::new().with(0, FaultKind::TileKill { x: 1, y: 1 }));
         let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             ar.run(&mut fabric, &[1.0; 12])
@@ -819,7 +560,7 @@ mod tests {
     fn reruns_produce_fresh_results() {
         let (w, h) = (4, 4);
         let mut fabric = Fabric::new(w, h);
-        let ar = AllReduce::build(&mut fabric, w, h, R_IN, R_OUT, R_ACC);
+        let ar = Reduction::build(&mut fabric, w, h, SCALAR);
         let (out1, _) = ar.run(&mut fabric, &[2.0; 16]);
         assert!(out1.iter().all(|&v| v == 32.0));
         let (out2, _) = ar.run(&mut fabric, &[0.5; 16]);
@@ -855,12 +596,12 @@ mod tests {
         let values: Vec<f32> = (0..w * h).map(|i| (i as f32) * 0.5 - 3.0).collect();
         let expect: f32 = values.iter().sum();
         let mut fabric = Fabric::new(w, h);
-        let ar = AllReduceSplit::build(&mut fabric, w, h, R_IN, R_OUT, R_ACC);
+        let ar = Reduction::build_split(&mut fabric, w, h, SCALAR);
         for y in 0..h {
             for x in 0..w {
                 let core = &mut fabric.tile_mut(x, y).core;
                 core.regs[R_IN as usize] = values[y * w + x];
-                core.activate(ar.reduce_task(x, y));
+                core.activate(ar.tasks(x, y)[0]);
             }
         }
         fabric.run_watched(100_000, 100_000).unwrap();
@@ -869,7 +610,7 @@ mod tests {
         assert!((partial - expect).abs() <= 1e-3, "root partial {partial} vs {expect}");
         for y in 0..h {
             for x in 0..w {
-                fabric.tile_mut(x, y).core.activate(ar.bcast_task(x, y));
+                fabric.tile_mut(x, y).core.activate(ar.tasks(x, y)[1]);
             }
         }
         fabric.run_watched(100_000, 100_000).unwrap();
@@ -900,11 +641,16 @@ mod tests {
                 }
             }
         }
-        let regs: [Reg; 7] = [2, 3, 6, 7, 12, 9, 11];
-        let cr = ChainReduce::build(&mut fabric, w, h, pay, m, bc_src, &regs);
+        let regs: &[Reg; 7] = &[2, 3, 6, 7, 12, 9, 11];
+        let cr = Reduction::build_split(
+            &mut fabric,
+            w,
+            h,
+            Payload::Lanes { pay, m, reply: bc_src, regs },
+        );
         for y in 0..h {
             for x in 0..w {
-                let t = cr.reduce_task(x, y);
+                let t = cr.tasks(x, y)[0];
                 fabric.tile_mut(x, y).core.activate(t);
             }
         }
@@ -922,7 +668,7 @@ mod tests {
         }
         for y in 0..h {
             for x in 0..w {
-                let t = cr.bcast_task(x, y);
+                let t = cr.tasks(x, y)[1];
                 fabric.tile_mut(x, y).core.activate(t);
             }
         }
@@ -952,7 +698,8 @@ mod tests {
                     bc_src = t.mem.alloc_vec(1, wse_arch::types::Dtype::F32).unwrap();
                 }
             }
-            let cr = ChainReduce::build(&mut fabric, w, h, pay, 3, bc_src, &[5]);
+            let lanes = Payload::Lanes { pay, m: 3, reply: bc_src, regs: &[5] };
+            let cr = Reduction::build_split(&mut fabric, w, h, lanes);
             for round in 1..=2u32 {
                 for y in 0..h {
                     for x in 0..w {
@@ -960,7 +707,7 @@ mod tests {
                         for j in 0..3 {
                             t.mem.write_f32(pay + 4 * j, round as f32);
                         }
-                        let task = cr.reduce_task(x, y);
+                        let task = cr.tasks(x, y)[0];
                         t.core.activate(task);
                     }
                 }

@@ -37,7 +37,7 @@
 //!   cg}`) are [`HostExec`], so the algorithm the wafer runs is the only
 //!   BiCGStab and CG there are.
 
-use crate::allreduce::{colors, AllReduce};
+use crate::allreduce::Reduction;
 use crate::bicgstab::regs;
 use crate::cg::regs as cg;
 use crate::exec::WaferExec;
@@ -416,7 +416,7 @@ pub enum Step {
 /// What a reduction step sends back: [`Step::Reduce`], [`Step::ReduceBoth`]
 /// and [`Step::ReduceToHost`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub(crate) enum Reduction {
+pub(crate) enum ReduceKind {
     One,
     Both,
     ToHost,
@@ -430,7 +430,7 @@ pub(crate) trait StepExec {
     fn run(&mut self, phase: Phase, slot: Slot) -> Result<(), Self::Error>;
     fn spmv(&mut self, slot: Slot, with: Option<Slot>) -> Result<(), Self::Error>;
     /// Returns the lanes the host combined (none if they stay on-fabric).
-    fn reduce(&mut self, kind: Reduction) -> Result<Vec<f32>, Self::Error>;
+    fn reduce(&mut self, kind: ReduceKind) -> Result<Vec<f32>, Self::Error>;
     fn copy_reg(&mut self, dst: Reg, src: Reg);
 }
 
@@ -442,9 +442,9 @@ pub(crate) fn walk<X: StepExec>(steps: &[Step], exec: &mut X) -> Result<Vec<f32>
         match step {
             Step::Run { phase, slot } => exec.run(phase, slot)?,
             Step::Spmv { slot, with } => exec.spmv(slot, with)?,
-            Reduce => lanes = exec.reduce(Reduction::One)?,
-            ReduceBoth => lanes = exec.reduce(Reduction::Both)?,
-            Step::ReduceToHost => lanes = exec.reduce(Reduction::ToHost)?,
+            Reduce => lanes = exec.reduce(ReduceKind::One)?,
+            ReduceBoth => lanes = exec.reduce(ReduceKind::Both)?,
+            Step::ReduceToHost => lanes = exec.reduce(ReduceKind::ToHost)?,
             Step::CopyReg { dst, src } => exec.copy_reg(dst, src),
         }
     }
@@ -1105,11 +1105,11 @@ pub(crate) fn check_operator(a: &DiaMatrix<F16>, layout: &Layout) {
 /// The one single-wafer Krylov builder: lays `recurrence` out over
 /// `layout` on the region at the fabric origin and returns the
 /// [`Program`]. In program-byte order: checks the operator, sets the
-/// mapping's SpMV routes, builds the Fig. 6 AllReduce (and a second
-/// network on the next color span iff a step table reduces over both),
-/// then per tile the combined reduce task, the mapping's placement, the
-/// `Reduce` slot and the phase table. A region blitted elsewhere is
-/// driven through [`Program::rebased`].
+/// mapping's SpMV routes, builds the Fig. 6 AllReduce with its tasks
+/// ([`Reduction::krylov`]: one per tile, plus the task interleaving it with
+/// a second tree iff a step table reduces over both), then per tile the
+/// mapping's placement, the reduction slots and the phase table. A region
+/// blitted elsewhere is driven through [`Program::rebased`].
 ///
 /// # Panics
 /// On an operator [`check_operator`] refuses, a region smaller than 2×2 or
@@ -1127,20 +1127,12 @@ pub(crate) fn build(
         Layout::ZColumn(_) => configure_spmv_routes(fabric, w, h),
         Layout::Block { .. } => block2d::configure_block_routes(fabric, w, h, 1),
     }
-    let allreduce = AllReduce::build(fabric, w, h, regs::AR_IN, regs::AR_OUT, regs::AR_ACC);
-    let allreduce2 = recurrence.slots().any(|slot| slot == Slot::ReduceBoth).then(|| {
-        let base = colors::DEFAULT_BASE + colors::SPAN;
-        let (r_in, r_out, r_acc) = (regs::AR_IN2, regs::AR_OUT2, regs::AR_ACC2);
-        AllReduce::routed(fabric, w, h, r_in, r_out, r_acc, base)
-    });
+    let both = recurrence.slots().any(|slot| slot == Slot::ReduceBoth);
+    let reductions = Reduction::krylov(fabric, w, h, both);
 
     let mut tiles = Vec::with_capacity(w * h);
     for y in 0..h {
         for x in 0..w {
-            // One combined task per tile drives both reduction networks
-            // concurrently.
-            let reduce_both =
-                allreduce2.as_ref().map(|second| allreduce.build_fused_task(second, fabric, x, y));
             let tile = fabric.tile_mut(x, y);
             let (mut tasks, map) = match layout {
                 Layout::ZColumn(m) => {
@@ -1156,7 +1148,8 @@ pub(crate) fn build(
                     recurrence.place_block(tile, a, block, (x, y), (w, h))
                 }
             };
-            tasks[Slot::Reduce] = allreduce.task(x, y);
+            let (reduce, reduce_both) = reductions[y * w + x];
+            tasks[Slot::Reduce] = reduce;
             if let Some(t) = reduce_both {
                 tasks[Slot::ReduceBoth] = t;
             }
@@ -1500,11 +1493,11 @@ impl<E: WaferExec> StepExec for OnWafer<'_, E> {
         self.run(Phase::Spmv, slot)
     }
 
-    fn reduce(&mut self, kind: Reduction) -> Result<Vec<f32>, Self::Error> {
+    fn reduce(&mut self, kind: ReduceKind) -> Result<Vec<f32>, Self::Error> {
         let slot = match kind {
-            Reduction::One => Slot::Reduce,
-            Reduction::Both => Slot::ReduceBoth,
-            Reduction::ToHost => unreachable!("a single wafer's reduction never leaves it"),
+            ReduceKind::One => Slot::Reduce,
+            ReduceKind::Both => Slot::ReduceBoth,
+            ReduceKind::ToHost => unreachable!("a single wafer's reduction never leaves it"),
         };
         self.run(Phase::Allreduce, slot).map(|()| Vec::new())
     }
@@ -1689,17 +1682,17 @@ impl<P: Precision, M: FnMut(&[P::Storage], &mut [P::Storage])> StepExec for Host
         Ok(())
     }
 
-    fn reduce(&mut self, kind: Reduction) -> Result<Vec<f32>, Infallible> {
+    fn reduce(&mut self, kind: ReduceKind) -> Result<Vec<f32>, Infallible> {
         self.tally.reductions += 1;
         let rec = self.recurrence;
         if rec.reply.is_empty() {
             self.regs[regs::AR_OUT as usize] = self.regs[regs::AR_IN as usize];
-            if kind == Reduction::Both {
+            if kind == ReduceKind::Both {
                 self.regs[regs::AR_OUT2 as usize] = self.regs[regs::AR_IN2 as usize];
             }
             return Ok(Vec::new());
         }
-        if kind != Reduction::ToHost {
+        if kind != ReduceKind::ToHost {
             for (&reg, value) in rec.reply.iter().zip((rec.derive)(&self.pay)) {
                 self.regs[reg as usize] = P::Global::from_f64(value.into());
             }

@@ -7,7 +7,8 @@
 //! ([`wse_dsl::zcolumn`], [`wse_dsl::block2d`]); a bare SpMV is
 //! [`wse_dsl::lower()`] plus [`wse_dsl::Lowered::apply`]. This crate adds:
 //!
-//! * [`allreduce`] — the row/column scalar AllReduce of Fig. 6 plus
+//! * [`allreduce`] — one reduction network: the scalar AllReduce of Fig. 6
+//!   or the lane chains of the ensemble's single-reduction iteration, plus
 //!   broadcast,
 //! * [`kernels`] — the one emitter of AXPY/XPAY, dot and register kernels,
 //! * [`krylov`] — the one solver driver and the one single-wafer builder:

@@ -24,13 +24,13 @@
 //!   result back, and triggers the on-wafer broadcast.
 //! * **Single-reduction fused iteration** ([`build_fused`][WaferBicgstabMulti::build_fused],
 //!   the bench default) — one fp32 payload of fourteen dots, one on-wafer
-//!   [`ChainReduce`] and one host round-trip per iteration.
+//!   lane [`Reduction`] and one host round-trip per iteration.
 //!
 //! Every builder produces the same thing: a [`krylov::Program`] over the
 //! global tile grid (one `(Tasks, Addrs)` record per tile, allocated and
 //! emitted from a [`krylov::Recurrence`]'s tables — [`krylov::BICGSTAB`] or
 //! [`krylov::BICGSTAB_SINGLE`]), one [`Seam`] record per tile, and one
-//! [`WaferReduce`] per wafer. The crate's one step walk runs the table on
+//! split [`Reduction`] per wafer. The crate's one step walk runs the table on
 //! an ensemble executor that gives two kinds of step their seam-crossing
 //! meaning: an SpMV is a seam window, a reduction is hierarchical. Scatter,
 //! gather and ‖r‖ are the `Program`'s own.
@@ -44,12 +44,12 @@
 //! — to the single-wafer solve (reduction and halo summation orders
 //! differ); [`build_transparent`] is the bit-exact cross-validation path.
 
-use crate::allreduce::{AllReduceSplit, ChainReduce};
+use crate::allreduce::{Payload, Reduction};
 use crate::bicgstab::regs;
 use crate::exec::WaferExec;
 use crate::kernels::{alloc, TileMap};
 use crate::krylov::{
-    self, check_operator, IterCycles, Krylov, Phase, Program, Reduction, Slot, SolveStats, Step,
+    self, check_operator, IterCycles, Krylov, Phase, Program, ReduceKind, Slot, SolveStats, Step,
     StepExec, Tasks, PAY_LANES, V,
 };
 use crate::recovery::{self, RecoveryLog, RecoveryPolicy};
@@ -61,7 +61,6 @@ use wse_arch::dsr::mk;
 use wse_arch::fabric::StallReport;
 use wse_arch::instr::{Op, Stmt, Task, TensorInstr};
 use wse_arch::types::{Color, Dtype, Port, Reg, TaskId};
-use wse_arch::Fabric;
 use wse_dsl::tess::configure_spmv_routes;
 use wse_dsl::zcolumn::{build_overlap_halo, build_spmv_tile, HaloBuffers, OverlapHalo, SeamFold};
 use wse_dsl::Layout;
@@ -90,59 +89,6 @@ enum Seam {
     /// only the boundary fold waits on the inbound stream — the wire time
     /// hides behind the SpMV window.
     Overlap([OverlapHalo; 2]),
-}
-
-/// One wafer's half of the hierarchical AllReduce (local coordinates):
-/// an on-wafer reduce that leaves partial lanes on the root tile, and a
-/// broadcast of whatever reply the host writes back there.
-enum WaferReduce {
-    /// One fp32 scalar through the reduce tree; partial and reply both
-    /// live in the root's `r_acc`.
-    Tree(AllReduceSplit),
-    /// [`PAY_LANES`] lanes through the systolic chains; the partials are
-    /// the root's payload, the reply is written to its `bc_src` block.
-    Chain(ChainReduce),
-}
-
-impl WaferReduce {
-    /// Tile `(x, y)`'s `(reduce, broadcast)` task pair.
-    fn tasks(&self, x: usize, y: usize) -> (TaskId, TaskId) {
-        match self {
-            WaferReduce::Tree(r) => (r.reduce_task(x, y), r.bcast_task(x, y)),
-            WaferReduce::Chain(c) => (c.reduce_task(x, y), c.bcast_task(x, y)),
-        }
-    }
-
-    fn root(&self) -> (usize, usize) {
-        match self {
-            WaferReduce::Tree(r) => r.root(),
-            WaferReduce::Chain(c) => c.root(),
-        }
-    }
-
-    /// The wafer's partial lanes, read off the root after the reduce.
-    fn partials(&self, shard: &Fabric) -> Vec<f32> {
-        let (rx, ry) = self.root();
-        let tile = shard.tile(rx, ry);
-        match self {
-            WaferReduce::Tree(r) => vec![tile.core.regs[r.r_acc as usize]],
-            WaferReduce::Chain(c) => (0..c.m).map(|j| tile.mem.read_f32(c.pay + 4 * j)).collect(),
-        }
-    }
-
-    /// Writes the host's reply where the broadcast task picks it up.
-    fn write_reply(&self, shard: &mut Fabric, reply: &[f32]) {
-        let (rx, ry) = self.root();
-        let tile = shard.tile_mut(rx, ry);
-        match self {
-            WaferReduce::Tree(r) => tile.core.regs[r.r_acc as usize] = reply[0],
-            WaferReduce::Chain(c) => {
-                for (i, &val) in reply.iter().enumerate() {
-                    tile.mem.write_f32(c.bc_src + 4 * i as u32, val);
-                }
-            }
-        }
-    }
 }
 
 /// Cycle counts of one distributed iteration.
@@ -180,8 +126,9 @@ pub struct WaferBicgstabMulti {
     program: Program,
     /// Per-tile seam programs, in the program's tile order.
     seams: Vec<Seam>,
-    /// Per-wafer reduction.
-    reductions: Vec<WaferReduce>,
+    /// Per-wafer reduction, split for the host combine (local
+    /// coordinates).
+    reductions: Vec<Reduction>,
     /// Cycle budget a seam crossing adds to a phase (only a stall reaches it).
     seam_budget: u64,
     /// Modeled cycles of one round-trip over the host-level combine tree:
@@ -298,8 +245,8 @@ impl WaferBicgstabMulti {
             for m in 0..k {
                 let (lw, shard) = (multi.slab(m).len(), multi.shard_mut(m));
                 let (r_in, r_out, r_acc) = (regs::AR_IN, regs::AR_OUT, regs::AR_ACC);
-                let tree = AllReduceSplit::build(shard, lw, h, r_in, r_out, r_acc);
-                reductions.push(WaferReduce::Tree(tree));
+                let payload = Payload::Scalar { r_in, r_out, r_acc };
+                reductions.push(Reduction::build_split(shard, lw, h, payload));
             }
         }
 
@@ -384,14 +331,15 @@ impl WaferBicgstabMulti {
             assert!(tiles.iter().all(|(_, at)| blocks(at) == (pay, bc_src)), "uniform payload");
             for m in 0..k {
                 let (lw, shard) = (multi.slab(m).len(), multi.shard_mut(m));
-                let chain =
-                    ChainReduce::build(shard, lw, h, pay, PAY_LANES, bc_src, recurrence.reply);
-                reductions.push(WaferReduce::Chain(chain));
+                let regs = recurrence.reply;
+                let payload = Payload::Lanes { pay, m: PAY_LANES, reply: bc_src, regs };
+                reductions.push(Reduction::build_split(shard, lw, h, payload));
             }
         }
         for (i, (tasks, _)) in tiles.iter_mut().enumerate() {
             let (m, lx) = multi.to_local(i % gw);
-            (tasks[Slot::Reduce], tasks[Slot::Bcast]) = reductions[m].tasks(lx, i / gw);
+            let pair = reductions[m].tasks(lx, i / gw);
+            (tasks[Slot::Reduce], tasks[Slot::Bcast]) = (pair[0], pair[1]);
         }
         multi.pair_seams();
         for m in 0..k {
@@ -645,8 +593,8 @@ impl StepExec for OnEnsemble<'_> {
     /// round ends at the host — the recurrence's
     /// [`derive`](krylov::Recurrence::derive) of them written to every
     /// root and broadcast on-wafer.
-    fn reduce(&mut self, kind: Reduction) -> Result<Vec<f32>, Self::Error> {
-        assert!(kind != Reduction::Both, "an ensemble has one reduction network");
+    fn reduce(&mut self, kind: ReduceKind) -> Result<Vec<f32>, Self::Error> {
+        assert!(kind != ReduceKind::Both, "an ensemble has one reduction network");
         let solver = self.solver;
         self.activate(Slot::Reduce);
         self.cycles.compute.allreduce += self.try_run_each("allreduce")?;
@@ -661,7 +609,7 @@ impl StepExec for OnEnsemble<'_> {
         let lanes: Vec<f32> = (0..per_wafer[0].len())
             .map(|j| binomial_combine(per_wafer.iter().map(|w| w[j]).collect()))
             .collect();
-        let reply = kind == Reduction::One;
+        let reply = kind == ReduceKind::One;
         if reply {
             let reply = (solver.program.recurrence.derive)(&lanes);
             for (w, red) in solver.reductions.iter().enumerate() {

@@ -9,8 +9,9 @@ use stencil::mesh::Mesh3D;
 use stencil::precond::jacobi_scale;
 use stencil::problem::manufactured;
 use stencil::stencil9::convection_diffusion9;
+use wse_arch::types::Dtype;
 use wse_arch::Fabric;
-use wse_core::allreduce::AllReduce;
+use wse_core::allreduce::{Payload, Reduction};
 use wse_core::bicgstab2d::WaferBicgstab2d;
 use wse_core::cg::{CgVariant, WaferCg};
 use wse_core::WaferBicgstab;
@@ -76,10 +77,29 @@ fn spmv2d_lints_clean() {
 fn allreduce_standalone_lints_clean() {
     // Includes shapes where a center row/column sits on the fabric edge
     // (empty half-streams) and asymmetric regions.
-    for (w, h) in [(2, 2), (3, 3), (4, 4), (5, 3), (2, 7)] {
+    // The split and lane forms run over the same shapes; the lanes also
+    // over the degenerate one-row and one-column regions.
+    let scalar = Payload::Scalar { r_in: 24, r_out: 25, r_acc: 26 };
+    for (w, h) in [(2, 2), (3, 3), (4, 4), (5, 3), (2, 7), (1, 4), (4, 1)] {
+        if w >= 2 && h >= 2 {
+            let mut fabric = Fabric::new(w, h);
+            let _ = Reduction::build(&mut fabric, w, h, scalar);
+            assert_clean(&fabric, &format!("allreduce {w}x{h}"));
+            let mut fabric = Fabric::new(w, h);
+            let _ = Reduction::build_split(&mut fabric, w, h, scalar);
+            assert_clean(&fabric, &format!("allreduce split {w}x{h}"));
+        }
         let mut fabric = Fabric::new(w, h);
-        let _ = AllReduce::build(&mut fabric, w, h, 24, 25, 26);
-        assert_clean(&fabric, &format!("allreduce {w}x{h}"));
+        let (mut pay, mut reply) = (0, 0);
+        for i in 0..w * h {
+            let mem = &mut fabric.tile_mut(i % w, i / w).mem;
+            pay = mem.alloc_vec(14, Dtype::F32).unwrap();
+            reply = mem.alloc_vec(7, Dtype::F32).unwrap();
+        }
+        let regs = &[2, 3, 6, 7, 12, 9, 11];
+        let _ =
+            Reduction::build_split(&mut fabric, w, h, Payload::Lanes { pay, m: 14, reply, regs });
+        assert_clean(&fabric, &format!("allreduce lanes {w}x{h}"));
     }
 }
 

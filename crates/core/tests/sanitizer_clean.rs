@@ -11,7 +11,7 @@ use stencil::precond::jacobi_scale;
 use stencil::problem::manufactured;
 use stencil::stencil9::convection_diffusion9;
 use wse_arch::Fabric;
-use wse_core::allreduce::AllReduce;
+use wse_core::allreduce::{Payload, Reduction};
 use wse_core::bicgstab2d::WaferBicgstab2d;
 use wse_core::cg::{CgVariant, WaferCg};
 use wse_core::{WaferBicgstab, WaferBicgstabMulti};
@@ -80,7 +80,7 @@ fn spmv2d_runs_clean_under_sanitizer() {
 #[test]
 fn allreduce_runs_clean_under_sanitizer() {
     let mut fabric = Fabric::new(4, 4);
-    let k = AllReduce::build(&mut fabric, 4, 4, 24, 25, 26);
+    let k = Reduction::build(&mut fabric, 4, 4, Payload::Scalar { r_in: 24, r_out: 25, r_acc: 26 });
     fabric.arm_sanitizer();
     let values: Vec<f32> = (0..16).map(|i| i as f32 * 0.5 - 3.0).collect();
     let (sums, _) = k.run(&mut fabric, &values);

@@ -1,8 +1,8 @@
 //! The whole-wafer virtual-channel (color) map.
 //!
 //! Every kernel family used to declare its own color constants, with the
-//! aliasing rules documented in scattered doc comments (the `spmv2d` halo
-//! colors vs the `allreduce` chain-reduce colors, the multi-wafer seam
+//! aliasing rules documented in scattered doc comments (the block halo
+//! colors vs the `allreduce` lane-chain colors, the multi-wafer seam
 //! colors, ...). This module is now the single source of truth: the
 //! lowering layer and every `wse-core` façade consume these constants, so
 //! an accidental collision becomes a one-file review instead of a
@@ -16,7 +16,7 @@
 //! | 6..10  | DSL relay rounds for wide 3D stars ([`crate::relay`])       |
 //! | 10..16 | scalar AllReduce tree (base 10, span 6)                     |
 //! | 16..22 | 2D block halo exchange (x pair + per-ring y pairs, r ≤ 2)   |
-//! | 16..19 | chain-reduce vector AllReduce — **documented alias** of the |
+//! | 16..19 | lane-chain vector AllReduce — **documented alias** of the   |
 //! |        | block halo colors: the two programs are never co-resident   |
 //! | 22..24 | multi-wafer seam halo                                       |
 
@@ -65,13 +65,13 @@ pub const fn halo_n(k: usize) -> u8 {
     HALO_N + 2 * k as u8
 }
 
-/// Westward row chains of the vector chain-reduce AllReduce. Aliases
-/// [`HALO_E`]: a 2-D block program and a chain-reduce program are never
+/// Westward row chains of the vector lane-chain AllReduce. Aliases
+/// [`HALO_E`]: a 2-D block program and a lane-chain program are never
 /// resident on the same fabric, and routes are per-tile.
 pub const CHAIN_ROW: u8 = 16;
 /// Northward column chain (aliases [`HALO_W`], same argument).
 pub const CHAIN_COL: u8 = 17;
-/// Chain-reduce result broadcast (aliases [`HALO_S`]).
+/// Lane-chain result broadcast (aliases [`HALO_S`]).
 pub const CHAIN_BC: u8 = 18;
 
 /// Virtual channel carrying halo planes eastward across wafer seams.

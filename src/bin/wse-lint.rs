@@ -41,7 +41,7 @@ use stencil::precond::jacobi_scale;
 use stencil::problem::manufactured;
 use stencil::stencil9::convection_diffusion9;
 use wse_arch::Fabric;
-use wse_core::allreduce::AllReduce;
+use wse_core::allreduce::{Payload, Reduction};
 use wse_core::bicgstab2d::WaferBicgstab2d;
 use wse_core::cg::{CgVariant, WaferCg};
 use wse_core::WaferBicgstab;
@@ -97,7 +97,12 @@ fn build(config: &str) -> Fabric {
         }
         "allreduce" => {
             let mut fabric = Fabric::new(4, 4);
-            let _ = AllReduce::build(&mut fabric, 4, 4, 24, 25, 26);
+            let _ = Reduction::build(
+                &mut fabric,
+                4,
+                4,
+                Payload::Scalar { r_in: 24, r_out: 25, r_acc: 26 },
+            );
             fabric
         }
         "bicgstab" => {

@@ -616,10 +616,11 @@ fn contribution(i: usize) -> f32 {
 fn reduction_networks_sweep() {
     use wse_arch::fabric::STALL_WINDOW;
     use wse_arch::types::{Dtype, Reg};
-    use wse_core::allreduce::{AllReduce, AllReduceSplit, ChainReduce};
+    use wse_core::allreduce::{Payload, Reduction};
     const R_IN: Reg = 24;
     const R_OUT: Reg = 25;
     const R_ACC: Reg = 26;
+    const SCALAR: Payload = Payload::Scalar { r_in: R_IN, r_out: R_OUT, r_acc: R_ACC };
     let run = |fabric: &mut Fabric| fabric.run_watched(100_000, STALL_WINDOW).unwrap();
     let scalar_shapes = [(2, 2), (2, 7), (3, 3), (4, 4), (5, 3), (9, 5)];
 
@@ -627,7 +628,7 @@ fn reduction_networks_sweep() {
     let mut one = Vec::new();
     for (w, h) in scalar_shapes.into_iter().chain([8, 16, 32, 48].map(|n| (n, n))) {
         let mut fabric = Fabric::new(w, h);
-        let net = AllReduce::build(&mut fabric, w, h, R_IN, R_OUT, R_ACC);
+        let net = Reduction::build(&mut fabric, w, h, SCALAR);
         let digest = program_digest(&fabric);
         let values: Vec<f32> = (0..w * h).map(contribution).collect();
         let (out, cycles) = net.run(&mut fabric, &values);
@@ -639,13 +640,13 @@ fn reduction_networks_sweep() {
     let mut split = Vec::new();
     for (w, h) in scalar_shapes {
         let mut fabric = Fabric::new(w, h);
-        let net = AllReduceSplit::build(&mut fabric, w, h, R_IN, R_OUT, R_ACC);
+        let net = Reduction::build_split(&mut fabric, w, h, SCALAR);
         let digest = program_digest(&fabric);
         for y in 0..h {
             for x in 0..w {
                 let core = &mut fabric.tile_mut(x, y).core;
                 core.regs[R_IN as usize] = contribution(y * w + x);
-                core.activate(net.reduce_task(x, y));
+                core.activate(net.tasks(x, y)[0]);
             }
         }
         let reduce = run(&mut fabric);
@@ -653,7 +654,7 @@ fn reduction_networks_sweep() {
         let partial = fabric.tile(rx, ry).core.regs[R_ACC as usize].to_bits();
         for y in 0..h {
             for x in 0..w {
-                fabric.tile_mut(x, y).core.activate(net.bcast_task(x, y));
+                fabric.tile_mut(x, y).core.activate(net.tasks(x, y)[1]);
             }
         }
         let bcast = run(&mut fabric);
@@ -677,10 +678,11 @@ fn reduction_networks_sweep() {
                 t.mem.write_f32(pay + 4 * j as u32, contribution(i * 14 + j));
             }
         }
-        let net = ChainReduce::build(&mut fabric, w, h, pay, M, reply, &REPLY);
+        let payload = Payload::Lanes { pay, m: M, reply, regs: &REPLY };
+        let net = Reduction::build_split(&mut fabric, w, h, payload);
         let digest = program_digest(&fabric);
         for i in 0..w * h {
-            fabric.tile_mut(i % w, i / w).core.activate(net.reduce_task(i % w, i / w));
+            fabric.tile_mut(i % w, i / w).core.activate(net.tasks(i % w, i / w)[0]);
         }
         let reduce = run(&mut fabric);
         let root = fabric.tile_mut(0, 0);
@@ -689,7 +691,7 @@ fn reduction_networks_sweep() {
             root.mem.write_f32(reply + 4 * i, contribution(i as usize) * 3.0);
         }
         for i in 0..w * h {
-            fabric.tile_mut(i % w, i / w).core.activate(net.bcast_task(i % w, i / w));
+            fabric.tile_mut(i % w, i / w).core.activate(net.tasks(i % w, i / w)[1]);
         }
         let bcast = run(&mut fabric);
         let out = (0..w * h).flat_map(|i| {

@@ -2,7 +2,7 @@
 //! computations on randomized inputs and geometries.
 
 use proptest::prelude::*;
-use wafer_stencil::kernels::allreduce::AllReduce;
+use wafer_stencil::kernels::allreduce::{Payload, Reduction};
 use wafer_stencil::prelude::*;
 use wafer_stencil::stencil_::dia::Offset3;
 use wse_dsl::tess::verify_tessellation;
@@ -73,7 +73,7 @@ proptest! {
         let values: Vec<f32> = (0..w * h).map(|i| vals[i % vals.len()] as f32 / 8.0).collect();
         let expect: f64 = values.iter().map(|&v| v as f64).sum();
         let mut fabric = Fabric::new(w, h);
-        let ar = AllReduce::build(&mut fabric, w, h, 24, 25, 26);
+        let ar = Reduction::build(&mut fabric, w, h, Payload::Scalar { r_in: 24, r_out: 25, r_acc: 26 });
         let (out, cycles) = ar.run(&mut fabric, &values);
         for (i, got) in out.iter().enumerate() {
             prop_assert!(
