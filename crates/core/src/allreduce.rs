@@ -115,8 +115,9 @@ impl Reduction {
     /// Builds the routes and, per tile, a reduce task and a broadcast task,
     /// so that a host can combine the partials between them: the ensemble
     /// form. After the reduce the wafer's partials sit on the
-    /// [`root`](Reduction::root) ([`Reduction::partials`]); the broadcast
-    /// sends what [`Reduction::write_reply`] put there.
+    /// [`root`](Reduction::root): the scalar's `r_acc` or the lanes. The
+    /// broadcast sends what the host then writes there (`r_acc`, or the
+    /// reply block).
     ///
     /// # Panics
     /// Panics if the region is empty or exceeds the fabric, or a scalar
@@ -161,12 +162,11 @@ impl Reduction {
         base: Color,
     ) -> (Reduction, Vec<Vec<Role>>) {
         assert!(w <= fabric.width() && h <= fabric.height(), "region exceeds fabric");
-        let (legs, paths, root, bc) = match payload {
-            Payload::Scalar { .. } => tree(w, h, base),
-            Payload::Lanes { .. } => chains(w, h),
+        let ((legs, paths, root, bc), relay) = match payload {
+            Payload::Scalar { .. } => (tree(w, h, base), false),
+            Payload::Lanes { .. } => (chains(w, h), true),
         };
-        let relay = matches!(payload, Payload::Lanes { .. });
-        let roles = walk(fabric, (w, h), &legs, relay, (bc, &paths));
+        let roles = walk(fabric, (w, h), &legs, relay, &paths, bc);
         (Reduction { w, h, payload, root, bc, tasks: Vec::new() }, roles)
     }
 
@@ -184,7 +184,7 @@ impl Reduction {
 
     /// The partials read off the root after the reduce: the scalar's
     /// `r_acc`, or the `m` lanes.
-    pub fn partials(&self, fabric: &Fabric) -> Vec<f32> {
+    pub(crate) fn partials(&self, fabric: &Fabric) -> Vec<f32> {
         let tile = fabric.tile(self.root.0, self.root.1);
         match self.payload {
             Payload::Scalar { r_acc, .. } => vec![tile.core.regs[r_acc as usize]],
@@ -195,7 +195,7 @@ impl Reduction {
     }
 
     /// Writes the host's reply where the root's broadcast picks it up.
-    pub fn write_reply(&self, fabric: &mut Fabric, reply: &[f32]) {
+    pub(crate) fn write_reply(&self, fabric: &mut Fabric, reply: &[f32]) {
         let tile = fabric.tile_mut(self.root.0, self.root.1);
         match self.payload {
             Payload::Scalar { r_acc, .. } => tile.core.regs[r_acc as usize] = reply[0],
@@ -457,7 +457,8 @@ fn walk(
     (w, h): (usize, usize),
     legs: &[Leg],
     relay: bool,
-    (bc, paths): (Color, &[Path]),
+    paths: &[Path],
+    bc: Color,
 ) -> Vec<Vec<Role>> {
     let mut roles = vec![Vec::new(); w * h];
     for &Leg { color, ref tiles } in legs {
