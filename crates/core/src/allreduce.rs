@@ -275,17 +275,16 @@ impl Reduction {
             }
             Payload::Lanes { pay, m, reply, regs } => {
                 for &role in roles {
-                    // Every leg binds the lanes afresh; a leg of one tile
-                    // leaves its descriptor unused.
-                    let d_pay = core.add_dsr(mk::tensor32(pay, m));
                     let (tx, rx) = match role {
                         Role::Send { color, fed } => (Some(color), fed.then_some(color)),
                         Role::Sink { color, n } => (None, (n > 0).then_some(color)),
                     };
+                    // A leg of one tile moves nothing.
                     if tx.is_none() && rx.is_none() {
                         continue;
                     }
-                    up.push(Stmt::InitDsr { dsr: d_pay, desc: mk::tensor32(pay, m) });
+                    // Every other leg binds the lanes afresh.
+                    let d_pay = bind(core, &mut up, mk::tensor32(pay, m));
                     let tx = tx.map(|color| bind(core, &mut up, mk::tx32(color, m)));
                     let rx = rx.map(|color| bind(core, &mut up, mk::rx32(color, m)));
                     // The far end sends its lanes, a relay sends `rx + pay`,

@@ -615,6 +615,7 @@ fn contribution(i: usize) -> f32 {
 #[test]
 fn reduction_networks_sweep() {
     use wse_arch::fabric::STALL_WINDOW;
+    use wse_arch::instr::Stmt;
     use wse_arch::types::{Dtype, Reg};
     use wse_core::allreduce::{Payload, Reduction};
     const R_IN: Reg = 24;
@@ -681,6 +682,20 @@ fn reduction_networks_sweep() {
         let payload = Payload::Lanes { pay, m: M, reply, regs: &REPLY };
         let net = Reduction::build_split(&mut fabric, w, h, payload);
         let digest = program_digest(&fabric);
+        // Every DSR a tile registers is named by one of its statements.
+        for i in 0..w * h {
+            let core = &fabric.tile(i % w, i / w).core;
+            let mut named = vec![false; core.num_dsrs()];
+            for stmt in core.tasks().flat_map(|(_, task)| task.body.iter()) {
+                let ids = match *stmt {
+                    Stmt::Exec(t) | Stmt::Launch { instr: t, .. } => [t.dst, t.a, t.b],
+                    Stmt::InitDsr { dsr, .. } => [Some(dsr), None, None],
+                    _ => [None; 3],
+                };
+                ids.into_iter().flatten().for_each(|id| named[id as usize] = true);
+            }
+            assert!(named.iter().all(|&n| n), "{w}x{h} lanes: tile {i} has an unnamed DSR");
+        }
         for i in 0..w * h {
             fabric.tile_mut(i % w, i / w).core.activate(net.tasks(i % w, i / w)[0]);
         }
@@ -732,8 +747,8 @@ fn reduction_networks_sweep() {
         (2620156717475699642, [17, 9], 1086980087, 10486525283343384618),
     ];
     let want_lanes = [
-        (3300156333096940610, [1, 14], 12173610704589214781, 17906120680088862580),
-        (14380446698545640631, [22, 20], 14311866551555774424, 3912444044278087445),
+        (10316224740216103419, [1, 14], 12173610704589214781, 17906120680088862580),
+        (8066843665698495782, [22, 20], 14311866551555774424, 3912444044278087445),
         (9983194775616266386, [22, 20], 14311866551555774424, 3912444044278087445),
         (7504975452640170187, [40, 20], 13922611525635273799, 10214923133787964116),
         (17033814652611561472, [46, 23], 10839319953888556098, 9008367607563520469),
