@@ -397,7 +397,7 @@ pub enum Step {
     },
     /// One AllReduce round ([`Slot::Reduce`]). On an ensemble: on-wafer
     /// reduce, binomial host combine, the recurrence's
-    /// [`derive`](Recurrence::derive), broadcast of its reply.
+    /// `Recurrence::derive`, broadcast of its reply.
     Reduce,
     /// Both reduction networks in one round ([`Slot::ReduceBoth`]).
     ReduceBoth,
@@ -1530,7 +1530,7 @@ pub struct Tally {
 /// The semantics are the wafer's, kernel by kernel: a dot is `P::dot` (the
 /// one-tile case of the zeroed MAC), or its fp32 rounding in a payload
 /// lane; a register round copies `AR_IN` to `AR_OUT`, a lane round writes
-/// the recurrence's [`derive`](Recurrence::derive) to its reply registers;
+/// the recurrence's `Recurrence::derive` to its reply registers;
 /// register arithmetic runs in `P::Global`; an update reads its scalar
 /// register narrowed once to storage; an SpMV's co-scheduled row runs
 /// first. The wafer's fp32 reduction order is not reproduced — it depends

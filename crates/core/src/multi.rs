@@ -29,7 +29,7 @@
 //! Every builder produces the same thing: a [`krylov::Program`] over the
 //! global tile grid (one `(Tasks, Addrs)` record per tile, allocated and
 //! emitted from a [`krylov::Recurrence`]'s tables — [`krylov::BICGSTAB`] or
-//! [`krylov::BICGSTAB_SINGLE`]), one [`Seam`] record per tile, and one
+//! [`krylov::BICGSTAB_SINGLE`]), one `Seam` record per tile, and one
 //! split [`Reduction`] per wafer. The crate's one step walk runs the table on
 //! an ensemble executor that gives two kinds of step their seam-crossing
 //! meaning: an SpMV is a seam window, a reduction is hierarchical. Scatter,

@@ -105,7 +105,7 @@ pub struct StagedFlit {
     pub flit: Flit,
     /// Set on the first staged copy of a flit forwarded out of a cardinal
     /// input queue: the delivery phase returns one credit for that queue
-    /// to the router upstream of it. (Only [`Router::stage_into`] sets it.)
+    /// to the router upstream of it. (Only `Router::stage_into` sets it.)
     pub freed: Option<Port>,
 }
 
@@ -241,7 +241,7 @@ impl Router {
     }
 
     /// Selects flits to forward this cycle — the reference form, kept as
-    /// the oracle [`Router::stage_into`] is tested against.
+    /// the oracle `Router::stage_into` is tested against.
     ///
     /// `can_accept(out, color, already_staged_to_that_destination)` tells the
     /// router whether the *next hop* (neighbor queue or core ramp) can take

@@ -62,7 +62,7 @@ impl Flit {
 ///
 /// Payload bits are stored unpacked from [`Flit`] — one `u32` per slot plus
 /// one width bit per slot — so a ring is 36 bytes with no heap behind it.
-/// A tile's 168 queues are [`SlotTable`] entries, backed only once used.
+/// A tile's 168 queues are `SlotTable` entries, backed only once used.
 #[derive(Copy, Clone, Debug, Default)]
 pub struct Ring {
     bits: [u32; Ring::CAPACITY],

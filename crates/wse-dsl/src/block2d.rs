@@ -63,7 +63,7 @@ impl BlockLayout {
     /// (coefficient arrays, iterate, output buffer).
     ///
     /// # Panics
-    /// Panics when the block exceeds the 48 KB budget; [`crate::plan`]
+    /// Panics when the block exceeds the 48 KB budget; [`crate::plan()`]
     /// rejects such specs before any tile exists.
     pub fn alloc(
         tile: &mut Tile,

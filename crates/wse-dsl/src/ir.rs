@@ -3,7 +3,7 @@
 //! A stencil is **data**: a named list of [`Tap`]s (relative mesh offsets,
 //! each with a constant or per-cell-variable coefficient), a datapath
 //! [`Precision`], and a [`Boundary`] condition. The lowering layer
-//! ([`crate::lower`]) turns a spec into a wafer program; [`crate::plan`]
+//! ([`crate::lower()`]) turns a spec into a wafer program; [`crate::plan()`]
 //! validates it and rejects illegal specs with a structured [`DslError`]
 //! before any fabric is touched.
 

@@ -9,7 +9,7 @@
 //!   [`StencilSpec::check_bands`] refuses a matrix band a spec would drop.
 //! * [`colors`] — the single whole-wafer virtual-channel map every emitter
 //!   consumes.
-//! * [`plan`] — validation and resource planning: structured
+//! * [`plan`](mod@plan) — validation and resource planning: structured
 //!   [`ir::DslError`]s for illegal specs (offset beyond the routable
 //!   radius, SRAM over the 48 KB budget) **before any fabric is touched**.
 //! * [`tess`] — the Fig. 5 tessellation channel assignment.
@@ -24,7 +24,7 @@
 //! * `dataflow` (private) — the vocabulary those three emitters write their
 //!   tasks in, each piece once: rewinding memory tensors, the send and
 //!   receive stream launches, and Listing 1's two-way barrier chain.
-//! * [`lower`] — the dispatch from spec + mesh to one of the three
+//! * [`lower`](mod@lower) — the dispatch from spec + mesh to one of the three
 //!   mappings, producing a [`lower::Lowered`] program handle; a bare SpMV
 //!   is [`lower()`] plus [`Lowered::apply`]. [`Layout`] is the one region
 //!   layout (a z-column or a `bx × by` block per tile) by which `Lowered`

@@ -1,7 +1,7 @@
 //! The shared lowering layer: spec + matrix + fabric geometry → a fully
 //! built, lint-clean wafer program behind one handle.
 //!
-//! [`lower`] first runs [`crate::plan`] (all structured rejections happen
+//! [`lower`] first runs [`crate::plan()`] (all structured rejections happen
 //! there, before any fabric state exists), then dispatches to one of the
 //! three emitters:
 //!

@@ -18,7 +18,7 @@
 //! mesh column per tile, neighbor columns streamed through hardware FIFOs),
 //! is not a plan outcome: only the unit-diagonal 7-point fp16 shape is
 //! eligible, and the unit diagonal is a property of the matrix, so
-//! [`crate::lower`] substitutes it for a `Relay` plan when
+//! [`crate::lower()`] substitutes it for a `Relay` plan when
 //! [`listing1_eligible`] holds and the matrix qualifies. The plan's SRAM
 //! bound covers both.
 
@@ -163,7 +163,7 @@ pub(crate) fn distinct_consts(spec: &StencilSpec) -> Vec<f32> {
 
 /// `true` when the spec's offset set is exactly the 7-point star — the
 /// shape eligible for the Listing-1 dataflow (the final choice also checks
-/// the matrix's unit diagonal in [`crate::lower`]).
+/// the matrix's unit diagonal in [`crate::lower()`]).
 pub fn listing1_eligible(spec: &StencilSpec) -> bool {
     use stencil::dia::Offset3;
     if spec.precision != Precision::F16 || spec.boundary != Boundary::Dirichlet0 {

@@ -67,7 +67,7 @@ impl RelayLayout {
     /// then XP/XM/YP/YM buffers in that order).
     ///
     /// # Panics
-    /// Panics on SRAM exhaustion; [`crate::plan`] rejects such specs first.
+    /// Panics on SRAM exhaustion; [`crate::plan()`] rejects such specs first.
     pub fn alloc(
         tile: &mut Tile,
         z: u32,

@@ -3,7 +3,7 @@
 //!
 //! [`crate::rules::routes`] already rejects a receive no *local* route can
 //! feed. This pass closes the global half of that argument over the
-//! whole-fabric [`crate::dataflow::Model`]:
+//! whole-fabric `crate::dataflow::Model`:
 //!
 //! * **Starved colors** ([`crate::Rule::ColorStarved`]) — a tile consumes a
 //!   color and its router would deliver it to the ramp, but no producer

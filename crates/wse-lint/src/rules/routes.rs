@@ -22,9 +22,9 @@
 //!   ones were already caught per shard).
 //!
 //! The three findings that only need the tile's own program and route
-//! table are class properties ([`check_local`]); where a fanout lands and
+//! table are class properties (`check_local`); where a fanout lands and
 //! whether the graph closes a loop depends on the neighbourhood and is
-//! checked tile by tile ([`check`]).
+//! checked tile by tile (`check`).
 
 use crate::classes::Finding;
 use crate::dataflow::{neighbor, Model, Node};

@@ -3,8 +3,8 @@
 # --release && cargo test -q`, whose `default-members` in the root manifest
 # are the root package and all thirteen crates, so it runs every suite the
 # `--workspace` run below does): the release
-# build, the whole workspace's tests, the exhaustive fp16 sweeps, clippy and
-# rustfmt, the non-test line count per crate (informational, no gate), a
+# build, the whole workspace's tests, the exhaustive fp16 sweeps, clippy,
+# rustfmt and warning-free rustdoc, the non-test line count per crate (informational, no gate), a
 # grep that keeps the workspace single-threaded, the wse-lint
 # static verifier over every shipped kernel configuration (its plain and
 # --json stdout diffed against the checked-in output, once more with
@@ -38,6 +38,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo fmt --check =="
 cargo fmt --check
+
+echo "== cargo doc --workspace --no-deps (warnings are errors) =="
+# Every intra-doc link resolves and names a public item.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== non-test lines per crate (informational) =="
 scripts/loc.sh
