@@ -142,7 +142,7 @@ mod tests {
         let task = core.add_task(Task::new("kernel", body));
         for _ in 0..2 {
             core.activate(task);
-            (0..20).for_each(|_| core.step(&mut mem));
+            (0..20).for_each(|cycle| core.step(&mut mem, cycle));
             assert!(core.is_quiescent());
         }
         let x = mem.load_f16_slice(at[V::X as usize], x.len());

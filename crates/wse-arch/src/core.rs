@@ -20,10 +20,10 @@
 
 use crate::dsr::{Descriptor, Dsr};
 use crate::fifo::Fifo;
-use crate::instr::{ColorBinding, Op, RegOp, Stmt, Task, TaskAction, TensorInstr};
+use crate::instr::{ColorBinding, Op, OpClass, RegOp, Stmt, Task, TaskAction, TensorInstr};
 use crate::memory::{Memory, TILE_SRAM_BYTES};
 use crate::sanitize::CoreSanitizer;
-use crate::trace::{CoreTrace, StallCause};
+use crate::trace::{CoreTrace, StallCause, TraceEventKind};
 use crate::types::{
     Color, DsrId, Dtype, FifoId, Flit, Ring, SlotTable, TaskId, NUM_COLORS, NUM_REGS, NUM_THREADS,
     SIMD_F16, SIMD_F32, SIMD_MIXED,
@@ -47,6 +47,12 @@ pub struct CorePerf {
     pub flits_received: u64,
     /// Control statements retired.
     pub ctrl_stmts: u64,
+    /// Datapath-idle cycles by cause, indexed by [`StallCause::index`]
+    /// (they sum to `idle_cycles`).
+    pub stall: [u64; StallCause::COUNT],
+    /// Tensor instructions retired per class, indexed by
+    /// [`OpClass::index`].
+    pub retired: [u64; OpClass::COUNT],
 }
 
 /// Snapshot of a core's persistent scheduler state at a quiescent point
@@ -158,9 +164,10 @@ pub struct Core {
     bound_mask: u32,
     /// Round-robin cursor over `ramp_out` colors.
     ramp_rr: usize,
-    /// Performance counters.
+    /// Performance counters, stall causes and retire classes included;
+    /// always on.
     pub perf: CorePerf,
-    /// Armed trace collection; `None` (the default) keeps every hook on a
+    /// Armed task-event ring; `None` (the default) keeps every hook on a
     /// one-pointer-test fast path (the same idiom as fault arming).
     trace: Option<Box<CoreTrace>>,
     /// Armed runtime sanitizer (shadow SRAM access marks and channel-wait
@@ -210,41 +217,25 @@ impl Core {
         }
     }
 
-    /// Arms per-core trace collection, stamping events from `now` (the
-    /// fabric clock at arm time). Re-arming replaces prior state.
-    pub fn arm_trace(&mut self, now: u64, ring_capacity: usize) {
-        self.trace = Some(Box::new(CoreTrace::new(now, ring_capacity)));
+    /// Arms this core's task-event ring of `ring_capacity` events.
+    /// Re-arming replaces prior state.
+    pub fn arm_trace(&mut self, ring_capacity: usize) {
+        self.trace = Some(Box::new(CoreTrace::new(ring_capacity)));
     }
 
-    /// `true` while trace collection is armed.
+    /// `true` while the task-event ring is armed.
     pub fn trace_armed(&self) -> bool {
         self.trace.is_some()
     }
 
-    /// The armed trace state, if any (diagnostic access).
-    pub fn trace(&self) -> Option<&CoreTrace> {
-        self.trace.as_deref()
-    }
-
-    /// Disarms tracing and returns the collected state, if armed.
+    /// Disarms tracing and returns the collected events, if armed.
     pub fn take_trace(&mut self) -> Option<Box<CoreTrace>> {
         self.trace.take()
     }
 
-    /// Arms the runtime sanitizer, stamping from `now` (the fabric clock at
-    /// arm time). Re-arming replaces prior shadow state.
-    pub fn arm_sanitizer(&mut self, now: u64) {
-        self.sanitize = Some(Box::new(CoreSanitizer::new(now, TILE_SRAM_BYTES as usize)));
-    }
-
-    /// `true` while the sanitizer is armed.
-    pub fn sanitizer_armed(&self) -> bool {
-        self.sanitize.is_some()
-    }
-
-    /// The armed sanitizer state, if any (diagnostic access).
-    pub fn sanitizer(&self) -> Option<&CoreSanitizer> {
-        self.sanitize.as_deref()
+    /// Arms the runtime sanitizer. Re-arming replaces prior shadow state.
+    pub fn arm_sanitizer(&mut self) {
+        self.sanitize = Some(Box::new(CoreSanitizer::new(TILE_SRAM_BYTES as usize)));
     }
 
     /// Disarms the sanitizer and returns the collected state, if armed.
@@ -450,20 +441,11 @@ impl Core {
     /// Accounts `n` cycles the fabric *skipped* stepping this core because
     /// it was provably quiescent. A quiescent core's step is pure idle —
     /// no trigger fires, nothing schedules, the datapath records one idle
-    /// cycle (stall cause `Idle` when traced) and the trace clock advances
-    /// — so batching the bookkeeping is bit-identical to stepping.
+    /// cycle of stall cause `Idle` — so batching the bookkeeping is
+    /// bit-identical to stepping.
     pub(crate) fn account_idle(&mut self, n: u64) {
-        if n == 0 {
-            return;
-        }
         self.perf.idle_cycles += n;
-        if let Some(tr) = self.trace.as_deref_mut() {
-            tr.stall[StallCause::Idle.index()] += n;
-            tr.now += n;
-        }
-        if let Some(san) = self.sanitize.as_deref_mut() {
-            san.now += n;
-        }
+        self.perf.stall[StallCause::Idle.index()] += n;
     }
 
     /// Space left in the ramp-in queue for `color` (router-side check).
@@ -552,7 +534,7 @@ impl Core {
     /// threads, ramp queues, FIFO contents — and rewinds every task's
     /// scheduling flags to its declared start state and every DSR cursor to
     /// zero. Programs, routes-side bindings, registers, perf counters, and
-    /// armed trace state (including its monotone cycle stamp) are retained.
+    /// armed trace and sanitizer state are retained.
     ///
     /// This is the core half of checkpoint restore: after a fault wedges
     /// the fabric mid-phase, the recovery layer calls this and then
@@ -676,38 +658,31 @@ impl Core {
         out
     }
 
-    /// Executes one cycle. `mem` is the tile's SRAM.
-    pub fn step(&mut self, mem: &mut Memory) {
-        self.step_with(mem, false);
+    /// Executes fabric cycle `cycle`, the stamp of any trace event or race
+    /// trip this step records. `mem` is the tile's SRAM.
+    pub fn step(&mut self, mem: &mut Memory, cycle: u64) {
+        self.step_with(mem, false, cycle);
     }
 
     /// [`Core::step`] with every tensor instruction on the per-element
     /// datapath — the executable specification the batched datapath is
     /// tested against ([`crate::fabric::Fabric::step_reference`] steps
     /// cores this way).
-    pub fn step_reference(&mut self, mem: &mut Memory) {
-        self.step_with(mem, true);
+    pub fn step_reference(&mut self, mem: &mut Memory, cycle: u64) {
+        self.step_with(mem, true, cycle);
     }
 
-    fn step_with(&mut self, mem: &mut Memory, per_element: bool) {
+    fn step_with(&mut self, mem: &mut Memory, per_element: bool, cycle: u64) {
         self.data_triggers();
-        self.schedule();
-        self.control_step();
-        self.datapath_step(mem, per_element);
-        // The per-core cycle stamp tracks the fabric clock (one core step
-        // per fabric cycle) and is never rewound — see [`CoreTrace`].
-        if let Some(tr) = self.trace.as_deref_mut() {
-            tr.now += 1;
-        }
-        if let Some(san) = self.sanitize.as_deref_mut() {
-            san.now += 1;
-        }
+        self.schedule(cycle);
+        self.control_step(cycle);
+        self.datapath_step(mem, per_element, cycle);
     }
 
-    /// Records a main-thread task retiring (trace hook; no-op disarmed).
-    fn trace_task_end(&mut self, task: TaskId) {
+    /// Records a task event at `cycle` (trace hook; no-op disarmed).
+    fn trace_event(&mut self, cycle: u64, kind: TraceEventKind) {
         if let Some(tr) = self.trace.as_deref_mut() {
-            tr.record_task_end(task);
+            tr.record(cycle, kind);
         }
     }
 
@@ -726,7 +701,7 @@ impl Core {
     }
 
     /// Picks a task for the main thread if it is free.
-    fn schedule(&mut self) {
+    fn schedule(&mut self, cycle: u64) {
         if self.main.is_some() || self.runnable == 0 {
             return;
         }
@@ -747,13 +722,12 @@ impl Core {
         let Some((_, id)) = best else { return };
         self.flag_task(id, |t| t.activated = false); // activation is consumed
         self.main = Some(RunningTask { id, pc: 0 });
-        if let Some(tr) = self.trace.as_deref_mut() {
-            tr.record_task_start(id, self.tasks[id as usize].task.name);
-        }
+        let name = self.tasks[id as usize].task.name;
+        self.trace_event(cycle, TraceEventKind::TaskStart { task: id, name });
     }
 
     /// Retires at most one control statement of the running task.
-    fn control_step(&mut self) {
+    fn control_step(&mut self, cycle: u64) {
         let Some(running) = self.main.as_ref() else { return };
         if self.live & MAIN_BIT != 0 {
             return; // waiting on a synchronous tensor instruction
@@ -763,7 +737,7 @@ impl Core {
         let body_len = self.tasks[task_id as usize].task.body.len();
         if pc >= body_len {
             self.main = None;
-            self.trace_task_end(task_id);
+            self.trace_event(cycle, TraceEventKind::TaskEnd { task: task_id });
             return;
         }
         // Every statement payload is `Copy`, so the arms bind copies and the
@@ -806,14 +780,14 @@ impl Core {
         // A task whose body is exhausted (and not waiting) retires.
         if self.live & MAIN_BIT == 0 && pc + 1 >= body_len {
             self.main = None;
-            self.trace_task_end(task_id);
+            self.trace_event(cycle, TraceEventKind::TaskEnd { task: task_id });
         } else {
             self.main = Some(RunningTask { id: task_id, pc: pc + 1 });
         }
     }
 
     /// Issues the datapath to one runnable thread (round-robin).
-    fn datapath_step(&mut self, mem: &mut Memory, per_element: bool) {
+    fn datapath_step(&mut self, mem: &mut Memory, per_element: bool, cycle: u64) {
         let mut issued = false;
         // Live slots in (rr_cursor + k) % SLOTS order: the bits at or above
         // the cursor ascending, then the ones below it.
@@ -828,7 +802,7 @@ impl Core {
                     // control_step and completions after process() returns,
                     // so it is exact for the duration of the call.
                     let threads = std::array::from_fn(|s| live >> s & 1 != 0);
-                    san.begin(slot as u8, instr.op.reads_dst(), threads);
+                    san.begin(slot as u8, instr.op.reads_dst(), threads, cycle);
                 }
                 let (progress, complete) = if per_element || self.sanitize.is_some() {
                     // The sanitizer's shadow marks are per element access.
@@ -841,9 +815,7 @@ impl Core {
                 }
                 if complete {
                     self.finish_operands(&instr);
-                    if let Some(tr) = self.trace.as_deref_mut() {
-                        tr.retired[instr.op.class().index()] += 1;
-                    }
+                    self.perf.retired[instr.op.class().index()] += 1;
                     if let Some((task, action)) = self.slots[slot].on_complete {
                         self.apply_action(task, action);
                     }
@@ -854,7 +826,7 @@ impl Core {
                         let id = r.id;
                         if r.pc >= self.tasks[id as usize].task.body.len() {
                             self.main = None;
-                            self.trace_task_end(id);
+                            self.trace_event(cycle, TraceEventKind::TaskEnd { task: id });
                         }
                     }
                 }
@@ -868,27 +840,13 @@ impl Core {
         if issued {
             self.perf.busy_cycles += 1;
         } else {
+            // Why did the datapath sit this cycle out, and which colors is
+            // some active receive starved on?
+            let (cause, starved) = self.classify_stall();
             self.perf.idle_cycles += 1;
-            // Stall attribution (armed only): why did the datapath sit
-            // this cycle out?
-            if self.trace.is_some() {
-                let cause = self.classify_stall();
-                self.trace.as_deref_mut().unwrap().stall[cause.index()] += 1;
-            }
-            // Channel-wait shadow tracking (armed only): which colors is
-            // some active receive starved on this cycle?
-            if self.sanitize.is_some() {
-                let mut waiting = [false; NUM_COLORS];
-                for a in self.active_instrs() {
-                    for id in [a.a, a.b].into_iter().flatten() {
-                        if let Descriptor::FabricIn { color, .. } = self.dsrs[id as usize].desc {
-                            if self.ramp_in[color as usize].is_empty() {
-                                waiting[color as usize] = true;
-                            }
-                        }
-                    }
-                }
-                self.sanitize.as_deref_mut().unwrap().on_stall(&waiting);
+            self.perf.stall[cause.index()] += 1;
+            if let Some(san) = self.sanitize.as_deref_mut() {
+                san.on_stall(starved);
             }
         }
     }
@@ -902,28 +860,42 @@ impl Core {
             .map(|(_, a)| &a.instr)
     }
 
-    /// Classifies a non-issuing datapath cycle: starved sources win over
-    /// blocked destinations; no active instruction at all is `Idle`. Bank
-    /// conflicts are deliberately unmodeled (see [`StallCause`]), so that
-    /// bucket never fires.
-    fn classify_stall(&self) -> StallCause {
-        let mut backpressured = false;
+    /// Classifies a non-issuing datapath cycle in one scan of the active
+    /// instructions: starved sources win over blocked destinations; no
+    /// active instruction at all is `Idle`. Bank conflicts are deliberately
+    /// unmodeled (see [`StallCause`]), so that bucket never fires. Also
+    /// returns the colors some active receive is starved on (bit `c` for
+    /// color `c`), the sanitizer's channel waits.
+    fn classify_stall(&self) -> (StallCause, u32) {
+        let (mut fifo_wait, mut backpressured, mut starved) = (false, false, 0u32);
         for instr in self.active_instrs() {
-            if !self.sources_ready(instr) {
-                return StallCause::FifoWait;
+            for id in [instr.a, instr.b].into_iter().flatten() {
+                match self.dsrs[id as usize].desc {
+                    Descriptor::FabricIn { color, .. }
+                        if self.ramp_in[color as usize].is_empty() =>
+                    {
+                        fifo_wait = true;
+                        starved |= 1 << color;
+                    }
+                    Descriptor::Fifo { fifo } if self.fifos[fifo as usize].is_empty() => {
+                        fifo_wait = true;
+                    }
+                    _ => {}
+                }
             }
-            if !self.dst_ready(instr) {
-                backpressured = true;
-            }
+            backpressured |= !self.dst_ready(instr);
         }
-        if backpressured {
+        let cause = if fifo_wait {
+            StallCause::FifoWait
+        } else if backpressured {
             StallCause::Backpressure
         } else {
             // An active instruction that is neither starved nor blocked can
             // only follow a zero-progress completion this cycle; fold it
             // into Idle.
             StallCause::Idle
-        }
+        };
+        (cause, starved)
     }
 
     /// Rewinds rewinding DSR operands at instruction completion.
@@ -1641,8 +1613,8 @@ mod tests {
     use crate::types::RAMP_OUT_CAPACITY;
 
     fn run(core: &mut Core, mem: &mut Memory, cycles: usize) {
-        for _ in 0..cycles {
-            core.step(mem);
+        for c in 0..cycles {
+            core.step(mem, c as u64);
         }
     }
 
@@ -1832,8 +1804,8 @@ mod tests {
         ));
         core.activate(send);
         core.activate(recv);
-        for _ in 0..40 {
-            core.step(&mut mem);
+        for c in 0..40 {
+            core.step(&mut mem, c);
             for (color, flit) in drain_ramp_out(&mut core, 4) {
                 assert_eq!(color, 2);
                 core.deliver(5, flit);
@@ -1894,7 +1866,7 @@ mod tests {
         core.activate(lo);
         core.activate(hi);
         // One step: hi must be scheduled first.
-        core.step(&mut mem);
+        core.step(&mut mem, 0);
         assert_eq!(core.regs[1], 1.0);
         assert_eq!(core.regs[0], 0.0);
         run(&mut core, &mut mem, 5);
@@ -1928,7 +1900,7 @@ mod tests {
             let want = (0..200)
                 .filter(|&id| core.tasks[id].activated && !core.tasks[id].blocked)
                 .max_by_key(|&id| (core.tasks[id].task.priority, usize::MAX - id));
-            core.schedule();
+            core.schedule(0);
             assert_eq!(core.main.take().map(|r| r.id as usize), want, "round {round}");
             picked += want.is_some() as usize;
             let runnable = core.tasks.iter().filter(|t| t.activated && !t.blocked).count();
@@ -2100,9 +2072,9 @@ mod tests {
         assert_eq!(core.ramp_out_len(), RAMP_OUT_CAPACITY);
         // Drain and let it finish.
         let mut got = Vec::new();
-        for _ in 0..100 {
+        for c in 0..100 {
             got.extend(drain_ramp_out(&mut core, 4));
-            core.step(&mut mem);
+            core.step(&mut mem, c);
         }
         got.extend(drain_ramp_out(&mut core, 4));
         assert!(core.is_quiescent());
@@ -2136,8 +2108,8 @@ mod tests {
         // The program is intact: re-activating and draining completes it.
         core.activate(t);
         let mut got = 0;
-        for _ in 0..80 {
-            core.step(&mut mem);
+        for c in 0..80 {
+            core.step(&mut mem, c);
             got += drain_ramp_out(&mut core, 4).len();
         }
         assert!(core.is_quiescent());

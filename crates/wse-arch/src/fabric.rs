@@ -18,10 +18,11 @@
 
 use crate::core::Core;
 use crate::fault::{FaultEvent, FaultKind, FaultLog, FaultPlan, FaultRecord};
+use crate::instr::OpClass;
 use crate::memory::{Memory, TILE_SRAM_BYTES};
 use crate::router::{Router, StagedFlit};
 use crate::sanitize::{SanitizerReport, TileSanitizer};
-use crate::trace::{FabricTrace, PhaseSpan, TileTrace, TraceConfig};
+use crate::trace::{FabricTrace, PhaseSpan, StallCause, TileTrace, TraceConfig};
 use crate::types::{Color, Flit, Port, NUM_COLORS, PORT_BYTES_PER_CYCLE};
 use std::collections::HashMap;
 
@@ -168,12 +169,38 @@ pub struct FabricPerf {
     /// flit was held because that downstream queue was full), indexed by
     /// [`Port::index`] and summed over all tiles.
     pub backpressure: [u64; 5],
+    /// Datapath-idle core-cycles by cause, indexed by
+    /// [`StallCause::index`] (they sum to `idle_cycles`).
+    pub stall: [u64; StallCause::COUNT],
+    /// Tensor instructions retired per class, indexed by
+    /// [`OpClass::index`].
+    pub retired: [u64; OpClass::COUNT],
 }
 
 impl FabricPerf {
     /// Total backpressure flit-hold cycles across all ports and tiles.
     pub fn backpressure_total(&self) -> u64 {
         self.backpressure.iter().sum()
+    }
+
+    /// The counters accrued since `earlier`, a snapshot of the same tiles.
+    pub fn since(&self, earlier: &FabricPerf) -> FabricPerf {
+        self.zip(earlier, |now, then| now - then)
+    }
+
+    /// Field-by-field `f(self, other)` over every counter.
+    fn zip(&self, o: &FabricPerf, f: impl Fn(u64, u64) -> u64) -> FabricPerf {
+        FabricPerf {
+            flops_f16: f(self.flops_f16, o.flops_f16),
+            flops_f32: f(self.flops_f32, o.flops_f32),
+            busy_cycles: f(self.busy_cycles, o.busy_cycles),
+            idle_cycles: f(self.idle_cycles, o.idle_cycles),
+            flits_routed: f(self.flits_routed, o.flits_routed),
+            ctrl_stmts: f(self.ctrl_stmts, o.ctrl_stmts),
+            backpressure: std::array::from_fn(|k| f(self.backpressure[k], o.backpressure[k])),
+            stall: std::array::from_fn(|k| f(self.stall[k], o.stall[k])),
+            retired: std::array::from_fn(|k| f(self.retired[k], o.retired[k])),
+        }
     }
 }
 
@@ -213,9 +240,9 @@ struct PhaseLog {
 struct TraceState {
     /// Fabric cycle at arm time.
     start_cycle: u64,
-    /// Per-tile counter baselines at arm time, so the exported trace
-    /// carries window deltas: `(busy, idle, flits_routed, backpressure)`.
-    base: Vec<(u64, u64, u64, [u64; 5])>,
+    /// Each tile's counters at arm time ([`Fabric::tile_perf`]), so the
+    /// exported trace carries window deltas.
+    base: Vec<FabricPerf>,
     /// Per-tile event ring capacity, kept so tiles replaced mid-window
     /// (a [`Fabric::blit_region`]) can be re-armed consistently.
     ring_capacity: usize,
@@ -301,7 +328,7 @@ fn step_and_drain(t: &mut Tile, accounted: &mut u64, cycle: u64) -> u64 {
     core.account_idle(cycle - *accounted);
     *accounted = cycle + 1;
     let before = core.perf.busy_cycles + core.perf.ctrl_stmts;
-    core.step(mem);
+    core.step(mem, cycle);
     // Drain one flit at a time, checking the target color's queue.
     let mut budget = PORT_BYTES_PER_CYCLE;
     while let Some((color, flit)) =
@@ -472,41 +499,23 @@ impl Fabric {
         self.dead[self.index(x, y)]
     }
 
-    /// Arms fabric-wide tracing: every core begins collecting task events,
-    /// stall attribution, and retire counts (bounded per-tile rings), and
-    /// the phase log starts afresh, so the trace holds exactly the phases
-    /// opened from now on. The disarmed hooks cost one pointer test each,
-    /// mirroring fault arming. Re-arming replaces any previous trace state.
+    /// Arms fabric-wide tracing: every core begins recording task events
+    /// (bounded per-tile rings), the counters are snapshotted so the trace
+    /// reports the window's share of them, and the phase log starts
+    /// afresh, so the trace holds exactly the phases opened from now on.
+    /// The disarmed event hook costs one pointer test, mirroring fault
+    /// arming. Re-arming replaces any previous trace state.
     pub fn arm_trace(&mut self, config: TraceConfig) {
-        // Settle all deferred idle debt first: the per-tile baselines below
-        // must include every pre-arm cycle so the trace window starts clean.
-        self.settle_idle();
         for t in &mut self.tiles {
-            t.core.arm_trace(self.cycle, config.ring_capacity);
+            t.core.arm_trace(config.ring_capacity);
         }
-        let base = self
-            .tiles
-            .iter()
-            .map(|t| {
-                (
-                    t.core.perf.busy_cycles,
-                    t.core.perf.idle_cycles,
-                    t.router.flits_routed,
-                    t.router.backpressure,
-                )
-            })
-            .collect();
+        let base = (0..self.tiles.len()).map(|i| self.tile_perf(i)).collect();
         self.phases = PhaseLog::default();
         self.trace = Some(Box::new(TraceState {
             start_cycle: self.cycle,
             base,
             ring_capacity: config.ring_capacity,
         }));
-        // Conservatively wake every tile: arming must never be masked by
-        // activity skipping (idle tiles fall back out after one sweep).
-        for i in 0..self.tiles.len() {
-            self.mark_active(i);
-        }
     }
 
     /// `true` while tracing is armed.
@@ -521,17 +530,10 @@ impl Fabric {
     /// armed run is cycle-identical to a disarmed one. Re-arming replaces
     /// any previous shadow state.
     pub fn arm_sanitizer(&mut self) {
-        // Settle deferred idle debt first so every core's `now` stamp
-        // starts aligned with the fabric clock.
-        self.settle_idle();
         for t in &mut self.tiles {
-            t.core.arm_sanitizer(self.cycle);
+            t.core.arm_sanitizer();
         }
         self.sanitize_start = Some(self.cycle);
-        // Conservatively wake every tile, as with trace arming.
-        for i in 0..self.tiles.len() {
-            self.mark_active(i);
-        }
     }
 
     /// `true` while the sanitizer is armed.
@@ -543,8 +545,6 @@ impl Fabric {
     /// it was not armed).
     pub fn take_sanitizer(&mut self) -> Option<SanitizerReport> {
         let start = self.sanitize_start.take()?;
-        // Settle idle debt so shadow clocks are complete before draining.
-        self.settle_idle();
         let w = self.w;
         let tiles = self
             .tiles
@@ -595,7 +595,7 @@ impl Fabric {
     /// Retroactively records a span over `[start, end)` — attribution the
     /// driver can only compute after a phase ran (e.g. how much of a merged
     /// compute+communication window the communication was exposed for).
-    /// The span may overlap other phases; [`PhaseReport`] consumers treat
+    /// The span may overlap other phases; phase-report consumers treat
     /// such overlap rows as annotations, not wall-clock partitions. Does
     /// not disturb an open phase span.
     pub fn phase_span(&mut self, name: &'static str, start: u64, end: u64) {
@@ -624,56 +624,39 @@ impl Fabric {
 
     /// Disarms tracing and returns the collected [`FabricTrace`] (`None`
     /// if tracing was not armed), with the phase log drained into it. Any
-    /// open phase span is closed at the current cycle.
+    /// open phase span is closed at the current cycle. Every counter in
+    /// it, per tile and fabric-wide, covers only the traced window.
     pub fn take_trace(&mut self) -> Option<FabricTrace> {
-        if self.trace.is_some() {
-            // Settle deferred idle debt so the window totals below (read
-            // straight from the per-tile counters) are complete.
-            self.settle_idle();
-        }
-        let perf = self.perf();
-        let cycle = self.cycle;
         let ts = self.trace.take()?;
         let phases = self.drain_phases();
-        let w = self.w;
-        let tiles = self
-            .tiles
-            .iter_mut()
-            .enumerate()
-            .map(|(i, t)| {
-                let (busy0, idle0, flits0, bp0) = ts.base[i];
-                let core = t
-                    .core
-                    .take_trace()
-                    .expect("every core is armed for the lifetime of the fabric trace");
-                let mut backpressure = t.router.backpressure;
-                for (b, b0) in backpressure.iter_mut().zip(bp0) {
-                    *b -= b0;
-                }
-                let mut events: Vec<_> = core.events().copied().collect();
-                // Per-tile stamps are monotone by construction; killed
-                // tiles freeze rather than rewind, so sorting is a no-op
-                // kept as a cheap invariant.
-                events.sort_by_key(|e| e.cycle);
-                TileTrace {
-                    x: i % w,
-                    y: i / w,
-                    events,
-                    dropped_events: core.dropped_events(),
-                    stall: core.stall,
-                    retired: core.retired,
-                    busy_cycles: t.core.perf.busy_cycles - busy0,
-                    idle_cycles: t.core.perf.idle_cycles - idle0,
-                    flits_routed: t.router.flits_routed - flits0,
-                    backpressure,
-                }
-            })
-            .collect();
+        let mut perf = FabricPerf::default();
+        let mut tiles = Vec::with_capacity(self.tiles.len());
+        for (i, base) in ts.base.iter().enumerate() {
+            let d = self.tile_perf(i).since(base);
+            perf = perf.zip(&d, |a, b| a + b);
+            let core = self.tiles[i]
+                .core
+                .take_trace()
+                .expect("every core is armed for the lifetime of the fabric trace");
+            tiles.push(TileTrace {
+                x: i % self.w,
+                y: i / self.w,
+                // Stamps come from the fabric clock, so they are monotone.
+                events: core.events().copied().collect(),
+                dropped_events: core.dropped_events(),
+                stall: d.stall,
+                retired: d.retired,
+                busy_cycles: d.busy_cycles,
+                idle_cycles: d.idle_cycles,
+                flits_routed: d.flits_routed,
+                backpressure: d.backpressure,
+            });
+        }
         Some(FabricTrace {
             w: self.w,
             h: self.h,
             start_cycle: ts.start_cycle,
-            end_cycle: cycle,
+            end_cycle: self.cycle,
             phases,
             tiles,
             perf,
@@ -925,8 +908,9 @@ impl Fabric {
     ///
     /// The activity-driven stepper defers per-tile idle accounting; any
     /// observer that reads per-core counters directly (checkpoint capture,
-    /// external snapshots) must settle first, exactly as [`Fabric::arm_trace`]
-    /// does. Idempotent and cheap when there is no outstanding debt.
+    /// external snapshots) must settle first. [`Fabric::perf`] and the
+    /// trace add the debt themselves. Idempotent and cheap when there is no
+    /// outstanding debt.
     pub fn settle_idle(&mut self) {
         let cycle = self.cycle;
         let Fabric { tiles, dead, accounted, .. } = self;
@@ -1251,12 +1235,13 @@ impl Fabric {
 
         // Phase 1: cores execute (independent per tile). Killed tiles
         // freeze: their cores stop stepping entirely.
+        let cycle = self.cycle;
         for (i, t) in self.tiles.iter_mut().enumerate() {
             if dead[i] {
                 continue;
             }
             let Tile { mem, core, .. } = t;
-            core.step_reference(mem);
+            core.step_reference(mem, cycle);
         }
 
         // Phase 2: core injection moves into the router's ramp-input queues
@@ -1564,22 +1549,28 @@ impl Fabric {
     /// for skipped quiescent tiles is added back virtually, so the totals
     /// are always identical to full-scan stepping.
     pub fn perf(&self) -> FabricPerf {
-        let mut p = FabricPerf::default();
-        for (i, t) in self.tiles.iter().enumerate() {
-            p.flops_f16 += t.core.perf.flops_f16;
-            p.flops_f32 += t.core.perf.flops_f32;
-            p.busy_cycles += t.core.perf.busy_cycles;
-            p.idle_cycles += t.core.perf.idle_cycles;
-            p.flits_routed += t.router.flits_routed;
-            p.ctrl_stmts += t.core.perf.ctrl_stmts;
-            if !self.dead[i] {
-                p.idle_cycles += self.cycle - self.accounted[i];
-            }
-            for (slot, bp) in p.backpressure.iter_mut().zip(t.router.backpressure) {
-                *slot += bp;
-            }
+        (0..self.tiles.len())
+            .fold(FabricPerf::default(), |p, i| p.zip(&self.tile_perf(i), |a, b| a + b))
+    }
+
+    /// Tile `i`'s counters as a one-tile [`FabricPerf`], its deferred idle
+    /// debt billed as [`StallCause::Idle`] (a killed tile accrues none).
+    fn tile_perf(&self, i: usize) -> FabricPerf {
+        let Tile { core, router, .. } = &self.tiles[i];
+        let debt = if self.dead[i] { 0 } else { self.cycle - self.accounted[i] };
+        let mut stall = core.perf.stall;
+        stall[StallCause::Idle.index()] += debt;
+        FabricPerf {
+            flops_f16: core.perf.flops_f16,
+            flops_f32: core.perf.flops_f32,
+            busy_cycles: core.perf.busy_cycles,
+            idle_cycles: core.perf.idle_cycles + debt,
+            flits_routed: router.flits_routed,
+            ctrl_stmts: core.perf.ctrl_stmts,
+            backpressure: router.backpressure,
+            stall,
+            retired: core.perf.retired,
         }
-        p
     }
 }
 
@@ -1759,27 +1750,19 @@ impl Fabric {
             }
         }
         // Under an armed trace the blit just replaced whole cores, whose
-        // clones carry the template's (unarmed, zeroed) trace and perf
-        // state. Re-arm them at the current cycle and rebase their counter
-        // baselines so the window stays consistent — otherwise take_trace
-        // would find unarmed cores and underflowing deltas.
-        if self.trace.is_some() {
-            let cycle = self.cycle;
-            let cap = self.trace.as_deref().expect("armed").ring_capacity;
+        // clones carry the template's (unarmed) trace and perf state. Re-arm
+        // them and rebase their counter baselines so the window stays
+        // consistent — otherwise take_trace would find unarmed cores and
+        // underflowing deltas.
+        if let Some(mut ts) = self.trace.take() {
             for ry in 0..region.h {
                 for rx in 0..region.w {
                     let i = self.index(region.x + rx, region.y + ry);
-                    let t = &mut self.tiles[i];
-                    t.core.arm_trace(cycle, cap);
-                    let base = (
-                        t.core.perf.busy_cycles,
-                        t.core.perf.idle_cycles,
-                        t.router.flits_routed,
-                        t.router.backpressure,
-                    );
-                    self.trace.as_deref_mut().expect("armed").base[i] = base;
+                    self.tiles[i].core.arm_trace(ts.ring_capacity);
+                    ts.base[i] = self.tile_perf(i);
                 }
             }
+            self.trace = Some(ts);
         }
     }
 }
@@ -2047,7 +2030,7 @@ mod tests {
 
     #[test]
     fn tile_and_program_sizes_are_pinned() {
-        // On x86-64: a tile is 1,104 B (core 688, router 352, the lazily
+        // On x86-64: a tile is 1,168 B (core 760, router 352, the lazily
         // backed SRAM's handle 56), a statement 20, an instruction 14, a DSR
         // 20. Any id or register index re-widened to `usize` fails here.
         use crate::dsr::Dsr;
@@ -2634,6 +2617,32 @@ mod tests {
             f.step();
         }
         assert_eq!(f.perf().idle_cycles, 7);
+    }
+
+    #[test]
+    fn a_revived_tile_stamps_its_events_at_the_fabric_clock() {
+        // Under an armed trace the tile is killed at cycle 3 and revived at
+        // 10 by re-arming the fault plan: the task it runs next is stamped
+        // at the fabric cycles it ran in, not 7 cycles behind them.
+        use crate::trace::{TraceEvent, TraceEventKind};
+        let mut f = Fabric::new(1, 1);
+        let body = vec![Stmt::SetReg { reg: 0, value: 1.0 }, Stmt::SetReg { reg: 1, value: 2.0 }];
+        let task = f.tile_mut(0, 0).core.add_task(Task::new("set", body));
+        f.arm_trace(TraceConfig::default());
+        f.arm_faults(&FaultPlan::new().with(3, FaultKind::TileKill { x: 0, y: 0 }));
+        for _ in 0..10 {
+            f.step();
+        }
+        f.arm_faults(&FaultPlan::new());
+        let revived = f.cycle();
+        f.tile_mut(0, 0).core.activate(task);
+        f.run_watched(100, 100).unwrap();
+        let tr = f.take_trace().unwrap();
+        let want = [
+            TraceEvent { cycle: revived, kind: TraceEventKind::TaskStart { task, name: "set" } },
+            TraceEvent { cycle: revived + 1, kind: TraceEventKind::TaskEnd { task } },
+        ];
+        assert_eq!(tr.tile(0, 0).events, want);
     }
 
     #[test]

@@ -13,9 +13,13 @@
 //!   cycle, so element RMW is atomic and addition commutes; this is the
 //!   paper's sanctioned concurrent-accumulation dataflow).
 //! * **Channel waits** — on every cycle the datapath cannot issue, the
-//!   colors some active receive is starved on. The per-color longest
+//!   colors some active receive is starved on (found by the same scan that
+//!   classifies the core's stall cause). The per-color longest
 //!   consecutive wait is the runtime face of the static progress pass: a
 //!   `color-starved` program shows an ever-growing streak.
+//!
+//! The sanitizer keeps no clock: a race trip is stamped with the fabric
+//! cycle of the core step that made the access.
 //!
 //! Happens-before is tracked with launch epochs: the core's epoch counter
 //! bumps at every `Stmt::Launch`, and a slot's *birth* is the epoch of its
@@ -62,7 +66,7 @@ impl fmt::Display for TripKind {
 /// One detected race: two unordered contexts touched the same SRAM byte.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct RaceTrip {
-    /// Core-local cycle stamp (fabric clock) of the second access.
+    /// Fabric cycle of the second access.
     pub cycle: u64,
     /// First conflicting byte address.
     pub addr: u32,
@@ -115,15 +119,13 @@ fn unpack(mark: u64) -> (u64, u8, bool) {
 /// shadow planes per core); the disarmed hook is one pointer test.
 #[derive(Clone, Debug)]
 pub struct CoreSanitizer {
-    /// Core-local cycle stamp; tracks the fabric clock like `CoreTrace`.
-    pub(crate) now: u64,
     /// Bumped on every thread launch; orders marks against births.
     epoch: u64,
     /// Launch epoch of the thread currently (or last) occupying each slot.
     birth: [u64; NUM_THREADS],
     /// Set by `begin()` for the duration of one `process()` call:
-    /// `(context id, is accumulation)`.
-    cur: Option<(u8, bool)>,
+    /// `(context id, is accumulation, fabric cycle)`.
+    cur: Option<(u8, bool, u64)>,
     /// Which background slots were live at `begin()` time.
     live: [bool; NUM_THREADS],
     /// Last-writer mark per SRAM byte.
@@ -143,10 +145,9 @@ pub struct CoreSanitizer {
 }
 
 impl CoreSanitizer {
-    /// Fresh shadow state stamping from `now` over `sram_bytes` of SRAM.
-    pub fn new(now: u64, sram_bytes: usize) -> CoreSanitizer {
+    /// Fresh shadow state over `sram_bytes` of SRAM.
+    pub fn new(sram_bytes: usize) -> CoreSanitizer {
         CoreSanitizer {
-            now,
             epoch: 0,
             birth: [0; NUM_THREADS],
             cur: None,
@@ -170,10 +171,11 @@ impl CoreSanitizer {
     }
 
     /// The datapath is about to issue context `ctx` (a background slot, or
-    /// [`MAIN_CTX`]); `accum` is true for read-modify-write accumulations;
-    /// `live` is the current background-slot occupancy.
-    pub(crate) fn begin(&mut self, ctx: u8, accum: bool, live: [bool; NUM_THREADS]) {
-        self.cur = Some((ctx, accum));
+    /// [`MAIN_CTX`]) in fabric cycle `cycle`; `accum` is true for
+    /// read-modify-write accumulations; `live` is the current
+    /// background-slot occupancy.
+    pub(crate) fn begin(&mut self, ctx: u8, accum: bool, live: [bool; NUM_THREADS], cycle: u64) {
+        self.cur = Some((ctx, accum, cycle));
         self.live = live;
     }
 
@@ -206,17 +208,16 @@ impl CoreSanitizer {
         }
     }
 
-    fn trip(&mut self, addr: u32, kind: TripKind, ctx: u8, prior_ctx: u8) {
+    fn trip(&mut self, cycle: u64, addr: u32, kind: TripKind, ctx: u8, prior_ctx: u8) {
         self.total_trips += 1;
         if self.trips.len() < MAX_TRIPS_KEPT {
-            let cycle = self.now;
             self.trips.push(RaceTrip { cycle, addr, kind, ctx, prior_ctx });
         }
     }
 
     /// One element-read of `bytes` bytes at `addr` by the current context.
     pub(crate) fn on_read(&mut self, addr: u32, bytes: u32) {
-        let Some((ctx, accum)) = self.cur else { return };
+        let Some((ctx, accum, cycle)) = self.cur else { return };
         let lo = addr as usize;
         let hi = (addr + bytes).min(self.write_marks.len() as u32) as usize;
         let mark = pack(self.epoch, ctx, accum);
@@ -225,7 +226,7 @@ impl CoreSanitizer {
             if w != 0 {
                 let (we, wc, wa) = unpack(w);
                 if self.concurrent(ctx, we, wc) && !(accum && wa) {
-                    self.trip(b as u32, TripKind::ReadAfterWrite, ctx, wc);
+                    self.trip(cycle, b as u32, TripKind::ReadAfterWrite, ctx, wc);
                 }
             }
             self.read_marks[b] = mark;
@@ -234,7 +235,7 @@ impl CoreSanitizer {
 
     /// One element-write of `bytes` bytes at `addr` by the current context.
     pub(crate) fn on_write(&mut self, addr: u32, bytes: u32) {
-        let Some((ctx, accum)) = self.cur else { return };
+        let Some((ctx, accum, cycle)) = self.cur else { return };
         let lo = addr as usize;
         let hi = (addr + bytes).min(self.write_marks.len() as u32) as usize;
         let mark = pack(self.epoch, ctx, accum);
@@ -243,25 +244,25 @@ impl CoreSanitizer {
             if w != 0 {
                 let (we, wc, wa) = unpack(w);
                 if self.concurrent(ctx, we, wc) && !(accum && wa) {
-                    self.trip(b as u32, TripKind::WriteAfterWrite, ctx, wc);
+                    self.trip(cycle, b as u32, TripKind::WriteAfterWrite, ctx, wc);
                 }
             }
             let r = self.read_marks[b];
             if r != 0 {
                 let (re, rc, ra) = unpack(r);
                 if self.concurrent(ctx, re, rc) && !(accum && ra) {
-                    self.trip(b as u32, TripKind::WriteAfterRead, ctx, rc);
+                    self.trip(cycle, b as u32, TripKind::WriteAfterRead, ctx, rc);
                 }
             }
             self.write_marks[b] = mark;
         }
     }
 
-    /// A non-issuing datapath cycle; `waiting[c]` is true where some active
-    /// receive is starved on color `c`.
-    pub(crate) fn on_stall(&mut self, waiting: &[bool; NUM_COLORS]) {
-        for (c, &starved) in waiting.iter().enumerate() {
-            if starved {
+    /// A non-issuing datapath cycle; bit `c` of `starved` is set where some
+    /// active receive is starved on color `c`.
+    pub(crate) fn on_stall(&mut self, starved: u32) {
+        for c in 0..NUM_COLORS {
+            if starved >> c & 1 != 0 {
                 self.chan_wait[c] += 1;
                 self.streak[c] += 1;
                 if self.streak[c] > self.longest_wait[c] {
@@ -271,11 +272,6 @@ impl CoreSanitizer {
                 self.streak[c] = 0;
             }
         }
-    }
-
-    /// Cycles the sanitizer has observed (idle-skip debt included).
-    pub fn cycles(&self) -> u64 {
-        self.now
     }
 }
 
@@ -381,15 +377,15 @@ mod tests {
 
     #[test]
     fn pre_launch_writes_do_not_trip() {
-        let mut san = CoreSanitizer::new(0, 64);
+        let mut san = CoreSanitizer::new(64);
         // Main writes, then launches slot 2, which reads the same bytes.
-        san.begin(MAIN_CTX, false, [false; NUM_THREADS]);
+        san.begin(MAIN_CTX, false, [false; NUM_THREADS], 0);
         san.on_write(0, 4);
         san.end();
         san.on_launch(2);
         let mut live = [false; NUM_THREADS];
         live[2] = true;
-        san.begin(2, false, live);
+        san.begin(2, false, live, 0);
         san.on_read(0, 4);
         san.end();
         assert_eq!(san.total_trips, 0);
@@ -397,14 +393,14 @@ mod tests {
 
     #[test]
     fn post_launch_main_write_trips_against_live_reader() {
-        let mut san = CoreSanitizer::new(0, 64);
+        let mut san = CoreSanitizer::new(64);
         san.on_launch(1);
         let mut live = [false; NUM_THREADS];
         live[1] = true;
-        san.begin(1, false, live);
+        san.begin(1, false, live, 0);
         san.on_read(8, 4);
         san.end();
-        san.begin(MAIN_CTX, false, live);
+        san.begin(MAIN_CTX, false, live, 0);
         san.on_write(8, 4);
         san.end();
         assert_eq!(san.total_trips, 4);
@@ -414,24 +410,24 @@ mod tests {
 
     #[test]
     fn both_accumulations_are_exempt() {
-        let mut san = CoreSanitizer::new(0, 64);
+        let mut san = CoreSanitizer::new(64);
         san.on_launch(0);
         let mut live = [false; NUM_THREADS];
         live[0] = true;
-        san.begin(0, true, live);
+        san.begin(0, true, live, 0);
         san.on_write(16, 2);
         san.end();
-        san.begin(MAIN_CTX, true, live);
+        san.begin(MAIN_CTX, true, live, 0);
         san.on_write(16, 2);
         san.end();
         assert_eq!(san.total_trips, 0);
         // A plain (non-accumulating) write against a live accumulator's
         // mark still trips (shadow keeps the last writer, so test on fresh
         // bytes where thread 0's mark is the one standing).
-        san.begin(0, true, live);
+        san.begin(0, true, live, 0);
         san.on_write(20, 2);
         san.end();
-        san.begin(MAIN_CTX, false, live);
+        san.begin(MAIN_CTX, false, live, 0);
         san.on_write(20, 2);
         san.end();
         assert_eq!(san.total_trips, 2);
@@ -439,15 +435,15 @@ mod tests {
 
     #[test]
     fn dead_slot_marks_are_ordered() {
-        let mut san = CoreSanitizer::new(0, 64);
+        let mut san = CoreSanitizer::new(64);
         san.on_launch(3);
         let mut live = [false; NUM_THREADS];
         live[3] = true;
-        san.begin(3, false, live);
+        san.begin(3, false, live, 0);
         san.on_write(32, 4);
         san.end();
         // Slot 3 completes; main then writes the same bytes.
-        san.begin(MAIN_CTX, false, [false; NUM_THREADS]);
+        san.begin(MAIN_CTX, false, [false; NUM_THREADS], 0);
         san.on_write(32, 4);
         san.end();
         assert_eq!(san.total_trips, 0);
@@ -455,19 +451,19 @@ mod tests {
 
     #[test]
     fn slot_reuse_does_not_alias_prior_occupant() {
-        let mut san = CoreSanitizer::new(0, 64);
+        let mut san = CoreSanitizer::new(64);
         // First occupant of slot 0 writes, completes.
         san.on_launch(0);
         let mut live = [false; NUM_THREADS];
         live[0] = true;
-        san.begin(0, false, live);
+        san.begin(0, false, live, 0);
         san.on_write(40, 4);
         san.end();
         // Second occupant launched into the same slot; main reads the old
         // bytes while the *new* occupant is live. The old mark has
         // epoch < birth, so it must not trip.
         san.on_launch(0);
-        san.begin(MAIN_CTX, false, live);
+        san.begin(MAIN_CTX, false, live, 0);
         san.on_read(40, 4);
         san.end();
         assert_eq!(san.total_trips, 0);
@@ -475,15 +471,11 @@ mod tests {
 
     #[test]
     fn channel_wait_streaks() {
-        let mut san = CoreSanitizer::new(0, 64);
-        let mut w = [false; NUM_COLORS];
-        w[5] = true;
-        san.on_stall(&w);
-        san.on_stall(&w);
-        w[5] = false;
-        san.on_stall(&w);
-        w[5] = true;
-        san.on_stall(&w);
+        let mut san = CoreSanitizer::new(64);
+        san.on_stall(1 << 5);
+        san.on_stall(1 << 5);
+        san.on_stall(0);
+        san.on_stall(1 << 5);
         assert_eq!(san.chan_wait[5], 3);
         assert_eq!(san.longest_wait[5], 2);
     }

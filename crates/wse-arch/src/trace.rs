@@ -1,13 +1,14 @@
-//! Per-tile tracing primitives: structured events, stall-cause attribution,
-//! and instruction-class retire accounting.
+//! Per-tile tracing: the stall-cause vocabulary, the task-event ring, and
+//! the [`FabricTrace`] window snapshot.
 //!
-//! Collection lives here, next to the machine model, so the hooks in
-//! [`crate::core::Core`], [`crate::router::Router`], and
-//! [`crate::fabric::Fabric`] stay allocation-free and branch on a single
-//! `Option` when tracing is disarmed (the same idiom as fault arming).
-//! Export and analysis (Perfetto JSON, heatmaps, phase reports) live in the
-//! separate `wse-trace` crate, which consumes the [`FabricTrace`] snapshot
-//! this module produces.
+//! Stall causes and per-[`OpClass`] retire counts are plain counters in
+//! every core's [`CorePerf`](crate::core::CorePerf), kept whether or not a
+//! trace is armed; arming buys only the per-core event rings, whose hook
+//! in [`crate::core::Core`] is one `Option` test when disarmed (the same
+//! idiom as fault arming). A trace's counters are window deltas off the
+//! arm-time snapshot. Export and analysis (Perfetto JSON, heatmaps, phase
+//! reports) live in the separate `wse-trace` crate, which consumes the
+//! [`FabricTrace`] snapshot this module produces.
 
 use crate::fabric::FabricPerf;
 use crate::instr::OpClass;
@@ -16,9 +17,11 @@ use std::collections::VecDeque;
 
 /// Why a core's datapath made no progress in a cycle.
 ///
-/// Attribution runs only when tracing is armed, and only on cycles the
-/// datapath failed to issue; cycles that retire a control statement but
-/// leave the datapath idle still count by their datapath state.
+/// Every core counts each cycle its datapath fails to issue under one
+/// cause ([`CorePerf::stall`](crate::core::CorePerf::stall)), armed or
+/// not; cycles that retire a control statement but leave the datapath idle
+/// still count by their datapath state, and the cycles a quiescent tile is
+/// skipped count as [`StallCause::Idle`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum StallCause {
     /// An active instruction is starved for input: an empty hardware FIFO,
@@ -96,88 +99,42 @@ pub struct TraceEvent {
     pub kind: TraceEventKind,
 }
 
-/// Bounded event ring: when full, the oldest event is dropped (and counted)
-/// so a long armed window costs bounded memory per tile. It allocates as it
-/// records, so an armed core that records nothing costs no event storage.
+/// A core's armed trace: a bounded ring of task events. When full, the
+/// oldest event is dropped (and counted), so a long armed window costs
+/// bounded memory per tile; it allocates as it records, so an armed core
+/// that records nothing costs no event storage. Each event carries the
+/// fabric cycle its core step ran at, so stamps are monotone across
+/// checkpoint rollbacks and tile kills alike.
 #[derive(Clone, Debug)]
-struct EventRing {
+pub struct CoreTrace {
     buf: VecDeque<TraceEvent>,
     cap: usize,
     dropped: u64,
 }
 
-impl EventRing {
-    fn new(cap: usize) -> EventRing {
-        EventRing { buf: VecDeque::new(), cap, dropped: 0 }
-    }
-
-    fn push(&mut self, ev: TraceEvent) {
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(ev);
-    }
-}
-
-/// Per-core trace collection state (present only while armed).
-///
-/// The cycle stamp `now` is seeded from the fabric clock at arm time and
-/// advanced once per core step. It is deliberately *not* rewound by
-/// [`crate::core::Core::reset_transient`], so events recorded after a
-/// checkpoint rollback keep monotonically increasing timestamps — exported
-/// traces never travel back in time.
-#[derive(Clone, Debug)]
-pub struct CoreTrace {
-    pub(crate) now: u64,
-    ring: EventRing,
-    pub(crate) stall: [u64; StallCause::COUNT],
-    pub(crate) retired: [u64; OpClass::COUNT],
-}
-
 impl CoreTrace {
-    /// Fresh collection state stamped at fabric cycle `now`.
-    pub fn new(now: u64, ring_capacity: usize) -> CoreTrace {
+    /// An empty ring holding at most `ring_capacity` events.
+    pub fn new(ring_capacity: usize) -> CoreTrace {
         assert!(ring_capacity > 0, "event ring capacity must be nonzero");
-        CoreTrace {
-            now,
-            ring: EventRing::new(ring_capacity),
-            stall: [0; StallCause::COUNT],
-            retired: [0; OpClass::COUNT],
-        }
-    }
-
-    /// Current cycle stamp.
-    pub fn now(&self) -> u64 {
-        self.now
+        CoreTrace { buf: VecDeque::new(), cap: ring_capacity, dropped: 0 }
     }
 
     /// Recorded events, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.buf_iter()
-    }
-
-    fn buf_iter(&self) -> std::collections::vec_deque::Iter<'_, TraceEvent> {
-        self.ring.buf.iter()
+        self.buf.iter()
     }
 
     /// Events evicted from the full ring.
     pub fn dropped_events(&self) -> u64 {
-        self.ring.dropped
+        self.dropped
     }
 
-    /// Instructions of `class` retired while armed.
-    pub fn retired(&self, class: OpClass) -> u64 {
-        self.retired[class.index()]
-    }
-
-    pub(crate) fn record_task_start(&mut self, task: TaskId, name: &'static str) {
-        self.ring
-            .push(TraceEvent { cycle: self.now, kind: TraceEventKind::TaskStart { task, name } });
-    }
-
-    pub(crate) fn record_task_end(&mut self, task: TaskId) {
-        self.ring.push(TraceEvent { cycle: self.now, kind: TraceEventKind::TaskEnd { task } });
+    pub(crate) fn record(&mut self, cycle: u64, kind: TraceEventKind) {
+        if self.buf.len() == self.cap {
+            self.buf.pop_front();
+            self.dropped += 1;
+        }
+        self.buf.push_back(TraceEvent { cycle, kind });
     }
 }
 
@@ -231,9 +188,11 @@ pub struct TileTrace {
     pub events: Vec<TraceEvent>,
     /// Events evicted from the full ring.
     pub dropped_events: u64,
-    /// Stall-cause cycle attribution, indexed by [`StallCause::index`].
+    /// Stall-cause cycles within the traced window, indexed by
+    /// [`StallCause::index`].
     pub stall: [u64; StallCause::COUNT],
-    /// Instruction-class retire counts, indexed by [`OpClass::index`].
+    /// Instructions retired within the traced window, per class, indexed
+    /// by [`OpClass::index`].
     pub retired: [u64; OpClass::COUNT],
     /// Datapath-busy cycles within the traced window.
     pub busy_cycles: u64,
@@ -276,7 +235,8 @@ pub struct FabricTrace {
     pub phases: Vec<PhaseSpan>,
     /// Per-tile traces in row-major order.
     pub tiles: Vec<TileTrace>,
-    /// Aggregate perf counters at the moment the trace was taken.
+    /// Aggregate perf counters over the traced window (the fabric's totals
+    /// at take time less those at arm time).
     pub perf: FabricPerf,
 }
 
@@ -320,12 +280,10 @@ mod tests {
 
     #[test]
     fn ring_drops_oldest_and_counts() {
-        let mut tr = CoreTrace::new(0, 2);
-        tr.record_task_start(0, "a");
-        tr.now = 1;
-        tr.record_task_end(0);
-        tr.now = 2;
-        tr.record_task_start(1, "b");
+        let mut tr = CoreTrace::new(2);
+        tr.record(0, TraceEventKind::TaskStart { task: 0, name: "a" });
+        tr.record(1, TraceEventKind::TaskEnd { task: 0 });
+        tr.record(2, TraceEventKind::TaskStart { task: 1, name: "b" });
         assert_eq!(tr.dropped_events(), 1);
         let evs: Vec<_> = tr.events().copied().collect();
         assert_eq!(evs.len(), 2);
@@ -335,10 +293,10 @@ mod tests {
 
     #[test]
     fn ring_allocates_as_it_records() {
-        let mut tr = CoreTrace::new(0, 4096);
-        assert_eq!(tr.ring.buf.capacity(), 0, "arming allocates no events");
-        tr.record_task_start(0, "a");
-        assert!(tr.ring.buf.capacity() < 1024);
+        let mut tr = CoreTrace::new(4096);
+        assert_eq!(tr.buf.capacity(), 0, "arming allocates no events");
+        tr.record(0, TraceEventKind::TaskStart { task: 0, name: "a" });
+        assert!(tr.buf.capacity() < 1024);
     }
 
     #[test]

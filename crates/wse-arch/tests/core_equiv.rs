@@ -275,8 +275,8 @@ fn run(case: &Case) -> Result<(), String> {
     let (mut fast, mut fast_mem) = build(case);
     let (mut slow, mut slow_mem) = build(case);
     for cycle in 0..24u64 {
-        fast.step(&mut fast_mem);
-        slow.step_reference(&mut slow_mem);
+        fast.step(&mut fast_mem, cycle);
+        slow.step_reference(&mut slow_mem, cycle);
         // The environment: a router that drains the ramp-out now and then
         // and trickles a flit into each source color.
         for core in [&mut fast, &mut slow] {
@@ -367,8 +367,8 @@ fn shifted_memory_recurrence_runs_in_element_order() {
     };
     let (a0, bs): (f32, Vec<f32>) =
         (mem.read_f32(a), (0..6).map(|i| mem.read_f32(b + 4 * i)).collect());
-    for _ in 0..24 {
-        core.step(&mut mem);
+    for cycle in 0..24 {
+        core.step(&mut mem, cycle);
     }
     // dst[i] = a[i] + b[i] with dst[i] == a[i + 1]: a running sum.
     let mut sum = a0;

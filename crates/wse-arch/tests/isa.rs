@@ -24,8 +24,8 @@ fn setup_f16(values: &[&[f64]]) -> (Core, Memory, Vec<u32>) {
 }
 
 fn run_to_quiescence(core: &mut Core, mem: &mut Memory) {
-    for _ in 0..10_000 {
-        core.step(mem);
+    for c in 0..10_000 {
+        core.step(mem, c);
         if core.is_quiescent() {
             return;
         }
@@ -214,8 +214,8 @@ fn f32_fifo_roundtrip() {
         }],
     ));
     core.activate(push);
-    for _ in 0..500 {
-        core.step(&mut mem);
+    for c in 0..500 {
+        core.step(&mut mem, c);
         if core.is_quiescent() {
             break;
         }
@@ -244,8 +244,8 @@ fn load_reg_takes_last_element() {
         })],
     ));
     core.activate(t);
-    for _ in 0..50 {
-        core.step(&mut mem);
+    for c in 0..50 {
+        core.step(&mut mem, c);
     }
     assert_eq!(core.regs[4], 5.5, "last streamed element sticks");
 }
@@ -267,8 +267,8 @@ fn store_reg_broadcasts_into_memory() {
         })],
     ));
     core.activate(t);
-    for _ in 0..50 {
-        core.step(&mut mem);
+    for c in 0..50 {
+        core.step(&mut mem, c);
     }
     for v in mem.load_f16_slice(out, 6) {
         assert_eq!(v.to_f64(), 2.25);

@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use wse_arch::dsr::mk;
 use wse_arch::fault::{FaultKind, FaultPlan};
 use wse_arch::instr::{Op, Stmt, Task, TaskAction, TensorInstr};
-use wse_arch::trace::TraceConfig;
+use wse_arch::trace::{TraceConfig, TraceEventKind};
 use wse_arch::types::{Dtype, Flit, Port, TaskId, NUM_COLORS};
 use wse_arch::{Fabric, Region};
 use wse_float::F16;
@@ -341,8 +341,9 @@ fn broken_route_cycle_with_injected_traffic_steps_identically() {
 
 #[test]
 fn trace_armed_runs_step_identically() {
-    // Arming a trace conservatively wakes every tile; counters, window
-    // baselines, and per-tile trace totals must match the reference.
+    // Arming a trace wakes no tile (skipped tiles' deferred idle is in the
+    // window baselines); counters, window baselines, and per-tile trace
+    // totals must match the reference.
     let data: Vec<F16> = (0..16).map(|i| F16::from_f64((i % 7) as f64)).collect();
     let build = |trace: bool| {
         let mut f = Fabric::new(3, 3);
@@ -628,7 +629,7 @@ fn blit_over_an_idle_tile_starts_its_accounting_at_the_blit() {
     // activity stepper skips (0,0) and defers its idle cycles. A template
     // is then blitted over (0,0): the core that accrued that idle time is
     // gone, and the new one must be billed only from the blit cycle on —
-    // in its counters and, under an armed trace, in its trace clock.
+    // in its counters and, under an armed trace, in its event stamps.
     for traced in [false, true] {
         let build = || {
             let mut f = Fabric::new(2, 1);
@@ -642,6 +643,7 @@ fn blit_over_an_idle_tile_starts_its_accounting_at_the_blit() {
         let (mut opt, mut reference) = lockstep(build, 100);
         let mut template = Fabric::new(1, 1);
         let copy = add_local_copy(&mut template, (0, 0), 8);
+        let blit_at = opt.cycle();
         for f in [&mut opt, &mut reference] {
             f.blit_region(Region::new(0, 0, 1, 1), &template);
             f.tile_mut(0, 0).core.activate(copy);
@@ -652,13 +654,14 @@ fn blit_over_an_idle_tile_starts_its_accounting_at_the_blit() {
             f.settle_idle();
             let perf = f.tile(0, 0).core.perf;
             assert_eq!(perf.busy_cycles + perf.idle_cycles, 10, "traced: {traced}");
-            if traced {
-                let now = f.tile(0, 0).core.trace().expect("re-armed by the blit").now();
-                assert_eq!(now, f.cycle(), "trace clock of the blitted core");
-            }
         }
         if traced {
             let (ta, tb) = (opt.take_trace().unwrap(), reference.take_trace().unwrap());
+            let start = TraceEventKind::TaskStart { task: copy, name: "copy" };
+            for t in [&ta, &tb] {
+                let first = t.tile(0, 0).events.first().expect("re-armed by the blit");
+                assert_eq!((first.cycle, first.kind), (blit_at, start), "blitted core's stamp");
+            }
             for (a, b) in ta.tiles.iter().zip(&tb.tiles) {
                 assert_eq!(a.idle_cycles, b.idle_cycles, "tile ({},{})", a.x, a.y);
                 assert_eq!(a.stall, b.stall, "tile ({},{})", a.x, a.y);

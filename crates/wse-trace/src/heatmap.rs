@@ -117,4 +117,45 @@ mod tests {
         // 4 tiles x (3 fifo_wait of 10 total stall cycles) = 30%.
         assert!(table.contains("30.0%"), "{table}");
     }
+
+    #[test]
+    fn router_bp_row_covers_only_the_traced_window() {
+        // The prologue streams into a receiver that starts late, so the
+        // routers back up; a trace armed after it drained sees none of it.
+        use wse_arch::dsr::mk;
+        use wse_arch::instr::{Op, Stmt, Task, TensorInstr};
+        use wse_arch::{Dtype, Fabric, Port, TraceConfig};
+        let n = 256;
+        let mut f = Fabric::new(2, 1);
+        f.set_route(0, 0, Port::Ramp, 1, &[Port::East]);
+        f.set_route(1, 0, Port::West, 1, &[Port::Ramp]);
+        let buf: Vec<u32> =
+            (0..2).map(|x| f.tile_mut(x, 0).mem.alloc_vec(n, Dtype::F16).unwrap()).collect();
+        let mut copy = |x: usize, dst, src| {
+            let t = f.tile_mut(x, 0);
+            let (dst, src) = (t.core.add_dsr(dst), t.core.add_dsr(src));
+            let instr = TensorInstr { op: Op::Copy, dst: Some(dst), a: Some(src), b: None };
+            t.core.add_task(Task::new("copy", vec![Stmt::Exec(instr)]))
+        };
+        let send = copy(0, mk::tx16(1, n), mk::tensor16(buf[0], n));
+        let recv = copy(1, mk::tensor16(buf[1], n), mk::rx16(1, n));
+        f.tile_mut(0, 0).core.activate(send);
+        for _ in 0..100 {
+            f.step();
+        }
+        f.tile_mut(1, 0).core.activate(recv);
+        f.run_watched(10_000, 1_000).unwrap();
+        assert!(f.perf().backpressure_total() > 0, "the prologue must back up");
+
+        f.arm_trace(TraceConfig::default());
+        for _ in 0..10 {
+            f.step();
+        }
+        let trace = f.take_trace().unwrap();
+        let tiles_bp: u64 = trace.tiles.iter().flat_map(|t| t.backpressure).sum();
+        assert_eq!(trace.perf.backpressure_total(), tiles_bp);
+        let table = stall_breakdown(&trace);
+        let bp_row = table.lines().find(|l| l.starts_with("router bp")).unwrap();
+        assert_eq!(bp_row.split_whitespace().last(), Some("0"), "{table}");
+    }
 }

@@ -139,6 +139,32 @@ fn traced_setup(w: usize, h: usize, z: usize) -> (Fabric, WaferBicgstab) {
     (fabric, solver)
 }
 
+/// §IV splits an iteration by where the datapath waits. Stall causes and
+/// retire classes are counted on every run: over one 8×8×64 iteration, a
+/// fabric that was never armed reports, between two `perf()` snapshots,
+/// the same stall and retire totals as an armed trace of the same run.
+#[test]
+fn stall_and_retire_counts_need_no_trace() {
+    use wafer_stencil::arch::{StallCause, TraceConfig};
+
+    let (mut plain, solver) = traced_setup(8, 8, 64);
+    let before = plain.perf();
+    solver.iterate(&mut plain);
+    let counted = plain.perf().since(&before);
+
+    let (mut armed, solver) = traced_setup(8, 8, 64);
+    armed.arm_trace(TraceConfig::default());
+    solver.iterate(&mut armed);
+    let trace = armed.take_trace().expect("trace was armed");
+
+    assert_eq!(trace.stall_totals(), counted.stall);
+    assert_eq!(trace.retire_totals(), counted.retired);
+    assert_eq!(trace.perf, counted, "the trace's window is the unarmed run's delta");
+    assert_eq!(counted.stall.iter().sum::<u64>(), counted.idle_cycles);
+    assert!(counted.stall[StallCause::FifoWait.index()] > 0, "{:?}", counted.stall);
+    assert!(counted.retired.iter().all(|&n| n > 0), "{:?}", counted.retired);
+}
+
 /// Fits every per-phase slope of the analytic model from untraced counter
 /// measurements: two z values on a 4×4 fabric, plus a 2×2 fabric for the
 /// AllReduce's perimeter term. The solver runs 2 SpMVs, 4 dots, and 4
