@@ -247,10 +247,10 @@ impl FabricCheckpoint {
     /// Snapshots the fabric. Call only at a quiescent boundary.
     ///
     /// The activity-driven stepper defers per-tile idle accounting, so the
-    /// capture first settles that debt (exactly as [`Fabric::arm_trace`]
-    /// does) — otherwise two captures of the same logical state could
-    /// disagree on perf counters, and a restore would not be bit-identical
-    /// under the optimized stepper.
+    /// capture first settles that debt into the cores' counters
+    /// ([`Fabric::settle_idle`]) — otherwise two captures of the same
+    /// logical state could disagree on perf counters, and a restore would
+    /// not be bit-identical under the optimized stepper.
     pub fn capture(fabric: &mut Fabric) -> FabricCheckpoint {
         fabric.settle_idle();
         let (w, h) = (fabric.width(), fabric.height());

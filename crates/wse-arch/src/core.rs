@@ -21,7 +21,7 @@
 use crate::dsr::{Descriptor, Dsr};
 use crate::fifo::Fifo;
 use crate::instr::{ColorBinding, Op, OpClass, RegOp, Stmt, Task, TaskAction, TensorInstr};
-use crate::memory::{Memory, TILE_SRAM_BYTES};
+use crate::memory::Memory;
 use crate::sanitize::CoreSanitizer;
 use crate::trace::{CoreTrace, StallCause, TraceEventKind};
 use crate::types::{
@@ -167,12 +167,27 @@ pub struct Core {
     /// Performance counters, stall causes and retire classes included;
     /// always on.
     pub perf: CorePerf,
-    /// Armed task-event ring; `None` (the default) keeps every hook on a
-    /// one-pointer-test fast path (the same idiom as fault arming).
-    trace: Option<Box<CoreTrace>>,
-    /// Armed runtime sanitizer (shadow SRAM access marks and channel-wait
-    /// streaks); same arming idiom as `trace`.
-    sanitize: Option<Box<CoreSanitizer>>,
+}
+
+/// The host instruments one core step reports to, lent by the fabric from
+/// its per-tile state: a core owns none, so replacing or cloning one loses
+/// or copies none. An absent one costs one pointer test per hook.
+pub(crate) struct Observers<'a> {
+    /// Fabric cycle of the step: the stamp of every event and race trip.
+    pub(crate) cycle: u64,
+    /// The tile's task-event ring, while a trace is armed.
+    pub(crate) trace: Option<&'a mut CoreTrace>,
+    /// The tile's sanitizer shadow state, while the sanitizer is armed.
+    pub(crate) sanitize: Option<&'a mut CoreSanitizer>,
+}
+
+impl Observers<'_> {
+    /// Records a task event (a no-op with no trace attached).
+    fn event(&mut self, kind: TraceEventKind) {
+        if let Some(tr) = self.trace.as_deref_mut() {
+            tr.record(self.cycle, kind);
+        }
+    }
 }
 
 /// The id of a `len`-entry table's next entry; refuses one past `limit`.
@@ -212,35 +227,7 @@ impl Core {
             bound_mask: 0,
             ramp_rr: 0,
             perf: CorePerf::default(),
-            trace: None,
-            sanitize: None,
         }
-    }
-
-    /// Arms this core's task-event ring of `ring_capacity` events.
-    /// Re-arming replaces prior state.
-    pub fn arm_trace(&mut self, ring_capacity: usize) {
-        self.trace = Some(Box::new(CoreTrace::new(ring_capacity)));
-    }
-
-    /// `true` while the task-event ring is armed.
-    pub fn trace_armed(&self) -> bool {
-        self.trace.is_some()
-    }
-
-    /// Disarms tracing and returns the collected events, if armed.
-    pub fn take_trace(&mut self) -> Option<Box<CoreTrace>> {
-        self.trace.take()
-    }
-
-    /// Arms the runtime sanitizer. Re-arming replaces prior shadow state.
-    pub fn arm_sanitizer(&mut self) {
-        self.sanitize = Some(Box::new(CoreSanitizer::new(TILE_SRAM_BYTES as usize)));
-    }
-
-    /// Disarms the sanitizer and returns the collected state, if armed.
-    pub fn take_sanitizer(&mut self) -> Option<Box<CoreSanitizer>> {
-        self.sanitize.take()
     }
 
     /// Registers a DSR, returning its id (panics past [`DsrId::MAX`]).
@@ -533,8 +520,8 @@ impl Core {
     /// Clears all transient execution state — running task, background
     /// threads, ramp queues, FIFO contents — and rewinds every task's
     /// scheduling flags to its declared start state and every DSR cursor to
-    /// zero. Programs, routes-side bindings, registers, perf counters, and
-    /// armed trace and sanitizer state are retained.
+    /// zero. Programs, routes-side bindings, registers and perf counters
+    /// are retained.
     ///
     /// This is the core half of checkpoint restore: after a fault wedges
     /// the fabric mid-phase, the recovery layer calls this and then
@@ -658,10 +645,10 @@ impl Core {
         out
     }
 
-    /// Executes fabric cycle `cycle`, the stamp of any trace event or race
-    /// trip this step records. `mem` is the tile's SRAM.
+    /// Executes fabric cycle `cycle` with no observer attached. `mem` is
+    /// the tile's SRAM.
     pub fn step(&mut self, mem: &mut Memory, cycle: u64) {
-        self.step_with(mem, false, cycle);
+        self.step_with(mem, false, Observers { cycle, trace: None, sanitize: None });
     }
 
     /// [`Core::step`] with every tensor instruction on the per-element
@@ -669,21 +656,15 @@ impl Core {
     /// tested against ([`crate::fabric::Fabric::step_reference`] steps
     /// cores this way).
     pub fn step_reference(&mut self, mem: &mut Memory, cycle: u64) {
-        self.step_with(mem, true, cycle);
+        self.step_with(mem, true, Observers { cycle, trace: None, sanitize: None });
     }
 
-    fn step_with(&mut self, mem: &mut Memory, per_element: bool, cycle: u64) {
+    /// One step reporting to `obs`: how the fabric steps its cores.
+    pub(crate) fn step_with(&mut self, mem: &mut Memory, per_element: bool, mut obs: Observers) {
         self.data_triggers();
-        self.schedule(cycle);
-        self.control_step(cycle);
-        self.datapath_step(mem, per_element, cycle);
-    }
-
-    /// Records a task event at `cycle` (trace hook; no-op disarmed).
-    fn trace_event(&mut self, cycle: u64, kind: TraceEventKind) {
-        if let Some(tr) = self.trace.as_deref_mut() {
-            tr.record(cycle, kind);
-        }
+        self.schedule(&mut obs);
+        self.control_step(&mut obs);
+        self.datapath_step(mem, per_element, &mut obs);
     }
 
     /// Activates tasks bound to colors with pending data.
@@ -701,7 +682,7 @@ impl Core {
     }
 
     /// Picks a task for the main thread if it is free.
-    fn schedule(&mut self, cycle: u64) {
+    fn schedule(&mut self, obs: &mut Observers) {
         if self.main.is_some() || self.runnable == 0 {
             return;
         }
@@ -723,11 +704,11 @@ impl Core {
         self.flag_task(id, |t| t.activated = false); // activation is consumed
         self.main = Some(RunningTask { id, pc: 0 });
         let name = self.tasks[id as usize].task.name;
-        self.trace_event(cycle, TraceEventKind::TaskStart { task: id, name });
+        obs.event(TraceEventKind::TaskStart { task: id, name });
     }
 
     /// Retires at most one control statement of the running task.
-    fn control_step(&mut self, cycle: u64) {
+    fn control_step(&mut self, obs: &mut Observers) {
         let Some(running) = self.main.as_ref() else { return };
         if self.live & MAIN_BIT != 0 {
             return; // waiting on a synchronous tensor instruction
@@ -737,7 +718,7 @@ impl Core {
         let body_len = self.tasks[task_id as usize].task.body.len();
         if pc >= body_len {
             self.main = None;
-            self.trace_event(cycle, TraceEventKind::TaskEnd { task: task_id });
+            obs.event(TraceEventKind::TaskEnd { task: task_id });
             return;
         }
         // Every statement payload is `Copy`, so the arms bind copies and the
@@ -757,7 +738,7 @@ impl Core {
                 }
                 self.slots[slot] = ActiveInstr { instr, on_complete };
                 self.live |= 1 << slot;
-                if let Some(san) = self.sanitize.as_deref_mut() {
+                if let Some(san) = obs.sanitize.as_deref_mut() {
                     san.on_launch(slot);
                 }
             }
@@ -780,14 +761,14 @@ impl Core {
         // A task whose body is exhausted (and not waiting) retires.
         if self.live & MAIN_BIT == 0 && pc + 1 >= body_len {
             self.main = None;
-            self.trace_event(cycle, TraceEventKind::TaskEnd { task: task_id });
+            obs.event(TraceEventKind::TaskEnd { task: task_id });
         } else {
             self.main = Some(RunningTask { id: task_id, pc: pc + 1 });
         }
     }
 
     /// Issues the datapath to one runnable thread (round-robin).
-    fn datapath_step(&mut self, mem: &mut Memory, per_element: bool, cycle: u64) {
+    fn datapath_step(&mut self, mem: &mut Memory, per_element: bool, obs: &mut Observers) {
         let mut issued = false;
         // Live slots in (rr_cursor + k) % SLOTS order: the bits at or above
         // the cursor ascending, then the ones below it.
@@ -797,20 +778,20 @@ impl Core {
                 let slot = seg.trailing_zeros() as usize;
                 seg &= seg - 1;
                 let instr = self.slots[slot].instr;
-                if let Some(san) = self.sanitize.as_deref_mut() {
+                if let Some(san) = obs.sanitize.as_deref_mut() {
                     // Slot occupancy *before* issuing: launches happen in
                     // control_step and completions after process() returns,
                     // so it is exact for the duration of the call.
                     let threads = std::array::from_fn(|s| live >> s & 1 != 0);
-                    san.begin(slot as u8, instr.op.reads_dst(), threads, cycle);
+                    san.begin(slot as u8, instr.op.reads_dst(), threads, obs.cycle);
                 }
-                let (progress, complete) = if per_element || self.sanitize.is_some() {
-                    // The sanitizer's shadow marks are per element access.
-                    self.process_per_element(mem, &instr)
-                } else {
-                    self.process(mem, &instr)
+                // The sanitizer's shadow marks are per element access.
+                let batched = !per_element && obs.sanitize.is_none();
+                let (progress, complete) = match batched.then(|| self.decode(&instr)).flatten() {
+                    Some(issue) => self.process(mem, &instr, issue),
+                    None => self.process_per_element(mem, &instr, obs),
                 };
-                if let Some(san) = self.sanitize.as_deref_mut() {
+                if let Some(san) = obs.sanitize.as_deref_mut() {
                     san.end();
                 }
                 if complete {
@@ -826,7 +807,7 @@ impl Core {
                         let id = r.id;
                         if r.pc >= self.tasks[id as usize].task.body.len() {
                             self.main = None;
-                            self.trace_event(cycle, TraceEventKind::TaskEnd { task: id });
+                            obs.event(TraceEventKind::TaskEnd { task: id });
                         }
                     }
                 }
@@ -845,8 +826,8 @@ impl Core {
             let (cause, starved) = self.classify_stall();
             self.perf.idle_cycles += 1;
             self.perf.stall[cause.index()] += 1;
-            if let Some(san) = self.sanitize.as_deref_mut() {
-                san.on_stall(starved);
+            if let Some(san) = obs.sanitize.as_deref_mut() {
+                san.on_stall(starved, obs.cycle);
             }
         }
     }
@@ -1013,15 +994,12 @@ impl Core {
     /// Processes up to one SIMD group of `instr`. Returns
     /// `(elements_processed, completed)`.
     ///
-    /// The operands are decoded once ([`Core::decode`]) and the group's `n`
+    /// `issue` is `instr` decoded once ([`Core::decode`]); the group's `n`
     /// elements run back to back, in element order (so operands aliasing
     /// the same *memory* through different DSRs see each other's writes
     /// exactly as in the per-element loop); cursors, counters and queue
     /// masks are then advanced by `n` in one go.
-    fn process(&mut self, mem: &mut Memory, instr: &TensorInstr) -> (u32, bool) {
-        let Some(mut issue) = self.decode(instr) else {
-            return self.process_per_element(mem, instr);
-        };
+    fn process(&mut self, mem: &mut Memory, instr: &TensorInstr, mut issue: Issue) -> (u32, bool) {
         let n = issue.n;
         if n > 0 {
             self.run_group(mem, instr.op, &mut issue);
@@ -1253,7 +1231,12 @@ impl Core {
     /// [`Core::process`] one element at a time, re-checking exhaustion and
     /// readiness before each — the datapath's specification, and the path
     /// for issues [`Core::decode`] declines.
-    fn process_per_element(&mut self, mem: &mut Memory, instr: &TensorInstr) -> (u32, bool) {
+    fn process_per_element(
+        &mut self,
+        mem: &mut Memory,
+        instr: &TensorInstr,
+        obs: &mut Observers,
+    ) -> (u32, bool) {
         // A destination must not share a DSR with a source: the shared
         // cursor would advance twice per element. (Aliasing the same
         // *memory* through two DSRs is fine and common.)
@@ -1281,7 +1264,7 @@ impl Core {
             if !self.dst_ready(instr) {
                 break;
             }
-            self.execute_element(mem, instr, dtype);
+            self.execute_element(mem, instr, dtype, obs);
             processed += 1;
         }
 
@@ -1345,13 +1328,13 @@ impl Core {
     }
 
     /// Reads one element from a source DSR, advancing it.
-    fn read_src(&mut self, mem: &Memory, id: DsrId) -> (u32, Dtype) {
+    fn read_src(&mut self, mem: &Memory, id: DsrId, obs: &mut Observers) -> (u32, Dtype) {
         let dsr = self.dsrs[id as usize];
         match dsr.desc {
             Descriptor::Mem { dtype, .. } => {
                 let addr = dsr.current_addr().unwrap();
                 self.dsrs[id as usize].advance(1);
-                if let Some(san) = self.sanitize.as_deref_mut() {
+                if let Some(san) = obs.sanitize.as_deref_mut() {
                     san.on_read(addr, dtype.bytes());
                 }
                 (mem.read_bits(addr, dtype), dtype)
@@ -1387,6 +1370,7 @@ impl Core {
         id: DsrId,
         bits: u32,
         dtype: Dtype,
+        obs: &mut Observers,
     ) -> Option<TaskId> {
         let dsr = self.dsrs[id as usize];
         match dsr.desc {
@@ -1395,7 +1379,7 @@ impl Core {
                 let addr = dsr.current_addr().unwrap();
                 mem.write_bits(addr, d, bits);
                 self.dsrs[id as usize].advance(1);
-                if let Some(san) = self.sanitize.as_deref_mut() {
+                if let Some(san) = obs.sanitize.as_deref_mut() {
                     san.on_write(addr, d.bytes());
                 }
                 None
@@ -1431,16 +1415,22 @@ impl Core {
     }
 
     /// Executes one element of `instr`.
-    fn execute_element(&mut self, mem: &mut Memory, instr: &TensorInstr, dtype: Dtype) {
+    fn execute_element(
+        &mut self,
+        mem: &mut Memory,
+        instr: &TensorInstr,
+        dtype: Dtype,
+        obs: &mut Observers,
+    ) {
         let mut activation = None;
         match instr.op {
             Op::Copy => {
-                let (bits, dt) = self.read_src(mem, instr.a.expect("copy src"));
-                activation = self.write_dst(mem, instr.dst.expect("copy dst"), bits, dt);
+                let (bits, dt) = self.read_src(mem, instr.a.expect("copy src"), obs);
+                activation = self.write_dst(mem, instr.dst.expect("copy dst"), bits, dt, obs);
             }
             Op::Add | Op::Mul => {
-                let (ab, dt) = self.read_src(mem, instr.a.expect("src a"));
-                let (bb, dt2) = self.read_src(mem, instr.b.expect("src b"));
+                let (ab, dt) = self.read_src(mem, instr.a.expect("src a"), obs);
+                let (bb, dt2) = self.read_src(mem, instr.b.expect("src b"), obs);
                 debug_assert_eq!(dt, dt2, "mixed-dtype binary op");
                 let bits = match dt {
                     Dtype::F16 => {
@@ -1456,12 +1446,12 @@ impl Core {
                         r.to_bits()
                     }
                 };
-                activation = self.write_dst(mem, instr.dst.expect("dst"), bits, dt);
+                activation = self.write_dst(mem, instr.dst.expect("dst"), bits, dt, obs);
             }
             Op::AddAssign => {
                 let dst = instr.dst.expect("dst");
                 let cur = self.peek_dst(mem, dst);
-                let (ab, dt) = self.read_src(mem, instr.a.expect("src a"));
+                let (ab, dt) = self.read_src(mem, instr.a.expect("src a"), obs);
                 let bits = match dt {
                     Dtype::F16 => {
                         let r = F16::from_bits(cur as u16) + F16::from_bits(ab as u16);
@@ -1474,13 +1464,13 @@ impl Core {
                         r.to_bits()
                     }
                 };
-                activation = self.write_dst(mem, dst, bits, dt);
+                activation = self.write_dst(mem, dst, bits, dt, obs);
             }
             Op::FmaAssign => {
                 let dst = instr.dst.expect("dst");
                 let cur = self.peek_dst(mem, dst);
-                let (ab, dta) = self.read_src(mem, instr.a.expect("src a"));
-                let (bb, dtb) = self.read_src(mem, instr.b.expect("src b"));
+                let (ab, dta) = self.read_src(mem, instr.a.expect("src a"), obs);
+                let (bb, dtb) = self.read_src(mem, instr.b.expect("src b"), obs);
                 debug_assert_eq!(dta, dtb, "mixed-dtype fma");
                 let bits = match dta {
                     Dtype::F16 => {
@@ -1498,11 +1488,11 @@ impl Core {
                         r.to_bits()
                     }
                 };
-                activation = self.write_dst(mem, dst, bits, dta);
+                activation = self.write_dst(mem, dst, bits, dta, obs);
             }
             Op::Xpay { scalar } => {
-                let (ab, dta) = self.read_src(mem, instr.a.expect("src a"));
-                let (bb, dtb) = self.read_src(mem, instr.b.expect("src b"));
+                let (ab, dta) = self.read_src(mem, instr.a.expect("src a"), obs);
+                let (bb, dtb) = self.read_src(mem, instr.b.expect("src b"), obs);
                 debug_assert_eq!(dta, dtb, "mixed-dtype xpay");
                 let bits = match dta {
                     Dtype::F16 => {
@@ -1522,12 +1512,12 @@ impl Core {
                         r.to_bits()
                     }
                 };
-                activation = self.write_dst(mem, instr.dst.expect("dst"), bits, dta);
+                activation = self.write_dst(mem, instr.dst.expect("dst"), bits, dta, obs);
             }
             Op::Axpy { scalar } => {
                 let dst = instr.dst.expect("dst");
                 let cur = self.peek_dst(mem, dst);
-                let (ab, dt) = self.read_src(mem, instr.a.expect("src a"));
+                let (ab, dt) = self.read_src(mem, instr.a.expect("src a"), obs);
                 let bits = match dt {
                     Dtype::F16 => {
                         let s = F16::from_f32(self.regs[scalar as usize]);
@@ -1546,10 +1536,10 @@ impl Core {
                         r.to_bits()
                     }
                 };
-                activation = self.write_dst(mem, dst, bits, dt);
+                activation = self.write_dst(mem, dst, bits, dt, obs);
             }
             Op::Scale { scalar } => {
-                let (ab, dt) = self.read_src(mem, instr.a.expect("src a"));
+                let (ab, dt) = self.read_src(mem, instr.a.expect("src a"), obs);
                 let bits = match dt {
                     Dtype::F16 => {
                         let r =
@@ -1563,11 +1553,11 @@ impl Core {
                         r.to_bits()
                     }
                 };
-                activation = self.write_dst(mem, instr.dst.expect("dst"), bits, dt);
+                activation = self.write_dst(mem, instr.dst.expect("dst"), bits, dt, obs);
             }
             Op::MacReg { acc } => {
-                let (ab, dta) = self.read_src(mem, instr.a.expect("src a"));
-                let (bb, dtb) = self.read_src(mem, instr.b.expect("src b"));
+                let (ab, dta) = self.read_src(mem, instr.a.expect("src a"), obs);
+                let (bb, dtb) = self.read_src(mem, instr.b.expect("src b"), obs);
                 debug_assert_eq!(dta, Dtype::F16, "mixed mac sources are fp16");
                 debug_assert_eq!(dtb, Dtype::F16, "mixed mac sources are fp16");
                 let prod = F16::from_bits(ab as u16).to_f32() * F16::from_bits(bb as u16).to_f32();
@@ -1576,7 +1566,7 @@ impl Core {
                 self.perf.flops_f32 += 1; // the accumulate
             }
             Op::SumReg { acc } => {
-                let (ab, dt) = self.read_src(mem, instr.a.expect("src a"));
+                let (ab, dt) = self.read_src(mem, instr.a.expect("src a"), obs);
                 let v = match dt {
                     Dtype::F32 => f32::from_bits(ab),
                     Dtype::F16 => F16::from_bits(ab as u16).to_f32(),
@@ -1590,10 +1580,10 @@ impl Core {
                     Dtype::F32 => v.to_bits(),
                     Dtype::F16 => F16::from_f32(v).to_bits() as u32,
                 };
-                activation = self.write_dst(mem, instr.dst.expect("dst"), bits, dtype);
+                activation = self.write_dst(mem, instr.dst.expect("dst"), bits, dtype, obs);
             }
             Op::LoadReg { reg } => {
-                let (ab, dt) = self.read_src(mem, instr.a.expect("src a"));
+                let (ab, dt) = self.read_src(mem, instr.a.expect("src a"), obs);
                 self.regs[reg as usize] = match dt {
                     Dtype::F32 => f32::from_bits(ab),
                     Dtype::F16 => F16::from_bits(ab as u16).to_f32(),
@@ -1900,7 +1890,7 @@ mod tests {
             let want = (0..200)
                 .filter(|&id| core.tasks[id].activated && !core.tasks[id].blocked)
                 .max_by_key(|&id| (core.tasks[id].task.priority, usize::MAX - id));
-            core.schedule(0);
+            core.schedule(&mut Observers { cycle: 0, trace: None, sanitize: None });
             assert_eq!(core.main.take().map(|r| r.id as usize), want, "round {round}");
             picked += want.is_some() as usize;
             let runnable = core.tasks.iter().filter(|t| t.activated && !t.blocked).count();

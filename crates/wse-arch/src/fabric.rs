@@ -16,13 +16,13 @@
 //! the naive full-scan stepper and the equivalence tests drive both in
 //! lockstep.
 
-use crate::core::Core;
+use crate::core::{Core, Observers};
 use crate::fault::{FaultEvent, FaultKind, FaultLog, FaultPlan, FaultRecord};
 use crate::instr::OpClass;
 use crate::memory::{Memory, TILE_SRAM_BYTES};
 use crate::router::{Router, StagedFlit};
-use crate::sanitize::{SanitizerReport, TileSanitizer};
-use crate::trace::{FabricTrace, PhaseSpan, StallCause, TileTrace, TraceConfig};
+use crate::sanitize::{CoreSanitizer, SanitizerReport, TileSanitizer};
+use crate::trace::{CoreTrace, FabricTrace, PhaseSpan, StallCause, TileTrace, TraceConfig};
 use crate::types::{Color, Flit, Port, NUM_COLORS, PORT_BYTES_PER_CYCLE};
 use std::collections::HashMap;
 
@@ -236,16 +236,40 @@ struct PhaseLog {
     open: Option<usize>,
 }
 
-/// Armed trace state (present only while tracing, mirroring `FaultState`).
+/// Armed trace state (present only while tracing, mirroring `FaultState`),
+/// per tile in tile order. A tile's window share of its counters is
+/// `banked` plus what it accrued since `base`.
 struct TraceState {
     /// Fabric cycle at arm time.
     start_cycle: u64,
-    /// Each tile's counters at arm time ([`Fabric::tile_perf`]), so the
-    /// exported trace carries window deltas.
+    /// Each tile's counters ([`Fabric::tile_perf`]) at arm time, or at its
+    /// last [`Fabric::tile_mut`] handout, which may replace them.
     base: Vec<FabricPerf>,
-    /// Per-tile event ring capacity, kept so tiles replaced mid-window
-    /// (a [`Fabric::blit_region`]) can be re-armed consistently.
-    ring_capacity: usize,
+    /// What each tile accrued in the window before that handout.
+    banked: Vec<FabricPerf>,
+    /// Each tile's task-event ring.
+    rings: Vec<CoreTrace>,
+}
+
+/// Armed sanitizer state: each tile's shadow state, in tile order.
+struct SanitizerState {
+    /// Fabric cycle at arm time.
+    start_cycle: u64,
+    tiles: Vec<CoreSanitizer>,
+}
+
+/// Tile `i`'s armed observers for a step at `cycle`.
+fn observers<'a>(
+    trace: &'a mut Option<Box<TraceState>>,
+    sanitize: &'a mut Option<Box<SanitizerState>>,
+    i: usize,
+    cycle: u64,
+) -> Observers<'a> {
+    Observers {
+        cycle,
+        trace: trace.as_deref_mut().map(|ts| &mut ts.rings[i]),
+        sanitize: sanitize.as_deref_mut().map(|ss| &mut ss.tiles[i]),
+    }
 }
 
 /// Reusable per-cycle scratch storage owned by the fabric. Every buffer is
@@ -316,19 +340,19 @@ impl Links {
     }
 }
 
-/// Fused phases 1+2 for one tile: settle deferred idle, step the core, then
-/// drain its injection queue into the router's ramp input (bounded by port
-/// bandwidth and queue space). Returns this tile's progress delta
-/// (busy cycles + retired control statements).
+/// Fused phases 1+2 for one tile: settle deferred idle, step the core
+/// reporting to `obs`, then drain its injection queue into the router's
+/// ramp input (bounded by port bandwidth and queue space). Returns this
+/// tile's progress delta (busy cycles + retired control statements).
 ///
 /// Phases 1 and 2 touch only the tile's own core/router, so fusing them
 /// per-tile is order-equivalent to the reference's two full passes.
-fn step_and_drain(t: &mut Tile, accounted: &mut u64, cycle: u64) -> u64 {
+fn step_and_drain(t: &mut Tile, accounted: &mut u64, obs: Observers) -> u64 {
     let Tile { mem, core, router } = t;
-    core.account_idle(cycle - *accounted);
-    *accounted = cycle + 1;
+    core.account_idle(obs.cycle - *accounted);
+    *accounted = obs.cycle + 1;
     let before = core.perf.busy_cycles + core.perf.ctrl_stmts;
-    core.step(mem, cycle);
+    core.step_with(mem, false, obs);
     // Drain one flit at a time, checking the target color's queue.
     let mut budget = PORT_BYTES_PER_CYCLE;
     while let Some((color, flit)) =
@@ -360,9 +384,8 @@ pub struct Fabric {
     /// Driver-marked phases since the log was last drained or a trace
     /// armed.
     phases: PhaseLog,
-    /// Cycle at which the runtime sanitizer was armed (`None` = disarmed;
-    /// the per-core shadow state lives in each [`Core`]).
-    sanitize_start: Option<u64>,
+    /// Armed runtime sanitizer; `None` (the default) as for `trace`.
+    sanitize: Option<Box<SanitizerState>>,
     /// Per-tile "observably busy" flag: core not quiescent or router
     /// non-empty — exactly the reference per-tile quiescence predicate.
     busy: Vec<bool>,
@@ -415,7 +438,7 @@ impl Fabric {
             dead: vec![false; n],
             trace: None,
             phases: PhaseLog::default(),
-            sanitize_start: None,
+            sanitize: None,
             busy: vec![false; n],
             busy_count: 0,
             active: vec![false; n],
@@ -483,11 +506,6 @@ impl Fabric {
         }));
     }
 
-    /// `true` when a fault plan is armed.
-    pub fn faults_armed(&self) -> bool {
-        self.faults.is_some()
-    }
-
     /// The audit trail of applied faults, if a plan is armed.
     pub fn fault_log(&self) -> Option<&FaultLog> {
         self.faults.as_ref().map(|f| &f.log)
@@ -499,22 +517,20 @@ impl Fabric {
         self.dead[self.index(x, y)]
     }
 
-    /// Arms fabric-wide tracing: every core begins recording task events
-    /// (bounded per-tile rings), the counters are snapshotted so the trace
-    /// reports the window's share of them, and the phase log starts
-    /// afresh, so the trace holds exactly the phases opened from now on.
-    /// The disarmed event hook costs one pointer test, mirroring fault
-    /// arming. Re-arming replaces any previous trace state.
+    /// Arms fabric-wide tracing: each tile's core records task events into
+    /// a bounded ring the fabric keeps and lends it, the counters are
+    /// snapshotted so the trace reports the window's share of them, and the
+    /// phase log starts afresh, so the trace holds exactly the phases opened
+    /// from now on. The disarmed event hook costs one pointer test,
+    /// mirroring fault arming. Re-arming replaces any previous trace state.
     pub fn arm_trace(&mut self, config: TraceConfig) {
-        for t in &mut self.tiles {
-            t.core.arm_trace(config.ring_capacity);
-        }
-        let base = (0..self.tiles.len()).map(|i| self.tile_perf(i)).collect();
+        let n = self.tiles.len();
         self.phases = PhaseLog::default();
         self.trace = Some(Box::new(TraceState {
             start_cycle: self.cycle,
-            base,
-            ring_capacity: config.ring_capacity,
+            base: (0..n).map(|i| self.tile_perf(i)).collect(),
+            banked: vec![FabricPerf::default(); n],
+            rings: (0..n).map(|_| CoreTrace::new(config.ring_capacity)).collect(),
         }));
     }
 
@@ -523,49 +539,34 @@ impl Fabric {
         self.trace.is_some()
     }
 
-    /// Arms the runtime sanitizer on every core: shadow SRAM access marks
-    /// (race detection with launch-epoch happens-before) and channel-wait
-    /// streaks. The disarmed hooks cost one pointer test each, mirroring
-    /// fault and trace arming; the sanitizer is observation-only, so an
-    /// armed run is cycle-identical to a disarmed one. Re-arming replaces
-    /// any previous shadow state.
+    /// Arms the runtime sanitizer, shadow state the fabric keeps per tile and
+    /// lends to its core: SRAM access marks (race detection with
+    /// launch-epoch happens-before) and channel-wait streaks. The disarmed
+    /// hooks cost one pointer test each, mirroring fault and trace arming;
+    /// the sanitizer is observation-only, so an armed run is cycle-identical
+    /// to a disarmed one. Re-arming replaces any previous shadow state.
     pub fn arm_sanitizer(&mut self) {
-        for t in &mut self.tiles {
-            t.core.arm_sanitizer();
-        }
-        self.sanitize_start = Some(self.cycle);
-    }
-
-    /// `true` while the sanitizer is armed.
-    pub fn sanitizer_armed(&self) -> bool {
-        self.sanitize_start.is_some()
+        let tiles = (0..self.tiles.len()).map(|_| CoreSanitizer::new(TILE_SRAM_BYTES as usize));
+        self.sanitize =
+            Some(Box::new(SanitizerState { start_cycle: self.cycle, tiles: tiles.collect() }));
     }
 
     /// Disarms the sanitizer and returns everything it observed (`None` if
     /// it was not armed).
     pub fn take_sanitizer(&mut self) -> Option<SanitizerReport> {
-        let start = self.sanitize_start.take()?;
+        let ss = self.sanitize.take()?;
         let w = self.w;
-        let tiles = self
-            .tiles
-            .iter_mut()
-            .enumerate()
-            .map(|(i, t)| {
-                let san = t
-                    .core
-                    .take_sanitizer()
-                    .expect("every core is armed for the lifetime of the fabric sanitizer");
-                TileSanitizer {
-                    x: i % w,
-                    y: i / w,
-                    trips: san.trips,
-                    total_trips: san.total_trips,
-                    chan_wait: san.chan_wait,
-                    longest_wait: san.longest_wait,
-                }
+        let tiles = (ss.tiles.into_iter().enumerate())
+            .map(|(i, san)| TileSanitizer {
+                x: i % w,
+                y: i / w,
+                trips: san.trips,
+                total_trips: san.total_trips,
+                chan_wait: san.chan_wait,
+                longest_wait: san.longest_wait,
             })
             .collect();
-        Some(SanitizerReport { w: self.w, h: self.h, cycles: self.cycle - start, tiles })
+        Some(SanitizerReport { w, h: self.h, cycles: self.cycle - ss.start_cycle, tiles })
     }
 
     /// Opens a phase span named `name` at the current cycle, closing any
@@ -627,23 +628,21 @@ impl Fabric {
     /// open phase span is closed at the current cycle. Every counter in
     /// it, per tile and fabric-wide, covers only the traced window.
     pub fn take_trace(&mut self) -> Option<FabricTrace> {
+        // Rebase tiles handed out since the last step first.
+        self.flush_dirty();
         let ts = self.trace.take()?;
         let phases = self.drain_phases();
         let mut perf = FabricPerf::default();
         let mut tiles = Vec::with_capacity(self.tiles.len());
-        for (i, base) in ts.base.iter().enumerate() {
-            let d = self.tile_perf(i).since(base);
+        for (i, ring) in ts.rings.into_iter().enumerate() {
+            let d = self.tile_perf(i).since(&ts.base[i]).zip(&ts.banked[i], |a, b| a + b);
             perf = perf.zip(&d, |a, b| a + b);
-            let core = self.tiles[i]
-                .core
-                .take_trace()
-                .expect("every core is armed for the lifetime of the fabric trace");
             tiles.push(TileTrace {
                 x: i % self.w,
                 y: i / self.w,
                 // Stamps come from the fabric clock, so they are monotone.
-                events: core.events().copied().collect(),
-                dropped_events: core.dropped_events(),
+                events: ring.buf.into(),
+                dropped_events: ring.dropped,
                 stall: d.stall,
                 retired: d.retired,
                 busy_cycles: d.busy_cycles,
@@ -692,11 +691,20 @@ impl Fabric {
     /// Mutable tile access (program loading). Marks the tile dirty: its
     /// activity state and the router credits around it are re-derived
     /// before the next step, so external mutation can never be skipped.
+    /// The caller may replace the tile, counters and all: its deferred
+    /// idle is billed to the core it has now, and an armed trace banks the
+    /// tile's window share here and rebases it there.
     pub fn tile_mut(&mut self, x: usize, y: usize) -> &mut Tile {
         let i = self.index(x, y);
         if !self.dirty[i] {
             self.dirty[i] = true;
             self.dirty_list.push(i);
+            self.settle(i);
+            if self.trace.is_some() {
+                let now = self.tile_perf(i);
+                let ts = self.trace.as_deref_mut().expect("trace is armed");
+                ts.banked[i] = now.since(&ts.base[i]).zip(&ts.banked[i], |a, b| a + b);
+            }
         }
         &mut self.tiles[i]
     }
@@ -881,14 +889,18 @@ impl Fabric {
         }
     }
 
-    /// Re-derives credits, busy flags, and activity for every tile mutated
-    /// through [`Fabric::tile_mut`] since the last step. Nothing is derived
-    /// from routes, so a tile the driver merely activates or reloads costs
-    /// the eight credit rows of its four links (a constant fill each while
-    /// the queue it mirrors is empty).
+    /// Re-derives credits, busy flags, activity and a trace's counter base
+    /// for every tile mutated through [`Fabric::tile_mut`] since the clock
+    /// last moved. Nothing is derived from routes, so a tile the driver
+    /// merely activates or reloads costs the eight credit rows of its four
+    /// links (a constant fill each while the queue it mirrors is empty).
     fn flush_dirty(&mut self) {
         while let Some(i) = self.dirty_list.pop() {
             self.dirty[i] = false;
+            if self.trace.is_some() {
+                let now = self.tile_perf(i);
+                self.trace.as_deref_mut().expect("trace is armed").base[i] = now;
+            }
             for q in CARDINAL {
                 let row = self.credit_row(i, q);
                 self.tiles[i].router.set_credit_row(q, row);
@@ -912,13 +924,16 @@ impl Fabric {
     /// trace add the debt themselves. Idempotent and cheap when there is no
     /// outstanding debt.
     pub fn settle_idle(&mut self) {
-        let cycle = self.cycle;
-        let Fabric { tiles, dead, accounted, .. } = self;
-        for (i, t) in tiles.iter_mut().enumerate() {
-            if !dead[i] {
-                t.core.account_idle(cycle - accounted[i]);
-                accounted[i] = cycle;
-            }
+        for i in 0..self.tiles.len() {
+            self.settle(i);
+        }
+    }
+
+    /// Settles live tile `i`'s deferred idle debt up to the current cycle.
+    fn settle(&mut self, i: usize) {
+        if !self.dead[i] {
+            self.tiles[i].core.account_idle(self.cycle - self.accounted[i]);
+            self.accounted[i] = self.cycle;
         }
     }
 
@@ -1031,11 +1046,12 @@ impl Fabric {
         // Skipped tiles are provably quiescent; their idle accrues as
         // deferred debt.
         let stepped: u64 = {
-            let Fabric { tiles, accounted, active_list, dead, .. } = &mut *self;
+            let Fabric { tiles, accounted, active_list, dead, trace, sanitize, .. } = &mut *self;
             let mut delta = 0u64;
             for &i in active_list.iter() {
                 if !dead[i] {
-                    delta += step_and_drain(&mut tiles[i], &mut accounted[i], cycle);
+                    let obs = observers(trace, sanitize, i, cycle);
+                    delta += step_and_drain(&mut tiles[i], &mut accounted[i], obs);
                 }
             }
             delta
@@ -1241,7 +1257,8 @@ impl Fabric {
                 continue;
             }
             let Tile { mem, core, .. } = t;
-            core.step_reference(mem, cycle);
+            let obs = observers(&mut self.trace, &mut self.sanitize, i, cycle);
+            core.step_with(mem, true, obs);
         }
 
         // Phase 2: core injection moves into the router's ramp-input queues
@@ -1485,6 +1502,7 @@ impl Fabric {
     /// Panics if the fabric is not quiescent.
     pub fn advance_idle(&mut self, cycles: u64) {
         assert!(self.is_quiescent(), "advance_idle requires a quiescent fabric");
+        self.flush_dirty(); // handed-out tiles are rebased before the clock moves
         self.cycle += cycles;
     }
 
@@ -1743,26 +1761,7 @@ impl Fabric {
         for ry in 0..region.h {
             for rx in 0..region.w {
                 *self.tile_mut(region.x + rx, region.y + ry) = template.tile(rx, ry).clone();
-                // The idle debt deferred for the replaced core went with it:
-                // the new core is accounted from the blit on.
-                let i = self.index(region.x + rx, region.y + ry);
-                self.accounted[i] = self.cycle;
             }
-        }
-        // Under an armed trace the blit just replaced whole cores, whose
-        // clones carry the template's (unarmed) trace and perf state. Re-arm
-        // them and rebase their counter baselines so the window stays
-        // consistent — otherwise take_trace would find unarmed cores and
-        // underflowing deltas.
-        if let Some(mut ts) = self.trace.take() {
-            for ry in 0..region.h {
-                for rx in 0..region.w {
-                    let i = self.index(region.x + rx, region.y + ry);
-                    self.tiles[i].core.arm_trace(ts.ring_capacity);
-                    ts.base[i] = self.tile_perf(i);
-                }
-            }
-            self.trace = Some(ts);
         }
     }
 }
@@ -2030,16 +2029,17 @@ mod tests {
 
     #[test]
     fn tile_and_program_sizes_are_pinned() {
-        // On x86-64: a tile is 1,168 B (core 760, router 352, the lazily
+        // On x86-64: a tile is 1,152 B (core 744, router 352, the lazily
         // backed SRAM's handle 56), a statement 20, an instruction 14, a DSR
-        // 20. Any id or register index re-widened to `usize` fails here.
+        // 20. Any id or register index re-widened to `usize`, or observer
+        // state moved back into the core, fails here.
         use crate::dsr::Dsr;
         use crate::instr::{Stmt, TensorInstr};
         use std::mem::size_of;
         let sizes =
             [size_of::<Tile>(), size_of::<Stmt>(), size_of::<TensorInstr>(), size_of::<Dsr>()];
         assert!(
-            sizes[0] <= 1280 && sizes[1] <= 24 && sizes[2] <= 16 && sizes[3] <= 20,
+            sizes[0] <= 1152 && sizes[1] <= 24 && sizes[2] <= 16 && sizes[3] <= 20,
             "{sizes:?}"
         );
     }
@@ -2086,7 +2086,6 @@ mod tests {
 
         let (mut b, _) = sender_receiver(16);
         b.arm_sanitizer();
-        assert!(b.sanitizer_armed());
         let cycles_b = b.run_watched(1_000, 1_000).unwrap();
         assert_eq!(cycles_a, cycles_b, "sanitizing must not change simulated time");
         let pa = a.perf();
@@ -2094,7 +2093,7 @@ mod tests {
         assert_eq!(pa.busy_cycles, pb.busy_cycles);
         assert_eq!(pa.flits_routed, pb.flits_routed);
         let rep = b.take_sanitizer().expect("sanitizer was armed");
-        assert!(!b.sanitizer_armed(), "take_sanitizer disarms");
+        assert!(b.take_sanitizer().is_none(), "take_sanitizer disarms");
         assert!(rep.is_clean(), "ordered stream tripped: {rep}");
         assert_eq!(rep.cycles, cycles_b);
         // The receiver stalled on color 1 at least once while the first
@@ -2104,46 +2103,33 @@ mod tests {
         assert!(rep.longest_channel_wait().is_some());
     }
 
+    /// Main launches a background copy into `buf` and immediately
+    /// overwrites the same buffer synchronously on tile `(0, 0)`, with no
+    /// completion ordering between them — the defining data race.
+    fn install_race(f: &mut Fabric) {
+        let t = f.tile_mut(0, 0);
+        let buf = t.mem.alloc_vec(16, Dtype::F16).unwrap();
+        let src_a = t.mem.alloc_vec(16, Dtype::F16).unwrap();
+        let src_b = t.mem.alloc_vec(16, Dtype::F16).unwrap();
+        let d_buf1 = t.core.add_dsr(mk::tensor16(buf, 16));
+        let d_buf2 = t.core.add_dsr(mk::tensor16(buf, 16));
+        let d_a = t.core.add_dsr(mk::tensor16(src_a, 16));
+        let d_b = t.core.add_dsr(mk::tensor16(src_b, 16));
+        let background = TensorInstr { op: Op::Copy, dst: Some(d_buf1), a: Some(d_a), b: None };
+        let task = t.core.add_task(Task::new(
+            "racy",
+            vec![
+                Stmt::Launch { slot: 0, instr: background, on_complete: None },
+                Stmt::Exec(TensorInstr { op: Op::Copy, dst: Some(d_buf2), a: Some(d_b), b: None }),
+            ],
+        ));
+        t.core.activate(task);
+    }
+
     #[test]
     fn sanitizer_trips_on_unordered_overlapping_writes() {
-        // Main launches a background copy into `buf` and immediately
-        // overwrites the same buffer synchronously, with no completion
-        // ordering between them — the defining data race.
-        use crate::dsr::mk;
-        use crate::instr::{Op, Stmt, Task, TensorInstr};
         let mut f = Fabric::new(1, 1);
-        {
-            let t = f.tile_mut(0, 0);
-            let buf = t.mem.alloc_vec(16, Dtype::F16).unwrap();
-            let src_a = t.mem.alloc_vec(16, Dtype::F16).unwrap();
-            let src_b = t.mem.alloc_vec(16, Dtype::F16).unwrap();
-            let d_buf1 = t.core.add_dsr(mk::tensor16(buf, 16));
-            let d_buf2 = t.core.add_dsr(mk::tensor16(buf, 16));
-            let d_a = t.core.add_dsr(mk::tensor16(src_a, 16));
-            let d_b = t.core.add_dsr(mk::tensor16(src_b, 16));
-            let task = t.core.add_task(Task::new(
-                "racy",
-                vec![
-                    Stmt::Launch {
-                        slot: 0,
-                        instr: TensorInstr {
-                            op: Op::Copy,
-                            dst: Some(d_buf1),
-                            a: Some(d_a),
-                            b: None,
-                        },
-                        on_complete: None,
-                    },
-                    Stmt::Exec(TensorInstr {
-                        op: Op::Copy,
-                        dst: Some(d_buf2),
-                        a: Some(d_b),
-                        b: None,
-                    }),
-                ],
-            ));
-            t.core.activate(task);
-        }
+        install_race(&mut f);
         f.arm_sanitizer();
         f.run_watched(1_000, 1_000).unwrap();
         let rep = f.take_sanitizer().unwrap();
@@ -2155,6 +2141,52 @@ mod tests {
         // names the other as prior.
         let trip = tile.trips[0];
         assert!(trip.ctx != trip.prior_ctx);
+    }
+
+    #[test]
+    fn a_blit_under_an_armed_sanitizer_keeps_its_trips() {
+        // The race trips on (0,0), then a fresh template is blitted over
+        // that very tile: the sanitizer stays armed, and the trips recorded
+        // before the blit are reported as if it had never happened.
+        let run = |blit: bool| {
+            let mut f = Fabric::new(2, 1);
+            install_race(&mut f);
+            f.arm_sanitizer();
+            f.run_watched(1_000, 1_000).unwrap();
+            if blit {
+                f.blit_region(Region::new(0, 0, 1, 1), &Fabric::new(1, 1));
+            }
+            f.step();
+            f.take_sanitizer().expect("a blit leaves the sanitizer armed")
+        };
+        let (blitted, plain) = (run(true), run(false));
+        assert!(blitted.tiles[0].total_trips > 0, "{blitted}");
+        assert_eq!(blitted.tiles[0].trips, plain.tiles[0].trips);
+        assert_eq!(blitted.tiles[0].total_trips, plain.tiles[0].total_trips);
+        assert_eq!(blitted.cycles, plain.cycles);
+    }
+
+    #[test]
+    fn a_tile_overwrite_under_an_armed_trace_keeps_window_deltas() {
+        // The stream runs before the trace is armed, so (1,0)'s counters
+        // are well above zero at arm time; the overwrite then replaces them
+        // with a fresh tile's. Every tile still reports its share of the
+        // five-cycle window: five idle cycles, nothing more.
+        let (mut f, _) = sender_receiver(8);
+        f.run_watched(1_000, 1_000).unwrap();
+        f.arm_trace(TraceConfig::default());
+        f.step();
+        *f.tile_mut(1, 0) = Tile::default();
+        for _ in 0..4 {
+            f.step();
+        }
+        let tr = f.take_trace().expect("an overwrite leaves the trace armed");
+        assert_eq!(tr.window_cycles(), 5);
+        for t in &tr.tiles {
+            assert_eq!((t.busy_cycles, t.idle_cycles), (0, 5), "tile ({},{})", t.x, t.y);
+            assert_eq!(t.stall[StallCause::Idle.index()], 5, "tile ({},{})", t.x, t.y);
+        }
+        assert_eq!((tr.perf.busy_cycles, tr.perf.idle_cycles), (0, 10));
     }
 
     #[test]
@@ -2508,7 +2540,6 @@ mod tests {
         assert!(cycles > 0 && cycles < 100);
         let got = f.tile(1, 0).mem.load_f16_slice(raddr, 8);
         assert_eq!(got[7].to_f64(), 8.0);
-        assert!(!f.faults_armed());
         assert!(f.fault_log().is_none());
     }
 

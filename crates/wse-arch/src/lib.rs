@@ -83,9 +83,8 @@ pub use crate::fabric::{Fabric, FabricPerf, Region, RegionView, StallReport, Sta
 pub use crate::fault::{FaultKind, FaultKindClass, FaultLog, FaultPlan, FaultRecord, SplitMix64};
 pub use crate::instr::OpClass;
 pub use crate::memory::{Memory, OutOfSram, TILE_SRAM_BYTES};
-pub use crate::sanitize::{CoreSanitizer, RaceTrip, SanitizerReport, TileSanitizer, TripKind};
+pub use crate::sanitize::{RaceTrip, SanitizerReport, TileSanitizer, TripKind};
 pub use crate::trace::{
-    CoreTrace, FabricTrace, PhaseSpan, StallCause, TileTrace, TraceConfig, TraceEvent,
-    TraceEventKind,
+    FabricTrace, PhaseSpan, StallCause, TileTrace, TraceConfig, TraceEvent, TraceEventKind,
 };
 pub use crate::types::{Color, Dtype, Flit, Port};

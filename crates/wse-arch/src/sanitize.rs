@@ -3,7 +3,8 @@
 //! The static passes in `wse-lint` prove properties of the *program*; the
 //! sanitizer observes one *execution* and cross-checks them. It is armed the
 //! same way as fault injection and tracing ([`crate::fabric::Fabric::arm_sanitizer`]):
-//! disarmed, every hook is one pointer test; armed, each core shadow-tracks
+//! disarmed, every hook is one pointer test; armed, the fabric keeps shadow
+//! state per tile, lent to the tile's core for each step, that tracks
 //!
 //! * **SRAM access marks** — per byte, the last writer and last reader
 //!   context (main thread or background slot) with a launch epoch. A byte
@@ -16,10 +17,11 @@
 //!   colors some active receive is starved on (found by the same scan that
 //!   classifies the core's stall cause). The per-color longest
 //!   consecutive wait is the runtime face of the static progress pass: a
-//!   `color-starved` program shows an ever-growing streak.
+//!   `color-starved` program shows an ever-growing streak. A cycle that
+//!   starves nothing ends every streak unless it issues.
 //!
-//! The sanitizer keeps no clock: a race trip is stamped with the fabric
-//! cycle of the core step that made the access.
+//! The sanitizer's clock is the fabric's: it keeps the cycle of the last
+//! core step it saw, and a race trip is stamped with it.
 //!
 //! Happens-before is tracked with launch epochs: the core's epoch counter
 //! bumps at every `Stmt::Launch`, and a slot's *birth* is the epoch of its
@@ -115,17 +117,16 @@ fn unpack(mark: u64) -> (u64, u8, bool) {
     (mark >> 8, ((mark >> 1) & 0x7f) as u8 - 1, mark & 1 == 1)
 }
 
-/// Per-core shadow state. Allocated only when armed (two SRAM-sized `u64`
-/// shadow planes per core); the disarmed hook is one pointer test.
-#[derive(Clone, Debug)]
-pub struct CoreSanitizer {
+/// One tile's shadow state. Allocated only when armed (two SRAM-sized `u64`
+/// shadow planes per tile, 768 KiB); the disarmed hook is one pointer test.
+pub(crate) struct CoreSanitizer {
     /// Bumped on every thread launch; orders marks against births.
     epoch: u64,
     /// Launch epoch of the thread currently (or last) occupying each slot.
     birth: [u64; NUM_THREADS],
     /// Set by `begin()` for the duration of one `process()` call:
-    /// `(context id, is accumulation, fabric cycle)`.
-    cur: Option<(u8, bool, u64)>,
+    /// `(context id, is accumulation)`.
+    cur: Option<(u8, bool)>,
     /// Which background slots were live at `begin()` time.
     live: [bool; NUM_THREADS],
     /// Last-writer mark per SRAM byte.
@@ -142,6 +143,8 @@ pub struct CoreSanitizer {
     streak: [u64; NUM_COLORS],
     /// Longest consecutive starved-cycle streak per color.
     pub longest_wait: [u64; NUM_COLORS],
+    /// Fabric cycle of the last step observed.
+    seen: u64,
 }
 
 impl CoreSanitizer {
@@ -159,7 +162,18 @@ impl CoreSanitizer {
             chan_wait: [0; NUM_COLORS],
             streak: [0; NUM_COLORS],
             longest_wait: [0; NUM_COLORS],
+            seen: 0,
         }
+    }
+
+    /// A step in fabric cycle `cycle`. Cycles since the last one that did
+    /// not step the tile (skipped while quiescent, or killed) starved
+    /// nothing, so they end every streak.
+    fn see(&mut self, cycle: u64) {
+        if cycle > self.seen + 1 {
+            self.streak = [0; NUM_COLORS];
+        }
+        self.seen = cycle;
     }
 
     /// A thread was launched into `slot`: new epoch, new birth. Marks made
@@ -175,7 +189,8 @@ impl CoreSanitizer {
     /// read-modify-write accumulations; `live` is the current
     /// background-slot occupancy.
     pub(crate) fn begin(&mut self, ctx: u8, accum: bool, live: [bool; NUM_THREADS], cycle: u64) {
-        self.cur = Some((ctx, accum, cycle));
+        self.see(cycle);
+        self.cur = Some((ctx, accum));
         self.live = live;
     }
 
@@ -208,16 +223,16 @@ impl CoreSanitizer {
         }
     }
 
-    fn trip(&mut self, cycle: u64, addr: u32, kind: TripKind, ctx: u8, prior_ctx: u8) {
+    fn trip(&mut self, addr: u32, kind: TripKind, ctx: u8, prior_ctx: u8) {
         self.total_trips += 1;
         if self.trips.len() < MAX_TRIPS_KEPT {
-            self.trips.push(RaceTrip { cycle, addr, kind, ctx, prior_ctx });
+            self.trips.push(RaceTrip { cycle: self.seen, addr, kind, ctx, prior_ctx });
         }
     }
 
     /// One element-read of `bytes` bytes at `addr` by the current context.
     pub(crate) fn on_read(&mut self, addr: u32, bytes: u32) {
-        let Some((ctx, accum, cycle)) = self.cur else { return };
+        let Some((ctx, accum)) = self.cur else { return };
         let lo = addr as usize;
         let hi = (addr + bytes).min(self.write_marks.len() as u32) as usize;
         let mark = pack(self.epoch, ctx, accum);
@@ -226,7 +241,7 @@ impl CoreSanitizer {
             if w != 0 {
                 let (we, wc, wa) = unpack(w);
                 if self.concurrent(ctx, we, wc) && !(accum && wa) {
-                    self.trip(cycle, b as u32, TripKind::ReadAfterWrite, ctx, wc);
+                    self.trip(b as u32, TripKind::ReadAfterWrite, ctx, wc);
                 }
             }
             self.read_marks[b] = mark;
@@ -235,7 +250,7 @@ impl CoreSanitizer {
 
     /// One element-write of `bytes` bytes at `addr` by the current context.
     pub(crate) fn on_write(&mut self, addr: u32, bytes: u32) {
-        let Some((ctx, accum, cycle)) = self.cur else { return };
+        let Some((ctx, accum)) = self.cur else { return };
         let lo = addr as usize;
         let hi = (addr + bytes).min(self.write_marks.len() as u32) as usize;
         let mark = pack(self.epoch, ctx, accum);
@@ -244,23 +259,24 @@ impl CoreSanitizer {
             if w != 0 {
                 let (we, wc, wa) = unpack(w);
                 if self.concurrent(ctx, we, wc) && !(accum && wa) {
-                    self.trip(cycle, b as u32, TripKind::WriteAfterWrite, ctx, wc);
+                    self.trip(b as u32, TripKind::WriteAfterWrite, ctx, wc);
                 }
             }
             let r = self.read_marks[b];
             if r != 0 {
                 let (re, rc, ra) = unpack(r);
                 if self.concurrent(ctx, re, rc) && !(accum && ra) {
-                    self.trip(cycle, b as u32, TripKind::WriteAfterRead, ctx, rc);
+                    self.trip(b as u32, TripKind::WriteAfterRead, ctx, rc);
                 }
             }
             self.write_marks[b] = mark;
         }
     }
 
-    /// A non-issuing datapath cycle; bit `c` of `starved` is set where some
-    /// active receive is starved on color `c`.
-    pub(crate) fn on_stall(&mut self, starved: u32) {
+    /// A non-issuing datapath cycle `cycle`; bit `c` of `starved` is set
+    /// where some active receive is starved on color `c`.
+    pub(crate) fn on_stall(&mut self, starved: u32, cycle: u64) {
+        self.see(cycle);
         for c in 0..NUM_COLORS {
             if starved >> c & 1 != 0 {
                 self.chan_wait[c] += 1;
@@ -472,10 +488,10 @@ mod tests {
     #[test]
     fn channel_wait_streaks() {
         let mut san = CoreSanitizer::new(64);
-        san.on_stall(1 << 5);
-        san.on_stall(1 << 5);
-        san.on_stall(0);
-        san.on_stall(1 << 5);
+        san.on_stall(1 << 5, 0);
+        san.on_stall(1 << 5, 1);
+        san.on_stall(0, 2);
+        san.on_stall(1 << 5, 3);
         assert_eq!(san.chan_wait[5], 3);
         assert_eq!(san.longest_wait[5], 2);
     }

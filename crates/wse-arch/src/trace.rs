@@ -3,12 +3,15 @@
 //!
 //! Stall causes and per-[`OpClass`] retire counts are plain counters in
 //! every core's [`CorePerf`](crate::core::CorePerf), kept whether or not a
-//! trace is armed; arming buys only the per-core event rings, whose hook
-//! in [`crate::core::Core`] is one `Option` test when disarmed (the same
-//! idiom as fault arming). A trace's counters are window deltas off the
-//! arm-time snapshot. Export and analysis (Perfetto JSON, heatmaps, phase
-//! reports) live in the separate `wse-trace` crate, which consumes the
-//! [`FabricTrace`] snapshot this module produces.
+//! trace is armed; arming buys only the event rings, which the
+//! [`Fabric`](crate::fabric::Fabric) keeps per tile and lends to the
+//! tile's core for each step (a disarmed hook is one `Option` test, the
+//! idiom of fault arming), so a core replaced or cloned mid-window takes no
+//! ring with it. A trace's counters are window deltas off the arm-time
+//! snapshot. Export
+//! and analysis (Perfetto JSON, heatmaps, phase reports) live in the
+//! separate `wse-trace` crate, which consumes the [`FabricTrace`] snapshot
+//! this module produces.
 
 use crate::fabric::FabricPerf;
 use crate::instr::OpClass;
@@ -99,34 +102,25 @@ pub struct TraceEvent {
     pub kind: TraceEventKind,
 }
 
-/// A core's armed trace: a bounded ring of task events. When full, the
+/// A tile's armed trace: a bounded ring of task events. When full, the
 /// oldest event is dropped (and counted), so a long armed window costs
-/// bounded memory per tile; it allocates as it records, so an armed core
-/// that records nothing costs no event storage. Each event carries the
-/// fabric cycle its core step ran at, so stamps are monotone across
-/// checkpoint rollbacks and tile kills alike.
-#[derive(Clone, Debug)]
-pub struct CoreTrace {
-    buf: VecDeque<TraceEvent>,
+/// bounded memory per tile; it allocates as it records, so a tile that
+/// records nothing costs no event storage. Each event carries the fabric
+/// cycle its core step ran at, so stamps are monotone across checkpoint
+/// rollbacks and tile kills alike.
+pub(crate) struct CoreTrace {
+    /// Recorded events, oldest first.
+    pub(crate) buf: VecDeque<TraceEvent>,
     cap: usize,
-    dropped: u64,
+    /// Events evicted from the full ring.
+    pub(crate) dropped: u64,
 }
 
 impl CoreTrace {
     /// An empty ring holding at most `ring_capacity` events.
-    pub fn new(ring_capacity: usize) -> CoreTrace {
+    pub(crate) fn new(ring_capacity: usize) -> CoreTrace {
         assert!(ring_capacity > 0, "event ring capacity must be nonzero");
         CoreTrace { buf: VecDeque::new(), cap: ring_capacity, dropped: 0 }
-    }
-
-    /// Recorded events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.buf.iter()
-    }
-
-    /// Events evicted from the full ring.
-    pub fn dropped_events(&self) -> u64 {
-        self.dropped
     }
 
     pub(crate) fn record(&mut self, cycle: u64, kind: TraceEventKind) {
@@ -284,8 +278,8 @@ mod tests {
         tr.record(0, TraceEventKind::TaskStart { task: 0, name: "a" });
         tr.record(1, TraceEventKind::TaskEnd { task: 0 });
         tr.record(2, TraceEventKind::TaskStart { task: 1, name: "b" });
-        assert_eq!(tr.dropped_events(), 1);
-        let evs: Vec<_> = tr.events().copied().collect();
+        assert_eq!(tr.dropped, 1);
+        let evs: Vec<_> = tr.buf.iter().copied().collect();
         assert_eq!(evs.len(), 2);
         assert_eq!(evs[0].cycle, 1, "oldest surviving event");
         assert_eq!(evs[1].kind, TraceEventKind::TaskStart { task: 1, name: "b" });

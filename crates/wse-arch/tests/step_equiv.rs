@@ -572,6 +572,53 @@ fn sanitizer_armed_runs_step_identically() {
 }
 
 #[test]
+fn a_skipped_tile_ends_its_channel_wait_streaks() {
+    // (0,0) starves on color 13 for 20 cycles, gets its one flit, idles,
+    // then starves again for 10. The reference steps the idle tile, and
+    // each of those cycles ends the streak; the activity stepper skips it,
+    // and must end the streak all the same.
+    let recv = |t: &mut wse_arch::Tile, name| {
+        let d_rx = t.core.add_dsr(mk::rx16(13, 1));
+        let load = TensorInstr { op: Op::LoadReg { reg: 3 }, dst: None, a: Some(d_rx), b: None };
+        t.core.add_task(Task::new(name, vec![Stmt::Exec(load)]))
+    };
+    let build = || {
+        let mut f = Fabric::new(2, 1);
+        f.set_route(1, 0, Port::Ramp, 13, &[Port::West]);
+        f.set_route(0, 0, Port::East, 13, &[Port::Ramp]);
+        let first = recv(f.tile_mut(0, 0), "first");
+        f.tile_mut(0, 0).core.activate(first);
+        recv(f.tile_mut(0, 0), "second");
+        let t = f.tile_mut(1, 0);
+        let addr = t.mem.alloc_vec(1, Dtype::F16).unwrap();
+        let d_src = t.core.add_dsr(mk::tensor16(addr, 1));
+        let d_tx = t.core.add_dsr(mk::tx16(13, 1));
+        let send = TensorInstr { op: Op::Copy, dst: Some(d_tx), a: Some(d_src), b: None };
+        t.core.add_task(Task::new("send", vec![Stmt::Exec(send)]));
+        f.arm_sanitizer();
+        f
+    };
+    let (mut opt, mut reference) = lockstep(build, 20);
+    for f in [&mut opt, &mut reference] {
+        f.tile_mut(1, 0).core.activate(0);
+    }
+    drive(&mut opt, &mut reference, 20);
+    assert!(opt.is_quiescent(), "the first receive has its flit");
+    for f in [&mut opt, &mut reference] {
+        f.tile_mut(0, 0).core.activate(1);
+    }
+    drive(&mut opt, &mut reference, 10);
+    let (ra, rb) = (opt.take_sanitizer().unwrap(), reference.take_sanitizer().unwrap());
+    // The first wait is the longest: the second (10 cycles) starts afresh.
+    assert_eq!(ra.longest_channel_wait(), Some((0, 0, 13, 22)));
+    assert_eq!(ra.longest_channel_wait(), rb.longest_channel_wait());
+    for (a, b) in ra.tiles.iter().zip(&rb.tiles) {
+        assert_eq!(a.chan_wait, b.chan_wait, "tile ({},{})", a.x, a.y);
+        assert_eq!(a.longest_wait, b.longest_wait, "tile ({},{})", a.x, a.y);
+    }
+}
+
+#[test]
 fn blit_over_a_stepped_fabric_steps_identically() {
     // (0,0) streams east into a tile with no route for the color: the
     // stream wedges with (1,0)'s West queue full. Then a template with
@@ -659,7 +706,7 @@ fn blit_over_an_idle_tile_starts_its_accounting_at_the_blit() {
             let (ta, tb) = (opt.take_trace().unwrap(), reference.take_trace().unwrap());
             let start = TraceEventKind::TaskStart { task: copy, name: "copy" };
             for t in [&ta, &tb] {
-                let first = t.tile(0, 0).events.first().expect("re-armed by the blit");
+                let first = t.tile(0, 0).events.first().expect("the ring outlives the blit");
                 assert_eq!((first.cycle, first.kind), (blit_at, start), "blitted core's stamp");
             }
             for (a, b) in ta.tiles.iter().zip(&tb.tiles) {
@@ -668,6 +715,27 @@ fn blit_over_an_idle_tile_starts_its_accounting_at_the_blit() {
             }
         }
     }
+}
+
+#[test]
+fn overwriting_a_skipped_tile_steps_identically() {
+    // (1,0) idles while (0,0) copies, so the activity stepper skips it and
+    // defers its idle cycles; then the whole tile is replaced through
+    // `tile_mut`. The replaced core takes those cycles with it: the new
+    // one is billed from the overwrite on, as under the reference.
+    let build = || {
+        let mut f = Fabric::new(2, 1);
+        let copy = add_local_copy(&mut f, (0, 0), 4096);
+        f.tile_mut(0, 0).core.activate(copy);
+        f
+    };
+    let (mut opt, mut reference) = lockstep(build, 50);
+    for f in [&mut opt, &mut reference] {
+        *f.tile_mut(1, 0) = wse_arch::Tile::default();
+    }
+    drive(&mut opt, &mut reference, 5);
+    opt.settle_idle();
+    assert_eq!(opt.tile(1, 0).core.perf.idle_cycles, 5);
 }
 
 #[test]

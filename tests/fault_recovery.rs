@@ -241,7 +241,7 @@ fn checkpoint_restore_preserves_monotone_perf_and_trace_counters() {
 
 /// The activity-driven stepper defers per-tile idle accounting, so a
 /// checkpoint captured mid-solve sees pending idle debt. Capture must
-/// settle that debt (exactly as `arm_trace` does): an immediate second
+/// settle that debt into the cores' counters: an immediate second
 /// capture is bit-identical, and replaying an iteration after a restore
 /// reproduces the pre-rollback iteration bit for bit.
 #[test]
