@@ -150,24 +150,6 @@ impl FaultKind {
             FaultKind::WaferStall { .. } => "wafer_stall",
         }
     }
-
-    /// `true` for faults that permanently disable hardware (no rollback can
-    /// mask them; the solve is expected to exhaust its retry budget).
-    pub fn is_permanent(&self) -> bool {
-        matches!(self, FaultKind::TileKill { .. } | FaultKind::StuckPort { .. })
-    }
-
-    /// `true` for faults targeting the ensemble plane (host links between
-    /// wafers). These arm on a `MultiFabric`, never on a single fabric.
-    pub fn is_host_level(&self) -> bool {
-        matches!(
-            self,
-            FaultKind::HostLinkDrop { .. }
-                | FaultKind::HostLinkCorrupt { .. }
-                | FaultKind::HostLinkStall { .. }
-                | FaultKind::WaferStall { .. }
-        )
-    }
 }
 
 /// A fault scheduled for a specific cycle.
@@ -540,7 +522,13 @@ mod tests {
         assert_eq!(a.events(), b.events());
         for ev in a.events() {
             assert!(ev.at_cycle < 5000);
-            assert!(ev.kind.is_host_level());
+            assert!(matches!(
+                ev.kind,
+                FaultKind::HostLinkDrop { .. }
+                    | FaultKind::HostLinkCorrupt { .. }
+                    | FaultKind::HostLinkStall { .. }
+                    | FaultKind::WaferStall { .. }
+            ));
             match ev.kind {
                 FaultKind::HostLinkDrop { seam, dir } => {
                     assert!(seam < k - 1 && dir < 2);
@@ -569,13 +557,7 @@ mod tests {
     fn labels_are_stable() {
         assert_eq!(FaultKind::TileKill { x: 0, y: 0 }.label(), "tile_kill");
         assert_eq!(FaultKindClass::TileKill.label(), "tile_kill");
-        assert!(FaultKind::TileKill { x: 0, y: 0 }.is_permanent());
-        assert!(FaultKind::StuckPort { x: 0, y: 0, port: Port::East }.is_permanent());
-        assert!(!FaultKind::SramBitFlip { x: 0, y: 0, addr: 0, bit: 0 }.is_permanent());
         assert_eq!(FaultKind::HostLinkDrop { seam: 0, dir: 0 }.label(), "host_link_drop");
         assert_eq!(FaultKindClass::WaferStall.label(), "wafer_stall");
-        assert!(FaultKind::WaferStall { wafer: 0, cycles: 64 }.is_host_level());
-        assert!(!FaultKind::WaferStall { wafer: 0, cycles: 64 }.is_permanent());
-        assert!(!FaultKind::LinkDrop { x: 0, y: 0, port: Port::East }.is_host_level());
     }
 }

@@ -136,13 +136,6 @@ impl Memory {
         &self.allocs
     }
 
-    /// Resets the allocator (contents retained; used between solver phases
-    /// that rebuild their layout from scratch).
-    pub fn reset_allocator(&mut self) {
-        self.next = 0;
-        self.allocs.clear();
-    }
-
     /// Grows the materialized prefix to `end` bytes, zero-filled.
     #[cold]
     fn materialize(&mut self, end: usize) {
@@ -323,16 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_allocator_reuses_space() {
-        let mut m = Memory::new();
-        m.alloc(40_000).unwrap();
-        m.reset_allocator();
-        assert_eq!(m.used(), 0);
-        assert_eq!(m.peak(), 40_000);
-        assert!(m.alloc(40_000).is_ok());
-    }
-
-    #[test]
     fn bytes_free_tracks_allocations() {
         let mut m = Memory::new();
         assert_eq!(m.bytes_free(), TILE_SRAM_BYTES);
@@ -341,8 +324,6 @@ mod tests {
         m.alloc(3).unwrap(); // rounds to 4
         assert_eq!(m.bytes_free(), TILE_SRAM_BYTES - 104);
         assert_eq!(m.bytes_free(), TILE_SRAM_BYTES - m.used());
-        m.reset_allocator();
-        assert_eq!(m.bytes_free(), TILE_SRAM_BYTES);
     }
 
     #[test]
@@ -359,8 +340,6 @@ mod tests {
         assert!(map[0].contains(a + 10, 50));
         assert!(!map[0].contains(a + 10, 100), "extends past the extent");
         assert!(!map[1].contains(a, 4), "wrong extent");
-        m.reset_allocator();
-        assert!(m.allocations().is_empty());
     }
 
     #[test]
@@ -383,10 +362,6 @@ mod tests {
         m.alloc(100).unwrap();
         m.alloc(3).unwrap();
         assert_eq!(m.as_bytes().len(), 104, "exactly up to the allocator's next");
-        // The prefix never shrinks; a later, shorter allocation keeps it.
-        m.reset_allocator();
-        m.alloc(10).unwrap();
-        assert_eq!(m.as_bytes().len(), 104);
         // A write past the prefix grows it to exactly the write's end.
         m.write_f16(200, F16::from_f32(1.0));
         assert_eq!(m.as_bytes().len(), 202);

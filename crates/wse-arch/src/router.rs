@@ -192,11 +192,6 @@ impl Router {
         self.stuck |= 1 << out.index();
     }
 
-    /// `true` if `out` has been stuck by [`Router::stick_port`].
-    pub fn port_stuck(&self, out: Port) -> bool {
-        self.stuck & (1 << out.index()) != 0
-    }
-
     /// Discards every queued flit and rewinds the arbitration cursor
     /// (checkpoint restore). Routes, stuck-port state, and the forwarded
     /// and backpressure counters are retained.
@@ -636,8 +631,6 @@ mod tests {
         r.set_route(Port::West, 0, &[Port::East]);
         r.set_route(Port::North, 1, &[Port::South]);
         r.stick_port(Port::East);
-        assert!(r.port_stuck(Port::East));
-        assert!(!r.port_stuck(Port::South));
         r.enqueue(Port::West, 0, Flit::f16(1));
         r.enqueue(Port::North, 1, Flit::f16(2));
         let staged = r.stage(|_, _, _| true);

@@ -105,9 +105,9 @@ mod tests {
     fn second_lookup_is_a_hit_with_the_same_digest() {
         let mut cache = ProgramCache::new();
         let key = ProgramKey::bicgstab2d((8, 8), (4, 4), StencilKind::Laplace9);
-        let (first, hit) = cache.get_or_compile(&key).map(|(p, h)| (p.digest, h)).unwrap();
+        let (first, hit) = cache.get_or_compile(&key).map(|(p, h)| (p.digest(), h)).unwrap();
         assert!(!hit);
-        let (second, hit) = cache.get_or_compile(&key).map(|(p, h)| (p.digest, h)).unwrap();
+        let (second, hit) = cache.get_or_compile(&key).map(|(p, h)| (p.digest(), h)).unwrap();
         assert!(hit);
         assert_eq!(first, second);
         assert_eq!(cache.stats(), CacheStats { cold: 1, hits: 1, rejected: 0 });
@@ -124,7 +124,7 @@ mod tests {
         cache.get_or_compile(&b).unwrap();
         assert_eq!(cache.stats().cold, 2);
         assert_eq!(cache.len(), 2);
-        assert_ne!(cache.peek(&a).unwrap().digest, cache.peek(&b).unwrap().digest);
+        assert_ne!(cache.peek(&a).unwrap().digest(), cache.peek(&b).unwrap().digest());
     }
 
     #[test]

@@ -92,9 +92,6 @@ pub struct CompiledProgram {
     pub matrix: DiaMatrix<F16>,
     /// Peak per-tile SRAM actually allocated by the builder, in bytes.
     pub sram_peak: u32,
-    /// FNV-1a digest of the full per-tile program state (see
-    /// [`program_digest`]).
-    pub digest: u64,
     /// Host wall-clock microseconds spent in builder + lint for this
     /// compile. **Nondeterministic** — reported for the cold-vs-warm
     /// speedup measurement only, never in deterministic output.
@@ -140,7 +137,6 @@ impl CompiledProgram {
         }
 
         let sram_peak = image.region(Region::new(0, 0, w, h)).sram_used_max();
-        let digest = program_digest(&image);
         Ok(CompiledProgram {
             key: *key,
             image,
@@ -148,9 +144,15 @@ impl CompiledProgram {
             matrix_f64,
             matrix,
             sram_peak,
-            digest,
             build_host_us,
         })
+    }
+
+    /// FNV-1a digest of the image's full per-tile program state
+    /// ([`program_digest`] of [`CompiledProgram::image`]). Computed on
+    /// each call: nothing on the compile or placement path reads it.
+    pub fn digest(&self) -> u64 {
+        program_digest(&self.image)
     }
 }
 
@@ -244,9 +246,9 @@ mod tests {
     fn digest_is_sensitive_to_program_state() {
         let p = CompiledProgram::compile(&small_key()).unwrap();
         let mut copy = p.image.extract_region(Region::new(0, 0, 2, 2));
-        assert_eq!(program_digest(&copy), p.digest);
+        assert_eq!(program_digest(&copy), p.digest());
         // Flip one bit of one tile's SRAM: the digest must move.
         copy.tile_mut(1, 1).mem.flip_bit(0, 0);
-        assert_ne!(program_digest(&copy), p.digest);
+        assert_ne!(program_digest(&copy), p.digest());
     }
 }

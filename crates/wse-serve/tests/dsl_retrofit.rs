@@ -133,7 +133,7 @@ fn dsl_operator_is_a_cacheable_tenant() {
     // the images are byte-identical.
     let a = CompiledProgram::compile(&key).expect("DSL operator must pass the admission gate");
     let b = CompiledProgram::compile(&key).expect("DSL operator must pass the admission gate");
-    assert_eq!(a.digest, b.digest, "same DSL source must compile to the same digest");
+    assert_eq!(a.digest(), b.digest(), "same DSL source must compile to the same digest");
 
     // `box9-2d` (center 1, eight neighbors -1/8) IS the Jacobi-scaled
     // 9-point Laplacian, so the DSL source must reproduce the hand-built
@@ -141,10 +141,10 @@ fn dsl_operator_is_a_cacheable_tenant() {
     let laplace = ProgramKey::bicgstab2d((8, 8), (4, 4), StencilKind::Laplace9);
     assert_ne!(key, laplace);
     let c = CompiledProgram::compile(&laplace).unwrap();
-    assert_eq!(a.digest, c.digest, "box9-2d must lower to the scaled-Laplacian program");
+    assert_eq!(a.digest(), c.digest(), "box9-2d must lower to the scaled-Laplacian program");
 
     // A genuinely different operator compiles to a different program.
     let conv = ProgramKey::bicgstab2d((8, 8), (4, 4), StencilKind::convection(1.5, -0.5));
     let d = CompiledProgram::compile(&conv).unwrap();
-    assert_ne!(a.digest, d.digest, "distinct operators must not share an image");
+    assert_ne!(a.digest(), d.digest(), "distinct operators must not share an image");
 }

@@ -3,7 +3,8 @@
 # --release && cargo test -q`, whose `default-members` in the root manifest
 # are the root package and all thirteen crates, so it runs every suite the
 # `--workspace` run below does): the release
-# build, the whole workspace's tests, the exhaustive fp16 sweeps, clippy,
+# build, the whole workspace's tests, the exhaustive fp16 sweeps and the
+# wse-dsl host-mirror sweep (release, --ignored), clippy,
 # rustfmt and warning-free rustdoc, the non-test line count per crate (informational, no gate), a
 # grep that keeps the workspace single-threaded, the wse-lint
 # static verifier over every shipped kernel configuration (its plain and
@@ -27,11 +28,13 @@ cargo build --release
 echo "== cargo test -q --workspace =="
 cargo test -q --workspace
 
-echo "== wse-float exhaustive sweeps (release, --ignored) =="
+echo "== wse-float exhaustive sweeps and wse-dsl mirror sweep (release, --ignored) =="
 # Narrowing on all 2^32 binary32 inputs and fma16 on 4*10^8 random triples
 # against the reference algorithms; the debug suite above covers every
-# rounding boundary but not every input.
-cargo test --release -q -p wse-float -- --ignored
+# rounding boundary but not every input. wse-dsl: 20,000 seeded block and
+# relay cases of the host mirrors against the f64-carried reference
+# (crates/wse-dsl/tests/mirror_identity.rs).
+cargo test --release -q -p wse-float -p wse-dsl -- --ignored
 
 echo "== cargo clippy --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings

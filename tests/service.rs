@@ -49,7 +49,7 @@ proptest! {
         let key = ProgramKey::bicgstab2d((w * bx, h * by), (bx, by), stencil);
         let first = CompiledProgram::compile(&key).unwrap();
         let second = CompiledProgram::compile(&key).unwrap();
-        prop_assert_eq!(first.digest, second.digest);
+        prop_assert_eq!(first.digest(), second.digest());
         prop_assert_eq!(first.sram_peak, second.sram_peak);
         prop_assert_eq!(program_digest(&first.image), program_digest(&second.image));
     }
@@ -69,7 +69,7 @@ fn compiled_programs_are_translation_invariant() {
     // bytes.
     let mut blitted = Fabric::new(6, 4);
     blitted.blit_region(region, &p.image);
-    assert_eq!(program_digest(&blitted.extract_region(region)), p.digest);
+    assert_eq!(program_digest(&blitted.extract_region(region)), p.digest());
 }
 
 /// Runs tenant A then tenant B co-resident on one fabric; returns B's
