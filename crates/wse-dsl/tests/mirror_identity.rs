@@ -21,7 +21,8 @@ use wse_dsl::host::{block_reference_apply, relay_reference_apply};
 use wse_dsl::{Boundary, CoefKind, Precision, StencilSpec, Tap};
 use wse_float::{fma16, F16};
 
-/// The earlier f64-carried mirrors, kept verbatim as the reference.
+/// The earlier f64-carried mirrors, kept as the reference (the crate-private
+/// `relay_uses_registers` test is spelled out in `relay`).
 mod reference {
     use super::*;
 
@@ -231,11 +232,11 @@ fn values(rng: &mut SplitMix64, dt: Dtype, n: usize) -> Vec<f64> {
     (0..n).map(|_| value(rng, dt)).collect()
 }
 
-fn dtype(rng: &mut SplitMix64) -> Dtype {
+fn precision(rng: &mut SplitMix64) -> Precision {
     if rng.next_u64() & 1 == 0 {
-        Dtype::F16
+        Precision::F16
     } else {
-        Dtype::F32
+        Precision::F32
     }
 }
 
@@ -281,7 +282,7 @@ fn assert_bits_eq(got: &[f64], want: &[f64], what: &str) {
 /// exchanging axis, 1–3 tiles per axis.
 fn block_case(seed: u64, max_side: u64) {
     let mut rng = SplitMix64::new(seed);
-    let dt = dtype(&mut rng);
+    let dt = precision(&mut rng).dtype();
     let r = 1 + rng.below(2) as usize;
     let (w, h) = (1 + rng.below(3) as usize, 1 + rng.below(3) as usize);
     let (bx, by) = (r + rng.below(max_side) as usize, r + rng.below(max_side) as usize);
@@ -302,8 +303,8 @@ fn block_case(seed: u64, max_side: u64) {
 /// matrix bands (a Var tap, or a Neumann boundary).
 fn relay_case(seed: u64, max_side: u64) {
     let mut rng = SplitMix64::new(seed);
-    let dt = dtype(&mut rng);
-    let precision = if dt == Dtype::F16 { Precision::F16 } else { Precision::F32 };
+    let precision = precision(&mut rng);
+    let dt = precision.dtype();
     let side = |rng: &mut SplitMix64| 1 + rng.below(max_side) as usize;
     let mesh = Mesh3D::new(side(&mut rng), side(&mut rng), side(&mut rng));
     let n_taps = 1 + rng.below(10) as usize;
@@ -350,8 +351,8 @@ fn relay_mirror_matches_the_f64_reference() {
 #[test]
 fn catalog_operators_match_the_f64_reference() {
     let mut rng = SplitMix64::new(7);
-    for dt in [Dtype::F16, Dtype::F32] {
-        let precision = if dt == Dtype::F16 { Precision::F16 } else { Precision::F32 };
+    for precision in [Precision::F16, Precision::F32] {
+        let dt = precision.dtype();
         for name in ["star5-2d", "star9-2d", "box9-2d"] {
             let spec = wse_dsl::catalog::get(name).unwrap().with_precision(precision);
             let mesh = Mesh3D::new(32, 32, 1);
