@@ -16,15 +16,26 @@
 //! the naive full-scan stepper and the equivalence tests drive both in
 //! lockstep.
 
-use crate::core::{Core, Observers};
-use crate::fault::{FaultEvent, FaultKind, FaultLog, FaultPlan, FaultRecord};
+mod edge;
+mod faults;
+mod observe;
+mod reference;
+mod region;
+mod step;
+
+pub use region::{Region, RegionView};
+
+use crate::core::Core;
 use crate::instr::OpClass;
-use crate::memory::{Memory, TILE_SRAM_BYTES};
-use crate::router::{Router, StagedFlit};
-use crate::sanitize::{CoreSanitizer, SanitizerReport, TileSanitizer};
-use crate::trace::{CoreTrace, FabricTrace, PhaseSpan, StallCause, TileTrace, TraceConfig};
-use crate::types::{Color, Flit, Port, NUM_COLORS, PORT_BYTES_PER_CYCLE};
+use crate::memory::Memory;
+use crate::router::Router;
+use crate::trace::StallCause;
+use crate::types::{Color, Port};
+use edge::EdgePort;
+use faults::FaultState;
+use observe::{PhaseLog, SanitizerState, TraceState};
 use std::collections::HashMap;
+use step::StepScratch;
 
 /// The four cardinal ports, in [`Port::ALL`] order (no ramp).
 const CARDINAL: [Port; 4] = [Port::North, Port::South, Port::East, Port::West];
@@ -135,21 +146,6 @@ impl std::fmt::Display for StallReport {
 
 impl std::error::Error for StallReport {}
 
-/// Armed fault-injection state (present only when a plan is armed, so the
-/// healthy-path cost is one pointer test per phase).
-#[derive(Clone, Debug)]
-struct FaultState {
-    /// Scheduled events, sorted by cycle.
-    events: Vec<FaultEvent>,
-    /// Index of the next unapplied event.
-    next: usize,
-    /// Armed one-shot link faults: (tile index, out port, `Some(bit)` to
-    /// corrupt / `None` to drop).
-    pending_links: Vec<(usize, Port, Option<u8>)>,
-    /// Audit trail.
-    log: FaultLog,
-}
-
 /// Aggregate performance counters across the fabric.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct FabricPerf {
@@ -204,100 +200,6 @@ impl FabricPerf {
     }
 }
 
-/// A declared boundary I/O channel (see [`Fabric::open_edge`]): flits
-/// routed out of `port` at tile `(x, y)` on `color` leave the wafer into
-/// the host-visible `queue`, gated by host-granted `credits`; the host
-/// injects inbound flits through the same channel with
-/// [`Fabric::inject_edge`]. Undeclared boundary fanouts keep the
-/// historical hold-forever semantics.
-#[derive(Clone, Debug)]
-struct EdgePort {
-    x: usize,
-    y: usize,
-    port: Port,
-    color: Color,
-    /// Host-granted egress admission budget: staged off-wafer flits are
-    /// admitted while `queue.len() < credits` (snapshotted at the start
-    /// of phase 3, like every other admission check). Zero — the default
-    /// — holds flits exactly like an undeclared edge.
-    credits: usize,
-    /// Egress flits awaiting host pickup, in staged order.
-    queue: Vec<Flit>,
-}
-
-/// Driver-marked phase spans, kept whether or not a trace is armed: the
-/// one phase record, read by [`Fabric::take_trace`] or handed to any other
-/// reader by [`Fabric::drain_phases`].
-#[derive(Default)]
-struct PhaseLog {
-    /// Spans in open order (starts are nondecreasing).
-    spans: Vec<PhaseSpan>,
-    /// Index into `spans` of the currently open span, if any.
-    open: Option<usize>,
-}
-
-/// Armed trace state (present only while tracing, mirroring `FaultState`),
-/// per tile in tile order. A tile's window share of its counters is
-/// `banked` plus what it accrued since `base`.
-struct TraceState {
-    /// Fabric cycle at arm time.
-    start_cycle: u64,
-    /// Each tile's counters ([`Fabric::tile_perf`]) at arm time, or at its
-    /// last [`Fabric::tile_mut`] handout, which may replace them.
-    base: Vec<FabricPerf>,
-    /// What each tile accrued in the window before that handout.
-    banked: Vec<FabricPerf>,
-    /// Each tile's task-event ring.
-    rings: Vec<CoreTrace>,
-}
-
-/// Armed sanitizer state: each tile's shadow state, in tile order.
-struct SanitizerState {
-    /// Fabric cycle at arm time.
-    start_cycle: u64,
-    tiles: Vec<CoreSanitizer>,
-}
-
-/// Tile `i`'s armed observers for a step at `cycle`.
-fn observers<'a>(
-    trace: &'a mut Option<Box<TraceState>>,
-    sanitize: &'a mut Option<Box<SanitizerState>>,
-    i: usize,
-    cycle: u64,
-) -> Observers<'a> {
-    Observers {
-        cycle,
-        trace: trace.as_deref_mut().map(|ts| &mut ts.rings[i]),
-        sanitize: sanitize.as_deref_mut().map(|ss| &mut ss.tiles[i]),
-    }
-}
-
-/// Reusable per-cycle scratch storage owned by the fabric. Every buffer is
-/// sized once at construction and reused each cycle, so the steady-state
-/// stepper performs no heap allocations (staged-flit vectors keep their
-/// high-water capacity).
-struct StepScratch {
-    /// Per-tile staged-flit buffers (cleared after delivery each cycle).
-    staged: Vec<Vec<StagedFlit>>,
-    /// Tiles with non-empty routers this cycle (the staging worklist).
-    stagers: Vec<usize>,
-    /// Dedup flag per tile: already recorded as a delivery destination.
-    dest_flag: Vec<bool>,
-    /// Delivery destinations this cycle (drained into the active set).
-    dest_list: Vec<usize>,
-}
-
-impl StepScratch {
-    fn new(n: usize) -> StepScratch {
-        StepScratch {
-            staged: vec![Vec::new(); n],
-            stagers: Vec::new(),
-            dest_flag: vec![false; n],
-            dest_list: Vec::new(),
-        }
-    }
-}
-
 /// Every tile's neighbor through each cardinal port, tabulated once — the
 /// delivery phase asks per flit.
 struct Links(Vec<[u32; 4]>);
@@ -338,30 +240,6 @@ impl Links {
         let p = freed?;
         Some((self.toward(i, p)?, p.opposite()?))
     }
-}
-
-/// Fused phases 1+2 for one tile: settle deferred idle, step the core
-/// reporting to `obs`, then drain its injection queue into the router's
-/// ramp input (bounded by port bandwidth and queue space). Returns this
-/// tile's progress delta (busy cycles + retired control statements).
-///
-/// Phases 1 and 2 touch only the tile's own core/router, so fusing them
-/// per-tile is order-equivalent to the reference's two full passes.
-fn step_and_drain(t: &mut Tile, accounted: &mut u64, obs: Observers) -> u64 {
-    let Tile { mem, core, router } = t;
-    core.account_idle(obs.cycle - *accounted);
-    *accounted = obs.cycle + 1;
-    let before = core.perf.busy_cycles + core.perf.ctrl_stmts;
-    core.step_with(mem, false, obs);
-    // Drain one flit at a time, checking the target color's queue.
-    let mut budget = PORT_BYTES_PER_CYCLE;
-    while let Some((color, flit)) =
-        core.pop_ramp_out_ready(budget, |c| router.space(Port::Ramp, c) > 0)
-    {
-        router.enqueue(Port::Ramp, color, flit);
-        budget -= flit.bytes();
-    }
-    core.perf.busy_cycles + core.perf.ctrl_stmts - before
 }
 
 /// The wafer: a grid of tiles with a global clock.
@@ -454,214 +332,6 @@ impl Fabric {
         }
     }
 
-    /// Arms a fault-injection plan. Events are validated against the fabric
-    /// shape and applied in cycle order as [`Fabric::step`] reaches them
-    /// (events scheduled in the past fire on the next step). Re-arming
-    /// replaces any previous plan and clears its log; kill/stuck state
-    /// already applied to tiles is *not* undone, except that tiles killed
-    /// by the *previous* plan resume stepping.
-    ///
-    /// # Panics
-    /// Panics if an event names a tile, port, address, or bit outside the
-    /// fabric.
-    pub fn arm_faults(&mut self, plan: &FaultPlan) {
-        let events = plan.events();
-        for ev in &events {
-            let (x, y) = match ev.kind {
-                FaultKind::SramBitFlip { x, y, addr, bit } => {
-                    assert!(addr + 2 <= TILE_SRAM_BYTES, "bit flip at {addr} outside SRAM");
-                    assert!(bit < 16, "bit index {bit} out of range");
-                    (x, y)
-                }
-                FaultKind::TileKill { x, y }
-                | FaultKind::StuckPort { x, y, .. }
-                | FaultKind::LinkDrop { x, y, .. } => (x, y),
-                FaultKind::LinkCorrupt { x, y, bit, .. } => {
-                    assert!(bit < 32, "payload bit {bit} out of range");
-                    (x, y)
-                }
-                host => panic!(
-                    "{} targets the host interconnect: arm it on the MultiFabric \
-                     (wse-multi), not on a single wafer",
-                    host.label()
-                ),
-            };
-            assert!(x < self.w && y < self.h, "fault targets tile ({x},{y}) outside fabric");
-        }
-        // Tiles killed under the old plan come back to life. They were
-        // frozen, not idle: restart their idle accounting *now* so the dead
-        // gap is never billed, and wake them so the stepper sees them again.
-        for i in 0..self.dead.len() {
-            if std::mem::take(&mut self.dead[i]) {
-                self.accounted[i] = self.cycle;
-                self.refresh_busy(i);
-                self.mark_active(i);
-            }
-        }
-        self.faults = Some(Box::new(FaultState {
-            events,
-            next: 0,
-            pending_links: Vec::new(),
-            log: FaultLog::default(),
-        }));
-    }
-
-    /// The audit trail of applied faults, if a plan is armed.
-    pub fn fault_log(&self) -> Option<&FaultLog> {
-        self.faults.as_ref().map(|f| &f.log)
-    }
-
-    /// `true` if tile `(x, y)` has been killed by an applied
-    /// [`FaultKind::TileKill`].
-    pub fn tile_dead(&self, x: usize, y: usize) -> bool {
-        self.dead[self.index(x, y)]
-    }
-
-    /// Arms fabric-wide tracing: each tile's core records task events into
-    /// a bounded ring the fabric keeps and lends it, the counters are
-    /// snapshotted so the trace reports the window's share of them, and the
-    /// phase log starts afresh, so the trace holds exactly the phases opened
-    /// from now on. The disarmed event hook costs one pointer test,
-    /// mirroring fault arming. Re-arming replaces any previous trace state.
-    pub fn arm_trace(&mut self, config: TraceConfig) {
-        let n = self.tiles.len();
-        self.phases = PhaseLog::default();
-        self.trace = Some(Box::new(TraceState {
-            start_cycle: self.cycle,
-            base: (0..n).map(|i| self.tile_perf(i)).collect(),
-            banked: vec![FabricPerf::default(); n],
-            rings: (0..n).map(|_| CoreTrace::new(config.ring_capacity)).collect(),
-        }));
-    }
-
-    /// `true` while tracing is armed.
-    pub fn trace_armed(&self) -> bool {
-        self.trace.is_some()
-    }
-
-    /// Arms the runtime sanitizer, shadow state the fabric keeps per tile and
-    /// lends to its core: SRAM access marks (race detection with
-    /// launch-epoch happens-before) and channel-wait streaks. The disarmed
-    /// hooks cost one pointer test each, mirroring fault and trace arming;
-    /// the sanitizer is observation-only, so an armed run is cycle-identical
-    /// to a disarmed one. Re-arming replaces any previous shadow state.
-    pub fn arm_sanitizer(&mut self) {
-        let tiles = (0..self.tiles.len()).map(|_| CoreSanitizer::new(TILE_SRAM_BYTES as usize));
-        self.sanitize =
-            Some(Box::new(SanitizerState { start_cycle: self.cycle, tiles: tiles.collect() }));
-    }
-
-    /// Disarms the sanitizer and returns everything it observed (`None` if
-    /// it was not armed).
-    pub fn take_sanitizer(&mut self) -> Option<SanitizerReport> {
-        let ss = self.sanitize.take()?;
-        let w = self.w;
-        let tiles = (ss.tiles.into_iter().enumerate())
-            .map(|(i, san)| TileSanitizer {
-                x: i % w,
-                y: i / w,
-                trips: san.trips,
-                total_trips: san.total_trips,
-                chan_wait: san.chan_wait,
-                longest_wait: san.longest_wait,
-            })
-            .collect();
-        Some(SanitizerReport { w, h: self.h, cycles: self.cycle - ss.start_cycle, tiles })
-    }
-
-    /// Opens a phase span named `name` at the current cycle, closing any
-    /// span still open (phases are flat, not nested). Recorded in the
-    /// fabric's phase log whether or not a trace is armed.
-    pub fn phase_begin(&mut self, name: &'static str) {
-        self.phase_end();
-        let log = &mut self.phases;
-        log.open = Some(log.spans.len());
-        log.spans.push(PhaseSpan { name, start: self.cycle, end: self.cycle });
-    }
-
-    /// Closes the open phase span at the current cycle, if any.
-    pub fn phase_end(&mut self) {
-        if let Some(i) = self.phases.open.take() {
-            self.phases.spans[i].end = self.cycle;
-        }
-    }
-
-    /// Records an instant marker (a zero-length [`PhaseSpan`]) at the
-    /// current cycle — checkpoint/rollback stamps. Does not disturb an
-    /// open phase span.
-    pub fn phase_marker(&mut self, name: &'static str) {
-        self.phases.spans.push(PhaseSpan { name, start: self.cycle, end: self.cycle });
-    }
-
-    /// Retroactively records a span over `[start, end)` — attribution the
-    /// driver can only compute after a phase ran (e.g. how much of a merged
-    /// compute+communication window the communication was exposed for).
-    /// The span may overlap other phases; phase-report consumers treat
-    /// such overlap rows as annotations, not wall-clock partitions. Does
-    /// not disturb an open phase span.
-    pub fn phase_span(&mut self, name: &'static str, start: u64, end: u64) {
-        debug_assert!(start <= end, "phase_span: start {start} after end {end}");
-        let log = &mut self.phases;
-        // Keep the log sorted by start (the documented invariant) even
-        // though this span is recorded after later phases opened.
-        let at = log.spans.partition_point(|s| s.start <= start);
-        log.spans.insert(at, PhaseSpan { name, start, end: end.max(start) });
-        if let Some(open) = log.open.as_mut() {
-            if at <= *open {
-                *open += 1;
-            }
-        }
-    }
-
-    /// Hands the phase log to its reader and starts it afresh: every span
-    /// recorded since the last drain (or [`Fabric::arm_trace`]), in open
-    /// order, with any open span closed at the current cycle. The log has
-    /// one reader at a time — an armed trace's [`Fabric::take_trace`] drains
-    /// it too — and grows by one [`PhaseSpan`] per phase until it is read.
-    pub fn drain_phases(&mut self) -> Vec<PhaseSpan> {
-        self.phase_end();
-        std::mem::take(&mut self.phases.spans)
-    }
-
-    /// Disarms tracing and returns the collected [`FabricTrace`] (`None`
-    /// if tracing was not armed), with the phase log drained into it. Any
-    /// open phase span is closed at the current cycle. Every counter in
-    /// it, per tile and fabric-wide, covers only the traced window.
-    pub fn take_trace(&mut self) -> Option<FabricTrace> {
-        // Rebase tiles handed out since the last step first.
-        self.flush_dirty();
-        let ts = self.trace.take()?;
-        let phases = self.drain_phases();
-        let mut perf = FabricPerf::default();
-        let mut tiles = Vec::with_capacity(self.tiles.len());
-        for (i, ring) in ts.rings.into_iter().enumerate() {
-            let d = self.tile_perf(i).since(&ts.base[i]).zip(&ts.banked[i], |a, b| a + b);
-            perf = perf.zip(&d, |a, b| a + b);
-            tiles.push(TileTrace {
-                x: i % self.w,
-                y: i / self.w,
-                // Stamps come from the fabric clock, so they are monotone.
-                events: ring.buf.into(),
-                dropped_events: ring.dropped,
-                stall: d.stall,
-                retired: d.retired,
-                busy_cycles: d.busy_cycles,
-                idle_cycles: d.idle_cycles,
-                flits_routed: d.flits_routed,
-                backpressure: d.backpressure,
-            });
-        }
-        Some(FabricTrace {
-            w: self.w,
-            h: self.h,
-            start_cycle: ts.start_cycle,
-            end_cycle: self.cycle,
-            phases,
-            tiles,
-            perf,
-        })
-    }
-
     /// Fabric width in tiles.
     pub fn width(&self) -> usize {
         self.w
@@ -728,193 +398,6 @@ impl Fabric {
         self.tile_mut(x, y).router.set_route(in_port, color, outs);
     }
 
-    /// Declares a host-visible boundary I/O channel at tile `(x, y)`:
-    /// `port` must point off the wafer. Once declared, routes may fan out
-    /// through `port` on `color` — staged flits land in the channel's
-    /// egress queue instead of holding forever, gated by host-granted
-    /// credits ([`Fabric::set_edge_credits`], default 0 = hold) that are
-    /// snapshotted at the start of phase 3 like every other admission
-    /// check. The host collects egress with [`Fabric::drain_edge_out`]
-    /// and injects inbound flits with [`Fabric::inject_edge`]. Egress
-    /// queues live host-side: they do not keep the fabric busy, so
-    /// [`Fabric::is_quiescent`] can report `true` with undrained egress.
-    ///
-    /// # Panics
-    /// Panics if `port` is the ramp or points to an on-wafer neighbor, if
-    /// `color` is out of range, or if the channel is already declared.
-    pub fn open_edge(&mut self, x: usize, y: usize, port: Port, color: Color) {
-        let i = self.index(x, y);
-        assert!(port != Port::Ramp, "edge port must be cardinal");
-        assert!((color as usize) < NUM_COLORS, "color {color} out of range");
-        assert!(
-            self.links.toward(i, port).is_none(),
-            "edge port at ({x},{y}) {port:?} points to an on-wafer neighbor"
-        );
-        let id = self.edge_ports.len();
-        let prev = self.edge_index.insert((i, port, color), id);
-        assert!(prev.is_none(), "edge port at ({x},{y}) {port:?} color {color} already declared");
-        self.edge_ports.push(EdgePort { x, y, port, color, credits: 0, queue: Vec::new() });
-    }
-
-    /// `true` when [`Fabric::open_edge`] has declared this channel.
-    pub fn edge_port_declared(&self, x: usize, y: usize, port: Port, color: Color) -> bool {
-        if x >= self.w || y >= self.h {
-            return false;
-        }
-        self.edge_index.contains_key(&(y * self.w + x, port, color))
-    }
-
-    /// Every declared edge channel as `(x, y, port, color)`, in
-    /// declaration order (ensemble runners use this to pair seams).
-    pub fn edge_ports(&self) -> impl Iterator<Item = (usize, usize, Port, Color)> + '_ {
-        self.edge_ports.iter().map(|e| (e.x, e.y, e.port, e.color))
-    }
-
-    /// Index of a declared edge channel, panicking with a useful message
-    /// on an undeclared one.
-    fn edge_id(&self, x: usize, y: usize, port: Port, color: Color) -> usize {
-        let i = self.index(x, y);
-        *self
-            .edge_index
-            .get(&(i, port, color))
-            .unwrap_or_else(|| panic!("no edge port declared at ({x},{y}) {port:?} color {color}"))
-    }
-
-    /// Sets the egress admission budget for a declared edge channel: the
-    /// fabric stages off-wafer flits into the channel while its queue
-    /// holds fewer than `credits` flits (evaluated against the phase-3
-    /// snapshot). The host models downstream capacity by adjusting this
-    /// between steps.
-    ///
-    /// # Panics
-    /// Panics if the channel is not declared.
-    pub fn set_edge_credits(
-        &mut self,
-        x: usize,
-        y: usize,
-        port: Port,
-        color: Color,
-        credits: usize,
-    ) {
-        let e = self.edge_id(x, y, port, color);
-        self.edge_ports[e].credits = credits;
-    }
-
-    /// Number of egress flits waiting in a declared edge channel.
-    ///
-    /// # Panics
-    /// Panics if the channel is not declared.
-    pub fn edge_out_len(&self, x: usize, y: usize, port: Port, color: Color) -> usize {
-        self.edge_ports[self.edge_id(x, y, port, color)].queue.len()
-    }
-
-    /// Removes and returns all egress flits from a declared edge channel,
-    /// in the order they were staged.
-    ///
-    /// # Panics
-    /// Panics if the channel is not declared.
-    pub fn drain_edge_out(&mut self, x: usize, y: usize, port: Port, color: Color) -> Vec<Flit> {
-        let e = self.edge_id(x, y, port, color);
-        std::mem::take(&mut self.edge_ports[e].queue)
-    }
-
-    /// Injects a host-carried flit into the fabric through a declared
-    /// edge channel: it enters the router's `port` input queue exactly as
-    /// a neighbor delivery would, subject to the same per-color queue
-    /// space. Returns `false` (delivering nothing) when the queue is
-    /// full — the host retries on a later cycle, which is precisely the
-    /// credit backpressure an on-wafer sender would experience.
-    ///
-    /// # Panics
-    /// Panics if the channel is not declared.
-    pub fn inject_edge(
-        &mut self,
-        x: usize,
-        y: usize,
-        port: Port,
-        color: Color,
-        flit: Flit,
-    ) -> bool {
-        let _ = self.edge_id(x, y, port, color);
-        let i = self.index(x, y);
-        if self.tiles[i].router.space(port, color) == 0 {
-            return false;
-        }
-        self.tiles[i].router.enqueue(port, color, flit);
-        self.refresh_busy(i);
-        self.mark_active(i);
-        true
-    }
-
-    /// Space left in the router input queue a declared edge channel
-    /// injects into — what an ideal (lockstep) host link grants the
-    /// remote sender as next-cycle credit.
-    ///
-    /// # Panics
-    /// Panics if the channel is not declared.
-    pub fn edge_in_space(&self, x: usize, y: usize, port: Port, color: Color) -> usize {
-        let _ = self.edge_id(x, y, port, color);
-        self.tiles[self.index(x, y)].router.space(port, color)
-    }
-
-    /// Adds `i` to the active set (idempotent).
-    fn mark_active(&mut self, i: usize) {
-        if !self.active[i] {
-            self.active[i] = true;
-            self.active_list.push(i);
-        }
-    }
-
-    /// Recomputes the busy flag for tile `i` from live state.
-    fn refresh_busy(&mut self, i: usize) {
-        let t = &self.tiles[i];
-        let now = !t.core.is_quiescent() || t.router.queued() > 0;
-        if now != self.busy[i] {
-            self.busy[i] = now;
-            if now {
-                self.busy_count += 1;
-            } else {
-                self.busy_count -= 1;
-            }
-        }
-    }
-
-    /// The credit row tile `i` should hold for cardinal output `q`: the free
-    /// space of the queues that port feeds, zero off the wafer (a declared
-    /// edge channel's credit is granted afresh every cycle).
-    fn credit_row(&self, i: usize, q: Port) -> [u8; NUM_COLORS] {
-        match self.links.toward(i, q) {
-            Some(ni) => self.tiles[ni].router.space_row(q.opposite().expect("cardinal")),
-            None => [0; NUM_COLORS],
-        }
-    }
-
-    /// Re-derives credits, busy flags, activity and a trace's counter base
-    /// for every tile mutated through [`Fabric::tile_mut`] since the clock
-    /// last moved. Nothing is derived from routes, so a tile the driver
-    /// merely activates or reloads costs the eight credit rows of its four
-    /// links (a constant fill each while the queue it mirrors is empty).
-    fn flush_dirty(&mut self) {
-        while let Some(i) = self.dirty_list.pop() {
-            self.dirty[i] = false;
-            if self.trace.is_some() {
-                let now = self.tile_perf(i);
-                self.trace.as_deref_mut().expect("trace is armed").base[i] = now;
-            }
-            for q in CARDINAL {
-                let row = self.credit_row(i, q);
-                self.tiles[i].router.set_credit_row(q, row);
-                if let Some(ni) = self.links.toward(i, q) {
-                    let back = q.opposite().expect("cardinal");
-                    let row = self.credit_row(ni, back);
-                    self.tiles[ni].router.set_credit_row(back, row);
-                }
-            }
-            self.refresh_busy(i);
-            self.mark_active(i);
-        }
-    }
-
     /// Settles every live tile's deferred idle debt up to the current cycle
     /// (killed tiles are frozen and accrue nothing).
     ///
@@ -935,507 +418,6 @@ impl Fabric {
             self.tiles[i].core.account_idle(self.cycle - self.accounted[i]);
             self.accounted[i] = self.cycle;
         }
-    }
-
-    /// Rebuilds the busy flags and active list from a full scan (reference
-    /// stepping and transient resets — paths where incremental maintenance
-    /// was bypassed).
-    fn rebuild_activity(&mut self) {
-        // Everything `flush_dirty` derives per tile is re-derived for all.
-        for i in self.dirty_list.drain(..) {
-            self.dirty[i] = false;
-        }
-        // Those paths moved flits without keeping credits.
-        for i in 0..self.tiles.len() {
-            for q in CARDINAL {
-                let row = self.credit_row(i, q);
-                self.tiles[i].router.set_credit_row(q, row);
-            }
-        }
-        let Fabric { tiles, dead, busy, busy_count, active, active_list, .. } = self;
-        active_list.clear();
-        *busy_count = 0;
-        for (i, t) in tiles.iter().enumerate() {
-            let b = !t.core.is_quiescent() || t.router.queued() > 0;
-            busy[i] = b;
-            if b {
-                *busy_count += 1;
-            }
-            let keep = (b || t.core.has_pending_bound_data()) && !dead[i];
-            active[i] = keep;
-            if keep {
-                active_list.push(i);
-            }
-        }
-    }
-
-    /// Applies every armed fault whose cycle has arrived. Affected tiles
-    /// are conservatively re-activated so a fault landing on an idle tile
-    /// is never silently skipped by the activity-driven stepper.
-    fn apply_due_faults(&mut self) {
-        let w = self.w;
-        let cycle = self.cycle;
-        let Fabric { tiles, faults, dead, accounted, active, active_list, .. } = self;
-        let Some(fs) = faults.as_deref_mut() else { return };
-        let mut mark = |i: usize| {
-            if !active[i] {
-                active[i] = true;
-                active_list.push(i);
-            }
-        };
-        while fs.next < fs.events.len() && fs.events[fs.next].at_cycle <= cycle {
-            let ev = fs.events[fs.next];
-            fs.next += 1;
-            match ev.kind {
-                FaultKind::SramBitFlip { x, y, addr, bit } => {
-                    let i = y * w + x;
-                    tiles[i].mem.flip_bit(addr, bit);
-                    mark(i);
-                }
-                FaultKind::TileKill { x, y } => {
-                    let i = y * w + x;
-                    if !dead[i] {
-                        // The tile idled up to now and freezes from here:
-                        // settle its debt once, at the moment of death.
-                        tiles[i].core.account_idle(cycle - accounted[i]);
-                        accounted[i] = cycle;
-                        dead[i] = true;
-                    }
-                    mark(i);
-                }
-                FaultKind::StuckPort { x, y, port } => {
-                    let i = y * w + x;
-                    tiles[i].router.stick_port(port);
-                    mark(i);
-                }
-                FaultKind::LinkCorrupt { x, y, port, bit } => {
-                    fs.pending_links.push((y * w + x, port, Some(bit)));
-                    mark(y * w + x);
-                }
-                FaultKind::LinkDrop { x, y, port } => {
-                    fs.pending_links.push((y * w + x, port, None));
-                    mark(y * w + x);
-                }
-                // Host-level kinds are rejected by `arm_faults`.
-                host => unreachable!("{} cannot reach a single fabric", host.label()),
-            }
-            fs.log.applied.push(FaultRecord { cycle, kind: ev.kind });
-        }
-    }
-
-    /// Advances the fabric one cycle.
-    ///
-    /// Semantically identical to [`Fabric::step_reference`] (the equivalence
-    /// is enforced by tests), but iterates only the active set and reuses
-    /// the fabric-owned scratch buffers.
-    pub fn step(&mut self) {
-        if self.force_reference {
-            self.step_reference();
-            return;
-        }
-        self.flush_dirty();
-        // Phase 0: fault injection (no-op unless a plan is armed).
-        if self.faults.is_some() {
-            self.apply_due_faults();
-        }
-        let w = self.w;
-        let cycle = self.cycle;
-
-        // Phases 1+2: active cores execute and inject (independent per
-        // tile). Killed tiles freeze: their cores stop stepping entirely.
-        // Skipped tiles are provably quiescent; their idle accrues as
-        // deferred debt.
-        let stepped: u64 = {
-            let Fabric { tiles, accounted, active_list, dead, trace, sanitize, .. } = &mut *self;
-            let mut delta = 0u64;
-            for &i in active_list.iter() {
-                if !dead[i] {
-                    let obs = observers(trace, sanitize, i, cycle);
-                    delta += step_and_drain(&mut tiles[i], &mut accounted[i], obs);
-                }
-            }
-            delta
-        };
-
-        // Phase 3: routers with queued flits stage against their credits
-        // and their own core's ramp-in queues. Credits equal the downstream
-        // queues' start-of-cycle free space all phase long — staging spends
-        // only the stager's own, and what a forward frees downstream is
-        // handed back in phase 4 — so no occupancy snapshot is taken.
-        let forwarded: u64 = {
-            let Fabric { tiles, active_list, dead, scratch, edge_ports, .. } = &mut *self;
-            let StepScratch { staged, stagers, .. } = scratch;
-            stagers.clear();
-            for &i in active_list.iter() {
-                // A killed tile's router forwards nothing; arrivals pile
-                // up in its queues until backpressure stalls upstream.
-                if !dead[i] && tiles[i].router.queued() > 0 {
-                    stagers.push(i);
-                }
-            }
-            // Edge channels: the host's admission budget is this cycle's
-            // credit for the off-wafer port.
-            for e in edge_ports.iter() {
-                let room = e.credits.saturating_sub(e.queue.len());
-                tiles[e.y * w + e.x].router.set_credit(
-                    e.port,
-                    e.color,
-                    u8::try_from(room).unwrap_or(u8::MAX),
-                );
-            }
-            let mut forwarded = 0u64;
-            for &si in stagers.iter() {
-                let t = &mut tiles[si];
-                forwarded += t.router.stage_into(t.core.ramp_in_queues(), &mut staged[si]) as u64;
-            }
-            forwarded
-        };
-        self.progress += stepped + forwarded;
-
-        // Phase 4: deliveries land (1 cycle/hop), and every flit forwarded
-        // out of a cardinal input queue hands the credit it freed back to
-        // the router upstream of that queue.
-        {
-            let Fabric { tiles, links, faults, scratch, edge_ports, edge_index, .. } = &mut *self;
-            let links: &Links = links;
-            let StepScratch { staged, stagers, dest_flag, dest_list, .. } = scratch;
-            // Armed one-shot link faults intercept flits in flight: the
-            // first flit leaving the chosen (tile, port) is corrupted or
-            // dropped. Scan in ascending tile order — the order the
-            // reference delivery loop encounters flits.
-            if let Some(fs) = faults.as_deref_mut() {
-                if !fs.pending_links.is_empty() {
-                    for (i, buf) in staged.iter_mut().enumerate() {
-                        if buf.is_empty() {
-                            continue;
-                        }
-                        let mut k = 0;
-                        while k < buf.len() {
-                            let hit = fs
-                                .pending_links
-                                .iter()
-                                .position(|&(ti, p, _)| ti == i && p == buf[k].out);
-                            match hit {
-                                Some(j) => match fs.pending_links.swap_remove(j).2 {
-                                    Some(bit) => {
-                                        buf[k].flit.bits ^= 1 << bit;
-                                        fs.log.corrupted_flits += 1;
-                                        k += 1;
-                                    }
-                                    None => {
-                                        fs.log.dropped_flits += 1;
-                                        // The flit vanishes on the wire: the
-                                        // queue it was headed for keeps its
-                                        // slot, so the sender gets the credit
-                                        // back, and the credit its forwarding
-                                        // freed is returned here and now.
-                                        let s = buf.remove(k);
-                                        if s.out != Port::Ramp {
-                                            tiles[i].router.return_credit(s.out, s.color);
-                                        }
-                                        if let Some((ui, out)) = links.upstream(i, s.freed) {
-                                            tiles[ui].router.return_credit(out, s.color);
-                                        }
-                                    }
-                                },
-                                None => k += 1,
-                            }
-                        }
-                        if fs.pending_links.is_empty() {
-                            break;
-                        }
-                    }
-                }
-            }
-            // Push each stager's flits to their destinations. Each (dest,
-            // in-port, color) queue has exactly one source tile, so
-            // cross-tile delivery order is immaterial.
-            for &si in stagers.iter() {
-                let mut k = 0;
-                while k < staged[si].len() {
-                    let s = staged[si][k];
-                    k += 1;
-                    if let Some((ui, out)) = links.upstream(si, s.freed) {
-                        tiles[ui].router.return_credit(out, s.color);
-                    }
-                    let di = match s.out {
-                        Port::Ramp => {
-                            tiles[si].core.deliver(s.color, s.flit);
-                            Some(si)
-                        }
-                        out => match links.toward(si, out) {
-                            Some(ni) => {
-                                tiles[ni].router.enqueue(out.opposite().unwrap(), s.color, s.flit);
-                                Some(ni)
-                            }
-                            None => {
-                                // Accepted off-wafer: land in the
-                                // declared channel's egress queue
-                                // (no on-wafer destination to wake).
-                                let e = edge_index[&(si, out, s.color)];
-                                edge_ports[e].queue.push(s.flit);
-                                None
-                            }
-                        },
-                    };
-                    if let Some(di) = di {
-                        if !dest_flag[di] {
-                            dest_flag[di] = true;
-                            dest_list.push(di);
-                        }
-                    }
-                }
-                staged[si].clear();
-            }
-        }
-        // Every delivery destination has queued work next cycle: wake it.
-        while let Some(di) = self.scratch.dest_list.pop() {
-            self.scratch.dest_flag[di] = false;
-            self.mark_active(di);
-        }
-
-        self.cycle += 1;
-
-        // End-of-step sweep: refresh busy flags for the tiles we touched
-        // and retire the ones that can no longer change state on their own
-        // (quiescent, empty router, no bound ramp-in data, or killed).
-        let mut k = 0;
-        while k < self.active_list.len() {
-            let i = self.active_list[k];
-            let (busy_now, keep) = {
-                let t = &self.tiles[i];
-                let b = !t.core.is_quiescent() || t.router.queued() > 0;
-                (b, b || t.core.has_pending_bound_data())
-            };
-            if busy_now != self.busy[i] {
-                self.busy[i] = busy_now;
-                if busy_now {
-                    self.busy_count += 1;
-                } else {
-                    self.busy_count -= 1;
-                }
-            }
-            if keep && !self.dead[i] {
-                k += 1;
-            } else {
-                self.active[i] = false;
-                self.active_list.swap_remove(k);
-            }
-        }
-    }
-
-    /// Routes all subsequent [`Fabric::step`] calls through the retained
-    /// full-scan reference stepper (`true`) or the activity-driven stepper
-    /// (`false`, the default). The two are cycle-for-cycle bit-identical;
-    /// the switch exists for equivalence testing and benchmarking.
-    pub fn use_reference_stepper(&mut self, on: bool) {
-        self.force_reference = on;
-    }
-
-    /// Advances the fabric one cycle with the naive full-scan stepper: every
-    /// tile is visited in every phase, cores run the per-element datapath
-    /// ([`Core::step_reference`]), routers stage against freshly allocated
-    /// occupancy snapshots ([`Router::stage`]). Retained as the executable
-    /// specification the optimized [`Fabric::step`] is tested against.
-    pub fn step_reference(&mut self) {
-        self.flush_dirty();
-        // Phase 0: fault injection (no-op unless a plan is armed).
-        if self.faults.is_some() {
-            self.apply_due_faults();
-        }
-        // The reference steps every core, so all deferred idle debt must be
-        // settled first (it then stays settled, cycle by cycle).
-        self.settle_idle();
-        let p0 = self.perf();
-        let dead = &self.dead;
-
-        // Phase 1: cores execute (independent per tile). Killed tiles
-        // freeze: their cores stop stepping entirely.
-        let cycle = self.cycle;
-        for (i, t) in self.tiles.iter_mut().enumerate() {
-            if dead[i] {
-                continue;
-            }
-            let Tile { mem, core, .. } = t;
-            let obs = observers(&mut self.trace, &mut self.sanitize, i, cycle);
-            core.step_with(mem, true, obs);
-        }
-
-        // Phase 2: core injection moves into the router's ramp-input queues
-        // (bounded by port bandwidth and queue space).
-        for (i, t) in self.tiles.iter_mut().enumerate() {
-            if dead[i] {
-                continue;
-            }
-            // Respect the ramp queue's *minimum* color space conservatively:
-            // drain one flit at a time, checking the target queue.
-            let mut budget = PORT_BYTES_PER_CYCLE;
-            let (core, router) = (&mut t.core, &mut t.router);
-            while let Some((color, flit)) =
-                core.pop_ramp_out_ready(budget, |c| router.space(Port::Ramp, c) > 0)
-            {
-                router.enqueue(Port::Ramp, color, flit);
-                budget -= flit.bytes();
-            }
-        }
-
-        // Phase 3: routers stage flits against a start-of-phase snapshot of
-        // destination occupancy, then deliveries land (1 cycle/hop).
-        let all_staged: Vec<(usize, Vec<StagedFlit>)>;
-        {
-            // Occupancy snapshots (immutable borrows end before staging).
-            let router_space: Vec<[[usize; NUM_COLORS]; 5]> = self
-                .tiles
-                .iter()
-                .map(|t| {
-                    let mut s = [[0usize; NUM_COLORS]; 5];
-                    for p in Port::ALL {
-                        for (c, slot) in s[p.index()].iter_mut().enumerate() {
-                            *slot = t.router.space(p, c as Color);
-                        }
-                    }
-                    s
-                })
-                .collect();
-            let ramp_space: Vec<[usize; NUM_COLORS]> = self
-                .tiles
-                .iter()
-                .map(|t| {
-                    let mut s = [0usize; NUM_COLORS];
-                    for (c, slot) in s.iter_mut().enumerate() {
-                        *slot = t.core.ramp_in_space(c as Color);
-                    }
-                    s
-                })
-                .collect();
-
-            // Edge-channel admission snapshot (start-of-phase room).
-            let edge_room: Vec<usize> =
-                self.edge_ports.iter().map(|e| e.credits.saturating_sub(e.queue.len())).collect();
-            let edge_index = &self.edge_index;
-
-            let w = self.w;
-            let h = self.h;
-            all_staged = self
-                .tiles
-                .iter_mut()
-                .enumerate()
-                .map(|(i, t)| {
-                    // A killed tile's router forwards nothing; arrivals pile
-                    // up in its queues until backpressure stalls upstream.
-                    if dead[i] {
-                        return (i, Vec::new());
-                    }
-                    let (x, y) = (i % w, i / w);
-                    let staged = t.router.stage(|out, color, already| {
-                        match out {
-                            Port::Ramp => already < ramp_space[i][color as usize],
-                            _ => {
-                                let (dx, dy) = out.delta();
-                                let (nx, ny) = (x as i64 + dx as i64, y as i64 + dy as i64);
-                                if nx < 0 || ny < 0 || nx >= w as i64 || ny >= h as i64 {
-                                    // Off-wafer: declared edge channel with
-                                    // credit, or hold forever.
-                                    return match edge_index.get(&(i, out, color)) {
-                                        Some(&e) => already < edge_room[e],
-                                        None => false,
-                                    };
-                                }
-                                let ni = ny as usize * w + nx as usize;
-                                let in_port = out.opposite().unwrap();
-                                already < router_space[ni][in_port.index()][color as usize]
-                            }
-                        }
-                    });
-                    (i, staged)
-                })
-                .collect();
-        }
-
-        // Phase 4: deliveries. Armed one-shot link faults intercept flits
-        // in flight here: the first flit leaving the chosen (tile, port)
-        // after the fault's cycle is corrupted or lost.
-        let links = &self.links;
-        let (tiles, faults) = (&mut self.tiles, &mut self.faults);
-        let (edge_ports, edge_index) = (&mut self.edge_ports, &self.edge_index);
-        let mut fs = faults.as_deref_mut();
-        for (i, staged) in all_staged {
-            for s in staged {
-                let mut flit = s.flit;
-                if let Some(fs) = fs.as_deref_mut() {
-                    if !fs.pending_links.is_empty() {
-                        if let Some(k) =
-                            fs.pending_links.iter().position(|&(ti, p, _)| ti == i && p == s.out)
-                        {
-                            let (_, _, corrupt) = fs.pending_links.swap_remove(k);
-                            match corrupt {
-                                Some(bit) => {
-                                    flit.bits ^= 1 << bit;
-                                    fs.log.corrupted_flits += 1;
-                                }
-                                None => {
-                                    fs.log.dropped_flits += 1;
-                                    continue; // the flit vanishes on the wire
-                                }
-                            }
-                        }
-                    }
-                }
-                match s.out {
-                    Port::Ramp => {
-                        tiles[i].core.deliver(s.color, flit);
-                    }
-                    out => match links.toward(i, out) {
-                        Some(ni) => {
-                            let in_port = out.opposite().unwrap();
-                            tiles[ni].router.enqueue(in_port, s.color, flit);
-                        }
-                        None => {
-                            // Accepted off-wafer: the declared channel's
-                            // host-visible egress queue.
-                            let e = edge_index[&(i, out, s.color)];
-                            edge_ports[e].queue.push(flit);
-                        }
-                    },
-                }
-            }
-        }
-
-        self.cycle += 1;
-        // Every live core was just stepped through the previous cycle.
-        for (a, &dead) in self.accounted.iter_mut().zip(&self.dead) {
-            if !dead {
-                *a = self.cycle;
-            }
-        }
-        self.rebuild_activity();
-        let p1 = self.perf();
-        self.progress += (p1.busy_cycles - p0.busy_cycles)
-            + (p1.ctrl_stmts - p0.ctrl_stmts)
-            + (p1.flits_routed - p0.flits_routed);
-    }
-
-    /// `true` when every core is quiescent and every queue is empty. An
-    /// O(1) counter read (adjusted for externally mutated tiles awaiting
-    /// their pre-step refresh) instead of a full-fabric scan.
-    pub fn is_quiescent(&self) -> bool {
-        let mut busy = self.busy_count;
-        for &i in &self.dirty_list {
-            let t = &self.tiles[i];
-            if !t.core.is_quiescent() || t.router.queued() > 0 {
-                return false;
-            }
-            if self.busy[i] {
-                busy -= 1;
-            }
-        }
-        let quiet = busy == 0;
-        #[cfg(debug_assertions)]
-        {
-            let full = self.tiles.iter().all(|t| t.core.is_quiescent() && t.router.queued() == 0);
-            debug_assert_eq!(quiet, full, "activity-set quiescence diverged from a full scan");
-        }
-        quiet
     }
 
     /// Steps until quiescent under a stall watchdog, returning the number
@@ -1592,186 +574,15 @@ impl Fabric {
     }
 }
 
-/// A rectangular tile region of a fabric — the unit of multi-tenant
-/// partitioning. Tenant programs are built region-relative (routing is
-/// per-tile and therefore translation-invariant), so the same compiled
-/// program image can be placed at any origin whose region fits the fabric.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
-pub struct Region {
-    /// Leftmost tile column.
-    pub x: usize,
-    /// Topmost tile row.
-    pub y: usize,
-    /// Width in tiles.
-    pub w: usize,
-    /// Height in tiles.
-    pub h: usize,
-}
-
-impl Region {
-    /// Creates a region; extents must be nonzero.
-    ///
-    /// # Panics
-    /// Panics if either extent is zero.
-    pub fn new(x: usize, y: usize, w: usize, h: usize) -> Region {
-        assert!(w > 0 && h > 0, "region extents must be nonzero");
-        Region { x, y, w, h }
-    }
-
-    /// Number of tiles in the region.
-    pub fn area(&self) -> usize {
-        self.w * self.h
-    }
-
-    /// `true` if absolute tile `(x, y)` lies inside the region.
-    pub fn contains(&self, x: usize, y: usize) -> bool {
-        x >= self.x && x < self.x + self.w && y >= self.y && y < self.y + self.h
-    }
-
-    /// `true` if the two regions share at least one tile.
-    pub fn overlaps(&self, other: &Region) -> bool {
-        self.x < other.x + other.w
-            && other.x < self.x + self.w
-            && self.y < other.y + other.h
-            && other.y < self.y + self.h
-    }
-
-    /// `true` if a `w × h` program shape fits inside this region.
-    pub fn fits(&self, w: usize, h: usize) -> bool {
-        w <= self.w && h <= self.h
-    }
-}
-
-impl std::fmt::Display for Region {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}x{}@({},{})", self.w, self.h, self.x, self.y)
-    }
-}
-
-/// A read-only view of one region of a fabric: region-relative tile access
-/// plus the SRAM accounting the admission-control capacity checks read.
-pub struct RegionView<'a> {
-    fabric: &'a Fabric,
-    region: Region,
-}
-
-impl RegionView<'_> {
-    /// The viewed region.
-    pub fn region(&self) -> Region {
-        self.region
-    }
-
-    /// Tile at *region-relative* coordinates `(rx, ry)`.
-    ///
-    /// # Panics
-    /// Panics if the coordinates fall outside the region.
-    pub fn tile(&self, rx: usize, ry: usize) -> &Tile {
-        assert!(rx < self.region.w && ry < self.region.h, "tile ({rx},{ry}) outside region");
-        self.fabric.tile(self.region.x + rx, self.region.y + ry)
-    }
-
-    /// Largest per-tile SRAM allocation in the region, in bytes — the
-    /// number admission control compares against [`crate::TILE_SRAM_BYTES`].
-    pub fn sram_used_max(&self) -> u32 {
-        let mut max = 0;
-        for ry in 0..self.region.h {
-            for rx in 0..self.region.w {
-                max = max.max(self.tile(rx, ry).mem.used());
-            }
-        }
-        max
-    }
-
-    /// `true` when every tile in the region is individually quiescent
-    /// (core idle and router empty) — the precondition for replacing the
-    /// resident program.
-    pub fn is_quiescent(&self) -> bool {
-        for ry in 0..self.region.h {
-            for rx in 0..self.region.w {
-                let t = self.tile(rx, ry);
-                if !t.core.is_quiescent() || t.router.queued() > 0 {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-}
-
-impl Fabric {
-    /// Asserts `region` lies inside the fabric.
-    fn check_region(&self, region: Region) {
-        assert!(
-            region.x + region.w <= self.w && region.y + region.h <= self.h,
-            "region {region} outside {}x{} fabric",
-            self.w,
-            self.h
-        );
-    }
-
-    /// A read-only [`RegionView`] of `region`.
-    ///
-    /// # Panics
-    /// Panics if the region reaches outside the fabric.
-    pub fn region(&self, region: Region) -> RegionView<'_> {
-        self.check_region(region);
-        RegionView { fabric: self, region }
-    }
-
-    /// Clones the tiles of `region` into a fresh region-sized fabric
-    /// (origin shifted to `(0, 0)`).
-    ///
-    /// Because routing state is per-tile, the extract is exactly the
-    /// program a region-sized fabric would hold — which makes it the
-    /// region-scoped lint entry's input: a route that escapes the region
-    /// surfaces as an off-fabric/dangling diagnostic on the extract.
-    /// Declared edge channels are *not* carried over (tenant programs are
-    /// required to be self-contained).
-    ///
-    /// # Panics
-    /// Panics if the region reaches outside the fabric.
-    pub fn extract_region(&self, region: Region) -> Fabric {
-        self.check_region(region);
-        let mut out = Fabric::new(region.w, region.h);
-        for ry in 0..region.h {
-            for rx in 0..region.w {
-                *out.tile_mut(rx, ry) = self.tile(region.x + rx, region.y + ry).clone();
-            }
-        }
-        out
-    }
-
-    /// Copies a region-sized `template` fabric's tiles into `region`,
-    /// replacing whatever program was resident there — the warm path of
-    /// the compiled-program cache. Tiles are handed out via
-    /// [`Fabric::tile_mut`], so activity state and the credits of the links
-    /// into and out of the region are re-derived before the next step.
-    ///
-    /// # Panics
-    /// Panics if the region reaches outside the fabric or the template's
-    /// dimensions differ from the region's.
-    pub fn blit_region(&mut self, region: Region, template: &Fabric) {
-        self.check_region(region);
-        assert_eq!(
-            (template.width(), template.height()),
-            (region.w, region.h),
-            "template shape does not match region {region}"
-        );
-        debug_assert!(template.is_quiescent(), "program template must be quiescent");
-        for ry in 0..region.h {
-            for rx in 0..region.w {
-                *self.tile_mut(region.x + rx, region.y + ry) = template.tile(rx, ry).clone();
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dsr::mk;
+    use crate::fault::{FaultKind, FaultPlan};
     use crate::instr::{Op, Stmt, Task, TensorInstr};
+    use crate::trace::{PhaseSpan, TraceConfig};
     use crate::types::Dtype;
+    use crate::types::Flit;
     use wse_float::F16;
 
     /// Two tiles: (0,0) sends three fp16 values east on color 1; (1,0)
