@@ -23,7 +23,7 @@ mod reference;
 mod region;
 mod step;
 
-pub use region::{Region, RegionView};
+pub use region::Region;
 
 use crate::core::Core;
 use crate::instr::OpClass;

@@ -1,4 +1,8 @@
-use super::{Fabric, Tile};
+//! Rectangular tile regions: the unit of multi-tenant partitioning, and
+//! the extract and blit that move a program image between a region and a
+//! region-sized fabric.
+
+use super::Fabric;
 
 /// A rectangular tile region of a fabric — the unit of multi-tenant
 /// partitioning. Tenant programs are built region-relative (routing is
@@ -56,56 +60,6 @@ impl std::fmt::Display for Region {
     }
 }
 
-/// A read-only view of one region of a fabric: region-relative tile access
-/// plus the SRAM accounting the admission-control capacity checks read.
-pub struct RegionView<'a> {
-    fabric: &'a Fabric,
-    region: Region,
-}
-
-impl RegionView<'_> {
-    /// The viewed region.
-    pub fn region(&self) -> Region {
-        self.region
-    }
-
-    /// Tile at *region-relative* coordinates `(rx, ry)`.
-    ///
-    /// # Panics
-    /// Panics if the coordinates fall outside the region.
-    pub fn tile(&self, rx: usize, ry: usize) -> &Tile {
-        assert!(rx < self.region.w && ry < self.region.h, "tile ({rx},{ry}) outside region");
-        self.fabric.tile(self.region.x + rx, self.region.y + ry)
-    }
-
-    /// Largest per-tile SRAM allocation in the region, in bytes — the
-    /// number admission control compares against [`crate::TILE_SRAM_BYTES`].
-    pub fn sram_used_max(&self) -> u32 {
-        let mut max = 0;
-        for ry in 0..self.region.h {
-            for rx in 0..self.region.w {
-                max = max.max(self.tile(rx, ry).mem.used());
-            }
-        }
-        max
-    }
-
-    /// `true` when every tile in the region is individually quiescent
-    /// (core idle and router empty) — the precondition for replacing the
-    /// resident program.
-    pub fn is_quiescent(&self) -> bool {
-        for ry in 0..self.region.h {
-            for rx in 0..self.region.w {
-                let t = self.tile(rx, ry);
-                if !t.core.is_quiescent() || t.router.queued() > 0 {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-}
-
 impl Fabric {
     /// Asserts `region` lies inside the fabric.
     fn check_region(&self, region: Region) {
@@ -115,15 +69,6 @@ impl Fabric {
             self.w,
             self.h
         );
-    }
-
-    /// A read-only [`RegionView`] of `region`.
-    ///
-    /// # Panics
-    /// Panics if the region reaches outside the fabric.
-    pub fn region(&self, region: Region) -> RegionView<'_> {
-        self.check_region(region);
-        RegionView { fabric: self, region }
     }
 
     /// Clones the tiles of `region` into a fresh region-sized fabric

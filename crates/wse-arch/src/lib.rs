@@ -79,7 +79,7 @@ pub mod trace;
 pub mod types;
 
 pub use crate::core::{Core, CorePerf, SchedSnapshot};
-pub use crate::fabric::{Fabric, FabricPerf, Region, RegionView, StallReport, StalledTile, Tile};
+pub use crate::fabric::{Fabric, FabricPerf, Region, StallReport, StalledTile, Tile};
 pub use crate::fault::{FaultKind, FaultKindClass, FaultLog, FaultPlan, FaultRecord, SplitMix64};
 pub use crate::instr::OpClass;
 pub use crate::memory::{Memory, OutOfSram, TILE_SRAM_BYTES};

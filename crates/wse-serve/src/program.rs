@@ -14,7 +14,7 @@ use std::fmt;
 use std::time::Instant;
 use stencil::dia::DiaMatrix;
 use stencil::mesh::Mesh2D;
-use wse_arch::{Fabric, Region, TILE_SRAM_BYTES};
+use wse_arch::{Fabric, TILE_SRAM_BYTES};
 use wse_core::bicgstab2d::WaferBicgstab2d;
 use wse_float::F16;
 
@@ -136,7 +136,8 @@ impl CompiledProgram {
             });
         }
 
-        let sram_peak = image.region(Region::new(0, 0, w, h)).sram_used_max();
+        let tiles = (0..h).flat_map(|y| (0..w).map(move |x| (x, y)));
+        let sram_peak = tiles.map(|(x, y)| image.tile(x, y).mem.used()).max().unwrap_or(0);
         Ok(CompiledProgram {
             key: *key,
             image,
@@ -198,6 +199,7 @@ pub fn program_digest(fabric: &Fabric) -> u64 {
 mod tests {
     use super::*;
     use crate::key::StencilKind;
+    use wse_arch::Region;
 
     fn small_key() -> ProgramKey {
         ProgramKey::bicgstab2d((8, 8), (4, 4), StencilKind::convection(1.5, -0.5))
