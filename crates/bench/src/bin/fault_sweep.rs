@@ -33,7 +33,7 @@
 use stencil::mesh::Mesh3D;
 use stencil::problem::manufactured;
 use stencil::DiaMatrix;
-use wse_arch::{Fabric, FaultKindClass, FaultPlan, SplitMix64};
+use wse_arch::{Fabric, FaultKindClass, FaultPlan, Region, SplitMix64};
 use wse_core::recovery::{RecoveryLog, RecoveryOutcome, RecoveryPolicy, ResidualTripwire};
 use wse_core::{Krylov, WaferBicgstab, WaferBicgstabMulti};
 use wse_float::F16;
@@ -164,8 +164,9 @@ impl Leg {
                 let live_words = fabric.tile(0, 0).mem.used() / 2;
                 if let Some(f) = faults {
                     let kinds = [f.kind];
+                    let region = Region::new(0, 0, w, h);
                     let plan =
-                        FaultPlan::random(f.seed, f.count, f.window, w, h, f.live_words, &kinds);
+                        FaultPlan::random(f.seed, f.count, f.window, region, f.live_words, &kinds);
                     fabric.arm_faults(&plan);
                 }
                 let (_, stats, log) =

@@ -37,6 +37,7 @@
 //! [`Fabric::step`]: crate::fabric::Fabric::step
 //! [`Fabric`]: crate::fabric::Fabric
 
+use crate::fabric::Region;
 use crate::types::Port;
 
 /// One kind of injectable fault.
@@ -208,7 +209,11 @@ impl FaultPlan {
     }
 
     /// Draws `n` faults of `kind_pool` kinds uniformly over `0..horizon`
-    /// cycles on a `w × h` fabric, deterministically from `seed`.
+    /// cycles on the tiles of `region`, deterministically from `seed`. A
+    /// whole `w × h` fabric is `Region::new(0, 0, w, h)`; a smaller region
+    /// models a fault domain confined to one tenant's partition. The draw
+    /// depends only on the region's extent and its origin is added to every
+    /// coordinate, so a region plan at any origin is the same logical plan.
     ///
     /// `sram_words` bounds the byte addresses bit flips may target (pass the
     /// portion of SRAM actually holding data so flips land where they
@@ -221,8 +226,7 @@ impl FaultPlan {
         seed: u64,
         n: usize,
         horizon: u64,
-        w: usize,
-        h: usize,
+        region: Region,
         sram_words: u32,
         kind_pool: &[FaultKindClass],
     ) -> FaultPlan {
@@ -232,8 +236,8 @@ impl FaultPlan {
         let mut plan = FaultPlan::new();
         for _ in 0..n {
             let at_cycle = rng.below(horizon.max(1));
-            let x = rng.below(w as u64) as usize;
-            let y = rng.below(h as u64) as usize;
+            let x = region.x + rng.below(region.w as u64) as usize;
+            let y = region.y + rng.below(region.h as u64) as usize;
             let class = kind_pool[rng.below(kind_pool.len() as u64) as usize];
             let port = Port::ALL[rng.below(4) as usize]; // cardinal ports only
             let kind = match class {
@@ -259,48 +263,6 @@ impl FaultPlan {
                 }
             };
             plan.push(at_cycle, kind);
-        }
-        plan
-    }
-
-    /// Like [`FaultPlan::random`], but every drawn tile coordinate lands
-    /// inside `region` — the multi-tenant service's model of a fault
-    /// domain confined to one tenant's partition. The draw is the same as
-    /// `random` over the region's local `w × h` grid, translated to the
-    /// region origin, so a region plan at any origin is the same logical
-    /// plan.
-    ///
-    /// # Panics
-    /// Panics if `kind_pool` contains an ensemble-level class.
-    pub fn random_in_region(
-        seed: u64,
-        n: usize,
-        horizon: u64,
-        region: crate::fabric::Region,
-        sram_words: u32,
-        kind_pool: &[FaultKindClass],
-    ) -> FaultPlan {
-        let local = Self::random(seed, n, horizon, region.w, region.h, sram_words, kind_pool);
-        let (ox, oy) = (region.x, region.y);
-        let mut plan = FaultPlan::new();
-        for ev in local.events {
-            let kind = match ev.kind {
-                FaultKind::SramBitFlip { x, y, addr, bit } => {
-                    FaultKind::SramBitFlip { x: x + ox, y: y + oy, addr, bit }
-                }
-                FaultKind::TileKill { x, y } => FaultKind::TileKill { x: x + ox, y: y + oy },
-                FaultKind::StuckPort { x, y, port } => {
-                    FaultKind::StuckPort { x: x + ox, y: y + oy, port }
-                }
-                FaultKind::LinkCorrupt { x, y, port, bit } => {
-                    FaultKind::LinkCorrupt { x: x + ox, y: y + oy, port, bit }
-                }
-                FaultKind::LinkDrop { x, y, port } => {
-                    FaultKind::LinkDrop { x: x + ox, y: y + oy, port }
-                }
-                host => unreachable!("{} cannot come from an on-wafer pool", host.label()),
-            };
-            plan.push(ev.at_cycle, kind);
         }
         plan
     }
@@ -484,16 +446,20 @@ mod tests {
 
     #[test]
     fn random_plan_is_reproducible() {
-        let a = FaultPlan::random(42, 16, 10_000, 4, 4, 256, &FaultKindClass::ALL);
-        let b = FaultPlan::random(42, 16, 10_000, 4, 4, 256, &FaultKindClass::ALL);
+        let a =
+            FaultPlan::random(42, 16, 10_000, Region::new(0, 0, 4, 4), 256, &FaultKindClass::ALL);
+        let b =
+            FaultPlan::random(42, 16, 10_000, Region::new(0, 0, 4, 4), 256, &FaultKindClass::ALL);
         assert_eq!(a.events(), b.events());
-        let c = FaultPlan::random(43, 16, 10_000, 4, 4, 256, &FaultKindClass::ALL);
+        let c =
+            FaultPlan::random(43, 16, 10_000, Region::new(0, 0, 4, 4), 256, &FaultKindClass::ALL);
         assert_ne!(a.events(), c.events(), "different seed, different plan");
     }
 
     #[test]
     fn random_plan_respects_bounds() {
-        let plan = FaultPlan::random(7, 64, 1000, 3, 2, 128, &FaultKindClass::ALL);
+        let plan =
+            FaultPlan::random(7, 64, 1000, Region::new(0, 0, 3, 2), 128, &FaultKindClass::ALL);
         for ev in plan.events() {
             assert!(ev.at_cycle < 1000);
             match ev.kind {
@@ -512,6 +478,33 @@ mod tests {
                 host => panic!("on-wafer pool drew ensemble-level fault {host:?}"),
             }
         }
+    }
+
+    #[test]
+    fn random_plan_moves_with_its_region_origin() {
+        let at = |x, y| {
+            FaultPlan::random(5, 32, 1000, Region::new(x, y, 3, 2), 64, &FaultKindClass::ALL)
+        };
+        let shift = |k: FaultKind| match k {
+            FaultKind::SramBitFlip { x, y, addr, bit } => {
+                FaultKind::SramBitFlip { x: x + 4, y: y + 7, addr, bit }
+            }
+            FaultKind::TileKill { x, y } => FaultKind::TileKill { x: x + 4, y: y + 7 },
+            FaultKind::StuckPort { x, y, port } => {
+                FaultKind::StuckPort { x: x + 4, y: y + 7, port }
+            }
+            FaultKind::LinkCorrupt { x, y, port, bit } => {
+                FaultKind::LinkCorrupt { x: x + 4, y: y + 7, port, bit }
+            }
+            FaultKind::LinkDrop { x, y, port } => FaultKind::LinkDrop { x: x + 4, y: y + 7, port },
+            host => panic!("on-wafer pool drew ensemble-level fault {host:?}"),
+        };
+        let moved: Vec<FaultEvent> = at(0, 0)
+            .events()
+            .into_iter()
+            .map(|e| FaultEvent { kind: shift(e.kind), ..e })
+            .collect();
+        assert_eq!(at(4, 7).events(), moved);
     }
 
     #[test]
@@ -550,7 +543,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "ensemble-level class")]
     fn on_wafer_pool_rejects_host_link_classes() {
-        let _ = FaultPlan::random(1, 1, 100, 2, 2, 16, &[FaultKindClass::HostLinkDrop]);
+        let _ = FaultPlan::random(
+            1,
+            1,
+            100,
+            Region::new(0, 0, 2, 2),
+            16,
+            &[FaultKindClass::HostLinkDrop],
+        );
     }
 
     #[test]

@@ -172,8 +172,7 @@ fn seeded_runs_are_bit_for_bit_reproducible() {
             0xfeed_beef,
             3,
             50_000,
-            2,
-            2,
+            wafer_stencil::arch::Region::new(0, 0, 2, 2),
             fabric.tile(0, 0).mem.used() / 2,
             &wafer_stencil::arch::FaultKindClass::ALL,
         );

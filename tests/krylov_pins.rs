@@ -131,7 +131,14 @@ fn policy() -> RecoveryPolicy {
 /// Seeded SRAM bit flips over the data-holding part of a `w × h` fabric.
 fn flips(seed: u64, fabric: &Fabric, w: usize, h: usize) -> FaultPlan {
     let words = fabric.tile(0, 0).mem.used() / 2;
-    FaultPlan::random(seed, 24, 8_000, w, h, words, &[FaultKindClass::SramBitFlip])
+    FaultPlan::random(
+        seed,
+        24,
+        8_000,
+        Region::new(0, 0, w, h),
+        words,
+        &[FaultKindClass::SramBitFlip],
+    )
 }
 
 #[test]

@@ -110,7 +110,7 @@ fn faults_in_one_tenant_region_never_perturb_a_co_resident() {
     assert_eq!(clean_log.rollbacks, 0, "clean run must not roll back");
 
     for seed in [5u64, 6, 7] {
-        let plan = FaultPlan::random_in_region(
+        let plan = FaultPlan::random(
             seed,
             6,
             30_000,
