@@ -1,7 +1,10 @@
+//! Fault arming and application: the armed plan, the events applied as
+//! the clock reaches them, and the one-shot link faults both steppers spend.
+
 use super::Fabric;
 use crate::fault::{FaultEvent, FaultKind, FaultLog, FaultPlan, FaultRecord};
 use crate::memory::TILE_SRAM_BYTES;
-use crate::types::Port;
+use crate::types::{Flit, Port};
 
 /// Armed fault-injection state (present only when a plan is armed, so the
 /// healthy-path cost is one pointer test per phase).
@@ -16,6 +19,29 @@ pub(super) struct FaultState {
     pub(super) pending_links: Vec<(usize, Port, Option<u8>)>,
     /// Audit trail.
     pub(super) log: FaultLog,
+}
+
+impl FaultState {
+    /// Spends the armed one-shot link fault on tile `i`'s output `out`, if
+    /// there is one, on `flit`, the next flit through it: a corrupt flips
+    /// one payload bit, a drop loses the flit. Returns `true` when the flit
+    /// is lost; what that does to credits is the stepper's business.
+    pub(super) fn strike_link(&mut self, i: usize, out: Port, flit: &mut Flit) -> bool {
+        let Some(k) = self.pending_links.iter().position(|&(ti, p, _)| ti == i && p == out) else {
+            return false;
+        };
+        match self.pending_links.swap_remove(k).2 {
+            Some(bit) => {
+                flit.bits ^= 1 << bit;
+                self.log.corrupted_flits += 1;
+                false
+            }
+            None => {
+                self.log.dropped_flits += 1;
+                true
+            }
+        }
+    }
 }
 
 impl Fabric {

@@ -1,3 +1,6 @@
+//! The full-scan reference stepper: the executable specification the
+//! activity-driven stepper is tested against, cycle for cycle.
+
 use super::observe::observers;
 use super::{Fabric, Tile};
 use crate::router::StagedFlit;
@@ -145,24 +148,8 @@ impl Fabric {
         for (i, staged) in all_staged {
             for s in staged {
                 let mut flit = s.flit;
-                if let Some(fs) = fs.as_deref_mut() {
-                    if !fs.pending_links.is_empty() {
-                        if let Some(k) =
-                            fs.pending_links.iter().position(|&(ti, p, _)| ti == i && p == s.out)
-                        {
-                            let (_, _, corrupt) = fs.pending_links.swap_remove(k);
-                            match corrupt {
-                                Some(bit) => {
-                                    flit.bits ^= 1 << bit;
-                                    fs.log.corrupted_flits += 1;
-                                }
-                                None => {
-                                    fs.log.dropped_flits += 1;
-                                    continue; // the flit vanishes on the wire
-                                }
-                            }
-                        }
-                    }
+                if fs.as_deref_mut().is_some_and(|fs| fs.strike_link(i, s.out, &mut flit)) {
+                    continue; // the flit vanishes on the wire
                 }
                 match s.out {
                     Port::Ramp => {

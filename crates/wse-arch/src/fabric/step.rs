@@ -226,45 +226,27 @@ impl Fabric {
             // dropped. Scan in ascending tile order — the order the
             // reference delivery loop encounters flits.
             if let Some(fs) = faults.as_deref_mut() {
-                if !fs.pending_links.is_empty() {
-                    for (i, buf) in staged.iter_mut().enumerate() {
-                        if buf.is_empty() {
+                for (i, buf) in staged.iter_mut().enumerate() {
+                    if fs.pending_links.is_empty() {
+                        break;
+                    }
+                    let mut k = 0;
+                    while k < buf.len() {
+                        let s = &mut buf[k];
+                        if !fs.strike_link(i, s.out, &mut s.flit) {
+                            k += 1;
                             continue;
                         }
-                        let mut k = 0;
-                        while k < buf.len() {
-                            let hit = fs
-                                .pending_links
-                                .iter()
-                                .position(|&(ti, p, _)| ti == i && p == buf[k].out);
-                            match hit {
-                                Some(j) => match fs.pending_links.swap_remove(j).2 {
-                                    Some(bit) => {
-                                        buf[k].flit.bits ^= 1 << bit;
-                                        fs.log.corrupted_flits += 1;
-                                        k += 1;
-                                    }
-                                    None => {
-                                        fs.log.dropped_flits += 1;
-                                        // The flit vanishes on the wire: the
-                                        // queue it was headed for keeps its
-                                        // slot, so the sender gets the credit
-                                        // back, and the credit its forwarding
-                                        // freed is returned here and now.
-                                        let s = buf.remove(k);
-                                        if s.out != Port::Ramp {
-                                            tiles[i].router.return_credit(s.out, s.color);
-                                        }
-                                        if let Some((ui, out)) = links.upstream(i, s.freed) {
-                                            tiles[ui].router.return_credit(out, s.color);
-                                        }
-                                    }
-                                },
-                                None => k += 1,
-                            }
+                        // The flit vanishes on the wire: the queue it was
+                        // headed for keeps its slot, so the sender gets the
+                        // credit back, and the credit its forwarding freed
+                        // is returned here and now.
+                        let s = buf.remove(k);
+                        if s.out != Port::Ramp {
+                            tiles[i].router.return_credit(s.out, s.color);
                         }
-                        if fs.pending_links.is_empty() {
-                            break;
+                        if let Some((ui, out)) = links.upstream(i, s.freed) {
+                            tiles[ui].router.return_credit(out, s.color);
                         }
                     }
                 }
