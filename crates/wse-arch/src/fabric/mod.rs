@@ -51,6 +51,14 @@ pub struct Tile {
     pub router: Router,
 }
 
+impl Tile {
+    /// `true` when the core is quiescent and the router holds no flit: the
+    /// per-tile test every fabric-wide quiescence check is made of.
+    pub fn is_quiescent(&self) -> bool {
+        self.core.is_quiescent() && self.router.queued() == 0
+    }
+}
+
 /// Stall-watchdog window (cycles of zero fabric-wide progress) for
 /// [`Fabric::run_watched`] callers that have no sharper bound. The
 /// simulator is deterministic and closed, so any zero-progress window
@@ -496,7 +504,7 @@ impl Fabric {
         for y in 0..self.h {
             for x in 0..self.w {
                 let t = self.tile(x, y);
-                if t.core.is_quiescent() && t.router.queued() == 0 {
+                if t.is_quiescent() {
                     continue;
                 }
                 total += 1;

@@ -1,8 +1,17 @@
+//! The activity-driven stepper and its bookkeeping: which tiles are busy,
+//! which the next cycle must touch, and which were handed out for mutation.
+
 use super::observe::observers;
 use super::{Fabric, Links, Tile, CARDINAL};
 use crate::core::Observers;
 use crate::router::StagedFlit;
 use crate::types::{Port, NUM_COLORS, PORT_BYTES_PER_CYCLE};
+
+/// The "keep active" rule: a live tile stays in the active set while it is
+/// busy or holds bound ramp-in data (the one way an idle core self-wakes).
+fn stays_active(t: &Tile, busy: bool, dead: bool) -> bool {
+    (busy || t.core.has_pending_bound_data()) && !dead
+}
 
 /// Reusable per-cycle scratch storage owned by the fabric. Every buffer is
 /// sized once at construction and reused each cycle, so the steady-state
@@ -65,8 +74,7 @@ impl Fabric {
 
     /// Recomputes the busy flag for tile `i` from live state.
     pub(super) fn refresh_busy(&mut self, i: usize) {
-        let t = &self.tiles[i];
-        let now = !t.core.is_quiescent() || t.router.queued() > 0;
+        let now = !self.tiles[i].is_quiescent();
         if now != self.busy[i] {
             self.busy[i] = now;
             if now {
@@ -132,12 +140,12 @@ impl Fabric {
         active_list.clear();
         *busy_count = 0;
         for (i, t) in tiles.iter().enumerate() {
-            let b = !t.core.is_quiescent() || t.router.queued() > 0;
+            let b = !t.is_quiescent();
             busy[i] = b;
             if b {
                 *busy_count += 1;
             }
-            let keep = (b || t.core.has_pending_bound_data()) && !dead[i];
+            let keep = stays_active(t, b, dead[i]);
             active[i] = keep;
             if keep {
                 active_list.push(i);
@@ -308,8 +316,8 @@ impl Fabric {
             let i = self.active_list[k];
             let (busy_now, keep) = {
                 let t = &self.tiles[i];
-                let b = !t.core.is_quiescent() || t.router.queued() > 0;
-                (b, b || t.core.has_pending_bound_data())
+                let b = !t.is_quiescent();
+                (b, stays_active(t, b, self.dead[i]))
             };
             if busy_now != self.busy[i] {
                 self.busy[i] = busy_now;
@@ -319,7 +327,7 @@ impl Fabric {
                     self.busy_count -= 1;
                 }
             }
-            if keep && !self.dead[i] {
+            if keep {
                 k += 1;
             } else {
                 self.active[i] = false;
@@ -334,8 +342,7 @@ impl Fabric {
     pub fn is_quiescent(&self) -> bool {
         let mut busy = self.busy_count;
         for &i in &self.dirty_list {
-            let t = &self.tiles[i];
-            if !t.core.is_quiescent() || t.router.queued() > 0 {
+            if !self.tiles[i].is_quiescent() {
                 return false;
             }
             if self.busy[i] {
@@ -343,11 +350,11 @@ impl Fabric {
             }
         }
         let quiet = busy == 0;
-        #[cfg(debug_assertions)]
-        {
-            let full = self.tiles.iter().all(|t| t.core.is_quiescent() && t.router.queued() == 0);
-            debug_assert_eq!(quiet, full, "activity-set quiescence diverged from a full scan");
-        }
+        debug_assert_eq!(
+            quiet,
+            self.tiles.iter().all(Tile::is_quiescent),
+            "activity-set quiescence diverged from a full scan"
+        );
         quiet
     }
 }
