@@ -1,3 +1,6 @@
+//! Edge I/O: declared boundary channels through which flits leave the
+//! wafer into host-visible queues and the host injects flits back in.
+
 use super::Fabric;
 use crate::types::{Color, Flit, Port, NUM_COLORS};
 
@@ -137,7 +140,7 @@ impl Fabric {
         }
         self.tiles[i].router.enqueue(port, color, flit);
         self.refresh_busy(i);
-        self.mark_active(i);
+        self.active.insert(i);
         true
     }
 

@@ -86,7 +86,7 @@ impl Fabric {
             if std::mem::take(&mut self.dead[i]) {
                 self.accounted[i] = self.cycle;
                 self.refresh_busy(i);
-                self.mark_active(i);
+                self.active.insert(i);
             }
         }
         self.faults = Some(Box::new(FaultState {
@@ -114,14 +114,8 @@ impl Fabric {
     pub(super) fn apply_due_faults(&mut self) {
         let w = self.w;
         let cycle = self.cycle;
-        let Fabric { tiles, faults, dead, accounted, active, active_list, .. } = self;
+        let Fabric { tiles, faults, dead, accounted, active, .. } = self;
         let Some(fs) = faults.as_deref_mut() else { return };
-        let mut mark = |i: usize| {
-            if !active[i] {
-                active[i] = true;
-                active_list.push(i);
-            }
-        };
         while fs.next < fs.events.len() && fs.events[fs.next].at_cycle <= cycle {
             let ev = fs.events[fs.next];
             fs.next += 1;
@@ -129,7 +123,7 @@ impl Fabric {
                 FaultKind::SramBitFlip { x, y, addr, bit } => {
                     let i = y * w + x;
                     tiles[i].mem.flip_bit(addr, bit);
-                    mark(i);
+                    active.insert(i);
                 }
                 FaultKind::TileKill { x, y } => {
                     let i = y * w + x;
@@ -140,20 +134,20 @@ impl Fabric {
                         accounted[i] = cycle;
                         dead[i] = true;
                     }
-                    mark(i);
+                    active.insert(i);
                 }
                 FaultKind::StuckPort { x, y, port } => {
                     let i = y * w + x;
                     tiles[i].router.stick_port(port);
-                    mark(i);
+                    active.insert(i);
                 }
                 FaultKind::LinkCorrupt { x, y, port, bit } => {
                     fs.pending_links.push((y * w + x, port, Some(bit)));
-                    mark(y * w + x);
+                    active.insert(y * w + x);
                 }
                 FaultKind::LinkDrop { x, y, port } => {
                     fs.pending_links.push((y * w + x, port, None));
-                    mark(y * w + x);
+                    active.insert(y * w + x);
                 }
                 // Host-level kinds are rejected by `arm_faults`.
                 host => unreachable!("{} cannot reach a single fabric", host.label()),

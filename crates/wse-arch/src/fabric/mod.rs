@@ -35,7 +35,7 @@ use edge::EdgePort;
 use faults::FaultState;
 use observe::{PhaseLog, SanitizerState, TraceState};
 use std::collections::HashMap;
-use step::StepScratch;
+use step::{StepScratch, TileSet};
 
 /// The four cardinal ports, in [`Port::ALL`] order (no ramp).
 const CARDINAL: [Port; 4] = [Port::North, Port::South, Port::East, Port::West];
@@ -277,16 +277,12 @@ pub struct Fabric {
     busy: Vec<bool>,
     /// Number of set `busy` flags: `is_quiescent()` is an O(1) read.
     busy_count: usize,
-    /// Per-tile membership flag for `active_list`.
-    active: Vec<bool>,
     /// Tiles the stepper must touch next cycle: every busy tile, plus
     /// quiescent tiles holding bound ramp-in data (they can self-wake).
-    active_list: Vec<usize>,
-    /// Per-tile membership flag for `dirty_list`.
-    dirty: Vec<bool>,
+    active: TileSet,
     /// Tiles handed out via [`Fabric::tile_mut`] since the last step:
     /// their routes/masks/busy state are re-derived before stepping.
-    dirty_list: Vec<usize>,
+    dirty: TileSet,
     /// Per-tile cycle up to which idle time has been accounted: skipped
     /// quiescent tiles accrue an idle *debt* (`cycle - accounted[i]`) that
     /// is settled lazily, keeping counters bit-identical to full stepping.
@@ -327,10 +323,8 @@ impl Fabric {
             sanitize: None,
             busy: vec![false; n],
             busy_count: 0,
-            active: vec![false; n],
-            active_list: Vec::new(),
-            dirty: vec![false; n],
-            dirty_list: Vec::new(),
+            active: TileSet::new(n),
+            dirty: TileSet::new(n),
             accounted: vec![0; n],
             progress: 0,
             force_reference: false,
@@ -374,9 +368,7 @@ impl Fabric {
     /// tile's window share here and rebases it there.
     pub fn tile_mut(&mut self, x: usize, y: usize) -> &mut Tile {
         let i = self.index(x, y);
-        if !self.dirty[i] {
-            self.dirty[i] = true;
-            self.dirty_list.push(i);
+        if self.dirty.insert(i) {
             self.settle(i);
             if self.trace.is_some() {
                 let now = self.tile_perf(i);

@@ -7,6 +7,62 @@ use crate::core::Observers;
 use crate::router::StagedFlit;
 use crate::types::{Port, NUM_COLORS, PORT_BYTES_PER_CYCLE};
 
+/// A set of tile indices: a membership flag per tile plus the members in a
+/// list, so an insert is an idempotent O(1) and a walk costs one step per
+/// member, not per tile.
+pub(super) struct TileSet {
+    member: Vec<bool>,
+    list: Vec<usize>,
+}
+
+impl TileSet {
+    pub(super) fn new(n: usize) -> TileSet {
+        TileSet { member: vec![false; n], list: Vec::new() }
+    }
+
+    /// Adds tile `i`; `true` if it was not a member yet.
+    pub(super) fn insert(&mut self, i: usize) -> bool {
+        let new = !self.member[i];
+        if new {
+            self.member[i] = true;
+            self.list.push(i);
+        }
+        new
+    }
+
+    /// Removes and returns the last member in list order.
+    pub(super) fn pop(&mut self) -> Option<usize> {
+        let i = self.list.pop()?;
+        self.member[i] = false;
+        Some(i)
+    }
+
+    /// Removes every member.
+    pub(super) fn clear(&mut self) {
+        while self.pop().is_some() {}
+    }
+
+    /// Keeps the members `keep` accepts; a dropped member's list slot takes
+    /// the last member, as in [`Vec::swap_remove`].
+    fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        let mut k = 0;
+        while k < self.list.len() {
+            let i = self.list[k];
+            if keep(i) {
+                k += 1;
+            } else {
+                self.member[i] = false;
+                self.list.swap_remove(k);
+            }
+        }
+    }
+
+    /// The members, in list order.
+    pub(super) fn list(&self) -> &[usize] {
+        &self.list
+    }
+}
+
 /// The "keep active" rule: a live tile stays in the active set while it is
 /// busy or holds bound ramp-in data (the one way an idle core self-wakes).
 fn stays_active(t: &Tile, busy: bool, dead: bool) -> bool {
@@ -22,20 +78,13 @@ pub(super) struct StepScratch {
     staged: Vec<Vec<StagedFlit>>,
     /// Tiles with non-empty routers this cycle (the staging worklist).
     stagers: Vec<usize>,
-    /// Dedup flag per tile: already recorded as a delivery destination.
-    dest_flag: Vec<bool>,
     /// Delivery destinations this cycle (drained into the active set).
-    dest_list: Vec<usize>,
+    dest: TileSet,
 }
 
 impl StepScratch {
     pub(super) fn new(n: usize) -> StepScratch {
-        StepScratch {
-            staged: vec![Vec::new(); n],
-            stagers: Vec::new(),
-            dest_flag: vec![false; n],
-            dest_list: Vec::new(),
-        }
+        StepScratch { staged: vec![Vec::new(); n], stagers: Vec::new(), dest: TileSet::new(n) }
     }
 }
 
@@ -64,14 +113,6 @@ fn step_and_drain(t: &mut Tile, accounted: &mut u64, obs: Observers) -> u64 {
 }
 
 impl Fabric {
-    /// Adds `i` to the active set (idempotent).
-    pub(super) fn mark_active(&mut self, i: usize) {
-        if !self.active[i] {
-            self.active[i] = true;
-            self.active_list.push(i);
-        }
-    }
-
     /// Recomputes the busy flag for tile `i` from live state.
     pub(super) fn refresh_busy(&mut self, i: usize) {
         let now = !self.tiles[i].is_quiescent();
@@ -101,8 +142,7 @@ impl Fabric {
     /// merely activates or reloads costs the eight credit rows of its four
     /// links (a constant fill each while the queue it mirrors is empty).
     pub(super) fn flush_dirty(&mut self) {
-        while let Some(i) = self.dirty_list.pop() {
-            self.dirty[i] = false;
+        while let Some(i) = self.dirty.pop() {
             if self.trace.is_some() {
                 let now = self.tile_perf(i);
                 self.trace.as_deref_mut().expect("trace is armed").base[i] = now;
@@ -117,18 +157,16 @@ impl Fabric {
                 }
             }
             self.refresh_busy(i);
-            self.mark_active(i);
+            self.active.insert(i);
         }
     }
 
-    /// Rebuilds the busy flags and active list from a full scan (reference
+    /// Rebuilds the busy flags and active set from a full scan (reference
     /// stepping and transient resets — paths where incremental maintenance
     /// was bypassed).
     pub(super) fn rebuild_activity(&mut self) {
         // Everything `flush_dirty` derives per tile is re-derived for all.
-        for i in self.dirty_list.drain(..) {
-            self.dirty[i] = false;
-        }
+        self.dirty.clear();
         // Those paths moved flits without keeping credits.
         for i in 0..self.tiles.len() {
             for q in CARDINAL {
@@ -136,8 +174,8 @@ impl Fabric {
                 self.tiles[i].router.set_credit_row(q, row);
             }
         }
-        let Fabric { tiles, dead, busy, busy_count, active, active_list, .. } = self;
-        active_list.clear();
+        let Fabric { tiles, dead, busy, busy_count, active, .. } = self;
+        active.clear();
         *busy_count = 0;
         for (i, t) in tiles.iter().enumerate() {
             let b = !t.is_quiescent();
@@ -145,10 +183,8 @@ impl Fabric {
             if b {
                 *busy_count += 1;
             }
-            let keep = stays_active(t, b, dead[i]);
-            active[i] = keep;
-            if keep {
-                active_list.push(i);
+            if stays_active(t, b, dead[i]) {
+                active.insert(i);
             }
         }
     }
@@ -176,9 +212,9 @@ impl Fabric {
         // Skipped tiles are provably quiescent; their idle accrues as
         // deferred debt.
         let stepped: u64 = {
-            let Fabric { tiles, accounted, active_list, dead, trace, sanitize, .. } = &mut *self;
+            let Fabric { tiles, accounted, active, dead, trace, sanitize, .. } = &mut *self;
             let mut delta = 0u64;
-            for &i in active_list.iter() {
+            for &i in active.list() {
                 if !dead[i] {
                     let obs = observers(trace, sanitize, i, cycle);
                     delta += step_and_drain(&mut tiles[i], &mut accounted[i], obs);
@@ -193,10 +229,10 @@ impl Fabric {
         // only the stager's own, and what a forward frees downstream is
         // handed back in phase 4 — so no occupancy snapshot is taken.
         let forwarded: u64 = {
-            let Fabric { tiles, active_list, dead, scratch, edge_ports, .. } = &mut *self;
+            let Fabric { tiles, active, dead, scratch, edge_ports, .. } = &mut *self;
             let StepScratch { staged, stagers, .. } = scratch;
             stagers.clear();
-            for &i in active_list.iter() {
+            for &i in active.list() {
                 // A killed tile's router forwards nothing; arrivals pile
                 // up in its queues until backpressure stalls upstream.
                 if !dead[i] && tiles[i].router.queued() > 0 {
@@ -228,7 +264,7 @@ impl Fabric {
         {
             let Fabric { tiles, links, faults, scratch, edge_ports, edge_index, .. } = &mut *self;
             let links: &Links = links;
-            let StepScratch { staged, stagers, dest_flag, dest_list, .. } = scratch;
+            let StepScratch { staged, stagers, dest } = scratch;
             // Armed one-shot link faults intercept flits in flight: the
             // first flit leaving the chosen (tile, port) is corrupted or
             // dropped. Scan in ascending tile order — the order the
@@ -291,19 +327,15 @@ impl Fabric {
                         },
                     };
                     if let Some(di) = di {
-                        if !dest_flag[di] {
-                            dest_flag[di] = true;
-                            dest_list.push(di);
-                        }
+                        dest.insert(di);
                     }
                 }
                 staged[si].clear();
             }
         }
         // Every delivery destination has queued work next cycle: wake it.
-        while let Some(di) = self.scratch.dest_list.pop() {
-            self.scratch.dest_flag[di] = false;
-            self.mark_active(di);
+        while let Some(di) = self.scratch.dest.pop() {
+            self.active.insert(di);
         }
 
         self.cycle += 1;
@@ -311,29 +343,20 @@ impl Fabric {
         // End-of-step sweep: refresh busy flags for the tiles we touched
         // and retire the ones that can no longer change state on their own
         // (quiescent, empty router, no bound ramp-in data, or killed).
-        let mut k = 0;
-        while k < self.active_list.len() {
-            let i = self.active_list[k];
-            let (busy_now, keep) = {
-                let t = &self.tiles[i];
-                let b = !t.is_quiescent();
-                (b, stays_active(t, b, self.dead[i]))
-            };
-            if busy_now != self.busy[i] {
-                self.busy[i] = busy_now;
-                if busy_now {
-                    self.busy_count += 1;
+        let Fabric { tiles, dead, busy, busy_count, active, .. } = self;
+        active.retain(|i| {
+            let t = &tiles[i];
+            let now = !t.is_quiescent();
+            if now != busy[i] {
+                busy[i] = now;
+                if now {
+                    *busy_count += 1;
                 } else {
-                    self.busy_count -= 1;
+                    *busy_count -= 1;
                 }
             }
-            if keep {
-                k += 1;
-            } else {
-                self.active[i] = false;
-                self.active_list.swap_remove(k);
-            }
-        }
+            stays_active(t, now, dead[i])
+        });
     }
 
     /// `true` when every core is quiescent and every queue is empty. An
@@ -341,7 +364,7 @@ impl Fabric {
     /// their pre-step refresh) instead of a full-fabric scan.
     pub fn is_quiescent(&self) -> bool {
         let mut busy = self.busy_count;
-        for &i in &self.dirty_list {
+        for &i in self.dirty.list() {
             if !self.tiles[i].is_quiescent() {
                 return false;
             }
