@@ -139,8 +139,7 @@ impl Fabric {
             return false;
         }
         self.tiles[i].router.enqueue(port, color, flit);
-        self.refresh_busy(i);
-        self.active.insert(i);
+        self.wake(i);
         true
     }
 

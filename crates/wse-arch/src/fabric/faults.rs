@@ -85,8 +85,7 @@ impl Fabric {
         for i in 0..self.dead.len() {
             if std::mem::take(&mut self.dead[i]) {
                 self.accounted[i] = self.cycle;
-                self.refresh_busy(i);
-                self.active.insert(i);
+                self.wake(i);
             }
         }
         self.faults = Some(Box::new(FaultState {

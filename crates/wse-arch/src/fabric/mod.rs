@@ -35,7 +35,7 @@ use edge::EdgePort;
 use faults::FaultState;
 use observe::{PhaseLog, SanitizerState, TraceState};
 use std::collections::HashMap;
-use step::{StepScratch, TileSet};
+use step::{Busy, StepScratch, TileSet};
 
 /// The four cardinal ports, in [`Port::ALL`] order (no ramp).
 const CARDINAL: [Port; 4] = [Port::North, Port::South, Port::East, Port::West];
@@ -272,11 +272,9 @@ pub struct Fabric {
     phases: PhaseLog,
     /// Armed runtime sanitizer; `None` (the default) as for `trace`.
     sanitize: Option<Box<SanitizerState>>,
-    /// Per-tile "observably busy" flag: core not quiescent or router
-    /// non-empty — exactly the reference per-tile quiescence predicate.
-    busy: Vec<bool>,
-    /// Number of set `busy` flags: `is_quiescent()` is an O(1) read.
-    busy_count: usize,
+    /// Which tiles are busy, and how many: `is_quiescent()` is an O(1)
+    /// read.
+    busy: Busy,
     /// Tiles the stepper must touch next cycle: every busy tile, plus
     /// quiescent tiles holding bound ramp-in data (they can self-wake).
     active: TileSet,
@@ -321,8 +319,7 @@ impl Fabric {
             trace: None,
             phases: PhaseLog::default(),
             sanitize: None,
-            busy: vec![false; n],
-            busy_count: 0,
+            busy: Busy::new(n),
             active: TileSet::new(n),
             dirty: TileSet::new(n),
             accounted: vec![0; n],

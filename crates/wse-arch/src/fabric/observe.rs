@@ -1,3 +1,6 @@
+//! Observers the fabric keeps per tile and lends to each core step: the
+//! trace, the runtime sanitizer, and the driver-marked phase log.
+
 use super::{Fabric, FabricPerf};
 use crate::core::Observers;
 use crate::memory::TILE_SRAM_BYTES;

@@ -63,6 +63,33 @@ impl TileSet {
     }
 }
 
+/// The per-tile "observably busy" flags (a tile is busy when it is not
+/// [`Tile::is_quiescent`]) and how many are set.
+pub(super) struct Busy {
+    flags: Vec<bool>,
+    count: usize,
+}
+
+impl Busy {
+    pub(super) fn new(n: usize) -> Busy {
+        Busy { flags: vec![false; n], count: 0 }
+    }
+
+    /// Re-reads tile `i`'s flag from `t`, its live state; returns it.
+    fn refresh(&mut self, i: usize, t: &Tile) -> bool {
+        let now = !t.is_quiescent();
+        if now != self.flags[i] {
+            self.flags[i] = now;
+            if now {
+                self.count += 1;
+            } else {
+                self.count -= 1;
+            }
+        }
+        now
+    }
+}
+
 /// The "keep active" rule: a live tile stays in the active set while it is
 /// busy or holds bound ramp-in data (the one way an idle core self-wakes).
 fn stays_active(t: &Tile, busy: bool, dead: bool) -> bool {
@@ -113,17 +140,11 @@ fn step_and_drain(t: &mut Tile, accounted: &mut u64, obs: Observers) -> u64 {
 }
 
 impl Fabric {
-    /// Recomputes the busy flag for tile `i` from live state.
-    pub(super) fn refresh_busy(&mut self, i: usize) {
-        let now = !self.tiles[i].is_quiescent();
-        if now != self.busy[i] {
-            self.busy[i] = now;
-            if now {
-                self.busy_count += 1;
-            } else {
-                self.busy_count -= 1;
-            }
-        }
+    /// Re-reads tile `i`'s busy flag from live state and adds it to the
+    /// active set.
+    pub(super) fn wake(&mut self, i: usize) {
+        self.busy.refresh(i, &self.tiles[i]);
+        self.active.insert(i);
     }
 
     /// The credit row tile `i` should hold for cardinal output `q`: the free
@@ -156,8 +177,7 @@ impl Fabric {
                     self.tiles[ni].router.set_credit_row(back, row);
                 }
             }
-            self.refresh_busy(i);
-            self.active.insert(i);
+            self.wake(i);
         }
     }
 
@@ -174,16 +194,10 @@ impl Fabric {
                 self.tiles[i].router.set_credit_row(q, row);
             }
         }
-        let Fabric { tiles, dead, busy, busy_count, active, .. } = self;
+        let Fabric { tiles, dead, busy, active, .. } = self;
         active.clear();
-        *busy_count = 0;
         for (i, t) in tiles.iter().enumerate() {
-            let b = !t.is_quiescent();
-            busy[i] = b;
-            if b {
-                *busy_count += 1;
-            }
-            if stays_active(t, b, dead[i]) {
+            if stays_active(t, busy.refresh(i, t), dead[i]) {
                 active.insert(i);
             }
         }
@@ -343,32 +357,20 @@ impl Fabric {
         // End-of-step sweep: refresh busy flags for the tiles we touched
         // and retire the ones that can no longer change state on their own
         // (quiescent, empty router, no bound ramp-in data, or killed).
-        let Fabric { tiles, dead, busy, busy_count, active, .. } = self;
-        active.retain(|i| {
-            let t = &tiles[i];
-            let now = !t.is_quiescent();
-            if now != busy[i] {
-                busy[i] = now;
-                if now {
-                    *busy_count += 1;
-                } else {
-                    *busy_count -= 1;
-                }
-            }
-            stays_active(t, now, dead[i])
-        });
+        let Fabric { tiles, dead, busy, active, .. } = self;
+        active.retain(|i| stays_active(&tiles[i], busy.refresh(i, &tiles[i]), dead[i]));
     }
 
     /// `true` when every core is quiescent and every queue is empty. An
     /// O(1) counter read (adjusted for externally mutated tiles awaiting
     /// their pre-step refresh) instead of a full-fabric scan.
     pub fn is_quiescent(&self) -> bool {
-        let mut busy = self.busy_count;
+        let mut busy = self.busy.count;
         for &i in self.dirty.list() {
             if !self.tiles[i].is_quiescent() {
                 return false;
             }
-            if self.busy[i] {
+            if self.busy.flags[i] {
                 busy -= 1;
             }
         }
