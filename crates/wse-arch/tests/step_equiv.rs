@@ -13,9 +13,12 @@
 //! injection, armed tracing and sanitizing, a whole 24×24 fabric backed up
 //! at once, and the places router credits could go stale: a flit lost on
 //! the wire, a multi-color ramp-out with one color held, a whole tile
-//! replaced by `blit_region` mid-run.
+//! replaced by `blit_region` mid-run. The two property tests also have
+//! `#[ignore]`d `_deep` variants at 2048 cases each, which
+//! `scripts/verify.sh` runs in release.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use wse_arch::dsr::mk;
 use wse_arch::fault::{FaultKind, FaultPlan};
 use wse_arch::instr::{Op, Stmt, Task, TaskAction, TensorInstr};
@@ -162,75 +165,122 @@ fn drive(opt: &mut Fabric, reference: &mut Fabric, cycles: u64) {
     assert_eq!(opt.is_quiescent(), reference.is_quiescent(), "final quiescence");
 }
 
+/// Random multi-stream programs on small fabrics: every stream takes a
+/// Manhattan route, streams share links and colors sparsely, some programs
+/// finish and idle, longer ones are still in flight at the horizon. Drawn
+/// as `(w, h, endpoints, horizon)`.
+fn stream_programs() -> impl Strategy<Value = (usize, usize, Vec<(usize, usize, usize)>, u64)> {
+    (
+        2usize..5,
+        2usize..5,
+        prop::collection::vec((0usize..16, 0usize..16, 1usize..24), 1..6),
+        50u64..400,
+    )
+}
+
+/// The two steppers must agree at every cycle of a [`stream_programs`] case.
+fn stream_program_steps_identically(
+    (w, h, endpoints, horizon): (usize, usize, Vec<(usize, usize, usize)>, u64),
+) -> Result<(), TestCaseError> {
+    let build = || {
+        let mut f = Fabric::new(w, h);
+        for (k, &(s, d, n)) in endpoints.iter().enumerate() {
+            let src = (s % w, s / w % h);
+            let mut dst = (d % w, d / w % h);
+            if dst == src {
+                dst = ((src.0 + 1) % w, src.1);
+            }
+            let color = k as u8; // disjoint colors: routes never collide
+            let data: Vec<F16> =
+                (0..n).map(|i| F16::from_f64(((i * 5 + k) % 17) as f64 * 0.5)).collect();
+            route_xy(&mut f, src, dst, color);
+            install_stream(&mut f, src, dst, color, &data);
+        }
+        f
+    };
+    let (opt, reference) = lockstep(build, horizon);
+    // Quiescent runs must also agree on *when* they quiesced.
+    prop_assert_eq!(opt.cycle(), reference.cycle());
+    Ok(())
+}
+
+/// A fault plan's drawn cycles and bits, as `((kill_at, flip_at, drop_at,
+/// bit, horizon), (corrupt_at, corrupt_bit, stuck_at))`.
+type FaultCase = ((u64, u64, u64, u8, u64), (u64, u8, u64));
+
+/// Every on-wafer fault kind lands on the same running streams at a drawn
+/// cycle: an SRAM flip, a dropped flit, a tile kill, a corrupted flit and
+/// a stuck port.
+fn fault_plans() -> impl Strategy<Value = FaultCase> {
+    ((5u64..60, 1u64..80, 1u64..40, 0u8..16, 100u64..250), (1u64..40, 0u8..16, 1u64..120))
+}
+
+/// Fault plans (kills, SRAM flips, link faults, stuck ports) applied to a
+/// running stream: the activity-driven stepper must apply every fault at
+/// the same cycle with the same effect, including faults landing on tiles
+/// the optimizer would otherwise skip.
+fn fault_plan_steps_identically(
+    ((kill_at, flip_at, drop_at, bit, horizon), (corrupt_at, corrupt_bit, stuck_at)): FaultCase,
+) -> Result<(), TestCaseError> {
+    let build = || {
+        let mut f = Fabric::new(4, 2);
+        let data: Vec<F16> = (0..24).map(|i| F16::from_f64((i % 9) as f64)).collect();
+        route_xy(&mut f, (0, 0), (3, 0), 1);
+        install_stream(&mut f, (0, 0), (3, 0), 1, &data);
+        route_xy(&mut f, (0, 1), (3, 1), 2);
+        install_stream(&mut f, (0, 1), (3, 1), 2, &data);
+        // The victim address exists on every tile (fresh allocator).
+        let addr = f.tile_mut(2, 1).mem.alloc_vec(4, Dtype::F16).unwrap();
+        f.arm_faults(
+            &FaultPlan::new()
+                .with(flip_at, FaultKind::SramBitFlip { x: 2, y: 1, addr, bit })
+                .with(drop_at, FaultKind::LinkDrop { x: 1, y: 0, port: Port::East })
+                .with(kill_at, FaultKind::TileKill { x: 2, y: 0 })
+                .with(
+                    corrupt_at,
+                    FaultKind::LinkCorrupt { x: 1, y: 1, port: Port::East, bit: corrupt_bit },
+                )
+                .with(stuck_at, FaultKind::StuckPort { x: 2, y: 1, port: Port::East }),
+        );
+        f
+    };
+    let (opt, reference) = lockstep(build, horizon);
+    let (la, lb) = (opt.fault_log().unwrap(), reference.fault_log().unwrap());
+    prop_assert_eq!(la.applied.len(), lb.applied.len());
+    prop_assert_eq!(la.dropped_flits, lb.dropped_flits);
+    prop_assert_eq!(la.corrupted_flits, lb.corrupted_flits);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random multi-stream programs on small fabrics: every stream takes a
-    /// Manhattan route, streams share links and colors sparsely, some
-    /// programs finish and idle, longer ones are still in flight at the
-    /// horizon. The two steppers must agree at every cycle.
     #[test]
-    fn random_stream_programs_step_identically(
-        w in 2usize..5,
-        h in 2usize..5,
-        endpoints in prop::collection::vec((0usize..16, 0usize..16, 1usize..24), 1..6),
-        horizon in 50u64..400,
-    ) {
-        let build = || {
-            let mut f = Fabric::new(w, h);
-            for (k, &(s, d, n)) in endpoints.iter().enumerate() {
-                let src = (s % w, s / w % h);
-                let mut dst = (d % w, d / w % h);
-                if dst == src {
-                    dst = ((src.0 + 1) % w, src.1);
-                }
-                let color = k as u8; // disjoint colors: routes never collide
-                let data: Vec<F16> =
-                    (0..n).map(|i| F16::from_f64(((i * 5 + k) % 17) as f64 * 0.5)).collect();
-                route_xy(&mut f, src, dst, color);
-                install_stream(&mut f, src, dst, color, &data);
-            }
-            f
-        };
-        let (opt, reference) = lockstep(build, horizon);
-        // Quiescent runs must also agree on *when* they quiesced.
-        prop_assert_eq!(opt.cycle(), reference.cycle());
+    fn random_stream_programs_step_identically(case in stream_programs()) {
+        stream_program_steps_identically(case)?;
     }
 
-    /// Fault plans (kills, SRAM flips, link faults, stuck ports) applied to
-    /// a running stream: the activity-driven stepper must apply every fault
-    /// at the same cycle with the same effect, including faults landing on
-    /// tiles the optimizer would otherwise skip.
     #[test]
-    fn fault_injection_steps_identically(
-        kill_at in 5u64..60,
-        flip_at in 1u64..80,
-        drop_at in 1u64..40,
-        bit in 0u8..16,
-        horizon in 100u64..250,
-    ) {
-        let build = || {
-            let mut f = Fabric::new(4, 2);
-            let data: Vec<F16> = (0..24).map(|i| F16::from_f64((i % 9) as f64)).collect();
-            route_xy(&mut f, (0, 0), (3, 0), 1);
-            install_stream(&mut f, (0, 0), (3, 0), 1, &data);
-            route_xy(&mut f, (0, 1), (3, 1), 2);
-            install_stream(&mut f, (0, 1), (3, 1), 2, &data);
-            // The victim address exists on every tile (fresh allocator).
-            let addr = f.tile_mut(2, 1).mem.alloc_vec(4, Dtype::F16).unwrap();
-            f.arm_faults(
-                &FaultPlan::new()
-                    .with(flip_at, FaultKind::SramBitFlip { x: 2, y: 1, addr, bit })
-                    .with(drop_at, FaultKind::LinkDrop { x: 1, y: 0, port: Port::East })
-                    .with(kill_at, FaultKind::TileKill { x: 2, y: 0 }),
-            );
-            f
-        };
-        let (opt, reference) = lockstep(build, horizon);
-        let (la, lb) = (opt.fault_log().unwrap(), reference.fault_log().unwrap());
-        prop_assert_eq!(la.applied.len(), lb.applied.len());
-        prop_assert_eq!(la.dropped_flits, lb.dropped_flits);
-        prop_assert_eq!(la.corrupted_flits, lb.corrupted_flits);
+    fn fault_injection_steps_identically(case in fault_plans()) {
+        fault_plan_steps_identically(case)?;
+    }
+}
+
+// The same two properties at 2048 cases each: `scripts/verify.sh` runs them
+// in release (`cargo test --release -p wse-arch -- --ignored`).
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    #[ignore = "deep sweep, run in release by scripts/verify.sh"]
+    fn random_stream_programs_step_identically_deep(case in stream_programs()) {
+        stream_program_steps_identically(case)?;
+    }
+
+    #[test]
+    #[ignore = "deep sweep, run in release by scripts/verify.sh"]
+    fn fault_injection_steps_identically_deep(case in fault_plans()) {
+        fault_plan_steps_identically(case)?;
     }
 }
 

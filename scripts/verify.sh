@@ -3,8 +3,9 @@
 # --release && cargo test -q`, whose `default-members` in the root manifest
 # are the root package and all thirteen crates, so it runs every suite the
 # `--workspace` run below does): the release
-# build, the whole workspace's tests, the exhaustive fp16 sweeps and the
-# wse-dsl host-mirror sweep (release, --ignored), clippy,
+# build, the whole workspace's tests, the exhaustive fp16 sweeps, the
+# wse-dsl host-mirror sweep and the wse-arch stepper-equivalence sweep
+# (release, --ignored), clippy,
 # rustfmt and warning-free rustdoc, the non-test line count per crate (informational, no gate), a
 # grep that keeps the workspace single-threaded, the wse-lint
 # static verifier over every shipped kernel configuration (its plain and
@@ -28,13 +29,15 @@ cargo build --release
 echo "== cargo test -q --workspace =="
 cargo test -q --workspace
 
-echo "== wse-float exhaustive sweeps and wse-dsl mirror sweep (release, --ignored) =="
+echo "== wse-float, wse-dsl and wse-arch sweeps (release, --ignored) =="
 # Narrowing on all 2^32 binary32 inputs and fma16 on 4*10^8 random triples
 # against the reference algorithms; the debug suite above covers every
 # rounding boundary but not every input. wse-dsl: 20,000 seeded block and
 # relay cases of the host mirrors against the f64-carried reference
-# (crates/wse-dsl/tests/mirror_identity.rs).
-cargo test --release -q -p wse-float -p wse-dsl -- --ignored
+# (crates/wse-dsl/tests/mirror_identity.rs). wse-arch: 2048 random stream
+# programs and 2048 fault plans, each run under both steppers in lockstep
+# (crates/wse-arch/tests/step_equiv.rs).
+cargo test --release -q -p wse-float -p wse-dsl -p wse-arch -- --ignored
 
 echo "== cargo clippy --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
