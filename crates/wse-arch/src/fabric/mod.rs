@@ -54,7 +54,7 @@ pub struct Tile {
 impl Tile {
     /// `true` when the core is quiescent and the router holds no flit: the
     /// per-tile test every fabric-wide quiescence check is made of.
-    pub fn is_quiescent(&self) -> bool {
+    pub(crate) fn is_quiescent(&self) -> bool {
         self.core.is_quiescent() && self.router.queued() == 0
     }
 }
