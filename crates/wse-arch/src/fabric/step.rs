@@ -31,14 +31,14 @@ impl TileSet {
     }
 
     /// Removes and returns the last member in list order.
-    pub(super) fn pop(&mut self) -> Option<usize> {
+    fn pop(&mut self) -> Option<usize> {
         let i = self.list.pop()?;
         self.member[i] = false;
         Some(i)
     }
 
     /// Removes every member.
-    pub(super) fn clear(&mut self) {
+    fn clear(&mut self) {
         while self.pop().is_some() {}
     }
 
@@ -58,7 +58,7 @@ impl TileSet {
     }
 
     /// The members, in list order.
-    pub(super) fn list(&self) -> &[usize] {
+    fn list(&self) -> &[usize] {
         &self.list
     }
 }
