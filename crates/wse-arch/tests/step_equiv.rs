@@ -212,7 +212,7 @@ type FaultCase = ((u64, u64, u64, u8, u64), (u64, u8, u64));
 /// cycle: an SRAM flip, a dropped flit, a tile kill, a corrupted flit and
 /// a stuck port.
 fn fault_plans() -> impl Strategy<Value = FaultCase> {
-    ((5u64..60, 1u64..80, 1u64..40, 0u8..16, 100u64..250), (1u64..40, 0u8..16, 1u64..120))
+    ((5u64..60, 1u64..80, 1u64..40, 0u8..16, 100u64..250), (1u64..12, 0u8..16, 1u64..24))
 }
 
 /// Fault plans (kills, SRAM flips, link faults, stuck ports) applied to a
