@@ -1,3 +1,7 @@
+//! The batched datapath: one issue per cycle to a round-robin thread, each
+//! issue decoded once and its SIMD group run in one go, and the
+//! classification of a cycle with no issue.
+
 use super::{Core, Observers, MAIN_SLOT, SLOTS};
 use crate::dsr::Descriptor;
 use crate::instr::{Op, TensorInstr};

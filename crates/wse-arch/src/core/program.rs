@@ -1,3 +1,6 @@
+//! The core's program tables — tasks, DSRs, FIFOs and color bindings — with
+//! their builders, read-only views and the disassembler text.
+
 use super::{Core, TaskState};
 use crate::dsr::{Descriptor, Dsr};
 use crate::fifo::Fifo;

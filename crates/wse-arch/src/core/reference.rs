@@ -1,3 +1,8 @@
+//! The per-element datapath: every element re-checks exhaustion and
+//! readiness first. It is the specification the batched datapath is tested
+//! against, the path for issues that datapath declines, and the path the
+//! sanitizer's per-access hooks run on.
+
 use super::{Core, Observers};
 use crate::dsr::Descriptor;
 use crate::instr::{Op, TensorInstr};
