@@ -185,11 +185,9 @@ impl Core {
     /// op ignores, a source used as a destination, mixed element types).
     fn decode(&self, instr: &TensorInstr) -> Option<Issue> {
         let srcs = instr.op.num_srcs();
-        let writes =
-            !matches!(instr.op, Op::MacReg { .. } | Op::SumReg { .. } | Op::LoadReg { .. });
         if instr.a.is_some() != (srcs >= 1)
             || instr.b.is_some() != (srcs == 2)
-            || instr.dst.is_some() != writes
+            || instr.dst.is_some() != instr.op.writes_dst()
             || instr.dst.is_some() && (instr.dst == instr.a || instr.dst == instr.b)
             || instr.a.is_some() && instr.a == instr.b
         {

@@ -134,6 +134,12 @@ impl Op {
         matches!(self, Op::AddAssign | Op::Axpy { .. } | Op::FmaAssign)
     }
 
+    /// `true` if the op writes a destination stream; `MacReg`, `SumReg` and
+    /// `LoadReg` write a register instead.
+    pub fn writes_dst(self) -> bool {
+        !matches!(self, Op::MacReg { .. } | Op::SumReg { .. } | Op::LoadReg { .. })
+    }
+
     /// Number of source operands expected (besides the destination).
     pub fn num_srcs(self) -> usize {
         match self {
@@ -306,6 +312,8 @@ mod tests {
         assert!(Op::AddAssign.reads_dst());
         assert!(Op::Axpy { scalar: 0 }.reads_dst());
         assert!(!Op::Mul.reads_dst());
+        assert!(Op::StoreReg { reg: 0 }.writes_dst());
+        assert!(!Op::SumReg { acc: 0 }.writes_dst());
         assert_eq!(Op::Mul.num_srcs(), 2);
         assert_eq!(Op::Copy.num_srcs(), 1);
         assert_eq!(Op::StoreReg { reg: 0 }.num_srcs(), 0);
