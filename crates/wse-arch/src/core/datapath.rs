@@ -4,11 +4,10 @@
 
 use super::{Core, Observers, MAIN_SLOT, SLOTS};
 use crate::dsr::Descriptor;
-use crate::instr::{Op, TensorInstr};
+use crate::instr::{Elements, Op, TensorInstr};
 use crate::memory::Memory;
 use crate::trace::{StallCause, TraceEventKind};
 use crate::types::{DsrId, Dtype, Flit, SIMD_F16, SIMD_F32, SIMD_MIXED};
-use wse_float::F16;
 
 /// Where one operand of an issue streams from or to, resolved from its DSR
 /// once per issue (`Absent`: the instruction has no such operand). `Mem`
@@ -34,6 +33,53 @@ struct Issue {
     n: u32,
     /// The shortest fixed-length operand is exhausted after `n` elements.
     exhausts: bool,
+}
+
+/// One decoded group, as the op's arithmetic runs over it: per element,
+/// read `a`, read `b`, read the destination's current value if `reads_dst`,
+/// apply the rule and write the result.
+struct Group<'a> {
+    core: &'a mut Core,
+    mem: &'a mut Memory,
+    issue: &'a mut Issue,
+    reads_dst: bool,
+}
+
+impl Elements for Group<'_> {
+    #[inline(always)]
+    fn each(&mut self, mut rule: impl FnMut(u32, u32, u32) -> u32) {
+        let Group { core, mem, issue, reads_dst } = self;
+        let dtype = issue.dtype;
+        let mut onpush = None;
+        for _ in 0..issue.n {
+            let a = core.take(mem, &mut issue.a, dtype);
+            let b = core.take(mem, &mut issue.b, dtype);
+            let cur = match issue.dst {
+                Operand::Mem { addr, .. } if *reads_dst => mem.read_bits(addr, dtype),
+                _ => 0,
+            };
+            let bits = rule(a, b, cur);
+            match &mut issue.dst {
+                Operand::Absent => {}
+                Operand::Mem { addr, step } => {
+                    mem.write_bits(*addr, dtype, bits);
+                    *addr += *step;
+                }
+                Operand::FabricOut { color } => {
+                    core.ramp_out.entry(*color).push_back(Flit { bits, dtype })
+                }
+                Operand::Fifo { fifo } => {
+                    let fifo = &mut core.fifos[*fifo];
+                    mem.write_bits(fifo.push_addr().expect("group sized to fit"), dtype, bits);
+                    onpush = fifo.commit_push();
+                }
+                Operand::FabricIn { .. } => unreachable!("rejected by decode"),
+            }
+        }
+        if let Some(task) = onpush {
+            core.flag_task(task, |t| t.activated = true);
+        }
+    }
 }
 
 impl Core {
@@ -294,172 +340,30 @@ impl Core {
 
     /// Runs the `issue.n` elements of one group with the op dispatched once.
     fn run_group(&mut self, mem: &mut Memory, op: Op, issue: &mut Issue) {
-        let n = issue.n as u64;
-        let h = |bits: u32| F16::from_bits(bits as u16);
-        let h_out = |v: F16| v.to_bits() as u32;
-        match (op, issue.dtype) {
-            (Op::Copy, _) => self.stream(mem, issue, false, |a, _, _| a),
-            (Op::Add, Dtype::F16) => {
-                self.stream(mem, issue, false, |a, b, _| h_out(h(a) + h(b)));
-                self.perf.flops_f16 += n;
-            }
-            (Op::Add, Dtype::F32) => {
-                self.stream(mem, issue, false, |a, b, _| {
-                    (f32::from_bits(a) + f32::from_bits(b)).to_bits()
-                });
-                self.perf.flops_f32 += n;
-            }
-            (Op::Mul, Dtype::F16) => {
-                self.stream(mem, issue, false, |a, b, _| h_out(h(a) * h(b)));
-                self.perf.flops_f16 += n;
-            }
-            (Op::Mul, Dtype::F32) => {
-                self.stream(mem, issue, false, |a, b, _| {
-                    (f32::from_bits(a) * f32::from_bits(b)).to_bits()
-                });
-                self.perf.flops_f32 += n;
-            }
-            (Op::AddAssign, Dtype::F16) => {
-                self.stream(mem, issue, true, |a, _, cur| h_out(h(cur) + h(a)));
-                self.perf.flops_f16 += n;
-            }
-            (Op::AddAssign, Dtype::F32) => {
-                self.stream(mem, issue, true, |a, _, cur| {
-                    (f32::from_bits(cur) + f32::from_bits(a)).to_bits()
-                });
-                self.perf.flops_f32 += n;
-            }
-            (Op::FmaAssign, Dtype::F16) => {
-                self.stream(mem, issue, true, |a, b, cur| {
-                    h_out(wse_float::fma16(h(a), h(b), h(cur)))
-                });
-                self.perf.flops_f16 += 2 * n;
-            }
-            (Op::FmaAssign, Dtype::F32) => {
-                self.stream(mem, issue, true, |a, b, cur| {
-                    f32::from_bits(a).mul_add(f32::from_bits(b), f32::from_bits(cur)).to_bits()
-                });
-                self.perf.flops_f32 += 2 * n;
-            }
-            (Op::Xpay { scalar }, Dtype::F16) => {
-                let s = F16::from_f32(self.regs[scalar as usize]);
-                self.stream(mem, issue, false, |a, b, _| h_out(wse_float::fma16(s, h(b), h(a))));
-                self.perf.flops_f16 += 2 * n;
-            }
-            (Op::Xpay { scalar }, Dtype::F32) => {
-                let s = self.regs[scalar as usize];
-                self.stream(mem, issue, false, |a, b, _| {
-                    s.mul_add(f32::from_bits(b), f32::from_bits(a)).to_bits()
-                });
-                self.perf.flops_f32 += 2 * n;
-            }
-            (Op::Axpy { scalar }, Dtype::F16) => {
-                let s = F16::from_f32(self.regs[scalar as usize]);
-                self.stream(mem, issue, true, |a, _, cur| h_out(wse_float::fma16(s, h(a), h(cur))));
-                self.perf.flops_f16 += 2 * n;
-            }
-            (Op::Axpy { scalar }, Dtype::F32) => {
-                let s = self.regs[scalar as usize];
-                self.stream(mem, issue, true, |a, _, cur| {
-                    s.mul_add(f32::from_bits(a), f32::from_bits(cur)).to_bits()
-                });
-                self.perf.flops_f32 += 2 * n;
-            }
-            (Op::Scale { scalar }, Dtype::F16) => {
-                let s = F16::from_f32(self.regs[scalar as usize]);
-                self.stream(mem, issue, false, |a, _, _| h_out(s * h(a)));
-                self.perf.flops_f16 += n;
-            }
-            (Op::Scale { scalar }, Dtype::F32) => {
-                let s = self.regs[scalar as usize];
-                self.stream(mem, issue, false, |a, _, _| (s * f32::from_bits(a)).to_bits());
-                self.perf.flops_f32 += n;
-            }
-            (Op::MacReg { acc }, _) => {
-                let mut sum = self.regs[acc as usize];
-                self.stream(mem, issue, false, |a, b, _| {
-                    sum += h(a).to_f32() * h(b).to_f32();
-                    0
-                });
-                self.regs[acc as usize] = sum;
-                self.perf.flops_f16 += n; // the multiplies
-                self.perf.flops_f32 += n; // the accumulates
-            }
-            (Op::SumReg { acc }, dtype) => {
-                let mut sum = self.regs[acc as usize];
-                self.stream(mem, issue, false, |a, _, _| {
-                    sum += match dtype {
-                        Dtype::F32 => f32::from_bits(a),
-                        Dtype::F16 => h(a).to_f32(),
-                    };
-                    0
-                });
-                self.regs[acc as usize] = sum;
-                self.perf.flops_f32 += n;
-            }
-            (Op::StoreReg { reg }, dtype) => {
-                let bits = match dtype {
-                    Dtype::F32 => self.regs[reg as usize].to_bits(),
-                    Dtype::F16 => h_out(F16::from_f32(self.regs[reg as usize])),
-                };
-                self.stream(mem, issue, false, |_, _, _| bits);
-            }
-            (Op::LoadReg { reg }, dtype) => {
-                let mut last = 0;
-                self.stream(mem, issue, false, |a, _, _| {
-                    last = a;
-                    0
-                });
-                self.regs[reg as usize] = match dtype {
-                    Dtype::F32 => f32::from_bits(last),
-                    Dtype::F16 => h(last).to_f32(),
-                };
-            }
-        }
+        let (dtype, n, reads_dst) = (issue.dtype, issue.n, op.reads_dst());
+        self.arith(op, dtype, n, |core, reg| {
+            op.apply(dtype, reg, &mut Group { core, mem, issue, reads_dst })
+        });
     }
 
-    /// The element loop of one group: per element, read `a`, read `b`, read
-    /// the destination's current value if `reads_dst`, apply `f(a, b, cur)`
-    /// and write the result (absent operands read as 0; a result with no
-    /// destination is dropped).
-    #[inline(always)]
-    fn stream(
+    /// Runs `n` elements of `op` at `dtype` through `run`, which gets the
+    /// op's register ([`Op::reg`]; 0 when it names none) to read and
+    /// update; then stores the register back and counts the flops.
+    pub(super) fn arith(
         &mut self,
-        mem: &mut Memory,
-        issue: &mut Issue,
-        reads_dst: bool,
-        mut f: impl FnMut(u32, u32, u32) -> u32,
+        op: Op,
+        dtype: Dtype,
+        n: u32,
+        run: impl FnOnce(&mut Core, &mut f32),
     ) {
-        let dtype = issue.dtype;
-        let mut onpush = None;
-        for _ in 0..issue.n {
-            let a = self.take(mem, &mut issue.a, dtype);
-            let b = self.take(mem, &mut issue.b, dtype);
-            let cur = match issue.dst {
-                Operand::Mem { addr, .. } if reads_dst => mem.read_bits(addr, dtype),
-                _ => 0,
-            };
-            let bits = f(a, b, cur);
-            match &mut issue.dst {
-                Operand::Absent => {}
-                Operand::Mem { addr, step } => {
-                    mem.write_bits(*addr, dtype, bits);
-                    *addr += *step;
-                }
-                Operand::FabricOut { color } => {
-                    self.ramp_out.entry(*color).push_back(Flit { bits, dtype })
-                }
-                Operand::Fifo { fifo } => {
-                    let fifo = &mut self.fifos[*fifo];
-                    mem.write_bits(fifo.push_addr().expect("group sized to fit"), dtype, bits);
-                    onpush = fifo.commit_push();
-                }
-                Operand::FabricIn { .. } => unreachable!("rejected by decode"),
-            }
+        let mut reg = op.reg().map_or(0.0, |r| self.regs[r as usize]);
+        run(self, &mut reg);
+        if let Some(r) = op.reg() {
+            self.regs[r as usize] = reg;
         }
-        if let Some(task) = onpush {
-            self.flag_task(task, |t| t.activated = true);
-        }
+        let (f16, f32) = op.flops(dtype);
+        self.perf.flops_f16 += f16 * n as u64;
+        self.perf.flops_f32 += f32 * n as u64;
     }
 
     /// Reads one element from a decoded source, advancing it (0 from an

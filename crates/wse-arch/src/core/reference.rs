@@ -5,10 +5,9 @@
 
 use super::{Core, Observers};
 use crate::dsr::Descriptor;
-use crate::instr::{Op, TensorInstr};
+use crate::instr::{Elements, Op, TensorInstr};
 use crate::memory::Memory;
 use crate::types::{DsrId, Dtype, Flit, TaskId};
-use wse_float::F16;
 
 impl Core {
     /// Element dtype governing an instruction (destination wins; register
@@ -209,7 +208,9 @@ impl Core {
         }
     }
 
-    /// Executes one element of `instr`.
+    /// Executes one element of `instr`: reads the operands the op uses,
+    /// runs its arithmetic at the first source's element type (`dtype` when
+    /// it has none) and writes the result.
     fn execute_element(
         &mut self,
         mem: &mut Memory,
@@ -217,176 +218,43 @@ impl Core {
         dtype: Dtype,
         obs: &mut Observers,
     ) {
-        let mut activation = None;
-        match instr.op {
-            Op::Copy => {
-                let (bits, dt) = self.read_src(mem, instr.a.expect("copy src"), obs);
-                activation = self.write_dst(mem, instr.dst.expect("copy dst"), bits, dt, obs);
-            }
-            Op::Add | Op::Mul => {
-                let (ab, dt) = self.read_src(mem, instr.a.expect("src a"), obs);
-                let (bb, dt2) = self.read_src(mem, instr.b.expect("src b"), obs);
-                debug_assert_eq!(dt, dt2, "mixed-dtype binary op");
-                let bits = match dt {
-                    Dtype::F16 => {
-                        let (x, y) = (F16::from_bits(ab as u16), F16::from_bits(bb as u16));
-                        let r = if matches!(instr.op, Op::Add) { x + y } else { x * y };
-                        self.perf.flops_f16 += 1;
-                        r.to_bits() as u32
-                    }
-                    Dtype::F32 => {
-                        let (x, y) = (f32::from_bits(ab), f32::from_bits(bb));
-                        let r = if matches!(instr.op, Op::Add) { x + y } else { x * y };
-                        self.perf.flops_f32 += 1;
-                        r.to_bits()
-                    }
-                };
-                activation = self.write_dst(mem, instr.dst.expect("dst"), bits, dt, obs);
-            }
-            Op::AddAssign => {
-                let dst = instr.dst.expect("dst");
-                let cur = self.peek_dst(mem, dst);
-                let (ab, dt) = self.read_src(mem, instr.a.expect("src a"), obs);
-                let bits = match dt {
-                    Dtype::F16 => {
-                        let r = F16::from_bits(cur as u16) + F16::from_bits(ab as u16);
-                        self.perf.flops_f16 += 1;
-                        r.to_bits() as u32
-                    }
-                    Dtype::F32 => {
-                        let r = f32::from_bits(cur) + f32::from_bits(ab);
-                        self.perf.flops_f32 += 1;
-                        r.to_bits()
-                    }
-                };
-                activation = self.write_dst(mem, dst, bits, dt, obs);
-            }
-            Op::FmaAssign => {
-                let dst = instr.dst.expect("dst");
-                let cur = self.peek_dst(mem, dst);
-                let (ab, dta) = self.read_src(mem, instr.a.expect("src a"), obs);
-                let (bb, dtb) = self.read_src(mem, instr.b.expect("src b"), obs);
-                debug_assert_eq!(dta, dtb, "mixed-dtype fma");
-                let bits = match dta {
-                    Dtype::F16 => {
-                        let r = wse_float::fma16(
-                            F16::from_bits(ab as u16),
-                            F16::from_bits(bb as u16),
-                            F16::from_bits(cur as u16),
-                        );
-                        self.perf.flops_f16 += 2;
-                        r.to_bits() as u32
-                    }
-                    Dtype::F32 => {
-                        let r = f32::from_bits(ab).mul_add(f32::from_bits(bb), f32::from_bits(cur));
-                        self.perf.flops_f32 += 2;
-                        r.to_bits()
-                    }
-                };
-                activation = self.write_dst(mem, dst, bits, dta, obs);
-            }
-            Op::Xpay { scalar } => {
-                let (ab, dta) = self.read_src(mem, instr.a.expect("src a"), obs);
-                let (bb, dtb) = self.read_src(mem, instr.b.expect("src b"), obs);
-                debug_assert_eq!(dta, dtb, "mixed-dtype xpay");
-                let bits = match dta {
-                    Dtype::F16 => {
-                        let s = F16::from_f32(self.regs[scalar as usize]);
-                        let r = wse_float::fma16(
-                            s,
-                            F16::from_bits(bb as u16),
-                            F16::from_bits(ab as u16),
-                        );
-                        self.perf.flops_f16 += 2;
-                        r.to_bits() as u32
-                    }
-                    Dtype::F32 => {
-                        let r = self.regs[scalar as usize]
-                            .mul_add(f32::from_bits(bb), f32::from_bits(ab));
-                        self.perf.flops_f32 += 2;
-                        r.to_bits()
-                    }
-                };
-                activation = self.write_dst(mem, instr.dst.expect("dst"), bits, dta, obs);
-            }
-            Op::Axpy { scalar } => {
-                let dst = instr.dst.expect("dst");
-                let cur = self.peek_dst(mem, dst);
-                let (ab, dt) = self.read_src(mem, instr.a.expect("src a"), obs);
-                let bits = match dt {
-                    Dtype::F16 => {
-                        let s = F16::from_f32(self.regs[scalar as usize]);
-                        let r = wse_float::fma16(
-                            s,
-                            F16::from_bits(ab as u16),
-                            F16::from_bits(cur as u16),
-                        );
-                        self.perf.flops_f16 += 2;
-                        r.to_bits() as u32
-                    }
-                    Dtype::F32 => {
-                        let r = self.regs[scalar as usize]
-                            .mul_add(f32::from_bits(ab), f32::from_bits(cur));
-                        self.perf.flops_f32 += 2;
-                        r.to_bits()
-                    }
-                };
-                activation = self.write_dst(mem, dst, bits, dt, obs);
-            }
-            Op::Scale { scalar } => {
-                let (ab, dt) = self.read_src(mem, instr.a.expect("src a"), obs);
-                let bits = match dt {
-                    Dtype::F16 => {
-                        let r =
-                            F16::from_f32(self.regs[scalar as usize]) * F16::from_bits(ab as u16);
-                        self.perf.flops_f16 += 1;
-                        r.to_bits() as u32
-                    }
-                    Dtype::F32 => {
-                        let r = self.regs[scalar as usize] * f32::from_bits(ab);
-                        self.perf.flops_f32 += 1;
-                        r.to_bits()
-                    }
-                };
-                activation = self.write_dst(mem, instr.dst.expect("dst"), bits, dt, obs);
-            }
-            Op::MacReg { acc } => {
-                let (ab, dta) = self.read_src(mem, instr.a.expect("src a"), obs);
-                let (bb, dtb) = self.read_src(mem, instr.b.expect("src b"), obs);
-                debug_assert_eq!(dta, Dtype::F16, "mixed mac sources are fp16");
-                debug_assert_eq!(dtb, Dtype::F16, "mixed mac sources are fp16");
-                let prod = F16::from_bits(ab as u16).to_f32() * F16::from_bits(bb as u16).to_f32();
-                self.regs[acc as usize] += prod;
-                self.perf.flops_f16 += 1; // the multiply
-                self.perf.flops_f32 += 1; // the accumulate
-            }
-            Op::SumReg { acc } => {
-                let (ab, dt) = self.read_src(mem, instr.a.expect("src a"), obs);
-                let v = match dt {
-                    Dtype::F32 => f32::from_bits(ab),
-                    Dtype::F16 => F16::from_bits(ab as u16).to_f32(),
-                };
-                self.regs[acc as usize] += v;
-                self.perf.flops_f32 += 1;
-            }
-            Op::StoreReg { reg } => {
-                let v = self.regs[reg as usize];
-                let bits = match dtype {
-                    Dtype::F32 => v.to_bits(),
-                    Dtype::F16 => F16::from_f32(v).to_bits() as u32,
-                };
-                activation = self.write_dst(mem, instr.dst.expect("dst"), bits, dtype, obs);
-            }
-            Op::LoadReg { reg } => {
-                let (ab, dt) = self.read_src(mem, instr.a.expect("src a"), obs);
-                self.regs[reg as usize] = match dt {
-                    Dtype::F32 => f32::from_bits(ab),
-                    Dtype::F16 => F16::from_bits(ab as u16).to_f32(),
-                };
+        let op = instr.op;
+        let mut el = Element { a: 0, b: 0, cur: 0, out: 0 };
+        if op.reads_dst() {
+            el.cur = self.peek_dst(mem, instr.dst.expect("dst"));
+        }
+        let mut dt = dtype;
+        if op.num_srcs() >= 1 {
+            (el.a, dt) = self.read_src(mem, instr.a.expect("src a"), obs);
+        }
+        if op.num_srcs() == 2 {
+            let (b, dtb) = self.read_src(mem, instr.b.expect("src b"), obs);
+            debug_assert_eq!(dt, dtb, "mixed-dtype {op:?}");
+            el.b = b;
+        }
+        debug_assert!(
+            !matches!(op, Op::MacReg { .. }) || dt == Dtype::F16,
+            "mixed mac sources are fp16"
+        );
+        self.arith(op, dt, 1, |_, reg| op.apply(dt, reg, &mut el));
+        if op.writes_dst() {
+            if let Some(task) = self.write_dst(mem, instr.dst.expect("dst"), el.out, dt, obs) {
+                self.flag_task(task, |t| t.activated = true);
             }
         }
-        if let Some(task) = activation {
-            self.flag_task(task, |t| t.activated = true);
-        }
+    }
+}
+
+/// One element's operand bits, and the result the op's arithmetic gives.
+struct Element {
+    a: u32,
+    b: u32,
+    cur: u32,
+    out: u32,
+}
+
+impl Elements for Element {
+    fn each(&mut self, mut rule: impl FnMut(u32, u32, u32) -> u32) {
+        self.out = rule(self.a, self.b, self.cur);
     }
 }

@@ -7,7 +7,9 @@
 //! independent threads."
 
 use crate::dsr::Descriptor;
-use crate::types::{Color, DsrId, Reg, TaskId};
+use crate::types::{Color, DsrId, Dtype, Reg, TaskId};
+use std::ops::{Add, Mul};
+use wse_float::F16;
 
 /// The arithmetic performed per element pair.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -152,6 +154,133 @@ impl Op {
             Op::Add | Op::Mul | Op::MacReg { .. } | Op::FmaAssign | Op::Xpay { .. } => 2,
             Op::StoreReg { .. } => 0,
         }
+    }
+
+    /// The register the op names: a scalar multiplier, an accumulator, or
+    /// the register a stream is stored from or loaded into.
+    pub fn reg(self) -> Option<Reg> {
+        match self {
+            Op::Xpay { scalar } | Op::Axpy { scalar } | Op::Scale { scalar } => Some(scalar),
+            Op::MacReg { acc } | Op::SumReg { acc } => Some(acc),
+            Op::StoreReg { reg } | Op::LoadReg { reg } => Some(reg),
+            Op::Copy | Op::Add | Op::AddAssign | Op::Mul | Op::FmaAssign => None,
+        }
+    }
+
+    /// Floating-point operations per element at element type `dtype`, as
+    /// `(fp16, fp32)`.
+    pub fn flops(self, dtype: Dtype) -> (u64, u64) {
+        let n = match self {
+            Op::Copy | Op::StoreReg { .. } | Op::LoadReg { .. } => 0,
+            Op::Add | Op::AddAssign | Op::Mul | Op::Scale { .. } => 1,
+            Op::FmaAssign | Op::Xpay { .. } | Op::Axpy { .. } => 2,
+            // An fp16 multiply and an fp32 accumulate, at either type.
+            Op::MacReg { .. } => return (1, 1),
+            Op::SumReg { .. } => return (0, 1),
+        };
+        match dtype {
+            Dtype::F16 => (n, 0),
+            Dtype::F32 => (0, n),
+        }
+    }
+
+    /// Runs the op's arithmetic at element type `dtype` over `elems`; `reg`
+    /// is the value of [`Op::reg`], which `MacReg`, `SumReg` and `LoadReg`
+    /// update. The op is dispatched once, outside the element loop.
+    pub(crate) fn apply(self, dtype: Dtype, reg: &mut f32, elems: &mut impl Elements) {
+        match dtype {
+            Dtype::F16 => self.apply_in::<F16>(reg, elems),
+            Dtype::F32 => self.apply_in::<f32>(reg, elems),
+        }
+    }
+
+    /// [`Op::apply`] in lane type `L`: the one definition of each op's
+    /// result bits from `(a, b, current dst, register)`.
+    #[inline(always)]
+    fn apply_in<L: Lane>(self, reg: &mut f32, elems: &mut impl Elements) {
+        let (s, x) = (L::from_reg(*reg), L::of);
+        match self {
+            Op::Copy => elems.each(|a, _, _| a),
+            Op::Add => elems.each(|a, b, _| (x(a) + x(b)).bits()),
+            Op::AddAssign => elems.each(|a, _, cur| (x(cur) + x(a)).bits()),
+            Op::Mul => elems.each(|a, b, _| (x(a) * x(b)).bits()),
+            Op::FmaAssign => elems.each(|a, b, cur| L::fma(x(a), x(b), x(cur)).bits()),
+            Op::Xpay { .. } => elems.each(|a, b, _| L::fma(s, x(b), x(a)).bits()),
+            Op::Axpy { .. } => elems.each(|a, _, cur| L::fma(s, x(a), x(cur)).bits()),
+            Op::Scale { .. } => elems.each(|a, _, _| (s * x(a)).bits()),
+            // fp16 products are exact in fp32; only the sum rounds.
+            Op::MacReg { .. } => elems.each(|a, b, _| {
+                *reg += F16::of(a).to_reg() * F16::of(b).to_reg();
+                0
+            }),
+            Op::SumReg { .. } => elems.each(|a, _, _| {
+                *reg += x(a).to_reg();
+                0
+            }),
+            Op::StoreReg { .. } => elems.each(|_, _, _| s.bits()),
+            // The last element sticks.
+            Op::LoadReg { .. } => elems.each(|a, _, _| {
+                *reg = x(a).to_reg();
+                0
+            }),
+        }
+    }
+}
+
+/// The elements an op's arithmetic runs over: one SIMD group on the
+/// batched datapath, one element on the per-element one.
+pub(crate) trait Elements {
+    /// Applies `rule(a, b, cur)` to each element in order — `a` and `b` the
+    /// sources' bits (0 when absent), `cur` the destination's current bits
+    /// (0 unless the op reads it) — and writes the result to the
+    /// destination (dropped when there is none).
+    fn each(&mut self, rule: impl FnMut(u32, u32, u32) -> u32);
+}
+
+/// A datapath element type: its bits, its conversions from and to an fp32
+/// register, and its fused multiply-add.
+trait Lane: Copy + Add<Output = Self> + Mul<Output = Self> {
+    fn of(bits: u32) -> Self;
+    fn bits(self) -> u32;
+    fn from_reg(v: f32) -> Self;
+    fn to_reg(self) -> f32;
+    /// `a · b + c`, rounded once.
+    fn fma(a: Self, b: Self, c: Self) -> Self;
+}
+
+impl Lane for F16 {
+    fn of(bits: u32) -> F16 {
+        F16::from_bits(bits as u16)
+    }
+    fn bits(self) -> u32 {
+        self.to_bits() as u32
+    }
+    fn from_reg(v: f32) -> F16 {
+        F16::from_f32(v)
+    }
+    fn to_reg(self) -> f32 {
+        self.to_f32()
+    }
+    fn fma(a: F16, b: F16, c: F16) -> F16 {
+        wse_float::fma16(a, b, c)
+    }
+}
+
+impl Lane for f32 {
+    fn of(bits: u32) -> f32 {
+        f32::from_bits(bits)
+    }
+    fn bits(self) -> u32 {
+        self.to_bits()
+    }
+    fn from_reg(v: f32) -> f32 {
+        v
+    }
+    fn to_reg(self) -> f32 {
+        self
+    }
+    fn fma(a: f32, b: f32, c: f32) -> f32 {
+        a.mul_add(b, c)
     }
 }
 
