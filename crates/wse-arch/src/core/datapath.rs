@@ -2,6 +2,7 @@
 //! issue decoded once and its SIMD group run in one go, and the
 //! classification of a cycle with no issue.
 
+use super::reference::Supply;
 use super::{Core, Observers, MAIN_SLOT, SLOTS};
 use crate::dsr::Descriptor;
 use crate::instr::{Elements, Op, TensorInstr};
@@ -172,17 +173,13 @@ impl Core {
         let (mut fifo_wait, mut backpressured, mut starved) = (false, false, 0u32);
         for instr in self.active_instrs() {
             for id in [instr.a, instr.b].into_iter().flatten() {
-                match self.dsrs[id as usize].desc {
-                    Descriptor::FabricIn { color, .. }
-                        if self.ramp_in[color as usize].is_empty() =>
-                    {
+                match self.supply(id) {
+                    Supply::ColorEmpty(color) => {
                         fifo_wait = true;
                         starved |= 1 << color;
                     }
-                    Descriptor::Fifo { fifo } if self.fifos[fifo as usize].is_empty() => {
-                        fifo_wait = true;
-                    }
-                    _ => {}
+                    Supply::FifoEmpty => fifo_wait = true,
+                    Supply::Ready | Supply::Unreadable => {}
                 }
             }
             backpressured |= !self.dst_ready(instr);

@@ -7,7 +7,7 @@ use super::{Core, Observers};
 use crate::dsr::Descriptor;
 use crate::instr::{Elements, Op, TensorInstr};
 use crate::memory::Memory;
-use crate::types::{DsrId, Dtype, Flit, TaskId};
+use crate::types::{Color, DsrId, Dtype, Flit, TaskId};
 
 impl Core {
     /// Element dtype governing an instruction (destination wins; register
@@ -81,34 +81,29 @@ impl Core {
     }
 
     fn fifo_source_empty(&self, instr: &TensorInstr) -> bool {
-        for id in [instr.a, instr.b].into_iter().flatten() {
-            if let Descriptor::Fifo { fifo } = self.dsrs[id as usize].desc {
-                if self.fifos[fifo as usize].is_empty() {
-                    return true;
-                }
-            }
-        }
-        false
+        [instr.a, instr.b].into_iter().flatten().any(|id| self.supply(id) == Supply::FifoEmpty)
     }
 
     fn sources_ready(&self, instr: &TensorInstr) -> bool {
-        for id in [instr.a, instr.b].into_iter().flatten() {
-            match self.dsrs[id as usize].desc {
-                Descriptor::Mem { .. } => {}
-                Descriptor::FabricIn { color, .. } => {
-                    if self.ramp_in[color as usize].is_empty() {
-                        return false;
-                    }
-                }
-                Descriptor::FabricOut { .. } => panic!("FabricOut used as a source"),
-                Descriptor::Fifo { fifo } => {
-                    if self.fifos[fifo as usize].is_empty() {
-                        return false;
-                    }
-                }
+        [instr.a, instr.b].into_iter().flatten().all(|id| match self.supply(id) {
+            Supply::Ready => true,
+            Supply::ColorEmpty(_) | Supply::FifoEmpty => false,
+            Supply::Unreadable => panic!("FabricOut used as a source"),
+        })
+    }
+
+    /// Whether source `id` can give an element now.
+    pub(super) fn supply(&self, id: DsrId) -> Supply {
+        match self.dsrs[id as usize].desc {
+            Descriptor::Mem { .. } => Supply::Ready,
+            Descriptor::FabricIn { color, .. } if self.ramp_in[color as usize].is_empty() => {
+                Supply::ColorEmpty(color)
             }
+            Descriptor::FabricIn { .. } => Supply::Ready,
+            Descriptor::FabricOut { .. } => Supply::Unreadable,
+            Descriptor::Fifo { fifo } if self.fifos[fifo as usize].is_empty() => Supply::FifoEmpty,
+            Descriptor::Fifo { .. } => Supply::Ready,
         }
-        true
     }
 
     pub(super) fn dst_ready(&self, instr: &TensorInstr) -> bool {
@@ -243,6 +238,19 @@ impl Core {
             }
         }
     }
+}
+
+/// Whether a source operand can give an element now.
+#[derive(Copy, Clone, PartialEq, Eq)]
+pub(super) enum Supply {
+    /// An element is ready (a memory source always has one).
+    Ready,
+    /// Starved: the fabric color's ramp-in queue is empty.
+    ColorEmpty(Color),
+    /// Starved: the FIFO is empty.
+    FifoEmpty,
+    /// A fabric output, which cannot be read.
+    Unreadable,
 }
 
 /// One element's operand bits, and the result the op's arithmetic gives.
