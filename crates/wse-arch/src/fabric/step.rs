@@ -281,44 +281,34 @@ impl Fabric {
             let StepScratch { staged, stagers, dest } = scratch;
             // Armed one-shot link faults intercept flits in flight: the
             // first flit leaving the chosen (tile, port) is corrupted or
-            // dropped. Scan in ascending tile order — the order the
-            // reference delivery loop encounters flits.
-            if let Some(fs) = faults.as_deref_mut() {
-                for (i, buf) in staged.iter_mut().enumerate() {
-                    if fs.pending_links.is_empty() {
-                        break;
-                    }
-                    let mut k = 0;
-                    while k < buf.len() {
-                        let s = &mut buf[k];
-                        if !fs.strike_link(i, s.out, &mut s.flit) {
-                            k += 1;
-                            continue;
-                        }
-                        // The flit vanishes on the wire: the queue it was
-                        // headed for keeps its slot, so the sender gets the
-                        // credit back, and the credit its forwarding freed
-                        // is returned here and now.
-                        let s = buf.remove(k);
-                        if s.out != Port::Ramp {
-                            tiles[i].router.return_credit(s.out, s.color);
-                        }
-                        if let Some((ui, out)) = links.upstream(i, s.freed) {
-                            tiles[ui].router.return_credit(out, s.color);
-                        }
-                    }
-                }
+            // dropped. Which of two faults on one port strikes first can
+            // hang on the order they are struck in, so while one is pending
+            // the stagers go in ascending tile order, as the reference
+            // delivers. Otherwise each (dest, in-port, color) queue has
+            // exactly one source tile, and cross-tile order is immaterial.
+            let mut faults = faults.as_deref_mut().filter(|fs| !fs.pending_links.is_empty());
+            if faults.is_some() {
+                stagers.sort_unstable();
             }
-            // Push each stager's flits to their destinations. Each (dest,
-            // in-port, color) queue has exactly one source tile, so
-            // cross-tile delivery order is immaterial.
             for &si in stagers.iter() {
                 let mut k = 0;
                 while k < staged[si].len() {
-                    let s = staged[si][k];
+                    let mut s = staged[si][k];
                     k += 1;
                     if let Some((ui, out)) = links.upstream(si, s.freed) {
                         tiles[ui].router.return_credit(out, s.color);
+                    }
+                    if faults
+                        .as_deref_mut()
+                        .is_some_and(|fs| fs.strike_link(si, s.out, &mut s.flit))
+                    {
+                        // The flit vanishes on the wire: the queue it was
+                        // headed for keeps its slot, so the sender gets the
+                        // credit back.
+                        if s.out != Port::Ramp {
+                            tiles[si].router.return_credit(s.out, s.color);
+                        }
+                        continue;
                     }
                     let di = match s.out {
                         Port::Ramp => {
