@@ -233,6 +233,12 @@ fn fault_plan_steps_identically(
         let addr = f.tile_mut(2, 1).mem.alloc_vec(4, Dtype::F16).unwrap();
         f.arm_faults(
             &FaultPlan::new()
+                // The row-0 stream crosses (1,0) East in its first dozen
+                // cycles too, where it may meet the drop on the same port.
+                .with(
+                    corrupt_at,
+                    FaultKind::LinkCorrupt { x: 1, y: 0, port: Port::East, bit: corrupt_bit },
+                )
                 .with(flip_at, FaultKind::SramBitFlip { x: 2, y: 1, addr, bit })
                 .with(drop_at, FaultKind::LinkDrop { x: 1, y: 0, port: Port::East })
                 .with(kill_at, FaultKind::TileKill { x: 2, y: 0 })
@@ -541,6 +547,38 @@ fn a_flit_lost_on_the_wire_keeps_the_link_at_full_depth() {
     assert_eq!(opt.fault_log().unwrap().dropped_flits, 1);
     assert!(opt.perf().backpressure_total() > 50, "the path must have backed up");
     assert_eq!(opt.tile(1, 0).router.queued(), 0, "everything that survived was delivered");
+}
+
+#[test]
+fn link_faults_strike_in_ascending_tile_order() {
+    // Two streams cross (2,0) East and (1,1) East in the same cycles. Three
+    // one-shot faults arm at once: a drop on the lower-index tile (2,0),
+    // then a drop and a corruption on (1,1). Struck in ascending tile
+    // order, (2,0)'s drop is spent first, and its swap-remove moves (1,1)'s
+    // corruption ahead of (1,1)'s drop: the first flit through (1,1) East
+    // is corrupted and the next one lost. Struck the other way round, that
+    // first flit would be the one lost, and the receiver's SRAM would differ.
+    let data: Vec<F16> = (0..24).map(|i| F16::from_f64((i % 9) as f64)).collect();
+    let build = || {
+        let mut f = Fabric::new(4, 2);
+        route_xy(&mut f, (0, 1), (3, 1), 2);
+        install_stream(&mut f, (0, 1), (3, 1), 2, &data);
+        route_xy(&mut f, (0, 0), (3, 0), 1);
+        install_stream(&mut f, (0, 0), (3, 0), 1, &data);
+        f.arm_faults(
+            &FaultPlan::new()
+                .with(4, FaultKind::LinkDrop { x: 2, y: 0, port: Port::East })
+                .with(4, FaultKind::LinkDrop { x: 1, y: 1, port: Port::East })
+                .with(4, FaultKind::LinkCorrupt { x: 1, y: 1, port: Port::East, bit: 3 }),
+        );
+        f
+    };
+    let (opt, reference) = lockstep(build, 80);
+    for f in [&opt, &reference] {
+        let log = f.fault_log().unwrap();
+        assert_eq!(log.applied.len(), 3);
+        assert_eq!((log.dropped_flits, log.corrupted_flits), (2, 1), "all three must fire");
+    }
 }
 
 #[test]
