@@ -11,6 +11,7 @@
 //! the one it must get right itself (two DSRs over overlapping memory).
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use wse_arch::dsr::Descriptor;
 use wse_arch::fifo::Fifo;
 use wse_arch::instr::{Op, Stmt, Task, TaskAction, TensorInstr};
@@ -308,35 +309,70 @@ fn run(case: &Case) -> Result<(), String> {
     Ok(())
 }
 
+/// One drawn case, as `(shape, lens, queues, synchronous, seed)`.
+type Draw = (
+    (usize, usize, usize, usize, usize, usize),
+    (u32, u32, u32),
+    (usize, usize, u32, u64),
+    u8,
+    u64,
+);
+
+fn draws() -> impl Strategy<Value = Draw> {
+    (
+        (0usize..12, 0usize..2, 0usize..4, 0usize..4, 0usize..4, 0usize..6),
+        (0u32..10, 0u32..10, 0u32..10),
+        (0usize..9, 0usize..9, 0u32..7, 1u64..5),
+        0u8..2,
+        0u64..1000,
+    )
+}
+
+/// Builds a [`Draw`]'s case and runs it under both datapaths.
+fn datapath_matches((shape, lens, queues, synchronous, seed): Draw) -> Result<(), TestCaseError> {
+    let op = OPS[shape.0];
+    // The mixed-precision MAC is an fp16 instruction.
+    let dtype =
+        if shape.1 == 0 || matches!(op, Op::MacReg { .. }) { Dtype::F16 } else { Dtype::F32 };
+    let case = Case {
+        op,
+        dtype,
+        kinds: [KINDS[shape.2], KINDS[shape.3], KINDS[shape.4]],
+        lens: [lens.0, lens.1, lens.2],
+        alias: ALIASES[shape.5],
+        // Paired sources are fed in pairs (see `Alias`).
+        queued: [
+            if ALIASES[shape.5] == Alias::SameColor { queues.0 & !1 } else { queues.0 },
+            queues.1,
+        ],
+        fifo_fill: if ALIASES[shape.5] == Alias::SameSourceFifo { queues.2 & !1 } else { queues.2 },
+        drain_every: queues.3,
+        synchronous: synchronous == 1,
+        seed,
+    };
+    let outcome = run(&case);
+    prop_assert!(outcome.is_ok(), "{}\n{:?}", outcome.unwrap_err(), case);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(768))]
 
     #[test]
-    fn batched_datapath_matches_per_element(
-        shape in (0usize..12, 0usize..2, 0usize..4, 0usize..4, 0usize..4, 0usize..6),
-        lens in (0u32..10, 0u32..10, 0u32..10),
-        queues in (0usize..9, 0usize..9, 0u32..7, 1u64..5),
-        synchronous in 0u8..2,
-        seed in 0u64..1000,
-    ) {
-        let op = OPS[shape.0];
-        // The mixed-precision MAC is an fp16 instruction.
-        let dtype = if shape.1 == 0 || matches!(op, Op::MacReg { .. }) { Dtype::F16 } else { Dtype::F32 };
-        let case = Case {
-            op,
-            dtype,
-            kinds: [KINDS[shape.2], KINDS[shape.3], KINDS[shape.4]],
-            lens: [lens.0, lens.1, lens.2],
-            alias: ALIASES[shape.5],
-            // Paired sources are fed in pairs (see `Alias`).
-            queued: [if ALIASES[shape.5] == Alias::SameColor { queues.0 & !1 } else { queues.0 }, queues.1],
-            fifo_fill: if ALIASES[shape.5] == Alias::SameSourceFifo { queues.2 & !1 } else { queues.2 },
-            drain_every: queues.3,
-            synchronous: synchronous == 1,
-            seed,
-        };
-        let outcome = run(&case);
-        prop_assert!(outcome.is_ok(), "{}\n{:?}", outcome.unwrap_err(), case);
+    fn batched_datapath_matches_per_element(draw in draws()) {
+        datapath_matches(draw)?;
+    }
+}
+
+// The same property at 8192 cases: `scripts/verify.sh` runs it in release
+// (`cargo test --release -p wse-arch -- --ignored`).
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8192))]
+
+    #[test]
+    #[ignore = "deep sweep, run in release by scripts/verify.sh"]
+    fn batched_datapath_matches_per_element_deep(draw in draws()) {
+        datapath_matches(draw)?;
     }
 }
 
