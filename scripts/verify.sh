@@ -4,8 +4,8 @@
 # are the root package and all thirteen crates, so it runs every suite the
 # `--workspace` run below does): the release
 # build, the whole workspace's tests, the exhaustive fp16 sweeps, the
-# wse-dsl host-mirror sweep and the wse-arch stepper-equivalence sweep
-# (release, --ignored), clippy,
+# wse-dsl host-mirror sweep and the wse-arch stepper- and
+# datapath-equivalence sweeps (release, --ignored), clippy,
 # rustfmt and warning-free rustdoc, the non-test line count per crate (informational, no gate), a
 # grep that keeps the workspace single-threaded, the wse-lint
 # static verifier over every shipped kernel configuration (its plain and
@@ -36,7 +36,9 @@ echo "== wse-float, wse-dsl and wse-arch sweeps (release, --ignored) =="
 # relay cases of the host mirrors against the f64-carried reference
 # (crates/wse-dsl/tests/mirror_identity.rs). wse-arch: 2048 random stream
 # programs and 2048 fault plans, each run under both steppers in lockstep
-# (crates/wse-arch/tests/step_equiv.rs).
+# (crates/wse-arch/tests/step_equiv.rs), and 8192 random tensor
+# instructions, each run under the batched and the per-element datapath
+# (crates/wse-arch/tests/core_equiv.rs; about 2 s).
 cargo test --release -q -p wse-float -p wse-dsl -p wse-arch -- --ignored
 
 echo "== cargo clippy --all-targets -- -D warnings =="
