@@ -138,7 +138,7 @@ impl Op {
 
     /// `true` if the op writes a destination stream; `MacReg`, `SumReg` and
     /// `LoadReg` write a register instead.
-    pub fn writes_dst(self) -> bool {
+    pub(crate) fn writes_dst(self) -> bool {
         !matches!(self, Op::MacReg { .. } | Op::SumReg { .. } | Op::LoadReg { .. })
     }
 
@@ -158,7 +158,7 @@ impl Op {
 
     /// The register the op names: a scalar multiplier, an accumulator, or
     /// the register a stream is stored from or loaded into.
-    pub fn reg(self) -> Option<Reg> {
+    pub(crate) fn reg(self) -> Option<Reg> {
         match self {
             Op::Xpay { scalar } | Op::Axpy { scalar } | Op::Scale { scalar } => Some(scalar),
             Op::MacReg { acc } | Op::SumReg { acc } => Some(acc),
@@ -169,7 +169,7 @@ impl Op {
 
     /// Floating-point operations per element at element type `dtype`, as
     /// `(fp16, fp32)`.
-    pub fn flops(self, dtype: Dtype) -> (u64, u64) {
+    pub(crate) fn flops(self, dtype: Dtype) -> (u64, u64) {
         let n = match self {
             Op::Copy | Op::StoreReg { .. } | Op::LoadReg { .. } => 0,
             Op::Add | Op::AddAssign | Op::Mul | Op::Scale { .. } => 1,
