@@ -49,14 +49,14 @@ struct Group<'a> {
 impl Elements for Group<'_> {
     #[inline(always)]
     fn each(&mut self, mut rule: impl FnMut(u32, u32, u32) -> u32) {
-        let Group { core, mem, issue, reads_dst } = self;
-        let dtype = issue.dtype;
+        let (core, mem, issue) = (&mut *self.core, &mut *self.mem, &mut *self.issue);
+        let (dtype, reads_dst) = (issue.dtype, self.reads_dst);
         let mut onpush = None;
         for _ in 0..issue.n {
             let a = core.take(mem, &mut issue.a, dtype);
             let b = core.take(mem, &mut issue.b, dtype);
             let cur = match issue.dst {
-                Operand::Mem { addr, .. } if *reads_dst => mem.read_bits(addr, dtype),
+                Operand::Mem { addr, .. } if reads_dst => mem.read_bits(addr, dtype),
                 _ => 0,
             };
             let bits = rule(a, b, cur);
@@ -338,23 +338,19 @@ impl Core {
     /// Runs the `issue.n` elements of one group with the op dispatched once.
     fn run_group(&mut self, mem: &mut Memory, op: Op, issue: &mut Issue) {
         let (dtype, n, reads_dst) = (issue.dtype, issue.n, op.reads_dst());
-        self.arith(op, dtype, n, |core, reg| {
-            op.apply(dtype, reg, &mut Group { core, mem, issue, reads_dst })
-        });
+        let reg =
+            op.apply(dtype, self.op_reg(op), &mut Group { core: self, mem, issue, reads_dst });
+        self.retire_arith(op, dtype, n, reg);
     }
 
-    /// Runs `n` elements of `op` at `dtype` through `run`, which gets the
-    /// op's register ([`Op::reg`]; 0 when it names none) to read and
-    /// update; then stores the register back and counts the flops.
-    pub(super) fn arith(
-        &mut self,
-        op: Op,
-        dtype: Dtype,
-        n: u32,
-        run: impl FnOnce(&mut Core, &mut f32),
-    ) {
-        let mut reg = op.reg().map_or(0.0, |r| self.regs[r as usize]);
-        run(self, &mut reg);
+    /// The value of `op`'s register ([`Op::reg`]; 0 when it names none).
+    pub(super) fn op_reg(&self, op: Op) -> f32 {
+        op.reg().map_or(0.0, |r| self.regs[r as usize])
+    }
+
+    /// Books `n` elements of `op` run at `dtype`: stores `reg`, the new value
+    /// of the op's register, and counts their flops.
+    pub(super) fn retire_arith(&mut self, op: Op, dtype: Dtype, n: u32, reg: f32) {
         if let Some(r) = op.reg() {
             self.regs[r as usize] = reg;
         }

@@ -231,7 +231,8 @@ impl Core {
             !matches!(op, Op::MacReg { .. }) || dt == Dtype::F16,
             "mixed mac sources are fp16"
         );
-        self.arith(op, dt, 1, |_, reg| op.apply(dt, reg, &mut el));
+        let reg = op.apply(dt, self.op_reg(op), &mut el);
+        self.retire_arith(op, dt, 1, reg);
         if op.writes_dst() {
             if let Some(task) = self.write_dst(mem, instr.dst.expect("dst"), el.out, dt, obs) {
                 self.flag_task(task, |t| t.activated = true);

@@ -184,10 +184,11 @@ impl Op {
         }
     }
 
-    /// Runs the op's arithmetic at element type `dtype` over `elems`; `reg`
-    /// is the value of [`Op::reg`], which `MacReg`, `SumReg` and `LoadReg`
-    /// update. The op is dispatched once, outside the element loop.
-    pub(crate) fn apply(self, dtype: Dtype, reg: &mut f32, elems: &mut impl Elements) {
+    /// Runs the op's arithmetic at element type `dtype` over `elems`, given
+    /// the value of [`Op::reg`]; returns that register's new value, which
+    /// only `MacReg`, `SumReg` and `LoadReg` change. The op is dispatched
+    /// once, outside the element loop.
+    pub(crate) fn apply(self, dtype: Dtype, reg: f32, elems: &mut impl Elements) -> f32 {
         match dtype {
             Dtype::F16 => self.apply_in::<F16>(reg, elems),
             Dtype::F32 => self.apply_in::<f32>(reg, elems),
@@ -197,33 +198,40 @@ impl Op {
     /// [`Op::apply`] in lane type `L`: the one definition of each op's
     /// result bits from `(a, b, current dst, register)`.
     #[inline(always)]
-    fn apply_in<L: Lane>(self, reg: &mut f32, elems: &mut impl Elements) {
-        let (s, x) = (L::from_reg(*reg), L::of);
+    fn apply_in<L: Lane>(self, mut reg: f32, elems: &mut impl Elements) -> f32 {
+        let x = L::of;
         match self {
             Op::Copy => elems.each(|a, _, _| a),
             Op::Add => elems.each(|a, b, _| (x(a) + x(b)).bits()),
             Op::AddAssign => elems.each(|a, _, cur| (x(cur) + x(a)).bits()),
             Op::Mul => elems.each(|a, b, _| (x(a) * x(b)).bits()),
             Op::FmaAssign => elems.each(|a, b, cur| L::fma(x(a), x(b), x(cur)).bits()),
-            Op::Xpay { .. } => elems.each(|a, b, _| L::fma(s, x(b), x(a)).bits()),
-            Op::Axpy { .. } => elems.each(|a, _, cur| L::fma(s, x(a), x(cur)).bits()),
-            Op::Scale { .. } => elems.each(|a, _, _| (s * x(a)).bits()),
+            // The ops that read the register as a scalar, converted once.
+            Op::Xpay { .. } | Op::Axpy { .. } | Op::Scale { .. } | Op::StoreReg { .. } => {
+                let s = L::from_reg(reg);
+                match self {
+                    Op::Xpay { .. } => elems.each(|a, b, _| L::fma(s, x(b), x(a)).bits()),
+                    Op::Axpy { .. } => elems.each(|a, _, cur| L::fma(s, x(a), x(cur)).bits()),
+                    Op::Scale { .. } => elems.each(|a, _, _| (s * x(a)).bits()),
+                    _ => elems.each(|_, _, _| s.bits()),
+                }
+            }
             // fp16 products are exact in fp32; only the sum rounds.
             Op::MacReg { .. } => elems.each(|a, b, _| {
-                *reg += F16::of(a).to_reg() * F16::of(b).to_reg();
+                reg += F16::of(a).to_reg() * F16::of(b).to_reg();
                 0
             }),
             Op::SumReg { .. } => elems.each(|a, _, _| {
-                *reg += x(a).to_reg();
+                reg += x(a).to_reg();
                 0
             }),
-            Op::StoreReg { .. } => elems.each(|_, _, _| s.bits()),
             // The last element sticks.
             Op::LoadReg { .. } => elems.each(|a, _, _| {
-                *reg = x(a).to_reg();
+                reg = x(a).to_reg();
                 0
             }),
         }
+        reg
     }
 }
 
