@@ -8,7 +8,7 @@ use crate::dsr::Descriptor;
 use crate::instr::{Elements, Op, TensorInstr};
 use crate::memory::Memory;
 use crate::trace::{StallCause, TraceEventKind};
-use crate::types::{DsrId, Dtype, Flit, SIMD_F16, SIMD_F32, SIMD_MIXED};
+use crate::types::{DsrId, Dtype, Flit, Reg, SIMD_F16, SIMD_F32, SIMD_MIXED};
 
 /// Where one operand of an issue streams from or to, resolved from its DSR
 /// once per issue (`Absent`: the instruction has no such operand). `Mem`
@@ -78,8 +78,12 @@ impl Elements for Group<'_> {
             }
         }
         if let Some(task) = onpush {
-            core.flag_task(task, |t| t.activated = true);
+            core.activate(task);
         }
+    }
+
+    fn reg(&mut self, r: Reg) -> &mut f32 {
+        &mut self.core.regs[r as usize]
     }
 }
 
@@ -127,7 +131,7 @@ impl Core {
                         // Retire the task if the body is done.
                         let r = self.main.as_ref().expect("a synchronous instruction has a task");
                         let id = r.id;
-                        if r.pc >= self.tasks[id as usize].task.body.len() {
+                        if r.pc >= self.image.tasks[id as usize].body.len() {
                             self.main = None;
                             obs.event(TraceEventKind::TaskEnd { task: id });
                         }
@@ -337,26 +341,10 @@ impl Core {
 
     /// Runs the `issue.n` elements of one group with the op dispatched once.
     fn run_group(&mut self, mem: &mut Memory, op: Op, issue: &mut Issue) {
-        let (dtype, n, reads_dst) = (issue.dtype, issue.n, op.reads_dst());
-        let reg =
-            op.apply(dtype, self.op_reg(op), &mut Group { core: self, mem, issue, reads_dst });
-        self.retire_arith(op, dtype, n, reg);
-    }
-
-    /// The value of `op`'s register ([`Op::reg`]; 0 when it names none).
-    pub(super) fn op_reg(&self, op: Op) -> f32 {
-        op.reg().map_or(0.0, |r| self.regs[r as usize])
-    }
-
-    /// Books `n` elements of `op` run at `dtype`: stores `reg`, the new value
-    /// of the op's register, and counts their flops.
-    pub(super) fn retire_arith(&mut self, op: Op, dtype: Dtype, n: u32, reg: f32) {
-        if let Some(r) = op.reg() {
-            self.regs[r as usize] = reg;
-        }
-        let (f16, f32) = op.flops(dtype);
-        self.perf.flops_f16 += f16 * n as u64;
-        self.perf.flops_f32 += f32 * n as u64;
+        let (n, reads_dst) = (issue.n as u64, op.reads_dst());
+        let (f16, f32) = op.apply(issue.dtype, &mut Group { core: self, mem, issue, reads_dst });
+        self.perf.flops_f16 += f16 * n;
+        self.perf.flops_f32 += f32 * n;
     }
 
     /// Reads one element from a decoded source, advancing it (0 from an

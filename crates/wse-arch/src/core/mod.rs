@@ -22,13 +22,16 @@ mod datapath;
 mod program;
 mod reference;
 
+pub use program::CoreImage;
+
 use crate::dsr::Dsr;
 use crate::fifo::Fifo;
-use crate::instr::{ColorBinding, Op, OpClass, RegOp, Stmt, Task, TaskAction, TensorInstr};
+use crate::instr::{Op, OpClass, RegOp, Stmt, TaskAction, TensorInstr};
 use crate::memory::Memory;
 use crate::sanitize::CoreSanitizer;
 use crate::trace::{CoreTrace, StallCause, TraceEventKind};
 use crate::types::{Color, Flit, Ring, SlotTable, TaskId, NUM_COLORS, NUM_REGS, NUM_THREADS};
+use std::sync::Arc;
 
 /// Performance counters for one core.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -60,15 +63,12 @@ pub struct CorePerf {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SchedSnapshot {
     dsr_pos: Vec<u32>,
-    task_flags: Vec<(bool, bool)>,
+    flags: [Vec<u64>; 2],
 }
 
-#[derive(Clone, Debug)]
-struct TaskState {
-    task: Task,
-    activated: bool,
-    blocked: bool,
-}
+/// Indices into [`Core`]'s task flag bitsets.
+const ACTIVATED: usize = 0;
+const BLOCKED: usize = 1;
 
 #[derive(Copy, Clone, Debug)]
 struct ActiveInstr {
@@ -104,26 +104,24 @@ struct RunningTask {
 pub struct Core {
     /// Scalar register file (fp32).
     pub regs: [f32; NUM_REGS],
+    /// The program stepping never writes, shared by clones.
+    image: Arc<CoreImage>,
+    /// DSRs: instructions advance their cursors and `InitDsr` replaces them.
     dsrs: Vec<Dsr>,
     fifos: Vec<Fifo>,
-    tasks: Vec<TaskState>,
-    bindings: Vec<ColorBinding>,
     main: Option<RunningTask>,
     /// The instruction in each datapath slot; meaningful where `live` is set.
     slots: [ActiveInstr; SLOTS],
     /// Bit `s` set while slot `s` holds an unfinished instruction.
     live: u16,
     rr_cursor: usize,
-    /// Tasks that are activated and not blocked (what the scheduler could
-    /// start); keeps [`Core::is_quiescent`] O(1).
+    /// Every task's activated (`flags[ACTIVATED]`) and blocked
+    /// (`flags[BLOCKED]`) flag, bit `id % 64` of word `id / 64`; a task is
+    /// runnable when activated and not blocked, so [`Core::schedule`]
+    /// visits only those.
+    flags: [Vec<u64>; 2],
+    /// Runnable tasks; keeps [`Core::is_quiescent`] O(1).
     runnable: usize,
-    /// The same tasks as a bitset (bit `id % 64` of word `id / 64`), one
-    /// bit per task-table entry, so [`Core::schedule`] visits only them.
-    runnable_bits: Vec<u64>,
-    /// Tasks the host is expected to activate externally (entry points).
-    /// Purely declarative — recorded by kernel builders so static analysis
-    /// knows where control can enter; the simulator never reads it.
-    entries: Vec<TaskId>,
     /// Words received from the router, one queue per color.
     ramp_in: SlotTable<Ring, NUM_COLORS>,
     /// Words awaiting injection into the router, one queue per color (the
@@ -134,8 +132,6 @@ pub struct Core {
     /// Bit `c` set while `ramp_in[c]` / `ramp_out[c]` is non-empty.
     ramp_in_mask: u32,
     ramp_out_mask: u32,
-    /// Bit `c` set when some task is bound to color `c`.
-    bound_mask: u32,
     /// Round-robin cursor over `ramp_out` colors.
     ramp_rr: usize,
     /// Performance counters, stall causes and retire classes included;
@@ -175,56 +171,46 @@ impl Core {
     pub fn new() -> Core {
         Core {
             regs: [0.0; NUM_REGS],
+            image: Arc::default(),
             dsrs: Vec::new(),
             fifos: Vec::new(),
-            tasks: Vec::new(),
-            bindings: Vec::new(),
             main: None,
             slots: [NO_INSTR; SLOTS],
             live: 0,
             rr_cursor: 0,
+            flags: [Vec::new(), Vec::new()],
             runnable: 0,
-            runnable_bits: Vec::new(),
-            entries: Vec::new(),
             ramp_in: SlotTable::default(),
             ramp_out: SlotTable::default(),
             ramp_in_mask: 0,
             ramp_out_mask: 0,
-            bound_mask: 0,
             ramp_rr: 0,
             perf: CorePerf::default(),
         }
     }
 
-    /// Changes a task's scheduling flags, keeping the runnable count and
-    /// bitset.
-    #[inline]
-    fn flag_task(&mut self, task: TaskId, change: impl FnOnce(&mut TaskState)) {
-        let t = &mut self.tasks[task as usize];
-        let was = t.activated && !t.blocked;
-        change(t);
-        let is = t.activated && !t.blocked;
-        if is != was {
-            self.set_runnable(task, is);
-        }
+    /// Task `id`'s flag `which` ([`ACTIVATED`] or [`BLOCKED`]).
+    fn flag(&self, id: TaskId, which: usize) -> bool {
+        self.flags[which][id as usize / 64] >> (id % 64) & 1 != 0
     }
 
-    /// Sets task `id`'s runnable bit from clear (or clears it from set).
+    /// Sets or clears task `id`'s flag `which`, keeping the runnable count.
     #[inline]
-    fn set_runnable(&mut self, id: TaskId, on: bool) {
-        let word = &mut self.runnable_bits[id as usize / 64];
+    fn set_flag(&mut self, id: TaskId, which: usize, on: bool) {
+        let (w, bit) = (id as usize / 64, 1 << (id % 64));
+        let runnable = |f: &[Vec<u64>; 2]| (f[ACTIVATED][w] & !f[BLOCKED][w] & bit != 0) as usize;
+        let was = runnable(&self.flags);
         if on {
-            *word |= 1 << (id % 64);
-            self.runnable += 1;
+            self.flags[which][w] |= bit;
         } else {
-            *word &= !(1 << (id % 64));
-            self.runnable -= 1;
+            self.flags[which][w] &= !bit;
         }
+        self.runnable = self.runnable + runnable(&self.flags) - was;
     }
 
     /// Externally activates a task (the host-side "go" signal).
     pub fn activate(&mut self, task: TaskId) {
-        self.flag_task(task, |t| t.activated = true);
+        self.set_flag(task, ACTIVATED, true);
     }
 
     /// Externally re-blocks a task, clearing any pending activation — the
@@ -233,19 +219,17 @@ impl Core {
     /// `Activate` half intentionally never would (e.g. a compute
     /// calibration run with communication disabled).
     pub fn block(&mut self, task: TaskId) {
-        self.flag_task(task, |t| {
-            t.blocked = true;
-            t.activated = false;
-        });
+        self.set_flag(task, BLOCKED, true);
+        self.set_flag(task, ACTIVATED, false);
     }
 
     /// Applies a scheduling action to a task.
     fn apply_action(&mut self, task: TaskId, action: TaskAction) {
-        self.flag_task(task, |t| match action {
-            TaskAction::Activate => t.activated = true,
-            TaskAction::Block => t.blocked = true,
-            TaskAction::Unblock => t.blocked = false,
-        });
+        match action {
+            TaskAction::Activate => self.set_flag(task, ACTIVATED, true),
+            TaskAction::Block => self.set_flag(task, BLOCKED, true),
+            TaskAction::Unblock => self.set_flag(task, BLOCKED, false),
+        }
     }
 
     /// `true` when nothing is running or runnable and no output is pending.
@@ -259,7 +243,7 @@ impl Core {
     /// activity set must keep such a tile live even though
     /// [`Core::is_quiescent`] holds.
     pub fn has_pending_bound_data(&self) -> bool {
-        self.ramp_in_mask & self.bound_mask != 0
+        self.ramp_in_mask & self.image.bound_mask != 0
     }
 
     /// Accounts `n` cycles the fabric *skipped* stepping this core because
@@ -346,7 +330,7 @@ impl Core {
     /// Name of the task currently occupying the main thread, if any
     /// (stall diagnostics).
     pub fn current_task_name(&self) -> Option<&'static str> {
-        self.main.as_ref().map(|r| self.tasks[r.id as usize].task.name)
+        self.main.as_ref().map(|r| self.image.tasks[r.id as usize].name)
     }
 
     /// Number of occupied background-thread slots (stall diagnostics).
@@ -374,9 +358,12 @@ impl Core {
         self.ramp_in_mask = 0;
         self.ramp_out_mask = 0;
         self.ramp_rr = 0;
-        for t in &mut self.tasks {
-            t.activated = t.task.start_activated;
-            t.blocked = t.task.start_blocked;
+        for f in &mut self.flags {
+            f.fill(0);
+        }
+        for (id, t) in self.image.tasks.iter().enumerate() {
+            self.flags[ACTIVATED][id / 64] |= (t.start_activated as u64) << (id % 64);
+            self.flags[BLOCKED][id / 64] |= (t.start_blocked as u64) << (id % 64);
         }
         self.recount_runnable();
         for d in &mut self.dsrs {
@@ -395,7 +382,7 @@ impl Core {
     pub fn sched_state(&self) -> SchedSnapshot {
         SchedSnapshot {
             dsr_pos: self.dsrs.iter().map(|d| d.pos).collect(),
-            task_flags: self.tasks.iter().map(|t| (t.activated, t.blocked)).collect(),
+            flags: self.flags.clone(),
         }
     }
 
@@ -405,25 +392,18 @@ impl Core {
     /// Panics if the snapshot shape does not match this core's program.
     pub fn restore_sched_state(&mut self, snap: &SchedSnapshot) {
         assert_eq!(snap.dsr_pos.len(), self.dsrs.len(), "snapshot from a different program");
-        assert_eq!(snap.task_flags.len(), self.tasks.len(), "snapshot from a different program");
+        assert_eq!(snap.flags[0].len(), self.flags[0].len(), "snapshot from a different program");
         for (d, &pos) in self.dsrs.iter_mut().zip(&snap.dsr_pos) {
             d.pos = pos;
         }
-        for (t, &(activated, blocked)) in self.tasks.iter_mut().zip(&snap.task_flags) {
-            t.activated = activated;
-            t.blocked = blocked;
-        }
+        self.flags.clone_from(&snap.flags);
         self.recount_runnable();
     }
 
-    /// Re-derives the runnable count and bitset after task flags were set
-    /// wholesale.
+    /// Re-derives the runnable count after task flags were set wholesale.
     fn recount_runnable(&mut self) {
-        self.runnable_bits.fill(0);
-        for (id, t) in self.tasks.iter().enumerate() {
-            self.runnable_bits[id / 64] |= ((t.activated && !t.blocked) as u64) << (id % 64);
-        }
-        self.runnable = self.runnable_bits.iter().map(|w| w.count_ones() as usize).sum();
+        let [act, blk] = &self.flags;
+        self.runnable = act.iter().zip(blk).map(|(a, b)| (a & !b).count_ones() as usize).sum();
     }
 
     /// Executes fabric cycle `cycle` with no observer attached. `mem` is
@@ -450,14 +430,14 @@ impl Core {
 
     /// Activates tasks bound to colors with pending data.
     fn data_triggers(&mut self) {
-        let hot = self.ramp_in_mask & self.bound_mask;
+        let hot = self.ramp_in_mask & self.image.bound_mask;
         if hot == 0 {
             return;
         }
-        for k in 0..self.bindings.len() {
-            let b = self.bindings[k];
+        for k in 0..self.image.bindings.len() {
+            let b = self.image.bindings[k];
             if hot >> b.color & 1 != 0 {
-                self.flag_task(b.task, |t| t.activated = true);
+                self.activate(b.task);
             }
         }
     }
@@ -470,21 +450,22 @@ impl Core {
         // Highest priority wins; ascending ids with a strict `>` keep the
         // lowest id among equals.
         let mut best: Option<(u8, TaskId)> = None;
-        for (w, &word) in self.runnable_bits.iter().enumerate() {
-            let mut bits = word;
+        let [act, blk] = &self.flags;
+        for (w, (a, b)) in act.iter().zip(blk).enumerate() {
+            let mut bits = a & !b;
             while bits != 0 {
                 let id = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let priority = self.tasks[id].task.priority;
+                let priority = self.image.tasks[id].priority;
                 if best.is_none_or(|(p, _)| priority > p) {
                     best = Some((priority, id as TaskId));
                 }
             }
         }
         let Some((_, id)) = best else { return };
-        self.flag_task(id, |t| t.activated = false); // activation is consumed
+        self.set_flag(id, ACTIVATED, false); // activation is consumed
         self.main = Some(RunningTask { id, pc: 0 });
-        let name = self.tasks[id as usize].task.name;
+        let name = self.image.tasks[id as usize].name;
         obs.event(TraceEventKind::TaskStart { task: id, name });
     }
 
@@ -496,7 +477,7 @@ impl Core {
         }
         let task_id = running.id;
         let pc = running.pc;
-        let body_len = self.tasks[task_id as usize].task.body.len();
+        let body_len = self.image.tasks[task_id as usize].body.len();
         if pc >= body_len {
             self.main = None;
             obs.event(TraceEventKind::TaskEnd { task: task_id });
@@ -504,7 +485,7 @@ impl Core {
         }
         // Every statement payload is `Copy`, so the arms bind copies and the
         // task table is not borrowed while they run.
-        match self.tasks[task_id as usize].task.body[pc] {
+        match self.image.tasks[task_id as usize].body[pc] {
             Stmt::Exec(instr) => {
                 self.slots[MAIN_SLOT] = ActiveInstr { instr, on_complete: None };
                 self.live |= MAIN_BIT;
@@ -553,6 +534,7 @@ impl Core {
 mod tests {
     use super::*;
     use crate::dsr::mk;
+    use crate::instr::{ColorBinding, Task};
     use crate::types::{DsrId, Dtype, FifoId, RAMP_OUT_CAPACITY};
     use wse_float::F16;
 
@@ -690,7 +672,7 @@ mod tests {
         let dacc = core.add_dsr(mk::acc16(acc_addr, n));
 
         // Consumer defined first so the fifo can name it.
-        let sum_task = core.add_task(Task::new("sum", vec![]));
+        let sum_task = core.add_task(Task::new("sum", vec![]).priority(1));
         let fid = core.add_fifo(Fifo::new(fifo_mem, 4, Dtype::F16, Some(sum_task)));
         let dfifo = core.add_dsr(mk::fifo(fid));
         // Patch the consumer body now that DSR ids exist.
@@ -703,7 +685,6 @@ mod tests {
                 b: None,
             })],
         );
-        core.tasks[sum_task as usize].task.priority = 1;
 
         let producer = core.add_task(Task::new(
             "mul",
@@ -841,14 +822,16 @@ mod tests {
             if round % 500 == 499 {
                 core.restore_sched_state(&snap);
             }
-            let want = (0..200)
-                .filter(|&id| core.tasks[id].activated && !core.tasks[id].blocked)
-                .max_by_key(|&id| (core.tasks[id].task.priority, usize::MAX - id));
+            let runnable = |core: &Core| -> Vec<TaskId> {
+                (0..200).filter(|&id| core.task_activated(id) && !core.task_blocked(id)).collect()
+            };
+            let want = runnable(&core)
+                .into_iter()
+                .max_by_key(|&id| (core.image.tasks[id as usize].priority, TaskId::MAX - id));
             core.schedule(&mut Observers { cycle: 0, trace: None, sanitize: None });
-            assert_eq!(core.main.take().map(|r| r.id as usize), want, "round {round}");
+            assert_eq!(core.main.take().map(|r| r.id), want, "round {round}");
             picked += want.is_some() as usize;
-            let runnable = core.tasks.iter().filter(|t| t.activated && !t.blocked).count();
-            assert_eq!(core.runnable, runnable);
+            assert_eq!(core.runnable, runnable(&core).len());
         }
         assert!(picked > 1000, "only {picked} rounds had a runnable task");
     }
@@ -1092,9 +1075,9 @@ mod tests {
         core.mark_entry(a);
         core.mark_entry(a); // idempotent
 
-        assert_eq!(core.num_tasks(), 2);
-        assert_eq!(core.task(b).name, "helper");
-        assert_eq!(core.task(b).priority, 3);
+        assert_eq!(core.image().tasks.len(), 2);
+        assert_eq!(core.image().tasks[b as usize].name, "helper");
+        assert_eq!(core.image().tasks[b as usize].priority, 3);
         let names: Vec<_> = core.tasks().map(|(id, t)| (id, t.name)).collect();
         assert_eq!(names, vec![(a, "entry"), (b, "helper")]);
         assert!(core.task_blocked(b));
@@ -1103,8 +1086,8 @@ mod tests {
         core.activate(a);
         assert!(core.task_activated(a));
 
-        assert_eq!(core.bindings(), &[ColorBinding { color: 5, task: b }]);
-        assert_eq!(core.entry_tasks(), &[a]);
+        assert_eq!(core.image().bindings, [ColorBinding { color: 5, task: b }]);
+        assert_eq!(core.image().entries, [a]);
 
         assert_eq!(core.num_dsrs(), 1);
         assert_eq!(core.dsrs().next().unwrap().0, d);

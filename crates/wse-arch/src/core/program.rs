@@ -1,11 +1,30 @@
-//! The core's program tables — tasks, DSRs, FIFOs and color bindings — with
-//! their builders, read-only views and the disassembler text.
+//! The core's program: the [`CoreImage`] (tasks, color bindings, entry
+//! points), which stepping never writes and clones share, the per-tile DSR
+//! and FIFO tables, their builders and views, and the disassembler text.
 
-use super::{Core, TaskState};
+use super::{Core, ACTIVATED, BLOCKED};
 use crate::dsr::{Descriptor, Dsr};
 use crate::fifo::Fifo;
 use crate::instr::{ColorBinding, Stmt, Task};
 use crate::types::{Color, DsrId, FifoId, TaskId, NUM_COLORS};
+use std::sync::Arc;
+
+/// What of a core's program stepping never writes. A [`Core`] holds it
+/// behind an `Arc`, so a cloned or blitted tile shares its source's image;
+/// the builders copy it on write, so an edit reaches no other tile.
+#[derive(Clone, Debug, Default, PartialEq, Hash)]
+pub struct CoreImage {
+    /// The task table (body, priority, name, start flags), by [`TaskId`].
+    pub tasks: Vec<Task>,
+    /// The color → task data-trigger bindings.
+    pub bindings: Vec<ColorBinding>,
+    /// Tasks the host is expected to activate externally (entry points).
+    /// Purely declarative — recorded by kernel builders so static analysis
+    /// knows where control can enter; the simulator never reads it.
+    pub entries: Vec<TaskId>,
+    /// Bit `c` set when some task is bound to color `c`.
+    pub(super) bound_mask: u32,
+}
 
 /// The id of a `len`-entry table's next entry; refuses one past `limit`.
 fn next_id(len: usize, limit: u16, what: &str) -> u16 {
@@ -43,15 +62,13 @@ impl Core {
     /// Registers a task, returning its id. Panics rather than hand out
     /// [`TaskId::MAX`], which callers keep as an empty-slot mark.
     pub fn add_task(&mut self, task: Task) -> TaskId {
-        let st = TaskState { activated: task.start_activated, blocked: task.start_blocked, task };
-        let id = next_id(self.tasks.len(), TaskId::MAX - 1, "task");
+        let id = next_id(self.image.tasks.len(), TaskId::MAX - 1, "task");
         if id.is_multiple_of(64) {
-            self.runnable_bits.push(0);
+            self.flags.iter_mut().for_each(|f| f.push(0));
         }
-        if st.activated && !st.blocked {
-            self.set_runnable(id, true);
-        }
-        self.tasks.push(st);
+        self.set_flag(id, ACTIVATED, task.start_activated);
+        self.set_flag(id, BLOCKED, task.start_blocked);
+        Arc::make_mut(&mut self.image).tasks.push(task);
         id
     }
 
@@ -66,7 +83,7 @@ impl Core {
             self.main.as_ref().is_none_or(|r| r.id != task),
             "cannot rewrite the body of a running task"
         );
-        self.tasks[task as usize].task.body = body.into_boxed_slice();
+        Arc::make_mut(&mut self.image).tasks[task as usize].body = body.into_boxed_slice();
     }
 
     /// Binds arriving data on `color` to activate `task`.
@@ -75,54 +92,46 @@ impl Core {
     /// Panics if `color` is not one of the [`NUM_COLORS`] channels.
     pub fn bind_color(&mut self, color: Color, task: TaskId) {
         assert!((color as usize) < NUM_COLORS, "color {color} out of range");
-        self.bindings.push(ColorBinding { color, task });
-        self.bound_mask |= 1 << color;
+        let image = Arc::make_mut(&mut self.image);
+        image.bindings.push(ColorBinding { color, task });
+        image.bound_mask |= 1 << color;
     }
 
     /// Declares `task` an entry point the host will activate externally.
     /// Kernel builders call this for every task they hand back to host-side
     /// drivers, so the static verifier can seed its reachability analysis.
     pub fn mark_entry(&mut self, task: TaskId) {
-        if !self.entries.contains(&task) {
-            self.entries.push(task);
+        if !self.image.entries.contains(&task) {
+            Arc::make_mut(&mut self.image).entries.push(task);
         }
     }
 
-    /// Tasks declared as host-activated entry points (see
-    /// [`Core::mark_entry`]).
-    pub fn entry_tasks(&self) -> &[TaskId] {
-        &self.entries
-    }
-
-    /// Number of registered tasks.
-    pub fn num_tasks(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// Read-only view of a task's program (body, priority, name).
-    pub fn task(&self, id: TaskId) -> &Task {
-        &self.tasks[id as usize].task
+    /// The core's program image, shared with every clone of this core that
+    /// no builder has edited since.
+    pub fn image(&self) -> &Arc<CoreImage> {
+        &self.image
     }
 
     /// Iterates every registered task with its id.
     pub fn tasks(&self) -> impl Iterator<Item = (TaskId, &Task)> {
-        self.tasks.iter().enumerate().map(|(id, st)| (id as TaskId, &st.task))
+        self.image.tasks.iter().enumerate().map(|(id, t)| (id as TaskId, t))
     }
 
     /// Current blocked flag of a task (equals `start_blocked` before the
     /// first cycle, which is when the linter looks).
     pub fn task_blocked(&self, id: TaskId) -> bool {
-        self.tasks[id as usize].blocked
+        self.flag(id, BLOCKED)
     }
 
     /// Current activation flag of a task.
     pub fn task_activated(&self, id: TaskId) -> bool {
-        self.tasks[id as usize].activated
+        self.flag(id, ACTIVATED)
     }
 
-    /// The color → task data-trigger bindings.
-    pub fn bindings(&self) -> &[ColorBinding] {
-        &self.bindings
+    /// Every task's activation and blocked flags as two bitsets (bit
+    /// `id % 64` of word `id / 64`): the run state the image leaves out.
+    pub fn task_flags(&self) -> &[Vec<u64>; 2] {
+        &self.flags
     }
 
     /// Number of registered DSRs.
@@ -165,18 +174,18 @@ impl Core {
                 f.len()
             );
         }
-        let running = self.main.as_ref().map(|r| r.id as usize);
-        for (i, t) in self.tasks.iter().enumerate() {
+        let running = self.main.as_ref().map(|r| r.id);
+        for (i, t) in self.tasks() {
             let _ = writeln!(
                 out,
                 "task {i} \"{}\" prio {}{}{}{} {{",
-                t.task.name,
-                t.task.priority,
-                if t.blocked { " [blocked]" } else { "" },
-                if t.activated { " [activated]" } else { "" },
+                t.name,
+                t.priority,
+                if self.task_blocked(i) { " [blocked]" } else { "" },
+                if self.task_activated(i) { " [activated]" } else { "" },
                 if running == Some(i) { " [running]" } else { "" },
             );
-            for stmt in &t.task.body {
+            for stmt in &t.body {
                 let line = match stmt {
                     Stmt::Exec(instr) => format!(
                         "exec {:?} dst={:?} a={:?} b={:?}",
@@ -195,7 +204,7 @@ impl Core {
             }
             let _ = writeln!(out, "}}");
         }
-        for b in &self.bindings {
+        for b in &self.image.bindings {
             let _ = writeln!(out, "on color {} activate task {}", b.color, b.task);
         }
         out

@@ -7,7 +7,7 @@ use super::{Core, Observers};
 use crate::dsr::Descriptor;
 use crate::instr::{Elements, Op, TensorInstr};
 use crate::memory::Memory;
-use crate::types::{Color, DsrId, Dtype, Flit, TaskId};
+use crate::types::{Color, DsrId, Dtype, Flit, Reg, TaskId, NUM_REGS};
 
 impl Core {
     /// Element dtype governing an instruction (destination wins; register
@@ -214,28 +214,28 @@ impl Core {
         obs: &mut Observers,
     ) {
         let op = instr.op;
-        let mut el = Element { a: 0, b: 0, cur: 0, out: 0 };
-        if op.reads_dst() {
-            el.cur = self.peek_dst(mem, instr.dst.expect("dst"));
-        }
-        let mut dt = dtype;
+        let cur = if op.reads_dst() { self.peek_dst(mem, instr.dst.expect("dst")) } else { 0 };
+        let (mut a, mut b, mut dt) = (0, 0, dtype);
         if op.num_srcs() >= 1 {
-            (el.a, dt) = self.read_src(mem, instr.a.expect("src a"), obs);
+            (a, dt) = self.read_src(mem, instr.a.expect("src a"), obs);
         }
         if op.num_srcs() == 2 {
-            let (b, dtb) = self.read_src(mem, instr.b.expect("src b"), obs);
+            let dtb;
+            (b, dtb) = self.read_src(mem, instr.b.expect("src b"), obs);
             debug_assert_eq!(dt, dtb, "mixed-dtype {op:?}");
-            el.b = b;
         }
         debug_assert!(
             !matches!(op, Op::MacReg { .. }) || dt == Dtype::F16,
             "mixed mac sources are fp16"
         );
-        let reg = op.apply(dt, self.op_reg(op), &mut el);
-        self.retire_arith(op, dt, 1, reg);
+        let mut el = Element { a, b, cur, out: 0, regs: &mut self.regs };
+        let (f16, f32) = op.apply(dt, &mut el);
+        let out = el.out;
+        self.perf.flops_f16 += f16;
+        self.perf.flops_f32 += f32;
         if op.writes_dst() {
-            if let Some(task) = self.write_dst(mem, instr.dst.expect("dst"), el.out, dt, obs) {
-                self.flag_task(task, |t| t.activated = true);
+            if let Some(task) = self.write_dst(mem, instr.dst.expect("dst"), out, dt, obs) {
+                self.activate(task);
             }
         }
     }
@@ -254,16 +254,22 @@ pub(super) enum Supply {
     Unreadable,
 }
 
-/// One element's operand bits, and the result the op's arithmetic gives.
-struct Element {
+/// One element's operand bits, the result the op's arithmetic gives, and
+/// the register file it reads and updates.
+struct Element<'a> {
     a: u32,
     b: u32,
     cur: u32,
     out: u32,
+    regs: &'a mut [f32; NUM_REGS],
 }
 
-impl Elements for Element {
+impl Elements for Element<'_> {
     fn each(&mut self, mut rule: impl FnMut(u32, u32, u32) -> u32) {
         self.out = rule(self.a, self.b, self.cur);
+    }
+
+    fn reg(&mut self, r: Reg) -> &mut f32 {
+        &mut self.regs[r as usize]
     }
 }

@@ -8,6 +8,7 @@
 
 use crate::dsr::Descriptor;
 use crate::types::{Color, DsrId, Dtype, Reg, TaskId};
+use std::hash::{Hash, Hasher};
 use std::ops::{Add, Mul};
 use wse_float::F16;
 
@@ -156,17 +157,6 @@ impl Op {
         }
     }
 
-    /// The register the op names: a scalar multiplier, an accumulator, or
-    /// the register a stream is stored from or loaded into.
-    pub(crate) fn reg(self) -> Option<Reg> {
-        match self {
-            Op::Xpay { scalar } | Op::Axpy { scalar } | Op::Scale { scalar } => Some(scalar),
-            Op::MacReg { acc } | Op::SumReg { acc } => Some(acc),
-            Op::StoreReg { reg } | Op::LoadReg { reg } => Some(reg),
-            Op::Copy | Op::Add | Op::AddAssign | Op::Mul | Op::FmaAssign => None,
-        }
-    }
-
     /// Floating-point operations per element at element type `dtype`, as
     /// `(fp16, fp32)`.
     pub(crate) fn flops(self, dtype: Dtype) -> (u64, u64) {
@@ -184,21 +174,22 @@ impl Op {
         }
     }
 
-    /// Runs the op's arithmetic at element type `dtype` over `elems`, given
-    /// the value of [`Op::reg`]; returns that register's new value, which
-    /// only `MacReg`, `SumReg` and `LoadReg` change. The op is dispatched
-    /// once, outside the element loop.
-    pub(crate) fn apply(self, dtype: Dtype, reg: f32, elems: &mut impl Elements) -> f32 {
+    /// Runs the op over `elems` at element type `dtype` — its arithmetic and
+    /// the register it reads or updates — and returns [`Op::flops`]. The op
+    /// is dispatched once, outside the element loop.
+    pub(crate) fn apply(self, dtype: Dtype, elems: &mut impl Elements) -> (u64, u64) {
         match dtype {
-            Dtype::F16 => self.apply_in::<F16>(reg, elems),
-            Dtype::F32 => self.apply_in::<f32>(reg, elems),
+            Dtype::F16 => self.apply_in::<F16>(elems),
+            Dtype::F32 => self.apply_in::<f32>(elems),
         }
+        self.flops(dtype)
     }
 
     /// [`Op::apply`] in lane type `L`: the one definition of each op's
-    /// result bits from `(a, b, current dst, register)`.
+    /// result bits from `(a, b, current dst, register)`, and of what it
+    /// leaves in the register.
     #[inline(always)]
-    fn apply_in<L: Lane>(self, mut reg: f32, elems: &mut impl Elements) -> f32 {
+    fn apply_in<L: Lane>(self, elems: &mut impl Elements) {
         let x = L::of;
         match self {
             Op::Copy => elems.each(|a, _, _| a),
@@ -207,8 +198,11 @@ impl Op {
             Op::Mul => elems.each(|a, b, _| (x(a) * x(b)).bits()),
             Op::FmaAssign => elems.each(|a, b, cur| L::fma(x(a), x(b), x(cur)).bits()),
             // The ops that read the register as a scalar, converted once.
-            Op::Xpay { .. } | Op::Axpy { .. } | Op::Scale { .. } | Op::StoreReg { .. } => {
-                let s = L::from_reg(reg);
+            Op::Xpay { scalar: r }
+            | Op::Axpy { scalar: r }
+            | Op::Scale { scalar: r }
+            | Op::StoreReg { reg: r } => {
+                let s = L::from_reg(*elems.reg(r));
                 match self {
                     Op::Xpay { .. } => elems.each(|a, b, _| L::fma(s, x(b), x(a)).bits()),
                     Op::Axpy { .. } => elems.each(|a, _, cur| L::fma(s, x(a), x(cur)).bits()),
@@ -216,22 +210,28 @@ impl Op {
                     _ => elems.each(|_, _, _| s.bits()),
                 }
             }
-            // fp16 products are exact in fp32; only the sum rounds.
-            Op::MacReg { .. } => elems.each(|a, b, _| {
-                reg += F16::of(a).to_reg() * F16::of(b).to_reg();
-                0
-            }),
-            Op::SumReg { .. } => elems.each(|a, _, _| {
-                reg += x(a).to_reg();
-                0
-            }),
-            // The last element sticks.
-            Op::LoadReg { .. } => elems.each(|a, _, _| {
-                reg = x(a).to_reg();
-                0
-            }),
+            // The ops that write the register, through a local.
+            Op::MacReg { acc: r } | Op::SumReg { acc: r } | Op::LoadReg { reg: r } => {
+                let mut reg = *elems.reg(r);
+                match self {
+                    // fp16 products are exact in fp32; only the sum rounds.
+                    Op::MacReg { .. } => elems.each(|a, b, _| {
+                        reg += F16::of(a).to_reg() * F16::of(b).to_reg();
+                        0
+                    }),
+                    Op::SumReg { .. } => elems.each(|a, _, _| {
+                        reg += x(a).to_reg();
+                        0
+                    }),
+                    // The last element sticks.
+                    _ => elems.each(|a, _, _| {
+                        reg = x(a).to_reg();
+                        0
+                    }),
+                }
+                *elems.reg(r) = reg;
+            }
         }
-        reg
     }
 }
 
@@ -243,6 +243,9 @@ pub(crate) trait Elements {
     /// (0 unless the op reads it) — and writes the result to the
     /// destination (dropped when there is none).
     fn each(&mut self, rule: impl FnMut(u32, u32, u32) -> u32);
+
+    /// The core's register `r`.
+    fn reg(&mut self, r: Reg) -> &mut f32;
 }
 
 /// A datapath element type: its bits, its conversions from and to an fp32
@@ -369,6 +372,21 @@ pub enum Stmt {
     },
 }
 
+/// Register statements hash only their destination: `f32` has no `Hash`,
+/// and statements that compare equal still hash equal.
+impl Hash for Stmt {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        std::mem::discriminant(self).hash(h);
+        match self {
+            Stmt::Exec(instr) => instr.hash(h),
+            Stmt::Launch { slot, instr, on_complete } => (slot, instr, on_complete).hash(h),
+            Stmt::InitDsr { dsr, desc } => (dsr, desc).hash(h),
+            Stmt::TaskCtl { task, action } => (task, action).hash(h),
+            Stmt::RegArith { dst, .. } | Stmt::SetReg { reg: dst, .. } => dst.hash(h),
+        }
+    }
+}
+
 /// Scalar register operations.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum RegOp {
@@ -387,7 +405,7 @@ pub enum RegOp {
 }
 
 /// A task: a body of statements plus scheduling metadata.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct Task {
     /// Statements executed in order when the task runs, stored at their
     /// exact length.

@@ -78,7 +78,7 @@ pub mod sanitize;
 pub mod trace;
 pub mod types;
 
-pub use crate::core::{Core, CorePerf, SchedSnapshot};
+pub use crate::core::{Core, CoreImage, CorePerf, SchedSnapshot};
 pub use crate::fabric::{Fabric, FabricPerf, Region, StallReport, StalledTile, Tile};
 pub use crate::fault::{FaultKind, FaultKindClass, FaultLog, FaultPlan, FaultRecord, SplitMix64};
 pub use crate::instr::OpClass;

@@ -6,11 +6,11 @@
 //! in one *class* when they agree on exactly what the tile-local rules
 //! read:
 //!
-//! * every task's body, name, `start_activated` declaration and current
-//!   activated / blocked flags;
+//! * the program image ([`wse_arch::CoreImage`]: every task's body, name,
+//!   priority and start flags, the data-trigger bindings and the declared
+//!   entry tasks) and every task's current activated / blocked flags;
 //! * every DSR's registered descriptor (not its cursor);
 //! * every FIFO's base, capacity, element type and `onpush` task;
-//! * the data-trigger bindings and the declared entry tasks;
 //! * the allocation map;
 //! * the route table.
 //!
@@ -30,9 +30,9 @@ use crate::program::{ColorSet, TileFacts};
 use crate::rules;
 use crate::{LintStats, Pass, Rule, Severity};
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 use std::time::Instant;
 use wse_arch::fabric::Tile;
-use wse_arch::instr::Stmt;
 use wse_arch::types::Color;
 
 /// A tile-local finding: a diagnostic without its coordinates.
@@ -91,7 +91,8 @@ impl Class {
         let mut wanted = ColorSet::default();
         for b in tile
             .core
-            .bindings()
+            .image()
+            .bindings
             .iter()
             .filter(|b| facts.reachable.get(b.task as usize) == Some(&true))
         {
@@ -195,30 +196,11 @@ impl Hasher for Digest {
     }
 }
 
-/// Digest of the class key. Register statements contribute only their
-/// kind (no rule reads their operands, and `f32` has no `Hash`);
-/// [`same_class`] still compares them.
+/// Digest of the class key.
 pub(crate) fn digest(tile: &Tile) -> u64 {
     let mut h = Digest::default();
     let core = &tile.core;
-    core.num_tasks().hash(&mut h);
-    for (id, task) in core.tasks() {
-        task.name.hash(&mut h);
-        (task.start_activated, core.task_activated(id), core.task_blocked(id)).hash(&mut h);
-        task.body.len().hash(&mut h);
-        for stmt in &task.body {
-            std::mem::discriminant(stmt).hash(&mut h);
-            match stmt {
-                Stmt::Exec(instr) => instr.hash(&mut h),
-                Stmt::Launch { slot, instr, on_complete } => {
-                    (slot, instr, on_complete).hash(&mut h)
-                }
-                Stmt::InitDsr { dsr, desc } => (dsr, desc).hash(&mut h),
-                Stmt::TaskCtl { task, action } => (task, action).hash(&mut h),
-                Stmt::RegArith { .. } | Stmt::SetReg { .. } => {}
-            }
-        }
-    }
+    (core.image(), core.task_flags()).hash(&mut h);
     core.num_dsrs().hash(&mut h);
     for (_, d) in core.dsrs() {
         d.desc.hash(&mut h);
@@ -227,8 +209,6 @@ pub(crate) fn digest(tile: &Tile) -> u64 {
     for (_, f) in core.fifos() {
         (f.base, f.capacity, f.dtype, f.onpush).hash(&mut h);
     }
-    core.bindings().hash(&mut h);
-    core.entry_tasks().hash(&mut h);
     tile.mem.allocations().hash(&mut h);
     for route in tile.router.routes() {
         route.hash(&mut h);
@@ -236,17 +216,12 @@ pub(crate) fn digest(tile: &Tile) -> u64 {
     h.finish()
 }
 
-/// Structural equality over the class key (see the module docs).
+/// Structural equality over the class key (see the module docs); tiles
+/// sharing one image skip comparing it.
 pub(crate) fn same_class(a: &Tile, b: &Tile) -> bool {
     let (ca, cb) = (&a.core, &b.core);
-    ca.num_tasks() == cb.num_tasks()
-        && ca.tasks().zip(cb.tasks()).all(|((id, ta), (_, tb))| {
-            ta.name == tb.name
-                && ta.start_activated == tb.start_activated
-                && ca.task_activated(id) == cb.task_activated(id)
-                && ca.task_blocked(id) == cb.task_blocked(id)
-                && ta.body == tb.body
-        })
+    (Arc::ptr_eq(ca.image(), cb.image()) || ca.image() == cb.image())
+        && ca.task_flags() == cb.task_flags()
         && ca.num_dsrs() == cb.num_dsrs()
         && ca.dsrs().zip(cb.dsrs()).all(|((_, da), (_, db))| da.desc == db.desc)
         && ca.num_fifos() == cb.num_fifos()
@@ -254,8 +229,6 @@ pub(crate) fn same_class(a: &Tile, b: &Tile) -> bool {
             (fa.base, fa.capacity, fa.dtype, fa.onpush)
                 == (fb.base, fb.capacity, fb.dtype, fb.onpush)
         })
-        && ca.bindings() == cb.bindings()
-        && ca.entry_tasks() == cb.entry_tasks()
         && a.mem.allocations() == b.mem.allocations()
         && a.router.routes().eq(b.router.routes())
 }

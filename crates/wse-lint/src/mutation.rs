@@ -9,9 +9,10 @@
 //! for byte; the class-sharing property test inside this crate lints it
 //! with and without tile-class sharing and requires the same answer.
 //!
-//! A tile's program is only editable through the builder API, so a
-//! mutation rebuilds the tile's core (or router) from its read-only view
-//! with the edit applied.
+//! A tile's program is only editable through the builder API: a mutation
+//! edits a task body with [`Core::set_task_body`] on a copy of the tile,
+//! and rebuilds the core (or router) from its read-only view for the edits
+//! no builder makes — a registered descriptor, a binding removed.
 
 use wse_arch::dsr::{mk, Descriptor};
 use wse_arch::fabric::{Fabric, Tile};
@@ -73,22 +74,7 @@ fn descriptor_slots(core: &Core) -> Vec<(Slot, Descriptor)> {
 #[derive(Default)]
 struct CoreEdit {
     dsr: Option<(DsrId, Descriptor)>,
-    stmt: Option<(TaskId, usize, Stmt)>,
     unbind: Option<usize>,
-}
-
-impl CoreEdit {
-    fn descriptor(core: &Core, slot: Slot, desc: Descriptor) -> CoreEdit {
-        match slot {
-            Slot::Dsr(id) => CoreEdit { dsr: Some((id, desc)), ..CoreEdit::default() },
-            Slot::Init(t, s) => {
-                let Stmt::InitDsr { dsr, .. } = core.task(t).body[s] else {
-                    unreachable!("slot names an InitDsr statement")
-                };
-                CoreEdit { stmt: Some((t, s, Stmt::InitDsr { dsr, desc })), ..CoreEdit::default() }
-            }
-        }
-    }
 }
 
 /// Copies everything the linter reads of `core` — descriptors, FIFOs, task
@@ -106,29 +92,43 @@ fn rebuild_core(core: &Core, edit: &CoreEdit) -> Core {
         out.add_fifo(Fifo::new(f.base, f.capacity, f.dtype, f.onpush));
     }
     for (id, task) in core.tasks() {
-        let mut task = task.clone();
-        if let Some((t, s, stmt)) = &edit.stmt {
-            if *t == id {
-                task.body[*s] = stmt.clone();
-            }
-        }
         let activated = core.task_activated(id) && !task.start_activated;
         assert_eq!(core.task_blocked(id), task.start_blocked, "subjects are unstepped");
-        out.add_task(task);
+        out.add_task(task.clone());
         if activated {
             out.activate(id);
         }
     }
-    for (i, b) in core.bindings().iter().enumerate() {
+    for (i, b) in core.image().bindings.iter().enumerate() {
         if edit.unbind != Some(i) {
             out.bind_color(b.color, b.task);
         }
     }
-    for &t in core.entry_tasks() {
+    for &t in &core.image().entries {
         out.mark_entry(t);
     }
     out.regs = core.regs;
     out
+}
+
+/// Replaces statement `s` of task `t` of `core`.
+fn set_stmt(core: &mut Core, t: TaskId, s: usize, edit: impl FnOnce(&mut Stmt)) {
+    let mut body = core.image().tasks[t as usize].body.to_vec();
+    edit(&mut body[s]);
+    core.set_task_body(t, body);
+}
+
+/// Puts `desc` in `slot` of `core`.
+fn set_descriptor(core: &mut Core, slot: Slot, desc: Descriptor) {
+    match slot {
+        Slot::Dsr(id) => {
+            *core = rebuild_core(core, &CoreEdit { dsr: Some((id, desc)), ..CoreEdit::default() })
+        }
+        Slot::Init(t, s) => set_stmt(core, t, s, |stmt| match stmt {
+            Stmt::InitDsr { desc: d, .. } => *d = desc,
+            _ => unreachable!("slot names an InitDsr statement"),
+        }),
+    }
 }
 
 /// Applies `m` to a copy of `tile` and describes what it did; `None` when
@@ -176,7 +176,7 @@ pub fn mutate(tile: &Tile, m: Mutation, pick: u64) -> Option<(Tile, String)> {
                 }
                 _ => unreachable!("filtered to fabric descriptors"),
             };
-            out.core = rebuild_core(&tile.core, &CoreEdit::descriptor(&tile.core, slot, swapped));
+            set_descriptor(&mut out.core, slot, swapped);
             format!("swap {} color {from} -> {to}", slot_name(slot))
         }
         Mutation::ShiftDsr => {
@@ -195,31 +195,31 @@ pub fn mutate(tile: &Tile, m: Mutation, pick: u64) -> Option<(Tile, String)> {
             // allocator placed next.
             let shift = (len / 2) * stride.max(1) * dtype.bytes();
             let shifted = Descriptor::Mem { addr: addr + shift, len, stride, dtype, rewind };
-            out.core = rebuild_core(&tile.core, &CoreEdit::descriptor(&tile.core, slot, shifted));
+            set_descriptor(&mut out.core, slot, shifted);
             format!("shift {} addr {addr} -> {}", slot_name(slot), addr + shift)
         }
         Mutation::RemoveOnComplete => {
             let mut sites = Vec::new();
             for (t, task) in tile.core.tasks() {
                 for (s, stmt) in task.body.iter().enumerate() {
-                    if let Stmt::Launch { slot, instr, on_complete: Some(oc) } = stmt {
-                        sites.push((t, s, *slot, *instr, *oc));
+                    if let Stmt::Launch { on_complete: Some(oc), .. } = stmt {
+                        sites.push((t, s, *oc));
                     }
                 }
             }
             if sites.is_empty() {
                 return None;
             }
-            let (t, s, slot, instr, oc) = sites[nth(sites.len())];
-            let edit = CoreEdit {
-                stmt: Some((t, s, Stmt::Launch { slot, instr, on_complete: None })),
-                ..CoreEdit::default()
-            };
-            out.core = rebuild_core(&tile.core, &edit);
+            let (t, s, oc) = sites[nth(sites.len())];
+            set_stmt(&mut out.core, t, s, |stmt| {
+                if let Stmt::Launch { on_complete, .. } = stmt {
+                    *on_complete = None;
+                }
+            });
             format!("remove on_complete {oc:?} of task {t} stmt {s}")
         }
         Mutation::Unbind => {
-            let bindings = tile.core.bindings();
+            let bindings = &tile.core.image().bindings;
             if bindings.is_empty() {
                 return None;
             }

@@ -268,7 +268,7 @@ impl<'a> TileFacts<'a> {
         let activates = activation_graph(core, &sites, &task_sites, looped);
         let reachable = reachable_tasks(core, &activates, delivered);
 
-        let mut activation_sources = vec![0u32; core.num_tasks()];
+        let mut activation_sources = vec![0u32; core.image().tasks.len()];
         for (id, edges) in activates.iter().enumerate() {
             if reachable[id] {
                 for e in edges.iter().filter(|e| e.via != Via::Loop) {
@@ -313,7 +313,7 @@ fn activation_graph(
     task_sites: &[Range<usize>],
     looped: ColorSet,
 ) -> Vec<Vec<Activation>> {
-    let n = core.num_tasks();
+    let n = core.image().tasks.len();
     let mut activates: Vec<Vec<Activation>> = vec![Vec::new(); n];
     for (id, task) in core.tasks() {
         let out = &mut activates[id as usize];
@@ -341,7 +341,7 @@ fn activation_graph(
                 Some(Descriptor::FabricOut { color, len, .. })
                     if len > 0 && looped.contains(color) =>
                 {
-                    for b in core.bindings().iter().filter(|b| b.color == color) {
+                    for b in core.image().bindings.iter().filter(|b| b.color == color) {
                         edge(b.task, Via::Loop);
                     }
                 }
@@ -367,10 +367,10 @@ fn reachable_tasks(core: &Core, activates: &[Vec<Activation>], delivered: ColorS
             reach(id, &mut work);
         }
     }
-    for &id in core.entry_tasks() {
+    for &id in &core.image().entries {
         reach(id, &mut work);
     }
-    for b in core.bindings() {
+    for b in &core.image().bindings {
         if delivered.contains(b.color) {
             reach(b.task, &mut work);
         }
@@ -390,7 +390,7 @@ fn resolve_sites(core: &Core) -> (Vec<InstrSite>, Vec<Range<usize>>) {
     // Effective descriptor per DSR, updated by InitDsr as we walk.
     let mut effective = registered.clone();
     let mut sites = Vec::new();
-    let mut task_sites = Vec::with_capacity(core.num_tasks());
+    let mut task_sites = Vec::with_capacity(core.image().tasks.len());
     for (task_id, task) in core.tasks() {
         effective.copy_from_slice(&registered);
         let first = sites.len();

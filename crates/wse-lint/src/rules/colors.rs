@@ -45,7 +45,7 @@ pub(crate) fn check(facts: &TileFacts<'_>, findings: &mut Vec<Finding>) {
             ));
         }
     }
-    for b in core.bindings() {
+    for b in &core.image().bindings {
         if b.color as usize >= NUM_COLORS {
             findings.push(Finding::error(
                 Rule::ColorOutOfRange,
@@ -53,7 +53,7 @@ pub(crate) fn check(facts: &TileFacts<'_>, findings: &mut Vec<Finding>) {
                     "task {} (\"{}\") is bound to color {}, but the hardware has only \
                      {NUM_COLORS} colors",
                     b.task,
-                    core.task(b.task).name,
+                    core.image().tasks[b.task as usize].name,
                     b.color
                 ),
             ));
@@ -76,7 +76,7 @@ pub(crate) fn check(facts: &TileFacts<'_>, findings: &mut Vec<Finding>) {
         }
     }
     for (task, colors) in per_task {
-        let name = core.task(task).name;
+        let name = core.image().tasks[task as usize].name;
         for (color, uses) in colors {
             let launches = uses.iter().filter(|(_, bg)| *bg).count();
             // Conflict when two receives can be live at once: two launched

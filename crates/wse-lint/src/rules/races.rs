@@ -256,14 +256,14 @@ struct Ordering<'f, 'a> {
 impl<'f, 'a> Ordering<'f, 'a> {
     fn new(facts: &'f TileFacts<'a>) -> Self {
         let core = &facts.tile.core;
-        let n = core.num_tasks();
+        let n = core.image().tasks.len();
         let joinable = core
             .tasks()
             .map(|(id, task)| {
                 let started_otherwise = task.start_activated
                     || core.task_activated(id)
-                    || core.entry_tasks().contains(&id)
-                    || core.bindings().iter().any(|b| b.task == id);
+                    || core.image().entries.contains(&id)
+                    || core.image().bindings.iter().any(|b| b.task == id);
                 facts.reachable[id as usize] && !started_otherwise
             })
             .collect();

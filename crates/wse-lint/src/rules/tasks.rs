@@ -26,7 +26,7 @@ pub(crate) fn check(facts: &TileFacts<'_>, findings: &mut Vec<Finding>) {
     let core = &facts.tile.core;
 
     // Unblock edges available from reachable code.
-    let mut unblockable = vec![false; core.num_tasks()];
+    let mut unblockable = vec![false; core.image().tasks.len()];
     let mut unblock = |t: TaskId| {
         if let Some(slot) = unblockable.get_mut(t as usize) {
             *slot = true;
