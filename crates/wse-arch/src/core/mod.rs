@@ -63,10 +63,11 @@ pub struct CorePerf {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SchedSnapshot {
     dsr_pos: Vec<u32>,
-    flags: [Vec<u64>; 2],
+    tasks: usize,
+    flags: Vec<[u64; 2]>,
 }
 
-/// Indices into [`Core`]'s task flag bitsets.
+/// Indices into each word pair of [`Core`]'s task flags.
 const ACTIVATED: usize = 0;
 const BLOCKED: usize = 1;
 
@@ -99,7 +100,8 @@ struct RunningTask {
     pc: usize,
 }
 
-/// One tile's core.
+/// One tile's core: its program image, shared by clones, and the state
+/// that runs it.
 #[derive(Clone, Debug)]
 pub struct Core {
     /// Scalar register file (fp32).
@@ -115,11 +117,11 @@ pub struct Core {
     /// Bit `s` set while slot `s` holds an unfinished instruction.
     live: u16,
     rr_cursor: usize,
-    /// Every task's activated (`flags[ACTIVATED]`) and blocked
-    /// (`flags[BLOCKED]`) flag, bit `id % 64` of word `id / 64`; a task is
-    /// runnable when activated and not blocked, so [`Core::schedule`]
+    /// Every task's activated and blocked flag: bit `id % 64` of
+    /// `flags[id / 64][ACTIVATED]` and of `flags[id / 64][BLOCKED]`. A task
+    /// is runnable when activated and not blocked, so [`Core::schedule`]
     /// visits only those.
-    flags: [Vec<u64>; 2],
+    flags: Vec<[u64; 2]>,
     /// Runnable tasks; keeps [`Core::is_quiescent`] O(1).
     runnable: usize,
     /// Words received from the router, one queue per color.
@@ -178,7 +180,7 @@ impl Core {
             slots: [NO_INSTR; SLOTS],
             live: 0,
             rr_cursor: 0,
-            flags: [Vec::new(), Vec::new()],
+            flags: Vec::new(),
             runnable: 0,
             ramp_in: SlotTable::default(),
             ramp_out: SlotTable::default(),
@@ -191,21 +193,21 @@ impl Core {
 
     /// Task `id`'s flag `which` ([`ACTIVATED`] or [`BLOCKED`]).
     fn flag(&self, id: TaskId, which: usize) -> bool {
-        self.flags[which][id as usize / 64] >> (id % 64) & 1 != 0
+        self.flags[id as usize / 64][which] >> (id % 64) & 1 != 0
     }
 
     /// Sets or clears task `id`'s flag `which`, keeping the runnable count.
     #[inline]
     fn set_flag(&mut self, id: TaskId, which: usize, on: bool) {
-        let (w, bit) = (id as usize / 64, 1 << (id % 64));
-        let runnable = |f: &[Vec<u64>; 2]| (f[ACTIVATED][w] & !f[BLOCKED][w] & bit != 0) as usize;
-        let was = runnable(&self.flags);
+        let (word, bit) = (&mut self.flags[id as usize / 64], 1 << (id % 64));
+        let was = word[ACTIVATED] & !word[BLOCKED] & bit != 0;
         if on {
-            self.flags[which][w] |= bit;
+            word[which] |= bit;
         } else {
-            self.flags[which][w] &= !bit;
+            word[which] &= !bit;
         }
-        self.runnable = self.runnable + runnable(&self.flags) - was;
+        let is = word[ACTIVATED] & !word[BLOCKED] & bit != 0;
+        self.runnable = self.runnable + is as usize - was as usize;
     }
 
     /// Externally activates a task (the host-side "go" signal).
@@ -358,12 +360,10 @@ impl Core {
         self.ramp_in_mask = 0;
         self.ramp_out_mask = 0;
         self.ramp_rr = 0;
-        for f in &mut self.flags {
-            f.fill(0);
-        }
+        self.flags.fill([0, 0]);
         for (id, t) in self.image.tasks.iter().enumerate() {
-            self.flags[ACTIVATED][id / 64] |= (t.start_activated as u64) << (id % 64);
-            self.flags[BLOCKED][id / 64] |= (t.start_blocked as u64) << (id % 64);
+            self.flags[id / 64][ACTIVATED] |= (t.start_activated as u64) << (id % 64);
+            self.flags[id / 64][BLOCKED] |= (t.start_blocked as u64) << (id % 64);
         }
         self.recount_runnable();
         for d in &mut self.dsrs {
@@ -382,6 +382,7 @@ impl Core {
     pub fn sched_state(&self) -> SchedSnapshot {
         SchedSnapshot {
             dsr_pos: self.dsrs.iter().map(|d| d.pos).collect(),
+            tasks: self.image.tasks.len(),
             flags: self.flags.clone(),
         }
     }
@@ -392,7 +393,7 @@ impl Core {
     /// Panics if the snapshot shape does not match this core's program.
     pub fn restore_sched_state(&mut self, snap: &SchedSnapshot) {
         assert_eq!(snap.dsr_pos.len(), self.dsrs.len(), "snapshot from a different program");
-        assert_eq!(snap.flags[0].len(), self.flags[0].len(), "snapshot from a different program");
+        assert_eq!(snap.tasks, self.image.tasks.len(), "snapshot from a different program");
         for (d, &pos) in self.dsrs.iter_mut().zip(&snap.dsr_pos) {
             d.pos = pos;
         }
@@ -402,8 +403,7 @@ impl Core {
 
     /// Re-derives the runnable count after task flags were set wholesale.
     fn recount_runnable(&mut self) {
-        let [act, blk] = &self.flags;
-        self.runnable = act.iter().zip(blk).map(|(a, b)| (a & !b).count_ones() as usize).sum();
+        self.runnable = self.flags.iter().map(|[a, b]| (a & !b).count_ones() as usize).sum();
     }
 
     /// Executes fabric cycle `cycle` with no observer attached. `mem` is
@@ -450,8 +450,7 @@ impl Core {
         // Highest priority wins; ascending ids with a strict `>` keep the
         // lowest id among equals.
         let mut best: Option<(u8, TaskId)> = None;
-        let [act, blk] = &self.flags;
-        for (w, (a, b)) in act.iter().zip(blk).enumerate() {
+        for (w, [a, b]) in self.flags.iter().enumerate() {
             let mut bits = a & !b;
             while bits != 0 {
                 let id = w * 64 + bits.trailing_zeros() as usize;

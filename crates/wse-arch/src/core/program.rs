@@ -64,7 +64,7 @@ impl Core {
     pub fn add_task(&mut self, task: Task) -> TaskId {
         let id = next_id(self.image.tasks.len(), TaskId::MAX - 1, "task");
         if id.is_multiple_of(64) {
-            self.flags.iter_mut().for_each(|f| f.push(0));
+            self.flags.push([0, 0]);
         }
         self.set_flag(id, ACTIVATED, task.start_activated);
         self.set_flag(id, BLOCKED, task.start_blocked);
@@ -128,9 +128,10 @@ impl Core {
         self.flag(id, ACTIVATED)
     }
 
-    /// Every task's activation and blocked flags as two bitsets (bit
-    /// `id % 64` of word `id / 64`): the run state the image leaves out.
-    pub fn task_flags(&self) -> &[Vec<u64>; 2] {
+    /// Every task's activation and blocked flags, 64 tasks per pair of
+    /// words (bit `id % 64` of `[activated, blocked]` at `id / 64`): the run
+    /// state the image leaves out.
+    pub fn task_flags(&self) -> &[[u64; 2]] {
         &self.flags
     }
 

@@ -837,19 +837,82 @@ mod tests {
 
     #[test]
     fn tile_and_program_sizes_are_pinned() {
-        // On x86-64: a tile is 1,152 B (core 744, router 352, the lazily
+        // On x86-64: a tile is 1,088 B (core 672, router 352, the lazily
         // backed SRAM's handle 56), a statement 20, an instruction 14, a DSR
-        // 20. Any id or register index re-widened to `usize`, or observer
-        // state moved back into the core, fails here.
+        // 20. Any id or register index re-widened to `usize`, observer state
+        // moved back into the core, or program tables moved back out of its
+        // shared image, fails here.
         use crate::dsr::Dsr;
         use crate::instr::{Stmt, TensorInstr};
         use std::mem::size_of;
         let sizes =
             [size_of::<Tile>(), size_of::<Stmt>(), size_of::<TensorInstr>(), size_of::<Dsr>()];
         assert!(
-            sizes[0] <= 1152 && sizes[1] <= 24 && sizes[2] <= 16 && sizes[3] <= 20,
+            sizes[0] <= 1088 && sizes[1] <= 24 && sizes[2] <= 16 && sizes[3] <= 20,
             "{sizes:?}"
         );
+    }
+
+    #[test]
+    fn a_cloned_tile_shares_its_image_until_a_builder_edits_the_clone() {
+        use std::sync::Arc;
+        let (f, _) = sender_receiver(8);
+        let src = f.tile(0, 0);
+        let before = src.core.dump_program();
+        let mut copy = src.clone();
+        assert!(Arc::ptr_eq(copy.core.image(), src.core.image()));
+        let extract = f.extract_region(Region::new(0, 0, 1, 1));
+        assert!(Arc::ptr_eq(extract.tile(0, 0).core.image(), src.core.image()));
+
+        copy.core.set_task_body(0, vec![Stmt::SetReg { reg: 3, value: 1.0 }]);
+        assert!(!Arc::ptr_eq(copy.core.image(), src.core.image()));
+        let mut other = src.clone();
+        other.core.bind_color(5, 0);
+        other.core.mark_entry(0);
+        assert_eq!(src.core.dump_program(), before, "an edit to a clone reached its source");
+        assert_ne!(copy.core.dump_program(), before);
+        assert_ne!(other.core.dump_program(), before);
+        assert_eq!(copy.core.image().bindings, []);
+        assert_eq!(src.core.image().entries, []);
+    }
+
+    #[test]
+    fn a_blitted_image_is_shared_and_steps_like_a_fresh_build() {
+        use std::sync::Arc;
+        // The template's tasks are activated by the host after placement,
+        // as the program cache does; `reset_transient` leaves it quiescent.
+        let quiet = || {
+            let (mut f, raddr) = sender_receiver(8);
+            for x in 0..2 {
+                f.tile_mut(x, 0).core.reset_transient();
+            }
+            (f, raddr)
+        };
+        let (template, raddr) = quiet();
+        let mut blitted = Fabric::new(2, 1);
+        blitted.blit_region(Region::new(0, 0, 2, 1), &template);
+        let (mut fresh, _) = quiet();
+        let shared = |f: &Fabric| {
+            (0..2).all(|x| Arc::ptr_eq(f.tile(x, 0).core.image(), template.tile(x, 0).core.image()))
+        };
+        assert!(shared(&blitted));
+        let go = |f: &mut Fabric| {
+            for x in 0..2 {
+                f.tile_mut(x, 0).core.activate(0);
+            }
+            f.run_watched(1_000, 1_000).unwrap();
+            let got = f.tile(1, 0).mem.load_f16_slice(raddr, 8);
+            (f.cycle(), f.perf(), f.tile(1, 0).core.dump_program(), got)
+        };
+        for round in 0..2 {
+            assert_eq!(go(&mut blitted), go(&mut fresh), "round {round}");
+            for f in [&mut blitted, &mut fresh] {
+                for x in 0..2 {
+                    f.tile_mut(x, 0).core.reset_transient();
+                }
+            }
+        }
+        assert!(shared(&blitted), "running and resetting never copies the image");
     }
 
     #[test]

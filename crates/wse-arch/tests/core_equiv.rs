@@ -413,3 +413,45 @@ fn shifted_memory_recurrence_runs_in_element_order() {
         assert_eq!(mem.read_f32(a + 4 * (i as u32 + 1)), sum, "element {i}");
     }
 }
+
+/// A fabric-output destination of 17 or more elements, drained more slowly
+/// than the datapath sends: the 8-slot ramp-out fills, so each batched
+/// group must stop at the ramp-out's free space. No drawn case reaches
+/// that (lengths stay below 10), so this deterministic sweep covers it:
+/// every op that writes a destination without reading it, both element
+/// types, a drain of 4 bytes every 2 to 4 cycles, and either thread kind.
+#[test]
+fn batched_datapath_matches_per_element_on_a_full_ramp_out() {
+    let mut cases = 0;
+    for (k, &op) in OPS.iter().enumerate() {
+        let writes = !matches!(op, Op::MacReg { .. } | Op::SumReg { .. } | Op::LoadReg { .. });
+        if !writes || op.reads_dst() {
+            continue;
+        }
+        for dtype in [Dtype::F16, Dtype::F32] {
+            for len in [17, 20, 23] {
+                for drain_every in 2..5 {
+                    for synchronous in [false, true] {
+                        let case = Case {
+                            op,
+                            dtype,
+                            kinds: [Kind::Fabric, Kind::Tensor, Kind::Tensor],
+                            lens: [len; 3],
+                            alias: Alias::None,
+                            queued: [0, 0],
+                            fifo_fill: 0,
+                            drain_every,
+                            synchronous,
+                            seed: 31 * k as u64 + len as u64,
+                        };
+                        if let Err(e) = run(&case) {
+                            panic!("{e}\n{case:?}");
+                        }
+                        cases += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(cases, 6 * 2 * 3 * 3 * 2);
+}

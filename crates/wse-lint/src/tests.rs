@@ -62,30 +62,49 @@ fn subject(which: usize) -> Fabric {
     }
 }
 
+/// Break one tile of a clean program: the tile leaves its class, its
+/// neighbours' verdicts change with it, and none of that may depend on how
+/// classes were proposed. `which` picks the subject, `at` the first tile
+/// tried, `kind` and `pick` the defect.
+fn one_mutated_tile(
+    (which, at, kind, pick): (usize, usize, usize, u64),
+) -> Result<(), TestCaseError> {
+    let mut fabric = subject(which);
+    let (w, n) = (fabric.width(), fabric.width() * fabric.height());
+    // First tile at or after the drawn one with something to break.
+    let hit = (0..n).find_map(|k| {
+        let i = (at % n + k) % n;
+        mutate(fabric.tile(i % w, i / w), Mutation::ALL[kind], pick).map(|(t, _)| (i, t))
+    });
+    prop_assume!(hit.is_some());
+    let (i, broken) = hit.unwrap();
+    *fabric.tile_mut(i % w, i / w) = broken;
+    lint_all_ways(&fabric)?;
+    Ok(())
+}
+
+fn mutations() -> impl Strategy<Value = (usize, usize, usize, u64)> {
+    (0..5usize, any::<usize>(), 0..Mutation::ALL.len(), any::<u64>())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Break one tile of a clean program: the tile leaves its class, its
-    /// neighbours' verdicts change with it, and none of that may depend on
-    /// how classes were proposed.
     #[test]
-    fn one_mutated_tile_lints_the_same_shared_and_unshared(
-        which in 0..5usize,
-        at in any::<usize>(),
-        kind in 0..Mutation::ALL.len(),
-        pick in any::<u64>(),
-    ) {
-        let mut fabric = subject(which);
-        let (w, n) = (fabric.width(), fabric.width() * fabric.height());
-        // First tile at or after the drawn one with something to break.
-        let hit = (0..n).find_map(|k| {
-            let i = (at % n + k) % n;
-            mutate(fabric.tile(i % w, i / w), Mutation::ALL[kind], pick).map(|(t, _)| (i, t))
-        });
-        prop_assume!(hit.is_some());
-        let (i, broken) = hit.unwrap();
-        *fabric.tile_mut(i % w, i / w) = broken;
-        lint_all_ways(&fabric)?;
+    fn one_mutated_tile_lints_the_same_shared_and_unshared(draw in mutations()) {
+        one_mutated_tile(draw)?;
+    }
+}
+
+// The same property at 1,024 cases: `scripts/verify.sh` runs it in release
+// (`cargo test --release -p wse-lint -- --ignored`).
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    #[ignore = "deep sweep, run in release by scripts/verify.sh"]
+    fn one_mutated_tile_lints_the_same_shared_and_unshared_deep(draw in mutations()) {
+        one_mutated_tile(draw)?;
     }
 }
 

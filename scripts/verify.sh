@@ -4,8 +4,9 @@
 # are the root package and all thirteen crates, so it runs every suite the
 # `--workspace` run below does): the release
 # build, the whole workspace's tests, the exhaustive fp16 sweeps, the
-# wse-dsl host-mirror sweep and the wse-arch stepper- and
-# datapath-equivalence sweeps (release, --ignored), clippy,
+# wse-dsl host-mirror sweep, the wse-arch stepper- and
+# datapath-equivalence sweeps and the wse-lint class-sharing sweep
+# (release, --ignored), clippy,
 # rustfmt and warning-free rustdoc, the non-test line count per crate (informational, no gate), a
 # grep that keeps the workspace single-threaded, the wse-lint
 # static verifier over every shipped kernel configuration (its plain and
@@ -29,7 +30,7 @@ cargo build --release
 echo "== cargo test -q --workspace =="
 cargo test -q --workspace
 
-echo "== wse-float, wse-dsl and wse-arch sweeps (release, --ignored) =="
+echo "== wse-float, wse-dsl, wse-arch and wse-lint sweeps (release, --ignored) =="
 # Narrowing on all 2^32 binary32 inputs and fma16 on 4*10^8 random triples
 # against the reference algorithms; the debug suite above covers every
 # rounding boundary but not every input. wse-dsl: 20,000 seeded block and
@@ -38,8 +39,10 @@ echo "== wse-float, wse-dsl and wse-arch sweeps (release, --ignored) =="
 # programs and 2048 fault plans, each run under both steppers in lockstep
 # (crates/wse-arch/tests/step_equiv.rs), and 8192 random tensor
 # instructions, each run under the batched and the per-element datapath
-# (crates/wse-arch/tests/core_equiv.rs; about 2 s).
-cargo test --release -q -p wse-float -p wse-dsl -p wse-arch -- --ignored
+# (crates/wse-arch/tests/core_equiv.rs; about 2 s). wse-lint: 1,024 seeded
+# single-tile defects in clean programs, each linted with shared, unshared
+# and all-colliding tile classes (crates/wse-lint/src/tests.rs; about 1 s).
+cargo test --release -q -p wse-float -p wse-dsl -p wse-arch -p wse-lint -- --ignored
 
 echo "== cargo clippy --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
