@@ -1147,6 +1147,81 @@ mod tests {
         );
     }
 
+    /// A 1×w fabric streaming `n` words on color 1 from (from,0) to
+    /// (to,0), eastward or westward.
+    fn stream_between(w: usize, from: usize, to: usize, n: u32) -> (Fabric, u32) {
+        let (out, inp) =
+            if to > from { (Port::East, Port::West) } else { (Port::West, Port::East) };
+        let mut f = Fabric::new(w, 1);
+        f.set_route(from, 0, Port::Ramp, 1, &[out]);
+        for x in from.min(to) + 1..from.max(to) {
+            f.set_route(x, 0, inp, 1, &[out]);
+        }
+        f.set_route(to, 0, inp, 1, &[Port::Ramp]);
+        let exec =
+            |a, b| Stmt::Exec(TensorInstr { op: Op::Copy, dst: Some(a), a: Some(b), b: None });
+        let t = f.tile_mut(from, 0);
+        let data: Vec<F16> = (1..=n).map(|i| F16::from_f64(i as f64)).collect();
+        let addr = t.mem.alloc_vec(n, Dtype::F16).unwrap();
+        t.mem.store_f16_slice(addr, &data);
+        let (dsrc, dtx) = (t.core.add_dsr(mk::tensor16(addr, n)), t.core.add_dsr(mk::tx16(1, n)));
+        let task = t.core.add_task(Task::new("send", vec![exec(dtx, dsrc)]));
+        t.core.activate(task);
+        let t = f.tile_mut(to, 0);
+        let raddr = t.mem.alloc_vec(n, Dtype::F16).unwrap();
+        let (drx, ddst) = (t.core.add_dsr(mk::rx16(1, n)), t.core.add_dsr(mk::tensor16(raddr, n)));
+        let task = t.core.add_task(Task::new("recv", vec![exec(ddst, drx)]));
+        t.core.activate(task);
+        (f, raddr)
+    }
+
+    #[test]
+    fn westward_drop_counts_on_its_own_link_direction() {
+        let n = 16u32;
+        let (template, raddr) = stream_between(4, 3, 0, n);
+        let mut healthy = MultiFabric::split_x(&template, 2, HostLink::paper_default());
+        // run_split reads column `w - 1`: the receiver here is column 0.
+        let (_, base_bits) = run_split(&mut healthy, 1, n, raddr).unwrap();
+        assert_eq!(healthy.link_stats(0, 1).frames, u64::from(n));
+
+        let mut armed = MultiFabric::split_x(&template, 2, HostLink::paper_default());
+        armed.arm_faults(&FaultPlan::new().with(2, FaultKind::HostLinkDrop { seam: 0, dir: 1 }));
+        let (_, bits) = run_split(&mut armed, 1, n, raddr).unwrap();
+        assert_eq!(bits, base_bits, "retransmission must mask the westward drop");
+        assert_eq!(armed.link_stats(0, 1).fault_dropped, 1);
+        assert_eq!(armed.link_stats(0, 0), LinkStats::default(), "eastward carried nothing");
+    }
+
+    #[test]
+    fn faults_reach_only_the_seam_they_name() {
+        // Six columns over three wafers ([0,2), [2,4), [4,6)): the stream
+        // from column 3 to column 5 crosses seam 1 eastward and nothing else.
+        let n = 16u32;
+        let (template, raddr) = stream_between(6, 3, 5, n);
+        let run = |plan: FaultPlan| {
+            let mut multi = MultiFabric::split_x(&template, 3, HostLink::paper_default());
+            multi.arm_faults(&plan);
+            let (cycles, bits) = run_split(&mut multi, 6, n, raddr).unwrap();
+            (cycles, bits, multi)
+        };
+        let (base_cycles, base_bits, _) = run(FaultPlan::new());
+        let stall = |wafer| FaultPlan::new().with(5, FaultKind::WaferStall { wafer, cycles: 300 });
+        let (cycles, bits, _) = run(stall(0));
+        assert_eq!((cycles, &bits), (base_cycles, &base_bits), "wafer 0 touches only seam 0");
+        let (cycles, bits, _) = run(stall(2));
+        assert!(cycles > base_cycles, "wafer 2 darkens seam 1: {cycles} vs {base_cycles}");
+        assert_eq!(bits, base_bits);
+
+        let corrupt = FaultKind::HostLinkCorrupt { seam: 1, dir: 0, bit: 3 };
+        let (_, bits, multi) = run(FaultPlan::new().with(2, corrupt));
+        assert_eq!(bits, base_bits);
+        let stats = multi.link_stats(1, 0);
+        assert_eq!((stats.fault_corrupted, stats.checksum_discarded), (1, 1));
+        for (seam, dir) in [(0, 0), (0, 1), (1, 1)] {
+            assert_eq!(multi.link_stats(seam, dir), LinkStats::default(), "seam {seam} dir {dir}");
+        }
+    }
+
     #[test]
     fn to_local_round_trips() {
         let multi = MultiFabric::new(10, 2, 3, HostLink::ideal());

@@ -11,8 +11,9 @@
 # grep that keeps the workspace single-threaded, the wse-lint
 # static verifier over every shipped kernel configuration (its plain and
 # --json stdout diffed against the checked-in output, once more with
-# --stats) and broken fixture, two fault-injection smokes (each run twice
-# and diffed, then diffed against its checked-in stdout), a 128x128 SpMV
+# --stats) and broken fixture, three fault-injection smokes (one wafer, and
+# two and three linked wafers; each run twice and diffed, then diffed
+# against its checked-in stdout), a 128x128 SpMV
 # smoke, the e2e-bench tests, and the exact simulated
 # counters of all four benchmark workloads. The four cycle identities (an armed trace, the
 # runtime sanitizer, the reference stepper and a framed k = 2 split all land
@@ -129,7 +130,7 @@ bench_bin() { cargo run -q --release -p wse-bench --bin "$@"; }
 # The smoke sweep solves a small wafer BiCGStab under one seeded fault per
 # kind with checkpoint/rollback recovery enabled: the whole
 # fault→watchdog→recovery pipeline is seeded and bit-for-bit reproducible,
-# so both smokes' stdout is also diffed against the checked-in
+# so every smoke's stdout is also diffed against the checked-in
 # scripts/expected_shipped/fault_sweep-*.txt (a change that means to move
 # it updates those files).
 smoke_twice "fault-injection smoke (one seeded fault of each kind, twice, diffed)" \
@@ -147,6 +148,15 @@ smoke_twice "ensemble fault smoke (k=2 host-link faults, twice, diffed)" \
   "host_link_drop" \
   -- bench_bin fault_sweep -- --multi 2 --smoke
 diff -u scripts/expected_shipped/fault_sweep-multi2-smoke.txt "$smoke_out"
+
+# The --multi 3 leg is the same sweep on three wafers: the only shipped
+# check with more than one seam, so it is what notices a fault or a frame
+# landing on the wrong seam or link direction.
+smoke_twice "ensemble fault smoke (k=3 host-link faults, twice, diffed)" \
+  "baseline (fault-free): Converged" \
+  "host_link_drop" \
+  -- bench_bin fault_sweep -- --multi 3 --smoke
+diff -u scripts/expected_shipped/fault_sweep-multi3-smoke.txt "$smoke_out"
 
 echo "== 128x128 Listing-1 SpMV smoke =="
 # One SpMV over 16,384 tiles, far past the benchmarks' fabrics, bit-exact
