@@ -136,8 +136,7 @@ impl WaferExec for MultiFabric {
     }
 
     fn activate(&mut self, x: usize, y: usize, task: TaskId) {
-        let (m, lx) = self.to_local(x);
-        self.shard_mut(m).tile_mut(lx, y).core.activate(task);
+        self.tile_mut(x, y).core.activate(task);
     }
 
     fn run_phase(
@@ -153,23 +152,19 @@ impl WaferExec for MultiFabric {
     }
 
     fn store_f16(&mut self, x: usize, y: usize, addr: u32, data: &[F16]) {
-        let (m, lx) = self.to_local(x);
-        self.shard_mut(m).tile_mut(lx, y).mem.store_f16_slice(addr, data);
+        self.tile_mut(x, y).mem.store_f16_slice(addr, data);
     }
 
     fn load_f16(&self, x: usize, y: usize, addr: u32, len: usize) -> Vec<F16> {
-        let (m, lx) = self.to_local(x);
-        self.shard(m).tile(lx, y).mem.load_f16_slice(addr, len)
+        self.tile(x, y).mem.load_f16_slice(addr, len)
     }
 
     fn set_reg(&mut self, x: usize, y: usize, reg: Reg, value: f32) {
-        let (m, lx) = self.to_local(x);
-        self.shard_mut(m).tile_mut(lx, y).core.regs[reg as usize] = value;
+        self.tile_mut(x, y).core.regs[reg as usize] = value;
     }
 
     fn reg(&self, x: usize, y: usize, reg: Reg) -> f32 {
-        let (m, lx) = self.to_local(x);
-        self.shard(m).tile(lx, y).core.regs[reg as usize]
+        self.tile(x, y).core.regs[reg as usize]
     }
 
     fn checkpoint(&mut self) -> EnsembleCheckpoint {

@@ -511,8 +511,7 @@ impl OnEnsemble<'_> {
             // this only matters if a fold was released without firing.
             for (x, y, _, seam) in solver.tiles() {
                 if let Seam::Overlap(halo) = seam {
-                    let (wm, lx) = self.multi.to_local(x);
-                    self.multi.shard_mut(wm).tile_mut(lx, y).core.block(halo[window].fold);
+                    self.multi.tile_mut(x, y).core.block(halo[window].fold);
                 }
             }
         }

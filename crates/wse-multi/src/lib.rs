@@ -43,11 +43,12 @@
 pub mod tenancy;
 pub mod transport;
 
-use crate::transport::{frame_checksum, ChannelState, Frame, TransportState};
+use crate::transport::{frame_checksum, Channel, Frame, Link, TransportState};
 use stencil::decomp::split_even;
-use wse_arch::fabric::{Fabric, StallReport};
+use wse_arch::fabric::{Fabric, StallReport, Tile};
 use wse_arch::fault::{FaultKind, FaultLog, FaultPlan, FaultRecord};
 use wse_arch::types::{Color, Port};
+use wse_lint::dataflow::SeamEdge;
 
 pub use crate::transport::{LinkDown, LinkStats, ACK_SLACK, MAX_BACKOFF_DOUBLINGS, RETRY_BUDGET};
 
@@ -106,39 +107,6 @@ impl HostLink {
     }
 }
 
-/// One seam channel: a declared edge egress on the `src` wafer paired
-/// with the matching edge ingress on the `dst` wafer.
-#[derive(Copy, Clone, Debug)]
-struct Channel {
-    /// Egress wafer index.
-    src: usize,
-    /// Egress tile (shard-local) and boundary port.
-    sx: usize,
-    sy: usize,
-    sport: Port,
-    /// Ingress wafer index (always `src ± 1`).
-    dst: usize,
-    /// Ingress tile (shard-local) and boundary port.
-    dx: usize,
-    dy: usize,
-    dport: Port,
-    /// The fabric color carried by the channel.
-    color: Color,
-}
-
-impl Channel {
-    /// Seam index (between wafer `min(src,dst)` and `+1`) and direction
-    /// (0 = eastward, 1 = westward) — the serialization unit: each seam
-    /// is one full-duplex physical link.
-    fn seam_dir(&self) -> (usize, usize) {
-        if self.dst > self.src {
-            (self.src, 0)
-        } else {
-            (self.dst, 1)
-        }
-    }
-}
-
 /// `k` wafers simulating X-slabs of a `global_w × h` tile grid, linked by
 /// a [`HostLink`].
 pub struct MultiFabric {
@@ -148,15 +116,15 @@ pub struct MultiFabric {
     global_w: usize,
     h: usize,
     link: HostLink,
+    /// The paired seam channels, each with its go-back-N state.
     channels: Vec<Channel>,
-    /// Per-seam, per-direction serialization cursor: the cycle (fractional)
-    /// at which the link finishes the last byte accepted so far.
-    link_ready: Vec<[f64; 2]>,
-    /// Flits injected into ingress queues so far — counted as ensemble
-    /// progress so a long-latency link never trips the stall watchdog.
-    injected: u64,
-    /// Reliable-transport state: one go-back-N channel per entry of
-    /// `channels`, per-seam counters, and the host-link fault schedule.
+    /// One record per seam direction: `links[2·seam + dir]`.
+    links: Vec<Link>,
+    /// Flits injected into ingress queues plus frames retransmitted — the
+    /// seams' share of ensemble progress, so a long-latency link never
+    /// trips the stall watchdog while one still retrying holds it off.
+    seam_progress: u64,
+    /// The host-link fault schedule, its log, and the link-down history.
     transport: TransportState,
 }
 
@@ -179,161 +147,91 @@ impl MultiFabric {
             h,
             link,
             channels: Vec::new(),
-            link_ready: vec![[0.0; 2]; k.saturating_sub(1)],
-            injected: 0,
-            transport: TransportState::new(k.saturating_sub(1)),
+            links: vec![Link::default(); 2 * (k - 1)],
+            seam_progress: 0,
+            transport: TransportState::default(),
         }
     }
 
     /// Splits a fully configured single fabric into `k` X-slab wafers:
     /// tiles (programs, memory, routes, registers) are cloned column
-    /// ranges; every route fanout that crossed a cut becomes a paired
-    /// seam edge channel. Under [`HostLink::ideal`] the resulting
-    /// ensemble steps bit-for-bit like the original. All tile state —
-    /// programs, activated tasks, memory, queued flits — carries over;
-    /// the ensemble clock restarts at zero.
+    /// ranges; every `(row, color)` some route fans out across a cut is
+    /// declared at both ends of it, and [`MultiFabric::pair_seams`] turns
+    /// each routed direction into a seam channel. Under
+    /// [`HostLink::ideal`] the resulting ensemble steps bit-for-bit like
+    /// the original. All tile state — programs, activated tasks, memory,
+    /// queued flits — carries over; the ensemble clock restarts at zero.
     ///
     /// # Panics
     /// Panics if `k` is out of range.
     pub fn split_x(fabric: &Fabric, k: usize, link: HostLink) -> MultiFabric {
-        let (w, h) = (fabric.width(), fabric.height());
-        let mut multi = MultiFabric::new(w, h, k, link);
-        for m in 0..k {
-            let x0 = multi.offsets[m];
-            let lw = multi.shards[m].width();
-            for ly in 0..h {
-                for lx in 0..lw {
-                    *multi.shards[m].tile_mut(lx, ly) = fabric.tile(x0 + lx, ly).clone();
-                }
-            }
-        }
-        // Every fanout crossing a cut becomes a seam channel. One edge
-        // channel per (tile, port, color) — multiple in-ports fanning the
-        // same color through the same boundary port share it.
-        for m in 0..k - 1 {
-            let cut = multi.offsets[m + 1];
-            let (lw, rw) = (multi.shards[m].width(), multi.shards[m + 1].width());
-            debug_assert_eq!(cut, multi.offsets[m] + lw);
-            let _ = rw;
+        let h = fabric.height();
+        let mut multi = MultiFabric::new(fabric.width(), h, k, link);
+        for gx in 0..fabric.width() {
             for y in 0..h {
-                let mut eastward: Vec<Color> = fabric
-                    .tile(cut - 1, y)
-                    .router
-                    .routes()
-                    .filter(|(_, _, fanout)| fanout.contains(&Port::East))
-                    .map(|(_, c, _)| c)
-                    .collect();
-                eastward.sort_unstable();
-                eastward.dedup();
-                for c in eastward {
-                    multi.open_seam_channel(m, lw - 1, y, Port::East, m + 1, 0, y, Port::West, c);
-                }
-                let mut westward: Vec<Color> = fabric
-                    .tile(cut, y)
-                    .router
-                    .routes()
-                    .filter(|(_, _, fanout)| fanout.contains(&Port::West))
-                    .map(|(_, c, _)| c)
-                    .collect();
-                westward.sort_unstable();
-                westward.dedup();
-                for c in westward {
-                    multi.open_seam_channel(m + 1, 0, y, Port::West, m, lw - 1, y, Port::East, c);
+                *multi.tile_mut(gx, y) = fabric.tile(gx, y).clone();
+            }
+        }
+        for m in 0..k - 1 {
+            let (cut, east) = (multi.offsets[m + 1], multi.shards[m].width() - 1);
+            for y in 0..h {
+                let crossing = |x, port| {
+                    let routes = fabric.tile(x, y).router.routes();
+                    routes.filter(move |(.., fanout)| fanout.contains(&port)).map(|(_, c, _)| c)
+                };
+                let mut colors: Vec<Color> =
+                    crossing(cut - 1, Port::East).chain(crossing(cut, Port::West)).collect();
+                colors.sort_unstable();
+                colors.dedup();
+                for c in colors {
+                    multi.shards[m].open_edge(east, y, Port::East, c);
+                    multi.shards[m + 1].open_edge(0, y, Port::West, c);
                 }
             }
         }
+        multi.pair_seams();
         multi
-    }
-
-    /// Declares both ends of one seam channel and records it.
-    #[allow(clippy::too_many_arguments)]
-    fn open_seam_channel(
-        &mut self,
-        src: usize,
-        sx: usize,
-        sy: usize,
-        sport: Port,
-        dst: usize,
-        dx: usize,
-        dy: usize,
-        dport: Port,
-        color: Color,
-    ) {
-        self.shards[src].open_edge(sx, sy, sport, color);
-        self.shards[dst].open_edge(dx, dy, dport, color);
-        self.add_channel(Channel { src, sx, sy, sport, dst, dx, dy, dport, color });
-    }
-
-    /// Records a paired seam channel together with its transport state.
-    fn add_channel(&mut self, channel: Channel) {
-        self.channels.push(channel);
-        self.transport.channels.push(ChannelState::new());
     }
 
     /// Pairs seam channels from the edge declarations the per-wafer
     /// program builders made: an east-edge declaration on wafer `m` pairs
     /// with the matching west-edge declaration at the same `(y, color)`
-    /// on wafer `m + 1` (and symmetrically westward). Call once, after
-    /// all programs are built. Channels where only one side routes
-    /// egress simply never carry flits in that direction.
+    /// on wafer `m + 1`, and symmetrically westward. A declaration becomes
+    /// a channel only where some route at its tile fans out through its
+    /// port on its color — a direction nothing routes into never carries
+    /// a flit. Call once, after all programs are built.
     ///
     /// # Panics
     /// Panics if an east/west boundary declaration has no matching
-    /// declaration on the neighboring wafer.
+    /// declaration on the neighboring wafer, or faces no neighboring wafer.
     pub fn pair_seams(&mut self) {
         assert!(self.channels.is_empty(), "seams already paired");
         let k = self.shards.len();
-        let mut pairs: Vec<Channel> = Vec::new();
         for m in 0..k {
-            let lw = self.shards[m].width();
-            for (x, y, port, color) in self.shards[m].edge_ports() {
-                match port {
-                    Port::East if m + 1 < k => {
-                        assert_eq!(x, lw - 1);
-                        assert!(
-                            self.shards[m + 1].edge_port_declared(0, y, Port::West, color),
-                            "east edge ({x},{y}) color {color} on wafer {m} has no west peer"
-                        );
-                        pairs.push(Channel {
-                            src: m,
-                            sx: x,
-                            sy: y,
-                            sport: Port::East,
-                            dst: m + 1,
-                            dx: 0,
-                            dy: y,
-                            dport: Port::West,
-                            color,
-                        });
-                    }
-                    Port::West if m > 0 => {
-                        assert_eq!(x, 0);
-                        let nw = self.shards[m - 1].width();
-                        assert!(
-                            self.shards[m - 1].edge_port_declared(nw - 1, y, Port::East, color),
-                            "west edge ({x},{y}) color {color} on wafer {m} has no east peer"
-                        );
-                        pairs.push(Channel {
-                            src: m,
-                            sx: x,
-                            sy: y,
-                            sport: Port::West,
-                            dst: m - 1,
-                            dx: nw - 1,
-                            dy: y,
-                            dport: Port::East,
-                            color,
-                        });
-                    }
+            let shard = &self.shards[m];
+            for (sx, sy, sport, color) in shard.edge_ports() {
+                let (dst_shard, edge_x, dx, link) = match sport {
+                    Port::East if m + 1 < k => (m + 1, shard.width() - 1, 0, 2 * m),
+                    Port::West if m > 0 => (m - 1, 0, self.shards[m - 1].width() - 1, 2 * m - 1),
                     _ => panic!(
-                        "edge port ({x},{y}) {port:?} color {color} on wafer {m} faces no \
+                        "edge port ({sx},{sy}) {sport:?} color {color} on wafer {m} faces no \
                          neighboring wafer"
                     ),
+                };
+                let dport = sport.opposite().expect("cardinal edge port");
+                assert_eq!(sx, edge_x, "{sport:?} edge declared off the boundary column");
+                assert!(
+                    self.shards[dst_shard].edge_port_declared(dx, sy, dport, color),
+                    "{sport:?} edge ({sx},{sy}) color {color} on wafer {m} has no {dport:?} peer"
+                );
+                let mut routes = shard.tile(sx, sy).router.routes();
+                if routes.any(|(_, c, fanout)| c == color && fanout.contains(&sport)) {
+                    let (src_shard, dy) = (m, sy);
+                    let edge =
+                        SeamEdge { src_shard, sx, sy, sport, dst_shard, dx, dy, dport, color };
+                    self.channels.push(Channel::new(edge, link));
                 }
             }
-        }
-        for ch in pairs {
-            self.add_channel(ch);
         }
     }
 
@@ -374,6 +272,18 @@ impl MultiFabric {
         &mut self.shards[m]
     }
 
+    /// The tile at global column `gx`, row `y`.
+    pub fn tile(&self, gx: usize, y: usize) -> &Tile {
+        let (m, lx) = self.to_local(gx);
+        self.shards[m].tile(lx, y)
+    }
+
+    /// Mutable access to the tile at global column `gx`, row `y`.
+    pub fn tile_mut(&mut self, gx: usize, y: usize) -> &mut Tile {
+        let (m, lx) = self.to_local(gx);
+        self.shards[m].tile_mut(lx, y)
+    }
+
     /// The link model in use.
     pub fn link(&self) -> HostLink {
         self.link
@@ -392,9 +302,7 @@ impl MultiFabric {
     /// retrying and fires once it has declared the link down (or a stall
     /// outlasts the window).
     pub fn total_progress(&self) -> u64 {
-        self.shards.iter().map(Fabric::progress).sum::<u64>()
-            + self.injected
-            + self.transport.activity
+        self.shards.iter().map(Fabric::progress).sum::<u64>() + self.seam_progress
     }
 
     /// `true` when every wafer is quiescent and nothing is queued on or
@@ -403,11 +311,12 @@ impl MultiFabric {
     /// not: acks are control plane and never carry payload).
     pub fn is_quiescent(&self) -> bool {
         self.shards.iter().all(Fabric::is_quiescent)
-            && self.transport.channels.iter().all(|ch| ch.wire.is_empty() && ch.rx_hold.is_empty())
-            && self
-                .channels
-                .iter()
-                .all(|c| self.shards[c.src].edge_out_len(c.sx, c.sy, c.sport, c.color) == 0)
+            && self.channels.iter().all(|ch| {
+                let e = ch.edge;
+                ch.wire.is_empty()
+                    && ch.rx_hold.is_empty()
+                    && self.shards[e.src_shard].edge_out_len(e.sx, e.sy, e.sport, e.color) == 0
+            })
     }
 
     /// Opens a named phase in every wafer's phase log.
@@ -502,13 +411,13 @@ impl MultiFabric {
     /// 1 = westward).
     pub fn link_stats(&self, seam: usize, dir: usize) -> LinkStats {
         assert!(seam + 1 < self.k() && dir < 2, "no seam {seam} direction {dir}");
-        self.transport.stats[seam][dir]
+        self.links[2 * seam + dir].stats
     }
 
     /// Total frames retransmitted across every seam — the per-link
     /// counter surfaced next to the `link_retransmit` trace markers.
     pub fn retransmits(&self) -> u64 {
-        self.transport.stats.iter().flatten().map(|s| s.retransmits).sum()
+        self.links.iter().map(|l| l.stats.retransmits).sum()
     }
 
     /// Every link-down declaration made so far, oldest first. Survives
@@ -520,7 +429,7 @@ impl MultiFabric {
 
     /// `true` if any seam direction is currently declared down.
     pub fn any_link_down(&self) -> bool {
-        self.transport.down.iter().flatten().any(|&d| d)
+        self.links.iter().any(|l| l.down)
     }
 
     /// Clears in-flight ensemble state after a fault: every shard's
@@ -538,46 +447,40 @@ impl MultiFabric {
             f.reset_transient();
         }
         self.equalize_clocks();
-        for ch in &mut self.transport.channels {
+        for ch in &mut self.channels {
             ch.reset();
         }
-        for d in self.transport.down.iter_mut().flatten() {
-            *d = false;
+        for l in &mut self.links {
+            l.down = false;
         }
     }
 
     /// Applies fault events due at `cycle`: stall windows open, one-shot
     /// drop/corrupt arms against the next matching frame.
     fn apply_due_link_faults(&mut self, cycle: u64) {
-        let k = self.shards.len();
         let t = &mut self.transport;
-        while t.next_event < t.events.len() && t.events[t.next_event].at_cycle <= cycle {
-            let ev = t.events[t.next_event];
+        while let Some(&ev) = t.events.get(t.next_event).filter(|ev| ev.at_cycle <= cycle) {
             t.next_event += 1;
+            // A stall darkens both directions of each seam it covers.
+            let darken = |links: &mut [Link], cycles| {
+                for l in links {
+                    l.dark_until = l.dark_until.max(cycle + cycles);
+                }
+            };
             match ev.kind {
                 FaultKind::HostLinkDrop { seam, dir } => {
-                    t.pending_drop[seam][dir as usize] += 1;
+                    self.links[2 * seam + dir as usize].pending_drop += 1;
                 }
                 FaultKind::HostLinkCorrupt { seam, dir, bit } => {
-                    t.pending_corrupt[seam][dir as usize].push_back(bit);
+                    self.links[2 * seam + dir as usize].pending_corrupt.push_back(bit);
                 }
                 FaultKind::HostLinkStall { seam, cycles } => {
-                    for until in &mut t.stall_until[seam] {
-                        *until = (*until).max(cycle + cycles);
-                    }
+                    darken(&mut self.links[2 * seam..2 * seam + 2], cycles);
                 }
                 FaultKind::WaferStall { wafer, cycles } => {
-                    let mut darken = |seam: usize| {
-                        for until in &mut t.stall_until[seam] {
-                            *until = (*until).max(cycle + cycles);
-                        }
-                    };
-                    if wafer > 0 {
-                        darken(wafer - 1);
-                    }
-                    if wafer + 1 < k {
-                        darken(wafer);
-                    }
+                    // The seams on the wafer's west and east edges.
+                    let seams = 2 * wafer.saturating_sub(1)..(2 * wafer + 2).min(self.links.len());
+                    darken(&mut self.links[seams], cycles);
                 }
                 _ => unreachable!("arm_faults rejects on-wafer kinds"),
             }
@@ -600,26 +503,23 @@ impl MultiFabric {
     /// delivery time, so with no fault due a healthy link never
     /// retransmits and framing costs no cycle.
     pub fn step_linked(&mut self) {
-        let link = self.link;
+        let model = self.link;
         let now0 = self.cycle();
         self.apply_due_link_faults(now0);
 
         // Sender side, before the step: process due acks, then fire any
         // ack timeouts (go-back-N retransmission with bounded backoff).
-        for ci in 0..self.channels.len() {
-            let c = self.channels[ci];
-            let (seam, dir) = c.seam_dir();
-            let t = &mut self.transport;
-            if now0 < t.stall_until[seam][dir] {
+        for ch in &mut self.channels {
+            let link = &mut self.links[ch.link];
+            if now0 < link.dark_until {
                 continue; // the dark seam holds frames *and* acks
             }
-            let ch = &mut t.channels[ci];
             while let Some(&(due, cum)) = ch.acks.front() {
                 if due > now0 {
                     break;
                 }
                 ch.acks.pop_front();
-                t.stats[seam][dir].acks += 1;
+                link.stats.acks += 1;
                 while ch.unacked.front().is_some_and(|f| f.seq < cum) {
                     ch.unacked.pop_front();
                     ch.attempts = 0;
@@ -628,43 +528,41 @@ impl MultiFabric {
                     ch.deadline = u64::MAX;
                 }
             }
-            if t.down[seam][dir] || now0 < ch.deadline {
+            if link.down || now0 < ch.deadline {
                 continue;
             }
             ch.attempts += 1;
             if ch.attempts > RETRY_BUDGET {
-                t.down[seam][dir] = true;
-                t.down_history.push(LinkDown { cycle: now0, seam, dir, attempts: ch.attempts - 1 });
+                link.down = true;
+                let (seam, dir, attempts) = (ch.link / 2, ch.link % 2, ch.attempts - 1);
+                self.transport.down_history.push(LinkDown { cycle: now0, seam, dir, attempts });
                 ch.deadline = u64::MAX;
                 continue;
             }
-            let window = ch.unacked.len();
-            t.stats[seam][dir].retransmits += window as u64;
-            t.activity += window as u64;
+            let window = ch.unacked.len() as u64;
+            link.stats.retransmits += window;
+            self.seam_progress += window;
             let mut last_due = now0;
-            for i in 0..window {
-                let frame = self.transport.channels[ci].unacked[i];
-                let due = link.arrival(&mut self.link_ready[seam][dir], now0, frame.flit.bytes());
-                last_due = last_due.max(due);
+            for &frame in &ch.unacked {
                 // Retransmissions cross the same flaky wire.
-                self.put_on_wire(ci, due, frame);
+                let due = link.send(model, now0, frame, &mut ch.wire, &mut self.transport.log);
+                last_due = last_due.max(due);
             }
-            let ch = &mut self.transport.channels[ci];
-            ch.deadline = last_due + link.latency_cycles + TransportState::slack(ch.attempts);
-            self.shards[c.src].phase_marker("link_retransmit");
+            ch.deadline = last_due + model.latency_cycles + TransportState::slack(ch.attempts);
+            self.shards[ch.edge.src_shard].phase_marker("link_retransmit");
         }
 
         // Seam credits for the coming cycle: the ideal link mirrors the
         // remote queue; otherwise the host drains egress every cycle, and a
         // small standing budget keeps the fabric streaming without modeling
         // an unbounded host buffer.
-        for c in &self.channels {
-            let credits = if link.is_ideal() {
-                self.shards[c.dst].edge_in_space(c.dx, c.dy, c.dport, c.color)
+        for e in self.channels.iter().map(|ch| &ch.edge) {
+            let credits = if model.is_ideal() {
+                self.shards[e.dst_shard].edge_in_space(e.dx, e.dy, e.dport, e.color)
             } else {
                 8
             };
-            self.shards[c.src].set_edge_credits(c.sx, c.sy, c.sport, c.color, credits);
+            self.shards[e.src_shard].set_edge_credits(e.sx, e.sy, e.sport, e.color, credits);
         }
 
         // Wafers are independent within a cycle (seams exchange between
@@ -680,20 +578,16 @@ impl MultiFabric {
 
         // Drain egress into fresh frames, in fixed channel order (the
         // deterministic host service order).
-        for ci in 0..self.channels.len() {
-            let c = self.channels[ci];
-            let (seam, dir) = c.seam_dir();
-            for flit in self.shards[c.src].drain_edge_out(c.sx, c.sy, c.sport, c.color) {
-                let ch = &mut self.transport.channels[ci];
+        for ch in &mut self.channels {
+            let (e, link) = (ch.edge, &mut self.links[ch.link]);
+            for flit in self.shards[e.src_shard].drain_edge_out(e.sx, e.sy, e.sport, e.color) {
                 let seq = ch.next_seq;
                 ch.next_seq += 1;
                 let frame = Frame { seq, flit, checksum: frame_checksum(seq, flit) };
-                self.transport.stats[seam][dir].frames += 1;
-                let due = link.arrival(&mut self.link_ready[seam][dir], now, flit.bytes());
-                self.put_on_wire(ci, due, frame);
-                let ch = &mut self.transport.channels[ci];
+                link.stats.frames += 1;
+                let due = link.send(model, now, frame, &mut ch.wire, &mut self.transport.log);
                 ch.unacked.push_back(frame);
-                let deadline = due + link.latency_cycles + TransportState::slack(ch.attempts);
+                let deadline = due + model.latency_cycles + TransportState::slack(ch.attempts);
                 ch.deadline =
                     if ch.deadline == u64::MAX { deadline } else { ch.deadline.max(deadline) };
             }
@@ -702,21 +596,17 @@ impl MultiFabric {
         // Receiver side: validated payloads held for ingress space drain
         // first (FIFO with the wire), then due arrivals — checksum, then
         // sequence check; in-order frames deliver and ack cumulatively.
-        for ci in 0..self.channels.len() {
-            let c = self.channels[ci];
-            let (seam, dir) = c.seam_dir();
-            let t = &mut self.transport;
-            let dark = now < t.stall_until[seam][dir];
-            let stats = &mut t.stats[seam][dir];
-            let ch = &mut t.channels[ci];
+        for ch in &mut self.channels {
+            let (e, link) = (ch.edge, &mut self.links[ch.link]);
+            let dark = now < link.dark_until;
             loop {
                 if let Some(&flit) = ch.rx_hold.front() {
-                    if self.shards[c.dst].inject_edge(c.dx, c.dy, c.dport, c.color, flit) {
+                    if self.shards[e.dst_shard].inject_edge(e.dx, e.dy, e.dport, e.color, flit) {
                         ch.rx_hold.pop_front();
-                        self.injected += 1;
+                        self.seam_progress += 1;
                         continue;
                     }
-                    debug_assert!(!link.is_ideal(), "ideal-link credits guarantee ingress space");
+                    debug_assert!(!model.is_ideal(), "ideal-link credits guarantee ingress space");
                     break;
                 }
                 let Some(&(due, frame)) = ch.wire.front() else { break };
@@ -724,6 +614,7 @@ impl MultiFabric {
                     break;
                 }
                 ch.wire.pop_front();
+                let stats = &mut link.stats;
                 if frame_checksum(frame.seq, frame.flit) != frame.checksum {
                     stats.checksum_discarded += 1;
                     continue; // no ack: the sender's timeout recovers it
@@ -738,30 +629,9 @@ impl MultiFabric {
                         ch.rx_hold.push_back(frame.flit);
                     }
                 }
-                ch.acks.push_back((now + link.latency_cycles, ch.expected));
+                ch.acks.push_back((now + model.latency_cycles, ch.expected));
             }
         }
-    }
-
-    /// Hands `frame` to channel `ci`'s wire, to arrive at `due` — unless a
-    /// pending one-shot host-link fault on its seam direction drops or
-    /// damages it first (a faulted frame occupies the wire whether or not
-    /// it survives it).
-    fn put_on_wire(&mut self, ci: usize, due: u64, mut frame: Frame) {
-        let (seam, dir) = self.channels[ci].seam_dir();
-        let t = &mut self.transport;
-        if t.pending_drop[seam][dir] > 0 {
-            t.pending_drop[seam][dir] -= 1;
-            t.stats[seam][dir].fault_dropped += 1;
-            t.log.dropped_flits += 1;
-            return;
-        }
-        if let Some(bit) = t.pending_corrupt[seam][dir].pop_front() {
-            frame.flit.bits ^= 1 << bit;
-            t.stats[seam][dir].fault_corrupted += 1;
-            t.log.corrupted_flits += 1;
-        }
-        t.channels[ci].wire.push_back((due, frame));
     }
 
     /// Steps the linked ensemble until quiescence under a stall watchdog
@@ -818,9 +688,7 @@ impl MultiFabric {
             match r {
                 Ok(c) => max_elapsed = max_elapsed.max(c),
                 Err(mut report) => {
-                    for t in &mut report.stalled {
-                        t.x += self.offsets[m];
-                    }
+                    self.globalize(m, &mut report);
                     return Err(report);
                 }
             }
@@ -842,22 +710,8 @@ impl MultiFabric {
     /// ensemble topology the whole-fabric verification passes follow when
     /// tracing producer flows across wafers.
     ///
-    /// [`SeamEdge`]: wse_lint::dataflow::SeamEdge
-    pub fn seam_edges(&self) -> Vec<wse_lint::dataflow::SeamEdge> {
-        self.channels
-            .iter()
-            .map(|c| wse_lint::dataflow::SeamEdge {
-                src_shard: c.src,
-                sx: c.sx,
-                sy: c.sy,
-                sport: c.sport,
-                dst_shard: c.dst,
-                dx: c.dx,
-                dy: c.dy,
-                dport: c.dport,
-                color: c.color,
-            })
-            .collect()
+    pub fn seam_edges(&self) -> Vec<SeamEdge> {
+        self.channels.iter().map(|ch| ch.edge).collect()
     }
 
     /// Runs every `wse-lint` rule over the whole ensemble: per-shard rules
@@ -884,16 +738,20 @@ impl MultiFabric {
             total_stalled: 0,
         };
         for (m, f) in self.shards.iter().enumerate() {
-            let r = f.stall_report(window, deadline_exceeded);
+            let mut r = f.stall_report(window, deadline_exceeded);
+            self.globalize(m, &mut r);
             merged.total_stalled += r.total_stalled;
-            for mut t in r.stalled {
-                t.x += self.offsets[m];
-                if merged.stalled.len() < StallReport::MAX_TILES {
-                    merged.stalled.push(t);
-                }
-            }
+            let room = StallReport::MAX_TILES - merged.stalled.len();
+            merged.stalled.extend(r.stalled.into_iter().take(room));
         }
         Box::new(merged)
+    }
+
+    /// Moves wafer `m`'s stall report onto global tile columns.
+    fn globalize(&self, m: usize, report: &mut StallReport) {
+        for t in &mut report.stalled {
+            t.x += self.offsets[m];
+        }
     }
 }
 

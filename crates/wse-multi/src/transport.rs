@@ -21,10 +21,12 @@
 //!
 //! [`MultiFabric`]: crate::MultiFabric
 
+use crate::HostLink;
 use std::collections::VecDeque;
 use wse_arch::fabric::STALL_WINDOW;
 use wse_arch::fault::{FaultEvent, FaultLog};
 use wse_arch::types::Flit;
+use wse_lint::dataflow::SeamEdge;
 
 /// Consecutive ack-timeout retransmissions of the same window before the
 /// sender declares the link down.
@@ -124,10 +126,16 @@ impl LinkDown {
     }
 }
 
-/// Per-channel reliable-transport state (parallel to
-/// `MultiFabric::channels`).
+/// One seam channel: a declared edge egress paired with the matching edge
+/// ingress on the neighboring wafer, the link direction it rides, and its
+/// go-back-N state.
 #[derive(Clone, Debug)]
-pub(crate) struct ChannelState {
+pub(crate) struct Channel {
+    /// The two paired edge ports and the color they carry.
+    pub edge: SeamEdge,
+    /// Index of the link direction it rides in `MultiFabric::links`
+    /// (`2·seam + dir`, dir 0 = eastward).
+    pub link: usize,
     /// Next fresh sequence number the sender assigns.
     pub next_seq: u64,
     /// Sent-but-unacked frames, in sequence order (the go-back-N window).
@@ -148,9 +156,11 @@ pub(crate) struct ChannelState {
     pub rx_hold: VecDeque<Flit>,
 }
 
-impl ChannelState {
-    pub fn new() -> ChannelState {
-        ChannelState {
+impl Channel {
+    pub fn new(edge: SeamEdge, link: usize) -> Channel {
+        Channel {
+            edge,
+            link,
             next_seq: 0,
             unacked: VecDeque::new(),
             deadline: u64::MAX,
@@ -166,42 +176,68 @@ impl ChannelState {
     /// (ensemble rollback: sender and receiver replay from the same
     /// checkpoint, so their sequence spaces must agree).
     pub fn reset(&mut self) {
-        self.next_seq = 0;
-        self.unacked.clear();
-        self.deadline = u64::MAX;
-        self.attempts = 0;
-        self.expected = 0;
-        self.wire.clear();
-        self.acks.clear();
-        self.rx_hold.clear();
+        *self = Channel::new(self.edge, self.link);
     }
 }
 
-/// Whole-ensemble transport state; `MultiFabric::arm_faults` installs its
-/// fault schedule.
-#[derive(Clone, Debug)]
+/// One direction of one seam — the serialization unit: each seam is one
+/// full-duplex physical link, shared by every channel that crosses it in
+/// that direction.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Link {
+    /// Serialization cursor: the cycle (fractional) at which the link
+    /// finishes the last byte accepted so far.
+    pub ready: f64,
+    /// Transport counters.
+    pub stats: LinkStats,
+    /// The link is dark (stall faults) before this cycle.
+    pub dark_until: u64,
+    /// Declared down after an exhausted retry budget.
+    pub down: bool,
+    /// Armed one-shot drops pending against the next frames.
+    pub pending_drop: u64,
+    /// Armed one-shot corruptions (payload bit) pending, consumed FIFO.
+    pub pending_corrupt: VecDeque<u8>,
+}
+
+impl Link {
+    /// Serializes `frame` onto this link at cycle `now` and hands it to
+    /// `wire`, returning its arrival cycle — unless a pending one-shot
+    /// fault drops or damages it first (a faulted frame occupies the link
+    /// whether or not it survives it).
+    pub fn send(
+        &mut self,
+        model: HostLink,
+        now: u64,
+        mut frame: Frame,
+        wire: &mut VecDeque<(u64, Frame)>,
+        log: &mut FaultLog,
+    ) -> u64 {
+        let due = model.arrival(&mut self.ready, now, frame.flit.bytes());
+        if self.pending_drop > 0 {
+            self.pending_drop -= 1;
+            self.stats.fault_dropped += 1;
+            log.dropped_flits += 1;
+            return due;
+        }
+        if let Some(bit) = self.pending_corrupt.pop_front() {
+            frame.flit.bits ^= 1 << bit;
+            self.stats.fault_corrupted += 1;
+            log.corrupted_flits += 1;
+        }
+        wire.push_back((due, frame));
+        due
+    }
+}
+
+/// Ensemble-wide transport state: the host-link fault schedule
+/// `MultiFabric::arm_faults` installs, its audit trail, and the link-down
+/// history.
+#[derive(Clone, Debug, Default)]
 pub(crate) struct TransportState {
-    /// Per-channel go-back-N state.
-    pub channels: Vec<ChannelState>,
-    /// Per-seam `[eastward, westward]` counters.
-    pub stats: Vec<[LinkStats; 2]>,
-    /// Per-seam `[eastward, westward]` dark-until cycle (stall faults).
-    pub stall_until: Vec<[u64; 2]>,
-    /// Per-seam `[eastward, westward]` link-down flags.
-    pub down: Vec<[bool; 2]>,
     /// Every link-down declaration made so far (survives
     /// `reset_transient`, so recovery logs can report them).
     pub down_history: Vec<LinkDown>,
-    /// Armed one-shot drops pending per seam-direction.
-    pub pending_drop: Vec<[u64; 2]>,
-    /// Armed one-shot corruptions (payload bit) pending per
-    /// seam-direction, consumed FIFO.
-    pub pending_corrupt: Vec<[VecDeque<u8>; 2]>,
-    /// Monotone count of recovery actions taken (frames retransmitted).
-    /// Feeds the ensemble progress measure so the stall watchdog holds
-    /// off while the transport is still actively retrying — and fires
-    /// once it has given up.
-    pub activity: u64,
     /// The scheduled fault events, sorted by cycle.
     pub events: Vec<FaultEvent>,
     /// Index of the next unapplied event.
@@ -211,23 +247,6 @@ pub(crate) struct TransportState {
 }
 
 impl TransportState {
-    /// No channels yet (they are added as seams are paired) and no faults.
-    pub fn new(n_seams: usize) -> TransportState {
-        TransportState {
-            channels: Vec::new(),
-            stats: vec![[LinkStats::default(); 2]; n_seams],
-            stall_until: vec![[0; 2]; n_seams],
-            down: vec![[false; 2]; n_seams],
-            down_history: Vec::new(),
-            pending_drop: vec![[0; 2]; n_seams],
-            pending_corrupt: vec![[VecDeque::new(), VecDeque::new()]; n_seams],
-            activity: 0,
-            events: Vec::new(),
-            next_event: 0,
-            log: FaultLog::default(),
-        }
-    }
-
     /// The backoff-scaled ack slack for the current attempt count.
     pub fn slack(attempts: u32) -> u64 {
         ACK_SLACK << attempts.min(MAX_BACKOFF_DOUBLINGS)
