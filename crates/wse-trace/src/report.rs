@@ -36,23 +36,14 @@ impl PhaseReport {
         report
     }
 
-    /// Aggregates only the spans overlapping the cycle window
-    /// `[start, end)`, clipping each span to it — the per-job attribution
-    /// primitive of the multi-tenant service: the driver records the fabric
-    /// cycle at which each job starts and finishes, and this carves one
-    /// job's share out of a shared trace. Phase names are `&'static str`,
-    /// so attribution is by *when* work ran, not by dynamic labels. Markers
-    /// are kept when their stamp cycle falls inside the window.
-    /// `window_cycles` is the window's width clipped to the trace.
-    pub fn from_trace_window(trace: &FabricTrace, start: u64, end: u64) -> PhaseReport {
-        let lo = start.max(trace.start_cycle);
-        let hi = end.min(trace.end_cycle);
-        PhaseReport::from_spans_window(&trace.phases, lo, hi)
-    }
-
-    /// [`PhaseReport::from_trace_window`] over bare spans — a phase log
-    /// drained with `Fabric::drain_phases` — with no trace window to clip
-    /// `[lo, hi)` to.
+    /// Aggregates only the spans overlapping the cycle window `[lo, hi)`,
+    /// clipping each span to it — the per-job attribution primitive of the
+    /// multi-tenant service: the driver records the fabric cycle at which
+    /// each job starts and finishes, and this carves one job's share out of
+    /// a shared phase log (drained with `Fabric::drain_phases`). Phase
+    /// names are `&'static str`, so attribution is by *when* work ran, not
+    /// by dynamic labels. Markers are kept when their stamp cycle falls
+    /// inside the window. `window_cycles` is the window's width.
     pub fn from_spans_window(spans: &[PhaseSpan], lo: u64, hi: u64) -> PhaseReport {
         let mut report = PhaseReport { rows: Vec::new(), window_cycles: hi.saturating_sub(lo) };
         for span in spans {
@@ -275,13 +266,13 @@ mod tests {
             ],
             120,
         );
-        let a = PhaseReport::from_trace_window(&t, 0, 60);
+        let a = PhaseReport::from_spans_window(&t.phases, 0, 60);
         assert_eq!(a.cycles("spmv"), 50);
         assert_eq!(a.cycles("dot"), 10); // clipped at 60
         assert_eq!(a.marker_counts(), [("checkpoint", 1)]);
         assert_eq!(a.window_cycles, 60);
 
-        let b = PhaseReport::from_trace_window(&t, 60, 120);
+        let b = PhaseReport::from_spans_window(&t.phases, 60, 120);
         assert_eq!(b.cycles("dot"), 10); // the other half
         assert_eq!(b.cycles("spmv"), 40);
         assert_eq!(b.marker_counts(), [("rollback", 1)]);
@@ -291,17 +282,6 @@ mod tests {
         for name in ["spmv", "dot"] {
             assert_eq!(a.cycles(name) + b.cycles(name), full.cycles(name), "{name}");
         }
-    }
-
-    #[test]
-    fn window_report_clamps_to_the_trace() {
-        let t = trace_with_phases(vec![PhaseSpan { name: "spmv", start: 10, end: 30 }], 40);
-        let r = PhaseReport::from_trace_window(&t, 0, 1_000);
-        assert_eq!(r.cycles("spmv"), 20);
-        assert_eq!(r.window_cycles, 40);
-        let empty = PhaseReport::from_trace_window(&t, 500, 600);
-        assert_eq!(empty.rows.len(), 0);
-        assert_eq!(empty.window_cycles, 0);
     }
 
     #[test]
