@@ -64,11 +64,7 @@ fn hierarchical_builds_lint_clean_across_seams() {
         for k in [2usize, 4] {
             let mut multi = MultiFabric::new(8, 4, k, HostLink::paper_default());
             let _solver = build(&mut multi, &a);
-            assert_eq!(
-                multi.seam_edges().len(),
-                (k - 1) * 4 * 2,
-                "2 colors x 1 routed dir per row"
-            );
+            assert_eq!(multi.seam_edges().len(), (k - 1) * 4 * 2, "2 colors x 1 dir per row");
             assert_ensemble_clean(&multi, &format!("hierarchical {name} k={k}"));
         }
     }

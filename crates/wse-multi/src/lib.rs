@@ -210,15 +210,16 @@ impl MultiFabric {
         for m in 0..k {
             let shard = &self.shards[m];
             for (sx, sy, sport, color) in shard.edge_ports() {
-                let (dst_shard, edge_x, dx, link) = match sport {
-                    Port::East if m + 1 < k => (m + 1, shard.width() - 1, 0, 2 * m),
-                    Port::West if m > 0 => (m - 1, 0, self.shards[m - 1].width() - 1, 2 * m - 1),
+                let (dst_shard, edge_x, dx, dport, link) = match sport {
+                    Port::East if m + 1 < k => (m + 1, shard.width() - 1, 0, Port::West, 2 * m),
+                    Port::West if m > 0 => {
+                        (m - 1, 0, self.shards[m - 1].width() - 1, Port::East, 2 * m - 1)
+                    }
                     _ => panic!(
                         "edge port ({sx},{sy}) {sport:?} color {color} on wafer {m} faces no \
                          neighboring wafer"
                     ),
                 };
-                let dport = sport.opposite().expect("cardinal edge port");
                 assert_eq!(sx, edge_x, "{sport:?} edge declared off the boundary column");
                 assert!(
                     self.shards[dst_shard].edge_port_declared(dx, sy, dport, color),
