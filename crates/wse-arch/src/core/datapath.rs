@@ -7,7 +7,7 @@ use super::{Core, Observers, MAIN_SLOT, SLOTS};
 use crate::dsr::Descriptor;
 use crate::instr::{Elements, Op, TensorInstr};
 use crate::memory::Memory;
-use crate::trace::{StallCause, TraceEventKind};
+use crate::trace::StallCause;
 use crate::types::{DsrId, Dtype, Flit, Reg, SIMD_F16, SIMD_F32, SIMD_MIXED};
 
 /// Where one operand of an issue streams from or to, resolved from its DSR
@@ -132,13 +132,12 @@ impl Core {
                         let r = self.main.as_ref().expect("a synchronous instruction has a task");
                         let id = r.id;
                         if r.pc >= self.image.tasks[id as usize].body.len() {
-                            self.main = None;
-                            obs.event(TraceEventKind::TaskEnd { task: id });
+                            self.retire(id, obs);
                         }
                     }
                 }
                 if progress > 0 || complete {
-                    self.rr_cursor = (slot + 1) % SLOTS;
+                    self.rr_cursor = ((slot + 1) % SLOTS) as u8;
                     issued = progress > 0;
                     break 'slots;
                 }

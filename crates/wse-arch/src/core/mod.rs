@@ -116,7 +116,8 @@ pub struct Core {
     slots: [ActiveInstr; SLOTS],
     /// Bit `s` set while slot `s` holds an unfinished instruction.
     live: u16,
-    rr_cursor: usize,
+    /// The slot the datapath's round-robin tries first.
+    rr_cursor: u8,
     /// Every task's activated and blocked flag: bit `id % 64` of
     /// `flags[id / 64][ACTIVATED]` and of `flags[id / 64][BLOCKED]`. A task
     /// is runnable when activated and not blocked, so [`Core::schedule`]
@@ -124,6 +125,10 @@ pub struct Core {
     flags: Vec<[u64; 2]>,
     /// Runnable tasks; keeps [`Core::is_quiescent`] O(1).
     runnable: usize,
+    /// Per task, one past the fabric cycle that last retired it (zero
+    /// before its first retirement): see [`Core::task_end`]. Sized at the
+    /// first retirement, so a program that never runs allocates none.
+    ended: Vec<u64>,
     /// Words received from the router, one queue per color.
     ramp_in: SlotTable<Ring, NUM_COLORS>,
     /// Words awaiting injection into the router, one queue per color (the
@@ -135,7 +140,7 @@ pub struct Core {
     ramp_in_mask: u32,
     ramp_out_mask: u32,
     /// Round-robin cursor over `ramp_out` colors.
-    ramp_rr: usize,
+    ramp_rr: u8,
     /// Performance counters, stall causes and retire classes included;
     /// always on.
     pub perf: CorePerf,
@@ -182,6 +187,7 @@ impl Core {
             rr_cursor: 0,
             flags: Vec::new(),
             runnable: 0,
+            ended: Vec::new(),
             ramp_in: SlotTable::default(),
             ramp_out: SlotTable::default(),
             ramp_in_mask: 0,
@@ -315,7 +321,7 @@ impl Core {
                     if self.ramp_out[c].is_empty() {
                         self.ramp_out_mask &= !(1 << c);
                     }
-                    self.ramp_rr = (c + 1) % NUM_COLORS;
+                    self.ramp_rr = ((c + 1) % NUM_COLORS) as u8;
                     return Some((c as Color, flit));
                 }
             }
@@ -478,8 +484,7 @@ impl Core {
         let pc = running.pc;
         let body_len = self.image.tasks[task_id as usize].body.len();
         if pc >= body_len {
-            self.main = None;
-            obs.event(TraceEventKind::TaskEnd { task: task_id });
+            self.retire(task_id, obs);
             return;
         }
         // Every statement payload is `Copy`, so the arms bind copies and the
@@ -521,11 +526,21 @@ impl Core {
         self.perf.ctrl_stmts += 1;
         // A task whose body is exhausted (and not waiting) retires.
         if self.live & MAIN_BIT == 0 && pc + 1 >= body_len {
-            self.main = None;
-            obs.event(TraceEventKind::TaskEnd { task: task_id });
+            self.retire(task_id, obs);
         } else {
             self.main = Some(RunningTask { id: task_id, pc: pc + 1 });
         }
+    }
+
+    /// Retires task `id`, whose body is done, from the main thread: stamps
+    /// its end ([`Core::task_end`]) and reports the event to `obs`.
+    fn retire(&mut self, id: TaskId, obs: &mut Observers) {
+        self.main = None;
+        if self.ended.len() <= id as usize {
+            self.ended.resize(self.image.tasks.len(), 0);
+        }
+        self.ended[id as usize] = obs.cycle + 1;
+        obs.event(TraceEventKind::TaskEnd { task: id });
     }
 }
 

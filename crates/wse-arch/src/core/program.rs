@@ -128,6 +128,13 @@ impl Core {
         self.flag(id, ACTIVATED)
     }
 
+    /// One past the fabric cycle whose step last retired task `id` (zero
+    /// before its first retirement): a run over cycles `[t0, t1)` ran the
+    /// task to its end iff `t0 < task_end(id) <= t1`.
+    pub fn task_end(&self, id: TaskId) -> u64 {
+        self.ended.get(id as usize).copied().unwrap_or(0)
+    }
+
     /// Every task's activation and blocked flags, 64 tasks per pair of
     /// words (bit `id % 64` of `[activated, blocked]` at `id / 64`): the run
     /// state the image leaves out.

@@ -837,7 +837,7 @@ mod tests {
 
     #[test]
     fn tile_and_program_sizes_are_pinned() {
-        // On x86-64: a tile is 1,088 B (core 672, router 352, the lazily
+        // On x86-64: a tile is 1,088 B (core 680, router 352, the lazily
         // backed SRAM's handle 56), a statement 20, an instruction 14, a DSR
         // 20. Any id or register index re-widened to `usize`, observer state
         // moved back into the core, or program tables moved back out of its

@@ -73,7 +73,7 @@ pub(crate) fn frame_checksum(seq: u64, flit: Flit) -> u32 {
     h
 }
 
-/// Per-seam, per-direction transport counters.
+/// Per-seam, per-direction transport counters and wire occupancy.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct LinkStats {
     /// Fresh frames handed to the wire (excludes retransmissions).
@@ -97,6 +97,12 @@ pub struct LinkStats {
     pub gap_discarded: u64,
     /// Cumulative acks processed by the sender.
     pub acks: u64,
+    /// Cycles in which at least one frame was on the wire, each from its
+    /// hand-off to its arrival (overlapping frames count once).
+    pub wire_busy: u64,
+    /// Arrival cycle of the latest frame handed to the wire: it is idle
+    /// from then on.
+    pub wire_until: u64,
 }
 
 /// A structured link-down declaration: the sender on one seam direction
@@ -214,6 +220,9 @@ impl Link {
         log: &mut FaultLog,
     ) -> u64 {
         let due = model.arrival(&mut self.ready, now, frame.flit.bytes());
+        let stats = &mut self.stats;
+        stats.wire_busy += due.saturating_sub(now.max(stats.wire_until));
+        stats.wire_until = stats.wire_until.max(due);
         if self.pending_drop > 0 {
             self.pending_drop -= 1;
             self.stats.fault_dropped += 1;
