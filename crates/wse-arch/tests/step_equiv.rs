@@ -13,7 +13,7 @@
 //! injection, armed tracing and sanitizing, a whole 24×24 fabric backed up
 //! at once, and the places router credits could go stale: a flit lost on
 //! the wire, a multi-color ramp-out with one color held, a whole tile
-//! replaced by `blit_region` mid-run. The two property tests also have
+//! replaced by `blit_region` mid-run. The three property tests also have
 //! `#[ignore]`d `_deep` variants at 2048 cases each, which
 //! `scripts/verify.sh` runs in release.
 
@@ -215,6 +215,13 @@ fn fault_plans() -> impl Strategy<Value = FaultCase> {
     ((5u64..60, 1u64..80, 1u64..40, 0u8..16, 100u64..250), (1u64..12, 0u8..16, 1u64..24))
 }
 
+/// [`fault_plans`] with the drop drawn from the row-0 stream's wire window:
+/// the stream crosses (1,0) East in about its first dozen cycles, so a drop
+/// drawn there meets a flit far more often than [`fault_plans`]' `1..40`.
+fn wire_window_fault_plans() -> impl Strategy<Value = FaultCase> {
+    ((5u64..60, 1u64..80, 1u64..13, 0u8..16, 100u64..250), (1u64..12, 0u8..16, 1u64..24))
+}
+
 /// Fault plans (kills, SRAM flips, link faults, stuck ports) applied to a
 /// running stream: the activity-driven stepper must apply every fault at
 /// the same cycle with the same effect, including faults landing on tiles
@@ -270,9 +277,14 @@ proptest! {
     fn fault_injection_steps_identically(case in fault_plans()) {
         fault_plan_steps_identically(case)?;
     }
+
+    #[test]
+    fn wire_window_drops_step_identically(case in wire_window_fault_plans()) {
+        fault_plan_steps_identically(case)?;
+    }
 }
 
-// The same two properties at 2048 cases each: `scripts/verify.sh` runs them
+// The same three properties at 2048 cases each: `scripts/verify.sh` runs them
 // in release (`cargo test --release -p wse-arch -- --ignored`).
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2048))]
@@ -286,6 +298,12 @@ proptest! {
     #[test]
     #[ignore = "deep sweep, run in release by scripts/verify.sh"]
     fn fault_injection_steps_identically_deep(case in fault_plans()) {
+        fault_plan_steps_identically(case)?;
+    }
+
+    #[test]
+    #[ignore = "deep sweep, run in release by scripts/verify.sh"]
+    fn wire_window_drops_step_identically_deep(case in wire_window_fault_plans()) {
         fault_plan_steps_identically(case)?;
     }
 }

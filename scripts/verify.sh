@@ -37,7 +37,8 @@ echo "== wse-float, wse-dsl, wse-arch and wse-lint sweeps (release, --ignored) =
 # rounding boundary but not every input. wse-dsl: 20,000 seeded block and
 # relay cases of the host mirrors against the f64-carried reference
 # (crates/wse-dsl/tests/mirror_identity.rs). wse-arch: 2048 random stream
-# programs and 2048 fault plans, each run under both steppers in lockstep
+# programs, 2048 fault plans and 2048 more with the link drop drawn from the
+# stream's wire window, each run under both steppers in lockstep
 # (crates/wse-arch/tests/step_equiv.rs), and 8192 random tensor
 # instructions, each run under the batched and the per-element datapath
 # (crates/wse-arch/tests/core_equiv.rs; about 2 s). wse-lint: 1,024 seeded
