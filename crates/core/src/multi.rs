@@ -14,10 +14,10 @@
 //!   column on a background thread (colors [`HALO_EAST`] / [`HALO_WEST`],
 //!   through the edge ports and [`wse_multi::HostLink`]) while every tile
 //!   computes the interior SpMV, and a receive-triggered fold task adds
-//!   the inbound plane in ([`wse_dsl::zcolumn::build_overlap_halo`]). Wire
-//!   time under the calibrated compute window is *hidden*
-//!   ([`MultiIterCycles::halo_hidden`]), the rest *exposed*
-//!   ([`MultiIterCycles::halo`]).
+//!   the inbound plane in ([`wse_dsl::zcolumn::build_overlap_halo`]). The
+//!   window splits where its compute ends: wire time before that cycle is
+//!   *hidden* ([`MultiIterCycles::halo_hidden`]), the wait after it
+//!   *exposed* ([`MultiIterCycles::halo`]).
 //! * **Tree host combine** — each wafer reduces on-wafer in fp32; the host
 //!   combines the `k` partials over a binomial tree (`2·⌈log₂ k⌉` link
 //!   latencies instead of the serial `k`-hop scan), writes the global
@@ -49,12 +49,11 @@ use crate::bicgstab::regs;
 use crate::exec::WaferExec;
 use crate::kernels::{alloc, TileMap};
 use crate::krylov::{
-    self, check_operator, IterCycles, Krylov, Phase, Program, ReduceKind, Slot, SolveStats, Step,
+    self, check_operator, IterCycles, Krylov, Phase, Program, ReduceKind, Slot, SolveStats,
     StepExec, Tasks, PAY_LANES, V,
 };
 use crate::recovery::{self, RecoveryLog, RecoveryPolicy};
 use crate::WaferBicgstab;
-use std::cell::Cell;
 use stencil::decomp::Mapping3D;
 use stencil::dia::DiaMatrix;
 use wse_arch::dsr::mk;
@@ -65,7 +64,7 @@ use wse_dsl::tess::configure_spmv_routes;
 use wse_dsl::zcolumn::{build_overlap_halo, build_spmv_tile, HaloBuffers, OverlapHalo, SeamFold};
 use wse_dsl::Layout;
 use wse_float::F16;
-use wse_multi::MultiFabric;
+use wse_multi::{LinkStats, MultiFabric};
 
 /// Virtual channel carrying halo planes eastward across wafer seams.
 /// Clear of the SpMV tessellation (0..5) and both AllReduce instances
@@ -103,7 +102,9 @@ pub struct MultiIterCycles {
     /// the SpMV window.
     pub halo: u64,
     /// Seam-halo wire cycles hidden behind SpMV compute (overlapped
-    /// schedule only). Informational: not part of [`Self::total`].
+    /// schedule only): the busiest seam direction's cycles with a frame on
+    /// the wire before the window's compute ended. Informational: not part
+    /// of [`Self::total`].
     pub halo_hidden: u64,
     /// The host-level AllReduce hops (combine latency + broadcast).
     pub host_allreduce: u64,
@@ -135,14 +136,6 @@ pub struct WaferBicgstabMulti {
     /// `⌈log₂ k⌉` levels up and the same back down, each a link latency
     /// plus the payload's transfer time.
     host_hop_cycles: u64,
-    /// Modeled one-way wire cycles of one seam halo exchange (link latency
-    /// plus the `fabric_h × z` boundary plane): splits an overlapped window's
-    /// halo into hidden and exposed; exposure itself is always measured.
-    halo_wire_cycles: u64,
-    /// Measured cycles of the pure-compute SpMV windows, calibrated at
-    /// [`WaferBicgstabMulti::load_rhs`], by shape: `[plain SpMV, SpMV with
-    /// a co-scheduled task]` (the SpMV costs the same whatever it reads).
-    spmv_compute: [Cell<u64>; 2],
 }
 
 impl WaferBicgstabMulti {
@@ -358,9 +351,6 @@ impl WaferBicgstabMulti {
             reductions,
             seam_budget: 16 * z as u64 + 2 * link.latency_cycles + 200 * h as u64 + 50_000,
             host_hop_cycles: 2 * levels * (link.latency_cycles + xfer),
-            halo_wire_cycles: link.latency_cycles
-                + transfer_cycles(&link, 2.0 * (h as u32 * z) as f64),
-            spmv_compute: [Cell::new(0), Cell::new(0)],
         }
     }
 
@@ -379,8 +369,8 @@ impl WaferBicgstabMulti {
     /// and computes ρ₀ = (r̂₀, r) hierarchically; the fused one from
     /// `r = r̂₀ = b` with every other vector and the reply registers zero
     /// (its first `upd_p` then sets `p := r`, and ρ is re-derived from the
-    /// payload every iteration — nothing is reduced). Either then
-    /// calibrates the overlapped SpMV windows.
+    /// payload every iteration — nothing is reduced, and the load takes
+    /// no cycle).
     ///
     /// # Panics
     /// Panics on a fabric stall.
@@ -473,50 +463,25 @@ impl OnEnsemble<'_> {
         r
     }
 
-    /// Calibrates the overlapped schedule's compute/halo attribution: runs
-    /// each shape of the iteration's SpMV windows once with **no** seam
-    /// traffic (trace phase `"spmv_calibrate"`) and records its cycles. The
-    /// folds are host-`Activate`d so they fire on the zero-filled halo
-    /// buffers (a numeric no-op): the calibrated window prices interior
-    /// compute *and* fold execution, leaving only genuine waiting as the
-    /// exposed term. A fired fold re-blocks itself. Window A's `upd_p`
-    /// computes `p := r` under the zeroed registers, as iteration 0 needs.
-    /// No-op for the blocking schedule or a seamless (k = 1) ensemble.
-    fn calibrate_spmv(&mut self) -> Result<(), Box<StallReport>> {
-        let solver = self.solver;
-        if !solver.seams.iter().any(|s| matches!(s, Seam::Overlap(_))) {
-            return Ok(());
-        }
-        let mut calibrated = [false; 2];
-        let windows = solver.program.recurrence.iter.iter().filter_map(|step| match *step {
-            Step::Spmv { slot, with } => Some((slot, with)),
-            _ => None,
+    /// The cycle by which every tile had retired, within the run `[t0, t1)`,
+    /// its last task outside window `window`'s halo exchange: the SpMV's
+    /// completion barriers and FIFO drains, and the co-scheduled task.
+    fn compute_end(&self, window: usize, t0: u64, t1: u64) -> u64 {
+        let ends = self.solver.tiles().flat_map(|(x, y, _, seam)| {
+            let halo = match seam {
+                Seam::Overlap(halo) => [halo[window].send, halo[window].recv, halo[window].fold],
+                _ => [TaskId::MAX; 3],
+            };
+            let core = &self.multi.tile(x, y).core;
+            core.tasks().filter(move |(id, _)| !halo.contains(id)).map(|(id, _)| core.task_end(id))
         });
-        for (window, (slot, with)) in windows.enumerate() {
-            if std::mem::replace(&mut calibrated[with.is_some() as usize], true) {
-                continue;
-            }
-            for (x, y, tasks, seam) in solver.tiles() {
-                if let Some(with) = with {
-                    self.multi.activate(x, y, tasks[with]);
-                }
-                self.multi.activate(x, y, tasks[slot]);
-                if let Seam::Overlap(halo) = seam {
-                    self.multi.activate(x, y, halo[window].fold);
-                }
-            }
-            let elapsed = self.try_run_each("spmv_calibrate")?;
-            solver.spmv_compute[with.is_some() as usize].set(elapsed);
-            // Defensive re-arm: a fired fold already re-blocked itself;
-            // this only matters if a fold was released without firing.
-            for (x, y, _, seam) in solver.tiles() {
-                if let Seam::Overlap(halo) = seam {
-                    self.multi.tile_mut(x, y).core.block(halo[window].fold);
-                }
-            }
-        }
-        Ok(())
+        ends.filter(|&end| end <= t1).fold(t0, u64::max)
     }
+}
+
+/// Every seam direction's transport counters, `2·seam + dir`.
+fn seam_links(multi: &MultiFabric) -> Vec<LinkStats> {
+    (0..multi.k() - 1).flat_map(|seam| [0, 1].map(|dir| multi.link_stats(seam, dir))).collect()
 }
 
 impl StepExec for OnEnsemble<'_> {
@@ -533,10 +498,12 @@ impl StepExec for OnEnsemble<'_> {
     /// whichever schedule the seam tiles carry, `with` co-scheduled into
     /// the window. The blocking schedule first runs its exchange as trace
     /// phase `"halo"`; the overlapped one launches each seam tile's halo
-    /// `(send, recv)` pair alongside the SpMV in one `"spmv+halo"` window,
-    /// attributed after the fact as spans `"halo_overlap"` (hidden) and
-    /// `"halo_exposed"` (the tail past the calibrated compute time). With
-    /// no seams (k = 1) either is a plain `"spmv"` compute phase.
+    /// `(send, recv)` pair alongside the SpMV in one `"spmv+halo"` window.
+    /// The window splits at the cycle by which every tile has retired its
+    /// last task outside the halo exchange: compute before it, exposed halo
+    /// after it (span `"halo_exposed"`). Hidden halo (span `"halo_overlap"`)
+    /// is the busiest seam direction's wire time before it. With no seams
+    /// (k = 1) either is a plain `"spmv"` compute phase.
     fn spmv(&mut self, slot: Slot, with: Option<Slot>) -> Result<(), Self::Error> {
         let (solver, window) = (self.solver, self.window);
         self.window += 1;
@@ -567,18 +534,27 @@ impl StepExec for OnEnsemble<'_> {
             return Ok(());
         }
         let t0 = self.multi.cycle();
+        let links = seam_links(self.multi);
         let merged =
             self.try_run_linked("spmv+halo", solver.program.phase_budget + solver.seam_budget)?;
         let t1 = t0 + merged;
-        let cal = solver.spmv_compute[with.is_some() as usize].get();
-        let compute = if cal == 0 { merged } else { cal.min(merged) };
-        let exposed = merged - compute;
-        let hidden = solver.halo_wire_cycles.saturating_sub(exposed).min(merged);
+        let done = self.compute_end(window, t0, t1);
+        let (compute, exposed) = (done - t0, t1 - done);
+        // A direction's frames stream back to back, so its wire is busy
+        // without a break from `done` to its last arrival (a retransmission
+        // after a gap there makes this an undercount).
+        let hidden = (links.iter().zip(seam_links(self.multi)))
+            .map(|(s0, s1)| {
+                let busy = s1.wire_busy - s0.wire_busy;
+                busy - busy.min(s1.wire_until.saturating_sub(done))
+            })
+            .max()
+            .unwrap_or(0);
         if hidden > 0 {
             self.multi.phase_span("halo_overlap", t0, t0 + hidden);
         }
         if exposed > 0 {
-            self.multi.phase_span("halo_exposed", t1 - exposed, t1);
+            self.multi.phase_span("halo_exposed", done, t1);
         }
         self.cycles.compute.spmv += compute;
         self.cycles.halo += exposed;
@@ -640,9 +616,7 @@ impl Krylov<MultiFabric> for WaferBicgstabMulti {
 
     fn try_load_rhs(&self, multi: &mut MultiFabric, b: &[F16]) -> Result<(), Box<StallReport>> {
         self.program.scatter_rhs(multi, b);
-        let mut on = self.on(multi);
-        krylov::walk(self.program.recurrence.seed, &mut on)?;
-        on.calibrate_spmv()
+        krylov::walk(self.program.recurrence.seed, &mut self.on(multi)).map(drop)
     }
 
     fn try_iterate(
@@ -1020,6 +994,54 @@ mod tests {
     }
 
     #[test]
+    fn load_runs_only_the_seed_walk() {
+        let (a, b) = test_system(6, 4, 8);
+        // The fused seed walk is empty: loading scatters and takes no cycle.
+        let mut multi = MultiFabric::new(6, 4, 2, HostLink::paper_default());
+        let fused = WaferBicgstabMulti::build_fused(&mut multi, &a);
+        let start = multi.cycle();
+        fused.load_rhs(&mut multi, &b);
+        assert_eq!(multi.cycle(), start, "the fused load must take no cycle");
+        assert!(multi.shard_mut(0).drain_phases().is_empty(), "the fused load ran a phase");
+        // The classic seed walk is ρ₀ = (r̂₀, r): a dot, its hierarchical
+        // reduction and the scalar step, and nothing else.
+        let mut multi = MultiFabric::new(6, 4, 2, HostLink::paper_default());
+        let classic = WaferBicgstabMulti::build(&mut multi, &a);
+        classic.load_rhs(&mut multi, &b);
+        let phases = multi.shard_mut(0).drain_phases();
+        let names: Vec<&str> = phases.iter().map(|span| span.name).collect();
+        assert_eq!(names, ["dot", "allreduce", "host_allreduce", "scalar"]);
+    }
+
+    #[test]
+    fn window_split_covers_each_merged_window() {
+        // Compute and exposed halo partition every `spmv+halo` window, at
+        // the paper link and at a slow one whose latency outlasts compute.
+        let (a, b) = test_system(6, 4, 8);
+        let slow = HostLink::new(10.0, 2.0, 0.9);
+        type Build = fn(&mut MultiFabric, &DiaMatrix<F16>) -> WaferBicgstabMulti;
+        let builds: [Build; 2] = [WaferBicgstabMulti::build, WaferBicgstabMulti::build_fused];
+        let cases = [HostLink::paper_default(), slow].map(|l| builds.map(|b| (l, b)));
+        for (link, build) in cases.into_iter().flatten() {
+            let mut multi = MultiFabric::new(6, 4, 2, link);
+            let solver = build(&mut multi, &a);
+            solver.load_rhs(&mut multi, &b);
+            for it in 0..3 {
+                multi.shard_mut(0).drain_phases();
+                let c = solver.iterate(&mut multi);
+                let phases = multi.shard_mut(0).drain_phases();
+                let windows = phases.iter().filter(|span| span.name == "spmv+halo");
+                let merged: u64 = windows.map(|span| span.cycles()).sum();
+                assert_eq!(c.compute.spmv + c.halo, merged, "{link:?} iteration {it}");
+                assert!(c.halo_hidden <= c.compute.spmv, "{link:?} iteration {it}: {c:?}");
+                if link == slow {
+                    assert!(c.halo > 0, "a slow link must expose halo time: {c:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn rollback_recovers_from_a_stall_inside_an_overlap_window() {
         use wse_arch::fault::{FaultKind, FaultPlan};
 
@@ -1038,10 +1060,10 @@ mod tests {
             label: String::new(),
         };
 
-        // Fault-free fused baseline fixes the horizon (calibration plus a
-        // few committed iterations), so the stall can be aimed at the
-        // middle of the solve — deep inside the windows, which dominate
-        // every iteration's cycles.
+        // Fault-free fused baseline fixes the horizon (a few committed
+        // iterations), so the stall can be aimed at the middle of the
+        // solve — deep inside the windows, which dominate every
+        // iteration's cycles.
         let mut base = MultiFabric::new(6, 4, 2, HostLink::paper_default());
         let solver = WaferBicgstabMulti::build_fused(&mut base, &a);
         let (_, _, log0) = solver.solve_with_recovery(&mut base, &a, &b, iters, &pol);

@@ -221,16 +221,6 @@ impl Core {
         self.set_flag(task, ACTIVATED, true);
     }
 
-    /// Externally re-blocks a task, clearing any pending activation — the
-    /// host-side reset of a two-way barrier. Drivers use this to re-arm
-    /// wait tasks whose `Unblock` half fired in a phase where the
-    /// `Activate` half intentionally never would (e.g. a compute
-    /// calibration run with communication disabled).
-    pub fn block(&mut self, task: TaskId) {
-        self.set_flag(task, BLOCKED, true);
-        self.set_flag(task, ACTIVATED, false);
-    }
-
     /// Applies a scheduling action to a task.
     fn apply_action(&mut self, task: TaskId, action: TaskAction) {
         match action {

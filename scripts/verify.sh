@@ -229,12 +229,12 @@ expect_exact serve-mixed \
   "ops_failed 0 count"
 # The ensemble driver's workload: seam windows, halo attribution, host combine.
 expect_exact multiwafer-k2 \
-  "op_sim_cycles 7266 cycles" \
-  "wse-multi.halo_exposed_cycles 132 cycles" \
-  "wse-multi.halo_hidden_cycles 1316 cycles" \
+  "op_sim_cycles 6722 cycles" \
+  "wse-multi.halo_exposed_cycles 0 cycles" \
+  "wse-multi.halo_hidden_cycles 1760 cycles" \
   "wse-multi.host_allreduce_cycles 1448 cycles" \
-  "wse-arch.flops_f16 487424 count" \
-  "wse-arch.flits_routed 95208 count" \
+  "wse-arch.flops_f16 436224 count" \
+  "wse-arch.flits_routed 78824 count" \
   "ops_failed 0 count"
 
 echo "verify: OK"
