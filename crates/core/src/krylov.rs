@@ -58,9 +58,7 @@ use wse_arch::types::{Dtype, Reg, TaskId, NUM_REGS};
 use wse_arch::{Core, Fabric, Tile};
 use wse_dsl::block2d::{self, BlockLayout};
 use wse_dsl::tess::configure_spmv_routes;
-use wse_dsl::zcolumn::{
-    build_spmv_tile, load_coefficients, tile_coefficients, SeamFold, SpmvLayout,
-};
+use wse_dsl::zcolumn::{build_spmv_tile, load_coefficients, tile_coefficients, SpmvLayout};
 use wse_dsl::{Layout, StencilSpec};
 use wse_float::F16;
 use Kernel::{Arith, Axpy, AxpySourcesFirst, Xpay};
@@ -1140,7 +1138,7 @@ pub(crate) fn build(
                     let (at, spmvs) = recurrence.place_column(tile, a, (x, y), z);
                     let mut tasks = Tasks::new();
                     for (&(slot, ..), l) in recurrence.spmvs.iter().zip(spmvs) {
-                        tasks[slot] = build_spmv_tile(tile, x, y, w, h, l, SeamFold::None);
+                        tasks[slot] = build_spmv_tile(tile, x, y, w, h, l, None);
                     }
                     (tasks, TileMap::column(at, z))
                 }

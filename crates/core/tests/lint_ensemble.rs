@@ -50,23 +50,27 @@ fn transparent_splits_lint_clean_across_seams() {
 #[test]
 fn hierarchical_builds_lint_clean_across_seams() {
     // The distributed solver's own seam channels (halo colors through
-    // declared edge ports) at k=2 and the acceptance-floor k=4, under every
-    // builder: the overlapped default, the blocking baseline, and the fused
-    // single-reduction recurrence (the bench default).
+    // declared edge ports) at k=2 and the acceptance-floor k=4, under both
+    // builders (the classic recurrence and the fused single-reduction one),
+    // plus the `multiwafer-k2` benchmark's own configuration: two 4×4×64
+    // slabs over the paper-default link, fused.
     type Build = fn(&mut MultiFabric, &DiaMatrix<F16>) -> WaferBicgstabMulti;
-    let builders: [(&str, Build); 3] = [
-        ("build", WaferBicgstabMulti::build),
-        ("build_serial", WaferBicgstabMulti::build_serial),
-        ("build_fused", WaferBicgstabMulti::build_fused),
+    let (build, fused): (Build, Build) =
+        (WaferBicgstabMulti::build, WaferBicgstabMulti::build_fused);
+    // (builder, z, k) over an 8×4 global grid.
+    let cases = [
+        ("build", build, 6, 2),
+        ("build", build, 6, 4),
+        ("build_fused", fused, 6, 2),
+        ("build_fused", fused, 6, 4),
+        ("build_fused", fused, 64, 2),
     ];
-    let a = test_system(8, 4, 6);
-    for (name, build) in builders {
-        for k in [2usize, 4] {
-            let mut multi = MultiFabric::new(8, 4, k, HostLink::paper_default());
-            let _solver = build(&mut multi, &a);
-            assert_eq!(multi.seam_edges().len(), (k - 1) * 4 * 2, "2 colors x 1 dir per row");
-            assert_ensemble_clean(&multi, &format!("hierarchical {name} k={k}"));
-        }
+    for (name, build, z, k) in cases {
+        let a = test_system(8, 4, z);
+        let mut multi = MultiFabric::new(8, 4, k, HostLink::paper_default());
+        let _solver = build(&mut multi, &a);
+        assert_eq!(multi.seam_edges().len(), (k - 1) * 4 * 2, "2 colors x 1 dir per row");
+        assert_ensemble_clean(&multi, &format!("hierarchical {name} z={z} k={k}"));
     }
 }
 

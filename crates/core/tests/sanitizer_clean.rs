@@ -153,21 +153,23 @@ fn bicgstab2d_iterates_clean_under_sanitizer() {
 
 #[test]
 fn ensemble_drivers_iterate_clean_and_cycle_identical_under_sanitizer() {
-    // All three ensemble drivers on two linked wafers: the fused tile's
-    // `q`/`t` storage aliasing and the seam folds racing the SpMV threads
-    // are exactly what the shadow state guards.
+    // Both ensemble drivers on two linked wafers, and the `multiwafer-k2`
+    // benchmark's own configuration (two 4×4×64 slabs over the
+    // paper-default link, fused): the fused tile's `q`/`t` storage aliasing
+    // and the seam folds racing the SpMV threads are exactly what the
+    // shadow state guards.
     type Build = fn(&mut MultiFabric, &DiaMatrix<F16>) -> WaferBicgstabMulti;
-    let builders: [(&str, Build); 3] = [
-        ("build", WaferBicgstabMulti::build),
-        ("build_serial", WaferBicgstabMulti::build_serial),
-        ("build_fused", WaferBicgstabMulti::build_fused),
+    let cases: [(&str, Build, (usize, usize, usize)); 3] = [
+        ("build", WaferBicgstabMulti::build, (6, 4, 6)),
+        ("build_fused", WaferBicgstabMulti::build_fused, (6, 4, 6)),
+        ("build_fused", WaferBicgstabMulti::build_fused, (8, 4, 64)),
     ];
-    let a = system3d(6, 4, 6);
-    let n = a.mesh().len();
-    let b: Vec<F16> = (0..n).map(|i| F16::from_f64(((i % 3) as f64) * 0.25)).collect();
-    for (name, build) in builders {
+    for (name, build, (w, h, z)) in cases {
+        let a = system3d(w, h, z);
+        let n = a.mesh().len();
+        let b: Vec<F16> = (0..n).map(|i| F16::from_f64(((i % 3) as f64) * 0.25)).collect();
         let run = |armed: bool| {
-            let mut multi = MultiFabric::new(6, 4, 2, HostLink::paper_default());
+            let mut multi = MultiFabric::new(w, h, 2, HostLink::paper_default());
             let k = build(&mut multi, &a);
             if armed {
                 (0..2).for_each(|m| multi.shard_mut(m).arm_sanitizer());
@@ -178,9 +180,9 @@ fn ensemble_drivers_iterate_clean_and_cycle_identical_under_sanitizer() {
         };
         let (_, plain) = run(false);
         let (mut multi, armed) = run(true);
-        assert_eq!(armed, plain, "{name}: sanitizer changed simulated time");
+        assert_eq!(armed, plain, "{name} {w}x{h}x{z}: sanitizer changed simulated time");
         for m in 0..2 {
-            assert_no_trips(multi.shard_mut(m), &format!("ensemble {name}, wafer {m}"));
+            assert_no_trips(multi.shard_mut(m), &format!("ensemble {name} {w}x{h}x{z}, wafer {m}"));
         }
     }
 }

@@ -2,11 +2,14 @@
 //! involving the clustering, with sufficient bandwidth, of several
 //! wafer-scale systems is certainly a possibility."
 //!
-//! Model: `k` wafers tile the mesh along X. Each inter-wafer interface
-//! crosses a Y×Z plane of the mesh twice per BiCGStab iteration (once per
-//! SpMV), in fp16; the global reduction pays extra off-wafer latency per
-//! hop between wafers. The model answers the §VIII.B question directly:
-//! *how much* inter-wafer bandwidth is "sufficient"?
+//! Model: `k` wafers tile the mesh along X, under the schedule the
+//! `wse-core` multi-wafer solver runs (overlapped halo exchange, fused
+//! single reduction). Each inter-wafer interface crosses a Y×Z plane of the
+//! mesh twice per BiCGStab iteration (once per SpMV), in fp16, behind the
+//! SpMV it feeds: only wire time outlasting the SpMV is exposed. The one
+//! global reduction per iteration pays a round-trip over the binomial host
+//! tree. The model answers the §VIII.B question directly: *how much*
+//! inter-wafer bandwidth is "sufficient"?
 
 use crate::cs1::Cs1Model;
 
@@ -52,12 +55,15 @@ impl MultiWafer {
     }
 
     /// Predicts one BiCGStab iteration for a general `(k·mx) × my × z`
-    /// mesh (per-wafer slab `mx × my × z`, weak scaling in X). This is the
+    /// mesh (per-wafer slab `mx × my × z`, weak scaling in X): the
+    /// single-wafer iteration plus [`MultiWafer::interconnect_overlapped_us`]
+    /// with the iteration's SpMV window (two per iteration). This is the
     /// shape the `wse-multi` simulation cross-validates against.
     pub fn predict_mesh(&self, mx: usize, my: usize, z: usize) -> MultiWaferPrediction {
         let base = self.wafer.predict_iteration(mx, my, z);
-        let (halo_us, reduce_extra_us) = self.interconnect_us(my, z);
-        let time_us = base.time_us + halo_us + reduce_extra_us;
+        let window_us = base.spmv_cycles / 2.0 / (self.wafer.clock_ghz * 1e3);
+        let (halo_us, reduce_us) = self.interconnect_overlapped_us(my, z, window_us);
+        let time_us = base.time_us + halo_us + reduce_us;
         let points = (self.k * mx * my * z) as f64;
         let pflops = 44.0 * points / (time_us * 1e-6) / 1e15;
         MultiWaferPrediction {
@@ -69,34 +75,17 @@ impl MultiWafer {
         }
     }
 
-    /// The per-iteration interconnect terms `(halo_us, reduce_extra_us)`
-    /// for a `my × z` seam plane: what the host link adds on top of the
-    /// single-wafer iteration. Exposed so the simulator's measured halo
+    /// The per-iteration interconnect terms `(halo_exposed_us, reduce_us)`
+    /// of the **overlapped + fused** schedule the `wse-core` multi-wafer
+    /// solver runs, for a `my × z` seam plane: what the host link adds on
+    /// top of the single-wafer iteration. The halo term is only the wire
+    /// time left exposed after hiding one `my × z` fp16 plane behind an
+    /// SpMV window of `spmv_window_us` (two windows per iteration), and the
+    /// reduction term is the *single* fused round-trip per iteration — 14
+    /// fp32 dot lanes up and a 7-word reply down the `⌈log₂ k⌉`-level
+    /// binomial host tree. Exposed so the simulator's measured exposed halo
     /// and host-AllReduce cycles can be checked against the model's terms
     /// in isolation.
-    pub fn interconnect_us(&self, my: usize, z: usize) -> (f64, f64) {
-        if self.k <= 1 {
-            return (0.0, 0.0);
-        }
-        // Inter-wafer halo: a my×z fp16 plane each way per SpMV, 2 SpMVs.
-        let plane_bytes = my as f64 * z as f64 * 2.0;
-        let halo_us = 2.0 * (self.link_latency_us + plane_bytes / (self.link_gb_s * 1e3));
-        // The reduction tree crosses ⌈log₂k⌉ seam levels twice (reduce +
-        // broadcast), 4 rounds per iteration.
-        let levels = (self.k as f64).log2().ceil();
-        let reduce_extra_us = 4.0 * 2.0 * levels * self.link_latency_us;
-        (halo_us, reduce_extra_us)
-    }
-
-    /// The interconnect terms `(halo_exposed_us, reduce_us)` of the
-    /// **overlapped + fused** schedule (the `wse-core` multi-wafer
-    /// default): the halo term is only the wire time left exposed after
-    /// hiding one `my × z` fp16 plane behind an SpMV window of
-    /// `spmv_window_us` (two windows per iteration), and the reduction
-    /// term is the *single* fused round-trip per iteration — 14 fp32 dot
-    /// lanes up and a 7-word reply down the `⌈log₂ k⌉`-level binomial
-    /// host tree — instead of [`MultiWafer::interconnect_us`]'s four
-    /// scalar rounds.
     pub fn interconnect_overlapped_us(
         &self,
         my: usize,
@@ -113,21 +102,6 @@ impl MultiWafer {
         let payload_us = (14.0 * 4.0) / (self.link_gb_s * 1e3);
         let reduce_us = 2.0 * levels * (self.link_latency_us + payload_us);
         (halo_exposed_us, reduce_us)
-    }
-
-    /// The minimum link bandwidth (GB/s) keeping weak-scaling efficiency
-    /// above `target` at the given `z` (latency terms held fixed).
-    pub fn required_bandwidth(&self, z: usize, target: f64) -> f64 {
-        assert!((0.0..1.0).contains(&target));
-        let base = self.wafer.predict_iteration(600, 595, z);
-        let levels = (self.k as f64).log2().ceil();
-        let reduce_extra_us = 4.0 * 2.0 * levels * self.link_latency_us;
-        // efficiency = base / (base + halo + reduce_extra) >= target
-        let budget_us = base.time_us / target - base.time_us - reduce_extra_us;
-        let halo_latency = 2.0 * self.link_latency_us;
-        let transfer_budget = (budget_us - halo_latency).max(1e-9);
-        let plane_bytes = 595.0 * z as f64 * 2.0;
-        2.0 * plane_bytes / (transfer_budget * 1e3)
     }
 }
 
@@ -161,22 +135,12 @@ mod tests {
     }
 
     #[test]
-    fn required_bandwidth_is_self_consistent() {
-        let mw = MultiWafer::default();
-        let need = mw.required_bandwidth(1536, 0.9);
-        // The quantitative answer to §VIII.B: "sufficient bandwidth" means
-        // multi-TB/s seams for 90% weak-scaling efficiency.
-        assert!(need > 1_000.0 && need < 20_000.0, "required {need} GB/s");
-        // Provisioning exactly that bandwidth yields ~the target efficiency.
-        let tuned = MultiWafer { link_gb_s: need, ..mw };
-        let p = tuned.predict(1536);
-        assert!((p.efficiency - 0.9).abs() < 0.05, "efficiency {}", p.efficiency);
-    }
-
-    #[test]
     fn overlapped_interconnect_hides_the_halo_behind_a_wide_spmv() {
         let mw = MultiWafer::default();
-        let (serial_halo, serial_reduce) = mw.interconnect_us(595, 1536);
+        // The serial floor: both planes' full wire time, and four scalar
+        // rounds over the ⌈log₂ k⌉-level tree (k = 2: one level).
+        let (lat, plane_us) = (mw.link_latency_us, 595.0 * 1536.0 * 2.0 / (mw.link_gb_s * 1e3));
+        let (serial_halo, serial_reduce) = (2.0 * (lat + plane_us), 8.0 * lat);
         // A paper-scale SpMV window (tens of µs) swallows the wire time
         // entirely: nothing exposed, and the fused single reduction costs
         // far less than four scalar rounds.

@@ -1,7 +1,7 @@
 //! Cross-validation of `MultiWafer` against the `wse-multi` simulation:
-//! the model's interconnect terms (halo transfer + host-level AllReduce
-//! hops) must bracket the cycles the cycle-accurate ensemble actually
-//! spends in its `halo` and `host_allreduce` phases.
+//! the model's interconnect terms (exposed halo wire time + the host-level
+//! AllReduce round-trip) must bracket the cycles the cycle-accurate
+//! ensemble actually spends on exposed halo and in `host_allreduce`.
 //!
 //! The model is a *floor*: it prices pure wire time (serialization +
 //! link latency), while the simulation additionally executes the on-wafer
@@ -36,42 +36,9 @@ fn weak_scaled(k: usize) -> (MultiFabric, DiaMatrix<F16>, Vec<F16>) {
 }
 
 #[test]
-fn simulated_k2_interconnect_time_brackets_model_prediction() {
-    let k = 2;
-    let (mut multi, a, b) = weak_scaled(k);
-    let clock_ghz = Cs1Model::default().clock_ghz;
-    // The serial model prices the serial schedule: every halo plane and all
-    // four scalar rounds sit on the critical path. The overlapped default
-    // deliberately undercuts this floor — see the companion test below.
-    let dist = WaferBicgstabMulti::build_serial(&mut multi, &a);
-    dist.load_rhs(&mut multi, &b);
-    let c = dist.iterate(&mut multi);
-    let sim_extra = c.halo + c.host_allreduce;
-
-    let model = MultiWafer { k, ..Default::default() };
-    let (halo_us, reduce_us) = model.interconnect_us(H, Z);
-    let model_cycles = ((halo_us + reduce_us) * clock_ghz * 1e3) as u64;
-
-    // The wire-time floor must hold, and the simulation's task overhead
-    // must stay within a small constant factor of it.
-    assert!(
-        sim_extra >= model_cycles,
-        "simulation ({sim_extra} cycles) beat the wire-time model ({model_cycles} cycles)"
-    );
-    // Measured: 1826 simulated vs 1800 modeled cycles (+1.4%) at this
-    // shape — the delta is the on-wafer seam-task execution and the
-    // broadcast half of the hierarchical AllReduce, both sub-first-order.
-    assert!(
-        sim_extra <= 2 * model_cycles,
-        "simulation ({sim_extra} cycles) far exceeds the model ({model_cycles} cycles): \
-         the model is missing a first-order term"
-    );
-}
-
-#[test]
 fn simulated_overlapped_fused_beats_the_serial_wire_floor() {
-    // Same weak-scaled shapes, but the overlapped interior-first schedule
-    // plus the single-reduction fused solver.
+    // Weak-scaled shapes under the overlapped interior-first schedule plus
+    // the single-reduction fused solver.
     let clock_ghz = Cs1Model::default().clock_ghz;
     for k in [2usize, 4] {
         let (mut multi, a, b) = weak_scaled(k);
@@ -85,10 +52,14 @@ fn simulated_overlapped_fused_beats_the_serial_wire_floor() {
         );
 
         // The whole point of the schedule: the overlapped + fused
-        // interconnect time drops below the serial schedule's wire-time floor.
+        // interconnect time drops below the wire-time floor of a blocking
+        // schedule — both halo planes' full wire time plus four scalar
+        // rounds over the ⌈log₂ k⌉-level host tree.
         let model = MultiWafer { k, ..Default::default() };
-        let (halo_us, reduce_us) = model.interconnect_us(H, Z);
-        let serial_floor = ((halo_us + reduce_us) * clock_ghz * 1e3) as u64;
+        let (lat, bw) = (model.link_latency_us, model.link_gb_s * 1e3);
+        let levels = (k as f64).log2().ceil();
+        let serial_us = 2.0 * (lat + (H * Z * 2) as f64 / bw) + 8.0 * levels * lat;
+        let serial_floor = (serial_us * clock_ghz * 1e3) as u64;
         assert!(
             sim_extra < serial_floor,
             "k={k}: overlapped+fused ({sim_extra} cycles) should beat the serial wire floor \
@@ -144,10 +115,17 @@ fn predict_mesh_generalizes_predict() {
         assert!((a.time_us - b.time_us).abs() < 1e-12);
         assert_eq!(a.mesh, b.mesh);
     }
-    // Smaller meshes scale the halo term with the seam plane area.
+    // Smaller meshes scale the halo term with the seam plane area: with no
+    // window to hide behind, the smoke plane's wire time is the smaller.
     let small = mw.predict_mesh(4, 4, 16);
-    let (halo_small, _) = mw.interconnect_us(4, 16);
-    let (halo_paper, _) = mw.interconnect_us(595, 1536);
+    let (halo_small, _) = mw.interconnect_overlapped_us(4, 16, 0.0);
+    let (halo_paper, _) = mw.interconnect_overlapped_us(595, 1536, 0.0);
     assert!(halo_small < halo_paper);
     assert_eq!(small.mesh, (8, 4, 16));
+    // predict_mesh prices the overlapped schedule: the base iteration plus
+    // the exposed halo behind its own SpMV window and one fused round-trip.
+    let base = mw.wafer.predict_iteration(4, 4, 16);
+    let window_us = base.spmv_cycles / 2.0 / (mw.wafer.clock_ghz * 1e3);
+    let (exposed, reduce) = mw.interconnect_overlapped_us(4, 16, window_us);
+    assert!((small.time_us - (base.time_us + exposed + reduce)).abs() < 1e-12);
 }

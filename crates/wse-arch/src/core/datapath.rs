@@ -169,8 +169,8 @@ impl Core {
     /// Classifies a non-issuing datapath cycle in one scan of the active
     /// instructions: starved sources win over blocked destinations; no
     /// active instruction at all is `Idle`. Bank conflicts are deliberately
-    /// unmodeled (see [`StallCause`]), so that bucket never fires. Also
-    /// returns the colors some active receive is starved on (bit `c` for
+    /// unmodeled (the SIMD widths already encode sustainable stream rates),
+    /// so no cause names them. Also returns the colors some active receive is starved on (bit `c` for
     /// color `c`), the sanitizer's channel waits.
     fn classify_stall(&self) -> (StallCause, u32) {
         let (mut fifo_wait, mut backpressured, mut starved) = (false, false, 0u32);

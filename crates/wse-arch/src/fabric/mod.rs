@@ -810,8 +810,6 @@ mod tests {
                 tile.y
             );
         }
-        // Bank conflicts are unmodeled: always zero.
-        assert_eq!(tr.stall_totals()[StallCause::BankConflict.index()], 0);
     }
 
     #[test]

@@ -34,34 +34,24 @@ pub enum StallCause {
     /// queue is full (router credit backpressure) or a hardware FIFO is
     /// full.
     Backpressure,
-    /// Memory-bank conflict. The simulator deliberately does not model
-    /// bank conflicts (the SIMD widths already encode sustainable stream
-    /// rates), so this bucket is always zero; it is reserved so the stall
-    /// taxonomy matches the hardware's.
-    BankConflict,
     /// Nothing was runnable.
     Idle,
 }
 
 impl StallCause {
     /// Number of stall causes (array sizing).
-    pub const COUNT: usize = 4;
+    pub const COUNT: usize = 3;
 
     /// Every cause, in index order.
-    pub const ALL: [StallCause; StallCause::COUNT] = [
-        StallCause::FifoWait,
-        StallCause::Backpressure,
-        StallCause::BankConflict,
-        StallCause::Idle,
-    ];
+    pub const ALL: [StallCause; StallCause::COUNT] =
+        [StallCause::FifoWait, StallCause::Backpressure, StallCause::Idle];
 
     /// Dense index for counter arrays.
     pub fn index(self) -> usize {
         match self {
             StallCause::FifoWait => 0,
             StallCause::Backpressure => 1,
-            StallCause::BankConflict => 2,
-            StallCause::Idle => 3,
+            StallCause::Idle => 2,
         }
     }
 
@@ -70,7 +60,6 @@ impl StallCause {
         match self {
             StallCause::FifoWait => "fifo_wait",
             StallCause::Backpressure => "backpressure",
-            StallCause::BankConflict => "bank_conflict",
             StallCause::Idle => "idle",
         }
     }

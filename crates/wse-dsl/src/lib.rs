@@ -17,8 +17,8 @@
 //!   output-halo exchange; at radius 1 it emits byte-identical programs to
 //!   the original hand-written 2D SpMV builder.
 //! * [`zcolumn`] — the Listing-1 Z-column dataflow, one entry point
-//!   ([`zcolumn::build_spmv_tile`]) whose [`zcolumn::SeamFold`] says how a
-//!   wafer-seam tile's halo terms enter.
+//!   ([`zcolumn::build_spmv_tile`]), which releases a wafer-seam tile's
+//!   halo fold task ([`zcolumn::build_overlap_halo`]) when it has one.
 //! * [`relay`] — store-and-forward relay rounds for wide 3D star stencils
 //!   (e.g. the 25-point star of Jacquelin et al.) using only four colors.
 //! * `dataflow` (private) — the vocabulary those three emitters write their

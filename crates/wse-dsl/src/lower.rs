@@ -41,7 +41,7 @@ use crate::relay::{
     build_relay_tile, configure_relay_routes, load_relay_coefficients, RelayLayout,
 };
 use crate::tess::configure_spmv_routes;
-use crate::zcolumn::{build_spmv_tile, load_coefficients, tile_coefficients, SeamFold, SpmvLayout};
+use crate::zcolumn::{build_spmv_tile, load_coefficients, tile_coefficients, SpmvLayout};
 
 /// How a tile region's local vectors map to the global mesh order — the
 /// one answer to "which mesh point is element `k` of tile `(x, y)`" for
@@ -184,7 +184,7 @@ pub fn lower(
                     let layout = SpmvLayout::alloc(tile, m.z as u32);
                     load_coefficients(tile, &layout, &tile_coefficients(&a16, x, y));
                     let (w, h) = (m.fabric_w, m.fabric_h);
-                    let entry = build_spmv_tile(tile, x, y, w, h, layout, SeamFold::None);
+                    let entry = build_spmv_tile(tile, x, y, w, h, layout, None);
                     let source = layout.v_live();
                     tiles.push(TileSpmv { entry, source, product: layout.u, stride: 0 });
                 }

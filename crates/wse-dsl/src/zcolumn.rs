@@ -20,9 +20,9 @@
 //!   (the paper's `xdone/ydone/.../xycdone` tree), built by the emitters'
 //!   shared `dataflow::barrier_chain`.
 //!
-//! [`build_spmv_tile`] is the one entry point; its [`SeamFold`] adds a
-//! wafer-seam tile's ±x halo terms (serial or interior-first) and builds
-//! the plain kernel when there are none.
+//! [`build_spmv_tile`] is the one entry point; its `fold` releases a
+//! wafer-seam tile's [`build_overlap_halo`] fold task, and without one it
+//! builds the plain kernel.
 //!
 //! One deviation from Listing 1 is documented in DESIGN.md: the paper also
 //! sources the `zp` term from the loopback to save memory bandwidth; this
@@ -94,42 +94,12 @@ struct Neighbors {
     ym: bool,
 }
 
-/// SRAM halo buffers holding a **neighbor wafer's** boundary column of the
-/// iterate (`z` fp16 words each). On a wafer-seam tile the ±x mesh
-/// neighbor lives on another wafer: no broadcast stream arrives for it, so
-/// an explicit halo-exchange phase fills these buffers over the host
-/// interconnect before the SpMV runs, and the kernel folds each present
-/// side in with one extra fused multiply-add from memory.
-#[derive(Copy, Clone, Debug, Default)]
-pub struct HaloBuffers {
-    /// The +x neighbor's column (east seam), if this tile sits on one.
-    pub xp: Option<u32>,
-    /// The −x neighbor's column (west seam), if this tile sits on one.
-    pub xm: Option<u32>,
-}
-
-/// How a wafer-seam tile's ±x halo contribution enters the SpMV. Every
-/// variant builds the same program when it carries no halo; the default is
-/// a tile off every seam.
-#[derive(Clone, Debug, Default)]
-pub enum SeamFold {
-    /// No seam: the tile's every neighbor is on its own wafer.
-    #[default]
-    None,
-    /// Serial schedule: fold each present halo buffer in with a synchronous
-    /// fused multiply-add right after the z terms (a separate halo phase
-    /// filled the buffer before the SpMV runs).
-    Sync(HaloBuffers),
-    /// Interior-first schedule: the named [`build_overlap_halo`] fold tasks
-    /// carry the halo terms. The SpMV body only *unblocks* them once `u` is
-    /// initialized; each fires when its receive also completes, so halo
-    /// wire time hides behind the interior compute.
-    Overlap(Vec<TaskId>),
-}
-
 /// Builds one tile's SpMV program, marks its entry task and returns it;
-/// activate the entry task to run one SpMV. `seam` says how a wafer-seam
-/// tile's ±x halo terms enter (none off a seam).
+/// activate the entry task to run one SpMV. On a wafer-seam tile `fold` is
+/// its [`build_overlap_halo`] fold task, which carries the ±x halo term:
+/// the SpMV body only *unblocks* it once `u` is initialized, and it fires
+/// when its receive also completes, so halo wire time hides behind the
+/// interior compute. Off every seam it is `None`.
 ///
 /// The caller must have configured the tessellation routes
 /// ([`crate::tess::configure_spmv_routes`]) and loaded coefficients via
@@ -141,7 +111,7 @@ pub fn build_spmv_tile(
     region_w: usize,
     region_h: usize,
     layout: SpmvLayout,
-    seam: SeamFold,
+    fold: Option<TaskId>,
 ) -> TaskId {
     let z = layout.z;
     let mine = spmv_color(x, y);
@@ -252,35 +222,12 @@ pub fn build_spmv_tile(
         b: Some(d_zp_b),
     }));
 
-    // Wafer-seam halo terms. Serial schedule: the ±x neighbor's column
-    // arrived by host interconnect into SRAM before this phase, so it is
-    // folded in from memory like the z terms (no fabric stream exists for
-    // it). Overlapped schedule: `u` is now initialized, so release the
-    // fold barriers — each fires as soon as its background receive also
-    // lands, concurrently with the product threads below (the fold is an
+    // Wafer-seam halo term: `u` is now initialized, so release the fold
+    // barrier — it fires as soon as its background receive also lands,
+    // concurrently with the product threads below (the fold is an
     // accumulate-class FMA, so it commutes with the FIFO drains).
-    match &seam {
-        SeamFold::None => {}
-        SeamFold::Sync(halo) => {
-            for (buf, coeff) in [(halo.xp, layout.diag[0]), (halo.xm, layout.diag[1])] {
-                if let Some(base) = buf {
-                    let d_a = core.add_dsr(mk::tensor16(coeff, z));
-                    let d_b = core.add_dsr(mk::tensor16(base, z));
-                    let d_u = core.add_dsr(mk::tensor16(layout.u, z));
-                    body.push(Stmt::Exec(TensorInstr {
-                        op: Op::FmaAssign,
-                        dst: Some(d_u),
-                        a: Some(d_a),
-                        b: Some(d_b),
-                    }));
-                }
-            }
-        }
-        SeamFold::Overlap(folds) => {
-            for &fold in folds {
-                body.push(Stmt::TaskCtl { task: fold, action: TaskAction::Unblock });
-            }
-        }
+    if let Some(fold) = fold {
+        body.push(Stmt::TaskCtl { task: fold, action: TaskAction::Unblock });
     }
 
     // Neighbor product threads into FIFOs.
@@ -335,8 +282,7 @@ pub struct OverlapHalo {
 /// Builds the interior-first halo exchange for one seam side of one tile:
 /// a launch-and-retire send of `src_live`, a background receive into
 /// `buf`, and the fold task adding `coeff · buf` into `u`. Pass the fold
-/// id to [`build_spmv_tile`] in a [`SeamFold::Overlap`] so the SpMV releases
-/// it at the right time.
+/// id to [`build_spmv_tile`] so the SpMV releases it at the right time.
 #[allow(clippy::too_many_arguments)]
 pub fn build_overlap_halo(
     tile: &mut Tile,

@@ -71,7 +71,7 @@ mod tests {
                 y: i / 2,
                 events: Vec::new(),
                 dropped_events: 0,
-                stall: [3, 2, 0, 5],
+                stall: [3, 2, 5],
                 retired: [0; OpClass::COUNT],
                 busy_cycles: busy[i],
                 idle_cycles: 10 - busy[i],

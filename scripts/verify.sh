@@ -177,7 +177,9 @@ cargo test --release --offline --manifest-path e2e-bench/Cargo.toml
 # Host timings differ run to run, so this is not a smoke_twice; the
 # simulated side of a workload repeats exactly, and a change that claims
 # only host time (or no simulated change at all) has to leave every one of
-# these lines as it is.
+# these lines as it is. perf-model.pred_us_per_iter is the analytic
+# model's figure for the workload's shape: pinning it makes a model change
+# show here the way a simulated-cycle change does.
 expect_exact() {
   local workload="$1"; shift
   echo "== e2e-bench $workload exact counters (a host-only change must not move them) =="
@@ -198,6 +200,7 @@ expect_exact solve3d-dense \
   "wse-arch.flops_f16 1253376 count" \
   "wse-arch.flits_routed 303446 count" \
   "wse-arch.backpressure_cycles 167595 cycles" \
+  "perf-model.pred_us_per_iter 1.143111111111111 sim_us" \
   "ops_failed 0 count"
 # The lowering layer's workload: the four catalog operators, cold. A failed
 # op is a wrong emitter, a lint diagnostic, or an apply that is not
@@ -235,6 +238,7 @@ expect_exact multiwafer-k2 \
   "wse-multi.host_allreduce_cycles 1448 cycles" \
   "wse-arch.flops_f16 436224 count" \
   "wse-arch.flits_routed 78824 count" \
+  "perf-model.pred_us_per_iter 1.504112 sim_us" \
   "ops_failed 0 count"
 
 echo "verify: OK"
