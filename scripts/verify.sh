@@ -196,11 +196,11 @@ expect_exact() {
 }
 # The stepper's workload: every tile busy.
 expect_exact solve3d-dense \
-  "op_sim_cycles 7185 cycles" \
+  "op_sim_cycles 6753 cycles" \
   "wse-arch.flops_f16 1253376 count" \
   "wse-arch.flits_routed 303446 count" \
   "wse-arch.backpressure_cycles 167595 cycles" \
-  "perf-model.pred_us_per_iter 1.143111111111111 sim_us" \
+  "perf-model.pred_us_per_iter 1.043111111111111 sim_us" \
   "ops_failed 0 count"
 # The lowering layer's workload: the four catalog operators, cold. A failed
 # op is a wrong emitter, a lint diagnostic, or an apply that is not
@@ -232,13 +232,13 @@ expect_exact serve-mixed \
   "ops_failed 0 count"
 # The ensemble driver's workload: seam windows, halo attribution, host combine.
 expect_exact multiwafer-k2 \
-  "op_sim_cycles 6722 cycles" \
+  "op_sim_cycles 6541 cycles" \
   "wse-multi.halo_exposed_cycles 0 cycles" \
   "wse-multi.halo_hidden_cycles 1760 cycles" \
   "wse-multi.host_allreduce_cycles 1448 cycles" \
   "wse-arch.flops_f16 436224 count" \
   "wse-arch.flits_routed 78824 count" \
-  "perf-model.pred_us_per_iter 1.504112 sim_us" \
+  "perf-model.pred_us_per_iter 1.413223111111111 sim_us" \
   "ops_failed 0 count"
 
 echo "verify: OK"

@@ -20,6 +20,18 @@
 //!
 //! Later the blocking halo schedule (`build_serial`) was deleted, and its
 //! two ensemble pin lines with it; every remaining line is unchanged.
+//!
+//! Then the reduction rounds began to carry independent work on background
+//! threads (the z-column BiCGStab's `(y, y)` dot, `x += α p` and
+//! `p −= ω s`; the fused table's `p −= ω s`; textbook CG's `x += α p`):
+//! that moved every z-column BiCGStab and CG program digest (both CG
+//! variants and both ω-step variants share a phase table), their cycle
+//! columns, the `ReduceBoth` digests of the reduction sweep, and the
+//! recovery logs whose seeded flips now land in other phases. Every
+//! residual bit and iterate digest of a plain solve stayed. The ensemble's
+//! residual-norm round, which ends at the host, was then charged one pass
+//! over the host tree instead of a round trip, which moved the fused
+//! ensemble's recovery log the same way.
 
 use stencil::decomp::Block2D;
 use stencil::mesh::Mesh3D;
@@ -158,13 +170,8 @@ fn bicgstab3d_classic() {
     let solver = WaferBicgstab::build(&mut fabric, &a);
     let got = solve(&mut fabric, &solver, &b, 4);
     let want = pin(
-        &[609646569634883056],
-        &[
-            [104, 32, 84, 12, 16],
-            [104, 32, 84, 12, 16],
-            [104, 32, 84, 12, 16],
-            [103, 32, 84, 12, 16],
-        ],
+        &[12478008622862908362],
+        &[[104, 24, 88, 8, 17], [104, 24, 88, 8, 17], [104, 24, 88, 8, 17], [103, 24, 88, 8, 17]],
         &[4591880568433472291, 4583956917081667674, 4578194679802881717, 4576464123997942970],
         619672358127573295,
     );
@@ -178,8 +185,8 @@ fn bicgstab3d_omega_fused() {
     let solver = WaferBicgstab::build_fused(&mut fabric, &a);
     let got = solve(&mut fabric, &solver, &b, 3);
     let want = pin(
-        &[14561544932551461501],
-        &[[158, 48, 104, 24, 16], [164, 48, 103, 24, 16], [159, 48, 103, 24, 16]],
+        &[18018661276709525821],
+        &[[158, 48, 105, 20, 16], [164, 48, 104, 20, 16], [159, 48, 104, 20, 16]],
         &[4600130674357753811, 4595377121838907936, 4590405312591771467],
         5674372085720162475,
     );
@@ -226,13 +233,13 @@ fn cg_both_variants() {
     let (a, b) = spd_system(Mesh3D::new(4, 4, 8));
     let want = [
         pin(
-            &[12725622867127270870],
-            &[[52, 16, 42, 6, 5], [51, 16, 42, 6, 5], [52, 16, 42, 6, 5], [52, 16, 42, 6, 5]],
+            &[16573616514746544726],
+            &[[52, 16, 43, 4, 5], [51, 16, 43, 4, 5], [52, 16, 43, 4, 5], [52, 16, 43, 4, 5]],
             &[4599097329464941088, 4591149551683346457, 4585291340794383038, 4580270122678187503],
             3228667008488097442,
         ),
         pin(
-            &[424660244485102613],
+            &[8238080077612281503],
             &[[53, 16, 32, 8, 8], [52, 16, 33, 8, 11], [51, 16, 33, 8, 11], [52, 16, 33, 8, 11]],
             &[4599097324109761090, 4591149254712702949, 4585287802949700660, 4580274119508173433],
             8093184009548978188,
@@ -253,11 +260,11 @@ fn multi_k2_all_three_builders() {
             "build",
             WaferBicgstabMulti::build,
             pin(
-                &[2926857116323801931, 13473658249302970425],
+                &[80536323273891261, 12691456425855917967],
                 &[
-                    [104, 32, 72, 12, 16, 278, 100, 1440],
-                    [105, 32, 72, 12, 16, 277, 101, 1440],
-                    [107, 32, 72, 12, 16, 275, 103, 1440],
+                    [104, 24, 76, 8, 17, 278, 100, 1440],
+                    [105, 24, 76, 8, 17, 277, 101, 1440],
+                    [107, 24, 76, 8, 17, 275, 103, 1440],
                 ],
                 &[4591597939489792024, 4583063400275660561, 4580153507358731840],
                 2550208857357764554,
@@ -307,17 +314,22 @@ fn recovery_under_seeded_bit_flips_single_wafer() {
     assert_eq!(
         (render(&log), bits(&stats.residuals), x_digest(&x)),
         recovered(
-            "recovery: Converged after 5 iterations (rel 3.295e-3); 3 checkpoints, 1 rollbacks \
-             (0 iterations lost), 0 stalls, 0 trips, 1 false convergences | iter 4: false \
-             convergence (recursive rel 3.308e-3, true rel 2.927e2)",
+            "recovery: RetriesExhausted after 7 iterations (rel 2.239e-2); 4 checkpoints, 3 \
+             rollbacks (3 iterations lost), 0 stalls, 0 trips, 4 false convergences | iter 7: \
+             false convergence (recursive rel 3.556e-3, true rel 2.927e2) | iter 7: false \
+             convergence (recursive rel 3.564e-3, true rel 2.927e2) | iter 7: false convergence \
+             (recursive rel 3.564e-3, true rel 2.927e2) | iter 7: false convergence (recursive \
+             rel 3.564e-3, true rel 2.927e2)",
             &[
                 4591880568433472291,
                 4583956917081667674,
                 4578194679802881717,
                 4576464123997942970,
-                4569745082619485706
+                4579738096378973761,
+                4584147863198528970,
+                4582110360511703181
             ],
-            0x7065a1b796470ec0,
+            0xc00baa0b2dcef3d1,
         )
     );
 
@@ -421,20 +433,17 @@ fn recovery_under_seeded_bit_flips_multi_k2() {
             WaferBicgstabMulti::build,
             12,
             recovered(
-                "recovery: RetriesExhausted after 5 iterations (rel 6.236e-3); 3 checkpoints, 3 \
-                 rollbacks (3 iterations lost), 0 stalls, 0 trips, 4 false convergences | iter \
-                 5: false convergence (recursive rel 2.799e-3, true rel 1.131e-1) | iter 5: \
-                 false convergence (recursive rel 2.813e-3, true rel 1.131e-1) | iter 5: false \
-                 convergence (recursive rel 2.813e-3, true rel 1.131e-1) | iter 5: false \
-                 convergence (recursive rel 2.813e-3, true rel 1.131e-1)",
+                "recovery: Converged after 6 iterations (rel 2.864e-3); 3 checkpoints, 0 \
+                 rollbacks (0 iterations lost), 0 stalls, 0 trips, 0 false convergences | ",
                 &[
-                    4594737442100495236,
-                    4585066653710315055,
-                    4581158018705893305,
-                    4578060587099225233,
-                    4573839889665734224,
+                    4591597939489792024,
+                    4583066408803585948,
+                    4580110331994398639,
+                    4576793799025522118,
+                    4573003590534093947,
+                    4568749756599082264,
                 ],
-                0x8688e65c67dfbc4d,
+                0x41adb2762b6a9031,
             ),
         ),
         (
@@ -442,18 +451,18 @@ fn recovery_under_seeded_bit_flips_multi_k2() {
             WaferBicgstabMulti::build_fused,
             24,
             recovered(
-                "recovery: Converged after 6 iterations (rel 2.642e-3); 3 checkpoints, 1 \
+                "recovery: Converged after 6 iterations (rel 2.676e-3); 3 checkpoints, 1 \
                  rollbacks (1 iterations lost), 0 stalls, 0 trips, 1 false convergences | iter \
-                 5: false convergence (recursive rel 2.652e-3, true rel 1.723e-1)",
+                 5: false convergence (recursive rel 2.696e-3, true rel 1.721e-1)",
                 &[
                     4591589100812354968,
-                    4583070298732470869,
-                    4580165729156533533,
-                    4576766457569276833,
-                    4572982145640780318,
-                    4568237316343045556,
+                    4583058873726706912,
+                    4580151443798896546,
+                    4576776631630837188,
+                    4573004259886491097,
+                    4568316678008021525,
                 ],
-                0x107847fe64028781,
+                0xb68e67fa4b46c0ad,
             ),
         ),
     ];
@@ -486,8 +495,8 @@ fn awkward_bicgstab3d_both_variants() {
             "build",
             WaferBicgstab::build,
             pin(
-                &[2840828866341014671],
-                &[[100, 32, 72, 12, 16], [103, 32, 72, 12, 16]],
+                &[1607504863618019477],
+                &[[100, 24, 76, 8, 17], [103, 24, 76, 8, 17]],
                 &residuals,
                 1552073169969474409,
             ),
@@ -496,8 +505,8 @@ fn awkward_bicgstab3d_both_variants() {
             "build_fused",
             WaferBicgstab::build_fused,
             pin(
-                &[12017870642210244393],
-                &[[100, 32, 65, 12, 16], [103, 32, 65, 12, 16]],
+                &[11657469689372283089],
+                &[[100, 32, 66, 10, 16], [103, 32, 66, 10, 16]],
                 &residuals,
                 1552073169969474409,
             ),
@@ -515,13 +524,13 @@ fn awkward_cg_both_variants() {
     let (a, b) = spd_system(Mesh3D::new(5, 2, 9));
     let want = [
         pin(
-            &[16557237877950495899],
-            &[[49, 18, 32, 9, 5], [48, 18, 32, 9, 5]],
+            &[7759417170376207067],
+            &[[49, 18, 33, 6, 5], [48, 18, 33, 6, 5]],
             &[4598287175790107441, 4590662686575061322],
             6519288228156074577,
         ),
         pin(
-            &[6922088337019933218],
+            &[10885861668446099538],
             &[[49, 18, 25, 12, 8], [48, 18, 25, 12, 11]],
             &[4598287190992801006, 4590654657114568827],
             9139634422530143261,
@@ -562,8 +571,8 @@ fn awkward_multi_k3_all_three_builders() {
             "build",
             WaferBicgstabMulti::build,
             pin(
-                &[5975402314982418629, 11373276974126061569, 869439058175519211],
-                &[[95, 28, 66, 12, 16, 285, 91, 2880], [96, 28, 64, 12, 16, 284, 92, 2880]],
+                &[17082732655761538722, 15491875225357717095, 8373723149159256152],
+                &[[95, 21, 70, 8, 17, 285, 91, 2880], [96, 21, 68, 8, 17, 284, 92, 2880]],
                 &[4588924690073301781, 4582833092470267766],
                 18006390359464154482,
             ),
@@ -757,5 +766,5 @@ fn reduction_networks_sweep() {
     assert_eq!(one, want_one);
     assert_eq!(split, want_split);
     assert_eq!(lanes, want_lanes);
-    assert_eq!(both, [14680945005554599727, 11676264596116208805, 3103679166610500927]);
+    assert_eq!(both, [10125434581689272037, 17932186433939580235, 14524373073855980381]);
 }
