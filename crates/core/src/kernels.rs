@@ -6,15 +6,47 @@
 //! core-local fp16 data and use the four-way SIMD capability"; the dot uses
 //! the mixed-precision inner-product instruction. What each phase task *is*
 //! lives in its recurrence's phase table ([`crate::krylov`]) as a body of
-//! `Kernel`s; `TileMap::emit` alone makes those program bytes.
+//! `Kernel`s; `TileMap::emit` alone makes those program bytes, and
+//! `launched` turns a background row's body into threads.
 
 use crate::krylov::{Addrs, Kernel, Sum, V};
 use std::fmt::Debug;
 use wse_arch::core::Core;
 use wse_arch::dsr::mk;
 use wse_arch::instr::{Op, RegOp, Stmt, TensorInstr};
-use wse_arch::types::{Dtype, Reg};
+use wse_arch::types::{Dtype, Reg, NUM_THREADS};
 use wse_arch::Tile;
+
+/// The thread slot of a background row's first tensor instruction; each
+/// further one takes the next. A background row runs only under a
+/// reduction, while no SpMV (slots 0–3, 5, 6) or seam halo (7, 8) thread
+/// is live.
+const BACKGROUND_SLOT: u8 = 4;
+
+/// A background row's task priority: above the round's tasks (0), so the
+/// row launches before a round task takes the main thread and blocks on
+/// its receive.
+pub(crate) const BACKGROUND_PRIORITY: u8 = 1;
+
+/// `body` with each tensor instruction launched as a background thread in
+/// a slot of its own, from [`BACKGROUND_SLOT`] up; the task retires once
+/// its control statements have run, and the threads share the datapath
+/// with whatever task runs next.
+pub(crate) fn launched(body: Vec<Stmt>) -> Vec<Stmt> {
+    let mut slot = BACKGROUND_SLOT;
+    let launch = |stmt| match stmt {
+        Stmt::Exec(instr) => {
+            assert!(
+                (slot as usize) < NUM_THREADS,
+                "a background row needs a thread per instruction"
+            );
+            slot += 1;
+            Stmt::Launch { slot: slot - 1, instr, on_complete: None }
+        }
+        stmt => stmt,
+    };
+    body.into_iter().map(launch).collect()
+}
 
 /// The one SRAM allocation site of the solver builders: `len` elements of
 /// type `ty` for `what` on the tile at `at`. Panics when the tile is out of
@@ -57,6 +89,7 @@ impl TileMap {
         let rows = self.rows as usize;
         let stmts = |kernel: &Kernel| match *kernel {
             Kernel::Dot(_, _, Sum::Rearmed(_)) => 2 + 3 * rows,
+            Kernel::Dot(_, _, Sum::Acc) => 1 + rows,
             Kernel::Dot(..) => 2 + rows,
             Kernel::AxpySourcesFirst(each) => each.len() * rows,
             Kernel::Xpay(..) | Kernel::Axpy(..) => rows,
@@ -81,14 +114,20 @@ impl TileMap {
                         }
                         out.push(exec(Op::MacReg { acc }, None, Some(da), Some(db)));
                     }
-                    out.push(match into {
+                    out.extend(match into {
                         Sum::Rearmed(reg) | Sum::Plain(reg) => {
-                            Stmt::RegArith { op: RegOp::Mov, dst: reg, a: acc, b: acc }
+                            Some(Stmt::RegArith { op: RegOp::Mov, dst: reg, a: acc, b: acc })
                         }
                         Sum::Lane(j) => {
                             let lane = mk::tensor32(self.at[V::Pay as usize] + 4 * j, 1);
-                            exec(Op::StoreReg { reg: acc }, Some(core.add_dsr(lane)), None, None)
+                            Some(exec(
+                                Op::StoreReg { reg: acc },
+                                Some(core.add_dsr(lane)),
+                                None,
+                                None,
+                            ))
                         }
+                        Sum::Acc => None,
                     });
                 }
                 Kernel::Xpay(scalar, dst, a, b) => {

@@ -3,11 +3,14 @@
 //!
 //! The paper's solver is one fixed recurrence — SpMVs, local dots each
 //! followed by an AllReduce, vector updates, and a few scalar coefficient
-//! tasks — sequenced by the host between fabric-quiescent points. (The
-//! production system chains phases with the task tree; global quiescence
-//! is a slightly conservative stand-in — it can only make our cycle counts
-//! *worse* than the hardware's, never better.) This module owns that
-//! recurrence, once, as data:
+//! tasks — sequenced by the host between fabric-quiescent points. A step
+//! may open a *window* for work that does not need it: an SpMV takes an
+//! independent core-local row into its run, and an AllReduce round an
+//! independent *background* row, each tensor instruction of which is a
+//! thread of its own, launched by a task that outranks the round's — so
+//! the datapath works while the round's tasks wait on the fabric
+//! (`Recurrence::check_windows` holds every such row independent of its
+//! window). This module owns that recurrence, once, as data:
 //!
 //! * a [`Recurrence`] ([`BICGSTAB`], [`BICGSTAB_FUSED`], [`BICGSTAB_BLOCK`],
 //!   [`CG`], [`CG_SINGLE`], and the ensemble's [`BICGSTAB_SINGLE`]) carries
@@ -41,7 +44,7 @@ use crate::allreduce::Reduction;
 use crate::bicgstab::regs;
 use crate::cg::regs as cg;
 use crate::exec::WaferExec;
-use crate::kernels::{alloc, TileMap};
+use crate::kernels::{alloc, launched, TileMap, BACKGROUND_PRIORITY};
 use crate::recovery::{
     self, run_with_recovery, RecoveryLog, RecoveryOutcome, RecoveryPolicy, ResidualTripwire,
 };
@@ -64,7 +67,6 @@ use wse_float::F16;
 use Kernel::{Arith, Axpy, AxpySourcesFirst, Xpay};
 use Phase::{Dot, Scalar, Update};
 use RegOp::{Add, Div, Mul, Sub};
-use Step::{Reduce, ReduceBoth};
 use Store::{Alias, Lanes, Padded, Vector};
 use V::{Ar, As, Pay, Reply, P, Q, R, R0, S, X, Y};
 
@@ -189,7 +191,8 @@ indexed_enum! {
         DotR0s,
         /// The ω-step's numerator product.
         DotQy,
-        /// The ω-step's denominator product.
+        /// The ω-step's denominator product (z-columns: left in the dot
+        /// accumulator by a background thread).
         DotYy,
         /// Both ω-step products in one task, for [`Slot::ReduceBoth`].
         DotQyYy,
@@ -213,11 +216,13 @@ indexed_enum! {
         PostRr,
         /// The q update (α-step).
         UpdQ,
-        /// The iterate update.
+        /// The iterate update (z-columns: `x += α p`, on a background
+        /// thread).
         UpdX,
-        /// The residual update.
+        /// The residual update (z-columns: with `x += ω q` first).
         UpdR,
-        /// The p update's first half (the block mapping: both halves).
+        /// The p update's first half, `p −= ω s`, on a background thread
+        /// (the block mapping: both halves, on the main thread).
         UpdP1,
         /// The p update's second half.
         UpdP2,
@@ -235,8 +240,10 @@ indexed_enum! {
         CgFused,
         /// Single-reduction CG, first iteration: the β = 0 path.
         CgInit,
-        /// CG: the iterate and residual updates.
-        CgUpdXr,
+        /// CG: the residual update.
+        CgUpdR,
+        /// CG: the iterate update, on a background thread.
+        CgUpdX,
         /// CG: the p update.
         CgUpdP,
         /// Single-reduction CG: the p, q, x, r recurrences in one task.
@@ -344,6 +351,9 @@ pub(crate) enum Sum {
     /// Stored to fp32 lane `j` of the [`V::Pay`] block through a DSR
     /// allocated after the operands', no re-arm.
     Lane(u32),
+    /// Left in the accumulator, no re-arm: a background row's dot, whose
+    /// move would run before its MAC thread ends. A later row moves it.
+    Acc,
 }
 
 /// One kernel of a phase task's body, as a value; [`TileMap::emit`] is its
@@ -371,6 +381,23 @@ pub(crate) enum Kernel {
 /// One phase task: its slot, its debug name (program bytes), its body.
 pub(crate) type Row = (Slot, &'static str, &'static [Kernel]);
 
+/// A register or a vector role, as a kernel reads or writes it.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+enum Loc {
+    Register(Reg),
+    Vector(V),
+}
+
+/// What two `(reads, writes)` sets share that one of them writes.
+fn conflict(
+    (a_reads, a_writes): &(Vec<Loc>, Vec<Loc>),
+    (b_reads, b_writes): &(Vec<Loc>, Vec<Loc>),
+) -> Option<Loc> {
+    let hit =
+        |writes: &[Loc], other: &[Loc]| writes.iter().copied().find(|loc| other.contains(loc));
+    hit(a_writes, b_reads).or(hit(a_writes, b_writes)).or(hit(b_writes, a_reads))
+}
+
 /// One step of a recurrence.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Step {
@@ -395,10 +422,20 @@ pub enum Step {
     },
     /// One AllReduce round ([`Slot::Reduce`]). On an ensemble: on-wafer
     /// reduce, binomial host combine, the recurrence's
-    /// `Recurrence::derive`, broadcast of its reply.
-    Reduce,
-    /// Both reduction networks in one round ([`Slot::ReduceBoth`]).
-    ReduceBoth,
+    /// `Recurrence::derive`, broadcast of its reply. `with` names an
+    /// independent background row, activated with the round: its threads
+    /// run on the datapath while the round's tasks wait on the fabric, and
+    /// its cycles land in the `allreduce` bucket.
+    Reduce {
+        /// The co-scheduled background row, if any.
+        with: Option<Slot>,
+    },
+    /// Both reduction networks in one round ([`Slot::ReduceBoth`]), `with`
+    /// as for [`Step::Reduce`].
+    ReduceBoth {
+        /// The co-scheduled background row, if any.
+        with: Option<Slot>,
+    },
     /// Ensembles only: on-wafer reduce and host combine, nothing sent
     /// back — the tiles' registers stay untouched.
     ReduceToHost,
@@ -428,7 +465,7 @@ pub(crate) trait StepExec {
     fn run(&mut self, phase: Phase, slot: Slot) -> Result<(), Self::Error>;
     fn spmv(&mut self, slot: Slot, with: Option<Slot>) -> Result<(), Self::Error>;
     /// Returns the lanes the host combined (none if they stay on-fabric).
-    fn reduce(&mut self, kind: ReduceKind) -> Result<Vec<f32>, Self::Error>;
+    fn reduce(&mut self, kind: ReduceKind, with: Option<Slot>) -> Result<Vec<f32>, Self::Error>;
     fn copy_reg(&mut self, dst: Reg, src: Reg);
 }
 
@@ -440,9 +477,9 @@ pub(crate) fn walk<X: StepExec>(steps: &[Step], exec: &mut X) -> Result<Vec<f32>
         match step {
             Step::Run { phase, slot } => exec.run(phase, slot)?,
             Step::Spmv { slot, with } => exec.spmv(slot, with)?,
-            Reduce => lanes = exec.reduce(ReduceKind::One)?,
-            ReduceBoth => lanes = exec.reduce(ReduceKind::Both)?,
-            Step::ReduceToHost => lanes = exec.reduce(ReduceKind::ToHost)?,
+            Step::Reduce { with } => lanes = exec.reduce(ReduceKind::One, with)?,
+            Step::ReduceBoth { with } => lanes = exec.reduce(ReduceKind::Both, with)?,
+            Step::ReduceToHost => lanes = exec.reduce(ReduceKind::ToHost, None)?,
             Step::CopyReg { dst, src } => exec.copy_reg(dst, src),
         }
     }
@@ -463,6 +500,11 @@ pub struct Recurrence {
     /// recurrence of a family shares one table, so a variant also carries
     /// the tasks only its siblings activate.
     phases: &'static [Row],
+    /// The background rows, emitted after `phases`: each tensor
+    /// instruction a thread of its own, launched by a task that outranks
+    /// the round's. A reduction step's `with` names one of these, and an
+    /// SpMV's `with` a row of `phases` (`Recurrence::check_windows`).
+    background: &'static [Row],
     /// The local dot accumulator.
     dot_acc: Reg,
     /// The vectors that start as the tile's slice of `b`.
@@ -491,21 +533,116 @@ pub struct Recurrence {
 }
 
 impl Recurrence {
-    /// Every slot a step of any table names.
-    pub(crate) fn slots(&self) -> impl Iterator<Item = Slot> {
+    /// Every step of every table.
+    fn steps(&self) -> impl Iterator<Item = &'static Step> {
         let norm = match self.norm {
             Norm::ReadBack => &[],
             Norm::InReg(steps, _) | Norm::AtHost(steps) => steps,
         };
+        [self.seed, self.first.unwrap_or(&[]), self.iter, norm].into_iter().flatten()
+    }
+
+    /// Every slot a step of any table names.
+    pub(crate) fn slots(&self) -> impl Iterator<Item = Slot> {
         let named = |step: &Step| match *step {
             Step::Run { slot, .. } => [Some(slot), None],
             Step::Spmv { slot, with } => [Some(slot), with],
-            Step::Reduce | Step::ReduceToHost => [Some(Slot::Reduce), None],
-            Step::ReduceBoth => [Some(Slot::ReduceBoth), None],
+            Step::Reduce { with } => [Some(Slot::Reduce), with],
+            Step::ReduceToHost => [Some(Slot::Reduce), None],
+            Step::ReduceBoth { with } => [Some(Slot::ReduceBoth), with],
             Step::CopyReg { .. } => [None, None],
         };
-        let tables = [self.seed, self.first.unwrap_or(&[]), self.iter, norm];
-        tables.into_iter().flatten().flat_map(named).flatten()
+        self.steps().flat_map(named).flatten()
+    }
+
+    /// Every phase task's row, the background ones last.
+    fn rows(&self) -> impl Iterator<Item = &'static Row> {
+        self.phases.iter().chain(self.background)
+    }
+
+    /// Checks the rule every co-scheduled (`with`) row keeps, over every
+    /// table: the row is a background row exactly when its window is a
+    /// reduction; a background row's kernels run as concurrent threads, so
+    /// none writes what another of them reads or writes; and the row shares
+    /// nothing with its window but reads. An SpMV window reads its source
+    /// and writes its product; a round reads and writes the `AR_*`
+    /// registers of both networks, the payload, the reply block and the
+    /// reply registers. Returns the first breach.
+    pub(crate) fn check_windows(&self) -> Result<(), String> {
+        const ROUND: [Reg; 6] =
+            [regs::AR_IN, regs::AR_OUT, regs::AR_ACC, regs::AR_IN2, regs::AR_OUT2, regs::AR_ACC2];
+        for &step in self.steps() {
+            let (with, window, reduction) = match step {
+                Step::Spmv { slot, with: Some(with) } => {
+                    let spmv = self.spmvs.iter().find(|spmv| spmv.0 == slot);
+                    let (_, source, product) = *spmv.expect("every SpMV step has an instance");
+                    (with, (vec![self.vector(source)], vec![self.vector(product)]), false)
+                }
+                Step::Reduce { with: Some(with) } | Step::ReduceBoth { with: Some(with) } => {
+                    let regs = ROUND.iter().chain(self.reply).map(|&reg| Loc::Register(reg));
+                    let state: Vec<Loc> =
+                        regs.chain([self.vector(Pay), self.vector(Reply)]).collect();
+                    (with, (state.clone(), state), true)
+                }
+                _ => continue,
+            };
+            let background = self.background.iter().any(|row| row.0 == with);
+            if background != reduction {
+                let window = if reduction { "a reduction" } else { "an SpMV" };
+                let not = if background { "" } else { "not " };
+                return Err(format!("{with:?} rides {window} but is {not}a background row"));
+            }
+            let row = self.rows().find(|row| row.0 == with).expect("every named slot has a row");
+            let effects: Vec<_> = row.2.iter().map(|kernel| self.effects(kernel)).collect();
+            if background {
+                for (i, a) in effects.iter().enumerate() {
+                    for b in &effects[i + 1..] {
+                        if let Some(loc) = conflict(a, b) {
+                            return Err(format!("{with:?}: two of its threads share {loc:?}"));
+                        }
+                    }
+                }
+            }
+            for kernel in &effects {
+                if let Some(loc) = conflict(kernel, &window) {
+                    return Err(format!("{with:?} shares {loc:?} with its window {step:?}"));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// What `kernel` reads and writes.
+    fn effects(&self, kernel: &Kernel) -> (Vec<Loc>, Vec<Loc>) {
+        use Loc::Register as Rg;
+        let vc = |v| self.vector(v);
+        match *kernel {
+            Kernel::Dot(a, b, sum) => {
+                let into = match sum {
+                    Sum::Rearmed(reg) | Sum::Plain(reg) => Some(Rg(reg)),
+                    Sum::Lane(_) => Some(vc(Pay)),
+                    Sum::Acc => None,
+                };
+                (vec![vc(a), vc(b)], [Some(Rg(self.dot_acc)), into].into_iter().flatten().collect())
+            }
+            Xpay(s, dst, a, b) => (vec![Rg(s), vc(a), vc(b)], vec![vc(dst)]),
+            Axpy(s, dst, a) => (vec![Rg(s), vc(dst), vc(a)], vec![vc(dst)]),
+            AxpySourcesFirst(each) => (
+                each.iter().flat_map(|&(s, dst, a)| [Rg(s), vc(dst), vc(a)]).collect(),
+                each.iter().map(|&(_, dst, _)| vc(dst)).collect(),
+            ),
+            Arith(_, dst, a, b) => (vec![Rg(a), Rg(b)], vec![Rg(dst)]),
+            Kernel::Set(reg, _) => (vec![], vec![Rg(reg)]),
+        }
+    }
+
+    /// Vector role `v` as a location: the role whose storage it has
+    /// (textbook CG's `Q` is its `S`).
+    fn vector(&self, v: V) -> Loc {
+        match self.storage.iter().find(|&&(stored, _)| stored == v) {
+            Some(&(_, Alias(of))) => Loc::Vector(of),
+            _ => Loc::Vector(v),
+        }
     }
 
     /// The step table of iteration `it`, counted from the load.
@@ -606,13 +743,17 @@ impl Recurrence {
         (tasks, map)
     }
 
-    /// Emits the phase table onto a tile — after its SpMV tasks, whose
-    /// slots the caller has filled in — and declares every set slot a
-    /// host-activated entry point.
+    /// Emits the phase table and then the background rows onto a tile —
+    /// after its SpMV tasks, whose slots the caller has filled in — and
+    /// declares every set slot a host-activated entry point.
     pub(crate) fn emit(&self, core: &mut Core, map: &TileMap, tasks: &mut Tasks) {
         for &(slot, name, body) in self.phases {
             let body = map.emit(core, body, self.dot_acc);
             tasks[slot] = core.add_task(Task::new(name, body));
+        }
+        for &(slot, name, body) in self.background {
+            let body = launched(map.emit(core, body, self.dot_acc));
+            tasks[slot] = core.add_task(Task::new(name, body).priority(BACKGROUND_PRIORITY));
         }
         tasks.0.iter().filter(|&&task| task != TaskId::MAX).for_each(|&task| core.mark_entry(task));
     }
@@ -636,6 +777,9 @@ const fn run(phase: Phase, slot: Slot) -> Step {
 const fn spmv(slot: Slot) -> Step {
     Step::Spmv { slot, with: None }
 }
+
+const REDUCE: Step = Step::Reduce { with: None };
+const REDUCE_BOTH: Step = Step::ReduceBoth { with: None };
 
 /// The z-column builders' dot: re-armed, summed into `into`.
 const fn dot(a: V, b: V, into: Reg) -> Kernel {
@@ -696,23 +840,29 @@ const UPD_P: [Kernel; 2] = [Xpay(regs::NEG_OMEGA, P, P, S), Xpay(regs::BETA, P, 
 const BICGSTAB_PHASES: &[Row] = &[
     (Slot::DotR0s, "dot_r0s", &[dot(R0, S, regs::AR_IN)]),
     (Slot::DotQy, "dot_qy", &[dot(Q, Y, regs::AR_IN)]),
-    (Slot::DotYy, "dot_yy", &[dot(Y, Y, regs::AR_IN)]),
     // One product per reduction network.
     (Slot::DotQyYy, "dot_qy_yy", &[dot(Q, Y, regs::AR_IN), dot(Y, Y, regs::AR_IN2)]),
     (Slot::DotRho, "dot_rho", &[dot(R0, R, regs::AR_IN)]),
     (Slot::DotRr, "dot_rr", &[dot(R, R, regs::AR_IN)]),
     (Slot::PostR0s, "post_r0s", POST_R0S),
-    (Slot::PostQy, "post_qy", POST_QY),
+    // Stashes (q, y) and puts up (y, y), summed under the (q, y) round.
+    (Slot::PostQy, "post_qy", &[mov(regs::QY, regs::AR_OUT), mov(regs::AR_IN, regs::DOT_ACC)]),
     (Slot::PostYy, "post_yy", POST_YY),
     (Slot::PostRho, "post_rho", POST_RHO),
     (Slot::PostOmegaFused, "post_omega_fused", POST_OMEGA_FUSED),
     (Slot::InitRho, "init_rho", INIT_RHO),
     (Slot::PostRr, "post_rr", POST_RR),
     (Slot::UpdQ, "upd_q", &[UPD_Q]),
-    (Slot::UpdX, "upd_x", &[UPD_X]),
-    (Slot::UpdR, "upd_r", &[UPD_R]),
-    (Slot::UpdP1, "upd_p1", &[UPD_P[0]]),
+    (Slot::UpdR, "upd_xr", &[Axpy(regs::OMEGA, X, Q), UPD_R]),
     (Slot::UpdP2, "upd_p2", &[UPD_P[1]]),
+];
+
+/// The z-column rows a round hides, one per round: none needs the round
+/// it runs under.
+const BICGSTAB_BACKGROUND: &[Row] = &[
+    (Slot::DotYy, "dot_yy_acc", &[Kernel::Dot(Y, Y, Sum::Acc)]),
+    (Slot::UpdX, "upd_x_alpha", &[Axpy(regs::ALPHA, X, P)]),
+    (Slot::UpdP1, "upd_p1", &[UPD_P[0]]),
 ];
 
 /// The block builder's dot: no re-arm, summed into `AR_IN`.
@@ -741,31 +891,34 @@ const BLOCK_PHASES: &[Row] = &[
     (Slot::UpdP1, "2d_upd_p", &UPD_P),
 ];
 
-/// One z-column BiCGStab iteration; the last step is the second half of
-/// the p-update.
+/// One z-column BiCGStab iteration: Table I's order, with the `(y, y)`
+/// dot and two of the six AXPYs, one kernel per round, under rounds they
+/// do not need. (`x += ω q` stays on the main thread, in `upd_xr`: as a
+/// second thread under the ρ round it hides a little more, but the round's
+/// changed timing carries through the routers' arbitration state into the
+/// next seam window, whose accumulation order then moves a two-wafer
+/// iterate.)
 const BICGSTAB_ITER: &[Step] = &[
     // s := A p;  α;  q
     spmv(Slot::SpmvPs),
     run(Dot, Slot::DotR0s),
-    Reduce,
+    REDUCE,
     run(Scalar, Slot::PostR0s),
     run(Update, Slot::UpdQ),
-    // y := A q;  ω
+    // y := A q;  ω, with (y, y) under the (q, y) round and x += α p under
+    // the (y, y) round
     spmv(Slot::SpmvQy),
     run(Dot, Slot::DotQy),
-    Reduce,
+    Step::Reduce { with: Some(Slot::DotYy) },
     run(Scalar, Slot::PostQy),
-    run(Dot, Slot::DotYy),
-    Reduce,
+    Step::Reduce { with: Some(Slot::UpdX) },
     run(Scalar, Slot::PostYy),
-    // x;  r
-    run(Update, Slot::UpdX),
+    // x, r
     run(Update, Slot::UpdR),
-    // β and ρ roll-over;  p
+    // β and ρ roll-over, with p −= ω s under the round;  p
     run(Dot, Slot::DotRho),
-    Reduce,
+    Step::Reduce { with: Some(Slot::UpdP1) },
     run(Scalar, Slot::PostRho),
-    run(Update, Slot::UpdP1),
     run(Update, Slot::UpdP2),
 ];
 
@@ -781,14 +934,15 @@ const CLASSIC: Recurrence = Recurrence {
     ],
     spmvs: &[(Slot::SpmvPs, P, S), (Slot::SpmvQy, Q, Y)],
     phases: BICGSTAB_PHASES,
+    background: BICGSTAB_BACKGROUND,
     dot_acc: regs::DOT_ACC,
     from_b: &[R, R0, P],
     zeroed: &[X],
     presets: (&[regs::EPS], 1e-30),
-    seed: &[run(Dot, Slot::DotRho), Reduce, run(Scalar, Slot::InitRho)],
+    seed: &[run(Dot, Slot::DotRho), REDUCE, run(Scalar, Slot::InitRho)],
     first: None,
     iter: BICGSTAB_ITER,
-    norm: Norm::InReg(&[run(Dot, Slot::DotRr), Reduce, run(Scalar, Slot::PostRr)], regs::RR),
+    norm: Norm::InReg(&[run(Dot, Slot::DotRr), REDUCE, run(Scalar, Slot::PostRr)], regs::RR),
     derive: <[f32]>::to_vec,
     reply: &[],
 };
@@ -798,33 +952,55 @@ pub static BICGSTAB: Recurrence = CLASSIC;
 
 /// [`BICGSTAB`] with the ω-step's two inner products reduced concurrently
 /// over two virtual-channel networks: three blocking rounds instead of four.
+/// Only the ρ round carries work: `x += α p` under the two-network round
+/// would reorder that round's fp32 sums, so it runs as a phase of its own.
 pub static BICGSTAB_FUSED: Recurrence = Recurrence {
     iter: &[
         spmv(Slot::SpmvPs),
         run(Dot, Slot::DotR0s),
-        Reduce,
+        REDUCE,
         run(Scalar, Slot::PostR0s),
         run(Update, Slot::UpdQ),
         spmv(Slot::SpmvQy),
         run(Dot, Slot::DotQyYy),
-        ReduceBoth,
+        REDUCE_BOTH,
         run(Scalar, Slot::PostOmegaFused),
         run(Update, Slot::UpdX),
         run(Update, Slot::UpdR),
         run(Dot, Slot::DotRho),
-        Reduce,
+        Step::Reduce { with: Some(Slot::UpdP1) },
         run(Scalar, Slot::PostRho),
-        run(Update, Slot::UpdP1),
         run(Update, Slot::UpdP2),
     ],
     ..CLASSIC
 };
 
-/// [`BICGSTAB`] on the 2D block mapping, whose row-wise p-update is one
-/// task (in [`Slot::UpdP1`]): the same step table less its last step.
+/// [`BICGSTAB`] on the 2D block mapping, in Table I's phase order with no
+/// background rows: a block row issues one instruction per block row, and
+/// the row-wise p-update is one task (in [`Slot::UpdP1`]).
 pub static BICGSTAB_BLOCK: Recurrence = Recurrence {
     phases: BLOCK_PHASES,
-    iter: BICGSTAB_ITER.split_at(BICGSTAB_ITER.len() - 1).0,
+    background: &[],
+    iter: &[
+        spmv(Slot::SpmvPs),
+        run(Dot, Slot::DotR0s),
+        REDUCE,
+        run(Scalar, Slot::PostR0s),
+        run(Update, Slot::UpdQ),
+        spmv(Slot::SpmvQy),
+        run(Dot, Slot::DotQy),
+        REDUCE,
+        run(Scalar, Slot::PostQy),
+        run(Dot, Slot::DotYy),
+        REDUCE,
+        run(Scalar, Slot::PostYy),
+        run(Update, Slot::UpdX),
+        run(Update, Slot::UpdR),
+        run(Dot, Slot::DotRho),
+        REDUCE,
+        run(Scalar, Slot::PostRho),
+        run(Update, Slot::UpdP1),
+    ],
     ..CLASSIC
 };
 
@@ -884,8 +1060,8 @@ const CG_PHASES: &[Row] = &[
     (Slot::CgBeta, "cg_beta", CG_BETA),
     (Slot::CgFused, "cg_fused_coeffs", CG_FUSED),
     (Slot::CgInit, "cg_init", CG_INIT),
-    // Standard: x += α p; r −= α A p.
-    (Slot::CgUpdXr, "cg_upd_xr", &[AxpySourcesFirst(&[(cg::ALPHA, X, P), (cg::NEG_ALPHA, R, S)])]),
+    // Standard: r −= α A p.
+    (Slot::CgUpdR, "cg_upd_r", &[Axpy(cg::NEG_ALPHA, R, S)]),
     // Standard: p = r + β p (XPAY with dst aliasing b).
     (Slot::CgUpdP, "cg_upd_p", &[Xpay(cg::BETA, P, R, P)]),
     (Slot::CgUpdAll, "cg2_upd", CG_UPD_ALL),
@@ -900,23 +1076,25 @@ const CG_STANDARD: Recurrence = Recurrence {
     storage: &[(P, Padded), (S, Vector), (X, Vector), (R, Vector), (Q, Alias(S))],
     spmvs: &[(Slot::CgSpmv, P, S)],
     phases: CG_PHASES,
+    // Standard: x += α p, under the (r, r) round.
+    background: &[(Slot::CgUpdX, "cg_upd_x", &[Axpy(cg::ALPHA, X, P)])],
     dot_acc: cg::DOT_ACC,
     from_b: &[R, P],
     zeroed: &[X],
     presets: (&[regs::EPS], 1e-30),
     // γ₀ = (r, r), moved into place by the host.
-    seed: &[run(Dot, Slot::DotRr), Reduce, Step::CopyReg { dst: cg::GAMMA, src: cg::AR_OUT }],
+    seed: &[run(Dot, Slot::DotRr), REDUCE, Step::CopyReg { dst: cg::GAMMA, src: cg::AR_OUT }],
     first: None,
     iter: &[
-        // A p;  α;  x, r
+        // A p;  α;  r
         spmv(Slot::CgSpmv),
         run(Dot, Slot::CgDotPq),
-        Reduce,
+        REDUCE,
         run(Scalar, Slot::CgAlpha),
-        run(Update, Slot::CgUpdXr),
-        // β, γ rolls over;  p
+        run(Update, Slot::CgUpdR),
+        // β, γ rolls over, with x += α p under the round;  p
         run(Dot, Slot::DotRr),
-        Reduce,
+        Step::Reduce { with: Some(Slot::CgUpdX) },
         run(Scalar, Slot::CgBeta),
         run(Update, Slot::CgUpdP),
     ],
@@ -937,14 +1115,14 @@ pub static CG_SINGLE: Recurrence = Recurrence {
     first: Some(&[
         spmv(Slot::CgSpmv),
         run(Dot, Slot::CgDotGammaDelta),
-        ReduceBoth,
+        REDUCE_BOTH,
         run(Scalar, Slot::CgInit),
         run(Update, Slot::CgUpdAll),
     ]),
     iter: &[
         spmv(Slot::CgSpmv),
         run(Dot, Slot::CgDotGammaDelta),
-        ReduceBoth,
+        REDUCE_BOTH,
         run(Scalar, Slot::CgFused),
         run(Update, Slot::CgUpdAll),
     ],
@@ -1052,6 +1230,7 @@ pub static BICGSTAB_SINGLE: Recurrence = Recurrence {
     ],
     spmvs: &[(Slot::SpmvRv, R, Ar), (Slot::SpmvSzv, S, As)],
     phases: SINGLE_PHASES,
+    background: &[],
     dot_acc: regs::DOT_ACC,
     from_b: &[R, R0],
     zeroed: &[S, Ar, As, P, Q, X],
@@ -1060,7 +1239,7 @@ pub static BICGSTAB_SINGLE: Recurrence = Recurrence {
     first: None,
     iter: &[
         // Window A: the p-update beside v := A r. It is independent of the
-        // SpMV (it touches p/s, the SpMV reads r and writes v); its cycles
+        // SpMV (it writes p; both read r; the SpMV writes v); its cycles
         // land in the `spmv` bucket.
         Step::Spmv { slot: Slot::SpmvRv, with: Some(Slot::UpdP) },
         // s  (≡ A p by the recurrence t = s_prev − ω·zv_prev).
@@ -1068,7 +1247,7 @@ pub static BICGSTAB_SINGLE: Recurrence = Recurrence {
         // Window B: zv := A s.
         spmv(Slot::SpmvSzv),
         run(Dot, Slot::Dots14),
-        Reduce,
+        REDUCE,
         run(Update, Slot::UpdXq),
         run(Update, Slot::UpdRt),
     ],
@@ -1181,12 +1360,17 @@ pub struct Program {
 impl Program {
     /// # Panics
     /// Panics if a tile leaves unset a slot the step tables name — at build
-    /// time, by name, not as an out-of-range task activation mid-solve.
+    /// time, by name, not as an out-of-range task activation mid-solve —
+    /// and, in debug builds (where the builders lint), if a co-scheduled
+    /// row breaks `Recurrence::check_windows`.
     pub(crate) fn new(
         recurrence: &'static Recurrence,
         layout: Layout,
         tiles: Vec<(Tasks, Addrs)>,
     ) -> Program {
+        if cfg!(debug_assertions) {
+            recurrence.check_windows().unwrap_or_else(|e| panic!("co-scheduled row: {e}"));
+        }
         let (w, h) = layout.dims();
         let phase_budget = match layout {
             Layout::ZColumn(m) => 200 * m.z as u64 + 200 * (w + h) as u64 + 50_000,
@@ -1466,38 +1650,49 @@ pub(crate) struct OnWafer<'a, E> {
     cycles: IterCycles,
 }
 
-impl<E: WaferExec> StepExec for OnWafer<'_, E> {
-    type Error = Box<StallReport>;
-
-    fn run(&mut self, phase: Phase, slot: Slot) -> Result<(), Self::Error> {
-        let (w, h) = self.program.layout.dims();
-        let budget = match slot {
-            Slot::Reduce | Slot::ReduceBoth => 100 * (w + h) as u64 + 50_000,
-            _ => self.program.phase_budget,
-        };
-        for (x, y, tasks, _) in self.program.tiles() {
-            self.exec.activate(x, y, tasks[slot]);
+impl<E: WaferExec> OnWafer<'_, E> {
+    /// Activates `with` (if any) and then `slot` on every tile and runs to
+    /// quiescence within `budget` cycles, accounted to `phase`.
+    fn dispatch(
+        &mut self,
+        phase: Phase,
+        slot: Slot,
+        with: Option<Slot>,
+        budget: u64,
+    ) -> Result<(), Box<StallReport>> {
+        for slot in with.into_iter().chain([slot]) {
+            for (x, y, tasks, _) in self.program.tiles() {
+                self.exec.activate(x, y, tasks[slot]);
+            }
         }
         self.cycles.add(phase, self.exec.run_phase(phase.name(), budget, recovery::STALL_WINDOW)?);
         Ok(())
     }
+}
 
-    fn spmv(&mut self, slot: Slot, with: Option<Slot>) -> Result<(), Self::Error> {
-        if let Some(with) = with {
-            for (x, y, tasks, _) in self.program.tiles() {
-                self.exec.activate(x, y, tasks[with]);
-            }
-        }
-        self.run(Phase::Spmv, slot)
+impl<E: WaferExec> StepExec for OnWafer<'_, E> {
+    type Error = Box<StallReport>;
+
+    fn run(&mut self, phase: Phase, slot: Slot) -> Result<(), Self::Error> {
+        self.dispatch(phase, slot, None, self.program.phase_budget)
     }
 
-    fn reduce(&mut self, kind: ReduceKind) -> Result<Vec<f32>, Self::Error> {
+    fn spmv(&mut self, slot: Slot, with: Option<Slot>) -> Result<(), Self::Error> {
+        self.dispatch(Phase::Spmv, slot, with, self.program.phase_budget)
+    }
+
+    /// A round, and the row co-scheduled into it: the round's budget, and
+    /// a phase's more for the row.
+    fn reduce(&mut self, kind: ReduceKind, with: Option<Slot>) -> Result<Vec<f32>, Self::Error> {
         let slot = match kind {
             ReduceKind::One => Slot::Reduce,
             ReduceKind::Both => Slot::ReduceBoth,
             ReduceKind::ToHost => unreachable!("a single wafer's reduction never leaves it"),
         };
-        self.run(Phase::Allreduce, slot).map(|()| Vec::new())
+        let (w, h) = self.program.layout.dims();
+        let row = with.map_or(0, |_| self.program.phase_budget);
+        let budget = 100 * (w + h) as u64 + 50_000 + row;
+        self.dispatch(Phase::Allreduce, slot, with, budget).map(|()| Vec::new())
     }
 
     fn copy_reg(&mut self, dst: Reg, src: Reg) {
@@ -1530,8 +1725,8 @@ pub struct Tally {
 /// lane; a register round copies `AR_IN` to `AR_OUT`, a lane round writes
 /// the recurrence's `Recurrence::derive` to its reply registers;
 /// register arithmetic runs in `P::Global`; an update reads its scalar
-/// register narrowed once to storage; an SpMV's co-scheduled row runs
-/// first. The wafer's fp32 reduction order is not reproduced — it depends
+/// register narrowed once to storage; an SpMV's or a round's co-scheduled
+/// row runs first. The wafer's fp32 reduction order is not reproduced — it depends
 /// on the fabric's history ([`crate::allreduce`]) — so wafer and host
 /// trajectories agree to a bound, not bit for bit.
 pub struct HostExec<P: Precision, M> {
@@ -1628,7 +1823,7 @@ impl<P: Precision, M: FnMut(&[P::Storage], &mut [P::Storage])> StepExec for Host
     type Error = Infallible;
 
     fn run(&mut self, _: Phase, slot: Slot) -> Result<(), Infallible> {
-        let row = self.recurrence.phases.iter().find(|row| row.0 == slot);
+        let row = self.recurrence.rows().find(|row| row.0 == slot);
         for &kernel in row.expect("every slot a table runs has a row").2 {
             match kernel {
                 Kernel::Dot(a, b, sum) => {
@@ -1636,6 +1831,7 @@ impl<P: Precision, M: FnMut(&[P::Storage], &mut [P::Storage])> StepExec for Host
                     match sum {
                         Sum::Rearmed(reg) | Sum::Plain(reg) => self.regs[reg as usize] = dot,
                         Sum::Lane(j) => self.pay[j as usize] = dot.to_f64() as f32,
+                        Sum::Acc => self.regs[self.recurrence.dot_acc as usize] = dot,
                     }
                     self.tally.dots += 1;
                 }
@@ -1680,7 +1876,10 @@ impl<P: Precision, M: FnMut(&[P::Storage], &mut [P::Storage])> StepExec for Host
         Ok(())
     }
 
-    fn reduce(&mut self, kind: ReduceKind) -> Result<Vec<f32>, Infallible> {
+    fn reduce(&mut self, kind: ReduceKind, with: Option<Slot>) -> Result<Vec<f32>, Infallible> {
+        if let Some(with) = with {
+            self.run(Phase::Allreduce, with)?;
+        }
         self.tally.reductions += 1;
         let rec = self.recurrence;
         if rec.reply.is_empty() {
@@ -1765,23 +1964,21 @@ mod tests {
                 assert_eq!(Tasks::new()[slot], TaskId::MAX, "{slot:?} must index inside");
                 // ...and something builds it: a phase row, an SpMV instance,
                 // or the builder's reduction.
-                let built = rec.phases.iter().any(|&(row, ..)| row == slot)
+                let built = rec.rows().any(|&(row, ..)| row == slot)
                     || rec.spmvs.iter().any(|&(spmv, ..)| spmv == slot)
                     || [Slot::Reduce, Slot::Bcast, Slot::ReduceBoth].contains(&slot);
                 assert!(built, "{slot:?} is named by a step table but never built");
             }
             // Every vector a row, an SpMV instance or `load_rhs` names is stored.
-            let operands = |kernel: &Kernel| match *kernel {
-                Kernel::Dot(a, b, Sum::Lane(j)) => {
+            let operands = |kernel: &Kernel| {
+                if let Kernel::Dot(_, _, Sum::Lane(j)) = *kernel {
                     assert!(j < PAY_LANES, "lane {j} is past the payload");
-                    vec![a, b, Pay]
                 }
-                Kernel::Dot(a, b, _) | Axpy(_, a, b) => vec![a, b],
-                Xpay(_, dst, a, b) => vec![dst, a, b],
-                AxpySourcesFirst(each) => each.iter().flat_map(|e| [e.1, e.2]).collect(),
-                Arith(..) | Kernel::Set(..) => vec![],
+                let (reads, writes) = rec.effects(kernel);
+                let vectors = |loc| if let Loc::Vector(v) = loc { Some(v) } else { None };
+                reads.into_iter().chain(writes).filter_map(vectors).collect::<Vec<_>>()
             };
-            let in_rows = rec.phases.iter().flat_map(|row| row.2).flat_map(operands);
+            let in_rows = rec.rows().flat_map(|row| row.2).flat_map(operands);
             let in_spmvs = rec.spmvs.iter().flat_map(|&(_, source, product)| [source, product]);
             for v in in_rows.chain(in_spmvs).chain([rec.from_b, rec.zeroed].concat()) {
                 assert!(rec.storage.iter().any(|&(stored, _)| stored == v), "{v:?} has no storage");
@@ -1822,6 +2019,55 @@ mod tests {
             for _ in 0..3 {
                 assert_eq!(host.iterate(), want);
             }
+        }
+    }
+
+    #[test]
+    fn every_co_scheduled_row_is_independent_of_its_window() {
+        for rec in [&BICGSTAB, &BICGSTAB_FUSED, &BICGSTAB_BLOCK, &BICGSTAB_SINGLE, &CG, &CG_SINGLE]
+        {
+            assert_eq!(rec.check_windows(), Ok(()));
+        }
+    }
+
+    /// A row that writes a round's input, two background threads on one
+    /// vector, a background row beside an SpMV, and a row reading an
+    /// SpMV's product are each refused by name.
+    #[test]
+    fn a_row_that_touches_its_window_is_refused() {
+        const fn rec(background: &'static [Row], iter: &'static [Step]) -> Recurrence {
+            Recurrence { background, iter, ..CLASSIC }
+        }
+        static CASES: [(Recurrence, &str); 4] = [
+            (
+                rec(
+                    &[(Slot::DotYy, "bad", &[dot(Y, Y, regs::AR_IN)])],
+                    &[Step::Reduce { with: Some(Slot::DotYy) }],
+                ),
+                "DotYy shares Register(24) with its window Reduce",
+            ),
+            (
+                rec(
+                    &[(Slot::UpdX, "bad", &[Axpy(regs::ALPHA, X, P), Axpy(regs::OMEGA, X, Q)])],
+                    &[Step::Reduce { with: Some(Slot::UpdX) }],
+                ),
+                "UpdX: two of its threads share Vector(X)",
+            ),
+            (
+                rec(
+                    BICGSTAB_BACKGROUND,
+                    &[Step::Spmv { slot: Slot::SpmvPs, with: Some(Slot::UpdX) }],
+                ),
+                "UpdX rides an SpMV but is a background row",
+            ),
+            (
+                rec(&[], &[Step::Spmv { slot: Slot::SpmvPs, with: Some(Slot::UpdQ) }]),
+                "UpdQ shares Vector(S) with its window Spmv",
+            ),
+        ];
+        for (rec, want) in &CASES {
+            let err = rec.check_windows().expect_err(want);
+            assert!(err.starts_with(want), "{err}");
         }
     }
 

@@ -118,10 +118,11 @@ pub struct WaferBicgstabMulti {
     reductions: Vec<Reduction>,
     /// Cycle budget a seam crossing adds to a phase (only a stall reaches it).
     seam_budget: u64,
-    /// Modeled cycles of one round-trip over the host-level combine tree:
-    /// `⌈log₂ k⌉` levels up and the same back down, each a link latency
-    /// plus the payload's transfer time.
-    host_hop_cycles: u64,
+    /// Modeled cycles of one pass over the host-level combine tree:
+    /// `⌈log₂ k⌉` levels, each a link latency plus the payload's transfer
+    /// time. A round that replies takes two passes, up and back down; one
+    /// that ends at the host, one.
+    host_pass_cycles: u64,
 }
 
 impl WaferBicgstabMulti {
@@ -282,9 +283,9 @@ impl WaferBicgstabMulti {
             wse_dsl::debug_lint(multi.shard(m));
         }
 
-        // One host round-trip over the binomial tree. The scalar trees
-        // move one word each way and are charged latency only; the chains
-        // move 14 fp32 lanes up and 7 down, charged as 14 both ways.
+        // One pass over the binomial tree. The scalar trees move one word
+        // each way and are charged latency only; the chains move 14 fp32
+        // lanes up and 7 down, charged as 14 both ways.
         let levels = (k as f64).log2().ceil() as u64;
         let link = multi.link();
         let xfer = if fused { transfer_cycles(&link, (PAY_LANES * 4) as f64) } else { 0 };
@@ -293,7 +294,7 @@ impl WaferBicgstabMulti {
             seams,
             reductions,
             seam_budget: 16 * z as u64 + 2 * link.latency_cycles + 200 * h as u64 + 50_000,
-            host_hop_cycles: 2 * levels * (link.latency_cycles + xfer),
+            host_pass_cycles: levels * (link.latency_cycles + xfer),
         }
     }
 
@@ -487,15 +488,19 @@ impl StepExec for OnEnsemble<'_> {
         Ok(())
     }
 
-    /// The hierarchical AllReduce: on-wafer reduce, the host's fp32
-    /// combine of the `k` roots' partial lanes (trace span
-    /// `"host_allreduce"`, charged one tree round-trip), then — unless the
-    /// round ends at the host — the recurrence's
-    /// [`derive`](krylov::Recurrence::derive) of them written to every
-    /// root and broadcast on-wafer.
-    fn reduce(&mut self, kind: ReduceKind) -> Result<Vec<f32>, Self::Error> {
+    /// The hierarchical AllReduce: `with` activated and then the on-wafer
+    /// reduce, the host's fp32 combine of the `k` roots' partial lanes
+    /// (trace span `"host_allreduce"`), then — unless the round ends at
+    /// the host — the recurrence's [`derive`](krylov::Recurrence::derive)
+    /// of them written to every root and broadcast on-wafer. The host
+    /// combine is charged one pass over the tree per direction the round
+    /// takes: up, and back down unless it ends at the host.
+    fn reduce(&mut self, kind: ReduceKind, with: Option<Slot>) -> Result<Vec<f32>, Self::Error> {
         assert!(kind != ReduceKind::Both, "an ensemble has one reduction network");
         let solver = self.solver;
+        if let Some(with) = with {
+            self.activate(with);
+        }
         self.activate(Slot::Reduce);
         self.cycles.compute.allreduce += self.try_run_each("allreduce")?;
 
@@ -516,8 +521,9 @@ impl StepExec for OnEnsemble<'_> {
                 red.write_reply(self.multi.shard_mut(w), &reply);
             }
         }
-        self.multi.advance_idle(solver.host_hop_cycles);
-        self.cycles.host_allreduce += solver.host_hop_cycles;
+        let host = if reply { 2 } else { 1 } * solver.host_pass_cycles;
+        self.multi.advance_idle(host);
+        self.cycles.host_allreduce += host;
         let mut bcast = Ok(0);
         if reply {
             self.activate(Slot::Bcast);

@@ -10,10 +10,12 @@
 //! and the 28.1 µs iteration — and all three reproduce within ten percent
 //! under it.
 //!
-//! The per-iteration cycle model mirrors the kernel inventory (2 SpMVs,
-//! 4 dots, 6 AXPYs, plus reductions); the per-element slopes are calibrated
-//! against `wse-arch` runs on small fabrics and the fixed offsets cover task
-//! scheduling and pipeline fill.
+//! The per-iteration cycle model mirrors the schedule the simulator runs
+//! (Table I's 2 SpMVs, 4 dots and 6 AXPYs in four AllReduce rounds, with
+//! the `(y, y)` dot and two AXPYs on background threads under three of
+//! the rounds, so that 3 dots and 4 AXPYs stay on the critical path); the
+//! per-element slopes are calibrated against `wse-arch` runs on small
+//! fabrics and the fixed offsets cover task scheduling and pipeline fill.
 
 use crate::allreduce::AllReduceModel;
 
@@ -71,11 +73,12 @@ impl Default for Cs1Model {
 pub struct IterationPrediction {
     /// Cycles in the two SpMVs.
     pub spmv_cycles: f64,
-    /// Cycles in the four local dots.
+    /// Cycles in the local dots on the critical path.
     pub dot_cycles: f64,
-    /// Cycles in the six vector updates.
+    /// Cycles in the vector updates on the critical path.
     pub update_cycles: f64,
-    /// Cycles in the four AllReduce rounds.
+    /// Cycles in the AllReduce rounds, each charged the longer of itself
+    /// and the work it hides.
     pub allreduce_cycles: f64,
     /// Total cycles.
     pub total_cycles: f64,
@@ -100,14 +103,40 @@ impl Cs1Model {
 
     /// Predicts one BiCGStab iteration for an `mx × my × z` mesh mapped to
     /// an `mx × my` fabric region (the reduction spans the full machine, as
-    /// on the real system).
+    /// on the real system): 3 dots and 4 AXPYs on the critical path, and
+    /// four rounds, three of which carry the `(y, y)` dot, `x += α p` and
+    /// `p −= ω s` on background threads.
     pub fn predict_iteration(&self, mx: usize, my: usize, z: usize) -> IterationPrediction {
-        assert!(mx <= self.fabric_w && my <= self.fabric_h, "mesh exceeds fabric");
+        let (dot, axpy) = self.sweeps(z);
+        self.schedule(mx, my, z, (3.0, 4.0), 4.0, &[dot, axpy, axpy])
+    }
+
+    /// Cycles of one local dot and of one AXPY over `z` elements.
+    fn sweeps(&self, z: usize) -> (f64, f64) {
         let zf = z as f64;
-        let spmv = 2.0 * (self.spmv_cycles_per_z * zf + self.spmv_fixed);
-        let dot = 4.0 * (self.dot_cycles_per_z * zf + self.dot_fixed);
-        let update = 6.0 * (self.axpy_cycles_per_z * zf + self.axpy_fixed);
-        let allreduce = 4.0 * self.allreduce.cycles(self.fabric_w, self.fabric_h);
+        (self.dot_cycles_per_z * zf + self.dot_fixed, self.axpy_cycles_per_z * zf + self.axpy_fixed)
+    }
+
+    /// One iteration of a schedule: `(dots, axpys)` sweeps on the critical
+    /// path, `rounds` AllReduce rounds' worth of reduction, and one round
+    /// per entry of `hidden` carrying a kernel of that many cycles, charged
+    /// the longer of the two.
+    fn schedule(
+        &self,
+        mx: usize,
+        my: usize,
+        z: usize,
+        (dots, axpys): (f64, f64),
+        rounds: f64,
+        hidden: &[f64],
+    ) -> IterationPrediction {
+        assert!(mx <= self.fabric_w && my <= self.fabric_h, "mesh exceeds fabric");
+        let (dot, axpy) = self.sweeps(z);
+        let spmv = 2.0 * (self.spmv_cycles_per_z * z as f64 + self.spmv_fixed);
+        let round = self.allreduce.cycles(self.fabric_w, self.fabric_h);
+        let carried: f64 = hidden.iter().map(|&work| round.max(work)).sum();
+        let allreduce = (rounds - hidden.len() as f64) * round + carried;
+        let (dot, update) = (dots * dot, axpys * axpy);
         let total = spmv + dot + update + allreduce;
         let time_us = total / (self.clock_ghz * 1e3);
         let points = (mx * my * z) as f64;
@@ -126,27 +155,33 @@ impl Cs1Model {
         }
     }
 
-    /// The paper's headline configuration: 600 × 595 × 1536.
+    /// Table I's iteration as the paper ran it: every dot, AXPY and
+    /// AllReduce round on the critical path.
+    pub fn predict_iteration_blocking(
+        &self,
+        mx: usize,
+        my: usize,
+        z: usize,
+    ) -> IterationPrediction {
+        self.schedule(mx, my, z, (4.0, 6.0), 4.0, &[])
+    }
+
+    /// The paper's headline experiment as the paper ran it: 600 × 595 ×
+    /// 1536 under the blocking schedule ([`Cs1Model::predict_iteration_blocking`]).
     pub fn predict_headline(&self) -> IterationPrediction {
-        self.predict_iteration(600, 595, 1536)
+        self.predict_iteration_blocking(600, 595, 1536)
     }
 
     /// Prediction under the **fused ω-reduction** variant: the `(q,y)` and
     /// `(y,y)` reductions share one round over two concurrent networks.
     /// Measured on the simulator, the combined round costs about 1.5× a
     /// single round (center-port contention), so the iteration spends
-    /// `3.5×` rather than `4×` the AllReduce latency.
+    /// `3.5×` rather than `4×` the AllReduce latency — but both ω-step dots
+    /// and all but one AXPY (`p −= ω s`, under the ρ round) stay on the
+    /// critical path.
     pub fn predict_iteration_fused(&self, mx: usize, my: usize, z: usize) -> IterationPrediction {
-        let mut p = self.predict_iteration(mx, my, z);
-        let round = self.allreduce.cycles(self.fabric_w, self.fabric_h);
-        let saved = 0.5 * round;
-        p.allreduce_cycles -= saved;
-        p.total_cycles -= saved;
-        p.time_us = p.total_cycles / (self.clock_ghz * 1e3);
-        let flops = 44.0 * (mx * my * z) as f64;
-        p.pflops = flops / (p.time_us * 1e-6) / 1e15;
-        p.utilization = p.pflops / self.peak_pflops(mx * my);
-        p
+        let (_, axpy) = self.sweeps(z);
+        self.schedule(mx, my, z, (4.0, 5.0), 3.5, &[axpy])
     }
 
     /// Prediction for a fully **communication-hiding** variant (pipelined

@@ -113,7 +113,7 @@ mod tests {
     fn single_wafer_reduces_to_base_model() {
         let mw = MultiWafer { k: 1, ..Default::default() };
         let p = mw.predict(1536);
-        let base = Cs1Model::default().predict_headline();
+        let base = Cs1Model::default().predict_iteration(600, 595, 1536);
         assert!((p.time_us - base.time_us).abs() < 1e-9);
         assert!((p.efficiency - 1.0).abs() < 1e-12);
     }

@@ -167,9 +167,11 @@ fn stall_and_retire_counts_need_no_trace() {
 
 /// Fits every per-phase slope of the analytic model from untraced counter
 /// measurements: two z values on a 4×4 fabric, plus a 2×2 fabric for the
-/// AllReduce's perimeter term. The solver runs 2 SpMVs, 4 dots, and 4
-/// AllReduce rounds per iteration, and the model groups the vector updates
-/// as 6 AXPY-grade sweeps — the same multipliers `predict_iteration` applies.
+/// AllReduce's perimeter term. The solver runs 2 SpMVs, 3 dots and 4
+/// AXPY-grade update sweeps on the critical path, and 4 AllReduce rounds
+/// (three carrying the other dot and AXPYs, which at these z are shorter
+/// than a round) per iteration — the same multipliers `predict_iteration`
+/// applies.
 fn calibrated_model() -> Cs1Model {
     let measure = |w, h, z| {
         let (mut fabric, solver) = traced_setup(w, h, z);
@@ -190,8 +192,8 @@ fn calibrated_model() -> Cs1Model {
         (slope, y2 - slope * z2 as f64)
     };
     (model.spmv_cycles_per_z, model.spmv_fixed) = fit(m1.spmv, m2.spmv, 2.0);
-    (model.dot_cycles_per_z, model.dot_fixed) = fit(m1.dot, m2.dot, 4.0);
-    (model.axpy_cycles_per_z, model.axpy_fixed) = fit(m1.update, m2.update, 6.0);
+    (model.dot_cycles_per_z, model.dot_fixed) = fit(m1.dot, m2.dot, 3.0);
+    (model.axpy_cycles_per_z, model.axpy_fixed) = fit(m1.update, m2.update, 4.0);
     // AllReduce latency depends on fabric perimeter, not z: fit from the
     // two fabric sizes (4 reduction rounds per iteration).
     model.allreduce.calibrate(&[(w, h, m1.allreduce / 4), (sw, sh, ms.allreduce / 4)]);
