@@ -232,13 +232,13 @@ expect_exact serve-mixed \
   "ops_failed 0 count"
 # The ensemble driver's workload: seam windows, halo attribution, host combine.
 expect_exact multiwafer-k2 \
-  "op_sim_cycles 6541 cycles" \
+  "op_sim_cycles 6105 cycles" \
   "wse-multi.halo_exposed_cycles 0 cycles" \
   "wse-multi.halo_hidden_cycles 1760 cycles" \
   "wse-multi.host_allreduce_cycles 1448 cycles" \
-  "wse-arch.flops_f16 436224 count" \
-  "wse-arch.flits_routed 78824 count" \
-  "perf-model.pred_us_per_iter 1.413223111111111 sim_us" \
+  "wse-arch.flops_f16 411648 count" \
+  "wse-arch.flits_routed 77796 count" \
+  "perf-model.pred_us_per_iter 1.6336235555555556 sim_us" \
   "ops_failed 0 count"
 
 echo "verify: OK"
