@@ -256,8 +256,8 @@ indexed_enum! {
         UpdP,
         /// The s recurrence that replaces `s := A p`.
         UpdS,
-        /// All fourteen dots of one iteration, stored to the fp32 payload.
-        Dots14,
+        /// All eleven dots of one iteration, stored to the fp32 payload.
+        Dots,
         /// The q and iterate updates.
         UpdXq,
         /// The residual update and the carrier of the s recurrence.
@@ -544,15 +544,19 @@ impl Recurrence {
 
     /// Every slot a step of any table names.
     pub(crate) fn slots(&self) -> impl Iterator<Item = Slot> {
-        let named = |step: &Step| match *step {
+        self.steps().flat_map(Self::activated).flatten()
+    }
+
+    /// The slots `step` activates: its own and its co-scheduled row's.
+    fn activated(step: &Step) -> [Option<Slot>; 2] {
+        match *step {
             Step::Run { slot, .. } => [Some(slot), None],
             Step::Spmv { slot, with } => [Some(slot), with],
             Step::Reduce { with } => [Some(Slot::Reduce), with],
             Step::ReduceToHost => [Some(Slot::Reduce), None],
             Step::ReduceBoth { with } => [Some(Slot::ReduceBoth), with],
             Step::CopyReg { .. } => [None, None],
-        };
-        self.steps().flat_map(named).flatten()
+        }
     }
 
     /// Every phase task's row, the background ones last.
@@ -607,6 +611,32 @@ impl Recurrence {
                 if let Some(loc) = conflict(kernel, &window) {
                     return Err(format!("{with:?} shares {loc:?} with its window {step:?}"));
                 }
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks that nothing a lane round moves is dead: each reply register
+    /// is read by some row, and every iteration table's `Sum::Lane` dots
+    /// write each lane `0..PAY_LANES` exactly once, the host deriving the
+    /// reply from all of them (and none, for a recurrence without a lane
+    /// reply). Returns the first breach.
+    pub(crate) fn check_lanes(&self) -> Result<(), String> {
+        let kernels = || self.rows().flat_map(|row| row.2);
+        let read = |reg| kernels().any(|k| self.effects(k).0.contains(&Loc::Register(reg)));
+        if let Some(reg) = self.reply.iter().find(|&&reg| !read(reg)) {
+            return Err(format!("reply register {reg} is read by no row"));
+        }
+        let payload = if self.reply.is_empty() { 0 } else { PAY_LANES };
+        for table in self.first.into_iter().chain([self.iter]) {
+            let slots: Vec<Slot> = table.iter().flat_map(Self::activated).flatten().collect();
+            let run = self.rows().filter(|row| slots.contains(&row.0)).flat_map(|row| row.2);
+            let lane =
+                |k: &Kernel| if let Kernel::Dot(_, _, Sum::Lane(j)) = *k { Some(j) } else { None };
+            let mut lanes: Vec<u32> = run.filter_map(lane).collect();
+            lanes.sort_unstable();
+            if !lanes.iter().copied().eq(0..payload) {
+                return Err(format!("an iteration writes lanes {lanes:?}, not 0..{payload}"));
             }
         }
         Ok(())
@@ -1130,27 +1160,20 @@ pub static CG_SINGLE: Recurrence = Recurrence {
 };
 
 /// Number of fp32 dot-product lanes in [`BICGSTAB_SINGLE`]'s payload.
-pub(crate) const PAY_LANES: u32 = DOTS14.len() as u32;
+pub(crate) const PAY_LANES: u32 = DOTS.len() as u32;
 
 /// Broadcast reply registers of [`BICGSTAB_SINGLE`], in host write /
-/// chain stream order: `[α, −α, ω, −ω, αω, β, ‖r_new‖²]`.
-pub(crate) const BC_REGS: [Reg; 7] = [
-    regs::ALPHA,
-    regs::NEG_ALPHA,
-    regs::OMEGA,
-    regs::NEG_OMEGA,
-    regs::ALPHA_OMEGA,
-    regs::BETA,
-    regs::RR,
-];
+/// chain stream order: `[α, −α, ω, −ω, αω, β]`.
+pub(crate) const BC_REGS: [Reg; 6] =
+    [regs::ALPHA, regs::NEG_ALPHA, regs::OMEGA, regs::NEG_OMEGA, regs::ALPHA_OMEGA, regs::BETA];
 
 /// Every scalar the rest of a [`BICGSTAB_SINGLE`] iteration needs, in
-/// [`BC_REGS`] order, from the fourteen combined dots (lane order: the
-/// `Slot::Dots14` row of `SINGLE_PHASES`). The classic scalars are
+/// [`BC_REGS`] order, from the eleven combined dots (lane order: the
+/// `Slot::Dots` row of `SINGLE_PHASES`). The classic scalars are
 /// polynomials in the pre-α dots: with `q = r − α s` and `y = v − α·zv`,
 /// every inner product expands over the measured lanes (see DESIGN.md
 /// §12 for the derivation).
-pub(crate) fn single_reduction_scalars(g: &[f32]) -> [f32; 7] {
+pub(crate) fn single_reduction_scalars(g: &[f32]) -> [f32; 6] {
     const EPS: f32 = 1e-30;
     let rho = g[0];
     let alpha = g[0] / (g[1] + EPS);
@@ -1159,9 +1182,7 @@ pub(crate) fn single_reduction_scalars(g: &[f32]) -> [f32; 7] {
     let omega = qy / (yy + EPS);
     let rho_next = (g[0] - alpha * g[1]) - omega * (g[2] - alpha * g[3]);
     let beta = (rho_next / (rho + EPS)) * (alpha / (omega + EPS));
-    let qq = g[11] - 2.0 * alpha * g[12] + alpha * alpha * g[13];
-    let rr_new = qq - 2.0 * omega * qy + omega * omega * yy;
-    [alpha, -alpha, omega, -omega, alpha * omega, beta, rr_new]
+    [alpha, -alpha, omega, -omega, alpha * omega, beta]
 }
 
 /// The ensemble's dot: stored to payload lane `j`.
@@ -1169,9 +1190,9 @@ const fn lane(j: u32, a: V, b: V) -> Kernel {
     Kernel::Dot(a, b, Sum::Lane(j))
 }
 
-/// All fourteen dots of an iteration; lane order is the host-side contract
+/// All eleven dots of an iteration; lane order is the host-side contract
 /// of [`single_reduction_scalars`].
-const DOTS14: &[Kernel] = &[
+const DOTS: &[Kernel] = &[
     lane(0, R0, R),
     lane(1, R0, S),
     lane(2, R0, Ar),
@@ -1183,9 +1204,6 @@ const DOTS14: &[Kernel] = &[
     lane(8, Ar, Ar),
     lane(9, Ar, As),
     lane(10, As, As),
-    lane(11, R, R),
-    lane(12, R, S),
-    lane(13, S, S),
 ];
 /// `r := q − ω v;  r += αω zv` (⟹ `r = q − ω y`); `t := s − ω zv` — q's
 /// storage is rewritten as t only after its last read.
@@ -1200,7 +1218,7 @@ const SINGLE_PHASES: &[Row] = &[
     (Slot::UpdP, "upd_p", &UPD_P),
     // s := v + β t  (t lives in q's storage).
     (Slot::UpdS, "upd_s", &[Xpay(regs::BETA, S, Ar, Q)]),
-    (Slot::Dots14, "fused_dots", DOTS14),
+    (Slot::Dots, "fused_dots", DOTS),
     (Slot::UpdXq, "upd_xq", &[UPD_Q, UPD_X]),
     (Slot::UpdRt, "upd_rt", UPD_RT),
     // Into lane 0, for the residual-norm round.
@@ -1208,7 +1226,7 @@ const SINGLE_PHASES: &[Row] = &[
 ];
 
 /// The ensemble's single-reduction BiCGStab ([`crate::multi`]): the same
-/// trajectory re-derived so that all fourteen scalar products of an
+/// trajectory re-derived so that all eleven scalar products of an
 /// iteration are taken *before* α and ω are known and reduced in one
 /// round, from which the host derives every scalar. Nothing to seed — ρ
 /// is re-derived from the lanes every iteration, and with the reply
@@ -1246,13 +1264,13 @@ pub static BICGSTAB_SINGLE: Recurrence = Recurrence {
         run(Update, Slot::UpdS),
         // Window B: zv := A s.
         spmv(Slot::SpmvSzv),
-        run(Dot, Slot::Dots14),
+        run(Dot, Slot::Dots),
         REDUCE,
         run(Update, Slot::UpdXq),
         run(Update, Slot::UpdRt),
     ],
     // ‖r‖² through payload lane 0 (the stale upper lanes are rewritten by
-    // the next `Dots14`).
+    // the next `Dots`).
     norm: Norm::AtHost(&[run(Dot, Slot::DotRr), Step::ReduceToHost]),
     derive: |g| single_reduction_scalars(g).to_vec(),
     reply: &BC_REGS,
@@ -1362,7 +1380,8 @@ impl Program {
     /// Panics if a tile leaves unset a slot the step tables name — at build
     /// time, by name, not as an out-of-range task activation mid-solve —
     /// and, in debug builds (where the builders lint), if a co-scheduled
-    /// row breaks `Recurrence::check_windows`.
+    /// row breaks `Recurrence::check_windows` or a lane round moves a dead
+    /// lane or reply register (`Recurrence::check_lanes`).
     pub(crate) fn new(
         recurrence: &'static Recurrence,
         layout: Layout,
@@ -1370,6 +1389,7 @@ impl Program {
     ) -> Program {
         if cfg!(debug_assertions) {
             recurrence.check_windows().unwrap_or_else(|e| panic!("co-scheduled row: {e}"));
+            recurrence.check_lanes().unwrap_or_else(|e| panic!("lane round: {e}"));
         }
         let (w, h) = layout.dims();
         let phase_budget = match layout {
@@ -1993,7 +2013,7 @@ mod tests {
     /// Table I as each table spells it, per iteration: BiCGStab 2 SpMV / 4
     /// dots / 6 AXPY in four reduction rounds (three when ω is fused), CG
     /// 1 / 2 / 3 in two, Chronopoulos–Gear CG 1 / 2 / 4 in one, and the
-    /// ensemble's single-reduction BiCGStab 2 / 14 / 9 in one (its window-A
+    /// ensemble's single-reduction BiCGStab 2 / 11 / 9 in one (its window-A
     /// p-update among the nine).
     #[test]
     fn host_tallies_spell_table_one() {
@@ -2004,7 +2024,7 @@ mod tests {
             (&BICGSTAB_BLOCK, tally(2, 4, 6, 4)),
             (&CG, tally(1, 2, 3, 2)),
             (&CG_SINGLE, tally(1, 2, 4, 1)),
-            (&BICGSTAB_SINGLE, tally(2, 14, 9, 1)),
+            (&BICGSTAB_SINGLE, tally(2, 11, 9, 1)),
         ];
         let laplace = |x: &[f64], y: &mut [f64]| {
             for (i, y) in y.iter_mut().enumerate() {
@@ -2072,6 +2092,48 @@ mod tests {
     }
 
     #[test]
+    fn every_reply_register_and_lane_is_live() {
+        for rec in [&BICGSTAB, &BICGSTAB_FUSED, &BICGSTAB_BLOCK, &BICGSTAB_SINGLE, &CG, &CG_SINGLE]
+        {
+            assert_eq!(rec.check_lanes(), Ok(()));
+        }
+    }
+
+    /// ‖r_new‖² put back into the reply (no row reads `RR`), an iteration
+    /// that leaves lanes 1–10 unwritten, and one that writes lane 0 twice
+    /// are each refused by name.
+    #[test]
+    fn a_dead_reply_register_or_lane_is_refused() {
+        const REPLY: [Reg; 7] = [
+            regs::ALPHA,
+            regs::NEG_ALPHA,
+            regs::OMEGA,
+            regs::NEG_OMEGA,
+            regs::ALPHA_OMEGA,
+            regs::BETA,
+            regs::RR,
+        ];
+        // (`norm` is not `Copy`; the rule never reads it.)
+        const fn single(iter: &'static [Step], reply: &'static [Reg]) -> Recurrence {
+            Recurrence { iter, reply, norm: Norm::ReadBack, ..BICGSTAB_SINGLE }
+        }
+        static CASES: [(Recurrence, &str); 3] = [
+            (single(BICGSTAB_SINGLE.iter, &REPLY), "reply register 11 is read by no row"),
+            (
+                single(&[run(Dot, Slot::DotRr), REDUCE], &BC_REGS),
+                "an iteration writes lanes [0], not 0..11",
+            ),
+            (
+                single(&[run(Dot, Slot::Dots), run(Dot, Slot::DotRr), REDUCE], &BC_REGS),
+                "an iteration writes lanes [0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10], not 0..11",
+            ),
+        ];
+        for (rec, want) in &CASES {
+            assert_eq!(rec.check_lanes(), Err(want.to_string()));
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "tile (1, 0) has no task for DotRho")]
     fn a_named_slot_left_unset_fails_at_build_time() {
         let mapping = stencil::decomp::Mapping3D::new(Mesh3D::new(2, 1, 4), 2, 1);
@@ -2080,8 +2142,8 @@ mod tests {
     }
 
     /// Lanes computed in f64 from random vectors must give back the
-    /// classic α = ρ/(r̂₀,s), ω = (q,y)/(y,y), β and ‖r_new‖² with
-    /// q = r − αs, y = v − α·zv, each in its [`BC_REGS`] position.
+    /// classic α = ρ/(r̂₀,s), ω = (q,y)/(y,y) and β with q = r − αs,
+    /// y = v − α·zv, each in its [`BC_REGS`] position.
     #[test]
     fn single_reduction_scalars_reproduce_the_classic_coefficients() {
         let mut state = 0x9e37_79b9_7f4a_7c15_u64;
@@ -2111,9 +2173,6 @@ mod tests {
                 (&v, &v),
                 (&v, &zv),
                 (&zv, &zv),
-                (&r, &r),
-                (&r, &s),
-                (&s, &s),
             ];
             let lanes: Vec<f32> = pairs.iter().map(|(a, b)| dot(a, b) as f32).collect();
             let (rho, alpha) = (dot(&r0, &r), dot(&r0, &r) / dot(&r0, &s));
@@ -2130,7 +2189,6 @@ mod tests {
                 regs::NEG_OMEGA => -omega,
                 regs::ALPHA_OMEGA => alpha * omega,
                 regs::BETA => dot(&r0, &r_new) / rho * (alpha / omega),
-                regs::RR => dot(&r_new, &r_new),
                 _ => unreachable!("not a reply register"),
             };
             for (reg, got) in BC_REGS.into_iter().zip(single_reduction_scalars(&lanes)) {

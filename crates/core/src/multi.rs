@@ -23,7 +23,7 @@
 //!   latencies instead of the serial `k`-hop scan), writes the global
 //!   result back, and triggers the on-wafer broadcast.
 //! * **Single-reduction fused iteration** ([`build_fused`][WaferBicgstabMulti::build_fused],
-//!   the bench default) — one fp32 payload of fourteen dots, one on-wafer
+//!   the bench default) — one fp32 payload of eleven dots, one on-wafer
 //!   lane [`Reduction`] and one host round-trip per iteration.
 //!
 //! Every builder produces the same thing: a [`krylov::Program`] over the
@@ -142,7 +142,7 @@ impl WaferBicgstabMulti {
     }
 
     /// Builds the **fused single-reduction** distributed solver
-    /// ([`krylov::BICGSTAB_SINGLE`]): all fourteen scalar products of an
+    /// ([`krylov::BICGSTAB_SINGLE`]): all eleven scalar products of an
     /// iteration are reduced in one hierarchical AllReduce — one host
     /// round-trip per iteration instead of three, on top of the overlapped
     /// halo schedule. The iteration order is the table's.
@@ -191,7 +191,7 @@ impl WaferBicgstabMulti {
     }
 
     /// The one builder: `fused` picks the recurrence and its tile program
-    /// ([`krylov::BICGSTAB_SINGLE`] with the 14-lane chains, or
+    /// ([`krylov::BICGSTAB_SINGLE`] with the 11-lane chains, or
     /// [`krylov::BICGSTAB`] with per-wafer scalar reduce trees).
     fn build_inner(multi: &mut MultiFabric, a: &DiaMatrix<F16>, fused: bool) -> WaferBicgstabMulti {
         let recurrence = if fused { &krylov::BICGSTAB_SINGLE } else { &krylov::BICGSTAB };
@@ -284,11 +284,13 @@ impl WaferBicgstabMulti {
         }
 
         // One pass over the binomial tree. The scalar trees move one word
-        // each way and are charged latency only; the chains move 14 fp32
-        // lanes up and 7 down, charged as 14 both ways.
+        // each way and are charged latency only; the chains move 11 fp32
+        // lanes up and a 6-word reply down, charged as 11 lanes both ways
+        // (an ideal link's infinite bandwidth divides to no cycles).
         let levels = (k as f64).log2().ceil() as u64;
         let link = multi.link();
-        let xfer = if fused { transfer_cycles(&link, (PAY_LANES * 4) as f64) } else { 0 };
+        let xfer = (PAY_LANES * 4) as f64 / link.bytes_per_cycle;
+        let xfer = if fused { xfer.ceil() as u64 } else { 0 };
         WaferBicgstabMulti {
             program: Program::new(recurrence, Layout::ZColumn(mapping), tiles),
             seams,
@@ -584,12 +586,6 @@ fn binomial_combine(mut partials: Vec<f32>) -> f32 {
         gap *= 2;
     }
     partials[0]
-}
-
-/// Cycles `bytes` spend crossing the link (an ideal link's infinite
-/// bandwidth divides to none).
-fn transfer_cycles(link: &wse_multi::HostLink, bytes: f64) -> u64 {
-    (bytes / link.bytes_per_cycle).ceil() as u64
 }
 
 /// Convenience for the bit-exact **transparent** mode: builds the

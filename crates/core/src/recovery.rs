@@ -254,19 +254,13 @@ impl FabricCheckpoint {
     pub fn capture(fabric: &mut Fabric) -> FabricCheckpoint {
         fabric.settle_idle();
         let (w, h) = (fabric.width(), fabric.height());
-        let mut tiles = Vec::with_capacity(w * h);
-        for y in 0..h {
-            for x in 0..w {
-                let t = fabric.tile(x, y);
-                let words = (t.mem.used() as usize).div_ceil(2);
-                tiles.push(TileCheckpoint {
-                    sram: t.mem.load_f16_slice(0, words),
-                    regs: t.core.regs,
-                    sched: t.core.sched_state(),
-                });
-            }
-        }
-        FabricCheckpoint { tiles, w, h }
+        let tiles = (0..w * h).map(|i| {
+            let t = fabric.tile(i % w, i / w);
+            let words = (t.mem.used() as usize).div_ceil(2);
+            let sram = t.mem.load_f16_slice(0, words);
+            TileCheckpoint { sram, regs: t.core.regs, sched: t.core.sched_state() }
+        });
+        FabricCheckpoint { tiles: tiles.collect(), w, h }
     }
 
     /// Rolls the fabric back to this snapshot: clears all transient
@@ -280,14 +274,11 @@ impl FabricCheckpoint {
             "checkpoint/fabric shape mismatch"
         );
         fabric.reset_transient();
-        for y in 0..self.h {
-            for x in 0..self.w {
-                let c = &self.tiles[y * self.w + x];
-                let t = fabric.tile_mut(x, y);
-                t.mem.store_f16_slice(0, &c.sram);
-                t.core.regs = c.regs;
-                t.core.restore_sched_state(&c.sched);
-            }
+        for (i, c) in self.tiles.iter().enumerate() {
+            let t = fabric.tile_mut(i % self.w, i / self.w);
+            t.mem.store_f16_slice(0, &c.sram);
+            t.core.regs = c.regs;
+            t.core.restore_sched_state(&c.sched);
         }
     }
 
@@ -350,18 +341,9 @@ pub fn true_rel_residual(a: &DiaMatrix<F16>, x: &[F16], b: &[F16]) -> f64 {
     let xf: Vec<f64> = x.iter().map(|v| v.to_f64()).collect();
     let mut ax = vec![0.0f64; xf.len()];
     a.matvec_f64(&xf, &mut ax);
-    let mut num = 0.0f64;
-    let mut den = 0.0f64;
-    for (i, v) in b.iter().enumerate() {
-        let bi = v.to_f64();
-        num += (bi - ax[i]) * (bi - ax[i]);
-        den += bi * bi;
-    }
-    if den == 0.0 {
-        num.sqrt()
-    } else {
-        (num / den).sqrt()
-    }
+    let num: f64 = b.iter().zip(&ax).map(|(b, ax)| (b.to_f64() - ax) * (b.to_f64() - ax)).sum();
+    let den: f64 = b.iter().map(|b| b.to_f64() * b.to_f64()).sum();
+    (if den == 0.0 { num } else { num / den }).sqrt()
 }
 
 /// Runs a solver iteration loop under checkpoint/rollback recovery.

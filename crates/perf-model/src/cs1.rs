@@ -13,9 +13,11 @@
 //! The per-iteration cycle model mirrors the schedule the simulator runs
 //! (Table I's 2 SpMVs, 4 dots and 6 AXPYs in four AllReduce rounds, with
 //! the `(y, y)` dot and two AXPYs on background threads under three of
-//! the rounds, so that 3 dots and 4 AXPYs stay on the critical path); the
-//! per-element slopes are calibrated against `wse-arch` runs on small
-//! fabrics and the fixed offsets cover task scheduling and pipeline fill.
+//! the rounds, so that 3 dots and 4 AXPYs stay on the critical path), and
+//! the multi-wafer ensemble's single-reduction iteration from the same
+//! slopes ([`Cs1Model::predict_iteration_single`]); the per-element slopes
+//! are calibrated against `wse-arch` runs on small fabrics and the fixed
+//! offsets cover task scheduling and pipeline fill.
 
 use crate::allreduce::AllReduceModel;
 
@@ -108,7 +110,17 @@ impl Cs1Model {
     /// `p −= ω s` on background threads.
     pub fn predict_iteration(&self, mx: usize, my: usize, z: usize) -> IterationPrediction {
         let (dot, axpy) = self.sweeps(z);
-        self.schedule(mx, my, z, (3.0, 4.0), 4.0, &[dot, axpy, axpy])
+        self.schedule(mx, my, z, (3.0 * dot, 4.0 * axpy), 4.0, &[dot, axpy, axpy])
+    }
+
+    /// Predicts one iteration of the single-reduction BiCGStab a
+    /// multi-wafer ensemble runs, on one wafer: two SpMVs (the first
+    /// hides the p-update), one task of eleven dots that pays the fixed
+    /// dot cost once, seven visible AXPYs, and one lane-chain round.
+    pub fn predict_iteration_single(&self, mx: usize, my: usize, z: usize) -> IterationPrediction {
+        let (dot, axpy) = self.sweeps(z);
+        let dots = 11.0 * (dot - self.dot_fixed) + self.dot_fixed;
+        self.schedule(mx, my, z, (dots, 7.0 * axpy), 1.0, &[])
     }
 
     /// Cycles of one local dot and of one AXPY over `z` elements.
@@ -117,26 +129,24 @@ impl Cs1Model {
         (self.dot_cycles_per_z * zf + self.dot_fixed, self.axpy_cycles_per_z * zf + self.axpy_fixed)
     }
 
-    /// One iteration of a schedule: `(dots, axpys)` sweeps on the critical
-    /// path, `rounds` AllReduce rounds' worth of reduction, and one round
-    /// per entry of `hidden` carrying a kernel of that many cycles, charged
-    /// the longer of the two.
+    /// One iteration of a schedule: `(dot, update)` cycles of local dots
+    /// and vector updates on the critical path, `rounds` AllReduce rounds'
+    /// worth of reduction, and one round per entry of `hidden` carrying a
+    /// kernel of that many cycles, charged the longer of the two.
     fn schedule(
         &self,
         mx: usize,
         my: usize,
         z: usize,
-        (dots, axpys): (f64, f64),
+        (dot, update): (f64, f64),
         rounds: f64,
         hidden: &[f64],
     ) -> IterationPrediction {
         assert!(mx <= self.fabric_w && my <= self.fabric_h, "mesh exceeds fabric");
-        let (dot, axpy) = self.sweeps(z);
         let spmv = 2.0 * (self.spmv_cycles_per_z * z as f64 + self.spmv_fixed);
         let round = self.allreduce.cycles(self.fabric_w, self.fabric_h);
         let carried: f64 = hidden.iter().map(|&work| round.max(work)).sum();
         let allreduce = (rounds - hidden.len() as f64) * round + carried;
-        let (dot, update) = (dots * dot, axpys * axpy);
         let total = spmv + dot + update + allreduce;
         let time_us = total / (self.clock_ghz * 1e3);
         let points = (mx * my * z) as f64;
@@ -163,7 +173,8 @@ impl Cs1Model {
         my: usize,
         z: usize,
     ) -> IterationPrediction {
-        self.schedule(mx, my, z, (4.0, 6.0), 4.0, &[])
+        let (dot, axpy) = self.sweeps(z);
+        self.schedule(mx, my, z, (4.0 * dot, 6.0 * axpy), 4.0, &[])
     }
 
     /// The paper's headline experiment as the paper ran it: 600 × 595 ×
@@ -180,8 +191,8 @@ impl Cs1Model {
     /// and all but one AXPY (`p −= ω s`, under the ρ round) stay on the
     /// critical path.
     pub fn predict_iteration_fused(&self, mx: usize, my: usize, z: usize) -> IterationPrediction {
-        let (_, axpy) = self.sweeps(z);
-        self.schedule(mx, my, z, (4.0, 5.0), 3.5, &[axpy])
+        let (dot, axpy) = self.sweeps(z);
+        self.schedule(mx, my, z, (4.0 * dot, 5.0 * axpy), 3.5, &[axpy])
     }
 
     /// Prediction for a fully **communication-hiding** variant (pipelined
@@ -290,6 +301,20 @@ mod tests {
         let out = m.shape_sweep(&[(100, 100, 100), (600, 595, 1536)]);
         assert_eq!(out.len(), 2);
         assert!(out[1].3.time_us > out[0].3.time_us * 0.9); // same allreduce floor
+    }
+
+    /// The ensemble's iteration: eleven dot sweeps behind one fixed cost,
+    /// seven AXPYs, one round, and the classic law's two SpMVs.
+    #[test]
+    fn single_reduction_law_prices_its_one_round() {
+        let m = Cs1Model::default();
+        let (single, classic) =
+            (m.predict_iteration_single(4, 4, 64), m.predict_iteration(4, 4, 64));
+        assert_eq!(single.dot_cycles, 11.0 * 0.5 * 64.0 + 10.0);
+        assert_eq!(single.update_cycles, 7.0 * (0.25 * 64.0 + 8.0));
+        assert_eq!(single.allreduce_cycles, m.allreduce.cycles(602, 595));
+        assert_eq!(single.spmv_cycles, classic.spmv_cycles);
+        assert!(single.allreduce_cycles < classic.allreduce_cycles / 3.0);
     }
 
     #[test]

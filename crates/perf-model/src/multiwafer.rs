@@ -56,11 +56,13 @@ impl MultiWafer {
 
     /// Predicts one BiCGStab iteration for a general `(k·mx) × my × z`
     /// mesh (per-wafer slab `mx × my × z`, weak scaling in X): the
-    /// single-wafer iteration plus [`MultiWafer::interconnect_overlapped_us`]
-    /// with the iteration's SpMV window (two per iteration). This is the
-    /// shape the `wse-multi` simulation cross-validates against.
+    /// single-reduction iteration on one wafer
+    /// ([`Cs1Model::predict_iteration_single`]) plus
+    /// [`MultiWafer::interconnect_overlapped_us`] with the iteration's SpMV
+    /// window (two per iteration). This is the shape the `wse-multi`
+    /// simulation cross-validates against.
     pub fn predict_mesh(&self, mx: usize, my: usize, z: usize) -> MultiWaferPrediction {
-        let base = self.wafer.predict_iteration(mx, my, z);
+        let base = self.wafer.predict_iteration_single(mx, my, z);
         let window_us = base.spmv_cycles / 2.0 / (self.wafer.clock_ghz * 1e3);
         let (halo_us, reduce_us) = self.interconnect_overlapped_us(my, z, window_us);
         let time_us = base.time_us + halo_us + reduce_us;
@@ -81,8 +83,8 @@ impl MultiWafer {
     /// top of the single-wafer iteration. The halo term is only the wire
     /// time left exposed after hiding one `my × z` fp16 plane behind an
     /// SpMV window of `spmv_window_us` (two windows per iteration), and the
-    /// reduction term is the *single* fused round-trip per iteration — 14
-    /// fp32 dot lanes up and a 7-word reply down the `⌈log₂ k⌉`-level
+    /// reduction term is the *single* fused round-trip per iteration — 11
+    /// fp32 dot lanes up and a 6-word fp32 reply down the `⌈log₂ k⌉`-level
     /// binomial host tree. Exposed so the simulator's measured exposed halo
     /// and host-AllReduce cycles can be checked against the model's terms
     /// in isolation.
@@ -99,8 +101,8 @@ impl MultiWafer {
         let wire_us = self.link_latency_us + plane_bytes / (self.link_gb_s * 1e3);
         let halo_exposed_us = 2.0 * (wire_us - spmv_window_us).max(0.0);
         let levels = (self.k as f64).log2().ceil();
-        let payload_us = (14.0 * 4.0) / (self.link_gb_s * 1e3);
-        let reduce_us = 2.0 * levels * (self.link_latency_us + payload_us);
+        let [lanes_us, reply_us] = [11.0, 6.0].map(|words| words * 4.0 / (self.link_gb_s * 1e3));
+        let reduce_us = levels * (2.0 * self.link_latency_us + lanes_us + reply_us);
         (halo_exposed_us, reduce_us)
     }
 }
@@ -113,7 +115,7 @@ mod tests {
     fn single_wafer_reduces_to_base_model() {
         let mw = MultiWafer { k: 1, ..Default::default() };
         let p = mw.predict(1536);
-        let base = Cs1Model::default().predict_iteration(600, 595, 1536);
+        let base = Cs1Model::default().predict_iteration_single(600, 595, 1536);
         assert!((p.time_us - base.time_us).abs() < 1e-9);
         assert!((p.efficiency - 1.0).abs() < 1e-12);
     }

@@ -122,9 +122,10 @@ fn predict_mesh_generalizes_predict() {
     let (halo_paper, _) = mw.interconnect_overlapped_us(595, 1536, 0.0);
     assert!(halo_small < halo_paper);
     assert_eq!(small.mesh, (8, 4, 16));
-    // predict_mesh prices the overlapped schedule: the base iteration plus
-    // the exposed halo behind its own SpMV window and one fused round-trip.
-    let base = mw.wafer.predict_iteration(4, 4, 16);
+    // predict_mesh prices the overlapped schedule: the single-reduction
+    // iteration plus the exposed halo behind its own SpMV window and one
+    // fused round-trip.
+    let base = mw.wafer.predict_iteration_single(4, 4, 16);
     let window_us = base.spmv_cycles / 2.0 / (mw.wafer.clock_ghz * 1e3);
     let (exposed, reduce) = mw.interconnect_overlapped_us(4, 16, window_us);
     assert!((small.time_us - (base.time_us + exposed + reduce)).abs() < 1e-12);
